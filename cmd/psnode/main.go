@@ -565,7 +565,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 	// A scrape of the dispatcher reports the whole cluster: remote
 	// workers' counters are refreshed (rate-limited) before each scrape.
 	startAdmin(logger, dc.admin, "dispatcher", sys.Registry(), sys.RouteEpoch,
-		func() { sys.RefreshRemoteStats(500 * time.Millisecond) })
+		func() { sys.RefreshWorkerStats(500 * time.Millisecond) })
 	scfg := workload.StreamConfig{Mu: dc.mu, Seed: dc.seed}
 	if dc.hotspot >= 0 {
 		scfg.FocusBias = dc.hotBias

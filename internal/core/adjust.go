@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"math/rand"
 	"time"
 
@@ -16,7 +14,7 @@ import (
 
 // adjustLoop is the adaptive load adjustment controller (§V-A, made
 // continuous): every Interval it samples per-worker load from the live
-// publish traffic (the worker bolts' op counters, smoothed with an EWMA),
+// publish traffic (the worker engines' op counters, smoothed with an EWMA),
 // runs the imbalance detector (θ threshold + hysteresis + cooldown), and
 // when the detector fires migrates load from the most to the least loaded
 // worker — Phase I (split/merge that reduces total workload) then Phase
@@ -51,8 +49,8 @@ func (s *System) adjustTick() {
 		// performance".
 		return
 	}
-	if err := s.pollRemoteLoads(); err != nil {
-		// Remote load is unobservable this interval (a blip, or
+	if err := s.pollLoads(); err != nil {
+		// A slot's load is unobservable this interval (a blip, or
 		// teardown racing the poll): leave the window accumulating and
 		// retry next tick. A genuinely dead hop fails the run on the
 		// data path.
@@ -107,68 +105,21 @@ func (s *System) adjustTick() {
 	s.resetLoadWindows()
 }
 
-// remoteMigrator returns worker w's wire cell-migration interface, nil
-// for in-process tasks (and for remote transports without migration
-// support, which canAdjust already excludes). For an elastic hop the
-// CURRENT session's transport is returned even when the hop is down or
-// replaying: a nil would make migration callers misread the slot as
-// in-process and touch the coordinator's shadow index, whereas a
-// control round on a dead connection fails fast and every caller
-// aborts cleanly on error.
-func (s *System) remoteMigrator(w int) remoteCellMigrator {
-	if h := s.hop(w); h != nil {
-		if m, ok := h.transport().(remoteCellMigrator); ok {
-			return m
-		}
-		return nil
-	}
-	if tr, ok := s.cfg.RemoteWorkers[w]; ok {
-		if m, ok := tr.(remoteCellMigrator); ok {
-			return m
-		}
-	}
-	return nil
-}
-
-// pollRemoteLoads refreshes nodeWork with every remote worker's
-// cumulative processed-op counters (one stats control round each), so
-// the detector's per-interval differences measure node-side processing
-// progress — not the coordinator's hand-off rate, which would track
-// routing alone and hide a node that cannot keep up. Caller holds
-// adjustMu; no-op without remote workers.
-func (s *System) pollRemoteLoads() error {
-	if s.nodeWork == nil || !s.HasRemoteWorkers() {
-		return nil
-	}
-	for _, task := range s.remoteWorkerTasks() {
-		m := s.remoteMigrator(task)
-		if m == nil {
-			continue
-		}
-		sr, err := m.WorkerStats()
+// pollLoads refreshes work with every active slot's cumulative
+// processed-op counters (one stats round each), so the detector's
+// per-interval differences measure what each worker processed — not the
+// coordinator's hand-off rate, which would track routing alone and hide
+// a node that cannot keep up. Caller holds adjustMu.
+func (s *System) pollLoads() error {
+	for _, w := range s.activeWorkerSlots() {
+		sr, err := s.slots[w].Stats()
 		if err != nil {
-			s.log.Debug("adjust remote load poll failed", "worker", task, "err", err)
+			s.log.Debug("adjust load poll failed", "worker", w, "err", err)
 			return err
 		}
-		s.nodeWork[task] = workCounts{objects: sr.Objects, inserts: sr.Inserts, deletes: sr.Deletes}
-		s.storeRemoteStats(task, sr)
+		s.work[w] = workCounts{objects: sr.Objects, inserts: sr.Inserts, deletes: sr.Deletes}
 	}
 	return nil
-}
-
-// curWork reads worker i's cumulative op counts from the controller's
-// point of view: the node-reported counters for remote tasks (filled by
-// pollRemoteLoads), the worker bolts' tallies for local ones. Caller
-// holds adjustMu.
-func (s *System) curWork(i int) workCounts {
-	if s.nodeWork != nil && s.isRemote(i) {
-		return s.nodeWork[i]
-	}
-	return workCounts{
-		objects: s.workObjects[i].Load(),
-		inserts: s.workInserts[i].Load(),
-		deletes: s.workDeletes[i].Load(),
-	}
 }
 
 // peekWorkerLoads differences the per-worker cumulative op counters
@@ -177,10 +128,9 @@ func (s *System) curWork(i int) workCounts {
 // the caller decides to use the observation. It returns the per-window
 // loads and the total ops observed. Caller holds adjustMu.
 func (s *System) peekWorkerLoads() ([]float64, int64) {
-	loads := make([]float64, len(s.workers))
+	loads := make([]float64, len(s.work))
 	var total int64
-	for i := range s.workers {
-		cur := s.curWork(i)
+	for i, cur := range s.work {
 		d := workCounts{
 			objects: cur.objects - s.prevWork[i].objects,
 			inserts: cur.inserts - s.prevWork[i].inserts,
@@ -195,26 +145,17 @@ func (s *System) peekWorkerLoads() ([]float64, int64) {
 // commitWorkSample marks the current counter values as sampled, starting
 // the next measurement window. Caller holds adjustMu.
 func (s *System) commitWorkSample() {
-	for i := range s.workers {
-		s.prevWork[i] = s.curWork(i)
-	}
+	copy(s.prevWork, s.work)
 }
 
 // resetLoadWindows starts a fresh Definition-1 window: the dispatcher-side
 // per-worker counters (Snapshot.WorkerLoads) and the per-cell object
-// windows inside each GI2 index (Phase I/II candidate loads) — including
-// the indexes living on remote nodes, which reset via a fire-and-forget
-// control frame (FIFO guarantees the next CellStats observes it).
+// windows inside each worker's index (Phase I/II candidate loads). A
+// reset is ordered before the slot's next CellStats round.
 func (s *System) resetLoadWindows() {
 	s.resetWindow()
-	for i, w := range s.workers {
-		if m := s.remoteMigrator(i); m != nil {
-			_ = m.ResetWindow() // a failure here surfaces on the data path
-			continue
-		}
-		w.mu.Lock()
-		w.gi.ResetWindow()
-		w.mu.Unlock()
+	for _, w := range s.activeWorkerSlots() {
+		_ = s.slots[w].ResetWindow() // a failure here surfaces on the data path
 	}
 }
 
@@ -237,8 +178,8 @@ func (s *System) AdjustNow() int {
 	if dualActive {
 		return 0
 	}
-	if err := s.pollRemoteLoads(); err != nil {
-		return 0 // remote load unobservable; adjusting blind would misplace cells
+	if err := s.pollLoads(); err != nil {
+		return 0 // a slot's load is unobservable; adjusting blind would misplace cells
 	}
 	loads, windowOps := s.peekWorkerLoads()
 	if windowOps > 0 {
@@ -284,35 +225,27 @@ func (s *System) migrationCount() int {
 func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 	var movedLoad float64
 
-	// One planner snapshot per remote endpoint: Phase I shares, Phase II
-	// candidates and the tau pricing for a remote worker all derive from
-	// a single CellStats round, so they cannot disagree with each other
-	// (and the adjustment costs one round per endpoint, not three). If
-	// an endpoint cannot be observed the adjustment aborts — planning
-	// against a zero view would move arbitrarily much. Local endpoints
-	// keep reading their index directly: re-reads are cheap and observe
-	// Phase I's effects exactly as before.
-	remoteStats := make(map[int][]wire.CellStat)
-	for _, w := range []int{wo, wl} {
-		if m := s.remoteMigrator(w); m != nil {
-			stats, err := m.CellStats()
-			if err != nil {
-				return
-			}
-			if stats == nil {
-				// The snapshot is the remote-vs-local discriminator in
-				// the readers below: an empty remote node must present a
-				// non-nil (empty) view, or it would be misread as local
-				// and planned from the coordinator's shadow index.
-				stats = []wire.CellStat{}
-			}
-			remoteStats[w] = stats
-		}
+	// One planner snapshot per endpoint: Phase I shares, Phase II
+	// candidates and the tau pricing for a worker all derive from a single
+	// CellStats round, so they cannot disagree with each other (and the
+	// adjustment costs one round per endpoint, not three). If an endpoint
+	// cannot be observed the adjustment aborts — planning against a zero
+	// view would move arbitrarily much.
+	woStats, err := s.slots[wo].CellStats()
+	if err != nil {
+		return
+	}
+	wlStats, err := s.slots[wl].CellStats()
+	if err != nil {
+		return
 	}
 
 	// Phase I: split/merge opportunities on the heaviest cells.
-	woShares, wlShares := s.collectShares(wo, remoteStats[wo]), s.collectSharesMap(wl, remoteStats[wl])
-	actions := migrate.PlanPhaseI(woShares, wlShares, s.cellObjTotal, migrate.PhaseIConfig{
+	wlShares := make(map[int]migrate.CellShare)
+	for _, cs := range s.collectShares(wlStats) {
+		wlShares[cs.Cell] = cs
+	}
+	actions := migrate.PlanPhaseI(s.collectShares(woStats), wlShares, s.cellObjTotal, migrate.PhaseIConfig{
 		P:     s.cfg.Adjust.PhaseIP,
 		Costs: s.cfg.Costs,
 	})
@@ -352,11 +285,11 @@ func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 	// loads decide *whether* to adjust; they are not commensurable with
 	// cell loads and using their gap as tau moves arbitrarily little or
 	// much.
-	cells := s.migrationCandidates(wo, remoteStats[wo])
+	cells := s.migrationCandidates(woStats)
 	if len(cells) == 0 {
 		return
 	}
-	tau := (s.cellLoadSum(wo, remoteStats[wo])-s.cellLoadSum(wl, remoteStats[wl]))/2 - movedLoad
+	tau := (cellLoadSum(woStats)-cellLoadSum(wlStats))/2 - movedLoad
 	if tau <= 0 {
 		return
 	}
@@ -417,51 +350,23 @@ func (s *System) cellObjTotal(cell int) int64 {
 	return s.cellObjects[cell].Load()
 }
 
-// collectShares snapshots the Phase I view of a worker's cells — from
-// the local index, or from the adjustment's pre-fetched CellStats
-// snapshot for a remote worker (remote non-nil; see runAdjustment).
+// collectShares is the Phase I view of a worker's CellStats snapshot.
 // Pending cells are filtered at call time, so a snapshot taken before
 // Phase I still excludes the cells Phase I just migrated.
-func (s *System) collectShares(w int, remote []wire.CellStat) []migrate.CellShare {
-	if remote != nil {
-		shares := make([]migrate.CellShare, 0, len(remote))
-		for _, cs := range remote {
-			if cs.Entries == 0 || s.cellPending(cs.Cell) {
-				continue
-			}
-			share := migrate.CellShare{
-				Cell:      cs.Cell,
-				Queries:   cs.Entries,
-				ObjSeen:   cs.ObjSeen,
-				SizeBytes: cs.SizeBytes,
-				Text:      s.gridT.Load().IsTextCell(cs.Cell),
-			}
-			for _, ts := range cs.Terms {
-				share.Keys = append(share.Keys, migrate.KeyStat{
-					Key: ts.Term, Queries: ts.Queries, ObjHits: ts.ObjHits,
-				})
-			}
-			shares = append(shares, share)
-		}
-		return shares
-	}
-	ws := s.workers[w]
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	stats := ws.gi.CellStats()
+func (s *System) collectShares(stats []wire.CellStat) []migrate.CellShare {
 	shares := make([]migrate.CellShare, 0, len(stats))
 	for _, cs := range stats {
-		if cs.Entries == 0 || s.cellPending(cs.CellID) {
+		if cs.Entries == 0 || s.cellPending(cs.Cell) {
 			continue
 		}
 		share := migrate.CellShare{
-			Cell:      cs.CellID,
+			Cell:      cs.Cell,
 			Queries:   cs.Entries,
 			ObjSeen:   cs.ObjSeen,
 			SizeBytes: cs.SizeBytes,
-			Text:      s.gridT.Load().IsTextCell(cs.CellID),
+			Text:      s.gridT.Load().IsTextCell(cs.Cell),
 		}
-		for _, ts := range ws.gi.CellTermStats(cs.CellID) {
+		for _, ts := range cs.Terms {
 			share.Keys = append(share.Keys, migrate.KeyStat{
 				Key: ts.Term, Queries: ts.Queries, ObjHits: ts.ObjHits,
 			})
@@ -471,32 +376,11 @@ func (s *System) collectShares(w int, remote []wire.CellStat) []migrate.CellShar
 	return shares
 }
 
-func (s *System) collectSharesMap(w int, remote []wire.CellStat) map[int]migrate.CellShare {
-	out := make(map[int]migrate.CellShare)
-	for _, cs := range s.collectShares(w, remote) {
-		out[cs.Cell] = cs
-	}
-	return out
-}
-
-// cellLoadSum totals a worker's per-window Definition 3 cell loads
-// (n_o·n_q), the unit Phase I/II migration quantities are priced in.
-// Remote workers are read from the adjustment's pre-fetched snapshot.
-func (s *System) cellLoadSum(w int, remote []wire.CellStat) float64 {
-	if remote != nil {
-		var sum float64
-		for _, cs := range remote {
-			if cs.Load > 0 {
-				sum += cs.Load
-			}
-		}
-		return sum
-	}
-	ws := s.workers[w]
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
+// cellLoadSum totals a CellStats snapshot's per-window Definition 3 cell
+// loads (n_o·n_q), the unit Phase I/II migration quantities are priced in.
+func cellLoadSum(stats []wire.CellStat) float64 {
 	var sum float64
-	for _, cs := range ws.gi.CellStats() {
+	for _, cs := range stats {
 		if cs.Load > 0 {
 			sum += cs.Load
 		}
@@ -504,31 +388,17 @@ func (s *System) cellLoadSum(w int, remote []wire.CellStat) float64 {
 	return sum
 }
 
-// migrationCandidates lists wo's cells as Minimum Cost Migration input
-// (Definition 4): load L_g = n_o·n_q, size S_g = serialised query bytes.
-// Remote workers are read from the adjustment's pre-fetched snapshot,
-// with pending cells (including those Phase I just migrated) filtered
-// at call time.
-func (s *System) migrationCandidates(wo int, remote []wire.CellStat) []migrate.Cell {
-	if remote != nil {
-		var cells []migrate.Cell
-		for _, cs := range remote {
-			if cs.Entries == 0 || cs.Load <= 0 || s.cellPending(cs.Cell) {
-				continue
-			}
-			cells = append(cells, migrate.Cell{ID: cs.Cell, Load: cs.Load, Size: cs.SizeBytes})
-		}
-		return cells
-	}
-	ws := s.workers[wo]
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
+// migrationCandidates lists a CellStats snapshot's cells as Minimum Cost
+// Migration input (Definition 4): load L_g = n_o·n_q, size S_g =
+// serialised query bytes. Pending cells (including those Phase I just
+// migrated) are filtered at call time.
+func (s *System) migrationCandidates(stats []wire.CellStat) []migrate.Cell {
 	var cells []migrate.Cell
-	for _, cs := range ws.gi.CellStats() {
-		if cs.Entries == 0 || cs.Load <= 0 || s.cellPending(cs.CellID) {
+	for _, cs := range stats {
+		if cs.Entries == 0 || cs.Load <= 0 || s.cellPending(cs.Cell) {
 			continue
 		}
-		cells = append(cells, migrate.Cell{ID: cs.CellID, Load: cs.Load, Size: cs.SizeBytes})
+		cells = append(cells, migrate.Cell{ID: cs.Cell, Load: cs.Load, Size: cs.SizeBytes})
 	}
 	return cells
 }
@@ -550,109 +420,54 @@ type pendingExtract struct {
 	barrier    int64
 }
 
-// copyCellShare snapshots worker w's share of a cell — the whole cell
-// when keys is nil, only the given registration keys otherwise —
-// without removing anything: queries plus the cell's window ring. Local
-// workers are read under their lock; remote workers serve one
-// ExtractCells(remove=false) control round, FIFO-ordered behind all
-// traffic sent to them.
-func (s *System) copyCellShare(w, cell int, keys []string) (qs []*model.Query, ring []window.Entry, err error) {
-	if m := s.remoteMigrator(w); m != nil {
-		cs, err := m.ExtractCells([]wire.CellSpec{{Cell: cell, Keys: keys}}, false, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(cs.Cells) > 0 {
-			return cs.Cells[0].Queries, cs.Cells[0].Ring, nil
-		}
-		return nil, nil, nil
-	}
-	ws := s.workers[w]
-	ws.mu.Lock()
-	if keys == nil {
-		qs = ws.gi.QueriesInCell(cell)
-	} else {
-		qs = ws.gi.QueriesInCellKeys(cell, keys)
-	}
-	ring = ws.win.SnapshotCell(cell, s.now())
-	ws.mu.Unlock()
-	return qs, ring, nil
-}
-
-// transferShare moves a copied cell share into worker wl and returns
-// the serialised transfer size. Locally this is ingest (serialise +
-// simulated wire + deserialise under the destination's lock); remotely
-// it is one InstallCells control round, whose ack guarantees every op
-// batch sent afterwards is matched against the installed share.
-func (s *System) transferShare(wl, cell int, qs []*model.Query, ring []window.Entry) (int64, error) {
-	if m := s.remoteMigrator(wl); m != nil {
-		if len(qs) == 0 && len(ring) == 0 {
-			return 0, nil
-		}
-		ack, n, err := m.InstallCells([]wire.CellPayload{{Cell: cell, Queries: qs, Ring: ring}}, nil)
-		if err == nil {
-			// The node registered any migrated top-k subscriptions in its
-			// window store; its admission deltas fold into the board here
-			// so the reconciler sees the destination's copy the moment it
-			// goes live (the source's retractions at extraction time then
-			// net out against it).
-			s.board.ApplyRemote(wl, ack.Epoch, ack.Deltas)
-			// The destination now answers for these queries; its op log
-			// must reconstruct them if the node crashes before the next
-			// checkpoint. A failed install aborts the migration before the
-			// routing flip, so nothing is logged in that case.
-			s.logAdoptions(wl, qs, nil, ring)
-		}
-		return n, err
-	}
-	_, nbytes := s.ingest(wl, cell, qs, ring)
-	return nbytes, nil
-}
-
-// announceFence forwards the current routing epoch to every remote
-// worker after a flip. The frame itself is informational, but its FIFO
-// position matters: the deferred ExtractCells request follows it on the
-// source's connection, so the remote extraction is ordered behind the
-// same epoch boundary the in-process drain barrier provides locally.
+// announceFence forwards the current routing epoch to every active slot
+// after a flip. The frame itself is informational, but its position
+// matters: the deferred ExtractCells round follows it on the source's
+// connection, so a remote extraction is ordered behind the same epoch
+// boundary the drain barrier provides.
 func (s *System) announceFence() {
 	epoch := s.routeFence.Epoch()
 	s.log.Debug("adjust fence advanced", "epoch", epoch)
-	if !s.HasRemoteWorkers() {
-		return
-	}
-	for _, task := range s.remoteWorkerTasks() {
-		if m := s.remoteMigrator(task); m != nil {
-			_ = m.SendFence(epoch) // informational; failures surface on the data path
-		}
+	for _, w := range s.activeWorkerSlots() {
+		_ = s.slots[w].SendFence(epoch) // informational; failures surface on the data path
 	}
 }
 
-// migrateShare moves worker wo's entire share of a cell to wl using the
+// handOff moves worker wo's share of a cell — the whole cell when keys is
+// nil, only the given registration keys otherwise — to wl using the
 // copy → transfer → flip-routing → deferred-extract sequence, so no
 // matching object is ever routed to a worker without the queries. The
 // cell's window state (ring entries and top-k-held objects located in the
 // cell) travels with the queries, so sliding-window top-k subscriptions
-// survive the hand-off without losing window history. Either endpoint
-// may live on a remote node: the copy/transfer halves then ride the
-// ExtractCells/InstallCells control frames instead of direct index
-// calls, with unchanged barrier semantics. ok is false when a wire
+// survive the hand-off without losing window history. ok is false when a
 // round failed before the routing flip — nothing moved, nothing to
 // record.
-func (s *System) migrateShare(wo, wl, cell int) (queriesMoved int, nbytes int64, ok bool) {
-	// 1. Copy.
-	qs, win, err := s.copyCellShare(wo, cell, nil)
+func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesMoved int, nbytes int64, ok bool) {
+	// 1. Copy: one non-removing ExtractCells round, ordered behind all
+	// traffic handed to wo before it.
+	share, err := s.slots[wo].ExtractCells([]wire.CellSpec{{Cell: cell, Keys: keys}}, false, false)
 	if err != nil {
-		return 0, 0, false // wire failure before anything changed: abort this migration
+		return 0, 0, false // failure before anything changed: abort this migration
+	}
+	var qs []*model.Query
+	var ring []window.Entry
+	if len(share.Cells) > 0 {
+		qs, ring = share.Cells[0].Queries, share.Cells[0].Ring
 	}
 	// 2. Transfer. On the paper's cluster the receiving worker is busy
 	// ingesting the migrated queries instead of processing tuples, which
-	// is exactly what delays tuples in Figures 12(c)/15; locally ingest
-	// holds the destination's lock for the same reason. A transfer
-	// failure aborts before the routing flip — the destination holds at
+	// is exactly what delays tuples in Figures 12(c)/15. Once the round
+	// returns, every op batch handed to wl is matched against the share.
+	// A failure aborts before the routing flip — the destination holds at
 	// worst an unused copy whose duplicate matches the mergers suppress.
-	nbytes, err = s.transferShare(wl, cell, qs, win)
-	if err != nil {
-		return 0, 0, false
+	if len(qs) > 0 || len(ring) > 0 {
+		nbytes, err = s.slots[wl].InstallCells([]wire.CellPayload{{Cell: cell, Queries: qs, Ring: ring}}, nil)
+		if err != nil {
+			return 0, 0, false
+		}
+		// The destination now answers for these queries; its op log must
+		// reconstruct them if the node crashes before the next checkpoint.
+		s.logAdoptions(wl, qs, nil, ring)
 	}
 	// 3. Flip routing, then advance the dispatcher fence: Advance blocks
 	// until every dispatcher batch routed under the pre-flip table has
@@ -660,17 +475,24 @@ func (s *System) migrateShare(wo, wl, cell int) (queriesMoved int, nbytes int64,
 	// traffic — without the fence a laggard batch could enqueue a
 	// matching object to wo after the barrier snapshot and lose its
 	// matches to an early extraction.
-	if s.gridT.Load().IsTextCell(cell) {
-		s.gridT.Load().ReassignTextShare(cell, wo, wl)
-	} else {
-		s.gridT.Load().ReassignSpaceCell(cell, wl)
-	}
+	flip()
 	s.routeFence.Advance()
 	s.announceFence()
 	// 4. Schedule extraction once wo drains its pre-flip queue.
-	s.scheduleExtract(pendingExtract{cell: cell, wo: wo, wl: wl, copied: idSet(qs),
-		copiedMsgs: msgIDSet(win), barrier: s.enqueued[wo].Load()})
+	s.scheduleExtract(pendingExtract{cell: cell, wo: wo, wl: wl, keys: keys, copied: idSet(qs),
+		copiedMsgs: msgIDSet(ring), barrier: s.enqueued[wo].Load()})
 	return len(qs), nbytes, true
+}
+
+// migrateShare moves worker wo's entire share of a cell to wl.
+func (s *System) migrateShare(wo, wl, cell int) (queriesMoved int, nbytes int64, ok bool) {
+	return s.handOff(wo, wl, cell, nil, func() {
+		if gt := s.gridT.Load(); gt.IsTextCell(cell) {
+			gt.ReassignTextShare(cell, wo, wl)
+		} else {
+			gt.ReassignSpaceCell(cell, wl)
+		}
+	})
 }
 
 // migrateSplit converts a space cell to a text cell, moving only the given
@@ -678,20 +500,9 @@ func (s *System) migrateShare(wo, wl, cell int) (queriesMoved int, nbytes int64,
 // moved) so the receiving share can repair its top-k subscriptions from
 // the same history; the source keeps the cell for its remaining keys.
 func (s *System) migrateSplit(wo, wl, cell int, keys []string) (queriesMoved int, nbytes int64, ok bool) {
-	qs, win, err := s.copyCellShare(wo, cell, keys)
-	if err != nil {
-		return 0, 0, false
-	}
-	nbytes, err = s.transferShare(wl, cell, qs, win)
-	if err != nil {
-		return 0, 0, false
-	}
-	s.gridT.Load().SplitSpaceCellByText(cell, keys, wl)
-	s.routeFence.Advance() // see migrateShare: barrier must postdate all old-epoch batches
-	s.announceFence()
-	s.scheduleExtract(pendingExtract{cell: cell, wo: wo, wl: wl, keys: keys,
-		copied: idSet(qs), copiedMsgs: msgIDSet(win), barrier: s.enqueued[wo].Load()})
-	return len(qs), nbytes, true
+	return s.handOff(wo, wl, cell, keys, func() {
+		s.gridT.Load().SplitSpaceCellByText(cell, keys, wl)
+	})
 }
 
 func msgIDSet(es []window.Entry) map[uint64]struct{} {
@@ -742,108 +553,35 @@ func (s *System) processPendingExtracts() {
 }
 
 // finishExtract runs one deferred extraction end to end: remove the
-// migrated share from the source (direct index calls locally, one
-// ExtractCells(remove=true) round for a remote source — FIFO-ordered
-// behind every pre-flip op batch and the fence frame, which is the same
-// barrier the doneOps counter provides locally), reconcile what changed
-// between copy and flip, and forward the differences to the new owner.
+// migrated share from the source (one removing ExtractCells round,
+// ordered behind every pre-flip op batch and the fence frame), reconcile
+// what changed between copy and flip, and forward the differences to the
+// new owner.
 func (s *System) finishExtract(pe pendingExtract) {
-	now := s.now()
+	share, err := s.slots[pe.wo].ExtractCells([]wire.CellSpec{{Cell: pe.cell, Keys: pe.keys}}, true, false)
+	if err != nil {
+		// The extraction round failed. A timed-out round is ambiguous —
+		// the node may or may not have removed the share — so retrying is
+		// NOT safe: a second extraction of an already-empty cell would
+		// misread every copied query as "deleted between copy and flip"
+		// and wipe the migrated share at the destination. Abandon the
+		// extraction instead: at worst the source keeps a stale duplicate
+		// copy whose matches the mergers suppress, and a control round
+		// only fails on a connection that is about to fail the run on the
+		// data path anyway.
+		return
+	}
 	var extracted []*model.Query
 	var ring []window.Entry
-	var ds []window.Delta
-	// Remote-source extractions return the node's top-k retraction
-	// deltas (RemoveSub/DropCell run on the node now) tagged with its
-	// state epoch; they are applied AFTER the destination's adoptions
-	// below, so a hand-off that preserves membership nets out to zero
-	// user-visible updates, exactly like the local single-batch path.
-	var srcDeltas []window.Delta
-	var srcEpoch uint64
-	srcRemote := false
-	if m := s.remoteMigrator(pe.wo); m != nil {
-		cs, err := m.ExtractCells([]wire.CellSpec{{Cell: pe.cell, Keys: pe.keys}}, true, false)
-		if err != nil {
-			// The extraction round failed. A timed-out round is
-			// ambiguous — the node may or may not have removed the share
-			// — so retrying is NOT safe: a second extraction of an
-			// already-empty cell would misread every copied query as
-			// "deleted between copy and flip" and wipe the migrated
-			// share at the destination. Abandon the extraction instead:
-			// at worst the source keeps a stale duplicate copy whose
-			// matches the mergers suppress, and a control round only
-			// fails on a connection that is about to fail the run on
-			// the data path anyway.
-			return
-		}
-		if len(cs.Cells) > 0 {
-			extracted, ring = cs.Cells[0].Queries, cs.Cells[0].Ring
-		}
-		srcDeltas, srcEpoch, srcRemote = cs.Deltas, cs.Epoch, true
-		// The share has left the source node; replaying it there after a
-		// crash would resurrect queries the destination already owns. A
-		// query spanning several of the source's cells is only dropped
-		// from the replay base once its *last* cell leaves: the logged
-		// delete is whole-query (the node's index deletes across cells),
-		// so dropping on a partial departure would erase the cells the
-		// source still owns from a post-crash replay. Routing is already
-		// flipped, so the table answers whether the source still holds
-		// the query through some other cell — via the read-only probe:
-		// RouteQuery(q, false) is delete-routing and would corrupt H2's
-		// registration counts.
-		departed := extracted[:0:0]
-		gt := s.gridT.Load()
-		for _, q := range extracted {
-			still := false
-			if gt != nil {
-				for _, t := range gt.PeekQuery(q) {
-					if t == pe.wo {
-						still = true
-						break
-					}
-				}
-			}
-			if !still {
-				departed = append(departed, q)
-			}
-		}
-		s.logExtraction(pe.wo, departed)
-	} else {
-		s.workers[pe.wo].mu.Lock()
-		if pe.keys == nil {
-			extracted = s.workers[pe.wo].gi.ExtractCell(pe.cell)
-		} else {
-			extracted = s.workers[pe.wo].gi.ExtractCellKeys(pe.cell, pe.keys)
-		}
-		// Window hand-off: the new owner's adopted copy is responsible
-		// for the cell now. For a whole-cell move the source releases its
-		// window share (repairing still-live top-ks from its remaining
-		// cells); for a key split it keeps the cell ring for its
-		// remaining keys. Either way, subscriptions no longer live here
-		// drop their heaps. The deltas stay in one batch with the
-		// destination's adoptions below, so a hand-off that preserves
-		// membership nets out to zero user-visible updates.
-		//
-		// Subscriptions whose only live presence was the migrated share
-		// are removed first, so DropCell below doesn't waste a ring scan
-		// refilling heaps that are about to disappear.
-		for _, q := range extracted {
-			if q.IsTopK() && !s.workers[pe.wo].gi.HasLive(q.ID) {
-				ds = append(ds, s.workers[pe.wo].win.RemoveSub(q.ID)...)
-			}
-		}
-		if pe.keys == nil {
-			var dropDs []window.Delta
-			ring, dropDs = s.workers[pe.wo].win.DropCell(pe.cell, now)
-			ds = append(ds, dropDs...)
-		} else {
-			// Key split: wo keeps the cell for its remaining keys, but
-			// entries that arrived between the snapshot and the routing
-			// flip are still forwarded (as copies) so wl's ring holds the
-			// cell's full history too.
-			ring = s.workers[pe.wo].win.SnapshotCell(pe.cell, now)
-		}
-		s.workers[pe.wo].mu.Unlock()
+	if len(share.Cells) > 0 {
+		extracted, ring = share.Cells[0].Queries, share.Cells[0].Ring
 	}
+	s.logDepartures(pe.wo, extracted)
+	// Window hand-off: for a whole-cell move the source released its ring;
+	// for a key split it keeps the cell for its remaining keys and the
+	// ring is a copy. Either way, entries that arrived between the
+	// snapshot and the routing flip are forwarded so wl's ring holds the
+	// cell's full history.
 	var ringLeft []window.Entry
 	for _, e := range ring {
 		if _, ok := pe.copiedMsgs[e.MsgID]; !ok {
@@ -870,47 +608,27 @@ func (s *System) finishExtract(pe pendingExtract) {
 			deleted = append(deleted, id)
 		}
 	}
-	if m := s.remoteMigrator(pe.wl); m != nil {
-		if len(leftover) > 0 || len(ringLeft) > 0 || len(deleted) > 0 {
-			var cells []wire.CellPayload
-			if len(leftover) > 0 || len(ringLeft) > 0 {
-				cells = []wire.CellPayload{{Cell: pe.cell, Queries: leftover, Ring: ringLeft}}
-			}
-			// Best-effort: a failure here means the destination's
-			// connection is down, which already fails the run on the
-			// data path — re-extracting could not recover the copies
-			// the source no longer holds.
-			if ack, _, err := m.InstallCells(cells, deleted); err == nil {
-				s.board.ApplyRemote(pe.wl, ack.Epoch, ack.Deltas)
-			}
-			// Logged regardless of the install outcome: routing already
-			// flipped, so the destination slot owns these differences and
-			// replay must reconstruct them even if this particular
-			// delivery is lost to a crash the recovery path then heals.
-			s.logAdoptions(pe.wl, leftover, deleted, ringLeft)
+	if len(leftover) > 0 || len(ringLeft) > 0 || len(deleted) > 0 {
+		var cells []wire.CellPayload
+		if len(leftover) > 0 || len(ringLeft) > 0 {
+			cells = []wire.CellPayload{{Cell: pe.cell, Queries: leftover, Ring: ringLeft}}
 		}
-		s.board.Apply(ds)
-	} else if len(leftover) > 0 || len(ringLeft) > 0 || len(ds) > 0 || len(deleted) > 0 {
-		s.workers[pe.wl].mu.Lock()
-		for _, q := range leftover {
-			s.workers[pe.wl].gi.InsertAt(pe.cell, q)
-			if q.IsTopK() {
-				ds = append(ds, s.workers[pe.wl].win.AddSub(q, now)...)
-			}
-		}
-		for _, id := range deleted {
-			s.workers[pe.wl].gi.Delete(id)
-			ds = append(ds, s.workers[pe.wl].win.RemoveSub(id)...)
-		}
-		if len(ringLeft) > 0 {
-			ds = append(ds, s.workers[pe.wl].win.AdoptCell(pe.cell, ringLeft, now)...)
-		}
-		s.board.Apply(ds)
-		s.workers[pe.wl].mu.Unlock()
+		// Best-effort: a failure here means the destination's connection
+		// is down, which already fails the run on the data path —
+		// re-extracting could not recover the copies the source no longer
+		// holds.
+		_, _ = s.slots[pe.wl].InstallCells(cells, deleted)
+		// Logged regardless of the install outcome: routing already
+		// flipped, so the destination slot owns these differences and
+		// replay must reconstruct them even if this particular delivery
+		// is lost to a crash the recovery path then heals.
+		s.logAdoptions(pe.wl, leftover, deleted, ringLeft)
 	}
-	if srcRemote {
-		s.board.ApplyRemote(pe.wo, srcEpoch, srcDeltas)
-	}
+	// The source's retractions (subscriptions and ring entries that left
+	// with the share) are applied AFTER the destination's adoptions, so a
+	// hand-off that preserves membership nets out to zero user-visible
+	// updates.
+	s.board.ApplyFrom(pe.wo, share.Epoch, share.Deltas)
 }
 
 // hasPendingExtracts reports whether any deferred extraction awaits its
@@ -927,57 +645,4 @@ func (s *System) cellPending(cell int) bool {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	return s.pendingCells[cell]
-}
-
-// ingest transfers queries and the cell's window entries to the
-// destination worker: gob-serialise (the measured migration cost S_g),
-// then — under the destination's lock, as a real worker would be occupied
-// receiving and indexing — apply the simulated wire/deserialisation delay
-// and insert the copies. Migrated top-k subscriptions are registered in
-// the destination's window store and the migrated window entries adopted,
-// so the cell's top-k state is live at the destination before routing
-// flips.
-func (s *System) ingest(wl, cell int, qs []*model.Query, win []window.Entry) ([]*model.Query, int64) {
-	if len(qs) == 0 && len(win) == 0 {
-		return nil, 0
-	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(qs); err != nil {
-		// Queries are plain exported structs; failure here is a
-		// programming error.
-		panic("core: gob encode: " + err.Error())
-	}
-	if err := enc.Encode(win); err != nil {
-		panic("core: gob encode window: " + err.Error())
-	}
-	n := int64(buf.Len())
-	var copied []*model.Query
-	var entries []window.Entry
-	ws := s.workers[wl]
-	ws.mu.Lock()
-	if rate := s.cfg.Adjust.WireBytesPerSec; rate > 0 {
-		time.Sleep(time.Duration(float64(n) / rate * float64(time.Second)))
-	}
-	dec := gob.NewDecoder(&buf)
-	if err := dec.Decode(&copied); err != nil {
-		ws.mu.Unlock()
-		panic("core: gob decode: " + err.Error())
-	}
-	if err := dec.Decode(&entries); err != nil {
-		ws.mu.Unlock()
-		panic("core: gob decode window: " + err.Error())
-	}
-	now := s.now()
-	var ds []window.Delta
-	for _, q := range copied {
-		ws.gi.InsertAt(cell, q)
-		if q.IsTopK() {
-			ds = append(ds, ws.win.AddSub(q, now)...)
-		}
-	}
-	ds = append(ds, ws.win.AdoptCell(cell, entries, now)...)
-	s.board.Apply(ds)
-	ws.mu.Unlock()
-	return copied, n
 }

@@ -5,7 +5,10 @@ import (
 	"sort"
 	"testing"
 
+	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
+	"ps2stream/internal/stream"
+	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
 
@@ -82,5 +85,41 @@ func TestBatchedPublishMatchesUnbatched(t *testing.T) {
 	}
 	if nBase == 0 {
 		t.Fatal("workload produced no matches; the equivalence check is vacuous")
+	}
+}
+
+type nopCollector struct{}
+
+func (nopCollector) Emit(string, stream.Tuple)            {}
+func (nopCollector) EmitDirect(string, int, stream.Tuple) {}
+func (nopCollector) Flush()                               {}
+
+// TestWorkerBoltNoMatchBatchAllocs pins the in-process hot path: a
+// 64-object batch that meets a standing query it does not satisfy goes
+// through the local worker bolt — envelope unpacking, the slot lock, the
+// engine, the board, latency accounting — without allocating. The same
+// batch through the parent commit's worker bolt allocated 66 times (one
+// match closure per object plus two captured variables).
+func TestWorkerBoltNoMatchBatchAllocs(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 1, 10)
+	sys, err := New(Config{Dispatchers: 1, Workers: 2}, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bolt := &workerBolt{s: sys, task: 0, local: sys.slots[0].(*localWorker)}
+	at := sample.Bounds.Center()
+	q := &model.Query{ID: 1, Expr: model.And("nomatchterm"), Region: geo.RectAround(at, 50, 50)}
+	bolt.ProcessBatch([]stream.Tuple{{Value: wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: sys.now()}}}, nopCollector{})
+	ts := make([]stream.Tuple, 64)
+	for i := range ts {
+		o := &model.Object{ID: uint64(100 + i), Terms: []string{"alpha", "beta"}, Loc: at}
+		ts[i] = stream.Tuple{Value: wire.OpEnv{Op: model.Op{Kind: model.OpObject, Obj: o}, T0: sys.now()}}
+	}
+	bolt.ProcessBatch(ts, nopCollector{}) // grow the scratch
+	if n := testing.AllocsPerRun(200, func() { bolt.ProcessBatch(ts, nopCollector{}) }); n > 0 {
+		t.Errorf("a 64-object no-match batch through the worker bolt allocates %v times, want 0 (parent: 66)", n)
+	}
+	if got := sys.slots[0].LastStats(); got.Objects != 64*202 || got.Inserts != 1 {
+		t.Errorf("engine counted %d objects and %d inserts, want %d and 1", got.Objects, got.Inserts, 64*202)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"ps2stream/internal/textutil"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
+	"ps2stream/internal/worker"
 )
 
 // IndexFactory builds one worker's query index. granularity is the GI2
@@ -108,32 +109,26 @@ type Config struct {
 	// paper's Storm deployment (see DESIGN.md substitutions).
 	PerTupleWork time.Duration
 	// RemoteWorkers places worker tasks out-of-process: task index →
-	// transport to the psnode running it (ConnectRemoteWorkers dials
-	// and fills this). Tasks not listed run in-process as usual.
-	// Dynamic load adjustment (Adjust, AdjustNow) works across the
-	// wire: gridt cells migrate between processes via the
-	// ExtractCells/InstallCells control frames, and the load detector
-	// consumes node-reported counters (docs/WIRE.md). Sliding-window
-	// top-k subscriptions work too — each node maintains its local
-	// window state and streams membership deltas back for global
-	// reconciliation — as does GlobalRepartition, which relocates
-	// remote queries through the same migration frames. A custom
-	// Transport that lacks the corresponding wire extensions gets
-	// ErrRemoteNeedsStatic from those operations.
-	RemoteWorkers map[int]stream.Transport
+	// session with the psnode running it (ConnectRemoteWorkers dials
+	// and fills this). Tasks not listed run in-process as usual. Every
+	// operation works for either placement: a remote slot runs the same
+	// worker engine, and load adjustment, GlobalRepartition and
+	// sliding-window top-k reach it through the same control rounds
+	// (docs/WIRE.md) an in-process slot serves as function calls.
+	RemoteWorkers map[int]*wire.WorkerClient
 	// RemoteMergers places merger tasks out-of-process. Matches routed
 	// to a remote merger are deduplicated and delivered on its node;
 	// the local OnMatch hook and Snapshot counters do not see them
 	// (RemoteDelivered fetches the remote counts).
 	RemoteMergers map[int]stream.Transport
 	// WireStreams is the number of data connections per remote-worker
-	// hop (the wire transport's multi-stream sessions; docs/WIRE.md).
-	// Ops shard across the connections by the same routing hash the
-	// dispatcher fields-grouping uses, so per-key order is preserved.
-	// 0 defaults to Dispatchers — each dispatcher's batches then ride
-	// their own connection — and values are capped at wire.MaxStreams.
-	// Meaningful only for hops dialled by ConnectRemoteWorkers or
-	// recovered by the membership layer; ignored for custom transports.
+	// hop (the wire client's multi-stream sessions; docs/WIRE.md). Whole
+	// op batches round-robin across the connections, each stamped with
+	// its position in the hop's send order, and a turnstile on the node
+	// processes them in exactly that order — so the worker sees the same
+	// total op order a single connection would deliver. 0 defaults to
+	// Dispatchers, enough streams to keep every dispatcher's batches in
+	// flight at once; values are capped at wire.MaxStreams.
 	WireStreams int
 	// SpareWorkers pre-allocates this many extra worker slots beyond
 	// Workers for runtime joins (System.AddWorker): routing bitmasks
@@ -350,9 +345,15 @@ type System struct {
 	assign atomic.Value // partition.Assignment (swapped by global adjustment)
 	gridT  atomic.Pointer[hybrid.GridT]
 
-	workers []*workerState
-	input   chan opEnvelope
-	topo    *stream.Topology
+	// slots holds each worker slot's endpoint, spares included: a
+	// localWorker for an in-process slot, the slot's workerHop otherwise.
+	slots []workerEndpoint
+	// cellsMigrate records that every in-process engine runs GI2 (psnode
+	// engines always do), the one index whose queries migrate in units of
+	// gridt cells.
+	cellsMigrate bool
+	input        chan wire.OpEnv
+	topo         *stream.Topology
 
 	runErr  chan error
 	started atomic.Bool
@@ -369,8 +370,7 @@ type System struct {
 	// hops is the elastic-membership slot table: one workerHop per
 	// out-of-process worker slot (including unclaimed spares), nil
 	// entries for in-process slots, and a nil slice for deployments
-	// with neither remote workers nor spares (every legacy code path
-	// then behaves exactly as before). See membership.go.
+	// with neither remote workers nor spares. See membership.go.
 	hops []*workerHop
 	// remoteHello is the handshake template runtime joins dial with
 	// (bounds, term statistics, geometry — everything but Task/Epoch).
@@ -381,9 +381,9 @@ type System struct {
 	discarded  metrics.Counter
 	matches    metrics.Counter
 	duplicates metrics.Counter
-	// matchesEmitted counts match envelopes emitted by the local worker
-	// bolts; together with the remote workers' drain-acked counts it is
-	// the Drain barrier's target for merger-side delivery.
+	// matchesEmitted counts match envelopes emitted by the in-process
+	// worker bolts; together with the remote workers' drain-acked counts
+	// it is the Drain barrier's target for merger-side delivery.
 	matchesEmitted metrics.Counter
 	latency        atomic.Pointer[metrics.Histogram]
 	matchLat       atomic.Pointer[metrics.Histogram]
@@ -400,13 +400,9 @@ type System struct {
 	stageMerge *metrics.Histogram
 	log        *slog.Logger
 
-	// remoteStats mirrors the latest node-reported StatsReply per
-	// remote worker task, fed by every stats control round; the
-	// registry's per-worker series read it so a coordinator scrape
-	// reports cluster-wide counts (obs.go).
-	remoteStatsMu sync.Mutex
-	remoteStats   map[int]wire.StatsReply
-	remoteStatsAt time.Time
+	// statsAt rate-limits RefreshWorkerStats (obs.go).
+	statsMu sync.Mutex
+	statsAt time.Time
 
 	// Load accounting (dispatcher side, Definition 1 window).
 	winObjects []atomic.Int64
@@ -421,26 +417,16 @@ type System struct {
 	enqueued []atomic.Int64
 	doneOps  []atomic.Int64
 
-	// Worker-fed load accounting (adaptive controller): cumulative
-	// per-worker op counts incremented by the worker bolts once per
-	// batch; the controller samples and differences them each interval.
-	// For remote worker tasks these follow wire hand-off (traffic
-	// accounting); the controller uses nodeWork instead.
-	workObjects []atomic.Int64
-	workInserts []atomic.Int64
-	workDeletes []atomic.Int64
-
 	// Adaptive controller state. adjustMu serialises the background loop
-	// and AdjustNow; prevWork/nodeWork/detector/adjustRng are owned
-	// under it. loadEWMA values are atomically readable for Snapshot.
+	// and AdjustNow; work/prevWork/detector/adjustRng are owned under it.
+	// loadEWMA values are atomically readable for Snapshot.
 	adjustMu sync.Mutex
-	prevWork []workCounts
-	// nodeWork holds the latest node-reported cumulative op counts for
-	// remote worker tasks (pollRemoteLoads fills it over the stats
-	// control round each evaluation), so the detector sees what each
-	// node actually processed this interval rather than what the
-	// coordinator handed off to the wire.
-	nodeWork  []workCounts
+	// work holds each slot's cumulative processed-op counts as its
+	// endpoint last reported them (pollLoads fills it each evaluation);
+	// prevWork is the previous committed sample. The detector sees their
+	// difference: what each worker actually processed this interval.
+	work      []workCounts
+	prevWork  []workCounts
 	loadEWMA  []*metrics.EWMA
 	detector  *load.Detector
 	adjustRng *rand.Rand
@@ -478,35 +464,6 @@ type System struct {
 // now reads the configured clock.
 func (s *System) now() time.Time { return s.cfg.Clock() }
 
-type opEnvelope struct {
-	op model.Op
-	t0 time.Time
-	// refill marks a crash-replayed window-rebuild object (wire.OpEnv.
-	// Refill); only recovery's replay path ever sets it.
-	refill bool
-}
-
-type matchEnvelope struct {
-	m  model.Match
-	t0 time.Time
-}
-
-type workerState struct {
-	mu sync.Mutex
-	// ix is the worker's query index; the matching hot path and
-	// checkpointing use only this interface.
-	ix qindex.Index
-	// gi is ix when the index is GI2, else nil. The migration machinery
-	// (§V) moves gridt cells and needs GI2's cell-level operations.
-	gi *gi2.Index
-	// win holds the worker's sliding-window top-k state (cell rings and
-	// per-subscription heaps), guarded by mu like ix.
-	win *window.Store
-	// deltaScratch accumulates window deltas across one input batch
-	// (guarded by mu); reused so the hot path allocates nothing per batch.
-	deltaScratch []window.Delta
-}
-
 // ErrAdjustNeedsHybrid is returned when dynamic adjustment is requested
 // with a non-hybrid distribution strategy.
 var ErrAdjustNeedsHybrid = errors.New("core: dynamic load adjustment requires the hybrid (gridt) strategy")
@@ -532,7 +489,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		cfg:    cfg,
 		bounds: sample.Bounds,
 		tput:   metrics.NewThroughput(),
-		input:  make(chan opEnvelope, cfg.QueueCap),
+		input:  make(chan wire.OpEnv, cfg.QueueCap),
 		runErr: make(chan error, 1),
 	}
 	s.latency.Store(metrics.NewHistogram(nil))
@@ -565,27 +522,11 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 			return nil, fmt.Errorf("%w: merger %d of %d", ErrRemoteTask, task, cfg.Mergers)
 		}
 	}
-	if cfg.Adjust.Enabled {
-		// Phase I/II adjustment works across the wire, but only through
-		// transports that speak the cell-migration control frames; a
-		// custom Transport without them would leave the controller
-		// unable to move (or even see) the remote cells.
-		for task, tr := range cfg.RemoteWorkers {
-			if _, ok := tr.(remoteCellMigrator); !ok {
-				return nil, fmt.Errorf("%w: worker %d transport %T cannot migrate cells",
-					ErrRemoteNeedsStatic, task, tr)
-			}
-		}
-	}
 	// The dial-time handshake pinned each node's topology shape and grid
 	// geometry; refuse a Config that has since drifted from it, because
 	// the nodes have already indexed against the handshake's geometry.
-	for task, tr := range cfg.RemoteWorkers {
-		h, ok := tr.(remoteHelloer)
-		if !ok {
-			continue
-		}
-		hello := h.Hello()
+	for task, cl := range cfg.RemoteWorkers {
+		hello := cl.Hello()
 		granularity := cfg.Granularity // fillDefaults already ran
 		switch {
 		case hello.Workers != cfg.Workers+cfg.SpareWorkers:
@@ -608,24 +549,30 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	// initial assignment still distributes over the first Workers slots
 	// only (spares receive load via cell migration).
 	totalSlots := cfg.Workers + cfg.SpareWorkers
-	s.workers = make([]*workerState, totalSlots)
-	for i := range s.workers {
+	s.initHops()
+	s.slots = make([]workerEndpoint, totalSlots)
+	s.cellsMigrate = true
+	windowGrid := grid.New(sample.Bounds, cfg.Granularity, cfg.Granularity)
+	for i := range s.slots {
+		if h := s.hop(i); h != nil {
+			s.slots[i] = h
+			continue
+		}
 		ix := cfg.IndexFactory(sample.Bounds, cfg.Granularity, sample.Stats)
 		if ix == nil {
 			return nil, errors.New("core: IndexFactory returned nil")
 		}
-		ws := &workerState{ix: ix}
-		ws.gi, _ = ix.(*gi2.Index)
-		// The window store shares the GI2 grid geometry when available so
-		// window state migrates in the same cell units as the queries.
-		wg := grid.New(sample.Bounds, cfg.Granularity, cfg.Granularity)
-		if ws.gi != nil {
-			wg = ws.gi.Grid()
-		}
-		ws.win = window.NewStore(wg, cfg.Scorer, cfg.WindowRingCap)
-		s.workers[i] = ws
+		eng := worker.New(worker.Config{
+			Task:    i,
+			Index:   ix,
+			Grid:    windowGrid,
+			Scorer:  cfg.Scorer,
+			RingCap: cfg.WindowRingCap,
+		})
+		s.cellsMigrate = s.cellsMigrate && eng.HasCells()
+		s.slots[i] = &localWorker{eng: eng, board: s.board, wireRate: cfg.Adjust.WireBytesPerSec}
 	}
-	if cfg.Adjust.Enabled && s.workers[0].gi == nil {
+	if cfg.Adjust.Enabled && !s.cellsMigrate {
 		return nil, ErrAdjustNeedsGI2
 	}
 	s.winObjects = make([]atomic.Int64, totalSlots)
@@ -633,10 +580,6 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	s.winDeletes = make([]atomic.Int64, totalSlots)
 	s.enqueued = make([]atomic.Int64, totalSlots)
 	s.doneOps = make([]atomic.Int64, totalSlots)
-	s.workObjects = make([]atomic.Int64, totalSlots)
-	s.workInserts = make([]atomic.Int64, totalSlots)
-	s.workDeletes = make([]atomic.Int64, totalSlots)
-	s.initHops()
 	s.remoteHello = cfg.RemoteHello(0, sample)
 	s.routeFence = stream.NewFence()
 	s.pendingCells = make(map[int]bool)
@@ -644,8 +587,8 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		s.cellObjects = make([]atomic.Int64, gt.Grid().NumCells())
 	}
 	if s.canAdjust() {
+		s.work = make([]workCounts, totalSlots)
 		s.prevWork = make([]workCounts, totalSlots)
-		s.nodeWork = make([]workCounts, totalSlots)
 		s.loadEWMA = make([]*metrics.EWMA, totalSlots)
 		for i := range s.loadEWMA {
 			s.loadEWMA[i] = metrics.NewEWMA(cfg.Adjust.EWMAAlpha)
@@ -671,34 +614,9 @@ type workCounts struct {
 }
 
 // canAdjust reports whether the migration machinery is available: hybrid
-// routing + GI2 worker indexes (the units cells migrate in), and every
-// remote worker behind a transport that speaks the cell-migration
-// control frames (local workers migrate through direct index calls).
+// routing + GI2 worker indexes (the units cells migrate in).
 func (s *System) canAdjust() bool {
-	if s.gridT.Load() == nil || len(s.workers) == 0 || s.workers[0].gi == nil {
-		return false
-	}
-	if s.hops != nil {
-		for _, h := range s.hops {
-			if h == nil {
-				continue
-			}
-			tr := h.transport()
-			if tr == nil {
-				continue // unclaimed spare slot
-			}
-			if _, ok := tr.(remoteCellMigrator); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	for _, tr := range s.cfg.RemoteWorkers {
-		if _, ok := tr.(remoteCellMigrator); !ok {
-			return false
-		}
-	}
-	return true
+	return s.gridT.Load() != nil && s.cellsMigrate
 }
 
 // assignBox gives atomic.Value a single concrete type to hold, since the
@@ -754,7 +672,7 @@ func (s *System) Start(ctx context.Context) error {
 // window expiry is measured from (one stamp per object, so every worker
 // replica agrees on its window lifetime).
 func (s *System) Submit(op model.Op) {
-	s.input <- opEnvelope{op: op, t0: s.now()}
+	s.input <- wire.OpEnv{Op: op, T0: s.now()}
 }
 
 // SubmitAll enqueues a batch.
@@ -803,12 +721,8 @@ func (s *System) Snapshot() Snapshot {
 		DispatcherBytes: s.Assignment().Footprint(),
 	}
 	snap.WorkerLoads = s.windowLoads()
-	snap.WorkerBytes = make([]int64, len(s.workers))
-	for i, w := range s.workers {
-		w.mu.Lock()
-		snap.WorkerBytes[i] = w.ix.Footprint() + w.win.Footprint()
-		w.mu.Unlock()
-	}
+	snap.WorkerBytes = make([]int64, len(s.slots))
+	s.eachLocal(func(i int, eng *worker.Engine) { snap.WorkerBytes[i] = eng.Footprint() })
 	s.migMu.Lock()
 	snap.Migrations = append([]MigrationStat(nil), s.migrations...)
 	s.migMu.Unlock()
@@ -874,17 +788,26 @@ func (s *System) resetWindow() {
 // Bounds returns the monitored region the system was built over.
 func (s *System) Bounds() geo.Rect { return s.bounds }
 
-// LiveQueries returns a point-in-time copy of the live query population,
-// deduplicated across workers and sorted by id. Workers are locked one at
-// a time, so with a live stream the set is a near-cut, not an exact one;
-// quiesce input first for an exact snapshot.
+// eachLocal visits the engines of the in-process slots — the read-only
+// views (memory accounting, checkpointing) that only a local engine can
+// serve without a sweep.
+func (s *System) eachLocal(fn func(slot int, eng *worker.Engine)) {
+	for i, ep := range s.slots {
+		if l, ok := ep.(*localWorker); ok {
+			fn(i, l.eng)
+		}
+	}
+}
+
+// LiveQueries returns a point-in-time copy of the live query population
+// of the in-process workers, deduplicated across them and sorted by id.
+// Workers are locked one at a time, so with a live stream the set is a
+// near-cut, not an exact one; quiesce input first for an exact snapshot.
 func (s *System) LiveQueries() []*model.Query {
 	byID := make(map[uint64]*model.Query)
-	for _, w := range s.workers {
-		w.mu.Lock()
-		w.ix.Each(func(q *model.Query) { byID[q.ID] = q })
-		w.mu.Unlock()
-	}
+	s.eachLocal(func(_ int, eng *worker.Engine) {
+		eng.Each(func(q *model.Query) { byID[q.ID] = q })
+	})
 	out := make([]*model.Query, 0, len(byID))
 	for _, q := range byID {
 		out = append(out, q)
@@ -894,25 +817,22 @@ func (s *System) LiveQueries() []*model.Query {
 }
 
 // WorkerOpCounts returns each worker's cumulative received-operation
-// count (objects + insertions + deletions), the adaptive controller's
-// traffic accounting. Cheap: three atomic loads per worker, no locks.
+// count (objects + insertions + deletions): tuples its bolt has finished
+// with — processed in-process, or handed to the wire. Cheap: one atomic
+// load per worker, no locks.
 func (s *System) WorkerOpCounts() []int64 {
-	out := make([]int64, len(s.workers))
+	out := make([]int64, len(s.slots))
 	for i := range out {
-		out[i] = s.workObjects[i].Load() + s.workInserts[i].Load() + s.workDeletes[i].Load()
+		out[i] = s.doneOps[i].Load()
 	}
 	return out
 }
 
-// WorkerQueryCounts reports live distinct queries per worker (tests,
-// examples).
+// WorkerQueryCounts reports stored distinct queries per in-process
+// worker, zero for out-of-process ones (tests, examples).
 func (s *System) WorkerQueryCounts() []int {
-	out := make([]int, len(s.workers))
-	for i, w := range s.workers {
-		w.mu.Lock()
-		out[i] = w.ix.QueryCount()
-		w.mu.Unlock()
-	}
+	out := make([]int, len(s.slots))
+	s.eachLocal(func(i int, eng *worker.Engine) { out[i] = eng.QueryCount() })
 	return out
 }
 

@@ -100,9 +100,10 @@ func (d *dualAssignment) remaining() (int, int) {
 }
 
 // allCellSpecs enumerates every grid cell as an ExtractCells spec: the
-// nodes' GI2 geometry is fixed by the handshake (bounds + granularity),
-// so a full sweep over it is a complete view of a remote worker's
-// standing population, independent of the routing strategy in force.
+// workers' GI2 geometry is fixed at build time (bounds + granularity,
+// distributed to nodes by the handshake), so a full sweep over it is a
+// complete view of a worker's standing population, independent of the
+// routing strategy in force.
 func (s *System) allCellSpecs() []wire.CellSpec {
 	g := grid.New(s.bounds, s.cfg.Granularity, s.cfg.Granularity)
 	specs := make([]wire.CellSpec, g.NumCells())
@@ -120,22 +121,12 @@ func (s *System) allCellSpecs() []wire.CellSpec {
 // (checkGlobalProgress). If the adjustment controller is disabled, call
 // FinishGlobalRepartition explicitly.
 //
-// Remote workers participate through the migration control frames: the
-// start-of-transition snapshot sweeps each node's standing population
-// with a copying ExtractCells round, and the finish relocates remote
-// queries with InstallCells rounds. A custom RemoteWorkers transport
-// without the migration extension gets ErrRemoteNeedsStatic.
+// The start-of-transition snapshot sweeps each worker's standing
+// population with a copying ExtractCells round, and the finish relocates
+// queries with InstallCells rounds.
 func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.Builder) error {
 	if sample == nil {
 		return errors.New("core: nil repartition sample")
-	}
-	for _, task := range s.remoteWorkerTasks() {
-		if h := s.hop(task); h != nil && h.transport() == nil {
-			continue // unclaimed spare slot: nothing to snapshot
-		}
-		if s.remoteMigrator(task) == nil {
-			return fmt.Errorf("%w: worker %d transport cannot migrate cells", ErrRemoteNeedsStatic, task)
-		}
 	}
 	if builder == nil {
 		builder = s.cfg.Builder
@@ -150,29 +141,18 @@ func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.B
 		return errors.New("core: global repartition already in progress")
 	}
 	// Snapshot the live query population: these stay on the old routes.
-	// Remote populations are swept over the wire (one copying extraction
-	// round per node, barriered behind all traffic sent before it).
+	// Each sweep is barriered behind all traffic handed to the worker
+	// before it.
 	oldIDs := make(map[uint64]struct{})
-	for _, w := range s.workers {
-		w.mu.Lock()
-		w.ix.Each(func(q *model.Query) { oldIDs[q.ID] = struct{}{} })
-		w.mu.Unlock()
-	}
-	if s.HasRemoteWorkers() {
-		specs := s.allCellSpecs()
-		for _, task := range s.remoteWorkerTasks() {
-			m := s.remoteMigrator(task)
-			if m == nil {
-				continue // unclaimed spare
-			}
-			cs, err := m.ExtractCells(specs, false, false)
-			if err != nil {
-				return fmt.Errorf("core: global repartition snapshot of worker %d: %w", task, err)
-			}
-			for _, p := range cs.Cells {
-				for _, q := range p.Queries {
-					oldIDs[q.ID] = struct{}{}
-				}
+	specs := s.allCellSpecs()
+	for _, w := range s.activeWorkerSlots() {
+		cs, err := s.slots[w].ExtractCells(specs, false, false)
+		if err != nil {
+			return fmt.Errorf("core: global repartition snapshot of worker %d: %w", w, err)
+		}
+		for _, p := range cs.Cells {
+			for _, q := range p.Queries {
+				oldIDs[q.ID] = struct{}{}
 			}
 		}
 	}
@@ -208,18 +188,18 @@ func (s *System) checkGlobalProgress() {
 	}
 }
 
-// remoteRepartView is one remote worker's standing population at
-// finish time: which of the old ids it holds (with their definitions)
-// and the window entries its top-k subscription heaps hold.
-type remoteRepartView struct {
+// repartView is one worker's standing population at finish time: the
+// queries it holds (with their definitions) and the window entries its
+// top-k subscription heaps hold.
+type repartView struct {
 	defs map[uint64]*model.Query
 	subs map[uint64][]window.Entry
 }
 
-// remoteRepartBatch accumulates one remote worker's relocation rounds:
-// whole-query installs (Cell < 0 payloads, indexed by the node's own
-// placement) and ids to delete from its index.
-type remoteRepartBatch struct {
+// repartBatch accumulates one worker's relocation rounds: whole-query
+// installs (Cell < 0 payloads, indexed by the worker's own placement)
+// and ids to delete from its index.
+type repartBatch struct {
 	cells   []wire.CellPayload
 	adopted []*model.Query
 	deletes []uint64
@@ -227,11 +207,10 @@ type remoteRepartBatch struct {
 
 // FinishGlobalRepartition migrates the remaining old-strategy queries to
 // their new-strategy workers and retires the old assignment. It returns
-// the number of queries relocated. Remote holders are discovered with
-// one copying ExtractCells sweep per node (including each top-k
+// the number of queries relocated. Holders are discovered with one
+// copying ExtractCells sweep per worker (including each top-k
 // subscription's held window entries), then the relocations are flushed
-// as one InstallCells round per node whose ack deltas fold into the
-// top-k board.
+// as InstallCells rounds whose deltas fold into the top-k board.
 func (s *System) FinishGlobalRepartition() int {
 	s.globalMu.Lock()
 	d := s.dual
@@ -250,57 +229,44 @@ func (s *System) FinishGlobalRepartition() int {
 	d.oldIDs = map[uint64]struct{}{}
 	d.mu.Unlock()
 
-	// One barriered sweep per remote worker: its population and held
-	// top-k window entries at finish time. A node unreachable this round
+	// One barriered sweep per worker: its population and held top-k
+	// window entries at finish time. A worker unreachable this round
 	// keeps its population where it is — its connection is failing the
 	// run (or entering recovery) anyway, and a half-seen view would
 	// misclassify every one of its queries as not-held.
-	views := make(map[int]*remoteRepartView)
-	if s.HasRemoteWorkers() {
-		specs := s.allCellSpecs()
-		for _, task := range s.remoteWorkerTasks() {
-			m := s.remoteMigrator(task)
-			if m == nil {
-				continue
-			}
-			cs, err := m.ExtractCells(specs, false, true)
-			if err != nil {
-				s.log.Warn("global repartition: worker sweep failed; leaving its queries in place",
-					"worker", task, "err", err)
-				continue
-			}
-			v := &remoteRepartView{defs: make(map[uint64]*model.Query), subs: make(map[uint64][]window.Entry)}
-			for _, p := range cs.Cells {
-				for _, q := range p.Queries {
-					v.defs[q.ID] = q
-				}
-				for _, se := range p.Subs {
-					v.subs[se.ID] = append(v.subs[se.ID], se.Entries...)
-				}
-			}
-			views[task] = v
+	active := s.activeWorkerSlots()
+	views := make(map[int]*repartView, len(active))
+	specs := s.allCellSpecs()
+	for _, w := range active {
+		cs, err := s.slots[w].ExtractCells(specs, false, true)
+		if err != nil {
+			s.log.Warn("global repartition: worker sweep failed; leaving its queries in place",
+				"worker", w, "err", err)
+			continue
 		}
+		v := &repartView{defs: make(map[uint64]*model.Query), subs: make(map[uint64][]window.Entry)}
+		for _, p := range cs.Cells {
+			for _, q := range p.Queries {
+				v.defs[q.ID] = q
+			}
+			for _, se := range p.Subs {
+				v.subs[se.ID] = append(v.subs[se.ID], se.Entries...)
+			}
+		}
+		views[w] = v
 	}
 
-	batches := make(map[int]*remoteRepartBatch)
+	batches := make(map[int]*repartBatch, len(views))
+	for w := range views {
+		batches[w] = &repartBatch{}
+	}
 	moved := 0
 	for _, id := range ids {
-		// Find a live definition on any holder, local or remote.
+		// Find a live definition on any holder.
 		var def *model.Query
-		for _, w := range s.workers {
-			w.mu.Lock()
-			def = w.ix.Get(id)
-			w.mu.Unlock()
-			if def != nil {
+		for _, v := range views {
+			if def = v.defs[id]; def != nil {
 				break
-			}
-		}
-		if def == nil {
-			for _, v := range views {
-				if q, ok := v.defs[id]; ok {
-					def = q
-					break
-				}
 			}
 		}
 		if def == nil {
@@ -310,27 +276,12 @@ func (s *System) FinishGlobalRepartition() int {
 		for _, w := range d.new.RouteQuery(def, true) {
 			want[w] = struct{}{}
 		}
-		// Window deltas across all local holders are applied as one batch
-		// so a relocation whose top-k membership survives nets out to zero
-		// user-visible updates. The held window entries travel with the
-		// subscription: the departing holders' heap contents (remote ones
-		// arrived with the sweep) seed the new holders, whose own rings
-		// cannot refill history they never saw.
-		var ds []window.Delta
+		// The held window entries travel with the subscription: the
+		// departing holders' heap contents seed the new holders, whose own
+		// rings cannot refill history they never saw.
 		var carried []window.Entry
-		now := s.now()
 		if def.IsTopK() {
 			seen := make(map[uint64]struct{})
-			for _, w := range s.workers {
-				w.mu.Lock()
-				for _, e := range w.win.SubEntries(id) {
-					if _, dup := seen[e.MsgID]; !dup {
-						seen[e.MsgID] = struct{}{}
-						carried = append(carried, e)
-					}
-				}
-				w.mu.Unlock()
-			}
 			for _, v := range views {
 				for _, e := range v.subs[id] {
 					if _, dup := seen[e.MsgID]; !dup {
@@ -340,72 +291,54 @@ func (s *System) FinishGlobalRepartition() int {
 				}
 			}
 		}
-		for wi := range s.workers {
-			_, wanted := want[wi]
-			if v, remote := views[wi]; remote {
-				_, holds := v.defs[id]
-				b := batches[wi]
-				if b == nil {
-					b = &remoteRepartBatch{}
-					batches[wi] = b
-				}
-				switch {
-				case wanted && !holds:
-					p := wire.CellPayload{Cell: -1, Queries: []*model.Query{def}}
-					if def.IsTopK() && len(carried) > 0 {
-						p.Subs = []wire.SubEntries{{ID: id, Entries: carried}}
-					}
-					b.cells = append(b.cells, p)
-					b.adopted = append(b.adopted, def)
-				case !wanted && holds:
-					b.deletes = append(b.deletes, id)
-				}
-				continue
-			}
-			if s.isRemote(wi) {
-				continue // sweep failed (or unclaimed spare): leave in place
-			}
-			w := s.workers[wi]
-			w.mu.Lock()
-			holds := w.ix.Get(id) != nil
+		for w, v := range views {
+			_, wanted := want[w]
+			_, holds := v.defs[id]
+			b := batches[w]
 			switch {
 			case wanted && !holds:
-				w.ix.Insert(def)
-				if def.IsTopK() {
-					ds = append(ds, w.win.AddSub(def, now)...)
-					ds = append(ds, w.win.AdoptEntries(id, carried, now)...)
+				p := wire.CellPayload{Cell: -1, Queries: []*model.Query{def}}
+				if len(carried) > 0 {
+					p.Subs = []wire.SubEntries{{ID: id, Entries: carried}}
 				}
+				b.cells = append(b.cells, p)
+				b.adopted = append(b.adopted, def)
 			case !wanted && holds:
-				w.ix.Delete(id)
-				ds = append(ds, w.win.RemoveSub(id)...)
+				b.deletes = append(b.deletes, id)
 			}
-			w.mu.Unlock()
 		}
-		s.board.Apply(ds)
 		moved++
 	}
-	// Flush the relocations node by node. Installs run before deletes so
-	// a subscription hopping between two remote workers is never without
-	// a holder; each ack's admission/retraction deltas fold into the
-	// board under the node's state epoch.
-	for task, b := range batches {
-		m := s.remoteMigrator(task)
-		if m == nil || (len(b.cells) == 0 && len(b.deletes) == 0) {
+	// Flush the relocations: every install before any delete, so a
+	// subscription hopping between two workers is never without a holder
+	// and a relocation whose top-k membership survives shows subscribers
+	// no change.
+	for _, w := range active {
+		if b := batches[w]; b != nil && len(b.cells) > 0 {
+			if _, err := s.slots[w].InstallCells(b.cells, nil); err != nil {
+				s.log.Warn("global repartition: install round failed", "worker", w, "err", err)
+			}
+		}
+	}
+	for _, w := range active {
+		b := batches[w]
+		if b == nil {
 			continue
 		}
-		if ack, _, err := m.InstallCells(b.cells, b.deletes); err == nil {
-			s.board.ApplyRemote(task, ack.Epoch, ack.Deltas)
-		} else {
-			s.log.Warn("global repartition: install round failed", "worker", task, "err", err)
+		if len(b.deletes) > 0 {
+			if _, err := s.slots[w].InstallCells(nil, b.deletes); err != nil {
+				s.log.Warn("global repartition: delete round failed", "worker", w, "err", err)
+			}
 		}
 		var carried []window.Entry
 		for _, p := range b.cells {
-			carried = append(carried, p.Ring...)
 			for _, se := range p.Subs {
 				carried = append(carried, se.Entries...)
 			}
 		}
-		s.logAdoptions(task, b.adopted, b.deletes, carried)
+		// Logged regardless of the rounds' outcome: the new routes are
+		// about to go live, so replay must reconstruct the slot as routed.
+		s.logAdoptions(w, b.adopted, b.deletes, carried)
 	}
 	// Install the new strategy as the only route; local adjustment
 	// resumes against the new gridt when the new strategy is hybrid.

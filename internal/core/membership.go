@@ -6,7 +6,7 @@
 // while the coordinator routes around the outage.
 //
 // The unit of truth is the workerHop: one per out-of-process worker
-// slot, holding the live transport, the session generation (bumped on
+// slot, holding the live session client, the session generation (bumped on
 // every recovery; also the Hello fencing epoch, so a stale session
 // cannot reclaim the slot), and the dispatcher-side op log that makes
 // replay possible. Sessions hand over exactly: a failed session's
@@ -31,7 +31,6 @@ import (
 	"ps2stream/internal/model"
 	"ps2stream/internal/oplog"
 	"ps2stream/internal/snapshot"
-	"ps2stream/internal/stream"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
@@ -97,20 +96,26 @@ var ErrNoSpareSlots = errors.New("core: no spare worker slot available (Config.S
 var ErrWorkerUnrecoverable = errors.New("core: remote worker unrecoverable")
 
 // workerHop is the coordinator's per-slot state for one out-of-process
-// worker: the current transport session, its generation, and the
-// recovery op log. All mutable fields are guarded by mu; notify is a
-// closed-and-replaced broadcast channel (wait on the current one, and
-// any state change wakes you).
+// worker: the current session's wire client, its generation, and the
+// recovery op log. It is the slot's workerEndpoint: every control round
+// runs on whatever session is current. All mutable fields are guarded by
+// mu; notify is a closed-and-replaced broadcast channel (wait on the
+// current one, and any state change wakes you).
 type workerHop struct {
 	task int
+	// board receives the deltas of the slot's control rounds, under the
+	// slot's epoch-fenced ledger (see topkBoard.ApplyFrom).
+	board *topkBoard
 
 	mu     sync.Mutex
 	notify chan struct{}
 	// addr/hello redial the same node after a crash.
 	addr  string
 	hello wire.Hello
-	// tr is the current session's transport (nil for an unclaimed spare).
-	tr stream.Transport
+	// tr is the current session's client (nil for an unclaimed spare).
+	tr *wire.WorkerClient
+	// lastStats is what the latest successful stats round reported.
+	lastStats wire.StatsReply
 	// active: the slot participates in routing/adjustment decisions.
 	// down: the current session's connection failed. replaying: a
 	// recovery session is installed but still replaying the op log.
@@ -143,14 +148,104 @@ func (h *workerHop) broadcastLocked() {
 	h.notify = make(chan struct{})
 }
 
-// transport returns the current session's transport (nil for an
-// unclaimed spare), regardless of its health: control rounds on a dead
-// connection fail fast, and a nil here would make migration callers
-// misread the slot as in-process.
-func (h *workerHop) transport() stream.Transport {
+// errNoSession is what a control round on an unclaimed spare slot
+// returns.
+var errNoSession = errors.New("core: worker slot has no session")
+
+// client returns the current session's client regardless of its health:
+// a control round on a dead connection fails fast, and every caller
+// treats a failed round as "slot unobservable, skip or abort".
+func (h *workerHop) client() (*wire.WorkerClient, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.tr
+	if h.tr == nil {
+		return nil, errNoSession
+	}
+	return h.tr, nil
+}
+
+// The workerEndpoint methods: each is one control round on the current
+// session, FIFO-ordered (or op-barriered, on a multi-stream session)
+// behind every op batch and fence frame sent before it.
+
+func (h *workerHop) Stats() (wire.StatsReply, error) {
+	c, err := h.client()
+	if err != nil {
+		return wire.StatsReply{}, err
+	}
+	sr, err := c.Stats()
+	if err == nil {
+		h.mu.Lock()
+		h.lastStats = sr
+		h.mu.Unlock()
+	}
+	return sr, err
+}
+
+func (h *workerHop) LastStats() wire.StatsReply {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.lastStats
+}
+
+func (h *workerHop) CellStats() ([]wire.CellStat, error) {
+	c, err := h.client()
+	if err != nil {
+		return nil, err
+	}
+	return c.CellStats()
+}
+
+func (h *workerHop) ExtractCells(cells []wire.CellSpec, remove, subs bool) (wire.CellShare, error) {
+	c, err := h.client()
+	if err != nil {
+		return wire.CellShare{}, err
+	}
+	return c.ExtractCells(cells, remove, subs)
+}
+
+func (h *workerHop) InstallCells(cells []wire.CellPayload, deletes []uint64) (int64, error) {
+	c, err := h.client()
+	if err != nil {
+		return 0, err
+	}
+	ack, n, err := c.InstallCells(cells, deletes)
+	if err == nil {
+		// The node registered any migrated top-k subscriptions in its
+		// window store; its admission deltas fold into the board here so
+		// the reconciler sees the destination's copy the moment it goes
+		// live.
+		h.board.ApplyFrom(h.task, ack.Epoch, ack.Deltas)
+	}
+	return n, err
+}
+
+func (h *workerHop) AdvanceWindow(now time.Time) error {
+	c, err := h.client()
+	if err != nil {
+		return err
+	}
+	ack, err := c.AdvanceWindow(now)
+	if err == nil {
+		h.board.ApplyFrom(h.task, ack.Epoch, ack.Deltas)
+	}
+	return err
+}
+
+func (h *workerHop) ResetWindow() error {
+	c, err := h.client()
+	if err != nil {
+		return err
+	}
+	return c.ResetWindow()
+}
+
+func (h *workerHop) SendFence(epoch uint64) error {
+	c, err := h.client()
+	if err != nil {
+		return err
+	}
+	return c.SendFence(epoch)
 }
 
 // snapshotLocked-style helper: is the hop currently serving traffic?
@@ -160,65 +255,51 @@ func (h *workerHop) up() bool {
 	return h.active && !h.down && !h.replaying && !h.closing && h.tr != nil
 }
 
-// initHops builds the per-slot hop table. Called from New once the
-// worker arrays are allocated; nil when the deployment has neither
-// remote workers nor spare slots, which keeps every legacy code path
-// bit-identical.
+// initHops builds the per-slot hop table. Called from New before the
+// slot endpoints are assembled; nil when the deployment has neither
+// remote workers nor spare slots.
 func (s *System) initHops() {
 	if len(s.cfg.RemoteWorkers) == 0 && s.cfg.SpareWorkers <= 0 {
 		return
 	}
 	s.hops = make([]*workerHop, s.totalSlots())
-	for task, tr := range s.cfg.RemoteWorkers {
-		s.installDeltaHandler(task, tr)
-		h := &workerHop{task: task, tr: tr, active: true, gen: 1, notify: make(chan struct{})}
-		if a, ok := tr.(remoteAddresser); ok {
-			h.addr = a.Addr()
-		}
-		if hl, ok := tr.(remoteHelloer); ok {
-			h.hello = hl.Hello()
-		}
+	newHop := func(task int) *workerHop {
+		h := &workerHop{task: task, board: s.board, notify: make(chan struct{})}
 		if s.cfg.Recovery.Enabled {
 			h.log = oplog.New()
 		}
+		s.board.track(task)
 		s.hops[task] = h
+		return h
+	}
+	for task, cl := range s.cfg.RemoteWorkers {
+		h := newHop(task)
+		s.installDeltaHandler(task, cl)
+		h.tr, h.active, h.gen = cl, true, 1
+		h.addr, h.hello = cl.Addr(), cl.Hello()
 	}
 	for task := s.cfg.Workers; task < s.totalSlots(); task++ {
-		h := &workerHop{task: task, notify: make(chan struct{})}
-		if s.cfg.Recovery.Enabled {
-			h.log = oplog.New()
-		}
-		s.hops[task] = h
+		newHop(task)
 	}
 }
 
 // totalSlots is the worker-task count including pre-allocated spares.
 func (s *System) totalSlots() int { return s.cfg.Workers + s.cfg.SpareWorkers }
 
-// hop returns slot i's hop, nil for in-process slots (and for every
-// slot of a hop-less deployment).
+// hop returns slot i's hop, nil for in-process slots.
 func (s *System) hop(i int) *workerHop {
-	if s.hops == nil || i < 0 || i >= len(s.hops) {
+	if i < 0 || i >= len(s.hops) {
 		return nil
 	}
 	return s.hops[i]
-}
-
-// isRemote reports whether worker slot i runs out-of-process.
-func (s *System) isRemote(i int) bool {
-	if s.hops != nil {
-		return s.hop(i) != nil
-	}
-	_, ok := s.cfg.RemoteWorkers[i]
-	return ok
 }
 
 // activeWorkerSlots lists the worker slots that participate in routing
 // and load decisions: every in-process slot, plus hops marked active
 // (spares join on AddWorker, decommissioned slots leave).
 func (s *System) activeWorkerSlots() []int {
-	out := make([]int, 0, len(s.workers))
-	for i := range s.workers {
+	out := make([]int, 0, len(s.slots))
+	for i := range s.slots {
 		if h := s.hop(i); h != nil {
 			h.mu.Lock()
 			a := h.active
@@ -226,8 +307,6 @@ func (s *System) activeWorkerSlots() []int {
 			if !a {
 				continue
 			}
-		} else if i >= s.cfg.Workers {
-			continue
 		}
 		out = append(out, i)
 	}
@@ -350,20 +429,18 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	// state the recovered session re-establishes. Deltas the node
 	// re-emits during replay arrive tagged with newGen and rebuild the
 	// refs; stragglers from the dead session carry an older epoch and
-	// are dropped. (ApplyRemote with no deltas is exactly this bump-and-
+	// are dropped. (ApplyFrom with no deltas is exactly this bump-and-
 	// retract.)
-	s.board.ApplyRemote(h.task, newGen, nil)
-	ntr := &wireWorkerTransport{c: cl}
-	s.installDeltaHandler(h.task, ntr)
+	s.board.ApplyFrom(h.task, newGen, nil)
+	s.installDeltaHandler(h.task, cl)
 	// Install the recovery session (still under h.mu from the loop).
-	h.tr = ntr
+	h.tr = cl
 	h.gen = newGen
 	h.down = false
 	h.replaying = true
 	h.sessionRecv = 0
 	h.broadcastLocked()
 	h.mu.Unlock()
-	tr := h.transport()
 	base, tail, watermark := h.log.Replay()
 	s.log.Info("remote worker redialled; replaying",
 		"worker", h.task, "gen", newGen, "base", len(base), "tail", len(tail))
@@ -372,11 +449,11 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	for _, q := range base {
 		baseEnts = append(baseEnts, oplog.Entry{Op: model.Op{Kind: model.OpInsert, Query: q}})
 	}
-	if err := s.replaySend(tr, baseEnts); err != nil {
+	if err := s.replaySend(cl, baseEnts); err != nil {
 		s.hopFailed(h, newGen, err)
 		return
 	}
-	if err := s.replaySend(tr, tail); err != nil {
+	if err := s.replaySend(cl, tail); err != nil {
 		s.hopFailed(h, newGen, err)
 		return
 	}
@@ -409,32 +486,30 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	s.log.Info("remote worker recovered", "worker", h.task, "gen", newGen)
 }
 
-// replaySend ships logged entries to a transport in BatchSize chunks.
+// replaySend ships logged entries to a session in BatchSize chunks.
 // Each entry keeps its original submit stamp — window entry ranks and
 // expiry are functions of the publish instant, so re-stamping would
 // corrupt the recovered node's top-k state. Entries without a stamp
 // (checkpoint-base query registrations) are stamped at the replay
 // instant; a query's T0 only feeds latency accounting.
-func (s *System) replaySend(tr stream.Transport, ents []oplog.Entry) error {
-	if tr == nil {
-		return errors.New("core: replay on nil transport")
-	}
+func (s *System) replaySend(cl *wire.WorkerClient, ents []oplog.Entry) error {
 	now := s.now()
 	bs := s.cfg.BatchSize
+	ops := make([]wire.OpEnv, 0, bs)
 	for off := 0; off < len(ents); off += bs {
 		end := off + bs
 		if end > len(ents) {
 			end = len(ents)
 		}
-		ts := make([]stream.Tuple, 0, end-off)
+		ops = ops[:0]
 		for _, e := range ents[off:end] {
 			t0 := e.T0
 			if t0.IsZero() {
 				t0 = now
 			}
-			ts = append(ts, stream.Tuple{Value: opEnvelope{op: e.Op, t0: t0, refill: e.Refill}})
+			ops = append(ops, wire.OpEnv{Op: e.Op, T0: t0, Refill: e.Refill})
 		}
-		if err := tr.Send(ts); err != nil {
+		if err := cl.SendOps(wire.OpBatch{Ops: ops}); err != nil {
 			return err
 		}
 	}
@@ -471,16 +546,37 @@ func (s *System) logAdoptions(w int, adopted []*model.Query, dropped []uint64, e
 	}
 }
 
-// logExtraction appends migration-extract entries to worker w's op log
-// for queries that left the slot.
-func (s *System) logExtraction(w int, extracted []*model.Query) {
+// logDepartures appends migration-extract entries to worker w's op log
+// for the extracted queries that left the slot: replaying them there
+// after a crash would resurrect queries the destination already owns. A
+// query spanning several of the source's cells is only dropped from the
+// replay base once its *last* cell leaves: the logged delete is
+// whole-query (the node's index deletes across cells), so dropping on a
+// partial departure would erase the cells the source still owns from a
+// post-crash replay. Routing is already flipped, so the table answers
+// whether the source still holds the query through some other cell — via
+// the read-only probe: RouteQuery(q, false) is delete-routing and would
+// corrupt H2's registration counts.
+func (s *System) logDepartures(w int, extracted []*model.Query) {
 	h := s.hop(w)
 	if h == nil || h.log == nil {
 		return
 	}
 	now := s.now()
+	gt := s.gridT.Load()
 	for _, q := range extracted {
-		h.log.DropQuery(q, now)
+		still := false
+		if gt != nil {
+			for _, t := range gt.PeekQuery(q) {
+				if t == w {
+					still = true
+					break
+				}
+			}
+		}
+		if !still {
+			h.log.DropQuery(q, now)
+		}
 	}
 }
 
@@ -531,11 +627,7 @@ func (s *System) checkpointHop(h *workerHop) bool {
 	}
 	tr, gen, wm := h.tr, h.gen, h.sentSeq
 	h.mu.Unlock()
-	d, ok := tr.(remoteWorkerDrainer)
-	if !ok {
-		return false
-	}
-	if _, _, err := d.DrainWorker(); err != nil {
+	if _, err := tr.Drain(); err != nil {
 		s.hopFailed(h, gen, err)
 		return false
 	}
@@ -633,12 +725,11 @@ func (s *System) AddWorker(addr string) (int, error) {
 	if err != nil {
 		return -1, fmt.Errorf("core: adding worker at %s: %w", addr, err)
 	}
-	jtr := &wireWorkerTransport{c: cl}
-	s.installDeltaHandler(h.task, jtr)
+	s.installDeltaHandler(h.task, cl)
 	h.mu.Lock()
 	h.addr = addr
 	h.hello = hello
-	h.tr = jtr
+	h.tr = cl
 	h.gen = 1
 	h.active = true
 	h.down = false
@@ -671,18 +762,11 @@ func (s *System) rebalanceOnto(task int) {
 		if w == task {
 			continue
 		}
-		var stats []wire.CellStat
-		if m := s.remoteMigrator(w); m != nil {
-			cs, err := m.CellStats()
-			if err != nil {
-				continue // unobservable this round; rebalance what we can see
-			}
-			if cs == nil {
-				cs = []wire.CellStat{}
-			}
-			stats = cs
+		stats, err := s.slots[w].CellStats()
+		if err != nil {
+			continue // unobservable this round; rebalance what we can see
 		}
-		for _, c := range s.migrationCandidates(w, stats) {
+		for _, c := range s.migrationCandidates(stats) {
 			cands = append(cands, ownedCell{owner: w, cell: c})
 			total += c.Load
 		}
@@ -804,11 +888,12 @@ func (s *System) DecommissionWorker(task int) error {
 	}
 	// All cells are off the slot and reconciled; flush its last matches
 	// so nothing is lost to the half-close.
-	tr := h.transport()
-	if d, ok := tr.(remoteWorkerDrainer); ok {
-		if _, _, err := d.DrainWorker(); err != nil {
-			return fmt.Errorf("core: decommission drain of worker %d: %w", task, err)
-		}
+	tr, err := h.client()
+	if err != nil {
+		return fmt.Errorf("core: decommission drain of worker %d: %w", task, err)
+	}
+	if _, err := tr.Drain(); err != nil {
+		return fmt.Errorf("core: decommission drain of worker %d: %w", task, err)
 	}
 	h.mu.Lock()
 	h.decommissioned = true
@@ -823,13 +908,7 @@ func (s *System) DecommissionWorker(task int) error {
 	// the retired source cannot pin stale top-k candidates.
 	s.board.dropSource(task)
 	s.log.Info("worker decommissioned", "worker", task)
-	if tr == nil {
-		return nil
-	}
-	if cs, ok := tr.(stream.SendCloser); ok {
-		return cs.CloseSend()
-	}
-	return tr.Close()
+	return tr.CloseSend()
 }
 
 // hasPendingExtractsFor reports whether any deferred extraction still

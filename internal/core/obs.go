@@ -9,12 +9,13 @@ package core
 //
 // Series naming: everything is prefixed ps2_, durations are histograms
 // in seconds with _seconds names, monotone counts end in _total, and
-// per-worker series carry a worker="<task>" label. For remote worker
-// tasks the per-kind op counters come from the node-reported StatsReply
-// mirror (refreshed by the adjustment controller's stats rounds and by
-// RefreshRemoteStats at scrape time), so one scrape of the coordinator
-// reports what every node actually processed — not what the
-// coordinator handed to the wire.
+// per-worker series carry a worker="<task>" label. The per-kind op
+// counters and the query gauge are each slot's endpoint-reported stats
+// (workerEndpoint.LastStats): an in-process engine is read directly, a
+// psnode's reply to the latest stats round is remembered (refreshed by
+// the adjustment controller's rounds and by RefreshWorkerStats at scrape
+// time), so one scrape of the coordinator reports what every worker
+// actually processed — not what the coordinator handed to the wire.
 
 import (
 	"context"
@@ -67,9 +68,16 @@ func (s *System) Registry() *metrics.Registry { return s.registry }
 // executed cell migration).
 func (s *System) RouteEpoch() uint64 { return s.routeFence.Epoch() }
 
-// opKinds are the per-kind op-counter labels, aligned with
-// wire.StatsReply's Objects/Inserts/Deletes.
-var opKinds = []string{"object", "insert", "delete"}
+// opKinds are the per-kind op-counter labels and the wire.StatsReply
+// field each one reads.
+var opKinds = []struct {
+	kind  string
+	count func(wire.StatsReply) int64
+}{
+	{"object", func(sr wire.StatsReply) int64 { return sr.Objects }},
+	{"insert", func(sr wire.StatsReply) int64 { return sr.Inserts }},
+	{"delete", func(sr wire.StatsReply) int64 { return sr.Deletes }},
+}
 
 // initObservability builds the registry over the system's existing
 // counters. Called from New after every counter slice is allocated.
@@ -107,18 +115,18 @@ func (s *System) initObservability() {
 	s.stageMerge = r.Histogram("ps2_stage_seconds", "per-batch stage processing time",
 		stageLatencyBounds, metrics.L("stage", StageMerge))
 
-	// Per-worker series. For remote tasks the op counts read the
-	// node-reported mirror; everything else reads coordinator-side state.
+	// Per-worker series. The op counts and the query gauge read the
+	// slot's endpoint; everything else reads coordinator-side state.
 	// Spare slots are included so a runtime-joined worker's series exist
 	// from the first scrape.
-	for i := 0; i < len(s.workers); i++ {
-		i := i
+	for i, ep := range s.slots {
+		i, ep := i, ep
 		wl := metrics.L("worker", strconv.Itoa(i))
-		for _, kind := range opKinds {
-			kind := kind
+		for _, k := range opKinds {
+			k := k
 			r.CounterFunc("ps2_worker_ops_total",
 				"operations processed per worker and kind (node-reported for remote tasks)",
-				func() int64 { return s.workerOpCount(i, kind) }, wl, metrics.L("kind", kind))
+				func() int64 { return k.count(ep.LastStats()) }, wl, metrics.L("kind", k.kind))
 		}
 		r.GaugeFunc("ps2_worker_window_load", "Definition-1 load over the current dispatcher window",
 			func() float64 {
@@ -131,7 +139,7 @@ func (s *System) initObservability() {
 		r.GaugeFunc("ps2_worker_inflight_ops", "tuples enqueued to the worker and not yet processed",
 			func() float64 { return float64(s.enqueued[i].Load() - s.doneOps[i].Load()) }, wl)
 		r.GaugeFunc("ps2_worker_queries", "live queries indexed on the worker (node-reported for remote tasks)",
-			func() float64 { return s.workerQueryCount(i) }, wl)
+			func() float64 { return float64(ep.LastStats().Queries) }, wl)
 		if s.loadEWMA != nil {
 			e := s.loadEWMA[i]
 			r.GaugeFunc("ps2_worker_load_ewma", "adjustment controller's smoothed per-worker load",
@@ -238,92 +246,24 @@ func (s *System) registerTopologyMetrics() {
 	}
 }
 
-// workerOpCount reads worker i's cumulative op count of one kind: the
-// node-reported mirror for remote tasks, the worker bolts' tallies for
-// local ones.
-func (s *System) workerOpCount(i int, kind string) int64 {
-	if s.isRemote(i) {
-		s.remoteStatsMu.Lock()
-		sr := s.remoteStats[i]
-		s.remoteStatsMu.Unlock()
-		switch kind {
-		case "object":
-			return sr.Objects
-		case "insert":
-			return sr.Inserts
-		default:
-			return sr.Deletes
-		}
-	}
-	switch kind {
-	case "object":
-		return s.workObjects[i].Load()
-	case "insert":
-		return s.workInserts[i].Load()
-	default:
-		return s.workDeletes[i].Load()
-	}
-}
-
-// workerQueryCount reads worker i's live query count: the node-reported
-// mirror for remote tasks (the shadow index under-counts after
-// migrations), the index itself for local ones.
-func (s *System) workerQueryCount(i int) float64 {
-	if s.isRemote(i) {
-		s.remoteStatsMu.Lock()
-		sr := s.remoteStats[i]
-		s.remoteStatsMu.Unlock()
-		return float64(sr.Queries)
-	}
-	w := s.workers[i]
-	w.mu.Lock()
-	n := w.ix.QueryCount()
-	w.mu.Unlock()
-	return float64(n)
-}
-
-// storeRemoteStats records a node-reported StatsReply in the scrape
-// mirror. Called by every stats control round (the adjustment
-// controller's polls and RefreshRemoteStats alike).
-func (s *System) storeRemoteStats(task int, sr wire.StatsReply) {
-	s.remoteStatsMu.Lock()
-	if s.remoteStats == nil {
-		s.remoteStats = make(map[int]wire.StatsReply)
-	}
-	s.remoteStats[task] = sr
-	s.remoteStatsAt = time.Now()
-	s.remoteStatsMu.Unlock()
-}
-
-// RefreshRemoteStats refreshes the remote-worker counter mirror if it
-// is older than maxAge, one stats control round per remote worker. The
-// obs server calls it before each scrape so a coordinator scrape shows
-// current node-side counts even when the adjustment controller (whose
-// polls also feed the mirror) is off. Errors leave the previous values
-// in place: a scrape must never fail the run.
-func (s *System) RefreshRemoteStats(maxAge time.Duration) {
-	if !s.HasRemoteWorkers() {
-		return
-	}
-	s.remoteStatsMu.Lock()
-	fresh := time.Since(s.remoteStatsAt) < maxAge
+// RefreshWorkerStats runs one stats round on every active worker slot
+// unless the previous refresh is younger than maxAge. The obs server
+// calls it before each scrape so a coordinator scrape shows current
+// node-side counts even when the adjustment controller (whose polls run
+// the same rounds) is off. A failed round leaves the slot's previous
+// reading in place: a scrape must never fail the run.
+func (s *System) RefreshWorkerStats(maxAge time.Duration) {
+	s.statsMu.Lock()
+	fresh := time.Since(s.statsAt) < maxAge
 	if !fresh {
-		s.remoteStatsAt = time.Now() // claim the refresh before the wire rounds
+		s.statsAt = time.Now() // claim the refresh before the rounds
 	}
-	s.remoteStatsMu.Unlock()
+	s.statsMu.Unlock()
 	if fresh {
 		return
 	}
-	for _, task := range s.remoteWorkerTasks() {
-		m := s.remoteMigrator(task)
-		if m == nil {
-			continue
-		}
-		sr, err := m.WorkerStats()
-		if err != nil {
-			continue
-		}
-		s.storeRemoteStats(task, sr)
+	for _, w := range s.activeWorkerSlots() {
+		_, _ = s.slots[w].Stats()
 	}
 }
 

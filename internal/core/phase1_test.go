@@ -8,6 +8,7 @@ import (
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/model"
+	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
 
@@ -92,11 +93,11 @@ func TestMigrateSplitMovesOneKeyShare(t *testing.T) {
 		}
 	}
 	// After extraction the source worker no longer holds the moved share.
-	src := sys.workers[wo]
-	src.mu.Lock()
-	leftover := src.gi.QueriesInCellKeys(cell, []string{"splitkeya"})
-	src.mu.Unlock()
-	if len(leftover) != 0 {
+	share, err := sys.slots[wo].ExtractCells([]wire.CellSpec{{Cell: cell, Keys: []string{"splitkeya"}}}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leftover := share.Cells[0].Queries; len(leftover) != 0 {
 		t.Errorf("source worker still holds %d splitkeya queries", len(leftover))
 	}
 }

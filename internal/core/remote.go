@@ -1,9 +1,10 @@
 // Remote task placement: the coordinator side of a multi-process
 // deployment. A worker or merger task can run out-of-process (a psnode,
-// internal/node); the hop to it is a stream.Transport backed by
-// internal/wire, and the bolts below forward the task's traffic across
-// it. In-process channels stay the default fast path — only the tasks
-// listed in Config.RemoteWorkers/RemoteMergers leave the process.
+// internal/node); the hop to a worker is a wire.WorkerClient session, the
+// hop to a merger a stream.Transport backed by wire.MergerClient, and the
+// bolts below forward the task's traffic across them. In-process channels
+// stay the default fast path — only the tasks listed in
+// Config.RemoteWorkers/RemoteMergers leave the process.
 package core
 
 import (
@@ -11,24 +12,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
 	"ps2stream/internal/index/grid"
-	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
 	"ps2stream/internal/stream"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
-
-// remoteWorkerDrainer is the optional Transport extension the Drain
-// barrier uses: the returned emitted count is the remote worker's
-// cumulative matches, valid for every op batch sent before the call.
-type remoteWorkerDrainer interface {
-	DrainWorker() (done, emitted int64, err error)
-}
 
 // remoteMergerCounter is the optional Transport extension the Drain
 // barrier uses for remote mergers: cumulative delivered/duplicate
@@ -36,18 +28,6 @@ type remoteWorkerDrainer interface {
 type remoteMergerCounter interface {
 	Counts() (delivered, duplicates int64, err error)
 }
-
-// ErrRemoteNeedsStatic is returned when an operation that must reach
-// inside every worker is combined with a custom RemoteWorkers transport
-// lacking the wire extension the operation rides on: GlobalRepartition
-// and dynamic load adjustment need cell migration
-// (ExtractCells/InstallCells control frames), and SubscribeTopK needs
-// the window delta stream plus the fenced AdvanceWindow round. The
-// wire-backed transports ConnectRemoteWorkers installs implement every
-// extension, so deployments on psnode never see this error — it
-// survives only for custom stream.Transport implementations that stop
-// at Send/Recv (docs/WIRE.md).
-var ErrRemoteNeedsStatic = errors.New("core: operation requires in-process workers (or a remote transport with the matching wire extension)")
 
 // ErrRemoteTask is returned for RemoteWorkers/RemoteMergers keys
 // outside the topology's task range.
@@ -66,127 +46,6 @@ var ErrRemoteConfigMismatch = errors.New("core: remote worker handshake disagree
 // across processes.
 var ErrNilSample = errors.New("core: remote connection requires a non-nil workload sample")
 
-// remoteCellMigrator is the optional Transport extension dynamic load
-// adjustment uses to migrate gridt cells across the wire: planner
-// statistics, node-reported load counters, the copy/extract and install
-// halves of a migration, and the per-interval cell-window reset. The
-// wire-backed transports ConnectRemoteWorkers installs implement it;
-// adjustment with a remote transport that does not is refused
-// (ErrRemoteNeedsStatic).
-type remoteCellMigrator interface {
-	WorkerStats() (wire.StatsReply, error)
-	CellStats() ([]wire.CellStat, error)
-	ExtractCells(cells []wire.CellSpec, remove, subs bool) (wire.CellShare, error)
-	InstallCells(cells []wire.CellPayload, deletes []uint64) (wire.InstallAck, int64, error)
-	SendFence(epoch uint64) error
-	ResetWindow() error
-}
-
-// remoteDeltaSource is the optional Transport extension the top-k
-// reconciliation board consumes: the handler receives the worker's
-// spontaneous window delta batches, each tagged with the node's state
-// epoch so the board can fence out replayed or pre-crash deltas.
-type remoteDeltaSource interface {
-	SetDeltaHandler(h func(epoch uint64, ds []window.Delta))
-}
-
-// remoteWindowAdvancer is the optional Transport extension the fenced
-// AdvanceWindows round uses: the worker processes every op sent before
-// the call, advances its sliding windows to the coordinator clock, and
-// returns the eviction deltas with its state epoch.
-type remoteWindowAdvancer interface {
-	AdvanceWindow(now time.Time) (epoch uint64, ds []window.Delta, err error)
-}
-
-// remoteHelloer exposes the dial-time handshake for New's
-// config-agreement validation.
-type remoteHelloer interface {
-	Hello() wire.Hello
-}
-
-// remoteAddresser exposes the dialled address, so crash recovery can
-// redial the same node (membership.go).
-type remoteAddresser interface {
-	Addr() string
-}
-
-// wireWorkerTransport adapts a wire.WorkerClient to stream.Transport:
-// Send carries opEnvelope tuples out as one OpBatch frame per transfer
-// batch; Recv yields the worker's matches as matchEnvelope tuples.
-type wireWorkerTransport struct {
-	c *wire.WorkerClient
-	// sendMu guards the envelope scratch. Sends come from one engine
-	// goroutine per hop, but recovery's replay path can hand the
-	// transport off; the lock makes the reuse unconditionally safe.
-	sendMu sync.Mutex
-	ops    []wire.OpEnv
-}
-
-func (t *wireWorkerTransport) Send(batch []stream.Tuple) error {
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	// SendOps encodes synchronously (the bytes are copied into a pooled
-	// frame buffer before it returns), so the scratch is reusable across
-	// calls — no per-batch slice allocation on the hot path.
-	t.ops = t.ops[:0]
-	for i := range batch {
-		env := batch[i].Value.(opEnvelope)
-		t.ops = append(t.ops, wire.OpEnv{Op: env.op, T0: env.t0, Refill: env.refill})
-	}
-	return t.c.SendOps(wire.OpBatch{Ops: t.ops})
-}
-
-func (t *wireWorkerTransport) Recv() ([]stream.Tuple, error) {
-	mb, err := t.c.RecvMatches()
-	if err != nil {
-		return nil, err
-	}
-	ts := make([]stream.Tuple, len(mb.Matches))
-	for i := range mb.Matches {
-		ts[i] = stream.Tuple{Value: matchEnvelope{m: mb.Matches[i].M, t0: mb.Matches[i].T0}}
-	}
-	return ts, nil
-}
-
-func (t *wireWorkerTransport) CloseSend() error { return t.c.CloseSend() }
-func (t *wireWorkerTransport) Close() error     { return t.c.Close() }
-
-func (t *wireWorkerTransport) DrainWorker() (done, emitted int64, err error) {
-	ack, err := t.c.Drain()
-	if err != nil {
-		return 0, 0, err
-	}
-	return ack.Done, ack.Emitted, nil
-}
-
-// remoteCellMigrator implementation: delegate to the wire client's
-// control rounds (FIFO-ordered on the worker's connection, behind all
-// op batches and fence frames sent before them).
-func (t *wireWorkerTransport) WorkerStats() (wire.StatsReply, error) { return t.c.Stats() }
-func (t *wireWorkerTransport) CellStats() ([]wire.CellStat, error)   { return t.c.CellStats() }
-func (t *wireWorkerTransport) ExtractCells(cells []wire.CellSpec, remove, subs bool) (wire.CellShare, error) {
-	return t.c.ExtractCells(cells, remove, subs)
-}
-func (t *wireWorkerTransport) InstallCells(cells []wire.CellPayload, deletes []uint64) (wire.InstallAck, int64, error) {
-	return t.c.InstallCells(cells, deletes)
-}
-func (t *wireWorkerTransport) SendFence(epoch uint64) error { return t.c.SendFence(epoch) }
-func (t *wireWorkerTransport) ResetWindow() error           { return t.c.ResetWindow() }
-func (t *wireWorkerTransport) Hello() wire.Hello            { return t.c.Hello() }
-func (t *wireWorkerTransport) Addr() string                 { return t.c.Addr() }
-
-func (t *wireWorkerTransport) SetDeltaHandler(h func(epoch uint64, ds []window.Delta)) {
-	t.c.SetDeltaHandler(h)
-}
-
-func (t *wireWorkerTransport) AdvanceWindow(now time.Time) (uint64, []window.Delta, error) {
-	ack, err := t.c.AdvanceWindow(now)
-	if err != nil {
-		return 0, nil, err
-	}
-	return ack.Epoch, ack.Deltas, nil
-}
-
 // wireMergerTransport adapts a wire.MergerClient to stream.Transport
 // (forward direction only: mergers send nothing back but counters).
 type wireMergerTransport struct {
@@ -198,12 +57,12 @@ type wireMergerTransport struct {
 func (t *wireMergerTransport) Send(batch []stream.Tuple) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	// SendMatches encodes before queueing, so the scratch is reusable
-	// (see wireWorkerTransport.Send).
+	// SendMatches encodes before queueing (the bytes are copied into a
+	// pooled frame buffer before it returns), so the scratch is reusable
+	// across calls — no per-batch slice allocation on the hot path.
 	t.ms = t.ms[:0]
 	for i := range batch {
-		env := batch[i].Value.(matchEnvelope)
-		t.ms = append(t.ms, wire.MatchEnv{M: env.m, T0: env.t0})
+		t.ms = append(t.ms, batch[i].Value.(wire.MatchEnv))
 	}
 	return t.c.SendMatches(wire.MatchBatch{Matches: t.ms})
 }
@@ -281,13 +140,13 @@ func (c *Config) RemoteHello(task int, sample *partition.Sample) wire.Hello {
 
 // ConnectRemoteWorkers dials one worker node per address (with
 // reconnect-with-backoff, so peers may still be starting) and installs
-// the transports as worker tasks 0..len(addrs)-1. Defaults are applied
+// the sessions as worker tasks 0..len(addrs)-1. Defaults are applied
 // first (an unset Workers still means the usual 8), then Workers is
 // raised if the addresses outnumber it; tasks beyond the remote ones
-// run in-process. On error, only the transports this call dialed are
+// run in-process. On error, only the sessions this call dialed are
 // closed and removed: caller-installed entries survive, so a retry (or
 // a New over the partially-connected Config) never sees a closed
-// transport left behind.
+// session left behind.
 func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, b wire.Backoff) error {
 	if len(addrs) == 0 {
 		return nil
@@ -307,7 +166,7 @@ func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, 
 		c.Workers = len(addrs)
 	}
 	if c.RemoteWorkers == nil {
-		c.RemoteWorkers = make(map[int]stream.Transport, len(addrs))
+		c.RemoteWorkers = make(map[int]*wire.WorkerClient, len(addrs))
 	}
 	dialed := make([]int, 0, len(addrs))
 	for i, addr := range addrs {
@@ -319,7 +178,7 @@ func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, 
 			}
 			return fmt.Errorf("core: connecting worker %d at %s: %w", i, addr, err)
 		}
-		c.RemoteWorkers[i] = &wireWorkerTransport{c: cl}
+		c.RemoteWorkers[i] = cl
 		dialed = append(dialed, i)
 	}
 	return nil
@@ -331,14 +190,10 @@ func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, 
 // protocol (an old peer on the other side).
 func (c *Config) RemoteWorkerSummary() string {
 	var binary, legacy, streams int
-	for _, tr := range c.RemoteWorkers {
-		wt, ok := tr.(*wireWorkerTransport)
-		if !ok {
-			continue
-		}
-		if wt.c.Codec() == wire.CodecBinary && wt.c.Streams() > 0 {
+	for _, cl := range c.RemoteWorkers {
+		if cl.Codec() == wire.CodecBinary && cl.Streams() > 0 {
 			binary++
-			streams = wt.c.Streams()
+			streams = cl.Streams()
 		} else {
 			legacy++
 		}
@@ -396,110 +251,36 @@ func (c *Config) ConnectRemoteMergers(addrs []string, sample *partition.Sample, 
 // including unclaimed spare slots — in ascending order (stable
 // spout-task mapping and drain iteration).
 func (s *System) remoteWorkerTasks() []int {
-	if s.hops != nil {
-		tasks := make([]int, 0, len(s.hops))
-		for t, h := range s.hops {
-			if h != nil {
-				tasks = append(tasks, t)
-			}
+	tasks := make([]int, 0, len(s.hops))
+	for t, h := range s.hops {
+		if h != nil {
+			tasks = append(tasks, t)
 		}
-		return tasks
 	}
-	tasks := make([]int, 0, len(s.cfg.RemoteWorkers))
-	for t := range s.cfg.RemoteWorkers {
-		tasks = append(tasks, t)
-	}
-	sort.Ints(tasks)
 	return tasks
 }
 
-// HasRemoteWorkers reports whether any worker task runs (or can join)
-// out-of-process.
-func (s *System) HasRemoteWorkers() bool {
-	return s.hops != nil || len(s.cfg.RemoteWorkers) > 0
-}
-
-// remoteAdvancer returns worker task's fenced window-advance interface,
-// nil for in-process tasks and for remote transports without the
-// extension. Like remoteMigrator, an elastic hop's CURRENT session
-// transport is returned even mid-outage: a control round on a dead
-// connection fails fast and the caller skips the worker for this round.
-func (s *System) remoteAdvancer(task int) remoteWindowAdvancer {
-	if h := s.hop(task); h != nil {
-		if a, ok := h.transport().(remoteWindowAdvancer); ok {
-			return a
-		}
-		return nil
-	}
-	if tr, ok := s.cfg.RemoteWorkers[task]; ok {
-		if a, ok := tr.(remoteWindowAdvancer); ok {
-			return a
-		}
-	}
-	return nil
-}
-
-// TopKRemoteSupport reports whether sliding-window top-k subscriptions
-// can be hosted on the current membership: nil when every remote worker
-// transport implements the window-delta extension (the spontaneous
-// delta stream and the fenced AdvanceWindow round), an
-// ErrRemoteNeedsStatic-wrapped error naming the first worker whose
-// transport does not. Wire-backed psnode transports always qualify;
-// unclaimed spare slots have no transport yet and are skipped — a
-// later AddWorker joins through the same wire client.
-func (s *System) TopKRemoteSupport() error {
-	for _, task := range s.remoteWorkerTasks() {
-		var tr stream.Transport
-		if h := s.hop(task); h != nil {
-			if tr = h.transport(); tr == nil {
-				continue // unclaimed spare slot
-			}
-		} else {
-			tr = s.cfg.RemoteWorkers[task]
-		}
-		_, src := tr.(remoteDeltaSource)
-		_, adv := tr.(remoteWindowAdvancer)
-		if !src || !adv {
-			return fmt.Errorf("%w: worker %d transport carries no window delta stream", ErrRemoteNeedsStatic, task)
-		}
-	}
-	return nil
-}
-
-// installDeltaHandler points a transport's spontaneous top-k delta
-// stream at the reconciliation board, tagged with the worker's task id
-// (the board's per-source epoch-dedup key). No-op for transports
-// without the extension — their deployments cannot host top-k
-// subscriptions (SubscribeTopK refuses them).
-func (s *System) installDeltaHandler(task int, tr stream.Transport) {
-	src, ok := tr.(remoteDeltaSource)
-	if !ok {
-		return
-	}
-	src.SetDeltaHandler(func(epoch uint64, ds []window.Delta) {
-		s.board.ApplyRemote(task, epoch, ds)
+// installDeltaHandler points a session's spontaneous top-k delta stream
+// at the reconciliation board, under the slot's ledger.
+func (s *System) installDeltaHandler(task int, cl *wire.WorkerClient) {
+	cl.SetDeltaHandler(func(epoch uint64, ds []window.Delta) {
+		s.board.ApplyFrom(task, epoch, ds)
 	})
 }
 
 // closeRemoteTransports force-closes every remote hop (idempotent);
 // used to unblock transport reads when the run is cancelled.
 func (s *System) closeRemoteTransports() {
-	if s.hops != nil {
-		for _, h := range s.hops {
-			if h == nil {
-				continue
-			}
-			h.mu.Lock()
-			h.closing = true
-			tr := h.tr
-			h.broadcastLocked()
-			h.mu.Unlock()
-			if tr != nil {
-				tr.Close()
-			}
+	for _, h := range s.hops {
+		if h == nil {
+			continue
 		}
-	} else {
-		for _, tr := range s.cfg.RemoteWorkers {
+		h.mu.Lock()
+		h.closing = true
+		tr := h.tr
+		h.broadcastLocked()
+		h.mu.Unlock()
+		if tr != nil {
 			tr.Close()
 		}
 	}
@@ -509,71 +290,45 @@ func (s *System) closeRemoteTransports() {
 }
 
 // remoteWorkerBolt stands in for an out-of-process worker task: it
-// forwards each received op batch across the hop's current transport
-// session (one frame per batch) and accounts the hand-off. The
-// worker's matches re-enter the topology through remoteMatchSpout.
-// With recovery enabled every op is appended to the hop's op log
-// before the wire sees it, and a down/replaying session only logs —
-// replay owns delivery until the hop re-opens.
+// forwards each received op batch across the hop's current session (one
+// frame per batch) and accounts the hand-off. The worker's matches
+// re-enter the topology through remoteMatchSpout. With recovery enabled
+// every op is appended to the hop's op log before the wire sees it, and a
+// down/replaying session only logs — replay owns delivery until the hop
+// re-opens.
 type remoteWorkerBolt struct {
 	s    *System
 	task int
 	hop  *workerHop
+	// ops is the batch's envelope scratch: SendOps encodes synchronously,
+	// so it is reusable across batches.
+	ops []wire.OpEnv
 }
 
 // ProcessBatch implements stream.BatchBolt.
 func (r *remoteWorkerBolt) ProcessBatch(ts []stream.Tuple, _ stream.Collector) {
-	// These tallies follow hand-off and feed WorkerOpCounts (traffic
-	// accounting, benchmarks). The adjustment controller does NOT use
-	// them for remote tasks: it polls the node's own processed-op
-	// counters over the stats control round (pollRemoteLoads), so the
-	// detector sees node-side processing progress rather than the
-	// coordinator's forwarding rate.
-	var nObj, nIns, nDel int64
-	for i := range ts {
-		switch ts[i].Value.(opEnvelope).op.Kind {
-		case model.OpObject:
-			nObj++
-		case model.OpInsert:
-			nIns++
-		case model.OpDelete:
-			nDel++
-		}
-	}
-	if nObj > 0 {
-		r.s.workObjects[r.task].Add(nObj)
-	}
-	if nIns > 0 {
-		r.s.workInserts[r.task].Add(nIns)
-	}
-	if nDel > 0 {
-		r.s.workDeletes[r.task].Add(nDel)
-	}
-	r.forward(ts)
+	r.ops = unpackOps(r.ops[:0], ts)
+	r.forward(r.ops)
 	r.s.doneOps[r.task].Add(int64(len(ts)))
 	// Tuple latency for a remote task is measured at wire hand-off; the
 	// end-to-end figure remains the mergers' match latency.
-	end := r.s.now()
-	h := r.s.latency.Load()
-	for i := range ts {
-		h.Observe(end.Sub(ts[i].Value.(opEnvelope).t0))
-	}
+	r.s.observeLatency(r.ops)
 }
 
-// forward puts one batch on the hop. Without an op log this is the
-// legacy contract: a send failure fails the run loudly. With one, the
-// batch is logged first and the wire send is best-effort — a failure
-// trips recovery, and the logged ops replay onto the next session.
-func (r *remoteWorkerBolt) forward(ts []stream.Tuple) {
+// forward puts one batch on the hop. Without an op log a send failure
+// fails the run loudly. With one, the batch is logged first and the wire
+// send is best-effort — a failure trips recovery, and the logged ops
+// replay onto the next session.
+func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 	h := r.hop
 	if h.log == nil {
 		h.mu.Lock()
 		tr, gen := h.tr, h.gen
 		h.mu.Unlock()
 		if tr == nil {
-			panic(fmt.Sprintf("remote worker %d: no transport", r.task))
+			panic(fmt.Sprintf("remote worker %d: no session", r.task))
 		}
-		if err := tr.Send(ts); err != nil {
+		if err := tr.SendOps(wire.OpBatch{Ops: ops}); err != nil {
 			// Mark the slot failed before dying loudly: the engine
 			// captures task panics and then runs this bolt's Close hook,
 			// which would dress the hop up as a graceful teardown — the
@@ -584,9 +339,8 @@ func (r *remoteWorkerBolt) forward(ts []stream.Tuple) {
 		return
 	}
 	var lastSeq uint64
-	for i := range ts {
-		env := ts[i].Value.(opEnvelope)
-		lastSeq = h.log.Append(env.op, env.t0)
+	for i := range ops {
+		lastSeq = h.log.Append(ops[i].Op, ops[i].T0)
 	}
 	h.mu.Lock()
 	if h.tr == nil || h.down || h.replaying || h.closing {
@@ -601,7 +355,7 @@ func (r *remoteWorkerBolt) forward(ts []stream.Tuple) {
 	// Send under the hop lock: it serialises with recovery's install
 	// and catch-up, and with the checkpoint watermark read, so sentSeq
 	// never claims an op the wire has not seen.
-	err := tr.Send(ts)
+	err := tr.SendOps(wire.OpBatch{Ops: ops})
 	if err == nil {
 		h.sentSeq = lastSeq
 	}
@@ -635,10 +389,7 @@ func (r *remoteWorkerBolt) Close() error {
 	if hard {
 		return tr.Close()
 	}
-	if cs, ok := tr.(stream.SendCloser); ok {
-		return cs.CloseSend()
-	}
-	return tr.Close()
+	return tr.CloseSend()
 }
 
 // remoteMatchSpout re-injects a remote worker's match stream into the
@@ -661,7 +412,7 @@ func (r *remoteMatchSpout) Next(c stream.Collector) bool {
 		if !ok {
 			return false
 		}
-		ts, err := tr.Recv()
+		mb, err := tr.RecvMatches()
 		if err != nil {
 			if r.finishSession(gen, err) {
 				return false
@@ -670,10 +421,10 @@ func (r *remoteMatchSpout) Next(c stream.Collector) bool {
 		}
 		h := r.hop
 		h.mu.Lock()
-		h.sessionRecv += int64(len(ts))
+		h.sessionRecv += int64(len(mb.Matches))
 		h.mu.Unlock()
-		for i := range ts {
-			c.Emit(streamMatches, ts[i])
+		for i := range mb.Matches {
+			c.Emit(streamMatches, stream.Tuple{Value: mb.Matches[i]})
 		}
 		// Flush per received frame: the wire already batches, and holding
 		// matches back here would add latency the batch bound cannot cap
@@ -688,7 +439,7 @@ func (r *remoteMatchSpout) Next(c stream.Collector) bool {
 // session: one that died before the spout ever read it must still be
 // drained, so its already-delivered matches are retired and recovery
 // (which waits for drainedGen) can proceed.
-func (r *remoteMatchSpout) waitTransport() (stream.Transport, uint64, bool) {
+func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 	h := r.hop
 	for {
 		h.mu.Lock()
@@ -831,13 +582,9 @@ func (s *System) expectedFromHop(h *workerHop) (gen uint64, contribution int64, 
 			}
 			continue
 		}
-		tr, g, retired := h.tr, h.gen, h.retired
+		tr, g := h.tr, h.gen
 		h.mu.Unlock()
-		d, ok := tr.(remoteWorkerDrainer)
-		if !ok {
-			return g, retired, nil
-		}
-		_, emitted, derr := d.DrainWorker()
+		ack, derr := tr.Drain()
 		if derr != nil {
 			if h.log != nil && h.addr != "" {
 				s.hopFailed(h, g, derr)
@@ -853,7 +600,7 @@ func (s *System) expectedFromHop(h *workerHop) (gen uint64, contribution int64, 
 			h.mu.Unlock()
 			continue
 		}
-		n := h.retired + emitted
+		n := h.retired + ack.Emitted
 		h.mu.Unlock()
 		return g, n, nil
 	}
@@ -877,21 +624,7 @@ recompute:
 		gens := make(map[int]uint64)
 		var remoteEmitted int64
 		for _, task := range s.remoteWorkerTasks() {
-			h := s.hop(task)
-			if h == nil {
-				// Hop-less deployment (custom transports, no spares).
-				d, ok := s.cfg.RemoteWorkers[task].(remoteWorkerDrainer)
-				if !ok {
-					continue
-				}
-				_, e, err := d.DrainWorker()
-				if err != nil {
-					return fmt.Errorf("core: draining remote worker %d: %w", task, err)
-				}
-				remoteEmitted += e
-				continue
-			}
-			g, n, err := s.expectedFromHop(h)
+			g, n, err := s.expectedFromHop(s.hops[task])
 			if err != nil {
 				return err
 			}
@@ -919,10 +652,7 @@ recompute:
 				return errors.New("core: system closed while draining")
 			}
 			for task, g := range gens {
-				h := s.hop(task)
-				if h == nil {
-					continue
-				}
+				h := s.hops[task]
 				h.mu.Lock()
 				changed := h.gen != g || h.down
 				h.mu.Unlock()
@@ -973,9 +703,6 @@ func (s *System) quiesceHops(submitted int64) error {
 
 // failedHopErr reports the first permanently unrecoverable hop, if any.
 func (s *System) failedHopErr() error {
-	if s.hops == nil {
-		return nil
-	}
 	for _, h := range s.hops {
 		if h == nil {
 			continue

@@ -102,7 +102,14 @@ func runRemoteHotspotPublish(t *testing.T) (matches [][2]uint64, adj AdjustStats
 			}
 		}
 	}()
-	for _, o := range objs {
+	for i, o := range objs {
+		// Paced: unpaced, the four nodes drain the whole burst in a few
+		// milliseconds — less than one stats-round-trip of the hammered
+		// AdjustNow — and no adjustment ever sees loaded cells. The
+		// match set does not depend on the pacing.
+		if i%250 == 249 {
+			time.Sleep(time.Millisecond)
+		}
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
 	}
 	if err := sys.Drain(int64(len(warm) + nObjects)); err != nil {
@@ -208,16 +215,13 @@ func TestRemoteMigrateShareBothDirections(t *testing.T) {
 
 	migrate := func(wo, wl int) {
 		t.Helper()
-		// A remote source's planner view comes from one CellStats round,
+		// The source's planner view comes from one CellStats round,
 		// exactly as runAdjustment fetches it.
-		var remote []wire.CellStat
-		if m := sys.remoteMigrator(wo); m != nil {
-			var err error
-			if remote, err = m.CellStats(); err != nil {
-				t.Fatal(err)
-			}
+		stats, err := sys.slots[wo].CellStats()
+		if err != nil {
+			t.Fatal(err)
 		}
-		shares := sys.collectShares(wo, remote)
+		shares := sys.collectShares(stats)
 		if len(shares) == 0 {
 			t.Fatalf("worker %d has no migratable cells", wo)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/node"
-	"ps2stream/internal/stream"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
@@ -174,20 +173,10 @@ func TestConnectRemoteWorkersKeepsWorkerDefault(t *testing.T) {
 
 func TestRemoteValidation(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 3, 10)
-	a, _ := stream.NewChanPair(1)
-	// Out-of-range remote task.
-	_, err := New(Config{Workers: 2, RemoteWorkers: map[int]stream.Transport{5: a}}, sample)
+	// Out-of-range remote task (refused before the session is touched).
+	_, err := New(Config{Workers: 2, RemoteWorkers: map[int]*wire.WorkerClient{5: nil}}, sample)
 	if !errors.Is(err, ErrRemoteTask) {
 		t.Errorf("out-of-range worker: %v, want ErrRemoteTask", err)
-	}
-	// Dynamic adjustment needs in-process workers.
-	_, err = New(Config{
-		Workers:       2,
-		RemoteWorkers: map[int]stream.Transport{0: a},
-		Adjust:        AdjustConfig{Enabled: true},
-	}, sample)
-	if !errors.Is(err, ErrRemoteNeedsStatic) {
-		t.Errorf("adjust with remote workers: %v, want ErrRemoteNeedsStatic", err)
 	}
 }
 
@@ -214,39 +203,12 @@ func TestRemoteRepartitionOverWire(t *testing.T) {
 	if err := sys.Drain(int64(len(ops))); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.TopKRemoteSupport(); err != nil {
-		t.Errorf("TopKRemoteSupport over wire: %v, want nil", err)
-	}
 	if err := sys.GlobalRepartition(sample, nil); err != nil {
 		t.Fatalf("GlobalRepartition over wire: %v", err)
 	}
 	sys.FinishGlobalRepartition()
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCustomTransportStillNeedsStatic pins the surviving
-// ErrRemoteNeedsStatic surface: a custom stream.Transport that stops at
-// Send/Recv (no migration frames, no window delta stream) still refuses
-// the operations that must reach inside the worker — dynamic
-// adjustment at New, GlobalRepartition, and top-k hosting — while
-// wire-backed transports (exercised above) refuse none of them.
-func TestCustomTransportStillNeedsStatic(t *testing.T) {
-	sample, _ := smallWorkload(t, workload.Q1, 3, 10)
-	a, _ := stream.NewChanPair(1)
-	defer a.Close()
-	sys, err := New(Config{Workers: 2, RemoteWorkers: map[int]stream.Transport{0: a}}, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both gates fire before any wire round, so the unstarted system
-	// (nobody serves the transport's far end) exercises them safely.
-	if err := sys.GlobalRepartition(sample, nil); !errors.Is(err, ErrRemoteNeedsStatic) {
-		t.Errorf("GlobalRepartition: %v, want ErrRemoteNeedsStatic", err)
-	}
-	if err := sys.TopKRemoteSupport(); !errors.Is(err, ErrRemoteNeedsStatic) {
-		t.Errorf("TopKRemoteSupport: %v, want ErrRemoteNeedsStatic", err)
 	}
 }
 
@@ -268,44 +230,39 @@ func TestRemoteHelloNilSample(t *testing.T) {
 	}
 }
 
-// closeCounter is a stub transport recording Close calls.
-type closeCounter struct {
-	stream.Transport
-	closes int
-}
-
-func (c *closeCounter) Close() error { c.closes++; return nil }
-
-// TestConnectRemoteWorkersFailureKeepsCallerTransports: a failed dial
-// must close and remove only the transports that call dialled —
+// TestConnectRemoteWorkersFailureKeepsCallerSessions: a failed dial
+// must close and remove only the sessions that call dialled —
 // caller-installed entries survive untouched, so a retry (or New) never
-// finds a closed transport left behind in the Config.
-func TestConnectRemoteWorkersFailureKeepsCallerTransports(t *testing.T) {
+// finds a closed session left behind in the Config.
+func TestConnectRemoteWorkersFailureKeepsCallerSessions(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 2, 10)
-	good := startWorkerNodes(t, 1)[0]
-	pre := &closeCounter{}
-	cfg := Config{
-		Workers:       8,
-		RemoteWorkers: map[int]stream.Transport{7: pre},
+	nodes := startWorkerNodes(t, 2)
+	good := nodes[0]
+	cfg := Config{Workers: 8}
+	pre, err := wire.DialWorker(nodes[1], cfg.RemoteHello(7, sample), wire.Backoff{Attempts: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer pre.Close()
+	cfg.RemoteWorkers = map[int]*wire.WorkerClient{7: pre}
 	// Address 0 dials fine (real node), address 1 is unreachable: the
 	// call must fail, close its own dial for task 0, and leave task 7
 	// alone.
-	err := cfg.ConnectRemoteWorkers([]string{good, "127.0.0.1:1"}, sample, wire.Backoff{Attempts: 1})
+	err = cfg.ConnectRemoteWorkers([]string{good, "127.0.0.1:1"}, sample, wire.Backoff{Attempts: 1})
 	if err == nil {
 		t.Fatal("ConnectRemoteWorkers succeeded against an unreachable address")
 	}
-	if pre.closes != 0 {
-		t.Errorf("caller-installed transport closed %d times by a failed connect", pre.closes)
+	if _, err := pre.Drain(); err != nil {
+		t.Errorf("caller-installed session closed by a failed connect: %v", err)
 	}
-	if tr, ok := cfg.RemoteWorkers[7]; !ok || tr != pre {
-		t.Errorf("caller-installed transport evicted: RemoteWorkers[7] = %v", tr)
+	if cl, ok := cfg.RemoteWorkers[7]; !ok || cl != pre {
+		t.Errorf("caller-installed session evicted: RemoteWorkers[7] = %v", cl)
 	}
 	if _, ok := cfg.RemoteWorkers[0]; ok {
-		t.Error("failed connect left its own dead transport behind at task 0")
+		t.Error("failed connect left its own dead session behind at task 0")
 	}
 	if _, ok := cfg.RemoteWorkers[1]; ok {
-		t.Error("failed connect left a transport for the address that never connected")
+		t.Error("failed connect left a session for the address that never connected")
 	}
 }
 

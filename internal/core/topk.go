@@ -33,17 +33,17 @@ type TopKUpdate struct {
 // top-ks always contains the global top-k, since a globally top-k message
 // is necessarily top-k within its own partition.
 //
-// The board is transport-agnostic: local worker bolts hand it deltas with
-// Apply, and remote worker sessions feed the same delta stream through
-// ApplyRemote, which additionally tracks each slot's net contributions
-// under the session's fencing epoch. A delta batch below the slot's
-// highest seen epoch is a stale session's replay and is dropped; a batch
-// above it first retracts everything the slot contributed under the old
-// epoch — the recovering node rebuilt its window from the coordinator's
-// replay, so the old session's memberships no longer exist anywhere — and
-// only then applies. That pair of rules is what keeps TopKSet exact
-// across kill-9 recovery without the board ever reading worker state
-// directly.
+// The board never reads worker state: endpoints hand it deltas. A slot
+// whose engine can restart under a new session (every out-of-process
+// slot) is tracked: ApplyFrom additionally keeps the slot's net
+// contributions under the session's fencing epoch. A delta batch below
+// the slot's highest seen epoch is a stale session's replay and is
+// dropped; a batch above it first retracts everything the slot
+// contributed under the old epoch — the recovering node rebuilt its
+// window from the coordinator's replay, so the old session's memberships
+// no longer exist anywhere — and only then applies. That pair of rules is
+// what keeps TopKSet exact across kill-9 recovery. An in-process slot
+// never restarts, needs no ledger, and applies with plain Apply.
 type topkBoard struct {
 	mu      sync.Mutex
 	deliver func(TopKUpdate)
@@ -54,12 +54,12 @@ type topkBoard struct {
 	// registry — a remote frame racing an Unsubscribe, or a stale
 	// replay — are dropped instead of allocating a dead boardQuery.
 	live map[uint64]struct{}
-	// srcs tracks each remote worker slot's net membership contributions
-	// by session epoch (see ApplyRemote).
+	// srcs holds the ledger of every tracked slot: its net membership
+	// contributions by session epoch (see ApplyFrom).
 	srcs map[int]*boardSrc
 }
 
-// boardSrc is one remote worker slot's contribution ledger: the session
+// boardSrc is one tracked worker slot's contribution ledger: the session
 // epoch its deltas were produced under and, per query and message, the
 // net reference count it has contributed to the candidate union.
 type boardSrc struct {
@@ -150,28 +150,35 @@ func (b *topkBoard) Apply(ds []window.Delta) {
 	b.settleLocked(touched)
 }
 
-// ApplyRemote merges a delta batch produced by remote worker slot task
-// under session epoch. Batches below the slot's highest seen epoch are
-// stale (a superseded session's frames still in flight, or a replay
-// re-emitting history) and are dropped whole; a higher epoch first
-// retracts the slot's previous contributions (the node's window state
-// was rebuilt from scratch under the new session) before applying.
-// Call with an empty batch to bump the epoch eagerly — recovery does,
-// so a slot whose replay produces no deltas still sheds its dead
-// session's memberships.
-func (b *topkBoard) ApplyRemote(task int, epoch uint64, ds []window.Delta) {
+// track gives slot task a contribution ledger; call it once, before the
+// slot's first delta, for every slot whose sessions can be superseded.
+func (b *topkBoard) track(task int) {
+	b.mu.Lock()
+	b.srcs[task] = &boardSrc{refs: make(map[uint64]map[uint64]int)}
+	b.mu.Unlock()
+}
+
+// ApplyFrom merges a delta batch produced by worker slot task under
+// session epoch. For a tracked slot, batches below the slot's highest
+// seen epoch are stale (a superseded session's frames still in flight,
+// or a replay re-emitting history) and are dropped whole; a higher epoch
+// first retracts the slot's previous contributions (the node's window
+// state was rebuilt from scratch under the new session) before applying.
+// Call with an empty batch to bump the epoch eagerly — recovery does, so
+// a slot whose replay produces no deltas still sheds its dead session's
+// memberships. For an untracked slot it is Apply.
+func (b *topkBoard) ApplyFrom(task int, epoch uint64, ds []window.Delta) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	src := b.srcs[task]
-	if src == nil {
-		src = &boardSrc{refs: make(map[uint64]map[uint64]int)}
-		b.srcs[task] = src
+	if src == nil && len(ds) == 0 {
+		return
 	}
-	if epoch < src.epoch {
+	if src != nil && epoch < src.epoch {
 		return
 	}
 	touched := make(map[uint64]*boardQuery)
-	if epoch > src.epoch {
+	if src != nil && epoch > src.epoch {
 		b.retractLocked(src, touched)
 		src.epoch = epoch
 	}
@@ -179,9 +186,9 @@ func (b *topkBoard) ApplyRemote(task int, epoch uint64, ds []window.Delta) {
 	b.settleLocked(touched)
 }
 
-// dropSource retracts everything a remote slot has contributed and
-// forgets its ledger: the slot is leaving the cluster for good
-// (decommission), not recovering under a new epoch.
+// dropSource retracts everything a tracked slot has contributed: the
+// slot is leaving the cluster for good (decommission), not recovering
+// under a new epoch.
 func (b *topkBoard) dropSource(task int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -189,14 +196,13 @@ func (b *topkBoard) dropSource(task int) {
 	if src == nil {
 		return
 	}
-	delete(b.srcs, task)
 	touched := make(map[uint64]*boardQuery)
 	b.retractLocked(src, touched)
 	b.settleLocked(touched)
 }
 
 // applyLocked folds deltas into the candidate unions, tracking net
-// contributions in src when the batch came from a remote slot. Deltas
+// contributions in src when the batch came from a tracked slot. Deltas
 // for unregistered queries are dropped. Caller holds b.mu.
 func (b *topkBoard) applyLocked(ds []window.Delta, src *boardSrc, touched map[uint64]*boardQuery) {
 	for _, d := range ds {
@@ -396,35 +402,18 @@ func (s *System) windowLoop(ctx context.Context) {
 // reading. The periodic windowLoop calls it; tests with a fake clock call
 // it directly after advancing time.
 //
-// Expiry is a fenced cluster-wide round: every remote worker serves one
-// AdvanceWindow control request carrying the coordinator's clock (the
-// single clock domain the windows slide in) and answers with the
-// membership deltas the expiry produced, tagged with its session epoch
-// so the board's dedup treats them exactly like the spontaneous delta
-// stream. Local workers advance under their locks as before. A slot
-// that is down or mid-replay is skipped — its recovery replay rebuilds
-// the window against the coordinator's current clock anyway.
+// Expiry is a fenced cluster-wide round: every active slot serves one
+// AdvanceWindow carrying the coordinator's clock (the single clock
+// domain the windows slide in), after every op batch handed to it
+// before the round, and its eviction deltas reach the board before the
+// round returns. A slot that is down or mid-replay fails the round fast
+// and is skipped — its recovery replay rebuilds the window against the
+// coordinator's current clock anyway.
 func (s *System) AdvanceWindows() {
 	now := s.now()
-	for _, task := range s.remoteWorkerTasks() {
-		adv := s.remoteAdvancer(task)
-		if adv == nil {
-			continue
+	for _, w := range s.activeWorkerSlots() {
+		if err := s.slots[w].AdvanceWindow(now); err != nil {
+			s.log.Debug("advance window round failed", "worker", w, "err", err)
 		}
-		epoch, ds, err := adv.AdvanceWindow(now)
-		if err != nil {
-			s.log.Debug("advance window round failed", "worker", task, "err", err)
-			continue
-		}
-		s.board.ApplyRemote(task, epoch, ds)
-	}
-	for _, ws := range s.workers {
-		ws.mu.Lock()
-		// Advance runs even with no live subscriptions: the retention
-		// horizon is then zero, so rings left behind by the last
-		// unsubscribe are swept instead of pinned forever. With empty
-		// state this is O(1) per worker.
-		s.board.Apply(ws.win.Advance(now))
-		ws.mu.Unlock()
 	}
 }

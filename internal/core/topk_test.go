@@ -145,7 +145,7 @@ func drain(sys *System, submitted int64) {
 	}
 	for {
 		done := true
-		for i := range sys.workers {
+		for i := range sys.slots {
 			if sys.doneOps[i].Load() < sys.enqueued[i].Load() {
 				done = false
 				break
@@ -186,7 +186,7 @@ func TestBoardOutOfOrderLeftThenEntered(t *testing.T) {
 	}
 }
 
-// Deltas racing an Unsubscribe — local Apply calls, remote ApplyRemote
+// Deltas racing an Unsubscribe — local Apply calls, remote ApplyFrom
 // frames, and the unregister itself on separate goroutines — must
 // neither corrupt the board (run with -race) nor revive a retired
 // query as a dead boardQuery.
@@ -196,6 +196,8 @@ func TestBoardApplyUnsubscribeRace(t *testing.T) {
 	for q := uint64(1); q <= queries; q++ {
 		b.register(q)
 	}
+	b.track(1) // the odd goroutines below stand in for out-of-process slots
+	b.track(3)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -207,7 +209,7 @@ func TestBoardApplyUnsubscribeRace(t *testing.T) {
 				if g%2 == 0 {
 					b.Apply([]window.Delta{d})
 				} else {
-					b.ApplyRemote(g, 1, []window.Delta{d})
+					b.ApplyFrom(g, 1, []window.Delta{d})
 				}
 			}
 		}(g)
@@ -223,7 +225,7 @@ func TestBoardApplyUnsubscribeRace(t *testing.T) {
 	// Every query is unsubscribed now; stragglers must drop at the door.
 	for q := uint64(1); q <= queries; q++ {
 		b.Apply([]window.Delta{{QueryID: q, MsgID: 9999, K: 3, Rank: 1, Rel: 1, Entered: true}})
-		b.ApplyRemote(1, 1, []window.Delta{{QueryID: q, MsgID: 9998, K: 3, Rank: 1, Rel: 1, Entered: true}})
+		b.ApplyFrom(1, 1, []window.Delta{{QueryID: q, MsgID: 9998, K: 3, Rank: 1, Rel: 1, Entered: true}})
 		if set := b.set(q); len(set) != 0 {
 			t.Errorf("query %d revived after unsubscribe: %v", q, set)
 		}
@@ -393,9 +395,7 @@ func TestTopKMigrationHandoff(t *testing.T) {
 		t.Fatalf("migration changed top-k from %v to %v", before, got)
 	}
 	// The new owner already holds the window state.
-	sys.workers[wl].mu.Lock()
-	adopted := sys.workers[wl].win.TopKSet(q.ID)
-	sys.workers[wl].mu.Unlock()
+	adopted := sys.slots[wl].(*localWorker).eng.TopKSet(q.ID)
 	if !equalIDs(adopted, before) {
 		t.Fatalf("destination window state %v, want %v", adopted, before)
 	}
@@ -406,9 +406,7 @@ func TestTopKMigrationHandoff(t *testing.T) {
 	sys.processPendingExtracts()
 
 	// After extraction the source holds no window state for the query.
-	sys.workers[wo].mu.Lock()
-	srcHas := sys.workers[wo].win.HasSub(q.ID)
-	sys.workers[wo].mu.Unlock()
+	srcHas := sys.slots[wo].(*localWorker).eng.HasSub(q.ID)
 	if srcHas {
 		t.Fatal("source worker still holds window state after extraction")
 	}

@@ -7,10 +7,12 @@ import (
 	"ps2stream/internal/dedup"
 	"ps2stream/internal/model"
 	"ps2stream/internal/stream"
-	"ps2stream/internal/window"
+	"ps2stream/internal/wire"
 )
 
-// Stream names of the PS2Stream topology (Figure 1).
+// Stream names of the PS2Stream topology (Figure 1). Tuples on ops and
+// towork carry a wire.OpEnv, tuples on matches a wire.MatchEnv: the same
+// envelopes whether a hop is a channel or a socket.
 const (
 	streamInput   = "ops"     // spout -> dispatchers
 	streamToWork  = "towork"  // dispatchers -> workers (direct)
@@ -77,28 +79,29 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 	t.AddBolt("dispatcher", func(task int) stream.Bolt {
 		return dispatcherBolt{s: s}
 	}, s.cfg.Dispatchers, streamToWork).Fields(streamInput, func(tu stream.Tuple) uint64 {
-		env := tu.Value.(opEnvelope)
-		return env.op.RouteHash()
+		env := tu.Value.(wire.OpEnv)
+		return env.Op.RouteHash()
 	})
 
-	// Workers: maintain GI2, match objects. An out-of-process slot
+	// Workers: maintain GI2, match objects. An in-process slot's bolt
+	// runs the slot's engine; an out-of-process slot
 	// (Config.RemoteWorkers, or a spare slot claimable by AddWorker)
-	// gets a hop-backed bolt that forwards op batches across the
-	// transport; its matches re-enter through the companion spout
-	// below. Parallelism covers the spare slots so a runtime join
-	// needs no topology change.
+	// gets a hop-backed bolt that forwards op batches across the wire,
+	// and its matches re-enter through the companion spout below.
+	// Parallelism covers the spare slots so a runtime join needs no
+	// topology change.
 	t.AddBolt("worker", func(task int) stream.Bolt {
 		if h := s.hop(task); h != nil {
 			return &remoteWorkerBolt{s: s, task: task, hop: h}
 		}
-		return workerBolt{s: s, task: task}
+		return &workerBolt{s: s, task: task, local: s.slots[task].(*localWorker)}
 	}, s.totalSlots(), streamMatches).Direct(streamToWork)
 
 	// Remote workers' return streams: one spout task per out-of-process
 	// slot (including unclaimed spares, whose spouts sleep until
 	// AddWorker installs a session), feeding the wire's match batches
 	// into the merger stream.
-	if remote := s.remoteWorkerTasks(); len(remote) > 0 && s.hops != nil {
+	if remote := s.remoteWorkerTasks(); len(remote) > 0 {
 		t.AddSpout("wmatches", func(task int) stream.Spout {
 			return &remoteMatchSpout{s: s, task: remote[task], hop: s.hops[remote[task]], ctx: ctx}
 		}, len(remote), streamMatches)
@@ -113,8 +116,8 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 		}
 		return newMerger(s)
 	}, s.cfg.Mergers).Fields(streamMatches, func(tu stream.Tuple) uint64 {
-		me := tu.Value.(matchEnvelope)
-		return me.m.QueryID*0x9E3779B97F4A7C15 ^ me.m.ObjectID
+		me := tu.Value.(wire.MatchEnv)
+		return me.M.QueryID*0x9E3779B97F4A7C15 ^ me.M.ObjectID
 	})
 	return t
 }
@@ -123,7 +126,7 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 // once per received batch and the collector accumulates one outgoing
 // batch per target worker. Every batch routes inside a routeFence
 // read-side section so migrations can fence out in-flight batches before
-// snapshotting drain barriers (see migrateShare).
+// snapshotting drain barriers (see handOff).
 type dispatcherBolt struct{ s *System }
 
 // ProcessBatch implements stream.BatchBolt.
@@ -154,14 +157,14 @@ func (s *System) dispatchBatch(ts []stream.Tuple, c stream.Collector) {
 	s.processed.Add(int64(len(ts)))
 	s.tput.Add(int64(len(ts)))
 	for i := range ts {
-		env := ts[i].Value.(opEnvelope)
+		env := ts[i].Value.(wire.OpEnv)
 		a := s.Assignment()
 		var targets []int
-		switch env.op.Kind {
+		switch env.Op.Kind {
 		case model.OpObject:
-			targets = a.RouteObject(env.op.Obj)
+			targets = a.RouteObject(env.Op.Obj)
 			if gt := s.gridT.Load(); gt != nil && s.cellObjects != nil {
-				if id := gt.Grid().CellOf(env.op.Obj.Loc); id < len(s.cellObjects) {
+				if id := gt.Grid().CellOf(env.Op.Obj.Loc); id < len(s.cellObjects) {
 					s.cellObjects[id].Add(1)
 				}
 			}
@@ -171,7 +174,7 @@ func (s *System) dispatchBatch(ts []stream.Tuple, c stream.Collector) {
 				// measured on the configured clock, the same domain the
 				// envelope was stamped in.
 				s.discarded.Inc()
-				s.latency.Load().Observe(s.now().Sub(env.t0))
+				s.latency.Load().Observe(s.now().Sub(env.T0))
 				continue
 			}
 			for _, w := range targets {
@@ -181,17 +184,17 @@ func (s *System) dispatchBatch(ts []stream.Tuple, c stream.Collector) {
 			// Register before the fan-out: the input stream is
 			// fields-grouped on the query id, so an insert and its later
 			// delete pass through here in order, and every delta a worker
-			// (local or remote) can produce postdates the registration.
-			if env.op.Query.IsTopK() {
-				s.board.register(env.op.Query.ID)
+			// can produce postdates the registration.
+			if env.Op.Query.IsTopK() {
+				s.board.register(env.Op.Query.ID)
 			}
-			targets = a.RouteQuery(env.op.Query, true)
+			targets = a.RouteQuery(env.Op.Query, true)
 			for _, w := range targets {
 				s.winInserts[w].Add(1)
 			}
 		case model.OpDelete:
-			s.board.unregister(env.op.Query.ID)
-			targets = s.routeDelete(env.op.Query)
+			s.board.unregister(env.Op.Query.ID)
+			targets = a.RouteQuery(env.Op.Query, false)
 			for _, w := range targets {
 				s.winDeletes[w].Add(1)
 			}
@@ -203,127 +206,65 @@ func (s *System) dispatchBatch(ts []stream.Tuple, c stream.Collector) {
 	}
 }
 
-// routeDelete routes a deletion through the dual assignment when a global
-// repartition is in flight, otherwise through the current assignment.
-func (s *System) routeDelete(q *model.Query) []int {
-	return s.Assignment().RouteQuery(q, false)
-}
-
-// workerBolt processes operations on one worker, a whole batch per
-// index-lock acquisition.
+// workerBolt runs an in-process worker slot: it feeds the slot's engine
+// from its own task goroutine, a whole batch per call. The engine does the
+// matching; the bolt keeps what belongs to the topology — the simulated
+// per-tuple cost, the stage histogram, match emission and latency
+// accounting.
 type workerBolt struct {
-	s    *System
-	task int
+	s     *System
+	task  int
+	local *localWorker
+	// Envelope scratch reused across batches, so the hot path allocates
+	// nothing per batch beyond the emitted match tuples.
+	ops []wire.OpEnv
+	out []wire.MatchEnv
 }
 
 // ProcessBatch implements stream.BatchBolt.
-func (w workerBolt) ProcessBatch(ts []stream.Tuple, c stream.Collector) {
-	w.s.workBatch(w.task, ts, c)
-}
-
-// Process implements stream.Bolt (single-tuple fallback; the engine
-// prefers ProcessBatch).
-func (w workerBolt) Process(tu stream.Tuple, c stream.Collector) {
-	w.s.workBatch(w.task, []stream.Tuple{tu}, c)
-}
-
-// workBatch processes one batch of operations on worker `task` (worker
-// bolt body). The worker lock is taken once for the whole batch, the
-// clock is read once, and top-k window deltas accumulate in a per-worker
-// scratch buffer that is handed to the global board in one Apply — the
-// per-message costs the batch amortises. Boolean subscriptions emit
-// matches to the mergers (the collector batches those in turn); top-k
-// subscriptions route matches into the worker's window store, and the
-// resulting local-membership deltas are reconciled on the global top-k
-// board (still under the worker lock, so deltas reach the board in the
-// order the state changed).
-func (s *System) workBatch(task int, ts []stream.Tuple, c stream.Collector) {
+func (w *workerBolt) ProcessBatch(ts []stream.Tuple, c stream.Collector) {
+	s := w.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
 	defer func() { s.stageWork.Observe(time.Since(stageStart)) }()
 	if s.cfg.PerTupleWork > 0 {
 		spin(time.Duration(len(ts)) * s.cfg.PerTupleWork)
 	}
-	// Tally the batch's op mix for the adaptive controller's worker-fed
-	// load windows: one atomic add per kind per batch, not per tuple.
-	var nObj, nIns, nDel int64
-	for i := range ts {
-		switch ts[i].Value.(opEnvelope).op.Kind {
-		case model.OpObject:
-			nObj++
-		case model.OpInsert:
-			nIns++
-		case model.OpDelete:
-			nDel++
-		}
+	w.ops = unpackOps(w.ops[:0], ts)
+	w.out = w.local.process(w.ops, w.out[:0])
+	for i := range w.out {
+		c.Emit(streamMatches, stream.Tuple{Value: w.out[i]})
 	}
-	if nObj > 0 {
-		s.workObjects[task].Add(nObj)
-	}
-	if nIns > 0 {
-		s.workInserts[task].Add(nIns)
-	}
-	if nDel > 0 {
-		s.workDeletes[task].Add(nDel)
-	}
-	ws := s.workers[task]
-	var emitted int64 // match envelopes emitted for this batch
-	ws.mu.Lock()
-	deltas := ws.deltaScratch[:0]
-	now := s.now() // one clock read per batch, shared by all offers in it
-	for i := range ts {
-		env := ts[i].Value.(opEnvelope)
-		switch env.op.Kind {
-		case model.OpInsert:
-			ws.ix.Insert(env.op.Query)
-			if env.op.Query.IsTopK() {
-				deltas = append(deltas, ws.win.AddSub(env.op.Query, now)...)
-			}
-		case model.OpDelete:
-			ws.ix.Delete(env.op.Query.ID)
-			deltas = append(deltas, ws.win.RemoveSub(env.op.Query.ID)...)
-		case model.OpObject:
-			e := window.Entry{
-				MsgID: env.op.Obj.ID,
-				Terms: env.op.Obj.Terms,
-				Loc:   env.op.Obj.Loc,
-				At:    env.t0,
-			}
-			ws.ix.Match(env.op.Obj, func(q *model.Query) {
-				if q.IsTopK() {
-					deltas = ws.win.OfferInto(deltas, q, e, now)
-					return
-				}
-				me := matchEnvelope{
-					m: model.Match{
-						QueryID:    q.ID,
-						Subscriber: q.Subscriber,
-						ObjectID:   env.op.Obj.ID,
-						Worker:     task,
-					},
-					t0: env.t0,
-				}
-				emitted++
-				c.Emit(streamMatches, stream.Tuple{Value: me})
-			})
-			if ws.win.SubCount() > 0 {
-				ws.win.Observe(e)
-			}
-		}
-	}
-	s.board.Apply(deltas)
-	ws.deltaScratch = deltas[:0]
-	ws.mu.Unlock()
-	if emitted > 0 {
+	if n := len(w.out); n > 0 {
 		// Counted before doneOps so the Drain barrier's emitted total is
 		// final once the worker queues read as drained.
-		s.matchesEmitted.Add(emitted)
+		s.matchesEmitted.Add(int64(n))
 	}
-	s.doneOps[task].Add(int64(len(ts)))
+	s.doneOps[w.task].Add(int64(len(ts)))
+	s.observeLatency(w.ops)
+}
+
+// unpackOps appends the op envelopes a towork batch carries to dst.
+func unpackOps(dst []wire.OpEnv, ts []stream.Tuple) []wire.OpEnv {
+	for i := range ts {
+		dst = append(dst, ts[i].Value.(wire.OpEnv))
+	}
+	return dst
+}
+
+// observeLatency records the publish-to-processed latency of a finished
+// batch under one clock read.
+func (s *System) observeLatency(ops []wire.OpEnv) {
 	end := s.now()
 	h := s.latency.Load()
-	for i := range ts {
-		h.Observe(end.Sub(ts[i].Value.(opEnvelope).t0))
+	for i := range ops {
+		h.Observe(end.Sub(ops[i].T0))
 	}
+}
+
+// Process implements stream.Bolt (single-tuple fallback; the engine
+// prefers ProcessBatch).
+func (w *workerBolt) Process(tu stream.Tuple, c stream.Collector) {
+	w.ProcessBatch([]stream.Tuple{tu}, c)
 }
 
 // spin busy-waits for roughly d; sleeping is too coarse at microsecond
@@ -352,7 +293,7 @@ func (m *merger) ProcessBatch(ts []stream.Tuple, _ stream.Collector) {
 	stageStart := time.Now() // wall clock; see dispatchBatch
 	now := m.s.now()
 	for i := range ts {
-		m.processOne(ts[i].Value.(matchEnvelope), now)
+		m.processOne(ts[i].Value.(wire.MatchEnv), now)
 	}
 	m.s.stageMerge.Observe(time.Since(stageStart))
 }
@@ -366,16 +307,16 @@ func (m *merger) Process(tu stream.Tuple, c stream.Collector) {
 	m.ProcessBatch([]stream.Tuple{tu}, c)
 }
 
-func (m *merger) processOne(me matchEnvelope, now time.Time) {
-	if !m.win.Observe([2]uint64{me.m.QueryID, me.m.ObjectID}) {
+func (m *merger) processOne(me wire.MatchEnv, now time.Time) {
+	if !m.win.Observe([2]uint64{me.M.QueryID, me.M.ObjectID}) {
 		m.s.duplicates.Inc()
 		return
 	}
-	m.s.matchLat.Load().Observe(now.Sub(me.t0))
+	m.s.matchLat.Load().Observe(now.Sub(me.T0))
 	if m.s.cfg.OnMatch != nil {
 		// Deliver before counting: the Drain barrier reads the counter,
 		// so a Flush returning guarantees the callback has completed.
-		m.s.cfg.OnMatch(me.m)
+		m.s.cfg.OnMatch(me.M)
 	}
 	m.s.matches.Inc()
 }

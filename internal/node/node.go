@@ -21,10 +21,10 @@ import (
 	"time"
 
 	"ps2stream/internal/gi2"
-	"ps2stream/internal/model"
 	"ps2stream/internal/textutil"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
+	"ps2stream/internal/worker"
 )
 
 // Logf is the logging hook signature; nil loggers are silent.
@@ -176,35 +176,22 @@ func (s *workerSession) flushWriters() error {
 	return nil
 }
 
-// Worker is one worker task running out-of-process: a GI2 query index
-// plus the wire serve loop feeding it. Create with NewWorker, drive
-// with Serve.
+// Worker is one worker task running out-of-process: a worker.Engine
+// over a GI2 index plus the wire serve loop feeding it. The node owns
+// sessions, the turnstile, barriers, fencing epochs and framing; the
+// engine owns the index, the window state and the matching. Create with
+// NewWorker, drive with Serve.
 type Worker struct {
 	opts WorkerOptions
 
-	mu   sync.Mutex
-	ix   *gi2.Index
-	task int
-	// win holds the worker's share of the sliding-window top-k state:
-	// cell rings and per-subscription heaps, exactly like an in-process
-	// worker. Local membership changes stream back to the coordinator's
-	// global board as WindowDeltaBatch frames (or inside control acks);
-	// the board, not this node, decides global top-k membership.
-	win *window.Store
-	// coordNow is the latest coordinator clock reading observed — the
-	// max of op-envelope T0 stamps and AdvanceWindow timestamps — so
-	// window liveness checks here run in the same clock domain as the
-	// coordinator's, not this host's wall clock. Guarded by mu.
-	coordNow time.Time
+	// mu guards hello and the engine's construction and reset.
+	mu sync.Mutex
+	// eng is built by the first handshake (nil before it) over the
+	// geometry that handshake pins, and reset in place when a recovery
+	// session supersedes its state epoch.
+	eng atomic.Pointer[worker.Engine]
 	// geometry of the index, pinned by the first handshake.
 	hello *wire.Hello
-	// stateEpoch is the session epoch the current index state was built
-	// under. A higher-epoch session is a recovery: the coordinator
-	// replays the authoritative op history from its log, so state from
-	// the superseded session must not survive into it — a replayed
-	// object would otherwise match queries that were originally
-	// inserted after it.
-	stateEpoch uint64
 
 	// sess is the live multi-stream session (nil before the first
 	// negotiated handshake and for legacy single-connection sessions).
@@ -214,11 +201,6 @@ type Worker struct {
 	done    atomic.Int64 // ops processed
 	emitted atomic.Int64 // matches emitted
 	deltasN atomic.Int64 // window deltas emitted
-	// Per-kind processed-op counters, reported in StatsReply so the
-	// coordinator's load detector sees node-side processing progress.
-	objects atomic.Int64
-	inserts atomic.Int64
-	deletes atomic.Int64
 	epoch   atomic.Uint64
 	// fence is the highest coordinator session epoch accepted so far. A
 	// hello carrying a lower epoch is a stale coordinator session (the
@@ -246,12 +228,15 @@ func (w *Worker) Epoch() uint64 { return w.epoch.Load() }
 // QueryCount reports live queries held, excluding lazily-tombstoned
 // deletions (tests, diagnostics).
 func (w *Worker) QueryCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.ix == nil {
-		return 0
+	return int(w.stats().Queries)
+}
+
+// stats reads the engine's counters (zeroes before the first handshake).
+func (w *Worker) stats() wire.StatsReply {
+	if eng := w.eng.Load(); eng != nil {
+		return eng.Stats()
 	}
-	return w.ix.LiveQueryCount()
+	return wire.StatsReply{}
 }
 
 // Serve accepts coordinator connections on ln until ctx is cancelled
@@ -344,29 +329,38 @@ func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, er
 		}
 	}
 	w.mu.Lock()
-	if w.ix != nil && hello.Epoch > w.stateEpoch {
-		// Recovery session: discard the superseded session's state and
-		// let the coordinator's replay rebuild it (see stateEpoch).
-		w.opts.Log.printf("worker: session epoch %d supersedes state from epoch %d; resetting for replay",
-			hello.Epoch, w.stateEpoch)
-		w.ix = nil
-	}
-	if w.ix == nil {
-		w.stateEpoch = hello.Epoch
+	eng := w.eng.Load()
+	switch {
+	case eng == nil || hello.Epoch > eng.Epoch():
+		// The first session builds the state; a higher-epoch session is a
+		// recovery: the coordinator replays the authoritative op history
+		// from its log, so state from the superseded session must not
+		// survive into it — a replayed object would otherwise match
+		// queries that were originally inserted after it.
 		stats := textutil.NewStats()
 		for term, n := range hello.Terms {
 			stats.AddWeighted(term, n)
 		}
-		w.ix = gi2.New(hello.Bounds, hello.Granularity, stats)
-		w.win = window.NewStore(w.ix.Grid(), window.DefaultScorer, window.DefaultRingCap)
-		w.task = hello.Task
+		cfg := worker.Config{
+			Task:  hello.Task,
+			Epoch: hello.Epoch,
+			Index: gi2.New(hello.Bounds, hello.Granularity, stats),
+		}
+		if eng == nil {
+			eng = worker.New(cfg)
+			w.eng.Store(eng)
+		} else {
+			w.opts.Log.printf("worker: session epoch %d supersedes state from epoch %d; resetting for replay",
+				hello.Epoch, eng.Epoch())
+			eng.Reset(cfg)
+		}
 		w.hello = &hello
 		w.opts.Log.printf("worker: task %d over %v at granularity %d (%d sampled terms)",
 			hello.Task, hello.Bounds, hello.Granularity, len(hello.Terms))
-	} else if !geometryEqual(w.hello, &hello) {
+	case !geometryEqual(w.hello, &hello):
 		w.mu.Unlock()
 		return false, fmt.Errorf("node: reconnect with different geometry (task %d %v/%d, had task %d %v/%d)",
-			hello.Task, hello.Bounds, hello.Granularity, w.task, w.hello.Bounds, w.hello.Granularity)
+			hello.Task, hello.Bounds, hello.Granularity, w.hello.Task, w.hello.Bounds, w.hello.Granularity)
 	}
 	w.mu.Unlock()
 
@@ -443,6 +437,7 @@ func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, er
 // used to rely on single-connection FIFO first awaits the session op
 // barrier its request carries.
 func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, err error) {
+	eng := w.eng.Load()
 	for {
 		typ, payload, err := conn.Recv()
 		if err != nil {
@@ -487,7 +482,7 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 			if err := w.awaitOps(sess, cr.Ops); err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeCellStatsReply, w.cellStats(cr.Seq)); err != nil {
+			if err := conn.Send(wire.TypeCellStatsReply, wire.CellStatsReply{Seq: cr.Seq, Cells: eng.CellStats()}); err != nil {
 				return false, err
 			}
 		case wire.TypeExtractCells:
@@ -501,7 +496,7 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 			if err := w.awaitOps(sess, ex.Ops); err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeCellShare, w.extractCells(ex)); err != nil {
+			if err := conn.Send(wire.TypeCellShare, eng.ExtractCells(ex)); err != nil {
 				return false, err
 			}
 		case wire.TypeInstallCells:
@@ -509,7 +504,7 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 			if err := wire.DecodePayload(payload, &ic); err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeInstallAck, w.installCells(ic)); err != nil {
+			if err := conn.Send(wire.TypeInstallAck, eng.InstallCells(ic)); err != nil {
 				return false, err
 			}
 		case wire.TypeAdvanceWindow:
@@ -524,7 +519,7 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 			if err := w.awaitOps(sess, a.Ops); err != nil {
 				return false, err
 			}
-			if err := sendAdvanceAck(conn, sess.codec, w.advanceWindow(a)); err != nil {
+			if err := sendAdvanceAck(conn, sess.codec, eng.AdvanceWindow(a)); err != nil {
 				return false, err
 			}
 		case wire.TypeFence:
@@ -534,9 +529,7 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 			}
 			w.epoch.Store(f.Epoch)
 		case wire.TypeResetWindow:
-			w.mu.Lock()
-			w.ix.ResetWindow()
-			w.mu.Unlock()
+			eng.ResetWindow()
 		case wire.TypeGoodbye:
 			// The coordinator says goodbye on the data connections first,
 			// so waiting for their loops lets the final match flushes
@@ -559,6 +552,7 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 // sessions, so a cumulative ack would double-count them against its
 // drain barrier.
 func (w *Worker) legacyLoop(conn *wire.Conn) (clean bool, err error) {
+	eng := w.eng.Load()
 	done0, emitted0, deltas0 := w.done.Load(), w.emitted.Load(), w.deltasN.Load()
 
 	// Match and delta scratch reused across batches; capacity follows
@@ -616,7 +610,7 @@ func (w *Worker) legacyLoop(conn *wire.Conn) (clean bool, err error) {
 			if err := wire.DecodePayload(payload, &cr); err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeCellStatsReply, w.cellStats(cr.Seq)); err != nil {
+			if err := conn.Send(wire.TypeCellStatsReply, wire.CellStatsReply{Seq: cr.Seq, Cells: eng.CellStats()}); err != nil {
 				return false, err
 			}
 		case wire.TypeExtractCells:
@@ -628,7 +622,7 @@ func (w *Worker) legacyLoop(conn *wire.Conn) (clean bool, err error) {
 			// share reflects every op batch the coordinator sent before
 			// the request — the same barrier a local migration gets from
 			// the in-process drain counters.
-			if err := conn.Send(wire.TypeCellShare, w.extractCells(ex)); err != nil {
+			if err := conn.Send(wire.TypeCellShare, eng.ExtractCells(ex)); err != nil {
 				return false, err
 			}
 		case wire.TypeInstallCells:
@@ -636,7 +630,7 @@ func (w *Worker) legacyLoop(conn *wire.Conn) (clean bool, err error) {
 			if err := wire.DecodePayload(payload, &ic); err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeInstallAck, w.installCells(ic)); err != nil {
+			if err := conn.Send(wire.TypeInstallAck, eng.InstallCells(ic)); err != nil {
 				return false, err
 			}
 		case wire.TypeAdvanceWindow:
@@ -647,7 +641,7 @@ func (w *Worker) legacyLoop(conn *wire.Conn) (clean bool, err error) {
 			// FIFO and single-threaded: every op batch sent before the
 			// round is already processed, the same barrier awaitOps gives
 			// a multi-stream session.
-			if err := conn.Send(wire.TypeAdvanceAck, w.advanceWindow(a)); err != nil {
+			if err := conn.Send(wire.TypeAdvanceAck, eng.AdvanceWindow(a)); err != nil {
 				return false, err
 			}
 		case wire.TypeFence:
@@ -657,9 +651,7 @@ func (w *Worker) legacyLoop(conn *wire.Conn) (clean bool, err error) {
 			}
 			w.epoch.Store(f.Epoch)
 		case wire.TypeResetWindow:
-			w.mu.Lock()
-			w.ix.ResetWindow()
-			w.mu.Unlock()
+			eng.ResetWindow()
 		case wire.TypeGoodbye:
 			// Acknowledge so the coordinator's read loop ends cleanly,
 			// then end the session.
@@ -792,10 +784,9 @@ func (w *Worker) awaitOps(sess *workerSession, ops int64) error {
 
 // statsReply assembles the worker's lifetime counters.
 func (w *Worker) statsReply(seq uint64) wire.StatsReply {
-	return wire.StatsReply{
-		Seq: seq, Delivered: w.emitted.Load(), Queries: int64(w.QueryCount()),
-		Objects: w.objects.Load(), Inserts: w.inserts.Load(), Deletes: w.deletes.Load(),
-	}
+	sr := w.stats()
+	sr.Seq, sr.Delivered = seq, w.emitted.Load()
+	return sr
 }
 
 // decodeDrain decodes a Drain frame by the session codec.
@@ -806,21 +797,6 @@ func decodeDrain(payload []byte, codec int) (wire.Drain, error) {
 	var d wire.Drain
 	err := wire.DecodePayload(payload, &d)
 	return d, err
-}
-
-// advanceWindow runs one coordinator-clocked expiry sweep and returns
-// the resulting membership deltas, epoch-tagged like every other delta
-// batch this node produces.
-func (w *Worker) advanceWindow(a wire.AdvanceWindow) wire.AdvanceAck {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if a.Now.After(w.coordNow) {
-		w.coordNow = a.Now
-	}
-	// Not counted in deltasN: ack-carried deltas are received
-	// synchronously with the round, so drain accounting (which covers
-	// the spontaneous frame stream) must not wait for them.
-	return wire.AdvanceAck{Seq: a.Seq, Epoch: w.stateEpoch, Deltas: w.win.Advance(w.coordNow)}
 }
 
 // decodeAdvanceWindow decodes an AdvanceWindow frame by the session codec.
@@ -882,221 +858,16 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
 	}
 }
 
-// cellStats assembles the planner view of every non-empty cell: the
-// coordinator's Phase I/II machinery consumes it exactly as it consumes
-// a local worker's gi2.CellStats + CellTermStats.
-func (w *Worker) cellStats(seq uint64) wire.CellStatsReply {
-	reply := wire.CellStatsReply{Seq: seq}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, cs := range w.ix.CellStats() {
-		stat := wire.CellStat{
-			Cell:      cs.CellID,
-			Entries:   cs.Entries,
-			ObjSeen:   cs.ObjSeen,
-			SizeBytes: cs.SizeBytes,
-			Load:      cs.Load,
-		}
-		for _, ts := range w.ix.CellTermStats(cs.CellID) {
-			stat.Terms = append(stat.Terms, wire.CellTermStat{
-				Term: ts.Term, Queries: ts.Queries, ObjHits: ts.ObjHits,
-			})
-		}
-		reply.Cells = append(reply.Cells, stat)
-	}
-	return reply
-}
-
-// extractCells serves one ExtractCells request. With Remove false the
-// shares are copies (queries and ring snapshot, nothing changes here);
-// with Remove true whole-cell shares leave the index and release their
-// ring, while key splits keep the cell ring for the remaining keys —
-// mirroring the in-process migrateShare/migrateSplit extraction.
-// Liveness is judged on the coordinator's clock (coordNow), the same
-// domain the entries' At stamps live in. A removing extraction that
-// strips a top-k subscription's last live cell also releases its heap,
-// and the resulting membership deltas ride back in the share.
-func (w *Worker) extractCells(ex wire.ExtractCells) wire.CellShare {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	share := wire.CellShare{Seq: ex.Seq, Epoch: w.stateEpoch}
-	now := w.coordNow
-	for _, spec := range ex.Cells {
-		p := wire.CellPayload{Cell: spec.Cell}
-		switch {
-		case !ex.Remove && spec.Keys == nil:
-			p.Queries = w.ix.QueriesInCell(spec.Cell)
-			p.Ring = w.win.SnapshotCell(spec.Cell, now)
-		case !ex.Remove:
-			p.Queries = w.ix.QueriesInCellKeys(spec.Cell, spec.Keys)
-			p.Ring = w.win.SnapshotCell(spec.Cell, now)
-		case spec.Keys == nil:
-			p.Queries = w.ix.ExtractCell(spec.Cell)
-			// Subscriptions whose only live presence was this cell drop
-			// their heaps before the ring is released (see the in-process
-			// finishExtract), so the coordinator's board learns of the
-			// departure in this round, not from a racing frame.
-			for _, q := range p.Queries {
-				if q != nil && q.IsTopK() && !w.ix.HasLive(q.ID) {
-					share.Deltas = append(share.Deltas, w.win.RemoveSub(q.ID)...)
-				}
-			}
-			var dropDs []window.Delta
-			p.Ring, dropDs = w.win.DropCell(spec.Cell, now)
-			share.Deltas = append(share.Deltas, dropDs...)
-		default:
-			p.Queries = w.ix.ExtractCellKeys(spec.Cell, spec.Keys)
-			for _, q := range p.Queries {
-				if q != nil && q.IsTopK() && !w.ix.HasLive(q.ID) {
-					share.Deltas = append(share.Deltas, w.win.RemoveSub(q.ID)...)
-				}
-			}
-			p.Ring = w.win.SnapshotCell(spec.Cell, now)
-		}
-		if ex.Subs {
-			for _, q := range p.Queries {
-				if q == nil || !q.IsTopK() {
-					continue
-				}
-				if es := w.win.SubEntries(q.ID); len(es) > 0 {
-					p.Subs = append(p.Subs, wire.SubEntries{ID: q.ID, Entries: es})
-				}
-			}
-		}
-		share.Cells = append(share.Cells, p)
-	}
-	return share
-}
-
-// installCells indexes the received cell shares and applies the
-// reconciliation deletes (queries removed at the migration source
-// between copy and routing flip). A payload with a negative Cell is a
-// whole-query install (global repartition): the query is indexed by its
-// own placement rather than into one named cell. Top-k subscriptions
-// register in the window store, adopt the carried entries, and the
-// membership deltas everything produced return in the ack.
-func (w *Worker) installCells(ic wire.InstallCells) wire.InstallAck {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ack := wire.InstallAck{Seq: ic.Seq, Epoch: w.stateEpoch}
-	now := w.coordNow
-	for i := range ic.Cells {
-		p := &ic.Cells[i]
-		for _, q := range p.Queries {
-			if q == nil {
-				continue
-			}
-			if p.Cell < 0 {
-				w.ix.Insert(q)
-			} else {
-				w.ix.InsertAt(p.Cell, q)
-			}
-			if q.IsTopK() {
-				ack.Deltas = append(ack.Deltas, w.win.AddSub(q, now)...)
-			}
-		}
-		if len(p.Ring) > 0 {
-			ack.Deltas = append(ack.Deltas, w.win.AdoptCell(p.Cell, p.Ring, now)...)
-		}
-		for _, se := range p.Subs {
-			ack.Deltas = append(ack.Deltas, w.win.AdoptEntries(se.ID, se.Entries, now)...)
-		}
-	}
-	for _, id := range ic.Deletes {
-		w.ix.Delete(id)
-		ack.Deltas = append(ack.Deltas, w.win.RemoveSub(id)...)
-	}
-	return ack
-}
-
-// processOps applies one operation batch to the index and window store,
-// appending the resulting match envelopes to out and the top-k window
-// deltas to dout (the caller frames those toward the coordinator's
-// board). The index lock is taken once per batch, mirroring the
-// in-process worker bolt; concurrent data streams serialise here per
-// batch. epoch is the session epoch the deltas were produced under, so
-// the coordinator's board can fence stale replays.
+// processOps runs one operation batch through the engine and accounts it
+// in the node's lifetime counters. out and dout are the caller's scratch
+// (see worker.Engine.Process); epoch is the state epoch the deltas were
+// produced under, so the coordinator's board can fence stale replays.
+// Concurrent data streams serialise on the engine's lock, per batch.
 func (w *Worker) processOps(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.Delta) ([]wire.MatchEnv, []window.Delta, uint64) {
-	var nObj, nIns, nDel int64
-	w.mu.Lock()
-	for i := range ops {
-		env := &ops[i]
-		// Track the coordinator's clock: T0 stamps are the coordinator's
-		// submit times, so their running max is the same "now" an
-		// in-process worker reads per batch.
-		if env.T0.After(w.coordNow) {
-			w.coordNow = env.T0
-		}
-		switch env.Op.Kind {
-		case model.OpInsert:
-			nIns++
-			q := env.Op.Query
-			if q == nil {
-				continue
-			}
-			w.ix.Insert(q)
-			if q.IsTopK() {
-				dout = append(dout, w.win.AddSub(q, w.coordNow)...)
-			}
-		case model.OpDelete:
-			nDel++
-			if env.Op.Query != nil {
-				w.ix.Delete(env.Op.Query.ID)
-				dout = append(dout, w.win.RemoveSub(env.Op.Query.ID)...)
-			}
-		case model.OpObject:
-			nObj++
-			obj := env.Op.Obj
-			if obj == nil {
-				continue
-			}
-			e := window.Entry{
-				MsgID: obj.ID,
-				Terms: obj.Terms,
-				Loc:   obj.Loc,
-				At:    env.T0,
-			}
-			w.ix.Match(obj, func(q *model.Query) {
-				if q.IsTopK() {
-					dout = w.win.OfferInto(dout, q, e, w.coordNow)
-					return
-				}
-				if env.Refill {
-					// Window-rebuild replay: its boolean matches were
-					// delivered before the coordinator's checkpoint covered
-					// the op, and queries inserted since must not match an
-					// object published before them.
-					return
-				}
-				out = append(out, wire.MatchEnv{
-					M: model.Match{
-						QueryID:    q.ID,
-						Subscriber: q.Subscriber,
-						ObjectID:   obj.ID,
-						Worker:     w.task,
-					},
-					T0: env.T0,
-				})
-			})
-			if w.win.SubCount() > 0 {
-				w.win.Observe(e)
-			}
-		}
-	}
-	epoch := w.stateEpoch
-	w.mu.Unlock()
+	out, dout, epoch := w.eng.Load().Process(ops, out, dout)
 	w.done.Add(int64(len(ops)))
 	w.emitted.Add(int64(len(out)))
 	w.deltasN.Add(int64(len(dout)))
-	if nObj > 0 {
-		w.objects.Add(nObj)
-	}
-	if nIns > 0 {
-		w.inserts.Add(nIns)
-	}
-	if nDel > 0 {
-		w.deletes.Add(nDel)
-	}
 	return out, dout, epoch
 }
 

@@ -9,7 +9,8 @@ import (
 // and match counters, live query count, the coordinator-announced routing
 // epoch, and the process's wire-level frame/byte counters. Every series
 // is func-backed, so the registry adds no cost to the serve loop — values
-// are read from the node's existing atomics at scrape time.
+// are read from the node's and its engine's existing counters at scrape
+// time.
 func (w *Worker) Registry() *metrics.Registry {
 	r := metrics.NewRegistry()
 	r.CounterFunc("ps2_ops_processed_total",
@@ -20,9 +21,9 @@ func (w *Worker) Registry() *metrics.Registry {
 		kind string
 		src  func() int64
 	}{
-		{"object", w.objects.Load},
-		{"insert", w.inserts.Load},
-		{"delete", w.deletes.Load},
+		{"object", func() int64 { return w.stats().Objects }},
+		{"insert", func() int64 { return w.stats().Inserts }},
+		{"delete", func() int64 { return w.stats().Deletes }},
 	} {
 		r.CounterFunc("ps2_worker_ops_total",
 			"Operations processed, by kind.", k.src, metrics.L("kind", k.kind))

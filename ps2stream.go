@@ -210,8 +210,8 @@ type WorkerIndex string
 // The available worker index structures.
 const (
 	// WorkerIndexGI2 is the paper's Grid-Inverted-Index [29] (default).
-	// It is the only index supporting DynamicAdjustment, whose migrations
-	// move gridt cells.
+	// It is the only index supporting Adjust.Auto (and AdjustNow), whose
+	// migrations move gridt cells.
 	WorkerIndexGI2 WorkerIndex = "gi2"
 	// WorkerIndexRTree stores query regions in an R-tree: better spatial
 	// pruning, no keyword pruning, costlier maintenance.
@@ -331,16 +331,6 @@ type Options struct {
 	// (Info), and every routing-fence advance (Debug). Nil disables the
 	// trace.
 	Logger *slog.Logger
-	// DynamicAdjustment enables the §V load adjustment controller
-	// (hybrid strategy only).
-	//
-	// Deprecated: set Adjust.Auto instead. DynamicAdjustment true is
-	// equivalent to Adjust.Auto true.
-	DynamicAdjustment bool
-	// AdjustInterval is the balance check period (default 200ms).
-	//
-	// Deprecated: set Adjust.Interval instead.
-	AdjustInterval time.Duration
 }
 
 // RecoveryOptions configures crash detection and recovery for remote
@@ -495,13 +485,9 @@ func Open(opts Options) (*System, error) {
 		Clock:        opts.Now,
 		Logger:       opts.Logger,
 	}
-	interval := opts.Adjust.Interval
-	if interval <= 0 {
-		interval = opts.AdjustInterval // deprecated spelling
-	}
 	cfg.Adjust = core.AdjustConfig{
-		Enabled:   opts.Adjust.Auto || opts.DynamicAdjustment,
-		Interval:  interval,
+		Enabled:   opts.Adjust.Auto,
+		Interval:  opts.Adjust.Interval,
 		Sigma:     opts.Adjust.Theta,
 		Cooldown:  opts.Adjust.Cooldown,
 		Algorithm: migrate.GR,
@@ -543,7 +529,7 @@ func Open(opts Options) (*System, error) {
 			// fold the remote workers' counters into the registry's
 			// mirror first (rate-limited so concurrent scrapes do not
 			// stack wire round-trips).
-			BeforeScrape: func() { inner.RefreshRemoteStats(500 * time.Millisecond) },
+			BeforeScrape: func() { inner.RefreshWorkerStats(500 * time.Millisecond) },
 		})
 		if err != nil {
 			_ = inner.Close()
@@ -601,18 +587,13 @@ func (s *System) Subscribe(sub Subscription) error {
 //
 // Top-k subscriptions work with Options.RemoteWorkers: each node folds
 // its window updates into delta batches that reconcile on this
-// process's global top-k board (see docs/ARCHITECTURE.md). Only a
-// custom remote transport lacking the window-delta wire extension is
-// refused, with an error wrapping core.ErrRemoteNeedsStatic.
+// process's global top-k board (see docs/ARCHITECTURE.md).
 func (s *System) SubscribeTopK(sub Subscription, k int, window time.Duration) error {
 	if k < 1 {
 		return fmt.Errorf("ps2stream: SubscribeTopK k must be >= 1, got %d", k)
 	}
 	if window <= 0 {
 		return fmt.Errorf("ps2stream: SubscribeTopK window must be positive, got %v", window)
-	}
-	if err := s.inner.TopKRemoteSupport(); err != nil {
-		return fmt.Errorf("ps2stream: SubscribeTopK: %w", err)
 	}
 	q, err := sub.toQuery()
 	if err != nil {
@@ -722,7 +703,7 @@ func (s *System) DecommissionWorker(task int) error {
 // FinishRepartition completes an in-flight global repartition immediately,
 // relocating the remaining old-strategy subscriptions. It returns the
 // number relocated (0 when no repartition is in flight). Systems with
-// DynamicAdjustment finish automatically once the old population decays;
+// Adjust.Auto finish automatically once the old population decays;
 // others can call this explicitly.
 func (s *System) FinishRepartition() int {
 	return s.inner.FinishGlobalRepartition()

@@ -203,7 +203,7 @@ func TestWorkerIndexValidation(t *testing.T) {
 	}
 	// Dynamic adjustment migrates gridt cells: GI2 only.
 	if _, err := Open(Options{
-		Region: usRegion, WorkerIndex: WorkerIndexIQTree, DynamicAdjustment: true,
+		Region: usRegion, WorkerIndex: WorkerIndexIQTree, Adjust: AdjustOptions{Auto: true},
 	}); err == nil {
 		t.Error("adjustment with IQ-tree index should fail")
 	}
@@ -241,10 +241,10 @@ func TestStatsAndFlush(t *testing.T) {
 	}
 }
 
-func TestDynamicAdjustmentOption(t *testing.T) {
+func TestAdjustAutoOption(t *testing.T) {
 	sys, err := Open(Options{
 		Region: usRegion, Workers: 4, Dispatchers: 1,
-		DynamicAdjustment: true,
+		Adjust: AdjustOptions{Auto: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestDynamicAdjustmentOption(t *testing.T) {
 	}
 	// Adjustment demands the hybrid strategy.
 	if _, err := Open(Options{
-		Region: usRegion, Strategy: StrategyGrid, DynamicAdjustment: true,
+		Region: usRegion, Strategy: StrategyGrid, Adjust: AdjustOptions{Auto: true},
 	}); err == nil {
 		t.Error("adjustment with grid strategy should fail")
 	}
