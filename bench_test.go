@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ps2stream/internal/bench"
+	"ps2stream/internal/dedup"
 	"ps2stream/internal/geo"
 	"ps2stream/internal/gi2"
 	"ps2stream/internal/hybrid"
@@ -170,6 +171,24 @@ func BenchmarkExprMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.MatchesSlice(terms)
+	}
+}
+
+// BenchmarkDedupObserve measures the merger's duplicate window in its real
+// case: the engine's window size and a stream in which every key is new,
+// so each Observe also evicts the oldest key.
+func BenchmarkDedupObserve(b *testing.B) {
+	w := dedup.NewWindow(1 << 15)
+	key := func(i int) [2]uint64 { return [2]uint64{uint64(i) * 7919 % 100003, uint64(i)} }
+	for i := 0; i < 1<<16; i++ {
+		w.Observe(key(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !w.Observe(key(1<<16 + i)) {
+			b.Fatal("a key never observed before reported as a duplicate")
+		}
 	}
 }
 

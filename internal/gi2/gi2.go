@@ -3,7 +3,7 @@
 // (§IV-D). The space is divided into grid cells; each cell holds an
 // inverted index over query keywords. A query is appended to the inverted
 // list of its least-frequent keyword (per conjunction for OR queries), and
-// deletions are lazy: deleted ids go to a tombstone set and entries are
+// deletions are lazy: a deleted query is marked dead and its entries are
 // physically removed when matching traverses their list.
 //
 // An Index is owned by a single worker goroutine and is not safe for
@@ -11,7 +11,10 @@
 package gi2
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/index/grid"
@@ -20,31 +23,107 @@ import (
 )
 
 // Index is the per-worker GI2 structure.
+//
+// Layout. Every distinct query the index holds has one slot: a
+// pointer-free record of its region and its keyword expression compiled
+// to term ids. Term ids come from a dictionary private to the index and
+// never leave it — objects, wire frames, snapshots and the op-log carry
+// strings, and every method that takes or returns terms converts at its
+// own boundary. A cell's inverted index is an open-addressed table from
+// term id to the slot numbers registered under that term in that cell
+// (the postings), with the term's object-hit counter beside them.
+// Matching a posting reads the slot and compares integers; the caller's
+// *model.Query, kept in a slice parallel to the slots, is touched only
+// for a query that matched.
+//
+// Deletion is lazy, as in the paper: Delete sets the slot's dead bit, and
+// Match and Purge drop dead slot numbers from the postings they traverse.
+// A slot is reused once no posting refers to it.
 type Index struct {
 	g     *grid.Grid
 	stats *textutil.Stats
 	cells []cell
-	// tombstones holds ids of queries deleted but not yet purged from
-	// inverted lists (the paper's lazy-deletion hash table).
-	tombstones map[uint64]struct{}
-	// queries maps live query ids to their definition; refs counts how
-	// many (cell, term) entries reference each id so the definition can
-	// be dropped once fully purged.
-	queries map[uint64]*model.Query
-	refs    map[uint64]int
+
+	// dict assigns ids (from 1) to the terms of every query ever
+	// inserted; terms is its inverse. Object terms outside it cannot
+	// matter to any query here.
+	dict  map[string]uint32
+	terms []string
+
+	// slots[s] and defs[s] describe one query; free lists the unused slot
+	// numbers. byID finds the slot an id was last inserted into, live or
+	// dead; a dead slot whose id has since been re-inserted is reachable
+	// from its postings only.
+	slots []slot
+	defs  []*model.Query
+	free  []uint32
+	byID  map[uint64]uint32
+	live  int // slots in use and not dead
+	dead  int // slots in use and dead, waiting for their postings to go
+
+	// spill holds the expressions that do not fit a slot, each a sequence
+	// of conjunctions stored as a length followed by that many term ids.
+	// spillDead counts the words freed slots left behind.
+	spill     []uint32
+	spillDead int
+
+	// lists[i] is a posting list of two or more slot numbers, referenced
+	// from one table entry as listBit|i; freeLists are the unused i.
+	lists     [][]uint32
+	freeLists []uint32
+
 	entries int
-	scratch []uint64 // reusable match-dedup buffer
+
+	// Scratch, reused across calls.
+	objIDs []uint32  // term ids of the object being matched
+	hit    []uint32  // slots already reported for that object
+	keyIDs []uint32  // registration keys of the query being inserted
+	one    [1]uint32 // backing for a single posting viewed as a list
+	gather []uint32
 }
 
-type cell struct {
-	inverted map[string][]*model.Query
-	entries  int
-	objSeen  int64 // objects matched against this cell in the current window
-	// termHits counts, per registration key, how many objects hit its
-	// inverted list this window — the per-key statistics Phase I of the
-	// local load adjustment plans splits with.
-	termHits map[string]int64
+// slot is one query, stored once however many cells and keys it is
+// registered under. It holds no pointers, so the collector never scans
+// the slots.
+type slot struct {
+	region geo.Rect
+	id     uint64
+	// expr is the compiled expression. Inline (the common case, up to
+	// three term ids in total): the ids in order, with bit i of ends set
+	// where id i closes a conjunction. Spilled: expr[0] and expr[1] are
+	// the offset and length of the encoding in Index.spill.
+	expr    [inlineTerms]uint32
+	refs    uint32 // (cell, key) postings that name this slot
+	ends    uint8
+	spilled bool
+	dead    bool
 }
+
+const inlineTerms = 3
+
+// entry is one (cell, term) of the inverted index.
+type entry struct {
+	term uint32 // 0 marks an empty table position
+	// ref is the slot number of a single posting, or listBit|i for the
+	// postings in Index.lists[i].
+	ref  uint32
+	hits uint32 // objects that hit this list in the current window
+}
+
+const listBit = 1 << 31
+
+type cell struct {
+	// tab is a linear-probing table, a power of two in size and at most
+	// three quarters full; removal shifts back, so there are no
+	// tombstones. The top bits of term*hashMul index it.
+	tab     []entry
+	shift   uint8
+	keys    int32 // occupied positions of tab
+	entries int32 // postings, dead ones included until they are dropped
+	objSeen int64 // objects matched against this cell in the current window
+}
+
+const hashMul = 0x9E3779B1
 
 // New returns an empty index over bounds with granularity×granularity
 // cells, using stats to select least-frequent keywords. A nil stats uses
@@ -56,12 +135,12 @@ func New(bounds geo.Rect, granularity int, stats *textutil.Stats) *Index {
 	}
 	g := grid.New(bounds, granularity, granularity)
 	return &Index{
-		g:          g,
-		stats:      stats,
-		cells:      make([]cell, g.NumCells()),
-		tombstones: make(map[uint64]struct{}),
-		queries:    make(map[uint64]*model.Query),
-		refs:       make(map[uint64]int),
+		g:     g,
+		stats: stats,
+		cells: make([]cell, g.NumCells()),
+		dict:  make(map[string]uint32),
+		terms: []string{""},
+		byID:  make(map[uint64]uint32),
 	}
 }
 
@@ -76,125 +155,314 @@ func RegistrationKeys(q *model.Query, stats *textutil.Stats) []string {
 	return stats.RegistrationKeys(q.Expr.Conj)
 }
 
-// Insert registers q in every cell its region overlaps. Reinserting an id
-// that is tombstoned clears the tombstone first (the paper's streams never
-// reuse ids; this keeps the structure safe if callers do).
+// Insert registers q in every cell its region overlaps. An id that was
+// deleted (or never seen) gets a slot of its own, so the new definition
+// is the only one that matches from here on even while entries of the
+// deleted one are still waiting to be dropped. An id that is live keeps
+// its stored definition and only gains the (cell, key) entries it lacks.
 func (ix *Index) Insert(q *model.Query) {
-	delete(ix.tombstones, q.ID)
-	keys := RegistrationKeys(q, ix.stats)
-	if len(keys) == 0 {
+	s, fresh, ok := ix.slotFor(q)
+	if !ok {
 		return
 	}
-	ix.g.VisitOverlapping(q.Region, func(id int) {
-		ix.insertAt(id, q, keys)
-	})
+	ix.g.VisitOverlapping(q.Region, func(cellID int) { ix.insertAt(cellID, s, fresh) })
 }
 
 // InsertAt registers q in a single cell only. It is used when migrating a
 // cell between workers: the receiving worker becomes responsible for
-// exactly that cell's share of the query. Duplicate (cell, key, id)
-// entries are skipped.
+// exactly that cell's share of the query. Entries the cell already holds
+// for the live query are skipped, so installing a share twice is
+// harmless.
 func (ix *Index) InsertAt(cellID int, q *model.Query) {
-	delete(ix.tombstones, q.ID)
+	if s, fresh, ok := ix.slotFor(q); ok {
+		ix.insertAt(cellID, s, fresh)
+	}
+}
+
+// slotFor returns the slot q's entries are to name, leaving q's
+// registration keys in ix.keyIDs. fresh reports that the slot was taken
+// for this call, so no posting can name it yet. ok is false for a query
+// with no keyword to register under, which is not indexed.
+func (ix *Index) slotFor(q *model.Query) (s uint32, fresh, ok bool) {
 	keys := RegistrationKeys(q, ix.stats)
 	if len(keys) == 0 {
-		return
+		return 0, false, false
 	}
-	ix.insertAt(cellID, q, keys)
-}
-
-func (ix *Index) insertAt(cellID int, q *model.Query, keys []string) {
-	c := &ix.cells[cellID]
-	if c.inverted == nil {
-		c.inverted = make(map[string][]*model.Query)
-	}
+	ix.keyIDs = ix.keyIDs[:0]
 	for _, k := range keys {
-		list := c.inverted[k]
-		dup := false
-		for _, e := range list {
-			if e.ID == q.ID {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		c.inverted[k] = append(list, q)
-		c.entries++
-		ix.entries++
-		ix.refs[q.ID]++
-		ix.queries[q.ID] = q
+		ix.keyIDs = append(ix.keyIDs, ix.termID(k))
 	}
+	if s, held := ix.byID[q.ID]; held && !ix.slots[s].dead {
+		return s, false, true
+	}
+	if n := len(ix.free); n > 0 {
+		s = ix.free[n-1]
+		ix.free = ix.free[:n-1]
+	} else {
+		s = uint32(len(ix.slots))
+		ix.slots = append(ix.slots, slot{})
+		ix.defs = append(ix.defs, nil)
+	}
+	sl := &ix.slots[s]
+	*sl = slot{region: q.Region, id: q.ID}
+	ix.compile(sl, q.Expr.Conj)
+	ix.defs[s] = q
+	ix.byID[q.ID] = s
+	ix.live++
+	return s, true, true
 }
 
-// Delete lazily removes the query: the id is tombstoned and physically
-// purged when matching next traverses a list containing it (§IV-D).
-func (ix *Index) Delete(id uint64) {
-	if _, live := ix.refs[id]; !live {
+// termID returns the dictionary id of a query term, assigning the next
+// one to a term not seen before.
+func (ix *Index) termID(t string) uint32 {
+	id, ok := ix.dict[t]
+	if !ok {
+		id = uint32(len(ix.terms))
+		ix.terms = append(ix.terms, t)
+		ix.dict[t] = id
+	}
+	return id
+}
+
+// compile stores the expression in sl as term ids: inline when it has at
+// most inlineTerms terms in all and no empty conjunction, else in spill.
+func (ix *Index) compile(sl *slot, conj [][]string) {
+	total := 0
+	inline := true
+	for _, c := range conj {
+		total += len(c)
+		inline = inline && len(c) > 0
+	}
+	if inline && total <= inlineTerms {
+		i := 0
+		for _, c := range conj {
+			for _, t := range c {
+				sl.expr[i] = ix.termID(t)
+				i++
+			}
+			sl.ends |= 1 << (i - 1)
+		}
 		return
 	}
-	ix.tombstones[id] = struct{}{}
+	ix.compactSpill()
+	sl.spilled = true
+	sl.expr[0] = uint32(len(ix.spill))
+	for _, c := range conj {
+		ix.spill = append(ix.spill, uint32(len(c)))
+		for _, t := range c {
+			ix.spill = append(ix.spill, ix.termID(t))
+		}
+	}
+	sl.expr[1] = uint32(len(ix.spill)) - sl.expr[0]
 }
 
-// Match finds all live queries matching o and invokes fn once per query.
-// Tombstoned entries encountered on the traversed lists are removed, which
-// implements lazy deletion.
-func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
-	cid := ix.g.CellOf(o.Loc)
-	c := &ix.cells[cid]
-	c.objSeen++
-	if c.inverted == nil {
+// compactSpill squeezes out the encodings of freed slots once they are
+// more than half of spill.
+func (ix *Index) compactSpill() {
+	if ix.spillDead*2 <= len(ix.spill) {
 		return
 	}
-	ix.scratch = ix.scratch[:0]
-	for _, term := range o.Terms {
-		list, ok := c.inverted[term]
-		if !ok {
+	packed := make([]uint32, 0, len(ix.spill)-ix.spillDead)
+	for s := range ix.slots {
+		sl := &ix.slots[s]
+		if ix.defs[s] == nil || !sl.spilled {
 			continue
 		}
-		if c.termHits == nil {
-			c.termHits = make(map[string]int64)
-		}
-		c.termHits[term]++
-		w := 0
-		for _, q := range list {
-			if _, dead := ix.tombstones[q.ID]; dead {
-				ix.dropRef(q.ID)
-				c.entries--
-				ix.entries--
-				continue
-			}
-			list[w] = q
-			w++
-			if q.Region.Contains(o.Loc) && q.Expr.MatchesSlice(o.Terms) && !ix.seen(q.ID) {
-				ix.scratch = append(ix.scratch, q.ID)
-				fn(q)
-			}
-		}
-		if w == 0 {
-			delete(c.inverted, term)
-		} else {
-			c.inverted[term] = list[:w]
-		}
+		off := uint32(len(packed))
+		packed = append(packed, ix.spill[sl.expr[0]:sl.expr[0]+sl.expr[1]]...)
+		sl.expr[0] = off
 	}
+	ix.spill, ix.spillDead = packed, 0
 }
 
-func (ix *Index) seen(id uint64) bool {
-	for _, s := range ix.scratch {
-		if s == id {
-			return true
+// matches reports whether the object's term ids satisfy the slot's
+// expression: some conjunction has all of its terms among them.
+func (ix *Index) matches(sl *slot, obj []uint32) bool {
+	if sl.spilled {
+		enc := ix.spill[sl.expr[0] : sl.expr[0]+sl.expr[1]]
+		for len(enc) > 0 {
+			n := int(enc[0])
+			if containsAll(obj, enc[1:1+n]) {
+				return true
+			}
+			enc = enc[1+n:]
+		}
+		return false
+	}
+	ok := true
+	for i := 0; sl.ends>>i != 0; i++ {
+		ok = ok && slices.Contains(obj, sl.expr[i])
+		if sl.ends>>i&1 != 0 {
+			if ok {
+				return true
+			}
+			ok = true
 		}
 	}
 	return false
 }
 
-func (ix *Index) dropRef(id uint64) {
-	ix.refs[id]--
-	if ix.refs[id] <= 0 {
-		delete(ix.refs, id)
-		delete(ix.queries, id)
-		delete(ix.tombstones, id)
+func containsAll(ids, want []uint32) bool {
+	for _, id := range want {
+		if !slices.Contains(ids, id) {
+			return false
+		}
+	}
+	return true
+}
+
+// insertAt adds slot s to the cell's postings under each key in
+// ix.keyIDs. Unless the slot is fresh, a posting that is already there is
+// left alone.
+func (ix *Index) insertAt(cellID int, s uint32, fresh bool) {
+	c := &ix.cells[cellID]
+	for _, k := range ix.keyIDs {
+		if i := c.find(k); i < 0 {
+			c.put(entry{term: k, ref: s})
+		} else if e := &c.tab[i]; e.ref&listBit != 0 {
+			li := e.ref &^ listBit
+			if !fresh && slices.Contains(ix.lists[li], s) {
+				continue
+			}
+			ix.lists[li] = append(ix.lists[li], s)
+		} else {
+			if !fresh && e.ref == s {
+				continue
+			}
+			e.ref = listBit | ix.newList(e.ref, s)
+		}
+		c.entries++
+		ix.entries++
+		ix.slots[s].refs++
+	}
+}
+
+// newList stores a two-posting list and returns its number.
+func (ix *Index) newList(a, b uint32) uint32 {
+	if n := len(ix.freeLists); n > 0 {
+		li := ix.freeLists[n-1]
+		ix.freeLists = ix.freeLists[:n-1]
+		ix.lists[li] = append(ix.lists[li], a, b)
+		return li
+	}
+	ix.lists = append(ix.lists, []uint32{a, b})
+	return uint32(len(ix.lists) - 1)
+}
+
+// freeList releases list li's postings and makes its number reusable.
+func (ix *Index) freeList(li uint32) {
+	ix.lists[li] = nil
+	ix.freeLists = append(ix.freeLists, li)
+}
+
+// postings returns the slot numbers of e as a slice the caller may
+// compact in place; a single posting is viewed through ix.one.
+func (ix *Index) postings(e *entry) []uint32 {
+	if e.ref&listBit != 0 {
+		return ix.lists[e.ref&^listBit]
+	}
+	ix.one[0] = e.ref
+	return ix.one[:]
+}
+
+// setPostings makes kept — a prefix of what postings returned for the
+// entry at position i, some postings having been dropped — the entry's
+// postings, removing the entry when nothing is kept.
+func (ix *Index) setPostings(c *cell, i int, kept []uint32) {
+	e := &c.tab[i]
+	if e.ref&listBit != 0 {
+		li := e.ref &^ listBit
+		if len(kept) > 0 {
+			ix.lists[li] = kept
+			return
+		}
+		ix.freeList(li)
+	}
+	c.remove(i)
+}
+
+// dropPosting accounts for one posting of slot s leaving cell c, and
+// frees the slot with its last posting.
+func (ix *Index) dropPosting(c *cell, s uint32) {
+	c.entries--
+	ix.entries--
+	sl := &ix.slots[s]
+	if sl.refs--; sl.refs > 0 {
+		return
+	}
+	if sl.dead {
+		ix.dead--
+	} else {
+		ix.live--
+	}
+	if sl.spilled {
+		ix.spillDead += int(sl.expr[1])
+	}
+	if ix.byID[sl.id] == s {
+		delete(ix.byID, sl.id)
+	}
+	ix.defs[s] = nil
+	ix.free = append(ix.free, s)
+}
+
+// Delete lazily removes the query: one lookup finds its slot and sets
+// the dead bit, after which it matches nothing and no accessor returns
+// it. Its entries stay in the lists until Match or Purge next traverses
+// them (§IV-D), and the slot is reused once the last is gone.
+func (ix *Index) Delete(id uint64) {
+	s, ok := ix.byID[id]
+	if !ok || ix.slots[s].dead {
+		return
+	}
+	ix.slots[s].dead = true
+	ix.live--
+	ix.dead++
+}
+
+// Match finds all live queries matching o and invokes fn once per query.
+// Dead entries encountered on the traversed lists are removed, which
+// implements lazy deletion.
+func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
+	c := &ix.cells[ix.g.CellOf(o.Loc)]
+	c.objSeen++
+	if c.keys == 0 {
+		return
+	}
+	ids := ix.objIDs[:0]
+	for _, t := range o.Terms {
+		if id, ok := ix.dict[t]; ok {
+			ids = append(ids, id)
+		}
+	}
+	ix.objIDs = ids
+	ix.hit = ix.hit[:0]
+	for _, t := range ids {
+		i := c.find(t)
+		if i < 0 {
+			continue
+		}
+		e := &c.tab[i]
+		if e.hits++; e.hits == 0 {
+			e.hits-- // saturate
+		}
+		list := ix.postings(e)
+		w := 0
+		for _, s := range list {
+			sl := &ix.slots[s]
+			if sl.dead {
+				ix.dropPosting(c, s)
+				continue
+			}
+			list[w] = s
+			w++
+			if sl.region.Contains(o.Loc) && ix.matches(sl, ids) && !slices.Contains(ix.hit, s) {
+				ix.hit = append(ix.hit, s)
+				fn(ix.defs[s])
+			}
+		}
+		if w < len(list) {
+			ix.setPostings(c, i, list[:w])
+		}
 	}
 }
 
@@ -205,54 +473,49 @@ func (ix *Index) MatchIDs(o *model.Object) []uint64 {
 	return out
 }
 
-// Purge eagerly removes all tombstoned entries from every list. It is the
+// Purge eagerly removes all dead entries from every list. It is the
 // eager-deletion ablation referenced in DESIGN.md and is also used before
 // migration so extracted cells contain only live queries.
 func (ix *Index) Purge() {
-	if len(ix.tombstones) == 0 {
-		return
-	}
-	for i := range ix.cells {
-		ix.purgeCell(i)
-	}
-}
-
-func (ix *Index) purgeCell(cellID int) {
-	c := &ix.cells[cellID]
-	for term, list := range c.inverted {
-		w := 0
-		for _, q := range list {
-			if _, dead := ix.tombstones[q.ID]; dead {
-				ix.dropRef(q.ID)
-				c.entries--
-				ix.entries--
+	for ci := range ix.cells {
+		if ix.dead == 0 {
+			return
+		}
+		c := &ix.cells[ci]
+		// A removal shifts later entries back, possibly into position i,
+		// so i advances only past an entry that stays.
+		for i := 0; i < len(c.tab); {
+			e := &c.tab[i]
+			if e.term == 0 {
+				i++
 				continue
 			}
-			list[w] = q
-			w++
-		}
-		if w == 0 {
-			delete(c.inverted, term)
-		} else {
-			c.inverted[term] = list[:w]
+			list := ix.postings(e)
+			w := 0
+			for _, s := range list {
+				if ix.slots[s].dead {
+					ix.dropPosting(c, s)
+					continue
+				}
+				list[w] = s
+				w++
+			}
+			if w < len(list) {
+				ix.setPostings(c, i, list[:w])
+			}
+			if w > 0 {
+				i++
+			}
 		}
 	}
 }
 
-// QueryCount returns the number of live distinct queries referenced by the
-// index (tombstoned-but-unpurged queries count until purged).
-func (ix *Index) QueryCount() int { return len(ix.queries) }
+// QueryCount returns the number of distinct queries the index stores.
+// A deleted query counts until its last entry has been dropped.
+func (ix *Index) QueryCount() int { return ix.live + ix.dead }
 
-// LiveQueryCount returns distinct queries excluding tombstoned ones.
-func (ix *Index) LiveQueryCount() int {
-	n := len(ix.queries)
-	for id := range ix.tombstones {
-		if _, ok := ix.refs[id]; ok {
-			n--
-		}
-	}
-	return n
-}
+// LiveQueryCount returns distinct queries excluding deleted ones.
+func (ix *Index) LiveQueryCount() int { return ix.live }
 
 // EntryCount returns the number of (cell, term, query) entries.
 func (ix *Index) EntryCount() int { return ix.entries }
@@ -278,36 +541,37 @@ func (ix *Index) CellStats() []CellStat {
 		if c.entries == 0 && c.objSeen == 0 {
 			continue
 		}
-		out = append(out, ix.cellStat(i))
-	}
-	return out
-}
-
-func (ix *Index) cellStat(i int) CellStat {
-	c := &ix.cells[i]
-	var size int64
-	for _, list := range c.inverted {
-		for _, q := range list {
-			if _, dead := ix.tombstones[q.ID]; !dead {
-				size += int64(q.SizeBytes())
+		var size int64
+		for j := range c.tab {
+			if c.tab[j].term == 0 {
+				continue
+			}
+			for _, s := range ix.postings(&c.tab[j]) {
+				if !ix.slots[s].dead {
+					size += int64(ix.defs[s].SizeBytes())
+				}
 			}
 		}
+		out = append(out, CellStat{
+			CellID:    i,
+			Entries:   int(c.entries),
+			ObjSeen:   c.objSeen,
+			Load:      float64(c.objSeen) * float64(c.entries),
+			SizeBytes: size,
+		})
 	}
-	return CellStat{
-		CellID:    i,
-		Entries:   c.entries,
-		ObjSeen:   c.objSeen,
-		Load:      float64(c.objSeen) * float64(c.entries),
-		SizeBytes: size,
-	}
+	return out
 }
 
 // ResetWindow zeroes the per-cell object and term-hit counters, starting a
 // new load measurement window.
 func (ix *Index) ResetWindow() {
 	for i := range ix.cells {
-		ix.cells[i].objSeen = 0
-		ix.cells[i].termHits = nil
+		c := &ix.cells[i]
+		c.objSeen = 0
+		for j := range c.tab {
+			c.tab[j].hits = 0
+		}
 	}
 }
 
@@ -322,18 +586,22 @@ type TermStat struct {
 // CellTermStats returns per-key statistics for a cell, sorted by term.
 func (ix *Index) CellTermStats(cellID int) []TermStat {
 	c := &ix.cells[cellID]
-	out := make([]TermStat, 0, len(c.inverted))
-	for term, list := range c.inverted {
+	out := make([]TermStat, 0, c.keys)
+	for i := range c.tab {
+		e := &c.tab[i]
+		if e.term == 0 {
+			continue
+		}
 		live := 0
-		for _, q := range list {
-			if _, dead := ix.tombstones[q.ID]; !dead {
+		for _, s := range ix.postings(e) {
+			if !ix.slots[s].dead {
 				live++
 			}
 		}
 		if live == 0 {
 			continue
 		}
-		out = append(out, TermStat{Term: term, Queries: live, ObjHits: c.termHits[term]})
+		out = append(out, TermStat{Term: ix.terms[e.term], Queries: live, ObjHits: int64(e.hits)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
 	return out
@@ -344,34 +612,14 @@ func (ix *Index) CellTermStats(cellID int) []TermStat {
 // entries in place. It is the extraction half of a Phase I text split.
 func (ix *Index) ExtractCellKeys(cellID int, keys []string) []*model.Query {
 	c := &ix.cells[cellID]
-	if c.inverted == nil {
-		return nil
-	}
-	var out []*model.Query
-	seen := make(map[uint64]struct{})
+	ix.gather = ix.gather[:0]
 	for _, k := range keys {
-		list, ok := c.inverted[k]
-		if !ok {
-			continue
+		if i := c.find(ix.dict[k]); i >= 0 {
+			ix.gather = append(ix.gather, ix.postings(&c.tab[i])...)
+			ix.setPostings(c, i, nil)
 		}
-		for _, q := range list {
-			_, dead := ix.tombstones[q.ID]
-			ix.dropRef(q.ID)
-			ix.entries--
-			c.entries--
-			if dead {
-				continue
-			}
-			if _, dup := seen[q.ID]; dup {
-				continue
-			}
-			seen[q.ID] = struct{}{}
-			out = append(out, q)
-		}
-		delete(c.inverted, k)
-		delete(c.termHits, k)
 	}
-	return out
+	return ix.takeGathered(c)
 }
 
 // ExtractCell removes and returns the distinct live queries registered in
@@ -379,28 +627,42 @@ func (ix *Index) ExtractCellKeys(cellID int, keys []string) []*model.Query {
 // the unit of one cell in the gridt index", §V-A).
 func (ix *Index) ExtractCell(cellID int) []*model.Query {
 	c := &ix.cells[cellID]
-	if c.inverted == nil {
-		return nil
-	}
-	var out []*model.Query
-	seen := make(map[uint64]struct{})
-	for _, list := range c.inverted {
-		for _, q := range list {
-			_, dead := ix.tombstones[q.ID]
-			ix.dropRef(q.ID)
-			ix.entries--
-			if dead {
-				continue
-			}
-			if _, dup := seen[q.ID]; dup {
-				continue
-			}
-			seen[q.ID] = struct{}{}
-			out = append(out, q)
+	ix.gather = ix.gather[:0]
+	for i := range c.tab {
+		e := &c.tab[i]
+		if e.term == 0 {
+			continue
+		}
+		ix.gather = append(ix.gather, ix.postings(e)...)
+		if e.ref&listBit != 0 {
+			ix.freeList(e.ref &^ listBit)
 		}
 	}
-	c.inverted = nil
-	c.entries = 0
+	c.tab, c.keys = nil, 0
+	return ix.takeGathered(c)
+}
+
+// takeGathered finishes an extraction: ix.gather holds the postings
+// already unlinked from cell c. It returns their distinct live queries
+// and lets go of the slots.
+func (ix *Index) takeGathered(c *cell) []*model.Query {
+	out := ix.gathered()
+	for _, s := range ix.gather {
+		ix.dropPosting(c, s)
+	}
+	return out
+}
+
+// gathered returns the distinct live queries among the slot numbers in
+// ix.gather, which it sorts.
+func (ix *Index) gathered() []*model.Query {
+	slices.Sort(ix.gather)
+	var out []*model.Query
+	for i, s := range ix.gather {
+		if (i == 0 || s != ix.gather[i-1]) && !ix.slots[s].dead {
+			out = append(out, ix.defs[s])
+		}
+	}
 	return out
 }
 
@@ -408,21 +670,13 @@ func (ix *Index) ExtractCell(cellID int) []*model.Query {
 // removing them.
 func (ix *Index) QueriesInCell(cellID int) []*model.Query {
 	c := &ix.cells[cellID]
-	var out []*model.Query
-	seen := make(map[uint64]struct{})
-	for _, list := range c.inverted {
-		for _, q := range list {
-			if _, dead := ix.tombstones[q.ID]; dead {
-				continue
-			}
-			if _, dup := seen[q.ID]; dup {
-				continue
-			}
-			seen[q.ID] = struct{}{}
-			out = append(out, q)
+	ix.gather = ix.gather[:0]
+	for i := range c.tab {
+		if c.tab[i].term != 0 {
+			ix.gather = append(ix.gather, ix.postings(&c.tab[i])...)
 		}
 	}
-	return out
+	return ix.gathered()
 }
 
 // QueriesInCellKeys returns the distinct live queries registered in the
@@ -430,79 +684,160 @@ func (ix *Index) QueriesInCell(cellID int) []*model.Query {
 // copy-before-flip half of a migration).
 func (ix *Index) QueriesInCellKeys(cellID int, keys []string) []*model.Query {
 	c := &ix.cells[cellID]
-	if c.inverted == nil {
-		return nil
-	}
-	var out []*model.Query
-	seen := make(map[uint64]struct{})
+	ix.gather = ix.gather[:0]
 	for _, k := range keys {
-		for _, q := range c.inverted[k] {
-			if _, dead := ix.tombstones[q.ID]; dead {
-				continue
-			}
-			if _, dup := seen[q.ID]; dup {
-				continue
-			}
-			seen[q.ID] = struct{}{}
-			out = append(out, q)
+		if i := c.find(ix.dict[k]); i >= 0 {
+			ix.gather = append(ix.gather, ix.postings(&c.tab[i])...)
 		}
 	}
-	return out
+	return ix.gathered()
 }
 
-// HasLive reports whether the query id is stored and not tombstoned.
+// HasLive reports whether the query id is stored and not deleted.
 func (ix *Index) HasLive(id uint64) bool {
-	if _, dead := ix.tombstones[id]; dead {
-		return false
-	}
-	_, ok := ix.refs[id]
-	return ok
+	s, ok := ix.byID[id]
+	return ok && !ix.slots[s].dead
 }
 
 // Get returns the stored definition of a live query, or nil.
 func (ix *Index) Get(id uint64) *model.Query {
-	if !ix.HasLive(id) {
-		return nil
+	if s, ok := ix.byID[id]; ok && !ix.slots[s].dead {
+		return ix.defs[s]
 	}
-	return ix.queries[id]
+	return nil
 }
 
-// Each invokes fn once per live (non-tombstoned) query, in unspecified
+// Each invokes fn once per live (not deleted) query, in unspecified
 // order. It satisfies the qindex.Index contract (checkpointing).
 func (ix *Index) Each(fn func(q *model.Query)) {
-	for id, q := range ix.queries {
-		if _, dead := ix.tombstones[id]; dead {
-			continue
+	for s, q := range ix.defs {
+		if q != nil && !ix.slots[s].dead {
+			fn(q)
 		}
-		fn(q)
 	}
 }
 
-// LiveQueryIDs returns the ids of all live (non-tombstoned) queries.
+// LiveQueryIDs returns the ids of all live (not deleted) queries.
 func (ix *Index) LiveQueryIDs() []uint64 {
-	out := make([]uint64, 0, len(ix.queries))
-	for id := range ix.queries {
-		if _, dead := ix.tombstones[id]; !dead {
-			out = append(out, id)
-		}
-	}
+	out := make([]uint64, 0, ix.live)
+	ix.Each(func(q *model.Query) { out = append(out, q.ID) })
 	return out
 }
 
-// Footprint estimates the resident memory of the index in bytes: shared
-// query definitions plus per-entry and per-list overhead. This drives the
-// worker-memory comparison (Figure 10).
+// Approximate heap cost of one entry of a Go map with the given key and
+// value sizes: the slot, its control byte, and the share of slots a table
+// between two doublings leaves empty.
+const mapSlack = 1.75
+
+func mapEntryBytes(key, val uintptr) int64 {
+	return int64(float64(key+val+1) * mapSlack)
+}
+
+// Footprint is the resident memory of the index in bytes, from the
+// lengths and capacities of the structures it is made of: slots,
+// definition pointers and the id map, the term dictionary, every cell's
+// table, the posting lists, and the query definitions themselves (struct,
+// conjunction headers, term headers and bytes). A definition shared with
+// another index is counted in both. This drives the worker-memory
+// comparison (Figure 10).
 func (ix *Index) Footprint() int64 {
-	var b int64
-	for _, q := range ix.queries {
-		b += int64(q.SizeBytes())
+	const (
+		word      = unsafe.Sizeof(uint32(0))
+		strHeader = unsafe.Sizeof("")
+		header    = unsafe.Sizeof([]string(nil)) // any slice header
+	)
+	b := int64(unsafe.Sizeof(*ix))
+	add := func(n int, each uintptr) { b += int64(n) * int64(each) }
+	add(cap(ix.cells), unsafe.Sizeof(cell{}))
+	add(cap(ix.slots), unsafe.Sizeof(slot{}))
+	add(cap(ix.defs), unsafe.Sizeof(ix.defs[0]))
+	add(cap(ix.free)+cap(ix.spill)+cap(ix.freeLists), word)
+	b += int64(len(ix.byID)) * mapEntryBytes(unsafe.Sizeof(uint64(0)), word)
+	b += int64(len(ix.dict)) * mapEntryBytes(strHeader, word)
+	add(cap(ix.terms), strHeader)
+	for _, t := range ix.terms {
+		add(len(t), 1)
 	}
-	b += int64(ix.entries) * 8 // one pointer per entry
 	for i := range ix.cells {
-		c := &ix.cells[i]
-		b += int64(len(c.inverted)) * 56 // map bucket + slice header per list
+		add(cap(ix.cells[i].tab), unsafe.Sizeof(entry{}))
 	}
-	b += int64(len(ix.tombstones)) * 16
-	b += int64(len(ix.refs)) * 24
+	add(cap(ix.lists), header)
+	for _, l := range ix.lists {
+		add(cap(l), word)
+	}
+	for _, q := range ix.defs {
+		if q == nil {
+			continue
+		}
+		add(1, unsafe.Sizeof(*q))
+		add(cap(q.Expr.Conj), header)
+		for _, c := range q.Expr.Conj {
+			add(cap(c), strHeader)
+			for _, t := range c {
+				add(len(t), 1)
+			}
+		}
+	}
 	return b
+}
+
+// find returns the position of term's entry in the cell's table, or -1.
+func (c *cell) find(term uint32) int {
+	if c.keys == 0 || term == 0 {
+		return -1
+	}
+	mask := uint32(len(c.tab) - 1)
+	for i := (term * hashMul) >> c.shift; ; i = (i + 1) & mask {
+		switch c.tab[i].term {
+		case term:
+			return int(i)
+		case 0:
+			return -1
+		}
+	}
+}
+
+// put adds an entry for a term the table does not hold, growing the
+// table first if that would fill more than three quarters of it.
+func (c *cell) put(e entry) {
+	if int(c.keys+1)*4 > len(c.tab)*3 {
+		old := c.tab
+		size := max(4, 2*len(old))
+		c.tab = make([]entry, size)
+		c.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+		c.keys = 0
+		for _, o := range old {
+			if o.term != 0 {
+				c.put(o)
+			}
+		}
+	}
+	mask := uint32(len(c.tab) - 1)
+	i := (e.term * hashMul) >> c.shift
+	for c.tab[i].term != 0 {
+		i = (i + 1) & mask
+	}
+	c.tab[i] = e
+	c.keys++
+}
+
+// remove empties position i and closes the gap: every later entry of the
+// same run of occupied positions whose probe sequence passes through the
+// gap moves back into it. The table is released with its last entry.
+func (c *cell) remove(i int) {
+	if c.keys--; c.keys == 0 {
+		c.tab = nil
+		return
+	}
+	mask := uint32(len(c.tab) - 1)
+	gap := uint32(i)
+	for j := (gap + 1) & mask; c.tab[j].term != 0; j = (j + 1) & mask {
+		// The entry at j may move to the gap only if the gap lies on its
+		// probe sequence, that is between its home and j.
+		if home := (c.tab[j].term * hashMul) >> c.shift; (j-home)&mask >= (j-gap)&mask {
+			c.tab[gap] = c.tab[j]
+			gap = j
+		}
+	}
+	c.tab[gap] = entry{}
 }

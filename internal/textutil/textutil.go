@@ -20,14 +20,37 @@ func Tokenize(s string) []string {
 	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
+	if len(fields) > scanDedupMax {
+		return dedupLong(fields)
+	}
+	// A message has a handful of terms: scanning the ones already kept is
+	// cheaper than building a set, and allocates nothing.
+	out := fields[:0]
+next:
+	for _, f := range fields {
+		for _, kept := range out {
+			if kept == f {
+				continue next
+			}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// scanDedupMax is the longest token list Tokenize de-duplicates by
+// scanning, which is quadratic; longer texts go through a set so that no
+// input costs more than linear time.
+const scanDedupMax = 64
+
+func dedupLong(fields []string) []string {
 	seen := make(map[string]struct{}, len(fields))
 	out := fields[:0]
 	for _, f := range fields {
-		if _, dup := seen[f]; dup {
-			continue
+		if _, dup := seen[f]; !dup {
+			seen[f] = struct{}{}
+			out = append(out, f)
 		}
-		seen[f] = struct{}{}
-		out = append(out, f)
 	}
 	return out
 }

@@ -1,11 +1,14 @@
 package textutil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -223,5 +226,66 @@ func TestZipfEdge(t *testing.T) {
 	}
 	if r := z2.Rank(0); r != 0 {
 		t.Errorf("Rank(0) = %d, want 0", r)
+	}
+}
+
+// tokenizeSet is Tokenize as it was when it de-duplicated through a set
+// on every call; the scanning version must agree with it byte for byte.
+func tokenizeSet(s string) []string {
+	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	})
+	seen := make(map[string]struct{}, len(fields))
+	out := fields[:0]
+	for _, f := range fields {
+		if _, dup := seen[f]; dup {
+			continue
+		}
+		seen[f] = struct{}{}
+		out = append(out, f)
+	}
+	return out
+}
+
+func TestTokenizeMatchesSetDedup(t *testing.T) {
+	long := strings.Repeat("alpha beta Gamma alpha ", scanDedupMax) // over the scanning limit
+	for i := 0; i < 3*scanDedupMax; i++ {
+		long += fmt.Sprintf(" w%d W%d", i, i/2)
+	}
+	inputs := []string{
+		"", " ", "\t\n", "!!! ??? ...",
+		"kobe retired", "Kobe KOBE kobe kObE",
+		"a a a b a b c", "x,,y;;x..z", "--lead trail--",
+		"café CAFÉ olé Olé", "ÀÉÎ àéî", "straße STRASSE", "İstanbul istanbul",
+		"日本語 テキスト 日本語", "naïve naïve", "Ünïcödé ünïcödé",
+		"year2016 2016 YEAR2016 #tag @tag tag", "٣٤٥ ٣٤٥ x٣", "½ ② 2",
+		"a b a", "emoji 😀 emoji 😀😀", "tab\tsep\nnew\rline tab",
+		long,
+	}
+	for _, in := range inputs {
+		got, want := Tokenize(in), tokenizeSet(in)
+		if len(got) != len(want) {
+			t.Errorf("Tokenize(%.40q) kept %d terms, set de-duplication keeps %d", in, len(got), len(want))
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("Tokenize(%.40q)[%d] = %q, want %q", in, i, got[i], want[i])
+				break
+			}
+		}
+	}
+}
+
+// ToLower (when a letter changes) and FieldsFunc (its result) allocate
+// once each; de-duplicating a message-sized text adds nothing to that.
+func TestTokenizeAllocations(t *testing.T) {
+	for _, in := range []string{
+		"Kobe has retired and kobe HAS a statue in Los Angeles",
+		"all lower case already, nothing to fold, one slice to return",
+	} {
+		if n := testing.AllocsPerRun(200, func() { Tokenize(in) }); n > 2 {
+			t.Errorf("Tokenize(%q) allocates %.0f times per call, want at most 2", in, n)
+		}
 	}
 }

@@ -85,6 +85,48 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	}
 }
 
+// Subscribing again under an id that was unsubscribed replaces the old
+// definition at once: a message only the old region covers must not be
+// delivered for it, although the worker may not have dropped the old
+// index entries yet.
+func TestResubscribeSameIDReplacesDefinition(t *testing.T) {
+	col := &collector{}
+	sys, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1, OnMatch: col.add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := NewRegion(-100.3, 40.05, -100.1, 40.15)
+	narrow := NewRegion(-100.3, 40.05, -100.2, 40.15)
+	first := Subscription{ID: 7, Query: "storm", Region: wide}
+	// A neighbour under the same keyword keeps messages in the wide-only
+	// strip routed to the worker that held the first definition.
+	neighbour := Subscription{ID: 8, Query: "storm", Region: wide}
+	for _, step := range []func() error{
+		func() error { return sys.Subscribe(first) },
+		func() error { return sys.Subscribe(neighbour) },
+		func() error { return sys.Unsubscribe(first) },
+		func() error { return sys.Subscribe(Subscription{ID: 7, Query: "storm", Region: narrow}) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Flush()
+	sys.Publish(Message{ID: 1, Text: "storm over the old strip", Lat: 40.1, Lon: -100.15})
+	sys.Publish(Message{ID: 2, Text: "storm inside the new region", Lat: 40.1, Lon: -100.25})
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[[2]uint64]bool{}
+	for _, m := range col.ms {
+		got[[2]uint64{m.SubscriptionID, m.MessageID}] = true
+	}
+	want := map[[2]uint64]bool{{8, 1}: true, {8, 2}: true, {7, 2}: true}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("delivered (subscription, message) pairs %v, want %v", got, want)
+	}
+}
+
 func TestOrQueries(t *testing.T) {
 	col := &collector{}
 	sys, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1, OnMatch: col.add})
