@@ -2,7 +2,7 @@
 // process, turning the in-process reproduction into a real networked
 // deployment (the paper's §VI runs the same roles as Storm tasks across
 // a cluster). Roles speak the internal/wire protocol: length-prefixed
-// gob frames over TCP (docs/WIRE.md).
+// binary frames over TCP (docs/WIRE.md).
 //
 // A local 1-dispatcher / 2-worker / 1-merger cluster:
 //
@@ -83,7 +83,6 @@ var flagGroups = []struct {
 		"oracle", "adjust", "objects-only",
 		"hotspot", "hotspot-bias", "hotspot-shift-every",
 		"spare", "recover", "join", "retire",
-		"wire-streams",
 		"topk", "topk-k", "topk-window", "topk-out", "repartition-at",
 	}},
 }
@@ -147,7 +146,6 @@ var (
 	recoverFlag = flag.Bool("recover", false, "survive remote worker crashes: heartbeats, per-worker op log, redial + replay")
 	join        = flag.String("join", "", "join worker addresses mid-stream: \"addr@ops[,addr@ops...]\" dials addr after that many stream ops (needs -spare)")
 	retire      = flag.String("retire", "", "decommission worker tasks mid-stream: \"task@ops[,task@ops...]\"")
-	wireStreams = flag.Int("wire-streams", 0, "data connections per remote-worker hop (0 = one per dispatcher task, capped at 16)")
 )
 
 func main() {
@@ -205,7 +203,6 @@ func main() {
 			spare:       *spare,
 			recover:     *recoverFlag,
 			events:      events,
-			wireStreams: *wireStreams,
 			topk:        *topkN,
 			topkK:       *topkK,
 			topkWindow:  *topkWindow,
@@ -420,9 +417,6 @@ type dispatcherConfig struct {
 	spare   int
 	recover bool
 	events  []memberEvent
-	// wireStreams overrides the data connections per remote-worker hop
-	// (core.Config.WireStreams; 0 = one per dispatcher task).
-	wireStreams int
 	// topk registers that many sliding-window top-k subscriptions cloned
 	// from the prewarmed standing queries (k = topkK, window =
 	// topkWindow); topkOut dumps the final reconciled sets. Top-k runs
@@ -514,7 +508,6 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		// handshake hello carries the total slot count and the heartbeat
 		// request.
 		cfg.SpareWorkers = dc.spare
-		cfg.WireStreams = dc.wireStreams
 		if dc.recover {
 			// Cadences sized for short CI runs: fast enough that a crash,
 			// redial, and replay complete within a few seconds of stream

@@ -120,16 +120,7 @@ type Config struct {
 	// to a remote merger are deduplicated and delivered on its node;
 	// the local OnMatch hook and Snapshot counters do not see them
 	// (RemoteDelivered fetches the remote counts).
-	RemoteMergers map[int]stream.Transport
-	// WireStreams is the number of data connections per remote-worker
-	// hop (the wire client's multi-stream sessions; docs/WIRE.md). Whole
-	// op batches round-robin across the connections, each stamped with
-	// its position in the hop's send order, and a turnstile on the node
-	// processes them in exactly that order — so the worker sees the same
-	// total op order a single connection would deliver. 0 defaults to
-	// Dispatchers, enough streams to keep every dispatcher's batches in
-	// flight at once; values are capped at wire.MaxStreams.
-	WireStreams int
+	RemoteMergers map[int]*wire.MergerClient
 	// SpareWorkers pre-allocates this many extra worker slots beyond
 	// Workers for runtime joins (System.AddWorker): routing bitmasks
 	// and per-slot accounting are fixed-width, so elastic capacity is

@@ -41,9 +41,10 @@ type workerEndpoint interface {
 	// subscription's held window entries.
 	ExtractCells(cells []wire.CellSpec, remove, subs bool) (wire.CellShare, error)
 	// InstallCells indexes the shares and deletes the ids, and returns
-	// the encoded size of the request — the migration's measured
-	// transfer bytes, under one rule for every placement. Op batches
-	// handed to the slot afterwards are matched against the shares.
+	// the length of the request in the wire.AppendInstallCells layout —
+	// the migration's measured transfer bytes, under one rule for every
+	// placement. Op batches handed to the slot afterwards are matched
+	// against the shares.
 	InstallCells(cells []wire.CellPayload, deletes []uint64) (nbytes int64, err error)
 	// AdvanceWindow expires the slot's sliding windows up to now, after
 	// every op batch handed to it before the call.
@@ -93,12 +94,12 @@ func (l *localWorker) ExtractCells(cells []wire.CellSpec, remove, subs bool) (wi
 
 func (l *localWorker) InstallCells(cells []wire.CellPayload, deletes []uint64) (int64, error) {
 	req := wire.InstallCells{Cells: cells, Deletes: deletes}
-	// Encoded only to be measured: the engine indexes the request itself.
-	payload, err := wire.EncodePayload(req)
-	if err != nil {
-		return 0, err
-	}
-	n := int64(len(payload))
+	// Measured in the layout a remote slot would receive it in; the
+	// engine indexes the request itself.
+	buf := wire.GetBuf()
+	buf.B = wire.AppendInstallCells(buf.B, req)
+	n := int64(len(buf.B))
+	wire.PutBuf(buf)
 	l.mu.Lock()
 	if l.wireRate > 0 {
 		time.Sleep(time.Duration(float64(n) / l.wireRate * float64(time.Second)))

@@ -1,8 +1,8 @@
 // Remote task placement: the coordinator side of a multi-process
 // deployment. A worker or merger task can run out-of-process (a psnode,
 // internal/node); the hop to a worker is a wire.WorkerClient session, the
-// hop to a merger a stream.Transport backed by wire.MergerClient, and the
-// bolts below forward the task's traffic across them. In-process channels
+// hop to a merger a wire.MergerClient connection, and the bolts below
+// forward the task's traffic across them. In-process channels
 // stay the default fast path — only the tasks listed in
 // Config.RemoteWorkers/RemoteMergers leave the process.
 package core
@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"ps2stream/internal/index/grid"
@@ -21,13 +20,6 @@ import (
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
-
-// remoteMergerCounter is the optional Transport extension the Drain
-// barrier uses for remote mergers: cumulative delivered/duplicate
-// counts covering every match batch sent before the call.
-type remoteMergerCounter interface {
-	Counts() (delivered, duplicates int64, err error)
-}
 
 // ErrRemoteTask is returned for RemoteWorkers/RemoteMergers keys
 // outside the topology's task range.
@@ -45,35 +37,6 @@ var ErrRemoteConfigMismatch = errors.New("core: remote worker handshake disagree
 // term statistics, without which gridt/GI2 cell ids cannot agree
 // across processes.
 var ErrNilSample = errors.New("core: remote connection requires a non-nil workload sample")
-
-// wireMergerTransport adapts a wire.MergerClient to stream.Transport
-// (forward direction only: mergers send nothing back but counters).
-type wireMergerTransport struct {
-	c      *wire.MergerClient
-	sendMu sync.Mutex
-	ms     []wire.MatchEnv
-}
-
-func (t *wireMergerTransport) Send(batch []stream.Tuple) error {
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	// SendMatches encodes before queueing (the bytes are copied into a
-	// pooled frame buffer before it returns), so the scratch is reusable
-	// across calls — no per-batch slice allocation on the hot path.
-	t.ms = t.ms[:0]
-	for i := range batch {
-		t.ms = append(t.ms, batch[i].Value.(wire.MatchEnv))
-	}
-	return t.c.SendMatches(wire.MatchBatch{Matches: t.ms})
-}
-
-func (t *wireMergerTransport) Recv() ([]stream.Tuple, error) { return nil, io.EOF }
-func (t *wireMergerTransport) CloseSend() error              { return t.c.CloseSend() }
-func (t *wireMergerTransport) Close() error                  { return t.c.Close() }
-
-func (t *wireMergerTransport) Counts() (delivered, duplicates int64, err error) {
-	return t.c.Counts()
-}
 
 // RemoteHello assembles the coordinator handshake for task `task`: the
 // grid geometry and sampled term statistics every process must share
@@ -101,19 +64,15 @@ func (c *Config) RemoteHello(task int, sample *partition.Sample) wire.Hello {
 		// so a runtime join agrees on cell ids.
 		workers += c.SpareWorkers
 	}
-	streams := c.WireStreams
+	// One data connection per dispatcher: batches round-robin whole
+	// across the streams (one frame per transfer batch), so
+	// dispatcher-many streams keep every dispatcher's writer busy without
+	// over-subscribing small deployments.
+	streams := c.Dispatchers
 	if streams <= 0 {
-		// Default to one data connection per dispatcher: batches
-		// round-robin whole across the streams (one frame per transfer
-		// batch), so dispatcher-many streams keep every dispatcher's
-		// writer busy without over-subscribing small deployments.
-		if streams = c.Dispatchers; streams <= 0 {
-			streams = 4
-		}
+		streams = 4
 	}
-	if streams > wire.MaxStreams {
-		streams = wire.MaxStreams
-	}
+	streams = min(streams, wire.MaxStreams)
 	h := wire.Hello{
 		Role:        wire.RoleCoordinator,
 		Task:        task,
@@ -184,34 +143,21 @@ func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, 
 	return nil
 }
 
-// RemoteWorkerSummary describes the negotiated transport of the wire-
-// connected remote workers for startup logs: how many hops run the
-// binary multi-stream session and how many fell back to the legacy gob
-// protocol (an old peer on the other side).
+// RemoteWorkerSummary describes the wire-connected remote workers for
+// startup logs: how many hops, and how many data streams each runs.
 func (c *Config) RemoteWorkerSummary() string {
-	var binary, legacy, streams int
-	for _, cl := range c.RemoteWorkers {
-		if cl.Codec() == wire.CodecBinary && cl.Streams() > 0 {
-			binary++
-			streams = cl.Streams()
-		} else {
-			legacy++
-		}
-	}
-	switch {
-	case binary == 0 && legacy == 0:
+	if len(c.RemoteWorkers) == 0 {
 		return "no wire-connected workers"
-	case legacy == 0:
-		return fmt.Sprintf("%d hops on the binary codec, %d data streams each", binary, streams)
-	case binary == 0:
-		return fmt.Sprintf("%d hops on legacy gob (old peers)", legacy)
-	default:
-		return fmt.Sprintf("%d hops on the binary codec (%d streams), %d on legacy gob", binary, streams, legacy)
 	}
+	var streams int
+	for _, cl := range c.RemoteWorkers {
+		streams = cl.Streams()
+	}
+	return fmt.Sprintf("%d hops, %d data streams each", len(c.RemoteWorkers), streams)
 }
 
 // ConnectRemoteMergers dials one merger node per address and installs
-// the transports as merger tasks 0..len(addrs)-1. An unset Mergers
+// the connections as merger tasks 0..len(addrs)-1. An unset Mergers
 // becomes len(addrs) — every merger task remote, so the whole match
 // stream is delivered on the merger nodes; set Mergers explicitly for
 // mixed placement (the surplus tasks' hash shares then deliver locally
@@ -227,7 +173,7 @@ func (c *Config) ConnectRemoteMergers(addrs []string, sample *partition.Sample, 
 		c.Mergers = len(addrs)
 	}
 	if c.RemoteMergers == nil {
-		c.RemoteMergers = make(map[int]stream.Transport, len(addrs))
+		c.RemoteMergers = make(map[int]*wire.MergerClient, len(addrs))
 	}
 	dialed := make([]int, 0, len(addrs))
 	for i, addr := range addrs {
@@ -241,7 +187,7 @@ func (c *Config) ConnectRemoteMergers(addrs []string, sample *partition.Sample, 
 			}
 			return fmt.Errorf("core: connecting merger %d at %s: %w", i, addr, err)
 		}
-		c.RemoteMergers[i] = &wireMergerTransport{c: cl}
+		c.RemoteMergers[i] = cl
 		dialed = append(dialed, i)
 	}
 	return nil
@@ -284,8 +230,8 @@ func (s *System) closeRemoteTransports() {
 			tr.Close()
 		}
 	}
-	for _, tr := range s.cfg.RemoteMergers {
-		tr.Close()
+	for _, cl := range s.cfg.RemoteMergers {
+		cl.Close()
 	}
 }
 
@@ -503,17 +449,24 @@ func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 }
 
 // remoteMergerBolt stands in for an out-of-process merger task: it
-// forwards its hash share of the match stream across the transport.
+// forwards its hash share of the match stream across the wire.
 // Deduplication, delivery and the delivered counters happen on the
 // remote node (see Drain and RemoteDelivered).
 type remoteMergerBolt struct {
 	task int
-	tr   stream.Transport
+	cl   *wire.MergerClient
+	// ms is the batch's envelope scratch: SendMatches encodes before it
+	// returns, so it is reusable across batches.
+	ms []wire.MatchEnv
 }
 
 // ProcessBatch implements stream.BatchBolt.
 func (r *remoteMergerBolt) ProcessBatch(ts []stream.Tuple, _ stream.Collector) {
-	if err := r.tr.Send(ts); err != nil {
+	r.ms = r.ms[:0]
+	for i := range ts {
+		r.ms = append(r.ms, ts[i].Value.(wire.MatchEnv))
+	}
+	if err := r.cl.SendMatches(wire.MatchBatch{Matches: r.ms}); err != nil {
 		panic(fmt.Sprintf("remote merger %d: %v", r.task, err))
 	}
 }
@@ -524,22 +477,13 @@ func (r *remoteMergerBolt) Process(tu stream.Tuple, c stream.Collector) {
 }
 
 // Close implements the engine's io.Closer hook.
-func (r *remoteMergerBolt) Close() error {
-	if cs, ok := r.tr.(stream.SendCloser); ok {
-		return cs.CloseSend()
-	}
-	return r.tr.Close()
-}
+func (r *remoteMergerBolt) Close() error { return r.cl.CloseSend() }
 
 // RemoteDelivered sums the delivered/duplicate counters of every remote
 // merger (one control round trip each). Zeroes with no remote mergers.
 func (s *System) RemoteDelivered() (delivered, duplicates int64, err error) {
-	for task, tr := range s.cfg.RemoteMergers {
-		rc, ok := tr.(remoteMergerCounter)
-		if !ok {
-			continue
-		}
-		d, dup, cerr := rc.Counts()
+	for task, cl := range s.cfg.RemoteMergers {
+		d, dup, cerr := cl.Counts()
 		if cerr != nil {
 			return delivered, duplicates, fmt.Errorf("core: remote merger %d counts: %w", task, cerr)
 		}

@@ -293,6 +293,97 @@ func TestRemoteMigrateShareBothDirections(t *testing.T) {
 	}
 }
 
+// TestMigrationBytesSameForBothPlacements: MigrationStat.Bytes is the
+// length of the share in the one wire.AppendInstallCells layout, whether
+// the destination slot is an in-process engine or a psnode behind a hop,
+// and ps2_migrated_bytes_total counts exactly that.
+func TestMigrationBytesSameForBothPlacements(t *testing.T) {
+	spec := workload.TweetsUS()
+	spec.VocabSize = 2000
+	sample := workload.Sample(spec, workload.Q1, 2000, 400, 9)
+	warm := workload.NewStream(spec, workload.Q1, workload.StreamConfig{Mu: 300, Seed: 9}).Prewarm(300)
+
+	cfg := Config{Dispatchers: 1, Workers: 2, Mergers: 1, Builder: hybrid.Builder{}}
+	addrs, _ := startMigratingWorkerNodes(t, 1) // worker task 0 remote, task 1 local
+	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.SubmitAll(warm)
+	if err := sys.Drain(int64(len(warm))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sys.slots[0].(*workerHop); !ok {
+		t.Fatalf("slot 0 is a %T, want a hop", sys.slots[0])
+	}
+	if _, ok := sys.slots[1].(*localWorker); !ok {
+		t.Fatalf("slot 1 is a %T, want an in-process worker", sys.slots[1])
+	}
+
+	stats, err := sys.slots[1].CellStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := sys.collectShares(stats)
+	if len(shares) == 0 {
+		t.Fatal("worker 1 has no migratable cells")
+	}
+	best := shares[0]
+	for _, sh := range shares[1:] {
+		if sh.Queries > best.Queries {
+			best = sh
+		}
+	}
+	share, err := sys.slots[1].ExtractCells([]wire.CellSpec{{Cell: best.Cell}}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(wire.AppendInstallCells(nil, wire.InstallCells{Cells: share.Cells})))
+	if len(share.Cells) != 1 || len(share.Cells[0].Queries) == 0 {
+		t.Fatalf("vacuous: copied share %+v", share.Cells)
+	}
+	// Installing a share twice is harmless, so the copy can go to both.
+	for task, slot := range sys.slots {
+		got, err := slot.InstallCells(share.Cells, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("slot %d (%T) reports %d bytes for the share, want %d", task, slot, got, want)
+		}
+	}
+
+	// A migration of the same cell prices it the same way, and the metric
+	// advances by what the migration recorded.
+	metric := func() int64 {
+		for _, js := range sys.registry.Gather() {
+			if js.Name == "ps2_migrated_bytes_total" {
+				return int64(*js.Value)
+			}
+		}
+		t.Fatal("no ps2_migrated_bytes_total series")
+		return 0
+	}
+	before := metric()
+	moved, nbytes, ok := sys.migrateShare(1, 0, best.Cell)
+	if !ok || moved != len(share.Cells[0].Queries) || nbytes != want {
+		t.Fatalf("migrateShare = %d queries / %d bytes / ok=%v, want %d / %d", moved, nbytes, ok, len(share.Cells[0].Queries), want)
+	}
+	sys.recordMigration(MigrationStat{Bytes: nbytes, Cells: 1, QueriesMoved: moved, From: 1, To: 0})
+	if got := metric() - before; got != want {
+		t.Errorf("ps2_migrated_bytes_total advanced by %d, want %d", got, want)
+	}
+	sys.Quiesce(int64(len(warm)))
+	sys.processPendingExtracts()
+}
+
 // TestRemoteHotspotShiftDetectorFires pins the node-reported load path:
 // with every worker remote, the controller's only view of per-worker
 // load is the counters the nodes report over the stats round — if that

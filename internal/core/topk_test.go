@@ -469,7 +469,11 @@ func TestTopKSurvivesGlobalRepartition(t *testing.T) {
 		}})
 		submitted++
 	}
-	drain(sys, submitted)
+	// The barrier that settles deltas: the drain helper's op counters can
+	// all agree before the last delta has reached the board.
+	if err := sys.Drain(submitted); err != nil {
+		t.Fatal(err)
+	}
 	before := sys.TopKSet(q.ID)
 	if len(before) != 2 {
 		t.Fatalf("top-2 before repartition is %v", before)

@@ -111,8 +111,8 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 	// Config.RemoteMergers forwards its hash share across the wire
 	// instead; the remote node dedups and delivers.
 	t.AddBolt("merger", func(task int) stream.Bolt {
-		if tr := s.cfg.RemoteMergers[task]; tr != nil {
-			return &remoteMergerBolt{task: task, tr: tr}
+		if cl := s.cfg.RemoteMergers[task]; cl != nil {
+			return &remoteMergerBolt{task: task, cl: cl}
 		}
 		return newMerger(s)
 	}, s.cfg.Mergers).Fields(streamMatches, func(tu stream.Tuple) uint64 {

@@ -1,7 +1,6 @@
 // Package faultnet is a deterministic fault-injection layer for the
-// wire protocol: it wraps a net.Conn (or a stream.Transport) and
-// injects seeded drop, delay and duplicate faults at *frame*
-// boundaries. The chaos cluster test and the core oracle tests drive
+// wire protocol: it wraps a net.Conn and injects seeded drop, delay and
+// duplicate faults at *frame* boundaries. The chaos cluster test and the core oracle tests drive
 // it to prove the recovery machinery — every schedule is a pure
 // function of the seed, so a failing run replays exactly.
 //
@@ -14,10 +13,6 @@
 // broken stream (wire.ErrWorkerDown territory) rather than a gap,
 // which is exactly the failure the snapshot/op-log recovery path must
 // absorb without losing a match.
-//
-// The stream.Transport wrapper (Wrap) is the in-process harness for
-// unit tests; there pure drops are allowed, because the tests assert
-// the schedule itself, not end-to-end exactness.
 package faultnet
 
 import (
@@ -33,9 +28,8 @@ type Config struct {
 	// derives its own rng from Seed, so the two directions' schedules
 	// are independent but both replayable.
 	Seed int64
-	// Drop is the probability a frame is discarded. On a net.Conn the
-	// drop also severs the connection (see package doc); on a
-	// stream.Transport the frame is silently lost.
+	// Drop is the probability a frame is discarded; the drop also severs
+	// the connection (see package doc).
 	Drop float64
 	// Delay is the probability a frame is held back before delivery,
 	// for a uniform duration in (0, DelayMax].

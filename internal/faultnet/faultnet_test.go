@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"ps2stream/internal/stream"
 )
 
 // drawSchedule materialises the first n verdicts of one direction.
@@ -72,90 +70,6 @@ func TestSkipFramesShiftsSchedule(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain[skipped.SkipFrames:], shift[skipped.SkipFrames:]) {
 		t.Fatal("verdicts after the skip window diverge from the unskipped schedule")
-	}
-}
-
-// deliveredIDs sends n uniquely-valued batches through a faulted end of
-// a chan pair and returns, in order, the values the clean peer received
-// (duplicates included).
-func deliveredIDs(t *testing.T, cfg Config, n int) []int {
-	t.Helper()
-	a, b := stream.NewChanPair(2 * n)
-	ft := Wrap(a, cfg)
-	for i := 0; i < n; i++ {
-		if err := ft.Send([]stream.Tuple{{Value: i}}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	if err := ft.CloseSend(); err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	for {
-		batch, err := b.Recv()
-		if errors.Is(err, io.EOF) {
-			return got
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tp := range batch {
-			got = append(got, tp.Value.(int))
-		}
-	}
-}
-
-func TestTransportScheduleReplaysExactly(t *testing.T) {
-	cfg := Config{Seed: 5, Drop: 0.3, Dup: 0.3}
-	first := deliveredIDs(t, cfg, 100)
-	if len(first) == 100 {
-		t.Fatal("schedule injected no faults across 100 frames at p=0.3")
-	}
-	if again := deliveredIDs(t, cfg, 100); !reflect.DeepEqual(first, again) {
-		t.Fatalf("same seed delivered different sequences:\n%v\n%v", first, again)
-	}
-	if other := deliveredIDs(t, Config{Seed: 6, Drop: 0.3, Dup: 0.3}, 100); reflect.DeepEqual(first, other) {
-		t.Fatal("different seed replayed the same delivery sequence")
-	}
-}
-
-func TestTransportDropIsSilent(t *testing.T) {
-	got := deliveredIDs(t, Config{Seed: 1, Drop: 1}, 5)
-	if len(got) != 0 {
-		t.Fatalf("Drop=1 still delivered %v", got)
-	}
-}
-
-func TestTransportDupDeliversTwice(t *testing.T) {
-	got := deliveredIDs(t, Config{Seed: 1, Dup: 1}, 3)
-	want := []int{0, 0, 1, 1, 2, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Dup=1 delivered %v, want %v", got, want)
-	}
-}
-
-// TestTransportRecvSideFaults drives the receive-direction schedule:
-// the faulted end is the *receiver*, the clean peer the sender.
-func TestTransportRecvSideFaults(t *testing.T) {
-	a, b := stream.NewChanPair(16)
-	ft := Wrap(a, Config{Seed: 1, Dup: 1})
-	for i := 0; i < 2; i++ {
-		if err := b.Send([]stream.Tuple{{Value: i}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []int
-	for len(got) < 4 {
-		batch, err := ft.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tp := range batch {
-			got = append(got, tp.Value.(int))
-		}
-	}
-	if want := []int{0, 0, 1, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("recv-side Dup=1 yielded %v, want %v", got, want)
 	}
 }
 

@@ -118,26 +118,14 @@ func (m *Merger) serveConn(conn *wire.Conn) (clean bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	// Negotiate the match-batch codec: binary when the dialler speaks
-	// it, gob for a pre-negotiation peer. Mergers have no data streams
-	// to grant — one connection per upstream task keeps dedup windows
-	// per-connection — so Streams stays zero.
-	codec := wire.CodecGob
-	if hello.Codec >= wire.CodecBinary {
-		codec = wire.CodecBinary
-	}
-	wel := wire.Welcome{
-		Magic: wire.Magic, Version: wire.Version, Role: wire.RoleMerger,
-		Task: hello.Task, Codec: codec,
-	}
-	if err := conn.Send(wire.TypeWelcome, wel); err != nil {
+	// Mergers have no data streams to grant: one connection per upstream
+	// task keeps dedup windows per-connection.
+	if err := conn.Send(wire.Welcome{Role: wire.RoleMerger, Task: hello.Task}); err != nil {
 		return false, err
 	}
 	win := dedup.NewWindow(m.opts.DedupWindow)
 	var delivered, duplicates int64 // this session's share
-	// Decode scratch reused across batches (binary codec only; gob
-	// allocates its own).
-	var scratch []wire.MatchEnv
+	var matches []wire.MatchEnv     // decode scratch reused across batches
 	for {
 		typ, payload, err := conn.Recv()
 		if err != nil {
@@ -145,16 +133,7 @@ func (m *Merger) serveConn(conn *wire.Conn) (clean bool, err error) {
 		}
 		switch typ {
 		case wire.TypeMatchBatch:
-			var matches []wire.MatchEnv
-			if codec == wire.CodecBinary {
-				scratch, err = wire.DecodeBinMatchBatch(payload, scratch[:0])
-				matches = scratch
-			} else {
-				var mb wire.MatchBatch
-				err = wire.DecodePayload(payload, &mb)
-				matches = mb.Matches
-			}
-			if err != nil {
+			if matches, err = wire.DecodeBinMatchBatch(payload, matches[:0]); err != nil {
 				return false, err
 			}
 			for i := range matches {
@@ -171,25 +150,25 @@ func (m *Merger) serveConn(conn *wire.Conn) (clean bool, err error) {
 				m.delivered.Add(1)
 			}
 		case wire.TypeStatsReq:
-			var sr wire.StatsReq
-			if err := wire.DecodePayload(payload, &sr); err != nil {
+			sr, err := wire.DecodeBinStatsReq(payload)
+			if err != nil {
 				return false, err
 			}
 			reply := wire.StatsReply{Seq: sr.Seq, Delivered: delivered, Duplicates: duplicates}
-			if err := conn.Send(wire.TypeStatsReply, reply); err != nil {
+			if err := conn.Send(reply); err != nil {
 				return false, err
 			}
 		case wire.TypeDrain:
-			d, err := decodeDrain(payload, codec)
+			d, err := wire.DecodeBinDrain(payload)
 			if err != nil {
 				return false, err
 			}
 			ack := wire.DrainAck{Seq: d.Seq, Emitted: delivered, Duplicates: duplicates}
-			if err := sendDrainAck(conn, codec, ack); err != nil {
+			if err := conn.Send(ack); err != nil {
 				return false, err
 			}
 		case wire.TypeGoodbye:
-			_ = conn.Send(wire.TypeGoodbye, wire.Goodbye{})
+			_ = conn.Send(wire.Goodbye{})
 			return true, nil
 		default:
 			m.opts.Log.printf("merger: skipping unknown frame type %d", typ)

@@ -46,13 +46,12 @@ type WorkerOptions struct {
 	Once bool
 }
 
-// workerSession is one multi-stream coordinator session: the control
-// connection that created it plus the data connections attached to its
-// SessionID. The done/emitted counters implement the session op barrier
-// (wire.Drain.Ops) that replaces cross-connection FIFO ordering.
+// workerSession is one coordinator session: the control connection that
+// created it plus the data connections attached to its SessionID. The
+// done/emitted counters implement the session op barrier
+// (wire.Drain.Ops), since FIFO does not span the connections.
 type workerSession struct {
 	id      uint64
-	codec   int
 	streams int
 
 	// done counts ops fully processed — each data loop adds a batch's
@@ -88,8 +87,8 @@ type workerSession struct {
 }
 
 // newWorkerSession builds a session with its turnstile initialised.
-func newWorkerSession(id uint64, codec, streams int) *workerSession {
-	s := &workerSession{id: id, codec: codec, streams: streams}
+func newWorkerSession(id uint64, streams int) *workerSession {
+	s := &workerSession{id: id, streams: streams}
 	s.turnCond = sync.NewCond(&s.turnMu)
 	return s
 }
@@ -193,14 +192,12 @@ type Worker struct {
 	// geometry of the index, pinned by the first handshake.
 	hello *wire.Hello
 
-	// sess is the live multi-stream session (nil before the first
-	// negotiated handshake and for legacy single-connection sessions).
+	// sess is the live session (nil before the first handshake).
 	sessMu sync.Mutex
 	sess   *workerSession
 
 	done    atomic.Int64 // ops processed
 	emitted atomic.Int64 // matches emitted
-	deltasN atomic.Int64 // window deltas emitted
 	epoch   atomic.Uint64
 	// fence is the highest coordinator session epoch accepted so far. A
 	// hello carrying a lower epoch is a stale coordinator session (the
@@ -241,8 +238,8 @@ func (w *Worker) stats() wire.StatsReply {
 
 // Serve accepts coordinator connections on ln until ctx is cancelled
 // (or, with Once, until a control session ends cleanly). Connections are
-// served concurrently: a multi-stream session is one control connection
-// plus its data connections, all live at once. The index itself stays
+// served concurrently: a session is one control connection plus its data
+// connections, all live at once. The index itself stays
 // single-writer per batch under the worker mutex.
 func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
 	go func() {
@@ -299,8 +296,7 @@ func geometryEqual(a, b *wire.Hello) bool {
 
 // serveConn dispatches one accepted connection: a data connection
 // attaches to the session its Hello names, a control connection (Stream
-// 0, also every pre-negotiation coordinator) runs a session. clean
-// reports a Goodbye-terminated control session.
+// 0) runs a session. clean reports a Goodbye-terminated control session.
 func (w *Worker) serveConn(conn *wire.Conn) (clean bool, err error) {
 	defer conn.Close()
 	hello, err := recvHello(conn)
@@ -315,6 +311,10 @@ func (w *Worker) serveConn(conn *wire.Conn) (clean bool, err error) {
 
 // serveControl runs one coordinator session's control connection.
 func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, err error) {
+	if hello.Streams <= 0 || hello.SessionID == 0 {
+		return false, refuse(conn, fmt.Errorf("node: control hello with %d data streams and session id %d, want both nonzero",
+			hello.Streams, hello.SessionID))
+	}
 	// Session fencing: refuse epochs below the highest accepted one.
 	// Equal epochs are allowed — a retried dial of the same session is
 	// not stale. The CAS loop publishes the new high-water mark before
@@ -364,39 +364,22 @@ func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, er
 	}
 	w.mu.Unlock()
 
-	// Negotiate the session shape: the binary codec and a multi-stream
-	// session go together, and both require the coordinator to have
-	// asked (SessionID and Streams are zero from a pre-negotiation
-	// peer, which pins the session to single-connection gob).
-	codec, streams := wire.CodecGob, 0
-	if hello.SessionID != 0 && hello.Streams > 0 && hello.Codec >= wire.CodecBinary {
-		codec = wire.CodecBinary
-		streams = hello.Streams
-		if streams > wire.MaxStreams {
-			streams = wire.MaxStreams
-		}
+	streams := min(hello.Streams, wire.MaxStreams)
+	sess := newWorkerSession(hello.SessionID, streams)
+	// Register before the Welcome: the coordinator attaches data
+	// connections only after reading it, so the session must be findable
+	// by then. A still-live previous session is superseded — its
+	// coordinator is gone or reconnecting.
+	w.sessMu.Lock()
+	old := w.sess
+	w.sess = sess
+	w.sessMu.Unlock()
+	if old != nil {
+		old.close()
 	}
-	var sess *workerSession
-	if streams > 0 {
-		sess = newWorkerSession(hello.SessionID, codec, streams)
-		// Register before the Welcome: the coordinator attaches data
-		// connections only after reading it, so the session must be
-		// findable by then. A still-live previous session is superseded —
-		// its coordinator is gone or reconnecting.
-		w.sessMu.Lock()
-		old := w.sess
-		w.sess = sess
-		w.sessMu.Unlock()
-		if old != nil {
-			old.close()
-		}
-		defer sess.close()
-	}
-	wel := wire.Welcome{
-		Magic: wire.Magic, Version: wire.Version, Role: wire.RoleWorker,
-		Task: hello.Task, Codec: codec, Streams: streams,
-	}
-	if err := conn.Send(wire.TypeWelcome, wel); err != nil {
+	defer sess.close()
+	wel := wire.Welcome{Role: wire.RoleWorker, Task: hello.Task, Streams: streams}
+	if err := conn.Send(wel); err != nil {
 		return false, err
 	}
 
@@ -417,7 +400,7 @@ func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, er
 				case <-stop:
 					return
 				case <-t.C:
-					if conn.Send(wire.TypePing, wire.Ping{}) != nil {
+					if conn.Send(wire.Ping{}) != nil {
 						return
 					}
 				}
@@ -425,17 +408,13 @@ func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, er
 		}()
 	}
 
-	if sess != nil {
-		return w.controlLoop(conn, sess)
-	}
-	return w.legacyLoop(conn)
+	return w.controlLoop(conn, sess)
 }
 
-// controlLoop serves a multi-stream session's control connection: the
-// barrier rounds (drain, stats, migration) and session teardown. Op
-// batches arrive on the session's data connections, so every round that
-// used to rely on single-connection FIFO first awaits the session op
-// barrier its request carries.
+// controlLoop serves a session's control connection: the barrier rounds
+// (drain, stats, migration) and session teardown. Op batches arrive on
+// the session's data connections, so every round that must observe them
+// first awaits the session op barrier its request carries.
 func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, err error) {
 	eng := w.eng.Load()
 	for {
@@ -445,7 +424,7 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 		}
 		switch typ {
 		case wire.TypeDrain:
-			d, err := decodeDrain(payload, sess.codec)
+			d, err := wire.DecodeBinDrain(payload)
 			if err != nil {
 				return false, err
 			}
@@ -454,61 +433,59 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 			}
 			// The barrier counted the ops; flushing the writers puts the
 			// matches those ops produced on the wire before the ack, so
-			// the coordinator can treat "ack received" as "matches
-			// received" exactly as it could under FIFO.
+			// the coordinator can wait for exactly the ack's Emitted.
 			if err := sess.flushWriters(); err != nil {
 				return false, err
 			}
 			ack := wire.DrainAck{Seq: d.Seq, Done: sess.done.Load(), Emitted: sess.emitted.Load(), Deltas: sess.deltas.Load()}
-			if err := sendDrainAck(conn, sess.codec, ack); err != nil {
+			if err := conn.Send(ack); err != nil {
 				return false, err
 			}
 		case wire.TypeStatsReq:
-			var sr wire.StatsReq
-			if err := wire.DecodePayload(payload, &sr); err != nil {
+			sr, err := wire.DecodeBinStatsReq(payload)
+			if err != nil {
 				return false, err
 			}
 			if err := w.awaitOps(sess, sr.Ops); err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeStatsReply, w.statsReply(sr.Seq)); err != nil {
+			if err := conn.Send(w.statsReply(sr.Seq)); err != nil {
 				return false, err
 			}
 		case wire.TypeCellStatsReq:
-			var cr wire.CellStatsReq
-			if err := wire.DecodePayload(payload, &cr); err != nil {
+			cr, err := wire.DecodeBinCellStatsReq(payload)
+			if err != nil {
 				return false, err
 			}
 			if err := w.awaitOps(sess, cr.Ops); err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeCellStatsReply, wire.CellStatsReply{Seq: cr.Seq, Cells: eng.CellStats()}); err != nil {
+			if err := conn.Send(wire.CellStatsReply{Seq: cr.Seq, Cells: eng.CellStats()}); err != nil {
 				return false, err
 			}
 		case wire.TypeExtractCells:
-			var ex wire.ExtractCells
-			if err := wire.DecodePayload(payload, &ex); err != nil {
+			ex, err := wire.DecodeBinExtractCells(payload)
+			if err != nil {
 				return false, err
 			}
 			// The migration barrier: the share must reflect every op
-			// batch the coordinator sent before the request, which the
-			// session op barrier guarantees where FIFO no longer can.
+			// batch the coordinator sent before the request.
 			if err := w.awaitOps(sess, ex.Ops); err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeCellShare, eng.ExtractCells(ex)); err != nil {
+			if err := conn.Send(eng.ExtractCells(ex)); err != nil {
 				return false, err
 			}
 		case wire.TypeInstallCells:
-			var ic wire.InstallCells
-			if err := wire.DecodePayload(payload, &ic); err != nil {
+			ic, err := wire.DecodeBinInstallCells(payload)
+			if err != nil {
 				return false, err
 			}
-			if err := conn.Send(wire.TypeInstallAck, eng.InstallCells(ic)); err != nil {
+			if err := conn.Send(eng.InstallCells(ic)); err != nil {
 				return false, err
 			}
 		case wire.TypeAdvanceWindow:
-			a, err := decodeAdvanceWindow(payload, sess.codec)
+			a, err := wire.DecodeBinAdvanceWindow(payload)
 			if err != nil {
 				return false, err
 			}
@@ -519,11 +496,11 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 			if err := w.awaitOps(sess, a.Ops); err != nil {
 				return false, err
 			}
-			if err := sendAdvanceAck(conn, sess.codec, eng.AdvanceWindow(a)); err != nil {
+			if err := conn.Send(eng.AdvanceWindow(a)); err != nil {
 				return false, err
 			}
 		case wire.TypeFence:
-			f, err := decodeFence(payload, sess.codec)
+			f, err := wire.DecodeBinFence(payload)
 			if err != nil {
 				return false, err
 			}
@@ -537,7 +514,7 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 			// goes away. Bounded: a data connection that already died
 			// never says goodbye.
 			waitTimeout(&sess.dataWG, 10*time.Second)
-			_ = conn.Send(wire.TypeGoodbye, wire.Goodbye{})
+			_ = conn.Send(wire.Goodbye{})
 			return true, nil
 		default:
 			w.opts.Log.printf("worker: skipping unknown frame type %d", typ)
@@ -545,153 +522,27 @@ func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, 
 	}
 }
 
-// legacyLoop serves a pre-negotiation coordinator: every frame kind on
-// one gob connection, ordered by FIFO. Drain acks report THIS session's
-// progress, not the node's lifetime counters: after a crash recovery
-// the coordinator already accounts for matches received in dead
-// sessions, so a cumulative ack would double-count them against its
-// drain barrier.
-func (w *Worker) legacyLoop(conn *wire.Conn) (clean bool, err error) {
-	eng := w.eng.Load()
-	done0, emitted0, deltas0 := w.done.Load(), w.emitted.Load(), w.deltasN.Load()
-
-	// Match and delta scratch reused across batches; capacity follows
-	// the largest batch seen.
-	var matches []wire.MatchEnv
-	var deltas []window.Delta
-	for {
-		typ, payload, err := conn.Recv()
-		if err != nil {
-			return false, err
-		}
-		switch typ {
-		case wire.TypeOpBatch:
-			var ob wire.OpBatch
-			if err := wire.DecodePayload(payload, &ob); err != nil {
-				return false, err
-			}
-			var epoch uint64
-			matches, deltas, epoch = w.processOps(ob.Ops, matches[:0], deltas[:0])
-			if len(matches) > 0 {
-				if err := conn.Send(wire.TypeMatchBatch, wire.MatchBatch{Matches: matches}); err != nil {
-					return false, err
-				}
-			}
-			if len(deltas) > 0 {
-				if err := conn.Send(wire.TypeWindowDeltaBatch, wire.WindowDeltaBatch{Epoch: epoch, Deltas: deltas}); err != nil {
-					return false, err
-				}
-			}
-		case wire.TypeDrain:
-			var d wire.Drain
-			if err := wire.DecodePayload(payload, &d); err != nil {
-				return false, err
-			}
-			// Frames are FIFO and this loop is single-threaded, so every
-			// batch received before the Drain has been fully processed
-			// and its matches written before this ack.
-			ack := wire.DrainAck{
-				Seq: d.Seq, Done: w.done.Load() - done0,
-				Emitted: w.emitted.Load() - emitted0, Deltas: w.deltasN.Load() - deltas0,
-			}
-			if err := conn.Send(wire.TypeDrainAck, ack); err != nil {
-				return false, err
-			}
-		case wire.TypeStatsReq:
-			var sr wire.StatsReq
-			if err := wire.DecodePayload(payload, &sr); err != nil {
-				return false, err
-			}
-			if err := conn.Send(wire.TypeStatsReply, w.statsReply(sr.Seq)); err != nil {
-				return false, err
-			}
-		case wire.TypeCellStatsReq:
-			var cr wire.CellStatsReq
-			if err := wire.DecodePayload(payload, &cr); err != nil {
-				return false, err
-			}
-			if err := conn.Send(wire.TypeCellStatsReply, wire.CellStatsReply{Seq: cr.Seq, Cells: eng.CellStats()}); err != nil {
-				return false, err
-			}
-		case wire.TypeExtractCells:
-			var ex wire.ExtractCells
-			if err := wire.DecodePayload(payload, &ex); err != nil {
-				return false, err
-			}
-			// This loop is single-threaded and frames are FIFO, so the
-			// share reflects every op batch the coordinator sent before
-			// the request — the same barrier a local migration gets from
-			// the in-process drain counters.
-			if err := conn.Send(wire.TypeCellShare, eng.ExtractCells(ex)); err != nil {
-				return false, err
-			}
-		case wire.TypeInstallCells:
-			var ic wire.InstallCells
-			if err := wire.DecodePayload(payload, &ic); err != nil {
-				return false, err
-			}
-			if err := conn.Send(wire.TypeInstallAck, eng.InstallCells(ic)); err != nil {
-				return false, err
-			}
-		case wire.TypeAdvanceWindow:
-			var a wire.AdvanceWindow
-			if err := wire.DecodePayload(payload, &a); err != nil {
-				return false, err
-			}
-			// FIFO and single-threaded: every op batch sent before the
-			// round is already processed, the same barrier awaitOps gives
-			// a multi-stream session.
-			if err := conn.Send(wire.TypeAdvanceAck, eng.AdvanceWindow(a)); err != nil {
-				return false, err
-			}
-		case wire.TypeFence:
-			var f wire.Fence
-			if err := wire.DecodePayload(payload, &f); err != nil {
-				return false, err
-			}
-			w.epoch.Store(f.Epoch)
-		case wire.TypeResetWindow:
-			eng.ResetWindow()
-		case wire.TypeGoodbye:
-			// Acknowledge so the coordinator's read loop ends cleanly,
-			// then end the session.
-			_ = conn.Send(wire.TypeGoodbye, wire.Goodbye{})
-			return true, nil
-		default:
-			w.opts.Log.printf("worker: skipping unknown frame type %d", typ)
-		}
-	}
-}
-
-// serveData runs one data connection of a multi-stream session: binary
-// op batches in, binary match batches out through a pipelined writer.
+// serveData runs one data connection of a session: op batches in, match
+// and window delta batches out through a pipelined writer.
 func (w *Worker) serveData(conn *wire.Conn, hello wire.Hello) error {
 	w.sessMu.Lock()
 	sess := w.sess
 	w.sessMu.Unlock()
 	if sess == nil || sess.id != hello.SessionID || hello.Stream > sess.streams {
-		// Refuse with a Goodbye so the dialler fails fast (a protocol
-		// refusal) instead of burning its retry budget on a session that
-		// will never exist.
-		_ = conn.Send(wire.TypeGoodbye, wire.Goodbye{})
-		return fmt.Errorf("node: refusing data connection for session %d stream %d", hello.SessionID, hello.Stream)
+		return refuse(conn, fmt.Errorf("node: no session %d for data stream %d", hello.SessionID, hello.Stream))
 	}
 	fw := wire.NewFrameWriter(conn, 0)
 	defer fw.Stop()
 	if err := sess.attach(conn, fw); err != nil {
-		_ = conn.Send(wire.TypeGoodbye, wire.Goodbye{})
-		return err
+		return refuse(conn, err)
 	}
 	defer sess.dataWG.Done()
-	wel := wire.Welcome{
-		Magic: wire.Magic, Version: wire.Version, Role: wire.RoleWorker,
-		Task: hello.Task, Codec: sess.codec, Streams: sess.streams,
-	}
-	if err := conn.Send(wire.TypeWelcome, wel); err != nil {
+	wel := wire.Welcome{Role: wire.RoleWorker, Task: hello.Task, Streams: sess.streams}
+	if err := conn.Send(wel); err != nil {
 		return err
 	}
-	// Decode, match, and delta scratch reused across batches; the binary
-	// codec decodes into them without per-frame allocations.
+	// Decode, match, and delta scratch reused across batches; the codec
+	// decodes into them without per-frame allocations.
 	var ops []wire.OpEnv
 	var matches []wire.MatchEnv
 	var deltas []window.Delta
@@ -753,7 +604,7 @@ func (w *Worker) serveData(conn *wire.Conn, hello wire.Hello) error {
 				sess.close()
 				return err
 			}
-			_ = conn.Send(wire.TypeGoodbye, wire.Goodbye{})
+			_ = conn.Send(wire.Goodbye{})
 			return nil
 		case wire.TypePing:
 		default:
@@ -763,8 +614,8 @@ func (w *Worker) serveData(conn *wire.Conn, hello wire.Hello) error {
 }
 
 // awaitOps blocks until the session has processed at least ops
-// operations — the multi-stream stand-in for FIFO request ordering. Zero
-// waives the barrier (nothing sent yet, or a legacy-style request).
+// operations — the session's stand-in for FIFO request ordering. Zero
+// means nothing has been sent yet.
 func (w *Worker) awaitOps(sess *workerSession, ops int64) error {
 	if ops <= 0 {
 		return nil
@@ -787,60 +638,6 @@ func (w *Worker) statsReply(seq uint64) wire.StatsReply {
 	sr := w.stats()
 	sr.Seq, sr.Delivered = seq, w.emitted.Load()
 	return sr
-}
-
-// decodeDrain decodes a Drain frame by the session codec.
-func decodeDrain(payload []byte, codec int) (wire.Drain, error) {
-	if codec == wire.CodecBinary {
-		return wire.DecodeBinDrain(payload)
-	}
-	var d wire.Drain
-	err := wire.DecodePayload(payload, &d)
-	return d, err
-}
-
-// decodeAdvanceWindow decodes an AdvanceWindow frame by the session codec.
-func decodeAdvanceWindow(payload []byte, codec int) (wire.AdvanceWindow, error) {
-	if codec == wire.CodecBinary {
-		return wire.DecodeBinAdvanceWindow(payload)
-	}
-	var a wire.AdvanceWindow
-	err := wire.DecodePayload(payload, &a)
-	return a, err
-}
-
-// sendAdvanceAck encodes an AdvanceAck by the session codec.
-func sendAdvanceAck(conn *wire.Conn, codec int, ack wire.AdvanceAck) error {
-	if codec == wire.CodecBinary {
-		buf := wire.GetBuf()
-		buf.B = wire.AppendAdvanceAck(buf.B, ack)
-		err := conn.SendPayload(wire.TypeAdvanceAck, buf.B)
-		wire.PutBuf(buf)
-		return err
-	}
-	return conn.Send(wire.TypeAdvanceAck, ack)
-}
-
-// decodeFence decodes a Fence frame by the session codec.
-func decodeFence(payload []byte, codec int) (wire.Fence, error) {
-	if codec == wire.CodecBinary {
-		return wire.DecodeBinFence(payload)
-	}
-	var f wire.Fence
-	err := wire.DecodePayload(payload, &f)
-	return f, err
-}
-
-// sendDrainAck encodes a DrainAck by the session codec.
-func sendDrainAck(conn *wire.Conn, codec int, ack wire.DrainAck) error {
-	if codec == wire.CodecBinary {
-		buf := wire.GetBuf()
-		buf.B = wire.AppendDrainAck(buf.B, ack)
-		err := conn.SendPayload(wire.TypeDrainAck, buf.B)
-		wire.PutBuf(buf)
-		return err
-	}
-	return conn.Send(wire.TypeDrainAck, ack)
 }
 
 // waitTimeout waits on wg for at most d; false reports a timeout.
@@ -867,34 +664,39 @@ func (w *Worker) processOps(ops []wire.OpEnv, out []wire.MatchEnv, dout []window
 	out, dout, epoch := w.eng.Load().Process(ops, out, dout)
 	w.done.Add(int64(len(ops)))
 	w.emitted.Add(int64(len(out)))
-	w.deltasN.Add(int64(len(dout)))
 	return out, dout, epoch
 }
 
 // recvHello performs the receiving half of the handshake: the Hello
 // frame, validated. The caller answers with a Welcome once it has
-// negotiated the session shape (codec, streams) — and, for multi-stream
-// sessions, registered the session, so a data connection racing the
-// Welcome finds it.
+// registered the session, so a data connection racing the Welcome finds
+// it. A first frame that is not a coordinator's Hello in this tree's
+// layout — a version-1 gob peer's, for one — is refused.
 func recvHello(conn *wire.Conn) (wire.Hello, error) {
 	typ, payload, err := conn.RecvTimeout(wire.DefaultHandshakeTimeout)
 	if err != nil {
 		return wire.Hello{}, fmt.Errorf("node: awaiting hello: %w", err)
 	}
 	if typ != wire.TypeHello {
-		return wire.Hello{}, fmt.Errorf("node: first frame has type %d, want hello", typ)
+		return wire.Hello{}, refuse(conn, fmt.Errorf("node: first frame has type %d, want hello", typ))
 	}
-	var hello wire.Hello
-	if err := wire.DecodePayload(payload, &hello); err != nil {
-		return wire.Hello{}, err
-	}
-	if err := wire.CheckHandshake(hello.Magic, hello.Version); err != nil {
-		return wire.Hello{}, err
+	hello, err := wire.DecodeBinHello(payload)
+	if err != nil {
+		return wire.Hello{}, refuse(conn, err)
 	}
 	if hello.Role != wire.RoleCoordinator {
-		return wire.Hello{}, fmt.Errorf("node: peer role %q, want %q", hello.Role, wire.RoleCoordinator)
+		return wire.Hello{}, refuse(conn, fmt.Errorf("node: peer role %q, want %q", hello.Role, wire.RoleCoordinator))
 	}
 	return hello, nil
+}
+
+// refuse answers a handshake the node will not accept with a Goodbye in
+// the Welcome's place, so the dialler fails at once with a protocol
+// refusal instead of burning its retry budget. It returns err for the
+// caller to return: the serve loop logs it and closes the connection.
+func refuse(conn *wire.Conn, err error) error {
+	_ = conn.Send(wire.Goodbye{})
+	return err
 }
 
 // ListenAndServeWorker is the one-call form used by cmd/psnode: listen

@@ -2,8 +2,11 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -338,71 +341,6 @@ func TestMergerSessionCountsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestWorkerServesLegacyGobClient: a pre-negotiation coordinator — gob
-// everywhere, no Codec/Streams/SessionID in its Hello — must get the
-// old single-connection protocol back from a new node, byte-for-byte
-// compatible: gob Welcome without session fields, gob match batches,
-// gob drain acks.
-func TestWorkerServesLegacyGobClient(t *testing.T) {
-	_, addr, _ := startWorker(t, WorkerOptions{})
-	c, err := wire.Dial(addr, wire.Backoff{Attempts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	h := testHello(1) // zero Codec/Streams/SessionID: what an old client sends
-	h.Magic, h.Version = wire.Magic, wire.Version
-	h.Role = wire.RoleCoordinator
-	if err := c.Send(wire.TypeHello, h); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := c.RecvTimeout(5 * time.Second)
-	if err != nil || typ != wire.TypeWelcome {
-		t.Fatalf("welcome: type %d, err %v", typ, err)
-	}
-	var wel wire.Welcome
-	if err := wire.DecodePayload(payload, &wel); err != nil {
-		t.Fatal(err)
-	}
-	if wel.Codec != wire.CodecGob || wel.Streams != 0 {
-		t.Fatalf("negotiated codec=%d streams=%d for a legacy hello, want gob/0", wel.Codec, wel.Streams)
-	}
-	area := geo.NewRect(-80, 30, -70, 40)
-	err = c.Send(wire.TypeOpBatch, wire.OpBatch{Ops: []wire.OpEnv{
-		{Op: model.Op{Kind: model.OpInsert, Query: query(1, "coffee", area)}},
-		{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{
-			ID: 100, Terms: []string{"coffee"}, Loc: geo.Point{X: -75, Y: 35}}}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err = c.RecvTimeout(5 * time.Second)
-	if err != nil || typ != wire.TypeMatchBatch {
-		t.Fatalf("match batch: type %d, err %v", typ, err)
-	}
-	var mb wire.MatchBatch
-	if err := wire.DecodePayload(payload, &mb); err != nil {
-		t.Fatal(err)
-	}
-	if len(mb.Matches) != 1 || mb.Matches[0].M.ObjectID != 100 {
-		t.Fatalf("matches = %+v", mb.Matches)
-	}
-	if err := c.Send(wire.TypeDrain, wire.Drain{Seq: 7}); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err = c.RecvTimeout(5 * time.Second)
-	if err != nil || typ != wire.TypeDrainAck {
-		t.Fatalf("drain ack: type %d, err %v", typ, err)
-	}
-	var ack wire.DrainAck
-	if err := wire.DecodePayload(payload, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Seq != 7 || ack.Done != 2 || ack.Emitted != 1 {
-		t.Errorf("ack = %+v, want Seq 7 Done 2 Emitted 1", ack)
-	}
-}
-
 // TestWorkerReassemblesBatchOrderAcrossStreams pins the turnstile down
 // at the protocol level: the object batch (send-order sequence 1) lands
 // on one data connection before the query-insert batch (sequence 0)
@@ -410,11 +348,24 @@ func TestWorkerServesLegacyGobClient(t *testing.T) {
 // first — the match only exists if sequence reassembly restores the
 // order the two sockets scrambled.
 func TestWorkerReassemblesBatchOrderAcrossStreams(t *testing.T) {
+	small := testHello(1)
+	small.Streams = 2
+	// A realistic sample: the data connections' hellos must not carry it
+	// (an attach hello is session id and stream number only), and the
+	// node must take its geometry from the control hello alone.
+	big := testHello(1)
+	big.Streams = 4
+	big.Terms = make(map[string]int, 10000)
+	for i := 0; i < 10000; i++ {
+		big.Terms[fmt.Sprintf("term%05d", i)] = i + 1
+	}
+	big.Terms["coffee"] = 5
+	t.Run("2 streams", func(t *testing.T) { reassembleAcrossStreams(t, small) })
+	t.Run("4 streams, 10k-term sample", func(t *testing.T) { reassembleAcrossStreams(t, big) })
+}
+
+func reassembleAcrossStreams(t *testing.T, h wire.Hello) {
 	_, addr, _ := startWorker(t, WorkerOptions{})
-	h := testHello(1)
-	h.Magic, h.Version = wire.Magic, wire.Version
-	h.Codec = wire.CodecBinary
-	h.Streams = 2
 	h.SessionID = 424242
 	dial := func(stream int) *wire.Conn {
 		t.Helper()
@@ -425,19 +376,19 @@ func TestWorkerReassemblesBatchOrderAcrossStreams(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		dh := h
 		dh.Stream = stream
-		if err := c.Send(wire.TypeHello, dh); err != nil {
+		if err := c.Send(dh); err != nil {
 			t.Fatal(err)
 		}
 		typ, payload, err := c.RecvTimeout(5 * time.Second)
 		if err != nil || typ != wire.TypeWelcome {
 			t.Fatalf("welcome on stream %d: type %d, err %v", stream, typ, err)
 		}
-		var wel wire.Welcome
-		if err := wire.DecodePayload(payload, &wel); err != nil {
+		wel, err := wire.DecodeBinWelcome(payload)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if wel.Codec != wire.CodecBinary || wel.Streams != 2 {
-			t.Fatalf("negotiated codec=%d streams=%d, want binary/2", wel.Codec, wel.Streams)
+		if wel.Streams != h.Streams {
+			t.Fatalf("granted streams=%d, want %d", wel.Streams, h.Streams)
 		}
 		return c
 	}
@@ -503,8 +454,8 @@ func TestWorkerMultiStreamSessionBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Codec() != wire.CodecBinary || cl.Streams() != 4 {
-		t.Fatalf("negotiated codec=%d streams=%d, want binary/4", cl.Codec(), cl.Streams())
+	if cl.Streams() != 4 {
+		t.Fatalf("granted streams=%d, want 4", cl.Streams())
 	}
 	area := geo.NewRect(-80, 30, -70, 40)
 	if err := cl.SendOps(wire.OpBatch{Ops: []wire.OpEnv{
@@ -551,4 +502,89 @@ func TestWorkerMultiStreamSessionBarrier(t *testing.T) {
 	if err := cl.CloseSend(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refused dials addr raw, opens with the given hello frame payload, and
+// asserts the node refuses it — a Goodbye in the Welcome's place, then a
+// closed connection — in under a second, logging why.
+func refused(t *testing.T, helloPayload []byte, wantLog string, prepare func(addr string)) {
+	t.Helper()
+	var mu sync.Mutex
+	var logs []string
+	_, addr, _ := startWorker(t, WorkerOptions{Log: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if prepare != nil {
+		prepare(addr)
+	}
+	c, err := wire.Dial(addr, wire.Backoff{Attempts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	if err := c.SendPayload(wire.TypeHello, helloPayload); err != nil {
+		t.Fatal(err)
+	}
+	typ, _, err := c.RecvTimeout(5 * time.Second)
+	if err != nil || typ != wire.TypeGoodbye {
+		t.Fatalf("refusal: frame type %d, err %v; want a goodbye", typ, err)
+	}
+	if _, _, err := c.RecvTimeout(5 * time.Second); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want the connection closed", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("refusal took %v, want under a second", elapsed)
+	}
+	deadline := time.Now().Add(time.Second)
+	for {
+		mu.Lock()
+		all := strings.Join(logs, "\n")
+		mu.Unlock()
+		if strings.Contains(all, wantLog) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node log does not say %q:\n%s", wantLog, all)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWorkerRefusesVersion1GobHello: the handshake a version-1 peer sends
+// — byte for byte what that tree's gob EncodePayload produced for its
+// control hello — is refused by name, not left to time out.
+func TestWorkerRefusesVersion1GobHello(t *testing.T) {
+	blob, err := os.ReadFile("testdata/hello_v1.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused(t, blob, "bad magic", nil)
+}
+
+// TestWorkerRefusesControlHelloWithoutStreams: there is one session
+// shape, a control connection plus data connections.
+func TestWorkerRefusesControlHelloWithoutStreams(t *testing.T) {
+	h := testHello(0)
+	h.SessionID = 7
+	refused(t, wire.AppendHello(nil, h), "0 data streams", nil)
+	h.SessionID, h.Streams = 0, 2
+	refused(t, wire.AppendHello(nil, h), "session id 0", nil)
+}
+
+// TestWorkerRefusesDataHelloForUnknownSession: a data connection attaches
+// to the live session or to nothing.
+func TestWorkerRefusesDataHelloForUnknownSession(t *testing.T) {
+	attach := wire.AppendHello(nil, wire.Hello{Role: wire.RoleCoordinator, SessionID: 99, Stream: 1})
+	refused(t, attach, "no session 99", nil)
+	// Same with a session live under another id.
+	refused(t, attach, "no session 99", func(addr string) {
+		cl, err := wire.DialWorker(addr, testHello(0), wire.Backoff{Attempts: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+	})
 }

@@ -82,7 +82,7 @@ type BatchBolt interface {
 // A spout or bolt additionally implementing io.Closer has Close called
 // exactly once when its task ends — after the final collector flush,
 // before its producer slot is released downstream. Components holding
-// external resources (e.g. the send side of a remote Transport) use it
+// external resources (e.g. the send side of a remote hop) use it
 // to end their output stream cleanly; the engine ignores the returned
 // error.
 

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,53 +168,46 @@ func TestBinaryWindowFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryMatchesGobDecoding is the cross-codec compatibility check
-// behind negotiation: the same frame pushed through the gob path (what
-// an old peer runs) and the binary path (what a negotiated session runs)
-// must decode to identical values, so the two codecs are interchangeable
-// per hop and a mixed-version cluster agrees on every batch.
-func TestBinaryMatchesGobDecoding(t *testing.T) {
-	ob := OpBatch{Ops: sampleOpBatch()}
-	gobP, err := EncodePayload(ob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaGob OpBatch
-	if err := DecodePayload(gobP, &viaGob); err != nil {
-		t.Fatal(err)
-	}
-	viaBin, _, err := DecodeBinOpBatch(AppendOpBatch(nil, 0, ob.Ops), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare through the canonical binary encoding: it covers every
-	// field and sidesteps time.Time representation differences.
-	if !bytes.Equal(AppendOpBatch(nil, 0, viaGob.Ops), AppendOpBatch(nil, 0, viaBin)) {
-		t.Error("gob and binary decode to different op batches")
-	}
-
-	mb := MatchBatch{Matches: sampleMatchBatch()}
-	gobP, err = EncodePayload(mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mGob MatchBatch
-	if err := DecodePayload(gobP, &mGob); err != nil {
-		t.Fatal(err)
-	}
-	mBin, err := DecodeBinMatchBatch(AppendMatchBatch(nil, mb.Matches), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(AppendMatchBatch(nil, mGob.Matches), AppendMatchBatch(nil, mBin)) {
-		t.Error("gob and binary decode to different match batches")
-	}
-}
-
 // TestBinaryDecodeRejectsMalformed: truncations, trailing garbage, and
 // out-of-domain fields all fail with ErrBadPayload instead of
-// mis-decoding or panicking.
+// mis-decoding or panicking — every strict prefix and one trailing byte
+// for every frame kind, then field-level corruptions of the hot frames.
+// Hostile counts are TestDecodeRejectsHostileCounts.
 func TestBinaryDecodeRejectsMalformed(t *testing.T) {
+	for _, fc := range frameCases() {
+		if fc.redo == nil {
+			continue
+		}
+		for cut := 0; cut < len(fc.payload); cut++ {
+			if _, err := fc.redo(fc.payload[:cut]); !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("%s truncated to %d/%d bytes: err = %v, want ErrBadPayload", fc.name, cut, len(fc.payload), err)
+			}
+		}
+		if _, err := fc.redo(append(fc.payload[:len(fc.payload):len(fc.payload)], 0)); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s with a trailing byte: err = %v, want ErrBadPayload", fc.name, err)
+		}
+	}
+	// A handshake from another tree is refused by name.
+	hello := AppendHello(nil, Hello{})
+	if _, err := DecodeBinHello(append([]byte("NOTPS2W"), hello[len(Magic):]...)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("foreign magic: err = %v, want a bad-magic refusal", err)
+	}
+	future := append([]byte(Magic), Version+1)
+	if _, err := DecodeBinWelcome(append(future, AppendWelcome(nil, Welcome{})[len(Magic)+1:]...)); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Errorf("future version: err = %v, want a version refusal", err)
+	}
+	// Fields outside their domain: a stream number past MaxStreams (the
+	// last byte of an attach hello), unknown extraction flags (byte 2).
+	attach := AppendHello(nil, Hello{Stream: MaxStreams})
+	attach[len(attach)-1]++
+	if _, err := DecodeBinHello(attach); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("stream number %d: err = %v, want ErrBadPayload", MaxStreams+1, err)
+	}
+	flags := AppendExtractCells(nil, ExtractCells{})
+	flags[2] = 0xFC
+	if _, err := DecodeBinExtractCells(flags); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("unknown extract flags: err = %v, want ErrBadPayload", err)
+	}
 	whole := AppendOpBatch(nil, 9, sampleOpBatch())
 	for cut := 1; cut < len(whole); cut++ {
 		if _, _, err := DecodeBinOpBatch(whole[:cut], nil); err == nil {
@@ -321,47 +317,52 @@ func TestHotFrameCodecZeroAlloc(t *testing.T) {
 	}
 }
 
-// binKind* index the frame-kind selector byte FuzzBinaryFrame and its
-// seed corpus share.
-const (
-	binKindOp = iota
-	binKindMatch
-	binKindDrain
-	binKindDrainAck
-	binKindFence
-	binKindDeltaBatch
-	binKindAdvanceWindow
-	binKindAdvanceAck
-	binKinds
-)
+// redoByType maps a frame type to its decode-then-re-encode function, for
+// the types that have a layout to decode (the three empty kinds do not).
+var redoByType = sync.OnceValue(func() map[byte]func([]byte) ([]byte, error) {
+	m := make(map[byte]func([]byte) ([]byte, error))
+	for _, fc := range frameCases() {
+		if fc.redo != nil {
+			m[fc.typ] = fc.redo
+		}
+	}
+	return m
+})
 
-// binarySeedFrames returns the seed corpus for FuzzBinaryFrame: one
-// valid payload per frame kind, edge cases (empty batch, non-minimal
-// varint, zero-time sentinel), and plain garbage.
+// reencodeFrame is the whole receive surface behind framing: it decodes
+// payload as frame type typ and re-encodes the value. known reports
+// whether typ has a layout to decode.
+func reencodeFrame(typ byte, payload []byte) (re []byte, known bool, err error) {
+	redo, known := redoByType()[typ]
+	if !known {
+		return nil, false, nil
+	}
+	re, err = redo(payload)
+	return re, true, err
+}
+
+// binarySeedFrames returns the seed corpus for FuzzBinaryFrame: the frame
+// type byte followed by a payload — every case of the table, edge cases
+// (non-minimal varint), and plain garbage.
 func binarySeedFrames() [][]byte {
-	seed := func(kind byte, p []byte) []byte { return append([]byte{kind}, p...) }
-	return [][]byte{
-		seed(binKindOp, AppendOpBatch(nil, 3, sampleOpBatch())),
-		seed(binKindOp, AppendOpBatch(nil, 0, nil)),
-		seed(binKindMatch, AppendMatchBatch(nil, sampleMatchBatch())),
-		seed(binKindDrain, AppendDrain(nil, Drain{Seq: 9, Ops: 12345})),
+	seed := func(typ byte, p []byte) []byte { return append([]byte{typ}, p...) }
+	var seeds [][]byte
+	for _, fc := range frameCases() {
+		seeds = append(seeds, seed(fc.typ, fc.payload))
+	}
+	return append(seeds,
 		// Non-minimal varint: decodes, but re-encodes shorter. The fuzz
 		// target asserts re-encoding is a fixed point, not that arbitrary
 		// accepted inputs are already canonical.
-		seed(binKindDrain, []byte{0x80, 0x00, 0x01}),
-		seed(binKindDrainAck, AppendDrainAck(nil, DrainAck{Seq: 9, Done: 12345, Emitted: 678, Duplicates: 2})),
-		seed(binKindFence, AppendFence(nil, Fence{Epoch: 3})),
-		seed(binKindDeltaBatch, AppendWindowDeltaBatch(nil, 31, sampleDeltas())),
-		seed(binKindDeltaBatch, AppendWindowDeltaBatch(nil, 0, nil)),
-		seed(binKindAdvanceWindow, AppendAdvanceWindow(nil, AdvanceWindow{Seq: 6, Ops: 12345, Now: time.Unix(1700000000, 999)})),
-		seed(binKindAdvanceAck, AppendAdvanceAck(nil, AdvanceAck{Seq: 6, Epoch: 31, Deltas: sampleDeltas()})),
-		seed(binKindOp, []byte{0xFF, 0xFF, 0xFF, 0xFF}),
-		seed(binKindMatch, []byte("GET / HTTP/1.1\r\n\r\n")),
-	}
+		seed(TypeDrain, []byte{0x80, 0x00, 0x01}),
+		seed(TypeOpBatch, []byte{0xFF, 0xFF, 0xFF, 0xFF}),
+		seed(TypeMatchBatch, []byte("GET / HTTP/1.1\r\n\r\n")),
+		seed(TypeCellShare, []byte{1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}),
+	)
 }
 
-// FuzzBinaryFrame feeds arbitrary bytes to every binary hot-frame
-// decoder (first byte selects the kind). Invalid payloads must error
+// FuzzBinaryFrame feeds arbitrary bytes to the decoder of every frame
+// type (first byte selects the type). Invalid payloads must error
 // without panicking; for accepted payloads, re-encoding the decoded
 // value must be a fixed point of encode∘decode — the canonical-encoding
 // property the protocol relies on (it is what lets a drain ack or batch
@@ -374,90 +375,51 @@ func FuzzBinaryFrame(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		kind, p := data[0]%binKinds, data[1:]
-		reencode := func() ([]byte, bool) {
-			switch kind {
-			case binKindOp:
-				v, seq, err := DecodeBinOpBatch(p, nil)
-				if err != nil {
-					return nil, false
-				}
-				return AppendOpBatch(nil, seq, v), true
-			case binKindMatch:
-				v, err := DecodeBinMatchBatch(p, nil)
-				if err != nil {
-					return nil, false
-				}
-				return AppendMatchBatch(nil, v), true
-			case binKindDrain:
-				v, err := DecodeBinDrain(p)
-				if err != nil {
-					return nil, false
-				}
-				return AppendDrain(nil, v), true
-			case binKindDrainAck:
-				v, err := DecodeBinDrainAck(p)
-				if err != nil {
-					return nil, false
-				}
-				return AppendDrainAck(nil, v), true
-			case binKindDeltaBatch:
-				v, epoch, err := DecodeBinWindowDeltaBatch(p, nil)
-				if err != nil {
-					return nil, false
-				}
-				return AppendWindowDeltaBatch(nil, epoch, v), true
-			case binKindAdvanceWindow:
-				v, err := DecodeBinAdvanceWindow(p)
-				if err != nil {
-					return nil, false
-				}
-				return AppendAdvanceWindow(nil, v), true
-			case binKindAdvanceAck:
-				v, err := DecodeBinAdvanceAck(p)
-				if err != nil {
-					return nil, false
-				}
-				return AppendAdvanceAck(nil, v), true
-			default:
-				v, err := DecodeBinFence(p)
-				if err != nil {
-					return nil, false
-				}
-				return AppendFence(nil, v), true
-			}
-		}
-		enc1, ok := reencode()
-		if !ok {
+		typ := data[0]
+		enc1, known, err := reencodeFrame(typ, data[1:])
+		if !known || err != nil {
 			return
 		}
-		p = enc1
-		enc2, ok := reencode()
-		if !ok {
-			t.Fatalf("kind %d: re-encoded payload does not decode", kind)
+		enc2, _, err := reencodeFrame(typ, enc1)
+		if err != nil {
+			t.Fatalf("type %d: re-encoded payload does not decode: %v", typ, err)
 		}
 		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("kind %d: encode∘decode is not a fixed point:\n%x\n%x", kind, enc1, enc2)
+			t.Fatalf("type %d: encode∘decode is not a fixed point:\n%x\n%x", typ, enc1, enc2)
 		}
 	})
 }
 
-// TestWriteBinaryFuzzCorpus regenerates the committed seed corpus under
-// testdata/fuzz/FuzzBinaryFrame when the layout changes. Run with:
+// TestWriteBinaryFuzzCorpus regenerates the committed seed corpora under
+// testdata/fuzz when a layout changes. Run with:
 //
 //	WRITE_FUZZ_CORPUS=1 go test ./internal/wire -run TestWriteBinaryFuzzCorpus
 func TestWriteBinaryFuzzCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the committed corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzBinaryFrame")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range binarySeedFrames() {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
+	write := func(target, name string, data []byte) {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, target := range []string{"FuzzBinaryFrame", "FuzzWireStream"} {
+		if err := os.RemoveAll(filepath.Join("testdata", "fuzz", target)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, s := range binarySeedFrames() {
+		write("FuzzBinaryFrame", fmt.Sprintf("seed-%02d", i), s)
+	}
+	for name, s := range streamSeeds(t) {
+		write("FuzzWireStream", name, s)
 	}
 }

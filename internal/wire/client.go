@@ -33,38 +33,29 @@ const MaxStreams = 16
 // streams operation batches to a remote worker node and receives the
 // worker's match batches and control acknowledgements.
 //
-// Against a negotiation-aware node the hop is a multi-stream session:
-// one control connection (handshake, drains, stats, migration, fences,
-// heartbeats) plus Streams data connections, each with a dedicated
-// writer goroutine so encode and socket I/O pipeline instead of blocking
-// the sender. Op batches round-robin whole across the data connections,
-// each stamped with its position in the session's send order; the node
-// reassembles them into exactly that order before processing, so the
-// worker observes the same total op order a single connection (or an
-// in-process channel) would deliver. Hot frames ride the negotiated
-// binary codec.
-//
-// Against an old node the client degrades to the legacy single
-// connection with synchronous gob sends, byte-compatible with the
-// pre-negotiation protocol.
+// The hop is a multi-stream session: one control connection (handshake,
+// drains, stats, migration, fences, heartbeats) plus Streams data
+// connections, each with a dedicated writer goroutine so encode and
+// socket I/O pipeline instead of blocking the sender. Op batches
+// round-robin whole across the data connections, each stamped with its
+// position in the session's send order; the node reassembles them into
+// exactly that order before processing, so the worker observes the same
+// total op order an in-process channel would deliver.
 //
 // Safe for one sender goroutine (SendOps), one receiver goroutine
 // (RecvMatches) and concurrent control callers (Drain, Stats, ...).
 type WorkerClient struct {
-	conn *Conn   // control connection (the only connection in legacy mode)
-	data []*Conn // data connections (empty in legacy mode)
+	conn *Conn   // control connection
+	data []*Conn // data connections, one per granted stream
 	// writers pipeline pre-encoded frames onto the data connections.
 	writers []*FrameWriter
-	// codec/streams are the negotiated session parameters.
-	codec   int
-	streams int
 	// addr is the address this client dialled — recovery keeps it to
 	// redial the same node after a crash (see Addr()).
 	addr string
 	// hello is the handshake this client opened the connection with —
 	// the geometry the peer pinned its index to (see Hello()).
 	hello Hello
-	// matches buffers decoded match batches between the read loops and
+	// matches buffers decoded match batches between the data loops and
 	// RecvMatches; bounded so a slow consumer backpressures the wire.
 	matches chan MatchBatch
 	acks    chan DrainAck
@@ -96,12 +87,13 @@ type WorkerClient struct {
 	// node reassembles concurrently-arriving batches back into this
 	// order, so multi-stream transport preserves the total op order.
 	batchSeq uint64
-	// sentOps counts ops handed to the session — the count the Ops
-	// barrier fields carry, replacing cross-connection FIFO.
+	// sentOps counts ops handed to the session — the count the control
+	// rounds' Ops barrier fields carry, since FIFO does not span the
+	// session's connections.
 	sentOps atomic.Int64
 	// recvd counts match envelopes received this session; Drain waits
-	// for it to reach the ack's Emitted so the old "matches arrive
-	// before the ack" FIFO guarantee holds on multi-stream sessions too.
+	// for it to reach the ack's Emitted, so matches arrive before the
+	// ack although they travel on other connections.
 	recvd atomic.Int64
 	// recvdDeltas counts top-k window deltas received in spontaneous
 	// WindowDeltaBatch frames (not the ack-carried deltas of control
@@ -128,20 +120,13 @@ type WorkerClient struct {
 	goodbyeErr  error
 }
 
-// DialWorker connects to a worker node with backoff and performs the
-// handshake, negotiating the binary codec and a multi-stream session
-// when the node supports them (hello.Streams data connections; 0 asks
-// for one per dispatcher-sized default, i.e. a single stream). The
-// returned client's read loops are already running. When
-// hello.HeartbeatMillis is set the control connection's read deadline is
-// pinned to four heartbeat intervals, so a silently dead peer surfaces
-// as ErrWorkerDown within that window.
+// DialWorker connects to a worker node with backoff, performs the
+// handshake and attaches hello.Streams data connections (0 asks for
+// one; capped at MaxStreams). The returned client's read loops are
+// already running. When hello.HeartbeatMillis is set the control
+// connection's read deadline is pinned to four heartbeat intervals, so
+// a silently dead peer surfaces as ErrWorkerDown within that window.
 func DialWorker(addr string, hello Hello, b Backoff) (*WorkerClient, error) {
-	hello.Magic, hello.Version = Magic, Version
-	if hello.Role == "" {
-		hello.Role = RoleCoordinator
-	}
-	hello.Codec = CodecBinary
 	if hello.Streams <= 0 {
 		hello.Streams = 1
 	}
@@ -156,10 +141,9 @@ func DialWorker(addr string, hello Hello, b Backoff) (*WorkerClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	if wel.Streams > hello.Streams || (wel.Streams > 0 && wel.Codec != CodecBinary) {
+	if wel.Streams < 1 || wel.Streams > hello.Streams {
 		conn.Close()
-		return nil, fmt.Errorf("wire: %s granted invalid session (codec %d, %d streams for %d requested)",
-			addr, wel.Codec, wel.Streams, hello.Streams)
+		return nil, fmt.Errorf("wire: %s granted %d streams for %d requested", addr, wel.Streams, hello.Streams)
 	}
 	if hello.HeartbeatMillis > 0 {
 		conn.ReadTimeout = 4 * time.Duration(hello.HeartbeatMillis) * time.Millisecond
@@ -171,8 +155,6 @@ func DialWorker(addr string, hello Hello, b Backoff) (*WorkerClient, error) {
 	// awaitReply skips stale seqs, so extra buffered replies are benign.
 	w := &WorkerClient{
 		conn:        conn,
-		codec:       wel.Codec,
-		streams:     wel.Streams,
 		addr:        addr,
 		hello:       hello,
 		matches:     make(chan MatchBatch, 128),
@@ -186,17 +168,18 @@ func DialWorker(addr string, hello Hello, b Backoff) (*WorkerClient, error) {
 		closed:      make(chan struct{}),
 	}
 	// Attach the granted data connections before any loop starts, so a
-	// partial dial can tear down cleanly.
-	for i := 1; i <= w.streams; i++ {
-		dh := hello
-		dh.Stream = i
-		dc, _, err := handshake(addr, dh, b, RoleWorker)
+	// partial dial can tear down cleanly. An attach hello names the
+	// session and the stream and nothing else: the node took the geometry
+	// from the control hello.
+	for i := 1; i <= wel.Streams; i++ {
+		attach := Hello{Role: hello.Role, Task: hello.Task, SessionID: hello.SessionID, Stream: i}
+		dc, _, err := handshake(addr, attach, b, RoleWorker)
 		if err != nil {
 			conn.Close()
 			for _, c := range w.data {
 				c.Close()
 			}
-			return nil, fmt.Errorf("wire: attaching stream %d/%d to %s: %w", i, w.streams, addr, err)
+			return nil, fmt.Errorf("wire: attaching stream %d/%d to %s: %w", i, wel.Streams, addr, err)
 		}
 		w.data = append(w.data, dc)
 	}
@@ -204,16 +187,14 @@ func DialWorker(addr string, hello Hello, b Backoff) (*WorkerClient, error) {
 		w.writers = append(w.writers, NewFrameWriter(dc, 0))
 	}
 	go w.readLoop()
-	if len(w.data) > 0 {
-		w.dataWG.Add(len(w.data))
-		for _, dc := range w.data {
-			go w.dataLoop(dc)
-		}
-		go func() {
-			w.dataWG.Wait()
-			close(w.matches)
-		}()
+	w.dataWG.Add(len(w.data))
+	for _, dc := range w.data {
+		go w.dataLoop(dc)
 	}
+	go func() {
+		w.dataWG.Wait()
+		close(w.matches)
+	}()
 	return w, nil
 }
 
@@ -227,12 +208,8 @@ func (w *WorkerClient) Hello() Hello { return w.hello }
 // redial the same worker node after a connection failure.
 func (w *WorkerClient) Addr() string { return w.addr }
 
-// Codec reports the negotiated data-plane codec.
-func (w *WorkerClient) Codec() int { return w.codec }
-
-// Streams reports the granted data-connection count (0 = legacy single
-// connection).
-func (w *WorkerClient) Streams() int { return w.streams }
+// Streams reports the granted data-connection count.
+func (w *WorkerClient) Streams() int { return len(w.data) }
 
 // handshake dials addr and performs the Hello/Welcome round, expecting
 // the peer to identify as wantRole. Transport failures during the round
@@ -240,11 +217,10 @@ func (w *WorkerClient) Streams() int { return w.streams }
 // peer's port can accept a connect and reset the first write (or close
 // before the welcome) while its replacement process is still binding,
 // and a recovery redial must ride that window out rather than give up.
-// Protocol refusals — wrong frame, wrong magic/version, wrong role —
-// stay fatal; retrying a peer that answered wrongly cannot help.
+// Protocol refusals — a Goodbye or any other frame in the Welcome's
+// place, wrong magic/version, wrong role — stay fatal; retrying a peer
+// that answered wrongly cannot help.
 func handshake(addr string, hello Hello, b Backoff, wantRole string) (*Conn, Welcome, error) {
-	hello.Magic = Magic
-	hello.Version = Version
 	if hello.Role == "" {
 		hello.Role = RoleCoordinator
 	}
@@ -294,7 +270,7 @@ func handshake(addr string, hello Hello, b Backoff, wantRole string) (*Conn, Wel
 // retry; fatal=true marks protocol refusals. The connection is the
 // caller's to close on error.
 func helloRound(conn *Conn, addr string, hello Hello, wantRole string) (wel Welcome, fatal bool, err error) {
-	if err := conn.Send(TypeHello, hello); err != nil {
+	if err := conn.Send(hello); err != nil {
 		return Welcome{}, false, fmt.Errorf("wire: sending hello to %s: %w", addr, err)
 	}
 	typ, payload, err := conn.RecvTimeout(DefaultHandshakeTimeout)
@@ -304,10 +280,7 @@ func helloRound(conn *Conn, addr string, hello Hello, wantRole string) (wel Welc
 	if typ != TypeWelcome {
 		return Welcome{}, true, fmt.Errorf("wire: %s answered hello with frame type %d", addr, typ)
 	}
-	if err := DecodePayload(payload, &wel); err != nil {
-		return Welcome{}, true, err
-	}
-	if err := CheckHandshake(wel.Magic, wel.Version); err != nil {
+	if wel, err = DecodeBinWelcome(payload); err != nil {
 		return Welcome{}, true, err
 	}
 	if wel.Role != wantRole {
@@ -361,13 +334,10 @@ func (w *WorkerClient) classifyReadErr(err error, sawGoodbye bool) error {
 	}
 }
 
-// readLoop serves the control connection (the only connection in legacy
-// mode, where it also carries the match stream).
+// readLoop serves the control connection: the replies of the control
+// rounds and the worker's heartbeats.
 func (w *WorkerClient) readLoop() {
 	defer close(w.readDone)
-	if w.streams == 0 {
-		defer close(w.matches)
-	}
 	sawGoodbye := false
 	for {
 		typ, payload, err := w.conn.Recv()
@@ -381,92 +351,18 @@ func (w *WorkerClient) readLoop() {
 			return
 		}
 		switch typ {
-		case TypeMatchBatch:
-			if !w.deliverMatches(payload) {
-				return
-			}
 		case TypeDrainAck:
-			var ack DrainAck
-			if w.codec == CodecBinary {
-				ack, err = DecodeBinDrainAck(payload)
-			} else {
-				err = DecodePayload(payload, &ack)
-			}
-			if err != nil {
-				w.readErr = err
-				w.fail(err)
-				return
-			}
-			select {
-			case w.acks <- ack:
-			default: // unsolicited ack; drop
-			}
+			err = parkReply(w.acks, DecodeBinDrainAck, payload)
 		case TypeStatsReply:
-			var sr StatsReply
-			if err := DecodePayload(payload, &sr); err != nil {
-				w.readErr = err
-				w.fail(err)
-				return
-			}
-			select {
-			case w.stats <- sr:
-			default:
-			}
+			err = parkReply(w.stats, DecodeBinStatsReply, payload)
 		case TypeCellStatsReply:
-			var cr CellStatsReply
-			if err := DecodePayload(payload, &cr); err != nil {
-				w.readErr = err
-				w.fail(err)
-				return
-			}
-			select {
-			case w.cellStats <- cr:
-			default:
-			}
+			err = parkReply(w.cellStats, DecodeBinCellStatsReply, payload)
 		case TypeCellShare:
-			var cs CellShare
-			if err := DecodePayload(payload, &cs); err != nil {
-				w.readErr = err
-				w.fail(err)
-				return
-			}
-			select {
-			case w.shares <- cs:
-			default:
-			}
+			err = parkReply(w.shares, DecodeBinCellShare, payload)
 		case TypeInstallAck:
-			var ia InstallAck
-			if err := DecodePayload(payload, &ia); err != nil {
-				w.readErr = err
-				w.fail(err)
-				return
-			}
-			select {
-			case w.installAcks <- ia:
-			default:
-			}
+			err = parkReply(w.installAcks, DecodeBinInstallAck, payload)
 		case TypeAdvanceAck:
-			var aa AdvanceAck
-			if w.codec == CodecBinary {
-				aa, err = DecodeBinAdvanceAck(payload)
-			} else {
-				err = DecodePayload(payload, &aa)
-			}
-			if err != nil {
-				w.readErr = err
-				w.fail(err)
-				return
-			}
-			select {
-			case w.advances <- aa:
-			default:
-			}
-		case TypeWindowDeltaBatch:
-			// Legacy sessions carry the delta stream on the control
-			// connection (FIFO before any DrainAck that counts them).
-			if !w.deliverDeltas(payload) {
-				return
-			}
+			err = parkReply(w.advances, DecodeBinAdvanceAck, payload)
 		case TypePing:
 			// Liveness beacon; receiving it already reset the read
 			// deadline, nothing else to do.
@@ -475,13 +371,32 @@ func (w *WorkerClient) readLoop() {
 			return
 		default:
 			// Unknown control frames are skipped: frames are
-			// self-delimiting, so forward compatibility is free.
+			// self-delimiting.
+		}
+		if err != nil {
+			w.readErr = err
+			w.fail(err)
+			return
 		}
 	}
 }
 
-// dataLoop serves one data connection of a multi-stream session: the
-// worker's match batches for the ops this stream carried.
+// parkReply decodes a control round's reply and parks it for the waiting
+// round; a reply nobody has room for is unsolicited and dropped.
+func parkReply[T any](ch chan<- T, decode func([]byte) (T, error), payload []byte) error {
+	v, err := decode(payload)
+	if err != nil {
+		return err
+	}
+	select {
+	case ch <- v:
+	default:
+	}
+	return nil
+}
+
+// dataLoop serves one data connection: the worker's match and window
+// delta batches for the ops this stream carried.
 func (w *WorkerClient) dataLoop(c *Conn) {
 	defer w.dataWG.Done()
 	for {
@@ -508,18 +423,12 @@ func (w *WorkerClient) dataLoop(c *Conn) {
 	}
 }
 
-// deliverMatches decodes one match batch by the session codec and hands
-// it to the consumer, reporting false when the loop should stop.
+// deliverMatches decodes one match batch and hands it to the consumer,
+// reporting false when the loop should stop.
 func (w *WorkerClient) deliverMatches(payload []byte) bool {
 	var mb MatchBatch
 	var err error
-	if w.codec == CodecBinary {
-		mb.Matches, err = DecodeBinMatchBatch(payload, nil)
-	} else {
-		err = DecodePayload(payload, &mb)
-	}
-	if err != nil {
-		w.readErr = err
+	if mb.Matches, err = DecodeBinMatchBatch(payload, nil); err != nil {
 		w.fail(err)
 		return false
 	}
@@ -535,7 +444,7 @@ func (w *WorkerClient) deliverMatches(payload []byte) bool {
 }
 
 // SetDeltaHandler installs the consumer for the worker's spontaneous
-// top-k window delta batches. The handler runs on the read loops —
+// top-k window delta batches. The handler runs on the data loops —
 // once per frame, possibly concurrently across data connections — with
 // the worker's state epoch so the consumer can fence out replayed or
 // pre-crash deltas. Deltas that arrive with no handler installed still
@@ -547,24 +456,13 @@ func (w *WorkerClient) SetDeltaHandler(h func(epoch uint64, ds []window.Delta)) 
 	w.dhMu.Unlock()
 }
 
-// deliverDeltas decodes one spontaneous window delta batch by the
-// session codec, hands it to the delta handler, and counts it toward
-// the drain barrier — in that order, so a Drain that observed the count
-// knows the deltas were already applied.
+// deliverDeltas decodes one spontaneous window delta batch, hands it to
+// the delta handler, and counts it toward the drain barrier — in that
+// order, so a Drain that observed the count knows the deltas were
+// already applied.
 func (w *WorkerClient) deliverDeltas(payload []byte) bool {
-	var ds []window.Delta
-	var epoch uint64
-	var err error
-	if w.codec == CodecBinary {
-		ds, epoch, err = DecodeBinWindowDeltaBatch(payload, nil)
-	} else {
-		var db WindowDeltaBatch
-		if err = DecodePayload(payload, &db); err == nil {
-			ds, epoch = db.Deltas, db.Epoch
-		}
-	}
+	ds, epoch, err := DecodeBinWindowDeltaBatch(payload, nil)
 	if err != nil {
-		w.readErr = err
 		w.fail(err)
 		return false
 	}
@@ -578,8 +476,7 @@ func (w *WorkerClient) deliverDeltas(payload []byte) bool {
 	return true
 }
 
-// SendOps transfers one operation batch. On a multi-stream session the
-// whole batch is stamped with its send-order sequence number and queued
+// SendOps transfers one operation batch. The whole batch is stamped with its send-order sequence number and queued
 // round-robin on one data connection's writer (encode here, socket I/O
 // on the writer goroutine); the node reassembles batches by sequence
 // before processing, so the worker observes the exact total order this
@@ -589,13 +486,6 @@ func (w *WorkerClient) deliverDeltas(payload []byte) bool {
 // the path to it) is gone.
 func (w *WorkerClient) SendOps(b OpBatch) error {
 	if len(b.Ops) == 0 {
-		return nil
-	}
-	if w.streams == 0 {
-		if err := w.conn.Send(TypeOpBatch, b); err != nil {
-			return fmt.Errorf("%w: sending ops: %v", ErrWorkerDown, err)
-		}
-		w.sentOps.Add(int64(len(b.Ops)))
 		return nil
 	}
 	w.sendMu.Lock()
@@ -611,16 +501,6 @@ func (w *WorkerClient) SendOps(b OpBatch) error {
 	return nil
 }
 
-// barrierOps is the Ops value control rounds carry: the session's
-// cumulative sent-op count on a multi-stream session, 0 (FIFO suffices)
-// on a legacy connection.
-func (w *WorkerClient) barrierOps() int64 {
-	if w.streams == 0 {
-		return 0
-	}
-	return w.sentOps.Load()
-}
-
 // RecvMatches blocks for the worker's next match batch. It returns
 // io.EOF after the worker's side of the stream ends cleanly, or the
 // connection's failure otherwise.
@@ -629,9 +509,6 @@ func (w *WorkerClient) RecvMatches() (MatchBatch, error) {
 	if !ok {
 		if err := w.sessionErr(); err != nil {
 			return MatchBatch{}, err
-		}
-		if w.streams == 0 && w.readErr != nil {
-			return MatchBatch{}, w.readErr
 		}
 		return MatchBatch{}, io.EOF
 	}
@@ -642,15 +519,13 @@ func (w *WorkerClient) RecvMatches() (MatchBatch, error) {
 // sent before the call is processed by the worker before the returned
 // acknowledgement, whose Emitted field is the worker's cumulative
 // emitted-match count — and every match counted in it has already been
-// received by this client (queued for RecvMatches), exactly the
-// guarantee single-connection FIFO used to give.
+// received by this client (queued for RecvMatches).
 func (w *WorkerClient) Drain() (DrainAck, error) {
 	w.drainMu.Lock()
 	defer w.drainMu.Unlock()
 	drainStale(w.acks)
 	seq := w.seq.Add(1)
-	d := Drain{Seq: seq, Ops: w.barrierOps()}
-	if err := w.sendControl(TypeDrain, d); err != nil {
+	if err := w.conn.Send(Drain{Seq: seq, Ops: w.sentOps.Load()}); err != nil {
 		return DrainAck{}, err
 	}
 	timer := time.NewTimer(DefaultControlTimeout)
@@ -677,13 +552,8 @@ func (w *WorkerClient) Drain() (DrainAck, error) {
 }
 
 // awaitReceived waits for the session's received-match and
-// received-delta counts to reach the ack's emitted totals (multi-stream
-// sessions only; on one connection FIFO already delivered both streams
-// before the ack).
+// received-delta counts to reach the ack's emitted totals.
 func (w *WorkerClient) awaitReceived(emitted, deltas int64, timer *time.Timer) error {
-	if w.streams == 0 {
-		return nil
-	}
 	for w.recvd.Load() < emitted || w.recvdDeltas.Load() < deltas {
 		select {
 		case <-w.readDone:
@@ -699,44 +569,16 @@ func (w *WorkerClient) awaitReceived(emitted, deltas int64, timer *time.Timer) e
 	return nil
 }
 
-// sendControl sends a control-plane frame on the control connection,
-// using the binary codec for the hot barrier frames when negotiated.
-func (w *WorkerClient) sendControl(typ byte, v any) error {
-	if w.codec == CodecBinary {
-		switch typ {
-		case TypeDrain:
-			buf := GetBuf()
-			buf.B = AppendDrain(buf.B, v.(Drain))
-			err := w.conn.SendPayload(typ, buf.B)
-			PutBuf(buf)
-			return err
-		case TypeFence:
-			buf := GetBuf()
-			buf.B = AppendFence(buf.B, v.(Fence))
-			err := w.conn.SendPayload(typ, buf.B)
-			PutBuf(buf)
-			return err
-		case TypeAdvanceWindow:
-			buf := GetBuf()
-			buf.B = AppendAdvanceWindow(buf.B, v.(AdvanceWindow))
-			err := w.conn.SendPayload(typ, buf.B)
-			PutBuf(buf)
-			return err
-		}
-	}
-	return w.conn.Send(typ, v)
-}
-
 // SendFence forwards a routing-epoch advance (informational).
 func (w *WorkerClient) SendFence(epoch uint64) error {
-	return w.sendControl(TypeFence, Fence{Epoch: epoch})
+	return w.conn.Send(Fence{Epoch: epoch})
 }
 
 // ResetWindow starts a fresh per-cell load window on the worker
 // (fire-and-forget; control-connection FIFO covers the next CellStats
 // call).
 func (w *WorkerClient) ResetWindow() error {
-	return w.conn.Send(TypeResetWindow, ResetWindow{})
+	return w.conn.Send(ResetWindow{})
 }
 
 // drainStale empties a capacity-1 reply channel of any reply left over
@@ -781,14 +623,13 @@ func awaitReply[T any](w *WorkerClient, ch <-chan T, seqOf func(T) uint64, seq u
 // Stats polls the worker's counters — emitted matches, live queries,
 // and the cumulative per-kind processed-op counts the adjustment
 // controller's load detector differences per interval. The reply covers
-// every op batch sent before the call (connection FIFO on a legacy
-// session, the Ops barrier on a multi-stream one).
+// every op batch sent before the call (the Ops barrier).
 func (w *WorkerClient) Stats() (StatsReply, error) {
 	w.ctrlMu.Lock()
 	defer w.ctrlMu.Unlock()
 	drainStale(w.stats)
 	seq := w.seq.Add(1)
-	if err := w.conn.Send(TypeStatsReq, StatsReq{Seq: seq, Ops: w.barrierOps()}); err != nil {
+	if err := w.conn.Send(StatsReq{Seq: seq, Ops: w.sentOps.Load()}); err != nil {
 		return StatsReply{}, err
 	}
 	return awaitReply(w, w.stats, func(r StatsReply) uint64 { return r.Seq }, seq)
@@ -801,7 +642,7 @@ func (w *WorkerClient) CellStats() ([]CellStat, error) {
 	defer w.ctrlMu.Unlock()
 	drainStale(w.cellStats)
 	seq := w.seq.Add(1)
-	if err := w.conn.Send(TypeCellStatsReq, CellStatsReq{Seq: seq, Ops: w.barrierOps()}); err != nil {
+	if err := w.conn.Send(CellStatsReq{Seq: seq, Ops: w.sentOps.Load()}); err != nil {
 		return nil, err
 	}
 	r, err := awaitReply(w, w.cellStats, func(r CellStatsReply) uint64 { return r.Seq }, seq)
@@ -815,8 +656,8 @@ func (w *WorkerClient) CellStats() ([]CellStat, error) {
 // false, extracted from the peer's index with remove true; subs asks
 // for the per-subscription top-k window entries too (global
 // repartition's carried state). The reply reflects every op batch sent
-// before the call (FIFO on one connection, the Ops barrier on a
-// multi-stream session), which is exactly the migration barrier: once
+// before the call (the Ops barrier), which is exactly the migration
+// barrier: once
 // the coordinator has forwarded all pre-flip traffic, an extraction
 // round cannot miss any of it. The returned share carries the worker's
 // state epoch and, on a removing extraction, the top-k retraction
@@ -826,8 +667,8 @@ func (w *WorkerClient) ExtractCells(cells []CellSpec, remove, subs bool) (CellSh
 	defer w.ctrlMu.Unlock()
 	drainStale(w.shares)
 	seq := w.seq.Add(1)
-	req := ExtractCells{Seq: seq, Cells: cells, Remove: remove, Ops: w.barrierOps(), Subs: subs}
-	if err := w.conn.Send(TypeExtractCells, req); err != nil {
+	req := ExtractCells{Seq: seq, Cells: cells, Remove: remove, Ops: w.sentOps.Load(), Subs: subs}
+	if err := w.conn.Send(req); err != nil {
 		return CellShare{}, err
 	}
 	return awaitReply(w, w.shares, func(r CellShare) uint64 { return r.Seq }, seq)
@@ -835,27 +676,25 @@ func (w *WorkerClient) ExtractCells(cells []CellSpec, remove, subs bool) (CellSh
 
 // InstallCells hands the worker cell shares to index and query ids to
 // delete, returning the worker's acknowledgement (top-k admission
-// deltas, tagged with its state epoch) and the serialised payload size
-// (the migration's measured transfer bytes). Ops sent after
-// InstallCells returns are matched against the installed share.
+// deltas, tagged with its state epoch) and the request's length in the
+// AppendInstallCells layout (the migration's measured transfer bytes).
+// Ops sent after InstallCells returns are matched against the installed
+// share.
 func (w *WorkerClient) InstallCells(cells []CellPayload, deletes []uint64) (InstallAck, int64, error) {
 	w.ctrlMu.Lock()
 	defer w.ctrlMu.Unlock()
 	drainStale(w.installAcks)
 	seq := w.seq.Add(1)
-	req := InstallCells{Seq: seq, Cells: cells, Deletes: deletes}
-	payload, err := EncodePayload(req)
+	buf := GetBuf()
+	buf.B = AppendInstallCells(buf.B, InstallCells{Seq: seq, Cells: cells, Deletes: deletes})
+	nbytes := int64(len(buf.B))
+	err := w.conn.SendPayload(TypeInstallCells, buf.B)
+	PutBuf(buf)
 	if err != nil {
-		return InstallAck{}, 0, err
-	}
-	if err := w.conn.SendPayload(TypeInstallCells, payload); err != nil {
 		return InstallAck{}, 0, err
 	}
 	ack, err := awaitReply(w, w.installAcks, func(r InstallAck) uint64 { return r.Seq }, seq)
-	if err != nil {
-		return InstallAck{}, 0, err
-	}
-	return ack, int64(len(payload)), nil
+	return ack, nbytes, err
 }
 
 // AdvanceWindow runs the fenced window-expiry round: the worker first
@@ -870,8 +709,7 @@ func (w *WorkerClient) AdvanceWindow(now time.Time) (AdvanceAck, error) {
 	defer w.ctrlMu.Unlock()
 	drainStale(w.advances)
 	seq := w.seq.Add(1)
-	req := AdvanceWindow{Seq: seq, Ops: w.barrierOps(), Now: now}
-	if err := w.sendControl(TypeAdvanceWindow, req); err != nil {
+	if err := w.conn.Send(AdvanceWindow{Seq: seq, Ops: w.sentOps.Load(), Now: now}); err != nil {
 		return AdvanceAck{}, err
 	}
 	return awaitReply(w, w.advances, func(r AdvanceAck) uint64 { return r.Seq }, seq)
@@ -889,11 +727,11 @@ func (w *WorkerClient) CloseSend() error {
 			}
 		}
 		for _, c := range w.data {
-			if err := c.Send(TypeGoodbye, Goodbye{}); err != nil && w.goodbyeErr == nil {
+			if err := c.Send(Goodbye{}); err != nil && w.goodbyeErr == nil {
 				w.goodbyeErr = err
 			}
 		}
-		if err := w.conn.Send(TypeGoodbye, Goodbye{}); err != nil && w.goodbyeErr == nil {
+		if err := w.conn.Send(Goodbye{}); err != nil && w.goodbyeErr == nil {
 			w.goodbyeErr = err
 		}
 	})
@@ -917,14 +755,12 @@ func (w *WorkerClient) Close() error {
 
 // MergerClient is the coordinator's half of a hop to a remote merger
 // node: it forwards match batches and polls delivery counters. Match
-// batches are pre-encoded (binary when negotiated) and pipelined
-// through a writer goroutine; control frames queue through the same
+// batches are pre-encoded and pipelined through a writer goroutine; control frames queue through the same
 // writer, so per-connection FIFO — which the counter semantics rely on
 // — is preserved.
 type MergerClient struct {
 	conn    *Conn
 	writer  *FrameWriter
-	codec   int
 	replies chan StatsReply
 
 	statsMu sync.Mutex
@@ -938,18 +774,16 @@ type MergerClient struct {
 }
 
 // DialMerger connects to a merger node with backoff and performs the
-// handshake, negotiating the binary match-batch codec when the node
-// supports it.
+// handshake.
 func DialMerger(addr string, hello Hello, b Backoff) (*MergerClient, error) {
-	hello.Codec = CodecBinary
-	conn, wel, err := handshake(addr, hello, b, RoleMerger)
+	hello.Stream = 0
+	conn, _, err := handshake(addr, hello, b, RoleMerger)
 	if err != nil {
 		return nil, err
 	}
 	m := &MergerClient{
 		conn:     conn,
 		writer:   NewFrameWriter(conn, 0),
-		codec:    wel.Codec,
 		replies:  make(chan StatsReply, 4),
 		readDone: make(chan struct{}),
 	}
@@ -969,14 +803,9 @@ func (m *MergerClient) readLoop() {
 		}
 		switch typ {
 		case TypeStatsReply:
-			var sr StatsReply
-			if err := DecodePayload(payload, &sr); err != nil {
+			if err := parkReply(m.replies, DecodeBinStatsReply, payload); err != nil {
 				m.readErr = err
 				return
-			}
-			select {
-			case m.replies <- sr:
-			default:
 			}
 		case TypeGoodbye:
 			return
@@ -984,20 +813,12 @@ func (m *MergerClient) readLoop() {
 	}
 }
 
-// SendMatches queues one match batch on the writer — encoded here with
-// the negotiated codec, written and flushed by the writer goroutine.
+// SendMatches queues one match batch on the writer — encoded here (so
+// the caller may reuse b.Matches once it returns), written and flushed
+// by the writer goroutine.
 func (m *MergerClient) SendMatches(b MatchBatch) error {
 	buf := GetBuf()
-	if m.codec == CodecBinary {
-		buf.B = AppendMatchBatch(buf.B, b.Matches)
-	} else {
-		p, err := EncodePayload(b)
-		if err != nil {
-			PutBuf(buf)
-			return err
-		}
-		buf.B = append(buf.B, p...)
-	}
+	buf.B = AppendMatchBatch(buf.B, b.Matches)
 	return m.writer.Send(TypeMatchBatch, buf)
 }
 
@@ -1009,12 +830,8 @@ func (m *MergerClient) Counts() (delivered, duplicates int64, err error) {
 	defer m.statsMu.Unlock()
 	drainStale(m.replies)
 	seq := m.seq.Add(1)
-	payload, err := EncodePayload(StatsReq{Seq: seq})
-	if err != nil {
-		return 0, 0, err
-	}
 	buf := GetBuf()
-	buf.B = append(buf.B, payload...)
+	buf.B = AppendStatsReq(buf.B, StatsReq{Seq: seq})
 	if err := m.writer.Send(TypeStatsReq, buf); err != nil {
 		return 0, 0, err
 	}
@@ -1045,7 +862,7 @@ func (m *MergerClient) CloseSend() error {
 			m.goodbyeErr = err
 			return
 		}
-		m.goodbyeErr = m.conn.Send(TypeGoodbye, Goodbye{})
+		m.goodbyeErr = m.conn.Send(Goodbye{})
 	})
 	return m.goodbyeErr
 }

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -14,9 +12,13 @@ import (
 // Magic identifies a PS2Stream wire peer in the handshake.
 const Magic = "PS2WIRE"
 
-// Version is the current wire protocol version. Peers with different
-// versions refuse the handshake.
-const Version = 1
+// Version is the current wire protocol version. Both ends of a hop are
+// built from one tree, so there is no negotiation: a Hello or Welcome
+// opens with Magic and Version, a peer with any other version is refused,
+// and a field is added to a frame by bumping Version — never by decoding
+// it optionally (docs/WIRE.md, "Versioning"). Version 1 was the gob
+// encoding.
+const Version = 2
 
 // Roles named in the handshake.
 const (
@@ -31,9 +33,11 @@ const (
 // grid granularity (so gridt/GI2 cell ids computed on either side of the
 // wire coincide) and the sampled term statistics (so both sides pick the
 // same least-frequent registration keyword for a query).
+//
+// A Hello with Stream > 0 attaches a data connection to an existing
+// session: only Role, Task, SessionID and Stream cross the wire, and the
+// peer reads the geometry from the session's control Hello alone.
 type Hello struct {
-	Magic   string
-	Version int
 	// Role the *sender* is playing (normally RoleCoordinator).
 	Role string
 	// Task is the topology task index the peer is asked to run.
@@ -49,48 +53,38 @@ type Hello struct {
 	// (textutil.Stats.Vector); nil means "no statistics".
 	Terms map[string]int
 	// HeartbeatMillis asks the peer to send a TypePing every this many
-	// milliseconds; 0 disables heartbeats (the pre-elasticity default).
-	// Gob tolerates the field's absence, so old peers simply never ping.
+	// milliseconds; 0 disables heartbeats.
 	HeartbeatMillis int
 	// Epoch is the coordinator's fencing epoch for this worker slot. A
 	// node refuses a Hello whose epoch is below one it has already
 	// accepted, so a stale coordinator session (severed but not yet dead)
 	// cannot reclaim a slot a recovery session has taken over.
 	Epoch uint64
-	// Codec is the highest data-plane codec the sender speaks (CodecGob
-	// or CodecBinary); the Welcome answers with the negotiated one. Gob
-	// ignores unknown fields, so an old peer reads none of the fields
-	// below and a new peer reads zeroes from an old Hello — either way
-	// the session degrades to CodecGob on a single connection.
-	Codec int
 	// Streams is the number of data connections the coordinator wants
-	// for this hop (0 = single-connection legacy session). The Welcome's
-	// Streams is the granted count.
+	// for this hop; a worker refuses a control Hello that asks for none.
+	// The Welcome's Streams is the granted count. Mergers ignore it: one
+	// connection per upstream task keeps their dedup windows
+	// per-connection.
 	Streams int
 	// Stream tags which connection of a multi-stream session this Hello
 	// opens: 0 is the control connection (which creates the session),
 	// 1..Streams attach data connections to it.
 	Stream int
-	// SessionID joins a multi-stream session's connections together; the
-	// coordinator draws a fresh nonzero id per dial, and the node refuses
-	// data connections whose id does not match the live session.
+	// SessionID joins a session's connections together; the coordinator
+	// draws a fresh nonzero id per dial, and a worker refuses a control
+	// Hello without one and data connections whose id does not match the
+	// live session.
 	SessionID uint64
 }
 
 // Welcome is the peer's handshake reply.
 type Welcome struct {
-	Magic   string
-	Version int
 	// Role the replying peer is playing (RoleWorker or RoleMerger).
 	Role string
 	// Task echoes the task index the peer accepted.
 	Task int
-	// Codec is the negotiated data-plane codec: min(Hello.Codec, what
-	// the node speaks). Absent (zero) from an old node, which pins the
-	// session to CodecGob.
-	Codec int
-	// Streams is the granted data-connection count for a multi-stream
-	// session (0 from an old node, or when the Hello requested none).
+	// Streams is the granted data-connection count (workers; 0 from a
+	// merger).
 	Streams int
 }
 
@@ -127,18 +121,16 @@ type MatchBatch struct {
 	Matches []MatchEnv
 }
 
-// Drain asks the peer to acknowledge once everything received before
-// this frame has been fully processed. On a single-connection session
-// frames are FIFO, so the ack covers every batch sent before the Drain;
-// on a multi-stream session FIFO does not span the data connections, so
-// Ops carries the barrier instead.
+// Drain asks the peer to acknowledge once everything sent before this
+// frame has been fully processed. FIFO does not span a worker session's
+// data connections, so Ops carries the barrier; a merger session is one
+// connection, where FIFO suffices and Ops stays zero.
 type Drain struct {
 	Seq uint64
 	// Ops is the sender's cumulative op count for the session: the peer
 	// holds the ack until it has processed at least this many ops (and
-	// has flushed the matches they produced to the wire). Zero — always
-	// the case from a pre-negotiation coordinator — waives the count and
-	// falls back to per-connection FIFO semantics.
+	// has flushed the matches they produced to the wire). Zero means
+	// nothing has been sent yet.
 	Ops int64
 }
 
@@ -161,9 +153,8 @@ type DrainAck struct {
 // StatsReq asks a peer for its counters without a drain guarantee.
 type StatsReq struct {
 	Seq uint64
-	// Ops is the multi-stream session barrier (see Drain.Ops): the reply
-	// waits until at least this many session ops are processed, standing
-	// in for the FIFO ordering a single connection gave for free.
+	// Ops is the session barrier (see Drain.Ops): the reply waits until
+	// at least this many session ops are processed.
 	Ops int64
 }
 
@@ -214,11 +205,10 @@ type CellStat struct {
 }
 
 // CellStatsReq asks a worker peer for its per-cell statistics. The
-// reply reflects every op batch sent before the call: per-connection
-// FIFO on a legacy session, the Ops barrier on a multi-stream one.
+// reply reflects every op batch sent before the call (the Ops barrier).
 type CellStatsReq struct {
 	Seq uint64
-	// Ops is the multi-stream session barrier (see Drain.Ops).
+	// Ops is the session barrier (see Drain.Ops).
 	Ops int64
 }
 
@@ -245,10 +235,10 @@ type ExtractCells struct {
 	Seq    uint64
 	Cells  []CellSpec
 	Remove bool
-	// Ops is the multi-stream session barrier (see Drain.Ops): the share
-	// must reflect every op batch the coordinator sent before the call —
-	// that is the migration barrier — so the extraction waits for the
-	// session's processed-op count to reach it.
+	// Ops is the session barrier (see Drain.Ops): the share must reflect
+	// every op batch the coordinator sent before the call — that is the
+	// migration barrier — so the extraction waits for the session's
+	// processed-op count to reach it.
 	Ops int64
 	// Subs asks for each top-k subscription's held window entries
 	// alongside the cell shares (CellPayload.Subs). Global repartition
@@ -327,8 +317,8 @@ type WindowDeltaBatch struct {
 
 // AdvanceWindow asks a worker peer to expire its sliding windows up to
 // Now (the coordinator's clock, the single clock domain window expiry
-// runs in cluster-wide). Ops is the multi-stream session barrier (see
-// Drain.Ops): the advance observes every op batch sent before it.
+// runs in cluster-wide). Ops is the session barrier (see Drain.Ops): the
+// advance observes every op batch sent before it.
 type AdvanceWindow struct {
 	Seq uint64
 	Ops int64
@@ -345,33 +335,18 @@ type AdvanceAck struct {
 }
 
 // ResetWindow starts a fresh per-cell load window (no acknowledgement).
+// Like Goodbye and Ping it has an empty payload.
 type ResetWindow struct{}
 
-// Goodbye ends the sender's half of the conversation.
+// Goodbye ends the sender's half of the conversation; a peer that
+// refuses a Hello answers with one instead of a Welcome.
 type Goodbye struct{}
 
 // Ping is a liveness beacon (worker → coordinator); see TypePing.
 type Ping struct{}
 
-// EncodePayload gob-encodes v as a self-contained frame payload.
-func EncodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("wire: encoding %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload decodes a frame payload produced by EncodePayload into v
-// (a pointer to the frame type's struct).
-func DecodePayload(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decoding %T: %w", v, err)
-	}
-	return nil
-}
-
-// CheckHandshake validates a received Hello or Welcome's protocol fields.
+// CheckHandshake validates the protocol fields a Hello or Welcome opens
+// with; the handshake decoders call it before reading anything else.
 func CheckHandshake(magic string, version int) error {
 	if magic != Magic {
 		return fmt.Errorf("wire: bad magic %q (want %q)", magic, Magic)
@@ -380,4 +355,58 @@ func CheckHandshake(magic string, version int) error {
 		return fmt.Errorf("wire: protocol version %d (want %d)", version, Version)
 	}
 	return nil
+}
+
+// Frame is one of the protocol's frame kinds: a value that knows its type
+// byte and its binary layout. Conn.Send takes a Frame; the hot paths
+// append the same layouts into pooled buffers themselves (FrameWriter).
+// OpBatch is the one kind that is not a Frame: its layout opens with the
+// send-order sequence SendOps assigns, so it only travels that way.
+type Frame interface {
+	frameType() byte
+	appendTo(dst []byte) []byte
+}
+
+func (Hello) frameType() byte            { return TypeHello }
+func (Welcome) frameType() byte          { return TypeWelcome }
+func (MatchBatch) frameType() byte       { return TypeMatchBatch }
+func (Drain) frameType() byte            { return TypeDrain }
+func (DrainAck) frameType() byte         { return TypeDrainAck }
+func (StatsReq) frameType() byte         { return TypeStatsReq }
+func (StatsReply) frameType() byte       { return TypeStatsReply }
+func (Fence) frameType() byte            { return TypeFence }
+func (Goodbye) frameType() byte          { return TypeGoodbye }
+func (CellStatsReq) frameType() byte     { return TypeCellStatsReq }
+func (CellStatsReply) frameType() byte   { return TypeCellStatsReply }
+func (ExtractCells) frameType() byte     { return TypeExtractCells }
+func (CellShare) frameType() byte        { return TypeCellShare }
+func (InstallCells) frameType() byte     { return TypeInstallCells }
+func (InstallAck) frameType() byte       { return TypeInstallAck }
+func (ResetWindow) frameType() byte      { return TypeResetWindow }
+func (Ping) frameType() byte             { return TypePing }
+func (WindowDeltaBatch) frameType() byte { return TypeWindowDeltaBatch }
+func (AdvanceWindow) frameType() byte    { return TypeAdvanceWindow }
+func (AdvanceAck) frameType() byte       { return TypeAdvanceAck }
+
+func (f Hello) appendTo(b []byte) []byte          { return AppendHello(b, f) }
+func (f Welcome) appendTo(b []byte) []byte        { return AppendWelcome(b, f) }
+func (f MatchBatch) appendTo(b []byte) []byte     { return AppendMatchBatch(b, f.Matches) }
+func (f Drain) appendTo(b []byte) []byte          { return AppendDrain(b, f) }
+func (f DrainAck) appendTo(b []byte) []byte       { return AppendDrainAck(b, f) }
+func (f StatsReq) appendTo(b []byte) []byte       { return AppendStatsReq(b, f) }
+func (f StatsReply) appendTo(b []byte) []byte     { return AppendStatsReply(b, f) }
+func (f Fence) appendTo(b []byte) []byte          { return AppendFence(b, f) }
+func (Goodbye) appendTo(b []byte) []byte          { return b }
+func (f CellStatsReq) appendTo(b []byte) []byte   { return AppendCellStatsReq(b, f) }
+func (f CellStatsReply) appendTo(b []byte) []byte { return AppendCellStatsReply(b, f) }
+func (f ExtractCells) appendTo(b []byte) []byte   { return AppendExtractCells(b, f) }
+func (f CellShare) appendTo(b []byte) []byte      { return AppendCellShare(b, f) }
+func (f InstallCells) appendTo(b []byte) []byte   { return AppendInstallCells(b, f) }
+func (f InstallAck) appendTo(b []byte) []byte     { return AppendInstallAck(b, f) }
+func (ResetWindow) appendTo(b []byte) []byte      { return b }
+func (Ping) appendTo(b []byte) []byte             { return b }
+func (f AdvanceWindow) appendTo(b []byte) []byte  { return AppendAdvanceWindow(b, f) }
+func (f AdvanceAck) appendTo(b []byte) []byte     { return AppendAdvanceAck(b, f) }
+func (f WindowDeltaBatch) appendTo(b []byte) []byte {
+	return AppendWindowDeltaBatch(b, f.Epoch, f.Deltas)
 }

@@ -68,16 +68,17 @@ func NewConn(nc net.Conn) *Conn {
 	}
 }
 
-// Send encodes v and writes it as one frame, flushing the write buffer —
-// one frame and one flush per transfer batch. The frame's transport
-// counters cover encode time as well as the write.
-func (c *Conn) Send(typ byte, v any) error {
+// Send encodes f into a pooled buffer and writes it as one frame,
+// flushing the write buffer — one frame and one flush per transfer
+// batch. The frame's transport counters cover encode time as well as
+// the write.
+func (c *Conn) Send(f Frame) error {
 	start := time.Now()
-	payload, err := EncodePayload(v)
-	if err != nil {
-		return err
-	}
-	return c.sendPayload(typ, payload, start)
+	buf := GetBuf()
+	buf.B = f.appendTo(buf.B)
+	err := c.sendPayload(f.frameType(), buf.B, start)
+	PutBuf(buf)
+	return err
 }
 
 // SendPayload writes one frame with an already-encoded payload (callers

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ps2stream/internal/model"
 )
 
 // deadlineCounter counts SetReadDeadline/SetWriteDeadline calls so the
@@ -136,16 +134,12 @@ func TestWorkerClientSilentPeerSurfacesWorkerDown(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		nc, err := ln.Accept()
+		ctrl, data, err := acceptFakeSession(ln)
 		if err != nil {
 			return
 		}
-		defer nc.Close()
-		c := NewConn(nc)
-		if _, _, err := c.RecvTimeout(time.Second); err != nil {
-			return
-		}
-		c.Send(TypeWelcome, Welcome{Magic: Magic, Version: Version, Role: RoleWorker})
+		defer ctrl.Close()
+		defer data.Close()
 		// Promise heartbeats, send none: wedged peer.
 		time.Sleep(5 * time.Second)
 	}()
@@ -163,96 +157,4 @@ func TestWorkerClientSilentPeerSurfacesWorkerDown(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("worker-down surfaced after %v, want within a few heartbeat intervals", elapsed)
 	}
-}
-
-// TestDialWorkerFallsBackToGob: a peer that answers the negotiation
-// with a pre-codec Welcome (no Codec/Streams fields — what an old node
-// sends) drops the client into the legacy single-connection gob
-// session, and the data path still works end to end.
-func TestDialWorkerFallsBackToGob(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	srvErr := make(chan error, 1)
-	go func() {
-		srvErr <- func() error {
-			nc, err := ln.Accept()
-			if err != nil {
-				return err
-			}
-			defer nc.Close()
-			c := NewConn(nc)
-			typ, payload, err := c.RecvTimeout(5 * time.Second)
-			if err != nil {
-				return err
-			}
-			var hello Hello
-			if typ != TypeHello || DecodePayload(payload, &hello) != nil {
-				return errors.New("bad hello")
-			}
-			if hello.Codec != CodecBinary || hello.Streams <= 0 || hello.SessionID == 0 {
-				return errors.New("client did not request a binary multi-stream session")
-			}
-			// Old node: fields unknown, echoed as zero.
-			if err := c.Send(TypeWelcome, Welcome{Magic: Magic, Version: Version, Role: RoleWorker}); err != nil {
-				return err
-			}
-			for {
-				typ, payload, err := c.RecvTimeout(5 * time.Second)
-				if err != nil {
-					return err
-				}
-				switch typ {
-				case TypeOpBatch:
-					var ob OpBatch
-					if err := DecodePayload(payload, &ob); err != nil {
-						return err // a binary batch here would fail exactly this way
-					}
-					if err := c.Send(TypeMatchBatch, MatchBatch{Matches: []MatchEnv{
-						{M: model.Match{QueryID: 1, ObjectID: ob.Ops[0].Op.Obj.ID}},
-					}}); err != nil {
-						return err
-					}
-				case TypeDrain:
-					var d Drain
-					if err := DecodePayload(payload, &d); err != nil {
-						return err
-					}
-					if err := c.Send(TypeDrainAck, DrainAck{Seq: d.Seq, Done: 1, Emitted: 1}); err != nil {
-						return err
-					}
-				case TypeGoodbye:
-					return c.Send(TypeGoodbye, Goodbye{})
-				}
-			}
-		}()
-	}()
-	cl, err := DialWorker(ln.Addr().String(), Hello{}, Backoff{Attempts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Codec() != CodecGob || cl.Streams() != 0 {
-		t.Fatalf("negotiated codec=%d streams=%d, want legacy gob single-conn", cl.Codec(), cl.Streams())
-	}
-	if err := cl.SendOps(OpBatch{Ops: []OpEnv{{Op: model.Op{Kind: model.OpObject,
-		Obj: &model.Object{ID: 77}}}}}); err != nil {
-		t.Fatal(err)
-	}
-	mb, err := cl.RecvMatches()
-	if err != nil || len(mb.Matches) != 1 || mb.Matches[0].M.ObjectID != 77 {
-		t.Fatalf("matches = %+v, err %v", mb, err)
-	}
-	ack, err := cl.Drain()
-	if err != nil || ack.Done != 1 {
-		t.Fatalf("drain ack = %+v, err %v", ack, err)
-	}
-	if err := cl.CloseSend(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-srvErr; err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
 }

@@ -2,12 +2,40 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// acceptFakeSession stands in for a worker node's handshake in client
+// tests: it accepts a control connection on ln, grants the session one
+// data stream, and accepts the data connection DialWorker then attaches.
+func acceptFakeSession(ln net.Listener) (ctrl, data *Conn, err error) {
+	var conns [2]*Conn
+	for i := range conns {
+		nc, err := ln.Accept()
+		if err != nil {
+			return nil, nil, err
+		}
+		c := NewConn(nc)
+		typ, payload, err := c.RecvTimeout(5 * time.Second)
+		if err != nil {
+			return nil, nil, err
+		}
+		hello, err := DecodeBinHello(payload)
+		if typ != TypeHello || err != nil || hello.Stream != i || hello.SessionID == 0 {
+			return nil, nil, fmt.Errorf("connection %d opened with frame type %d, hello %+v, err %v", i, typ, hello, err)
+		}
+		if err := c.Send(Welcome{Role: RoleWorker, Task: hello.Task, Streams: 1}); err != nil {
+			return nil, nil, err
+		}
+		conns[i] = c
+	}
+	return conns[0], conns[1], nil
+}
 
 // TestDialWorkerRetriesHandshakeTransportFailure: a crashed worker's
 // port can accept a connect and reset the stream before the Welcome
@@ -28,15 +56,7 @@ func TestDialWorkerRetriesHandshakeTransportFailure(t *testing.T) {
 		}
 		c.Close()
 		// Second connect: a real worker handshake.
-		c, err = ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := NewConn(c)
-		if _, _, err := conn.Recv(); err != nil { // the Hello
-			return
-		}
-		conn.Send(TypeWelcome, Welcome{Magic: Magic, Version: Version, Role: RoleWorker, Task: 3})
+		acceptFakeSession(ln)
 	}()
 	w, err := DialWorker(ln.Addr().String(), Hello{Task: 3}, Backoff{
 		Attempts: 5, Base: 5 * time.Millisecond,
@@ -69,7 +89,7 @@ func TestDialWorkerProtocolRefusalIsFatal(t *testing.T) {
 			if _, _, err := conn.Recv(); err != nil {
 				continue
 			}
-			conn.Send(TypeWelcome, Welcome{Magic: Magic, Version: Version, Role: RoleMerger, Task: 0})
+			conn.Send(Welcome{Role: RoleMerger, Task: 0})
 		}
 	}()
 	_, err = DialWorker(ln.Addr().String(), Hello{}, Backoff{

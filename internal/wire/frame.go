@@ -5,8 +5,7 @@
 // (cmd/psnode). The paper deploys on an Apache Storm cluster whose
 // tuples cross real machine boundaries (§VI); this package is the
 // repro's equivalent of Storm's transport layer, with in-process
-// channels remaining the fast path for single-process runs (see
-// stream.Transport).
+// channels remaining the fast path for single-process runs.
 //
 // # Frame format
 //
@@ -16,16 +15,14 @@
 //	byte               type     (Type* constants)
 //	n-1 bytes          payload  (encoding per frame kind)
 //
-// Control frames (handshake, stats, migration) are always independent
-// self-contained gob streams, so frames are self-delimiting: a reader
-// can skip, re-synchronise after an error, and a truncated or corrupted
-// frame fails at a frame boundary instead of poisoning the connection's
-// decoder state — and gob's ignore-unknown-fields decoding is what
-// version negotiation rides on. The hot data-plane frames (op batches,
-// match batches, drain/drain-ack/fence) switch to the zero-allocation
-// binary codec of binary.go when the Hello/Welcome exchange negotiates
-// it (CodecBinary); against an old peer they stay gob. Either way one
-// frame carries a whole transfer batch of tuples (docs/WIRE.md).
+// Frames are self-delimiting: a reader can skip a type it does not know,
+// and a truncated or corrupted frame fails at a frame boundary instead of
+// poisoning the connection's decoder state. Every frame kind has exactly
+// one payload encoding, the binary layout of binary.go (zero-allocation
+// for the hot data-plane frames), and both ends of a hop are built from
+// one tree: the handshake carries one protocol version and refuses any
+// other (see Version). One op or match frame carries a whole transfer
+// batch of tuples (docs/WIRE.md).
 package wire
 
 import (
@@ -37,8 +34,7 @@ import (
 )
 
 // Frame types. The wire protocol is versioned by the handshake (Hello
-// and Welcome carry Magic and Version); types may be added, never
-// renumbered, within a version.
+// and Welcome open with Magic and Version); types are never renumbered.
 const (
 	// TypeHello opens a connection: coordinator → peer, carrying the
 	// grid geometry and term statistics the peer needs so gridt cell
@@ -77,8 +73,8 @@ const (
 	// TypeExtractCells asks a worker peer for a serialised cell share —
 	// queries plus window ring state — either copied (snapshot) or
 	// removed from the peer's index (the deferred-extraction step of a
-	// migration). FIFO framing orders it behind every op batch and fence
-	// sent before it, so the share reflects all pre-flip traffic.
+	// migration). Its Ops barrier orders it behind every op batch sent
+	// before it, so the share reflects all pre-flip traffic.
 	TypeExtractCells byte = 13
 	// TypeCellShare answers an ExtractCells with the cell payloads.
 	TypeCellShare byte = 14
@@ -96,23 +92,21 @@ const (
 	// guarantees the next CellStatsReq observes the reset.
 	TypeResetWindow byte = 17
 	// TypePing is a worker node's liveness beacon (worker → coordinator,
-	// sent every Hello.HeartbeatMillis when heartbeats are negotiated).
-	// It carries no payload semantics; its arrival resets the
-	// coordinator's read deadline, so a silent peer — kill -9, network
-	// partition — surfaces as ErrWorkerDown instead of an indefinite
-	// stall. Readers that predate it skip it (unknown-type rule).
+	// sent every Hello.HeartbeatMillis when the Hello asks for heartbeats).
+	// It carries no payload; its arrival resets the coordinator's read
+	// deadline, so a silent peer — kill -9, network partition — surfaces
+	// as ErrWorkerDown instead of an indefinite stall.
 	TypePing byte = 18
 	// TypeWindowDeltaBatch carries one batch of sliding-window top-k
 	// membership deltas (worker → coordinator): the worker folds the
 	// window.Deltas produced while processing op batches into one hot
 	// frame per transfer batch, tagged with the session's fencing epoch
-	// so the coordinator's board can drop stale replays. Binary when the
-	// session negotiated CodecBinary, gob otherwise.
+	// so the coordinator's board can drop stale replays.
 	TypeWindowDeltaBatch byte = 19
 	// TypeAdvanceWindow asks a worker peer to expire its sliding windows
 	// up to the coordinator's clock (coordinator → worker): the fenced
 	// control round that keeps cluster-wide window expiry consistent. It
-	// carries the multi-stream Ops barrier like a Drain, so the advance
+	// carries the session's Ops barrier like a Drain, so the advance
 	// observes every op batch sent before it.
 	TypeAdvanceWindow byte = 20
 	// TypeAdvanceAck answers an AdvanceWindow with the expiry's top-k

@@ -4,51 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
-
-	"ps2stream/internal/geo"
-	"ps2stream/internal/model"
-	"ps2stream/internal/window"
 )
 
-// seedStream builds a valid multi-frame stream for the fuzz corpus.
+// seedStream builds a valid multi-frame stream for the fuzz corpus: every
+// case of the frame table, framed back to back.
 func seedStream(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	frames := []struct {
-		typ byte
-		v   any
-	}{
-		{TypeHello, Hello{Magic: Magic, Version: Version, Role: RoleCoordinator,
-			Task: 1, Workers: 4, Bounds: geo.NewRect(-125, 24, -66, 49), Granularity: 64,
-			BatchSize: 64, Terms: map[string]int{"coffee": 3, "pizza": 1}}},
-		{TypeOpBatch, OpBatch{Ops: []OpEnv{{Op: model.Op{Kind: model.OpObject,
-			Obj: &model.Object{ID: 7, Terms: []string{"coffee"}, Loc: geo.Point{X: -73.9, Y: 40.7}}}}}}},
-		{TypeMatchBatch, MatchBatch{Matches: []MatchEnv{{M: model.Match{QueryID: 1, ObjectID: 7}}}}},
-		{TypeCellStatsReq, CellStatsReq{Seq: 1}},
-		{TypeCellStatsReply, CellStatsReply{Seq: 1, Cells: []CellStat{{Cell: 9, Entries: 2, ObjSeen: 5,
-			SizeBytes: 128, Load: 10, Terms: []CellTermStat{{Term: "coffee", Queries: 2, ObjHits: 5}}}}}},
-		{TypeExtractCells, ExtractCells{Seq: 2, Cells: []CellSpec{{Cell: 9, Keys: []string{"coffee"}}}, Remove: true}},
-		{TypeCellShare, CellShare{Seq: 2, Epoch: 1, Cells: []CellPayload{{Cell: 9,
-			Ring: []window.Entry{{MsgID: 7, Terms: []string{"coffee"}, Loc: geo.Point{X: -73.9, Y: 40.7}}}}},
-			Deltas: []window.Delta{{QueryID: 1, MsgID: 7, K: 3, Rank: 0.5, Rel: 0.9}}}},
-		{TypeInstallCells, InstallCells{Seq: 3, Cells: []CellPayload{{Cell: 9}}, Deletes: []uint64{4}}},
-		{TypeInstallAck, InstallAck{Seq: 3, Epoch: 1,
-			Deltas: []window.Delta{{QueryID: 1, MsgID: 7, K: 3, Rank: 0.5, Rel: 0.9, Entered: true}}}},
-		{TypeWindowDeltaBatch, WindowDeltaBatch{Epoch: 1,
-			Deltas: []window.Delta{{QueryID: 1, MsgID: 7, K: 3, Rank: 0.5, Rel: 0.9, Entered: true}}}},
-		{TypeAdvanceWindow, AdvanceWindow{Seq: 4, Ops: 9}},
-		{TypeAdvanceAck, AdvanceAck{Seq: 4, Epoch: 1}},
-		{TypeResetWindow, ResetWindow{}},
-		{TypeDrain, Drain{Seq: 3}},
-		{TypeGoodbye, Goodbye{}},
-	}
-	for _, f := range frames {
-		payload, err := EncodePayload(f.v)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := WriteFrame(w, f.typ, payload); err != nil {
+	for _, fc := range frameCases() {
+		if err := WriteFrame(w, fc.typ, fc.payload); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -56,15 +21,33 @@ func seedStream(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// streamSeeds names the FuzzWireStream seed corpus: a whole session, the
+// same cut mid-frame and corrupted mid-payload, and framing-level garbage.
+func streamSeeds(tb testing.TB) map[string][]byte {
+	session := seedStream(tb)
+	corrupt := bytes.Clone(session)
+	for i := 40; i < len(corrupt); i += 97 {
+		corrupt[i] ^= 0xA5
+	}
+	return map[string][]byte{
+		"session":           session,
+		"truncated-session": session[:len(session)*2/3],
+		"corrupt-session":   corrupt,
+		"corrupt-opbatch":   {0, 0, 0, 2, TypeOpBatch, 0xFF},
+		"garbage":           []byte("GET / HTTP/1.1\r\n\r\n"),
+		"huge-length":       {0xFF, 0xFF, 0xFF, 0xFF, 0},
+		"zero-length":       {0, 0, 0, 0},
+	}
+}
+
 // FuzzWireStream feeds arbitrary bytes through the full receive path —
-// framing then per-type gob decoding — asserting it never panics, never
-// over-allocates past MaxFrameSize, and always terminates. This is the
-// input-validation surface a psnode exposes to the network.
+// framing, then the decoder of each frame's type — asserting it never
+// panics, never over-allocates past MaxFrameSize, and always terminates.
+// This is the input-validation surface a psnode exposes to the network.
 func FuzzWireStream(f *testing.F) {
-	f.Add(seedStream(f))
-	f.Add([]byte{0, 0, 0, 2, TypeOpBatch, 0xFF})
-	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0})
+	for _, s := range streamSeeds(f) {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 1024; i++ { // bounded: each frame consumes ≥4 bytes
@@ -75,65 +58,7 @@ func FuzzWireStream(f *testing.F) {
 			if len(payload) > MaxFrameSize {
 				t.Fatalf("payload of %d bytes escaped MaxFrameSize", len(payload))
 			}
-			switch typ {
-			case TypeHello:
-				var v Hello
-				_ = DecodePayload(payload, &v)
-			case TypeWelcome:
-				var v Welcome
-				_ = DecodePayload(payload, &v)
-			case TypeOpBatch:
-				var v OpBatch
-				_ = DecodePayload(payload, &v)
-			case TypeMatchBatch:
-				var v MatchBatch
-				_ = DecodePayload(payload, &v)
-			case TypeDrain:
-				var v Drain
-				_ = DecodePayload(payload, &v)
-			case TypeDrainAck:
-				var v DrainAck
-				_ = DecodePayload(payload, &v)
-			case TypeStatsReq:
-				var v StatsReq
-				_ = DecodePayload(payload, &v)
-			case TypeStatsReply:
-				var v StatsReply
-				_ = DecodePayload(payload, &v)
-			case TypeFence:
-				var v Fence
-				_ = DecodePayload(payload, &v)
-			case TypeCellStatsReq:
-				var v CellStatsReq
-				_ = DecodePayload(payload, &v)
-			case TypeCellStatsReply:
-				var v CellStatsReply
-				_ = DecodePayload(payload, &v)
-			case TypeExtractCells:
-				var v ExtractCells
-				_ = DecodePayload(payload, &v)
-			case TypeCellShare:
-				var v CellShare
-				_ = DecodePayload(payload, &v)
-			case TypeInstallCells:
-				var v InstallCells
-				_ = DecodePayload(payload, &v)
-			case TypeInstallAck:
-				var v InstallAck
-				_ = DecodePayload(payload, &v)
-			case TypeResetWindow:
-				var v ResetWindow
-				_ = DecodePayload(payload, &v)
-			case TypeWindowDeltaBatch:
-				var v WindowDeltaBatch
-				_ = DecodePayload(payload, &v)
-			case TypeAdvanceWindow:
-				var v AdvanceWindow
-				_ = DecodePayload(payload, &v)
-			case TypeAdvanceAck:
-				var v AdvanceAck
-				_ = DecodePayload(payload, &v)
-			}
+			_, _, _ = reencodeFrame(typ, payload)
 		}
 	})
 }

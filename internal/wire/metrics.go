@@ -10,9 +10,9 @@ import (
 // Per-frame-kind transport counters. They are process-global: a PS2Stream
 // process plays one role in the topology, and the counters are monotone,
 // so aggregating every connection in the process is exactly the view an
-// operator wants from that process's /metrics endpoint. Conn.SendPayload
-// and Conn.Recv are the two choke points every frame passes through, so
-// incrementing here covers data, control, and migration traffic alike.
+// operator wants from that process's /metrics endpoint. Every frame
+// passes through Conn's write paths and Conn.Recv, so incrementing there
+// covers data, control, and migration traffic alike.
 
 // maxFrameType bounds the counter arrays; frame types are small bytes
 // (currently 1–17) and anything larger lands in the "other" slot.

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
 )
 
@@ -96,87 +95,6 @@ func TestWriteFrameTooLarge(t *testing.T) {
 	}
 }
 
-// TestPayloadRoundTrip covers the stable wire encoding of the model
-// types: every field of Op/Query/Expr/Match must survive.
-func TestPayloadRoundTrip(t *testing.T) {
-	q := &model.Query{
-		ID:         42,
-		Expr:       model.Expr{Conj: [][]string{{"coffee", "brooklyn"}, {"espresso"}}},
-		Region:     geo.NewRect(-74.2, 40.5, -73.7, 40.95),
-		Subscriber: 7,
-		TopK:       5,
-		Window:     3 * time.Minute,
-	}
-	ob := OpBatch{Ops: []OpEnv{
-		{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: time.Unix(1700000000, 12345)},
-		{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{
-			ID: 9, Terms: []string{"best", "coffee"}, Loc: geo.Point{X: -73.95, Y: 40.71},
-		}}, T0: time.Unix(1700000001, 0)},
-		{Op: model.Op{Kind: model.OpDelete, Query: q}},
-	}}
-	payload, err := EncodePayload(ob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got OpBatch
-	if err := DecodePayload(payload, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Ops) != 3 {
-		t.Fatalf("got %d ops, want 3", len(got.Ops))
-	}
-	gq := got.Ops[0].Op.Query
-	if gq.ID != q.ID || gq.Subscriber != q.Subscriber || gq.TopK != q.TopK || gq.Window != q.Window {
-		t.Errorf("query scalars mismatch: %+v", gq)
-	}
-	if gq.Expr.String() != q.Expr.String() {
-		t.Errorf("expr = %q, want %q", gq.Expr.String(), q.Expr.String())
-	}
-	if gq.Region != q.Region {
-		t.Errorf("region = %v, want %v", gq.Region, q.Region)
-	}
-	if !got.Ops[0].T0.Equal(time.Unix(1700000000, 12345)) {
-		t.Errorf("T0 = %v", got.Ops[0].T0)
-	}
-	gobj := got.Ops[1].Op.Obj
-	if gobj.ID != 9 || gobj.Loc != (geo.Point{X: -73.95, Y: 40.71}) || len(gobj.Terms) != 2 {
-		t.Errorf("object mismatch: %+v", gobj)
-	}
-
-	mb := MatchBatch{Matches: []MatchEnv{{
-		M: model.Match{QueryID: 42, Subscriber: 7, ObjectID: 9, Worker: 3}, T0: time.Unix(5, 5),
-	}}}
-	payload, err = EncodePayload(mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gm MatchBatch
-	if err := DecodePayload(payload, &gm); err != nil {
-		t.Fatal(err)
-	}
-	if gm.Matches[0].M != mb.Matches[0].M {
-		t.Errorf("match = %+v, want %+v", gm.Matches[0].M, mb.Matches[0].M)
-	}
-}
-
-func TestDecodePayloadGarbage(t *testing.T) {
-	var ob OpBatch
-	if err := DecodePayload([]byte("not gob at all"), &ob); err == nil {
-		t.Error("garbage payload decoded without error")
-	}
-	var h Hello
-	// A valid OpBatch payload decoded as the wrong type must error, not
-	// silently mis-decode.
-	payload, err := EncodePayload(OpBatch{Ops: []OpEnv{{Op: model.Op{Kind: model.OpObject,
-		Obj: &model.Object{ID: 1}}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DecodePayload(payload, &h); err == nil {
-		t.Error("cross-type decode succeeded")
-	}
-}
-
 func TestCheckHandshake(t *testing.T) {
 	if err := CheckHandshake(Magic, Version); err != nil {
 		t.Errorf("valid handshake rejected: %v", err)
@@ -242,19 +160,14 @@ func TestWorkerClientCloseUnblocksFullMatchBuffer(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		nc, err := ln.Accept()
+		_, data, err := acceptFakeSession(ln)
 		if err != nil {
 			return
 		}
-		c := NewConn(nc)
-		if _, _, err := c.RecvTimeout(time.Second); err != nil {
-			return
-		}
-		c.Send(TypeWelcome, Welcome{Magic: Magic, Version: Version, Role: RoleWorker})
 		// Flood more batches than the client buffers (128) without the
 		// client ever consuming one.
 		for i := 0; i < 200; i++ {
-			if c.Send(TypeMatchBatch, MatchBatch{Matches: []MatchEnv{{M: model.Match{ObjectID: uint64(i)}}}}) != nil {
+			if data.Send(MatchBatch{Matches: []MatchEnv{{M: model.Match{ObjectID: uint64(i)}}}}) != nil {
 				return
 			}
 		}
@@ -263,12 +176,17 @@ func TestWorkerClientCloseUnblocksFullMatchBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the read loop fill the buffer and park
+	time.Sleep(50 * time.Millisecond) // let the data loop fill the buffer and park
 	cl.Close()
+	parked := make(chan struct{})
+	go func() {
+		cl.dataWG.Wait()
+		close(parked)
+	}()
 	select {
-	case <-cl.readDone:
+	case <-parked:
 	case <-time.After(5 * time.Second):
-		t.Fatal("read loop still parked after Close")
+		t.Fatal("data loop still parked after Close")
 	}
 	// The match channel must be closed so a late consumer unblocks too.
 	for {
@@ -293,7 +211,7 @@ func TestHandshakeRejectsWrongRole(t *testing.T) {
 		if _, _, err := c.RecvTimeout(time.Second); err != nil {
 			return
 		}
-		c.Send(TypeWelcome, Welcome{Magic: Magic, Version: Version, Role: RoleMerger})
+		c.Send(Welcome{Role: RoleMerger})
 	}()
 	_, err = DialWorker(ln.Addr().String(), Hello{}, Backoff{Attempts: 1})
 	if err == nil || !strings.Contains(err.Error(), "identifies as") {
