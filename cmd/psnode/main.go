@@ -12,7 +12,7 @@
 //	psnode -role dispatcher -workers 127.0.0.1:7101,127.0.0.1:7102 \
 //	       -mergers 127.0.0.1:7103 -mu 500 -ops 4000 -seed 2017
 //
-// The dispatcher node embeds the coordinator (spout + dispatcher tasks),
+// The dispatcher node embeds the coordinator (ingest + dispatcher tasks),
 // generates the seeded workload, and drives it through the remote
 // workers; their matches flow to the merger node, which deduplicates,
 // counts, and (with -out) dumps the delivered match set sorted — the
@@ -713,7 +713,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		maybeRepartition(dc.ops)
 	} else {
 		// Static runs submit in one tight burst, exactly like the
-		// pre-adjust dispatcher: trickling ops into the spout would widen
+		// pre-adjust dispatcher: trickling ops into the ingest would widen
 		// the cross-dispatcher insert/object race window, making cluster
 		// and oracle runs diverge on the mixed stream.
 		sys.SubmitAll(stream)

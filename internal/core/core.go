@@ -2,9 +2,11 @@
 // bolts on the stream engine (§III-B, Figure 1), the workload-distribution
 // assignment on the dispatchers, GI2 indexes on the workers, duplicate
 // elimination on the mergers, and the dynamic load adjustment controller
-// of §V. The whole publish path is batch-oriented: operations move between
-// tasks as slices of up to Config.BatchSize tuples, amortising channel
-// sends, lock acquisitions and clock reads over whole batches.
+// of §V. The whole publish path is batch-oriented: Submit appends to a
+// per-dispatcher ingest shard, the dispatchers pull whole buffers from it,
+// and operations move between tasks as slices of up to Config.BatchSize
+// tuples, amortising channel sends, lock acquisitions and clock reads over
+// whole batches.
 package core
 
 import (
@@ -60,12 +62,17 @@ type Config struct {
 	Mergers int
 	// Granularity is the per-axis grid resolution of GI2 and gridt.
 	Granularity int
-	// QueueCap bounds each task's input queue in tuples (backpressure),
-	// rounded down to whole transfer batches (minimum one batch).
+	// QueueCap bounds, in tuples, each worker's and merger's input queue
+	// (rounded down to whole transfer batches, minimum one batch) and the
+	// operations Submit may have waiting for the dispatchers: the ingest
+	// shards hold QueueCap / Dispatchers each (minimum one batch), beside
+	// the buffer a dispatcher is routing. A Submit to a full shard blocks
+	// (backpressure).
 	QueueCap int
 	// BatchSize is the number of tuples transferred per channel send on
-	// every hop of the topology (spout→dispatcher→worker→merger). Batches
-	// fill adaptively: a task flushes partial batches as soon as its input
+	// every hop of the topology (dispatcher→worker→merger) and the number
+	// of operations a dispatcher routes per fence section. Batches fill
+	// adaptively: a task flushes partial batches as soon as its input
 	// goes idle, so batching costs no latency on a quiet stream. 1 means
 	// unbatched (tuple-at-a-time); 0 uses DefaultBatchSize.
 	BatchSize int
@@ -343,8 +350,12 @@ type System struct {
 	// engines always do), the one index whose queries migrate in units of
 	// gridt cells.
 	cellsMigrate bool
-	input        chan wire.OpEnv
-	topo         *stream.Topology
+	// ingest holds one shard per dispatcher task (ingest.go): Submit
+	// appends to shard RouteHash % Dispatchers, the dispatcher pulls.
+	ingest []*ingestShard
+	// ingestBlocked counts the times a Submit parked on a full shard.
+	ingestBlocked metrics.Counter
+	topo          *stream.Topology
 
 	runErr  chan error
 	started atomic.Bool
@@ -480,8 +491,11 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		cfg:    cfg,
 		bounds: sample.Bounds,
 		tput:   metrics.NewThroughput(),
-		input:  make(chan wire.OpEnv, cfg.QueueCap),
+		ingest: make([]*ingestShard, cfg.Dispatchers),
 		runErr: make(chan error, 1),
+	}
+	for i := range s.ingest {
+		s.ingest[i] = newIngestShard(max(cfg.QueueCap/cfg.Dispatchers, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
 	}
 	s.latency.Store(metrics.NewHistogram(nil))
 	s.matchLat.Store(metrics.NewHistogram(nil))
@@ -630,6 +644,9 @@ func (s *System) Start(ctx context.Context) error {
 	s.runCtx = runCtx
 	s.topo = s.buildTopology(runCtx)
 	s.registerTopologyMetrics()
+	// The dispatchers park on their shards, where the run context cannot
+	// reach them: close the ingest when it is cancelled.
+	context.AfterFunc(runCtx, s.closeIngest)
 	if s.hops != nil || len(s.cfg.RemoteMergers) > 0 {
 		// Remote transports block in socket reads the run context cannot
 		// reach; force-close them on cancellation (a normal Close cancels
@@ -657,13 +674,15 @@ func (s *System) Start(ctx context.Context) error {
 	return nil
 }
 
-// Submit enqueues one operation, blocking under backpressure. It must not
-// be called after Close. The envelope timestamp comes from the configured
-// clock: it drives latency accounting and is the publish instant that
-// window expiry is measured from (one stamp per object, so every worker
-// replica agrees on its window lifetime).
+// Submit enqueues one operation on the ingest shard of its routing hash,
+// blocking under backpressure. A Submit that races with Close or Abort, or
+// follows them, returns without enqueuing. The envelope timestamp comes
+// from the configured clock: it drives latency accounting and is the
+// publish instant that window expiry is measured from (one stamp per
+// object, so every worker replica agrees on its window lifetime).
 func (s *System) Submit(op model.Op) {
-	s.input <- wire.OpEnv{Op: op, T0: s.now()}
+	env := wire.OpEnv{Op: op, T0: s.now()}
+	s.ingest[op.RouteHash()%uint64(len(s.ingest))].put(env)
 }
 
 // SubmitAll enqueues a batch.
@@ -673,8 +692,15 @@ func (s *System) SubmitAll(ops []model.Op) {
 	}
 }
 
-// Close stops input, waits for all in-flight tuples to drain, and returns
-// the topology's run error.
+// closeIngest ends every shard (idempotent).
+func (s *System) closeIngest() {
+	for _, sh := range s.ingest {
+		sh.close()
+	}
+}
+
+// Close stops input, waits for every operation a Submit had enqueued and
+// all in-flight tuples to drain, and returns the topology's run error.
 func (s *System) Close() error {
 	if !s.started.Load() {
 		return errors.New("core: not started")
@@ -682,7 +708,7 @@ func (s *System) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return errors.New("core: already closed")
 	}
-	close(s.input)
+	s.closeIngest()
 	err := <-s.runErr
 	s.cancel()
 	return err
@@ -694,7 +720,7 @@ func (s *System) Abort() {
 		s.cancel()
 	}
 	if s.closed.CompareAndSwap(false, true) {
-		close(s.input)
+		s.closeIngest()
 		<-s.runErr
 	}
 }
@@ -840,8 +866,8 @@ func (s *System) Processed() int64 { return s.processed.Value() }
 
 // Quiesce blocks until the first `submitted` operations have been routed
 // by the dispatchers AND every worker has drained its input (done ops
-// caught up with enqueued ops, stable across two polls — the enqueue
-// counters move mid-dispatch, after Processed already has). Benchmarks
+// caught up with enqueued ops, stable across two polls; a dispatcher
+// advances the enqueue counters before it advances Processed). Benchmarks
 // and tests use it as an exact "all standing state is applied" barrier
 // between a prewarm phase and a measured/asserted phase; it never
 // returns early, so only call it after submitting at least `submitted`

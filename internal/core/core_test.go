@@ -86,7 +86,7 @@ func runExact(t *testing.T, builder partition.Builder, sample *partition.Sample,
 	return ms
 }
 
-func smallWorkload(t *testing.T, kind workload.QueryKind, seed int64, nOps int) (*partition.Sample, []model.Op) {
+func smallWorkload(t testing.TB, kind workload.QueryKind, seed int64, nOps int) (*partition.Sample, []model.Op) {
 	t.Helper()
 	spec := workload.TweetsUS()
 	spec.VocabSize = 2000 // denser matches at test scale

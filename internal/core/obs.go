@@ -115,6 +115,20 @@ func (s *System) initObservability() {
 	s.stageMerge = r.Histogram("ps2_stage_seconds", "per-batch stage processing time",
 		stageLatencyBounds, metrics.L("stage", StageMerge))
 
+	// The ingest: what a publisher feels before any stage sees the
+	// operation. Depth and capacity are read at scrape time; the blocked
+	// counter moves only on the path that is about to wait.
+	for i, sh := range s.ingest {
+		sh := sh
+		dl := metrics.L("dispatcher", strconv.Itoa(i))
+		r.GaugeFunc("ps2_ingest_depth_ops", "operations waiting in the dispatcher's ingest shard (instantaneous)",
+			func() float64 { return float64(sh.depth()) }, dl)
+		r.GaugeFunc("ps2_ingest_cap_ops", "waiting operations the ingest shard accepts before Submit blocks",
+			func() float64 { return float64(sh.limit) }, dl)
+	}
+	r.CounterFunc("ps2_ingest_blocked_total", "times a Submit parked on a full ingest shard",
+		s.ingestBlocked.Value)
+
 	// Per-worker series. The op counts and the query gauge read the
 	// slot's endpoint; everything else reads coordinator-side state.
 	// Spare slots are included so a runtime-joined worker's series exist
@@ -229,7 +243,8 @@ func (s *System) initObservability() {
 }
 
 // registerTopologyMetrics adds the stream-engine gauges that only exist
-// once the topology is built (Start).
+// once the topology is built (Start). They cover the bolts — workers and
+// mergers; the dispatchers are sources and report through ps2_ingest_*.
 func (s *System) registerTopologyMetrics() {
 	topo := s.topo
 	for name := range topo.ComponentStats() {

@@ -623,6 +623,11 @@ func (s *System) quiesceHops(submitted int64) error {
 			return errors.New("core: run stopped while draining (task panic?)")
 		}
 		if s.Processed() < submitted {
+			if s.runDone.Load() {
+				// Closed with a Submit that lost the race to it (counted
+				// by the caller, never enqueued): nothing routes it now.
+				return errors.New("core: system closed while draining")
+			}
 			stable = 0
 			time.Sleep(2 * time.Millisecond)
 			continue

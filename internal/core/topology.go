@@ -10,20 +10,28 @@ import (
 	"ps2stream/internal/wire"
 )
 
-// Stream names of the PS2Stream topology (Figure 1). Tuples on ops and
-// towork carry a wire.OpEnv, tuples on matches a wire.MatchEnv: the same
+// Stream names of the PS2Stream topology (Figure 1). Tuples on towork
+// carry a wire.OpEnv, tuples on matches a wire.MatchEnv: the same
 // envelopes whether a hop is a channel or a socket.
 const (
-	streamInput   = "ops"     // spout -> dispatchers
 	streamToWork  = "towork"  // dispatchers -> workers (direct)
 	streamMatches = "matches" // workers -> mergers (fields)
 )
 
-// buildTopology assembles spout → dispatcher → worker → merger. Every hop
-// moves batches of up to Config.BatchSize tuples: the spout drains
-// whatever Submit has queued into one collector pass, dispatchers fan out
-// one batch per target worker, workers take their index/window locks once
-// per batch, and mergers deduplicate batch-wise.
+// forcedFlushFactor is the bound stream.Topology.Run applies to bolts,
+// applied to the dispatchers (which are sources): a dispatcher whose
+// shard never runs empty still flushes its collector every
+// forcedFlushFactor × BatchSize routed operations, so a partial towork
+// batch for a rarely-targeted worker cannot be parked behind a saturated
+// input (handOff's drain barrier and Drain wait on such batches).
+const forcedFlushFactor = 4
+
+// buildTopology assembles dispatcher → worker → merger. The dispatchers
+// are the sources: each pulls typed []wire.OpEnv buffers from its ingest
+// shard (ingest.go), where Submit put them. Every hop behind them moves
+// batches of up to Config.BatchSize tuples: dispatchers fan out one batch
+// per target worker, workers take their index/window locks once per
+// batch, and mergers deduplicate batch-wise.
 func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 	// The stream engine's queue capacity is denominated in batches; divide
 	// so Config.QueueCap keeps bounding in-flight *tuples* per task queue
@@ -35,53 +43,21 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 	t := stream.NewTopology(qc)
 	t.SetBatchSize(s.cfg.BatchSize)
 
-	// Input spout: drains the Submit channel. After a blocking read it
-	// greedily takes whatever else is already queued (up to one batch) and
-	// flushes, so batches fill under load without holding tuples back
-	// while the spout waits for input — Flush() latency semantics are
-	// unchanged from the unbatched engine.
-	t.AddSpout("input", func(task int) stream.Spout {
-		return stream.SpoutFunc(func(c stream.Collector) bool {
-			select {
-			case env, ok := <-s.input:
-				if !ok {
-					return false
-				}
-				c.Emit(streamInput, stream.Tuple{Value: env})
-				alive := true
-			drain:
-				for n := 1; n < s.cfg.BatchSize; n++ {
-					select {
-					case env, ok := <-s.input:
-						if !ok {
-							alive = false
-							break drain
-						}
-						c.Emit(streamInput, stream.Tuple{Value: env})
-					default:
-						break drain
-					}
-				}
-				c.Flush()
-				return alive
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}, 1, streamInput)
-
-	// Dispatchers: route by the current assignment. The input stream is
-	// fields-grouped on the subscription id so an insert and a later
-	// delete of the same query always pass through the same dispatcher in
-	// order — under shuffle grouping a delete can overtake its insert on
-	// another dispatcher task, leaking the query (and its H2 counts)
-	// forever. Objects carry no ordering constraint and spread by id.
-	t.AddBolt("dispatcher", func(task int) stream.Bolt {
-		return dispatcherBolt{s: s}
-	}, s.cfg.Dispatchers, streamToWork).Fields(streamInput, func(tu stream.Tuple) uint64 {
-		env := tu.Value.(wire.OpEnv)
-		return env.Op.RouteHash()
-	})
+	// Dispatchers: route by the current assignment, one task per ingest
+	// shard. Submit shards on the op's routing hash so an insert and a
+	// later delete of the same query always pass through the same
+	// dispatcher in order — spread any other way a delete can overtake
+	// its insert on another dispatcher task, leaking the query (and its
+	// H2 counts) forever. Objects carry no ordering constraint and spread
+	// by id.
+	t.AddSpout("dispatcher", func(task int) stream.Spout {
+		return &dispatcher{
+			s:     s,
+			shard: s.ingest[task],
+			enq:   make([]int64, s.totalSlots()),
+			objs:  make([]int64, s.totalSlots()),
+		}
+	}, s.cfg.Dispatchers, streamToWork)
 
 	// Workers: maintain GI2, match objects. An in-process slot's bolt
 	// runs the slot's engine; an out-of-process slot
@@ -122,88 +98,152 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 	return t
 }
 
-// dispatcherBolt routes operations batch-wise: the assignment is loaded
-// once per received batch and the collector accumulates one outgoing
-// batch per target worker. Every batch routes inside a routeFence
-// read-side section so migrations can fence out in-flight batches before
-// snapshotting drain barriers (see handOff).
-type dispatcherBolt struct{ s *System }
-
-// ProcessBatch implements stream.BatchBolt.
-func (d dispatcherBolt) ProcessBatch(ts []stream.Tuple, c stream.Collector) {
-	d.s.routeFence.Enter()
-	d.s.dispatchBatch(ts, c)
-	d.s.routeFence.Exit()
+// dispatcher is one dispatcher task, a source of the topology: it takes
+// whatever its ingest shard has accepted and routes it in chunks of up to
+// BatchSize operations, so batches fill by themselves under load (the
+// shard accumulates while the dispatcher works) and an idle system routes
+// a single operation at once.
+type dispatcher struct {
+	s     *System
+	shard *ingestShard
+	// spare is the routed buffer the next take hands back to the shard.
+	spare []wire.OpEnv
+	// sinceFlush counts operations routed since the collector was last
+	// flushed (see forcedFlushFactor).
+	sinceFlush int
+	// Per-chunk scratch of dispatchBatch: the (operation, worker) pairs
+	// routed so far and the per-worker counts they add up to.
+	routed    []routedOp
+	enq, objs []int64
 }
 
-// Process implements stream.Bolt (single-tuple fallback; the engine
-// prefers ProcessBatch).
-func (d dispatcherBolt) Process(tu stream.Tuple, c stream.Collector) {
-	d.s.routeFence.Enter()
-	d.s.dispatchBatch([]stream.Tuple{tu}, c)
-	d.s.routeFence.Exit()
+// routedOp addresses operation op of the chunk to worker w.
+type routedOp struct{ op, w int }
+
+// Next implements stream.Spout.
+func (d *dispatcher) Next(c stream.Collector) bool {
+	ops := d.shard.take(d.spare, func() {
+		// Nothing is waiting: push out partial batches before parking.
+		c.Flush()
+		d.sinceFlush = 0
+	})
+	if len(ops) == 0 {
+		return false // closed and drained
+	}
+	bs := d.s.cfg.BatchSize
+	for i := 0; i < len(ops); i += bs {
+		chunk := ops[i:min(i+bs, len(ops))]
+		// Every chunk routes inside a routeFence read-side section so
+		// migrations can fence out in-flight chunks before snapshotting
+		// drain barriers (see handOff).
+		d.s.routeFence.Enter()
+		d.dispatchBatch(chunk, c)
+		d.s.routeFence.Exit()
+		if d.sinceFlush += len(chunk); d.sinceFlush >= forcedFlushFactor*bs {
+			c.Flush()
+			d.sinceFlush = 0
+		}
+	}
+	clear(ops) // the buffer is reused; do not pin routed objects and queries
+	d.spare = ops
+	return true
 }
 
-// dispatchBatch routes one batch of operations (dispatcher bolt body).
-// The routing structures are re-read per operation — they are single
-// atomic loads, and holding one snapshot across a whole batch would
-// stretch the migration-flip race window from one tuple to BatchSize
-// tuples of stale routing.
-func (s *System) dispatchBatch(ts []stream.Tuple, c stream.Collector) {
+// dispatchBatch routes one chunk of operations. The routing structures
+// are re-read per operation — they are single atomic loads, and holding
+// one snapshot across a whole chunk would stretch the migration-flip race
+// window from one tuple to BatchSize tuples of stale routing.
+//
+// It runs in two passes so that the counters two dispatchers share are
+// touched once per chunk: the first routes and counts, the second boxes
+// an envelope into a stream.Tuple — only if some worker receives it — and
+// emits. enqueued must cover a tuple before the worker can count it in
+// doneOps and before processed covers its operation (Quiesce and Drain
+// compare the three), hence before its emit.
+func (d *dispatcher) dispatchBatch(ops []wire.OpEnv, c stream.Collector) {
+	s := d.s
 	// Stage timing uses the wall clock, not cfg.Clock: it measures real
-	// processing cost per batch, and tests' fake clocks must not skew it.
+	// processing cost per chunk, and tests' fake clocks must not skew it.
 	stageStart := time.Now()
-	defer func() { s.stageDisp.Observe(time.Since(stageStart)) }()
-	s.processed.Add(int64(len(ts)))
-	s.tput.Add(int64(len(ts)))
-	for i := range ts {
-		env := ts[i].Value.(wire.OpEnv)
+	d.routed = d.routed[:0]
+	var discarded int64
+	for i := range ops {
+		op := &ops[i].Op
 		a := s.Assignment()
 		var targets []int
-		switch env.Op.Kind {
+		switch op.Kind {
 		case model.OpObject:
-			targets = a.RouteObject(env.Op.Obj)
+			targets = a.RouteObject(op.Obj)
 			if gt := s.gridT.Load(); gt != nil && s.cellObjects != nil {
-				if id := gt.Grid().CellOf(env.Op.Obj.Loc); id < len(s.cellObjects) {
+				if id := gt.Grid().CellOf(op.Obj.Loc); id < len(s.cellObjects) {
 					s.cellObjects[id].Add(1)
 				}
 			}
 			if len(targets) == 0 {
-				// "The object can be discarded if it contains no terms in
-				// H2" — still count its latency as handled. Latency is
-				// measured on the configured clock, the same domain the
-				// envelope was stamped in.
-				s.discarded.Inc()
-				s.latency.Load().Observe(s.now().Sub(env.T0))
-				continue
+				discarded++
 			}
 			for _, w := range targets {
-				s.winObjects[w].Add(1)
+				d.objs[w]++
 			}
 		case model.OpInsert:
-			// Register before the fan-out: the input stream is
-			// fields-grouped on the query id, so an insert and its later
-			// delete pass through here in order, and every delta a worker
-			// can produce postdates the registration.
-			if env.Op.Query.IsTopK() {
-				s.board.register(env.Op.Query.ID)
+			// Register before the fan-out: the ingest shards on the query
+			// id, so an insert and its later delete pass through here in
+			// order, and every delta a worker can produce postdates the
+			// registration.
+			if op.Query.IsTopK() {
+				s.board.register(op.Query.ID)
 			}
-			targets = a.RouteQuery(env.Op.Query, true)
+			targets = a.RouteQuery(op.Query, true)
 			for _, w := range targets {
 				s.winInserts[w].Add(1)
 			}
 		case model.OpDelete:
-			s.board.unregister(env.Op.Query.ID)
-			targets = a.RouteQuery(env.Op.Query, false)
+			s.board.unregister(op.Query.ID)
+			targets = a.RouteQuery(op.Query, false)
 			for _, w := range targets {
 				s.winDeletes[w].Add(1)
 			}
 		}
 		for _, w := range targets {
-			s.enqueued[w].Add(1)
-			c.EmitDirect(streamToWork, w, ts[i])
+			d.enq[w]++
+			d.routed = append(d.routed, routedOp{op: i, w: w})
 		}
 	}
+	for w, n := range d.enq {
+		if n > 0 {
+			s.enqueued[w].Add(n)
+			s.winObjects[w].Add(d.objs[w])
+			d.enq[w], d.objs[w] = 0, 0
+		}
+	}
+	// Counted as routed only now: a barrier that has seen Processed reach
+	// its target must find these operations in enqueued (and discarded)
+	// already, however long the routing above took (an insert over a wide
+	// region visits thousands of cells).
+	s.discarded.Add(discarded)
+	s.processed.Add(int64(len(ops)))
+	s.tput.Add(int64(len(ops)))
+
+	// "The object can be discarded if it contains no terms in H2" — still
+	// count its latency as handled, under one clock read for the chunk.
+	// Latency is measured on the configured clock, the same domain the
+	// envelopes were stamped in.
+	end := s.now()
+	lat := s.latency.Load()
+	r := 0
+	for i := range ops {
+		if r == len(d.routed) || d.routed[r].op != i {
+			if ops[i].Op.Kind == model.OpObject {
+				lat.Observe(end.Sub(ops[i].T0))
+			}
+			continue
+		}
+		tu := stream.Tuple{Value: ops[i]}
+		for ; r < len(d.routed) && d.routed[r].op == i; r++ {
+			c.EmitDirect(streamToWork, d.routed[r].w, tu)
+		}
+	}
+	s.stageDisp.Observe(time.Since(stageStart))
 }
 
 // workerBolt runs an in-process worker slot: it feeds the slot's engine

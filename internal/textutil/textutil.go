@@ -11,48 +11,131 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits free text into lower-cased, de-duplicated terms.
 // Separators are any non-letter/non-digit runes; order of first occurrence
 // is preserved.
+//
+// ASCII text — every message of the evaluated workloads — is tokenised in
+// one pass over its bytes: a token with no upper-case letter is a
+// substring of s, the ones with an upper-case letter are lowered into one
+// shared buffer, and the result is copied out at its exact size, so a
+// lower-case text costs one allocation and any other ASCII text two. The
+// first byte at or above utf8.RuneSelf hands the whole text to
+// tokenizeUnicode; both produce what ToLower followed by FieldsFunc does.
 func Tokenize(s string) []string {
+	var (
+		scratch [32]string // distinct terms of a message-sized text
+		kept    = scratch[:0]
+		seen    map[string]struct{}
+		lowered strings.Builder
+		start   = -1 // first byte of the open token
+		upper   bool // the open token has an upper-case letter
+	)
+	for i := 0; i <= len(s); i++ {
+		var c byte // the end of the text ends a token like any separator
+		if i < len(s) {
+			c = s[i]
+		}
+		switch {
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			if start < 0 {
+				start = i
+			}
+		case 'A' <= c && c <= 'Z':
+			if start < 0 {
+				start = i
+			}
+			upper = true
+		case c >= utf8.RuneSelf:
+			return tokenizeUnicode(s)
+		case start >= 0:
+			tok := s[start:i]
+			if upper {
+				if lowered.Cap() == 0 {
+					// The buffer is wasted if the rune path takes over
+					// later: look ahead once before paying for it.
+					if !isASCII(s[i:]) {
+						return tokenizeUnicode(s)
+					}
+					lowered.Grow(len(s) - start)
+				}
+				at := lowered.Len()
+				for j := start; j < i; j++ {
+					b := s[j]
+					if 'A' <= b && b <= 'Z' {
+						b += 'a' - 'A'
+					}
+					lowered.WriteByte(b)
+				}
+				tok = lowered.String()[at:]
+				upper = false
+			}
+			kept, seen = keepTerm(kept, seen, tok)
+			start = -1
+		}
+	}
+	out := make([]string, len(kept))
+	copy(out, kept)
+	return out
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// tokenizeUnicode is Tokenize for text with non-ASCII bytes: the
+// standard library's rune-decoding ToLower and FieldsFunc (invalid UTF-8
+// becomes U+FFFD, a separator), de-duplicated in place.
+func tokenizeUnicode(s string) []string {
 	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
-	if len(fields) > scanDedupMax {
-		return dedupLong(fields)
-	}
-	// A message has a handful of terms: scanning the ones already kept is
-	// cheaper than building a set, and allocates nothing.
 	out := fields[:0]
-next:
+	var seen map[string]struct{}
 	for _, f := range fields {
-		for _, kept := range out {
-			if kept == f {
-				continue next
-			}
-		}
-		out = append(out, f)
+		out, seen = keepTerm(out, seen, f)
 	}
 	return out
 }
 
-// scanDedupMax is the longest token list Tokenize de-duplicates by
+// scanDedupMax is the longest term list Tokenize de-duplicates by
 // scanning, which is quadratic; longer texts go through a set so that no
 // input costs more than linear time.
 const scanDedupMax = 64
 
-func dedupLong(fields []string) []string {
-	seen := make(map[string]struct{}, len(fields))
-	out := fields[:0]
-	for _, f := range fields {
-		if _, dup := seen[f]; !dup {
-			seen[f] = struct{}{}
-			out = append(out, f)
+// keepTerm appends term to kept unless it is already there. A message has
+// a handful of terms: scanning the ones already kept is cheaper than
+// building a set, and allocates nothing. seen is nil until kept outgrows
+// scanDedupMax and mirrors kept from then on.
+func keepTerm(kept []string, seen map[string]struct{}, term string) ([]string, map[string]struct{}) {
+	if seen != nil {
+		if _, dup := seen[term]; dup {
+			return kept, seen
+		}
+		seen[term] = struct{}{}
+		return append(kept, term), seen
+	}
+	for _, k := range kept {
+		if k == term {
+			return kept, seen
 		}
 	}
-	return out
+	if len(kept) == scanDedupMax {
+		seen = make(map[string]struct{}, 2*scanDedupMax)
+		for _, k := range kept {
+			seen[k] = struct{}{}
+		}
+		seen[term] = struct{}{}
+	}
+	return append(kept, term), seen
 }
 
 // Stats accumulates term frequencies over a corpus. The zero value is ready

@@ -247,45 +247,171 @@ func tokenizeSet(s string) []string {
 	return out
 }
 
-func TestTokenizeMatchesSetDedup(t *testing.T) {
+// tokenizeInputs are texts on which a tokenizer can plausibly go wrong:
+// case folding that changes length or leaves ASCII, digits and letters
+// outside ASCII, invalid UTF-8, and a text over the scanning limit. The
+// fuzz target starts from them.
+func tokenizeInputs() []string {
 	long := strings.Repeat("alpha beta Gamma alpha ", scanDedupMax) // over the scanning limit
 	for i := 0; i < 3*scanDedupMax; i++ {
 		long += fmt.Sprintf(" w%d W%d", i, i/2)
 	}
-	inputs := []string{
+	return []string{
 		"", " ", "\t\n", "!!! ??? ...",
 		"kobe retired", "Kobe KOBE kobe kObE",
 		"a a a b a b c", "x,,y;;x..z", "--lead trail--",
 		"café CAFÉ olé Olé", "ÀÉÎ àéî", "straße STRASSE", "İstanbul istanbul",
 		"日本語 テキスト 日本語", "naïve naïve", "Ünïcödé ünïcödé",
 		"year2016 2016 YEAR2016 #tag @tag tag", "٣٤٥ ٣٤٥ x٣", "½ ② 2",
-		"a b a", "emoji 😀 emoji 😀😀", "tab\tsep\nnew\rline tab",
+		"a b a", "emoji 😀 emoji 😀😀", "tab\tsep\nnew\rline tab",
+		"\xff\xfeab", "aÉb Aéb", "K\u212Aelvin \u212A", "nul\x00byte A\x00a",
 		long,
 	}
-	for _, in := range inputs {
-		got, want := Tokenize(in), tokenizeSet(in)
-		if len(got) != len(want) {
-			t.Errorf("Tokenize(%.40q) kept %d terms, set de-duplication keeps %d", in, len(got), len(want))
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("Tokenize(%.40q)[%d] = %q, want %q", in, i, got[i], want[i])
-				break
+}
+
+// tokenizeReference is Tokenize as it stood before the one-pass version:
+// lower the whole text, split it with FieldsFunc, de-duplicate. Queries
+// are keyed by the terms it produced, so Tokenize must return the same
+// slice for every input.
+func tokenizeReference(s string) []string {
+	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	})
+	if len(fields) > scanDedupMax {
+		seen := make(map[string]struct{}, len(fields))
+		out := fields[:0]
+		for _, f := range fields {
+			if _, dup := seen[f]; !dup {
+				seen[f] = struct{}{}
+				out = append(out, f)
 			}
+		}
+		return out
+	}
+	out := fields[:0]
+next:
+	for _, f := range fields {
+		for _, kept := range out {
+			if kept == f {
+				continue next
+			}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// sameTerms reports the first difference between two term lists, "" when
+// they are equal (a nil and an empty list are both "no terms", but
+// neither implementation returns nil).
+func sameTerms(got, want []string) string {
+	if (got == nil) != (want == nil) {
+		return fmt.Sprintf("nil-ness differs: got %v, want %v", got == nil, want == nil)
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d terms %q, want %d %q", len(got), got, len(want), want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Sprintf("term %d is %q, want %q", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+func TestTokenizeMatchesSetDedup(t *testing.T) {
+	for _, in := range tokenizeInputs() {
+		if diff := sameTerms(Tokenize(in), tokenizeSet(in)); diff != "" {
+			t.Errorf("Tokenize(%.40q) against set de-duplication: %s", in, diff)
 		}
 	}
 }
 
-// ToLower (when a letter changes) and FieldsFunc (its result) allocate
-// once each; de-duplicating a message-sized text adds nothing to that.
-func TestTokenizeAllocations(t *testing.T) {
-	for _, in := range []string{
-		"Kobe has retired and kobe HAS a statue in Los Angeles",
-		"all lower case already, nothing to fold, one slice to return",
-	} {
-		if n := testing.AllocsPerRun(200, func() { Tokenize(in) }); n > 2 {
-			t.Errorf("Tokenize(%q) allocates %.0f times per call, want at most 2", in, n)
+func FuzzTokenizeMatchesReference(f *testing.F) {
+	for _, in := range tokenizeInputs() {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		if diff := sameTerms(Tokenize(in), tokenizeReference(in)); diff != "" {
+			t.Errorf("Tokenize(%q): %s", in, diff)
 		}
+	})
+}
+
+// TestTokenizeMatchesReferenceRandom draws 100 000 short texts from an
+// alphabet that mixes both ASCII cases, digits, separators, multi-byte
+// letters whose lower case differs, and bytes that are not UTF-8, so that
+// the one-pass path, the hand-over to the rune path and repeated terms
+// all occur thousands of times.
+func TestTokenizeMatchesReferenceRandom(t *testing.T) {
+	alphabet := []string{
+		"a", "b", "c", "A", "B", "C", "z", "Z", "0", "7", " ", " ", " ", ",", "-", "_", "\t", "\x00",
+		"é", "É", "ß", "İ", "\u212A", "٣", "½", "日", "😀", "\xff", "\xc3", "\u0345",
+	}
+	rng := rand.New(rand.NewSource(2017))
+	var b strings.Builder
+	for n := 0; n < 100000; n++ {
+		b.Reset()
+		symbols := alphabet
+		if n%2 == 0 {
+			symbols = alphabet[:18] // ASCII only: stays on the one-pass path
+		}
+		for i, l := 0, rng.Intn(40); i < l; i++ {
+			b.WriteString(symbols[rng.Intn(len(symbols))])
+		}
+		in := b.String()
+		if diff := sameTerms(Tokenize(in), tokenizeReference(in)); diff != "" {
+			t.Fatalf("Tokenize(%q): %s", in, diff)
+		}
+	}
+}
+
+// A lower-case ASCII text costs the returned slice and nothing else; an
+// upper-case letter adds the one buffer its terms are lowered into, and
+// text outside ASCII costs ToLower's and FieldsFunc's allocation.
+func TestTokenizeAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		in  string
+		max float64
+	}{
+		{"all lower case already, nothing to fold, one slice to return", 1},
+		{"Kobe has retired and kobe HAS a statue in Los Angeles", 2},
+		{"Kobe a pris sa retraite, une statue à Los Angeles", 2},
+	} {
+		if n := testing.AllocsPerRun(200, func() { Tokenize(tc.in) }); n > tc.max {
+			t.Errorf("Tokenize(%q) allocates %.0f times per call, want at most %.0f", tc.in, n, tc.max)
+		}
+	}
+}
+
+var tokenizeSink []string
+
+// BenchmarkTokenize times the two shapes Publish sees: the benchmark's
+// messages (5 to 8 lower-case ASCII terms joined by spaces) and the same
+// messages with capitals and punctuation.
+func BenchmarkTokenize(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	lower := make([]string, 1024)
+	mixed := make([]string, len(lower))
+	for i := range lower {
+		terms := make([]string, 5+rng.Intn(4))
+		for j := range terms {
+			terms[j] = fmt.Sprintf("term%d", rng.Intn(5000))
+		}
+		lower[i] = strings.Join(terms, " ")
+		terms[0] = strings.ToUpper(terms[0][:1]) + terms[0][1:]
+		terms[len(terms)-1] = strings.ToUpper(terms[len(terms)-1])
+		mixed[i] = strings.Join(terms, ", ") + "!"
+	}
+	for _, bc := range []struct {
+		name string
+		msgs []string
+	}{{"lower", lower}, {"mixed", mixed}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tokenizeSink = Tokenize(bc.msgs[i%len(bc.msgs)])
+			}
+		})
 	}
 }

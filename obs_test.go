@@ -103,6 +103,9 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 		"ps2_migrations_total",
 		"ps2_tuple_latency_seconds_count",
 		`ps2_queue_depth_batches{bolt="worker"}`,
+		`ps2_ingest_depth_ops{dispatcher="0"}`,
+		`ps2_ingest_cap_ops{dispatcher="0"}`,
+		"ps2_ingest_blocked_total",
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics is missing %s", series)

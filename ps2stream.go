@@ -561,7 +561,9 @@ func (s *Subscription) toQuery() (*model.Query, error) {
 	}, nil
 }
 
-// Publish submits a message for matching. It blocks under backpressure.
+// Publish submits a message for matching. It blocks under backpressure; a
+// Publish that is blocked when Close is called, or follows it, returns
+// without submitting.
 func (s *System) Publish(m Message) {
 	s.submitted.Add(1)
 	s.inner.Submit(model.Op{Kind: model.OpObject, Obj: m.toObject()})
@@ -835,7 +837,9 @@ func (s *System) AdminAddr() string {
 	return s.admin.Addr()
 }
 
-// Close drains in-flight work and stops the system.
+// Close drains every operation accepted so far and stops the system. A
+// Publish, Subscribe or Unsubscribe still blocked under backpressure
+// returns without submitting.
 func (s *System) Close() error {
 	if s.closed {
 		return errors.New("ps2stream: already closed")
