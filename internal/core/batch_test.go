@@ -94,30 +94,37 @@ func (nopCollector) Emit(string, stream.Tuple)            {}
 func (nopCollector) EmitDirect(string, int, stream.Tuple) {}
 func (nopCollector) Flush()                               {}
 
+// opTuple fills a pooled towork batch with ops, as a dispatcher does.
+func opTuple(sys *System, ops ...wire.OpEnv) stream.Tuple {
+	batch := sys.opBatches.get()
+	*batch = append(*batch, ops...)
+	return stream.Tuple{Value: batch}
+}
+
 // TestWorkerBoltNoMatchBatchAllocs pins the in-process hot path: a
-// 64-object batch that meets a standing query it does not satisfy goes
-// through the local worker bolt — envelope unpacking, the slot lock, the
-// engine, the board, latency accounting — without allocating. The same
-// batch through the parent commit's worker bolt allocated 66 times (one
-// match closure per object plus two captured variables).
+// 64-object typed batch that meets a standing query it does not satisfy
+// goes through the local worker bolt — the slot lock, the engine, the
+// board, latency accounting, the batch's return to its pool — without
+// allocating.
 func TestWorkerBoltNoMatchBatchAllocs(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 1, 10)
 	sys, err := New(Config{Dispatchers: 1, Workers: 2}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bolt := &workerBolt{s: sys, task: 0, local: sys.slots[0].(*localWorker)}
+	bolt := &workerBolt{s: sys, task: 0, local: sys.slots[0].(*localWorker),
+		split: newFanout(&sys.matchBatches, streamMatches, sys.cfg.Mergers)}
 	at := sample.Bounds.Center()
 	q := &model.Query{ID: 1, Expr: model.And("nomatchterm"), Region: geo.RectAround(at, 50, 50)}
-	bolt.ProcessBatch([]stream.Tuple{{Value: wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: sys.now()}}}, nopCollector{})
-	ts := make([]stream.Tuple, 64)
-	for i := range ts {
+	bolt.Process(opTuple(sys, wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: sys.now()}), nopCollector{})
+	ops := make([]wire.OpEnv, 64)
+	for i := range ops {
 		o := &model.Object{ID: uint64(100 + i), Terms: []string{"alpha", "beta"}, Loc: at}
-		ts[i] = stream.Tuple{Value: wire.OpEnv{Op: model.Op{Kind: model.OpObject, Obj: o}, T0: sys.now()}}
+		ops[i] = wire.OpEnv{Op: model.Op{Kind: model.OpObject, Obj: o}, T0: sys.now()}
 	}
-	bolt.ProcessBatch(ts, nopCollector{}) // grow the scratch
-	if n := testing.AllocsPerRun(200, func() { bolt.ProcessBatch(ts, nopCollector{}) }); n > 0 {
-		t.Errorf("a 64-object no-match batch through the worker bolt allocates %v times, want 0 (parent: 66)", n)
+	bolt.Process(opTuple(sys, ops...), nopCollector{}) // warm the pool
+	if n := testing.AllocsPerRun(200, func() { bolt.Process(opTuple(sys, ops...), nopCollector{}) }); n > 0 {
+		t.Errorf("a 64-object no-match batch through the worker bolt allocates %v times, want 0", n)
 	}
 	if got := sys.slots[0].LastStats(); got.Objects != 64*202 || got.Inserts != 1 {
 		t.Errorf("engine counted %d objects and %d inserts, want %d and 1", got.Objects, got.Inserts, 64*202)

@@ -4,9 +4,10 @@
 // elimination on the mergers, and the dynamic load adjustment controller
 // of §V. The whole publish path is batch-oriented: Submit appends to a
 // per-dispatcher ingest shard, the dispatchers pull whole buffers from it,
-// and operations move between tasks as slices of up to Config.BatchSize
-// tuples, amortising channel sends, lock acquisitions and clock reads over
-// whole batches.
+// and operations and matches move between tasks as pooled typed slices of
+// up to Config.BatchSize envelopes ([]wire.OpEnv, []wire.MatchEnv),
+// amortising channel sends, lock acquisitions and clock reads over whole
+// batches.
 package core
 
 import (
@@ -69,12 +70,14 @@ type Config struct {
 	// the buffer a dispatcher is routing. A Submit to a full shard blocks
 	// (backpressure).
 	QueueCap int
-	// BatchSize is the number of tuples transferred per channel send on
-	// every hop of the topology (dispatcher→worker→merger) and the number
-	// of operations a dispatcher routes per fence section. Batches fill
-	// adaptively: a task flushes partial batches as soon as its input
-	// goes idle, so batching costs no latency on a quiet stream. 1 means
-	// unbatched (tuple-at-a-time); 0 uses DefaultBatchSize.
+	// BatchSize is the capacity of the typed batches that move on every
+	// hop of the topology (operations dispatcher→worker, matches
+	// worker→merger), one batch per channel send, and the number of
+	// operations a dispatcher routes per fence section. Batches fill
+	// adaptively: a dispatcher emits partial batches as soon as its input
+	// goes idle and a worker emits its matches with every input batch, so
+	// batching costs no latency on a quiet stream. 1 means unbatched
+	// (one envelope per send); 0 uses DefaultBatchSize.
 	BatchSize int
 	// Builder constructs the workload distribution strategy; nil uses
 	// hybrid partitioning.
@@ -107,7 +110,8 @@ type Config struct {
 	// WindowRingCap bounds each grid cell's window ring in entries.
 	WindowRingCap int
 	// DedupWindow bounds each merger's duplicate-elimination memory in
-	// (query, object) pairs.
+	// (query, object) pairs. Matches of an object that was routed to a
+	// single in-process worker cannot repeat and bypass the window.
 	DedupWindow int
 	// PerTupleWork simulates the per-received-tuple cost a real cluster
 	// pays (deserialisation + network receive) at each worker. Zero for
@@ -315,10 +319,13 @@ type AdjustStats struct {
 
 // Snapshot is a point-in-time view of system metrics.
 type Snapshot struct {
-	Processed     int64
-	Discarded     int64
-	Matches       int64
-	Duplicates    int64
+	Processed  int64
+	Discarded  int64
+	Matches    int64
+	Duplicates int64
+	// SoloMatches counts the Matches delivered without a dedup-window
+	// probe: their object was routed to exactly one in-process worker.
+	SoloMatches   int64
 	ThroughputTPS float64
 	Latency       metrics.Snapshot
 	MatchLatency  metrics.Snapshot
@@ -356,6 +363,10 @@ type System struct {
 	// ingestBlocked counts the times a Submit parked on a full shard.
 	ingestBlocked metrics.Counter
 	topo          *stream.Topology
+	// opBatches and matchBatches recycle the typed batches that move on
+	// the towork and matches streams (topology.go).
+	opBatches    batchPool[wire.OpEnv]
+	matchBatches batchPool[wire.MatchEnv]
 
 	runErr  chan error
 	started atomic.Bool
@@ -383,6 +394,11 @@ type System struct {
 	discarded  metrics.Counter
 	matches    metrics.Counter
 	duplicates metrics.Counter
+	// soloMatches counts the delivered matches that skipped the dedup
+	// window (wire.MatchEnv.Solo); mergerIn counts every match a merger
+	// task received, local or forwarding.
+	soloMatches metrics.Counter
+	mergerIn    metrics.Counter
 	// matchesEmitted counts match envelopes emitted by the in-process
 	// worker bolts; together with the remote workers' drain-acked counts
 	// it is the Drain barrier's target for merger-side delivery.
@@ -497,6 +513,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	for i := range s.ingest {
 		s.ingest[i] = newIngestShard(max(cfg.QueueCap/cfg.Dispatchers, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
 	}
+	s.opBatches.size, s.matchBatches.size = cfg.BatchSize, cfg.BatchSize
 	s.latency.Store(metrics.NewHistogram(nil))
 	s.matchLat.Store(metrics.NewHistogram(nil))
 	s.assign.Store(assignBox{a})
@@ -732,6 +749,7 @@ func (s *System) Snapshot() Snapshot {
 		Discarded:       s.discarded.Value(),
 		Matches:         s.matches.Value(),
 		Duplicates:      s.duplicates.Value(),
+		SoloMatches:     s.soloMatches.Value(),
 		ThroughputTPS:   s.tput.Rate(),
 		Latency:         s.latency.Load().Snapshot(),
 		MatchLatency:    s.matchLat.Load().Snapshot(),

@@ -510,7 +510,6 @@ func TestMergerDeduplicates(t *testing.T) {
 		t.Skip("no cross-worker term pair")
 	}
 	ms := newMatchSet()
-	var dup int64
 	sys, err := New(Config{
 		Dispatchers: 1, Workers: 4,
 		Builder: partition.FrequencyBuilder{},
@@ -519,7 +518,6 @@ func TestMergerDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = dup
 	if err := sys.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +526,7 @@ func TestMergerDeduplicates(t *testing.T) {
 	o := &model.Object{ID: 2, Terms: []string{t1, t2}, Loc: center}
 	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
 	sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
-	if err := sys.Close(); err != nil {
+	if err := sys.Drain(2); err != nil {
 		t.Fatal(err)
 	}
 	snap := sys.Snapshot()
@@ -538,6 +536,20 @@ func TestMergerDeduplicates(t *testing.T) {
 	if snap.Duplicates != 1 {
 		t.Errorf("Duplicates = %d, want 1 (query stored on workers %v and %v)",
 			snap.Duplicates, ta.Owner(t1), ta.Owner(t2))
+	}
+	if snap.SoloMatches != 0 {
+		t.Errorf("SoloMatches = %d for an object routed to two workers, want 0", snap.SoloMatches)
+	}
+	// An object carrying one of the two terms has one target: its match
+	// is delivered without a window probe.
+	sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{ID: 3, Terms: []string{t1}, Loc: center}})
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap = sys.Snapshot()
+	if !ms.has(1, 3) || snap.Matches != 2 || snap.SoloMatches != 1 || snap.Duplicates != 1 {
+		t.Errorf("after the one-term object: delivered %v, Matches %d, SoloMatches %d, Duplicates %d; want true, 2, 1, 1",
+			ms.has(1, 3), snap.Matches, snap.SoloMatches, snap.Duplicates)
 	}
 }
 

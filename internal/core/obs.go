@@ -93,6 +93,8 @@ func (s *System) initObservability() {
 		s.matches.Value)
 	r.CounterFunc("ps2_matches_duplicates_total", "duplicate matches suppressed by local mergers",
 		s.duplicates.Value)
+	r.CounterFunc("ps2_matches_solo_total", "delivered matches that skipped the dedup window (object routed to one in-process worker)",
+		s.soloMatches.Value)
 	r.CounterFunc("ps2_matches_emitted_total", "match envelopes emitted by local workers",
 		s.matchesEmitted.Value)
 	r.GaugeFunc("ps2_throughput_tps", "routed tuples per second over the current meter interval",
@@ -242,18 +244,32 @@ func (s *System) initObservability() {
 	}
 }
 
-// registerTopologyMetrics adds the stream-engine gauges that only exist
-// once the topology is built (Start). They cover the bolts — workers and
-// mergers; the dispatchers are sources and report through ps2_ingest_*.
+// registerTopologyMetrics adds the per-bolt series once the topology is
+// built (Start). They cover the bolts — workers and mergers; the
+// dispatchers are sources and report through ps2_ingest_*. The processed
+// and emitted counts are core's own: the stream engine moves one typed
+// batch per tuple and would count transfers, while its queues, which hold
+// those batches, are read from it.
 func (s *System) registerTopologyMetrics() {
+	workerOps := func() (n int64) {
+		for i := range s.doneOps {
+			n += s.doneOps[i].Load()
+		}
+		return n
+	}
 	topo := s.topo
-	for name := range topo.ComponentStats() {
-		name := name
-		bl := metrics.L("bolt", name)
-		s.registry.CounterFunc("ps2_bolt_processed_total", "tuples processed per stream-engine bolt",
-			func() int64 { return topo.ComponentStats()[name].Processed }, bl)
-		s.registry.CounterFunc("ps2_bolt_emitted_total", "tuples emitted per stream-engine bolt",
-			func() int64 { return topo.ComponentStats()[name].Emitted }, bl)
+	for _, b := range []struct {
+		name               string
+		processed, emitted func() int64
+	}{
+		{"worker", workerOps, s.matchesEmitted.Value},
+		{"merger", s.mergerIn.Value, func() int64 { return 0 }},
+	} {
+		name, bl := b.name, metrics.L("bolt", b.name)
+		s.registry.CounterFunc("ps2_bolt_processed_total",
+			"operations (worker) or matches (merger) the bolt's tasks have finished", b.processed, bl)
+		s.registry.CounterFunc("ps2_bolt_emitted_total",
+			"matches (worker) the bolt's tasks have emitted; a merger emits nothing", b.emitted, bl)
 		s.registry.GaugeFunc("ps2_queue_depth_batches", "queued input batches per bolt (instantaneous)",
 			func() float64 { return float64(topo.QueueStats()[name].Depth) }, bl)
 		s.registry.GaugeFunc("ps2_queue_cap_batches", "input queue capacity per bolt in batches",

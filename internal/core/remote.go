@@ -246,19 +246,19 @@ type remoteWorkerBolt struct {
 	s    *System
 	task int
 	hop  *workerHop
-	// ops is the batch's envelope scratch: SendOps encodes synchronously,
-	// so it is reusable across batches.
-	ops []wire.OpEnv
 }
 
-// ProcessBatch implements stream.BatchBolt.
-func (r *remoteWorkerBolt) ProcessBatch(ts []stream.Tuple, _ stream.Collector) {
-	r.ops = unpackOps(r.ops[:0], ts)
-	r.forward(r.ops)
-	r.s.doneOps[r.task].Add(int64(len(ts)))
+// Process implements stream.Bolt: one towork batch. SendOps encodes
+// synchronously and the op log copies, so the batch is recycled here.
+func (r *remoteWorkerBolt) Process(tu stream.Tuple, _ stream.Collector) {
+	batch := tu.Value.(*[]wire.OpEnv)
+	ops := *batch
+	r.forward(ops)
+	r.s.doneOps[r.task].Add(int64(len(ops)))
 	// Tuple latency for a remote task is measured at wire hand-off; the
 	// end-to-end figure remains the mergers' match latency.
-	r.s.observeLatency(r.ops)
+	r.s.observeLatency(ops)
+	r.s.opBatches.put(batch)
 }
 
 // forward puts one batch on the hop. Without an op log a send failure
@@ -311,11 +311,6 @@ func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 	}
 }
 
-// Process implements stream.Bolt (single-tuple fallback).
-func (r *remoteWorkerBolt) Process(tu stream.Tuple, c stream.Collector) {
-	r.ProcessBatch([]stream.Tuple{tu}, c)
-}
-
 // Close implements the engine's io.Closer hook: when the dispatchers
 // finish, half-close the hop so the worker node flushes its remaining
 // matches and ends the return stream. A hop caught mid-outage (down or
@@ -349,6 +344,8 @@ type remoteMatchSpout struct {
 	task int
 	hop  *workerHop
 	ctx  context.Context // the run context, for telling failure from teardown
+	// split holds the matches batches a received frame is split into.
+	split fanout[wire.MatchEnv]
 }
 
 // Next implements stream.Spout.
@@ -369,13 +366,10 @@ func (r *remoteMatchSpout) Next(c stream.Collector) bool {
 		h.mu.Lock()
 		h.sessionRecv += int64(len(mb.Matches))
 		h.mu.Unlock()
-		for i := range mb.Matches {
-			c.Emit(streamMatches, stream.Tuple{Value: mb.Matches[i]})
-		}
-		// Flush per received frame: the wire already batches, and holding
+		// Emitted per received frame: the wire already batches, and holding
 		// matches back here would add latency the batch bound cannot cap
 		// (this spout may then block in Recv indefinitely).
-		c.Flush()
+		emitMatches(&r.split, mb.Matches, c)
 		return true
 	}
 }
@@ -453,27 +447,20 @@ func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 // Deduplication, delivery and the delivered counters happen on the
 // remote node (see Drain and RemoteDelivered).
 type remoteMergerBolt struct {
+	s    *System
 	task int
 	cl   *wire.MergerClient
-	// ms is the batch's envelope scratch: SendMatches encodes before it
-	// returns, so it is reusable across batches.
-	ms []wire.MatchEnv
 }
 
-// ProcessBatch implements stream.BatchBolt.
-func (r *remoteMergerBolt) ProcessBatch(ts []stream.Tuple, _ stream.Collector) {
-	r.ms = r.ms[:0]
-	for i := range ts {
-		r.ms = append(r.ms, ts[i].Value.(wire.MatchEnv))
-	}
-	if err := r.cl.SendMatches(wire.MatchBatch{Matches: r.ms}); err != nil {
+// Process implements stream.Bolt: one matches batch. SendMatches encodes
+// before it returns, so the batch is recycled here.
+func (r *remoteMergerBolt) Process(tu stream.Tuple, _ stream.Collector) {
+	batch := tu.Value.(*[]wire.MatchEnv)
+	if err := r.cl.SendMatches(wire.MatchBatch{Matches: *batch}); err != nil {
 		panic(fmt.Sprintf("remote merger %d: %v", r.task, err))
 	}
-}
-
-// Process implements stream.Bolt (single-tuple fallback).
-func (r *remoteMergerBolt) Process(tu stream.Tuple, c stream.Collector) {
-	r.ProcessBatch([]stream.Tuple{tu}, c)
+	r.s.mergerIn.Add(int64(len(*batch)))
+	r.s.matchBatches.put(batch)
 }
 
 // Close implements the engine's io.Closer hook.

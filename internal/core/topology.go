@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"ps2stream/internal/dedup"
@@ -10,38 +11,116 @@ import (
 	"ps2stream/internal/wire"
 )
 
-// Stream names of the PS2Stream topology (Figure 1). Tuples on towork
-// carry a wire.OpEnv, tuples on matches a wire.MatchEnv: the same
-// envelopes whether a hop is a channel or a socket.
+// Stream names of the PS2Stream topology (Figure 1). A tuple on towork
+// carries one *[]wire.OpEnv, a tuple on matches one *[]wire.MatchEnv:
+// pooled batches of up to Config.BatchSize of the envelopes a socket hop
+// carries. The stream engine runs at batch size 1 and moves them; core
+// fills them, addresses them and returns them to their pool.
 const (
 	streamToWork  = "towork"  // dispatchers -> workers (direct)
-	streamMatches = "matches" // workers -> mergers (fields)
+	streamMatches = "matches" // workers -> mergers (direct, by mergerOf)
 )
 
-// forcedFlushFactor is the bound stream.Topology.Run applies to bolts,
-// applied to the dispatchers (which are sources): a dispatcher whose
-// shard never runs empty still flushes its collector every
-// forcedFlushFactor × BatchSize routed operations, so a partial towork
-// batch for a rarely-targeted worker cannot be parked behind a saturated
-// input (handOff's drain barrier and Drain wait on such batches).
+// forcedFlushFactor bounds how long a dispatcher whose shard never runs
+// empty may keep a partial batch open: every forcedFlushFactor × BatchSize
+// routed operations it emits them all, so a towork batch for a
+// rarely-targeted worker cannot be parked behind a saturated input
+// (handOff's drain barrier and Drain wait on such batches).
 const forcedFlushFactor = 4
+
+// batchPool recycles the typed batches of one stream. A batch travels as
+// a *[]T: a pointer in a stream.Tuple's interface allocates nothing.
+type batchPool[T any] struct {
+	pool sync.Pool
+	size int // capacity of a batch (Config.BatchSize)
+}
+
+func (bp *batchPool[T]) get() *[]T {
+	if p, ok := bp.pool.Get().(*[]T); ok {
+		return p
+	}
+	b := make([]T, 0, bp.size)
+	return &b
+}
+
+// put takes a batch back from the task that consumed it. Nothing may
+// retain the slice past this call; it is cleared because envelopes pin
+// objects and queries.
+func (bp *batchPool[T]) put(p *[]T) {
+	clear(*p)
+	*p = (*p)[:0]
+	bp.pool.Put(p)
+}
+
+// fanout is one producing task's open batches on a direct stream, one per
+// downstream task. A batch is emitted when it is full and on flush, in
+// the order it was filled, so each downstream task sees the producer's
+// envelopes in order.
+type fanout[T any] struct {
+	pool   *batchPool[T]
+	stream string
+	open   []*[]T
+}
+
+func newFanout[T any](pool *batchPool[T], streamName string, tasks int) fanout[T] {
+	return fanout[T]{pool: pool, stream: streamName, open: make([]*[]T, tasks)}
+}
+
+// add appends *v to the batch open for task.
+func (f *fanout[T]) add(c stream.Collector, task int, v *T) {
+	p := f.open[task]
+	if p == nil {
+		p = f.pool.get()
+		f.open[task] = p
+	}
+	*p = append(*p, *v)
+	if len(*p) >= f.pool.size {
+		f.open[task] = nil
+		c.EmitDirect(f.stream, task, stream.Tuple{Value: p})
+	}
+}
+
+// flush emits every open batch.
+func (f *fanout[T]) flush(c stream.Collector) {
+	for task, p := range f.open {
+		if p != nil {
+			f.open[task] = nil
+			c.EmitDirect(f.stream, task, stream.Tuple{Value: p})
+		}
+	}
+}
+
+// mergerOf picks the merger task of a match: every report of one (query,
+// object) pair, from whichever worker, meets the same dedup window.
+func mergerOf(m *model.Match, mergers int) int {
+	return int((m.QueryID*0x9E3779B97F4A7C15 ^ m.ObjectID) % uint64(mergers))
+}
+
+// emitMatches splits ms by merger and emits the batches. Matches are not
+// held across calls, so a producer of matches needs no idle flush.
+func emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv, c stream.Collector) {
+	mergers := len(out.open)
+	for i := range ms {
+		out.add(c, mergerOf(&ms[i].M, mergers), &ms[i])
+	}
+	out.flush(c)
+}
 
 // buildTopology assembles dispatcher → worker → merger. The dispatchers
 // are the sources: each pulls typed []wire.OpEnv buffers from its ingest
 // shard (ingest.go), where Submit put them. Every hop behind them moves
-// batches of up to Config.BatchSize tuples: dispatchers fan out one batch
-// per target worker, workers take their index/window locks once per
-// batch, and mergers deduplicate batch-wise.
+// one typed batch per tuple: dispatchers fill one batch per target
+// worker, workers take their index/window locks once per batch, and
+// mergers deduplicate batch-wise.
 func (s *System) buildTopology(ctx context.Context) *stream.Topology {
-	// The stream engine's queue capacity is denominated in batches; divide
-	// so Config.QueueCap keeps bounding in-flight *tuples* per task queue
-	// regardless of BatchSize.
+	// The stream engine's queue capacity counts tuples, here batches;
+	// divide so Config.QueueCap keeps bounding in-flight operations and
+	// matches per task queue regardless of BatchSize.
 	qc := s.cfg.QueueCap / s.cfg.BatchSize
 	if qc < 1 {
 		qc = 1
 	}
 	t := stream.NewTopology(qc)
-	t.SetBatchSize(s.cfg.BatchSize)
 
 	// Dispatchers: route by the current assignment, one task per ingest
 	// shard. Submit shards on the op's routing hash so an insert and a
@@ -54,6 +133,7 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 		return &dispatcher{
 			s:     s,
 			shard: s.ingest[task],
+			out:   newFanout(&s.opBatches, streamToWork, s.totalSlots()),
 			enq:   make([]int64, s.totalSlots()),
 			objs:  make([]int64, s.totalSlots()),
 		}
@@ -70,7 +150,12 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 		if h := s.hop(task); h != nil {
 			return &remoteWorkerBolt{s: s, task: task, hop: h}
 		}
-		return &workerBolt{s: s, task: task, local: s.slots[task].(*localWorker)}
+		return &workerBolt{
+			s:     s,
+			task:  task,
+			local: s.slots[task].(*localWorker),
+			split: newFanout(&s.matchBatches, streamMatches, s.cfg.Mergers),
+		}
 	}, s.totalSlots(), streamMatches).Direct(streamToWork)
 
 	// Remote workers' return streams: one spout task per out-of-process
@@ -79,7 +164,13 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 	// into the merger stream.
 	if remote := s.remoteWorkerTasks(); len(remote) > 0 {
 		t.AddSpout("wmatches", func(task int) stream.Spout {
-			return &remoteMatchSpout{s: s, task: remote[task], hop: s.hops[remote[task]], ctx: ctx}
+			return &remoteMatchSpout{
+				s:     s,
+				task:  remote[task],
+				hop:   s.hops[remote[task]],
+				ctx:   ctx,
+				split: newFanout(&s.matchBatches, streamMatches, s.cfg.Mergers),
+			}
 		}, len(remote), streamMatches)
 	}
 
@@ -88,13 +179,10 @@ func (s *System) buildTopology(ctx context.Context) *stream.Topology {
 	// instead; the remote node dedups and delivers.
 	t.AddBolt("merger", func(task int) stream.Bolt {
 		if cl := s.cfg.RemoteMergers[task]; cl != nil {
-			return &remoteMergerBolt{task: task, cl: cl}
+			return &remoteMergerBolt{s: s, task: task, cl: cl}
 		}
 		return newMerger(s)
-	}, s.cfg.Mergers).Fields(streamMatches, func(tu stream.Tuple) uint64 {
-		me := tu.Value.(wire.MatchEnv)
-		return me.M.QueryID*0x9E3779B97F4A7C15 ^ me.M.ObjectID
-	})
+	}, s.cfg.Mergers).Direct(streamMatches)
 	return t
 }
 
@@ -108,8 +196,10 @@ type dispatcher struct {
 	shard *ingestShard
 	// spare is the routed buffer the next take hands back to the shard.
 	spare []wire.OpEnv
-	// sinceFlush counts operations routed since the collector was last
-	// flushed (see forcedFlushFactor).
+	// out holds the open towork batch of every worker.
+	out fanout[wire.OpEnv]
+	// sinceFlush counts operations routed since out was last flushed (see
+	// forcedFlushFactor).
 	sinceFlush int
 	// Per-chunk scratch of dispatchBatch: the (operation, worker) pairs
 	// routed so far and the per-worker counts they add up to.
@@ -122,12 +212,10 @@ type routedOp struct{ op, w int }
 
 // Next implements stream.Spout.
 func (d *dispatcher) Next(c stream.Collector) bool {
-	ops := d.shard.take(d.spare, func() {
-		// Nothing is waiting: push out partial batches before parking.
-		c.Flush()
-		d.sinceFlush = 0
-	})
+	// Nothing is waiting: push out partial batches before parking.
+	ops := d.shard.take(d.spare, func() { d.flush(c) })
 	if len(ops) == 0 {
+		d.flush(c)
 		return false // closed and drained
 	}
 	bs := d.s.cfg.BatchSize
@@ -140,13 +228,18 @@ func (d *dispatcher) Next(c stream.Collector) bool {
 		d.dispatchBatch(chunk, c)
 		d.s.routeFence.Exit()
 		if d.sinceFlush += len(chunk); d.sinceFlush >= forcedFlushFactor*bs {
-			c.Flush()
-			d.sinceFlush = 0
+			d.flush(c)
 		}
 	}
 	clear(ops) // the buffer is reused; do not pin routed objects and queries
 	d.spare = ops
 	return true
+}
+
+// flush emits every partial towork batch.
+func (d *dispatcher) flush(c stream.Collector) {
+	d.out.flush(c)
+	d.sinceFlush = 0
 }
 
 // dispatchBatch routes one chunk of operations. The routing structures
@@ -155,11 +248,16 @@ func (d *dispatcher) Next(c stream.Collector) bool {
 // window from one tuple to BatchSize tuples of stale routing.
 //
 // It runs in two passes so that the counters two dispatchers share are
-// touched once per chunk: the first routes and counts, the second boxes
-// an envelope into a stream.Tuple — only if some worker receives it — and
-// emits. enqueued must cover a tuple before the worker can count it in
-// doneOps and before processed covers its operation (Quiesce and Drain
-// compare the three), hence before its emit.
+// touched once per chunk: the first routes and counts, the second appends
+// each envelope to the open batch of every worker it is routed to.
+// enqueued must cover an operation before the worker can count it in
+// doneOps and before processed covers it (Quiesce and Drain compare the
+// three), hence before the batch holding it can be emitted.
+//
+// An object whose target set has exactly one member is marked Solo,
+// whatever assignment computed the set: only that worker's engine sees
+// it, an engine reports a query at most once per object (qindex.Index),
+// so no (query, object) pair of it can reach the mergers twice.
 func (d *dispatcher) dispatchBatch(ops []wire.OpEnv, c stream.Collector) {
 	s := d.s
 	// Stage timing uses the wall clock, not cfg.Clock: it measures real
@@ -174,6 +272,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv, c stream.Collector) {
 		switch op.Kind {
 		case model.OpObject:
 			targets = a.RouteObject(op.Obj)
+			ops[i].Solo = len(targets) == 1
 			if gt := s.gridT.Load(); gt != nil && s.cellObjects != nil {
 				if id := gt.Grid().CellOf(op.Obj.Loc); id < len(s.cellObjects) {
 					s.cellObjects[id].Add(1)
@@ -238,9 +337,8 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv, c stream.Collector) {
 			}
 			continue
 		}
-		tu := stream.Tuple{Value: ops[i]}
 		for ; r < len(d.routed) && d.routed[r].op == i; r++ {
-			c.EmitDirect(streamToWork, d.routed[r].w, tu)
+			d.out.add(c, d.routed[r].w, &ops[i])
 		}
 	}
 	s.stageDisp.Observe(time.Since(stageStart))
@@ -249,46 +347,38 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv, c stream.Collector) {
 // workerBolt runs an in-process worker slot: it feeds the slot's engine
 // from its own task goroutine, a whole batch per call. The engine does the
 // matching; the bolt keeps what belongs to the topology — the simulated
-// per-tuple cost, the stage histogram, match emission and latency
+// per-operation cost, the stage histogram, match emission and latency
 // accounting.
 type workerBolt struct {
 	s     *System
 	task  int
 	local *localWorker
-	// Envelope scratch reused across batches, so the hot path allocates
-	// nothing per batch beyond the emitted match tuples.
-	ops []wire.OpEnv
-	out []wire.MatchEnv
+	// out is the engine's match scratch, reused across batches; split
+	// holds the matches batches being filled from it, one per merger.
+	out   []wire.MatchEnv
+	split fanout[wire.MatchEnv]
 }
 
-// ProcessBatch implements stream.BatchBolt.
-func (w *workerBolt) ProcessBatch(ts []stream.Tuple, c stream.Collector) {
+// Process implements stream.Bolt: one towork batch.
+func (w *workerBolt) Process(tu stream.Tuple, c stream.Collector) {
 	s := w.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
-	defer func() { s.stageWork.Observe(time.Since(stageStart)) }()
+	batch := tu.Value.(*[]wire.OpEnv)
+	ops := *batch
 	if s.cfg.PerTupleWork > 0 {
-		spin(time.Duration(len(ts)) * s.cfg.PerTupleWork)
+		spin(time.Duration(len(ops)) * s.cfg.PerTupleWork)
 	}
-	w.ops = unpackOps(w.ops[:0], ts)
-	w.out = w.local.process(w.ops, w.out[:0])
-	for i := range w.out {
-		c.Emit(streamMatches, stream.Tuple{Value: w.out[i]})
-	}
+	w.out = w.local.process(ops, w.out[:0])
+	emitMatches(&w.split, w.out, c)
 	if n := len(w.out); n > 0 {
 		// Counted before doneOps so the Drain barrier's emitted total is
 		// final once the worker queues read as drained.
 		s.matchesEmitted.Add(int64(n))
 	}
-	s.doneOps[w.task].Add(int64(len(ts)))
-	s.observeLatency(w.ops)
-}
-
-// unpackOps appends the op envelopes a towork batch carries to dst.
-func unpackOps(dst []wire.OpEnv, ts []stream.Tuple) []wire.OpEnv {
-	for i := range ts {
-		dst = append(dst, ts[i].Value.(wire.OpEnv))
-	}
-	return dst
+	s.doneOps[w.task].Add(int64(len(ops)))
+	s.observeLatency(ops)
+	s.opBatches.put(batch)
+	s.stageWork.Observe(time.Since(stageStart))
 }
 
 // observeLatency records the publish-to-processed latency of a finished
@@ -299,12 +389,6 @@ func (s *System) observeLatency(ops []wire.OpEnv) {
 	for i := range ops {
 		h.Observe(end.Sub(ops[i].T0))
 	}
-}
-
-// Process implements stream.Bolt (single-tuple fallback; the engine
-// prefers ProcessBatch).
-func (w *workerBolt) Process(tu stream.Tuple, c stream.Collector) {
-	w.ProcessBatch([]stream.Tuple{tu}, c)
 }
 
 // spin busy-waits for roughly d; sleeping is too coarse at microsecond
@@ -327,36 +411,37 @@ func newMerger(s *System) *merger {
 	return &merger{s: s, win: dedup.NewWindow(s.cfg.DedupWindow)}
 }
 
-// ProcessBatch implements stream.BatchBolt: the whole batch is deduped
-// under one clock read.
-func (m *merger) ProcessBatch(ts []stream.Tuple, _ stream.Collector) {
+// Process implements stream.Bolt: one matches batch, deduplicated and
+// delivered under one clock read. A Solo match is delivered without a
+// window probe: its object went to one worker only (dispatchBatch), so
+// the pair cannot arrive again. The shared counters move once per batch,
+// after the deliveries they count: the Drain barrier reads them, so a
+// Flush returning guarantees the callbacks have completed.
+func (m *merger) Process(tu stream.Tuple, _ stream.Collector) {
+	s := m.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
-	now := m.s.now()
-	for i := range ts {
-		m.processOne(ts[i].Value.(wire.MatchEnv), now)
+	batch := tu.Value.(*[]wire.MatchEnv)
+	now := s.now()
+	lat := s.matchLat.Load()
+	var solo, dups int64
+	for i := range *batch {
+		me := &(*batch)[i]
+		if me.Solo {
+			solo++
+		} else if !m.win.Observe([2]uint64{me.M.QueryID, me.M.ObjectID}) {
+			dups++
+			continue
+		}
+		lat.Observe(now.Sub(me.T0))
+		if s.cfg.OnMatch != nil {
+			s.cfg.OnMatch(me.M)
+		}
 	}
-	m.s.stageMerge.Observe(time.Since(stageStart))
-}
-
-// Process implements stream.Bolt (single-tuple fallback; the engine
-// prefers ProcessBatch). It shares ProcessBatch's code path so the
-// clock is read at the same point regardless of which path the engine
-// picks — a fallback that re-read the clock per tuple would skew the
-// latency histogram against batched runs.
-func (m *merger) Process(tu stream.Tuple, c stream.Collector) {
-	m.ProcessBatch([]stream.Tuple{tu}, c)
-}
-
-func (m *merger) processOne(me wire.MatchEnv, now time.Time) {
-	if !m.win.Observe([2]uint64{me.M.QueryID, me.M.ObjectID}) {
-		m.s.duplicates.Inc()
-		return
-	}
-	m.s.matchLat.Load().Observe(now.Sub(me.T0))
-	if m.s.cfg.OnMatch != nil {
-		// Deliver before counting: the Drain barrier reads the counter,
-		// so a Flush returning guarantees the callback has completed.
-		m.s.cfg.OnMatch(me.M)
-	}
-	m.s.matches.Inc()
+	n := int64(len(*batch))
+	s.mergerIn.Add(n)
+	s.soloMatches.Add(solo)
+	s.duplicates.Add(dups)
+	s.matches.Add(n - dups)
+	s.matchBatches.put(batch)
+	s.stageMerge.Observe(time.Since(stageStart))
 }

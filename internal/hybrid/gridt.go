@@ -223,7 +223,13 @@ func (c *gridtCell) ownerOfTerm(term string) int {
 
 // RouteObject implements partition.Assignment. Per §IV-C the dispatcher
 // looks the object's terms up in the cell's H2 and discards objects
-// matching no live registration key.
+// matching no live registration key. Callers must not modify the result:
+// a single-worker answer is a slice shared by every call.
+//
+// In a space cell every live H2 entry names the cell's worker (RouteQuery
+// installs c.worker, ReassignSpaceCell rewrites every entry,
+// MergeTextShares collapses a text cell only when its entries agree), so
+// the first live term decides.
 func (gt *GridT) RouteObject(o *model.Object) []int {
 	id := gt.g.CellOf(o.Loc)
 	var mask uint64
@@ -233,11 +239,26 @@ func (gt *GridT) RouteObject(o *model.Object) []int {
 	for _, t := range o.Terms {
 		if e, ok := c.h2[t]; ok && e.count > 0 {
 			mask |= 1 << uint(e.worker)
+			if c.worker >= 0 {
+				break
+			}
 		}
 	}
 	mu.RUnlock()
+	if bits.OnesCount64(mask) == 1 {
+		return oneWorker[bits.TrailingZeros64(mask)][:]
+	}
 	return maskToWorkers(mask)
 }
+
+// oneWorker[w] backs RouteObject's answer {w}, so that the common object,
+// which has one target, costs no allocation.
+var oneWorker = func() (t [64][1]int) {
+	for w := range t {
+		t[w][0] = w
+	}
+	return t
+}()
 
 // RouteQuery implements partition.Assignment. The insertion updates H2 in
 // every overlapped cell; deletions decrement it.

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"slices"
 	"testing"
 
 	"ps2stream/internal/geo"
@@ -232,5 +233,88 @@ func TestPeekQueryDoesNotPerturbRouting(t *testing.T) {
 	}
 	if !changed {
 		t.Error("deleting every query changed no object's routing; the contrast check is vacuous")
+	}
+}
+
+// fullScanRoute is RouteObject without the space-cell early exit: every
+// term probed, every live entry's worker collected.
+func fullScanRoute(gt *GridT, o *model.Object) []int {
+	id := gt.g.CellOf(o.Loc)
+	mu := gt.lockFor(id)
+	mu.RLock()
+	defer mu.RUnlock()
+	var mask uint64
+	for _, t := range o.Terms {
+		if e, ok := gt.cells[id].h2[t]; ok && e.count > 0 {
+			mask |= 1 << uint(e.worker)
+		}
+	}
+	return maskToWorkers(mask)
+}
+
+// TestRouteObjectSpaceCellFirstHit drives one cell through every mutation
+// gridt has and checks, after each, what RouteObject's early exit rests
+// on: while the cell is a space cell all its H2 entries name its worker,
+// and in either kind of cell RouteObject equals the full scan.
+func TestRouteObjectSpaceCellFirstHit(t *testing.T) {
+	gt, _, _ := routedGrid(t, 27)
+	cellID, owner := findCell(t, gt, false)
+	at := gt.Grid().CellRect(cellID).Center()
+	point := geo.NewRect(at.X, at.Y, at.X, at.Y)
+	keys := []string{"fhka", "fhkb", "fhkc"}
+	var qs []*model.Query
+	for i, k := range keys {
+		qs = append(qs, &model.Query{ID: uint64(880000 + i), Expr: model.And(k), Region: point})
+	}
+	objs := []*model.Object{
+		{ID: 1, Terms: []string{"absent", "fhka", "fhkb", "fhkc"}, Loc: at},
+		{ID: 2, Terms: []string{"fhkc", "absent"}, Loc: at},
+		{ID: 3, Terms: []string{"absent"}, Loc: at},
+		{ID: 4, Terms: append([]string{"fhkb"}, gt.H2Keys(cellID, owner)...), Loc: at},
+	}
+	check := func(step string) {
+		t.Helper()
+		c := &gt.cells[cellID]
+		if c.worker >= 0 {
+			for k, e := range c.h2 {
+				if e.worker != c.worker {
+					t.Fatalf("%s: space cell of worker %d holds H2[%q] -> %d", step, c.worker, k, e.worker)
+				}
+			}
+		}
+		for _, o := range objs {
+			got, want := gt.RouteObject(o), fullScanRoute(gt, o)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: RouteObject(%d) = %v, full scan %v", step, o.ID, got, want)
+			}
+		}
+	}
+	check("built")
+	for _, q := range qs {
+		gt.RouteQuery(q, true)
+	}
+	check("inserted")
+	gt.RouteQuery(qs[0], false)
+	check("deleted one")
+	other := (owner + 1) % gt.NumWorkers()
+	gt.ReassignSpaceCell(cellID, other)
+	check("reassigned")
+	gt.RouteQuery(qs[0], true)
+	check("inserted after reassign")
+	third := (owner + 2) % gt.NumWorkers()
+	if gt.SplitSpaceCellByText(cellID, []string{"fhkb"}, third) != other || !gt.IsTextCell(cellID) {
+		t.Fatal("split did not turn the cell into a text cell")
+	}
+	check("split")
+	if ws := gt.RouteObject(objs[0]); len(ws) != 2 {
+		t.Fatalf("object carrying both shares routes to %v, want two workers", ws)
+	}
+	gt.MergeTextShares(cellID, third, other)
+	if gt.IsTextCell(cellID) {
+		t.Fatal("merge did not collapse the cell back to a space cell")
+	}
+	check("merged")
+	if ws := gt.RouteObject(objs[0]); len(ws) != 1 || ws[0] != other {
+		t.Fatalf("after merge the object routes to %v, want [%d]", ws, other)
 	}
 }

@@ -56,6 +56,8 @@ type Assignment interface {
 	// RouteObject returns the workers that must match o. An empty result
 	// means the object cannot match any registered query and is dropped
 	// ("The object can be discarded if it contains no terms in H2").
+	// Callers must not modify the result; an implementation may share it
+	// between calls.
 	RouteObject(o *model.Object) []int
 	// RouteQuery returns the workers that must store q. insert is true
 	// for registrations (updating dynamic routing state such as H2) and

@@ -19,7 +19,11 @@ type Index interface {
 	Insert(q *model.Query)
 	// Delete drops a query by id (lazily or eagerly).
 	Delete(id uint64)
-	// Match invokes fn exactly once per live query matching o.
+	// Match invokes fn exactly once per live query matching o — at most
+	// once per query per call, however many of the query's conjunctions
+	// and cells o hits. The dispatchers rely on it: an object routed to
+	// one worker cannot yield the same (query, object) pair twice, so the
+	// mergers deliver its matches without a dedup probe (wire.OpEnv.Solo).
 	Match(o *model.Object, fn func(q *model.Query))
 	// Each invokes fn once per live query, in unspecified order
 	// (checkpointing, tests).

@@ -170,3 +170,36 @@ func TestRTreeReinsertAfterDelete(t *testing.T) {
 		t.Error("Footprint <= 0")
 	}
 }
+
+// TestMatchReportsAQueryOnce: the at-most-once clause of Index.Match. An
+// OR query of two conjunctions is registered under two keys, its region
+// spans several cells of every index, and the object carries both keys —
+// every way an index could meet the query twice for one object.
+func TestMatchReportsAQueryOnce(t *testing.T) {
+	stats := textutil.NewStats()
+	stats.Add("a", "b", "c")
+	q := &model.Query{ID: 1, Expr: model.Or("a", "b"), Region: geo.NewRect(5, 5, 95, 95)}
+	o := &model.Object{ID: 1, Terms: []string{"a", "b"}, Loc: geo.Point{X: 50, Y: 50}}
+	for name, ix := range map[string]Index{
+		"gi2":    gi2.New(bounds, 16, stats),
+		"rtree":  NewRTree(8),
+		"iqtree": NewIQTree(bounds, stats, 6, 1),
+		"aptree": NewAPTree(bounds, stats, 1, 4, 10),
+	} {
+		ix.Insert(q)
+		// Neighbours force the trees to split around q.
+		for i := 0; i < 40; i++ {
+			x := float64(i%10) * 10
+			ix.Insert(&model.Query{ID: uint64(10 + i), Expr: model.And("c"), Region: geo.NewRect(x, x, x+5, x+5)})
+		}
+		calls := 0
+		ix.Match(o, func(got *model.Query) {
+			if got.ID == q.ID {
+				calls++
+			}
+		})
+		if calls != 1 {
+			t.Errorf("%s: Match reported the query %d times for one object, want 1", name, calls)
+		}
+	}
+}

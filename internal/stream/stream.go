@@ -17,6 +17,13 @@
 // Collector.Flush. Batching amortises the per-message channel-send and
 // scheduling cost, which dominates the publish hot path at high rates;
 // SetBatchSize(1) restores tuple-at-a-time transfer.
+//
+// PS2Stream (internal/core) batches above this package: it leaves the
+// batch size at 1 and hands the engine one tuple per typed batch — a
+// pointer to a pooled []wire.OpEnv or []wire.MatchEnv — so what it takes
+// from here is the task goroutines, the bounded channels, the close
+// cascade, panic capture and the io.Closer hook. The collector's own
+// batching serves other topologies (and the benchmark's stream probes).
 package stream
 
 import (

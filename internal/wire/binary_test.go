@@ -120,6 +120,45 @@ func TestBinaryMatchAndControlRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSoloIsNotEncoded: Solo is the coordinator's note to itself. An
+// envelope with it set encodes to the bytes of one without, and decodes
+// with it false — a match that crossed the wire always meets the dedup
+// window.
+func TestSoloIsNotEncoded(t *testing.T) {
+	ops, ms := sampleOpBatch(), sampleMatchBatch()
+	plainOps, plainMs := AppendOpBatch(nil, 5, ops), AppendMatchBatch(nil, ms)
+	for i := range ops {
+		ops[i].Solo = true
+	}
+	for i := range ms {
+		ms[i].Solo = true
+	}
+	if p := AppendOpBatch(nil, 5, ops); !bytes.Equal(p, plainOps) {
+		t.Error("OpEnv.Solo changed the op batch encoding")
+	}
+	if p := AppendMatchBatch(nil, ms); !bytes.Equal(p, plainMs) {
+		t.Error("MatchEnv.Solo changed the match batch encoding")
+	}
+	gotOps, _, err := DecodeBinOpBatch(plainOps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gotOps {
+		if gotOps[i].Solo {
+			t.Errorf("decoded op %d has Solo set", i)
+		}
+	}
+	gotMs, err := DecodeBinMatchBatch(plainMs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gotMs {
+		if gotMs[i].Solo {
+			t.Errorf("decoded match %d has Solo set", i)
+		}
+	}
+}
+
 func sampleDeltas() []window.Delta {
 	return []window.Delta{
 		{QueryID: 42, Subscriber: 7, MsgID: 9, K: 5, Rank: 0.75, Rel: 0.9, Entered: true},

@@ -90,7 +90,9 @@ type Welcome struct {
 
 // OpEnv is one stream operation in flight with its submit timestamp
 // (the coordinator's clock; it returns to the coordinator inside match
-// envelopes, so latency is measured in a single clock domain).
+// envelopes, so latency is measured in a single clock domain). Envelopes
+// move between stages as []OpEnv batches, in-process and on the wire
+// alike.
 type OpEnv struct {
 	Op model.Op
 	T0 time.Time
@@ -101,6 +103,11 @@ type OpEnv struct {
 	// checkpoint covered the op, and re-emitting them against queries
 	// inserted later would fabricate matches that never happened.
 	Refill bool
+	// Solo marks an object the dispatcher routed to exactly one worker:
+	// no second engine sees it, so its matches cannot be reported twice.
+	// Coordinator-local: it is not encoded, and a decoded envelope has it
+	// false.
+	Solo bool
 }
 
 // OpBatch is one transfer batch of operations — one frame per batch, so
@@ -110,10 +117,16 @@ type OpBatch struct {
 }
 
 // MatchEnv is one match result in flight with the originating
-// operation's submit timestamp.
+// operation's submit timestamp. Matches move to the mergers as
+// []MatchEnv batches.
 type MatchEnv struct {
 	M  model.Match
 	T0 time.Time
+	// Solo is the producing object's OpEnv.Solo, copied by an in-process
+	// engine: a merger delivers such a match without consulting its dedup
+	// window. Coordinator-local: it is not encoded, so a match that
+	// crossed the wire has it false and is always deduplicated.
+	Solo bool
 }
 
 // MatchBatch is one transfer batch of matches.

@@ -190,7 +190,8 @@ func (e *Engine) match(q *model.Query) {
 			ObjectID:   e.env.Op.Obj.ID,
 			Worker:     e.task,
 		},
-		T0: e.env.T0,
+		T0:   e.env.T0,
+		Solo: e.env.Solo,
 	})
 }
 

@@ -95,6 +95,10 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 	for _, series := range []string{
 		"ps2_ops_processed_total",
 		"ps2_matches_delivered_total",
+		"ps2_matches_solo_total",
+		`ps2_bolt_processed_total{bolt="worker"}`,
+		`ps2_bolt_emitted_total{bolt="worker"}`,
+		`ps2_bolt_processed_total{bolt="merger"}`,
 		`ps2_stage_seconds_bucket{stage="dispatch"`,
 		`ps2_stage_seconds_bucket{stage="worker"`,
 		`ps2_stage_seconds_bucket{stage="merge"`,
