@@ -2,7 +2,8 @@ package ps2stream
 
 // Benchmark entry points: one per paper figure (delegating to the
 // experiment harness in internal/bench), micro-benchmarks for the core
-// data structures, and the ablation benches called out in DESIGN.md.
+// data structures, and the ablation benches (docs/ARCHITECTURE.md,
+// "Evaluation harness").
 //
 // The figure benches run the experiment at QuickScale per iteration and
 // report the harness's key number via b.ReportMetric; run cmd/psbench for
@@ -228,7 +229,7 @@ func BenchmarkHybridBuild(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ------------------------------------------
+// --- Ablations ---------------------------------------------------------
 
 // routedTuples counts total routed tuples for an assignment over a fresh
 // op stream: the duplication-sensitive part of the total workload.

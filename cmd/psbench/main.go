@@ -1,6 +1,7 @@
 // Command psbench runs the paper-reproduction experiments and prints the
-// rows/series of the corresponding figures (DESIGN.md §4 maps ids to
-// figures).
+// rows/series of the corresponding figures (internal/bench.Experiments
+// maps ids to runners; docs/ARCHITECTURE.md, "Evaluation harness", maps
+// the harness to the paper).
 //
 // Usage:
 //

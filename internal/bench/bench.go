@@ -44,8 +44,8 @@ type Scale struct {
 	Workers     int
 	Dispatchers int
 	// PerTupleWork is the simulated per-received-tuple cluster cost
-	// (network receive + deserialisation) charged at workers; see the
-	// DESIGN.md substitution table.
+	// (network receive + deserialisation) charged at workers; see
+	// core.Config.PerTupleWork.
 	PerTupleWork time.Duration
 	// Seed drives all generators.
 	Seed int64
@@ -146,7 +146,7 @@ func pad(s string, w int) string {
 // Runner executes one experiment.
 type Runner func(Scale) []Table
 
-// Experiments maps experiment ids (DESIGN.md §4) to runners.
+// Experiments maps experiment ids (psbench -list) to runners.
 func Experiments() map[string]Runner {
 	return map[string]Runner{
 		"fig6a":   Fig6TextQ1,

@@ -337,7 +337,7 @@ func (s *System) recordMigration(m MigrationStat) {
 		"bytes", m.Bytes,
 		"duration", m.Duration,
 		"selection", m.SelectionTime,
-		"epoch", s.routeFence.Epoch())
+		"epoch", s.routeEpoch.Load())
 	s.migMu.Lock()
 	s.migrations = append(s.migrations, m)
 	s.migMu.Unlock()
@@ -420,13 +420,22 @@ type pendingExtract struct {
 	barrier    int64
 }
 
+// advanceRoute bumps the routing epoch, then takes routeMu's write side
+// once: it returns when every dispatcher chunk that was routing before the
+// call has finished enqueuing. Later chunks see the flipped table.
+func (s *System) advanceRoute() {
+	s.routeEpoch.Add(1)
+	s.routeMu.Lock()
+	s.routeMu.Unlock() // the empty section is the point
+}
+
 // announceFence forwards the current routing epoch to every active slot
 // after a flip. The frame itself is informational, but its position
 // matters: the deferred ExtractCells round follows it on the source's
 // connection, so a remote extraction is ordered behind the same epoch
 // boundary the drain barrier provides.
 func (s *System) announceFence() {
-	epoch := s.routeFence.Epoch()
+	epoch := s.routeEpoch.Load()
 	s.log.Debug("adjust fence advanced", "epoch", epoch)
 	for _, w := range s.activeWorkerSlots() {
 		_ = s.slots[w].SendFence(epoch) // informational; failures surface on the data path
@@ -469,14 +478,14 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 		// reconstruct them if the node crashes before the next checkpoint.
 		s.logAdoptions(wl, qs, nil, ring)
 	}
-	// 3. Flip routing, then advance the dispatcher fence: Advance blocks
-	// until every dispatcher batch routed under the pre-flip table has
-	// finished enqueuing, so the barrier read below covers all old-epoch
-	// traffic — without the fence a laggard batch could enqueue a
-	// matching object to wo after the barrier snapshot and lose its
+	// 3. Flip routing, then advance the dispatcher fence: advanceRoute
+	// blocks until every dispatcher chunk routed under the pre-flip table
+	// has finished enqueuing, so the barrier read below covers all
+	// old-epoch traffic — without the fence a laggard chunk could enqueue
+	// a matching object to wo after the barrier snapshot and lose its
 	// matches to an early extraction.
 	flip()
-	s.routeFence.Advance()
+	s.advanceRoute()
 	s.announceFence()
 	// 4. Schedule extraction once wo drains its pre-flip queue.
 	s.scheduleExtract(pendingExtract{cell: cell, wo: wo, wl: wl, keys: keys, copied: idSet(qs),

@@ -7,7 +7,6 @@ import (
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
-	"ps2stream/internal/stream"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
@@ -88,17 +87,11 @@ func TestBatchedPublishMatchesUnbatched(t *testing.T) {
 	}
 }
 
-type nopCollector struct{}
-
-func (nopCollector) Emit(string, stream.Tuple)            {}
-func (nopCollector) EmitDirect(string, int, stream.Tuple) {}
-func (nopCollector) Flush()                               {}
-
-// opTuple fills a pooled towork batch with ops, as a dispatcher does.
-func opTuple(sys *System, ops ...wire.OpEnv) stream.Tuple {
+// opBatch fills a pooled towork batch with ops, as a dispatcher does.
+func opBatch(sys *System, ops ...wire.OpEnv) *[]wire.OpEnv {
 	batch := sys.opBatches.get()
 	*batch = append(*batch, ops...)
-	return stream.Tuple{Value: batch}
+	return batch
 }
 
 // TestWorkerBoltNoMatchBatchAllocs pins the in-process hot path: a
@@ -113,17 +106,17 @@ func TestWorkerBoltNoMatchBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	bolt := &workerBolt{s: sys, task: 0, local: sys.slots[0].(*localWorker),
-		split: newFanout(&sys.matchBatches, streamMatches, sys.cfg.Mergers)}
+		split: newFanout(&sys.matchBatches, sys.toMerge, nil)}
 	at := sample.Bounds.Center()
 	q := &model.Query{ID: 1, Expr: model.And("nomatchterm"), Region: geo.RectAround(at, 50, 50)}
-	bolt.Process(opTuple(sys, wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: sys.now()}), nopCollector{})
+	bolt.process(opBatch(sys, wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: sys.now()}))
 	ops := make([]wire.OpEnv, 64)
 	for i := range ops {
 		o := &model.Object{ID: uint64(100 + i), Terms: []string{"alpha", "beta"}, Loc: at}
 		ops[i] = wire.OpEnv{Op: model.Op{Kind: model.OpObject, Obj: o}, T0: sys.now()}
 	}
-	bolt.Process(opTuple(sys, ops...), nopCollector{}) // warm the pool
-	if n := testing.AllocsPerRun(200, func() { bolt.Process(opTuple(sys, ops...), nopCollector{}) }); n > 0 {
+	bolt.process(opBatch(sys, ops...)) // warm the pool
+	if n := testing.AllocsPerRun(200, func() { bolt.process(opBatch(sys, ops...)) }); n > 0 {
 		t.Errorf("a 64-object no-match batch through the worker bolt allocates %v times, want 0", n)
 	}
 	if got := sys.slots[0].LastStats(); got.Objects != 64*202 || got.Inserts != 1 {

@@ -1,5 +1,5 @@
 // Package core wires PS2Stream together: dispatcher, worker and merger
-// bolts on the stream engine (§III-B, Figure 1), the workload-distribution
+// tasks on typed channels (§III-B, Figure 1), the workload-distribution
 // assignment on the dispatchers, GI2 indexes on the workers, duplicate
 // elimination on the mergers, and the dynamic load adjustment controller
 // of §V. The whole publish path is batch-oriented: Submit appends to a
@@ -31,7 +31,6 @@ import (
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
 	"ps2stream/internal/qindex"
-	"ps2stream/internal/stream"
 	"ps2stream/internal/textutil"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
@@ -91,7 +90,9 @@ type Config struct {
 	// Adjust configures dynamic load adjustment (§V); zero = disabled.
 	Adjust AdjustConfig
 	// OnMatch, when set, receives every deduplicated match from the
-	// mergers. It is called concurrently from merger tasks.
+	// mergers. It is called concurrently from merger tasks. A panic in it
+	// stops the run: parked Submits return, Drain fails, and Close returns
+	// an error naming the panic.
 	OnMatch func(model.Match)
 	// OnTopK, when set, receives every global top-k membership change of
 	// the sliding-window top-k subscriptions. It is called from worker
@@ -117,7 +118,8 @@ type Config struct {
 	// pays (deserialisation + network receive) at each worker. Zero for
 	// in-process use; the experiment harness sets a few microseconds so
 	// that tuple duplication carries the same economics as on the
-	// paper's Storm deployment (see DESIGN.md substitutions).
+	// paper's Storm deployment (docs/ARCHITECTURE.md, "Deployment:
+	// processes and the wire").
 	PerTupleWork time.Duration
 	// RemoteWorkers places worker tasks out-of-process: task index →
 	// session with the psnode running it (ConnectRemoteWorkers dials
@@ -362,18 +364,20 @@ type System struct {
 	ingest []*ingestShard
 	// ingestBlocked counts the times a Submit parked on a full shard.
 	ingestBlocked metrics.Counter
-	topo          *stream.Topology
-	// opBatches and matchBatches recycle the typed batches that move on
-	// the towork and matches streams (topology.go).
+	// towork holds each worker slot's input channel, spares included, and
+	// toMerge each merger's (topology.go); opBatches and matchBatches
+	// recycle the typed batches they carry.
+	towork       []chan *[]wire.OpEnv
+	toMerge      []chan *[]wire.MatchEnv
 	opBatches    batchPool[wire.OpEnv]
 	matchBatches batchPool[wire.MatchEnv]
 
 	runErr  chan error
 	started atomic.Bool
 	closed  atomic.Bool
-	// runDone flips when the topology's Run returns — including a death
-	// by captured task panic — so barriers waiting on processing
-	// progress can fail fast instead of waiting on a stopped engine.
+	// runDone flips when run returns — including a stop by a task panic —
+	// so barriers waiting on processing progress can fail fast instead of
+	// waiting on a stopped topology.
 	runDone atomic.Bool
 	cancel  context.CancelFunc
 	// runCtx is the run's context once Start installs it (recovery
@@ -429,7 +433,7 @@ type System struct {
 	// cellObjects counts object arrivals per grid cell (for Phase I
 	// merge planning).
 	cellObjects []atomic.Int64
-	// enqueued/doneOps count tuples handed to / completed by each worker
+	// enqueued/doneOps count operations handed to / completed by each worker
 	// (never reset); their difference is the worker's in-flight depth,
 	// used as the drain barrier for deferred migration extraction.
 	enqueued []atomic.Int64
@@ -449,11 +453,13 @@ type System struct {
 	detector  *load.Detector
 	adjustRng *rand.Rand
 
-	// routeFence fences dispatcher routing against migration flips: each
-	// dispatcher batch routes inside a read-side section, and a migrator
-	// advances the fence after flipping the routing table, so drain
-	// barriers read after the advance cover every old-epoch batch.
-	routeFence *stream.Fence
+	// routeMu fences dispatcher routing against migration flips: each
+	// dispatcher chunk routes under its read lock, and a migrator calls
+	// advanceRoute after flipping the routing table, so drain barriers read
+	// after it cover every chunk routed under the old table. routeEpoch
+	// counts the advances.
+	routeMu    sync.RWMutex
+	routeEpoch atomic.Uint64
 
 	// Controller activity counters (AdjustStats).
 	adjChecks    metrics.Counter
@@ -603,7 +609,8 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	s.enqueued = make([]atomic.Int64, totalSlots)
 	s.doneOps = make([]atomic.Int64, totalSlots)
 	s.remoteHello = cfg.RemoteHello(0, sample)
-	s.routeFence = stream.NewFence()
+	s.towork = newQueues[wire.OpEnv](totalSlots, &cfg)
+	s.toMerge = newQueues[wire.MatchEnv](cfg.Mergers, &cfg)
 	s.pendingCells = make(map[int]bool)
 	if gt := s.gridT.Load(); gt != nil {
 		s.cellObjects = make([]atomic.Int64, gt.Grid().NumCells())
@@ -659,15 +666,13 @@ func (s *System) Start(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	s.cancel = cancel
 	s.runCtx = runCtx
-	s.topo = s.buildTopology(runCtx)
-	s.registerTopologyMetrics()
 	// The dispatchers park on their shards, where the run context cannot
 	// reach them: close the ingest when it is cancelled.
 	context.AfterFunc(runCtx, s.closeIngest)
 	if s.hops != nil || len(s.cfg.RemoteMergers) > 0 {
 		// Remote transports block in socket reads the run context cannot
 		// reach; force-close them on cancellation (a normal Close cancels
-		// only after the topology has drained and the hops have already
+		// only after the run has drained and the hops have already
 		// ended via Goodbye/EOF, where this is a no-op).
 		go func() {
 			<-runCtx.Done()
@@ -683,7 +688,7 @@ func (s *System) Start(ctx context.Context) error {
 	}
 	go s.windowLoop(adjustCtx)
 	go func() {
-		err := s.topo.Run(runCtx)
+		err := s.run(runCtx, cancel)
 		adjustCancel()
 		s.runDone.Store(true)
 		s.runErr <- err
@@ -717,7 +722,8 @@ func (s *System) closeIngest() {
 }
 
 // Close stops input, waits for every operation a Submit had enqueued and
-// all in-flight tuples to drain, and returns the topology's run error.
+// every batch in flight to drain, and returns the run's error: nil, or
+// the panics of the tasks that stopped it.
 func (s *System) Close() error {
 	if !s.started.Load() {
 		return errors.New("core: not started")
@@ -771,7 +777,7 @@ func (s *System) Snapshot() Snapshot {
 func (s *System) adjustStats(migs []MigrationStat) AdjustStats {
 	st := AdjustStats{
 		Enabled:        s.cfg.Adjust.Enabled,
-		Epoch:          s.routeFence.Epoch(),
+		Epoch:          s.routeEpoch.Load(),
 		Checks:         s.adjChecks.Value(),
 		Triggers:       s.adjTriggers.Value(),
 		ManualTriggers: s.adjManual.Value(),

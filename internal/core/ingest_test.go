@@ -215,12 +215,12 @@ func TestIngestBlocksAtItsBound(t *testing.T) {
 	}()
 	within(t, 5*time.Second, "the worker's first Match", entered)
 	// What can be accepted and not processed: the shard and the buffer its
-	// dispatcher took (QueueCap / Dispatchers each), what the collector
-	// kept of earlier buffers (under one batch), the worker's queue and
+	// dispatcher took (QueueCap / Dispatchers each), what its open towork
+	// batch kept of earlier buffers (under one batch), the worker's queue and
 	// the batch the worker holds. The parent's channel, spout, dispatcher
 	// queue and dispatcher held queueCap + 2*batch more than the ingest's
 	// second buffer does.
-	workerQueue := sys.topo.QueueStats()["worker"].Cap * batch
+	workerQueue := cap(sys.towork[0]) * batch
 	if workerQueue != queueCap {
 		t.Fatalf("the worker's queue holds %d operations, want QueueCap = %d", workerQueue, queueCap)
 	}

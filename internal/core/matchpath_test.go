@@ -10,7 +10,6 @@ import (
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/model"
-	"ps2stream/internal/stream"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
@@ -43,10 +42,9 @@ func matchPathSystem(tb testing.TB, onMatch func(model.Match)) (*System, []model
 
 // TestMatchPathAllocs is the allocation gate of the typed batches: in
 // steady state a 64-object batch whose every object matches three queries
-// goes from Submit to OnMatch without an allocation per operation or per
-// match. What is left is per transfer and inside internal/stream (its pool
-// boxes a slice header when it recycles a one-tuple batch); the boxed path
-// allocated three times per object here, one envelope box per hop.
+// goes from Submit to OnMatch without an allocation: the batches are
+// pooled and a channel send moves one pointer. The boxed path allocated
+// three times per object here, one envelope box per hop.
 func TestMatchPathAllocs(t *testing.T) {
 	var delivered atomic.Int64
 	sys, objs := matchPathSystem(t, func(model.Match) { delivered.Add(1) })
@@ -67,13 +65,12 @@ func TestMatchPathAllocs(t *testing.T) {
 	}
 	perBatch := testing.AllocsPerRun(300, publish)
 	t.Logf("%v allocations per 64-object, 192-match batch", perBatch)
-	budget := 8.0 // transfers, not operations
+	budget := 1.0
 	if raceEnabled {
 		budget = 64 // the race detector makes sync.Pool drop batches at random
 	}
-	if perBatch > budget {
-		t.Errorf("%v allocations per 64-object batch (%.2f per operation), want at most %v per batch and none per operation",
-			perBatch, perBatch/64, budget)
+	if perBatch >= budget {
+		t.Errorf("%v allocations per 64-object batch (%.2f per operation), want under %v", perBatch, perBatch/64, budget)
 	}
 	if snap := sys.Snapshot(); snap.SoloMatches != snap.Matches || snap.Matches != delivered.Load() {
 		t.Errorf("SoloMatches %d, Matches %d, delivered %d: the path under test is the one-target path",
@@ -106,52 +103,40 @@ func BenchmarkMatchPath(b *testing.B) {
 	}
 }
 
-// recorder is a stream.Collector that keeps what a fanout emits.
-type recorder struct {
-	nopCollector
-	tasks   []int
-	batches [][]wire.MatchEnv
-}
-
-func (r *recorder) EmitDirect(_ string, task int, tu stream.Tuple) {
-	r.tasks = append(r.tasks, task)
-	r.batches = append(r.batches, append([]wire.MatchEnv(nil), *tu.Value.(*[]wire.MatchEnv)...))
-}
-
-// TestTypedBatchFanout: a batch is emitted when it holds BatchSize
-// envelopes and on flush, never empty, each to the task it was filled for
-// and with the producer's order kept; a recycled batch comes back empty
-// and cleared.
+// TestTypedBatchFanout: a batch is sent when it holds BatchSize envelopes
+// and on flush, never empty, on the channel of the task it was filled for,
+// and each task's channel yields the producer's envelopes in order (the
+// per-task FIFO every ordering argument in core rests on); a recycled
+// batch comes back empty and cleared.
 func TestTypedBatchFanout(t *testing.T) {
 	pool := batchPool[wire.MatchEnv]{size: 4}
-	f := newFanout(&pool, streamMatches, 3)
-	var rec recorder
+	queues := newQueues[wire.MatchEnv](3, &Config{QueueCap: 16, BatchSize: pool.size})
+	f := newFanout(&pool, queues, nil)
 	for i := 0; i < 11; i++ {
 		me := wire.MatchEnv{M: model.Match{QueryID: uint64(i)}}
-		f.add(&rec, i%2, &me) // tasks 0 and 1; task 2 stays empty
+		f.add(i%2, &me) // tasks 0 and 1; task 2 stays empty
 	}
-	if len(rec.batches) != 2 || rec.tasks[0] != 0 || rec.tasks[1] != 1 {
-		t.Fatalf("before flush: %d batches to tasks %v, want one full batch each to 0 and 1", len(rec.batches), rec.tasks)
+	if len(queues[0]) != 1 || len(queues[1]) != 1 || len(queues[2]) != 0 {
+		t.Fatalf("before flush: %d, %d, %d batches queued, want one full batch each for tasks 0 and 1",
+			len(queues[0]), len(queues[1]), len(queues[2]))
 	}
-	f.flush(&rec)
-	f.flush(&rec) // nothing left
-	want := map[int][]uint64{0: {0, 2, 4, 6, 8, 10}, 1: {1, 3, 5, 7, 9}}
-	got := map[int][]uint64{}
-	for i, b := range rec.batches {
-		if len(b) == 0 || len(b) > pool.size {
-			t.Errorf("batch %d holds %d envelopes, want 1..%d", i, len(b), pool.size)
+	f.flush()
+	f.flush() // nothing left
+	want := [][]uint64{{0, 2, 4, 6, 8, 10}, {1, 3, 5, 7, 9}, nil}
+	for task, q := range queues {
+		close(q)
+		var got []uint64
+		for b := range q {
+			if len(*b) == 0 || len(*b) > pool.size {
+				t.Errorf("task %d: a batch holds %d envelopes, want 1..%d", task, len(*b), pool.size)
+			}
+			for _, me := range *b {
+				got = append(got, me.M.QueryID)
+			}
 		}
-		for _, me := range b {
-			got[rec.tasks[i]] = append(got[rec.tasks[i]], me.M.QueryID)
+		if !slices.Equal(got, want[task]) {
+			t.Errorf("task %d received %v, want %v", task, got, want[task])
 		}
-	}
-	for task, ids := range want {
-		if !slices.Equal(got[task], ids) {
-			t.Errorf("task %d received %v, want %v", task, got[task], ids)
-		}
-	}
-	if len(got[2]) != 0 || len(rec.batches) != 4 {
-		t.Errorf("%d batches, task 2 received %v; want 4 batches and nothing for task 2", len(rec.batches), got[2])
 	}
 
 	p := pool.get()
@@ -182,9 +167,9 @@ next:
 	return 0
 }
 
-// TestTypedBatchSeriesCountOperations: the stream engine moves one batch
-// per tuple, and the per-bolt series still count what an operator reads
-// them for — operations into the workers, matches out of them and into
+// TestTypedBatchSeriesCountOperations: the channels move one batch per
+// send, and the per-bolt series still count what an operator reads them
+// for — operations into the workers, matches out of them and into
 // the mergers — while the queue gauges count batches.
 func TestTypedBatchSeriesCountOperations(t *testing.T) {
 	sys, objs := matchPathSystem(t, nil)

@@ -66,7 +66,7 @@ func (s *System) Registry() *metrics.Registry { return s.registry }
 
 // RouteEpoch returns the current routing-fence epoch (advances once per
 // executed cell migration).
-func (s *System) RouteEpoch() uint64 { return s.routeFence.Epoch() }
+func (s *System) RouteEpoch() uint64 { return s.routeEpoch.Load() }
 
 // opKinds are the per-kind op-counter labels and the wire.StatsReply
 // field each one reads.
@@ -152,7 +152,7 @@ func (s *System) initObservability() {
 					float64(s.winDeletes[i].Load()),
 				)
 			}, wl)
-		r.GaugeFunc("ps2_worker_inflight_ops", "tuples enqueued to the worker and not yet processed",
+		r.GaugeFunc("ps2_worker_inflight_ops", "operations enqueued to the worker and not yet processed",
 			func() float64 { return float64(s.enqueued[i].Load() - s.doneOps[i].Load()) }, wl)
 		r.GaugeFunc("ps2_worker_queries", "live queries indexed on the worker (node-reported for remote tasks)",
 			func() float64 { return float64(ep.LastStats().Queries) }, wl)
@@ -176,7 +176,7 @@ func (s *System) initObservability() {
 			return load.BalanceFactor(maskActive(s.windowLoads(), active))
 		})
 	r.GaugeFunc("ps2_route_epoch", "routing-fence epoch (advances once per migrated cell share)",
-		func() float64 { return float64(s.routeFence.Epoch()) })
+		func() float64 { return float64(s.routeEpoch.Load()) })
 
 	// Adjustment controller activity.
 	r.CounterFunc("ps2_adjust_checks_total", "detector evaluations", s.adjChecks.Value)
@@ -239,41 +239,52 @@ func (s *System) initObservability() {
 		}
 	}
 
+	s.registerQueueMetrics()
 	if s.hops != nil || len(s.cfg.RemoteMergers) > 0 {
 		wire.RegisterMetrics(r)
 	}
 }
 
-// registerTopologyMetrics adds the per-bolt series once the topology is
-// built (Start). They cover the bolts — workers and mergers; the
-// dispatchers are sources and report through ps2_ingest_*. The processed
-// and emitted counts are core's own: the stream engine moves one typed
-// batch per tuple and would count transfers, while its queues, which hold
-// those batches, are read from it.
-func (s *System) registerTopologyMetrics() {
+// registerQueueMetrics adds the per-bolt series: the workers and the
+// mergers; the dispatchers report through ps2_ingest_*. The processed and
+// emitted counts are operations and matches, core's own counters; the
+// queue gauges sum the tasks' channels, in batches.
+func (s *System) registerQueueMetrics() {
 	workerOps := func() (n int64) {
 		for i := range s.doneOps {
 			n += s.doneOps[i].Load()
 		}
 		return n
 	}
-	topo := s.topo
 	for _, b := range []struct {
 		name               string
 		processed, emitted func() int64
+		depth              func() float64
+		capacity           int
 	}{
-		{"worker", workerOps, s.matchesEmitted.Value},
-		{"merger", s.mergerIn.Value, func() int64 { return 0 }},
+		{"worker", workerOps, s.matchesEmitted.Value, queued(s.towork), len(s.towork) * cap(s.towork[0])},
+		{"merger", s.mergerIn.Value, func() int64 { return 0 }, queued(s.toMerge), len(s.toMerge) * cap(s.toMerge[0])},
 	} {
-		name, bl := b.name, metrics.L("bolt", b.name)
+		bl := metrics.L("bolt", b.name)
 		s.registry.CounterFunc("ps2_bolt_processed_total",
 			"operations (worker) or matches (merger) the bolt's tasks have finished", b.processed, bl)
 		s.registry.CounterFunc("ps2_bolt_emitted_total",
 			"matches (worker) the bolt's tasks have emitted; a merger emits nothing", b.emitted, bl)
 		s.registry.GaugeFunc("ps2_queue_depth_batches", "queued input batches per bolt (instantaneous)",
-			func() float64 { return float64(topo.QueueStats()[name].Depth) }, bl)
+			b.depth, bl)
 		s.registry.GaugeFunc("ps2_queue_cap_batches", "input queue capacity per bolt in batches",
-			func() float64 { return float64(topo.QueueStats()[name].Cap) }, bl)
+			func() float64 { return float64(b.capacity) }, bl)
+	}
+}
+
+// queued is a gauge of the batches waiting in qs.
+func queued[T any](qs []chan *[]T) func() float64 {
+	return func() float64 {
+		n := 0
+		for _, q := range qs {
+			n += len(q)
+		}
+		return float64(n)
 	}
 }
 

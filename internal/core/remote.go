@@ -16,7 +16,6 @@ import (
 
 	"ps2stream/internal/index/grid"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/stream"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
@@ -194,8 +193,8 @@ func (c *Config) ConnectRemoteMergers(addrs []string, sample *partition.Sample, 
 }
 
 // remoteWorkerTasks returns the out-of-process worker task ids —
-// including unclaimed spare slots — in ascending order (stable
-// spout-task mapping and drain iteration).
+// including unclaimed spare slots — in ascending order (stable drain
+// iteration).
 func (s *System) remoteWorkerTasks() []int {
 	tasks := make([]int, 0, len(s.hops))
 	for t, h := range s.hops {
@@ -248,10 +247,9 @@ type remoteWorkerBolt struct {
 	hop  *workerHop
 }
 
-// Process implements stream.Bolt: one towork batch. SendOps encodes
-// synchronously and the op log copies, so the batch is recycled here.
-func (r *remoteWorkerBolt) Process(tu stream.Tuple, _ stream.Collector) {
-	batch := tu.Value.(*[]wire.OpEnv)
+// process forwards one towork batch. SendOps encodes synchronously and
+// the op log copies, so the batch is recycled here.
+func (r *remoteWorkerBolt) process(batch *[]wire.OpEnv) {
 	ops := *batch
 	r.forward(ops)
 	r.s.doneOps[r.task].Add(int64(len(ops)))
@@ -275,10 +273,10 @@ func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 			panic(fmt.Sprintf("remote worker %d: no session", r.task))
 		}
 		if err := tr.SendOps(wire.OpBatch{Ops: ops}); err != nil {
-			// Mark the slot failed before dying loudly: the engine
-			// captures task panics and then runs this bolt's Close hook,
-			// which would dress the hop up as a graceful teardown — the
-			// Drain barrier must see a crash, not a close.
+			// Mark the slot failed before dying loudly: the task's
+			// deferred Close runs on the panic and would dress the hop up
+			// as a graceful teardown — the Drain barrier must see a
+			// crash, not a close.
 			r.s.hopFailed(h, gen, err)
 			panic(fmt.Sprintf("remote worker %d: %v", r.task, err))
 		}
@@ -311,11 +309,11 @@ func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 	}
 }
 
-// Close implements the engine's io.Closer hook: when the dispatchers
-// finish, half-close the hop so the worker node flushes its remaining
-// matches and ends the return stream. A hop caught mid-outage (down or
-// replaying) is hard-closed instead, so the slot's spout unblocks and
-// an in-flight recovery aborts at its next closing check.
+// Close runs when the forwarder's task ends: once the dispatchers finish,
+// it half-closes the hop so the worker node flushes its remaining matches
+// and ends the return stream. A hop caught mid-outage (down or replaying)
+// is hard-closed instead, so the slot's match reader unblocks and an
+// in-flight recovery aborts at its next closing check.
 func (r *remoteWorkerBolt) Close() error {
 	h := r.hop
 	h.mu.Lock()
@@ -348,17 +346,18 @@ type remoteMatchSpout struct {
 	split fanout[wire.MatchEnv]
 }
 
-// Next implements stream.Spout.
-func (r *remoteMatchSpout) Next(c stream.Collector) bool {
-	for {
+// run reads the hop's match frames until the slot is done for good or
+// the run is cancelled.
+func (r *remoteMatchSpout) run() {
+	for r.ctx.Err() == nil {
 		tr, gen, ok := r.waitTransport()
 		if !ok {
-			return false
+			return
 		}
 		mb, err := tr.RecvMatches()
 		if err != nil {
 			if r.finishSession(gen, err) {
-				return false
+				return
 			}
 			continue // next session
 		}
@@ -366,11 +365,10 @@ func (r *remoteMatchSpout) Next(c stream.Collector) bool {
 		h.mu.Lock()
 		h.sessionRecv += int64(len(mb.Matches))
 		h.mu.Unlock()
-		// Emitted per received frame: the wire already batches, and holding
+		// Sent per received frame: the wire already batches, and holding
 		// matches back here would add latency the batch bound cannot cap
-		// (this spout may then block in Recv indefinitely).
-		emitMatches(&r.split, mb.Matches, c)
-		return true
+		// (this reader may then block in Recv indefinitely).
+		emitMatches(&r.split, mb.Matches)
 	}
 }
 
@@ -452,19 +450,15 @@ type remoteMergerBolt struct {
 	cl   *wire.MergerClient
 }
 
-// Process implements stream.Bolt: one matches batch. SendMatches encodes
-// before it returns, so the batch is recycled here.
-func (r *remoteMergerBolt) Process(tu stream.Tuple, _ stream.Collector) {
-	batch := tu.Value.(*[]wire.MatchEnv)
+// process forwards one matches batch. SendMatches encodes before it
+// returns, so the batch is recycled here.
+func (r *remoteMergerBolt) process(batch *[]wire.MatchEnv) {
 	if err := r.cl.SendMatches(wire.MatchBatch{Matches: *batch}); err != nil {
 		panic(fmt.Sprintf("remote merger %d: %v", r.task, err))
 	}
 	r.s.mergerIn.Add(int64(len(*batch)))
 	r.s.matchBatches.put(batch)
 }
-
-// Close implements the engine's io.Closer hook.
-func (r *remoteMergerBolt) Close() error { return r.cl.CloseSend() }
 
 // RemoteDelivered sums the delivered/duplicate counters of every remote
 // merger (one control round trip each). Zeroes with no remote mergers.
@@ -582,6 +576,9 @@ recompute:
 			if s.closed.Load() {
 				return errors.New("core: system closed while draining")
 			}
+			if s.runDone.Load() {
+				return errRunStopped
+			}
 			for task, g := range gens {
 				h := s.hops[task]
 				h.mu.Lock()
@@ -596,10 +593,14 @@ recompute:
 	}
 }
 
+// errRunStopped is what a barrier returns when the run stopped under it
+// without a Close: a task panicked and cancelled it (see System.run).
+var errRunStopped = errors.New("core: run stopped while draining (task panic?)")
+
 // quiesceHops is Quiesce with failure detection: a permanently failed
-// hop never drains its queue, and a topology stopped by a captured task
-// panic never advances its counters — waiting on either would hang the
-// barrier forever, so it fails with the cause instead.
+// hop never drains its queue, and a run stopped by a task panic never
+// advances its counters — waiting on either would hang the barrier
+// forever, so it fails with the cause instead.
 func (s *System) quiesceHops(submitted int64) error {
 	stable := 0
 	for stable < 2 {
@@ -607,7 +608,7 @@ func (s *System) quiesceHops(submitted int64) error {
 			return err
 		}
 		if s.runDone.Load() && !s.closed.Load() {
-			return errors.New("core: run stopped while draining (task panic?)")
+			return errRunStopped
 		}
 		if s.Processed() < submitted {
 			if s.runDone.Load() {

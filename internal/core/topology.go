@@ -2,34 +2,24 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
 	"ps2stream/internal/dedup"
 	"ps2stream/internal/model"
-	"ps2stream/internal/stream"
 	"ps2stream/internal/wire"
-)
-
-// Stream names of the PS2Stream topology (Figure 1). A tuple on towork
-// carries one *[]wire.OpEnv, a tuple on matches one *[]wire.MatchEnv:
-// pooled batches of up to Config.BatchSize of the envelopes a socket hop
-// carries. The stream engine runs at batch size 1 and moves them; core
-// fills them, addresses them and returns them to their pool.
-const (
-	streamToWork  = "towork"  // dispatchers -> workers (direct)
-	streamMatches = "matches" // workers -> mergers (direct, by mergerOf)
 )
 
 // forcedFlushFactor bounds how long a dispatcher whose shard never runs
 // empty may keep a partial batch open: every forcedFlushFactor × BatchSize
-// routed operations it emits them all, so a towork batch for a
+// routed operations it sends them all, so a towork batch for a
 // rarely-targeted worker cannot be parked behind a saturated input
 // (handOff's drain barrier and Drain wait on such batches).
 const forcedFlushFactor = 4
 
-// batchPool recycles the typed batches of one stream. A batch travels as
-// a *[]T: a pointer in a stream.Tuple's interface allocates nothing.
+// batchPool recycles the typed batches of one kind of channel. A batch
+// travels as a *[]T, so a send moves one pointer.
 type batchPool[T any] struct {
 	pool sync.Pool
 	size int // capacity of a batch (Config.BatchSize)
@@ -52,22 +42,34 @@ func (bp *batchPool[T]) put(p *[]T) {
 	bp.pool.Put(p)
 }
 
-// fanout is one producing task's open batches on a direct stream, one per
-// downstream task. A batch is emitted when it is full and on flush, in
-// the order it was filled, so each downstream task sees the producer's
-// envelopes in order.
-type fanout[T any] struct {
-	pool   *batchPool[T]
-	stream string
-	open   []*[]T
+// newQueues makes one input channel per task. A channel holds
+// max(QueueCap/BatchSize, 1) batches, so Config.QueueCap keeps bounding the
+// operations or matches queued per task whatever the BatchSize.
+func newQueues[T any](tasks int, cfg *Config) []chan *[]T {
+	qs := make([]chan *[]T, tasks)
+	for i := range qs {
+		qs[i] = make(chan *[]T, max(cfg.QueueCap/cfg.BatchSize, 1))
+	}
+	return qs
 }
 
-func newFanout[T any](pool *batchPool[T], streamName string, tasks int) fanout[T] {
-	return fanout[T]{pool: pool, stream: streamName, open: make([]*[]T, tasks)}
+// fanout is one producing task's open batches, one per downstream task,
+// and the channels they go out on. A batch is sent when it is full and on
+// flush, in the order it was filled, so each downstream task sees the
+// producer's envelopes in order.
+type fanout[T any] struct {
+	pool *batchPool[T]
+	out  []chan *[]T
+	done <-chan struct{} // the run's: once closed, a send drops its batch
+	open []*[]T
+}
+
+func newFanout[T any](pool *batchPool[T], out []chan *[]T, done <-chan struct{}) fanout[T] {
+	return fanout[T]{pool: pool, out: out, done: done, open: make([]*[]T, len(out))}
 }
 
 // add appends *v to the batch open for task.
-func (f *fanout[T]) add(c stream.Collector, task int, v *T) {
+func (f *fanout[T]) add(task int, v *T) {
 	p := f.open[task]
 	if p == nil {
 		p = f.pool.get()
@@ -76,17 +78,48 @@ func (f *fanout[T]) add(c stream.Collector, task int, v *T) {
 	*p = append(*p, *v)
 	if len(*p) >= f.pool.size {
 		f.open[task] = nil
-		c.EmitDirect(f.stream, task, stream.Tuple{Value: p})
+		f.send(task, p)
 	}
 }
 
-// flush emits every open batch.
-func (f *fanout[T]) flush(c stream.Collector) {
+// flush sends every open batch.
+func (f *fanout[T]) flush() {
 	for task, p := range f.open {
 		if p != nil {
 			f.open[task] = nil
-			c.EmitDirect(f.stream, task, stream.Tuple{Value: p})
+			f.send(task, p)
 		}
+	}
+}
+
+// send delivers one batch with backpressure; once the run is cancelled it
+// returns the batch to its pool instead.
+func (f *fanout[T]) send(task int, p *[]T) {
+	select {
+	case f.out[task] <- p:
+	case <-f.done:
+		f.pool.put(p)
+	}
+}
+
+// cancelled reports, without blocking, whether done is closed.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// consume hands every batch of in to process until in is closed, or until
+// the run is cancelled.
+func consume[T any](in <-chan *[]T, done <-chan struct{}, process func(*[]T)) {
+	for b := range in {
+		if cancelled(done) {
+			return
+		}
+		process(b)
 	}
 }
 
@@ -96,94 +129,119 @@ func mergerOf(m *model.Match, mergers int) int {
 	return int((m.QueryID*0x9E3779B97F4A7C15 ^ m.ObjectID) % uint64(mergers))
 }
 
-// emitMatches splits ms by merger and emits the batches. Matches are not
+// emitMatches splits ms by merger and sends the batches. Matches are not
 // held across calls, so a producer of matches needs no idle flush.
-func emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv, c stream.Collector) {
+func emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv) {
 	mergers := len(out.open)
 	for i := range ms {
-		out.add(c, mergerOf(&ms[i].M, mergers), &ms[i])
+		out.add(mergerOf(&ms[i].M, mergers), &ms[i])
 	}
-	out.flush(c)
+	out.flush()
 }
 
-// buildTopology assembles dispatcher → worker → merger. The dispatchers
-// are the sources: each pulls typed []wire.OpEnv buffers from its ingest
-// shard (ingest.go), where Submit put them. Every hop behind them moves
-// one typed batch per tuple: dispatchers fill one batch per target
-// worker, workers take their index/window locks once per batch, and
-// mergers deduplicate batch-wise.
-func (s *System) buildTopology(ctx context.Context) *stream.Topology {
-	// The stream engine's queue capacity counts tuples, here batches;
-	// divide so Config.QueueCap keeps bounding in-flight operations and
-	// matches per task queue regardless of BatchSize.
-	qc := s.cfg.QueueCap / s.cfg.BatchSize
-	if qc < 1 {
-		qc = 1
+// run executes dispatcher → worker → merger (Figure 1), one goroutine per
+// task, until the ingest is closed and every batch has drained, or ctx is
+// cancelled. The dispatchers pull typed []wire.OpEnv buffers from their
+// ingest shards (ingest.go) and fill one batch per target worker on
+// s.towork; workers take their index/window locks once per batch and send
+// their matches on s.toMerge; mergers deduplicate batch-wise.
+//
+// Three WaitGroups order the close cascade: the towork channels close once
+// every dispatcher is done, the merger channels once every producer of
+// matches is (the worker slots, and the readers of the remote workers'
+// match streams), and run returns once the mergers are. On cancellation
+// every task stops at its next batch boundary. A task that panics is
+// recorded as name[task]: value and cancels the run, so the other tasks
+// stop, parked publishers return and the barriers fail fast; run then
+// reports every panic.
+func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
+	done := ctx.Done()
+	var mu sync.Mutex // guards panics
+	var panics []string
+	var dispatchers, producers, mergers sync.WaitGroup
+	spawn := func(wg *sync.WaitGroup, name string, task int, fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					mu.Lock()
+					panics = append(panics, fmt.Sprintf("%s[%d]: %v", name, task, v))
+					mu.Unlock()
+					cancel()
+				}
+			}()
+			fn()
+		}()
 	}
-	t := stream.NewTopology(qc)
 
 	// Dispatchers: route by the current assignment, one task per ingest
-	// shard. Submit shards on the op's routing hash so an insert and a
-	// later delete of the same query always pass through the same
-	// dispatcher in order — spread any other way a delete can overtake
-	// its insert on another dispatcher task, leaking the query (and its
-	// H2 counts) forever. Objects carry no ordering constraint and spread
-	// by id.
-	t.AddSpout("dispatcher", func(task int) stream.Spout {
-		return &dispatcher{
+	// shard. Submit shards on the op's routing hash, so an insert and a
+	// later delete of one query pass through one dispatcher in order (a
+	// delete that overtook its insert would leak the query forever).
+	for i, shard := range s.ingest {
+		d := &dispatcher{
 			s:     s,
-			shard: s.ingest[task],
-			out:   newFanout(&s.opBatches, streamToWork, s.totalSlots()),
+			shard: shard,
+			out:   newFanout(&s.opBatches, s.towork, done),
 			enq:   make([]int64, s.totalSlots()),
 			objs:  make([]int64, s.totalSlots()),
 		}
-	}, s.cfg.Dispatchers, streamToWork)
+		spawn(&dispatchers, "dispatcher", i, d.run)
+	}
 
-	// Workers: maintain GI2, match objects. An in-process slot's bolt
-	// runs the slot's engine; an out-of-process slot
-	// (Config.RemoteWorkers, or a spare slot claimable by AddWorker)
-	// gets a hop-backed bolt that forwards op batches across the wire,
-	// and its matches re-enter through the companion spout below.
-	// Parallelism covers the spare slots so a runtime join needs no
-	// topology change.
-	t.AddBolt("worker", func(task int) stream.Bolt {
-		if h := s.hop(task); h != nil {
-			return &remoteWorkerBolt{s: s, task: task, hop: h}
+	// Workers: one task per slot, spares included, so a runtime join needs
+	// no new task. An in-process slot's task runs the slot's engine; an
+	// out-of-process slot (Config.RemoteWorkers, or a spare claimable by
+	// AddWorker) gets a forwarder that puts its op batches on the wire, and
+	// a reader that feeds the node's match batches to the mergers (an
+	// unclaimed spare's reader sleeps until AddWorker installs a session).
+	for i, in := range s.towork {
+		if h := s.hop(i); h != nil {
+			fw := &remoteWorkerBolt{s: s, task: i, hop: h}
+			spawn(&producers, "worker", i, func() {
+				defer fw.Close() // on a panic too
+				consume(in, done, fw.process)
+			})
+			rd := &remoteMatchSpout{s: s, task: i, hop: h, ctx: ctx,
+				split: newFanout(&s.matchBatches, s.toMerge, done)}
+			spawn(&producers, "wmatches", i, rd.run)
+			continue
 		}
-		return &workerBolt{
-			s:     s,
-			task:  task,
-			local: s.slots[task].(*localWorker),
-			split: newFanout(&s.matchBatches, streamMatches, s.cfg.Mergers),
-		}
-	}, s.totalSlots(), streamMatches).Direct(streamToWork)
-
-	// Remote workers' return streams: one spout task per out-of-process
-	// slot (including unclaimed spares, whose spouts sleep until
-	// AddWorker installs a session), feeding the wire's match batches
-	// into the merger stream.
-	if remote := s.remoteWorkerTasks(); len(remote) > 0 {
-		t.AddSpout("wmatches", func(task int) stream.Spout {
-			return &remoteMatchSpout{
-				s:     s,
-				task:  remote[task],
-				hop:   s.hops[remote[task]],
-				ctx:   ctx,
-				split: newFanout(&s.matchBatches, streamMatches, s.cfg.Mergers),
-			}
-		}, len(remote), streamMatches)
+		w := &workerBolt{s: s, task: i, local: s.slots[i].(*localWorker),
+			split: newFanout(&s.matchBatches, s.toMerge, done)}
+		spawn(&producers, "worker", i, func() { consume(in, done, w.process) })
 	}
 
 	// Mergers: deduplicate and deliver. A task listed in
 	// Config.RemoteMergers forwards its hash share across the wire
 	// instead; the remote node dedups and delivers.
-	t.AddBolt("merger", func(task int) stream.Bolt {
-		if cl := s.cfg.RemoteMergers[task]; cl != nil {
-			return &remoteMergerBolt{s: s, task: task, cl: cl}
+	for i, in := range s.toMerge {
+		if cl := s.cfg.RemoteMergers[i]; cl != nil {
+			fw := &remoteMergerBolt{s: s, task: i, cl: cl}
+			spawn(&mergers, "merger", i, func() {
+				defer cl.CloseSend() // on a panic too
+				consume(in, done, fw.process)
+			})
+			continue
 		}
-		return newMerger(s)
-	}, s.cfg.Mergers).Direct(streamMatches)
-	return t
+		m := newMerger(s)
+		spawn(&mergers, "merger", i, func() { consume(in, done, m.process) })
+	}
+
+	dispatchers.Wait()
+	for _, ch := range s.towork {
+		close(ch)
+	}
+	producers.Wait()
+	for _, ch := range s.toMerge {
+		close(ch)
+	}
+	mergers.Wait()
+	if len(panics) > 0 {
+		return fmt.Errorf("core: %d task(s) panicked: %v", len(panics), panics)
+	}
+	return ctx.Err()
 }
 
 // dispatcher is one dispatcher task, a source of the topology: it takes
@@ -210,35 +268,38 @@ type dispatcher struct {
 // routedOp addresses operation op of the chunk to worker w.
 type routedOp struct{ op, w int }
 
-// Next implements stream.Spout.
-func (d *dispatcher) Next(c stream.Collector) bool {
-	// Nothing is waiting: push out partial batches before parking.
-	ops := d.shard.take(d.spare, func() { d.flush(c) })
-	if len(ops) == 0 {
-		d.flush(c)
-		return false // closed and drained
-	}
+// run routes what the shard accepts until it is closed and drained. Once
+// the run is cancelled it routes nothing more, not even the remainder of
+// the shard Abort closed.
+func (d *dispatcher) run() {
 	bs := d.s.cfg.BatchSize
-	for i := 0; i < len(ops); i += bs {
-		chunk := ops[i:min(i+bs, len(ops))]
-		// Every chunk routes inside a routeFence read-side section so
-		// migrations can fence out in-flight chunks before snapshotting
-		// drain barriers (see handOff).
-		d.s.routeFence.Enter()
-		d.dispatchBatch(chunk, c)
-		d.s.routeFence.Exit()
-		if d.sinceFlush += len(chunk); d.sinceFlush >= forcedFlushFactor*bs {
-			d.flush(c)
+	for {
+		// Nothing is waiting: push out partial batches before parking.
+		ops := d.shard.take(d.spare, d.flush)
+		if len(ops) == 0 || cancelled(d.out.done) {
+			break // closed and drained, or cancelled
 		}
+		for i := 0; i < len(ops); i += bs {
+			chunk := ops[i:min(i+bs, len(ops))]
+			// Every chunk routes under the read side of routeMu so
+			// migrations can fence out in-flight chunks before snapshotting
+			// drain barriers (see advanceRoute and handOff).
+			d.s.routeMu.RLock()
+			d.dispatchBatch(chunk)
+			d.s.routeMu.RUnlock()
+			if d.sinceFlush += len(chunk); d.sinceFlush >= forcedFlushFactor*bs {
+				d.flush()
+			}
+		}
+		clear(ops) // the buffer is reused; do not pin routed objects and queries
+		d.spare = ops
 	}
-	clear(ops) // the buffer is reused; do not pin routed objects and queries
-	d.spare = ops
-	return true
+	d.flush()
 }
 
-// flush emits every partial towork batch.
-func (d *dispatcher) flush(c stream.Collector) {
-	d.out.flush(c)
+// flush sends every partial towork batch.
+func (d *dispatcher) flush() {
+	d.out.flush()
 	d.sinceFlush = 0
 }
 
@@ -252,13 +313,13 @@ func (d *dispatcher) flush(c stream.Collector) {
 // each envelope to the open batch of every worker it is routed to.
 // enqueued must cover an operation before the worker can count it in
 // doneOps and before processed covers it (Quiesce and Drain compare the
-// three), hence before the batch holding it can be emitted.
+// three), hence before the batch holding it can be sent.
 //
 // An object whose target set has exactly one member is marked Solo,
 // whatever assignment computed the set: only that worker's engine sees
 // it, an engine reports a query at most once per object (qindex.Index),
 // so no (query, object) pair of it can reach the mergers twice.
-func (d *dispatcher) dispatchBatch(ops []wire.OpEnv, c stream.Collector) {
+func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 	s := d.s
 	// Stage timing uses the wall clock, not cfg.Clock: it measures real
 	// processing cost per chunk, and tests' fake clocks must not skew it.
@@ -338,7 +399,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv, c stream.Collector) {
 			continue
 		}
 		for ; r < len(d.routed) && d.routed[r].op == i; r++ {
-			d.out.add(c, d.routed[r].w, &ops[i])
+			d.out.add(d.routed[r].w, &ops[i])
 		}
 	}
 	s.stageDisp.Observe(time.Since(stageStart))
@@ -359,17 +420,17 @@ type workerBolt struct {
 	split fanout[wire.MatchEnv]
 }
 
-// Process implements stream.Bolt: one towork batch.
-func (w *workerBolt) Process(tu stream.Tuple, c stream.Collector) {
+// process runs one towork batch. Its matches are sent before doneOps
+// counts the batch.
+func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	s := w.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
-	batch := tu.Value.(*[]wire.OpEnv)
 	ops := *batch
 	if s.cfg.PerTupleWork > 0 {
 		spin(time.Duration(len(ops)) * s.cfg.PerTupleWork)
 	}
 	w.out = w.local.process(ops, w.out[:0])
-	emitMatches(&w.split, w.out, c)
+	emitMatches(&w.split, w.out)
 	if n := len(w.out); n > 0 {
 		// Counted before doneOps so the Drain barrier's emitted total is
 		// final once the worker queues read as drained.
@@ -411,16 +472,15 @@ func newMerger(s *System) *merger {
 	return &merger{s: s, win: dedup.NewWindow(s.cfg.DedupWindow)}
 }
 
-// Process implements stream.Bolt: one matches batch, deduplicated and
+// process takes one matches batch, deduplicated and
 // delivered under one clock read. A Solo match is delivered without a
 // window probe: its object went to one worker only (dispatchBatch), so
 // the pair cannot arrive again. The shared counters move once per batch,
 // after the deliveries they count: the Drain barrier reads them, so a
 // Flush returning guarantees the callbacks have completed.
-func (m *merger) Process(tu stream.Tuple, _ stream.Collector) {
+func (m *merger) process(batch *[]wire.MatchEnv) {
 	s := m.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
-	batch := tu.Value.(*[]wire.MatchEnv)
 	now := s.now()
 	lat := s.matchLat.Load()
 	var solo, dups int64

@@ -474,8 +474,9 @@ func (ix *Index) MatchIDs(o *model.Object) []uint64 {
 }
 
 // Purge eagerly removes all dead entries from every list. It is the
-// eager-deletion ablation referenced in DESIGN.md and is also used before
-// migration so extracted cells contain only live queries.
+// eager-deletion side of BenchmarkAblationLazyVsEagerDeletion (bench_test.go
+// at the module root) and is also used before migration so extracted cells
+// contain only live queries.
 func (ix *Index) Purge() {
 	for ci := range ix.cells {
 		if ix.dead == 0 {

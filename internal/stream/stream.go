@@ -1,40 +1,26 @@
-// Package stream is a miniature Storm-like dataflow engine: the substrate
-// PS2Stream runs on (the paper deploys on Apache Storm; here spouts and
-// bolts are goroutines connected by bounded channels, which is the
-// repro-equivalent on a single box).
+// Package stream is a miniature Storm-like dataflow engine: spouts and
+// bolts are goroutines connected by bounded channels.
 //
-// A Topology declares spouts (sources), bolts (processors), named streams,
-// and groupings (shuffle, fields/hash, broadcast, direct). Run executes
-// the dataflow until every spout is exhausted and all in-flight tuples are
-// drained, or the context is cancelled. Bounded channels provide
-// backpressure exactly where a Storm topology would queue.
+// A Topology declares spouts (sources), bolts (processors), named streams
+// and shuffle subscriptions. Run executes the dataflow until every spout is
+// exhausted and all in-flight tuples are drained, or the context is
+// cancelled. Channels carry []Tuple batches: a producer's Collector buffers
+// emitted tuples per downstream task and transfers a batch when it reaches
+// the topology's batch size, when the producing task goes idle, or on an
+// explicit Collector.Flush; SetBatchSize(1) is tuple-at-a-time transfer.
 //
-// The dataflow is batch-oriented: channels carry []Tuple slices, not
-// single tuples. A producer's Collector buffers emitted tuples per
-// (stream, downstream task) — groupings are evaluated once per tuple at
-// emit time — and transfers a whole batch when it reaches the topology's
-// batch size, when the producing task goes idle, or on an explicit
-// Collector.Flush. Batching amortises the per-message channel-send and
-// scheduling cost, which dominates the publish hot path at high rates;
-// SetBatchSize(1) restores tuple-at-a-time transfer.
-//
-// PS2Stream (internal/core) batches above this package: it leaves the
-// batch size at 1 and hands the engine one tuple per typed batch — a
-// pointer to a pooled []wire.OpEnv or []wire.MatchEnv — so what it takes
-// from here is the task goroutines, the bounded channels, the close
-// cascade, panic capture and the io.Closer hook. The collector's own
-// batching serves other topologies (and the benchmark's stream probes).
+// PS2Stream does not run on this package: internal/core moves its typed
+// batches over its own channels. It survives only for the benchmark's
+// stream probe (benchmark/probes.go), until that probe measures core's
+// hop instead.
 package stream
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
-
-	"ps2stream/internal/metrics"
 )
 
 // Tuple is the unit of data flowing through a topology.
@@ -48,12 +34,9 @@ type Tuple struct {
 // when it reaches the topology's batch size, when the engine flushes an
 // idle task, or on Flush.
 type Collector interface {
-	// Emit sends the tuple on the named stream using each subscriber's
-	// grouping.
+	// Emit sends the tuple on the named stream to the next task, round
+	// robin, of every subscriber.
 	Emit(stream string, t Tuple)
-	// EmitDirect sends the tuple to one specific task of every
-	// direct-grouped subscriber of the stream.
-	EmitDirect(stream string, task int, t Tuple)
 	// Flush transfers every buffered partial batch downstream. It is a
 	// no-op when nothing is buffered and returns promptly (abandoning the
 	// buffered tuples) when the run context is cancelled, so it is safe to
@@ -76,23 +59,6 @@ type Bolt interface {
 	Process(t Tuple, c Collector)
 }
 
-// BatchBolt is an optional extension of Bolt: a bolt implementing it
-// receives each transferred batch whole instead of tuple-at-a-time, so it
-// can amortise per-batch work (acquire a lock once, read a clock once,
-// reuse scratch buffers). The batch slice is owned by the engine and
-// recycled after ProcessBatch returns; implementations must not retain it.
-type BatchBolt interface {
-	Bolt
-	ProcessBatch(ts []Tuple, c Collector)
-}
-
-// A spout or bolt additionally implementing io.Closer has Close called
-// exactly once when its task ends — after the final collector flush,
-// before its producer slot is released downstream. Components holding
-// external resources (e.g. the send side of a remote hop) use it
-// to end their output stream cleanly; the engine ignores the returned
-// error.
-
 // SpoutFunc adapts a function to the Spout interface.
 type SpoutFunc func(c Collector) bool
 
@@ -105,49 +71,28 @@ type BoltFunc func(t Tuple, c Collector)
 // Process implements Bolt.
 func (f BoltFunc) Process(t Tuple, c Collector) { f(t, c) }
 
-// SpoutFactory builds one Spout instance per task.
-type SpoutFactory func(task int) Spout
-
-// BoltFactory builds one Bolt instance per task.
-type BoltFactory func(task int) Bolt
-
-// groupingKind enumerates subscription modes.
-type groupingKind uint8
-
-const (
-	groupShuffle groupingKind = iota
-	groupFields
-	groupAll
-	groupDirect
-)
-
+// subscription is one bolt's shuffle subscription to a stream.
 type subscription struct {
-	bolt     *boltDecl
-	kind     groupingKind
-	keyFn    func(Tuple) uint64
-	shuffleC atomic.Uint64
+	bolt *boltDecl
+	next atomic.Uint64 // round-robin cursor
 }
 
 type spoutDecl struct {
 	name    string
-	factory SpoutFactory
+	factory func(task int) Spout
 	par     int
 	outputs []string
 }
 
 type boltDecl struct {
 	name    string
-	factory BoltFactory
+	factory func(task int) Bolt
 	par     int
 	outputs []string
 	inputs  []chan []Tuple
 	// producers counts upstream task instances still running; the
 	// bolt's inputs close when it reaches zero.
 	producers atomic.Int64
-	subs      []*subscription // subscriptions owned by this bolt
-
-	processed metrics.Counter
-	emitted   metrics.Counter
 }
 
 // BoltSpec configures a bolt's subscriptions fluently.
@@ -174,18 +119,12 @@ type Topology struct {
 
 	panicMu sync.Mutex
 	panics  []string
-
-	// chanMu orders Run's input-channel allocation against concurrent
-	// QueueStats scrapes. Task goroutines need no lock: the go statement
-	// that starts them happens after allocation.
-	chanMu sync.Mutex
 }
 
 // forcedFlushFactor bounds how many input tuples a busy bolt may process
 // before its partial output batches are pushed anyway. Without it, a
 // rarely-targeted downstream task could see its tuples parked in a partial
-// batch for as long as the producer stays saturated — which would stall
-// drain barriers (e.g. migration extraction) under sustained load.
+// batch for as long as the producer stays saturated.
 const forcedFlushFactor = 4
 
 // NewTopology returns an empty topology with the given per-task queue
@@ -213,9 +152,6 @@ func (t *Topology) SetBatchSize(n int) {
 	t.batchSize = n
 }
 
-// BatchSize returns the configured batch size.
-func (t *Topology) BatchSize() int { return t.batchSize }
-
 func (t *Topology) getBatch() []Tuple {
 	if p, ok := t.batchPool.Get().(*[]Tuple); ok {
 		return (*p)[:0]
@@ -229,7 +165,7 @@ func (t *Topology) putBatch(b []Tuple) {
 }
 
 // AddSpout declares a spout emitting on the given output streams.
-func (t *Topology) AddSpout(name string, f SpoutFactory, parallelism int, outputs ...string) {
+func (t *Topology) AddSpout(name string, f func(task int) Spout, parallelism int, outputs ...string) {
 	if t.byName[name] {
 		t.errs = append(t.errs, fmt.Errorf("stream: duplicate component %q", name))
 		return
@@ -246,7 +182,7 @@ func (t *Topology) AddSpout(name string, f SpoutFactory, parallelism int, output
 }
 
 // AddBolt declares a bolt; wire its inputs with the returned BoltSpec.
-func (t *Topology) AddBolt(name string, f BoltFactory, parallelism int, outputs ...string) *BoltSpec {
+func (t *Topology) AddBolt(name string, f func(task int) Bolt, parallelism int, outputs ...string) *BoltSpec {
 	d := &boltDecl{name: name, factory: f, par: parallelism, outputs: outputs}
 	if t.byName[name] {
 		t.errs = append(t.errs, fmt.Errorf("stream: duplicate component %q", name))
@@ -264,31 +200,11 @@ func (t *Topology) AddBolt(name string, f BoltFactory, parallelism int, outputs 
 	return &BoltSpec{t: t, decl: d}
 }
 
-func (b *BoltSpec) subscribe(streamName string, kind groupingKind, keyFn func(Tuple) uint64) *BoltSpec {
-	sub := &subscription{bolt: b.decl, kind: kind, keyFn: keyFn}
-	b.decl.subs = append(b.decl.subs, sub)
-	b.t.subsByStream[streamName] = append(b.t.subsByStream[streamName], sub)
-	return b
-}
-
 // Shuffle subscribes round-robin.
 func (b *BoltSpec) Shuffle(streamName string) *BoltSpec {
-	return b.subscribe(streamName, groupShuffle, nil)
-}
-
-// Fields subscribes with hash partitioning on the given key.
-func (b *BoltSpec) Fields(streamName string, keyFn func(Tuple) uint64) *BoltSpec {
-	return b.subscribe(streamName, groupFields, keyFn)
-}
-
-// All subscribes every task to every tuple (broadcast).
-func (b *BoltSpec) All(streamName string) *BoltSpec {
-	return b.subscribe(streamName, groupAll, nil)
-}
-
-// Direct subscribes for explicit task addressing via EmitDirect.
-func (b *BoltSpec) Direct(streamName string) *BoltSpec {
-	return b.subscribe(streamName, groupDirect, nil)
+	sub := &subscription{bolt: b.decl}
+	b.t.subsByStream[streamName] = append(b.t.subsByStream[streamName], sub)
+	return b
 }
 
 // collector implements Collector for one producing task. It buffers
@@ -296,20 +212,13 @@ func (b *BoltSpec) Direct(streamName string) *BoltSpec {
 // as one batch when it reaches batchSize or on flush. Buffers fill and
 // flush in emission order, so per-downstream-task FIFO is preserved.
 type collector struct {
-	t    *Topology
-	decl *boltDecl // nil for spouts
+	t *Topology
 	// allowed streams for this producer.
 	outputs map[string]bool
 	ctx     context.Context
 	// bufs holds this producer's partial batches, indexed by downstream
 	// task within each subscription.
 	bufs map[*subscription][][]Tuple
-}
-
-func (c *collector) count() {
-	if c.decl != nil {
-		c.decl.emitted.Inc()
-	}
 }
 
 // push appends tp to the (sub, task) buffer, transferring the batch when
@@ -341,39 +250,8 @@ func (c *collector) Emit(streamName string, tp Tuple) {
 	if !c.outputs[streamName] {
 		panic(fmt.Sprintf("stream: emit on undeclared stream %q", streamName))
 	}
-	c.count()
 	for _, sub := range c.t.subsByStream[streamName] {
-		switch sub.kind {
-		case groupShuffle:
-			i := int(sub.shuffleC.Add(1)) % sub.bolt.par
-			c.push(sub, i, tp)
-		case groupFields:
-			i := int(sub.keyFn(tp) % uint64(sub.bolt.par))
-			c.push(sub, i, tp)
-		case groupAll:
-			for i := range sub.bolt.inputs {
-				c.push(sub, i, tp)
-			}
-		case groupDirect:
-			// Direct subscribers ignore plain Emit.
-		}
-	}
-}
-
-// EmitDirect implements Collector.
-func (c *collector) EmitDirect(streamName string, task int, tp Tuple) {
-	if !c.outputs[streamName] {
-		panic(fmt.Sprintf("stream: emit on undeclared stream %q", streamName))
-	}
-	c.count()
-	for _, sub := range c.t.subsByStream[streamName] {
-		if sub.kind != groupDirect {
-			continue
-		}
-		if task < 0 || task >= sub.bolt.par {
-			panic(fmt.Sprintf("stream: direct task %d out of range for %q", task, sub.bolt.name))
-		}
-		c.push(sub, task, tp)
+		c.push(sub, int(sub.next.Add(1))%sub.bolt.par, tp)
 	}
 }
 
@@ -400,14 +278,8 @@ func (c *collector) send(ch chan []Tuple, batch []Tuple) {
 	}
 }
 
-// Stats reports per-component processed/emitted counts.
-type Stats struct {
-	Processed int64
-	Emitted   int64
-}
-
-// ErrInvalidTopology wraps declaration errors found at Run time.
-var ErrInvalidTopology = errors.New("stream: invalid topology")
+// errInvalidTopology wraps declaration errors found at Run time.
+var errInvalidTopology = errors.New("stream: invalid topology")
 
 // Run validates the topology, starts every task goroutine, and blocks
 // until all spouts finish and all tuples drain (or ctx is cancelled).
@@ -415,21 +287,19 @@ var ErrInvalidTopology = errors.New("stream: invalid topology")
 // returned error.
 func (t *Topology) Run(ctx context.Context) error {
 	if len(t.errs) > 0 {
-		return fmt.Errorf("%w: %v", ErrInvalidTopology, errors.Join(t.errs...))
+		return fmt.Errorf("%w: %v", errInvalidTopology, errors.Join(t.errs...))
 	}
 	for streamName := range t.subsByStream {
 		if t.emittersByStream[streamName] == 0 {
-			return fmt.Errorf("%w: stream %q has subscribers but no emitters", ErrInvalidTopology, streamName)
+			return fmt.Errorf("%w: stream %q has subscribers but no emitters", errInvalidTopology, streamName)
 		}
 	}
 	// Allocate input channels and producer counts.
 	for _, b := range t.bolts {
-		t.chanMu.Lock()
 		b.inputs = make([]chan []Tuple, b.par)
 		for i := range b.inputs {
 			b.inputs[i] = make(chan []Tuple, t.queueCap)
 		}
-		t.chanMu.Unlock()
 		// Producers: every task instance of every component declaring at
 		// least one output stream this bolt subscribes to. Counted per
 		// task (not per stream) to mirror producerDone, which fires once
@@ -467,7 +337,6 @@ func (t *Topology) Run(ctx context.Context) error {
 				defer t.recoverPanic(sp.name, task)
 				col := &collector{t: t, outputs: toSet(sp.outputs), ctx: ctx}
 				s := sp.factory(task)
-				defer closeComponent(s)
 				for ctx.Err() == nil && s.Next(col) {
 				}
 				col.Flush()
@@ -482,23 +351,16 @@ func (t *Topology) Run(ctx context.Context) error {
 				defer wg.Done()
 				defer t.producerDone(b.outputs)
 				defer t.recoverPanic(b.name, task)
-				col := &collector{t: t, decl: b, outputs: toSet(b.outputs), ctx: ctx}
+				col := &collector{t: t, outputs: toSet(b.outputs), ctx: ctx}
 				bolt := b.factory(task)
-				defer closeComponent(bolt)
-				batcher, _ := bolt.(BatchBolt)
 				// sinceFlush forces a flush after forcedFlushFactor×
 				// batchSize inputs so partial output batches cannot be
 				// parked indefinitely while the input stays saturated.
 				sinceFlush := 0
 				for batch := range b.inputs[task] {
-					b.processed.Add(int64(len(batch)))
 					sinceFlush += len(batch)
-					if batcher != nil {
-						batcher.ProcessBatch(batch, col)
-					} else {
-						for j := range batch {
-							bolt.Process(batch[j], col)
-						}
+					for j := range batch {
+						bolt.Process(batch[j], col)
 					}
 					t.putBatch(batch)
 					if len(b.inputs[task]) == 0 || sinceFlush >= forcedFlushFactor*t.batchSize {
@@ -547,60 +409,12 @@ func (t *Topology) producerDone(outputs []string) {
 	}
 }
 
-// closeComponent invokes the optional io.Closer hook of a finished
-// spout or bolt instance (see the Closer note above BatchBolt).
-func closeComponent(v any) {
-	if c, ok := v.(io.Closer); ok {
-		_ = c.Close()
-	}
-}
-
 func (t *Topology) recoverPanic(name string, task int) {
 	if r := recover(); r != nil {
 		t.panicMu.Lock()
 		t.panics = append(t.panics, fmt.Sprintf("%s[%d]: %v", name, task, r))
 		t.panicMu.Unlock()
 	}
-}
-
-// ComponentStats returns processed/emitted counters per bolt.
-func (t *Topology) ComponentStats() map[string]Stats {
-	out := make(map[string]Stats, len(t.bolts))
-	for _, b := range t.bolts {
-		out[b.name] = Stats{Processed: b.processed.Value(), Emitted: b.emitted.Value()}
-	}
-	return out
-}
-
-// QueueStats is one bolt's input-queue occupancy at a point in time,
-// measured in transfer batches (the channel unit).
-type QueueStats struct {
-	// Depth sums the queued batches across the bolt's task inputs.
-	Depth int
-	// Cap sums the task input capacities.
-	Cap int
-}
-
-// QueueStats reports per-bolt input-queue occupancy. Channel lengths are
-// racy by nature — the numbers are an instantaneous gauge for
-// observability, not a synchronisation primitive. Safe to call
-// concurrently with Run; before Run allocates the channels it reports
-// zero depth and capacity.
-func (t *Topology) QueueStats() map[string]QueueStats {
-	out := make(map[string]QueueStats, len(t.bolts))
-	t.chanMu.Lock()
-	defer t.chanMu.Unlock()
-	for _, b := range t.bolts {
-		var qs QueueStats
-		for _, ch := range b.inputs {
-			if ch != nil {
-				qs.Depth += len(ch)
-				qs.Cap += cap(ch)
-			}
-		}
-		out[b.name] = qs
-	}
-	return out
 }
 
 func toSet(ss []string) map[string]bool {

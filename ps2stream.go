@@ -272,7 +272,9 @@ type Options struct {
 	SeedMessages      []Message
 	SeedSubscriptions []Subscription
 	// OnMatch receives every match. Called concurrently; must be fast
-	// or hand off to a channel.
+	// or hand off to a channel. A panic in it stops the system: blocked
+	// publishers return, Flush stops waiting, and Close returns an error
+	// naming the panic.
 	OnMatch func(Match)
 	// OnTopK receives every top-k membership change of SubscribeTopK
 	// subscriptions. Called concurrently from worker tasks while internal
