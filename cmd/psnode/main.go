@@ -528,8 +528,8 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		if err := cfg.ConnectRemoteMergers(dc.mergerAddrs, sample, wire.Backoff{}); err != nil {
 			logger.Fatal(err)
 		}
-		logger.Printf("dispatcher: %d remote workers (%s), %d remote mergers",
-			len(dc.workerAddrs), cfg.RemoteWorkerSummary(), len(dc.mergerAddrs))
+		logger.Printf("dispatcher: %d remote workers, %d remote mergers",
+			len(dc.workerAddrs), len(dc.mergerAddrs))
 	}
 	if dc.topk > 0 {
 		// Freeze the logical clock: every op in the cluster run and the

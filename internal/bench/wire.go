@@ -23,8 +23,8 @@ const wireRepeats = 7
 // seeded workload is driven once with every worker task in-process
 // (channel transfer) and once with every worker task behind loopback
 // TCP (psnode serve loops speaking the internal/wire protocol — real
-// sockets, negotiated binary framing, multi-stream sessions, drain
-// barriers; only the machine boundary is missing). The ratio is the wire tax a networked deployment pays per
+// sockets, binary framing, one connection per hop, drain barriers; only
+// the machine boundary is missing). The ratio is the wire tax a networked deployment pays per
 // hop before real network latency is added; the matches column
 // sanity-checks comparable delivery (small run-to-run variation stems
 // from insert/object ordering races across dispatcher tasks and exists

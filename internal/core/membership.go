@@ -165,8 +165,8 @@ func (h *workerHop) client() (*wire.WorkerClient, error) {
 }
 
 // The workerEndpoint methods: each is one control round on the current
-// session, FIFO-ordered (or op-barriered, on a multi-stream session)
-// behind every op batch and fence frame sent before it.
+// session, FIFO-ordered behind every op batch and fence frame sent
+// before it.
 
 func (h *workerHop) Stats() (wire.StatsReply, error) {
 	c, err := h.client()

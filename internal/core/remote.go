@@ -63,22 +63,12 @@ func (c *Config) RemoteHello(task int, sample *partition.Sample) wire.Hello {
 		// so a runtime join agrees on cell ids.
 		workers += c.SpareWorkers
 	}
-	// One data connection per dispatcher: batches round-robin whole
-	// across the streams (one frame per transfer batch), so
-	// dispatcher-many streams keep every dispatcher's writer busy without
-	// over-subscribing small deployments.
-	streams := c.Dispatchers
-	if streams <= 0 {
-		streams = 4
-	}
-	streams = min(streams, wire.MaxStreams)
 	h := wire.Hello{
 		Role:        wire.RoleCoordinator,
 		Task:        task,
 		Workers:     workers,
 		Granularity: granularity,
 		BatchSize:   batch,
-		Streams:     streams,
 	}
 	if c.Recovery.Enabled {
 		hb := c.Recovery.HeartbeatInterval
@@ -140,19 +130,6 @@ func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, 
 		dialed = append(dialed, i)
 	}
 	return nil
-}
-
-// RemoteWorkerSummary describes the wire-connected remote workers for
-// startup logs: how many hops, and how many data streams each runs.
-func (c *Config) RemoteWorkerSummary() string {
-	if len(c.RemoteWorkers) == 0 {
-		return "no wire-connected workers"
-	}
-	var streams int
-	for _, cl := range c.RemoteWorkers {
-		streams = cl.Streams()
-	}
-	return fmt.Sprintf("%d hops, %d data streams each", len(c.RemoteWorkers), streams)
 }
 
 // ConnectRemoteMergers dials one merger node per address and installs

@@ -118,8 +118,8 @@ func (m *Merger) serveConn(conn *wire.Conn) (clean bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	// Mergers have no data streams to grant: one connection per upstream
-	// task keeps dedup windows per-connection.
+	// One connection per upstream task keeps dedup windows
+	// per-connection.
 	if err := conn.Send(wire.Welcome{Role: wire.RoleMerger, Task: hello.Task}); err != nil {
 		return false, err
 	}

@@ -46,144 +46,15 @@ type WorkerOptions struct {
 	Once bool
 }
 
-// workerSession is one coordinator session: the control connection that
-// created it plus the data connections attached to its SessionID. The
-// done/emitted counters implement the session op barrier
-// (wire.Drain.Ops), since FIFO does not span the connections.
-type workerSession struct {
-	id      uint64
-	streams int
-
-	// done counts ops fully processed — each data loop adds a batch's
-	// ops only after the batch's matches are queued on its writer, so
-	// "done ≥ barrier, then flush writers" guarantees the matches of
-	// every counted op are on the wire before a barrier ack.
-	done atomic.Int64
-	// emitted counts matches queued toward the coordinator.
-	emitted atomic.Int64
-	// deltas counts window deltas queued toward the coordinator
-	// (WindowDeltaBatch frames), counted before done like emitted so a
-	// drain ack's Deltas total is final once the barrier is reached.
-	deltas atomic.Int64
-
-	// The turnstile reassembles the coordinator's send order: op batches
-	// carry their send-order sequence and round-robin across the data
-	// connections, and each data loop waits for its batch's turn before
-	// processing. Decode and match encode/write stay parallel per
-	// stream; only processing — already serialised by the index lock —
-	// is ordered, so multi-stream transport preserves the exact total op
-	// order a single connection would deliver (and with it the match
-	// set: a query insert must index before a later object publishes).
-	turnMu   sync.Mutex
-	turnCond *sync.Cond
-	nextTurn uint64 // next batch sequence to process (guarded by turnMu)
-	turnDead bool   // set by close() to wake and fail waiters
-
-	mu      sync.Mutex
-	closed  bool
-	conns   []*wire.Conn
-	writers []*wire.FrameWriter
-	dataWG  sync.WaitGroup
-}
-
-// newWorkerSession builds a session with its turnstile initialised.
-func newWorkerSession(id uint64, streams int) *workerSession {
-	s := &workerSession{id: id, streams: streams}
-	s.turnCond = sync.NewCond(&s.turnMu)
-	return s
-}
-
-// awaitTurn blocks until batch seq is next in the session's send order.
-// It fails instead of blocking forever when the session is torn down
-// (a sibling stream broke, or a newer session superseded this one).
-func (s *workerSession) awaitTurn(seq uint64) error {
-	s.turnMu.Lock()
-	defer s.turnMu.Unlock()
-	for s.nextTurn != seq {
-		if s.turnDead {
-			return fmt.Errorf("node: session %d closed awaiting batch %d (next %d)", s.id, seq, s.nextTurn)
-		}
-		s.turnCond.Wait()
-	}
-	return nil
-}
-
-// finishTurn hands the turnstile to the next batch in send order.
-func (s *workerSession) finishTurn() {
-	s.turnMu.Lock()
-	s.nextTurn++
-	s.turnMu.Unlock()
-	s.turnCond.Broadcast()
-}
-
-// attach registers a data connection with the session; the caller must
-// call dataWG.Done when its loop exits.
-func (s *workerSession) attach(c *wire.Conn, fw *wire.FrameWriter) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("node: session %d already closed", s.id)
-	}
-	if len(s.conns) >= s.streams {
-		return fmt.Errorf("node: session %d already has %d data connections", s.id, s.streams)
-	}
-	s.conns = append(s.conns, c)
-	s.writers = append(s.writers, fw)
-	s.dataWG.Add(1)
-	return nil
-}
-
-// close tears the session's data connections down. Idempotent; called on
-// control-session end and on supersession by a newer session.
-func (s *workerSession) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	conns := append([]*wire.Conn(nil), s.conns...)
-	s.mu.Unlock()
-	// Wake turnstile waiters: their predecessor batch may never arrive
-	// now, and blocking forever would wedge the data loops.
-	s.turnMu.Lock()
-	s.turnDead = true
-	s.turnMu.Unlock()
-	s.turnCond.Broadcast()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (s *workerSession) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// flushWriters blocks until every match batch queued before the call is
-// written and flushed on its data connection.
-func (s *workerSession) flushWriters() error {
-	s.mu.Lock()
-	writers := append([]*wire.FrameWriter(nil), s.writers...)
-	s.mu.Unlock()
-	for _, fw := range writers {
-		if err := fw.Drain(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Worker is one worker task running out-of-process: a worker.Engine
 // over a GI2 index plus the wire serve loop feeding it. The node owns
-// sessions, the turnstile, barriers, fencing epochs and framing; the
-// engine owns the index, the window state and the matching. Create with
-// NewWorker, drive with Serve.
+// sessions, fencing epochs and framing; the engine owns the index, the
+// window state and the matching. Create with NewWorker, drive with
+// Serve.
 type Worker struct {
 	opts WorkerOptions
 
-	// mu guards hello and the engine's construction and reset.
+	// mu guards hello, live and the engine's construction and reset.
 	mu sync.Mutex
 	// eng is built by the first handshake (nil before it) over the
 	// geometry that handshake pins, and reset in place when a recovery
@@ -191,10 +62,9 @@ type Worker struct {
 	eng atomic.Pointer[worker.Engine]
 	// geometry of the index, pinned by the first handshake.
 	hello *wire.Hello
-
-	// sess is the live session (nil before the first handshake).
-	sessMu sync.Mutex
-	sess   *workerSession
+	// live is the current session's connection (nil before the first
+	// handshake); a newer session closes it.
+	live *wire.Conn
 
 	done    atomic.Int64 // ops processed
 	emitted atomic.Int64 // matches emitted
@@ -237,10 +107,8 @@ func (w *Worker) stats() wire.StatsReply {
 }
 
 // Serve accepts coordinator connections on ln until ctx is cancelled
-// (or, with Once, until a control session ends cleanly). Connections are
-// served concurrently: a session is one control connection plus its data
-// connections, all live at once. The index itself stays
-// single-writer per batch under the worker mutex.
+// (or, with Once, until a session ends cleanly). Each connection is one
+// session; a newer session supersedes a live one.
 func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
 	go func() {
 		<-ctx.Done()
@@ -294,26 +162,13 @@ func geometryEqual(a, b *wire.Hello) bool {
 	return a.Bounds == b.Bounds && a.Granularity == b.Granularity && a.Task == b.Task
 }
 
-// serveConn dispatches one accepted connection: a data connection
-// attaches to the session its Hello names, a control connection (Stream
-// 0) runs a session. clean reports a Goodbye-terminated control session.
+// serveConn runs one coordinator session. clean reports a
+// Goodbye-terminated session.
 func (w *Worker) serveConn(conn *wire.Conn) (clean bool, err error) {
 	defer conn.Close()
 	hello, err := recvHello(conn)
 	if err != nil {
 		return false, err
-	}
-	if hello.Stream > 0 {
-		return false, w.serveData(conn, hello)
-	}
-	return w.serveControl(conn, hello)
-}
-
-// serveControl runs one coordinator session's control connection.
-func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, err error) {
-	if hello.Streams <= 0 || hello.SessionID == 0 {
-		return false, refuse(conn, fmt.Errorf("node: control hello with %d data streams and session id %d, want both nonzero",
-			hello.Streams, hello.SessionID))
 	}
 	// Session fencing: refuse epochs below the highest accepted one.
 	// Equal epochs are allowed — a retried dial of the same session is
@@ -362,33 +217,24 @@ func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, er
 		return false, fmt.Errorf("node: reconnect with different geometry (task %d %v/%d, had task %d %v/%d)",
 			hello.Task, hello.Bounds, hello.Granularity, w.hello.Task, w.hello.Bounds, w.hello.Granularity)
 	}
+	// A still-live previous session is superseded — its coordinator is
+	// gone or reconnecting.
+	old := w.live
+	w.live = conn
 	w.mu.Unlock()
-
-	streams := min(hello.Streams, wire.MaxStreams)
-	sess := newWorkerSession(hello.SessionID, streams)
-	// Register before the Welcome: the coordinator attaches data
-	// connections only after reading it, so the session must be findable
-	// by then. A still-live previous session is superseded — its
-	// coordinator is gone or reconnecting.
-	w.sessMu.Lock()
-	old := w.sess
-	w.sess = sess
-	w.sessMu.Unlock()
 	if old != nil {
-		old.close()
+		old.Close()
 	}
-	defer sess.close()
-	wel := wire.Welcome{Role: wire.RoleWorker, Task: hello.Task, Streams: streams}
-	if err := conn.Send(wel); err != nil {
+	if err := conn.Send(wire.Welcome{Role: wire.RoleWorker, Task: hello.Task}); err != nil {
 		return false, err
 	}
+	fw := wire.NewFrameWriter(conn, 0)
+	defer fw.Stop()
 
 	// Liveness beacon: when the coordinator asked for heartbeats, a
 	// sender goroutine pings at the requested cadence so the
 	// coordinator's read deadline (4× this interval) only fires on a
 	// genuinely dead connection, not on an idle-but-healthy one.
-	// wire.Conn.Send serialises writers, so pings interleave safely with
-	// the serve loop's replies.
 	if hello.HeartbeatMillis > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
@@ -400,237 +246,117 @@ func (w *Worker) serveControl(conn *wire.Conn, hello wire.Hello) (clean bool, er
 				case <-stop:
 					return
 				case <-t.C:
-					if conn.Send(wire.Ping{}) != nil {
+					if fw.SendFrame(wire.Ping{}) != nil {
 						return
 					}
 				}
 			}
 		}()
 	}
-
-	return w.controlLoop(conn, sess)
+	return w.serveSession(conn, fw, eng)
 }
 
-// controlLoop serves a session's control connection: the barrier rounds
-// (drain, stats, migration) and session teardown. Op batches arrive on
-// the session's data connections, so every round that must observe them
-// first awaits the session op barrier its request carries.
-func (w *Worker) controlLoop(conn *wire.Conn, sess *workerSession) (clean bool, err error) {
-	eng := w.eng.Load()
-	for {
-		typ, payload, err := conn.Recv()
-		if err != nil {
-			return false, err
-		}
-		switch typ {
-		case wire.TypeDrain:
-			d, err := wire.DecodeBinDrain(payload)
-			if err != nil {
-				return false, err
-			}
-			if err := w.awaitOps(sess, d.Ops); err != nil {
-				return false, err
-			}
-			// The barrier counted the ops; flushing the writers puts the
-			// matches those ops produced on the wire before the ack, so
-			// the coordinator can wait for exactly the ack's Emitted.
-			if err := sess.flushWriters(); err != nil {
-				return false, err
-			}
-			ack := wire.DrainAck{Seq: d.Seq, Done: sess.done.Load(), Emitted: sess.emitted.Load(), Deltas: sess.deltas.Load()}
-			if err := conn.Send(ack); err != nil {
-				return false, err
-			}
-		case wire.TypeStatsReq:
-			sr, err := wire.DecodeBinStatsReq(payload)
-			if err != nil {
-				return false, err
-			}
-			if err := w.awaitOps(sess, sr.Ops); err != nil {
-				return false, err
-			}
-			if err := conn.Send(w.statsReply(sr.Seq)); err != nil {
-				return false, err
-			}
-		case wire.TypeCellStatsReq:
-			cr, err := wire.DecodeBinCellStatsReq(payload)
-			if err != nil {
-				return false, err
-			}
-			if err := w.awaitOps(sess, cr.Ops); err != nil {
-				return false, err
-			}
-			if err := conn.Send(wire.CellStatsReply{Seq: cr.Seq, Cells: eng.CellStats()}); err != nil {
-				return false, err
-			}
-		case wire.TypeExtractCells:
-			ex, err := wire.DecodeBinExtractCells(payload)
-			if err != nil {
-				return false, err
-			}
-			// The migration barrier: the share must reflect every op
-			// batch the coordinator sent before the request.
-			if err := w.awaitOps(sess, ex.Ops); err != nil {
-				return false, err
-			}
-			if err := conn.Send(eng.ExtractCells(ex)); err != nil {
-				return false, err
-			}
-		case wire.TypeInstallCells:
-			ic, err := wire.DecodeBinInstallCells(payload)
-			if err != nil {
-				return false, err
-			}
-			if err := conn.Send(eng.InstallCells(ic)); err != nil {
-				return false, err
-			}
-		case wire.TypeAdvanceWindow:
-			a, err := wire.DecodeBinAdvanceWindow(payload)
-			if err != nil {
-				return false, err
-			}
-			// Expiry observes every op batch sent before the round, the
-			// same barrier a drain provides — otherwise the advance could
-			// expire a window the in-flight batches are about to refill
-			// under an older clock reading.
-			if err := w.awaitOps(sess, a.Ops); err != nil {
-				return false, err
-			}
-			if err := conn.Send(eng.AdvanceWindow(a)); err != nil {
-				return false, err
-			}
-		case wire.TypeFence:
-			f, err := wire.DecodeBinFence(payload)
-			if err != nil {
-				return false, err
-			}
-			w.epoch.Store(f.Epoch)
-		case wire.TypeResetWindow:
-			eng.ResetWindow()
-		case wire.TypeGoodbye:
-			// The coordinator says goodbye on the data connections first,
-			// so waiting for their loops lets the final match flushes
-			// finish before the session — and, with Once, the process —
-			// goes away. Bounded: a data connection that already died
-			// never says goodbye.
-			waitTimeout(&sess.dataWG, 10*time.Second)
-			_ = conn.Send(wire.Goodbye{})
-			return true, nil
-		default:
-			w.opts.Log.printf("worker: skipping unknown frame type %d", typ)
-		}
-	}
-}
-
-// serveData runs one data connection of a session: op batches in, match
-// and window delta batches out through a pipelined writer.
-func (w *Worker) serveData(conn *wire.Conn, hello wire.Hello) error {
-	w.sessMu.Lock()
-	sess := w.sess
-	w.sessMu.Unlock()
-	if sess == nil || sess.id != hello.SessionID || hello.Stream > sess.streams {
-		return refuse(conn, fmt.Errorf("node: no session %d for data stream %d", hello.SessionID, hello.Stream))
-	}
-	fw := wire.NewFrameWriter(conn, 0)
-	defer fw.Stop()
-	if err := sess.attach(conn, fw); err != nil {
-		return refuse(conn, err)
-	}
-	defer sess.dataWG.Done()
-	wel := wire.Welcome{Role: wire.RoleWorker, Task: hello.Task, Streams: sess.streams}
-	if err := conn.Send(wel); err != nil {
-		return err
-	}
+// serveSession decodes, processes and answers one session's frames in
+// arrival order. Matches, deltas and replies all leave through fw, so a
+// reply always follows the output of every op batch before its request:
+// FIFO is the barrier for drains, stats, migration and window expiry
+// alike.
+func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker.Engine) (clean bool, err error) {
 	// Decode, match, and delta scratch reused across batches; the codec
 	// decodes into them without per-frame allocations.
 	var ops []wire.OpEnv
 	var matches []wire.MatchEnv
 	var deltas []window.Delta
+	// This session's counters for the drain ack, and the number the next
+	// op batch must carry.
+	var done, emitted, nDeltas int64
+	var next uint64
 	for {
 		typ, payload, err := conn.Recv()
 		if err != nil {
-			// A broken data connection breaks the whole session; tear it
-			// down so the control loop and sibling streams fail too
-			// instead of wedging on a barrier that can never complete.
-			if !sess.isClosed() {
-				sess.close()
-				return err
-			}
-			return nil
+			return false, err
 		}
+		var reply wire.Frame
 		switch typ {
 		case wire.TypeOpBatch:
-			var seq uint64
-			ops, seq, err = wire.DecodeBinOpBatch(payload, ops[:0])
-			if err != nil {
-				sess.close()
-				return err
+			var seq, epoch uint64
+			if ops, seq, err = wire.DecodeBinOpBatch(payload, ops[:0]); err != nil {
+				break
 			}
-			// Reassemble the coordinator's send order across streams:
-			// process this batch only when every earlier-sequenced batch
-			// (possibly in flight on a sibling connection) is done.
-			if err := sess.awaitTurn(seq); err != nil {
-				return err
+			if seq != next {
+				return false, fmt.Errorf("node: op batch %d arrived where %d was due (lost or duplicated frame)", seq, next)
 			}
-			var epoch uint64
+			next++
 			matches, deltas, epoch = w.processOps(ops, matches[:0], deltas[:0])
-			// Order matters for the session barrier: matches and deltas
-			// are queued (and counted) before done advances, so "done ≥
-			// barrier" implies both are behind a writer flush, never lost.
-			sess.emitted.Add(int64(len(matches)))
+			done += int64(len(ops))
+			emitted += int64(len(matches))
+			nDeltas += int64(len(deltas))
 			if len(matches) > 0 {
 				buf := wire.GetBuf()
 				buf.B = wire.AppendMatchBatch(buf.B, matches)
-				if err := fw.Send(wire.TypeMatchBatch, buf); err != nil {
-					sess.close()
-					return err
-				}
+				err = fw.Send(wire.TypeMatchBatch, buf)
 			}
-			sess.deltas.Add(int64(len(deltas)))
-			if len(deltas) > 0 {
+			if err == nil && len(deltas) > 0 {
 				buf := wire.GetBuf()
 				buf.B = wire.AppendWindowDeltaBatch(buf.B, epoch, deltas)
-				if err := fw.Send(wire.TypeWindowDeltaBatch, buf); err != nil {
-					sess.close()
-					return err
-				}
+				err = fw.Send(wire.TypeWindowDeltaBatch, buf)
 			}
-			sess.done.Add(int64(len(ops)))
-			sess.finishTurn()
+		case wire.TypeDrain:
+			var d wire.Drain
+			if d, err = wire.DecodeBinDrain(payload); err == nil {
+				reply = wire.DrainAck{Seq: d.Seq, Done: done, Emitted: emitted, Deltas: nDeltas}
+			}
+		case wire.TypeStatsReq:
+			var sr wire.StatsReq
+			if sr, err = wire.DecodeBinStatsReq(payload); err == nil {
+				reply = w.statsReply(sr.Seq)
+			}
+		case wire.TypeCellStatsReq:
+			var cr wire.CellStatsReq
+			if cr, err = wire.DecodeBinCellStatsReq(payload); err == nil {
+				reply = wire.CellStatsReply{Seq: cr.Seq, Cells: eng.CellStats()}
+			}
+		case wire.TypeExtractCells:
+			var ex wire.ExtractCells
+			if ex, err = wire.DecodeBinExtractCells(payload); err == nil {
+				reply = eng.ExtractCells(ex)
+			}
+		case wire.TypeInstallCells:
+			var ic wire.InstallCells
+			if ic, err = wire.DecodeBinInstallCells(payload); err == nil {
+				reply = eng.InstallCells(ic)
+			}
+		case wire.TypeAdvanceWindow:
+			var a wire.AdvanceWindow
+			if a, err = wire.DecodeBinAdvanceWindow(payload); err == nil {
+				reply = eng.AdvanceWindow(a)
+			}
+		case wire.TypeFence:
+			var f wire.Fence
+			if f, err = wire.DecodeBinFence(payload); err == nil {
+				w.epoch.Store(f.Epoch)
+			}
+		case wire.TypeResetWindow:
+			eng.ResetWindow()
 		case wire.TypeGoodbye:
-			// Flush remaining matches, answer in kind, and let the
-			// coordinator's data read loop end cleanly.
+			// Flush the remaining output and answer in kind, so the
+			// coordinator's read loop ends cleanly.
 			if err := fw.Drain(); err != nil {
-				sess.close()
-				return err
+				return false, err
 			}
 			_ = conn.Send(wire.Goodbye{})
-			return nil
+			return true, nil
 		case wire.TypePing:
 		default:
-			w.opts.Log.printf("worker: skipping unknown frame type %d on data stream", typ)
+			w.opts.Log.printf("worker: skipping unknown frame type %d", typ)
+		}
+		if err == nil && reply != nil {
+			err = fw.SendFrame(reply)
+		}
+		if err != nil {
+			return false, err
 		}
 	}
-}
-
-// awaitOps blocks until the session has processed at least ops
-// operations — the session's stand-in for FIFO request ordering. Zero
-// means nothing has been sent yet.
-func (w *Worker) awaitOps(sess *workerSession, ops int64) error {
-	if ops <= 0 {
-		return nil
-	}
-	deadline := time.Now().Add(wire.DefaultControlTimeout)
-	for sess.done.Load() < ops {
-		if sess.isClosed() {
-			return fmt.Errorf("node: session closed awaiting op barrier (%d of %d)", sess.done.Load(), ops)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("node: op barrier timed out (%d of %d ops)", sess.done.Load(), ops)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return nil
 }
 
 // statsReply assembles the worker's lifetime counters.
@@ -640,26 +366,10 @@ func (w *Worker) statsReply(seq uint64) wire.StatsReply {
 	return sr
 }
 
-// waitTimeout waits on wg for at most d; false reports a timeout.
-func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
-	ch := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
-	select {
-	case <-ch:
-		return true
-	case <-time.After(d):
-		return false
-	}
-}
-
 // processOps runs one operation batch through the engine and accounts it
 // in the node's lifetime counters. out and dout are the caller's scratch
 // (see worker.Engine.Process); epoch is the state epoch the deltas were
 // produced under, so the coordinator's board can fence stale replays.
-// Concurrent data streams serialise on the engine's lock, per batch.
 func (w *Worker) processOps(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.Delta) ([]wire.MatchEnv, []window.Delta, uint64) {
 	out, dout, epoch := w.eng.Load().Process(ops, out, dout)
 	w.done.Add(int64(len(ops)))
@@ -669,8 +379,7 @@ func (w *Worker) processOps(ops []wire.OpEnv, out []wire.MatchEnv, dout []window
 
 // recvHello performs the receiving half of the handshake: the Hello
 // frame, validated. The caller answers with a Welcome once it has
-// registered the session, so a data connection racing the Welcome finds
-// it. A first frame that is not a coordinator's Hello in this tree's
+// accepted the session. A first frame that is not a coordinator's Hello in this tree's
 // layout — a version-1 gob peer's, for one — is refused.
 func recvHello(conn *wire.Conn) (wire.Hello, error) {
 	typ, payload, err := conn.RecvTimeout(wire.DefaultHandshakeTimeout)

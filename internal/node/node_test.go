@@ -6,8 +6,10 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,184 +343,220 @@ func TestMergerSessionCountsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestWorkerReassemblesBatchOrderAcrossStreams pins the turnstile down
-// at the protocol level: the object batch (send-order sequence 1) lands
-// on one data connection before the query-insert batch (sequence 0)
-// lands on the other, and the worker must still process the insert
-// first — the match only exists if sequence reassembly restores the
-// order the two sockets scrambled.
-func TestWorkerReassemblesBatchOrderAcrossStreams(t *testing.T) {
-	small := testHello(1)
-	small.Streams = 2
-	// A realistic sample: the data connections' hellos must not carry it
-	// (an attach hello is session id and stream number only), and the
-	// node must take its geometry from the control hello alone.
-	big := testHello(1)
-	big.Streams = 4
-	big.Terms = make(map[string]int, 10000)
-	for i := 0; i < 10000; i++ {
-		big.Terms[fmt.Sprintf("term%05d", i)] = i + 1
-	}
-	big.Terms["coffee"] = 5
-	t.Run("2 streams", func(t *testing.T) { reassembleAcrossStreams(t, small) })
-	t.Run("4 streams, 10k-term sample", func(t *testing.T) { reassembleAcrossStreams(t, big) })
+// objectAt is one object op published at t.
+func objectAt(id uint64, term string, loc geo.Point, t time.Time) wire.OpEnv {
+	return wire.OpEnv{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{ID: id, Terms: []string{term}, Loc: loc}}, T0: t}
 }
 
-func reassembleAcrossStreams(t *testing.T, h wire.Hello) {
-	_, addr, _ := startWorker(t, WorkerOptions{})
-	h.SessionID = 424242
-	dial := func(stream int) *wire.Conn {
-		t.Helper()
-		c, err := wire.Dial(addr, wire.Backoff{Attempts: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		dh := h
-		dh.Stream = stream
-		if err := c.Send(dh); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := c.RecvTimeout(5 * time.Second)
-		if err != nil || typ != wire.TypeWelcome {
-			t.Fatalf("welcome on stream %d: type %d, err %v", stream, typ, err)
-		}
-		wel, err := wire.DecodeBinWelcome(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wel.Streams != h.Streams {
-			t.Fatalf("granted streams=%d, want %d", wel.Streams, h.Streams)
-		}
-		return c
-	}
-	ctrl := dial(0)
-	dataA, dataB := dial(1), dial(2)
-	area := geo.NewRect(-80, 30, -70, 40)
-	insert := wire.AppendOpBatch(nil, 0, []wire.OpEnv{
-		{Op: model.Op{Kind: model.OpInsert, Query: query(1, "coffee", area)}},
-	})
-	object := wire.AppendOpBatch(nil, 1, []wire.OpEnv{
-		{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{
-			ID: 100, Terms: []string{"coffee"}, Loc: geo.Point{X: -75, Y: 35}}}},
-	})
-	// Out of order on the wire: the object reaches the node first and
-	// must park in the turnstile until the insert is processed.
-	if err := dataB.SendPayload(wire.TypeOpBatch, object); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if err := dataA.SendPayload(wire.TypeOpBatch, insert); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.SendPayload(wire.TypeDrain, wire.AppendDrain(nil, wire.Drain{Seq: 1, Ops: 2})); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := ctrl.RecvTimeout(5 * time.Second)
-	if err != nil || typ != wire.TypeDrainAck {
-		t.Fatalf("drain ack: type %d, err %v", typ, err)
-	}
-	ack, err := wire.DecodeBinDrainAck(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Done != 2 || ack.Emitted != 1 {
-		t.Errorf("ack = %+v, want Done 2 Emitted 1", ack)
-	}
-	// The match rides the data connection that carried the object batch.
-	typ, payload, err = dataB.RecvTimeout(5 * time.Second)
-	if err != nil || typ != wire.TypeMatchBatch {
-		t.Fatalf("match batch: type %d, err %v", typ, err)
-	}
-	ms, err := wire.DecodeBinMatchBatch(payload, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 1 || ms[0].M.ObjectID != 100 || ms[0].M.QueryID != 1 {
-		t.Fatalf("matches = %+v", ms)
-	}
+func insertOp(q *model.Query) wire.OpEnv {
+	return wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}}
 }
 
-// TestWorkerMultiStreamSessionBarrier drives a negotiated multi-stream
-// session hard: batches round-robin across four data connections with
-// no barrier between the query insert and the objects — the node's
-// sequence reassembly must order them exactly as sent — and the drain
-// barrier still accounts for every op and every match arrives before
-// the ack returns.
-func TestWorkerMultiStreamSessionBarrier(t *testing.T) {
+// TestWorkerControlRoundsFollowOps: a hop is one connection, so every
+// control round is answered after every op batch sent before it. The
+// client sends k batches and then, with no wait in between, asks for
+// stats, cell stats, a cell copy, a window advance and a drain: each
+// reply reflects all k batches. The drain ack follows its matches on the
+// wire, so they are queued for RecvMatches by the time Drain returns,
+// and an installed share matches the ops sent after the install.
+func TestWorkerControlRoundsFollowOps(t *testing.T) {
 	_, addr, _ := startWorker(t, WorkerOptions{})
-	h := testHello(1)
-	h.Streams = 4
-	cl, err := wire.DialWorker(addr, h, wire.Backoff{Attempts: 3})
+	cl, err := wire.DialWorker(addr, testHello(1), wire.Backoff{Attempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Streams() != 4 {
-		t.Fatalf("granted streams=%d, want 4", cl.Streams())
-	}
-	area := geo.NewRect(-80, 30, -70, 40)
-	if err := cl.SendOps(wire.OpBatch{Ops: []wire.OpEnv{
-		{Op: model.Op{Kind: model.OpInsert, Query: query(1, "coffee", area)}},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	// Deliberately no barrier here: the insert and the objects ride
-	// different data connections, and only the node's batch-sequence
-	// reassembly keeps the insert ahead of every object it must match.
-	const objects = 300
-	sent := 1
-	for i := 0; i < objects; i += 10 {
-		var ops []wire.OpEnv
-		for j := i; j < i+10; j++ {
-			ops = append(ops, wire.OpEnv{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{
-				ID: uint64(1000 + j), Terms: []string{"coffee"}, Loc: geo.Point{X: -75, Y: 35}}}})
-		}
+	var deltas atomic.Int64
+	cl.SetDeltaHandler(func(_ uint64, ds []window.Delta) { deltas.Add(int64(len(ds))) })
+	send := func(ops ...wire.OpEnv) {
+		t.Helper()
 		if err := cl.SendOps(wire.OpBatch{Ops: ops}); err != nil {
 			t.Fatal(err)
 		}
-		sent += 10
+	}
+	area, at := geo.NewRect(-80, 30, -70, 40), geo.Point{X: -75, Y: 35}
+	t0 := time.Unix(1700000000, 0)
+	top := query(9, "coffee", area)
+	top.TopK, top.Window = 1, time.Minute
+
+	// Batch 0 subscribes a boolean and a top-1 query; batches 1..k each
+	// publish objects newer than every earlier one, so the top-1 entry
+	// after the last batch is its last object; the last batch also
+	// subscribes query 2.
+	const k, per = 30, 10
+	send(insertOp(query(1, "coffee", area)), insertOp(top))
+	var newest uint64
+	for b := 1; b <= k; b++ {
+		var ops []wire.OpEnv
+		for j := 0; j < per; j++ {
+			newest = uint64(100*b + j)
+			ops = append(ops, objectAt(newest, "coffee", at, t0.Add(time.Duration(b)*time.Second+time.Duration(j)*time.Millisecond)))
+		}
+		if b == k {
+			ops = append(ops, insertOp(query(2, "coffee", area)))
+		}
+		send(ops...)
+	}
+
+	sr, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Objects != k*per || sr.Inserts != 3 {
+		t.Errorf("stats saw %d objects and %d inserts, want %d and 3", sr.Objects, sr.Inserts, k*per)
+	}
+	cells, err := cl.CellStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := -1
+	for _, cs := range cells {
+		if cs.ObjSeen > 0 {
+			if cell >= 0 || cs.ObjSeen != k*per || cs.Entries != 3 {
+				t.Fatalf("cell stats %+v, want one cell with %d objects and 3 entries", cells, k*per)
+			}
+			cell = cs.Cell
+		}
+	}
+	if cell < 0 {
+		t.Fatalf("no cell saw an object: %+v", cells)
+	}
+	share, err := cl.ExtractCells([]wire.CellSpec{{Cell: cell}}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for _, q := range share.Cells[0].Queries {
+		ids = append(ids, q.ID)
+	}
+	slices.Sort(ids)
+	if !slices.Equal(ids, []uint64{1, 2, 9}) {
+		t.Errorf("copied share holds queries %v, want [1 2 9]", ids)
+	}
+	aa, err := cl.AdvanceWindow(t0.Add(k*time.Second + 2*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aa.Deltas) != 1 || aa.Deltas[0].Entered || aa.Deltas[0].MsgID != newest {
+		t.Errorf("advance deltas %+v, want one departure of object %d", aa.Deltas, newest)
 	}
 	ack, err := cl.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Done != int64(sent) {
-		t.Errorf("ack.Done = %d, want %d", ack.Done, sent)
+	if ack.Done != 2+k*per+1 || ack.Emitted != k*per {
+		t.Errorf("drain ack %+v, want Done %d and Emitted %d", ack, 2+k*per+1, k*per)
 	}
-	if ack.Emitted != objects {
-		t.Errorf("ack.Emitted = %d, want %d", ack.Emitted, objects)
+	if got := deltas.Load(); got != ack.Deltas {
+		t.Errorf("delta handler saw %d deltas when the drain returned, ack counts %d", got, ack.Deltas)
 	}
-	// Every match was enqueued before the ack: drain them non-blocking
-	// up to Emitted without racing a slow stream.
-	var got int
-	for got < int(ack.Emitted) {
+
+	// A share installed by InstallCells matches the ops sent after it.
+	if _, _, err := cl.InstallCells([]wire.CellPayload{{Cell: cell, Queries: []*model.Query{query(5, "tea", area)}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	send(objectAt(7, "tea", at, t0))
+	if ack, err = cl.Drain(); err != nil || ack.Emitted != k*per+1 {
+		t.Fatalf("after the install: ack %+v, err %v; want Emitted %d", ack, err, k*per+1)
+	}
+
+	// Tear the connection down: what RecvMatches still returns was queued
+	// before Drain did, and it is every match the ack counted.
+	cl.Close()
+	var got int64
+	for {
 		mb, err := cl.RecvMatches()
 		if err != nil {
-			t.Fatalf("after %d/%d matches: %v", got, ack.Emitted, err)
+			break
 		}
-		got += len(mb.Matches)
+		got += int64(len(mb.Matches))
 	}
-	if err := cl.CloseSend(); err != nil {
-		t.Fatal(err)
+	if got != ack.Emitted {
+		t.Errorf("%d matches were queued when Drain returned, want %d", got, ack.Emitted)
+	}
+}
+
+// TestWorkerRefusesOutOfOrderBatch: the client numbers op batches 0, 1,
+// 2, … on the connection. A repeated or skipped number means a lost or
+// duplicated frame; the node ends the session with an error, having
+// processed no batch twice.
+func TestWorkerRefusesOutOfOrderBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		seqs    []uint64
+		wantLog string
+	}{
+		{"repeated", []uint64{0, 0}, "op batch 0 arrived where 1 was due"},
+		{"skipped", []uint64{0, 2}, "op batch 2 arrived where 1 was due"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs logSink
+			w, addr, _ := startWorker(t, WorkerOptions{Log: logs.logf})
+			c, err := wire.Dial(addr, wire.Backoff{Attempts: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Send(testHello(0)); err != nil {
+				t.Fatal(err)
+			}
+			if typ, _, err := c.RecvTimeout(5 * time.Second); err != nil || typ != wire.TypeWelcome {
+				t.Fatalf("welcome: type %d, err %v", typ, err)
+			}
+			batch := []wire.OpEnv{objectAt(100, "coffee", geo.Point{X: -75, Y: 35}, time.Time{})}
+			for _, seq := range tc.seqs {
+				if err := c.SendPayload(wire.TypeOpBatch, wire.AppendOpBatch(nil, seq, batch)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := c.RecvTimeout(5 * time.Second); err != io.EOF {
+				t.Fatalf("after the bad batch: %v, want the session closed", err)
+			}
+			if done, _ := w.Counts(); done != 1 {
+				t.Errorf("node processed %d ops, want only the first batch's 1", done)
+			}
+			logs.await(t, tc.wantLog)
+		})
+	}
+}
+
+// logSink collects a node's log lines.
+type logSink struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logSink) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+// await fails t unless a line saying want is logged within a second.
+func (l *logSink) await(t *testing.T, want string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		l.mu.Lock()
+		all := strings.Join(l.lines, "\n")
+		l.mu.Unlock()
+		if strings.Contains(all, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node log does not say %q:\n%s", want, all)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // refused dials addr raw, opens with the given hello frame payload, and
 // asserts the node refuses it — a Goodbye in the Welcome's place, then a
 // closed connection — in under a second, logging why.
-func refused(t *testing.T, helloPayload []byte, wantLog string, prepare func(addr string)) {
+func refused(t *testing.T, helloPayload []byte, wantLog string) {
 	t.Helper()
-	var mu sync.Mutex
-	var logs []string
-	_, addr, _ := startWorker(t, WorkerOptions{Log: func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}})
-	if prepare != nil {
-		prepare(addr)
-	}
+	var logs logSink
+	_, addr, _ := startWorker(t, WorkerOptions{Log: logs.logf})
 	c, err := wire.Dial(addr, wire.Backoff{Attempts: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -538,19 +576,7 @@ func refused(t *testing.T, helloPayload []byte, wantLog string, prepare func(add
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("refusal took %v, want under a second", elapsed)
 	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		mu.Lock()
-		all := strings.Join(logs, "\n")
-		mu.Unlock()
-		if strings.Contains(all, wantLog) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node log does not say %q:\n%s", wantLog, all)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	logs.await(t, wantLog)
 }
 
 // TestWorkerRefusesVersion1GobHello: the handshake a version-1 peer sends
@@ -561,30 +587,5 @@ func TestWorkerRefusesVersion1GobHello(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused(t, blob, "bad magic", nil)
-}
-
-// TestWorkerRefusesControlHelloWithoutStreams: there is one session
-// shape, a control connection plus data connections.
-func TestWorkerRefusesControlHelloWithoutStreams(t *testing.T) {
-	h := testHello(0)
-	h.SessionID = 7
-	refused(t, wire.AppendHello(nil, h), "0 data streams", nil)
-	h.SessionID, h.Streams = 0, 2
-	refused(t, wire.AppendHello(nil, h), "session id 0", nil)
-}
-
-// TestWorkerRefusesDataHelloForUnknownSession: a data connection attaches
-// to the live session or to nothing.
-func TestWorkerRefusesDataHelloForUnknownSession(t *testing.T) {
-	attach := wire.AppendHello(nil, wire.Hello{Role: wire.RoleCoordinator, SessionID: 99, Stream: 1})
-	refused(t, attach, "no session 99", nil)
-	// Same with a session live under another id.
-	refused(t, attach, "no session 99", func(addr string) {
-		cl, err := wire.DialWorker(addr, testHello(0), wire.Backoff{Attempts: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-	})
+	refused(t, blob, "bad magic")
 }

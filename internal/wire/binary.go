@@ -132,9 +132,10 @@ const (
 )
 
 // AppendOpBatch appends the binary encoding of one op batch to dst.
-// seq is the batch's position in the session's send order: batches
-// round-robin across data connections and the receiver reassembles
-// them into exactly this order before processing (docs/WIRE.md).
+// seq is the batch's number on its connection (0, 1, 2, …): the receiver
+// checks that each batch is the next one, so a lost or duplicated frame
+// ends the session instead of silently reordering the op stream
+// (docs/WIRE.md).
 func AppendOpBatch(dst []byte, seq uint64, ops []OpEnv) []byte {
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
@@ -180,8 +181,7 @@ func AppendMatchBatch(dst []byte, ms []MatchEnv) []byte {
 
 // AppendDrain appends the binary encoding of a drain request to dst.
 func AppendDrain(dst []byte, d Drain) []byte {
-	dst = binary.AppendUvarint(dst, d.Seq)
-	return binary.AppendUvarint(dst, uint64(d.Ops))
+	return binary.AppendUvarint(dst, d.Seq)
 }
 
 // AppendDrainAck appends the binary encoding of a drain ack to dst.
@@ -230,7 +230,6 @@ func AppendWindowDeltaBatch(dst []byte, epoch uint64, ds []window.Delta) []byte 
 // request to dst.
 func AppendAdvanceWindow(dst []byte, a AdvanceWindow) []byte {
 	dst = binary.AppendUvarint(dst, a.Seq)
-	dst = binary.AppendUvarint(dst, uint64(a.Ops))
 	return appendTime(dst, a.Now)
 }
 
@@ -372,8 +371,8 @@ func (r *breader) entry() window.Entry {
 // DecodeBinOpBatch decodes a binary op batch payload, appending to dst
 // (pass a reused scratch slice; its elements are overwritten). The
 // returned Object/Query values are freshly allocated — the receiver's
-// index retains them past the call. seq is the batch's position in the
-// session's send order (see AppendOpBatch).
+// index retains them past the call. seq is the batch's number on its
+// connection (see AppendOpBatch).
 func DecodeBinOpBatch(p []byte, dst []OpEnv) (ops []OpEnv, seq uint64, err error) {
 	r := breader{p: p}
 	seq = r.uvarint()
@@ -433,7 +432,7 @@ func DecodeBinMatchBatch(p []byte, dst []MatchEnv) ([]MatchEnv, error) {
 // DecodeBinDrain decodes a binary drain request payload.
 func DecodeBinDrain(p []byte) (Drain, error) {
 	r := breader{p: p}
-	d := Drain{Seq: r.uvarint(), Ops: int64(r.uvarint())}
+	d := Drain{Seq: r.uvarint()}
 	if !r.done() {
 		return Drain{}, fmt.Errorf("%w: drain", ErrBadPayload)
 	}
@@ -495,7 +494,7 @@ func DecodeBinWindowDeltaBatch(p []byte, dst []window.Delta) (ds []window.Delta,
 // DecodeBinAdvanceWindow decodes a binary advance-window request payload.
 func DecodeBinAdvanceWindow(p []byte) (AdvanceWindow, error) {
 	r := breader{p: p}
-	a := AdvanceWindow{Seq: r.uvarint(), Ops: int64(r.uvarint()), Now: r.time()}
+	a := AdvanceWindow{Seq: r.uvarint(), Now: r.time()}
 	if !r.done() {
 		return AdvanceWindow{}, fmt.Errorf("%w: advance window", ErrBadPayload)
 	}
@@ -543,25 +542,18 @@ func (r *breader) handshake() error {
 	return CheckHandshake(string(magic), int(r.uvarint()))
 }
 
-// AppendHello appends the binary encoding of a Hello to dst. A data
-// connection's Hello (Stream > 0) stops after the stream number. Terms
-// are written in sorted key order, so equal handshakes are equal bytes.
+// AppendHello appends the binary encoding of a Hello to dst. Terms are
+// written in sorted key order, so equal handshakes are equal bytes.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendHandshake(dst)
 	dst = appendStr(dst, h.Role)
 	dst = binary.AppendUvarint(dst, uint64(h.Task))
-	dst = binary.LittleEndian.AppendUint64(dst, h.SessionID)
-	dst = binary.AppendUvarint(dst, uint64(h.Stream))
-	if h.Stream > 0 {
-		return dst
-	}
 	dst = binary.AppendUvarint(dst, uint64(h.Workers))
 	dst = appendRect(dst, h.Bounds)
 	dst = binary.AppendUvarint(dst, uint64(h.Granularity))
 	dst = binary.AppendUvarint(dst, uint64(h.BatchSize))
 	dst = binary.AppendUvarint(dst, uint64(h.HeartbeatMillis))
 	dst = binary.AppendUvarint(dst, h.Epoch)
-	dst = binary.AppendUvarint(dst, uint64(h.Streams))
 	terms := make([]string, 0, len(h.Terms))
 	for t := range h.Terms {
 		terms = append(terms, t)
@@ -582,29 +574,22 @@ func DecodeBinHello(p []byte) (Hello, error) {
 	if err := r.handshake(); err != nil {
 		return Hello{}, fmt.Errorf("%w: hello: %v", ErrBadPayload, err)
 	}
-	h := Hello{Role: r.str(), Task: int(r.uvarint()), SessionID: r.u64()}
-	if h.Stream = int(r.uvarint()); h.Stream < 0 || h.Stream > MaxStreams {
-		r.fail()
-	}
-	if h.Stream == 0 {
-		h.Workers = int(r.uvarint())
-		h.Bounds = r.rect()
-		h.Granularity = int(r.uvarint())
-		h.BatchSize = int(r.uvarint())
-		h.HeartbeatMillis = int(r.uvarint())
-		h.Epoch = r.uvarint()
-		h.Streams = int(r.uvarint())
-		if n := r.count(2); n > 0 { // one-byte term + count
-			h.Terms = make(map[string]int, n)
-			prev := ""
-			for i := 0; i < n && !r.bad; i++ {
-				t := r.str()
-				if i > 0 && t <= prev {
-					r.fail() // unsorted or repeated: not what AppendHello writes
-				}
-				h.Terms[t] = int(r.uvarint())
-				prev = t
+	h := Hello{Role: r.str(), Task: int(r.uvarint()), Workers: int(r.uvarint())}
+	h.Bounds = r.rect()
+	h.Granularity = int(r.uvarint())
+	h.BatchSize = int(r.uvarint())
+	h.HeartbeatMillis = int(r.uvarint())
+	h.Epoch = r.uvarint()
+	if n := r.count(2); n > 0 { // one-byte term + count
+		h.Terms = make(map[string]int, n)
+		prev := ""
+		for i := 0; i < n && !r.bad; i++ {
+			t := r.str()
+			if i > 0 && t <= prev {
+				r.fail() // unsorted or repeated: not what AppendHello writes
 			}
+			h.Terms[t] = int(r.uvarint())
+			prev = t
 		}
 	}
 	if !r.done() {
@@ -617,8 +602,7 @@ func DecodeBinHello(p []byte) (Hello, error) {
 func AppendWelcome(dst []byte, w Welcome) []byte {
 	dst = appendHandshake(dst)
 	dst = appendStr(dst, w.Role)
-	dst = binary.AppendUvarint(dst, uint64(w.Task))
-	return binary.AppendUvarint(dst, uint64(w.Streams))
+	return binary.AppendUvarint(dst, uint64(w.Task))
 }
 
 // DecodeBinWelcome decodes a binary Welcome payload.
@@ -627,7 +611,7 @@ func DecodeBinWelcome(p []byte) (Welcome, error) {
 	if err := r.handshake(); err != nil {
 		return Welcome{}, fmt.Errorf("%w: welcome: %v", ErrBadPayload, err)
 	}
-	w := Welcome{Role: r.str(), Task: int(r.uvarint()), Streams: int(r.uvarint())}
+	w := Welcome{Role: r.str(), Task: int(r.uvarint())}
 	if !r.done() {
 		return Welcome{}, fmt.Errorf("%w: welcome", ErrBadPayload)
 	}
@@ -637,14 +621,13 @@ func DecodeBinWelcome(p []byte) (Welcome, error) {
 // AppendStatsReq appends the binary encoding of a stats request to dst.
 // CellStatsReq shares the layout.
 func AppendStatsReq(dst []byte, s StatsReq) []byte {
-	dst = binary.AppendUvarint(dst, s.Seq)
-	return binary.AppendUvarint(dst, uint64(s.Ops))
+	return binary.AppendUvarint(dst, s.Seq)
 }
 
 // DecodeBinStatsReq decodes a binary stats request payload.
 func DecodeBinStatsReq(p []byte) (StatsReq, error) {
 	r := breader{p: p}
-	s := StatsReq{Seq: r.uvarint(), Ops: int64(r.uvarint())}
+	s := StatsReq{Seq: r.uvarint()}
 	if !r.done() {
 		return StatsReq{}, fmt.Errorf("%w: stats request", ErrBadPayload)
 	}
@@ -744,7 +727,6 @@ const (
 // to dst. A spec's nil and empty Keys are the same bytes: the whole cell.
 func AppendExtractCells(dst []byte, e ExtractCells) []byte {
 	dst = binary.AppendUvarint(dst, e.Seq)
-	dst = binary.AppendUvarint(dst, uint64(e.Ops))
 	var flags byte
 	if e.Remove {
 		flags |= extractRemove
@@ -764,7 +746,7 @@ func AppendExtractCells(dst []byte, e ExtractCells) []byte {
 // DecodeBinExtractCells decodes a binary extraction request payload.
 func DecodeBinExtractCells(p []byte) (ExtractCells, error) {
 	r := breader{p: p}
-	e := ExtractCells{Seq: r.uvarint(), Ops: int64(r.uvarint())}
+	e := ExtractCells{Seq: r.uvarint()}
 	flags := r.u8()
 	if flags&^(extractRemove|extractSubs) != 0 {
 		r.fail()

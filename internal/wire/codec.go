@@ -17,8 +17,9 @@ const Magic = "PS2WIRE"
 // opens with Magic and Version, a peer with any other version is refused,
 // and a field is added to a frame by bumping Version — never by decoding
 // it optionally (docs/WIRE.md, "Versioning"). Version 1 was the gob
-// encoding.
-const Version = 2
+// encoding; version 2 opened a worker hop as a control connection plus
+// attached data connections.
+const Version = 3
 
 // Roles named in the handshake.
 const (
@@ -33,10 +34,6 @@ const (
 // grid granularity (so gridt/GI2 cell ids computed on either side of the
 // wire coincide) and the sampled term statistics (so both sides pick the
 // same least-frequent registration keyword for a query).
-//
-// A Hello with Stream > 0 attaches a data connection to an existing
-// session: only Role, Task, SessionID and Stream cross the wire, and the
-// peer reads the geometry from the session's control Hello alone.
 type Hello struct {
 	// Role the *sender* is playing (normally RoleCoordinator).
 	Role string
@@ -60,21 +57,11 @@ type Hello struct {
 	// accepted, so a stale coordinator session (severed but not yet dead)
 	// cannot reclaim a slot a recovery session has taken over.
 	Epoch uint64
-	// Streams is the number of data connections the coordinator wants
-	// for this hop; a worker refuses a control Hello that asks for none.
-	// The Welcome's Streams is the granted count. Mergers ignore it: one
-	// connection per upstream task keeps their dedup windows
-	// per-connection.
+	// Streams is ignored and not encoded: a hop is one connection.
+	//
+	// Deprecated: it survives only because benchmark/probes.go sets it;
+	// the probe rewrite of ROADMAP.md item 1 deletes it.
 	Streams int
-	// Stream tags which connection of a multi-stream session this Hello
-	// opens: 0 is the control connection (which creates the session),
-	// 1..Streams attach data connections to it.
-	Stream int
-	// SessionID joins a session's connections together; the coordinator
-	// draws a fresh nonzero id per dial, and a worker refuses a control
-	// Hello without one and data connections whose id does not match the
-	// live session.
-	SessionID uint64
 }
 
 // Welcome is the peer's handshake reply.
@@ -83,9 +70,6 @@ type Welcome struct {
 	Role string
 	// Task echoes the task index the peer accepted.
 	Task int
-	// Streams is the granted data-connection count (workers; 0 from a
-	// merger).
-	Streams int
 }
 
 // OpEnv is one stream operation in flight with its submit timestamp
@@ -135,16 +119,11 @@ type MatchBatch struct {
 }
 
 // Drain asks the peer to acknowledge once everything sent before this
-// frame has been fully processed. FIFO does not span a worker session's
-// data connections, so Ops carries the barrier; a merger session is one
-// connection, where FIFO suffices and Ops stays zero.
+// frame has been fully processed. A hop is one connection, so FIFO is
+// the barrier: the ack follows every match and delta batch the earlier
+// ops produced.
 type Drain struct {
 	Seq uint64
-	// Ops is the sender's cumulative op count for the session: the peer
-	// holds the ack until it has processed at least this many ops (and
-	// has flushed the matches they produced to the wire). Zero means
-	// nothing has been sent yet.
-	Ops int64
 }
 
 // DrainAck answers a Drain.
@@ -163,12 +142,10 @@ type DrainAck struct {
 	Deltas int64
 }
 
-// StatsReq asks a peer for its counters without a drain guarantee.
+// StatsReq asks a peer for its counters. Like every control frame it is
+// answered in arrival order, after every op batch sent before it.
 type StatsReq struct {
 	Seq uint64
-	// Ops is the session barrier (see Drain.Ops): the reply waits until
-	// at least this many session ops are processed.
-	Ops int64
 }
 
 // StatsReply answers a StatsReq.
@@ -218,11 +195,9 @@ type CellStat struct {
 }
 
 // CellStatsReq asks a worker peer for its per-cell statistics. The
-// reply reflects every op batch sent before the call (the Ops barrier).
+// reply reflects every op batch sent before the call.
 type CellStatsReq struct {
 	Seq uint64
-	// Ops is the session barrier (see Drain.Ops).
-	Ops int64
 }
 
 // CellStatsReply answers a CellStatsReq with every non-empty cell.
@@ -243,16 +218,12 @@ type CellSpec struct {
 // source keeps serving them); with Remove true the queries are
 // extracted from the index and — for whole-cell shares — the window
 // ring released (the deferred-extraction step, after the source has
-// drained its pre-flip traffic).
+// drained its pre-flip traffic). The share reflects every op batch the
+// coordinator sent before the request: that is the migration barrier.
 type ExtractCells struct {
 	Seq    uint64
 	Cells  []CellSpec
 	Remove bool
-	// Ops is the session barrier (see Drain.Ops): the share must reflect
-	// every op batch the coordinator sent before the call — that is the
-	// migration barrier — so the extraction waits for the session's
-	// processed-op count to reach it.
-	Ops int64
 	// Subs asks for each top-k subscription's held window entries
 	// alongside the cell shares (CellPayload.Subs). Global repartition
 	// sets it when discovering a remote population: a whole-query
@@ -330,11 +301,10 @@ type WindowDeltaBatch struct {
 
 // AdvanceWindow asks a worker peer to expire its sliding windows up to
 // Now (the coordinator's clock, the single clock domain window expiry
-// runs in cluster-wide). Ops is the session barrier (see Drain.Ops): the
-// advance observes every op batch sent before it.
+// runs in cluster-wide). The advance observes every op batch sent
+// before it.
 type AdvanceWindow struct {
 	Seq uint64
-	Ops int64
 	Now time.Time
 }
 
@@ -374,7 +344,7 @@ func CheckHandshake(magic string, version int) error {
 // byte and its binary layout. Conn.Send takes a Frame; the hot paths
 // append the same layouts into pooled buffers themselves (FrameWriter).
 // OpBatch is the one kind that is not a Frame: its layout opens with the
-// send-order sequence SendOps assigns, so it only travels that way.
+// batch number SendOps assigns, so it only travels that way.
 type Frame interface {
 	frameType() byte
 	appendTo(dst []byte) []byte

@@ -134,12 +134,11 @@ func TestWorkerClientSilentPeerSurfacesWorkerDown(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		ctrl, data, err := acceptFakeSession(ln)
+		c, err := acceptFakeWorker(ln)
 		if err != nil {
 			return
 		}
-		defer ctrl.Close()
-		defer data.Close()
+		defer c.Close()
 		// Promise heartbeats, send none: wedged peer.
 		time.Sleep(5 * time.Second)
 	}()

@@ -10,31 +10,93 @@ import (
 	"time"
 )
 
-// acceptFakeSession stands in for a worker node's handshake in client
-// tests: it accepts a control connection on ln, grants the session one
-// data stream, and accepts the data connection DialWorker then attaches.
-func acceptFakeSession(ln net.Listener) (ctrl, data *Conn, err error) {
-	var conns [2]*Conn
-	for i := range conns {
-		nc, err := ln.Accept()
-		if err != nil {
-			return nil, nil, err
-		}
-		c := NewConn(nc)
-		typ, payload, err := c.RecvTimeout(5 * time.Second)
-		if err != nil {
-			return nil, nil, err
-		}
-		hello, err := DecodeBinHello(payload)
-		if typ != TypeHello || err != nil || hello.Stream != i || hello.SessionID == 0 {
-			return nil, nil, fmt.Errorf("connection %d opened with frame type %d, hello %+v, err %v", i, typ, hello, err)
-		}
-		if err := c.Send(Welcome{Role: RoleWorker, Task: hello.Task, Streams: 1}); err != nil {
-			return nil, nil, err
-		}
-		conns[i] = c
+// acceptFakeWorker stands in for a worker node's handshake in client
+// tests: it accepts one connection on ln and welcomes its hello.
+func acceptFakeWorker(ln net.Listener) (*Conn, error) {
+	nc, err := ln.Accept()
+	if err != nil {
+		return nil, err
 	}
-	return conns[0], conns[1], nil
+	c := NewConn(nc)
+	typ, payload, err := c.RecvTimeout(5 * time.Second)
+	if err != nil {
+		return nil, err
+	}
+	hello, err := DecodeBinHello(payload)
+	if typ != TypeHello || err != nil {
+		return nil, fmt.Errorf("connection opened with frame type %d, hello %+v, err %v", typ, hello, err)
+	}
+	if err := c.Send(Welcome{Role: RoleWorker, Task: hello.Task}); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// TestDialWorkerOpensOneConnection: a worker hop is one connection, like
+// a merger hop. The client dials once, whatever stream count a caller
+// still asks for, and its ops, control rounds and Goodbye all ride it.
+func TestDialWorkerOpensOneConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepts atomic.Int64
+	served := make(chan error, 1)
+	go func() {
+		c, err := acceptFakeWorker(ln)
+		if err != nil {
+			served <- err
+			return
+		}
+		accepts.Add(1)
+		// Answer the one drain, then the goodbye; count later accepts.
+		go func() {
+			for {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				accepts.Add(1)
+				nc.Close()
+			}
+		}()
+		for {
+			typ, payload, err := c.Recv()
+			if err != nil {
+				served <- err
+				return
+			}
+			switch typ {
+			case TypeDrain:
+				d, _ := DecodeBinDrain(payload)
+				c.Send(DrainAck{Seq: d.Seq, Done: 1})
+			case TypeGoodbye:
+				served <- c.Send(Goodbye{})
+				return
+			}
+		}
+	}()
+	cl, err := DialWorker(ln.Addr().String(), Hello{Streams: 4}, Backoff{Attempts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SendOps(OpBatch{Ops: sampleOpBatch()}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := cl.Drain(); err != nil || ack.Done != 1 {
+		t.Fatalf("drain: ack %+v, err %v", ack, err)
+	}
+	if err := cl.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("DialWorker opened %d connections, want 1", n)
+	}
 }
 
 // TestDialWorkerRetriesHandshakeTransportFailure: a crashed worker's
@@ -56,7 +118,7 @@ func TestDialWorkerRetriesHandshakeTransportFailure(t *testing.T) {
 		}
 		c.Close()
 		// Second connect: a real worker handshake.
-		acceptFakeSession(ln)
+		acceptFakeWorker(ln)
 	}()
 	w, err := DialWorker(ln.Addr().String(), Hello{Task: 3}, Backoff{
 		Attempts: 5, Base: 5 * time.Millisecond,

@@ -73,8 +73,8 @@ const (
 	// TypeExtractCells asks a worker peer for a serialised cell share —
 	// queries plus window ring state — either copied (snapshot) or
 	// removed from the peer's index (the deferred-extraction step of a
-	// migration). Its Ops barrier orders it behind every op batch sent
-	// before it, so the share reflects all pre-flip traffic.
+	// migration). FIFO orders it behind every op batch sent before it, so
+	// the share reflects all pre-flip traffic.
 	TypeExtractCells byte = 13
 	// TypeCellShare answers an ExtractCells with the cell payloads.
 	TypeCellShare byte = 14
@@ -105,9 +105,8 @@ const (
 	TypeWindowDeltaBatch byte = 19
 	// TypeAdvanceWindow asks a worker peer to expire its sliding windows
 	// up to the coordinator's clock (coordinator → worker): the fenced
-	// control round that keeps cluster-wide window expiry consistent. It
-	// carries the session's Ops barrier like a Drain, so the advance
-	// observes every op batch sent before it.
+	// control round that keeps cluster-wide window expiry consistent.
+	// Like a Drain it follows every op batch sent before it.
 	TypeAdvanceWindow byte = 20
 	// TypeAdvanceAck answers an AdvanceWindow with the expiry's top-k
 	// membership deltas, tagged with the session's fencing epoch.

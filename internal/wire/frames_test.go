@@ -59,8 +59,8 @@ func frameAs[T Frame](name string, v, want T, decode func([]byte) (T, error)) fr
 	return fc
 }
 
-// seqOpBatch is an op batch with the send-order sequence its layout opens
-// with: what makes OpBatch a Frame for the table.
+// seqOpBatch is an op batch with the batch number its layout opens with:
+// what makes OpBatch a Frame for the table.
 type seqOpBatch struct {
 	Seq uint64
 	Ops []OpEnv
@@ -112,13 +112,11 @@ func frameCases() []frameCase {
 	hello := Hello{
 		Role: RoleCoordinator, Task: 3, Workers: 8, Bounds: geo.NewRect(-125, 24, -66, 49),
 		Granularity: 64, BatchSize: 64, Terms: map[string]int{"pizza": 1, "coffee": 3, "": 2},
-		HeartbeatMillis: 500, Epoch: 4, Streams: 4, SessionID: 1<<63 + 5,
+		HeartbeatMillis: 500, Epoch: 4,
 	}
-	noTerms, emptyTerms := hello, hello
+	noTerms, emptyTerms, withStreams := hello, hello, hello
 	noTerms.Terms, emptyTerms.Terms = nil, map[string]int{}
-	attach := hello
-	attach.Stream = 3
-	attached := Hello{Role: hello.Role, Task: hello.Task, SessionID: hello.SessionID, Stream: 3}
+	withStreams.Streams = 4
 
 	ops, deltas, cells := sampleOpBatch(), sampleDeltas(), samplePayloads()
 	emptyOp := ops[3]
@@ -129,25 +127,25 @@ func frameCases() []frameCase {
 		frameOf("hello/zero", Hello{}, DecodeBinHello),
 		frameOf("hello/nil-terms", noTerms, DecodeBinHello),
 		frameAs("hello/empty-terms", emptyTerms, noTerms, DecodeBinHello),
-		frameAs("hello/attach", attach, attached, DecodeBinHello),
-		frameOf("welcome", Welcome{Role: RoleWorker, Task: 3, Streams: 4}, DecodeBinWelcome),
+		frameAs("hello/streams-ignored", withStreams, hello, DecodeBinHello),
+		frameOf("welcome", Welcome{Role: RoleWorker, Task: 3}, DecodeBinWelcome),
 		frameOf("welcome/zero", Welcome{}, DecodeBinWelcome),
 		frameOf("op-batch", seqOpBatch{Seq: 5, Ops: ops}, decodeSeqOpBatch),
 		frameOf("op-batch/nil", seqOpBatch{}, decodeSeqOpBatch),
 		frameAs("op-batch/empty-terms", seqOpBatch{Ops: []OpEnv{emptyOp}}, seqOpBatch{Ops: ops[3:4]}, decodeSeqOpBatch),
 		frameOf("match-batch", MatchBatch{Matches: sampleMatchBatch()}, decodeMatchBatch),
 		frameOf("match-batch/nil", MatchBatch{}, decodeMatchBatch),
-		frameOf("drain", Drain{Seq: 9, Ops: 12345}, DecodeBinDrain),
+		frameOf("drain", Drain{Seq: 9}, DecodeBinDrain),
 		frameOf("drain/zero", Drain{}, DecodeBinDrain),
 		frameOf("drain-ack", DrainAck{Seq: 9, Done: 12345, Emitted: 678, Duplicates: 2, Deltas: 11}, DecodeBinDrainAck),
-		frameOf("stats-req", StatsReq{Seq: 2, Ops: 99}, DecodeBinStatsReq),
+		frameOf("stats-req", StatsReq{Seq: 2}, DecodeBinStatsReq),
 		frameOf("stats-req/zero", StatsReq{}, DecodeBinStatsReq),
 		frameOf("stats-reply", StatsReply{Seq: 2, Delivered: 1, Duplicates: 2, Queries: 3, Objects: 4, Inserts: 5, Deletes: 6},
 			DecodeBinStatsReply),
 		frameOf("stats-reply/zero", StatsReply{}, DecodeBinStatsReply),
 		frameOf("fence", Fence{Epoch: 3}, DecodeBinFence),
 		frameOf("goodbye", Goodbye{}, nil),
-		frameOf("cell-stats-req", CellStatsReq{Seq: 2, Ops: 99}, DecodeBinCellStatsReq),
+		frameOf("cell-stats-req", CellStatsReq{Seq: 2}, DecodeBinCellStatsReq),
 		frameAs("cell-stats-reply", CellStatsReply{Seq: 2, Cells: []CellStat{
 			{Cell: 9, Entries: 2, ObjSeen: 5, SizeBytes: 128, Load: 10.5, Terms: []CellTermStat{{Term: "coffee", Queries: 2, ObjHits: 5}, {}}},
 			{Cell: -1, Terms: []CellTermStat{}},
@@ -156,9 +154,9 @@ func frameCases() []frameCase {
 			{Cell: -1},
 		}}, DecodeBinCellStatsReply),
 		frameOf("cell-stats-reply/zero", CellStatsReply{}, DecodeBinCellStatsReply),
-		frameAs("extract-cells", ExtractCells{Seq: 2, Ops: 7, Remove: true, Subs: true, Cells: []CellSpec{
+		frameAs("extract-cells", ExtractCells{Seq: 2, Remove: true, Subs: true, Cells: []CellSpec{
 			{Cell: 9, Keys: []string{"coffee", ""}}, {Cell: 10}, {Cell: 11, Keys: []string{}},
-		}}, ExtractCells{Seq: 2, Ops: 7, Remove: true, Subs: true, Cells: []CellSpec{
+		}}, ExtractCells{Seq: 2, Remove: true, Subs: true, Cells: []CellSpec{
 			{Cell: 9, Keys: []string{"coffee", ""}}, {Cell: 10}, {Cell: 11},
 		}}, DecodeBinExtractCells),
 		frameAs("extract-cells/copy", ExtractCells{Seq: 3, Cells: []CellSpec{}}, ExtractCells{Seq: 3}, DecodeBinExtractCells),
@@ -175,7 +173,7 @@ func frameCases() []frameCase {
 		frameOf("ping", Ping{}, nil),
 		frameOf("window-delta-batch", WindowDeltaBatch{Epoch: 31, Deltas: deltas}, decodeWindowDeltaBatch),
 		frameOf("window-delta-batch/nil", WindowDeltaBatch{}, decodeWindowDeltaBatch),
-		frameOf("advance-window", AdvanceWindow{Seq: 6, Ops: 12345, Now: time.Unix(1700000000, 999)}, DecodeBinAdvanceWindow),
+		frameOf("advance-window", AdvanceWindow{Seq: 6, Now: time.Unix(1700000000, 999)}, DecodeBinAdvanceWindow),
 		frameOf("advance-window/zero", AdvanceWindow{}, DecodeBinAdvanceWindow),
 		frameOf("advance-ack", AdvanceAck{Seq: 6, Epoch: 31, Deltas: deltas}, DecodeBinAdvanceAck),
 		frameOf("advance-ack/zero", AdvanceAck{}, DecodeBinAdvanceAck),
@@ -237,23 +235,6 @@ func TestHelloTermsAreSortedOnTheWire(t *testing.T) {
 		if _, err := DecodeBinHello(p); !errors.Is(err, ErrBadPayload) {
 			t.Errorf("%s terms: err = %v, want ErrBadPayload", name, err)
 		}
-	}
-}
-
-// TestAttachHelloIsSmall: a data connection's hello names the session and
-// the stream and nothing else, whatever the size of the sample.
-func TestAttachHelloIsSmall(t *testing.T) {
-	h := Hello{Role: RoleCoordinator, Task: 63, Workers: 64, Bounds: geo.NewRect(-125, 24, -66, 49),
-		Granularity: 64, Streams: MaxStreams, SessionID: ^uint64(0), Terms: map[string]int{}}
-	for i := 0; i < 10000; i++ {
-		h.Terms[string(rune(0x4e00+i))] = i
-	}
-	if n := len(AppendHello(nil, h)); n < 10000 {
-		t.Fatalf("control hello of %d bytes cannot carry 10k terms", n)
-	}
-	h.Stream = MaxStreams
-	if n := len(AppendHello(nil, h)); n >= 64 {
-		t.Errorf("attach hello is %d bytes, want under 64", n)
 	}
 }
 

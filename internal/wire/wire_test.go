@@ -160,14 +160,14 @@ func TestWorkerClientCloseUnblocksFullMatchBuffer(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		_, data, err := acceptFakeSession(ln)
+		c, err := acceptFakeWorker(ln)
 		if err != nil {
 			return
 		}
 		// Flood more batches than the client buffers (128) without the
 		// client ever consuming one.
 		for i := 0; i < 200; i++ {
-			if data.Send(MatchBatch{Matches: []MatchEnv{{M: model.Match{ObjectID: uint64(i)}}}}) != nil {
+			if c.Send(MatchBatch{Matches: []MatchEnv{{M: model.Match{ObjectID: uint64(i)}}}}) != nil {
 				return
 			}
 		}
@@ -176,17 +176,12 @@ func TestWorkerClientCloseUnblocksFullMatchBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the data loop fill the buffer and park
+	time.Sleep(50 * time.Millisecond) // let the read loop fill the buffer and park
 	cl.Close()
-	parked := make(chan struct{})
-	go func() {
-		cl.dataWG.Wait()
-		close(parked)
-	}()
 	select {
-	case <-parked:
+	case <-cl.readDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("data loop still parked after Close")
+		t.Fatal("read loop still parked after Close")
 	}
 	// The match channel must be closed so a late consumer unblocks too.
 	for {

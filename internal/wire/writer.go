@@ -62,11 +62,35 @@ func NewFrameWriter(c *Conn, depth int) *FrameWriter {
 // that is the transport backpressure — and fails fast once the writer
 // has failed or stopped.
 func (w *FrameWriter) Send(typ byte, buf *Buf) error {
+	if err := w.enqueue(wframe{typ: typ, buf: buf}); err != nil {
+		PutBuf(buf)
+		return err
+	}
+	return nil
+}
+
+// SendFrame encodes f into a pooled buffer and queues it like Send: for
+// the control frames, whose order behind the queued data is what matters.
+func (w *FrameWriter) SendFrame(f Frame) error {
+	buf := GetBuf()
+	buf.B = f.appendTo(buf.B)
+	return w.Send(f.frameType(), buf)
+}
+
+// enqueue hands f to the writer goroutine. The stop check comes first: a
+// select between a queue with room and a closed stop channel picks
+// either, so without it a frame sent after Stop or a failed write would
+// report success and never be written.
+func (w *FrameWriter) enqueue(f wframe) error {
 	select {
-	case w.ch <- wframe{typ: typ, buf: buf}:
+	case <-w.stop:
+		return w.failErr()
+	default:
+	}
+	select {
+	case w.ch <- f:
 		return nil
 	case <-w.stop:
-		PutBuf(buf)
 		return w.failErr()
 	}
 }
@@ -75,10 +99,8 @@ func (w *FrameWriter) Send(typ byte, buf *Buf) error {
 // and flushed to the socket.
 func (w *FrameWriter) Drain() error {
 	marker := wframe{flushed: make(chan error, 1)}
-	select {
-	case w.ch <- marker:
-	case <-w.stop:
-		return w.failErr()
+	if err := w.enqueue(marker); err != nil {
+		return err
 	}
 	select {
 	case err := <-marker.flushed:
