@@ -25,16 +25,22 @@ import (
 // Index is the per-worker GI2 structure.
 //
 // Layout. Every distinct query the index holds has one slot: a
-// pointer-free record of its region and its keyword expression compiled
-// to term ids. Term ids come from a dictionary private to the index and
-// never leave it — objects, wire frames, snapshots and the op-log carry
+// pointer-free record of its id, its region and its keyword expression
+// compiled to term ids, with its subscriber in a column beside the
+// slots. Term ids come from a dictionary private to the index and never
+// leave it — objects, wire frames, snapshots and the op-log carry
 // strings, and every method that takes or returns terms converts at its
 // own boundary. A cell's inverted index is an open-addressed table from
 // term id to the slot numbers registered under that term in that cell
 // (the postings), with the term's object-hit counter beside them.
-// Matching a posting reads the slot and compares integers; the caller's
-// *model.Query, kept in a slice parallel to the slots, is touched only
-// for a query that matched.
+// Matching a posting reads the slot and compares integers.
+//
+// The slot is the only stored copy of a boolean subscription: Insert
+// does not keep the caller's *model.Query, and every definition the
+// index hands out is rebuilt from the slot and the dictionary. A top-k
+// subscription (one with TopK or Window set) is the exception; its
+// definition is kept in a side table, because the window store holds the
+// same pointer and Match must pass it back.
 //
 // Deletion is lazy, as in the paper: Delete sets the slot's dead bit, and
 // Match and Purge drop dead slot numbers from the postings they traverse.
@@ -50,12 +56,14 @@ type Index struct {
 	dict  map[string]uint32
 	terms []string
 
-	// slots[s] and defs[s] describe one query; free lists the unused slot
+	// slots[s] and subs[s] describe one query, and topk[s] is its
+	// definition when slots[s].topk is set; free lists the unused slot
 	// numbers. byID finds the slot an id was last inserted into, live or
 	// dead; a dead slot whose id has since been re-inserted is reachable
 	// from its postings only.
 	slots []slot
-	defs  []*model.Query
+	subs  []uint64
+	topk  map[uint32]*model.Query
 	free  []uint32
 	byID  map[uint64]uint32
 	live  int // slots in use and not dead
@@ -80,6 +88,11 @@ type Index struct {
 	keyIDs []uint32  // registration keys of the query being inserted
 	one    [1]uint32 // backing for a single posting viewed as a list
 	gather []uint32
+	enc    [2 * inlineTerms]uint32 // an inline expression in the spill encoding
+	// view and viewTerms hold the definition Match passes for a boolean
+	// subscription, refilled for each one.
+	view      model.Query
+	viewTerms []string
 }
 
 // slot is one query, stored once however many cells and keys it is
@@ -97,6 +110,8 @@ type slot struct {
 	ends    uint8
 	spilled bool
 	dead    bool
+	used    bool // the slot holds a query, live or dead
+	topk    bool // the definition is in Index.topk
 }
 
 const inlineTerms = 3
@@ -140,6 +155,7 @@ func New(bounds geo.Rect, granularity int, stats *textutil.Stats) *Index {
 		cells: make([]cell, g.NumCells()),
 		dict:  make(map[string]uint32),
 		terms: []string{""},
+		topk:  make(map[uint32]*model.Query),
 		byID:  make(map[uint64]uint32),
 	}
 }
@@ -201,12 +217,16 @@ func (ix *Index) slotFor(q *model.Query) (s uint32, fresh, ok bool) {
 	} else {
 		s = uint32(len(ix.slots))
 		ix.slots = append(ix.slots, slot{})
-		ix.defs = append(ix.defs, nil)
+		ix.subs = append(ix.subs, 0)
 	}
 	sl := &ix.slots[s]
-	*sl = slot{region: q.Region, id: q.ID}
+	*sl = slot{region: q.Region, id: q.ID, used: true}
 	ix.compile(sl, q.Expr.Conj)
-	ix.defs[s] = q
+	ix.subs[s] = q.Subscriber
+	if q.TopK != 0 || q.Window != 0 {
+		sl.topk = true
+		ix.topk[s] = q
+	}
 	ix.byID[q.ID] = s
 	ix.live++
 	return s, true, true
@@ -265,7 +285,7 @@ func (ix *Index) compactSpill() {
 	packed := make([]uint32, 0, len(ix.spill)-ix.spillDead)
 	for s := range ix.slots {
 		sl := &ix.slots[s]
-		if ix.defs[s] == nil || !sl.spilled {
+		if !sl.used || !sl.spilled {
 			continue
 		}
 		off := uint32(len(packed))
@@ -309,6 +329,75 @@ func containsAll(ids, want []uint32) bool {
 		}
 	}
 	return true
+}
+
+// encoding returns the slot's expression in the spill encoding, writing
+// an inline one into ix.enc.
+func (ix *Index) encoding(sl *slot) []uint32 {
+	if sl.spilled {
+		return ix.spill[sl.expr[0] : sl.expr[0]+sl.expr[1]]
+	}
+	enc, start := ix.enc[:0], 0
+	for i := 0; sl.ends>>i != 0; i++ {
+		if sl.ends>>i&1 != 0 {
+			enc = append(enc, uint32(i+1-start))
+			enc = append(enc, sl.expr[start:i+1]...)
+			start = i + 1
+		}
+	}
+	return enc
+}
+
+// rebuild sets q to the definition slot s holds, which has no top-k
+// fields, appending the conjunctions to conj and their terms to terms,
+// and returns terms. An empty conjunction comes back nil, as
+// model.Expr.Clone returns it.
+func (ix *Index) rebuild(q *model.Query, s uint32, conj [][]string, terms []string) []string {
+	sl := &ix.slots[s]
+	enc := ix.encoding(sl)
+	n := 0
+	for e := enc; len(e) > 0; e = e[1+e[0]:] {
+		n++
+	}
+	conj = slices.Grow(conj, n)
+	terms = slices.Grow(terms, len(enc)-n)
+	for len(enc) > 0 {
+		k := int(enc[0])
+		var c []string
+		if k > 0 {
+			at := len(terms)
+			for _, id := range enc[1 : 1+k] {
+				terms = append(terms, ix.terms[id])
+			}
+			c = terms[at:len(terms):len(terms)]
+		}
+		conj = append(conj, c)
+		enc = enc[1+k:]
+	}
+	*q = model.Query{ID: sl.id, Expr: model.Expr{Conj: conj}, Region: sl.region, Subscriber: ix.subs[s]}
+	return terms
+}
+
+// viewOf returns slot s's definition as Match passes it: a top-k
+// subscription's stored one, else ix.view refilled, which is valid until
+// the next call.
+func (ix *Index) viewOf(s uint32) *model.Query {
+	if ix.slots[s].topk {
+		return ix.topk[s]
+	}
+	ix.viewTerms = ix.rebuild(&ix.view, s, ix.view.Expr.Conj[:0], ix.viewTerms[:0])
+	return &ix.view
+}
+
+// newQuery returns slot s's definition for the caller to keep: a top-k
+// subscription's stored one, else a fresh copy.
+func (ix *Index) newQuery(s uint32) *model.Query {
+	if ix.slots[s].topk {
+		return ix.topk[s]
+	}
+	q := new(model.Query)
+	ix.rebuild(q, s, nil, nil)
+	return q
 }
 
 // insertAt adds slot s to the cell's postings under each key in
@@ -401,7 +490,10 @@ func (ix *Index) dropPosting(c *cell, s uint32) {
 	if ix.byID[sl.id] == s {
 		delete(ix.byID, sl.id)
 	}
-	ix.defs[s] = nil
+	if sl.topk {
+		delete(ix.topk, s)
+	}
+	sl.used = false
 	ix.free = append(ix.free, s)
 }
 
@@ -421,7 +513,10 @@ func (ix *Index) Delete(id uint64) {
 
 // Match finds all live queries matching o and invokes fn once per query.
 // Dead entries encountered on the traversed lists are removed, which
-// implements lazy deletion.
+// implements lazy deletion. For a boolean subscription fn receives a view
+// the index owns and refills for the next match: it is valid until fn
+// returns, and fn must not modify it. A top-k subscription is passed as
+// the definition that was inserted.
 func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
 	c := &ix.cells[ix.g.CellOf(o.Loc)]
 	c.objSeen++
@@ -457,7 +552,7 @@ func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
 			w++
 			if sl.region.Contains(o.Loc) && ix.matches(sl, ids) && !slices.Contains(ix.hit, s) {
 				ix.hit = append(ix.hit, s)
-				fn(ix.defs[s])
+				fn(ix.viewOf(s))
 			}
 		}
 		if w < len(list) {
@@ -530,7 +625,9 @@ type CellStat struct {
 	ObjSeen int64
 	// Load is L_g = n_o · n_q.
 	Load float64
-	// SizeBytes is S_g: the total serialised size of the cell's queries.
+	// SizeBytes is S_g: the total serialised size of the cell's distinct
+	// live queries, each counted once however many keys it is registered
+	// under — what QueriesInCell would ship.
 	SizeBytes int64
 }
 
@@ -543,16 +640,8 @@ func (ix *Index) CellStats() []CellStat {
 			continue
 		}
 		var size int64
-		for j := range c.tab {
-			if c.tab[j].term == 0 {
-				continue
-			}
-			for _, s := range ix.postings(&c.tab[j]) {
-				if !ix.slots[s].dead {
-					size += int64(ix.defs[s].SizeBytes())
-				}
-			}
-		}
+		ix.gatherCell(c)
+		ix.eachGathered(func(s uint32) { size += int64(ix.viewOf(s).SizeBytes()) })
 		out = append(out, CellStat{
 			CellID:    i,
 			Entries:   int(c.entries),
@@ -657,26 +746,36 @@ func (ix *Index) takeGathered(c *cell) []*model.Query {
 // gathered returns the distinct live queries among the slot numbers in
 // ix.gather, which it sorts.
 func (ix *Index) gathered() []*model.Query {
-	slices.Sort(ix.gather)
 	var out []*model.Query
-	for i, s := range ix.gather {
-		if (i == 0 || s != ix.gather[i-1]) && !ix.slots[s].dead {
-			out = append(out, ix.defs[s])
-		}
-	}
+	ix.eachGathered(func(s uint32) { out = append(out, ix.newQuery(s)) })
 	return out
 }
 
-// QueriesInCell returns the distinct live queries in the cell without
-// removing them.
-func (ix *Index) QueriesInCell(cellID int) []*model.Query {
-	c := &ix.cells[cellID]
+// eachGathered sorts ix.gather and calls fn once per distinct live slot
+// number in it.
+func (ix *Index) eachGathered(fn func(s uint32)) {
+	slices.Sort(ix.gather)
+	for i, s := range ix.gather {
+		if (i == 0 || s != ix.gather[i-1]) && !ix.slots[s].dead {
+			fn(s)
+		}
+	}
+}
+
+// gatherCell sets ix.gather to every posting of cell c.
+func (ix *Index) gatherCell(c *cell) {
 	ix.gather = ix.gather[:0]
 	for i := range c.tab {
 		if c.tab[i].term != 0 {
 			ix.gather = append(ix.gather, ix.postings(&c.tab[i])...)
 		}
 	}
+}
+
+// QueriesInCell returns the distinct live queries in the cell without
+// removing them.
+func (ix *Index) QueriesInCell(cellID int) []*model.Query {
+	ix.gatherCell(&ix.cells[cellID])
 	return ix.gathered()
 }
 
@@ -700,20 +799,23 @@ func (ix *Index) HasLive(id uint64) bool {
 	return ok && !ix.slots[s].dead
 }
 
-// Get returns the stored definition of a live query, or nil.
+// Get returns the stored definition of a live query, or nil. It equals
+// the inserted definition field for field; a boolean subscription's is
+// rebuilt for this call, so it is not the pointer that was inserted.
 func (ix *Index) Get(id uint64) *model.Query {
 	if s, ok := ix.byID[id]; ok && !ix.slots[s].dead {
-		return ix.defs[s]
+		return ix.newQuery(s)
 	}
 	return nil
 }
 
 // Each invokes fn once per live (not deleted) query, in unspecified
-// order. It satisfies the qindex.Index contract (checkpointing).
+// order, with a definition built as Get builds it. It satisfies the
+// qindex.Index contract (checkpointing).
 func (ix *Index) Each(fn func(q *model.Query)) {
-	for s, q := range ix.defs {
-		if q != nil && !ix.slots[s].dead {
-			fn(q)
+	for s := range ix.slots {
+		if sl := &ix.slots[s]; sl.used && !sl.dead {
+			fn(ix.newQuery(uint32(s)))
 		}
 	}
 }
@@ -736,11 +838,11 @@ func mapEntryBytes(key, val uintptr) int64 {
 
 // Footprint is the resident memory of the index in bytes, from the
 // lengths and capacities of the structures it is made of: slots,
-// definition pointers and the id map, the term dictionary, every cell's
-// table, the posting lists, and the query definitions themselves (struct,
-// conjunction headers, term headers and bytes). A definition shared with
-// another index is counted in both. This drives the worker-memory
-// comparison (Figure 10).
+// subscribers and the id map, the term dictionary, every cell's table,
+// the posting lists, and the top-k definitions (struct, conjunction
+// headers, term headers and bytes), which the window store holds too but
+// does not count. A boolean subscription has no storage beyond its slot
+// and its terms. This drives the worker-memory comparison (Figure 10).
 func (ix *Index) Footprint() int64 {
 	const (
 		word      = unsafe.Sizeof(uint32(0))
@@ -751,9 +853,10 @@ func (ix *Index) Footprint() int64 {
 	add := func(n int, each uintptr) { b += int64(n) * int64(each) }
 	add(cap(ix.cells), unsafe.Sizeof(cell{}))
 	add(cap(ix.slots), unsafe.Sizeof(slot{}))
-	add(cap(ix.defs), unsafe.Sizeof(ix.defs[0]))
+	add(cap(ix.subs), unsafe.Sizeof(uint64(0)))
 	add(cap(ix.free)+cap(ix.spill)+cap(ix.freeLists), word)
 	b += int64(len(ix.byID)) * mapEntryBytes(unsafe.Sizeof(uint64(0)), word)
+	b += int64(len(ix.topk)) * mapEntryBytes(word, unsafe.Sizeof((*model.Query)(nil)))
 	b += int64(len(ix.dict)) * mapEntryBytes(strHeader, word)
 	add(cap(ix.terms), strHeader)
 	for _, t := range ix.terms {
@@ -766,10 +869,7 @@ func (ix *Index) Footprint() int64 {
 	for _, l := range ix.lists {
 		add(cap(l), word)
 	}
-	for _, q := range ix.defs {
-		if q == nil {
-			continue
-		}
+	for _, q := range ix.topk {
 		add(1, unsafe.Sizeof(*q))
 		add(cap(q.Expr.Conj), header)
 		for _, c := range q.Expr.Conj {

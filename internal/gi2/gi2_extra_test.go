@@ -1,6 +1,7 @@
 package gi2
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestHasLiveGetLiveQueryIDs(t *testing.T) {
 	if !ix.HasLive(7) {
 		t.Error("HasLive(7) = false after insert")
 	}
-	if got := ix.Get(7); got != qq {
+	if got := ix.Get(7); !reflect.DeepEqual(got, qq) {
 		t.Errorf("Get(7) = %v", got)
 	}
 	if ids := ix.LiveQueryIDs(); len(ids) != 1 || ids[0] != 7 {

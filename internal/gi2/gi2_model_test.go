@@ -3,6 +3,7 @@ package gi2
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -105,10 +106,10 @@ func (r *refIndex) sweep(c *refCell, key string) {
 
 // match is the brute force: every live query on a list the object's
 // terms select, judged by model.Query.Matches.
-func (r *refIndex) match(o *model.Object) map[*model.Query]bool {
+func (r *refIndex) match(o *model.Object) querySet {
 	c := r.cell(r.g.CellOf(o.Loc))
 	c.objSeen++
-	out := map[*model.Query]bool{}
+	out := querySet{}
 	for _, t := range o.Terms {
 		if _, ok := c.lists[t]; !ok {
 			continue
@@ -116,7 +117,7 @@ func (r *refIndex) match(o *model.Object) map[*model.Query]bool {
 		c.hits[t]++
 		for _, rq := range c.lists[t] {
 			if !rq.dead && rq.q.Matches(o) {
-				out[rq.q] = true
+				out[rq.q.ID] = rq.q
 			}
 		}
 		r.sweep(c, t)
@@ -135,18 +136,18 @@ func (r *refIndex) purge() {
 // queries returns the distinct live queries on the given lists of a cell
 // (all of them for nil keys), removing every entry of those lists when
 // extract is set.
-func (r *refIndex) queries(cid int, keys []string, extract bool) map[*model.Query]bool {
+func (r *refIndex) queries(cid int, keys []string, extract bool) querySet {
 	c := r.cell(cid)
 	if keys == nil {
 		for k := range c.lists {
 			keys = append(keys, k)
 		}
 	}
-	out := map[*model.Query]bool{}
+	out := querySet{}
 	for _, k := range keys {
 		for _, rq := range c.lists[k] {
 			if !rq.dead {
-				out[rq.q] = true
+				out[rq.q.ID] = rq.q
 			}
 			if extract {
 				r.unref(rq)
@@ -180,33 +181,38 @@ func (r *refIndex) held() map[*refQuery]bool {
 	return out
 }
 
-func setOf(qs []*model.Query, t *testing.T, what string) map[*model.Query]bool {
-	out := map[*model.Query]bool{}
+// querySet holds live definitions by id: at most one definition of an id
+// is live at a time, and the index hands out equal definitions, not the
+// inserted pointers.
+type querySet map[uint64]*model.Query
+
+func setOf(qs []*model.Query, t *testing.T, what string) querySet {
+	out := querySet{}
 	for _, q := range qs {
-		if q == nil || out[q] {
+		if q == nil || out[q.ID] != nil {
 			t.Fatalf("%s returned a nil or repeated query: %v", what, qs)
 		}
-		out[q] = true
+		out[q.ID] = q
 	}
 	return out
 }
 
-func sameSet(a, b map[*model.Query]bool) bool {
+func sameSet(a, b querySet) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for q := range a {
-		if !b[q] {
+	for id, q := range a {
+		if !reflect.DeepEqual(q, b[id]) {
 			return false
 		}
 	}
 	return true
 }
 
-func ids(m map[*model.Query]bool) []uint64 {
+func ids(m querySet) []uint64 {
 	var out []uint64
-	for q := range m {
-		out = append(out, q.ID)
+	for id := range m {
+		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -216,12 +222,12 @@ func ids(m map[*model.Query]bool) []uint64 {
 // reference.
 func checkState(t *testing.T, step string, ix *Index, ref *refIndex) {
 	t.Helper()
-	live, entries, stored := map[*model.Query]bool{}, 0, 0
+	live, entries, stored := querySet{}, 0, 0
 	for rq := range ref.held() {
 		stored++
 		entries += rq.refs
 		if !rq.dead {
-			live[rq.q] = true
+			live[rq.q.ID] = rq.q
 		}
 	}
 	if got := ix.LiveQueryCount(); got != len(live) {
@@ -233,12 +239,12 @@ func checkState(t *testing.T, step string, ix *Index, ref *refIndex) {
 	if got := ix.EntryCount(); got != entries {
 		t.Fatalf("%s: EntryCount = %d, want %d", step, got, entries)
 	}
-	each := map[*model.Query]bool{}
+	each := querySet{}
 	ix.Each(func(q *model.Query) {
-		if each[q] {
+		if each[q.ID] != nil {
 			t.Fatalf("%s: Each visited query %d twice", step, q.ID)
 		}
-		each[q] = true
+		each[q.ID] = q
 	})
 	if !sameSet(each, live) {
 		t.Fatalf("%s: Each visited %v, want %v", step, ids(each), ids(live))
@@ -251,7 +257,7 @@ func checkState(t *testing.T, step string, ix *Index, ref *refIndex) {
 		if rq := ref.byID[id]; rq != nil && !rq.dead {
 			want = rq.q
 		}
-		if got := ix.Get(id); got != want {
+		if got := ix.Get(id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Get(%d) = %v, want %v", step, id, got, want)
 		}
 		if got := ix.HasLive(id); got != (want != nil) {
@@ -266,13 +272,11 @@ func checkState(t *testing.T, step string, ix *Index, ref *refIndex) {
 		c := ref.cell(cid)
 		var want []TermStat
 		var cellEntries int
-		var size int64
 		for k, l := range c.lists {
 			n := 0
 			for _, rq := range l {
 				if !rq.dead {
 					n++
-					size += int64(rq.q.SizeBytes())
 				}
 			}
 			cellEntries += len(l)
@@ -284,13 +288,19 @@ func checkState(t *testing.T, step string, ix *Index, ref *refIndex) {
 		if got := ix.CellTermStats(cid); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: CellTermStats(%d) = %v, want %v", step, cid, got, want)
 		}
+		// S_g counts each of the cell's live queries once, as they ship.
+		inCell := ref.queries(cid, nil, false)
+		var size int64
+		for _, q := range inCell {
+			size += int64(q.SizeBytes())
+		}
 		cs := cellStats[cid] // absent, hence zero, for a cell with nothing to report
 		if cs.Entries != cellEntries || cs.ObjSeen != c.objSeen || cs.SizeBytes != size ||
 			cs.Load != float64(c.objSeen)*float64(cellEntries) {
 			t.Fatalf("%s: CellStats[%d] = %+v, want entries %d objSeen %d size %d", step, cid, cs, cellEntries, c.objSeen, size)
 		}
-		if got := setOf(ix.QueriesInCell(cid), t, "QueriesInCell"); !sameSet(got, ref.queries(cid, nil, false)) {
-			t.Fatalf("%s: QueriesInCell(%d) = %v, want %v", step, cid, ids(got), ids(ref.queries(cid, nil, false)))
+		if got := setOf(ix.QueriesInCell(cid), t, "QueriesInCell"); !sameSet(got, inCell) {
+			t.Fatalf("%s: QueriesInCell(%d) = %v, want %v", step, cid, ids(got), ids(inCell))
 		}
 	}
 }
@@ -362,12 +372,15 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			case op < 16:
 				o := obj(uint64(n), geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, pick(objectVocab, rng.Intn(6))...)
 				step += fmt.Sprintf(" Match(%v at %v)", o.Terms, o.Loc)
-				got := map[*model.Query]bool{}
+				got := querySet{}
 				ix.Match(o, func(mq *model.Query) {
-					if got[mq] {
+					if got[mq.ID] != nil {
 						t.Fatalf("%s: query %d reported twice", step, mq.ID)
 					}
-					got[mq] = true
+					// mq is a view the next match refills.
+					kept := *mq
+					kept.Expr = mq.Expr.Clone()
+					got[mq.ID] = &kept
 				})
 				if want := ref.match(o); !sameSet(got, want) {
 					t.Fatalf("%s = %v, want %v", step, ids(got), ids(want))

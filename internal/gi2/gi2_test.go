@@ -227,7 +227,9 @@ func TestInsertAtSingleCell(t *testing.T) {
 
 func TestCellStatsAndLoad(t *testing.T) {
 	ix := newTestIndex()
-	ix.Insert(q(1, model.And("rare"), geo.NewRect(1, 1, 2, 2)))
+	// Registered under both keys, yet one query to ship.
+	qq := q(1, model.Or("rare", "mid"), geo.NewRect(1, 1, 2, 2))
+	ix.Insert(qq)
 	p := geo.Point{X: 1.5, Y: 1.5}
 	for i := 0; i < 10; i++ {
 		ix.Match(obj(uint64(i), p, "rare"), func(*model.Query) {})
@@ -243,8 +245,8 @@ func TestCellStatsAndLoad(t *testing.T) {
 			if cs.Load != 10*float64(cs.Entries) {
 				t.Errorf("Load = %v, want n_o*n_q = %v", cs.Load, 10*float64(cs.Entries))
 			}
-			if cs.SizeBytes <= 0 {
-				t.Errorf("SizeBytes = %d", cs.SizeBytes)
+			if want := int64(qq.SizeBytes()); cs.SizeBytes != want {
+				t.Errorf("SizeBytes = %d, want %d: S_g counts the query once", cs.SizeBytes, want)
 			}
 		}
 	}

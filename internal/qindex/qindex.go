@@ -24,11 +24,16 @@ type Index interface {
 	// and cells o hits. The dispatchers rely on it: an object routed to
 	// one worker cannot yield the same (query, object) pair twice, so the
 	// mergers deliver its matches without a dedup probe (wire.OpEnv.Solo).
+	// The query fn receives may be a view the index refills for the next
+	// match: it is valid until fn returns, and fn must neither keep nor
+	// modify it.
 	Match(o *model.Object, fn func(q *model.Query))
 	// Each invokes fn once per live query, in unspecified order
-	// (checkpointing, tests).
+	// (checkpointing, tests). Each query equals the inserted definition
+	// field for field but need not be the same pointer; fn may keep it.
 	Each(fn func(q *model.Query))
-	// Get returns the stored definition of a live query, or nil.
+	// Get returns the stored definition of a live query, or nil: equal
+	// to the inserted one, not necessarily the same pointer.
 	Get(id uint64) *model.Query
 	// QueryCount reports stored distinct queries.
 	QueryCount() int
