@@ -26,7 +26,6 @@ import (
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/qindex"
 	"ps2stream/internal/workload"
 )
 
@@ -80,11 +79,6 @@ func BenchmarkFig13SelectionScaling(b *testing.B) { runExperiment(b, "fig13") }
 func BenchmarkFig14MigrationScaling(b *testing.B) { runExperiment(b, "fig14") }
 func BenchmarkFig15LatencyScaling(b *testing.B)   { runExperiment(b, "fig15") }
 func BenchmarkFig16AdjustEffect(b *testing.B)     { runExperiment(b, "fig16") }
-
-// BenchmarkAblationWorkerIndexTopology runs the §IV-D worker-index
-// ablation through the full topology (see BenchmarkAblationWorkerIndex
-// for the per-operation micro view).
-func BenchmarkAblationWorkerIndexTopology(b *testing.B) { runExperiment(b, "ablidx") }
 
 // BenchmarkAblationLatencyVsRate runs the saturation sweep behind
 // Figure 8's "moderate input speed" setting.
@@ -343,43 +337,6 @@ func BenchmarkAblationDispatcherIndex(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a.RouteObject(s.Objects[i%len(s.Objects)])
-			}
-		})
-	}
-}
-
-// BenchmarkAblationWorkerIndex compares GI2 against the alternative query
-// indexes on the worker's two hot operations — the design choice of §IV-D
-// ("We choose GI2 due to its efficiency in construction and maintaining",
-// "our system can be extended to adopt other index structures").
-func BenchmarkAblationWorkerIndex(b *testing.B) {
-	s := microSample(5000, 2000)
-	build := map[string]func() qindex.Index{
-		"gi2":    func() qindex.Index { return gi2.New(s.Bounds, 64, s.Stats) },
-		"rtree":  func() qindex.Index { return qindex.NewRTree(32) },
-		"iqtree": func() qindex.Index { return qindex.NewIQTree(s.Bounds, s.Stats, 0, 0) },
-		"aptree": func() qindex.Index { return qindex.NewAPTree(s.Bounds, s.Stats, 0, 0, 0) },
-	}
-	for name, mk := range build {
-		b.Run("insert/"+name, func(b *testing.B) {
-			ix := mk()
-			for i := 0; i < b.N; i++ {
-				ix.Insert(s.Queries[i%len(s.Queries)])
-				if (i+1)%len(s.Queries) == 0 {
-					b.StopTimer()
-					ix = mk()
-					b.StartTimer()
-				}
-			}
-		})
-		b.Run("match/"+name, func(b *testing.B) {
-			ix := mk()
-			for _, q := range s.Queries {
-				ix.Insert(q)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ix.Match(s.Objects[i%len(s.Objects)], func(*model.Query) {})
 			}
 		})
 	}

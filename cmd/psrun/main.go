@@ -24,9 +24,7 @@ import (
 	"ps2stream/internal/load"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/qindex"
 	"ps2stream/internal/snapshot"
-	"ps2stream/internal/textutil"
 	"ps2stream/internal/workload"
 )
 
@@ -40,32 +38,10 @@ func builderFor(name string) (partition.Builder, error) {
 	return nil, fmt.Errorf("unknown strategy %q", name)
 }
 
-func indexFor(name string) (core.IndexFactory, error) {
-	switch name {
-	case "gi2", "":
-		return nil, nil // core default
-	case "rtree":
-		return func(_ geo.Rect, _ int, _ *textutil.Stats) qindex.Index {
-			return qindex.NewRTree(0)
-		}, nil
-	case "iqtree":
-		return func(bounds geo.Rect, _ int, stats *textutil.Stats) qindex.Index {
-			return qindex.NewIQTree(bounds, stats, 0, 0)
-		}, nil
-	case "aptree":
-		return func(bounds geo.Rect, _ int, stats *textutil.Stats) qindex.Index {
-			return qindex.NewAPTree(bounds, stats, 0, 0, 0)
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown worker index %q", name)
-	}
-}
-
 func main() {
 	var (
 		in          = flag.String("in", "-", "input JSONL file ('-' = stdin)")
 		strategy    = flag.String("strategy", "hybrid", "distribution strategy: hybrid|frequency|hypergraph|metric|grid|kdtree|rtree")
-		index       = flag.String("index", "gi2", "worker index: gi2|rtree|iqtree|aptree")
 		workers     = flag.Int("workers", 8, "worker tasks")
 		dispatchers = flag.Int("dispatchers", 4, "dispatcher tasks")
 		sampleN     = flag.Int("sample", 20000, "ops consumed as the partitioning sample")
@@ -131,15 +107,10 @@ func main() {
 		fatal(err)
 	}
 	sample := partition.NewSample(sampleObjs, sampleQrys, bounds.Expand(0.5), load.DefaultCosts)
-	ixf, err := indexFor(*index)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := core.Config{
-		Dispatchers:  *dispatchers,
-		Workers:      *workers,
-		Builder:      b,
-		IndexFactory: ixf,
+		Dispatchers: *dispatchers,
+		Workers:     *workers,
+		Builder:     b,
 	}
 	if *adjust {
 		cfg.Adjust = core.AdjustConfig{Enabled: true}
@@ -216,7 +187,6 @@ func main() {
 
 	snap := sys.Snapshot()
 	fmt.Printf("strategy:        %s\n", sys.Assignment().Name())
-	fmt.Printf("worker index:    %s\n", *index)
 	if restored > 0 {
 		fmt.Printf("restored:        %d subscriptions\n", restored)
 	}

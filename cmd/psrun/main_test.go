@@ -1,11 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"ps2stream/internal/geo"
-	"ps2stream/internal/textutil"
-)
+import "testing"
 
 func TestBuilderFor(t *testing.T) {
 	for _, name := range []string{"", "hybrid", "frequency", "hypergraph", "metric", "grid", "kdtree", "rtree"} {
@@ -16,28 +11,5 @@ func TestBuilderFor(t *testing.T) {
 	}
 	if _, err := builderFor("voronoi"); err == nil {
 		t.Error("unknown strategy accepted")
-	}
-}
-
-func TestIndexFor(t *testing.T) {
-	bounds := geo.NewRect(0, 0, 10, 10)
-	stats := textutil.NewStats()
-	for _, name := range []string{"", "gi2"} {
-		f, err := indexFor(name)
-		if err != nil || f != nil { // nil factory = core's GI2 default
-			t.Errorf("indexFor(%q) = %v, %v", name, f, err)
-		}
-	}
-	for _, name := range []string{"rtree", "iqtree", "aptree"} {
-		f, err := indexFor(name)
-		if err != nil || f == nil {
-			t.Fatalf("indexFor(%q) = %v, %v", name, f, err)
-		}
-		if ix := f(bounds, 8, stats); ix == nil {
-			t.Errorf("indexFor(%q) factory returned nil", name)
-		}
-	}
-	if _, err := indexFor("btree"); err == nil {
-		t.Error("unknown index accepted")
 	}
 }

@@ -39,8 +39,8 @@ func Example() {
 }
 
 // Snapshot the live subscription population and prime a replacement
-// system from it — the replacement may use a different worker count,
-// distribution strategy, or worker index.
+// system from it — the replacement may use a different worker count or
+// distribution strategy.
 func ExampleSystem_Checkpoint() {
 	region := ps2stream.NewRegion(-125, 24, -66, 49)
 	sys, err := ps2stream.Open(ps2stream.Options{Region: region, Workers: 8})
@@ -62,11 +62,7 @@ func ExampleSystem_Checkpoint() {
 	}
 	sys.Close()
 
-	replacement, err := ps2stream.Open(ps2stream.Options{
-		Region:      region,
-		Workers:     2,
-		WorkerIndex: ps2stream.WorkerIndexIQTree,
-	})
+	replacement, err := ps2stream.Open(ps2stream.Options{Region: region, Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,8 +75,7 @@ func ExampleSystem_Checkpoint() {
 	// Output: restored 5 subscriptions
 }
 
-// Strategies and worker indexes are plain option values; unknown names
-// fail fast at Open.
+// Strategies are plain option values; unknown names fail fast at Open.
 func ExampleOptions() {
 	_, err := ps2stream.Open(ps2stream.Options{
 		Region:   ps2stream.NewRegion(-125, 24, -66, 49),

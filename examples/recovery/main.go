@@ -1,7 +1,7 @@
 // Recovery: checkpoint the live subscription population, "crash" the
 // system, and re-prime a replacement from the snapshot — including a
-// different worker count and worker index, since a snapshot is just the
-// deduplicated query set and restoring routes every query afresh.
+// different worker count, since a snapshot is just the deduplicated query
+// set and restoring routes every query afresh.
 //
 //	go run ./examples/recovery
 package main
@@ -82,9 +82,8 @@ func main() {
 	var mu sync.Mutex
 	var delivered []ps2stream.Match
 	gen2, err := ps2stream.Open(ps2stream.Options{
-		Region:      usa,
-		Workers:     4,                           // smaller replacement cluster
-		WorkerIndex: ps2stream.WorkerIndexIQTree, // different index, same snapshot
+		Region:  usa,
+		Workers: 4, // smaller replacement cluster
 		OnMatch: func(m ps2stream.Match) {
 			mu.Lock()
 			delivered = append(delivered, m)

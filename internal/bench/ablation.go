@@ -6,69 +6,8 @@ import (
 	"time"
 
 	"ps2stream/internal/core"
-	"ps2stream/internal/geo"
-	"ps2stream/internal/hybrid"
-	"ps2stream/internal/qindex"
-	"ps2stream/internal/textutil"
 	"ps2stream/internal/workload"
 )
-
-// workerIndexFactories enumerates the §IV-D index options (nil = GI2).
-func workerIndexFactories() []struct {
-	name string
-	f    core.IndexFactory
-} {
-	return []struct {
-		name string
-		f    core.IndexFactory
-	}{
-		{"gi2", nil},
-		{"rtree", func(_ geo.Rect, _ int, _ *textutil.Stats) qindex.Index {
-			return qindex.NewRTree(0)
-		}},
-		{"iqtree", func(bounds geo.Rect, _ int, stats *textutil.Stats) qindex.Index {
-			return qindex.NewIQTree(bounds, stats, 0, 0)
-		}},
-		{"aptree", func(bounds geo.Rect, _ int, stats *textutil.Stats) qindex.Index {
-			return qindex.NewAPTree(bounds, stats, 0, 0, 0)
-		}},
-	}
-}
-
-// AblWorkerIndex is the §IV-D design-choice ablation through the full
-// topology: each worker-index structure carries the same hybrid-partitioned
-// Q1 and Q2 workloads; the table reports end-to-end throughput and the
-// average worker footprint. The paper picks GI2 "due to its efficiency in
-// construction and maintaining" — this experiment is the measurement
-// behind that sentence.
-func AblWorkerIndex(sc Scale) []Table {
-	sc = sc.orDefault()
-	spec := workload.TweetsUS()
-	var out []Table
-	for _, fam := range []struct {
-		kind workload.QueryKind
-		mu   int
-		sub  string
-	}{
-		{workload.Q1, sc.Mu1, "Q1, mu~5M(scaled)"},
-		{workload.Q2, sc.Mu2(), "Q2, mu~10M(scaled)"},
-	} {
-		t := Table{
-			Title:  "Ablation (worker index): hybrid strategy, TWEETS-US, " + fam.sub,
-			Header: []string{"index", "throughput(tuples/s)", "avg worker bytes"},
-		}
-		for _, wi := range workerIndexFactories() {
-			tp, wb, err := measureIndexThroughput(spec, fam.kind, wi.f, sc, fam.mu)
-			if err != nil {
-				t.Rows = append(t.Rows, []string{wi.name, "ERR: " + err.Error(), ""})
-				continue
-			}
-			t.Rows = append(t.Rows, []string{wi.name, f0(tp), fmt.Sprintf("%d", wb)})
-		}
-		out = append(out, t)
-	}
-	return out
-}
 
 // AblLatencyVsRate measures each strategy's saturation curve: first its
 // capacity (full-speed throughput), then the mean tuple latency while
@@ -185,44 +124,4 @@ func fractionHeaders(fs []float64) []string {
 		out[i] = fmt.Sprintf("%.0f%%", f*100)
 	}
 	return out
-}
-
-// measureIndexThroughput is measureThroughput with a worker-index factory:
-// prewarm µ queries, drive sc.Ops operations at full speed, report
-// tuples/second and the average worker footprint.
-func measureIndexThroughput(spec workload.DatasetSpec, kind workload.QueryKind,
-	f core.IndexFactory, sc Scale, mu int) (float64, int64, error) {
-	sample := workload.Sample(spec, kind, sc.SampleObjects, sc.SampleQueries, sc.Seed)
-	sys, err := core.New(core.Config{
-		Dispatchers:  sc.Dispatchers,
-		Workers:      sc.Workers,
-		Builder:      hybrid.Builder{},
-		IndexFactory: f,
-		PerTupleWork: sc.PerTupleWork,
-	}, sample)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := sys.Start(context.Background()); err != nil {
-		return 0, 0, err
-	}
-	st := workload.NewStream(spec, kind, workload.StreamConfig{Mu: mu, Seed: sc.Seed})
-	warm := st.Prewarm(mu)
-	sys.SubmitAll(warm)
-	waitProcessed(sys, int64(len(warm)))
-	t0 := time.Now()
-	for i := 0; i < sc.Ops; i++ {
-		sys.Submit(st.Next())
-	}
-	waitProcessed(sys, int64(len(warm)+sc.Ops))
-	el := time.Since(t0)
-	if err := sys.Close(); err != nil {
-		return 0, 0, err
-	}
-	snap := sys.Snapshot()
-	var sum int64
-	for _, b := range snap.WorkerBytes {
-		sum += b
-	}
-	return float64(sc.Ops) / el.Seconds(), sum / int64(len(snap.WorkerBytes)), nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,32 +19,6 @@ func microScale() Scale {
 		Dispatchers:   1,
 		PerTupleWork:  time.Microsecond,
 		Seed:          7,
-	}
-}
-
-func TestAblWorkerIndexQuick(t *testing.T) {
-	tables := AblWorkerIndex(microScale())
-	if len(tables) != 2 {
-		t.Fatalf("got %d tables, want 2 (Q1, Q2)", len(tables))
-	}
-	for _, tab := range tables {
-		if len(tab.Rows) != 4 {
-			t.Fatalf("%s: %d rows, want 4 indexes", tab.Title, len(tab.Rows))
-		}
-		for _, row := range tab.Rows {
-			if strings.HasPrefix(row[1], "ERR") {
-				t.Errorf("%s: %s failed: %s", tab.Title, row[0], row[1])
-				continue
-			}
-			tp, err := strconv.ParseFloat(row[1], 64)
-			if err != nil || tp <= 0 {
-				t.Errorf("%s: %s throughput %q", tab.Title, row[0], row[1])
-			}
-			wb, err := strconv.ParseInt(row[2], 10, 64)
-			if err != nil || wb <= 0 {
-				t.Errorf("%s: %s worker bytes %q", tab.Title, row[0], row[2])
-			}
-		}
 	}
 }
 

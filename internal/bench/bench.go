@@ -165,7 +165,6 @@ func Experiments() map[string]Runner {
 		"fig14":   Fig14MigrationScaling,
 		"fig15":   Fig15LatencyScaling,
 		"fig16":   Fig16AdjustEffect,
-		"ablidx":  AblWorkerIndex,
 		"ablrate": AblLatencyVsRate,
 		"topk":    TopKThroughput,
 		"batch":   BatchThroughput,

@@ -15,7 +15,7 @@ func TestExperimentRegistry(t *testing.T) {
 	want := []string{
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12a", "fig12b", "fig12c", "fig13", "fig14", "fig15", "fig16",
-		"ablidx", "ablrate", "adjust", "batch", "obs", "topk", "wire",
+		"ablrate", "adjust", "batch", "obs", "topk", "wire",
 	}
 	if len(exps) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(exps), len(want))
@@ -34,7 +34,7 @@ func TestExperimentRegistry(t *testing.T) {
 	for i, id := range []string{
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12a", "fig12b", "fig12c", "fig13", "fig14", "fig15", "fig16",
-		"ablidx", "ablrate", "adjust", "batch", "obs", "topk", "wire",
+		"ablrate", "adjust", "batch", "obs", "topk", "wire",
 	} {
 		if ids[i] != id {
 			t.Errorf("ids[%d] = %q, want %q", i, ids[i], id)

@@ -30,16 +30,10 @@ import (
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/qindex"
-	"ps2stream/internal/textutil"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/worker"
 )
-
-// IndexFactory builds one worker's query index. granularity is the GI2
-// grid resolution; other index kinds may ignore it.
-type IndexFactory func(bounds geo.Rect, granularity int, stats *textutil.Stats) qindex.Index
 
 // DefaultBatchSize is the tuples-per-channel-send default of the batched
 // publish path (Config.BatchSize).
@@ -81,10 +75,6 @@ type Config struct {
 	// Builder constructs the workload distribution strategy; nil uses
 	// hybrid partitioning.
 	Builder partition.Builder
-	// IndexFactory builds each worker's query index; nil uses GI2
-	// (§IV-D). Dynamic load adjustment and Phase I split/merge migrate
-	// gridt cells and therefore require GI2.
-	IndexFactory IndexFactory
 	// Costs are the Definition 1 constants.
 	Costs load.Costs
 	// Adjust configures dynamic load adjustment (§V); zero = disabled.
@@ -216,11 +206,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Builder == nil {
 		c.Builder = hybrid.Builder{}
-	}
-	if c.IndexFactory == nil {
-		c.IndexFactory = func(bounds geo.Rect, granularity int, stats *textutil.Stats) qindex.Index {
-			return gi2.New(bounds, granularity, stats)
-		}
 	}
 	if c.Costs == (load.Costs{}) {
 		c.Costs = load.DefaultCosts
@@ -355,10 +340,6 @@ type System struct {
 	// slots holds each worker slot's endpoint, spares included: a
 	// localWorker for an in-process slot, the slot's workerHop otherwise.
 	slots []workerEndpoint
-	// cellsMigrate records that every in-process engine runs GI2 (psnode
-	// engines always do), the one index whose queries migrate in units of
-	// gridt cells.
-	cellsMigrate bool
 	// ingest holds one shard per dispatcher task (ingest.go): Submit
 	// appends to shard RouteHash % Dispatchers, the dispatcher pulls.
 	ingest []*ingestShard
@@ -492,13 +473,8 @@ func (s *System) now() time.Time { return s.cfg.Clock() }
 // with a non-hybrid distribution strategy.
 var ErrAdjustNeedsHybrid = errors.New("core: dynamic load adjustment requires the hybrid (gridt) strategy")
 
-// ErrAdjustNeedsGI2 is returned when dynamic adjustment is requested with
-// a non-GI2 worker index (queries migrate in units of gridt cells, which
-// only GI2 exposes).
-var ErrAdjustNeedsGI2 = errors.New("core: dynamic load adjustment requires the GI2 worker index")
-
-// New builds a system: the Builder analyses the sample and the worker
-// indexes are created over the sample's bounds with the sample's term
+// New builds a system: the Builder analyses the sample and the workers'
+// GI2 indexes are created over the sample's bounds with the sample's term
 // statistics (shared, read-only, by dispatchers and workers).
 func New(cfg Config, sample *partition.Sample) (*System, error) {
 	cfg.fillDefaults()
@@ -579,29 +555,18 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	totalSlots := cfg.Workers + cfg.SpareWorkers
 	s.initHops()
 	s.slots = make([]workerEndpoint, totalSlots)
-	s.cellsMigrate = true
-	windowGrid := grid.New(sample.Bounds, cfg.Granularity, cfg.Granularity)
 	for i := range s.slots {
 		if h := s.hop(i); h != nil {
 			s.slots[i] = h
 			continue
 		}
-		ix := cfg.IndexFactory(sample.Bounds, cfg.Granularity, sample.Stats)
-		if ix == nil {
-			return nil, errors.New("core: IndexFactory returned nil")
-		}
 		eng := worker.New(worker.Config{
 			Task:    i,
-			Index:   ix,
-			Grid:    windowGrid,
+			Index:   gi2.New(sample.Bounds, cfg.Granularity, sample.Stats),
 			Scorer:  cfg.Scorer,
 			RingCap: cfg.WindowRingCap,
 		})
-		s.cellsMigrate = s.cellsMigrate && eng.HasCells()
 		s.slots[i] = &localWorker{eng: eng, board: s.board, wireRate: cfg.Adjust.WireBytesPerSec}
-	}
-	if cfg.Adjust.Enabled && !s.cellsMigrate {
-		return nil, ErrAdjustNeedsGI2
 	}
 	s.winObjects = make([]atomic.Int64, totalSlots)
 	s.winInserts = make([]atomic.Int64, totalSlots)
@@ -643,9 +608,9 @@ type workCounts struct {
 }
 
 // canAdjust reports whether the migration machinery is available: hybrid
-// routing + GI2 worker indexes (the units cells migrate in).
+// routing, whose gridt cells are the units GI2 migrates in.
 func (s *System) canAdjust() bool {
-	return s.gridT.Load() != nil && s.cellsMigrate
+	return s.gridT.Load() != nil
 }
 
 // assignBox gives atomic.Value a single concrete type to hold, since the
@@ -869,8 +834,8 @@ func (s *System) WorkerOpCounts() []int64 {
 	return out
 }
 
-// WorkerQueryCounts reports stored distinct queries per in-process
-// worker, zero for out-of-process ones (tests, examples).
+// WorkerQueryCounts reports live queries per in-process worker, zero for
+// out-of-process ones (tests, examples).
 func (s *System) WorkerQueryCounts() []int {
 	out := make([]int, len(s.slots))
 	s.eachLocal(func(i int, eng *worker.Engine) { out[i] = eng.QueryCount() })
@@ -893,32 +858,11 @@ func (s *System) Processed() int64 { return s.processed.Value() }
 // caught up with enqueued ops, stable across two polls; a dispatcher
 // advances the enqueue counters before it advances Processed). Benchmarks
 // and tests use it as an exact "all standing state is applied" barrier
-// between a prewarm phase and a measured/asserted phase; it never
-// returns early, so only call it after submitting at least `submitted`
-// operations.
-func (s *System) Quiesce(submitted int64) {
-	stable := 0
-	for stable < 2 {
-		if s.Processed() < submitted {
-			stable = 0
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		ok := true
-		for i := range s.enqueued {
-			if s.doneOps[i].Load() != s.enqueued[i].Load() {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			stable = 0
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		stable++
-		time.Sleep(2 * time.Millisecond)
-	}
+// between a prewarm phase and a measured/asserted phase; only call it
+// after submitting at least `submitted` operations. It returns early, with
+// the cause, only when the barrier can never be reached: see quiesceHops.
+func (s *System) Quiesce(submitted int64) error {
+	return s.quiesceHops(submitted)
 }
 
 // MatchCount returns delivered (deduplicated) matches so far.

@@ -70,12 +70,19 @@ type localWorker struct {
 	wireRate float64
 	// deltas is the op path's delta scratch (guarded by mu).
 	deltas []window.Delta
+	// beforeBatch, when set, runs on every op batch before the engine
+	// sees it, outside the slot lock. Only tests set it, before Start, to
+	// stall or observe one worker.
+	beforeBatch func(ops []wire.OpEnv)
 }
 
 // process runs one op batch through the engine, appending its boolean
 // matches to out; its top-k deltas go to the board before the slot lock
 // is released.
 func (l *localWorker) process(ops []wire.OpEnv, out []wire.MatchEnv) []wire.MatchEnv {
+	if l.beforeBatch != nil {
+		l.beforeBatch(ops)
+	}
 	l.mu.Lock()
 	out, l.deltas, _ = l.eng.Process(ops, out, l.deltas[:0])
 	l.board.Apply(l.deltas)

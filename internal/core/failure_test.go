@@ -7,12 +7,10 @@ import (
 	"time"
 
 	"ps2stream/internal/geo"
-	"ps2stream/internal/gi2"
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
-	"ps2stream/internal/qindex"
-	"ps2stream/internal/textutil"
+	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
 
@@ -168,21 +166,10 @@ func TestMigrationWithConcurrentDeletes(t *testing.T) {
 	}
 }
 
-// slowIndex wraps a worker index, sleeping on every match — a stand-in
-// for a degraded worker (CPU-starved or swapping).
-type slowIndex struct {
-	qindex.Index
-	delay time.Duration
-}
-
-func (s *slowIndex) Match(o *model.Object, fn func(q *model.Query)) {
-	time.Sleep(s.delay)
-	s.Index.Match(o, fn)
-}
-
-// TestStalledWorkerDoesNotLoseMatches degrades one worker's index by 200µs
-// per object. Backpressure must slow the pipeline, not drop tuples: the
-// delivered match set stays exactly the oracle set.
+// TestStalledWorkerDoesNotLoseMatches degrades one worker by 200µs per
+// object — a stand-in for a CPU-starved or swapping worker. Backpressure
+// must slow the pipeline, not drop tuples: the delivered match set stays
+// exactly the oracle set.
 func TestStalledWorkerDoesNotLoseMatches(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 35, 3000)
 	want := oracleMatches(ops)
@@ -190,30 +177,33 @@ func TestStalledWorkerDoesNotLoseMatches(t *testing.T) {
 		t.Fatal("vacuous workload")
 	}
 	ms := newMatchSet()
-	workerN := 0
 	sys, err := New(Config{
 		Dispatchers: 1, Workers: 4, Mergers: 1,
 		QueueCap: 64,
 		Builder:  hybrid.Builder{},
-		IndexFactory: func(bounds geo.Rect, granularity int, stats *textutil.Stats) qindex.Index {
-			ix := qindex.Index(gi2.New(bounds, granularity, stats))
-			workerN++
-			if workerN == 1 { // first worker built is degraded
-				return &slowIndex{Index: ix, delay: 200 * time.Microsecond}
-			}
-			return ix
-		},
-		OnMatch: ms.add,
+		OnMatch:  ms.add,
 	}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var slowed int // objects the degraded worker slept on; its task alone writes it
+	beforeBatch(0, func(ops []wire.OpEnv) {
+		for i := range ops {
+			if ops[i].Op.Kind == model.OpObject {
+				slowed++
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	})(sys)
 	if err := sys.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sys.SubmitAll(ops)
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if slowed == 0 {
+		t.Fatal("vacuous: the degraded worker was handed no objects")
 	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -275,57 +265,55 @@ func TestTinyDedupWindowKeepsSetSemantics(t *testing.T) {
 
 // TestLiveQueriesExactAfterDrain checks the checkpoint source of truth:
 // after the stream drains, LiveQueries is exactly inserted − deleted,
-// deduplicated across workers, sorted by id — for every worker index.
+// deduplicated across workers, sorted by id.
 func TestLiveQueriesExactAfterDrain(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 37, 0)
-	for name, f := range indexFactories() {
-		t.Run(name, func(t *testing.T) {
-			// Four dispatchers: exercises the fields-grouped input stream —
-			// per-subscription insert/delete order must hold across
-			// dispatcher tasks.
-			sys, err := New(Config{
-				Dispatchers: 4, Workers: 4,
-				Builder:      hybrid.Builder{},
-				IndexFactory: f,
-			}, sample)
-			if err != nil {
-				t.Fatal(err)
+	// The subtest names the worker index; GI2 is the only one.
+	t.Run("gi2", func(t *testing.T) {
+		// Four dispatchers: exercises the fields-grouped input stream —
+		// per-subscription insert/delete order must hold across dispatcher
+		// tasks.
+		sys, err := New(Config{
+			Dispatchers: 4, Workers: 4,
+			Builder: hybrid.Builder{},
+		}, sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		gen := workload.NewQueryGenerator(workload.TweetsUS(), workload.Q1, 37)
+		inserted := make([]*model.Query, 0, 300)
+		for i := 0; i < 300; i++ {
+			q := gen.Query()
+			q.ID = uint64(i + 1)
+			inserted = append(inserted, q)
+			sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
+		}
+		for i := 0; i < 300; i += 3 {
+			sys.Submit(model.Op{Kind: model.OpDelete, Query: inserted[i]})
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		live := sys.LiveQueries()
+		wantN := 300 - 100
+		if len(live) != wantN {
+			t.Fatalf("LiveQueries = %d, want %d", len(live), wantN)
+		}
+		for i := 1; i < len(live); i++ {
+			if live[i-1].ID >= live[i].ID {
+				t.Fatalf("LiveQueries not strictly sorted at %d: %d >= %d",
+					i, live[i-1].ID, live[i].ID)
 			}
-			if err := sys.Start(context.Background()); err != nil {
-				t.Fatal(err)
+		}
+		for _, q := range live {
+			if (q.ID-1)%3 == 0 {
+				t.Fatalf("deleted query %d still live", q.ID)
 			}
-			gen := workload.NewQueryGenerator(workload.TweetsUS(), workload.Q1, 37)
-			inserted := make([]*model.Query, 0, 300)
-			for i := 0; i < 300; i++ {
-				q := gen.Query()
-				q.ID = uint64(i + 1)
-				inserted = append(inserted, q)
-				sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
-			}
-			for i := 0; i < 300; i += 3 {
-				sys.Submit(model.Op{Kind: model.OpDelete, Query: inserted[i]})
-			}
-			if err := sys.Close(); err != nil {
-				t.Fatal(err)
-			}
-			live := sys.LiveQueries()
-			wantN := 300 - 100
-			if len(live) != wantN {
-				t.Fatalf("LiveQueries = %d, want %d", len(live), wantN)
-			}
-			for i := 1; i < len(live); i++ {
-				if live[i-1].ID >= live[i].ID {
-					t.Fatalf("LiveQueries not strictly sorted at %d: %d >= %d",
-						i, live[i-1].ID, live[i].ID)
-				}
-			}
-			for _, q := range live {
-				if (q.ID-1)%3 == 0 {
-					t.Fatalf("deleted query %d still live", q.ID)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestLiveQueriesUnderChurn takes snapshots while the stream is flowing:

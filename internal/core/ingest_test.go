@@ -9,12 +9,10 @@ import (
 	"time"
 
 	"ps2stream/internal/geo"
-	"ps2stream/internal/gi2"
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/qindex"
-	"ps2stream/internal/textutil"
+	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
 
@@ -58,37 +56,24 @@ func (r *idRouter) RouteQuery(q *model.Query, insert bool) []int {
 func (r *idRouter) NumWorkers() int  { return r.workers }
 func (r *idRouter) Footprint() int64 { return 0 }
 
-// hookIndex is a worker index that calls onMatch before every Match: a
-// hook that blocks makes a worker that is alive but stalled.
-type hookIndex struct {
-	qindex.Index
-	onMatch func()
+// beforeBatch installs fn as in-process worker task's pre-engine hook
+// (localWorker.beforeBatch): a hook that blocks makes a worker that is
+// alive but stalled.
+func beforeBatch(task int, fn func(ops []wire.OpEnv)) func(*System) {
+	return func(sys *System) { sys.slots[task].(*localWorker).beforeBatch = fn }
 }
 
-func (h *hookIndex) Match(o *model.Object, fn func(q *model.Query)) {
-	h.onMatch()
-	h.Index.Match(o, fn)
-}
-
-// indexForWorker builds GI2 for every worker and wraps the given worker's
-// with wrap (New builds the slots in task order).
-func indexForWorker(task int, wrap func(qindex.Index) qindex.Index) IndexFactory {
-	built := 0
-	return func(bounds geo.Rect, granularity int, stats *textutil.Stats) qindex.Index {
-		ix := qindex.Index(gi2.New(bounds, granularity, stats))
-		if built++; built-1 == task {
-			return wrap(ix)
-		}
-		return ix
-	}
-}
-
-func startIngestSystem(t *testing.T, cfg Config) *System {
+// startIngestSystem builds a system over a small sample, applies setup to
+// it and starts it.
+func startIngestSystem(t *testing.T, cfg Config, setup ...func(*System)) *System {
 	t.Helper()
 	sample, _ := smallWorkload(t, workload.Q1, 51, 0)
 	sys, err := New(cfg, sample)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range setup {
+		f(sys)
 	}
 	if err := sys.Start(context.Background()); err != nil {
 		t.Fatal(err)
@@ -191,13 +176,10 @@ func TestIngestBlocksAtItsBound(t *testing.T) {
 	sys := startIngestSystem(t, Config{
 		Dispatchers: 1, Workers: 1, Mergers: 1, QueueCap: queueCap, BatchSize: batch,
 		Builder: &idRouter{route: func(uint64) int { return 0 }},
-		IndexFactory: indexForWorker(0, func(ix qindex.Index) qindex.Index {
-			return &hookIndex{Index: ix, onMatch: func() {
-				once.Do(func() { close(entered) })
-				<-gate
-			}}
-		}),
-	})
+	}, beforeBatch(0, func([]wire.OpEnv) {
+		once.Do(func() { close(entered) })
+		<-gate
+	}))
 	shard := sys.ingest[0].limit
 	if shard != queueCap {
 		t.Fatalf("shard accepts %d operations, want QueueCap / Dispatchers = %d", shard, queueCap)
@@ -213,7 +195,7 @@ func TestIngestBlocksAtItsBound(t *testing.T) {
 			returned.Add(1)
 		}
 	}()
-	within(t, 5*time.Second, "the worker's first Match", entered)
+	within(t, 5*time.Second, "the worker's first batch", entered)
 	// What can be accepted and not processed: the shard and the buffer its
 	// dispatcher took (QueueCap / Dispatchers each), what its open towork
 	// batch kept of earlier buffers (under one batch), the worker's queue and
@@ -283,10 +265,7 @@ func TestIngestFlushesRareWorkerUnderSaturation(t *testing.T) {
 			}
 			return 0
 		}},
-		IndexFactory: indexForWorker(3, func(ix qindex.Index) qindex.Index {
-			return &hookIndex{Index: ix, onMatch: func() { once.Do(func() { close(seen) }) }}
-		}),
-	})
+	}, beforeBatch(3, func([]wire.OpEnv) { once.Do(func() { close(seen) }) }))
 	at := sys.Bounds().Center()
 	var stop atomic.Bool
 	var wg sync.WaitGroup

@@ -574,10 +574,10 @@ recompute:
 // without a Close: a task panicked and cancelled it (see System.run).
 var errRunStopped = errors.New("core: run stopped while draining (task panic?)")
 
-// quiesceHops is Quiesce with failure detection: a permanently failed
-// hop never drains its queue, and a run stopped by a task panic never
-// advances its counters — waiting on either would hang the barrier
-// forever, so it fails with the cause instead.
+// quiesceHops is the polling loop behind Quiesce and Drain. It detects
+// failure: a permanently failed hop never drains its queue, and a run
+// stopped by a task panic never advances its counters — waiting on either
+// would hang the barrier forever, so it fails with the cause instead.
 func (s *System) quiesceHops(submitted int64) error {
 	stable := 0
 	for stable < 2 {

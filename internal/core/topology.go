@@ -317,7 +317,7 @@ func (d *dispatcher) flush() {
 //
 // An object whose target set has exactly one member is marked Solo,
 // whatever assignment computed the set: only that worker's engine sees
-// it, an engine reports a query at most once per object (qindex.Index),
+// it, an engine reports a query at most once per object (gi2.Index.Match),
 // so no (query, object) pair of it can reach the mergers twice.
 func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 	s := d.s

@@ -11,11 +11,8 @@ import (
 	"time"
 
 	"ps2stream/internal/geo"
-	"ps2stream/internal/gi2"
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/model"
-	"ps2stream/internal/qindex"
-	"ps2stream/internal/textutil"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
@@ -257,19 +254,6 @@ func TestFanoutDeliversToAddressedTask(t *testing.T) {
 	}
 }
 
-// seqIndex is a worker index that reports every object its engine matches,
-// tagged with the worker task, before matching it.
-type seqIndex struct {
-	qindex.Index
-	task int
-	rec  func(task int, o *model.Object)
-}
-
-func (x *seqIndex) Match(o *model.Object, fn func(q *model.Query)) {
-	x.rec(x.task, o)
-	x.Index.Match(o, fn)
-}
-
 // TestWorkerSeesPerKeyPublishOrder: operations sharing a routing key reach
 // their worker's engine in publish order, through several dispatchers,
 // odd-sized batches and the partial batches flushed at the end — the
@@ -281,19 +265,22 @@ func TestWorkerSeesPerKeyPublishOrder(t *testing.T) {
 	var mu sync.Mutex
 	task := make(map[uint64]int)
 	seqs := make(map[uint64][]string)
-	built := 0
-	sys := startIngestSystem(t, Config{Dispatchers: 2, Workers: workers, QueueCap: 64, BatchSize: 7,
-		Builder: &idRouter{route: route},
-		IndexFactory: func(bounds geo.Rect, granularity int, stats *textutil.Stats) qindex.Index {
-			built++
-			return &seqIndex{Index: gi2.New(bounds, granularity, stats), task: built - 1,
-				rec: func(w int, o *model.Object) {
-					mu.Lock()
+	// Every worker records each object its engine is handed, in order.
+	var record []func(*System)
+	for w := 0; w < workers; w++ {
+		record = append(record, beforeBatch(w, func(ops []wire.OpEnv) {
+			mu.Lock()
+			defer mu.Unlock()
+			for i := range ops {
+				if o := ops[i].Op.Obj; o != nil {
 					task[o.ID] = w
 					seqs[o.ID] = append(seqs[o.ID], o.Terms[0])
-					mu.Unlock()
-				}}
-		}})
+				}
+			}
+		}))
+	}
+	sys := startIngestSystem(t, Config{Dispatchers: 2, Workers: workers, QueueCap: 64, BatchSize: 7,
+		Builder: &idRouter{route: route}}, record...)
 	at := sys.Bounds().Center()
 	for i := 0; i < keys*perKey; i++ {
 		sys.Submit(objectOp(uint64(i%keys), strconv.Itoa(i/keys), at))

@@ -511,12 +511,16 @@ func (ix *Index) Delete(id uint64) {
 	ix.dead++
 }
 
-// Match finds all live queries matching o and invokes fn once per query.
-// Dead entries encountered on the traversed lists are removed, which
-// implements lazy deletion. For a boolean subscription fn receives a view
-// the index owns and refills for the next match: it is valid until fn
-// returns, and fn must not modify it. A top-k subscription is passed as
-// the definition that was inserted.
+// Match finds all live queries matching o and invokes fn exactly once per
+// query — at most once per call, however many of the query's conjunctions
+// and registration keys o hits. The dispatchers rely on it: an object
+// routed to one worker cannot yield the same (query, object) pair twice,
+// so the mergers deliver its matches without a dedup probe
+// (wire.OpEnv.Solo). Dead entries encountered on the traversed lists are
+// removed, which implements lazy deletion. For a boolean subscription fn
+// receives a view the index owns and refills for the next match: it is
+// valid until fn returns, and fn must neither keep nor modify it. A top-k
+// subscription is passed as the definition that was inserted.
 func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
 	c := &ix.cells[ix.g.CellOf(o.Loc)]
 	c.objSeen++
@@ -810,8 +814,7 @@ func (ix *Index) Get(id uint64) *model.Query {
 }
 
 // Each invokes fn once per live (not deleted) query, in unspecified
-// order, with a definition built as Get builds it. It satisfies the
-// qindex.Index contract (checkpointing).
+// order, with a definition built as Get builds it (checkpointing).
 func (ix *Index) Each(fn func(q *model.Query)) {
 	for s := range ix.slots {
 		if sl := &ix.slots[s]; sl.used && !sl.dead {

@@ -180,15 +180,6 @@ func (s *Stats) Total() int { return s.total }
 // DistinctTerms returns the number of distinct terms recorded.
 func (s *Stats) DistinctTerms() int { return len(s.counts) }
 
-// Freq returns the relative frequency of term in [0,1]; 0 when nothing has
-// been recorded.
-func (s *Stats) Freq(term string) float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return float64(s.counts[term]) / float64(s.total)
-}
-
 // LeastFrequent returns the term with the smallest recorded count among the
 // given terms, breaking ties lexicographically so the choice is
 // deterministic across dispatchers and workers. Terms never recorded count

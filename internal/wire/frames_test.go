@@ -102,7 +102,7 @@ func samplePayloads() []CellPayload {
 				{ID: 44},
 			},
 		},
-		{Cell: -1}, // an engine without cells answers with one Cell<0 payload
+		{Cell: -1}, // a global repartition's whole-query install
 	}
 }
 

@@ -16,9 +16,7 @@ import (
 	"time"
 
 	"ps2stream/internal/gi2"
-	"ps2stream/internal/index/grid"
 	"ps2stream/internal/model"
-	"ps2stream/internal/qindex"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
@@ -32,13 +30,9 @@ type Config struct {
 	// under, so the coordinator can fence out a superseded session's
 	// deltas; an in-process engine never restarts and leaves it zero.
 	Epoch uint64
-	// Index is the slot's query index. Cell migration (CellStats,
-	// cell-addressed ExtractCells/InstallCells) needs GI2.
-	Index qindex.Index
-	// Grid is the window store's cell geometry for an index that has none
-	// of its own; a GI2 index's grid is used instead, so window state
-	// migrates in the same cell units as the queries.
-	Grid *grid.Grid
+	// Index is the slot's query index. The window store uses its grid, so
+	// window state migrates in the same cell units as the queries.
+	Index *gi2.Index
 	// Scorer ranks window entries (nil: window.DefaultScorer) and RingCap
 	// bounds each cell's window ring (<= 0: window.DefaultRingCap).
 	Scorer  window.Scorer
@@ -58,11 +52,9 @@ type Engine struct {
 	mu    sync.Mutex
 	task  int
 	epoch uint64
-	ix    qindex.Index
-	// gi is ix when the index is GI2, else nil.
-	gi  *gi2.Index
-	win *window.Store
-	now time.Time
+	gi    *gi2.Index
+	win   *window.Store
+	now   time.Time
 	// Cumulative processed-op counts by kind; they describe the slot's
 	// lifetime and survive Reset.
 	objects, inserts, deletes int64
@@ -92,13 +84,8 @@ func New(cfg Config) *Engine {
 func (e *Engine) Reset(cfg Config) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.task, e.epoch, e.ix = cfg.Task, cfg.Epoch, cfg.Index
-	e.gi, _ = cfg.Index.(*gi2.Index)
-	g := cfg.Grid
-	if e.gi != nil {
-		g = e.gi.Grid()
-	}
-	e.win = window.NewStore(g, cfg.Scorer, cfg.RingCap)
+	e.task, e.epoch, e.gi = cfg.Task, cfg.Epoch, cfg.Index
+	e.win = window.NewStore(e.gi.Grid(), cfg.Scorer, cfg.RingCap)
 }
 
 // Epoch returns the epoch of the current state.
@@ -106,14 +93,6 @@ func (e *Engine) Epoch() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.epoch
-}
-
-// HasCells reports whether the index is GI2, the one index whose queries
-// migrate in units of gridt cells.
-func (e *Engine) HasCells() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.gi != nil
 }
 
 // observe folds one coordinator clock reading into the engine's now.
@@ -142,14 +121,14 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 			if q == nil {
 				continue
 			}
-			e.ix.Insert(q)
+			e.gi.Insert(q)
 			if q.IsTopK() {
 				e.dout = append(e.dout, e.win.AddSub(q, e.now)...)
 			}
 		case model.OpDelete:
 			e.deletes++
 			if env.Op.Query != nil {
-				e.ix.Delete(env.Op.Query.ID)
+				e.gi.Delete(env.Op.Query.ID)
 				e.dout = append(e.dout, e.win.RemoveSub(env.Op.Query.ID)...)
 			}
 		case model.OpObject:
@@ -160,7 +139,7 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 			}
 			e.env = env
 			e.entry = window.Entry{MsgID: obj.ID, Terms: obj.Terms, Loc: obj.Loc, At: env.T0}
-			e.ix.Match(obj, e.onMatch)
+			e.gi.Match(obj, e.onMatch)
 			if e.win.SubCount() > 0 {
 				e.win.Observe(e.entry)
 			}
@@ -200,24 +179,17 @@ func (e *Engine) match(q *model.Query) {
 func (e *Engine) Stats() wire.StatsReply {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	queries := e.ix.QueryCount()
-	if e.gi != nil {
-		queries = e.gi.LiveQueryCount() // lazily-tombstoned deletions are not live
-	}
 	return wire.StatsReply{
-		Queries: int64(queries),
+		Queries: int64(e.gi.LiveQueryCount()),
 		Objects: e.objects, Inserts: e.inserts, Deletes: e.deletes,
 	}
 }
 
 // CellStats assembles the planner view of every non-empty cell: the
-// Phase I/II input (nil for an index without cells).
+// Phase I/II input.
 func (e *Engine) CellStats() []wire.CellStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.gi == nil {
-		return nil
-	}
 	var cells []wire.CellStat
 	for _, cs := range e.gi.CellStats() {
 		stat := wire.CellStat{
@@ -244,23 +216,10 @@ func (e *Engine) CellStats() []wire.CellStat {
 // removing extraction that strips a top-k subscription's last live cell
 // also releases its heap, and the resulting membership deltas ride back
 // in the share.
-//
-// An index without cells has one share — everything it holds — and
-// answers a copying extraction with it as a single whole-query payload
-// (Cell < 0, the form InstallCells indexes by the query's own placement).
 func (e *Engine) ExtractCells(ex wire.ExtractCells) wire.CellShare {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	share := wire.CellShare{Seq: ex.Seq, Epoch: e.epoch}
-	if e.gi == nil {
-		if !ex.Remove {
-			p := wire.CellPayload{Cell: -1}
-			e.ix.Each(func(q *model.Query) { p.Queries = append(p.Queries, q) })
-			e.addSubs(&p, ex.Subs)
-			share.Cells = append(share.Cells, p)
-		}
-		return share
-	}
 	for _, spec := range ex.Cells {
 		p := wire.CellPayload{Cell: spec.Cell}
 		switch {
@@ -336,8 +295,8 @@ func (e *Engine) InstallCells(ic wire.InstallCells) wire.InstallAck {
 			if q == nil {
 				continue
 			}
-			if p.Cell < 0 || e.gi == nil {
-				e.ix.Insert(q)
+			if p.Cell < 0 {
+				e.gi.Insert(q)
 			} else {
 				e.gi.InsertAt(p.Cell, q)
 			}
@@ -353,7 +312,7 @@ func (e *Engine) InstallCells(ic wire.InstallCells) wire.InstallAck {
 		}
 	}
 	for _, id := range ic.Deletes {
-		e.ix.Delete(id)
+		e.gi.Delete(id)
 		ack.Deltas = append(ack.Deltas, e.win.RemoveSub(id)...)
 	}
 	return ack
@@ -375,30 +334,29 @@ func (e *Engine) AdvanceWindow(a wire.AdvanceWindow) wire.AdvanceAck {
 func (e *Engine) ResetWindow() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.gi != nil {
-		e.gi.ResetWindow()
-	}
+	e.gi.ResetWindow()
 }
 
 // Each invokes fn once per live query, in unspecified order.
 func (e *Engine) Each(fn func(q *model.Query)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.ix.Each(fn)
+	e.gi.Each(fn)
 }
 
-// QueryCount reports the index's stored distinct queries.
+// QueryCount reports the live queries, the number Stats reports:
+// lazily-tombstoned deletions are not counted.
 func (e *Engine) QueryCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.ix.QueryCount()
+	return e.gi.LiveQueryCount()
 }
 
 // Footprint estimates the resident bytes of the index and window state.
 func (e *Engine) Footprint() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.ix.Footprint() + e.win.Footprint()
+	return e.gi.Footprint() + e.win.Footprint()
 }
 
 // TopKSet returns the message ids the engine's window store currently

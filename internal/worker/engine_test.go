@@ -519,55 +519,6 @@ func TestEngineResetKeepsCountersAndClock(t *testing.T) {
 	}
 }
 
-// TestEngineWithoutCells: an index with no cells answers a copying
-// extraction with its whole population and takes whole-query installs,
-// which is all a global repartition needs of it.
-func TestEngineWithoutCells(t *testing.T) {
-	mk := func() *Engine {
-		return New(Config{
-			Index: noCells{gi2.New(testBounds, testGran, nil)},
-			Grid:  grid.New(testBounds, testGran, testGran),
-		})
-	}
-	src, dst := mk(), mk()
-	if src.HasCells() {
-		t.Fatal("wrapped index reports cells")
-	}
-	q := &model.Query{
-		ID: 1, Expr: model.And("a"), Region: geo.NewRect(0, 0, 30, 30),
-		TopK: 2, Window: time.Minute,
-	}
-	o := &model.Object{ID: 7, Terms: []string{"a"}, Loc: geo.Point{X: 5, Y: 5}}
-	src.Process([]wire.OpEnv{
-		{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: testEpoch},
-		{Op: model.Op{Kind: model.OpObject, Obj: o}, T0: testEpoch},
-	}, nil, nil)
-	if src.CellStats() != nil {
-		t.Error("CellStats of an index without cells is not nil")
-	}
-	share := src.ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: 0}, {Cell: 1}}, Subs: true})
-	if len(share.Cells) != 1 || share.Cells[0].Cell >= 0 || len(share.Cells[0].Queries) != 1 || len(share.Cells[0].Subs) != 1 {
-		t.Fatalf("whole-population share = %+v", share.Cells)
-	}
-	advance(testEpoch, dst)
-	ack := dst.InstallCells(wire.InstallCells{Cells: share.Cells})
-	if got := fmt.Sprint(dst.TopKSet(1)); got != "[7]" || len(ack.Deltas) != 1 {
-		t.Errorf("destination holds %s with deltas %+v, want [7] and one admission", got, ack.Deltas)
-	}
-}
-
-// noCells hides a GI2 index's cell operations behind the plain
-// qindex.Index contract.
-type noCells struct{ ix *gi2.Index }
-
-func (n noCells) Insert(q *model.Query)                          { n.ix.Insert(q) }
-func (n noCells) Delete(id uint64)                               { n.ix.Delete(id) }
-func (n noCells) Match(o *model.Object, fn func(q *model.Query)) { n.ix.Match(o, fn) }
-func (n noCells) Each(fn func(q *model.Query))                   { n.ix.Each(fn) }
-func (n noCells) Get(id uint64) *model.Query                     { return n.ix.Get(id) }
-func (n noCells) QueryCount() int                                { return n.ix.QueryCount() }
-func (n noCells) Footprint() int64                               { return n.ix.Footprint() }
-
 // TestEngineProcessAllocs: matching objects against standing queries
 // they do not satisfy allocates nothing once the scratch has grown — the
 // match callback is bound once, not per object.

@@ -74,7 +74,6 @@ import (
 	"ps2stream/internal/model"
 	"ps2stream/internal/obs"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/qindex"
 	"ps2stream/internal/snapshot"
 	"ps2stream/internal/textutil"
 	"ps2stream/internal/wire"
@@ -202,49 +201,18 @@ func (s Strategy) builder() (partition.Builder, error) {
 	}
 }
 
-// WorkerIndex names the query-index structure each worker maintains.
-// §IV-D adopts GI2 and notes the system "can be extended to adopt other
-// index structures"; the alternatives realise that extension point.
+// WorkerIndex names the query index each worker maintains. GI2 (§IV-D)
+// is the only one: every §V migration moves GI2 cells.
+//
+// Deprecated: the type and WorkerIndexGI2 survive only because
+// benchmark/run.go sets Options.WorkerIndex. Open rejects every value
+// other than "" and WorkerIndexGI2.
 type WorkerIndex string
 
-// The available worker index structures.
-const (
-	// WorkerIndexGI2 is the paper's Grid-Inverted-Index [29] (default).
-	// It is the only index supporting Adjust.Auto (and AdjustNow), whose
-	// migrations move gridt cells.
-	WorkerIndexGI2 WorkerIndex = "gi2"
-	// WorkerIndexRTree stores query regions in an R-tree: better spatial
-	// pruning, no keyword pruning, costlier maintenance.
-	WorkerIndexRTree WorkerIndex = "rtree"
-	// WorkerIndexIQTree is the IQ-tree [10]: a quadtree with per-node
-	// inverted lists; queries are never duplicated across cells.
-	WorkerIndexIQTree WorkerIndex = "iqtree"
-	// WorkerIndexAPTree is an AP-tree-style index [9]: nodes adaptively
-	// choose keyword or space partitioning by a cost model.
-	WorkerIndexAPTree WorkerIndex = "aptree"
-)
-
-// factory resolves the index constructor; the zero value selects GI2.
-func (w WorkerIndex) factory() (core.IndexFactory, error) {
-	switch w {
-	case "", WorkerIndexGI2:
-		return nil, nil // core's default
-	case WorkerIndexRTree:
-		return func(_ geo.Rect, _ int, _ *textutil.Stats) qindex.Index {
-			return qindex.NewRTree(0)
-		}, nil
-	case WorkerIndexIQTree:
-		return func(bounds geo.Rect, _ int, stats *textutil.Stats) qindex.Index {
-			return qindex.NewIQTree(bounds, stats, 0, 0)
-		}, nil
-	case WorkerIndexAPTree:
-		return func(bounds geo.Rect, _ int, stats *textutil.Stats) qindex.Index {
-			return qindex.NewAPTree(bounds, stats, 0, 0, 0)
-		}, nil
-	default:
-		return nil, fmt.Errorf("ps2stream: unknown worker index %q", w)
-	}
-}
+// WorkerIndexGI2 is the paper's Grid-Inverted-Index [29].
+//
+// Deprecated: see WorkerIndex.
+const WorkerIndexGI2 WorkerIndex = "gi2"
 
 // Options configures Open.
 type Options struct {
@@ -263,7 +231,9 @@ type Options struct {
 	BatchSize int
 	// Strategy selects the distribution algorithm (default hybrid).
 	Strategy Strategy
-	// WorkerIndex selects the per-worker query index (default GI2).
+	// WorkerIndex must be empty or WorkerIndexGI2.
+	//
+	// Deprecated: every worker runs GI2; see WorkerIndex.
 	WorkerIndex WorkerIndex
 	// SeedMessages and SeedSubscriptions, when provided, are analysed by
 	// the partitioner to fit the strategy to the expected workload. An
@@ -305,8 +275,8 @@ type Options struct {
 	// runtime via System.AddWorker. The grid geometry is sized over
 	// Workers+SpareWorkers slots at Open, so a join never repartitions —
 	// the new worker starts empty and the controller (or AddWorker's own
-	// rebalance) migrates cells onto it. Requires the hybrid strategy
-	// with the GI2 worker index; Workers+SpareWorkers must be ≤ 64.
+	// rebalance) migrates cells onto it. Requires the hybrid strategy;
+	// Workers+SpareWorkers must be ≤ 64.
 	SpareWorkers int
 	// Recovery enables crash detection and automatic recovery for remote
 	// workers (see docs/ARCHITECTURE.md, "Membership and recovery").
@@ -362,8 +332,7 @@ type RecoveryOptions struct {
 }
 
 // AdjustOptions configures the adaptive load adjustment controller
-// (hybrid strategy with the GI2 worker index only — migrations move gridt
-// cells).
+// (hybrid strategy only — migrations move gridt cells).
 type AdjustOptions struct {
 	// Auto runs the controller continuously in the background: every
 	// Interval it samples per-worker load from the worker tasks' live
@@ -430,9 +399,8 @@ func Open(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ixf, err := opts.WorkerIndex.factory()
-	if err != nil {
-		return nil, err
+	if opts.WorkerIndex != "" && opts.WorkerIndex != WorkerIndexGI2 {
+		return nil, fmt.Errorf("ps2stream: unknown worker index %q", opts.WorkerIndex)
 	}
 	bounds := opts.Region.rect()
 	if !bounds.Valid() || bounds.Area() == 0 {
@@ -476,16 +444,15 @@ func Open(opts Options) (*System, error) {
 		}
 	}
 	cfg := core.Config{
-		Dispatchers:  opts.Dispatchers,
-		Workers:      opts.Workers,
-		Mergers:      opts.Mergers,
-		BatchSize:    opts.BatchSize,
-		Builder:      b,
-		IndexFactory: ixf,
-		OnMatch:      onMatch,
-		OnTopK:       onTopK,
-		Clock:        opts.Now,
-		Logger:       opts.Logger,
+		Dispatchers: opts.Dispatchers,
+		Workers:     opts.Workers,
+		Mergers:     opts.Mergers,
+		BatchSize:   opts.BatchSize,
+		Builder:     b,
+		OnMatch:     onMatch,
+		OnTopK:      onTopK,
+		Clock:       opts.Now,
+		Logger:      opts.Logger,
 	}
 	cfg.Adjust = core.AdjustConfig{
 		Enabled:   opts.Adjust.Auto,
@@ -673,7 +640,7 @@ func (s *System) Repartition(recentMessages []Message, recentSubscriptions []Sub
 // the background controller's hysteresis and cooldown (whose cooldown
 // then restarts). It returns the number of migrations executed — 0 when
 // the system is already balanced, and always 0 for strategies other than
-// hybrid with the GI2 worker index, which cannot migrate.
+// hybrid, which cannot migrate.
 //
 // Use it when the caller knows the workload just shifted (a planned
 // failover, a flash event) and waiting out the controller's detection

@@ -206,48 +206,65 @@ func TestAllStrategiesViaPublicAPI(t *testing.T) {
 	}
 }
 
-func TestAllWorkerIndexesViaPublicAPI(t *testing.T) {
-	for _, wi := range []WorkerIndex{
-		WorkerIndexGI2, WorkerIndexRTree, WorkerIndexIQTree, WorkerIndexAPTree,
-	} {
-		t.Run(string(wi), func(t *testing.T) {
-			col := &collector{}
-			sys, err := Open(Options{
-				Region: usRegion, Workers: 4, Dispatchers: 1,
-				WorkerIndex: wi, OnMatch: col.add,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub := Subscription{ID: 1, Query: "quake OR tremor", Region: RegionAround(37, -122, 80, 80)}
-			if err := sys.Subscribe(sub); err != nil {
-				t.Fatal(err)
-			}
-			sys.Publish(Message{ID: 1, Text: "quake felt downtown", Lat: 37, Lon: -122})
-			sys.Publish(Message{ID: 2, Text: "sunny day", Lat: 37, Lon: -122})
-			if err := sys.Unsubscribe(sub); err != nil {
-				t.Fatal(err)
-			}
-			sys.Publish(Message{ID: 3, Text: "tremor reported", Lat: 37, Lon: -122})
-			if err := sys.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if col.len() != 1 {
-				t.Errorf("%s: got %d matches, want 1 (%+v)", wi, col.len(), col.ms)
-			}
-		})
+func TestWorkerIndexValidation(t *testing.T) {
+	for _, wi := range []WorkerIndex{"", WorkerIndexGI2} {
+		sys, err := Open(Options{Region: usRegion, WorkerIndex: wi})
+		if err != nil {
+			t.Fatalf("WorkerIndex %q: %v", wi, err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// GI2 is the only worker index; the names of the deleted ones are
+	// unknown like any other.
+	for _, wi := range []WorkerIndex{"btree", "rtree", "iqtree", "aptree"} {
+		if _, err := Open(Options{Region: usRegion, WorkerIndex: wi}); err == nil {
+			t.Errorf("worker index %q accepted", wi)
+		}
 	}
 }
 
-func TestWorkerIndexValidation(t *testing.T) {
-	if _, err := Open(Options{Region: usRegion, WorkerIndex: "btree"}); err == nil {
-		t.Error("unknown worker index accepted")
+// Stats().WorkerQueries counts live subscriptions only: a worker's GI2
+// keeps an unsubscribed query's entries until a match or purge walks its
+// lists, and those must not count.
+func TestWorkerQueriesExcludeUnsubscribed(t *testing.T) {
+	sys, err := Open(Options{Region: usRegion, Workers: 4, Dispatchers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Dynamic adjustment migrates gridt cells: GI2 only.
-	if _, err := Open(Options{
-		Region: usRegion, WorkerIndex: WorkerIndexIQTree, Adjust: AdjustOptions{Auto: true},
-	}); err == nil {
-		t.Error("adjustment with IQ-tree index should fail")
+	defer sys.Close()
+	subs := make([]Subscription, 50)
+	for i := range subs {
+		subs[i] = Subscription{
+			ID: uint64(i + 1), Query: "news",
+			Region: RegionAround(30+float64(i%15), -100, 30, 30),
+		}
+		if err := sys.Subscribe(subs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Flush()
+	sum := func() (n int) {
+		for _, q := range sys.Stats().WorkerQueries {
+			n += q
+		}
+		return n
+	}
+	if n := sum(); n < len(subs) {
+		t.Fatalf("WorkerQueries sum to %d with %d live subscriptions", n, len(subs))
+	}
+	for _, sub := range subs {
+		if err := sys.Unsubscribe(sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Flush()
+	if n := sys.SubscriptionCount(); n != 0 {
+		t.Errorf("SubscriptionCount = %d after unsubscribing all, want 0", n)
+	}
+	if n := sum(); n != 0 {
+		t.Errorf("WorkerQueries sum to %d after unsubscribing all, want 0", n)
 	}
 }
 
@@ -412,12 +429,11 @@ func TestCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restore into a fresh system (different worker count and index) and
-	// verify delivery behaviour carried over.
+	// Restore into a fresh system (different worker count) and verify
+	// delivery behaviour carried over.
 	col := &collector{}
 	sys2, err := Open(Options{
-		Region: usRegion, Workers: 3, Dispatchers: 1,
-		WorkerIndex: WorkerIndexIQTree, OnMatch: col.add,
+		Region: usRegion, Workers: 3, Dispatchers: 1, OnMatch: col.add,
 	})
 	if err != nil {
 		t.Fatal(err)
