@@ -130,32 +130,66 @@ func BenchmarkGI2Insert(b *testing.B) {
 	}
 }
 
-// BenchmarkGridTRouteObject measures dispatcher-side object routing.
-func BenchmarkGridTRouteObject(b *testing.B) {
-	s := microSample(8000, 2000)
+// gridtCases are the two densities the gridt benchmarks run at: the
+// sample's 2k subscriptions, where every cell's H2 holds a handful of
+// keys, and match_heavy's 100k standing Q1 subscriptions.
+var gridtCases = []struct {
+	name     string
+	standing int
+}{{"sparse", 0}, {"dense", 100000}}
+
+// gridtAt builds the hybrid partitioner over the sample and registers
+// standing generated Q1 subscriptions. Each case builds it once and keeps
+// it across the rounds the benchmark runs.
+func gridtAt(b *testing.B, s *partition.Sample, standing int) partition.Assignment {
+	b.Helper()
 	a, err := hybrid.Builder{}.Build(s, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, q := range s.Queries {
-		a.RouteQuery(q, true)
+	qg := workload.NewQueryGenerator(workload.TweetsUS(), workload.Q1, 17)
+	for i := 0; i < standing; i++ {
+		a.RouteQuery(qg.Query(), true)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.RouteObject(s.Objects[i%len(s.Objects)])
+	return a
+}
+
+// BenchmarkGridTRouteObject measures dispatcher-side object routing, with
+// the sample's queries registered beside the standing ones.
+func BenchmarkGridTRouteObject(b *testing.B) {
+	s := microSample(8000, 2000)
+	for _, c := range gridtCases {
+		var a partition.Assignment
+		b.Run(c.name, func(b *testing.B) {
+			if a == nil {
+				a = gridtAt(b, s, c.standing)
+				for _, q := range s.Queries {
+					a.RouteQuery(q, true)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.RouteObject(s.Objects[i%len(s.Objects)])
+			}
+		})
 	}
 }
 
-// BenchmarkGridTRouteQuery measures dispatcher-side query routing.
+// BenchmarkGridTRouteQuery measures dispatcher-side query routing: the
+// sample's queries, alternately inserted and deleted.
 func BenchmarkGridTRouteQuery(b *testing.B) {
 	s := microSample(8000, 2000)
-	a, err := hybrid.Builder{}.Build(s, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.RouteQuery(s.Queries[i%len(s.Queries)], i%2 == 0)
+	for _, c := range gridtCases {
+		var a partition.Assignment
+		b.Run(c.name, func(b *testing.B) {
+			if a == nil {
+				a = gridtAt(b, s, c.standing)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.RouteQuery(s.Queries[i%len(s.Queries)], i%2 == 0)
+			}
+		})
 	}
 }
 

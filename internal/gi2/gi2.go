@@ -11,7 +11,6 @@
 package gi2
 
 import (
-	"math/bits"
 	"slices"
 	"sort"
 	"unsafe"
@@ -19,6 +18,7 @@ import (
 	"ps2stream/internal/geo"
 	"ps2stream/internal/index/grid"
 	"ps2stream/internal/model"
+	"ps2stream/internal/termtab"
 	"ps2stream/internal/textutil"
 )
 
@@ -27,13 +27,13 @@ import (
 // Layout. Every distinct query the index holds has one slot: a
 // pointer-free record of its id, its region and its keyword expression
 // compiled to term ids, with its subscriber in a column beside the
-// slots. Term ids come from a dictionary private to the index and never
-// leave it — objects, wire frames, snapshots and the op-log carry
-// strings, and every method that takes or returns terms converts at its
-// own boundary. A cell's inverted index is an open-addressed table from
-// term id to the slot numbers registered under that term in that cell
-// (the postings), with the term's object-hit counter beside them.
-// Matching a posting reads the slot and compares integers.
+// slots. Term ids come from the index's own termtab.Dict and never leave
+// it — objects, wire frames, snapshots and the op-log carry strings, and
+// every method that takes or returns terms converts at its own boundary.
+// A cell's inverted index is a termtab.Table from term id to the slot
+// numbers registered under that term in that cell (the postings), with
+// the term's object-hit counter beside them. Matching a posting reads the
+// slot and compares integers.
 //
 // The slot is the only stored copy of a boolean subscription: Insert
 // does not keep the caller's *model.Query, and every definition the
@@ -50,11 +50,9 @@ type Index struct {
 	stats *textutil.Stats
 	cells []cell
 
-	// dict assigns ids (from 1) to the terms of every query ever
-	// inserted; terms is its inverse. Object terms outside it cannot
-	// matter to any query here.
-	dict  map[string]uint32
-	terms []string
+	// dict assigns ids to the terms of every query ever inserted. Object
+	// terms outside it cannot matter to any query here.
+	dict termtab.Dict
 
 	// slots[s] and subs[s] describe one query, and topk[s] is its
 	// definition when slots[s].topk is set; free lists the unused slot
@@ -116,9 +114,9 @@ type slot struct {
 
 const inlineTerms = 3
 
-// entry is one (cell, term) of the inverted index.
+// entry is one (cell, term) of the inverted index, keyed by term id in
+// the cell's table.
 type entry struct {
-	term uint32 // 0 marks an empty table position
 	// ref is the slot number of a single posting, or listBit|i for the
 	// postings in Index.lists[i].
 	ref  uint32
@@ -128,17 +126,10 @@ type entry struct {
 const listBit = 1 << 31
 
 type cell struct {
-	// tab is a linear-probing table, a power of two in size and at most
-	// three quarters full; removal shifts back, so there are no
-	// tombstones. The top bits of term*hashMul index it.
-	tab     []entry
-	shift   uint8
-	keys    int32 // occupied positions of tab
+	tab     termtab.Table[entry]
 	entries int32 // postings, dead ones included until they are dropped
 	objSeen int64 // objects matched against this cell in the current window
 }
-
-const hashMul = 0x9E3779B1
 
 // New returns an empty index over bounds with granularity×granularity
 // cells, using stats to select least-frequent keywords. A nil stats uses
@@ -153,8 +144,6 @@ func New(bounds geo.Rect, granularity int, stats *textutil.Stats) *Index {
 		g:     g,
 		stats: stats,
 		cells: make([]cell, g.NumCells()),
-		dict:  make(map[string]uint32),
-		terms: []string{""},
 		topk:  make(map[uint32]*model.Query),
 		byID:  make(map[uint64]uint32),
 	}
@@ -206,7 +195,7 @@ func (ix *Index) slotFor(q *model.Query) (s uint32, fresh, ok bool) {
 	}
 	ix.keyIDs = ix.keyIDs[:0]
 	for _, k := range keys {
-		ix.keyIDs = append(ix.keyIDs, ix.termID(k))
+		ix.keyIDs = append(ix.keyIDs, ix.dict.ID(k))
 	}
 	if s, held := ix.byID[q.ID]; held && !ix.slots[s].dead {
 		return s, false, true
@@ -232,18 +221,6 @@ func (ix *Index) slotFor(q *model.Query) (s uint32, fresh, ok bool) {
 	return s, true, true
 }
 
-// termID returns the dictionary id of a query term, assigning the next
-// one to a term not seen before.
-func (ix *Index) termID(t string) uint32 {
-	id, ok := ix.dict[t]
-	if !ok {
-		id = uint32(len(ix.terms))
-		ix.terms = append(ix.terms, t)
-		ix.dict[t] = id
-	}
-	return id
-}
-
 // compile stores the expression in sl as term ids: inline when it has at
 // most inlineTerms terms in all and no empty conjunction, else in spill.
 func (ix *Index) compile(sl *slot, conj [][]string) {
@@ -257,7 +234,7 @@ func (ix *Index) compile(sl *slot, conj [][]string) {
 		i := 0
 		for _, c := range conj {
 			for _, t := range c {
-				sl.expr[i] = ix.termID(t)
+				sl.expr[i] = ix.dict.ID(t)
 				i++
 			}
 			sl.ends |= 1 << (i - 1)
@@ -270,7 +247,7 @@ func (ix *Index) compile(sl *slot, conj [][]string) {
 	for _, c := range conj {
 		ix.spill = append(ix.spill, uint32(len(c)))
 		for _, t := range c {
-			ix.spill = append(ix.spill, ix.termID(t))
+			ix.spill = append(ix.spill, ix.dict.ID(t))
 		}
 	}
 	sl.expr[1] = uint32(len(ix.spill)) - sl.expr[0]
@@ -367,7 +344,7 @@ func (ix *Index) rebuild(q *model.Query, s uint32, conj [][]string, terms []stri
 		if k > 0 {
 			at := len(terms)
 			for _, id := range enc[1 : 1+k] {
-				terms = append(terms, ix.terms[id])
+				terms = append(terms, ix.dict.Term(id))
 			}
 			c = terms[at:len(terms):len(terms)]
 		}
@@ -406,9 +383,9 @@ func (ix *Index) newQuery(s uint32) *model.Query {
 func (ix *Index) insertAt(cellID int, s uint32, fresh bool) {
 	c := &ix.cells[cellID]
 	for _, k := range ix.keyIDs {
-		if i := c.find(k); i < 0 {
-			c.put(entry{term: k, ref: s})
-		} else if e := &c.tab[i]; e.ref&listBit != 0 {
+		if i := c.tab.Find(k); i < 0 {
+			c.tab.Put(k, entry{ref: s})
+		} else if e := &c.tab.Entries()[i].Val; e.ref&listBit != 0 {
 			li := e.ref &^ listBit
 			if !fresh && slices.Contains(ix.lists[li], s) {
 				continue
@@ -458,7 +435,7 @@ func (ix *Index) postings(e *entry) []uint32 {
 // entry at position i, some postings having been dropped — the entry's
 // postings, removing the entry when nothing is kept.
 func (ix *Index) setPostings(c *cell, i int, kept []uint32) {
-	e := &c.tab[i]
+	e := &c.tab.Entries()[i].Val
 	if e.ref&listBit != 0 {
 		li := e.ref &^ listBit
 		if len(kept) > 0 {
@@ -467,7 +444,7 @@ func (ix *Index) setPostings(c *cell, i int, kept []uint32) {
 		}
 		ix.freeList(li)
 	}
-	c.remove(i)
+	c.tab.Remove(i)
 }
 
 // dropPosting accounts for one posting of slot s leaving cell c, and
@@ -524,23 +501,23 @@ func (ix *Index) Delete(id uint64) {
 func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
 	c := &ix.cells[ix.g.CellOf(o.Loc)]
 	c.objSeen++
-	if c.keys == 0 {
+	if c.tab.Len() == 0 {
 		return
 	}
 	ids := ix.objIDs[:0]
 	for _, t := range o.Terms {
-		if id, ok := ix.dict[t]; ok {
+		if id := ix.dict.Find(t); id != 0 {
 			ids = append(ids, id)
 		}
 	}
 	ix.objIDs = ids
 	ix.hit = ix.hit[:0]
 	for _, t := range ids {
-		i := c.find(t)
+		i := c.tab.Find(t)
 		if i < 0 {
 			continue
 		}
-		e := &c.tab[i]
+		e := &c.tab.Entries()[i].Val
 		if e.hits++; e.hits == 0 {
 			e.hits-- // saturate
 		}
@@ -584,13 +561,13 @@ func (ix *Index) Purge() {
 		c := &ix.cells[ci]
 		// A removal shifts later entries back, possibly into position i,
 		// so i advances only past an entry that stays.
-		for i := 0; i < len(c.tab); {
-			e := &c.tab[i]
-			if e.term == 0 {
+		for i := 0; i < len(c.tab.Entries()); {
+			te := &c.tab.Entries()[i]
+			if te.Key == 0 {
 				i++
 				continue
 			}
-			list := ix.postings(e)
+			list := ix.postings(&te.Val)
 			w := 0
 			for _, s := range list {
 				if ix.slots[s].dead {
@@ -663,8 +640,9 @@ func (ix *Index) ResetWindow() {
 	for i := range ix.cells {
 		c := &ix.cells[i]
 		c.objSeen = 0
-		for j := range c.tab {
-			c.tab[j].hits = 0
+		tab := c.tab.Entries()
+		for j := range tab {
+			tab[j].Val.hits = 0
 		}
 	}
 }
@@ -680,14 +658,15 @@ type TermStat struct {
 // CellTermStats returns per-key statistics for a cell, sorted by term.
 func (ix *Index) CellTermStats(cellID int) []TermStat {
 	c := &ix.cells[cellID]
-	out := make([]TermStat, 0, c.keys)
-	for i := range c.tab {
-		e := &c.tab[i]
-		if e.term == 0 {
+	out := make([]TermStat, 0, c.tab.Len())
+	tab := c.tab.Entries()
+	for i := range tab {
+		te := &tab[i]
+		if te.Key == 0 {
 			continue
 		}
 		live := 0
-		for _, s := range ix.postings(e) {
+		for _, s := range ix.postings(&te.Val) {
 			if !ix.slots[s].dead {
 				live++
 			}
@@ -695,7 +674,7 @@ func (ix *Index) CellTermStats(cellID int) []TermStat {
 		if live == 0 {
 			continue
 		}
-		out = append(out, TermStat{Term: ix.terms[e.term], Queries: live, ObjHits: int64(e.hits)})
+		out = append(out, TermStat{Term: ix.dict.Term(te.Key), Queries: live, ObjHits: int64(te.Val.hits)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
 	return out
@@ -708,8 +687,8 @@ func (ix *Index) ExtractCellKeys(cellID int, keys []string) []*model.Query {
 	c := &ix.cells[cellID]
 	ix.gather = ix.gather[:0]
 	for _, k := range keys {
-		if i := c.find(ix.dict[k]); i >= 0 {
-			ix.gather = append(ix.gather, ix.postings(&c.tab[i])...)
+		if i := c.tab.Find(ix.dict.Find(k)); i >= 0 {
+			ix.gather = append(ix.gather, ix.postings(&c.tab.Entries()[i].Val)...)
 			ix.setPostings(c, i, nil)
 		}
 	}
@@ -722,17 +701,18 @@ func (ix *Index) ExtractCellKeys(cellID int, keys []string) []*model.Query {
 func (ix *Index) ExtractCell(cellID int) []*model.Query {
 	c := &ix.cells[cellID]
 	ix.gather = ix.gather[:0]
-	for i := range c.tab {
-		e := &c.tab[i]
-		if e.term == 0 {
+	tab := c.tab.Entries()
+	for i := range tab {
+		if tab[i].Key == 0 {
 			continue
 		}
+		e := &tab[i].Val
 		ix.gather = append(ix.gather, ix.postings(e)...)
 		if e.ref&listBit != 0 {
 			ix.freeList(e.ref &^ listBit)
 		}
 	}
-	c.tab, c.keys = nil, 0
+	c.tab.Clear()
 	return ix.takeGathered(c)
 }
 
@@ -769,9 +749,10 @@ func (ix *Index) eachGathered(fn func(s uint32)) {
 // gatherCell sets ix.gather to every posting of cell c.
 func (ix *Index) gatherCell(c *cell) {
 	ix.gather = ix.gather[:0]
-	for i := range c.tab {
-		if c.tab[i].term != 0 {
-			ix.gather = append(ix.gather, ix.postings(&c.tab[i])...)
+	tab := c.tab.Entries()
+	for i := range tab {
+		if tab[i].Key != 0 {
+			ix.gather = append(ix.gather, ix.postings(&tab[i].Val)...)
 		}
 	}
 }
@@ -790,8 +771,8 @@ func (ix *Index) QueriesInCellKeys(cellID int, keys []string) []*model.Query {
 	c := &ix.cells[cellID]
 	ix.gather = ix.gather[:0]
 	for _, k := range keys {
-		if i := c.find(ix.dict[k]); i >= 0 {
-			ix.gather = append(ix.gather, ix.postings(&c.tab[i])...)
+		if i := c.tab.Find(ix.dict.Find(k)); i >= 0 {
+			ix.gather = append(ix.gather, ix.postings(&c.tab.Entries()[i].Val)...)
 		}
 	}
 	return ix.gathered()
@@ -860,13 +841,9 @@ func (ix *Index) Footprint() int64 {
 	add(cap(ix.free)+cap(ix.spill)+cap(ix.freeLists), word)
 	b += int64(len(ix.byID)) * mapEntryBytes(unsafe.Sizeof(uint64(0)), word)
 	b += int64(len(ix.topk)) * mapEntryBytes(word, unsafe.Sizeof((*model.Query)(nil)))
-	b += int64(len(ix.dict)) * mapEntryBytes(strHeader, word)
-	add(cap(ix.terms), strHeader)
-	for _, t := range ix.terms {
-		add(len(t), 1)
-	}
+	b += ix.dict.Footprint()
 	for i := range ix.cells {
-		add(cap(ix.cells[i].tab), unsafe.Sizeof(entry{}))
+		b += ix.cells[i].tab.Footprint()
 	}
 	add(cap(ix.lists), header)
 	for _, l := range ix.lists {
@@ -883,65 +860,4 @@ func (ix *Index) Footprint() int64 {
 		}
 	}
 	return b
-}
-
-// find returns the position of term's entry in the cell's table, or -1.
-func (c *cell) find(term uint32) int {
-	if c.keys == 0 || term == 0 {
-		return -1
-	}
-	mask := uint32(len(c.tab) - 1)
-	for i := (term * hashMul) >> c.shift; ; i = (i + 1) & mask {
-		switch c.tab[i].term {
-		case term:
-			return int(i)
-		case 0:
-			return -1
-		}
-	}
-}
-
-// put adds an entry for a term the table does not hold, growing the
-// table first if that would fill more than three quarters of it.
-func (c *cell) put(e entry) {
-	if int(c.keys+1)*4 > len(c.tab)*3 {
-		old := c.tab
-		size := max(4, 2*len(old))
-		c.tab = make([]entry, size)
-		c.shift = uint8(32 - bits.TrailingZeros(uint(size)))
-		c.keys = 0
-		for _, o := range old {
-			if o.term != 0 {
-				c.put(o)
-			}
-		}
-	}
-	mask := uint32(len(c.tab) - 1)
-	i := (e.term * hashMul) >> c.shift
-	for c.tab[i].term != 0 {
-		i = (i + 1) & mask
-	}
-	c.tab[i] = e
-	c.keys++
-}
-
-// remove empties position i and closes the gap: every later entry of the
-// same run of occupied positions whose probe sequence passes through the
-// gap moves back into it. The table is released with its last entry.
-func (c *cell) remove(i int) {
-	if c.keys--; c.keys == 0 {
-		c.tab = nil
-		return
-	}
-	mask := uint32(len(c.tab) - 1)
-	gap := uint32(i)
-	for j := (gap + 1) & mask; c.tab[j].term != 0; j = (j + 1) & mask {
-		// The entry at j may move to the gap only if the gap lies on its
-		// probe sequence, that is between its home and j.
-		if home := (c.tab[j].term * hashMul) >> c.shift; (j-home)&mask >= (j-gap)&mask {
-			c.tab[gap] = c.tab[j]
-			gap = j
-		}
-	}
-	c.tab[gap] = entry{}
 }

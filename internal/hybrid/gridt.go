@@ -4,22 +4,44 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/index/grid"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
+	"ps2stream/internal/termtab"
 	"ps2stream/internal/textutil"
 )
 
 // GridT is the dispatcher-side index of §IV-C: a uniform grid where each
 // cell carries two hash maps, H1 (the complete term partition: term →
 // worker) and H2 (registration keys of live queries → worker). Cells
-// covered by a space-partitioned kdt-tree leaf store a single worker and a
-// trivial H1; cells under text-partitioned leaves resolve terms through H1
+// covered by a space-partitioned kdt-tree leaf store a single worker and
+// no H1; cells under text-partitioned leaves resolve terms through H1
 // with a deterministic hash fallback for unseen terms.
+//
+// Layout. H1 is a string map, and only text cells have one. H2 is keyed
+// by term id: every registration key a query is inserted under is
+// interned in one dictionary for the whole grid (termtab.Dict), and each
+// cell's H2 is a termtab.Table from key id to {worker, count} with
+// 12-byte entries, the same table GI2 uses for its cells. A cell with no
+// live key holds no table array. The dictionary only grows: it holds one
+// string per distinct registration key ever inserted, the same bound as
+// a GI2 index's dictionary. RouteObject looks each object term up in the
+// dictionary before probing the cell; a term without an id is no live
+// key anywhere.
+//
+// Locking. A cell is guarded by its stripe of mus. Dictionary lookups
+// take no lock (termtab.Dict publishes an id only once its term is in
+// place), so RouteObject holds nothing but its cell's stripe: a read lock
+// that every dispatcher shared on every object would cost more than the
+// string maps it replaces. dictMu serialises the additions, which
+// RouteQuery makes before it takes any stripe; no stripe is ever held
+// while dictMu is taken.
 //
 // GridT implements partition.Assignment and additionally supports the cell
 // mutations required by dynamic load adjustment (§V): reassigning a space
@@ -34,6 +56,11 @@ type GridT struct {
 	// so the four dispatcher tasks rarely contend.
 	mus   [lockStripes]sync.RWMutex
 	cells []gridtCell
+
+	// dict gives registration keys their H2 ids. Lookups take no lock;
+	// dictMu serialises the calls that add to it.
+	dictMu sync.Mutex
+	dict   termtab.Dict
 }
 
 // lockStripes is the number of lock stripes (power of two).
@@ -55,14 +82,14 @@ type gridtCell struct {
 	// fallback lists the candidate workers for terms absent from h1,
 	// indexed by hash (text cells only).
 	fallback []int
-	// h2 tracks live registration keys: worker routed to and reference
-	// count.
-	h2 map[string]h2Entry
+	// h2 maps the dictionary id of each live registration key to the
+	// worker it routes to and the number of registrations behind it.
+	h2 termtab.Table[h2Entry]
 }
 
 type h2Entry struct {
-	worker int
-	count  int
+	worker uint32
+	count  uint32 // > 0: a key's entry goes with its last registration
 }
 
 var _ partition.Assignment = (*GridT)(nil)
@@ -117,7 +144,6 @@ func buildGridT(s *partition.Sample, m int, cfg Config, units []*unit, owners []
 		}
 		c := &gt.cells[id]
 		c.worker = 0
-		c.h2 = nil // allocated lazily
 		if len(covering) == 0 {
 			// Float edge case: snap to the nearest unit.
 			best, bestD := 0, -1.0
@@ -236,11 +262,13 @@ func (gt *GridT) RouteObject(o *model.Object) []int {
 	mu := gt.lockFor(id)
 	mu.RLock()
 	c := &gt.cells[id]
-	for _, t := range o.Terms {
-		if e, ok := c.h2[t]; ok && e.count > 0 {
-			mask |= 1 << uint(e.worker)
-			if c.worker >= 0 {
-				break
+	if c.h2.Len() > 0 {
+		for _, t := range o.Terms {
+			if i := c.h2.Find(gt.dict.Find(t)); i >= 0 {
+				mask |= 1 << c.h2.Entries()[i].Val.worker
+				if c.worker >= 0 {
+					break
+				}
 			}
 		}
 	}
@@ -264,36 +292,27 @@ var oneWorker = func() (t [64][1]int) {
 // every overlapped cell; deletions decrement it.
 func (gt *GridT) RouteQuery(q *model.Query, insert bool) []int {
 	keys := gt.stats.RegistrationKeys(q.Expr.Conj)
+	var buf [4]uint32
+	ids := gt.keyIDs(buf[:], keys, insert)
 	var mask uint64
 	gt.g.VisitOverlapping(q.Region, func(id int) {
 		mu := gt.lockFor(id)
 		mu.Lock()
 		defer mu.Unlock()
 		c := &gt.cells[id]
-		for _, k := range keys {
-			var w int
-			if e, ok := c.h2[k]; ok && e.count > 0 {
-				w = e.worker
-			} else if c.worker >= 0 {
-				w = c.worker
-			} else {
-				w = c.ownerOfTerm(k)
-			}
-			mask |= 1 << uint(w)
-			if insert {
-				if c.h2 == nil {
-					c.h2 = make(map[string]h2Entry)
-				}
-				e := c.h2[k]
-				e.worker = w
-				e.count++
-				c.h2[k] = e
-			} else if e, ok := c.h2[k]; ok {
-				e.count--
-				if e.count <= 0 {
-					delete(c.h2, k)
+		for j, k := range keys {
+			i, w := c.route(ids[j], k)
+			mask |= 1 << w
+			switch {
+			case insert && i < 0:
+				c.h2.Put(ids[j], h2Entry{worker: uint32(w), count: 1})
+			case insert:
+				c.h2.Entries()[i].Val.count++
+			case i >= 0:
+				if e := &c.h2.Entries()[i].Val; e.count > 1 {
+					e.count--
 				} else {
-					c.h2[k] = e
+					c.h2.Remove(i)
 				}
 			}
 		}
@@ -308,25 +327,52 @@ func (gt *GridT) RouteQuery(q *model.Query, insert bool) []int {
 // another cell?") must use this read-only probe instead.
 func (gt *GridT) PeekQuery(q *model.Query) []int {
 	keys := gt.stats.RegistrationKeys(q.Expr.Conj)
+	var buf [4]uint32
+	ids := gt.keyIDs(buf[:], keys, false)
 	var mask uint64
 	gt.g.VisitOverlapping(q.Region, func(id int) {
 		mu := gt.lockFor(id)
 		mu.RLock()
 		defer mu.RUnlock()
 		c := &gt.cells[id]
-		for _, k := range keys {
-			var w int
-			if e, ok := c.h2[k]; ok && e.count > 0 {
-				w = e.worker
-			} else if c.worker >= 0 {
-				w = c.worker
-			} else {
-				w = c.ownerOfTerm(k)
-			}
-			mask |= 1 << uint(w)
+		for j, k := range keys {
+			_, w := c.route(ids[j], k)
+			mask |= 1 << w
 		}
 	})
 	return maskToWorkers(mask)
+}
+
+// keyIDs returns the dictionary ids of keys, in buf's storage if it is
+// large enough. With add set, a key the dictionary lacks is interned;
+// without, it gets id 0, which no H2 holds. Called with no stripe held.
+func (gt *GridT) keyIDs(buf []uint32, keys []string, add bool) []uint32 {
+	ids := buf[:0]
+	for _, k := range keys {
+		ids = append(ids, gt.dict.Find(k))
+	}
+	if add && slices.Contains(ids, 0) {
+		gt.dictMu.Lock()
+		for i, k := range keys {
+			ids[i] = gt.dict.ID(k)
+		}
+		gt.dictMu.Unlock()
+	}
+	return ids
+}
+
+// route returns the position of key id's H2 entry in the cell (-1 if it
+// has none) and the worker the key routes to: its entry's, else the
+// space cell's, else the text cell's owner of the term. Caller holds the
+// lock.
+func (c *gridtCell) route(id uint32, key string) (i, w int) {
+	if i = c.h2.Find(id); i >= 0 {
+		return i, int(c.h2.Entries()[i].Val.worker)
+	}
+	if c.worker >= 0 {
+		return -1, c.worker
+	}
+	return -1, c.ownerOfTerm(key)
 }
 
 func maskToWorkers(mask uint64) []int {
@@ -352,16 +398,16 @@ func (gt *GridT) Grid() *grid.Grid { return gt.g }
 func (gt *GridT) Stats() *textutil.Stats { return gt.stats }
 
 // Footprint implements partition.Assignment (Figure 9's dispatcher
-// memory). H1 maps shared between cells are counted once, using the map's
-// runtime identity.
+// memory): the cells, their H1 maps and fallback lists, every H2 table by
+// capacity, and the key dictionary once. H1 maps shared between cells are
+// counted once, using the map's runtime identity.
 func (gt *GridT) Footprint() int64 {
-	var b int64
+	b := int64(unsafe.Sizeof(*gt)) + int64(cap(gt.cells))*int64(unsafe.Sizeof(gridtCell{}))
 	seenH1 := make(map[uintptr]bool)
 	for i := range gt.cells {
 		mu := gt.lockFor(i)
 		mu.RLock()
 		c := &gt.cells[i]
-		b += 24 // cell header
 		if c.h1 != nil {
 			p := reflect.ValueOf(c.h1).Pointer()
 			if !seenH1[p] {
@@ -371,12 +417,13 @@ func (gt *GridT) Footprint() int64 {
 				}
 			}
 		}
-		b += int64(len(c.fallback)) * 8
-		for t := range c.h2 {
-			b += int64(len(t)) + 32
-		}
+		b += int64(cap(c.fallback)) * int64(unsafe.Sizeof(0))
+		b += c.h2.Footprint()
 		mu.RUnlock()
 	}
+	gt.dictMu.Lock()
+	b += gt.dict.Footprint()
+	gt.dictMu.Unlock()
 	return b
 }
 
@@ -404,8 +451,10 @@ func (gt *GridT) CellWorkers(cellID int) []int {
 	for _, w := range c.h1 {
 		mask |= 1 << uint(w)
 	}
-	for _, e := range c.h2 {
-		mask |= 1 << uint(e.worker)
+	for _, e := range c.h2.Entries() {
+		if e.Key != 0 {
+			mask |= 1 << e.Val.worker
+		}
 	}
 	return maskToWorkers(mask)
 }
@@ -424,12 +473,7 @@ func (gt *GridT) ReassignSpaceCell(cellID, to int) int {
 	}
 	old := c.worker
 	c.worker = to
-	for k, e := range c.h2 {
-		if e.worker == old {
-			e.worker = to
-			c.h2[k] = e
-		}
-	}
+	c.reassignH2(old, to)
 	return old
 }
 
@@ -455,11 +499,17 @@ func (gt *GridT) ReassignTextShare(cellID, from, to int) int {
 			c.fallback[i] = to
 		}
 	}
+	return c.reassignH2(from, to)
+}
+
+// reassignH2 points the cell's H2 entries routed to from at to, and
+// returns how many it moved. Caller holds the write lock.
+func (c *gridtCell) reassignH2(from, to int) int {
 	moved := 0
-	for k, e := range c.h2 {
-		if e.worker == from {
-			e.worker = to
-			c.h2[k] = e
+	tab := c.h2.Entries()
+	for i := range tab {
+		if e := &tab[i]; e.Key != 0 && int(e.Val.worker) == from {
+			e.Val.worker = uint32(to)
 			moved++
 		}
 	}
@@ -488,10 +538,9 @@ func (gt *GridT) SplitSpaceCellByText(cellID int, keys []string, to int) int {
 		c.h1[k] = to
 	}
 	c.fallback = []int{old}
-	for k, e := range c.h2 {
-		if _, moved := c.h1[k]; moved {
-			e.worker = to
-			c.h2[k] = e
+	for _, k := range keys {
+		if i := c.h2.Find(gt.dict.Find(k)); i >= 0 {
+			c.h2.Entries()[i].Val.worker = uint32(to)
 		}
 	}
 	return old
@@ -525,8 +574,10 @@ func (gt *GridT) MergeTextShares(cellID, from, to int) int {
 	for _, w := range c.fallback {
 		check(w)
 	}
-	for _, e := range c.h2 {
-		check(e.worker)
+	for _, e := range c.h2.Entries() {
+		if e.Key != 0 {
+			check(int(e.Val.worker))
+		}
 	}
 	if uniform && only >= 0 {
 		c.worker = only
@@ -545,9 +596,9 @@ func (gt *GridT) H2Keys(cellID, worker int) []string {
 	defer mu.RUnlock()
 	c := &gt.cells[cellID]
 	var out []string
-	for k, e := range c.h2 {
-		if e.worker == worker && e.count > 0 {
-			out = append(out, k)
+	for _, e := range c.h2.Entries() {
+		if e.Key != 0 && int(e.Val.worker) == worker {
+			out = append(out, gt.dict.Term(e.Key))
 		}
 	}
 	sort.Strings(out)

@@ -243,10 +243,11 @@ func fullScanRoute(gt *GridT, o *model.Object) []int {
 	mu := gt.lockFor(id)
 	mu.RLock()
 	defer mu.RUnlock()
+	h2 := &gt.cells[id].h2
 	var mask uint64
 	for _, t := range o.Terms {
-		if e, ok := gt.cells[id].h2[t]; ok && e.count > 0 {
-			mask |= 1 << uint(e.worker)
+		if i := h2.Find(gt.dict.Find(t)); i >= 0 {
+			mask |= 1 << h2.Entries()[i].Val.worker
 		}
 	}
 	return maskToWorkers(mask)
@@ -276,9 +277,9 @@ func TestRouteObjectSpaceCellFirstHit(t *testing.T) {
 		t.Helper()
 		c := &gt.cells[cellID]
 		if c.worker >= 0 {
-			for k, e := range c.h2 {
-				if e.worker != c.worker {
-					t.Fatalf("%s: space cell of worker %d holds H2[%q] -> %d", step, c.worker, k, e.worker)
+			for _, e := range c.h2.Entries() {
+				if e.Key != 0 && int(e.Val.worker) != c.worker {
+					t.Fatalf("%s: space cell of worker %d holds H2[%q] -> %d", step, c.worker, gt.dict.Term(e.Key), e.Val.worker)
 				}
 			}
 		}
