@@ -382,7 +382,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 	og := workload.NewGenerator(workload.TweetsUS(), 3)
 	sys, err := Open(Options{
 		Region:  NewRegion(-125, 24, -66, 49),
-		Workers: 4, Dispatchers: 2,
+		Workers: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -414,8 +414,8 @@ func BenchmarkTopKPublish(b *testing.B) {
 			var updates atomic.Int64
 			sys, err := Open(Options{
 				Region:  NewRegion(-125, 24, -66, 49),
-				Workers: 4, Dispatchers: 2,
-				OnTopK: func(TopKUpdate) { updates.Add(1) },
+				Workers: 4,
+				OnTopK:  func(TopKUpdate) { updates.Add(1) },
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -477,8 +477,8 @@ func BenchmarkPublishBatched(b *testing.B) {
 			og := workload.NewGenerator(workload.TweetsUS(), 3)
 			qg := workload.NewQueryGenerator(workload.TweetsUS(), workload.Q1, 7)
 			sys, err := Open(Options{
-				Region:  NewRegion(-125, 24, -66, 49),
-				Workers: 4, Dispatchers: 2,
+				Region:    NewRegion(-125, 24, -66, 49),
+				Workers:   4,
 				BatchSize: bs,
 			})
 			if err != nil {

@@ -12,7 +12,7 @@
 //	psnode -role dispatcher -workers 127.0.0.1:7101,127.0.0.1:7102 \
 //	       -mergers 127.0.0.1:7103 -mu 500 -ops 4000 -seed 2017
 //
-// The dispatcher node embeds the coordinator (ingest + dispatcher tasks),
+// The dispatcher node embeds the coordinator (ingest + dispatcher task),
 // generates the seeded workload, and drives it through the remote
 // workers; their matches flow to the merger node, which deduplicates,
 // counts, and (with -out) dumps the delivered match set sorted — the
@@ -79,8 +79,8 @@ var flagGroups = []struct {
 	{"All roles", []string{"role", "admin"}},
 	{"Worker and merger nodes", []string{"listen", "once", "out", "fault"}},
 	{"Dispatcher (embedded coordinator)", []string{
-		"workers", "mergers", "dispatchers", "mu", "ops", "seed", "batch",
-		"oracle", "adjust", "objects-only",
+		"workers", "mergers", "mu", "ops", "seed", "batch",
+		"oracle", "adjust",
 		"hotspot", "hotspot-bias", "hotspot-shift-every",
 		"spare", "recover", "join", "retire",
 		"topk", "topk-k", "topk-window", "topk-out", "repartition-at",
@@ -122,19 +122,17 @@ var (
 	out    = flag.String("out", "", "write the delivered match set to this file, sorted (merger, or dispatcher with -oracle/local mergers)")
 	fault  = flag.String("fault", "", "deterministic fault schedule on accepted connections, e.g. \"seed=7,drop=0.002,delay=0.05,delaymax=10ms,dup=0.01,skip=16\"")
 
-	workers     = flag.String("workers", "", "comma-separated worker addresses")
-	mergers     = flag.String("mergers", "", "comma-separated merger addresses")
-	dispatchers = flag.Int("dispatchers", 2, "dispatcher task count")
-	mu          = flag.Int("mu", 500, "standing subscriptions to prewarm")
-	ops         = flag.Int("ops", 4000, "stream operations to publish")
-	seed        = flag.Int64("seed", 2017, "workload seed")
-	batch       = flag.Int("batch", 0, "transfer batch size, 0 = default")
-	oracle      = flag.Bool("oracle", false, "run the workload fully in-process instead of joining peers")
-	adjust      = flag.Bool("adjust", false, "enable the adaptive load adjustment controller; cells migrate across the wire when workers are remote")
-	objectsOnly = flag.Bool("objects-only", false, "publish only objects in the measured stream; with -adjust the delivered match set is then exactly the static oracle's (a query registered while its cell migrates may miss concurrent objects, exactly as in-process)")
-	hotspot     = flag.Int("hotspot", -1, "focus object traffic on this hotspot cluster index (-1 off)")
-	hotBias     = flag.Float64("hotspot-bias", 0.85, "fraction of objects concentrated on the focused hotspot")
-	hotShift    = flag.Int("hotspot-shift-every", 0, "shift the focus to the next hotspot every N stream ops (0 never)")
+	workers  = flag.String("workers", "", "comma-separated worker addresses")
+	mergers  = flag.String("mergers", "", "comma-separated merger addresses")
+	mu       = flag.Int("mu", 500, "standing subscriptions to prewarm")
+	ops      = flag.Int("ops", 4000, "stream operations to publish")
+	seed     = flag.Int64("seed", 2017, "workload seed")
+	batch    = flag.Int("batch", 0, "transfer batch size, 0 = default")
+	oracle   = flag.Bool("oracle", false, "run the workload fully in-process instead of joining peers")
+	adjust   = flag.Bool("adjust", false, "enable the adaptive load adjustment controller; cells migrate across the wire when workers are remote")
+	hotspot  = flag.Int("hotspot", -1, "focus object traffic on this hotspot cluster index (-1 off)")
+	hotBias  = flag.Float64("hotspot-bias", 0.85, "fraction of objects concentrated on the focused hotspot")
+	hotShift = flag.Int("hotspot-shift-every", 0, "shift the focus to the next hotspot every N stream ops (0 never)")
 
 	topkN      = flag.Int("topk", 0, "register this many sliding-window top-k subscriptions cloned from the prewarmed standing queries; freezes the logical clock so cluster and oracle runs rank identically")
 	topkK      = flag.Int("topk-k", 5, "k for the -topk subscriptions")
@@ -187,7 +185,6 @@ func main() {
 		runDispatcher(logger, dispatcherConfig{
 			workerAddrs: splitAddrs(*workers),
 			mergerAddrs: splitAddrs(*mergers),
-			dispatchers: *dispatchers,
 			mu:          *mu,
 			ops:         *ops,
 			seed:        *seed,
@@ -196,7 +193,6 @@ func main() {
 			out:         *out,
 			admin:       *admin,
 			adjust:      *adjust,
-			objectsOnly: *objectsOnly,
 			hotspot:     *hotspot,
 			hotBias:     *hotBias,
 			hotShift:    *hotShift,
@@ -392,7 +388,6 @@ func runMerger(logger *log.Logger, listen string, once bool, out, admin string) 
 type dispatcherConfig struct {
 	workerAddrs []string
 	mergerAddrs []string
-	dispatchers int
 	mu, ops     int
 	seed        int64
 	batch       int
@@ -403,9 +398,6 @@ type dispatcherConfig struct {
 	// adjust enables the adaptive controller; with remote workers its
 	// migrations cross the wire.
 	adjust bool
-	// objectsOnly drops query ops from the measured stream (the
-	// migration-exactness contract: standing queries + live objects).
-	objectsOnly bool
 	// hotspot/hotBias/hotShift configure the skewed-hotspot object
 	// workload (psgen's flags of the same names).
 	hotspot  int
@@ -461,8 +453,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 	}
 	var dump *matchDump
 	cfg := core.Config{
-		Dispatchers: dc.dispatchers,
-		BatchSize:   dc.batch,
+		BatchSize: dc.batch,
 		// The adjustment decision trace (detector verdicts at Debug,
 		// triggers and migrations at Info) goes to stderr alongside the
 		// plain progress log.
@@ -581,11 +572,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 			focused++
 			st.FocusHotspot(focused)
 		}
-		op := st.Next()
-		for dc.objectsOnly && op.Kind != model.OpObject {
-			op = st.Next()
-		}
-		return op
+		return st.Next()
 	}
 	stream := make([]model.Op, dc.ops)
 	for i := range stream {

@@ -143,7 +143,6 @@ func runSeededWorkload(t *testing.T, remote []string) string {
 	sys, err := ps2stream.Open(ps2stream.Options{
 		Region:        ps2stream.NewRegion(-125, 24, -66, 49),
 		Workers:       2,
-		Dispatchers:   1,
 		RemoteWorkers: remote,
 		OnMatch: func(m ps2stream.Match) {
 			mu.Lock()
@@ -207,7 +206,7 @@ func TestTwoProcessLoopbackMatchesOracle(t *testing.T) {
 // oracle on the same seeded workload. CI runs this in the cluster job.
 func TestPsnodeClusterAdjustHotspotShift(t *testing.T) {
 	oracleOut := filepath.Join(t.TempDir(), "oracle.matches")
-	workloadArgs := []string{"-mu", "500", "-ops", "6000", "-seed", "2017", "-objects-only",
+	workloadArgs := []string{"-mu", "500", "-ops", "6000", "-seed", "2017",
 		"-hotspot", "0", "-hotspot-bias", "0.85", "-hotspot-shift-every", "2000"}
 
 	oracle := startNode(t, append([]string{"-role", "dispatcher", "-oracle", "-out", oracleOut}, workloadArgs...)...)
@@ -313,10 +312,10 @@ func TestPsnodeClusterTopKRepartition(t *testing.T) {
 	clusterTopK := filepath.Join(t.TempDir(), "cluster.topk")
 	oracleOut := filepath.Join(t.TempDir(), "oracle.matches")
 	oracleTopK := filepath.Join(t.TempDir(), "oracle.topk")
-	// -objects-only keeps the measured stream to objects (the standing
-	// and top-k subscriptions are prewarmed behind drain barriers), so
-	// the repartition's cell movement cannot race a query registration.
-	workloadArgs := []string{"-mu", "400", "-ops", "6000", "-seed", "2017", "-objects-only",
+	// The measured stream mixes objects with subscribes and
+	// unsubscribes, so the repartition's cell movement races query
+	// registrations.
+	workloadArgs := []string{"-mu", "400", "-ops", "6000", "-seed", "2017",
 		"-topk", "8", "-topk-k", "5", "-topk-window", "24h"}
 
 	oracle := startNode(t, append([]string{"-role", "dispatcher", "-oracle",
@@ -385,11 +384,10 @@ func TestPsnodeClusterElasticRecovery(t *testing.T) {
 	adminW1 := freePort(t)
 	clusterOut := filepath.Join(t.TempDir(), "cluster.matches")
 	oracleOut := filepath.Join(t.TempDir(), "oracle.matches")
-	// -objects-only is the migration-exactness contract: standing
-	// subscriptions prewarmed behind a barrier, only objects in the
-	// measured stream, so join/retire/recovery cell movement cannot
-	// race a query registration.
-	workloadArgs := []string{"-mu", "400", "-ops", "6000", "-seed", "2017", "-objects-only"}
+	// The measured stream mixes objects with subscribes and
+	// unsubscribes, so join/retire/recovery cell movement races query
+	// registrations.
+	workloadArgs := []string{"-mu", "400", "-ops", "6000", "-seed", "2017"}
 
 	oracle := startNode(t, append([]string{"-role", "dispatcher", "-oracle", "-out", oracleOut}, workloadArgs...)...)
 	waitNode(t, oracle)

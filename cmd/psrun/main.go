@@ -40,15 +40,14 @@ func builderFor(name string) (partition.Builder, error) {
 
 func main() {
 	var (
-		in          = flag.String("in", "-", "input JSONL file ('-' = stdin)")
-		strategy    = flag.String("strategy", "hybrid", "distribution strategy: hybrid|frequency|hypergraph|metric|grid|kdtree|rtree")
-		workers     = flag.Int("workers", 8, "worker tasks")
-		dispatchers = flag.Int("dispatchers", 4, "dispatcher tasks")
-		sampleN     = flag.Int("sample", 20000, "ops consumed as the partitioning sample")
-		adjust      = flag.Bool("adjust", false, "enable dynamic load adjustment (hybrid only)")
-		quiet       = flag.Bool("quiet", false, "suppress per-match output counting")
-		checkpoint  = flag.String("checkpoint", "", "write a snapshot of the live subscriptions here after the replay")
-		restore     = flag.String("restore", "", "prime the system from this snapshot before the replay")
+		in         = flag.String("in", "-", "input JSONL file ('-' = stdin)")
+		strategy   = flag.String("strategy", "hybrid", "distribution strategy: hybrid|frequency|hypergraph|metric|grid|kdtree|rtree")
+		workers    = flag.Int("workers", 8, "worker tasks")
+		sampleN    = flag.Int("sample", 20000, "ops consumed as the partitioning sample")
+		adjust     = flag.Bool("adjust", false, "enable dynamic load adjustment (hybrid only)")
+		quiet      = flag.Bool("quiet", false, "suppress per-match output counting")
+		checkpoint = flag.String("checkpoint", "", "write a snapshot of the live subscriptions here after the replay")
+		restore    = flag.String("restore", "", "prime the system from this snapshot before the replay")
 	)
 	flag.Parse()
 
@@ -108,9 +107,8 @@ func main() {
 	}
 	sample := partition.NewSample(sampleObjs, sampleQrys, bounds.Expand(0.5), load.DefaultCosts)
 	cfg := core.Config{
-		Dispatchers: *dispatchers,
-		Workers:     *workers,
-		Builder:     b,
+		Workers: *workers,
+		Builder: b,
 	}
 	if *adjust {
 		cfg.Adjust = core.AdjustConfig{Enabled: true}

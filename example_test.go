@@ -28,8 +28,7 @@ func Example() {
 		Query:  "coffee AND brooklyn",
 		Region: ps2stream.RegionAround(40.70, -73.95, 10, 10),
 	})
-	sys.Flush() // registration is asynchronous
-
+	// Once Subscribe returns, every later Publish is matched against it.
 	sys.Publish(ps2stream.Message{ID: 1, Text: "best coffee in brooklyn", Lat: 40.71, Lon: -73.95})
 	sys.Publish(ps2stream.Message{ID: 2, Text: "coffee in seattle", Lat: 47.61, Lon: -122.33})
 

@@ -59,11 +59,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	sys.Flush() // ensure campaigns are registered before the stream starts
 
 	// Background chatter: synthetic tweets across the US (almost none
 	// match the campaigns — they are discarded cheaply at the
-	// dispatchers via the H2 check).
+	// dispatcher via the H2 check).
 	gen := workload.NewGenerator(workload.TweetsUS(), 42)
 	nextID := uint64(1000)
 	for i := 0; i < 20000; i++ {

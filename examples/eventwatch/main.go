@@ -59,7 +59,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	sys.Flush() // ensure watches are registered before the stream starts
 
 	publish := func(m ps2stream.Message) {
 		mu.Lock()

@@ -48,9 +48,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// Registration is asynchronous (ops flow through the dispatchers);
-	// Flush ensures the subscriptions are routed before publishing.
-	sys.Flush()
+	// Once Subscribe returns, every later Publish is matched against the
+	// subscription; matches arrive asynchronously through OnMatch.
 
 	// The publisher side: a stream of geo-tagged posts.
 	posts := []ps2stream.Message{

@@ -46,7 +46,7 @@ func AblLatencyVsRate(sc Scale) []Table {
 // drainedCapacity measures end-to-end capacity: ops/second from the first
 // submission until every tuple has fully drained through the workers.
 // measureThroughput (used for the Figure 6/7 comparisons) times until the
-// dispatchers have routed everything, which can leave worker queues full —
+// dispatcher has routed everything, which can leave worker queues full —
 // fine for comparing strategies measured identically, but an overestimate
 // as the reference point for a saturation sweep.
 func drainedCapacity(spec workload.DatasetSpec, kind workload.QueryKind,

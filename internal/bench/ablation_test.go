@@ -16,7 +16,6 @@ func microScale() Scale {
 		Ops:           3000,
 		PacedRate:     5000,
 		Workers:       2,
-		Dispatchers:   1,
 		PerTupleWork:  time.Microsecond,
 		Seed:          7,
 	}

@@ -159,7 +159,6 @@ func adjustRun(spec workload.DatasetSpec, sc Scale, auto bool) (adjustResult, er
 		}
 	}
 	cfg := core.Config{
-		Dispatchers:  sc.Dispatchers,
 		Workers:      sc.Workers,
 		Adjust:       acfg,
 		PerTupleWork: sc.PerTupleWork,

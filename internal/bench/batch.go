@@ -71,9 +71,8 @@ func BatchThroughput(sc Scale) []Table {
 func measureBatch(spec workload.DatasetSpec, sc Scale, batchSize int) (tps float64, matches int64, err error) {
 	sample := workload.Sample(spec, workload.Q1, sc.SampleObjects, sc.SampleQueries, sc.Seed)
 	sys, err := core.New(core.Config{
-		Dispatchers: sc.Dispatchers,
-		Workers:     sc.Workers,
-		BatchSize:   batchSize,
+		Workers:   sc.Workers,
+		BatchSize: batchSize,
 	}, sample)
 	if err != nil {
 		return 0, 0, err

@@ -40,9 +40,8 @@ type Scale struct {
 	// PacedRate is the "moderate input speed" (tuples/sec) for latency
 	// experiments.
 	PacedRate float64
-	// Workers/Dispatchers mirror the paper's 8 workers / 4 dispatchers.
-	Workers     int
-	Dispatchers int
+	// Workers mirrors the paper's 8 workers.
+	Workers int
 	// PerTupleWork is the simulated per-received-tuple cluster cost
 	// (network receive + deserialisation) charged at workers; see
 	// core.Config.PerTupleWork.
@@ -67,7 +66,6 @@ func DefaultScale() Scale {
 		Ops:           60000,
 		PacedRate:     15000,
 		Workers:       8,
-		Dispatchers:   4,
 		PerTupleWork:  3 * time.Microsecond,
 		Seed:          2017,
 	}
@@ -82,7 +80,6 @@ func QuickScale() Scale {
 		Ops:           8000,
 		PacedRate:     8000,
 		Workers:       4,
-		Dispatchers:   2,
 		PerTupleWork:  2 * time.Microsecond,
 		Seed:          2017,
 	}
@@ -223,7 +220,6 @@ func buildSystem(spec workload.DatasetSpec, kind workload.QueryKind, builderName
 	sc Scale, workers, mu int, adjust core.AdjustConfig) (*core.System, *workload.Stream, error) {
 	sample := workload.Sample(spec, kind, sc.SampleObjects, sc.SampleQueries, sc.Seed)
 	sys, err := core.New(core.Config{
-		Dispatchers:  sc.Dispatchers,
 		Workers:      workers,
 		Builder:      builderByName(builderName),
 		Adjust:       adjust,

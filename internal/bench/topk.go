@@ -60,7 +60,6 @@ func measureTopK(spec workload.DatasetSpec, sc Scale, k int) (tps float64, updat
 	sample := workload.Sample(spec, workload.Q1, sc.SampleObjects, sc.SampleQueries, sc.Seed)
 	var ups atomic.Int64
 	cfg := core.Config{
-		Dispatchers:  sc.Dispatchers,
 		Workers:      sc.Workers,
 		PerTupleWork: sc.PerTupleWork,
 		OnTopK:       func(core.TopKUpdate) { ups.Add(1) },

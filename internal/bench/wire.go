@@ -78,8 +78,7 @@ func WireThroughput(sc Scale) []Table {
 func measureWire(spec workload.DatasetSpec, sc Scale, tcp bool) (tps float64, matches int64, err error) {
 	sample := workload.Sample(spec, workload.Q1, sc.SampleObjects, sc.SampleQueries, sc.Seed)
 	cfg := core.Config{
-		Dispatchers: sc.Dispatchers,
-		Workers:     sc.Workers,
+		Workers: sc.Workers,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -28,10 +28,9 @@ func runHotspotPublish(t *testing.T, adjust bool) (matches [][2]uint64, migratio
 	sample := workload.SampleFocused(spec, workload.Q1, 2000, 400, 77, 0, 2.0, 0.85)
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 2,
-		Workers:     4,
-		Mergers:     2,
-		OnMatch:     ms.add,
+		Workers: 4,
+		Mergers: 2,
+		OnMatch: ms.add,
 	}
 	if adjust {
 		cfg.Adjust = AdjustConfig{
@@ -157,7 +156,7 @@ func TestAdjustPublishMatchesStaticOracle(t *testing.T) {
 func TestAdjustNowRequiresHybrid(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 53, 0)
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 2,
+		Workers: 2,
 		Builder: partition.Builders()["grid"],
 	}, sample)
 	if err != nil {
@@ -182,8 +181,8 @@ func TestAdjustNowManualMode(t *testing.T) {
 	spec := workload.TweetsUS()
 	sample := workload.SampleFocused(spec, workload.Q1, 2000, 400, 55, 0, 2.0, 0.85)
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
-		Adjust: AdjustConfig{Sigma: 1.05, MinWindowOps: 1}, // Enabled false: manual mode
+		Workers: 4,
+		Adjust:  AdjustConfig{Sigma: 1.05, MinWindowOps: 1}, // Enabled false: manual mode
 	}, sample)
 	if err != nil {
 		t.Fatal(err)

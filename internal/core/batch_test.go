@@ -21,11 +21,10 @@ func runBatched(t *testing.T, batchSize int) ([][2]uint64, int) {
 	sample := workload.Sample(spec, workload.Q1, 2000, 400, 77)
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 2,
-		Workers:     4,
-		Mergers:     2,
-		BatchSize:   batchSize,
-		OnMatch:     ms.add,
+		Workers:   4,
+		Mergers:   2,
+		BatchSize: batchSize,
+		OnMatch:   ms.add,
 	}, sample)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func opBatch(sys *System, ops ...wire.OpEnv) *[]wire.OpEnv {
 // allocating.
 func TestWorkerBoltNoMatchBatchAllocs(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 1, 10)
-	sys, err := New(Config{Dispatchers: 1, Workers: 2}, sample)
+	sys, err := New(Config{Workers: 2}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Package core wires PS2Stream together: dispatcher, worker and merger
 // tasks on typed channels (§III-B, Figure 1), the workload-distribution
-// assignment on the dispatchers, GI2 indexes on the workers, duplicate
+// assignment on the dispatcher, GI2 indexes on the workers, duplicate
 // elimination on the mergers, and the dynamic load adjustment controller
-// of §V. The whole publish path is batch-oriented: Submit appends to a
-// per-dispatcher ingest shard, the dispatchers pull whole buffers from it,
-// and operations and matches move between tasks as pooled typed slices of
+// of §V. The whole publish path is batch-oriented: Submit appends to the
+// one ingest FIFO, the dispatcher pulls whole buffers from it, and
+// operations and matches move between tasks as pooled typed slices of
 // up to Config.BatchSize envelopes ([]wire.OpEnv, []wire.MatchEnv),
 // amortising channel sends, lock acquisitions and clock reads over whole
 // batches.
@@ -45,11 +45,10 @@ const DefaultBatchSize = 64
 const defaultWorkers = 8
 
 // Config describes a PS2Stream deployment. The zero value is completed by
-// New with the paper's defaults (4 dispatchers, 8 workers, 2 mergers,
-// 2^6 × 2^6 grid granularity, hybrid partitioning).
+// New with the paper's defaults (8 workers, 2 mergers, 2^6 × 2^6 grid
+// granularity, hybrid partitioning). Unlike the paper's Figure 1, one
+// dispatcher task routes every operation, in Submit order.
 type Config struct {
-	// Dispatchers is the number of dispatcher tasks.
-	Dispatchers int
 	// Workers is the number of worker tasks (m in Definition 2).
 	Workers int
 	// Mergers is the number of merger tasks.
@@ -58,16 +57,15 @@ type Config struct {
 	Granularity int
 	// QueueCap bounds, in tuples, each worker's and merger's input queue
 	// (rounded down to whole transfer batches, minimum one batch) and the
-	// operations Submit may have waiting for the dispatchers: the ingest
-	// shards hold QueueCap / Dispatchers each (minimum one batch), beside
-	// the buffer a dispatcher is routing. A Submit to a full shard blocks
-	// (backpressure).
+	// operations Submit may have waiting for the dispatcher (minimum one
+	// batch), beside the buffer the dispatcher is routing. A Submit to a
+	// full ingest blocks (backpressure).
 	QueueCap int
 	// BatchSize is the capacity of the typed batches that move on every
 	// hop of the topology (operations dispatcher→worker, matches
 	// worker→merger), one batch per channel send, and the number of
-	// operations a dispatcher routes per fence section. Batches fill
-	// adaptively: a dispatcher emits partial batches as soon as its input
+	// operations the dispatcher routes per fence section. Batches fill
+	// adaptively: the dispatcher emits partial batches as soon as its input
 	// goes idle and a worker emits its matches with every input batch, so
 	// batching costs no latency on a quiet stream. 1 means unbatched
 	// (one envelope per send); 0 uses DefaultBatchSize.
@@ -186,9 +184,6 @@ type AdjustConfig struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Dispatchers <= 0 {
-		c.Dispatchers = 4
-	}
 	if c.Workers <= 0 {
 		c.Workers = defaultWorkers
 	}
@@ -340,10 +335,9 @@ type System struct {
 	// slots holds each worker slot's endpoint, spares included: a
 	// localWorker for an in-process slot, the slot's workerHop otherwise.
 	slots []workerEndpoint
-	// ingest holds one shard per dispatcher task (ingest.go): Submit
-	// appends to shard RouteHash % Dispatchers, the dispatcher pulls.
-	ingest []*ingestShard
-	// ingestBlocked counts the times a Submit parked on a full shard.
+	// ingest is the one FIFO from Submit to the dispatcher (ingest.go).
+	ingest *ingestQueue
+	// ingestBlocked counts the times a Submit parked on a full ingest.
 	ingestBlocked metrics.Counter
 	// towork holds each worker slot's input channel, spares included, and
 	// toMerge each merger's (topology.go); opBatches and matchBatches
@@ -475,7 +469,7 @@ var ErrAdjustNeedsHybrid = errors.New("core: dynamic load adjustment requires th
 
 // New builds a system: the Builder analyses the sample and the workers'
 // GI2 indexes are created over the sample's bounds with the sample's term
-// statistics (shared, read-only, by dispatchers and workers).
+// statistics (shared, read-only, by the dispatcher and workers).
 func New(cfg Config, sample *partition.Sample) (*System, error) {
 	cfg.fillDefaults()
 	if sample == nil {
@@ -489,12 +483,9 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		cfg:    cfg,
 		bounds: sample.Bounds,
 		tput:   metrics.NewThroughput(),
-		ingest: make([]*ingestShard, cfg.Dispatchers),
 		runErr: make(chan error, 1),
 	}
-	for i := range s.ingest {
-		s.ingest[i] = newIngestShard(max(cfg.QueueCap/cfg.Dispatchers, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
-	}
+	s.ingest = newIngestQueue(max(cfg.QueueCap, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
 	s.opBatches.size, s.matchBatches.size = cfg.BatchSize, cfg.BatchSize
 	s.latency.Store(metrics.NewHistogram(nil))
 	s.matchLat.Store(metrics.NewHistogram(nil))
@@ -631,9 +622,9 @@ func (s *System) Start(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	s.cancel = cancel
 	s.runCtx = runCtx
-	// The dispatchers park on their shards, where the run context cannot
-	// reach them: close the ingest when it is cancelled.
-	context.AfterFunc(runCtx, s.closeIngest)
+	// The dispatcher parks on the ingest, where the run context cannot
+	// reach it: close the ingest when it is cancelled.
+	context.AfterFunc(runCtx, s.ingest.close)
 	if s.hops != nil || len(s.cfg.RemoteMergers) > 0 {
 		// Remote transports block in socket reads the run context cannot
 		// reach; force-close them on cancellation (a normal Close cancels
@@ -661,28 +652,23 @@ func (s *System) Start(ctx context.Context) error {
 	return nil
 }
 
-// Submit enqueues one operation on the ingest shard of its routing hash,
-// blocking under backpressure. A Submit that races with Close or Abort, or
-// follows them, returns without enqueuing. The envelope timestamp comes
-// from the configured clock: it drives latency accounting and is the
-// publish instant that window expiry is measured from (one stamp per
-// object, so every worker replica agrees on its window lifetime).
+// Submit appends one operation to the ingest, blocking under backpressure.
+// The dispatcher routes operations in the order their Submits took the
+// ingest's lock, and every worker applies its share in that order. A
+// Submit that races with Close or Abort, or follows them, returns without
+// enqueuing. The envelope timestamp comes from the configured clock: it
+// drives latency accounting and is the publish instant that window expiry
+// is measured from (one stamp per object, so every worker replica agrees
+// on its window lifetime).
 func (s *System) Submit(op model.Op) {
 	env := wire.OpEnv{Op: op, T0: s.now()}
-	s.ingest[op.RouteHash()%uint64(len(s.ingest))].put(env)
+	s.ingest.put(env)
 }
 
 // SubmitAll enqueues a batch.
 func (s *System) SubmitAll(ops []model.Op) {
 	for _, op := range ops {
 		s.Submit(op)
-	}
-}
-
-// closeIngest ends every shard (idempotent).
-func (s *System) closeIngest() {
-	for _, sh := range s.ingest {
-		sh.close()
 	}
 }
 
@@ -696,7 +682,7 @@ func (s *System) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return errors.New("core: already closed")
 	}
-	s.closeIngest()
+	s.ingest.close()
 	err := <-s.runErr
 	s.cancel()
 	return err
@@ -708,7 +694,7 @@ func (s *System) Abort() {
 		s.cancel()
 	}
 	if s.closed.CompareAndSwap(false, true) {
-		s.closeIngest()
+		s.ingest.close()
 		<-s.runErr
 	}
 }
@@ -854,7 +840,7 @@ func (s *System) ResetLatencyStats() {
 func (s *System) Processed() int64 { return s.processed.Value() }
 
 // Quiesce blocks until the first `submitted` operations have been routed
-// by the dispatchers AND every worker has drained its input (done ops
+// by the dispatcher AND every worker has drained its input (done ops
 // caught up with enqueued ops, stable across two polls; a dispatcher
 // advances the enqueue counters before it advances Processed). Benchmarks
 // and tests use it as an exact "all standing state is applied" barrier

@@ -61,17 +61,17 @@ func oracleMatches(ops []model.Op) map[[2]uint64]bool {
 	return out
 }
 
-// runExact drives ops through a single-dispatcher system (FIFO order
-// preserved end to end) and returns the delivered match set.
+// runExact drives ops through a system of the default topology, whose one
+// ingest makes Submit order every worker's input order, and returns the
+// delivered match set.
 func runExact(t *testing.T, builder partition.Builder, sample *partition.Sample, ops []model.Op, workers int) *matchSet {
 	t.Helper()
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 1,
-		Workers:     workers,
-		Mergers:     2,
-		Builder:     builder,
-		OnMatch:     ms.add,
+		Workers: workers,
+		Mergers: 2,
+		Builder: builder,
+		OnMatch: ms.add,
 	}, sample)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestDeletionStopsDelivery(t *testing.T) {
 func TestDiscardedObjectsCounted(t *testing.T) {
 	spec := workload.TweetsUS()
 	sample := workload.Sample(spec, workload.Q1, 500, 100, 8)
-	sys, err := New(Config{Dispatchers: 1, Workers: 4, Builder: hybrid.Builder{}}, sample)
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestDiscardedObjectsCounted(t *testing.T) {
 func TestSnapshotMetrics(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 9, 2000)
 	ms := newMatchSet()
-	sys, err := New(Config{Dispatchers: 2, Workers: 4, Builder: hybrid.Builder{}, OnMatch: ms.add}, sample)
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}, OnMatch: ms.add}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestGlobalRepartitionKeepsMatching(t *testing.T) {
 
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers: 4,
 		Builder: partition.KDTreeBuilder{},
 		OnMatch: ms.add,
 	}, sample)
@@ -383,7 +383,7 @@ func TestAdjustmentUnderSkew(t *testing.T) {
 
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers: 4,
 		Builder: hybrid.Builder{},
 		OnMatch: ms.add,
 		Adjust: AdjustConfig{
@@ -458,7 +458,7 @@ func TestAdjustmentUnderSkew(t *testing.T) {
 
 func TestWorkerQueryCounts(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 17, 500)
-	sys, err := New(Config{Dispatchers: 1, Workers: 4, Builder: hybrid.Builder{}}, sample)
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestMergerDeduplicates(t *testing.T) {
 	}
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers: 4,
 		Builder: partition.FrequencyBuilder{},
 		OnMatch: ms.add,
 	}, sample)
@@ -581,8 +581,8 @@ func TestThroughputUnderLoad(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.fillDefaults()
-	if cfg.Dispatchers != 4 || cfg.Workers != 8 || cfg.Mergers != 2 {
-		t.Errorf("defaults: %d/%d/%d", cfg.Dispatchers, cfg.Workers, cfg.Mergers)
+	if cfg.Workers != 8 || cfg.Mergers != 2 {
+		t.Errorf("defaults: %d/%d", cfg.Workers, cfg.Mergers)
 	}
 	if cfg.Builder == nil {
 		t.Error("no default builder")

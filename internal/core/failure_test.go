@@ -23,7 +23,7 @@ func TestPerTupleWorkSlowsWorkers(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 31, 6000)
 	run := func(work time.Duration) time.Duration {
 		sys, err := New(Config{
-			Dispatchers: 1, Workers: 2,
+			Workers:      2,
 			Builder:      hybrid.Builder{},
 			PerTupleWork: work,
 		}, sample)
@@ -56,7 +56,7 @@ func TestBackpressureUnderSlowMatchCallback(t *testing.T) {
 	sample := workload.Sample(spec, workload.Q1, 500, 100, 32)
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 2, Mergers: 1,
+		Workers: 2, Mergers: 1,
 		QueueCap: 8, // tiny queues: backpressure engages immediately
 		Builder:  hybrid.Builder{},
 		OnMatch: func(m model.Match) {
@@ -96,7 +96,7 @@ func TestMigrationWithConcurrentDeletes(t *testing.T) {
 	sample := workload.Sample(spec, workload.Q1, 3000, 500, 33)
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers: 4,
 		Builder: hybrid.Builder{},
 		OnMatch: ms.add,
 		Adjust: AdjustConfig{
@@ -178,7 +178,7 @@ func TestStalledWorkerDoesNotLoseMatches(t *testing.T) {
 	}
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4, Mergers: 1,
+		Workers: 4, Mergers: 1,
 		QueueCap: 64,
 		Builder:  hybrid.Builder{},
 		OnMatch:  ms.add,
@@ -231,7 +231,7 @@ func TestTinyDedupWindowKeepsSetSemantics(t *testing.T) {
 	ms := newMatchSet()
 	var delivered atomic.Int64
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4, Mergers: 1,
+		Workers: 4, Mergers: 1,
 		DedupWindow: 16,
 		Builder:     hybrid.Builder{},
 		OnMatch: func(m model.Match) {
@@ -270,11 +270,10 @@ func TestLiveQueriesExactAfterDrain(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 37, 0)
 	// The subtest names the worker index; GI2 is the only one.
 	t.Run("gi2", func(t *testing.T) {
-		// Four dispatchers: exercises the fields-grouped input stream —
-		// per-subscription insert/delete order must hold across dispatcher
-		// tasks.
+		// Every delete follows its insert in Submit order; the one ingest
+		// must keep that order through routing and every worker.
 		sys, err := New(Config{
-			Dispatchers: 4, Workers: 4,
+			Workers: 4,
 			Builder: hybrid.Builder{},
 		}, sample)
 		if err != nil {
@@ -322,7 +321,7 @@ func TestLiveQueriesExactAfterDrain(t *testing.T) {
 func TestLiveQueriesUnderChurn(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 38, 6000)
 	sys, err := New(Config{
-		Dispatchers: 2, Workers: 4,
+		Workers: 4,
 		Builder: hybrid.Builder{},
 	}, sample)
 	if err != nil {
@@ -366,14 +365,13 @@ func TestLiveQueriesUnderChurn(t *testing.T) {
 }
 
 // TestDeleteNeverOvertakesInsert is the regression test for a real bug:
-// with multiple dispatchers and shuffle-grouped input, an Unsubscribe
-// could be processed by a different dispatcher task than its Subscribe
-// and overtake it, leaking the query (and its gridt H2 counts) forever.
-// Fields grouping on the subscription id pins both ops to one dispatcher.
+// an Unsubscribe that overtakes its Subscribe on the way to a worker
+// leaks the query (and its gridt H2 counts) forever. The one ingest routes
+// both in Submit order, and each worker's input keeps that order.
 func TestDeleteNeverOvertakesInsert(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 39, 0)
 	sys, err := New(Config{
-		Dispatchers: 4, Workers: 8,
+		Workers: 8,
 		Builder: hybrid.Builder{},
 	}, sample)
 	if err != nil {
@@ -383,9 +381,8 @@ func TestDeleteNeverOvertakesInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := workload.NewQueryGenerator(workload.TweetsUS(), workload.Q1, 39)
-	// Insert immediately followed by delete, hundreds of times: under
-	// shuffle grouping the pair regularly splits across dispatchers and
-	// races.
+	// Insert immediately followed by delete, hundreds of times: any
+	// reordering between Submit and a worker shows up as a leak.
 	for i := 0; i < 500; i++ {
 		q := gen.Query()
 		q.ID = uint64(i + 1)
@@ -404,7 +401,7 @@ func TestDeleteNeverOvertakesInsert(t *testing.T) {
 // TestAbort ensures Abort tears the topology down without draining.
 func TestAbort(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 34, 10)
-	sys, err := New(Config{Dispatchers: 1, Workers: 2, Builder: hybrid.Builder{}}, sample)
+	sys, err := New(Config{Workers: 2, Builder: hybrid.Builder{}}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}

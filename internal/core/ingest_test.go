@@ -18,28 +18,33 @@ import (
 
 // idRouter is a distribution strategy for the ingest tests: objects and
 // queries alike go to the one worker route names for their id, and every
-// call a dispatcher makes is recorded per id — an object by its first
-// term, a query as "I" or "D" — so a test can read the order in which the
-// dispatchers saw each id's operations.
+// call the dispatcher makes is recorded in order — an object by its id and
+// first term, a query by its id and "I" or "D" — so a test can read the
+// order in which the dispatcher routed the operations.
 type idRouter struct {
 	workers int
 	route   func(id uint64) int
 
-	mu   sync.Mutex
-	seen map[uint64][]string
+	mu     sync.Mutex
+	routed []routerCall
+}
+
+// routerCall is one recorded routing call of idRouter.
+type routerCall struct {
+	id   uint64
+	what string
 }
 
 func (r *idRouter) Name() string { return "by-id" }
 
 func (r *idRouter) Build(_ *partition.Sample, m int) (partition.Assignment, error) {
 	r.workers = m
-	r.seen = make(map[uint64][]string)
 	return r, nil
 }
 
 func (r *idRouter) record(id uint64, what string) []int {
 	r.mu.Lock()
-	r.seen[id] = append(r.seen[id], what)
+	r.routed = append(r.routed, routerCall{id, what})
 	r.mu.Unlock()
 	return []int{r.route(id)}
 }
@@ -85,7 +90,7 @@ func objectOp(id uint64, term string, at geo.Point) model.Op {
 	return model.Op{Kind: model.OpObject, Obj: &model.Object{ID: id, Terms: []string{term}, Loc: at}}
 }
 
-// waitParked returns once a publisher has parked on a full shard and the
+// waitParked returns once a publisher has parked on a full ingest and the
 // count of returned Submits has stopped moving, which is the stalled
 // pipeline's final state.
 func waitParked(t *testing.T, sys *System, returned *atomic.Int64) int64 {
@@ -112,27 +117,32 @@ func within(t *testing.T, d time.Duration, what string, done <-chan struct{}) {
 	}
 }
 
-// (a) Order: operations with equal RouteHash reach one dispatcher in
-// Submit order, whatever the other publishers do.
+// (a) Order: the dispatcher routes each publisher's operations in that
+// publisher's Submit order across ids — an insert, an object, the insert's
+// delete, the next insert — whatever the other publishers do.
 func TestIngestKeepsSubmitOrderPerID(t *testing.T) {
 	router := &idRouter{route: func(id uint64) int { return int(id % 4) }}
-	sys := startIngestSystem(t, Config{Dispatchers: 4, Workers: 4, QueueCap: 256, BatchSize: 8, Builder: router})
+	sys := startIngestSystem(t, Config{Workers: 4, QueueCap: 256, BatchSize: 8, Builder: router})
 	at := sys.Bounds().Center()
-	const publishers, pairs, rounds = 4, 200, 25
+	const publishers, pairs = 4, 200
+	want := make([][]routerCall, publishers)
 	var wg sync.WaitGroup
 	for p := 0; p < publishers; p++ {
+		base := uint64(p+1) * 10000
+		ops := make([]model.Op, 0, 3*pairs)
+		for i := 0; i < pairs; i++ {
+			q := &model.Query{ID: base + uint64(i), Expr: model.And("x"), Region: geo.RectAround(at, 10, 10)}
+			// The same object ids again and again, numbered by round.
+			obj, round := base+5000+uint64(i%8), strconv.Itoa(i/8)
+			ops = append(ops, model.Op{Kind: model.OpInsert, Query: q}, objectOp(obj, round, at),
+				model.Op{Kind: model.OpDelete, Query: q})
+			want[p] = append(want[p], routerCall{q.ID, "I"}, routerCall{obj, round}, routerCall{q.ID, "D"})
+		}
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
-			base := uint64(p+1) * 10000
-			for i := 0; i < pairs; i++ {
-				q := &model.Query{ID: base + uint64(i), Expr: model.And("x"), Region: geo.RectAround(at, 10, 10)}
-				sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
-				// The same object ids again and again, numbered by round.
-				sys.Submit(objectOp(base+5000+uint64(i%8), strconv.Itoa(i/8), at))
-				sys.Submit(model.Op{Kind: model.OpDelete, Query: q})
-			}
-		}(p)
+			sys.SubmitAll(ops)
+		}()
 	}
 	wg.Wait()
 	if err := sys.Close(); err != nil {
@@ -143,23 +153,19 @@ func TestIngestKeepsSubmitOrderPerID(t *testing.T) {
 	}
 	router.mu.Lock()
 	defer router.mu.Unlock()
-	if want := publishers * (pairs + 8); len(router.seen) != want {
-		t.Fatalf("dispatchers saw %d ids, want %d", len(router.seen), want)
+	got := make([][]routerCall, publishers)
+	for _, c := range router.routed {
+		p := int(c.id/10000) - 1
+		got[p] = append(got[p], c)
 	}
-	for id, seq := range router.seen {
-		if id%10000 < 5000 {
-			if len(seq) != 2 || seq[0] != "I" || seq[1] != "D" {
-				t.Errorf("query %d: dispatcher saw %v, want [I D]", id, seq)
-			}
+	for p := range want {
+		if len(got[p]) != len(want[p]) {
+			t.Errorf("publisher %d: dispatcher routed %d operations, want %d", p, len(got[p]), len(want[p]))
 			continue
 		}
-		if len(seq) != rounds {
-			t.Errorf("object %d: dispatcher saw %d publications, want %d", id, len(seq), rounds)
-			continue
-		}
-		for at, round := range seq {
-			if round != strconv.Itoa(at) {
-				t.Errorf("object %d: publication %s arrived in position %d (%v)", id, round, at, seq)
+		for i := range want[p] {
+			if got[p][i] != want[p][i] {
+				t.Errorf("publisher %d: operation %d routed as %v, want %v (Submit order)", p, i, got[p][i], want[p][i])
 				break
 			}
 		}
@@ -174,15 +180,15 @@ func TestIngestBlocksAtItsBound(t *testing.T) {
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	sys := startIngestSystem(t, Config{
-		Dispatchers: 1, Workers: 1, Mergers: 1, QueueCap: queueCap, BatchSize: batch,
+		Workers: 1, Mergers: 1, QueueCap: queueCap, BatchSize: batch,
 		Builder: &idRouter{route: func(uint64) int { return 0 }},
 	}, beforeBatch(0, func([]wire.OpEnv) {
 		once.Do(func() { close(entered) })
 		<-gate
 	}))
-	shard := sys.ingest[0].limit
-	if shard != queueCap {
-		t.Fatalf("shard accepts %d operations, want QueueCap / Dispatchers = %d", shard, queueCap)
+	limit := sys.ingest.limit
+	if limit != queueCap {
+		t.Fatalf("the ingest accepts %d operations, want QueueCap = %d", limit, queueCap)
 	}
 	const total = 8 * queueCap
 	at := sys.Bounds().Center()
@@ -196,23 +202,21 @@ func TestIngestBlocksAtItsBound(t *testing.T) {
 		}
 	}()
 	within(t, 5*time.Second, "the worker's first batch", entered)
-	// What can be accepted and not processed: the shard and the buffer its
-	// dispatcher took (QueueCap / Dispatchers each), what its open towork
-	// batch kept of earlier buffers (under one batch), the worker's queue and
-	// the batch the worker holds. The parent's channel, spout, dispatcher
-	// queue and dispatcher held queueCap + 2*batch more than the ingest's
-	// second buffer does.
+	// What can be accepted and not processed: the ingest and the buffer the
+	// dispatcher took (QueueCap each), what its open towork batch kept of
+	// earlier buffers (under one batch), the worker's queue and the batch the
+	// worker holds.
 	workerQueue := cap(sys.towork[0]) * batch
 	if workerQueue != queueCap {
 		t.Fatalf("the worker's queue holds %d operations, want QueueCap = %d", workerQueue, queueCap)
 	}
-	bound := int64(2*shard + (batch - 1) + workerQueue + batch)
+	bound := int64(2*limit + (batch - 1) + workerQueue + batch)
 	accepted := waitParked(t, sys, &returned)
-	if accepted < int64(shard) || accepted > bound {
-		t.Errorf("Submit parked after %d accepted operations, want between %d (one shard) and %d", accepted, shard, bound)
+	if accepted < int64(limit) || accepted > bound {
+		t.Errorf("Submit parked after %d accepted operations, want between %d (a full ingest) and %d", accepted, limit, bound)
 	}
-	if depth := sys.ingest[0].depth(); depth != shard {
-		t.Errorf("the full shard holds %d operations, want %d", depth, shard)
+	if depth := sys.ingest.depth(); depth != limit {
+		t.Errorf("the full ingest holds %d operations, want %d", depth, limit)
 	}
 	close(gate)
 	within(t, 10*time.Second, "publishing the rest after the stall lifted", published)
@@ -229,7 +233,7 @@ func TestIngestBlocksAtItsBound(t *testing.T) {
 func TestIngestDeliversOneOperationPromptly(t *testing.T) {
 	delivered := make(chan model.Match, 1)
 	sys := startIngestSystem(t, Config{
-		Dispatchers: 2, Workers: 4, Builder: hybrid.Builder{},
+		Workers: 4, Builder: hybrid.Builder{},
 		OnMatch: func(m model.Match) { delivered <- m },
 	})
 	defer sys.Abort()
@@ -248,15 +252,15 @@ func TestIngestDeliversOneOperationPromptly(t *testing.T) {
 	}
 }
 
-// (d) Forced flush: a dispatcher whose shard never runs empty still pushes
+// (d) Forced flush: a dispatcher whose ingest never runs empty still pushes
 // out a partial batch for a worker it rarely targets.
 func TestIngestFlushesRareWorkerUnderSaturation(t *testing.T) {
 	const rare = 1 << 40
 	seen := make(chan struct{})
 	var once sync.Once
 	sys := startIngestSystem(t, Config{
-		Dispatchers: 1, Workers: 4, QueueCap: 64, BatchSize: 64,
-		// Routing is slow, so the publishers refill the shard long before
+		Workers: 4, QueueCap: 64, BatchSize: 64,
+		// Routing is slow, so the publishers refill the ingest long before
 		// the dispatcher comes back to it: it never finds it empty.
 		Builder: &idRouter{route: func(id uint64) int {
 			time.Sleep(10 * time.Microsecond)
@@ -288,8 +292,8 @@ func TestIngestFlushesRareWorkerUnderSaturation(t *testing.T) {
 	}
 }
 
-// waitSaturated returns once publishers have parked on a full shard twenty
-// times: they outrun the dispatcher, so its shard stays non-empty.
+// waitSaturated returns once publishers have parked on a full ingest twenty
+// times: they outrun the dispatcher, so the ingest stays non-empty.
 func waitSaturated(t *testing.T, sys *System) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -302,34 +306,24 @@ func waitSaturated(t *testing.T, sys *System) {
 }
 
 // (e) End of input: Close, with no barrier before it, delivers exactly the
-// matches of everything accepted, from every shard.
+// matches of everything accepted.
 func TestIngestCloseDrainsWhatWasAccepted(t *testing.T) {
-	sample, stream := smallWorkload(t, workload.Q1, 52, 6000)
-	const standing = 300 // smallWorkload's prewarm: insertions only
-	// Nothing orders a query operation against the objects of another
-	// shard, so the tail behind the standing queries is objects only.
-	ops := stream[:standing:standing]
-	for _, op := range stream[standing:] {
-		if op.Kind == model.OpObject {
-			ops = append(ops, op)
-		}
-	}
+	// The mixed stream: subscriptions arrive and leave among the objects.
+	sample, ops := smallWorkload(t, workload.Q1, 52, 6000)
 	want := oracleMatches(ops)
 	if len(want) == 0 {
 		t.Fatal("vacuous workload")
 	}
 	for _, bs := range []int{1, 64} {
 		ms := newMatchSet()
-		sys, err := New(Config{Dispatchers: 4, Workers: 4, BatchSize: bs, Builder: hybrid.Builder{}, OnMatch: ms.add}, sample)
+		sys, err := New(Config{Workers: 4, BatchSize: bs, Builder: hybrid.Builder{}, OnMatch: ms.add}, sample)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		sys.SubmitAll(ops[:standing])
-		sys.Quiesce(standing)
-		sys.SubmitAll(ops[standing:])
+		sys.SubmitAll(ops)
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -351,13 +345,13 @@ func TestIngestCloseDrainsWhatWasAccepted(t *testing.T) {
 }
 
 // (f) Submit allocates nothing of its own: the envelope is stored in the
-// shard's buffer, and a discarded object is never boxed.
+// ingest's buffer, and a discarded object is never boxed.
 func TestIngestSubmitDiscardedObjectAllocs(t *testing.T) {
-	sys := startIngestSystem(t, Config{Dispatchers: 2, Workers: 4, Builder: hybrid.Builder{}})
+	sys := startIngestSystem(t, Config{Workers: 4, Builder: hybrid.Builder{}})
 	defer sys.Abort()
 	op := objectOp(1, "nobody-subscribed-to-this", sys.Bounds().Center())
 	const warm = 20000
-	for i := 0; i < warm; i++ { // grow the shard buffers and the scratch
+	for i := 0; i < warm; i++ { // grow the ingest buffers and the scratch
 		sys.Submit(op)
 	}
 	sys.Quiesce(warm)
@@ -379,7 +373,7 @@ func TestIngestShutdownWithParkedPublisher(t *testing.T) {
 			release := make(chan struct{})
 			var delivered atomic.Int64
 			sys := startIngestSystem(t, Config{
-				Dispatchers: 1, Workers: 2, Mergers: 1, QueueCap: 16, BatchSize: 4,
+				Workers: 2, Mergers: 1, QueueCap: 16, BatchSize: 4,
 				Builder: hybrid.Builder{},
 				OnMatch: func(model.Match) {
 					<-release
@@ -438,11 +432,11 @@ func TestIngestShutdownWithParkedPublisher(t *testing.T) {
 }
 
 // BenchmarkSubmit publishes discarded objects through a started system:
-// the cost of Submit plus, on the other core, one dispatcher pulling and
+// the cost of Submit plus, on the other core, the dispatcher pulling and
 // routing them — the path every operation pays before any worker sees it.
 func BenchmarkSubmit(b *testing.B) {
 	sample, _ := smallWorkload(b, workload.Q1, 51, 0)
-	sys, err := New(Config{Dispatchers: 2, Workers: 4, Builder: hybrid.Builder{}}, sample)
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}}, sample)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 func matchPathSystem(tb testing.TB, onMatch func(model.Match)) (*System, []model.Op) {
 	tb.Helper()
 	sample, _ := smallWorkload(tb, workload.Q1, 71, 0)
-	sys, err := New(Config{Dispatchers: 1, Workers: 2, Mergers: 2, Builder: hybrid.Builder{}, OnMatch: onMatch}, sample)
+	sys, err := New(Config{Workers: 2, Mergers: 2, Builder: hybrid.Builder{}, OnMatch: onMatch}, sample)
 	if err != nil {
 		tb.Fatal(err)
 	}

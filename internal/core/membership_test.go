@@ -122,7 +122,6 @@ func TestAddWorkerRebalancesOntoJoinedNode(t *testing.T) {
 	joiner := startElasticNode(t, "")
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers:  1,
 		Workers:      2,
 		Mergers:      2,
 		Builder:      hybrid.Builder{},
@@ -180,11 +179,10 @@ func TestDecommissionWorkerDrainsNode(t *testing.T) {
 	addrs := []string{nodes[0].addr, nodes[1].addr, nodes[2].addr}
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     3,
-		Mergers:     2,
-		Builder:     hybrid.Builder{},
-		OnMatch:     ms.add,
+		Workers: 3,
+		Mergers: 2,
+		Builder: hybrid.Builder{},
+		OnMatch: ms.add,
 	}
 	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)
@@ -245,11 +243,10 @@ func TestCrashRecoveryReplaysOntoFreshNode(t *testing.T) {
 	victim := startElasticNode(t, "")
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     2,
-		Mergers:     2,
-		Builder:     hybrid.Builder{},
-		OnMatch:     ms.add,
+		Workers: 2,
+		Mergers: 2,
+		Builder: hybrid.Builder{},
+		OnMatch: ms.add,
 		Recovery: RecoveryConfig{
 			Enabled:            true,
 			CheckpointInterval: 100 * time.Millisecond,
@@ -340,7 +337,7 @@ func TestChaosFaultnetMatchesOracle(t *testing.T) {
 	// regardless of how long recovery stalls the distributed run.
 	clk := newFakeClock(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
 	oracle, err := New(Config{
-		Dispatchers: 1, Workers: 2, Mergers: 2,
+		Workers: 2, Mergers: 2,
 		Builder:    hybrid.Builder{},
 		OnMatch:    func(model.Match) {},
 		OnTopK:     func(TopKUpdate) {},
@@ -394,14 +391,13 @@ func TestChaosFaultnetMatchesOracle(t *testing.T) {
 	n1 := startChaosNode(t, fc)
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     2,
-		Mergers:     2,
-		Builder:     hybrid.Builder{},
-		OnMatch:     ms.add,
-		OnTopK:      func(TopKUpdate) {},
-		Clock:       clk.Now,
-		WindowTick:  time.Hour,
+		Workers:    2,
+		Mergers:    2,
+		Builder:    hybrid.Builder{},
+		OnMatch:    ms.add,
+		OnTopK:     func(TopKUpdate) {},
+		Clock:      clk.Now,
+		WindowTick: time.Hour,
 		Recovery: RecoveryConfig{
 			Enabled:            true,
 			CheckpointInterval: 100 * time.Millisecond,
@@ -438,7 +434,7 @@ func TestChaosFaultnetMatchesOracle(t *testing.T) {
 func TestDecommissionRefusedForLocalSlot(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 3, 10)
 	addrs := []string{startElasticNode(t, "").addr}
-	cfg := Config{Dispatchers: 1, Workers: 2, Builder: hybrid.Builder{}}
+	cfg := Config{Workers: 2, Builder: hybrid.Builder{}}
 	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +461,6 @@ func TestDrainFailsWhenWorkerUnrecoverable(t *testing.T) {
 	victim := startElasticNode(t, "")
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers:  1,
 		Workers:      1,
 		Mergers:      1,
 		Builder:      hybrid.Builder{},
@@ -535,11 +530,10 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 	victim, n1 := startElasticNode(t, ""), startElasticNode(t, "")
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     2,
-		Mergers:     2,
-		Builder:     hybrid.Builder{},
-		OnMatch:     ms.add,
+		Workers: 2,
+		Mergers: 2,
+		Builder: hybrid.Builder{},
+		OnMatch: ms.add,
 		Recovery: RecoveryConfig{
 			Enabled:            true,
 			CheckpointInterval: 100 * time.Millisecond,
@@ -741,7 +735,7 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	// crowd the first half off the boards before the mid snapshot.
 	clkO := newFakeClock(start)
 	oracle, err := New(Config{
-		Dispatchers: 1, Workers: 2, Mergers: 2,
+		Workers: 2, Mergers: 2,
 		Builder:    hybrid.Builder{},
 		OnMatch:    func(model.Match) {},
 		OnTopK:     func(TopKUpdate) {},
@@ -813,14 +807,13 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	nodes := []*elasticNode{startElasticNode(t, ""), startElasticNode(t, "")}
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     2,
-		Mergers:     2,
-		Builder:     hybrid.Builder{},
-		OnMatch:     ms.add,
-		OnTopK:      func(TopKUpdate) {},
-		Clock:       clk.Now,
-		WindowTick:  time.Hour,
+		Workers:    2,
+		Mergers:    2,
+		Builder:    hybrid.Builder{},
+		OnMatch:    ms.add,
+		OnTopK:     func(TopKUpdate) {},
+		Clock:      clk.Now,
+		WindowTick: time.Hour,
 		Recovery: RecoveryConfig{
 			Enabled:            true,
 			CheckpointInterval: 100 * time.Millisecond,

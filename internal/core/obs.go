@@ -85,7 +85,7 @@ func (s *System) initObservability() {
 	r := metrics.NewRegistry()
 	s.registry = r
 
-	r.CounterFunc("ps2_ops_processed_total", "input operations routed by the dispatchers",
+	r.CounterFunc("ps2_ops_processed_total", "input operations routed by the dispatcher",
 		s.processed.Value)
 	r.CounterFunc("ps2_ops_discarded_total", "objects discarded by routing (no H2 terms)",
 		s.discarded.Value)
@@ -120,15 +120,11 @@ func (s *System) initObservability() {
 	// The ingest: what a publisher feels before any stage sees the
 	// operation. Depth and capacity are read at scrape time; the blocked
 	// counter moves only on the path that is about to wait.
-	for i, sh := range s.ingest {
-		sh := sh
-		dl := metrics.L("dispatcher", strconv.Itoa(i))
-		r.GaugeFunc("ps2_ingest_depth_ops", "operations waiting in the dispatcher's ingest shard (instantaneous)",
-			func() float64 { return float64(sh.depth()) }, dl)
-		r.GaugeFunc("ps2_ingest_cap_ops", "waiting operations the ingest shard accepts before Submit blocks",
-			func() float64 { return float64(sh.limit) }, dl)
-	}
-	r.CounterFunc("ps2_ingest_blocked_total", "times a Submit parked on a full ingest shard",
+	r.GaugeFunc("ps2_ingest_depth_ops", "operations waiting in the ingest for the dispatcher (instantaneous)",
+		func() float64 { return float64(s.ingest.depth()) })
+	r.GaugeFunc("ps2_ingest_cap_ops", "waiting operations the ingest accepts before Submit blocks",
+		func() float64 { return float64(s.ingest.limit) })
+	r.CounterFunc("ps2_ingest_blocked_total", "times a Submit parked on a full ingest",
 		s.ingestBlocked.Value)
 
 	// Per-worker series. The op counts and the query gauge read the
@@ -246,7 +242,7 @@ func (s *System) initObservability() {
 }
 
 // registerQueueMetrics adds the per-bolt series: the workers and the
-// mergers; the dispatchers report through ps2_ingest_*. The processed and
+// mergers; the dispatcher reports through ps2_ingest_*. The processed and
 // emitted counts are operations and matches, core's own counters; the
 // queue gauges sum the tasks' channels, in batches.
 func (s *System) registerQueueMetrics() {

@@ -21,7 +21,7 @@ func TestMigrateSplitMovesOneKeyShare(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 51, 0)
 	ms := newMatchSet()
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers: 4,
 		Builder: hybrid.Builder{},
 		OnMatch: ms.add,
 	}, sample)

@@ -286,7 +286,7 @@ func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 	}
 }
 
-// Close runs when the forwarder's task ends: once the dispatchers finish,
+// Close runs when the forwarder's task ends: once the dispatcher finishes,
 // it half-closes the hop so the worker node flushes its remaining matches
 // and ends the return stream. A hop caught mid-outage (down or replaying)
 // is hard-closed instead, so the slot's match reader unblocks and an
@@ -509,7 +509,7 @@ func (s *System) expectedFromHop(h *workerHop) (gen uint64, contribution int64, 
 }
 
 // Drain blocks until the first `submitted` operations are fully applied
-// end to end: routed by the dispatchers, drained through every worker —
+// end to end: routed by the dispatcher, drained through every worker —
 // local queues empty, remote workers wire-acknowledged — and every
 // match they produced delivered by the mergers (local and remote). It
 // is the exact barrier behind the public Flush; on a quiesced system

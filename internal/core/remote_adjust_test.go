@@ -49,10 +49,9 @@ func runRemoteHotspotPublish(t *testing.T) (matches [][2]uint64, adj AdjustStats
 	sample := workload.SampleFocused(spec, workload.Q1, 2000, 400, 77, 0, 2.0, 0.85)
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 2,
-		Workers:     4,
-		Mergers:     2,
-		OnMatch:     ms.add,
+		Workers: 4,
+		Mergers: 2,
+		OnMatch: ms.add,
 		Adjust: AdjustConfig{
 			Enabled:       true,
 			Sigma:         1.05,
@@ -186,11 +185,10 @@ func TestRemoteMigrateShareBothDirections(t *testing.T) {
 
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     2,
-		Mergers:     1,
-		Builder:     hybrid.Builder{},
-		OnMatch:     ms.add,
+		Workers: 2,
+		Mergers: 1,
+		Builder: hybrid.Builder{},
+		OnMatch: ms.add,
 	}
 	addrs, nodes := startMigratingWorkerNodes(t, 1) // worker task 0 remote, task 1 local
 	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
@@ -303,7 +301,7 @@ func TestMigrationBytesSameForBothPlacements(t *testing.T) {
 	sample := workload.Sample(spec, workload.Q1, 2000, 400, 9)
 	warm := workload.NewStream(spec, workload.Q1, workload.StreamConfig{Mu: 300, Seed: 9}).Prewarm(300)
 
-	cfg := Config{Dispatchers: 1, Workers: 2, Mergers: 1, Builder: hybrid.Builder{}}
+	cfg := Config{Workers: 2, Mergers: 1, Builder: hybrid.Builder{}}
 	addrs, _ := startMigratingWorkerNodes(t, 1) // worker task 0 remote, task 1 local
 	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)
@@ -394,9 +392,8 @@ func TestRemoteHotspotShiftDetectorFires(t *testing.T) {
 	const mu = 500
 	sample := workload.SampleFocused(spec, workload.Q1, 2000, 400, 31, 0, 2.0, 0.85)
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     2,
-		Mergers:     1,
+		Workers: 2,
+		Mergers: 1,
 		Adjust: AdjustConfig{
 			Enabled:       true,
 			Sigma:         1.10,

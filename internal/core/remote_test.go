@@ -43,11 +43,10 @@ func TestRemoteWorkersMatchInProcessOracle(t *testing.T) {
 	addrs := startWorkerNodes(t, 2)
 	ms := newMatchSet()
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     4,
-		Mergers:     2,
-		Builder:     hybrid.Builder{},
-		OnMatch:     ms.add,
+		Workers: 4,
+		Mergers: 2,
+		Builder: hybrid.Builder{},
+		OnMatch: ms.add,
 	}
 	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)
@@ -107,9 +106,8 @@ func TestRemoteMergerDeliversAndCounts(t *testing.T) {
 	go mn.Serve(ctx, ln)
 
 	cfg := Config{
-		Dispatchers: 1,
-		Workers:     3,
-		Builder:     hybrid.Builder{},
+		Workers: 3,
+		Builder: hybrid.Builder{},
 	}
 	if err := cfg.ConnectRemoteMergers([]string{ln.Addr().String(), ln.Addr().String()}, sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)
@@ -188,7 +186,7 @@ func TestRemoteValidation(t *testing.T) {
 func TestRemoteRepartitionOverWire(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 5, 500)
 	addrs := startWorkerNodes(t, 1)
-	cfg := Config{Dispatchers: 1, Workers: 2, Builder: hybrid.Builder{}}
+	cfg := Config{Workers: 2, Builder: hybrid.Builder{}}
 	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +279,7 @@ func TestRemoteConfigMismatchDetected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addrs := startWorkerNodes(t, 1)
-			cfg := Config{Dispatchers: 1, Workers: 2, Builder: hybrid.Builder{}}
+			cfg := Config{Workers: 2, Builder: hybrid.Builder{}}
 			if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +301,7 @@ func TestRemoteConfigMismatchDetected(t *testing.T) {
 func TestRemoteAbortUnblocks(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 11, 100)
 	addrs := startWorkerNodes(t, 1)
-	cfg := Config{Dispatchers: 1, Workers: 1, Builder: hybrid.Builder{}}
+	cfg := Config{Workers: 1, Builder: hybrid.Builder{}}
 	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)
 	}

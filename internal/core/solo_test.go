@@ -89,7 +89,7 @@ func requireSpaceOnly(t *testing.T, sys *System) {
 func TestSoloSpaceOnlySkipsTheWindow(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 61, 6000)
 	del := newDeliveries()
-	sys, err := New(Config{Dispatchers: 1, Workers: 4, Mergers: 2, Builder: spaceOnly(), OnMatch: del.add}, sample)
+	sys, err := New(Config{Workers: 4, Mergers: 2, Builder: spaceOnly(), OnMatch: del.add}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,10 @@ func publishWhile(sys *System, ops []model.Op) (wait func()) {
 func TestSoloAcrossTextSplit(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 62, 0)
 	del := newDeliveries()
-	// One dispatcher, like every migration test: handOff's extraction
-	// barrier counts the source's finished operations, which orders them
-	// only within one dispatcher's FIFO (ROADMAP item 0).
-	sys, err := New(Config{Dispatchers: 1, Workers: 4, Builder: hybrid.Builder{}, OnMatch: del.add}, sample)
+	// handOff's extraction barrier counts the source's finished
+	// operations, which orders them because the one dispatcher routes
+	// every operation in Submit order.
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}, OnMatch: del.add}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSoloAcrossGlobalRepartition(t *testing.T) {
 	spec.VocabSize = 2000
 	sample := workload.Sample(spec, workload.Q1, 2000, 400, 63)
 	del := newDeliveries()
-	sys, err := New(Config{Dispatchers: 2, Workers: 4, Builder: partition.KDTreeBuilder{}, OnMatch: del.add}, sample)
+	sys, err := New(Config{Workers: 4, Builder: partition.KDTreeBuilder{}, OnMatch: del.add}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestSoloAcrossGlobalRepartition(t *testing.T) {
 func TestSoloOnlyForInProcessSlots(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 64, 4000)
 	del := newDeliveries()
-	cfg := Config{Dispatchers: 1, Workers: 3, Mergers: 2, Builder: spaceOnly(), OnMatch: del.add}
+	cfg := Config{Workers: 3, Mergers: 2, Builder: spaceOnly(), OnMatch: del.add}
 	if err := cfg.ConnectRemoteWorkers(startWorkerNodes(t, 1), sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)
 	}

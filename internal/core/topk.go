@@ -49,7 +49,7 @@ type topkBoard struct {
 	deliver func(TopKUpdate)
 	qs      map[uint64]*boardQuery
 	// live is the registry of top-k subscriptions currently routed: the
-	// dispatchers register an id before its insert fans out and
+	// dispatcher registers an id before its insert fans out and
 	// unregister it when the delete routes. Deltas for an id outside the
 	// registry — a remote frame racing an Unsubscribe, or a stale
 	// replay — are dropped instead of allocating a dead boardQuery.
@@ -92,7 +92,7 @@ func newTopKBoard(deliver func(TopKUpdate)) *topkBoard {
 }
 
 // register adds a top-k subscription to the live registry. The
-// dispatchers call it before the insert fans out to workers, so every
+// dispatcher calls it before the insert fans out to workers, so every
 // delta a worker can produce for the id postdates its registration.
 func (b *topkBoard) register(qid uint64) {
 	b.mu.Lock()

@@ -245,7 +245,7 @@ func TestTopKEndToEndDeterministic(t *testing.T) {
 	clk := newFakeClock(time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC))
 	log := &updateLog{}
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers: 4,
 		Builder: hybrid.Builder{},
 		Clock:   clk.Now,
 		OnTopK:  log.add,
@@ -329,7 +329,7 @@ func TestTopKMigrationHandoff(t *testing.T) {
 	clk := newFakeClock(time.Date(2026, 3, 1, 10, 0, 0, 0, time.UTC))
 	log := &updateLog{}
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers:    4,
 		Builder:    hybrid.Builder{},
 		Clock:      clk.Now,
 		OnTopK:     log.add,
@@ -439,7 +439,7 @@ func TestTopKSurvivesGlobalRepartition(t *testing.T) {
 	clk := newFakeClock(time.Date(2026, 3, 1, 11, 0, 0, 0, time.UTC))
 	log := &updateLog{}
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers:    4,
 		Builder:    hybrid.Builder{},
 		Clock:      clk.Now,
 		OnTopK:     log.add,
@@ -511,7 +511,7 @@ func TestTopKExpiryUnderConcurrentPublishAndMigrate(t *testing.T) {
 	log := &updateLog{}
 	const win = 250 * time.Millisecond
 	sys, err := New(Config{
-		Dispatchers: 1, Workers: 4,
+		Workers:    4,
 		Builder:    hybrid.Builder{},
 		OnTopK:     log.add,
 		WindowTick: 20 * time.Millisecond,

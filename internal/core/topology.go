@@ -11,9 +11,9 @@ import (
 	"ps2stream/internal/wire"
 )
 
-// forcedFlushFactor bounds how long a dispatcher whose shard never runs
-// empty may keep a partial batch open: every forcedFlushFactor × BatchSize
-// routed operations it sends them all, so a towork batch for a
+// forcedFlushFactor bounds how long the dispatcher, when the ingest never
+// runs empty, may keep a partial batch open: every forcedFlushFactor ×
+// BatchSize routed operations it sends them all, so a towork batch for a
 // rarely-targeted worker cannot be parked behind a saturated input
 // (handOff's drain barrier and Drain wait on such batches).
 const forcedFlushFactor = 4
@@ -141,13 +141,13 @@ func emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv) {
 
 // run executes dispatcher → worker → merger (Figure 1), one goroutine per
 // task, until the ingest is closed and every batch has drained, or ctx is
-// cancelled. The dispatchers pull typed []wire.OpEnv buffers from their
-// ingest shards (ingest.go) and fill one batch per target worker on
-// s.towork; workers take their index/window locks once per batch and send
-// their matches on s.toMerge; mergers deduplicate batch-wise.
+// cancelled. The dispatcher pulls typed []wire.OpEnv buffers from the
+// ingest (ingest.go) and fills one batch per target worker on s.towork;
+// workers take their index/window locks once per batch and send their
+// matches on s.toMerge; mergers deduplicate batch-wise.
 //
 // Three WaitGroups order the close cascade: the towork channels close once
-// every dispatcher is done, the merger channels once every producer of
+// the dispatcher is done, the merger channels once every producer of
 // matches is (the worker slots, and the readers of the remote workers'
 // match streams), and run returns once the mergers are. On cancellation
 // every task stops at its next batch boundary. A task that panics is
@@ -158,7 +158,7 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	done := ctx.Done()
 	var mu sync.Mutex // guards panics
 	var panics []string
-	var dispatchers, producers, mergers sync.WaitGroup
+	var dispatcherDone, producers, mergers sync.WaitGroup
 	spawn := func(wg *sync.WaitGroup, name string, task int, fn func()) {
 		wg.Add(1)
 		go func() {
@@ -175,20 +175,16 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 		}()
 	}
 
-	// Dispatchers: route by the current assignment, one task per ingest
-	// shard. Submit shards on the op's routing hash, so an insert and a
-	// later delete of one query pass through one dispatcher in order (a
-	// delete that overtook its insert would leak the query forever).
-	for i, shard := range s.ingest {
-		d := &dispatcher{
-			s:     s,
-			shard: shard,
-			out:   newFanout(&s.opBatches, s.towork, done),
-			enq:   make([]int64, s.totalSlots()),
-			objs:  make([]int64, s.totalSlots()),
-		}
-		spawn(&dispatchers, "dispatcher", i, d.run)
+	// The dispatcher: one task routes every operation by the current
+	// assignment, in Submit order, so gridt's H2 and every worker's input
+	// follow the order in which Submits took the ingest.
+	d := &dispatcher{
+		s:    s,
+		out:  newFanout(&s.opBatches, s.towork, done),
+		enq:  make([]int64, s.totalSlots()),
+		objs: make([]int64, s.totalSlots()),
 	}
+	spawn(&dispatcherDone, "dispatcher", 0, d.run)
 
 	// Workers: one task per slot, spares included, so a runtime join needs
 	// no new task. An in-process slot's task runs the slot's engine; an
@@ -229,7 +225,7 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 		spawn(&mergers, "merger", i, func() { consume(in, done, m.process) })
 	}
 
-	dispatchers.Wait()
+	dispatcherDone.Wait()
 	for _, ch := range s.towork {
 		close(ch)
 	}
@@ -244,15 +240,14 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	return ctx.Err()
 }
 
-// dispatcher is one dispatcher task, a source of the topology: it takes
-// whatever its ingest shard has accepted and routes it in chunks of up to
+// dispatcher is the dispatcher task, the source of the topology: it takes
+// whatever the ingest has accepted and routes it in chunks of up to
 // BatchSize operations, so batches fill by themselves under load (the
-// shard accumulates while the dispatcher works) and an idle system routes
+// ingest accumulates while the dispatcher works) and an idle system routes
 // a single operation at once.
 type dispatcher struct {
-	s     *System
-	shard *ingestShard
-	// spare is the routed buffer the next take hands back to the shard.
+	s *System
+	// spare is the routed buffer the next take hands back to the ingest.
 	spare []wire.OpEnv
 	// out holds the open towork batch of every worker.
 	out fanout[wire.OpEnv]
@@ -268,14 +263,14 @@ type dispatcher struct {
 // routedOp addresses operation op of the chunk to worker w.
 type routedOp struct{ op, w int }
 
-// run routes what the shard accepts until it is closed and drained. Once
+// run routes what the ingest accepts until it is closed and drained. Once
 // the run is cancelled it routes nothing more, not even the remainder of
-// the shard Abort closed.
+// the ingest Abort closed.
 func (d *dispatcher) run() {
 	bs := d.s.cfg.BatchSize
 	for {
 		// Nothing is waiting: push out partial batches before parking.
-		ops := d.shard.take(d.spare, d.flush)
+		ops := d.s.ingest.take(d.spare, d.flush)
 		if len(ops) == 0 || cancelled(d.out.done) {
 			break // closed and drained, or cancelled
 		}
@@ -308,7 +303,7 @@ func (d *dispatcher) flush() {
 // one snapshot across a whole chunk would stretch the migration-flip race
 // window from one tuple to BatchSize tuples of stale routing.
 //
-// It runs in two passes so that the counters two dispatchers share are
+// It runs in two passes so that the counters the barriers read are
 // touched once per chunk: the first routes and counts, the second appends
 // each envelope to the open batch of every worker it is routed to.
 // enqueued must cover an operation before the worker can count it in
@@ -346,10 +341,9 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 				d.objs[w]++
 			}
 		case model.OpInsert:
-			// Register before the fan-out: the ingest shards on the query
-			// id, so an insert and its later delete pass through here in
-			// order, and every delta a worker can produce postdates the
-			// registration.
+			// Register before the fan-out: operations pass through here in
+			// Submit order, so an insert precedes its later delete, and
+			// every delta a worker can produce postdates the registration.
 			if op.Query.IsTopK() {
 				s.board.register(op.Query.ID)
 			}

@@ -24,7 +24,7 @@ import (
 // topology, and Close reports the panic.
 func TestTaskPanicStopsRun(t *testing.T) {
 	sys := startIngestSystem(t, Config{
-		Dispatchers: 2, Workers: 4, Mergers: 2, QueueCap: 64, Builder: hybrid.Builder{},
+		Workers: 4, Mergers: 2, QueueCap: 64, Builder: hybrid.Builder{},
 		OnMatch: func(model.Match) { panic("subscriber bug") },
 	})
 	at := sys.Bounds().Center()
@@ -70,7 +70,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			before := runtime.NumGoroutine()
 			release := make(chan struct{})
 			sys := startIngestSystem(t, Config{
-				Dispatchers: 2, Workers: 2, Mergers: 1, QueueCap: 16, BatchSize: 4,
+				Workers: 2, Mergers: 1, QueueCap: 16, BatchSize: 4,
 				Builder: hybrid.Builder{},
 				OnMatch: func(model.Match) { <-release },
 			})
@@ -126,7 +126,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 func TestAdvanceRouteWaitsForRoutingChunks(t *testing.T) {
 	routing, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	sys := startIngestSystem(t, Config{Dispatchers: 1, Workers: 2, Builder: &idRouter{route: func(uint64) int {
+	sys := startIngestSystem(t, Config{Workers: 2, Builder: &idRouter{route: func(uint64) int {
 		once.Do(func() {
 			close(routing)
 			<-release // the chunk stalls mid-route, under routeMu's read side
@@ -158,7 +158,7 @@ func TestAdvanceRouteWaitsForRoutingChunks(t *testing.T) {
 // TestAdvanceRouteEpochRisesOnePerCall: a fresh system is at route epoch 0,
 // and every advanceRoute moves it up by exactly one.
 func TestAdvanceRouteEpochRisesOnePerCall(t *testing.T) {
-	sys := startIngestSystem(t, Config{Dispatchers: 2, Workers: 2, Builder: hybrid.Builder{}})
+	sys := startIngestSystem(t, Config{Workers: 2, Builder: hybrid.Builder{}})
 	if e := sys.RouteEpoch(); e != 0 {
 		t.Fatalf("a fresh system is at route epoch %d, want 0", e)
 	}
@@ -174,12 +174,12 @@ func TestAdvanceRouteEpochRisesOnePerCall(t *testing.T) {
 }
 
 // TestAdvanceRouteUnderConcurrentRouting hammers the fence: advances race
-// four dispatchers routing a steady stream (run under -race in CI). Every
+// the dispatcher routing a steady stream (run under -race in CI). Every
 // advance counts once in the epoch, and every published operation is
 // routed and counted exactly once.
 func TestAdvanceRouteUnderConcurrentRouting(t *testing.T) {
 	const workers, advances = 4, 200
-	sys := startIngestSystem(t, Config{Dispatchers: 4, Workers: workers, QueueCap: 64, BatchSize: 8,
+	sys := startIngestSystem(t, Config{Workers: workers, QueueCap: 64, BatchSize: 8,
 		Builder: &idRouter{route: func(id uint64) int { return int(id % workers) }}})
 	at := sys.Bounds().Center()
 	var stop atomic.Bool
@@ -255,10 +255,9 @@ func TestFanoutDeliversToAddressedTask(t *testing.T) {
 }
 
 // TestWorkerSeesPerKeyPublishOrder: operations sharing a routing key reach
-// their worker's engine in publish order, through several dispatchers,
+// their worker's engine in publish order, through the dispatcher,
 // odd-sized batches and the partial batches flushed at the end — the
-// per-key FIFO a subscription's delete relies on never to overtake its
-// insert.
+// FIFO a subscription's delete relies on never to overtake its insert.
 func TestWorkerSeesPerKeyPublishOrder(t *testing.T) {
 	const keys, perKey, workers = 8, 200, 4 // keys*perKey is no multiple of BatchSize
 	route := func(id uint64) int { return int(id % workers) }
@@ -279,7 +278,7 @@ func TestWorkerSeesPerKeyPublishOrder(t *testing.T) {
 			}
 		}))
 	}
-	sys := startIngestSystem(t, Config{Dispatchers: 2, Workers: workers, QueueCap: 64, BatchSize: 7,
+	sys := startIngestSystem(t, Config{Workers: workers, QueueCap: 64, BatchSize: 7,
 		Builder: &idRouter{route: route}}, record...)
 	at := sys.Bounds().Center()
 	for i := 0; i < keys*perKey; i++ {
@@ -316,7 +315,7 @@ func TestWorkerSeesPerKeyPublishOrder(t *testing.T) {
 // returns instead of waiting on a stream nothing would end.
 func TestRemoteForwarderClosesItsHop(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 51, 0)
-	cfg := Config{Dispatchers: 1, Workers: 2, Mergers: 1,
+	cfg := Config{Workers: 2, Mergers: 1,
 		Builder: &idRouter{route: func(id uint64) int { return int(id % 2) }}}
 	if err := cfg.ConnectRemoteWorkers(startWorkerNodes(t, 2), sample, wire.Backoff{Attempts: 5}); err != nil {
 		t.Fatal(err)

@@ -154,7 +154,7 @@ func (ix *Index) Grid() *grid.Grid { return ix.g }
 
 // RegistrationKeys returns the distinct least-frequent keywords, one per
 // conjunction of q, under which the query is indexed. It delegates to
-// textutil.Stats.RegistrationKeys so dispatchers and workers share one
+// textutil.Stats.RegistrationKeys so the dispatcher and workers share one
 // rule.
 func RegistrationKeys(q *model.Query, stats *textutil.Stats) []string {
 	return stats.RegistrationKeys(q.Expr.Conj)
@@ -490,7 +490,7 @@ func (ix *Index) Delete(id uint64) {
 
 // Match finds all live queries matching o and invokes fn exactly once per
 // query — at most once per call, however many of the query's conjunctions
-// and registration keys o hits. The dispatchers rely on it: an object
+// and registration keys o hits. The dispatcher relies on it: an object
 // routed to one worker cannot yield the same (query, object) pair twice,
 // so the mergers deliver its matches without a dedup probe
 // (wire.OpEnv.Solo). Dead entries encountered on the traversed lists are

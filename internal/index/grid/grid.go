@@ -102,8 +102,8 @@ func (g *Grid) CellRect(id int) geo.Rect {
 
 // CellsOverlapping returns the ids of all cells intersecting r, in
 // ascending order. Rectangles outside the bounds are clamped, so the
-// nearest boundary cells are returned (dispatchers must route queries whose
-// regions partially leave the monitored space).
+// nearest boundary cells are returned (the dispatcher must route queries
+// whose regions partially leave the monitored space).
 func (g *Grid) CellsOverlapping(r geo.Rect) []int {
 	x0 := g.ColOf(r.Min.X)
 	x1 := g.ColOf(r.Max.X)

@@ -260,9 +260,9 @@ func (k OpKind) String() string {
 
 // Op is one element of the workload stream: either an object to match, a
 // query insertion, or a query deletion. Exactly one payload field is set
-// according to Kind (for OpDelete, the full query is carried so dispatchers
-// can route the deletion to the workers holding it, as in §III-B: "the
-// request contains complete information of the STS query").
+// according to Kind (for OpDelete, the full query is carried so the
+// dispatcher can route the deletion to the workers holding it, as in
+// §III-B: "the request contains complete information of the STS query").
 type Op struct {
 	Kind  OpKind
 	Obj   *Object
@@ -270,31 +270,6 @@ type Op struct {
 	// Seq is the position of the op in its stream, used for latency
 	// bookkeeping and deterministic replay.
 	Seq uint64
-}
-
-// routeMix is the 64-bit golden-ratio multiplier every op routing hash
-// shares (Fibonacci hashing): sequential ids spread uniformly across a
-// small modulus.
-const routeMix = 0x9E3779B97F4A7C15
-
-// RouteHash is the op's routing hash: objects spread by object id,
-// insert/delete pair up on the query id so a deletion can never overtake
-// its insertion on another route. The dispatcher fields-grouping uses it
-// to spread the spout's stream across dispatcher tasks; per-key ordering
-// holds end to end because each hop after that preserves its input order
-// outright (in-process queues by FIFO, the wire transport by batch
-// sequence reassembly).
-func (o *Op) RouteHash() uint64 {
-	if o.Kind == OpObject {
-		if o.Obj == nil {
-			return 0
-		}
-		return o.Obj.ID * routeMix
-	}
-	if o.Query == nil {
-		return 0
-	}
-	return o.Query.ID * routeMix
 }
 
 // Match is a (query, object) result pair produced by a worker and routed to

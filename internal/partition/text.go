@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"hash/fnv"
 	"math/bits"
 	"sort"
 	"sync"
@@ -22,22 +21,11 @@ type TextAssignment struct {
 	owner map[string]int
 	stats *textutil.Stats
 
-	// h2 tracks active registration keys (term → live query count),
-	// sharded by term hash so concurrent dispatchers rarely contend.
-	h2 [h2Shards]h2Shard
-}
-
-type h2Shard struct {
-	mu   sync.RWMutex
-	keys map[string]int
-}
-
-const h2Shards = 16
-
-func (a *TextAssignment) shardOf(term string) *h2Shard {
-	h := fnv.New32a()
-	h.Write([]byte(term))
-	return &a.h2[h.Sum32()&(h2Shards-1)]
+	// h2 tracks active registration keys (term → live query count). The
+	// dispatcher writes it; h2mu lets Footprint read it from other
+	// goroutines.
+	h2mu sync.RWMutex
+	h2   map[string]int
 }
 
 // NewTextAssignment builds an assignment from an explicit term→worker map.
@@ -49,9 +37,7 @@ func NewTextAssignment(name string, m int, owner map[string]int, stats *textutil
 		m:     m,
 		owner: owner,
 		stats: stats,
-	}
-	for i := range a.h2 {
-		a.h2[i].keys = make(map[string]int)
+		h2:    make(map[string]int),
 	}
 	return a
 }
@@ -67,15 +53,13 @@ func (a *TextAssignment) Owner(term string) int {
 // RouteObject implements Assignment.
 func (a *TextAssignment) RouteObject(o *model.Object) []int {
 	var mask uint64
+	a.h2mu.RLock()
 	for _, t := range o.Terms {
-		sh := a.shardOf(t)
-		sh.mu.RLock()
-		active := sh.keys[t] > 0
-		sh.mu.RUnlock()
-		if active {
+		if a.h2[t] > 0 {
 			mask |= 1 << uint(a.Owner(t))
 		}
 	}
+	a.h2mu.RUnlock()
 	return workersFromMask(mask, nil)
 }
 
@@ -83,20 +67,19 @@ func (a *TextAssignment) RouteObject(o *model.Object) []int {
 func (a *TextAssignment) RouteQuery(q *model.Query, insert bool) []int {
 	keys := a.stats.RegistrationKeys(q.Expr.Conj)
 	var mask uint64
+	a.h2mu.Lock()
 	for _, k := range keys {
 		mask |= 1 << uint(a.Owner(k))
-		sh := a.shardOf(k)
-		sh.mu.Lock()
 		if insert {
-			sh.keys[k]++
-		} else if sh.keys[k] > 0 {
-			sh.keys[k]--
-			if sh.keys[k] == 0 {
-				delete(sh.keys, k)
+			a.h2[k]++
+		} else if a.h2[k] > 0 {
+			a.h2[k]--
+			if a.h2[k] == 0 {
+				delete(a.h2, k)
 			}
 		}
-		sh.mu.Unlock()
 	}
+	a.h2mu.Unlock()
 	return workersFromMask(mask, nil)
 }
 
@@ -112,33 +95,24 @@ func (a *TextAssignment) Footprint() int64 {
 	for t := range a.owner {
 		b += int64(len(t)) + 24
 	}
-	for i := range a.h2 {
-		sh := &a.h2[i]
-		sh.mu.RLock()
-		b += int64(len(sh.keys)) * 24
-		sh.mu.RUnlock()
-	}
+	a.h2mu.RLock()
+	b += int64(len(a.h2)) * 24
+	a.h2mu.RUnlock()
 	return b
 }
 
 // activeKeyCount reports live H2 keys (tests).
 func (a *TextAssignment) activeKeyCount() int {
-	n := 0
-	for i := range a.h2 {
-		sh := &a.h2[i]
-		sh.mu.RLock()
-		n += len(sh.keys)
-		sh.mu.RUnlock()
-	}
-	return n
+	a.h2mu.RLock()
+	defer a.h2mu.RUnlock()
+	return len(a.h2)
 }
 
 // activeKeyRefs returns the live refcount of a registration key (tests).
 func (a *TextAssignment) activeKeyRefs(k string) int {
-	sh := a.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.keys[k]
+	a.h2mu.RLock()
+	defer a.h2mu.RUnlock()
+	return a.h2[k]
 }
 
 // workersFromMask expands a worker bitmask into a slice (ascending ids).

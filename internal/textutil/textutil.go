@@ -182,7 +182,7 @@ func (s *Stats) DistinctTerms() int { return len(s.counts) }
 
 // LeastFrequent returns the term with the smallest recorded count among the
 // given terms, breaking ties lexicographically so the choice is
-// deterministic across dispatchers and workers. Terms never recorded count
+// deterministic across the dispatcher and workers. Terms never recorded count
 // as 0 and therefore win. An empty input returns "".
 func (s *Stats) LeastFrequent(terms []string) string {
 	best := ""

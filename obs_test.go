@@ -54,11 +54,10 @@ func promValue(t *testing.T, body, series string) float64 {
 func TestAdminEndpointsEndToEnd(t *testing.T) {
 	var c collector
 	sys, err := Open(Options{
-		Region:      usRegion,
-		Workers:     2,
-		Dispatchers: 1,
-		AdminAddr:   "127.0.0.1:0",
-		OnMatch:     c.add,
+		Region:    usRegion,
+		Workers:   2,
+		AdminAddr: "127.0.0.1:0",
+		OnMatch:   c.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +106,8 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 		"ps2_migrations_total",
 		"ps2_tuple_latency_seconds_count",
 		`ps2_queue_depth_batches{bolt="worker"}`,
-		`ps2_ingest_depth_ops{dispatcher="0"}`,
-		`ps2_ingest_cap_ops{dispatcher="0"}`,
+		"\nps2_ingest_depth_ops ",
+		"\nps2_ingest_cap_ops ",
 		"ps2_ingest_blocked_total",
 	} {
 		if !strings.Contains(body, series) {
@@ -180,9 +179,8 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 // into a failure.
 func TestStatsRacesPublishAndAdjust(t *testing.T) {
 	sys, err := Open(Options{
-		Region:      usRegion,
-		Workers:     4,
-		Dispatchers: 2,
+		Region:  usRegion,
+		Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,10 +270,9 @@ func TestAdjustDecisionTrace(t *testing.T) {
 	var buf lockedBuf
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	sys, err := Open(Options{
-		Region:      usRegion,
-		Workers:     2,
-		Dispatchers: 1,
-		Logger:      logger,
+		Region:  usRegion,
+		Workers: 2,
+		Logger:  logger,
 		Adjust: AdjustOptions{
 			Auto:     true,
 			Interval: 5 * time.Millisecond,

@@ -6,8 +6,10 @@
 // matching subscription in real time.
 //
 // Internally the workload is spread over dispatcher, worker, and merger
-// tasks (goroutines standing in for the paper's Storm cluster), and
-// messages move between tasks in batches of up to Options.BatchSize so the
+// tasks (goroutines standing in for the paper's Storm cluster). One
+// dispatcher routes every operation in the order Publish, Subscribe and
+// Unsubscribe were called, and every worker applies them in that order.
+// Messages move between tasks in batches of up to Options.BatchSize so the
 // publish hot path amortises per-message transfer costs (see
 // docs/ARCHITECTURE.md). The distribution strategy is pluggable: the
 // paper's hybrid kdt-tree/gridt partitioning (default), three
@@ -218,10 +220,14 @@ const WorkerIndexGI2 WorkerIndex = "gi2"
 type Options struct {
 	// Region is the monitored space. Required.
 	Region Region
-	// Workers, Dispatchers, Mergers size the topology (defaults 8/4/2).
-	Workers     int
+	// Workers and Mergers size the topology (defaults 8/2).
+	Workers int
+	Mergers int
+	// Dispatchers is ignored: one dispatcher routes every operation, in
+	// Publish/Subscribe/Unsubscribe order. Any value is accepted.
+	//
+	// Deprecated: the field survives only because benchmark/run.go sets it.
 	Dispatchers int
-	Mergers     int
 	// BatchSize is the number of operations transferred per internal
 	// channel send on every hop of the publish path (default 64). Batches
 	// fill adaptively and partial batches flush as soon as a stage goes
@@ -444,15 +450,14 @@ func Open(opts Options) (*System, error) {
 		}
 	}
 	cfg := core.Config{
-		Dispatchers: opts.Dispatchers,
-		Workers:     opts.Workers,
-		Mergers:     opts.Mergers,
-		BatchSize:   opts.BatchSize,
-		Builder:     b,
-		OnMatch:     onMatch,
-		OnTopK:      onTopK,
-		Clock:       opts.Now,
-		Logger:      opts.Logger,
+		Workers:   opts.Workers,
+		Mergers:   opts.Mergers,
+		BatchSize: opts.BatchSize,
+		Builder:   b,
+		OnMatch:   onMatch,
+		OnTopK:    onTopK,
+		Clock:     opts.Now,
+		Logger:    opts.Logger,
 	}
 	cfg.Adjust = core.AdjustConfig{
 		Enabled:   opts.Adjust.Auto,
@@ -530,7 +535,9 @@ func (s *Subscription) toQuery() (*model.Query, error) {
 	}, nil
 }
 
-// Publish submits a message for matching. It blocks under backpressure; a
+// Publish submits a message for matching: against every subscription
+// whose Subscribe returned before this call, and against none whose
+// Unsubscribe returned before it. It blocks under backpressure; a
 // Publish that is blocked when Close is called, or follows it, returns
 // without submitting.
 func (s *System) Publish(m Message) {
@@ -538,7 +545,9 @@ func (s *System) Publish(m Message) {
 	s.inner.Submit(model.Op{Kind: model.OpObject, Obj: m.toObject()})
 }
 
-// Subscribe registers a continuous query.
+// Subscribe registers a continuous query. Once Subscribe returns, every
+// later Publish is matched against it; matches are delivered
+// asynchronously through Options.OnMatch.
 func (s *System) Subscribe(sub Subscription) error {
 	q, err := sub.toQuery()
 	if err != nil {
@@ -593,9 +602,10 @@ func (s *System) AdvanceTopK() {
 	s.inner.AdvanceWindows()
 }
 
-// Unsubscribe drops a subscription. The full subscription is required
-// (§III-B: deletion requests carry the complete query so dispatchers can
-// route them).
+// Unsubscribe drops a subscription. Once Unsubscribe returns, no later
+// Publish is delivered to it; matches of earlier Publishes may still
+// arrive. The full subscription is required (§III-B: deletion requests
+// carry the complete query so the dispatcher can route them).
 func (s *System) Unsubscribe(sub Subscription) error {
 	q, err := sub.toQuery()
 	if err != nil {
@@ -699,7 +709,7 @@ func (s *System) Checkpoint(w io.Writer) error {
 var ErrBoundsMismatch = errors.New("ps2stream: snapshot bounds do not match the system's region")
 
 // Restore re-registers every subscription from a snapshot produced by
-// Checkpoint, routing them through the dispatchers like fresh Subscribe
+// Checkpoint, routing them through the dispatcher like fresh Subscribe
 // calls. It returns the number of subscriptions restored. The snapshot
 // header's bounds must equal this system's region (ErrBoundsMismatch
 // otherwise). Restoring onto a system that already holds some of the
@@ -720,7 +730,7 @@ func (s *System) Restore(r io.Reader) (int, error) {
 }
 
 // Flush blocks until every operation submitted so far is fully applied
-// end to end: routed by the dispatchers, drained through every worker
+// end to end: routed by the dispatcher, drained through every worker
 // (local queues empty; remote psnode workers acknowledged over the
 // wire), and every match those operations produced delivered by the
 // mergers — including OnMatch callbacks, which have returned by the

@@ -32,7 +32,7 @@ func TestOpenPublishSubscribe(t *testing.T) {
 	col := &collector{}
 	sys, err := Open(Options{
 		Region:  usRegion,
-		Workers: 4, Dispatchers: 1,
+		Workers: 4,
 		OnMatch: col.add,
 	})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestOpenPublishSubscribe(t *testing.T) {
 
 func TestUnsubscribeStopsDelivery(t *testing.T) {
 	col := &collector{}
-	sys, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1, OnMatch: col.add})
+	sys, err := Open(Options{Region: usRegion, Workers: 2, OnMatch: col.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 // index entries yet.
 func TestResubscribeSameIDReplacesDefinition(t *testing.T) {
 	col := &collector{}
-	sys, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1, OnMatch: col.add})
+	sys, err := Open(Options{Region: usRegion, Workers: 2, OnMatch: col.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestResubscribeSameIDReplacesDefinition(t *testing.T) {
 
 func TestOrQueries(t *testing.T) {
 	col := &collector{}
-	sys, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1, OnMatch: col.add})
+	sys, err := Open(Options{Region: usRegion, Workers: 2, OnMatch: col.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := Open(Options{Region: usRegion, Strategy: "bogus"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	sys, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1})
+	sys, err := Open(Options{Region: usRegion, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestAllStrategiesViaPublicAPI(t *testing.T) {
 				})
 			}
 			sys, err := Open(Options{
-				Region: usRegion, Workers: 4, Dispatchers: 1,
+				Region: usRegion, Workers: 4,
 				Strategy: st, OnMatch: col.add,
 				SeedMessages: seedMsgs, SeedSubscriptions: seedSubs,
 			})
@@ -229,7 +229,7 @@ func TestWorkerIndexValidation(t *testing.T) {
 // keeps an unsubscribed query's entries until a match or purge walks its
 // lists, and those must not count.
 func TestWorkerQueriesExcludeUnsubscribed(t *testing.T) {
-	sys, err := Open(Options{Region: usRegion, Workers: 4, Dispatchers: 1})
+	sys, err := Open(Options{Region: usRegion, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestWorkerQueriesExcludeUnsubscribed(t *testing.T) {
 }
 
 func TestStatsAndFlush(t *testing.T) {
-	sys, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1})
+	sys, err := Open(Options{Region: usRegion, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestStatsAndFlush(t *testing.T) {
 
 func TestAdjustAutoOption(t *testing.T) {
 	sys, err := Open(Options{
-		Region: usRegion, Workers: 4, Dispatchers: 1,
+		Region: usRegion, Workers: 4,
 		Adjust: AdjustOptions{Auto: true},
 	})
 	if err != nil {
@@ -323,7 +323,7 @@ func TestAdjustOptionsAndAdjustNow(t *testing.T) {
 	// Manual mode: controller off, AdjustNow on demand. Subscriptions
 	// spread over two areas, traffic concentrated on one of them.
 	sys, err := Open(Options{
-		Region: usRegion, Workers: 4, Dispatchers: 1,
+		Region: usRegion, Workers: 4,
 		Adjust: AdjustOptions{Theta: 1.05, Cooldown: time.Millisecond},
 	})
 	if err != nil {
@@ -390,7 +390,7 @@ func TestAdjustOptionsAndAdjustNow(t *testing.T) {
 
 func TestCheckpointRestore(t *testing.T) {
 	// Build a system with a mixed subscription population.
-	sys, err := Open(Options{Region: usRegion, Workers: 4, Dispatchers: 1})
+	sys, err := Open(Options{Region: usRegion, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestCheckpointRestore(t *testing.T) {
 	// delivery behaviour carried over.
 	col := &collector{}
 	sys2, err := Open(Options{
-		Region: usRegion, Workers: 3, Dispatchers: 1, OnMatch: col.add,
+		Region: usRegion, Workers: 3, OnMatch: col.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +468,7 @@ func TestCheckpointRestore(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	sys, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1})
+	sys, err := Open(Options{Region: usRegion, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestRegionHelpers(t *testing.T) {
 }
 
 func TestSubscriptionCountAndBalanceStats(t *testing.T) {
-	sys, err := Open(Options{Region: usRegion, Workers: 4, Dispatchers: 1})
+	sys, err := Open(Options{Region: usRegion, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestSubscriptionCountAndBalanceStats(t *testing.T) {
 
 func TestRepartitionViaPublicAPI(t *testing.T) {
 	col := &collector{}
-	sys, err := Open(Options{Region: usRegion, Workers: 4, Dispatchers: 1, OnMatch: col.add})
+	sys, err := Open(Options{Region: usRegion, Workers: 4, OnMatch: col.add})
 	if err != nil {
 		t.Fatal(err)
 	}

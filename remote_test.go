@@ -35,7 +35,6 @@ func TestRemoteWorkersViaPublicAPI(t *testing.T) {
 	sys, err := Open(Options{
 		Region:        usRegion,
 		Workers:       3, // task 0 remote, tasks 1-2 in-process
-		Dispatchers:   1,
 		RemoteWorkers: []string{startWorkerNode(t)},
 		OnMatch:       col.add,
 	})
@@ -94,10 +93,9 @@ func TestRemoteWorkersExactMatchSet(t *testing.T) {
 	run := func(remote bool) map[key]bool {
 		col := &collector{}
 		opts := Options{
-			Region:      usRegion,
-			Workers:     2,
-			Dispatchers: 1,
-			OnMatch:     col.add,
+			Region:  usRegion,
+			Workers: 2,
+			OnMatch: col.add,
 		}
 		if remote {
 			opts.RemoteWorkers = []string{startWorkerNode(t), startWorkerNode(t)}
@@ -161,7 +159,7 @@ func TestRemoteWorkersExactMatchSet(t *testing.T) {
 // refused by a system monitoring another — its grid cell ids would not
 // line up and the restored subscriptions would never match.
 func TestRestoreBoundsMismatch(t *testing.T) {
-	src, err := Open(Options{Region: usRegion, Workers: 2, Dispatchers: 1})
+	src, err := Open(Options{Region: usRegion, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func TestRestoreBoundsMismatch(t *testing.T) {
 	}
 
 	europe := NewRegion(-10, 36, 30, 60)
-	dst, err := Open(Options{Region: europe, Workers: 2, Dispatchers: 1})
+	dst, err := Open(Options{Region: europe, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +201,9 @@ func TestRestoreBoundsMismatch(t *testing.T) {
 func TestFlushExactUnderLoad(t *testing.T) {
 	col := &collector{}
 	sys, err := Open(Options{
-		Region:      usRegion,
-		Workers:     4,
-		Dispatchers: 2,
-		BatchSize:   16,
+		Region:    usRegion,
+		Workers:   4,
+		BatchSize: 16,
 		OnMatch: func(m Match) {
 			// A deliberately slow consumer: with the old sleep-based
 			// Flush, delivery lag made the post-Flush read undercount.

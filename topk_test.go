@@ -59,9 +59,9 @@ func TestSubscribeTopKDeliversRankedWindow(t *testing.T) {
 	col := &collectTopK{}
 	sys, err := Open(Options{
 		Region:  NewRegion(-125, 24, -66, 49),
-		Workers: 4, Dispatchers: 1,
-		OnTopK: col.add,
-		Now:    clock,
+		Workers: 4,
+		OnTopK:  col.add,
+		Now:     clock,
 	})
 	if err != nil {
 		t.Fatal(err)
