@@ -558,7 +558,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 	st := workload.NewStream(spec, workload.Q1, scfg)
 	warm := st.Prewarm(dc.mu)
 	sys.SubmitAll(warm)
-	if err := sys.Drain(int64(len(warm))); err != nil {
+	if err := sys.Drain(); err != nil {
 		logger.Fatal(err)
 	}
 	logger.Printf("dispatcher: %d standing subscriptions prewarmed", dc.mu)
@@ -624,13 +624,12 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 				dc.topk, len(qs))
 		}
 		sys.SubmitAll(qs)
-		if err := sys.Drain(int64(len(warm) + len(qs))); err != nil {
+		if err := sys.Drain(); err != nil {
 			logger.Fatal(err)
 		}
 		logger.Printf("dispatcher: %d top-k subscriptions registered (k=%d window=%v)",
 			len(qs), dc.topkK, dc.topkWindow)
 	}
-	base := int64(len(warm) + len(topkIDs))
 	// One scheduled global repartition: a drain barrier, then every cell
 	// re-placed from a differently-seeded sample (the same seed would
 	// rebuild the identical assignment and move nothing). The dual-route
@@ -641,7 +640,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 			return
 		}
 		repartPending = false
-		if err := sys.Drain(base + int64(sent)); err != nil {
+		if err := sys.Drain(); err != nil {
 			logger.Fatal(err)
 		}
 		sample2 := workload.Sample(spec, workload.Q1, 3000, 600, dc.seed+1)
@@ -705,7 +704,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		// and oracle runs diverge on the mixed stream.
 		sys.SubmitAll(stream)
 	}
-	if err := sys.Drain(base + int64(dc.ops)); err != nil {
+	if err := sys.Drain(); err != nil {
 		logger.Fatal(err)
 	}
 	if dc.repartAt > 0 {

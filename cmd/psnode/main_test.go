@@ -69,15 +69,44 @@ func startNode(t *testing.T, args ...string) *exec.Cmd {
 	return cmd
 }
 
+// logBuffer is a node's combined output, readable while the node runs.
+type logBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// waitLog waits until the node has logged a line containing s.
+func waitLog(t *testing.T, logs *logBuffer, s string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for !strings.Contains(logs.String(), s) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the node did not log %q within 60s", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // startNodeLogged additionally exposes the node's combined output, so
-// tests can assert on reported statistics (reads are only safe after
-// the process exits).
-func startNodeLogged(t *testing.T, args ...string) (*exec.Cmd, *bytes.Buffer) {
+// tests can assert on reported statistics.
+func startNodeLogged(t *testing.T, args ...string) (*exec.Cmd, *logBuffer) {
 	t.Helper()
 	cmd := exec.Command(psnode(t), args...)
-	var logs bytes.Buffer
-	cmd.Stdout = &logs
-	cmd.Stderr = &logs
+	logs := new(logBuffer)
+	cmd.Stdout = logs
+	cmd.Stderr = logs
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +119,7 @@ func startNodeLogged(t *testing.T, args ...string) (*exec.Cmd, *bytes.Buffer) {
 			t.Logf("psnode %v logs:\n%s", args, logs.String())
 		}
 	})
-	return cmd, &logs
+	return cmd, logs
 }
 
 // waitNode waits for a -once node to exit on its own.
@@ -409,10 +438,12 @@ func TestPsnodeClusterElasticRecovery(t *testing.T) {
 		"-join", w3 + "@2000", "-retire", "1@4000",
 		"-out", clusterOut}, workloadArgs...)...)
 
-	// Let the run get going, then kill -9 the first worker and bring a
-	// fresh process up on the same port; the coordinator must detect the
-	// crash, redial, and replay the lost state from its op log.
-	time.Sleep(250 * time.Millisecond)
+	// Once the dispatcher holds its worker sessions, kill -9 the first
+	// worker and bring a fresh process up on the same port; the
+	// coordinator must detect the crash, redial, and replay the lost state
+	// from its op log. A fixed sleep instead lands the kill before the
+	// dial on a loaded machine, or after the run on a fast one.
+	waitLog(t, logs, "remote workers")
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}

@@ -192,17 +192,15 @@ func adjustRun(spec workload.DatasetSpec, sc Scale, auto bool) (adjustResult, er
 	}
 	warm := st.Prewarm(sc.Mu1)
 	sys.SubmitAll(warm)
-	sys.Quiesce(int64(len(warm)))
-	submitted := int64(len(warm))
+	sys.Drain()
 
 	// Phase A: capacity with the skew the partitioner was fitted to.
-	// Quiesce drains the workers fully so the receive counters bracket
+	// Drain applies the phase fully, so the receive counters bracket
 	// exactly this phase's traffic.
 	c0 := sys.WorkerOpCounts()
 	opsA := st.Take(sc.Ops)
 	sys.SubmitAll(opsA)
-	submitted += int64(len(opsA))
-	sys.Quiesce(submitted)
+	sys.Drain()
 	res := adjustResult{pre: modelCapacity(c0, sys.WorkerOpCounts(), len(opsA))}
 
 	// The shift: traffic moves to hotspot B while the standing-query
@@ -226,18 +224,16 @@ func adjustRun(spec workload.DatasetSpec, sc Scale, auto bool) (adjustResult, er
 		for j := 0; j < perBurst && sent < adaptOps; j++ {
 			sys.Submit(st.Next())
 			sent++
-			submitted++
 		}
 	}
 	ticker.Stop()
-	sys.Quiesce(submitted)
+	sys.Drain()
 
 	// Phase B: steady-state capacity after the shift.
 	c2 := sys.WorkerOpCounts()
 	opsB := st.Take(2 * sc.Ops)
 	sys.SubmitAll(opsB)
-	submitted += int64(len(opsB))
-	sys.Quiesce(submitted)
+	sys.Drain()
 	res.post = modelCapacity(c2, sys.WorkerOpCounts(), len(opsB))
 	if err := sys.Close(); err != nil {
 		return adjustResult{}, err

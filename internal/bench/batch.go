@@ -87,7 +87,7 @@ func measureBatch(spec workload.DatasetSpec, sc Scale, batchSize int) (tps float
 	// population must be indexed before the measured stream starts or the
 	// match column varies with how deep the worker queues run per batch
 	// size.
-	sys.Quiesce(int64(len(warm)))
+	sys.Drain()
 	// Pre-generate the measured stream so generator cost (tokenisation,
 	// RNG) stays outside the timed region — the experiment times the
 	// pipeline, not the workload generator.

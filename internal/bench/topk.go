@@ -97,7 +97,7 @@ func measureTopK(spec workload.DatasetSpec, sc Scale, k int) (tps float64, updat
 	warm := st.Prewarm(sc.Mu1)
 	sys.SubmitAll(warm)
 	if sc.Wire {
-		if err := sys.Drain(int64(len(warm))); err != nil {
+		if err := sys.Drain(); err != nil {
 			return 0, 0, 0, err
 		}
 	} else {
@@ -108,7 +108,7 @@ func measureTopK(spec workload.DatasetSpec, sc Scale, k int) (tps float64, updat
 		sys.Submit(st.Next())
 	}
 	if sc.Wire {
-		if err := sys.Drain(int64(len(warm) + sc.Ops)); err != nil {
+		if err := sys.Drain(); err != nil {
 			return 0, 0, 0, err
 		}
 	} else {

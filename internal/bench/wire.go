@@ -108,7 +108,7 @@ func measureWire(spec workload.DatasetSpec, sc Scale, tcp bool) (tps float64, ma
 	sys.SubmitAll(warm)
 	// Full end-to-end drain (remote workers included) so the standing
 	// population is indexed before the measured stream starts.
-	if err := sys.Drain(int64(len(warm))); err != nil {
+	if err := sys.Drain(); err != nil {
 		return 0, 0, err
 	}
 	ops := st.Take(sc.Ops)
@@ -116,7 +116,7 @@ func measureWire(spec workload.DatasetSpec, sc Scale, tcp bool) (tps float64, ma
 	sys.SubmitAll(ops)
 	// The timed region ends at the same barrier in both modes: every op
 	// processed and every match delivered.
-	if err := sys.Drain(int64(len(warm) + len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		return 0, 0, err
 	}
 	el := time.Since(t0)

@@ -405,9 +405,11 @@ func (s *System) migrationCandidates(stats []wire.CellStat) []migrate.Cell {
 
 // pendingExtract is a deferred migration cleanup: the cell's routing has
 // flipped to the target worker, but the source worker keeps its copies
-// until every tuple enqueued to it before the flip has been processed
-// (barrier on doneOps). This guarantees in-flight objects still find the
-// queries; overlap duplicates are removed by the mergers.
+// until a marker put into the ingest after the flip has passed. The one
+// dispatcher takes that marker after every operation it routed under the
+// old table, and the source passes it on only after applying them, so
+// in-flight objects still find the queries; overlap duplicates are
+// removed by the mergers.
 type pendingExtract struct {
 	cell   int
 	wo, wl int
@@ -417,26 +419,15 @@ type pendingExtract struct {
 	// entries that arrived at the source between copy and flip are
 	// forwarded at extraction time, like leftover queries.
 	copiedMsgs map[uint64]struct{}
-	barrier    int64
-}
-
-// advanceRoute bumps the routing epoch, then takes routeMu's write side
-// once: it returns when every dispatcher chunk that was routing before the
-// call has finished enqueuing. Later chunks see the flipped table.
-func (s *System) advanceRoute() {
-	s.routeEpoch.Add(1)
-	s.routeMu.Lock()
-	s.routeMu.Unlock() // the empty section is the point
+	mark       *drainMark
 }
 
 // announceFence forwards the current routing epoch to every active slot
-// after a flip. The frame itself is informational, but its position
-// matters: the deferred ExtractCells round follows it on the source's
-// connection, so a remote extraction is ordered behind the same epoch
-// boundary the drain barrier provides.
+// after a flip. The frame is informational: it tags the node's logs and
+// stats with the epoch its later traffic was routed under.
 func (s *System) announceFence() {
 	epoch := s.routeEpoch.Load()
-	s.log.Debug("adjust fence advanced", "epoch", epoch)
+	s.log.Debug("adjust route epoch advanced", "epoch", epoch)
 	for _, w := range s.activeWorkerSlots() {
 		_ = s.slots[w].SendFence(epoch) // informational; failures surface on the data path
 	}
@@ -478,18 +469,19 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 		// reconstruct them if the node crashes before the next checkpoint.
 		s.logAdoptions(wl, qs, nil, ring)
 	}
-	// 3. Flip routing, then advance the dispatcher fence: advanceRoute
-	// blocks until every dispatcher chunk routed under the pre-flip table
-	// has finished enqueuing, so the barrier read below covers all
-	// old-epoch traffic — without the fence a laggard chunk could enqueue
-	// a matching object to wo after the barrier snapshot and lose its
-	// matches to an early extraction.
+	// 3. Flip routing.
 	flip()
-	s.advanceRoute()
+	s.routeEpoch.Add(1)
 	s.announceFence()
-	// 4. Schedule extraction once wo drains its pre-flip queue.
+	// 4. Schedule extraction behind a marker put after the flip: an
+	// operation the dispatcher routed to wo under the old table is ahead
+	// of it. On a closed ingest nothing more is routed, and the marker
+	// never passes: the source keeps a copy whose duplicates the mergers
+	// suppress.
+	mark := s.newMark()
+	s.ingest.mark(mark)
 	s.scheduleExtract(pendingExtract{cell: cell, wo: wo, wl: wl, keys: keys, copied: idSet(qs),
-		copiedMsgs: msgIDSet(ring), barrier: s.enqueued[wo].Load()})
+		copiedMsgs: msgIDSet(ring), mark: mark})
 	return len(qs), nbytes, true
 }
 
@@ -537,14 +529,14 @@ func (s *System) scheduleExtract(pe pendingExtract) {
 	s.migMu.Unlock()
 }
 
-// processPendingExtracts completes deferred extractions whose source
-// worker has drained past the flip barrier.
+// processPendingExtracts completes deferred extractions whose marker has
+// passed.
 func (s *System) processPendingExtracts() {
 	s.migMu.Lock()
 	var due []pendingExtract
 	var rest []pendingExtract
 	for _, pe := range s.pendingEx {
-		if s.doneOps[pe.wo].Load() >= pe.barrier {
+		if pe.mark.passed() {
 			due = append(due, pe)
 		} else {
 			rest = append(rest, pe)
@@ -562,8 +554,8 @@ func (s *System) processPendingExtracts() {
 }
 
 // finishExtract runs one deferred extraction end to end: remove the
-// migrated share from the source (one removing ExtractCells round,
-// ordered behind every pre-flip op batch and the fence frame), reconcile
+// migrated share from the source (one removing ExtractCells round),
+// reconcile
 // what changed between copy and flip, and forward the differences to the
 // new owner.
 func (s *System) finishExtract(pe pendingExtract) {
@@ -641,7 +633,7 @@ func (s *System) finishExtract(pe pendingExtract) {
 }
 
 // hasPendingExtracts reports whether any deferred extraction awaits its
-// drain barrier or completion.
+// marker or completion.
 func (s *System) hasPendingExtracts() bool {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()

@@ -56,7 +56,7 @@ func runHotspotPublish(t *testing.T, adjust bool) (matches [][2]uint64, migratio
 	st := workload.NewStream(spec, workload.Q1, workload.StreamConfig{Mu: mu, Seed: 77})
 	warm := st.Prewarm(mu)
 	sys.SubmitAll(warm)
-	sys.Quiesce(int64(len(warm)))
+	sys.Drain()
 
 	// Hot objects: concentrated on hotspot 1, which the partitioning was
 	// not fitted for — the resulting skew is what makes the controller
@@ -88,10 +88,16 @@ func runHotspotPublish(t *testing.T, adjust bool) (matches [][2]uint64, migratio
 			}
 		}()
 	}
-	for _, o := range objs {
+	// Paced in bursts, so the controller sees the skew while objects are
+	// still flowing: an unpaced burst is applied within a couple of
+	// milliseconds, before the first adjustment that could see its load.
+	for i, o := range objs {
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
+		if adjust && i%100 == 99 {
+			time.Sleep(time.Millisecond)
+		}
 	}
-	sys.Quiesce(int64(len(warm) + nObjects))
+	sys.Drain()
 	close(stop)
 	wg.Wait()
 	if err := sys.Close(); err != nil {
@@ -193,14 +199,14 @@ func TestAdjustNowManualMode(t *testing.T) {
 	st := workload.NewStream(spec, workload.Q1, workload.StreamConfig{Mu: 400, Seed: 55})
 	warm := st.Prewarm(400)
 	sys.SubmitAll(warm)
-	sys.Quiesce(int64(len(warm)))
+	sys.Drain()
 	gen := workload.NewGenerator(spec, 550)
 	gen.FocusHotspot(1, 0.9)
 	const nObjects = 1200
 	for i := 0; i < nObjects; i++ {
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: gen.Object()})
 	}
-	sys.Quiesce(int64(len(warm) + nObjects))
+	sys.Drain()
 	moved := sys.AdjustNow()
 	if moved == 0 {
 		t.Fatal("AdjustNow did not migrate despite a one-hotspot object burst")

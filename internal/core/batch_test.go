@@ -39,14 +39,12 @@ func runBatched(t *testing.T, batchSize int) ([][2]uint64, int) {
 	// any object is published, so matching is deterministic across runs
 	// regardless of batch size. A stuck pipeline surfaces as the package
 	// test timeout.
-	sys.Quiesce(int64(len(warm)))
+	sys.Drain()
 	gen := workload.NewGenerator(spec, 770)
-	submitted := int64(len(warm))
 	for i := 0; i < nObjects; i++ {
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: gen.Object()})
-		submitted++
 	}
-	sys.Quiesce(submitted)
+	sys.Drain()
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}

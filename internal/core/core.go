@@ -64,7 +64,7 @@ type Config struct {
 	// BatchSize is the capacity of the typed batches that move on every
 	// hop of the topology (operations dispatcher→worker, matches
 	// worker→merger), one batch per channel send, and the number of
-	// operations the dispatcher routes per fence section. Batches fill
+	// operations the dispatcher routes per chunk. Batches fill
 	// adaptively: the dispatcher emits partial batches as soon as its input
 	// goes idle and a worker emits its matches with every input batch, so
 	// batching costs no latency on a quiet stream. 1 means unbatched
@@ -134,7 +134,7 @@ type Config struct {
 	Recovery RecoveryConfig
 	// Logger receives the structured operational trace — most notably
 	// the adjustment controller's decision log: every detector verdict
-	// (Debug), every trigger and migration (Info), and fence-epoch
+	// (Debug), every trigger and migration (Info), and routing-epoch
 	// advances (Debug). nil disables the trace entirely.
 	Logger *slog.Logger
 }
@@ -270,9 +270,8 @@ type AdjustStats struct {
 	// Enabled reports whether the background controller loop is running.
 	Enabled bool
 	// Epoch counts routing-table flips executed so far — one per
-	// migrated cell share (each flip advances the dispatcher fencing
-	// epoch), so it can exceed Migrations: a Phase II MigrationStat
-	// covers every cell of one selection.
+	// migrated cell share, so it can exceed Migrations: a Phase II
+	// MigrationStat covers every cell of one selection.
 	Epoch uint64
 	// Checks counts detector evaluations; Triggers counts the ones that
 	// ran an adjustment. SustainSkips and CooldownSkips count violations
@@ -342,18 +341,17 @@ type System struct {
 	// towork holds each worker slot's input channel, spares included, and
 	// toMerge each merger's (topology.go); opBatches and matchBatches
 	// recycle the typed batches they carry.
-	towork       []chan *[]wire.OpEnv
-	toMerge      []chan *[]wire.MatchEnv
+	towork       []chan msg[wire.OpEnv]
+	toMerge      []chan msg[wire.MatchEnv]
 	opBatches    batchPool[wire.OpEnv]
 	matchBatches batchPool[wire.MatchEnv]
 
 	runErr  chan error
 	started atomic.Bool
 	closed  atomic.Bool
-	// runDone flips when run returns — including a stop by a task panic —
-	// so barriers waiting on processing progress can fail fast instead of
-	// waiting on a stopped topology.
-	runDone atomic.Bool
+	// stopped closes when run returns — including a stop by a task panic —
+	// so Drain can fail fast instead of waiting on a stopped topology.
+	stopped chan struct{}
 	cancel  context.CancelFunc
 	// runCtx is the run's context once Start installs it (recovery
 	// waits under it).
@@ -375,12 +373,10 @@ type System struct {
 	duplicates metrics.Counter
 	// soloMatches counts the delivered matches that skipped the dedup
 	// window (wire.MatchEnv.Solo); mergerIn counts every match a merger
-	// task received, local or forwarding.
-	soloMatches metrics.Counter
-	mergerIn    metrics.Counter
-	// matchesEmitted counts match envelopes emitted by the in-process
-	// worker bolts; together with the remote workers' drain-acked counts
-	// it is the Drain barrier's target for merger-side delivery.
+	// task received, local or forwarding; matchesEmitted counts match
+	// envelopes emitted by the in-process worker bolts.
+	soloMatches    metrics.Counter
+	mergerIn       metrics.Counter
 	matchesEmitted metrics.Counter
 	latency        atomic.Pointer[metrics.Histogram]
 	matchLat       atomic.Pointer[metrics.Histogram]
@@ -409,8 +405,7 @@ type System struct {
 	// merge planning).
 	cellObjects []atomic.Int64
 	// enqueued/doneOps count operations handed to / completed by each worker
-	// (never reset); their difference is the worker's in-flight depth,
-	// used as the drain barrier for deferred migration extraction.
+	// (never reset); their difference is the worker's in-flight gauge.
 	enqueued []atomic.Int64
 	doneOps  []atomic.Int64
 
@@ -428,12 +423,7 @@ type System struct {
 	detector  *load.Detector
 	adjustRng *rand.Rand
 
-	// routeMu fences dispatcher routing against migration flips: each
-	// dispatcher chunk routes under its read lock, and a migrator calls
-	// advanceRoute after flipping the routing table, so drain barriers read
-	// after it cover every chunk routed under the old table. routeEpoch
-	// counts the advances.
-	routeMu    sync.RWMutex
+	// routeEpoch counts the routing-table flips of migrations.
 	routeEpoch atomic.Uint64
 
 	// Controller activity counters (AdjustStats).
@@ -447,7 +437,7 @@ type System struct {
 	migMu      sync.Mutex
 	migrations []MigrationStat
 	// pending deferred extractions (cells whose routing already flipped
-	// but whose source copies await queue drain).
+	// but whose source copies await their marker).
 	pendingEx    []pendingExtract
 	pendingCells map[int]bool
 
@@ -480,10 +470,11 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		return nil, fmt.Errorf("core: building %s assignment: %w", cfg.Builder.Name(), err)
 	}
 	s := &System{
-		cfg:    cfg,
-		bounds: sample.Bounds,
-		tput:   metrics.NewThroughput(),
-		runErr: make(chan error, 1),
+		cfg:     cfg,
+		bounds:  sample.Bounds,
+		tput:    metrics.NewThroughput(),
+		runErr:  make(chan error, 1),
+		stopped: make(chan struct{}),
 	}
 	s.ingest = newIngestQueue(max(cfg.QueueCap, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
 	s.opBatches.size, s.matchBatches.size = cfg.BatchSize, cfg.BatchSize
@@ -646,7 +637,7 @@ func (s *System) Start(ctx context.Context) error {
 	go func() {
 		err := s.run(runCtx, cancel)
 		adjustCancel()
-		s.runDone.Store(true)
+		close(s.stopped)
 		s.runErr <- err
 	}()
 	return nil
@@ -838,18 +829,6 @@ func (s *System) ResetLatencyStats() {
 // Processed returns the number of input tuples routed so far (cheap; no
 // worker locks, unlike Snapshot).
 func (s *System) Processed() int64 { return s.processed.Value() }
-
-// Quiesce blocks until the first `submitted` operations have been routed
-// by the dispatcher AND every worker has drained its input (done ops
-// caught up with enqueued ops, stable across two polls; a dispatcher
-// advances the enqueue counters before it advances Processed). Benchmarks
-// and tests use it as an exact "all standing state is applied" barrier
-// between a prewarm phase and a measured/asserted phase; only call it
-// after submitting at least `submitted` operations. It returns early, with
-// the cause, only when the barrier can never be reached: see quiesceHops.
-func (s *System) Quiesce(submitted int64) error {
-	return s.quiesceHops(submitted)
-}
 
 // MatchCount returns delivered (deduplicated) matches so far.
 func (s *System) MatchCount() int64 { return s.matches.Value() }

@@ -282,19 +282,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func waitProcessed(t *testing.T, sys *System, n int64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for sys.processed.Value() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %d processed (at %d)", n, sys.processed.Value())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Give workers a moment to drain their queues.
-	time.Sleep(50 * time.Millisecond)
-}
-
 func TestGlobalRepartitionKeepsMatching(t *testing.T) {
 	spec := workload.TweetsUS()
 	spec.VocabSize = 2000
@@ -320,7 +307,9 @@ func TestGlobalRepartitionKeepsMatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SubmitAll(batch1)
-	waitProcessed(t, sys, int64(len(batch1)))
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	// Switch strategies mid-stream.
 	sample2 := workload.Sample(spec, workload.Q1, 2000, 400, 13)
 	if err := sys.GlobalRepartition(sample2, hybrid.Builder{}); err != nil {
@@ -330,7 +319,9 @@ func TestGlobalRepartitionKeepsMatching(t *testing.T) {
 		t.Errorf("assignment = %q during transition", got)
 	}
 	sys.SubmitAll(batch2)
-	waitProcessed(t, sys, int64(len(batch1)+len(batch2)))
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	moved := sys.FinishGlobalRepartition()
 	t.Logf("relocated %d old queries", moved)
 	if got := sys.Assignment().Name(); got != "hybrid" {
@@ -526,7 +517,7 @@ func TestMergerDeduplicates(t *testing.T) {
 	o := &model.Object{ID: 2, Terms: []string{t1, t2}, Loc: center}
 	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
 	sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
-	if err := sys.Drain(2); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	snap := sys.Snapshot()

@@ -11,16 +11,19 @@ import (
 // Submit appends to the open buffer under mu, the dispatcher swaps the
 // whole buffer out and routes it. Every operation leaves it in Submit order,
 // so the dispatcher routes in Submit order and every worker, fed in turn by
-// a FIFO channel or connection, applies its operations in Submit order. The
-// queue holds at most limit waiting operations beside the one buffer the
-// dispatcher is routing, and its two buffers grow on demand, so an idle
-// system holds less than the bound.
+// a FIFO channel or connection, applies its operations in Submit order. A
+// Drain marker takes its place in the same order. The queue holds at most
+// limit waiting operations beside the one buffer the dispatcher is
+// routing, and its two buffers grow on demand, so an idle system holds
+// less than the bound.
 type ingestQueue struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond // the dispatcher parks here
 	notFull  sync.Cond // publishers park here
 	buf      []wire.OpEnv
-	closed   bool
+	// marks are the markers put since the last take, in order.
+	marks  []queuedMark
+	closed bool
 
 	limit int              // waiting operations the queue accepts
 	chunk int              // first allocation of a buffer (Config.BatchSize)
@@ -61,29 +64,52 @@ func (q *ingestQueue) put(env wire.OpEnv) {
 	}
 }
 
-// take returns everything accepted since the last call, in Submit order,
-// and makes spare the open buffer. On an empty queue it first calls idle
-// (outside the lock) and then parks until a put or close; the result is
-// empty only once the queue is closed and drained.
-func (q *ingestQueue) take(spare []wire.OpEnv, idle func()) []wire.OpEnv {
+// queuedMark is a marker that follows the first at operations of the
+// buffer it was put into.
+type queuedMark struct {
+	at int
+	m  *drainMark
+}
+
+// mark appends m behind every operation accepted so far. It never blocks:
+// a marker holds no operation. On a closed queue it reports false.
+func (q *ingestQueue) mark(m *drainMark) bool {
 	q.mu.Lock()
-	if len(q.buf) == 0 && !q.closed {
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	q.marks = append(q.marks, queuedMark{at: len(q.buf), m: m})
+	q.mu.Unlock()
+	q.nonEmpty.Signal()
+	return true
+}
+
+// take returns everything accepted since the last call, in Submit order,
+// with the markers put among it, and makes spare the open buffer. On an
+// empty queue it first calls idle (outside the lock) and then parks until
+// a put, mark or close; the result is empty only once the queue is closed
+// and drained.
+func (q *ingestQueue) take(spare []wire.OpEnv, idle func()) ([]wire.OpEnv, []queuedMark) {
+	q.mu.Lock()
+	if len(q.buf)+len(q.marks) == 0 && !q.closed {
 		q.mu.Unlock()
 		idle()
 		q.mu.Lock()
-		for len(q.buf) == 0 && !q.closed {
+		for len(q.buf)+len(q.marks) == 0 && !q.closed {
 			q.nonEmpty.Wait()
 		}
 	}
-	ops := q.buf
-	q.buf = spare[:0]
+	ops, marks := q.buf, q.marks
+	q.buf, q.marks = spare[:0], nil
 	q.mu.Unlock()
 	q.notFull.Broadcast()
-	return ops
+	return ops, marks
 }
 
 // close ends the queue: parked publishers return without enqueuing, and
-// the dispatcher takes what was accepted and then sees the end of input.
+// the dispatcher takes what was accepted, markers included, and then sees
+// the end of input.
 func (q *ingestQueue) close() {
 	q.mu.Lock()
 	q.closed = true

@@ -240,7 +240,7 @@ func TestIngestDeliversOneOperationPromptly(t *testing.T) {
 	at := sys.Bounds().Center()
 	q := &model.Query{ID: 7, Expr: model.And("hot"), Region: geo.RectAround(at, 100, 100)}
 	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
-	sys.Quiesce(1)
+	sys.Drain()
 	sys.Submit(objectOp(99, "hot", at))
 	select {
 	case m := <-delivered:
@@ -354,11 +354,11 @@ func TestIngestSubmitDiscardedObjectAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ { // grow the ingest buffers and the scratch
 		sys.Submit(op)
 	}
-	sys.Quiesce(warm)
+	sys.Drain()
 	if n := testing.AllocsPerRun(5000, func() { sys.Submit(op) }); n > 0 {
 		t.Errorf("Submit of a discarded object allocates %v times, want 0", n)
 	}
-	sys.Quiesce(warm + 5001)
+	sys.Drain()
 	if got := sys.Snapshot().Discarded; got != warm+5001 {
 		t.Errorf("discarded %d objects, want %d", got, warm+5001)
 	}
@@ -416,13 +416,13 @@ func TestIngestShutdownWithParkedPublisher(t *testing.T) {
 				if got := delivered.Load(); got != n-1 {
 					t.Errorf("Close delivered %d matches, want %d (every Submit that returned but the parked one)", got, n-1)
 				}
-				// A barrier that counts the dropped Submit fails; it must
-				// not wait for an operation nothing will route.
+				// Drain on the closed system fails at once: nothing
+				// will route its marker.
 				drained := make(chan struct{})
 				go func() {
 					defer close(drained)
-					if err := sys.Drain(n + 1); err == nil {
-						t.Error("Drain over a dropped Submit returned nil on a closed system")
+					if err := sys.Drain(); err == nil {
+						t.Error("Drain returned nil on a closed system")
 					}
 				}()
 				within(t, time.Second, "Drain on the closed system returning", drained)
@@ -453,7 +453,7 @@ func BenchmarkSubmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys.Submit(ops[i%len(ops)])
 	}
-	sys.Quiesce(int64(b.N))
+	sys.Drain()
 	b.StopTimer()
 	if err := sys.Close(); err != nil {
 		b.Fatal(err)

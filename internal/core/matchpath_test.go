@@ -32,7 +32,7 @@ func matchPathSystem(tb testing.TB, onMatch func(model.Match)) (*System, []model
 		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{
 			ID: uint64(1 + i), Expr: model.And("matchpathterm"), Region: geo.RectAround(at, 50, 50)}})
 	}
-	sys.Quiesce(3)
+	sys.Drain()
 	objs := make([]model.Op, 64)
 	for i := range objs {
 		objs[i] = objectOp(uint64(100+i), "matchpathterm", at)
@@ -91,7 +91,7 @@ func BenchmarkMatchPath(b *testing.B) {
 		o.ID = uint64(1000 + i)
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: &o})
 	}
-	if err := sys.Drain(3 + int64(b.N)); err != nil {
+	if err := sys.Drain(); err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()
@@ -126,7 +126,8 @@ func TestTypedBatchFanout(t *testing.T) {
 	for task, q := range queues {
 		close(q)
 		var got []uint64
-		for b := range q {
+		for m := range q {
+			b := m.batch
 			if len(*b) == 0 || len(*b) > pool.size {
 				t.Errorf("task %d: a batch holds %d envelopes, want 1..%d", task, len(*b), pool.size)
 			}
@@ -179,7 +180,7 @@ func TestTypedBatchSeriesCountOperations(t *testing.T) {
 		sys.SubmitAll(objs)
 	}
 	ops := int64(3 + rounds*len(objs))
-	if err := sys.Drain(ops); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	bolt := func(name, b string) float64 {

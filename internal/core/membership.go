@@ -13,8 +13,8 @@
 // spout drains whatever match batches the wire already delivered,
 // recovery waits for that drain, installs the new transport *before*
 // replaying (so replay-produced matches flow instead of dead-locking
-// wire backpressure), and the Drain barrier recomputes its target
-// whenever a generation changes under it.
+// wire backpressure), and re-sends the Drain markers the dead session
+// never answered after the catch-up.
 package core
 
 import (
@@ -132,10 +132,13 @@ type workerHop struct {
 	// sentSeq is the highest op-log sequence actually put on the current
 	// session's wire — the checkpoint watermark candidate.
 	sentSeq uint64
-	// sessionRecv counts match envelopes the spout received from the
-	// current session; retired accumulates them when sessions end.
-	sessionRecv int64
-	retired     int64
+
+	// marks are the Drain markers handed to the slot whose ack the spout
+	// has not taken yet, oldest first. The spout pops them under marksMu
+	// alone, so it never waits for a sender holding mu (lock order: mu,
+	// then marksMu).
+	marksMu sync.Mutex
+	marks   []*drainMark
 
 	// log is the recovery op log (nil when Recovery is disabled — the
 	// slot then keeps the legacy fail-loudly contract).
@@ -246,6 +249,18 @@ func (h *workerHop) SendFence(epoch uint64) error {
 		return err
 	}
 	return c.SendFence(epoch)
+}
+
+// popMark takes the oldest marker, the one the ack just read answers.
+func (h *workerHop) popMark() *drainMark {
+	h.marksMu.Lock()
+	defer h.marksMu.Unlock()
+	if len(h.marks) == 0 {
+		return nil
+	}
+	m := h.marks[0]
+	h.marks = h.marks[1:]
+	return m
 }
 
 // snapshotLocked-style helper: is the hop currently serving traffic?
@@ -377,12 +392,12 @@ func (s *System) recoveryCtx() context.Context {
 
 // recoverWorker re-establishes a crashed worker slot: redial the same
 // address under a fresh fencing epoch, wait for the failed session's
-// spout drain (its received matches must be retired before the Drain
-// barrier can re-account them), install the new transport *before*
-// replaying — the spout then consumes replay-produced matches, so a
-// long replay cannot deadlock on wire backpressure — replay the op
-// log's checkpoint base and tail, and finally catch up under the hop
-// lock with anything appended mid-replay before re-opening the slot.
+// spout drain (every ack it read has passed its marker on), install the
+// new transport *before* replaying — the spout then consumes
+// replay-produced matches, so a long replay cannot deadlock on wire
+// backpressure — replay the op log's checkpoint base and tail, and
+// finally catch up under the hop lock with anything appended mid-replay,
+// and re-send the markers still waiting, before re-opening the slot.
 func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	newGen := failedGen + 1
 	h.mu.Lock()
@@ -438,7 +453,6 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	h.gen = newGen
 	h.down = false
 	h.replaying = true
-	h.sessionRecv = 0
 	h.broadcastLocked()
 	h.mu.Unlock()
 	base, tail, watermark := h.log.Replay()
@@ -469,7 +483,16 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 		return
 	}
 	pending := h.log.Since(lastSeq)
-	if err := s.replaySend(h.tr, pending); err != nil {
+	err = s.replaySend(h.tr, pending)
+	// Every waiting marker follows the ops now sent. marksMu is not held
+	// across the sends: the spout pops under it while draining matches.
+	h.marksMu.Lock()
+	marks := len(h.marks)
+	h.marksMu.Unlock()
+	for ; err == nil && marks > 0; marks-- {
+		err = h.tr.SendDrain()
+	}
+	if err != nil {
 		h.mu.Unlock()
 		s.hopFailed(h, newGen, err)
 		return

@@ -140,7 +140,7 @@ func TestAddWorkerRebalancesOntoJoinedNode(t *testing.T) {
 	}
 	half := len(ops) / 2
 	sys.SubmitAll(ops[:half])
-	if err := sys.Drain(int64(half)); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	task, err := sys.AddWorker(joiner.addr)
@@ -155,7 +155,7 @@ func TestAddWorkerRebalancesOntoJoinedNode(t *testing.T) {
 		t.Errorf("second AddWorker: %v, want ErrNoSpareSlots", err)
 	}
 	sys.SubmitAll(ops[half:])
-	if err := sys.Drain(int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	assertExact(t, ms, want)
@@ -196,7 +196,7 @@ func TestDecommissionWorkerDrainsNode(t *testing.T) {
 	}
 	half := len(ops) / 2
 	sys.SubmitAll(ops[:half])
-	if err := sys.Drain(int64(half)); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.DecommissionWorker(1); err != nil {
@@ -212,7 +212,7 @@ func TestDecommissionWorkerDrainsNode(t *testing.T) {
 		t.Error("decommissioning an already-retired slot succeeded")
 	}
 	sys.SubmitAll(ops[half:])
-	if err := sys.Drain(int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	assertExact(t, ms, want)
@@ -266,7 +266,7 @@ func TestCrashRecoveryReplaysOntoFreshNode(t *testing.T) {
 	}
 	half := len(ops) / 2
 	sys.SubmitAll(ops[:half])
-	if err := sys.Drain(int64(half)); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	// Publish the second half concurrently with the crash: ops must keep
@@ -280,7 +280,7 @@ func TestCrashRecoveryReplaysOntoFreshNode(t *testing.T) {
 	victim.kill()
 	replacement := startElasticNode(t, victim.addr)
 	<-published
-	if err := sys.Drain(int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	assertExact(t, ms, want)
@@ -350,12 +350,12 @@ func TestChaosFaultnetMatchesOracle(t *testing.T) {
 	if err := oracle.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	n := submitTopKs(oracle, topks)
-	if err := oracle.Drain(n); err != nil {
+	submitTopKs(oracle, topks)
+	if err := oracle.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	oracle.SubmitAll(ops)
-	if err := oracle.Drain(n + int64(len(ops))); err != nil {
+	if err := oracle.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	wantTopK := topkSets(oracle, topks)
@@ -415,11 +415,12 @@ func TestChaosFaultnetMatchesOracle(t *testing.T) {
 	if err := sys.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Drain(submitTopKs(sys, topks)); err != nil {
+	submitTopKs(sys, topks)
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	sys.SubmitAll(ops)
-	if err := sys.Drain(n + int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	assertExact(t, ms, want)
@@ -479,13 +480,13 @@ func TestDrainFailsWhenWorkerUnrecoverable(t *testing.T) {
 	}
 	half := len(ops) / 2
 	sys.SubmitAll(ops[:half])
-	if err := sys.Drain(int64(half)); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	victim.kill()
 	sys.SubmitAll(ops[half:])
 	done := make(chan error, 1)
-	go func() { done <- sys.Drain(int64(len(ops))) }()
+	go func() { done <- sys.Drain() }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrWorkerUnrecoverable) {
@@ -556,7 +557,7 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 	const wideID = 900100
 	wide := &model.Query{ID: wideID, Expr: model.And("partialdeparture"), Region: spec.Bounds}
 	sys.Submit(model.Op{Kind: model.OpInsert, Query: wide})
-	if err := sys.Drain(1); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	// Migrate one of the victim's cells to the other worker and complete
@@ -630,7 +631,7 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 		}
 	}
 	sys.SubmitAll(objs)
-	if err := sys.Drain(int64(1 + len(objs))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	missing := 0
@@ -670,13 +671,11 @@ func topkMixFromWorkload(ops []model.Op, k int, w time.Duration) []*model.Query 
 	return out
 }
 
-// submitTopKs registers the subscriptions and returns how many ops that
-// submitted.
-func submitTopKs(sys *System, qs []*model.Query) int64 {
+// submitTopKs registers the subscriptions.
+func submitTopKs(sys *System, qs []*model.Query) {
 	for _, q := range qs {
 		sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
 	}
-	return int64(len(qs))
 }
 
 // topkSets snapshots the reconciled global top-k membership per query.
@@ -748,24 +747,24 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	if err := oracle.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	n := submitTopKs(oracle, topks)
-	if err := oracle.Drain(n); err != nil {
+	submitTopKs(oracle, topks)
+	if err := oracle.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	oracle.SubmitAll(ops[:half])
-	if err := oracle.Drain(n + int64(half)); err != nil {
+	if err := oracle.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	clkO.Advance(10 * time.Minute)
 	oracle.SubmitAll(ops[half:chunk])
-	if err := oracle.Drain(n + int64(chunk)); err != nil {
+	if err := oracle.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	clkO.Advance(5 * time.Minute)
 	oracle.AdvanceWindows()
 	wantMid := topkSets(oracle, topks)
 	oracle.SubmitAll(ops[chunk:])
-	if err := oracle.Drain(n + int64(len(ops))); err != nil {
+	if err := oracle.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	clkO.Advance(110 * time.Minute)
@@ -832,7 +831,7 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitTopKs(sys, topks)
-	if err := sys.Drain(n); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	// Victim selection doubles as the sharper non-vacuity check: at least
@@ -868,7 +867,7 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	}
 	victim := nodes[victimTask]
 	sys.SubmitAll(ops[:half])
-	if err := sys.Drain(n + int64(half)); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until a checkpoint has folded the first half below the
@@ -892,14 +891,14 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	victim.kill()
 	startElasticNode(t, victim.addr)
 	<-published
-	if err := sys.Drain(n + int64(chunk)); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Minute)
 	sys.AdvanceWindows()
 	gotMid := topkSets(sys, topks)
 	sys.SubmitAll(ops[chunk:])
-	if err := sys.Drain(n + int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(110 * time.Minute)

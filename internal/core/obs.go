@@ -64,8 +64,8 @@ func (discardHandler) WithGroup(string) slog.Handler             { return discar
 // obs.Server (or scrape directly).
 func (s *System) Registry() *metrics.Registry { return s.registry }
 
-// RouteEpoch returns the current routing-fence epoch (advances once per
-// executed cell migration).
+// RouteEpoch returns the current routing epoch (advances once per
+// migrated cell share).
 func (s *System) RouteEpoch() uint64 { return s.routeEpoch.Load() }
 
 // opKinds are the per-kind op-counter labels and the wire.StatsReply
@@ -149,7 +149,7 @@ func (s *System) initObservability() {
 				)
 			}, wl)
 		r.GaugeFunc("ps2_worker_inflight_ops", "operations enqueued to the worker and not yet processed",
-			func() float64 { return float64(s.enqueued[i].Load() - s.doneOps[i].Load()) }, wl)
+			func() float64 { return float64(max(s.enqueued[i].Load()-s.doneOps[i].Load(), 0)) }, wl)
 		r.GaugeFunc("ps2_worker_queries", "live queries indexed on the worker (node-reported for remote tasks)",
 			func() float64 { return float64(ep.LastStats().Queries) }, wl)
 		if s.loadEWMA != nil {
@@ -171,7 +171,7 @@ func (s *System) initObservability() {
 			}
 			return load.BalanceFactor(maskActive(s.windowLoads(), active))
 		})
-	r.GaugeFunc("ps2_route_epoch", "routing-fence epoch (advances once per migrated cell share)",
+	r.GaugeFunc("ps2_route_epoch", "routing epoch (advances once per migrated cell share)",
 		func() float64 { return float64(s.routeEpoch.Load()) })
 
 	// Adjustment controller activity.
@@ -274,7 +274,7 @@ func (s *System) registerQueueMetrics() {
 }
 
 // queued is a gauge of the batches waiting in qs.
-func queued[T any](qs []chan *[]T) func() float64 {
+func queued[T any](qs []chan msg[T]) func() float64 {
 	return func() float64 {
 		n := 0
 		for _, q := range qs {

@@ -169,19 +169,6 @@ func (c *Config) ConnectRemoteMergers(addrs []string, sample *partition.Sample, 
 	return nil
 }
 
-// remoteWorkerTasks returns the out-of-process worker task ids —
-// including unclaimed spare slots — in ascending order (stable drain
-// iteration).
-func (s *System) remoteWorkerTasks() []int {
-	tasks := make([]int, 0, len(s.hops))
-	for t, h := range s.hops {
-		if h != nil {
-			tasks = append(tasks, t)
-		}
-	}
-	return tasks
-}
-
 // installDeltaHandler points a session's spontaneous top-k delta stream
 // at the reconciliation board, under the slot's ledger.
 func (s *System) installDeltaHandler(task int, cl *wire.WorkerClient) {
@@ -222,6 +209,8 @@ type remoteWorkerBolt struct {
 	s    *System
 	task int
 	hop  *workerHop
+	// toMerge passes the markers of a slot no session will answer.
+	toMerge fanout[wire.MatchEnv]
 }
 
 // process forwards one towork batch. SendOps encodes synchronously and
@@ -286,6 +275,31 @@ func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 	}
 }
 
+// mark hands a marker to the slot: a Drain frame behind its op batches,
+// passed on by the reader when the ack comes back, or sent by recovery
+// after the catch-up while the session is down. A slot with no session or
+// reader left has no matches to come, so the marker passes here.
+func (r *remoteWorkerBolt) mark(m *drainMark) {
+	h := r.hop
+	h.mu.Lock()
+	if h.tr == nil || h.exited {
+		h.mu.Unlock()
+		r.toMerge.mark(m)
+		return
+	}
+	h.marksMu.Lock()
+	h.marks = append(h.marks, m)
+	h.marksMu.Unlock()
+	tr, gen, up := h.tr, h.gen, !h.down && !h.replaying && !h.closing
+	h.mu.Unlock()
+	// If the session fails before this send, recovery sends m again.
+	if up {
+		if err := tr.SendDrain(); err != nil {
+			r.s.hopFailed(h, gen, err)
+		}
+	}
+}
+
 // Close runs when the forwarder's task ends: once the dispatcher finishes,
 // it half-closes the hop so the worker node flushes its remaining matches
 // and ends the return stream. A hop caught mid-outage (down or replaying)
@@ -311,9 +325,10 @@ func (r *remoteWorkerBolt) Close() error {
 // remoteMatchSpout re-injects a remote worker's match stream into the
 // topology, where it joins the local workers' matches on the way to the
 // mergers. One spout serves the hop across every transport session:
-// when a session dies its buffered matches are drained and retired,
-// and the spout waits for recovery to install the next session (or for
-// a spare slot to be claimed by AddWorker).
+// when a session dies its buffered matches are drained, and the spout
+// waits for recovery to install the next session (or for a spare slot to
+// be claimed by AddWorker). A DrainAck in the stream passes the hop's
+// oldest marker on, behind the matches read before it.
 type remoteMatchSpout struct {
 	s    *System
 	task int
@@ -338,10 +353,12 @@ func (r *remoteMatchSpout) run() {
 			}
 			continue // next session
 		}
-		h := r.hop
-		h.mu.Lock()
-		h.sessionRecv += int64(len(mb.Matches))
-		h.mu.Unlock()
+		if mb.Drained {
+			if m := r.hop.popMark(); m != nil {
+				r.split.mark(m)
+			}
+			continue
+		}
 		// Sent per received frame: the wire already batches, and holding
 		// matches back here would add latency the batch bound cannot cap
 		// (this reader may then block in Recv indefinitely).
@@ -352,8 +369,8 @@ func (r *remoteMatchSpout) run() {
 // waitTransport blocks until the hop has an undrained session to read,
 // or the slot is done for good. It deliberately does NOT skip a down
 // session: one that died before the spout ever read it must still be
-// drained, so its already-delivered matches are retired and recovery
-// (which waits for drainedGen) can proceed.
+// drained, so its already-delivered matches reach the mergers and
+// recovery (which waits for drainedGen) can proceed.
 func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 	h := r.hop
 	for {
@@ -368,10 +385,7 @@ func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 			return tr, gen, true
 		}
 		if h.failed || h.closing || h.decommissioned {
-			h.exited = true
-			h.active = false
-			h.broadcastLocked()
-			h.mu.Unlock()
+			r.exitLocked()
 			return nil, 0, false
 		}
 		ch := h.notify
@@ -384,28 +398,40 @@ func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 	}
 }
 
-// finishSession retires a session whose Recv returned err: its
-// received matches fold into the hop's retired total and drainedGen
+// exitLocked ends the spout for good, unlocks the hop, and passes on the
+// markers no session will answer: every match of the slot has been sent.
+// Caller holds h.mu.
+func (r *remoteMatchSpout) exitLocked() {
+	h := r.hop
+	h.exited = true
+	h.active = false
+	h.broadcastLocked()
+	h.marksMu.Lock()
+	marks := h.marks
+	h.marks = nil
+	h.marksMu.Unlock()
+	h.mu.Unlock()
+	for _, m := range marks {
+		r.split.mark(m)
+	}
+}
+
+// finishSession ends a session whose Recv returned err: drainedGen
 // advances (unblocking recovery). It returns true when the spout is
 // done for good. EOF is clean only during a coordinator-initiated
 // teardown (close, decommission, abort) — the node never ends a
 // session on its own, so an unexpected EOF is a crash like any read
 // error: recoverable hops redial and replay, unrecoverable ones are
-// marked failed so the Drain barrier reports the loss instead of
-// waiting on it forever.
+// marked failed so Drain reports the loss instead of waiting on it
+// forever.
 func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 	h := r.hop
 	h.mu.Lock()
-	h.retired += h.sessionRecv
-	h.sessionRecv = 0
 	if gen > h.drainedGen {
 		h.drainedGen = gen
 	}
 	if !h.failed && (h.closing || h.decommissioned || r.ctx.Err() != nil) {
-		h.exited = true
-		h.active = false
-		h.broadcastLocked()
-		h.mu.Unlock()
+		r.exitLocked()
 		return true
 	}
 	h.broadcastLocked()
@@ -420,7 +446,7 @@ func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 // remoteMergerBolt stands in for an out-of-process merger task: it
 // forwards its hash share of the match stream across the wire.
 // Deduplication, delivery and the delivered counters happen on the
-// remote node (see Drain and RemoteDelivered).
+// remote node (see RemoteDelivered).
 type remoteMergerBolt struct {
 	s    *System
 	task int
@@ -437,6 +463,19 @@ func (r *remoteMergerBolt) process(batch *[]wire.MatchEnv) {
 	r.s.matchBatches.put(batch)
 }
 
+// mark takes one producer's copy of a marker. The last one is passed after
+// a Counts round, which the node answers behind every batch sent before
+// it: by then it has delivered them.
+func (r *remoteMergerBolt) mark(m *drainMark) {
+	if !m.arrive(r.task) {
+		return
+	}
+	if _, _, err := r.cl.Counts(); err != nil {
+		panic(fmt.Sprintf("remote merger %d: %v", r.task, err))
+	}
+	m.pass()
+}
+
 // RemoteDelivered sums the delivered/duplicate counters of every remote
 // merger (one control round trip each). Zeroes with no remote mergers.
 func (s *System) RemoteDelivered() (delivered, duplicates int64, err error) {
@@ -449,184 +488,4 @@ func (s *System) RemoteDelivered() (delivered, duplicates int64, err error) {
 		duplicates += dup
 	}
 	return delivered, duplicates, nil
-}
-
-// expectedFromHop computes one hop's contribution to the Drain
-// barrier's expected match total, retrying across session changes:
-// matches received from already-dead sessions (retired — anything lost
-// in flight at the crash was neither counted nor deliverable; the op
-// log re-produces it in a later session) plus the live session's
-// drain-acked emitted count, which FIFO guarantees the spout will
-// receive. It waits out a hop that is mid-outage and fails only on a
-// permanently unrecoverable slot.
-func (s *System) expectedFromHop(h *workerHop) (gen uint64, contribution int64, err error) {
-	for {
-		h.mu.Lock()
-		if h.failed {
-			h.mu.Unlock()
-			return 0, 0, fmt.Errorf("core: worker %d: %w", h.task, ErrWorkerUnrecoverable)
-		}
-		if h.exited {
-			g, n := h.gen, h.retired
-			h.mu.Unlock()
-			return g, n, nil
-		}
-		if h.tr == nil && !h.active {
-			h.mu.Unlock()
-			return 0, 0, nil // unclaimed spare slot
-		}
-		if h.down || h.replaying || h.closing {
-			ch := h.notify
-			h.mu.Unlock()
-			select {
-			case <-ch:
-			case <-time.After(5 * time.Millisecond):
-			}
-			continue
-		}
-		tr, g := h.tr, h.gen
-		h.mu.Unlock()
-		ack, derr := tr.Drain()
-		if derr != nil {
-			if h.log != nil && h.addr != "" {
-				s.hopFailed(h, g, derr)
-				continue // recovery owns the slot now; recount next session
-			}
-			return 0, 0, fmt.Errorf("core: draining remote worker %d: %w", h.task, derr)
-		}
-		h.mu.Lock()
-		if h.gen != g || h.down {
-			// The session died after acking: part of its emitted count
-			// may have been lost in flight. Recount against the next
-			// session instead of trusting the stale ack.
-			h.mu.Unlock()
-			continue
-		}
-		n := h.retired + ack.Emitted
-		h.mu.Unlock()
-		return g, n, nil
-	}
-}
-
-// Drain blocks until the first `submitted` operations are fully applied
-// end to end: routed by the dispatcher, drained through every worker —
-// local queues empty, remote workers wire-acknowledged — and every
-// match they produced delivered by the mergers (local and remote). It
-// is the exact barrier behind the public Flush; on a quiesced system
-// the error is nil unless a remote hop failed unrecoverably. When a
-// worker session dies or recovers mid-wait, the expected total is
-// recomputed against the new session, so the barrier stays exact
-// across crashes.
-func (s *System) Drain(submitted int64) error {
-	if err := s.quiesceHops(submitted); err != nil {
-		return err
-	}
-recompute:
-	for {
-		gens := make(map[int]uint64)
-		var remoteEmitted int64
-		for _, task := range s.remoteWorkerTasks() {
-			g, n, err := s.expectedFromHop(s.hops[task])
-			if err != nil {
-				return err
-			}
-			gens[task] = g
-			remoteEmitted += n
-		}
-		// After the barriers above, the emitted count for those
-		// operations is final; wait for the mergers to account every one
-		// of them. The in-flight tail is bounded (already-emitted batches
-		// en route), so this converges without a grace sleep.
-		expected := s.matchesEmitted.Value() + remoteEmitted
-		for {
-			delivered := s.matches.Value() + s.duplicates.Value()
-			if len(s.cfg.RemoteMergers) > 0 {
-				d, dup, err := s.RemoteDelivered()
-				if err != nil {
-					return err
-				}
-				delivered += d + dup
-			}
-			if delivered >= expected {
-				return nil
-			}
-			if s.closed.Load() {
-				return errors.New("core: system closed while draining")
-			}
-			if s.runDone.Load() {
-				return errRunStopped
-			}
-			for task, g := range gens {
-				h := s.hops[task]
-				h.mu.Lock()
-				changed := h.gen != g || h.down
-				h.mu.Unlock()
-				if changed {
-					continue recompute
-				}
-			}
-			time.Sleep(500 * time.Microsecond)
-		}
-	}
-}
-
-// errRunStopped is what a barrier returns when the run stopped under it
-// without a Close: a task panicked and cancelled it (see System.run).
-var errRunStopped = errors.New("core: run stopped while draining (task panic?)")
-
-// quiesceHops is the polling loop behind Quiesce and Drain. It detects
-// failure: a permanently failed hop never drains its queue, and a run
-// stopped by a task panic never advances its counters — waiting on either
-// would hang the barrier forever, so it fails with the cause instead.
-func (s *System) quiesceHops(submitted int64) error {
-	stable := 0
-	for stable < 2 {
-		if err := s.failedHopErr(); err != nil {
-			return err
-		}
-		if s.runDone.Load() && !s.closed.Load() {
-			return errRunStopped
-		}
-		if s.Processed() < submitted {
-			if s.runDone.Load() {
-				// Closed with a Submit that lost the race to it (counted
-				// by the caller, never enqueued): nothing routes it now.
-				return errors.New("core: system closed while draining")
-			}
-			stable = 0
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		ok := true
-		for i := range s.enqueued {
-			if s.doneOps[i].Load() != s.enqueued[i].Load() {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			stable = 0
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		stable++
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil
-}
-
-// failedHopErr reports the first permanently unrecoverable hop, if any.
-func (s *System) failedHopErr() error {
-	for _, h := range s.hops {
-		if h == nil {
-			continue
-		}
-		h.mu.Lock()
-		failed := h.failed
-		h.mu.Unlock()
-		if failed {
-			return fmt.Errorf("core: worker %d: %w", h.task, ErrWorkerUnrecoverable)
-		}
-	}
-	return nil
 }

@@ -76,7 +76,7 @@ func runRemoteHotspotPublish(t *testing.T) (matches [][2]uint64, adj AdjustStats
 	st := workload.NewStream(spec, workload.Q1, workload.StreamConfig{Mu: mu, Seed: 77})
 	warm := st.Prewarm(mu)
 	sys.SubmitAll(warm)
-	if err := sys.Drain(int64(len(warm))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,7 +111,7 @@ func runRemoteHotspotPublish(t *testing.T) (matches [][2]uint64, adj AdjustStats
 		}
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
 	}
-	if err := sys.Drain(int64(len(warm) + nObjects)); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -201,11 +201,9 @@ func TestRemoteMigrateShareBothDirections(t *testing.T) {
 	if err := sys.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	submitted := int64(0)
 	submit := func(ops []model.Op) {
 		sys.SubmitAll(ops)
-		submitted += int64(len(ops))
-		if err := sys.Drain(submitted); err != nil {
+		if err := sys.Drain(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,10 +233,10 @@ func TestRemoteMigrateShareBothDirections(t *testing.T) {
 			t.Fatalf("migrateShare(%d→%d, cell %d) = %d queries / %d bytes / ok=%v", wo, wl, best.Cell, moved, nbytes, ok)
 		}
 		// Let the source drain past the flip barrier, then extract.
-		sys.Quiesce(submitted)
+		sys.Drain()
 		sys.processPendingExtracts()
 		if sys.hasPendingExtracts() {
-			t.Fatalf("extraction still pending after quiesce (%d→%d)", wo, wl)
+			t.Fatalf("extraction still pending after Drain (%d→%d)", wo, wl)
 		}
 	}
 
@@ -315,7 +313,7 @@ func TestMigrationBytesSameForBothPlacements(t *testing.T) {
 	}
 	defer sys.Close()
 	sys.SubmitAll(warm)
-	if err := sys.Drain(int64(len(warm))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := sys.slots[0].(*workerHop); !ok {
@@ -378,7 +376,7 @@ func TestMigrationBytesSameForBothPlacements(t *testing.T) {
 	if got := metric() - before; got != want {
 		t.Errorf("ps2_migrated_bytes_total advanced by %d, want %d", got, want)
 	}
-	sys.Quiesce(int64(len(warm)))
+	sys.Drain()
 	sys.processPendingExtracts()
 }
 
@@ -420,7 +418,7 @@ func TestRemoteHotspotShiftDetectorFires(t *testing.T) {
 	})
 	warm := st.Prewarm(mu)
 	sys.SubmitAll(warm)
-	if err := sys.Drain(int64(len(warm))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	// The shift: all object traffic concentrates on hotspot 1, which the
@@ -428,12 +426,10 @@ func TestRemoteHotspotShiftDetectorFires(t *testing.T) {
 	// gives the background controller wall-clock intervals to observe
 	// node-reported loads and react.
 	st.FocusHotspot(1)
-	submitted := int64(len(warm))
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		for i := 0; i < 200; i++ {
 			sys.Submit(st.Next())
-			submitted++
 		}
 		time.Sleep(5 * time.Millisecond)
 		adj := sys.Snapshot().Adjust
@@ -441,7 +437,7 @@ func TestRemoteHotspotShiftDetectorFires(t *testing.T) {
 			break
 		}
 	}
-	if err := sys.Drain(submitted); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	adj := sys.Snapshot().Adjust

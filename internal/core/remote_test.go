@@ -61,7 +61,7 @@ func TestRemoteWorkersMatchInProcessOracle(t *testing.T) {
 	sys.SubmitAll(ops)
 	// The drain barrier alone must make the delivered set exact — no
 	// Close, no sleeps.
-	if err := sys.Drain(int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	ms.mu.Lock()
@@ -123,7 +123,7 @@ func TestRemoteMergerDeliversAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SubmitAll(ops)
-	if err := sys.Drain(int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	delivered, _, err := sys.RemoteDelivered()
@@ -198,7 +198,7 @@ func TestRemoteRepartitionOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SubmitAll(ops)
-	if err := sys.Drain(int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.GlobalRepartition(sample, nil); err != nil {

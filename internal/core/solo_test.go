@@ -152,13 +152,11 @@ func TestSoloAcrossTextSplit(t *testing.T) {
 	}
 	region := geo.RectAround(center, 5, 5)
 	want := make(map[[2]uint64]bool)
-	var submitted int64
 	for i := 0; i < 10; i++ {
 		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: uint64(1 + i), Expr: model.And("splitkeya"), Region: region}})
 		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: uint64(101 + i), Expr: model.And("splitkeyb"), Region: region}})
-		submitted += 2
 	}
-	sys.Quiesce(submitted)
+	sys.Drain()
 	var objs []model.Op
 	for i := 0; i < 3000; i++ {
 		o := &model.Object{ID: uint64(1000 + i), Loc: center}
@@ -186,8 +184,7 @@ func TestSoloAcrossTextSplit(t *testing.T) {
 		t.Fatalf("migrateSplit moved %d queries (ok %v), want 10", moved, ok)
 	}
 	wait()
-	submitted += 2000
-	sys.Quiesce(submitted)
+	sys.Drain()
 	sys.processPendingExtracts()
 	sys.SubmitAll(objs[2000:])
 	if err := sys.Close(); err != nil {
@@ -253,16 +250,14 @@ func TestSoloAcrossGlobalRepartition(t *testing.T) {
 	want := oracleMatches(all)
 
 	sys.SubmitAll(early)
-	submitted := int64(len(early))
-	sys.Quiesce(submitted)
+	sys.Drain()
 	wait := publishWhile(sys, first)
 	if err := sys.GlobalRepartition(workload.Sample(spec, workload.Q1, 2000, 400, 64), hybrid.Builder{}); err != nil {
 		t.Fatal(err)
 	}
 	wait()
 	sys.SubmitAll(late)
-	submitted += int64(len(first) + len(late))
-	sys.Quiesce(submitted)
+	sys.Drain()
 	// Routed by both strategies for certain: the old one by location, the
 	// new one because its H2 now holds the late terms.
 	sys.SubmitAll(rest[:1500])
@@ -305,7 +300,7 @@ func TestSoloOnlyForInProcessSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SubmitAll(ops)
-	if err := sys.Drain(int64(len(ops))); err != nil {
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	del.checkExactlyOnce(t, oracleMatches(ops))

@@ -137,27 +137,6 @@ func equalIDs(a, b []uint64) bool {
 	return true
 }
 
-// drain waits until every submitted op has been routed and every worker
-// queue is empty.
-func drain(sys *System, submitted int64) {
-	for sys.Processed() < submitted {
-		time.Sleep(time.Millisecond)
-	}
-	for {
-		done := true
-		for i := range sys.slots {
-			if sys.doneOps[i].Load() < sys.enqueued[i].Load() {
-				done = false
-				break
-			}
-		}
-		if done {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // Deltas can reach the board out of order across goroutines: a Left
 // overtaking its Entered must net to nothing, not leave a phantom
 // candidate squatting in the global top-k.
@@ -270,10 +249,8 @@ func TestTopKEndToEndDeterministic(t *testing.T) {
 		TopK:   3,
 		Window: time.Minute,
 	}
-	var submitted int64
 	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
-	submitted++
-	drain(sys, submitted)
+	sys.Drain()
 
 	// Publish a deterministic spiral of matching and non-matching
 	// messages, 2s apart on the fake clock.
@@ -295,10 +272,9 @@ func TestTopKEndToEndDeterministic(t *testing.T) {
 		objs = append(objs, o)
 		at[o.ID] = clk.Now()
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
-		submitted++
 
 		if i%6 == 5 {
-			drain(sys, submitted)
+			sys.Drain()
 			sys.AdvanceWindows()
 			want := bruteTopK(q, objs, at, clk.Now())
 			if got := sys.TopKSet(q.ID); !equalIDs(got, want) {
@@ -360,10 +336,8 @@ func TestTopKMigrationHandoff(t *testing.T) {
 		TopK:   2,
 		Window: time.Minute,
 	}
-	var submitted int64
 	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
-	submitted++
-	drain(sys, submitted)
+	sys.Drain()
 
 	var objs []*model.Object
 	at := make(map[uint64]time.Time)
@@ -373,13 +347,12 @@ func TestTopKMigrationHandoff(t *testing.T) {
 		objs = append(objs, o)
 		at[id] = clk.Now()
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
-		submitted++
 	}
 	// Three before the migration: two in the top-2, one ring-only.
 	publish(1)
 	publish(2)
 	publish(3)
-	drain(sys, submitted)
+	sys.Drain()
 	before := sys.TopKSet(q.ID)
 	if len(before) != 2 {
 		t.Fatalf("top-2 before migration is %v", before)
@@ -402,7 +375,7 @@ func TestTopKMigrationHandoff(t *testing.T) {
 
 	// Publishing continues against the migrated cell.
 	publish(4)
-	drain(sys, submitted)
+	sys.Drain()
 	sys.processPendingExtracts()
 
 	// After extraction the source holds no window state for the query.
@@ -459,19 +432,16 @@ func TestTopKSurvivesGlobalRepartition(t *testing.T) {
 		Region: geo.RectAround(center, 5, 5),
 		TopK:   2, Window: time.Minute,
 	}
-	var submitted int64
 	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
-	submitted++
 	for i := 1; i <= 3; i++ {
 		clk.Advance(time.Second)
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{
 			ID: uint64(i), Terms: []string{"global"}, Loc: center,
 		}})
-		submitted++
 	}
-	// The barrier that settles deltas: the drain helper's op counters can
-	// all agree before the last delta has reached the board.
-	if err := sys.Drain(submitted); err != nil {
+	// Drain settles the deltas too: they reach the board before the
+	// marker leaves the worker.
+	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	before := sys.TopKSet(q.ID)

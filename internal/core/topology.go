@@ -14,8 +14,7 @@ import (
 // forcedFlushFactor bounds how long the dispatcher, when the ingest never
 // runs empty, may keep a partial batch open: every forcedFlushFactor ×
 // BatchSize routed operations it sends them all, so a towork batch for a
-// rarely-targeted worker cannot be parked behind a saturated input
-// (handOff's drain barrier and Drain wait on such batches).
+// rarely-targeted worker cannot be parked behind a saturated input.
 const forcedFlushFactor = 4
 
 // batchPool recycles the typed batches of one kind of channel. A batch
@@ -42,13 +41,20 @@ func (bp *batchPool[T]) put(p *[]T) {
 	bp.pool.Put(p)
 }
 
+// msg is one send on a task's input channel: a batch, or a Drain marker
+// that follows every batch its producer sent before it.
+type msg[T any] struct {
+	batch *[]T
+	mark  *drainMark
+}
+
 // newQueues makes one input channel per task. A channel holds
 // max(QueueCap/BatchSize, 1) batches, so Config.QueueCap keeps bounding the
 // operations or matches queued per task whatever the BatchSize.
-func newQueues[T any](tasks int, cfg *Config) []chan *[]T {
-	qs := make([]chan *[]T, tasks)
+func newQueues[T any](tasks int, cfg *Config) []chan msg[T] {
+	qs := make([]chan msg[T], tasks)
 	for i := range qs {
-		qs[i] = make(chan *[]T, max(cfg.QueueCap/cfg.BatchSize, 1))
+		qs[i] = make(chan msg[T], max(cfg.QueueCap/cfg.BatchSize, 1))
 	}
 	return qs
 }
@@ -59,12 +65,12 @@ func newQueues[T any](tasks int, cfg *Config) []chan *[]T {
 // producer's envelopes in order.
 type fanout[T any] struct {
 	pool *batchPool[T]
-	out  []chan *[]T
+	out  []chan msg[T]
 	done <-chan struct{} // the run's: once closed, a send drops its batch
 	open []*[]T
 }
 
-func newFanout[T any](pool *batchPool[T], out []chan *[]T, done <-chan struct{}) fanout[T] {
+func newFanout[T any](pool *batchPool[T], out []chan msg[T], done <-chan struct{}) fanout[T] {
 	return fanout[T]{pool: pool, out: out, done: done, open: make([]*[]T, len(out))}
 }
 
@@ -96,9 +102,21 @@ func (f *fanout[T]) flush() {
 // returns the batch to its pool instead.
 func (f *fanout[T]) send(task int, p *[]T) {
 	select {
-	case f.out[task] <- p:
+	case f.out[task] <- msg[T]{batch: p}:
 	case <-f.done:
 		f.pool.put(p)
+	}
+}
+
+// mark flushes every open batch, then sends m to every task behind them.
+func (f *fanout[T]) mark(m *drainMark) {
+	f.flush()
+	for _, out := range f.out {
+		select {
+		case out <- msg[T]{mark: m}:
+		case <-f.done:
+			return
+		}
 	}
 }
 
@@ -112,14 +130,18 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// consume hands every batch of in to process until in is closed, or until
-// the run is cancelled.
-func consume[T any](in <-chan *[]T, done <-chan struct{}, process func(*[]T)) {
-	for b := range in {
+// consume hands every batch of in to process and every marker to mark,
+// in order, until in is closed or the run is cancelled.
+func consume[T any](in <-chan msg[T], done <-chan struct{}, process func(*[]T), mark func(*drainMark)) {
+	for m := range in {
 		if cancelled(done) {
 			return
 		}
-		process(b)
+		if m.mark != nil {
+			mark(m.mark)
+			continue
+		}
+		process(m.batch)
 	}
 }
 
@@ -146,14 +168,17 @@ func emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv) {
 // workers take their index/window locks once per batch and send their
 // matches on s.toMerge; mergers deduplicate batch-wise.
 //
+// Drain markers travel the same channels in order with the batches (see
+// drainMark).
+//
 // Three WaitGroups order the close cascade: the towork channels close once
 // the dispatcher is done, the merger channels once every producer of
 // matches is (the worker slots, and the readers of the remote workers'
 // match streams), and run returns once the mergers are. On cancellation
 // every task stops at its next batch boundary. A task that panics is
 // recorded as name[task]: value and cancels the run, so the other tasks
-// stop, parked publishers return and the barriers fail fast; run then
-// reports every panic.
+// stop, parked publishers return and Drain fails fast; run then reports
+// every panic.
 func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	done := ctx.Done()
 	var mu sync.Mutex // guards panics
@@ -194,10 +219,11 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	// unclaimed spare's reader sleeps until AddWorker installs a session).
 	for i, in := range s.towork {
 		if h := s.hop(i); h != nil {
-			fw := &remoteWorkerBolt{s: s, task: i, hop: h}
+			fw := &remoteWorkerBolt{s: s, task: i, hop: h,
+				toMerge: newFanout(&s.matchBatches, s.toMerge, done)}
 			spawn(&producers, "worker", i, func() {
 				defer fw.Close() // on a panic too
-				consume(in, done, fw.process)
+				consume(in, done, fw.process, fw.mark)
 			})
 			rd := &remoteMatchSpout{s: s, task: i, hop: h, ctx: ctx,
 				split: newFanout(&s.matchBatches, s.toMerge, done)}
@@ -206,7 +232,7 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 		}
 		w := &workerBolt{s: s, task: i, local: s.slots[i].(*localWorker),
 			split: newFanout(&s.matchBatches, s.toMerge, done)}
-		spawn(&producers, "worker", i, func() { consume(in, done, w.process) })
+		spawn(&producers, "worker", i, func() { consume(in, done, w.process, w.split.mark) })
 	}
 
 	// Mergers: deduplicate and deliver. A task listed in
@@ -217,12 +243,12 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 			fw := &remoteMergerBolt{s: s, task: i, cl: cl}
 			spawn(&mergers, "merger", i, func() {
 				defer cl.CloseSend() // on a panic too
-				consume(in, done, fw.process)
+				consume(in, done, fw.process, fw.mark)
 			})
 			continue
 		}
-		m := newMerger(s)
-		spawn(&mergers, "merger", i, func() { consume(in, done, m.process) })
+		m := newMerger(s, i)
+		spawn(&mergers, "merger", i, func() { consume(in, done, m.process, m.mark) })
 	}
 
 	dispatcherDone.Wait()
@@ -244,7 +270,8 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 // whatever the ingest has accepted and routes it in chunks of up to
 // BatchSize operations, so batches fill by themselves under load (the
 // ingest accumulates while the dispatcher works) and an idle system routes
-// a single operation at once.
+// a single operation at once. A marker taken with the operations goes to
+// every slot after the ones before it.
 type dispatcher struct {
 	s *System
 	// spare is the routed buffer the next take hands back to the ingest.
@@ -254,42 +281,44 @@ type dispatcher struct {
 	// sinceFlush counts operations routed since out was last flushed (see
 	// forcedFlushFactor).
 	sinceFlush int
-	// Per-chunk scratch of dispatchBatch: the (operation, worker) pairs
-	// routed so far and the per-worker counts they add up to.
-	routed    []routedOp
+	// enq and objs are dispatchBatch's per-worker counts for one chunk.
 	enq, objs []int64
 }
-
-// routedOp addresses operation op of the chunk to worker w.
-type routedOp struct{ op, w int }
 
 // run routes what the ingest accepts until it is closed and drained. Once
 // the run is cancelled it routes nothing more, not even the remainder of
 // the ingest Abort closed.
 func (d *dispatcher) run() {
-	bs := d.s.cfg.BatchSize
 	for {
 		// Nothing is waiting: push out partial batches before parking.
-		ops := d.s.ingest.take(d.spare, d.flush)
-		if len(ops) == 0 || cancelled(d.out.done) {
+		ops, marks := d.s.ingest.take(d.spare, d.flush)
+		if len(ops)+len(marks) == 0 || cancelled(d.out.done) {
 			break // closed and drained, or cancelled
 		}
-		for i := 0; i < len(ops); i += bs {
-			chunk := ops[i:min(i+bs, len(ops))]
-			// Every chunk routes under the read side of routeMu so
-			// migrations can fence out in-flight chunks before snapshotting
-			// drain barriers (see advanceRoute and handOff).
-			d.s.routeMu.RLock()
-			d.dispatchBatch(chunk)
-			d.s.routeMu.RUnlock()
-			if d.sinceFlush += len(chunk); d.sinceFlush >= forcedFlushFactor*bs {
-				d.flush()
-			}
+		at := 0
+		for _, qm := range marks {
+			d.route(ops[at:qm.at])
+			at = qm.at
+			d.out.mark(qm.m)
+			d.sinceFlush = 0
 		}
+		d.route(ops[at:])
 		clear(ops) // the buffer is reused; do not pin routed objects and queries
 		d.spare = ops
 	}
 	d.flush()
+}
+
+// route routes ops in chunks of up to BatchSize.
+func (d *dispatcher) route(ops []wire.OpEnv) {
+	bs := d.s.cfg.BatchSize
+	for i := 0; i < len(ops); i += bs {
+		chunk := ops[i:min(i+bs, len(ops))]
+		d.dispatchBatch(chunk)
+		if d.sinceFlush += len(chunk); d.sinceFlush >= forcedFlushFactor*bs {
+			d.flush()
+		}
+	}
 }
 
 // flush sends every partial towork batch.
@@ -298,17 +327,11 @@ func (d *dispatcher) flush() {
 	d.sinceFlush = 0
 }
 
-// dispatchBatch routes one chunk of operations. The routing structures
-// are re-read per operation — they are single atomic loads, and holding
-// one snapshot across a whole chunk would stretch the migration-flip race
-// window from one tuple to BatchSize tuples of stale routing.
-//
-// It runs in two passes so that the counters the barriers read are
-// touched once per chunk: the first routes and counts, the second appends
-// each envelope to the open batch of every worker it is routed to.
-// enqueued must cover an operation before the worker can count it in
-// doneOps and before processed covers it (Quiesce and Drain compare the
-// three), hence before the batch holding it can be sent.
+// dispatchBatch routes one chunk of operations, appending each envelope
+// to the open batch of every worker it is routed to; the shared counters
+// move once per chunk. The routing structures are re-read per operation:
+// they are single atomic loads, and a migration's flip then takes effect
+// from the next operation on.
 //
 // An object whose target set has exactly one member is marked Solo,
 // whatever assignment computed the set: only that worker's engine sees
@@ -319,7 +342,10 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 	// Stage timing uses the wall clock, not cfg.Clock: it measures real
 	// processing cost per chunk, and tests' fake clocks must not skew it.
 	stageStart := time.Now()
-	d.routed = d.routed[:0]
+	// "The object can be discarded if it contains no terms in H2" — still
+	// count its latency as handled, under one clock read for the chunk, on
+	// the configured clock the envelopes were stamped in.
+	now, lat := s.now(), s.latency.Load()
 	var discarded int64
 	for i := range ops {
 		op := &ops[i].Op
@@ -336,6 +362,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 			}
 			if len(targets) == 0 {
 				discarded++
+				lat.Observe(now.Sub(ops[i].T0))
 			}
 			for _, w := range targets {
 				d.objs[w]++
@@ -360,7 +387,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 		}
 		for _, w := range targets {
 			d.enq[w]++
-			d.routed = append(d.routed, routedOp{op: i, w: w})
+			d.out.add(w, &ops[i])
 		}
 	}
 	for w, n := range d.enq {
@@ -370,32 +397,9 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 			d.enq[w], d.objs[w] = 0, 0
 		}
 	}
-	// Counted as routed only now: a barrier that has seen Processed reach
-	// its target must find these operations in enqueued (and discarded)
-	// already, however long the routing above took (an insert over a wide
-	// region visits thousands of cells).
 	s.discarded.Add(discarded)
 	s.processed.Add(int64(len(ops)))
 	s.tput.Add(int64(len(ops)))
-
-	// "The object can be discarded if it contains no terms in H2" — still
-	// count its latency as handled, under one clock read for the chunk.
-	// Latency is measured on the configured clock, the same domain the
-	// envelopes were stamped in.
-	end := s.now()
-	lat := s.latency.Load()
-	r := 0
-	for i := range ops {
-		if r == len(d.routed) || d.routed[r].op != i {
-			if ops[i].Op.Kind == model.OpObject {
-				lat.Observe(end.Sub(ops[i].T0))
-			}
-			continue
-		}
-		for ; r < len(d.routed) && d.routed[r].op == i; r++ {
-			d.out.add(d.routed[r].w, &ops[i])
-		}
-	}
 	s.stageDisp.Observe(time.Since(stageStart))
 }
 
@@ -414,8 +418,7 @@ type workerBolt struct {
 	split fanout[wire.MatchEnv]
 }
 
-// process runs one towork batch. Its matches are sent before doneOps
-// counts the batch.
+// process runs one towork batch and sends its matches.
 func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	s := w.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
@@ -426,8 +429,6 @@ func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	w.out = w.local.process(ops, w.out[:0])
 	emitMatches(&w.split, w.out)
 	if n := len(w.out); n > 0 {
-		// Counted before doneOps so the Drain barrier's emitted total is
-		// final once the worker queues read as drained.
 		s.matchesEmitted.Add(int64(n))
 	}
 	s.doneOps[w.task].Add(int64(len(ops)))
@@ -458,20 +459,28 @@ func spin(d time.Duration) {
 // them, a batch at a time. One instance per merger task; no locking needed
 // for its own state.
 type merger struct {
-	s   *System
-	win *dedup.Window
+	s    *System
+	task int
+	win  *dedup.Window
 }
 
-func newMerger(s *System) *merger {
-	return &merger{s: s, win: dedup.NewWindow(s.cfg.DedupWindow)}
+func newMerger(s *System, task int) *merger {
+	return &merger{s: s, task: task, win: dedup.NewWindow(s.cfg.DedupWindow)}
+}
+
+// mark takes one producer's copy of a marker. Every batch before it has
+// been delivered, callbacks returned.
+func (m *merger) mark(mk *drainMark) {
+	if mk.arrive(m.task) {
+		mk.pass()
+	}
 }
 
 // process takes one matches batch, deduplicated and
 // delivered under one clock read. A Solo match is delivered without a
 // window probe: its object went to one worker only (dispatchBatch), so
 // the pair cannot arrive again. The shared counters move once per batch,
-// after the deliveries they count: the Drain barrier reads them, so a
-// Flush returning guarantees the callbacks have completed.
+// after the deliveries they count.
 func (m *merger) process(batch *[]wire.MatchEnv) {
 	s := m.s
 	stageStart := time.Now() // wall clock; see dispatchBatch

@@ -30,7 +30,7 @@ func TestTaskPanicStopsRun(t *testing.T) {
 	at := sys.Bounds().Center()
 	q := &model.Query{ID: 1, Expr: model.And("hot"), Region: geo.RectAround(at, 100, 100)}
 	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
-	sys.Quiesce(1)
+	sys.Drain()
 	const objects = 20000
 	published := make(chan struct{})
 	go func() {
@@ -44,7 +44,7 @@ func TestTaskPanicStopsRun(t *testing.T) {
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		if err := sys.Drain(1 + objects); err == nil {
+		if err := sys.Drain(); err == nil {
 			t.Error("Drain returned nil after a task panicked")
 		}
 	}()
@@ -120,35 +120,57 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestAdvanceRouteWaitsForRoutingChunks pins the route fence handOff relies
-// on: advanceRoute returns only once a dispatcher chunk that was routing
-// when it was called has finished and counted its operations in enqueued.
+// TestAdvanceRouteWaitsForRoutingChunks pins what handOff's deferred
+// extraction waits for once a migration has advanced the route: a
+// dispatcher chunk stalls mid-route under the old table, the migration
+// flips routing, and the extraction stays pending while the operation is
+// routing and while the source holds it unapplied.
 func TestAdvanceRouteWaitsForRoutingChunks(t *testing.T) {
 	routing, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
+	var target atomic.Int64 // the routing table: every object goes here
+	applying, apply := make(chan struct{}), make(chan struct{})
+	var held sync.Once
 	sys := startIngestSystem(t, Config{Workers: 2, Builder: &idRouter{route: func(uint64) int {
+		w := int(target.Load())
 		once.Do(func() {
 			close(routing)
-			<-release // the chunk stalls mid-route, under routeMu's read side
+			<-release // the chunk stalls mid-route, its target already read
 		})
-		return 0
-	}}})
+		return w
+	}}}, beforeBatch(0, func([]wire.OpEnv) {
+		held.Do(func() {
+			close(applying)
+			<-apply // the source holds the operation before applying it
+		})
+	}))
+	source := sys.slots[0].(*localWorker).eng
 	sys.Submit(objectOp(1, "x", sys.Bounds().Center()))
 	within(t, 5*time.Second, "the dispatcher routing the object", routing)
-	advanced := make(chan struct{})
-	go func() {
-		defer close(advanced)
-		sys.advanceRoute()
-	}()
-	select {
-	case <-advanced:
-		t.Fatal("advanceRoute returned while a chunk routed under the old epoch was still routing")
-	case <-time.After(20 * time.Millisecond):
+	if _, _, ok := sys.handOff(0, 1, 0, nil, func() { target.Store(1) }); !ok {
+		t.Fatal("handOff failed")
 	}
+	stillPending := func(while string) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); {
+			sys.processPendingExtracts()
+			if !sys.hasPendingExtracts() {
+				t.Fatalf("the extraction ran while %s", while)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	stillPending("an operation routed under the old table was still routing")
 	close(release)
-	within(t, 5*time.Second, "advanceRoute returning once the chunk finished", advanced)
-	if n := sys.enqueued[0].Load(); n != 1 {
-		t.Errorf("after advanceRoute, enqueued covers %d operations of the old-epoch chunk, want 1", n)
+	within(t, 5*time.Second, "the source receiving the object", applying)
+	stillPending("the source had not applied an operation routed under the old table")
+	close(apply)
+	for sys.hasPendingExtracts() {
+		sys.processPendingExtracts()
+		time.Sleep(time.Millisecond)
+	}
+	if n := source.Stats().Objects; n != 1 {
+		t.Errorf("the extraction ran after the source applied %d objects, want the stalled one", n)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -156,16 +178,22 @@ func TestAdvanceRouteWaitsForRoutingChunks(t *testing.T) {
 }
 
 // TestAdvanceRouteEpochRisesOnePerCall: a fresh system is at route epoch 0,
-// and every advanceRoute moves it up by exactly one.
+// and every migration's routing flip moves it up by exactly one.
 func TestAdvanceRouteEpochRisesOnePerCall(t *testing.T) {
-	sys := startIngestSystem(t, Config{Workers: 2, Builder: hybrid.Builder{}})
+	var target atomic.Int64
+	sys := startIngestSystem(t, Config{Workers: 2, Builder: &idRouter{route: func(uint64) int {
+		return int(target.Load())
+	}}})
 	if e := sys.RouteEpoch(); e != 0 {
 		t.Fatalf("a fresh system is at route epoch %d, want 0", e)
 	}
 	for want := uint64(1); want <= 3; want++ {
-		sys.advanceRoute()
+		wo, wl := int(target.Load()), 1-int(target.Load())
+		if _, _, ok := sys.handOff(wo, wl, 0, nil, func() { target.Store(int64(wl)) }); !ok {
+			t.Fatalf("handOff %d failed", want)
+		}
 		if e := sys.RouteEpoch(); e != want {
-			t.Fatalf("route epoch %d after %d advances", e, want)
+			t.Fatalf("route epoch %d after %d migrations", e, want)
 		}
 	}
 	if err := sys.Close(); err != nil {
@@ -173,42 +201,59 @@ func TestAdvanceRouteEpochRisesOnePerCall(t *testing.T) {
 	}
 }
 
-// TestAdvanceRouteUnderConcurrentRouting hammers the fence: advances race
-// the dispatcher routing a steady stream (run under -race in CI). Every
-// advance counts once in the epoch, and every published operation is
-// routed and counted exactly once.
-func TestAdvanceRouteUnderConcurrentRouting(t *testing.T) {
-	const workers, advances = 4, 200
-	sys := startIngestSystem(t, Config{Workers: workers, QueueCap: 64, BatchSize: 8,
-		Builder: &idRouter{route: func(id uint64) int { return int(id % workers) }}})
+// TestDrainReturnsUnderSustainedPublish: Drain waits for the operations
+// accepted before it, not for the system to go quiet. One publisher never
+// pauses and worker 0 is slowed; Drain still returns promptly, and every
+// operation whose Submit returned before the call has been applied.
+func TestDrainReturnsUnderSustainedPublish(t *testing.T) {
+	const workers = 2
+	var applied [workers]atomic.Uint64 // the last object id each worker's engine was handed
+	record := func(w int, slow time.Duration) func(*System) {
+		return beforeBatch(w, func(ops []wire.OpEnv) {
+			time.Sleep(slow)
+			applied[w].Store(ops[len(ops)-1].Op.Obj.ID)
+		})
+	}
+	sys := startIngestSystem(t, Config{Workers: workers, Mergers: 1,
+		Builder: &idRouter{route: func(id uint64) int { return int(id % workers) }}},
+		record(0, 100*time.Microsecond), record(1, 0))
 	at := sys.Bounds().Center()
+	var returned atomic.Uint64
 	var stop atomic.Bool
-	var submitted int64
 	published := make(chan struct{})
 	go func() {
 		defer close(published)
 		for id := uint64(1); !stop.Load(); id++ {
 			sys.Submit(objectOp(id, "x", at))
-			submitted++
+			returned.Store(id)
 		}
 	}()
-	for i := 0; i < advances; i++ {
-		sys.advanceRoute()
+	for returned.Load() < 4000 {
+		time.Sleep(time.Millisecond)
+	}
+	accepted := returned.Load()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		if err := sys.Drain(); err != nil {
+			t.Errorf("Drain: %v", err)
+		}
+	}()
+	within(t, 5*time.Second, "Drain returning while the publisher keeps going", drained)
+	after := returned.Load()
+	for id := accepted - 1; id <= accepted; id++ {
+		if got := applied[id%workers].Load(); got < id {
+			t.Errorf("after Drain, worker %d has applied up to object %d; object %d was accepted before the call",
+				id%workers, got, id)
+		}
 	}
 	stop.Store(true)
 	within(t, 5*time.Second, "the publisher stopping", published)
+	if after == accepted {
+		t.Error("nothing was published while Drain waited: the test did not drain under load")
+	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if e := sys.RouteEpoch(); e != advances {
-		t.Errorf("route epoch %d after %d advances", e, advances)
-	}
-	var enqueued int64
-	for w := range workers {
-		enqueued += sys.enqueued[w].Load()
-	}
-	if p := sys.Snapshot().Processed; p != submitted || enqueued != submitted {
-		t.Errorf("%d operations published, %d routed, %d enqueued", submitted, p, enqueued)
 	}
 }
 
@@ -235,7 +280,7 @@ func TestFanoutDeliversToAddressedTask(t *testing.T) {
 					counts[task].Add(1)
 				}
 				pool.put(b)
-			})
+			}, nil)
 		}()
 	}
 	for i := 0; i < tasks*perTask; i++ {

@@ -158,15 +158,6 @@ func (m *Merger) serveConn(conn *wire.Conn) (clean bool, err error) {
 			if err := conn.Send(reply); err != nil {
 				return false, err
 			}
-		case wire.TypeDrain:
-			d, err := wire.DecodeBinDrain(payload)
-			if err != nil {
-				return false, err
-			}
-			ack := wire.DrainAck{Seq: d.Seq, Emitted: delivered, Duplicates: duplicates}
-			if err := conn.Send(ack); err != nil {
-				return false, err
-			}
 		case wire.TypeGoodbye:
 			_ = conn.Send(wire.Goodbye{})
 			return true, nil

@@ -267,9 +267,9 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 	var ops []wire.OpEnv
 	var matches []wire.MatchEnv
 	var deltas []window.Delta
-	// This session's counters for the drain ack, and the number the next
-	// op batch must carry.
-	var done, emitted, nDeltas int64
+	// This session's emitted matches for the drain ack, and the number the
+	// next op batch must carry.
+	var emitted int64
 	var next uint64
 	for {
 		typ, payload, err := conn.Recv()
@@ -288,9 +288,7 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 			}
 			next++
 			matches, deltas, epoch = w.processOps(ops, matches[:0], deltas[:0])
-			done += int64(len(ops))
 			emitted += int64(len(matches))
-			nDeltas += int64(len(deltas))
 			if len(matches) > 0 {
 				buf := wire.GetBuf()
 				buf.B = wire.AppendMatchBatch(buf.B, matches)
@@ -304,7 +302,7 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 		case wire.TypeDrain:
 			var d wire.Drain
 			if d, err = wire.DecodeBinDrain(payload); err == nil {
-				reply = wire.DrainAck{Seq: d.Seq, Done: done, Emitted: emitted, Deltas: nDeltas}
+				reply = wire.DrainAck{Seq: d.Seq, Emitted: emitted}
 			}
 		case wire.TypeStatsReq:
 			var sr wire.StatsReq

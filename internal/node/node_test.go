@@ -88,8 +88,8 @@ func TestWorkerSessionMatchesAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Done != 3 || ack.Emitted != 1 {
-		t.Errorf("ack = %+v, want Done 3 Emitted 1", ack)
+	if done, _ := w.Counts(); done != 3 || ack.Emitted != 1 {
+		t.Errorf("ack = %+v after %d ops, want Emitted 1 after 3", ack, done)
 	}
 	// Delete and re-publish: no match.
 	err = cl.SendOps(wire.OpBatch{Ops: []wire.OpEnv{
@@ -113,6 +113,50 @@ func TestWorkerSessionMatchesAndDrain(t *testing.T) {
 		t.Errorf("after goodbye: %v, want io.EOF", err)
 	}
 	cl.Close()
+}
+
+// TestWorkerSendDrainAnswersInMatchStream: the ack of a SendDrain comes
+// back through RecvMatches behind the matches of the ops sent before it,
+// and a Drain round trip in between still gets its own ack.
+func TestWorkerSendDrainAnswersInMatchStream(t *testing.T) {
+	_, addr, _ := startWorker(t, WorkerOptions{})
+	cl, err := wire.DialWorker(addr, testHello(0), wire.Backoff{Attempts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	area, at := geo.NewRect(-80, 30, -70, 40), geo.Point{X: -75, Y: 35}
+	t0 := time.Unix(1700000000, 0)
+	const rounds = 5
+	for i := uint64(0); i < rounds; i++ {
+		ops := []wire.OpEnv{insertOp(query(i+1, "coffee", area)), objectAt(100+i, "coffee", at, t0)}
+		if err := cl.SendOps(wire.OpBatch{Ops: ops}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.SendDrain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ack, err := cl.Drain(); err != nil || ack.Emitted != rounds*(rounds+1)/2 {
+		t.Fatalf("round trip after the markers: ack %+v, err %v", ack, err)
+	}
+	// Object 100+i matches queries 1..i+1; then the marker.
+	for i := 0; i < rounds; i++ {
+		matches := 0
+		for {
+			mb, err := cl.RecvMatches()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mb.Drained {
+				break
+			}
+			matches += len(mb.Matches)
+		}
+		if matches != i+1 {
+			t.Errorf("marker %d came after %d matches, want %d", i, matches, i+1)
+		}
+	}
 }
 
 func TestWorkerStatePersistsAcrossReconnect(t *testing.T) {
@@ -173,7 +217,7 @@ func TestWorkerStatePersistsAcrossReconnect(t *testing.T) {
 
 // The worker hosts sliding-window top-k subscriptions: an insert with
 // TopK set registers, a matching publish pushes a spontaneous Entered
-// delta batch (counted by the drain barrier), and the fenced
+// delta batch (applied before a later drain returns), and the fenced
 // AdvanceWindow round expires it back out, returning the Left delta on
 // the ack rather than the spontaneous stream.
 func TestWorkerServesTopKDeltas(t *testing.T) {
@@ -200,12 +244,8 @@ func TestWorkerServesTopKDeltas(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := cl.Drain()
-	if err != nil {
+	if _, err := cl.Drain(); err != nil {
 		t.Fatal(err)
-	}
-	if ack.Deltas != 1 {
-		t.Errorf("ack.Deltas = %d, want 1", ack.Deltas)
 	}
 	if got := w.QueryCount(); got != 1 {
 		t.Errorf("QueryCount = %d, want 1", got)
@@ -444,11 +484,13 @@ func TestWorkerControlRoundsFollowOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Done != 2+k*per+1 || ack.Emitted != k*per {
-		t.Errorf("drain ack %+v, want Done %d and Emitted %d", ack, 2+k*per+1, k*per)
+	if ack.Emitted != k*per {
+		t.Errorf("drain ack %+v, want Emitted %d", ack, k*per)
 	}
-	if got := deltas.Load(); got != ack.Deltas {
-		t.Errorf("delta handler saw %d deltas when the drain returned, ack counts %d", got, ack.Deltas)
+	// The top-1 entry: the first object enters, every later one enters and
+	// evicts its predecessor.
+	if got, want := deltas.Load(), int64(2*k*per-1); got != want {
+		t.Errorf("delta handler saw %d deltas when the drain returned, want %d", got, want)
 	}
 
 	// A share installed by InstallCells matches the ops sent after it.

@@ -187,10 +187,7 @@ func AppendDrain(dst []byte, d Drain) []byte {
 // AppendDrainAck appends the binary encoding of a drain ack to dst.
 func AppendDrainAck(dst []byte, a DrainAck) []byte {
 	dst = binary.AppendUvarint(dst, a.Seq)
-	dst = binary.AppendUvarint(dst, uint64(a.Done))
-	dst = binary.AppendUvarint(dst, uint64(a.Emitted))
-	dst = binary.AppendUvarint(dst, uint64(a.Duplicates))
-	return binary.AppendUvarint(dst, uint64(a.Deltas))
+	return binary.AppendUvarint(dst, uint64(a.Emitted))
 }
 
 // AppendFence appends the binary encoding of a fence to dst.
@@ -442,13 +439,7 @@ func DecodeBinDrain(p []byte) (Drain, error) {
 // DecodeBinDrainAck decodes a binary drain ack payload.
 func DecodeBinDrainAck(p []byte) (DrainAck, error) {
 	r := breader{p: p}
-	a := DrainAck{
-		Seq:        r.uvarint(),
-		Done:       int64(r.uvarint()),
-		Emitted:    int64(r.uvarint()),
-		Duplicates: int64(r.uvarint()),
-		Deltas:     int64(r.uvarint()),
-	}
+	a := DrainAck{Seq: r.uvarint(), Emitted: int64(r.uvarint())}
 	if !r.done() {
 		return DrainAck{}, fmt.Errorf("%w: drain ack", ErrBadPayload)
 	}

@@ -110,7 +110,7 @@ func TestBinaryMatchAndControlRoundTrip(t *testing.T) {
 	if got, err := DecodeBinDrain(AppendDrain(nil, d)); err != nil || got != d {
 		t.Errorf("drain = %+v, %v; want %+v", got, err, d)
 	}
-	a := DrainAck{Seq: 9, Done: 12345, Emitted: 678, Duplicates: 2, Deltas: 11}
+	a := DrainAck{Seq: 9, Emitted: 678}
 	if got, err := DecodeBinDrainAck(AppendDrainAck(nil, a)); err != nil || got != a {
 		t.Errorf("drain ack = %+v, %v; want %+v", got, err, a)
 	}
@@ -272,11 +272,11 @@ func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 	if _, err := DecodeBinDrain([]byte{0x81}); err == nil {
 		t.Error("truncated drain accepted")
 	}
-	if _, err := DecodeBinDrainAck([]byte{1, 2, 3, 4, 5, 6}); err == nil {
+	if _, err := DecodeBinDrainAck([]byte{1, 2, 3}); err == nil {
 		t.Error("drain ack with trailing bytes accepted")
 	}
-	if _, err := DecodeBinDrainAck([]byte{1, 2, 3, 4}); err == nil {
-		t.Error("drain ack missing the delta count accepted")
+	if _, err := DecodeBinDrainAck([]byte{1}); err == nil {
+		t.Error("drain ack missing the emitted count accepted")
 	}
 	// Window delta frames: truncations and hostile counts must be
 	// rejected the same way.
@@ -310,7 +310,7 @@ func TestHotFrameCodecZeroAlloc(t *testing.T) {
 	opP := AppendOpBatch(nil, 7, ops)
 	mP := AppendMatchBatch(nil, ms)
 	dP := AppendDrain(nil, Drain{Seq: 9})
-	aP := AppendDrainAck(nil, DrainAck{Seq: 9, Done: 12345, Emitted: 678})
+	aP := AppendDrainAck(nil, DrainAck{Seq: 9, Emitted: 678})
 	fP := AppendFence(nil, Fence{Epoch: 3})
 	ds := sampleDeltas()
 	wP := AppendWindowDeltaBatch(nil, 31, ds)
@@ -322,7 +322,7 @@ func TestHotFrameCodecZeroAlloc(t *testing.T) {
 		enc = AppendOpBatch(enc[:0], 7, ops)
 		enc = AppendMatchBatch(enc[:0], ms)
 		enc = AppendDrain(enc[:0], Drain{Seq: 9})
-		enc = AppendDrainAck(enc[:0], DrainAck{Seq: 9, Done: 12345})
+		enc = AppendDrainAck(enc[:0], DrainAck{Seq: 9, Emitted: 678})
 		enc = AppendFence(enc[:0], Fence{Epoch: 3})
 		enc = AppendWindowDeltaBatch(enc[:0], 31, ds)
 		scratch, err = DecodeBinMatchBatch(mP, scratch[:0])

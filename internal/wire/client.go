@@ -103,7 +103,7 @@ type WorkerClient struct {
 	drainMu sync.Mutex
 	// ctrlMu serialises the migration/stats control rounds (Stats,
 	// CellStats, ExtractCells, InstallCells, AdvanceWindow); Drain keeps
-	// its own mutex and reply channel so a Flush barrier can interleave
+	// its own mutex and reply channel so a drain round can interleave
 	// with an adjustment in flight.
 	ctrlMu sync.Mutex
 
@@ -282,7 +282,7 @@ func (w *WorkerClient) readLoop() {
 		case TypeWindowDeltaBatch:
 			err = w.deliverDeltas(payload)
 		case TypeDrainAck:
-			err = parkReply(w.acks, DecodeBinDrainAck, payload)
+			err = w.deliverAck(payload)
 		case TypeStatsReply:
 			err = parkReply(w.stats, DecodeBinStatsReply, payload)
 		case TypeCellStatsReply:
@@ -329,8 +329,30 @@ func (w *WorkerClient) deliverMatches(payload []byte) error {
 	if err != nil {
 		return err
 	}
+	return w.deliver(MatchBatch{Matches: ms})
+}
+
+// deliverAck parks a round trip's DrainAck for Drain, and hands a
+// SendDrain's (Seq 0) to RecvMatches behind the matches before it.
+func (w *WorkerClient) deliverAck(payload []byte) error {
+	ack, err := DecodeBinDrainAck(payload)
+	if err != nil {
+		return err
+	}
+	if ack.Seq == 0 {
+		return w.deliver(MatchBatch{Drained: true})
+	}
 	select {
-	case w.matches <- MatchBatch{Matches: ms}:
+	case w.acks <- ack:
+	default: // unsolicited; see parkReply
+	}
+	return nil
+}
+
+// deliver queues mb for RecvMatches.
+func (w *WorkerClient) deliver(mb MatchBatch) error {
+	select {
+	case w.matches <- mb:
 		return nil
 	case <-w.closed:
 		// The consumer is gone (Close mid-stream, e.g. a cancelled
@@ -389,9 +411,10 @@ func (w *WorkerClient) SendOps(b OpBatch) error {
 	return nil
 }
 
-// RecvMatches blocks for the worker's next match batch. It returns
-// io.EOF after the worker's side of the stream ends cleanly, or the
-// connection's failure otherwise.
+// RecvMatches blocks for the worker's next match batch, or for the
+// Drained batch that answers a SendDrain. It returns io.EOF after the
+// worker's side of the stream ends cleanly, or the connection's failure
+// otherwise.
 func (w *WorkerClient) RecvMatches() (MatchBatch, error) {
 	mb, ok := <-w.matches
 	if !ok {
@@ -403,16 +426,23 @@ func (w *WorkerClient) RecvMatches() (MatchBatch, error) {
 	return mb, nil
 }
 
-// Drain runs the end-to-end drain barrier round: every operation batch
-// sent before the call is processed by the worker before the returned
-// acknowledgement, whose Emitted field is the worker's cumulative
-// emitted-match count for this connection. The ack follows those
-// matches on the wire, so every match it counts is already queued for
-// RecvMatches (and every delta batch handed to the delta handler).
+// Drain runs one drain round trip: every operation batch sent before the
+// call is processed by the worker before the returned acknowledgement,
+// whose Emitted field is the worker's emitted-match count for this
+// connection. The ack follows those matches on the wire, so every match
+// it counts is already queued for RecvMatches (and every delta batch
+// handed to the delta handler).
 func (w *WorkerClient) Drain() (DrainAck, error) {
 	ack, _, err := roundTrip(&w.hop, &w.drainMu, w.acks, func(r DrainAck) uint64 { return r.Seq },
 		func(seq uint64) Frame { return Drain{Seq: seq} })
 	return ack, err
+}
+
+// SendDrain queues a Drain frame behind every op batch sent before it and
+// returns without waiting: its DrainAck comes back through RecvMatches,
+// as a Drained batch after the matches of those ops.
+func (w *WorkerClient) SendDrain() error {
+	return w.writer.SendFrame(Drain{})
 }
 
 // SendFence forwards a routing-epoch advance (informational).

@@ -18,8 +18,8 @@ const Magic = "PS2WIRE"
 // and a field is added to a frame by bumping Version — never by decoding
 // it optionally (docs/WIRE.md, "Versioning"). Version 1 was the gob
 // encoding; version 2 opened a worker hop as a control connection plus
-// attached data connections.
-const Version = 3
+// attached data connections; version 3 carried counts in DrainAck.
+const Version = 4
 
 // Roles named in the handshake.
 const (
@@ -116,12 +116,17 @@ type MatchEnv struct {
 // MatchBatch is one transfer batch of matches.
 type MatchBatch struct {
 	Matches []MatchEnv
+	// Drained marks, in place of matches, the DrainAck answering a
+	// WorkerClient.SendDrain: every match of the ops sent before that
+	// Drain came in an earlier batch. Not encoded.
+	Drained bool
 }
 
-// Drain asks the peer to acknowledge once everything sent before this
+// Drain asks a worker to acknowledge once everything sent before this
 // frame has been fully processed. A hop is one connection, so FIFO is
 // the barrier: the ack follows every match and delta batch the earlier
-// ops produced.
+// ops produced. Seq 0 is a marker's Drain (WorkerClient.SendDrain); a
+// round trip numbers its request from 1.
 type Drain struct {
 	Seq uint64
 }
@@ -129,17 +134,9 @@ type Drain struct {
 // DrainAck answers a Drain.
 type DrainAck struct {
 	Seq uint64
-	// Done is the peer's cumulative processed-operation count (workers).
-	Done int64
-	// Emitted is the peer's cumulative emitted-match count (workers) or
-	// delivered-match count (mergers).
+	// Emitted is the worker's emitted-match count for the session. Only
+	// benchmark/probes.go reads it.
 	Emitted int64
-	// Duplicates is the peer's cumulative duplicate count (mergers).
-	Duplicates int64
-	// Deltas is the worker's cumulative emitted window-delta count
-	// (WindowDeltaBatch frames), so a drain can also wait for the top-k
-	// delta stream to be received, not just the matches.
-	Deltas int64
 }
 
 // StatsReq asks a peer for its counters. Like every control frame it is

@@ -70,7 +70,7 @@ func TestDialWorkerOpensOneConnection(t *testing.T) {
 			switch typ {
 			case TypeDrain:
 				d, _ := DecodeBinDrain(payload)
-				c.Send(DrainAck{Seq: d.Seq, Done: 1})
+				c.Send(DrainAck{Seq: d.Seq, Emitted: 1})
 			case TypeGoodbye:
 				served <- c.Send(Goodbye{})
 				return
@@ -85,7 +85,7 @@ func TestDialWorkerOpensOneConnection(t *testing.T) {
 	if err := cl.SendOps(OpBatch{Ops: sampleOpBatch()}); err != nil {
 		t.Fatal(err)
 	}
-	if ack, err := cl.Drain(); err != nil || ack.Done != 1 {
+	if ack, err := cl.Drain(); err != nil || ack.Emitted != 1 {
 		t.Fatalf("drain: ack %+v, err %v", ack, err)
 	}
 	if err := cl.CloseSend(); err != nil {

@@ -48,17 +48,18 @@ const (
 	// TypeMatchBatch carries one batch of matches (worker → coordinator,
 	// or coordinator → merger).
 	TypeMatchBatch byte = 4
-	// TypeDrain asks the peer to acknowledge once every frame received
-	// before it has been fully processed (the end-to-end drain barrier).
+	// TypeDrain asks a worker to acknowledge once every frame received
+	// before it has been fully processed (the Drain marker's hop).
 	TypeDrain byte = 5
-	// TypeDrainAck answers a Drain with the peer's cumulative counters.
+	// TypeDrainAck answers a Drain, behind the matches of every op batch
+	// before it.
 	TypeDrainAck byte = 6
 	// TypeStatsReq asks the peer for its delivery counters.
 	TypeStatsReq byte = 7
 	// TypeStatsReply answers a StatsReq.
 	TypeStatsReply byte = 8
-	// TypeFence announces a routing-epoch advance (core's route fence) so
-	// peers can tag diagnostics with the coordinator's routing
+	// TypeFence announces a routing-epoch advance (a migration's routing
+	// flip) so peers can tag diagnostics with the coordinator's routing
 	// generation. Informational; no acknowledgement.
 	TypeFence byte = 9
 	// TypeGoodbye ends the sender's half of the conversation; the peer

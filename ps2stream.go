@@ -65,7 +65,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sync/atomic"
 	"time"
 
 	"ps2stream/internal/core"
@@ -306,7 +305,7 @@ type Options struct {
 	// Logger receives the system's structured event trace — most
 	// importantly the adjustment controller's decision trace: every
 	// detector check (Debug), every trigger and executed migration
-	// (Info), and every routing-fence advance (Debug). Nil disables the
+	// (Info), and every routing-epoch advance (Debug). Nil disables the
 	// trace.
 	Logger *slog.Logger
 }
@@ -393,10 +392,9 @@ type AdjustStats struct {
 
 // System is a running publish/subscribe instance.
 type System struct {
-	inner     *core.System
-	admin     *obs.Server
-	submitted atomic.Int64
-	closed    bool
+	inner  *core.System
+	admin  *obs.Server
+	closed bool
 }
 
 // Open builds and starts a system.
@@ -541,7 +539,6 @@ func (s *Subscription) toQuery() (*model.Query, error) {
 // Publish that is blocked when Close is called, or follows it, returns
 // without submitting.
 func (s *System) Publish(m Message) {
-	s.submitted.Add(1)
 	s.inner.Submit(model.Op{Kind: model.OpObject, Obj: m.toObject()})
 }
 
@@ -553,7 +550,6 @@ func (s *System) Subscribe(sub Subscription) error {
 	if err != nil {
 		return err
 	}
-	s.submitted.Add(1)
 	s.inner.Submit(model.Op{Kind: model.OpInsert, Query: q})
 	return nil
 }
@@ -581,7 +577,6 @@ func (s *System) SubscribeTopK(sub Subscription, k int, window time.Duration) er
 	}
 	q.TopK = k
 	q.Window = window
-	s.submitted.Add(1)
 	s.inner.Submit(model.Op{Kind: model.OpInsert, Query: q})
 	return nil
 }
@@ -611,7 +606,6 @@ func (s *System) Unsubscribe(sub Subscription) error {
 	if err != nil {
 		return err
 	}
-	s.submitted.Add(1)
 	s.inner.Submit(model.Op{Kind: model.OpDelete, Query: q})
 	return nil
 }
@@ -723,27 +717,24 @@ func (s *System) Restore(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("%w: snapshot %v, system %v", ErrBoundsMismatch, h.Bounds, b)
 	}
 	for _, q := range qs {
-		s.submitted.Add(1)
 		s.inner.Submit(model.Op{Kind: model.OpInsert, Query: q})
 	}
 	return len(qs), nil
 }
 
-// Flush blocks until every operation submitted so far is fully applied
-// end to end: routed by the dispatcher, drained through every worker
-// (local queues empty; remote psnode workers acknowledged over the
-// wire), and every match those operations produced delivered by the
-// mergers — including OnMatch callbacks, which have returned by the
+// Flush blocks until every Publish, Subscribe, SubscribeTopK, Unsubscribe
+// and Restore that returned before the call is fully applied end to end:
+// routed by the dispatcher, applied by every worker (in process or on a
+// remote psnode), and every match those operations produced delivered by
+// the mergers — including OnMatch callbacks, which have returned by the
 // time Flush does. Stats().Matches read after Flush is therefore exact
-// for the flushed operations, on any machine, at any load. Partial
-// transfer batches are included: every stage of the batched pipeline
-// pushes its buffered tuples as soon as its input goes idle, so a Flush
-// after the last Publish observes every submitted operation regardless
-// of Options.BatchSize.
+// for the flushed operations, on any machine, at any load. Flush covers
+// only those operations: it returns while other goroutines keep
+// publishing.
 func (s *System) Flush() {
-	// The drain barrier errors only when a remote hop failed mid-drain;
-	// that failure also fails the topology run and surfaces from Close.
-	_ = s.inner.Drain(s.submitted.Load())
+	// The barrier errors only when the run stopped or a remote worker is
+	// lost; that failure also surfaces from Close.
+	_ = s.inner.Drain()
 }
 
 // Stats summarises system metrics.
