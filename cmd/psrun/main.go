@@ -24,7 +24,6 @@ import (
 	"ps2stream/internal/load"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/snapshot"
 	"ps2stream/internal/workload"
 )
 
@@ -126,19 +125,9 @@ func main() {
 
 	restored := 0
 	if *restore != "" {
-		f, err := os.Open(*restore)
-		if err != nil {
+		if restored, err = restoreFrom(sys, *restore); err != nil {
 			fatal(err)
 		}
-		_, qs, err := snapshot.Read(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		for _, q := range qs {
-			sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
-		}
-		restored = len(qs)
 	}
 
 	start := time.Now()
@@ -173,14 +162,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		live := sys.LiveQueries()
-		if err := snapshot.Write(f, sys.Bounds(), live); err != nil {
+		live, err := sys.Checkpoint(f)
+		if err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("checkpoint:      %d live subscriptions -> %s\n", len(live), *checkpoint)
+		fmt.Printf("checkpoint:      %d live subscriptions -> %s\n", live, *checkpoint)
 	}
 
 	snap := sys.Snapshot()
@@ -206,6 +195,19 @@ func main() {
 		}
 		fmt.Printf("migrations:      %d (total %d bytes moved)\n", len(snap.Migrations), bytes)
 	}
+}
+
+// restoreFrom primes sys with the subscriptions of the snapshot at path.
+// A snapshot taken over other bounds than the system's — psrun derives
+// them from the workload's sample prefix — is refused with
+// core.ErrBoundsMismatch: its subscriptions would land in the wrong cells.
+func restoreFrom(sys *core.System, path string) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return sys.Restore(f)
 }
 
 func fatal(err error) {

@@ -246,7 +246,6 @@ func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 		wlShares[cs.Cell] = cs
 	}
 	actions := migrate.PlanPhaseI(s.collectShares(woStats), wlShares, s.cellObjTotal, migrate.PhaseIConfig{
-		P:     s.cfg.Adjust.PhaseIP,
 		Costs: s.cfg.Costs,
 	})
 	for _, a := range actions {

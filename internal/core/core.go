@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"sort"
@@ -30,7 +31,7 @@ import (
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/window"
+	"ps2stream/internal/snapshot"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/worker"
 )
@@ -90,14 +91,9 @@ type Config struct {
 	// Clock supplies timestamps for window/top-k processing; nil uses
 	// time.Now. Tests install a fake clock for deterministic expiry.
 	Clock func() time.Time
-	// Scorer ranks window entries for top-k subscriptions; nil uses
-	// window.DefaultScorer.
-	Scorer window.Scorer
 	// WindowTick is the period of the eager window-expiry sweep
 	// (default 50ms).
 	WindowTick time.Duration
-	// WindowRingCap bounds each grid cell's window ring in entries.
-	WindowRingCap int
 	// DedupWindow bounds each merger's duplicate-elimination memory in
 	// (query, object) pairs. Matches of an object that was routed to a
 	// single in-process worker cannot repeat and bypass the window.
@@ -165,14 +161,8 @@ type AdjustConfig struct {
 	// persist for this many consecutive intervals before an adjustment
 	// runs, so one noisy window cannot trigger a migration (default 2).
 	SustainChecks int
-	// EWMAAlpha smooths the per-interval worker loads
-	// (avg ← α·sample + (1−α)·avg, default 0.5). Lower values trade
-	// reaction speed for stability.
-	EWMAAlpha float64
 	// Algorithm selects Phase II cell selection (default GR).
 	Algorithm migrate.Algorithm
-	// PhaseIP is the p most-loaded-cells parameter of Phase I.
-	PhaseIP int
 	// WireBytesPerSec simulates network transfer during migration;
 	// 0 disables the simulated delay.
 	WireBytesPerSec float64
@@ -182,6 +172,10 @@ type AdjustConfig struct {
 	// Seed drives the RA baseline's randomness.
 	Seed int64
 }
+
+// loadEWMAAlpha smooths the controller's per-interval worker loads:
+// avg ← α·sample + (1−α)·avg.
+const loadEWMAAlpha = 0.5
 
 func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {
@@ -211,14 +205,8 @@ func (c *Config) fillDefaults() {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.Scorer == nil {
-		c.Scorer = window.DefaultScorer
-	}
 	if c.WindowTick <= 0 {
 		c.WindowTick = 50 * time.Millisecond
-	}
-	if c.WindowRingCap <= 0 {
-		c.WindowRingCap = window.DefaultRingCap
 	}
 	// Adjustment defaults are always filled: AdjustNow works in manual
 	// mode (Enabled false) whenever the strategy supports migration.
@@ -234,14 +222,8 @@ func (c *Config) fillDefaults() {
 	if c.Adjust.SustainChecks <= 0 {
 		c.Adjust.SustainChecks = 2
 	}
-	if c.Adjust.EWMAAlpha <= 0 || c.Adjust.EWMAAlpha > 1 {
-		c.Adjust.EWMAAlpha = 0.5
-	}
 	if c.Adjust.Algorithm == "" {
 		c.Adjust.Algorithm = migrate.GR
-	}
-	if c.Adjust.PhaseIP <= 0 {
-		c.Adjust.PhaseIP = 8
 	}
 	if c.SpareWorkers < 0 {
 		c.SpareWorkers = 0
@@ -543,10 +525,8 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 			continue
 		}
 		eng := worker.New(worker.Config{
-			Task:    i,
-			Index:   gi2.New(sample.Bounds, cfg.Granularity, sample.Stats),
-			Scorer:  cfg.Scorer,
-			RingCap: cfg.WindowRingCap,
+			Task:  i,
+			Index: gi2.New(sample.Bounds, cfg.Granularity, sample.Stats),
 		})
 		s.slots[i] = &localWorker{eng: eng, board: s.board, wireRate: cfg.Adjust.WireBytesPerSec}
 	}
@@ -567,7 +547,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		s.prevWork = make([]workCounts, totalSlots)
 		s.loadEWMA = make([]*metrics.EWMA, totalSlots)
 		for i := range s.loadEWMA {
-			s.loadEWMA[i] = metrics.NewEWMA(cfg.Adjust.EWMAAlpha)
+			s.loadEWMA[i] = metrics.NewEWMA(loadEWMAAlpha)
 		}
 		s.detector = load.NewDetector(load.DetectorConfig{
 			Theta:         cfg.Adjust.Sigma,
@@ -772,8 +752,8 @@ func (s *System) resetWindow() {
 func (s *System) Bounds() geo.Rect { return s.bounds }
 
 // eachLocal visits the engines of the in-process slots — the read-only
-// views (memory accounting, checkpointing) that only a local engine can
-// serve without a sweep.
+// views (memory accounting) that only a local engine can serve without a
+// control round.
 func (s *System) eachLocal(fn func(slot int, eng *worker.Engine)) {
 	for i, ep := range s.slots {
 		if l, ok := ep.(*localWorker); ok {
@@ -782,21 +762,79 @@ func (s *System) eachLocal(fn func(slot int, eng *worker.Engine)) {
 	}
 }
 
+// slotPopulation reads slot w's standing population with one copying
+// ExtractCells round over the whole-query spec: every live query once
+// and, with subs, each top-k subscription's held window entries. The
+// round follows every op batch handed to the slot before it.
+func (s *System) slotPopulation(w int, subs bool) (wire.CellPayload, error) {
+	cs, err := s.slots[w].ExtractCells([]wire.CellSpec{{Cell: wire.WholeQueries}}, false, subs)
+	if err != nil {
+		return wire.CellPayload{}, err
+	}
+	if len(cs.Cells) != 1 {
+		return wire.CellPayload{}, fmt.Errorf("core: worker %d answered a population round with %d shares", w, len(cs.Cells))
+	}
+	return cs.Cells[0], nil
+}
+
 // LiveQueries returns a point-in-time copy of the live query population
-// of the in-process workers, deduplicated across them and sorted by id.
-// Workers are locked one at a time, so with a live stream the set is a
-// near-cut, not an exact one; quiesce input first for an exact snapshot.
-func (s *System) LiveQueries() []*model.Query {
+// of every active worker slot, in-process or remote, deduplicated across
+// them and sorted by id. Slots are read one at a time, so with a live
+// stream the set is a near-cut, not an exact one; call Drain with input
+// paused first for an exact snapshot. A slot whose round fails is left
+// out, and the error names it.
+func (s *System) LiveQueries() ([]*model.Query, error) {
 	byID := make(map[uint64]*model.Query)
-	s.eachLocal(func(_ int, eng *worker.Engine) {
-		eng.Each(func(q *model.Query) { byID[q.ID] = q })
-	})
+	var errs []error
+	for _, w := range s.activeWorkerSlots() {
+		p, err := s.slotPopulation(w, false)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("core: population of worker %d: %w", w, err))
+			continue
+		}
+		for _, q := range p.Queries {
+			byID[q.ID] = q
+		}
+	}
 	out := make([]*model.Query, 0, len(byID))
 	for _, q := range byID {
 		out = append(out, q)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, errors.Join(errs...)
+}
+
+// ErrBoundsMismatch is returned by Restore when the snapshot was taken
+// over a different monitored region than this system's. Grid cell ids
+// are relative to the region, so restoring across regions would register
+// subscriptions into the wrong cells — they would never match.
+var ErrBoundsMismatch = errors.New("core: snapshot bounds do not match the system's region")
+
+// Checkpoint writes the live query population of every active worker
+// slot to w in the snapshot format and returns how many queries it wrote.
+func (s *System) Checkpoint(w io.Writer) (int, error) {
+	qs, err := s.LiveQueries()
+	if err != nil {
+		return 0, err
+	}
+	return len(qs), snapshot.Write(w, s.bounds, qs)
+}
+
+// Restore submits every query of a snapshot as an insertion and returns
+// how many it submitted. A snapshot taken over other bounds is refused
+// with ErrBoundsMismatch before anything is submitted.
+func (s *System) Restore(r io.Reader) (int, error) {
+	h, qs, err := snapshot.Read(r)
+	if err != nil {
+		return 0, err
+	}
+	if h.Bounds != s.bounds {
+		return 0, fmt.Errorf("%w: snapshot %v, system %v", ErrBoundsMismatch, h.Bounds, s.bounds)
+	}
+	for _, q := range qs {
+		s.Submit(model.Op{Kind: model.OpInsert, Query: q})
+	}
+	return len(qs), nil
 }
 
 // WorkerOpCounts returns each worker's cumulative received-operation

@@ -38,7 +38,8 @@ type workerEndpoint interface {
 	CellStats() ([]wire.CellStat, error)
 	// ExtractCells copies the named cell shares (remove false) or takes
 	// them out of the slot's index (remove true); subs adds each top-k
-	// subscription's held window entries.
+	// subscription's held window entries. A copying wire.WholeQueries
+	// spec reads the slot's whole population (slotPopulation).
 	ExtractCells(cells []wire.CellSpec, remove, subs bool) (wire.CellShare, error)
 	// InstallCells indexes the shares and deletes the ids, and returns
 	// the length of the request in the wire.AppendInstallCells layout —
@@ -96,7 +97,7 @@ func (l *localWorker) LastStats() wire.StatsReply      { return l.eng.Stats() }
 func (l *localWorker) CellStats() ([]wire.CellStat, error) { return l.eng.CellStats(), nil }
 
 func (l *localWorker) ExtractCells(cells []wire.CellSpec, remove, subs bool) (wire.CellShare, error) {
-	return l.eng.ExtractCells(wire.ExtractCells{Cells: cells, Remove: remove, Subs: subs}), nil
+	return l.eng.ExtractCells(wire.ExtractCells{Cells: cells, Remove: remove, Subs: subs})
 }
 
 func (l *localWorker) InstallCells(cells []wire.CellPayload, deletes []uint64) (int64, error) {
@@ -108,12 +109,13 @@ func (l *localWorker) InstallCells(cells []wire.CellPayload, deletes []uint64) (
 	n := int64(len(buf.B))
 	wire.PutBuf(buf)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.wireRate > 0 {
 		time.Sleep(time.Duration(float64(n) / l.wireRate * float64(time.Second)))
 	}
-	l.board.Apply(l.eng.InstallCells(req).Deltas)
-	l.mu.Unlock()
-	return n, nil
+	ack, err := l.eng.InstallCells(req)
+	l.board.Apply(ack.Deltas)
+	return n, err
 }
 
 func (l *localWorker) AdvanceWindow(now time.Time) error {

@@ -296,7 +296,10 @@ func TestLiveQueriesExactAfterDrain(t *testing.T) {
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
-		live := sys.LiveQueries()
+		live, err := sys.LiveQueries()
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantN := 300 - 100
 		if len(live) != wantN {
 			t.Fatalf("LiveQueries = %d, want %d", len(live), wantN)
@@ -342,7 +345,10 @@ func TestLiveQueriesUnderChurn(t *testing.T) {
 		sys.SubmitAll(ops)
 	}()
 	for i := 0; i < 20; i++ {
-		live := sys.LiveQueries()
+		live, err := sys.LiveQueries()
+		if err != nil {
+			t.Fatal(err)
+		}
 		seen := make(map[uint64]bool, len(live))
 		for j, q := range live {
 			if !valid[q.ID] {
@@ -392,7 +398,11 @@ func TestDeleteNeverOvertakesInsert(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if live := sys.LiveQueries(); len(live) != 0 {
+	live, err := sys.LiveQueries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != 0 {
 		t.Errorf("%d queries leaked after insert+delete pairs (first: %d)",
 			len(live), live[0].ID)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"ps2stream/internal/hybrid"
-	"ps2stream/internal/index/grid"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
 	"ps2stream/internal/window"
@@ -99,20 +98,6 @@ func (d *dualAssignment) remaining() (int, int) {
 	return len(d.oldIDs), d.initial
 }
 
-// allCellSpecs enumerates every grid cell as an ExtractCells spec: the
-// workers' GI2 geometry is fixed at build time (bounds + granularity,
-// distributed to nodes by the handshake), so a full sweep over it is a
-// complete view of a worker's standing population, independent of the
-// routing strategy in force.
-func (s *System) allCellSpecs() []wire.CellSpec {
-	g := grid.New(s.bounds, s.cfg.Granularity, s.cfg.Granularity)
-	specs := make([]wire.CellSpec, g.NumCells())
-	for i := range specs {
-		specs[i].Cell = i
-	}
-	return specs
-}
-
 // GlobalRepartition begins a global load adjustment: a fresh assignment is
 // built from the sample and installed alongside the current one. The old
 // strategy keeps serving pre-existing queries until their population
@@ -121,9 +106,9 @@ func (s *System) allCellSpecs() []wire.CellSpec {
 // (checkGlobalProgress). If the adjustment controller is disabled, call
 // FinishGlobalRepartition explicitly.
 //
-// The start-of-transition snapshot sweeps each worker's standing
-// population with a copying ExtractCells round, and the finish relocates
-// queries with InstallCells rounds.
+// The start-of-transition snapshot reads each worker's standing
+// population with one whole-query ExtractCells round, and the finish
+// relocates queries with InstallCells rounds.
 func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.Builder) error {
 	if sample == nil {
 		return errors.New("core: nil repartition sample")
@@ -141,19 +126,17 @@ func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.B
 		return errors.New("core: global repartition already in progress")
 	}
 	// Snapshot the live query population: these stay on the old routes.
-	// Each sweep is barriered behind all traffic handed to the worker
-	// before it.
+	// A remote slot answers behind every op batch already sent to it; an
+	// in-process slot answers at once, so an insert still queued for it
+	// is missed (ROADMAP.md item 5).
 	oldIDs := make(map[uint64]struct{})
-	specs := s.allCellSpecs()
 	for _, w := range s.activeWorkerSlots() {
-		cs, err := s.slots[w].ExtractCells(specs, false, false)
+		p, err := s.slotPopulation(w, false)
 		if err != nil {
 			return fmt.Errorf("core: global repartition snapshot of worker %d: %w", w, err)
 		}
-		for _, p := range cs.Cells {
-			for _, q := range p.Queries {
-				oldIDs[q.ID] = struct{}{}
-			}
+		for _, q := range p.Queries {
+			oldIDs[q.ID] = struct{}{}
 		}
 	}
 	d := &dualAssignment{
@@ -197,8 +180,8 @@ type repartView struct {
 }
 
 // repartBatch accumulates one worker's relocation rounds: whole-query
-// installs (Cell < 0 payloads, indexed by the worker's own placement)
-// and ids to delete from its index.
+// installs (wire.WholeQueries payloads, indexed by the worker's own
+// placement) and ids to delete from its index.
 type repartBatch struct {
 	cells   []wire.CellPayload
 	adopted []*model.Query
@@ -208,7 +191,7 @@ type repartBatch struct {
 // FinishGlobalRepartition migrates the remaining old-strategy queries to
 // their new-strategy workers and retires the old assignment. It returns
 // the number of queries relocated. Holders are discovered with one
-// copying ExtractCells sweep per worker (including each top-k
+// whole-query ExtractCells round per worker (including each top-k
 // subscription's held window entries), then the relocations are flushed
 // as InstallCells rounds whose deltas fold into the top-k board.
 func (s *System) FinishGlobalRepartition() int {
@@ -229,29 +212,29 @@ func (s *System) FinishGlobalRepartition() int {
 	d.oldIDs = map[uint64]struct{}{}
 	d.mu.Unlock()
 
-	// One barriered sweep per worker: its population and held top-k
+	// One population round per worker: its population and held top-k
 	// window entries at finish time. A worker unreachable this round
 	// keeps its population where it is — its connection is failing the
 	// run (or entering recovery) anyway, and a half-seen view would
 	// misclassify every one of its queries as not-held.
 	active := s.activeWorkerSlots()
 	views := make(map[int]*repartView, len(active))
-	specs := s.allCellSpecs()
 	for _, w := range active {
-		cs, err := s.slots[w].ExtractCells(specs, false, true)
+		p, err := s.slotPopulation(w, true)
 		if err != nil {
-			s.log.Warn("global repartition: worker sweep failed; leaving its queries in place",
+			s.log.Warn("global repartition: worker population round failed; leaving its queries in place",
 				"worker", w, "err", err)
 			continue
 		}
-		v := &repartView{defs: make(map[uint64]*model.Query), subs: make(map[uint64][]window.Entry)}
-		for _, p := range cs.Cells {
-			for _, q := range p.Queries {
-				v.defs[q.ID] = q
-			}
-			for _, se := range p.Subs {
-				v.subs[se.ID] = append(v.subs[se.ID], se.Entries...)
-			}
+		v := &repartView{
+			defs: make(map[uint64]*model.Query, len(p.Queries)),
+			subs: make(map[uint64][]window.Entry, len(p.Subs)),
+		}
+		for _, q := range p.Queries {
+			v.defs[q.ID] = q
+		}
+		for _, se := range p.Subs {
+			v.subs[se.ID] = se.Entries
 		}
 		views[w] = v
 	}
@@ -297,7 +280,7 @@ func (s *System) FinishGlobalRepartition() int {
 			b := batches[w]
 			switch {
 			case wanted && !holds:
-				p := wire.CellPayload{Cell: -1, Queries: []*model.Query{def}}
+				p := wire.CellPayload{Cell: wire.WholeQueries, Queries: []*model.Query{def}}
 				if len(carried) > 0 {
 					p.Subs = []wire.SubEntries{{ID: id, Entries: carried}}
 				}
@@ -319,6 +302,13 @@ func (s *System) FinishGlobalRepartition() int {
 				s.log.Warn("global repartition: install round failed", "worker", w, "err", err)
 			}
 		}
+	}
+	// An object routed before the installs may still be queued for a
+	// departing holder, and the new holder may have passed it by: the
+	// holder must match it before it deletes. A marker put now follows
+	// every such object.
+	if err := s.Drain(); err != nil {
+		s.log.Warn("global repartition: drain before the delete rounds failed", "err", err)
 	}
 	for _, w := range active {
 		b := batches[w]

@@ -148,7 +148,11 @@ func TestIngestKeepsSubmitOrderPerID(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if live := sys.LiveQueries(); len(live) != 0 {
+	live, err := sys.LiveQueries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != 0 {
 		t.Errorf("%d queries live after every pair was deleted (first: %d)", len(live), live[0].ID)
 	}
 	router.mu.Lock()

@@ -21,8 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -30,7 +28,6 @@ import (
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
 	"ps2stream/internal/oplog"
-	"ps2stream/internal/snapshot"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
@@ -45,27 +42,22 @@ type RecoveryConfig struct {
 	// CheckpointInterval is the op-log truncation cadence: every
 	// interval the coordinator runs a drain barrier per worker and folds
 	// the acknowledged prefix into the compact checkpoint base
-	// (default 1s).
+	// (default 1s). A worker whose logged tail exceeds checkpointOps
+	// entries is checkpointed sooner, bounding replay work under load.
 	CheckpointInterval time.Duration
-	// CheckpointOps forces a checkpoint when a worker's logged tail
-	// exceeds this many entries regardless of the interval, bounding
-	// replay work under load (default 8192).
-	CheckpointOps int
 	// HeartbeatInterval is the node→coordinator ping cadence negotiated
 	// in the handshake; the connection read deadline is pinned to 4× it,
 	// so a silent peer is detected within that bound (default 500ms).
 	HeartbeatInterval time.Duration
-	// RedialBackoff shapes recovery and AddWorker dial retries.
-	RedialBackoff wire.Backoff
 	// RedialTimeout bounds the total time recovery keeps redialling a
 	// crashed worker before declaring the slot unrecoverable
 	// (default 45s).
 	RedialTimeout time.Duration
-	// Dir, when set, persists one snapshot.WriteState checkpoint file
-	// per worker slot (worker-<task>.ckpt) at every op-log truncation,
-	// so an operator can re-prime a replacement cluster offline.
-	Dir string
 }
+
+// checkpointOps is the logged-tail length that forces a worker's
+// checkpoint ahead of Recovery.CheckpointInterval.
+const checkpointOps = 8192
 
 func (r *RecoveryConfig) fillDefaults() {
 	if !r.Enabled {
@@ -73,9 +65,6 @@ func (r *RecoveryConfig) fillDefaults() {
 	}
 	if r.CheckpointInterval <= 0 {
 		r.CheckpointInterval = time.Second
-	}
-	if r.CheckpointOps <= 0 {
-		r.CheckpointOps = 8192
 	}
 	if r.HeartbeatInterval <= 0 {
 		r.HeartbeatInterval = 500 * time.Millisecond
@@ -408,11 +397,9 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	if s.cfg.Recovery.HeartbeatInterval > 0 {
 		hello.HeartbeatMillis = int(s.cfg.Recovery.HeartbeatInterval / time.Millisecond)
 	}
-	b := s.cfg.Recovery.RedialBackoff
-	b.MaxElapsed = s.cfg.Recovery.RedialTimeout
 	// MaxElapsed is the binding cap; raise the attempt count so it
 	// cannot exhaust first.
-	b.Attempts = 1 << 20
+	b := wire.Backoff{MaxElapsed: s.cfg.Recovery.RedialTimeout, Attempts: 1 << 20}
 	cl, err := wire.DialWorker(addr, hello, b)
 	if err != nil {
 		s.hopUnrecoverable(h, fmt.Errorf("redialling %s: %w", addr, err))
@@ -604,8 +591,7 @@ func (s *System) logDepartures(w int, extracted []*model.Query) {
 }
 
 // checkpointLoop truncates each recoverable hop's op log on a cadence
-// (and on tail-size pressure), persisting a restorable state snapshot
-// when Recovery.Dir is set.
+// (and on tail-size pressure).
 func (s *System) checkpointLoop(ctx context.Context) {
 	poll := s.cfg.Recovery.CheckpointInterval / 4
 	if poll < 50*time.Millisecond {
@@ -628,7 +614,7 @@ func (s *System) checkpointLoop(ctx context.Context) {
 				continue
 			}
 			if time.Since(last[i]) < s.cfg.Recovery.CheckpointInterval &&
-				h.log.TailLen() < s.cfg.Recovery.CheckpointOps {
+				h.log.TailLen() < checkpointOps {
 				continue
 			}
 			if s.checkpointHop(h) {
@@ -655,61 +641,7 @@ func (s *System) checkpointHop(h *workerHop) bool {
 		return false
 	}
 	h.log.Checkpoint(wm, s.now())
-	if s.cfg.Recovery.Dir != "" {
-		if err := s.writeWorkerCheckpoint(h); err != nil {
-			s.log.Warn("worker checkpoint persist failed", "worker", h.task, "err", err)
-		}
-	}
 	return true
-}
-
-// writeWorkerCheckpoint persists the hop's checkpoint base as a
-// snapshot.State file (worker-<task>.ckpt, atomically replaced), with
-// the slot's current cell assignment from the routing table.
-func (s *System) writeWorkerCheckpoint(h *workerHop) error {
-	base, _, wm := h.log.Replay()
-	st := snapshot.State{
-		Worker:    h.task,
-		Bounds:    s.bounds,
-		Queries:   base,
-		Watermark: wm,
-		Cells:     make(map[int][]string),
-	}
-	if gt := s.gridT.Load(); gt != nil {
-		n := gt.Grid().NumCells()
-		for c := 0; c < n; c++ {
-			for _, w := range gt.CellWorkers(c) {
-				if w != h.task {
-					continue
-				}
-				if gt.IsTextCell(c) {
-					st.Cells[c] = gt.H2Keys(c, h.task)
-				} else {
-					st.Cells[c] = nil
-				}
-				break
-			}
-		}
-	}
-	f, err := os.CreateTemp(s.cfg.Recovery.Dir, "worker-ckpt-*")
-	if err != nil {
-		return err
-	}
-	if err := snapshot.WriteState(f, st); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	dst := filepath.Join(s.cfg.Recovery.Dir, fmt.Sprintf("worker-%d.ckpt", h.task))
-	if err := os.Rename(f.Name(), dst); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
 }
 
 // AddWorker dials a freshly started worker node at addr, claims a free
@@ -744,7 +676,7 @@ func (s *System) AddWorker(addr string) (int, error) {
 	hello := s.remoteHello
 	hello.Task = h.task
 	hello.Epoch = 1
-	cl, err := wire.DialWorker(addr, hello, s.cfg.Recovery.RedialBackoff)
+	cl, err := wire.DialWorker(addr, hello, wire.Backoff{})
 	if err != nil {
 		return -1, fmt.Errorf("core: adding worker at %s: %w", addr, err)
 	}

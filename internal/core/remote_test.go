@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"ps2stream/internal/hybrid"
+	"ps2stream/internal/model"
 	"ps2stream/internal/node"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
@@ -205,6 +208,68 @@ func TestRemoteRepartitionOverWire(t *testing.T) {
 		t.Fatalf("GlobalRepartition over wire: %v", err)
 	}
 	sys.FinishGlobalRepartition()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoteWholeRegionPopulationOverWire: a remote worker holding 120
+// subscriptions that each cover all 4 096 grid cells answers a
+// population round with each subscription once, so GlobalRepartition,
+// FinishGlobalRepartition and Checkpoint succeed and the session stays
+// up. A per-cell sweep would copy every subscription 4 096 times and
+// outgrow wire.MaxFrameSize.
+func TestRemoteWholeRegionPopulationOverWire(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 5, 10)
+	addrs := startWorkerNodes(t, 1)
+	ms := newMatchSet()
+	cfg := Config{Workers: 2, Builder: hybrid.Builder{}, OnMatch: ms.add}
+	if err := cfg.ConnectRemoteWorkers(addrs, sample, wire.Backoff{Attempts: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	const subs = 120
+	for i := 1; i <= subs; i++ {
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{
+			ID: uint64(i), Expr: model.And(fmt.Sprintf("kw%d", i%7)), Region: sample.Bounds,
+		}})
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.slotPopulation(0, true)
+	if err != nil {
+		t.Fatalf("population round of the remote worker: %v", err)
+	}
+	reply := len(wire.AppendCellShare(nil, wire.CellShare{Cells: []wire.CellPayload{p}}))
+	t.Logf("population reply of %d whole-region subscriptions: %d bytes", len(p.Queries), reply)
+	if len(p.Queries) != subs || reply > 16<<10 {
+		t.Errorf("population reply: %d queries in %d bytes, want %d in a few KB", len(p.Queries), reply, subs)
+	}
+	if err := sys.GlobalRepartition(sample, nil); err != nil {
+		t.Fatalf("GlobalRepartition: %v", err)
+	}
+	sys.FinishGlobalRepartition()
+	var buf bytes.Buffer
+	n, err := sys.Checkpoint(&buf)
+	if err != nil || n != subs {
+		t.Fatalf("Checkpoint: %d subscriptions, err %v; want %d", n, err, subs)
+	}
+	// The session is still up: a publish reaches every subscription on
+	// its keyword.
+	sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{ID: 9000, Terms: []string{"kw3"}, Loc: sample.Bounds.Center()}})
+	if err := sys.Drain(); err != nil {
+		t.Fatalf("Drain after the rounds: %v", err)
+	}
+	if got := ms.len(); got != subs/7 {
+		t.Errorf("object 9000 matched %d subscriptions, want the %d on kw3", got, subs/7)
+	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}

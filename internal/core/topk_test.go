@@ -109,7 +109,7 @@ func bruteTopK(q *model.Query, objs []*model.Object, at map[uint64]time.Time, no
 			continue
 		}
 		e := window.Entry{MsgID: o.ID, Terms: o.Terms, Loc: o.Loc, At: ts}
-		cands = append(cands, cand{id: o.ID, s: window.DefaultScorer.Score(q, e)})
+		cands = append(cands, cand{id: o.ID, s: window.DecayScorer{}.Score(q, e)})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		return cands[i].s.Better(cands[j].s, cands[i].id, cands[j].id)

@@ -317,12 +317,12 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 		case wire.TypeExtractCells:
 			var ex wire.ExtractCells
 			if ex, err = wire.DecodeBinExtractCells(payload); err == nil {
-				reply = eng.ExtractCells(ex)
+				reply, err = eng.ExtractCells(ex)
 			}
 		case wire.TypeInstallCells:
 			var ic wire.InstallCells
 			if ic, err = wire.DecodeBinInstallCells(payload); err == nil {
-				reply = eng.InstallCells(ic)
+				reply, err = eng.InstallCells(ic)
 			}
 		case wire.TypeAdvanceWindow:
 			var a wire.AdvanceWindow

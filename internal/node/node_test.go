@@ -562,6 +562,65 @@ func TestWorkerRefusesOutOfOrderBatch(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesCellOutsideGrid: a control frame naming a cell the
+// grid does not have ends its session with an error naming the cell —
+// not the node process — and the same Serve then runs a working session.
+func TestWorkerRefusesCellOutsideGrid(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame wire.Frame
+		want  string
+	}{
+		{"copy", wire.ExtractCells{Seq: 1, Cells: []wire.CellSpec{{Cell: 5000}}}, "cell 5000"},
+		{"remove", wire.ExtractCells{Seq: 1, Cells: []wire.CellSpec{{Cell: 5000}}, Remove: true}, "cell 5000"},
+		{"remove whole queries", wire.ExtractCells{Seq: 1, Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Remove: true}, "cell -1"},
+		{"install", wire.InstallCells{Seq: 1, Cells: []wire.CellPayload{{Cell: 5000,
+			Queries: []*model.Query{query(1, "coffee", geo.NewRect(-80, 30, -70, 40))}}}}, "cell 5000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs logSink
+			w, addr, _ := startWorker(t, WorkerOptions{Log: logs.logf})
+			c, err := wire.Dial(addr, wire.Backoff{Attempts: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Send(testHello(0)); err != nil {
+				t.Fatal(err)
+			}
+			if typ, _, err := c.RecvTimeout(5 * time.Second); err != nil || typ != wire.TypeWelcome {
+				t.Fatalf("welcome: type %d, err %v", typ, err)
+			}
+			if err := c.Send(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.RecvTimeout(5 * time.Second); err != io.EOF {
+				t.Fatalf("after the bad cell: %v, want the session closed", err)
+			}
+			logs.await(t, tc.want)
+			if got := w.QueryCount(); got != 0 {
+				t.Errorf("the refused frame left %d queries indexed", got)
+			}
+
+			cl, err := wire.DialWorker(addr, testHello(0), wire.Backoff{Attempts: 3})
+			if err != nil {
+				t.Fatalf("a new session on the same node: %v", err)
+			}
+			defer cl.Close()
+			err = cl.SendOps(wire.OpBatch{Ops: []wire.OpEnv{
+				insertOp(query(2, "coffee", geo.NewRect(-80, 30, -70, 40))),
+				objectAt(100, "coffee", geo.Point{X: -75, Y: 35}, time.Time{}),
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mb, err := cl.RecvMatches(); err != nil || len(mb.Matches) != 1 || mb.Matches[0].M.QueryID != 2 {
+				t.Fatalf("new session: matches %+v, err %v; want query 2's one match", mb.Matches, err)
+			}
+		})
+	}
+}
+
 // logSink collects a node's log lines.
 type logSink struct {
 	mu    sync.Mutex

@@ -2,9 +2,8 @@
 // remote worker crash-recoverable. The coordinator appends every
 // operation it routes to a worker slot *before* putting it on the wire;
 // a periodic checkpoint (a drain barrier proving the worker processed
-// everything up to a watermark, optionally persisted via
-// internal/snapshot.WriteState) folds the covered prefix into a compact
-// live-query base and truncates the log. Recovery for a crashed worker
+// everything up to a watermark) folds the covered prefix into a compact
+// live-query base, held in memory only, and truncates the log. Recovery for a crashed worker
 // is then: re-register the base (the queries live at the watermark),
 // replay the logged tail above it, and resume the stream.
 //

@@ -4,43 +4,46 @@
 // keeps all state in worker memory; checkpointing is the operational
 // feature a production deployment layers on top.
 //
-// The format is a gob stream: a fixed header (magic, version, bounds,
-// count) followed by the deduplicated query slice. Queries are written in
-// ascending id order so identical populations produce identical bytes.
+// A version-3 file is a fixed header — magic, version, bounds, count —
+// followed by wire frames (docs/WIRE.md, "Snapshot file"). Each frame is
+// an InstallCells request with one whole-query payload (cell
+// wire.WholeQueries) carrying the next queries in ascending id order, up
+// to a constant byte budget, so the file is parsed by the same
+// bounds-checked decoder as the wire and identical populations produce
+// identical bytes. Read also accepts the version-1 and version-2 gob
+// files of earlier builds (legacy.go); nothing writes them any more.
 package snapshot
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
-	"ps2stream/internal/window"
+	"ps2stream/internal/wire"
 )
 
-// magic identifies a PS2Stream snapshot stream.
+// magic opens every snapshot file.
 const magic = "PS2SNAP"
 
-// Snapshot format versions. Version 1 carries the query population
-// only; version 2 (a superset) appends per-worker recovery state — the
-// window rings, the worker's cell assignment and the op-log watermark —
-// so a crashed worker node can be re-primed without a full replay.
-const (
-	queryVersion = 1
-	stateVersion = 2
-	// Version is the current (highest) snapshot format version.
-	Version = stateVersion
-)
+// Version is the format Write emits.
+const Version = 3
+
+// frameBudget is the byte budget of one frame's queries: a frame closes
+// once its queries reach it, so a frame stays far below
+// wire.MaxFrameSize whatever the population.
+const frameBudget = 1 << 20
 
 // Header precedes the query payload.
 type Header struct {
-	Magic   string
 	Version int
 	// Bounds is the monitored region of the checkpointing system;
-	// restorers may verify compatibility.
+	// restorers verify compatibility.
 	Bounds geo.Rect
 	// Count is the number of queries that follow.
 	Count int
@@ -49,168 +52,126 @@ type Header struct {
 // ErrBadSnapshot is wrapped by Read errors caused by malformed input.
 var ErrBadSnapshot = errors.New("snapshot: malformed snapshot")
 
-// ErrFutureVersion is wrapped by Read/ReadState errors caused by a
-// snapshot written by a newer format version than this build knows. It
-// is distinct from ErrBadSnapshot: the file is not corrupt, the reader
-// is just too old, and the caller may want to say so.
+// ErrFutureVersion is wrapped by Read errors caused by a snapshot written
+// by a newer format version than this build knows. It is distinct from
+// ErrBadSnapshot: the file is not corrupt, the reader is just too old,
+// and the caller may want to say so.
 var ErrFutureVersion = errors.New("snapshot: snapshot version newer than this build")
 
 // Write serialises the queries to w. The input slice is not modified;
 // duplicates (same id) are dropped, keeping the first occurrence.
 func Write(w io.Writer, bounds geo.Rect, qs []*model.Query) error {
-	dedup := make([]*model.Query, 0, len(qs))
 	seen := make(map[uint64]struct{}, len(qs))
+	dedup := make([]*model.Query, 0, len(qs))
 	for _, q := range qs {
 		if q == nil {
 			continue
 		}
-		if _, dup := seen[q.ID]; dup {
-			continue
+		if _, dup := seen[q.ID]; !dup {
+			seen[q.ID] = struct{}{}
+			dedup = append(dedup, q)
 		}
-		seen[q.ID] = struct{}{}
-		dedup = append(dedup, q)
 	}
 	sort.Slice(dedup, func(i, j int) bool { return dedup[i].ID < dedup[j].ID })
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(Header{Magic: magic, Version: queryVersion, Bounds: bounds, Count: len(dedup)}); err != nil {
+
+	bw := bufio.NewWriter(w)
+	buf := binary.AppendUvarint([]byte(magic), Version)
+	for _, f := range [...]float64{bounds.Min.X, bounds.Min.Y, bounds.Max.X, bounds.Max.Y} {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(dedup)))
+	if _, err := bw.Write(buf); err != nil {
 		return fmt.Errorf("snapshot: writing header: %w", err)
 	}
-	// Queries are encoded individually so a reader can stream them and a
-	// truncated file fails at a query boundary rather than mid-slice.
-	for _, q := range dedup {
-		if err := enc.Encode(q); err != nil {
-			return fmt.Errorf("snapshot: writing query %d: %w", q.ID, err)
+	for start := 0; start < len(dedup); {
+		end, size := start, 0
+		for end < len(dedup) && size < frameBudget {
+			size += wire.QuerySize(dedup[end])
+			end++
 		}
+		buf = wire.AppendInstallCells(buf[:0], wire.InstallCells{
+			Cells: []wire.CellPayload{{Cell: wire.WholeQueries, Queries: dedup[start:end]}},
+		})
+		if err := wire.WriteFrame(bw, wire.TypeInstallCells, buf); err != nil {
+			return fmt.Errorf("snapshot: writing queries %d-%d: %w", dedup[start].ID, dedup[end-1].ID, err)
+		}
+		start = end
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("snapshot: writing: %w", err)
 	}
 	return nil
 }
 
-// Read parses a snapshot produced by Write (or the query population of
-// a WriteState file) and returns its header and queries. Snapshots from
-// a newer format version fail with ErrFutureVersion.
+// Read parses a snapshot and returns its header and queries. Snapshots
+// from a newer format version fail with ErrFutureVersion; anything
+// malformed, truncated or followed by trailing bytes fails with
+// ErrBadSnapshot.
 func Read(r io.Reader) (Header, []*model.Query, error) {
-	h, qs, _, err := readHeaderAndQueries(r)
-	return h, qs, err
-}
-
-func readHeaderAndQueries(r io.Reader) (Header, []*model.Query, *gob.Decoder, error) {
-	dec := gob.NewDecoder(r)
-	var h Header
-	if err := dec.Decode(&h); err != nil {
-		return Header{}, nil, nil, fmt.Errorf("%w: reading header: %v", ErrBadSnapshot, err)
+	br := bufio.NewReader(r)
+	if p, _ := br.Peek(len(magic)); string(p) != magic {
+		return readLegacy(br)
 	}
-	if h.Magic != magic {
-		return Header{}, nil, nil, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, h.Magic)
-	}
-	if h.Version > Version {
-		return Header{}, nil, nil, fmt.Errorf("%w: version %d (this build reads up to %d)", ErrFutureVersion, h.Version, Version)
-	}
-	if h.Version < queryVersion {
-		return Header{}, nil, nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, h.Version)
-	}
-	if h.Count < 0 {
-		return Header{}, nil, nil, fmt.Errorf("%w: negative count %d", ErrBadSnapshot, h.Count)
-	}
-	qs := make([]*model.Query, 0, h.Count)
-	for i := 0; i < h.Count; i++ {
-		var q model.Query
-		if err := dec.Decode(&q); err != nil {
-			return Header{}, nil, nil, fmt.Errorf("%w: reading query %d/%d: %v", ErrBadSnapshot, i+1, h.Count, err)
-		}
-		if q.Expr.Empty() {
-			return Header{}, nil, nil, fmt.Errorf("%w: query %d has an empty expression", ErrBadSnapshot, q.ID)
-		}
-		qs = append(qs, &q)
-	}
-	return h, qs, dec, nil
-}
-
-// State is a per-worker recovery checkpoint: everything the coordinator
-// needs to re-prime a replacement worker node up to the op-log
-// watermark — the worker's live queries, its window ring per cell (so
-// sliding-window matching resumes where it stopped), the cells the
-// routing table assigns it, and the watermark separating snapshotted
-// ops from the ones the op log must replay.
-type State struct {
-	// Worker is the topology slot this checkpoint belongs to.
-	Worker int
-	// Bounds is the monitored region (geometry compatibility check).
-	Bounds geo.Rect
-	// Queries is the worker's live query population.
-	Queries []*model.Query
-	// Cells maps each assigned cell id to the registration keys of the
-	// worker's share; nil keys mean the whole cell.
-	Cells map[int][]string
-	// Rings holds the window ring entries per cell.
-	Rings map[int][]window.Entry
-	// Watermark is the op-log sequence number this checkpoint covers:
-	// ops with a sequence at or below it are reflected here, ops above
-	// it must be replayed from the op log.
-	Watermark uint64
-}
-
-// stateTrailer is the version-2 payload written after the query stream,
-// so a version-1 reader still parses the queries it understands.
-type stateTrailer struct {
-	Worker    int
-	Watermark uint64
-	Cells     map[int][]string
-	Rings     map[int][]window.Entry
-}
-
-// WriteState serialises a per-worker recovery checkpoint (format
-// version 2). The query stream is bit-compatible with Write's, so Read
-// can extract the query population from a state checkpoint.
-func WriteState(w io.Writer, st State) error {
-	dedup := make([]*model.Query, 0, len(st.Queries))
-	seen := make(map[uint64]struct{}, len(st.Queries))
-	for _, q := range st.Queries {
-		if q == nil {
-			continue
-		}
-		if _, dup := seen[q.ID]; dup {
-			continue
-		}
-		seen[q.ID] = struct{}{}
-		dedup = append(dedup, q)
-	}
-	sort.Slice(dedup, func(i, j int) bool { return dedup[i].ID < dedup[j].ID })
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(Header{Magic: magic, Version: stateVersion, Bounds: st.Bounds, Count: len(dedup)}); err != nil {
-		return fmt.Errorf("snapshot: writing header: %w", err)
-	}
-	for _, q := range dedup {
-		if err := enc.Encode(q); err != nil {
-			return fmt.Errorf("snapshot: writing query %d: %w", q.ID, err)
-		}
-	}
-	if err := enc.Encode(stateTrailer{Worker: st.Worker, Watermark: st.Watermark, Cells: st.Cells, Rings: st.Rings}); err != nil {
-		return fmt.Errorf("snapshot: writing state trailer: %w", err)
-	}
-	return nil
-}
-
-// ReadState parses a checkpoint produced by WriteState. It also accepts
-// a version-1 query snapshot, returning a State with only the query
-// population filled in (old checkpoints stay restorable). Versions
-// newer than this build fail with ErrFutureVersion; a checkpoint
-// truncated mid-write fails with ErrBadSnapshot.
-func ReadState(r io.Reader) (State, error) {
-	h, qs, dec, err := readHeaderAndQueries(r)
+	_, _ = br.Discard(len(magic)) // Peek has buffered them
+	version, err := binary.ReadUvarint(br)
 	if err != nil {
-		return State{}, err
+		return Header{}, nil, fmt.Errorf("%w: reading version: %v", ErrBadSnapshot, err)
 	}
-	st := State{Bounds: h.Bounds, Queries: qs}
-	if h.Version < stateVersion {
-		return st, nil
+	switch {
+	case version > Version:
+		return Header{}, nil, fmt.Errorf("%w: version %d (this build reads up to %d)", ErrFutureVersion, version, Version)
+	case version < Version:
+		return Header{}, nil, fmt.Errorf("%w: version %d is a gob format, but the file has a binary header", ErrBadSnapshot, version)
 	}
-	var tr stateTrailer
-	if err := dec.Decode(&tr); err != nil {
-		return State{}, fmt.Errorf("%w: reading state trailer: %v", ErrBadSnapshot, err)
+	var fs [32]byte
+	if _, err := io.ReadFull(br, fs[:]); err != nil {
+		return Header{}, nil, fmt.Errorf("%w: reading bounds: %v", ErrBadSnapshot, err)
 	}
-	st.Worker = tr.Worker
-	st.Watermark = tr.Watermark
-	st.Cells = tr.Cells
-	st.Rings = tr.Rings
-	return st, nil
+	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(fs[8*i:])) }
+	h := Header{Version: Version, Bounds: geo.Rect{Min: geo.Point{X: f(0), Y: f(1)}, Max: geo.Point{X: f(2), Y: f(3)}}}
+	count, err := binary.ReadUvarint(br)
+	if err != nil {
+		return Header{}, nil, fmt.Errorf("%w: reading count: %v", ErrBadSnapshot, err)
+	}
+	if count > math.MaxInt32 {
+		return Header{}, nil, fmt.Errorf("%w: count %d", ErrBadSnapshot, count)
+	}
+	h.Count = int(count)
+
+	qs := make([]*model.Query, 0, min(h.Count, 1<<16))
+	for len(qs) < h.Count {
+		typ, payload, err := wire.ReadFrame(br)
+		if err == nil && typ != wire.TypeInstallCells {
+			err = fmt.Errorf("frame type %d", typ)
+		}
+		var ic wire.InstallCells
+		if err == nil {
+			ic, err = wire.DecodeBinInstallCells(payload)
+		}
+		if err == nil && (ic.Seq != 0 || len(ic.Deletes) != 0 || len(ic.Cells) != 1) {
+			err = errors.New("not one whole-query payload")
+		}
+		if err != nil {
+			return Header{}, nil, fmt.Errorf("%w: frame after %d/%d queries: %v", ErrBadSnapshot, len(qs), h.Count, err)
+		}
+		p := ic.Cells[0]
+		if p.Cell != wire.WholeQueries || len(p.Ring) != 0 || len(p.Subs) != 0 ||
+			len(p.Queries) == 0 || len(p.Queries) > h.Count-len(qs) {
+			return Header{}, nil, fmt.Errorf("%w: frame after %d/%d queries is not a whole-query payload of at most the remaining queries",
+				ErrBadSnapshot, len(qs), h.Count)
+		}
+		for _, q := range p.Queries {
+			if n := len(qs); n > 0 && q.ID <= qs[n-1].ID {
+				return Header{}, nil, fmt.Errorf("%w: query %d follows query %d", ErrBadSnapshot, q.ID, qs[n-1].ID)
+			}
+			if q.Expr.Empty() {
+				return Header{}, nil, fmt.Errorf("%w: query %d has an empty expression", ErrBadSnapshot, q.ID)
+			}
+			qs = append(qs, q)
+		}
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return Header{}, nil, fmt.Errorf("%w: trailing bytes after %d queries", ErrBadSnapshot, h.Count)
+	}
+	return h, qs, nil
 }

@@ -1,9 +1,11 @@
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
+	"ps2stream/internal/wire"
 )
 
 var bounds = geo.NewRect(0, 0, 100, 100)
@@ -162,26 +165,60 @@ func TestRejectsTruncated(t *testing.T) {
 }
 
 func TestRejectsWrongMagicAndVersion(t *testing.T) {
-	var buf bytes.Buffer
-	enc := newEncoder(&buf)
-	enc(Header{Magic: "NOTPS2", Version: Version, Count: 0})
-	if _, _, err := Read(&buf); !errors.Is(err, ErrBadSnapshot) {
+	if _, _, err := Read(bytes.NewReader(rawHeader("NOTPS2S", Version, 0))); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("wrong magic err = %v", err)
 	}
-	buf.Reset()
-	enc = newEncoder(&buf)
-	enc(Header{Magic: magic, Version: Version + 99, Count: 0})
-	if _, _, err := Read(&buf); !errors.Is(err, ErrFutureVersion) {
+	if _, _, err := Read(bytes.NewReader(rawHeader(magic, Version+99, 0))); !errors.Is(err, ErrFutureVersion) {
 		t.Errorf("wrong version err = %v", err)
+	}
+	if _, _, err := Read(bytes.NewReader(rawHeader(magic, 2, 0))); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("gob version behind a binary header: err = %v", err)
 	}
 }
 
-// newEncoder hides the gob plumbing for header-tampering tests.
-func newEncoder(buf *bytes.Buffer) func(h Header) {
-	return func(h Header) {
-		if err := gob.NewEncoder(buf).Encode(h); err != nil {
-			panic(err)
+// rawHeader builds a binary snapshot header for header-tampering tests.
+func rawHeader(m string, version, count uint64) []byte {
+	b := binary.AppendUvarint([]byte(m), version)
+	b = append(b, make([]byte, 32)...) // zero bounds
+	return binary.AppendUvarint(b, count)
+}
+
+// TestFramesStayWithinBudget: a population larger than one frame's
+// budget is split into several frames, each closing once its queries
+// reach the budget, so no population can outgrow wire.MaxFrameSize.
+func TestFramesStayWithinBudget(t *testing.T) {
+	qs := randQueries(6, 40000)
+	var buf bytes.Buffer
+	if err := Write(&buf, bounds, qs); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(bytes.NewReader(buf.Bytes()[len(rawHeader(magic, Version, uint64(len(qs)))):]))
+	frames, total := 0, 0
+	for {
+		typ, payload, err := wire.ReadFrame(br)
+		if err == io.EOF {
+			break
 		}
+		if err != nil || typ != wire.TypeInstallCells {
+			t.Fatalf("frame %d: type %d, err %v", frames, typ, err)
+		}
+		ic, err := wire.DecodeBinInstallCells(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := 0
+		for _, q := range ic.Cells[0].Queries {
+			size += wire.QuerySize(q)
+		}
+		last := ic.Cells[0].Queries[len(ic.Cells[0].Queries)-1]
+		if size-wire.QuerySize(last) >= frameBudget {
+			t.Errorf("frame %d carries %d query bytes: it should have closed before its last query", frames, size)
+		}
+		frames++
+		total += len(ic.Cells[0].Queries)
+	}
+	if frames < 2 || total != len(qs) {
+		t.Errorf("%d queries in %d frames, want all %d in several", total, frames, len(qs))
 	}
 }
 

@@ -3,149 +3,144 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
-	"ps2stream/internal/window"
+	"ps2stream/internal/model"
 )
 
-func sampleState() State {
-	return State{
-		Worker:    3,
-		Bounds:    bounds,
-		Queries:   randQueries(11, 40),
-		Watermark: 12345,
-		Cells:     map[int][]string{7: nil, 9: {"alpha", "beta"}},
-		Rings: map[int][]window.Entry{
-			7: {{MsgID: 1, Terms: []string{"alpha"}, At: time.Unix(100, 0).UTC()}},
-		},
-	}
-}
+// The gob fixtures in testdata were written by the last build that wrote
+// gob: v1.gob by Write with v1Queries, v2.gob by the per-worker state
+// writer with randQueries(11, 40), a cell map, one ring entry and a
+// watermark as the trailer that followed the queries.
 
-func TestStateRoundTrip(t *testing.T) {
-	st := sampleState()
-	var buf bytes.Buffer
-	if err := WriteState(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Worker != st.Worker || got.Watermark != st.Watermark || got.Bounds != st.Bounds {
-		t.Errorf("scalar fields: got worker=%d wm=%d bounds=%v", got.Worker, got.Watermark, got.Bounds)
-	}
-	if len(got.Queries) != len(st.Queries) {
-		t.Fatalf("round-tripped %d queries, want %d", len(got.Queries), len(st.Queries))
-	}
-	if !reflect.DeepEqual(got.Cells, st.Cells) {
-		t.Errorf("cells: got %v, want %v", got.Cells, st.Cells)
-	}
-	if !reflect.DeepEqual(got.Rings, st.Rings) {
-		t.Errorf("rings: got %v, want %v", got.Rings, st.Rings)
-	}
-}
-
-// TestStateReadableByQueryReader: the version-2 query stream is
-// bit-compatible with Write's, so plain Read extracts the population
-// from a state checkpoint (forward compatibility for v1 tooling that
-// only understands queries).
-func TestStateReadableByQueryReader(t *testing.T) {
-	st := sampleState()
-	var buf bytes.Buffer
-	if err := WriteState(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	h, qs, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != stateVersion || len(qs) != len(st.Queries) {
-		t.Errorf("Read on a state checkpoint: version=%d queries=%d, want %d/%d",
-			h.Version, len(qs), stateVersion, len(st.Queries))
-	}
-}
-
-// TestReadStateAcceptsQuerySnapshot: a version-1 snapshot restores as a
-// State with only the population filled — old checkpoints stay usable.
-func TestReadStateAcceptsQuerySnapshot(t *testing.T) {
-	qs := randQueries(5, 10)
-	var buf bytes.Buffer
-	if err := Write(&buf, bounds, qs); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ReadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Queries) != len(qs) || st.Watermark != 0 || st.Cells != nil || st.Rings != nil {
-		t.Errorf("v1 snapshot read as State = %+v, want queries only", st)
-	}
-}
-
-// TestStateRejectsTruncatedTrailer: a checkpoint cut anywhere — inside
-// the query stream or inside the trailer — must fail with
-// ErrBadSnapshot, never return a silently partial State. A crash while
-// writing a checkpoint is exactly when this file gets read.
-func TestStateRejectsTruncatedTrailer(t *testing.T) {
-	st := sampleState()
-	var whole, queriesOnly bytes.Buffer
-	if err := WriteState(&whole, st); err != nil {
-		t.Fatal(err)
-	}
-	// Measure where the trailer starts by writing the same queries
-	// without one (headers differ by one version int, close enough to
-	// pick cut points inside each region).
-	if err := Write(&queriesOnly, st.Bounds, st.Queries); err != nil {
-		t.Fatal(err)
-	}
-	full := whole.Bytes()
-	trailerAt := queriesOnly.Len()
-	cuts := []int{
-		0,             // empty input
-		trailerAt / 2, // inside the query stream
-		trailerAt,     // right at the trailer boundary
-		len(full) - 1, // one byte short of a complete trailer
-	}
-	for _, cut := range cuts {
-		if cut >= len(full) {
-			cut = len(full) - 1
+// v1Queries is the population of testdata/v1.gob.
+func v1Queries() []*model.Query {
+	qs := randQueries(21, 12)
+	for i, q := range qs {
+		if i%3 == 0 {
+			q.TopK = i + 1
+			q.Window = time.Duration(i+1) * time.Minute
 		}
-		if _, err := ReadState(bytes.NewReader(full[:cut])); !errors.Is(err, ErrBadSnapshot) {
+	}
+	return qs
+}
+
+// v2Queries is the population of testdata/v2.gob.
+func v2Queries() []*model.Query { return randQueries(11, 40) }
+
+func fixture(t testing.TB, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func sameQueries(t *testing.T, got, want []*model.Query) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d queries, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(*got[i], *want[i]) {
+			t.Fatalf("query %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStateRoundTrip: a version-2 state checkpoint converts to version 3
+// without losing a subscription — read it, write it, read it back.
+func TestStateRoundTrip(t *testing.T) {
+	h, qs, err := Read(bytes.NewReader(fixture(t, "v2.gob")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, h.Bounds, qs); err != nil {
+		t.Fatal(err)
+	}
+	h3, got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h3.Version != Version || h3.Bounds != h.Bounds || h3.Count != h.Count {
+		t.Errorf("converted header = %+v, from %+v", h3, h)
+	}
+	sameQueries(t, got, v2Queries())
+}
+
+// TestStateReadableByQueryReader: Read extracts the population of a
+// version-2 state checkpoint and skips its trailer.
+func TestStateReadableByQueryReader(t *testing.T) {
+	h, qs, err := Read(bytes.NewReader(fixture(t, "v2.gob")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Version != 2 || h.Bounds != bounds || h.Count != 40 {
+		t.Errorf("v2 header = %+v", h)
+	}
+	sameQueries(t, qs, v2Queries())
+}
+
+// TestReadStateAcceptsQuerySnapshot: a version-1 query snapshot still
+// loads, top-k fields included.
+func TestReadStateAcceptsQuerySnapshot(t *testing.T) {
+	h, qs, err := Read(bytes.NewReader(fixture(t, "v1.gob")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Version != 1 || h.Bounds != bounds || h.Count != 12 {
+		t.Errorf("v1 header = %+v", h)
+	}
+	sameQueries(t, qs, v1Queries())
+}
+
+// TestStateRejectsTruncatedTrailer: a legacy file cut inside its query
+// stream fails with ErrBadSnapshot, never a silently partial population.
+func TestStateRejectsTruncatedTrailer(t *testing.T) {
+	full := fixture(t, "v2.gob")
+	for _, cut := range []int{0, 1, len(full) / 4, len(full) / 2} {
+		if _, _, err := Read(bytes.NewReader(full[:cut])); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("truncated at %d/%d: err = %v, want ErrBadSnapshot", cut, len(full), err)
 		}
 	}
 }
 
-// TestStateRejectsFutureVersion mirrors Read's guard for ReadState.
+// TestStateRejectsFutureVersion: a binary header claiming the next
+// version is refused as too new, not as corrupt.
 func TestStateRejectsFutureVersion(t *testing.T) {
-	var buf bytes.Buffer
-	enc := newEncoder(&buf)
-	enc(Header{Magic: magic, Version: Version + 1, Count: 0})
-	if _, err := ReadState(&buf); !errors.Is(err, ErrFutureVersion) {
+	if _, _, err := Read(bytes.NewReader(rawHeader(magic, Version+1, 0))); !errors.Is(err, ErrFutureVersion) {
 		t.Errorf("future version err = %v, want ErrFutureVersion", err)
 	}
 }
 
 // FuzzReadState: arbitrary bytes must never panic the reader, and any
-// successful parse must come from a structurally sound prefix.
+// successful parse must return as many queries as its header counts.
 func FuzzReadState(f *testing.F) {
-	var seedBuf bytes.Buffer
-	if err := WriteState(&seedBuf, sampleState()); err != nil {
+	var v3 bytes.Buffer
+	if err := Write(&v3, bounds, v1Queries()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seedBuf.Bytes())
+	f.Add(v3.Bytes())
 	f.Add([]byte("PS2SNAP nonsense"))
+	f.Add(fixture(f, "v1.gob"))
+	f.Add(fixture(f, "v2.gob"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := ReadState(bytes.NewReader(data))
+		h, qs, err := Read(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrFutureVersion) {
 				t.Fatalf("untyped error %v", err)
 			}
 			return
 		}
-		for _, q := range st.Queries {
+		if len(qs) != h.Count {
+			t.Fatalf("header counts %d queries, parse returned %d", h.Count, len(qs))
+		}
+		for _, q := range qs {
 			if q == nil {
 				t.Fatal("successful parse returned a nil query")
 			}

@@ -29,27 +29,10 @@ func (a Score) Better(b Score, aID, bID uint64) bool {
 	return aID > bID
 }
 
-// Scorer computes the score of a window entry for a top-k subscription.
-// Implementations must be deterministic functions of (q, e): workers and
-// the migration machinery re-score entries independently and their ranks
-// must agree.
-type Scorer interface {
-	Score(q *model.Query, e Entry) Score
-}
-
-// CompilingScorer is an optional fast path: scorers that can precompute
-// per-subscription state (term sets, region geometry, decay rate) return
-// a compiled closure that the Store calls on the publish hot path instead
-// of Score. Compile(q)(e) must equal Score(q, e) exactly.
-type CompilingScorer interface {
-	Scorer
-	Compile(q *model.Query) func(Entry) Score
-}
-
-// DecayScorer is the default scorer: text relevance (fraction of the
-// subscription's distinct keywords present) × spatial proximity (inverse
-// normalised distance to the region centre) × exponential recency decay
-// with half-life HalfLifeFraction·q.Window.
+// DecayScorer ranks window entries for top-k subscriptions: text
+// relevance (fraction of the subscription's distinct keywords present) ×
+// spatial proximity (inverse normalised distance to the region centre) ×
+// exponential recency decay with half-life HalfLifeFraction·q.Window.
 //
 // With one decay rate per subscription, decay multiplies every entry's
 // score by the same factor as time advances, so order is preserved; the
@@ -65,18 +48,17 @@ type DecayScorer struct {
 // a top-k slot for its whole lifetime.
 const DefaultHalfLifeFraction = 0.25
 
-// DefaultScorer is the scorer used when none is configured.
-var DefaultScorer Scorer = DecayScorer{}
-
-// Score implements Scorer. It is the reference implementation; the Store
+// Score scores one entry. It is the reference implementation; the Store
 // uses the compiled form on the hot path.
 func (d DecayScorer) Score(q *model.Query, e Entry) Score {
 	return d.Compile(q)(e)
 }
 
-// Compile implements CompilingScorer: the subscription's distinct terms,
-// region geometry, and decay rate are computed once, so per-entry scoring
-// is allocation-free.
+// Compile precomputes the subscription's distinct terms, region
+// geometry, and decay rate, so per-entry scoring is allocation-free.
+// Compile(q)(e) equals Score(q, e) exactly. Ranks must be deterministic
+// functions of (q, e): workers and the migration machinery re-score
+// entries independently and their ranks must agree.
 func (d DecayScorer) Compile(q *model.Query) func(Entry) Score {
 	terms := q.Expr.Terms()
 	center := q.Region.Center()

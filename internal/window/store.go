@@ -36,11 +36,9 @@ type Delta struct {
 // The Store is not safe for concurrent use; internal/core guards it with
 // the owning worker's mutex.
 type Store struct {
-	g       *grid.Grid
-	scorer  Scorer
-	ringCap int
-	rings   map[int]*Ring
-	subs    map[uint64]*subState
+	g     *grid.Grid
+	rings map[int]*Ring
+	subs  map[uint64]*subState
 	// maxW is the longest window over live subscriptions; rings retain
 	// entries this long.
 	maxW time.Duration
@@ -49,26 +47,17 @@ type Store struct {
 type subState struct {
 	q  *model.Query
 	tk *TopK
-	// score is the per-subscription compiled scorer (see
-	// CompilingScorer); plain scorers fall back to a Score closure.
+	// score is the subscription's compiled DecayScorer.
 	score func(Entry) Score
 }
 
-// NewStore returns an empty store over the grid geometry. A nil scorer
-// uses DefaultScorer; ringCap <= 0 uses DefaultRingCap.
-func NewStore(g *grid.Grid, scorer Scorer, ringCap int) *Store {
-	if scorer == nil {
-		scorer = DefaultScorer
-	}
-	if ringCap <= 0 {
-		ringCap = DefaultRingCap
-	}
+// NewStore returns an empty store over the grid geometry. Entries are
+// ranked by DecayScorer and each cell's ring holds DefaultRingCap.
+func NewStore(g *grid.Grid) *Store {
 	return &Store{
-		g:       g,
-		scorer:  scorer,
-		ringCap: ringCap,
-		rings:   make(map[int]*Ring),
-		subs:    make(map[uint64]*subState),
+		g:     g,
+		rings: make(map[int]*Ring),
+		subs:  make(map[uint64]*subState),
 	}
 }
 
@@ -92,13 +81,7 @@ func (st *Store) AddSub(q *model.Query, now time.Time) []Delta {
 	if !q.IsTopK() || st.HasSub(q.ID) {
 		return nil
 	}
-	ss := &subState{q: q, tk: NewTopK(q.TopK)}
-	if cs, ok := st.scorer.(CompilingScorer); ok {
-		ss.score = cs.Compile(q)
-	} else {
-		sc, qq := st.scorer, q
-		ss.score = func(e Entry) Score { return sc.Score(qq, e) }
-	}
+	ss := &subState{q: q, tk: NewTopK(q.TopK), score: DecayScorer{}.Compile(q)}
 	st.subs[q.ID] = ss
 	if q.Window > st.maxW {
 		st.maxW = q.Window
@@ -137,7 +120,7 @@ func (st *Store) Observe(e Entry) {
 	cell := st.g.CellOf(e.Loc)
 	r, ok := st.rings[cell]
 	if !ok {
-		r = NewRing(st.ringCap)
+		r = NewRing(DefaultRingCap)
 		st.rings[cell] = r
 	}
 	r.Add(e, e.At.Add(-st.maxW))
@@ -323,7 +306,7 @@ func (st *Store) AdoptCell(cell int, entries []Entry, now time.Time) []Delta {
 	}
 	r, ok := st.rings[cell]
 	if !ok {
-		r = NewRing(st.ringCap)
+		r = NewRing(DefaultRingCap)
 		st.rings[cell] = r
 	}
 	// One pass over the ring builds the dedup set; per-entry Contains
@@ -434,7 +417,7 @@ func (st *Store) AdoptEntries(id uint64, entries []Entry, now time.Time) []Delta
 		cell := st.g.CellOf(e.Loc)
 		r, okr := st.rings[cell]
 		if !okr {
-			r = NewRing(st.ringCap)
+			r = NewRing(DefaultRingCap)
 			st.rings[cell] = r
 		}
 		if !r.Contains(e.MsgID) { // few entries (≤ k); linear scan is fine

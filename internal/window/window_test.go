@@ -131,7 +131,7 @@ func TestDecayScorerOrderPreserving(t *testing.T) {
 
 // BruteTopK is the reference implementation: the k best live, matching
 // entries of the window, ranked with the same scorer.
-func bruteTopK(q *model.Query, all []Entry, now time.Time, sc Scorer) []uint64 {
+func bruteTopK(q *model.Query, all []Entry, now time.Time, sc DecayScorer) []uint64 {
 	cutoff := now.Add(-q.Window)
 	type cand struct {
 		id uint64
@@ -180,7 +180,7 @@ func equalIDs(a, b []uint64) bool {
 func TestStoreMatchesBruteForce(t *testing.T) {
 	bounds := geo.NewRect(0, 0, 10, 10)
 	g := grid.New(bounds, 8, 8)
-	st := NewStore(g, nil, 0)
+	st := NewStore(g)
 	q := &model.Query{
 		ID: 7, Expr: model.Or("x", "y"),
 		Region: geo.NewRect(2, 2, 8, 8),
@@ -208,7 +208,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 		if i%20 == 0 {
 			st.Advance(now) // expiry must run before comparing sets
 			got := st.TopKSet(q.ID)
-			want := bruteTopK(q, published, now, DefaultScorer)
+			want := bruteTopK(q, published, now, DecayScorer{})
 			if !equalIDs(got, want) {
 				t.Fatalf("step %d: store top-k %v, brute force %v", i, got, want)
 			}
@@ -225,7 +225,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 // Unsubscribing releases every held entry exactly once.
 func TestStoreRemoveSubDeltas(t *testing.T) {
 	g := grid.New(geo.NewRect(0, 0, 10, 10), 4, 4)
-	st := NewStore(g, nil, 0)
+	st := NewStore(g)
 	q := &model.Query{ID: 1, Expr: model.And("x"), Region: geo.NewRect(0, 0, 10, 10), TopK: 3, Window: time.Minute}
 	st.AddSub(q, t0)
 	for i := 1; i <= 3; i++ {
@@ -251,7 +251,7 @@ func TestStoreRemoveSubDeltas(t *testing.T) {
 // next sweep must release every buffered ring entry.
 func TestStoreRingsSweptAfterLastUnsubscribe(t *testing.T) {
 	g := grid.New(geo.NewRect(0, 0, 10, 10), 4, 4)
-	st := NewStore(g, nil, 0)
+	st := NewStore(g)
 	q := &model.Query{ID: 1, Expr: model.And("x"), Region: geo.NewRect(0, 0, 10, 10), TopK: 2, Window: time.Minute}
 	st.AddSub(q, t0)
 	for i := 1; i <= 20; i++ {
@@ -273,8 +273,8 @@ func TestStoreRingsSweptAfterLastUnsubscribe(t *testing.T) {
 func TestStoreCellHandoff(t *testing.T) {
 	bounds := geo.NewRect(0, 0, 10, 10)
 	g := grid.New(bounds, 2, 2) // 4 big cells
-	src := NewStore(g, nil, 0)
-	dst := NewStore(g, nil, 0)
+	src := NewStore(g)
+	dst := NewStore(g)
 	q := &model.Query{ID: 9, Expr: model.And("x"), Region: bounds, TopK: 4, Window: time.Minute}
 	now := t0
 	src.AddSub(q, now)
@@ -329,7 +329,7 @@ func TestStoreCellHandoff(t *testing.T) {
 // the top-k (the re-fill path).
 func TestStoreRefillAfterExpiry(t *testing.T) {
 	g := grid.New(geo.NewRect(0, 0, 10, 10), 4, 4)
-	st := NewStore(g, nil, 0)
+	st := NewStore(g)
 	q := &model.Query{ID: 3, Expr: model.And("x"), Region: geo.NewRect(0, 0, 10, 10), TopK: 1, Window: 20 * time.Second}
 	now := t0
 	st.AddSub(q, now)

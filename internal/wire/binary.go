@@ -118,6 +118,13 @@ func appendQuery(dst []byte, q *model.Query) []byte {
 	return dst
 }
 
+// QuerySize is the length of one query in a cell payload: what it adds
+// to an InstallCells or CellShare frame.
+func QuerySize(q *model.Query) int {
+	var b [64]byte
+	return len(appendQuery(b[:0], q))
+}
+
 // appendEntry appends one sliding-window entry.
 func appendEntry(dst []byte, e *window.Entry) []byte {
 	dst = appendDoc(dst, e.MsgID, e.Terms, e.Loc)

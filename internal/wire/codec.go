@@ -204,11 +204,21 @@ type CellStatsReply struct {
 }
 
 // CellSpec names one cell share: the whole cell when Keys is nil, or
-// only the given registration keys (a Phase I text split).
+// only the given registration keys (a Phase I text split). Cell
+// WholeQueries with nil Keys, in a copying request, names the slot's
+// whole population instead.
 type CellSpec struct {
 	Cell int
 	Keys []string
 }
+
+// WholeQueries is the cell id of a whole-query share. In a copying
+// ExtractCells it asks for every live query of the slot once (and, with
+// Subs, each top-k subscription's held entries); in an InstallCells
+// payload its queries are indexed by their own placement rather than
+// into one named cell. Global repartition, checkpoints and snapshot
+// files use it.
+const WholeQueries = -1
 
 // ExtractCells asks a worker peer for the named cell shares. With
 // Remove false the shares are copied (the migration's copy step, the

@@ -12,6 +12,7 @@
 package worker
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -33,10 +34,6 @@ type Config struct {
 	// Index is the slot's query index. The window store uses its grid, so
 	// window state migrates in the same cell units as the queries.
 	Index *gi2.Index
-	// Scorer ranks window entries (nil: window.DefaultScorer) and RingCap
-	// bounds each cell's window ring (<= 0: window.DefaultRingCap).
-	Scorer  window.Scorer
-	RingCap int
 }
 
 // Engine is one worker slot's state and the operations on it. All
@@ -85,7 +82,7 @@ func (e *Engine) Reset(cfg Config) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.task, e.epoch, e.gi = cfg.Task, cfg.Epoch, cfg.Index
-	e.win = window.NewStore(e.gi.Grid(), cfg.Scorer, cfg.RingCap)
+	e.win = window.NewStore(e.gi.Grid())
 }
 
 // Epoch returns the epoch of the current state.
@@ -209,20 +206,39 @@ func (e *Engine) CellStats() []wire.CellStat {
 	return cells
 }
 
+// checkCell refuses a cell id outside the engine's grid before a control
+// round touches any state, so a bad frame ends the session instead of the
+// process. whole admits wire.WholeQueries.
+func (e *Engine) checkCell(cell int, whole bool) error {
+	if n := e.gi.Grid().NumCells(); (cell < 0 || cell >= n) && !(whole && cell == wire.WholeQueries) {
+		return fmt.Errorf("worker: cell %d is outside the %d-cell grid", cell, n)
+	}
+	return nil
+}
+
 // ExtractCells serves one ExtractCells request. With Remove false the
 // shares are copies (queries and ring snapshot, nothing changes here);
-// with Remove true whole-cell shares leave the index and release their
-// ring, while key splits keep the cell ring for the remaining keys. A
-// removing extraction that strips a top-k subscription's last live cell
+// a wire.WholeQueries spec copies every live query of the slot once, with
+// no ring. With Remove true whole-cell shares leave the index and release
+// their ring, while key splits keep the cell ring for the remaining keys.
+// A removing extraction that strips a top-k subscription's last live cell
 // also releases its heap, and the resulting membership deltas ride back
-// in the share.
-func (e *Engine) ExtractCells(ex wire.ExtractCells) wire.CellShare {
+// in the share. A cell id outside the grid fails the request before
+// anything is read or removed.
+func (e *Engine) ExtractCells(ex wire.ExtractCells) (wire.CellShare, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	for _, spec := range ex.Cells {
+		if err := e.checkCell(spec.Cell, !ex.Remove && spec.Keys == nil); err != nil {
+			return wire.CellShare{}, err
+		}
+	}
 	share := wire.CellShare{Seq: ex.Seq, Epoch: e.epoch}
 	for _, spec := range ex.Cells {
 		p := wire.CellPayload{Cell: spec.Cell}
 		switch {
+		case spec.Cell == wire.WholeQueries:
+			e.gi.Each(func(q *model.Query) { p.Queries = append(p.Queries, q) })
 		case !ex.Remove && spec.Keys == nil:
 			p.Queries = e.gi.QueriesInCell(spec.Cell)
 			p.Ring = e.win.SnapshotCell(spec.Cell, e.now)
@@ -248,7 +264,7 @@ func (e *Engine) ExtractCells(ex wire.ExtractCells) wire.CellShare {
 		e.addSubs(&p, ex.Subs)
 		share.Cells = append(share.Cells, p)
 	}
-	return share
+	return share, nil
 }
 
 // releaseDeparted drops the window heaps of extracted top-k
@@ -280,14 +296,22 @@ func (e *Engine) addSubs(p *wire.CellPayload, want bool) {
 
 // InstallCells indexes the received cell shares and applies the
 // reconciliation deletes (queries removed at the migration source
-// between copy and routing flip). A payload with a negative Cell is a
-// whole-query install (global repartition): the query is indexed by its
-// own placement rather than into one named cell. Top-k subscriptions
-// register in the window store, adopt the carried entries, and the
-// membership deltas everything produced return in the ack.
-func (e *Engine) InstallCells(ic wire.InstallCells) wire.InstallAck {
+// between copy and routing flip). A wire.WholeQueries payload is a
+// whole-query install (global repartition): its queries are indexed by
+// their own placement rather than into one named cell, and it carries no
+// ring. Top-k subscriptions register in the window store, adopt the
+// carried entries, and the membership deltas everything produced return
+// in the ack. A cell id outside the grid fails the request before
+// anything is installed.
+func (e *Engine) InstallCells(ic wire.InstallCells) (wire.InstallAck, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	for i := range ic.Cells {
+		p := &ic.Cells[i]
+		if err := e.checkCell(p.Cell, len(p.Ring) == 0); err != nil {
+			return wire.InstallAck{}, err
+		}
+	}
 	ack := wire.InstallAck{Seq: ic.Seq, Epoch: e.epoch}
 	for i := range ic.Cells {
 		p := &ic.Cells[i]
@@ -295,7 +319,7 @@ func (e *Engine) InstallCells(ic wire.InstallCells) wire.InstallAck {
 			if q == nil {
 				continue
 			}
-			if p.Cell < 0 {
+			if p.Cell == wire.WholeQueries {
 				e.gi.Insert(q)
 			} else {
 				e.gi.InsertAt(p.Cell, q)
@@ -315,7 +339,7 @@ func (e *Engine) InstallCells(ic wire.InstallCells) wire.InstallAck {
 		e.gi.Delete(id)
 		ack.Deltas = append(ack.Deltas, e.win.RemoveSub(id)...)
 	}
-	return ack
+	return ack, nil
 }
 
 // AdvanceWindow runs one expiry sweep at the coordinator's clock and
@@ -335,13 +359,6 @@ func (e *Engine) ResetWindow() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.gi.ResetWindow()
-}
-
-// Each invokes fn once per live query, in unspecified order.
-func (e *Engine) Each(fn func(q *model.Query)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.gi.Each(fn)
 }
 
 // QueryCount reports the live queries, the number Stats reports:

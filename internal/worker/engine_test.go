@@ -3,6 +3,8 @@ package worker
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,7 +158,10 @@ type migration struct {
 // 0 to worker 1. Routing is not flipped yet: traffic applied before
 // finish plays the batches still in flight under the old table.
 func (c *cluster) copyShare(cell int, keys []string) *migration {
-	share := c.engines[0].ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell, Keys: keys}}})
+	share, err := c.engines[0].ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell, Keys: keys}}})
+	if err != nil {
+		c.t.Fatal(err)
+	}
 	if len(share.Cells) != 1 || len(share.Deltas) != 0 {
 		c.t.Fatalf("copying extraction returned %d cells and %d deltas", len(share.Cells), len(share.Deltas))
 	}
@@ -164,7 +169,9 @@ func (c *cluster) copyShare(cell int, keys []string) *migration {
 	if len(p.Queries) == 0 {
 		c.t.Fatal("vacuous: the migrating share holds no queries")
 	}
-	c.engines[1].InstallCells(wire.InstallCells{Cells: []wire.CellPayload{p}})
+	if _, err := c.engines[1].InstallCells(wire.InstallCells{Cells: []wire.CellPayload{p}}); err != nil {
+		c.t.Fatal(err)
+	}
 	m := &migration{cell: cell, keys: keys, copied: make(map[uint64]bool), copiedMsgs: make(map[uint64]bool)}
 	for _, q := range p.Queries {
 		m.copied[q.ID] = true
@@ -189,9 +196,12 @@ func (c *cluster) finish(m *migration) (leftover, deleted, ringLeft int) {
 		}
 		c.splitKeys[m.cell] = split
 	}
-	share := c.engines[0].ExtractCells(wire.ExtractCells{
+	share, err := c.engines[0].ExtractCells(wire.ExtractCells{
 		Cells: []wire.CellSpec{{Cell: m.cell, Keys: m.keys}}, Remove: true,
 	})
+	if err != nil {
+		c.t.Fatal(err)
+	}
 	p := share.Cells[0]
 	fwd := wire.CellPayload{Cell: m.cell}
 	extracted := make(map[uint64]bool)
@@ -212,7 +222,9 @@ func (c *cluster) finish(m *migration) (leftover, deleted, ringLeft int) {
 			deletes = append(deletes, id)
 		}
 	}
-	c.engines[1].InstallCells(wire.InstallCells{Cells: []wire.CellPayload{fwd}, Deletes: deletes})
+	if _, err := c.engines[1].InstallCells(wire.InstallCells{Cells: []wire.CellPayload{fwd}, Deletes: deletes}); err != nil {
+		c.t.Fatal(err)
+	}
 	return len(fwd.Queries), len(deletes), len(fwd.Ring)
 }
 
@@ -394,7 +406,10 @@ func TestEngineMigrationMatchesBruteForceAndSingleEngine(t *testing.T) {
 					leftover, deleted, ringLeft)
 			}
 			// The source holds nothing of the moved share any more.
-			left := c.engines[0].ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: hot, Keys: tc.keys}}})
+			left, err := c.engines[0].ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: hot, Keys: tc.keys}}})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if n := len(left.Cells[0].Queries); n != 0 {
 				t.Errorf("source still holds %d queries of the moved share", n)
 			}
@@ -541,5 +556,95 @@ func TestEngineProcessAllocs(t *testing.T) {
 	}
 	if len(out) != 0 || len(dout) != 0 {
 		t.Errorf("no-match batch produced %d matches and %d deltas", len(out), len(dout))
+	}
+}
+
+// TestEngineWholeQueryCopy: a copying wire.WholeQueries spec lists each
+// live query once — however many cells it spans, deleted ones not at all
+// — with each top-k subscription's held entries when Subs is set, and
+// changes neither the index nor the window.
+func TestEngineWholeQueryCopy(t *testing.T) {
+	e := newTestEngine(0, nil)
+	everywhere := geo.NewRect(0, 0, 40, 40) // all 16 cells
+	loc := geo.Point{X: 5, Y: 5}
+	ops := []wire.OpEnv{
+		{Op: model.Op{Kind: model.OpInsert, Query: &model.Query{ID: 1, Expr: model.And("a"), Region: everywhere}}},
+		{Op: model.Op{Kind: model.OpInsert, Query: &model.Query{ID: 2, Expr: model.Or("b", "c"), Region: geo.NewRect(1, 1, 2, 2)}}},
+		{Op: model.Op{Kind: model.OpInsert, Query: &model.Query{ID: 3, Expr: model.And("a"), Region: everywhere, TopK: 2, Window: time.Hour}}},
+		{Op: model.Op{Kind: model.OpInsert, Query: &model.Query{ID: 4, Expr: model.And("d"), Region: everywhere}}},
+		{Op: model.Op{Kind: model.OpDelete, Query: &model.Query{ID: 4, Expr: model.And("d"), Region: everywhere}}},
+		{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{ID: 50, Terms: []string{"a"}, Loc: loc}}},
+	}
+	for i := range ops {
+		ops[i].T0 = testEpoch
+	}
+	e.Process(ops, nil, nil)
+	before, footprint := e.Stats(), e.Footprint()
+	share, err := e.ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Subs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(share.Cells) != 1 || len(share.Deltas) != 0 {
+		t.Fatalf("whole-query copy returned %d payloads and %d deltas, want 1 and 0", len(share.Cells), len(share.Deltas))
+	}
+	p := share.Cells[0]
+	var ids []uint64
+	for _, q := range p.Queries {
+		ids = append(ids, q.ID)
+	}
+	slices.Sort(ids)
+	if fmt.Sprint(ids) != "[1 2 3]" {
+		t.Errorf("whole-query copy lists %v, want each live query once: [1 2 3]", ids)
+	}
+	if p.Cell != wire.WholeQueries || len(p.Ring) != 0 {
+		t.Errorf("payload cell %d with %d ring entries, want the whole-query cell and no ring", p.Cell, len(p.Ring))
+	}
+	if len(p.Subs) != 1 || p.Subs[0].ID != 3 || len(p.Subs[0].Entries) != 1 {
+		t.Errorf("held entries %+v, want subscription 3 holding object 50", p.Subs)
+	}
+	if after := e.Stats(); after != before || e.Footprint() != footprint || fmt.Sprint(e.TopKSet(3)) != "[50]" {
+		t.Errorf("the copy changed the engine: stats %+v -> %+v, footprint %d -> %d, top-k %v",
+			before, after, footprint, e.Footprint(), e.TopKSet(3))
+	}
+	out, _, _ := e.Process([]wire.OpEnv{{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{ID: 51, Terms: []string{"a"}, Loc: loc}}, T0: testEpoch}}, nil, nil)
+	if len(out) != 1 || out[0].M.QueryID != 1 {
+		t.Errorf("after the copy object 51 matched %+v, want query 1 alone", out)
+	}
+}
+
+// TestEngineRefusesCellsOutsideGrid: a cell id the grid does not have
+// fails the control round with an error naming it and leaves the engine
+// untouched; the whole-query id is refused where it means nothing.
+func TestEngineRefusesCellsOutsideGrid(t *testing.T) {
+	e := newTestEngine(0, nil)
+	q := &model.Query{ID: 1, Expr: model.And("a"), Region: geo.NewRect(0, 0, 40, 40)}
+	e.Process([]wire.OpEnv{{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: testEpoch}}, nil, nil)
+	for _, tc := range []struct {
+		name string
+		ex   wire.ExtractCells
+		want string
+	}{
+		{"copy past the grid", wire.ExtractCells{Cells: []wire.CellSpec{{Cell: 0}, {Cell: 5000}}}, "cell 5000"},
+		{"remove past the grid", wire.ExtractCells{Cells: []wire.CellSpec{{Cell: 0}, {Cell: 5000}}, Remove: true}, "cell 5000"},
+		{"negative", wire.ExtractCells{Cells: []wire.CellSpec{{Cell: -2}}}, "cell -2"},
+		{"remove whole queries", wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Remove: true}, "cell -1"},
+		{"whole queries by key", wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries, Keys: []string{"a"}}}}, "cell -1"},
+	} {
+		if _, err := e.ExtractCells(tc.ex); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+	ring := []window.Entry{{MsgID: 9, Terms: []string{"a"}, At: testEpoch}}
+	for _, p := range []wire.CellPayload{
+		{Cell: 5000, Queries: []*model.Query{{ID: 2, Expr: model.And("a"), Region: geo.NewRect(0, 0, 1, 1)}}},
+		{Cell: wire.WholeQueries, Ring: ring},
+	} {
+		if _, err := e.InstallCells(wire.InstallCells{Cells: []wire.CellPayload{{Cell: 0}, p}, Deletes: []uint64{1}}); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("cell %d", p.Cell)) {
+			t.Errorf("install into cell %d: err = %v, want one naming it", p.Cell, err)
+		}
+	}
+	if st := e.Stats(); st.Queries != 1 {
+		t.Errorf("refused rounds changed the index: %d live queries, want 1", st.Queries)
 	}
 }

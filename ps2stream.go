@@ -75,7 +75,6 @@ import (
 	"ps2stream/internal/model"
 	"ps2stream/internal/obs"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/snapshot"
 	"ps2stream/internal/textutil"
 	"ps2stream/internal/wire"
 )
@@ -317,7 +316,9 @@ type Options struct {
 // failure redials the worker's address with backoff and replays the
 // checkpoint state plus the log tail — the stream keeps flowing through
 // the surviving workers meanwhile, and the mergers' dedup window
-// absorbs replay duplicates.
+// absorbs replay duplicates. The checkpoint state lives in this
+// process's memory; System.Checkpoint is what writes a population to
+// disk.
 type RecoveryOptions struct {
 	// Enabled turns recovery on. Off (default), a dead remote worker
 	// fails the run exactly as before.
@@ -330,10 +331,6 @@ type RecoveryOptions struct {
 	// RedialTimeout bounds how long a crashed worker may take to come
 	// back before the run is declared unrecoverable (default 45s).
 	RedialTimeout time.Duration
-	// Dir, when non-empty, persists per-worker checkpoint snapshots
-	// (worker-<task>.ckpt) for out-of-band restore tooling. Recovery
-	// itself replays from memory and does not require it.
-	Dir string
 }
 
 // AdjustOptions configures the adaptive load adjustment controller
@@ -473,7 +470,6 @@ func Open(opts Options) (*System, error) {
 		CheckpointInterval: opts.Recovery.CheckpointInterval,
 		HeartbeatInterval:  opts.Recovery.HeartbeatInterval,
 		RedialTimeout:      opts.Recovery.RedialTimeout,
-		Dir:                opts.Recovery.Dir,
 	}
 	if err := cfg.ConnectRemoteWorkers(opts.RemoteWorkers, sample, wire.Backoff{}); err != nil {
 		return nil, fmt.Errorf("ps2stream: %w", err)
@@ -684,14 +680,15 @@ func (s *System) FinishRepartition() int {
 	return s.inner.FinishGlobalRepartition()
 }
 
-// Checkpoint writes the live subscription population to w in the snapshot
-// format, deduplicated and in ascending subscription-id order. The set is
-// a point-in-time view; call Flush first (and pause Subscribe/Unsubscribe
-// traffic) for an exact cut. The published message stream is stateless
-// and is not captured. With Options.RemoteWorkers, subscriptions held
-// only by remote workers are not visible here and are omitted.
+// Checkpoint writes the live subscription population of every worker,
+// in-process or remote, to w in the snapshot format, deduplicated and in
+// ascending subscription-id order. The set is a point-in-time view; call
+// Flush first (and pause Subscribe/Unsubscribe traffic) for an exact cut.
+// The published message stream is stateless and is not captured. A
+// worker that cannot answer fails the checkpoint.
 func (s *System) Checkpoint(w io.Writer) error {
-	return snapshot.Write(w, s.inner.Bounds(), s.inner.LiveQueries())
+	_, err := s.inner.Checkpoint(w)
+	return err
 }
 
 // ErrBoundsMismatch is returned by Restore when the snapshot was taken
@@ -700,26 +697,17 @@ func (s *System) Checkpoint(w io.Writer) error {
 // would register subscriptions into the wrong cells — they would never
 // match. Open a system with the snapshot's region (the error message
 // carries both rectangles) and restore there.
-var ErrBoundsMismatch = errors.New("ps2stream: snapshot bounds do not match the system's region")
+var ErrBoundsMismatch = core.ErrBoundsMismatch
 
 // Restore re-registers every subscription from a snapshot produced by
 // Checkpoint, routing them through the dispatcher like fresh Subscribe
 // calls. It returns the number of subscriptions restored. The snapshot
 // header's bounds must equal this system's region (ErrBoundsMismatch
 // otherwise). Restoring onto a system that already holds some of the
-// ids is safe (workers ignore duplicate registrations).
+// ids is safe (workers ignore duplicate registrations). Snapshots written
+// by earlier builds (format versions 1 and 2) still load.
 func (s *System) Restore(r io.Reader) (int, error) {
-	h, qs, err := snapshot.Read(r)
-	if err != nil {
-		return 0, err
-	}
-	if b := s.inner.Bounds(); h.Bounds != b {
-		return 0, fmt.Errorf("%w: snapshot %v, system %v", ErrBoundsMismatch, h.Bounds, b)
-	}
-	for _, q := range qs {
-		s.inner.Submit(model.Op{Kind: model.OpInsert, Query: q})
-	}
-	return len(qs), nil
+	return s.inner.Restore(r)
 }
 
 // Flush blocks until every Publish, Subscribe, SubscribeTopK, Unsubscribe
@@ -793,9 +781,11 @@ func (s *System) Stats() Stats {
 }
 
 // SubscriptionCount returns the number of live subscriptions currently
-// held (deduplicated across workers).
+// held, deduplicated across every worker, in-process or remote. A remote
+// worker that cannot answer (its connection is down) is not counted.
 func (s *System) SubscriptionCount() int {
-	return len(s.inner.LiveQueries())
+	qs, _ := s.inner.LiveQueries()
+	return len(qs)
 }
 
 // AdminAddr returns the bound address of the observability server, or ""

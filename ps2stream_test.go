@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -388,9 +390,19 @@ func TestAdjustOptionsAndAdjustNow(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestore runs twice: with every worker in-process, and
+// with two of the four workers behind loopback TCP, whose subscriptions
+// the checkpoint must carry too.
 func TestCheckpointRestore(t *testing.T) {
+	t.Run("in-process", func(t *testing.T) { checkpointRestore(t, nil) })
+	t.Run("remote", func(t *testing.T) {
+		checkpointRestore(t, []string{startWorkerNode(t), startWorkerNode(t)})
+	})
+}
+
+func checkpointRestore(t *testing.T, remote []string) {
 	// Build a system with a mixed subscription population.
-	sys, err := Open(Options{Region: usRegion, Workers: 4})
+	sys, err := Open(Options{Region: usRegion, Workers: 4, RemoteWorkers: remote})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,6 +476,32 @@ func TestCheckpointRestore(t *testing.T) {
 	}
 	if !found {
 		t.Error("restored subscription 11 did not fire")
+	}
+}
+
+// TestRestoreLegacyFixtures: the gob snapshots earlier builds wrote —
+// a version-1 query snapshot and a version-2 worker state file — still
+// restore, and every subscription in them is live afterwards.
+func TestRestoreLegacyFixtures(t *testing.T) {
+	for file, want := range map[string]int{"v1.gob": 12, "v2.gob": 40} {
+		blob, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := Open(Options{Region: NewRegion(0, 0, 100, 100), Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := sys.Restore(bytes.NewReader(blob)); err != nil || n != want {
+			t.Errorf("%s: restored %d, err %v; want %d", file, n, err, want)
+		}
+		sys.Flush()
+		if n := sys.SubscriptionCount(); n != want {
+			t.Errorf("%s: %d subscriptions live after the restore, want %d", file, n, want)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
