@@ -403,9 +403,11 @@ func BenchmarkEndToEnd(b *testing.B) {
 
 // BenchmarkTopKPublish measures publish throughput against a standing
 // population of sliding-window top-k subscriptions at k ∈ {1, 10, 50}
-// (the SubscribeTopK hot path: match → offer → heap → global reconcile).
-// cmd/psbench -exp topk records the paper-style table; BENCH_topk.json
-// holds the committed baseline.
+// (the SubscribeTopK hot path: match → offer → skyband → global
+// reconcile), and reports the skyband length per subscription (mean and
+// max over the workers' bands) and the window state's share of the
+// workers' footprint. cmd/psbench -exp topk records the paper-style
+// table; BENCH_topk.json holds the committed baseline.
 func BenchmarkTopKPublish(b *testing.B) {
 	for _, k := range []int{1, 10, 50} {
 		b.Run("k="+strconv.Itoa(k), func(b *testing.B) {
@@ -442,6 +444,18 @@ func BenchmarkTopKPublish(b *testing.B) {
 			b.StopTimer()
 			sys.Flush()
 			b.ReportMetric(float64(updates.Load()), "topk_updates")
+			winBytes, bands := sys.inner.WindowStats()
+			sum, most := 0, 0
+			for _, n := range bands {
+				sum, most = sum+n, max(most, n)
+			}
+			var workerBytes int64
+			for _, wb := range sys.inner.Snapshot().WorkerBytes {
+				workerBytes += wb
+			}
+			b.ReportMetric(float64(sum)/float64(max(len(bands), 1)), "band_mean")
+			b.ReportMetric(float64(most), "band_max")
+			b.ReportMetric(float64(winBytes)/float64(max(workerBytes, 1)), "window_share")
 		})
 	}
 }

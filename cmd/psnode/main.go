@@ -527,7 +527,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		// oracle run carries the same publish stamp, so decay rank depends
 		// only on textual relevance and the top-k dumps diff byte for
 		// byte. Expiry never fires under a frozen clock; the window flag
-		// only sizes checkpoint refill retention.
+		// only sizes checkpoint retention of in-window objects.
 		frozen := time.Unix(1_700_000_000, 0)
 		cfg.Clock = func() time.Time { return frozen }
 	}
@@ -698,10 +698,9 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		fireEvents(dc.ops)
 		maybeRepartition(dc.ops)
 	} else {
-		// Static runs submit in one tight burst, exactly like the
-		// pre-adjust dispatcher: trickling ops into the ingest would widen
-		// the cross-dispatcher insert/object race window, making cluster
-		// and oracle runs diverge on the mixed stream.
+		// Static runs submit in one tight burst. The one dispatcher
+		// orders every op as submitted, so cluster and oracle see the
+		// same stream however it is paced.
 		sys.SubmitAll(stream)
 	}
 	if err := sys.Drain(); err != nil {

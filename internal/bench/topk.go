@@ -20,10 +20,11 @@ const topKFraction = 0.5
 
 // TopKThroughput measures end-to-end throughput and delivered membership
 // updates with a sliding-window top-k subscription mix at k ∈ {1, 10, 50},
-// against the pure boolean workload as baseline. Bigger k means deeper
-// heaps, more refill work on expiry, and a larger global candidate union
-// to reconcile — the sweep shows what ranked delivery costs on top of the
-// paper's boolean matching.
+// against the pure boolean workload as baseline. Bigger k means larger
+// per-subscription skybands (about k·ln n entries for n matching objects
+// in a window), and a larger global candidate union to reconcile — the
+// sweep shows what ranked delivery costs on top of the paper's boolean
+// matching.
 func TopKThroughput(sc Scale) []Table {
 	sc = sc.orDefault()
 	spec := workload.TweetsUS()

@@ -414,11 +414,12 @@ type pendingExtract struct {
 	wo, wl int
 	keys   []string // nil: whole cell
 	copied map[uint64]struct{}
-	// copiedMsgs are the window entries copied with the cell; ring
-	// entries that arrived at the source between copy and flip are
-	// forwarded at extraction time, like leftover queries.
-	copiedMsgs map[uint64]struct{}
-	mark       *drainMark
+	// copiedEntries are the (subscription, message) window entries
+	// copied with the cell; entries that joined a band at the source
+	// between copy and flip are forwarded at extraction time, like
+	// leftover queries.
+	copiedEntries map[[2]uint64]struct{}
+	mark          *drainMark
 }
 
 // announceFence forwards the current routing epoch to every active slot
@@ -435,23 +436,22 @@ func (s *System) announceFence() {
 // handOff moves worker wo's share of a cell — the whole cell when keys is
 // nil, only the given registration keys otherwise — to wl using the
 // copy → transfer → flip-routing → deferred-extract sequence, so no
-// matching object is ever routed to a worker without the queries. The
-// cell's window state (ring entries and top-k-held objects located in the
-// cell) travels with the queries, so sliding-window top-k subscriptions
-// survive the hand-off without losing window history. ok is false when a
-// round failed before the routing flip — nothing moved, nothing to
-// record.
+// matching object is ever routed to a worker without the queries. Each
+// top-k subscription's window entries located in the cell travel with
+// it, so sliding-window top-k subscriptions survive the hand-off without
+// losing window history. ok is false when a round failed before the
+// routing flip — nothing moved, nothing to record.
 func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesMoved int, nbytes int64, ok bool) {
 	// 1. Copy: one non-removing ExtractCells round, ordered behind all
 	// traffic handed to wo before it.
-	share, err := s.slots[wo].ExtractCells([]wire.CellSpec{{Cell: cell, Keys: keys}}, false, false)
+	share, err := s.slots[wo].ExtractCells([]wire.CellSpec{{Cell: cell, Keys: keys}}, false, true)
 	if err != nil {
 		return 0, 0, false // failure before anything changed: abort this migration
 	}
 	var qs []*model.Query
-	var ring []window.Entry
+	var subs []wire.SubEntries
 	if len(share.Cells) > 0 {
-		qs, ring = share.Cells[0].Queries, share.Cells[0].Ring
+		qs, subs = share.Cells[0].Queries, share.Cells[0].Subs
 	}
 	// 2. Transfer. On the paper's cluster the receiving worker is busy
 	// ingesting the migrated queries instead of processing tuples, which
@@ -459,14 +459,14 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 	// returns, every op batch handed to wl is matched against the share.
 	// A failure aborts before the routing flip — the destination holds at
 	// worst an unused copy whose duplicate matches the mergers suppress.
-	if len(qs) > 0 || len(ring) > 0 {
-		nbytes, err = s.slots[wl].InstallCells([]wire.CellPayload{{Cell: cell, Queries: qs, Ring: ring}}, nil)
+	if len(qs) > 0 {
+		nbytes, err = s.slots[wl].InstallCells([]wire.CellPayload{{Cell: cell, Queries: qs, Subs: subs}}, nil)
 		if err != nil {
 			return 0, 0, false
 		}
 		// The destination now answers for these queries; its op log must
 		// reconstruct them if the node crashes before the next checkpoint.
-		s.logAdoptions(wl, qs, nil, ring)
+		s.logAdoptions(wl, qs, nil, subs)
 	}
 	// 3. Flip routing.
 	flip()
@@ -480,7 +480,7 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 	mark := s.newMark()
 	s.ingest.mark(mark)
 	s.scheduleExtract(pendingExtract{cell: cell, wo: wo, wl: wl, keys: keys, copied: idSet(qs),
-		copiedMsgs: msgIDSet(ring), mark: mark})
+		copiedEntries: entrySet(subs), mark: mark})
 	return len(qs), nbytes, true
 }
 
@@ -496,19 +496,21 @@ func (s *System) migrateShare(wo, wl, cell int) (queriesMoved int, nbytes int64,
 }
 
 // migrateSplit converts a space cell to a text cell, moving only the given
-// registration keys (Phase I split). The cell's window ring is copied (not
-// moved) so the receiving share can repair its top-k subscriptions from
-// the same history; the source keeps the cell for its remaining keys.
+// registration keys (Phase I split); the source keeps the cell for its
+// remaining keys.
 func (s *System) migrateSplit(wo, wl, cell int, keys []string) (queriesMoved int, nbytes int64, ok bool) {
 	return s.handOff(wo, wl, cell, keys, func() {
 		s.gridT.Load().SplitSpaceCellByText(cell, keys, wl)
 	})
 }
 
-func msgIDSet(es []window.Entry) map[uint64]struct{} {
-	out := make(map[uint64]struct{}, len(es))
-	for _, e := range es {
-		out[e.MsgID] = struct{}{}
+// entrySet keys every carried window entry by (subscription, message).
+func entrySet(subs []wire.SubEntries) map[[2]uint64]struct{} {
+	out := make(map[[2]uint64]struct{})
+	for _, se := range subs {
+		for _, e := range se.Entries {
+			out[[2]uint64{se.ID, e.MsgID}] = struct{}{}
+		}
 	}
 	return out
 }
@@ -558,7 +560,7 @@ func (s *System) processPendingExtracts() {
 // what changed between copy and flip, and forward the differences to the
 // new owner.
 func (s *System) finishExtract(pe pendingExtract) {
-	share, err := s.slots[pe.wo].ExtractCells([]wire.CellSpec{{Cell: pe.cell, Keys: pe.keys}}, true, false)
+	share, err := s.slots[pe.wo].ExtractCells([]wire.CellSpec{{Cell: pe.cell, Keys: pe.keys}}, true, true)
 	if err != nil {
 		// The extraction round failed. A timed-out round is ambiguous —
 		// the node may or may not have removed the share — so retrying is
@@ -572,20 +574,24 @@ func (s *System) finishExtract(pe pendingExtract) {
 		return
 	}
 	var extracted []*model.Query
-	var ring []window.Entry
+	var subs []wire.SubEntries
 	if len(share.Cells) > 0 {
-		extracted, ring = share.Cells[0].Queries, share.Cells[0].Ring
+		extracted, subs = share.Cells[0].Queries, share.Cells[0].Subs
 	}
 	s.logDepartures(pe.wo, extracted)
-	// Window hand-off: for a whole-cell move the source released its ring;
-	// for a key split it keeps the cell for its remaining keys and the
-	// ring is a copy. Either way, entries that arrived between the
-	// snapshot and the routing flip are forwarded so wl's ring holds the
-	// cell's full history.
-	var ringLeft []window.Entry
-	for _, e := range ring {
-		if _, ok := pe.copiedMsgs[e.MsgID]; !ok {
-			ringLeft = append(ringLeft, e)
+	// Window hand-off: entries that joined a subscription's band at wo
+	// between the copy and the routing flip are forwarded, so wl holds
+	// every entry wo released.
+	var subsLeft []wire.SubEntries
+	for _, se := range subs {
+		var left []window.Entry
+		for _, e := range se.Entries {
+			if _, ok := pe.copiedEntries[[2]uint64{se.ID, e.MsgID}]; !ok {
+				left = append(left, e)
+			}
+		}
+		if len(left) > 0 {
+			subsLeft = append(subsLeft, wire.SubEntries{ID: se.ID, Entries: left})
 		}
 	}
 	// Forward anything that reached wo between copy and flip: queries
@@ -608,10 +614,10 @@ func (s *System) finishExtract(pe pendingExtract) {
 			deleted = append(deleted, id)
 		}
 	}
-	if len(leftover) > 0 || len(ringLeft) > 0 || len(deleted) > 0 {
+	if len(leftover) > 0 || len(subsLeft) > 0 || len(deleted) > 0 {
 		var cells []wire.CellPayload
-		if len(leftover) > 0 || len(ringLeft) > 0 {
-			cells = []wire.CellPayload{{Cell: pe.cell, Queries: leftover, Ring: ringLeft}}
+		if len(leftover) > 0 || len(subsLeft) > 0 {
+			cells = []wire.CellPayload{{Cell: pe.cell, Queries: leftover, Subs: subsLeft}}
 		}
 		// Best-effort: a failure here means the destination's connection
 		// is down, which already fails the run on the data path —
@@ -622,9 +628,9 @@ func (s *System) finishExtract(pe pendingExtract) {
 		// flipped, so the destination slot owns these differences and
 		// replay must reconstruct them even if this particular delivery
 		// is lost to a crash the recovery path then heals.
-		s.logAdoptions(pe.wl, leftover, deleted, ringLeft)
+		s.logAdoptions(pe.wl, leftover, deleted, subsLeft)
 	}
-	// The source's retractions (subscriptions and ring entries that left
+	// The source's retractions (subscriptions and window entries that left
 	// with the share) are applied AFTER the destination's adoptions, so a
 	// hand-off that preserves membership nets out to zero user-visible
 	// updates.

@@ -762,10 +762,22 @@ func (s *System) eachLocal(fn func(slot int, eng *worker.Engine)) {
 	}
 }
 
+// WindowStats sums the in-process slots' window state: its estimated
+// bytes, and each top-k subscription's skyband length per slot
+// (benchmarks).
+func (s *System) WindowStats() (bytes int64, bands []int) {
+	s.eachLocal(func(_ int, eng *worker.Engine) {
+		var b int64
+		b, bands = eng.WindowStats(bands)
+		bytes += b
+	})
+	return bytes, bands
+}
+
 // slotPopulation reads slot w's standing population with one copying
 // ExtractCells round over the whole-query spec: every live query once
-// and, with subs, each top-k subscription's held window entries. The
-// round follows every op batch handed to the slot before it.
+// and, with subs, each top-k subscription's window band. The round
+// follows every op batch handed to the slot before it.
 func (s *System) slotPopulation(w int, subs bool) (wire.CellPayload, error) {
 	cs, err := s.slots[w].ExtractCells([]wire.CellSpec{{Cell: wire.WholeQueries}}, false, subs)
 	if err != nil {

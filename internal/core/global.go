@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ps2stream/internal/hybrid"
@@ -173,7 +174,7 @@ func (s *System) checkGlobalProgress() {
 
 // repartView is one worker's standing population at finish time: the
 // queries it holds (with their definitions) and the window entries its
-// top-k subscription heaps hold.
+// top-k subscriptions' bands hold.
 type repartView struct {
 	defs map[uint64]*model.Query
 	subs map[uint64][]window.Entry
@@ -192,8 +193,10 @@ type repartBatch struct {
 // their new-strategy workers and retires the old assignment. It returns
 // the number of queries relocated. Holders are discovered with one
 // whole-query ExtractCells round per worker (including each top-k
-// subscription's held window entries), then the relocations are flushed
-// as InstallCells rounds whose deltas fold into the top-k board.
+// subscription's window band), then the relocations are flushed
+// as InstallCells rounds whose deltas fold into the top-k board. A
+// worker that gives up a top-k subscription is read once more before
+// its delete round (carryLate).
 func (s *System) FinishGlobalRepartition() int {
 	s.globalMu.Lock()
 	d := s.dual
@@ -243,6 +246,7 @@ func (s *System) FinishGlobalRepartition() int {
 	for w := range views {
 		batches[w] = &repartBatch{}
 	}
+	late := make(map[uint64]*lateCarry)
 	moved := 0
 	for _, id := range ids {
 		// Find a live definition on any holder.
@@ -259,12 +263,13 @@ func (s *System) FinishGlobalRepartition() int {
 		for _, w := range d.new.RouteQuery(def, true) {
 			want[w] = struct{}{}
 		}
-		// The held window entries travel with the subscription: the
-		// departing holders' heap contents seed the new holders, whose own
-		// rings cannot refill history they never saw.
+		// The window bands travel with the subscription: every wanted
+		// worker adopts the union of its holders' bands, so no entry that
+		// can still reach the top-k leaves with a departing holder.
 		var carried []window.Entry
 		if def.IsTopK() {
 			seen := make(map[uint64]struct{})
+			late[id] = &lateCarry{want: want, seen: seen}
 			for _, v := range views {
 				for _, e := range v.subs[id] {
 					if _, dup := seen[e.MsgID]; !dup {
@@ -286,6 +291,9 @@ func (s *System) FinishGlobalRepartition() int {
 				}
 				b.cells = append(b.cells, p)
 				b.adopted = append(b.adopted, def)
+			case wanted && len(carried) > 0:
+				b.cells = append(b.cells, wire.CellPayload{Cell: wire.WholeQueries,
+					Subs: []wire.SubEntries{{ID: id, Entries: carried}}})
 			case !wanted && holds:
 				b.deletes = append(b.deletes, id)
 			}
@@ -310,6 +318,7 @@ func (s *System) FinishGlobalRepartition() int {
 	if err := s.Drain(); err != nil {
 		s.log.Warn("global repartition: drain before the delete rounds failed", "err", err)
 	}
+	s.carryLate(active, batches, late)
 	for _, w := range active {
 		b := batches[w]
 		if b == nil {
@@ -320,11 +329,9 @@ func (s *System) FinishGlobalRepartition() int {
 				s.log.Warn("global repartition: delete round failed", "worker", w, "err", err)
 			}
 		}
-		var carried []window.Entry
+		var carried []wire.SubEntries
 		for _, p := range b.cells {
-			for _, se := range p.Subs {
-				carried = append(carried, se.Entries...)
-			}
+			carried = append(carried, p.Subs...)
 		}
 		// Logged regardless of the rounds' outcome: the new routes are
 		// about to go live, so replay must reconstruct the slot as routed.
@@ -337,4 +344,61 @@ func (s *System) FinishGlobalRepartition() int {
 		s.gridT.Store(gt)
 	}
 	return moved
+}
+
+// lateCarry is one relocated top-k subscription: its new holders and the
+// messages already carried to them.
+type lateCarry struct {
+	want map[int]struct{}
+	seen map[uint64]struct{}
+}
+
+// carryLate hands the new holders what joined a departing holder's band
+// after its population round: an object still queued for the holder
+// then, which the drain has since matched there, while a new holder may
+// have passed it by before its install. One more population round per
+// departing holder reads those entries; objects routed after the drain
+// reach the new holders behind their installs, so nothing later is lost
+// when the holder deletes.
+func (s *System) carryLate(active []int, batches map[int]*repartBatch, late map[uint64]*lateCarry) {
+	cells := make(map[int][]wire.CellPayload)
+	for _, w := range active {
+		b := batches[w]
+		if b == nil || !slices.ContainsFunc(b.deletes, func(id uint64) bool { return late[id] != nil }) {
+			continue
+		}
+		p, err := s.slotPopulation(w, true)
+		if err != nil {
+			s.log.Warn("global repartition: departing holder's band round failed", "worker", w, "err", err)
+			continue
+		}
+		for _, se := range p.Subs {
+			lc := late[se.ID]
+			if lc == nil || !slices.Contains(b.deletes, se.ID) {
+				continue
+			}
+			var es []window.Entry
+			for _, e := range se.Entries {
+				if _, dup := lc.seen[e.MsgID]; !dup {
+					lc.seen[e.MsgID] = struct{}{}
+					es = append(es, e)
+				}
+			}
+			for nw := range lc.want {
+				if len(es) > 0 && batches[nw] != nil {
+					cells[nw] = append(cells[nw], wire.CellPayload{Cell: wire.WholeQueries,
+						Subs: []wire.SubEntries{{ID: se.ID, Entries: es}}})
+				}
+			}
+		}
+	}
+	for _, w := range active {
+		if len(cells[w]) == 0 {
+			continue
+		}
+		if _, err := s.slots[w].InstallCells(cells[w], nil); err != nil {
+			s.log.Warn("global repartition: late install round failed", "worker", w, "err", err)
+		}
+		batches[w].cells = append(batches[w].cells, cells[w]...)
+	}
 }

@@ -28,7 +28,6 @@ import (
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
 	"ps2stream/internal/oplog"
-	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
 
@@ -534,7 +533,7 @@ func (s *System) replaySend(cl *wire.WorkerClient, ents []oplog.Entry) error {
 // The InstallCells round that applied them is synchronously acked
 // before any later traffic, so the checkpoint barrier covers them like
 // any op.
-func (s *System) logAdoptions(w int, adopted []*model.Query, dropped []uint64, entries []window.Entry) {
+func (s *System) logAdoptions(w int, adopted []*model.Query, dropped []uint64, subs []wire.SubEntries) {
 	h := s.hop(w)
 	if h == nil || h.log == nil {
 		return
@@ -546,13 +545,15 @@ func (s *System) logAdoptions(w int, adopted []*model.Query, dropped []uint64, e
 	for _, id := range dropped {
 		h.log.Append(model.Op{Kind: model.OpDelete, Query: &model.Query{ID: id}}, now)
 	}
-	seen := make(map[uint64]bool, len(entries))
-	for _, e := range entries {
-		if seen[e.MsgID] {
-			continue // ring and subscription copies overlap; one refill is enough
+	seen := make(map[uint64]bool)
+	for _, se := range subs {
+		for _, e := range se.Entries {
+			if seen[e.MsgID] {
+				continue // several bands hold the object; one refill replays it for all
+			}
+			seen[e.MsgID] = true
+			h.log.AdoptObject(&model.Object{ID: e.MsgID, Terms: e.Terms, Loc: e.Loc}, e.At)
 		}
-		seen[e.MsgID] = true
-		h.log.AdoptObject(&model.Object{ID: e.MsgID, Terms: e.Terms, Loc: e.Loc}, e.At)
 	}
 }
 

@@ -221,7 +221,7 @@ func (b *topkBoard) applyLocked(ds []window.Delta, src *boardSrc, touched map[ui
 		bq.subscriber = d.Subscriber
 		// Reference counts may go transiently negative: deltas from
 		// different goroutines can reach the board out of order (a
-		// windowLoop expiry can overtake a batched refill Entered), so a
+		// windowLoop expiry can overtake a batched Entered), so a
 		// Left for an unseen message records a debt that its Entered
 		// later settles. Candidates only count while refs > 0.
 		c := bq.cand[d.MsgID]
@@ -375,8 +375,8 @@ func (b *topkBoard) set(qid uint64) []uint64 {
 func (s *System) TopKSet(queryID uint64) []uint64 { return s.board.set(queryID) }
 
 // windowLoop drives eager window expiry: every WindowTick it sweeps every
-// worker's window store, expiring entries out of the rings and top-k heaps
-// and repairing the heaps from the surviving window. Subscriptions
+// worker's window store, expiring entries out of the subscriptions'
+// skybands, whose next entries move up into the top-k. Subscriptions
 // therefore shed entries even when no new objects arrive.
 func (s *System) windowLoop(ctx context.Context) {
 	ticker := time.NewTicker(s.cfg.WindowTick)

@@ -12,6 +12,7 @@ import (
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
 	"ps2stream/internal/window"
+	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
 
@@ -299,7 +300,7 @@ func TestTopKEndToEndDeterministic(t *testing.T) {
 
 // A top-k subscription's window state must move with its gridt cell: the
 // membership survives the hand-off with no lost or duplicated updates,
-// and the new owner repairs expiries from the migrated ring.
+// and the new owner promotes held entries when its top-k expires.
 func TestTopKMigrationHandoff(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 51, 0)
 	clk := newFakeClock(time.Date(2026, 3, 1, 10, 0, 0, 0, time.UTC))
@@ -341,14 +342,16 @@ func TestTopKMigrationHandoff(t *testing.T) {
 
 	var objs []*model.Object
 	at := make(map[uint64]time.Time)
-	publish := func(id uint64) {
+	publishAt := func(id uint64, loc geo.Point) {
 		clk.Advance(time.Second)
-		o := &model.Object{ID: id, Terms: []string{"handoff"}, Loc: inside}
+		o := &model.Object{ID: id, Terms: []string{"handoff"}, Loc: loc}
 		objs = append(objs, o)
 		at[id] = clk.Now()
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
 	}
-	// Three before the migration: two in the top-2, one ring-only.
+	publish := func(id uint64) { publishAt(id, inside) }
+	// Three before the migration: each newer one at the same spot ranks
+	// higher, so the top-2 prunes the first.
 	publish(1)
 	publish(2)
 	publish(3)
@@ -394,8 +397,27 @@ func TestTopKMigrationHandoff(t *testing.T) {
 	}
 	log.checkAlternation(t)
 
-	// The migrated ring must serve refills at the new owner: expire the
-	// current top-2 and the ring-only message 1 must be promoted if live.
+	// The new owner promotes from its band: message 5, newer than the
+	// top-2 but far from the region's centre, ranks below both and waits
+	// in the band until they expire.
+	clk.Advance(9 * time.Second)
+	publishAt(5, geo.Point{X: inside.X + 0.9*(q.Region.Max.X-inside.X), Y: inside.Y + 0.9*(q.Region.Max.Y-inside.Y)})
+	sys.Drain()
+	sys.AdvanceWindows()
+	if got := sys.TopKSet(q.ID); !equalIDs(got, []uint64{3, 4}) {
+		t.Fatalf("top-2 with the weaker message 5 held is %v, want [3 4]", got)
+	}
+	clk.Advance(time.Minute - 9*time.Second)
+	sys.AdvanceWindows()
+	want = bruteTopK(q, objs, at, clk.Now())
+	if !equalIDs(want, []uint64{5}) {
+		t.Fatalf("vacuous: brute force is %v after the top-2 expired, want [5]", want)
+	}
+	if got := sys.TopKSet(q.ID); !equalIDs(got, want) {
+		t.Fatalf("after the top-2 expired at the new owner: top-k %v, brute force %v", got, want)
+	}
+	log.checkAlternation(t)
+
 	clk.Advance(2 * time.Minute)
 	sys.AdvanceWindows()
 	if got := sys.TopKSet(q.ID); len(got) != 0 {
@@ -470,6 +492,210 @@ func TestTopKSurvivesGlobalRepartition(t *testing.T) {
 	}
 	if got := log.currentSet(q.ID); len(got) != 0 {
 		t.Fatalf("update stream leaves residue: %v", got)
+	}
+}
+
+// One cell receiving more objects within a window than any per-cell
+// buffer would keep: the top-1 must still promote the right survivor when
+// the best object expires. The best object is followed by a second-best
+// one and then 1 100 weaker ones, each newer and so never dominated by
+// the second-best.
+func TestTopKOracleOneCellManyObjects(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 51, 0)
+	clk := newFakeClock(time.Date(2026, 3, 2, 10, 0, 0, 0, time.UTC))
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}, Clock: clk.Now, WindowTick: time.Hour}, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	gt := sys.gridT.Load()
+	cellRect := gt.Grid().CellRect(gt.Grid().CellOf(sample.Bounds.Center()))
+	inside := cellRect.Center()
+	q := &model.Query{
+		ID: 1, Expr: model.And("crowded"),
+		Region: geo.RectAround(inside, 1, 1).Clip(cellRect),
+		TopK:   1, Window: time.Minute,
+	}
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
+	sys.Drain()
+
+	// toward places a point the fraction f of the way from the region's
+	// centre to its corner: the farther, the lower the relevance.
+	c := q.Region.Center()
+	toward := func(f float64) geo.Point {
+		return geo.Point{X: c.X + f*(q.Region.Max.X-c.X), Y: c.Y + f*(q.Region.Max.Y-c.Y)}
+	}
+	var objs []*model.Object
+	at := make(map[uint64]time.Time)
+	publish := func(id uint64, loc geo.Point) {
+		o := &model.Object{ID: id, Terms: []string{"crowded"}, Loc: loc}
+		objs = append(objs, o)
+		at[id] = clk.Now()
+		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
+	}
+	publish(1, c)
+	clk.Advance(5 * time.Second)
+	publish(2, toward(0.5))
+	for i := uint64(0); i < 1100; i++ {
+		clk.Advance(time.Millisecond)
+		publish(3+i, toward(0.99))
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sys.AdvanceWindows()
+	if got, want := sys.TopKSet(q.ID), bruteTopK(q, objs, at, clk.Now()); !equalIDs(got, want) || !equalIDs(want, []uint64{1}) {
+		t.Fatalf("before expiry: top-1 %v, brute force %v, want [1]", got, want)
+	}
+	// Message 1 expires; message 2 is still live and outranks the rest.
+	clk.Advance(time.Minute - 5*time.Second)
+	sys.AdvanceWindows()
+	want := bruteTopK(q, objs, at, clk.Now())
+	if !equalIDs(want, []uint64{2}) {
+		t.Fatalf("vacuous: brute force is %v after message 1 expired, want [2]", want)
+	}
+	if got := sys.TopKSet(q.ID); !equalIDs(got, want) {
+		t.Fatalf("after message 1 expired: top-1 %v, brute force %v", got, want)
+	}
+}
+
+// With k = 1 the top-k holds the best object only; the newer, weaker one
+// that replaces it on expiry must survive a global repartition too, on
+// whichever workers the new strategy places the subscription.
+func TestTopKGlobalRepartitionKeepsWaitingEntries(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 91, 0)
+	clk := newFakeClock(time.Date(2026, 3, 1, 11, 0, 0, 0, time.UTC))
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}, Clock: clk.Now, WindowTick: time.Hour}, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	center := sample.Bounds.Center()
+	q := &model.Query{
+		ID: 1, Expr: model.And("global"),
+		Region: geo.RectAround(center, 5, 5),
+		TopK:   1, Window: time.Minute,
+	}
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
+	var objs []*model.Object
+	at := make(map[uint64]time.Time)
+	publish := func(id uint64, loc geo.Point) {
+		o := &model.Object{ID: id, Terms: []string{"global"}, Loc: loc}
+		objs = append(objs, o)
+		at[id] = clk.Now()
+		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
+	}
+	c := q.Region.Center()
+	publish(1, c)
+	clk.Advance(10 * time.Second)
+	publish(2, geo.Point{X: c.X + 0.9*(q.Region.Max.X-c.X), Y: c.Y + 0.9*(q.Region.Max.Y-c.Y)})
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.TopKSet(q.ID); !equalIDs(got, []uint64{1}) {
+		t.Fatalf("top-1 before repartition is %v, want [1]", got)
+	}
+	if err := sys.GlobalRepartition(sample, partition.GridBuilder{}); err != nil {
+		t.Fatal(err)
+	}
+	if moved := sys.FinishGlobalRepartition(); moved != 1 {
+		t.Fatalf("relocated %d queries, want 1", moved)
+	}
+	clk.Advance(55 * time.Second)
+	sys.AdvanceWindows()
+	want := bruteTopK(q, objs, at, clk.Now())
+	if !equalIDs(want, []uint64{2}) {
+		t.Fatalf("vacuous: brute force is %v after message 1 expired, want [2]", want)
+	}
+	if got := sys.TopKSet(q.ID); !equalIDs(got, want) {
+		t.Fatalf("after repartition and expiry: top-1 %v, brute force %v", got, want)
+	}
+}
+
+// An object still queued for the departing holder when the repartition
+// reads the bands joins that holder's band afterwards, while the new
+// holder passed it by before its install: the repartition must carry it
+// before the holder deletes, or it never replaces the expiring best one.
+func TestTopKGlobalRepartitionCarriesLateEntries(t *testing.T) {
+	clk := newFakeClock(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
+	stalled, gate := make(chan struct{}), make(chan struct{})
+	sys := startIngestSystem(t, Config{Workers: 2, Clock: clk.Now, WindowTick: time.Hour,
+		Builder: &idRouter{route: func(uint64) int { return 0 }}},
+		beforeBatch(0, func(ops []wire.OpEnv) {
+			for _, env := range ops {
+				if env.Op.Kind == model.OpObject && env.Op.Obj.ID == 2 {
+					close(stalled)
+					<-gate
+				}
+			}
+		}))
+	defer sys.Close()
+
+	c := sys.Bounds().Center()
+	q := &model.Query{ID: 1, Expr: model.And("late"), Region: geo.RectAround(c, 5, 5), TopK: 1, Window: time.Minute}
+	var objs []*model.Object
+	at := make(map[uint64]time.Time)
+	publish := func(id uint64, loc geo.Point) {
+		o := &model.Object{ID: id, Terms: []string{"late"}, Loc: loc}
+		objs = append(objs, o)
+		at[id] = clk.Now()
+		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
+	}
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
+	publish(1, c)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sample, _ := smallWorkload(t, workload.Q1, 51, 0)
+	if err := sys.GlobalRepartition(sample, &idRouter{route: func(uint64) int { return 1 }}); err != nil {
+		t.Fatal(err)
+	}
+	// Message 2, newer and weaker than 1, goes to both strategies'
+	// workers: worker 1 passes it by (no subscription yet), worker 0
+	// stalls on it.
+	clk.Advance(10 * time.Second)
+	publish(2, geo.Point{X: c.X + 0.9*(q.Region.Max.X-c.X), Y: c.Y + 0.9*(q.Region.Max.Y-c.Y)})
+	within(t, 5*time.Second, "worker 0 reaching message 2", stalled)
+	deadline := time.Now().Add(5 * time.Second)
+	for st, _ := sys.slots[1].Stats(); st.Objects < 1; st, _ = sys.slots[1].Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("worker 1 never processed message 2")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		sys.FinishGlobalRepartition()
+	}()
+	// Worker 1's install carries message 1 only: the bands were read
+	// before worker 0 matched message 2.
+	eng1 := sys.slots[1].(*localWorker).eng
+	for len(eng1.TopKSet(q.ID)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker 1 never installed the subscription")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	within(t, 5*time.Second, "FinishGlobalRepartition", finished)
+
+	clk.Advance(55 * time.Second)
+	sys.AdvanceWindows()
+	want := bruteTopK(q, objs, at, clk.Now())
+	if !equalIDs(want, []uint64{2}) {
+		t.Fatalf("vacuous: brute force is %v after message 1 expired, want [2]", want)
+	}
+	if got := sys.TopKSet(q.ID); !equalIDs(got, want) {
+		t.Fatalf("after repartition and expiry: top-1 %v, brute force %v", got, want)
 	}
 }
 

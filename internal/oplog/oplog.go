@@ -19,11 +19,12 @@
 // a recovered node must also rebuild its in-window entries, or the
 // coordinator's top-k board would permanently lose their contributions
 // when it fences out the dead session. Checkpoint therefore retains
-// object entries younger than the largest live top-k window past the
-// watermark, marked Refill — replayed so the node re-observes them
+// object entries younger than the largest top-k window past the
+// watermark, marked Refill — replayed so the node re-offers them
 // (original timestamps preserved, since both rank and expiry derive
 // from the publish instant) without re-emitting boolean matches that
-// were already delivered under the checkpoint barrier.
+// were already delivered under the checkpoint barrier — and keeps the
+// query entries that follow them in order.
 package oplog
 
 import (
@@ -111,73 +112,59 @@ func (l *Log) AdoptObject(o *model.Object, t0 time.Time) uint64 {
 	return l.seq
 }
 
-// Checkpoint folds every query entry at or below watermark into the
-// live base and truncates the covered prefix. The caller must have
-// proven — via a drain barrier — that the worker has fully processed
-// the stream up to the watermark, so truncated object entries cannot
-// carry unmatched work. Object entries still inside the largest live
-// top-k window (measured against now) are retained as Refill entries
-// instead of dropped: a post-crash replay needs them to rebuild the
-// node's window state, and any entry this retention lets go of is
-// already expired from every live subscription.
+// Checkpoint folds the query entries at or below watermark into the live
+// base and truncates the covered prefix. The caller must have proven —
+// via a drain barrier — that the worker has fully processed the stream
+// up to the watermark, so truncated object entries cannot carry
+// unmatched work. Object entries still inside the largest top-k window
+// in the base or the log (measured against now) are retained as Refill
+// entries instead of dropped: a post-crash replay needs them to rebuild
+// the node's window state, and any entry this retention lets go of is
+// already expired from every subscription.
+//
+// Folding stops at the first retained object: the query entries after it
+// stay in place, below the watermark, so replay presents every top-k
+// insert after exactly the retained objects that preceded it — a
+// subscription ranks only objects published after it, on replay as live —
+// and base plus kept entries still rebuild the live set at the watermark.
 func (l *Log) Checkpoint(watermark uint64, now time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if watermark <= l.watermark {
 		return
 	}
-	var objs, tail []Entry
-	for _, e := range l.entries {
-		if e.Seq > watermark {
-			tail = append(tail, e)
-			continue
-		}
-		switch e.Op.Kind {
-		case model.OpInsert:
-			if e.Op.Query != nil {
-				l.live[e.Op.Query.ID] = e.Op.Query
-			}
-		case model.OpDelete:
-			if e.Op.Query != nil {
-				delete(l.live, e.Op.Query.ID)
-			}
-		case model.OpObject:
-			if e.Op.Obj != nil {
-				objs = append(objs, e)
-			}
-		}
-	}
-	// Retention horizon: the largest window among live top-k queries —
-	// folded into the base or still pending in the tail. Zero when no
-	// top-k subscription is live, which restores the legacy behaviour
-	// of dropping every covered object.
 	var retain time.Duration
 	for _, q := range l.live {
-		if q.IsTopK() && q.Window > retain {
-			retain = q.Window
+		if q.IsTopK() {
+			retain = max(retain, q.Window)
 		}
 	}
-	for _, e := range tail {
-		if e.Op.Kind == model.OpInsert && e.Op.Query != nil &&
-			e.Op.Query.IsTopK() && e.Op.Query.Window > retain {
-			retain = e.Op.Query.Window
+	for _, e := range l.entries {
+		if e.Op.Kind == model.OpInsert && e.Op.Query != nil && e.Op.Query.IsTopK() {
+			retain = max(retain, e.Op.Query.Window)
 		}
 	}
-	next := l.entries[:0]
-	if retain > 0 {
-		horizon := now.Add(-retain)
-		for _, e := range objs {
-			if e.T0.After(horizon) {
-				e.Refill = true
+	horizon := now.Add(-retain)
+	next, folding := l.entries[:0], true
+	for _, e := range l.entries {
+		switch {
+		case e.Seq > watermark:
+			next = append(next, e)
+		case e.Op.Kind == model.OpObject:
+			if retain > 0 && e.Op.Obj != nil && e.T0.After(horizon) {
+				e.Refill, folding = true, false
 				next = append(next, e)
 			}
+		case !folding:
+			next = append(next, e)
+		case e.Op.Kind == model.OpInsert && e.Op.Query != nil:
+			l.live[e.Op.Query.ID] = e.Op.Query
+		case e.Op.Kind == model.OpDelete && e.Op.Query != nil:
+			delete(l.live, e.Op.Query.ID)
 		}
 	}
-	next = append(next, tail...)
 	// Release the truncated suffix for the collector.
-	for i := len(next); i < len(l.entries); i++ {
-		l.entries[i] = Entry{}
-	}
+	clear(l.entries[len(next):])
 	l.entries = next
 	l.watermark = watermark
 }

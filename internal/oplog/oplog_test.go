@@ -248,20 +248,25 @@ func FuzzCheckpointReplay(f *testing.F) {
 // TestCheckpointRetainsInWindowObjects pins the window-refill retention
 // contract: with a live top-k subscription, covered object entries stay
 // in the log as Refill entries until their publish stamp falls out of
-// the largest live window, keeping a crash replay able to rebuild the
-// node's window state (and the global TopKSet) exactly.
+// the largest top-k window, keeping a crash replay able to rebuild the
+// node's window state (and the global TopKSet) exactly. Folding stops at
+// the first retained object, so the query entries behind it replay after
+// it, as they ran.
 func TestCheckpointRetainsInWindowObjects(t *testing.T) {
 	l := New()
 	topk := &model.Query{ID: 1, Region: geo.NewRect(0, 0, 1, 1), TopK: 3, Window: 30 * time.Minute}
 	l.Append(model.Op{Kind: model.OpInsert, Query: topk}, at)
 	l.Append(object(100), at)                 // still in window at the checkpoint
 	l.Append(object(101), at.Add(-time.Hour)) // already expired
-	l.Append(insert(2), at)                   // boolean query: no retention of its own
+	l.Append(insert(2), at)                   // follows a retained object: not folded
 	l.Checkpoint(l.Seq(), at.Add(10*time.Minute))
 
-	_, tail, wm := l.Replay()
-	if len(tail) != 1 {
-		t.Fatalf("replay tail has %d entries, want the single retained object: %v", len(tail), tail)
+	base, tail, wm := l.Replay()
+	if len(base) != 1 || base[0].ID != 1 {
+		t.Fatalf("base = %v, want the top-k query alone", base)
+	}
+	if len(tail) != 2 {
+		t.Fatalf("replay tail has %d entries, want the retained object and the insert behind it: %v", len(tail), tail)
 	}
 	e := tail[0]
 	if !e.Refill || e.Op.Kind != model.OpObject || e.Op.Obj.ID != 100 {
@@ -270,32 +275,43 @@ func TestCheckpointRetainsInWindowObjects(t *testing.T) {
 	if !e.T0.Equal(at) {
 		t.Errorf("retained entry T0 = %v, want the original publish stamp %v", e.T0, at)
 	}
-	if e.Seq > wm {
-		t.Errorf("retained entry seq %d above watermark %d; it must stay covered", e.Seq, wm)
+	if e := tail[1]; e.Refill || e.Op.Kind != model.OpInsert || e.Op.Query.ID != 2 {
+		t.Fatalf("second entry = %+v, want the insert of query 2 kept in place", e)
 	}
-	// Retained refill entries do not count toward the op-count trigger.
+	for _, e := range tail {
+		if e.Seq > wm {
+			t.Errorf("kept entry seq %d above watermark %d; it must stay covered", e.Seq, wm)
+		}
+	}
+	// Kept entries do not count toward the op-count trigger.
 	if l.TailLen() != 0 {
-		t.Errorf("TailLen = %d with only retained entries, want 0", l.TailLen())
+		t.Errorf("TailLen = %d with only kept entries, want 0", l.TailLen())
 	}
-	// Catch-up after a replay must not resend covered refill entries.
+	// Catch-up after a replay must not resend covered entries.
 	if got := l.Since(wm); got != nil {
 		t.Errorf("Since(watermark) = %v, want nil", got)
 	}
 
-	// Once the window slides past the entry, the next checkpoint drops it
-	// and retains only the still-live one.
+	// Once the window slides past the entry, the next checkpoint drops it,
+	// folds the insert behind it and retains only the still-live object.
 	l.Append(object(102), at.Add(40*time.Minute))
 	l.Checkpoint(l.Seq(), at.Add(45*time.Minute))
 	_, tail, _ = l.Replay()
-	if len(tail) != 1 || tail[0].Op.Obj.ID != 102 || !tail[0].Refill {
-		t.Fatalf("after window slide, tail = %v, want refill of object 102 only", tail)
+	if len(tail) != 1 || tail[0].Op.Obj.ID != 102 || !tail[0].Refill || l.LiveLen() != 2 {
+		t.Fatalf("after window slide, tail = %v with %d live, want refill of object 102 only and 2 live", tail, l.LiveLen())
 	}
 
-	// Deleting the top-k subscription ends retention entirely.
+	// Deleting the top-k subscription ends retention once the delete
+	// folds, which waits for the object ahead of it to leave the window.
 	l.Append(model.Op{Kind: model.OpDelete, Query: topk}, at.Add(46*time.Minute))
 	l.Checkpoint(l.Seq(), at.Add(46*time.Minute))
-	if _, tail, _ := l.Replay(); len(tail) != 0 {
-		t.Fatalf("after top-k delete, tail = %v, want empty", tail)
+	if _, tail, _ := l.Replay(); len(tail) != 2 || tail[1].Op.Kind != model.OpDelete {
+		t.Fatalf("after top-k delete, tail = %v, want object 102 then the delete", tail)
+	}
+	l.Append(insert(3), at.Add(71*time.Minute))
+	l.Checkpoint(l.Seq(), at.Add(71*time.Minute))
+	if _, tail, _ := l.Replay(); len(tail) != 0 || l.LiveLen() != 2 {
+		t.Fatalf("after the window passed, tail = %v with %d live, want empty and 2 live", tail, l.LiveLen())
 	}
 }
 

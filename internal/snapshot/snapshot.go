@@ -4,14 +4,16 @@
 // keeps all state in worker memory; checkpointing is the operational
 // feature a production deployment layers on top.
 //
-// A version-3 file is a fixed header — magic, version, bounds, count —
+// A version-4 file is a fixed header — magic, version, bounds, count —
 // followed by wire frames (docs/WIRE.md, "Snapshot file"). Each frame is
 // an InstallCells request with one whole-query payload (cell
 // wire.WholeQueries) carrying the next queries in ascending id order, up
 // to a constant byte budget, so the file is parsed by the same
 // bounds-checked decoder as the wire and identical populations produce
-// identical bytes. Read also accepts the version-1 and version-2 gob
-// files of earlier builds (legacy.go); nothing writes them any more.
+// identical bytes. A version-3 frame carried one more empty list, the
+// window ring, so it is the version-4 frame plus one trailing zero byte;
+// Read drops it. Read also accepts the version-1 and version-2 gob files
+// of earlier builds (legacy.go); nothing writes them any more.
 package snapshot
 
 import (
@@ -32,7 +34,7 @@ import (
 const magic = "PS2SNAP"
 
 // Version is the format Write emits.
-const Version = 3
+const Version = 4
 
 // frameBudget is the byte budget of one frame's queries: a frame closes
 // once its queries reach it, so a frame stays far below
@@ -120,7 +122,7 @@ func Read(r io.Reader) (Header, []*model.Query, error) {
 	switch {
 	case version > Version:
 		return Header{}, nil, fmt.Errorf("%w: version %d (this build reads up to %d)", ErrFutureVersion, version, Version)
-	case version < Version:
+	case version < 3:
 		return Header{}, nil, fmt.Errorf("%w: version %d is a gob format, but the file has a binary header", ErrBadSnapshot, version)
 	}
 	var fs [32]byte
@@ -128,7 +130,7 @@ func Read(r io.Reader) (Header, []*model.Query, error) {
 		return Header{}, nil, fmt.Errorf("%w: reading bounds: %v", ErrBadSnapshot, err)
 	}
 	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(fs[8*i:])) }
-	h := Header{Version: Version, Bounds: geo.Rect{Min: geo.Point{X: f(0), Y: f(1)}, Max: geo.Point{X: f(2), Y: f(3)}}}
+	h := Header{Version: int(version), Bounds: geo.Rect{Min: geo.Point{X: f(0), Y: f(1)}, Max: geo.Point{X: f(2), Y: f(3)}}}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
 		return Header{}, nil, fmt.Errorf("%w: reading count: %v", ErrBadSnapshot, err)
@@ -144,6 +146,9 @@ func Read(r io.Reader) (Header, []*model.Query, error) {
 		if err == nil && typ != wire.TypeInstallCells {
 			err = fmt.Errorf("frame type %d", typ)
 		}
+		if err == nil && version == 3 {
+			payload, err = dropV3Ring(payload)
+		}
 		var ic wire.InstallCells
 		if err == nil {
 			ic, err = wire.DecodeBinInstallCells(payload)
@@ -155,7 +160,7 @@ func Read(r io.Reader) (Header, []*model.Query, error) {
 			return Header{}, nil, fmt.Errorf("%w: frame after %d/%d queries: %v", ErrBadSnapshot, len(qs), h.Count, err)
 		}
 		p := ic.Cells[0]
-		if p.Cell != wire.WholeQueries || len(p.Ring) != 0 || len(p.Subs) != 0 ||
+		if p.Cell != wire.WholeQueries || len(p.Subs) != 0 ||
 			len(p.Queries) == 0 || len(p.Queries) > h.Count-len(qs) {
 			return Header{}, nil, fmt.Errorf("%w: frame after %d/%d queries is not a whole-query payload of at most the remaining queries",
 				ErrBadSnapshot, len(qs), h.Count)
@@ -174,4 +179,15 @@ func Read(r io.Reader) (Header, []*model.Query, error) {
 		return Header{}, nil, fmt.Errorf("%w: trailing bytes after %d queries", ErrBadSnapshot, h.Count)
 	}
 	return h, qs, nil
+}
+
+// dropV3Ring turns a version-3 frame into its version-4 form. Its one
+// whole-query payload ends in three zero counts — ring, subs, deletes —
+// where version 4 has two, so the frame is the version-4 frame plus one
+// trailing zero byte.
+func dropV3Ring(p []byte) ([]byte, error) {
+	if n := len(p); n < 3 || p[n-1] != 0 || p[n-2] != 0 || p[n-3] != 0 {
+		return nil, errors.New("version-3 frame does not end in an empty ring, subs and deletes")
+	}
+	return p[:len(p)-1], nil
 }

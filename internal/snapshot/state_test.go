@@ -14,7 +14,8 @@ import (
 // The gob fixtures in testdata were written by the last build that wrote
 // gob: v1.gob by Write with v1Queries, v2.gob by the per-worker state
 // writer with randQueries(11, 40), a cell map, one ring entry and a
-// watermark as the trailer that followed the queries.
+// watermark as the trailer that followed the queries. v3.snap was written
+// by the last build that wrote version 3, by Write with v3Queries.
 
 // v1Queries is the population of testdata/v1.gob.
 func v1Queries() []*model.Query {
@@ -30,6 +31,18 @@ func v1Queries() []*model.Query {
 
 // v2Queries is the population of testdata/v2.gob.
 func v2Queries() []*model.Query { return randQueries(11, 40) }
+
+// v3Queries is the population of testdata/v3.snap.
+func v3Queries() []*model.Query {
+	qs := randQueries(31, 24)
+	for i, q := range qs {
+		if i%4 == 1 {
+			q.TopK = i + 2
+			q.Window = time.Duration(i+1) * 30 * time.Second
+		}
+	}
+	return qs
+}
 
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
@@ -99,6 +112,28 @@ func TestReadStateAcceptsQuerySnapshot(t *testing.T) {
 	sameQueries(t, qs, v1Queries())
 }
 
+// TestReadAcceptsVersion3Snapshot: a version-3 file, whose frames carry
+// an empty window ring, still loads, top-k fields included; a version-3
+// frame whose payload does not end in that empty list is refused.
+func TestReadAcceptsVersion3Snapshot(t *testing.T) {
+	blob := fixture(t, "v3.snap")
+	h, qs, err := Read(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Version != 3 || h.Bounds != bounds || h.Count != 24 {
+		t.Errorf("v3 header = %+v", h)
+	}
+	sameQueries(t, qs, v3Queries())
+	// The file ends in the last frame's empty ring, subs and deletes
+	// counts; a non-zero ring count is not a version-3 snapshot.
+	bad := append([]byte(nil), blob...)
+	bad[len(bad)-3] = 1
+	if _, _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("v3 frame with a ring: err = %v, want ErrBadSnapshot", err)
+	}
+}
+
 // TestStateRejectsTruncatedTrailer: a legacy file cut inside its query
 // stream fails with ErrBadSnapshot, never a silently partial population.
 func TestStateRejectsTruncatedTrailer(t *testing.T) {
@@ -129,6 +164,7 @@ func FuzzReadState(f *testing.F) {
 	f.Add([]byte("PS2SNAP nonsense"))
 	f.Add(fixture(f, "v1.gob"))
 	f.Add(fixture(f, "v2.gob"))
+	f.Add(fixture(f, "v3.snap"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, qs, err := Read(bytes.NewReader(data))
 		if err != nil {

@@ -1,6 +1,6 @@
 package window
 
-import "time"
+import "slices"
 
 // Ranked pairs a window entry with its score for one subscription.
 type Ranked struct {
@@ -8,150 +8,114 @@ type Ranked struct {
 	S Score
 }
 
-// TopK maintains the k best-ranked window entries of one subscription as
-// a bounded min-heap (the worst of the kept entries at the root), with an
-// id→slot map for O(log k) removal by message id. Scores are
-// time-independent rank keys (see Score.Rank), so entries never need
-// re-heaping as time advances; only expiry removes them.
-type TopK struct {
-	k   int
-	h   []Ranked
-	pos map[uint64]int
+// better reports whether r ranks strictly above o.
+func (r Ranked) better(o Ranked) bool { return r.S.Better(o.S, r.E.MsgID, o.E.MsgID) }
+
+// dominates reports whether r rules o out of every later top-k: r ranks
+// above o and leaves the window no earlier, so o never outranks r while
+// o is live.
+func (r Ranked) dominates(o Ranked) bool { return r.better(o) && !r.E.At.Before(o.E.At) }
+
+// Skyband is one subscription's k-skyband, best first: the entries that
+// fewer than k entries seen so far dominate. Its first k entries are the
+// subscription's top-k. A dominance count only grows: a dominator that
+// later expires took the dominated entry with it (it is no older), and
+// one that moves to another worker still exists there, where the global
+// reconciler sees it.
+type Skyband struct {
+	k  int
+	es []banded
 }
 
-// NewTopK returns an empty maintainer with capacity k (>= 1).
-func NewTopK(k int) *TopK {
-	if k < 1 {
-		k = 1
-	}
-	return &TopK{k: k, pos: make(map[uint64]int, k)}
+type banded struct {
+	Ranked
+	// dom counts the dominators seen; the entry leaves the band at k.
+	dom int
+	// in records that the entry was last reported inside the top-k.
+	in bool
 }
 
-// K returns the capacity.
-func (t *TopK) K() int { return t.k }
+// NewSkyband returns an empty band for a top-k of k (>= 1).
+func NewSkyband(k int) *Skyband {
+	return &Skyband{k: max(k, 1)}
+}
 
 // Len returns the number of held entries.
-func (t *TopK) Len() int { return len(t.h) }
+func (b *Skyband) Len() int { return len(b.es) }
 
-// Contains reports whether the message id currently holds a slot.
-func (t *TopK) Contains(id uint64) bool {
-	_, ok := t.pos[id]
-	return ok
+// Insert adds r unless it is already held or k held entries dominate it.
+// With prune, r also counts against the held entries it dominates, and
+// those reaching k dominators leave; only an entry that has never been
+// offered to this band before may prune, or one object would count twice.
+// moved receives every entry that entered (true) or left (false) the
+// top-k.
+func (b *Skyband) Insert(r Ranked, prune bool, moved func(Ranked, bool)) {
+	pos, dom := len(b.es), 0
+	for i := range b.es {
+		h := &b.es[i]
+		if h.E.MsgID == r.E.MsgID {
+			return
+		}
+		if h.better(r) {
+			if !h.E.At.Before(r.E.At) {
+				dom++
+			}
+		} else if pos == len(b.es) {
+			pos = i
+		}
+	}
+	if dom >= b.k {
+		return
+	}
+	b.es = slices.Insert(b.es, pos, banded{Ranked: r, dom: dom})
+	if prune {
+		// Only entries ranked below r can be dominated by it.
+		b.removeFrom(pos+1, func(h *banded) bool {
+			if r.dominates(h.Ranked) {
+				h.dom++
+			}
+			return h.dom >= b.k
+		}, moved)
+	}
+	b.sync(moved)
 }
 
-// Entries returns a copy of the held entries in unspecified order.
-func (t *TopK) Entries() []Ranked {
-	return append([]Ranked(nil), t.h...)
+// RemoveIf drops every entry for which drop holds.
+func (b *Skyband) RemoveIf(drop func(Entry) bool, moved func(Ranked, bool)) {
+	b.removeFrom(0, func(h *banded) bool { return drop(h.E) }, moved)
+	b.sync(moved)
 }
 
-// Offer proposes a new entry. When the heap is full and r ranks below the
-// current minimum, the offer is rejected. On acceptance the displaced
-// minimum, if any, is returned. Offering an id already held is a no-op
-// (duplicate publications rank identically, so replacing changes nothing).
-func (t *TopK) Offer(r Ranked) (entered bool, evicted *Ranked) {
-	if _, dup := t.pos[r.E.MsgID]; dup {
-		return false, nil
-	}
-	if len(t.h) < t.k {
-		t.push(r)
-		return true, nil
-	}
-	min := t.h[0]
-	if !r.S.Better(min.S, r.E.MsgID, min.E.MsgID) {
-		return false, nil
-	}
-	t.removeAt(0)
-	t.push(r)
-	return true, &min
-}
-
-// Remove drops the entry with the message id, reporting whether it was
-// held.
-func (t *TopK) Remove(id uint64) (Ranked, bool) {
-	i, ok := t.pos[id]
-	if !ok {
-		return Ranked{}, false
-	}
-	r := t.h[i]
-	t.removeAt(i)
-	return r, true
-}
-
-// ExpireBefore removes and returns every held entry not live at cutoff.
-func (t *TopK) ExpireBefore(cutoff time.Time) []Ranked {
-	var out []Ranked
-	for i := 0; i < len(t.h); {
-		if t.h[i].E.Live(cutoff) {
-			i++
+// removeFrom drops the entries at or after index from for which drop
+// holds, reporting the top-k members among them as left.
+func (b *Skyband) removeFrom(from int, drop func(*banded) bool, moved func(Ranked, bool)) {
+	kept := from
+	for i := from; i < len(b.es); i++ {
+		h := &b.es[i]
+		if !drop(h) {
+			b.es[kept] = *h
+			kept++
 			continue
 		}
-		out = append(out, t.h[i])
-		t.removeAt(i)
-		// removeAt moved a different element into slot i; re-examine it.
-	}
-	return out
-}
-
-// --- heap internals (min-heap: h[0] is the worst kept entry) ------------
-
-func (t *TopK) less(i, j int) bool {
-	// "Less" in the min-heap sense: i is worse than j.
-	return t.h[j].S.Better(t.h[i].S, t.h[j].E.MsgID, t.h[i].E.MsgID)
-}
-
-func (t *TopK) swap(i, j int) {
-	t.h[i], t.h[j] = t.h[j], t.h[i]
-	t.pos[t.h[i].E.MsgID] = i
-	t.pos[t.h[j].E.MsgID] = j
-}
-
-func (t *TopK) push(r Ranked) {
-	t.h = append(t.h, r)
-	i := len(t.h) - 1
-	t.pos[r.E.MsgID] = i
-	t.up(i)
-}
-
-func (t *TopK) removeAt(i int) {
-	last := len(t.h) - 1
-	delete(t.pos, t.h[i].E.MsgID)
-	if i != last {
-		t.h[i] = t.h[last]
-		t.pos[t.h[i].E.MsgID] = i
-	}
-	t.h = t.h[:last]
-	if i < last {
-		t.down(i)
-		t.up(i)
-	}
-}
-
-func (t *TopK) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.less(i, parent) {
-			return
+		if h.in {
+			moved(h.Ranked, false)
 		}
-		t.swap(i, parent)
-		i = parent
+	}
+	clear(b.es[kept:])
+	b.es = b.es[:kept]
+}
+
+// sync reports the membership changes since the last report. An insert
+// pushes at most one reported entry down to index k and a removal pulls
+// entries up, so the first k+1 entries are all that can differ.
+func (b *Skyband) sync(moved func(Ranked, bool)) {
+	for j := 0; j < len(b.es) && j <= b.k; j++ {
+		if h := &b.es[j]; h.in != (j < b.k) {
+			h.in = j < b.k
+			moved(h.Ranked, h.in)
+		}
 	}
 }
 
-func (t *TopK) down(i int) {
-	n := len(t.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && t.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && t.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		t.swap(i, smallest)
-		i = smallest
-	}
-}
+// top returns the top-k entries, best first.
+func (b *Skyband) top() []banded { return b.es[:min(len(b.es), b.k)] }

@@ -6,20 +6,22 @@
 // formalised by "Top-k Spatial-keyword Publish/Subscribe Over Sliding
 // Window" (Wang et al., arXiv:1611.03204).
 //
-// The package provides three layers, all worker-local:
+// The package provides two layers, both worker-local:
 //
-//   - Ring: a count- and time-bounded buffer of recently published
-//     objects, one per occupied grid cell. Expiry is lazy (Add overwrites
-//     the oldest entry when full; readers skip stale entries) and eager
-//     (ExpireBefore compacts on the periodic sweep).
-//   - TopK: a per-subscription bounded min-heap holding the current k
-//     best entries under a pluggable score (text relevance × spatial
-//     proximity × recency decay).
-//   - Store: one per worker; it owns the cell rings and subscription
-//     heaps, repairs a heap from the rings when an entry expires out of
-//     it, and exposes the cell-granular snapshot/adopt/extract operations
-//     the §V load-migration machinery uses to move window state together
-//     with a migrated gridt cell.
+//   - Skyband: one subscription's k-skyband, the entries fewer than k
+//     newer-or-equal, better-ranked entries dominate, best first. Ranks
+//     are time-independent (see DecayScorer), so a dominated entry can
+//     never re-enter the top-k and is dropped at once, and the entry that
+//     replaces an expired top-k member is already held: expiry needs no
+//     scan of older publications.
+//   - Store: one per worker; it owns a Skyband per registered top-k
+//     subscription and hands a subscription's entries, whole or located
+//     in one grid cell, to the §V migration machinery, which moves window
+//     state together with the migrated queries.
+//
+// A subscription ranks only the objects offered to it after it is
+// registered: the stream's order decides, as it does for a boolean
+// subscription's matches.
 //
 // A Store is owned by a single worker goroutine (guarded by the worker's
 // mutex in internal/core) and is not safe for concurrent use. Membership
@@ -49,103 +51,3 @@ type Entry struct {
 // Live reports whether the entry is still inside a window whose oldest
 // admissible instant is cutoff (an entry exactly window-old is expired).
 func (e Entry) Live(cutoff time.Time) bool { return e.At.After(cutoff) }
-
-// DefaultRingCap bounds each grid cell's ring when no explicit capacity is
-// configured.
-const DefaultRingCap = 1024
-
-// Ring is a count-bounded circular buffer of window entries in arrival
-// order. The time bound is enforced cooperatively: Add drops expired
-// entries lazily as it appends, Each filters against a cutoff, and
-// ExpireBefore compacts eagerly on the periodic sweep.
-type Ring struct {
-	buf  []Entry
-	head int // index of the oldest entry
-	n    int
-}
-
-// NewRing returns an empty ring holding at most capacity entries
-// (DefaultRingCap when capacity <= 0).
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = DefaultRingCap
-	}
-	return &Ring{buf: make([]Entry, capacity)}
-}
-
-// Len returns the number of buffered entries (live or not).
-func (r *Ring) Len() int { return r.n }
-
-// Add appends e, lazily dropping expired-by-cutoff entries from the head,
-// then the oldest entry outright if the ring is still full.
-func (r *Ring) Add(e Entry, cutoff time.Time) {
-	for r.n > 0 && !r.buf[r.head].Live(cutoff) {
-		r.buf[r.head] = Entry{}
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-	}
-	if r.n == len(r.buf) {
-		r.buf[r.head] = Entry{}
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = e
-	r.n++
-}
-
-// ExpireBefore eagerly removes every entry at or before cutoff, preserving
-// arrival order of the survivors, and returns the number removed. Unlike
-// the lazy head-trim in Add it also removes out-of-order stale entries.
-func (r *Ring) ExpireBefore(cutoff time.Time) int {
-	if r.n == 0 {
-		return 0
-	}
-	kept := 0
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.head+i)%len(r.buf)]
-		if e.Live(cutoff) {
-			r.buf[(r.head+kept)%len(r.buf)] = e
-			kept++
-		}
-	}
-	removed := r.n - kept
-	for i := kept; i < r.n; i++ {
-		r.buf[(r.head+i)%len(r.buf)] = Entry{}
-	}
-	r.n = kept
-	return removed
-}
-
-// Each invokes fn for every entry newer than cutoff, oldest first,
-// stopping early if fn returns false.
-func (r *Ring) Each(cutoff time.Time, fn func(Entry) bool) {
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.head+i)%len(r.buf)]
-		if !e.Live(cutoff) {
-			continue
-		}
-		if !fn(e) {
-			return
-		}
-	}
-}
-
-// Contains reports whether an entry with the id is buffered.
-func (r *Ring) Contains(id uint64) bool {
-	for i := 0; i < r.n; i++ {
-		if r.buf[(r.head+i)%len(r.buf)].MsgID == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Snapshot returns a copy of the entries newer than cutoff, oldest first.
-func (r *Ring) Snapshot(cutoff time.Time) []Entry {
-	out := make([]Entry, 0, r.n)
-	r.Each(cutoff, func(e Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
-}

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -18,85 +19,135 @@ func entry(id uint64, terms []string, x, y float64, at time.Time) Entry {
 	return Entry{MsgID: id, Terms: terms, Loc: geo.Point{X: x, Y: y}, At: at}
 }
 
+// moves records a band's membership reports as signed ids: +id entered,
+// -id left.
+type moves []int64
+
+func (m *moves) add(r Ranked, entered bool) {
+	if entered {
+		*m = append(*m, int64(r.E.MsgID))
+	} else {
+		*m = append(*m, -int64(r.E.MsgID))
+	}
+}
+
+func ranked(id uint64, rank float64, at time.Time) Ranked {
+	return Ranked{E: entry(id, nil, 0, 0, at), S: Score{Rank: rank}}
+}
+
+func bandIDs(b *Skyband) []uint64 {
+	var ids []uint64
+	for _, h := range b.es {
+		ids = append(ids, h.E.MsgID)
+	}
+	return ids
+}
+
+// Domination pruning bounds the band: an entry k newer, better entries
+// dominate can never re-enter the top-k, so it leaves at once.
 func TestRingCountBound(t *testing.T) {
-	r := NewRing(3)
-	cutoff := t0.Add(-time.Hour)
-	for i := 1; i <= 5; i++ {
-		r.Add(entry(uint64(i), nil, 0, 0, t0.Add(time.Duration(i)*time.Second)), cutoff)
+	b := NewSkyband(3)
+	var m moves
+	for i := 1; i <= 1000; i++ {
+		b.Insert(ranked(uint64(i), float64(i), t0.Add(time.Duration(i)*time.Second)), true, m.add)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("ring holds %d entries, want 3", r.Len())
+	if b.Len() != 3 || fmt.Sprint(bandIDs(b)) != "[1000 999 998]" {
+		t.Fatalf("band holds %v, want the 3 newest best-first", bandIDs(b))
 	}
-	var ids []uint64
-	r.Each(cutoff, func(e Entry) bool { ids = append(ids, e.MsgID); return true })
-	if len(ids) != 3 || ids[0] != 3 || ids[2] != 5 {
-		t.Fatalf("ring kept %v, want oldest-first [3 4 5]", ids)
+	// An older, worse entry arriving late is dominated by all three.
+	b.Insert(ranked(5000, 1, t0), true, m.add)
+	if b.Len() != 3 {
+		t.Fatalf("a dominated late entry was admitted: %v", bandIDs(b))
+	}
+	// Entries that rank below older ones stay: each can still reach the
+	// top-k once the better, older ones expire.
+	b = NewSkyband(2)
+	for i := 1; i <= 50; i++ {
+		b.Insert(ranked(uint64(i), float64(-i), t0.Add(time.Duration(i)*time.Second)), true, m.add)
+	}
+	if b.Len() != 50 {
+		t.Fatalf("band of decreasing ranks holds %d entries, want all 50", b.Len())
 	}
 }
 
+// Expiry promotes the next held entry without any scan, reporting the
+// departure and the promotion.
 func TestRingLazyAndEagerExpiry(t *testing.T) {
-	r := NewRing(10)
-	for i := 0; i < 6; i++ {
-		r.Add(entry(uint64(i+1), nil, 0, 0, t0.Add(time.Duration(i)*time.Second)), t0.Add(-time.Hour))
+	b := NewSkyband(2)
+	var m moves
+	b.Insert(ranked(1, 9, t0), true, m.add)
+	b.Insert(ranked(2, 8, t0.Add(time.Second)), true, m.add)
+	b.Insert(ranked(3, 7, t0.Add(2*time.Second)), true, m.add)
+	if fmt.Sprint(m) != "[1 2]" {
+		t.Fatalf("reports %v, want 1 and 2 entering", m)
 	}
-	// Lazy: Add trims expired heads against the supplied cutoff.
-	r.Add(entry(7, nil, 0, 0, t0.Add(6*time.Second)), t0.Add(2*time.Second))
-	if r.Len() != 4 { // entries at t+3..t+6 survive (t+2 is exactly cutoff → expired)
-		t.Fatalf("after lazy trim ring holds %d, want 4", r.Len())
+	m = nil
+	b.RemoveIf(func(e Entry) bool { return !e.Live(t0) }, m.add)
+	if fmt.Sprint(m) != "[-1 3]" || fmt.Sprint(bandIDs(b)) != "[2 3]" {
+		t.Fatalf("after expiring 1: reports %v, band %v; want [-1 3] and [2 3]", m, bandIDs(b))
 	}
-	// Eager: ExpireBefore compacts everything at or before the cutoff.
-	if removed := r.ExpireBefore(t0.Add(4 * time.Second)); removed != 2 {
-		t.Fatalf("eager expiry removed %d, want 2", removed)
-	}
-	var ids []uint64
-	r.Each(time.Time{}, func(e Entry) bool { ids = append(ids, e.MsgID); return true })
-	if len(ids) != 2 || ids[0] != 6 || ids[1] != 7 {
-		t.Fatalf("survivors %v, want [6 7]", ids)
+	// A better, newer entry pushes 3 out of the top-2 but cannot prune it
+	// with k = 2; a second one does.
+	m = nil
+	b.Insert(ranked(4, 10, t0.Add(3*time.Second)), true, m.add)
+	b.Insert(ranked(5, 11, t0.Add(4*time.Second)), true, m.add)
+	if fmt.Sprint(m) != "[4 -3 -2 5]" || fmt.Sprint(bandIDs(b)) != "[5 4]" {
+		t.Fatalf("reports %v, band %v; want [4 -3 -2 5] and [5 4]", m, bandIDs(b))
 	}
 }
 
+// An adopted entry older than the ones held expires in publish order,
+// not in arrival order.
 func TestRingExpireOutOfOrder(t *testing.T) {
-	r := NewRing(10)
-	far := t0.Add(-time.Hour)
-	r.Add(entry(1, nil, 0, 0, t0.Add(5*time.Second)), far)
-	r.Add(entry(2, nil, 0, 0, t0.Add(1*time.Second)), far) // older arrives later
-	r.Add(entry(3, nil, 0, 0, t0.Add(6*time.Second)), far)
-	if removed := r.ExpireBefore(t0.Add(3 * time.Second)); removed != 1 {
-		t.Fatalf("removed %d, want the out-of-order stale entry only", removed)
+	g := grid.New(geo.NewRect(0, 0, 10, 10), 4, 4)
+	st := NewStore(g)
+	q := &model.Query{ID: 1, Expr: model.And("x"), Region: geo.NewRect(0, 0, 10, 10), TopK: 3, Window: 10 * time.Second}
+	st.AddSub(q)
+	st.Insert(nil, q.ID, entry(1, []string{"x"}, 5, 5, t0.Add(5*time.Second)), t0.Add(5*time.Second), true)
+	st.AdoptEntries(nil, q.ID, []Entry{entry(2, []string{"x"}, 5, 5, t0.Add(time.Second))}, t0.Add(5*time.Second))
+	st.Insert(nil, q.ID, entry(3, []string{"x"}, 5, 5, t0.Add(6*time.Second)), t0.Add(6*time.Second), true)
+	if got := st.TopKSet(q.ID); !equalIDs(got, []uint64{1, 2, 3}) {
+		t.Fatalf("top-3 is %v, want [1 2 3]", got)
 	}
-	if r.Len() != 2 || r.Contains(2) {
-		t.Fatalf("stale entry 2 still buffered")
+	ds := st.Advance(t0.Add(12 * time.Second))
+	if got := st.TopKSet(q.ID); !equalIDs(got, []uint64{1, 3}) {
+		t.Fatalf("after expiry top-3 is %v, want the adopted old entry gone: [1 3]", got)
+	}
+	if len(ds) != 1 || ds[0].MsgID != 2 || ds[0].Entered {
+		t.Fatalf("deltas %+v, want Left(2) alone", ds)
 	}
 }
 
 func TestTopKOfferEvictExpire(t *testing.T) {
-	tk := NewTopK(2)
-	a := Ranked{E: entry(1, nil, 0, 0, t0), S: Score{Rank: 1}}
-	b := Ranked{E: entry(2, nil, 0, 0, t0.Add(time.Second)), S: Score{Rank: 2}}
-	c := Ranked{E: entry(3, nil, 0, 0, t0.Add(2*time.Second)), S: Score{Rank: 3}}
-	low := Ranked{E: entry(4, nil, 0, 0, t0), S: Score{Rank: 0}}
+	b := NewSkyband(2)
+	var m moves
+	a := ranked(1, 1, t0)
+	bb := ranked(2, 2, t0.Add(time.Second))
+	c := ranked(3, 3, t0.Add(2*time.Second))
+	low := ranked(4, 0, t0)
 
-	for _, r := range []Ranked{a, b} {
-		if entered, _ := tk.Offer(r); !entered {
-			t.Fatalf("offer %d rejected with free capacity", r.E.MsgID)
-		}
+	b.Insert(a, true, m.add)
+	b.Insert(bb, true, m.add)
+	if fmt.Sprint(m) != "[1 2]" {
+		t.Fatalf("offers with free capacity reported %v, want [1 2]", m)
 	}
-	if entered, _ := tk.Offer(low); entered {
-		t.Fatal("low-ranked offer accepted into a full better heap")
+	m = nil
+	b.Insert(low, true, m.add)
+	if len(m) != 0 || b.Len() != 2 {
+		t.Fatalf("low-ranked older offer: reports %v, band %v; want it dominated out", m, bandIDs(b))
 	}
-	entered, evicted := tk.Offer(c)
-	if !entered || evicted == nil || evicted.E.MsgID != 1 {
-		t.Fatalf("offer c: entered=%v evicted=%+v, want eviction of msg 1", entered, evicted)
+	b.Insert(c, true, m.add)
+	if fmt.Sprint(m) != "[-1 3]" || b.Len() != 2 {
+		t.Fatalf("offer c: reports %v, band %v; want 3 in, 1 out and pruned", m, bandIDs(b))
 	}
-	if entered, _ := tk.Offer(c); entered {
+	m = nil
+	b.Insert(c, true, m.add)
+	if len(m) != 0 || b.Len() != 2 {
 		t.Fatal("duplicate id re-entered")
 	}
-	exp := tk.ExpireBefore(t0.Add(1500 * time.Millisecond))
-	if len(exp) != 1 || exp[0].E.MsgID != 2 {
-		t.Fatalf("expired %v, want msg 2", exp)
-	}
-	if tk.Len() != 1 || !tk.Contains(3) {
-		t.Fatalf("heap should hold only msg 3")
+	b.RemoveIf(func(e Entry) bool { return !e.Live(t0.Add(1500 * time.Millisecond)) }, m.add)
+	if fmt.Sprint(m) != "[-2]" || fmt.Sprint(bandIDs(b)) != "[3]" {
+		t.Fatalf("expiry reports %v, band %v; want [-2] and [3]", m, bandIDs(b))
 	}
 }
 
@@ -187,7 +238,7 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 		TopK:   5, Window: 30 * time.Second,
 	}
 	now := t0
-	st.AddSub(q, now)
+	st.AddSub(q)
 
 	rng := rand.New(rand.NewSource(42))
 	vocab := []string{"x", "y", "z", "w"}
@@ -199,9 +250,8 @@ func TestStoreMatchesBruteForce(t *testing.T) {
 		published = append(published, e)
 		obj := &model.Object{ID: e.MsgID, Terms: e.Terms, Loc: e.Loc}
 		if q.Matches(obj) {
-			st.Offer(q, e, now)
+			st.Insert(nil, q.ID, e, now, true)
 		}
-		st.Observe(e)
 		if i%37 == 0 {
 			st.Advance(now)
 		}
@@ -227,11 +277,10 @@ func TestStoreRemoveSubDeltas(t *testing.T) {
 	g := grid.New(geo.NewRect(0, 0, 10, 10), 4, 4)
 	st := NewStore(g)
 	q := &model.Query{ID: 1, Expr: model.And("x"), Region: geo.NewRect(0, 0, 10, 10), TopK: 3, Window: time.Minute}
-	st.AddSub(q, t0)
+	st.AddSub(q)
 	for i := 1; i <= 3; i++ {
 		e := entry(uint64(i), []string{"x"}, 1, 1, t0.Add(time.Duration(i)*time.Second))
-		st.Offer(q, e, e.At)
-		st.Observe(e)
+		st.Insert(nil, q.ID, e, e.At, true)
 	}
 	ds := st.RemoveSub(q.ID)
 	if len(ds) != 3 {
@@ -247,29 +296,30 @@ func TestStoreRemoveSubDeltas(t *testing.T) {
 	}
 }
 
-// Once the last subscription is gone the retention horizon is zero: the
-// next sweep must release every buffered ring entry.
+// Window state is per subscription: once the last one is gone nothing
+// is held, without waiting for a sweep.
 func TestStoreRingsSweptAfterLastUnsubscribe(t *testing.T) {
 	g := grid.New(geo.NewRect(0, 0, 10, 10), 4, 4)
 	st := NewStore(g)
 	q := &model.Query{ID: 1, Expr: model.And("x"), Region: geo.NewRect(0, 0, 10, 10), TopK: 2, Window: time.Minute}
-	st.AddSub(q, t0)
+	st.AddSub(q)
 	for i := 1; i <= 20; i++ {
-		st.Observe(entry(uint64(i), []string{"x"}, float64(i%10), float64(i%10), t0.Add(time.Duration(i)*time.Second)))
+		// Decreasing relevance with age: the rim entries rank below the
+		// older central ones, so the band keeps several of them.
+		st.Insert(nil, q.ID, entry(uint64(i), []string{"x"}, 5+float64(i)/5, 5, t0.Add(time.Duration(i)*time.Second)), t0.Add(time.Duration(i)*time.Second), true)
 	}
-	if st.Footprint() == 0 {
-		t.Fatal("rings should be populated before the unsubscribe")
+	if st.Footprint() == 0 || len(st.Bands(nil)) != 1 {
+		t.Fatal("the band should be populated before the unsubscribe")
 	}
 	st.RemoveSub(q.ID)
-	st.Advance(t0.Add(30 * time.Second)) // well inside the old window
-	if fp := st.Footprint(); fp != 0 {
-		t.Fatalf("ring entries pinned after last unsubscribe: footprint %d", fp)
+	if fp := st.Footprint(); fp != 0 || len(st.Bands(nil)) != 0 {
+		t.Fatalf("window state pinned after last unsubscribe: footprint %d", fp)
 	}
 }
 
-// A cell hand-off (snapshot → adopt → drop) preserves top-k membership:
-// the receiving store reconstructs exactly the entries the source held in
-// that cell, and the source repairs itself from its remaining cells.
+// A cell hand-off (copy → adopt → drop) preserves top-k membership: the
+// receiving store adopts exactly the subscription's entries located in
+// the cell, and the source keeps the others.
 func TestStoreCellHandoff(t *testing.T) {
 	bounds := geo.NewRect(0, 0, 10, 10)
 	g := grid.New(bounds, 2, 2) // 4 big cells
@@ -277,45 +327,34 @@ func TestStoreCellHandoff(t *testing.T) {
 	dst := NewStore(g)
 	q := &model.Query{ID: 9, Expr: model.And("x"), Region: bounds, TopK: 4, Window: time.Minute}
 	now := t0
-	src.AddSub(q, now)
+	src.AddSub(q)
 
 	// Two entries in cell of (2,2), two in cell of (7,7).
 	locs := []geo.Point{{X: 2, Y: 2}, {X: 2.5, Y: 2.5}, {X: 7, Y: 7}, {X: 7.5, Y: 7.5}}
 	for i, p := range locs {
 		e := entry(uint64(i+1), []string{"x"}, p.X, p.Y, now.Add(time.Duration(i)*time.Second))
-		src.Offer(q, e, e.At)
-		src.Observe(e)
+		src.Insert(nil, q.ID, e, e.At, true)
 	}
 	cell := g.CellOf(geo.Point{X: 2, Y: 2})
 	now = now.Add(10 * time.Second)
 
-	snap := src.SnapshotCell(cell, now)
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d entries, want the cell's 2", len(snap))
+	snap := src.SubEntries(q.ID, cell)
+	if len(snap) != 2 || len(src.SubEntries(q.ID, -1)) != 4 {
+		t.Fatalf("the cell holds %d entries and the band %d, want 2 and 4", len(snap), len(src.SubEntries(q.ID, -1)))
 	}
 	// Destination holds the migrated copy of the query.
-	dst.AddSub(q, now)
-	dst.AdoptCell(cell, snap, now)
+	dst.AddSub(q)
+	dst.AdoptEntries(nil, q.ID, snap, now)
 	if got := dst.TopKSet(q.ID); !equalIDs(got, []uint64{1, 2}) {
 		t.Fatalf("destination adopted %v, want [1 2]", got)
 	}
-	ring, ds := src.DropCell(cell, now)
-	if len(ring) != 2 {
-		t.Fatalf("DropCell returned %d ring entries, want 2", len(ring))
-	}
+	ds := src.DropCell(q.ID, cell)
 	// Source keeps only the other cell's entries.
 	if got := src.TopKSet(q.ID); !equalIDs(got, []uint64{3, 4}) {
 		t.Fatalf("source holds %v after drop, want [3 4]", got)
 	}
-	// Lefts for 1,2; no refill available (k not depleted below holdings).
-	lefts := 0
-	for _, d := range ds {
-		if !d.Entered {
-			lefts++
-		}
-	}
-	if lefts != 2 {
-		t.Fatalf("DropCell emitted %d Left deltas, want 2", lefts)
+	if len(ds) != 2 || ds[0].Entered || ds[1].Entered {
+		t.Fatalf("DropCell emitted %+v, want Left for 1 and 2 only", ds)
 	}
 	// Union across stores equals the pre-migration top-k.
 	union := append(dst.TopKSet(q.ID), src.TopKSet(q.ID)...)
@@ -325,32 +364,31 @@ func TestStoreCellHandoff(t *testing.T) {
 	}
 }
 
-// Expiry of a top-k slot must repair from window contents that never made
-// the top-k (the re-fill path).
+// Expiry of a top-k slot promotes a held entry that never made the
+// top-k: the band already holds it, no history is rescanned.
 func TestStoreRefillAfterExpiry(t *testing.T) {
 	g := grid.New(geo.NewRect(0, 0, 10, 10), 4, 4)
 	st := NewStore(g)
 	q := &model.Query{ID: 3, Expr: model.And("x"), Region: geo.NewRect(0, 0, 10, 10), TopK: 1, Window: 20 * time.Second}
 	now := t0
-	st.AddSub(q, now)
+	st.AddSub(q)
 	center := q.Region.Center()
 	// e1 at the centre (best), e2 a little later on the rim — its recency
 	// boost (2^1 over half-life 5s) doesn't offset the distance penalty,
-	// so it never enters the k=1 heap and lives only in the ring.
+	// so it never enters the top-1 and waits in the band.
 	e1 := entry(1, []string{"x"}, center.X, center.Y, now)
 	e2 := entry(2, []string{"x"}, 0.5, 0.5, now.Add(2*time.Second))
 	for _, e := range []Entry{e1, e2} {
-		st.Offer(q, e, e.At)
-		st.Observe(e)
+		st.Insert(nil, q.ID, e, e.At, true)
 	}
 	if got := st.TopKSet(q.ID); !equalIDs(got, []uint64{1}) {
 		t.Fatalf("top-1 is %v, want [1]", got)
 	}
-	// Advance so e1 expires but e2 is still live → refill promotes e2.
+	// Advance so e1 expires but e2 is still live → e2 is promoted.
 	now = now.Add(21 * time.Second)
 	ds := st.Advance(now)
 	if got := st.TopKSet(q.ID); !equalIDs(got, []uint64{2}) {
-		t.Fatalf("after expiry top-1 is %v, want refilled [2]", got)
+		t.Fatalf("after expiry top-1 is %v, want promoted [2]", got)
 	}
 	var sawLeft1, sawEnter2 bool
 	for _, d := range ds {

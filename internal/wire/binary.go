@@ -795,7 +795,6 @@ func appendPayloads(dst []byte, cells []CellPayload) []byte {
 		for _, q := range c.Queries {
 			dst = appendQuery(dst, q)
 		}
-		dst = appendEntries(dst, c.Ring)
 		dst = binary.AppendUvarint(dst, uint64(len(c.Subs)))
 		for _, sub := range c.Subs {
 			dst = binary.AppendUvarint(dst, sub.ID)
@@ -807,7 +806,7 @@ func appendPayloads(dst []byte, cells []CellPayload) []byte {
 
 // payloads reads a counted run of cell shares (nil when empty).
 func (r *breader) payloads() []CellPayload {
-	n := r.count(4) // cell + three counts
+	n := r.count(3) // cell + two counts
 	if n == 0 {
 		return nil
 	}
@@ -821,7 +820,6 @@ func (r *breader) payloads() []CellPayload {
 		for j := range c.Queries {
 			c.Queries[j] = r.query()
 		}
-		c.Ring = r.entries()
 		if ns := r.count(2); ns > 0 { // id + entry count
 			c.Subs = make([]SubEntries, ns)
 		}

@@ -18,8 +18,9 @@ const Magic = "PS2WIRE"
 // and a field is added to a frame by bumping Version — never by decoding
 // it optionally (docs/WIRE.md, "Versioning"). Version 1 was the gob
 // encoding; version 2 opened a worker hop as a control connection plus
-// attached data connections; version 3 carried counts in DrainAck.
-const Version = 4
+// attached data connections; version 3 carried counts in DrainAck;
+// version 4 carried a window ring in each CellPayload.
+const Version = 5
 
 // Roles named in the handshake.
 const (
@@ -214,7 +215,7 @@ type CellSpec struct {
 
 // WholeQueries is the cell id of a whole-query share. In a copying
 // ExtractCells it asks for every live query of the slot once (and, with
-// Subs, each top-k subscription's held entries); in an InstallCells
+// Subs, each top-k subscription's whole band); in an InstallCells
 // payload its queries are indexed by their own placement rather than
 // into one named cell. Global repartition, checkpoints and snapshot
 // files use it.
@@ -223,41 +224,35 @@ const WholeQueries = -1
 // ExtractCells asks a worker peer for the named cell shares. With
 // Remove false the shares are copied (the migration's copy step, the
 // source keeps serving them); with Remove true the queries are
-// extracted from the index and — for whole-cell shares — the window
-// ring released (the deferred-extraction step, after the source has
+// extracted from the index and their window entries located in the
+// cell released (the deferred-extraction step, after the source has
 // drained its pre-flip traffic). The share reflects every op batch the
 // coordinator sent before the request: that is the migration barrier.
 type ExtractCells struct {
 	Seq    uint64
 	Cells  []CellSpec
 	Remove bool
-	// Subs asks for each top-k subscription's held window entries
-	// alongside the cell shares (CellPayload.Subs). Global repartition
-	// sets it when discovering a remote population: a whole-query
-	// relocation must carry the subscription's cross-cell history, which
-	// the cell rings alone cannot supply. Plain cell migrations leave it
-	// false and move ring state only, like their in-process counterpart.
+	// Subs attaches each top-k subscription's window entries to its
+	// payload (CellPayload.Subs): the entries located in the cell for a
+	// cell spec, the whole band for a WholeQueries spec. A hand-off sets
+	// it on both of its extractions, global repartition on its population
+	// round.
 	Subs bool
 }
 
-// SubEntries is one top-k subscription's held window entries in flight
-// (window.Store.SubEntries across the wire): installed via AdoptEntries
-// at the destination so a relocated subscription keeps its window
-// history even when the entries span several cells.
+// SubEntries is one top-k subscription's window entries in flight
+// (window.Store.SubEntries across the wire), adopted at the destination
+// so a relocated subscription keeps its window history.
 type SubEntries struct {
 	ID      uint64
 	Entries []window.Entry
 }
 
-// CellPayload is one cell share in flight: the share's queries and the
-// cell's window ring entries, so sliding-window state travels with the
-// queries exactly as it does between in-process workers. Subs carries
-// per-subscription held entries for whole-query relocations (global
-// repartition), which may span cells the payload does not.
+// CellPayload is one cell share in flight: the share's queries and, per
+// top-k subscription, the window entries that travel with them.
 type CellPayload struct {
 	Cell    int
 	Queries []*model.Query
-	Ring    []window.Entry
 	Subs    []SubEntries
 }
 
@@ -286,8 +281,8 @@ type InstallCells struct {
 // InstallAck acknowledges an InstallCells: the share is indexed and
 // every op batch sent after the request will be matched against it.
 // Deltas carries the top-k membership updates the install produced
-// (adoptions refilling heaps, deletions releasing them), epoch-tagged
-// like a CellShare's.
+// (adopted entries entering a top-k, deletions releasing them),
+// epoch-tagged like a CellShare's.
 type InstallAck struct {
 	Seq    uint64
 	Epoch  uint64

@@ -93,12 +93,11 @@ func samplePayloads() []CellPayload {
 				sampleOpBatch()[0].Op.Query, // DNF and top-k
 				{ID: 43, Expr: model.Expr{Conj: [][]string{{"pizza"}}}, Region: geo.NewRect(0, 0, 1, 1)},
 			},
-			Ring: []window.Entry{
-				{MsgID: 7, Terms: []string{"coffee", "shop"}, Loc: geo.Point{X: -73.9, Y: 40.7}, At: at},
-				{MsgID: 8},
-			},
 			Subs: []SubEntries{
-				{ID: 42, Entries: []window.Entry{{MsgID: 7, Terms: []string{"coffee"}, At: at}}},
+				{ID: 42, Entries: []window.Entry{
+					{MsgID: 7, Terms: []string{"coffee", "shop"}, Loc: geo.Point{X: -73.9, Y: 40.7}, At: at},
+					{MsgID: 8},
+				}},
 				{ID: 44},
 			},
 		},
@@ -162,7 +161,7 @@ func frameCases() []frameCase {
 		frameAs("extract-cells/copy", ExtractCells{Seq: 3, Cells: []CellSpec{}}, ExtractCells{Seq: 3}, DecodeBinExtractCells),
 		frameOf("cell-share", CellShare{Seq: 2, Epoch: 31, Cells: cells, Deltas: deltas}, DecodeBinCellShare),
 		frameAs("cell-share/empty-lists", CellShare{Seq: 2, Deltas: []window.Delta{}, Cells: []CellPayload{
-			{Cell: 1, Queries: []*model.Query{}, Ring: []window.Entry{}, Subs: []SubEntries{{ID: 1, Entries: []window.Entry{}}}},
+			{Cell: 1, Queries: []*model.Query{}, Subs: []SubEntries{{ID: 1, Entries: []window.Entry{}}}},
 		}}, CellShare{Seq: 2, Cells: []CellPayload{{Cell: 1, Subs: []SubEntries{{ID: 1}}}}}, DecodeBinCellShare),
 		frameOf("cell-share/zero", CellShare{}, DecodeBinCellShare),
 		frameOf("install-cells", InstallCells{Seq: 3, Cells: cells, Deletes: []uint64{4, 1 << 40}}, DecodeBinInstallCells),
@@ -281,9 +280,8 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 		{"extract keys", lastCount(ExtractCells{Cells: []CellSpec{{}}}), func(p []byte) error { _, err := DecodeBinExtractCells(p); return err }},
 		{"share payloads", cat(one, one, huge), func(p []byte) error { _, err := DecodeBinCellShare(p); return err }},
 		{"share queries", cat(one, one, one, one, huge), func(p []byte) error { _, err := DecodeBinCellShare(p); return err }},
-		{"share ring", cat(one, one, one, one, zero, huge), func(p []byte) error { _, err := DecodeBinCellShare(p); return err }},
-		{"share subs", cat(one, one, one, one, zero, zero, huge), func(p []byte) error { _, err := DecodeBinCellShare(p); return err }},
-		{"share sub entries", cat(one, one, one, one, zero, zero, one, one, huge), func(p []byte) error { _, err := DecodeBinCellShare(p); return err }},
+		{"share subs", cat(one, one, one, one, zero, huge), func(p []byte) error { _, err := DecodeBinCellShare(p); return err }},
+		{"share sub entries", cat(one, one, one, one, zero, one, one, huge), func(p []byte) error { _, err := DecodeBinCellShare(p); return err }},
 		{"share deltas", lastCount(CellShare{}), func(p []byte) error { _, err := DecodeBinCellShare(p); return err }},
 		{"install payloads", cat(one, huge), func(p []byte) error { _, err := DecodeBinInstallCells(p); return err }},
 		{"install deletes", lastCount(InstallCells{}), func(p []byte) error { _, err := DecodeBinInstallCells(p); return err }},

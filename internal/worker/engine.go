@@ -119,9 +119,7 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 				continue
 			}
 			e.gi.Insert(q)
-			if q.IsTopK() {
-				e.dout = append(e.dout, e.win.AddSub(q, e.now)...)
-			}
+			e.win.AddSub(q)
 		case model.OpDelete:
 			e.deletes++
 			if env.Op.Query != nil {
@@ -137,9 +135,6 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 			e.env = env
 			e.entry = window.Entry{MsgID: obj.ID, Terms: obj.Terms, Loc: obj.Loc, At: env.T0}
 			e.gi.Match(obj, e.onMatch)
-			if e.win.SubCount() > 0 {
-				e.win.Observe(e.entry)
-			}
 		}
 	}
 	out, dout = e.out, e.dout
@@ -149,14 +144,17 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 
 // match receives one query matching the object under the Process cursor.
 func (e *Engine) match(q *model.Query) {
+	// A window-rebuild replay may carry an object this engine saw before
+	// the crash more than once (published here, then adopted back in a
+	// hand-off): it ranks, but does not prune.
 	if q.IsTopK() {
-		e.dout = e.win.OfferInto(e.dout, q, e.entry, e.now)
+		e.dout = e.win.Insert(e.dout, q.ID, e.entry, e.now, !e.env.Refill)
 		return
 	}
 	if e.env.Refill {
-		// Window-rebuild replay: its boolean matches were delivered
-		// before the coordinator's checkpoint covered the op, and queries
-		// inserted since must not match an object published before them.
+		// Its boolean matches were delivered before the coordinator's
+		// checkpoint covered the op, and queries inserted since must not
+		// match an object published before them.
 		return
 	}
 	e.out = append(e.out, wire.MatchEnv{
@@ -217,14 +215,14 @@ func (e *Engine) checkCell(cell int, whole bool) error {
 }
 
 // ExtractCells serves one ExtractCells request. With Remove false the
-// shares are copies (queries and ring snapshot, nothing changes here);
-// a wire.WholeQueries spec copies every live query of the slot once, with
-// no ring. With Remove true whole-cell shares leave the index and release
-// their ring, while key splits keep the cell ring for the remaining keys.
-// A removing extraction that strips a top-k subscription's last live cell
-// also releases its heap, and the resulting membership deltas ride back
-// in the share. A cell id outside the grid fails the request before
-// anything is read or removed.
+// shares are copies and nothing changes here; a wire.WholeQueries spec
+// copies every live query of the slot once. With Remove true the shares
+// leave the index, and each extracted top-k subscription gives up its
+// entries located in the cell, or its whole band once its last live cell
+// has left; the resulting membership deltas ride back in the share. With
+// Subs, each payload carries its top-k subscriptions' entries — located
+// in the cell for a cell spec — read before any removal. A cell id
+// outside the grid fails the request before anything is read or removed.
 func (e *Engine) ExtractCells(ex wire.ExtractCells) (wire.CellShare, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -241,65 +239,40 @@ func (e *Engine) ExtractCells(ex wire.ExtractCells) (wire.CellShare, error) {
 			e.gi.Each(func(q *model.Query) { p.Queries = append(p.Queries, q) })
 		case !ex.Remove && spec.Keys == nil:
 			p.Queries = e.gi.QueriesInCell(spec.Cell)
-			p.Ring = e.win.SnapshotCell(spec.Cell, e.now)
 		case !ex.Remove:
 			p.Queries = e.gi.QueriesInCellKeys(spec.Cell, spec.Keys)
-			p.Ring = e.win.SnapshotCell(spec.Cell, e.now)
 		case spec.Keys == nil:
 			p.Queries = e.gi.ExtractCell(spec.Cell)
-			// Subscriptions whose only live presence was this cell drop
-			// their heaps before the ring is released, so DropCell does
-			// not waste a ring scan refilling heaps about to disappear.
-			share.Deltas = e.releaseDeparted(share.Deltas, p.Queries)
-			var dropDs []window.Delta
-			p.Ring, dropDs = e.win.DropCell(spec.Cell, e.now)
-			share.Deltas = append(share.Deltas, dropDs...)
 		default:
 			p.Queries = e.gi.ExtractCellKeys(spec.Cell, spec.Keys)
-			share.Deltas = e.releaseDeparted(share.Deltas, p.Queries)
-			// The cell stays for the remaining keys; its ring travels as a
-			// copy so the new share holds the cell's full history too.
-			p.Ring = e.win.SnapshotCell(spec.Cell, e.now)
 		}
-		e.addSubs(&p, ex.Subs)
+		for _, q := range p.Queries {
+			if q == nil || !q.IsTopK() {
+				continue
+			}
+			if ex.Subs {
+				if es := e.win.SubEntries(q.ID, p.Cell); len(es) > 0 {
+					p.Subs = append(p.Subs, wire.SubEntries{ID: q.ID, Entries: es})
+				}
+			}
+			switch {
+			case ex.Remove && e.gi.HasLive(q.ID):
+				share.Deltas = append(share.Deltas, e.win.DropCell(q.ID, p.Cell)...)
+			case ex.Remove:
+				share.Deltas = append(share.Deltas, e.win.RemoveSub(q.ID)...)
+			}
+		}
 		share.Cells = append(share.Cells, p)
 	}
 	return share, nil
-}
-
-// releaseDeparted drops the window heaps of extracted top-k
-// subscriptions that no longer live anywhere in the index.
-func (e *Engine) releaseDeparted(ds []window.Delta, extracted []*model.Query) []window.Delta {
-	for _, q := range extracted {
-		if q != nil && q.IsTopK() && !e.gi.HasLive(q.ID) {
-			ds = append(ds, e.win.RemoveSub(q.ID)...)
-		}
-	}
-	return ds
-}
-
-// addSubs attaches each top-k subscription's held window entries to the
-// payload when the request asked for them.
-func (e *Engine) addSubs(p *wire.CellPayload, want bool) {
-	if !want {
-		return
-	}
-	for _, q := range p.Queries {
-		if q == nil || !q.IsTopK() {
-			continue
-		}
-		if es := e.win.SubEntries(q.ID); len(es) > 0 {
-			p.Subs = append(p.Subs, wire.SubEntries{ID: q.ID, Entries: es})
-		}
-	}
 }
 
 // InstallCells indexes the received cell shares and applies the
 // reconciliation deletes (queries removed at the migration source
 // between copy and routing flip). A wire.WholeQueries payload is a
 // whole-query install (global repartition): its queries are indexed by
-// their own placement rather than into one named cell, and it carries no
-// ring. Top-k subscriptions register in the window store, adopt the
+// their own placement rather than into one named cell. Top-k
+// subscriptions register in the window store before they adopt the
 // carried entries, and the membership deltas everything produced return
 // in the ack. A cell id outside the grid fails the request before
 // anything is installed.
@@ -307,8 +280,7 @@ func (e *Engine) InstallCells(ic wire.InstallCells) (wire.InstallAck, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range ic.Cells {
-		p := &ic.Cells[i]
-		if err := e.checkCell(p.Cell, len(p.Ring) == 0); err != nil {
+		if err := e.checkCell(ic.Cells[i].Cell, true); err != nil {
 			return wire.InstallAck{}, err
 		}
 	}
@@ -324,15 +296,10 @@ func (e *Engine) InstallCells(ic wire.InstallCells) (wire.InstallAck, error) {
 			} else {
 				e.gi.InsertAt(p.Cell, q)
 			}
-			if q.IsTopK() {
-				ack.Deltas = append(ack.Deltas, e.win.AddSub(q, e.now)...)
-			}
-		}
-		if len(p.Ring) > 0 {
-			ack.Deltas = append(ack.Deltas, e.win.AdoptCell(p.Cell, p.Ring, e.now)...)
+			e.win.AddSub(q)
 		}
 		for _, se := range p.Subs {
-			ack.Deltas = append(ack.Deltas, e.win.AdoptEntries(se.ID, se.Entries, e.now)...)
+			ack.Deltas = e.win.AdoptEntries(ack.Deltas, se.ID, se.Entries, e.now)
 		}
 	}
 	for _, id := range ic.Deletes {
@@ -343,9 +310,8 @@ func (e *Engine) InstallCells(ic wire.InstallCells) (wire.InstallAck, error) {
 }
 
 // AdvanceWindow runs one expiry sweep at the coordinator's clock and
-// returns the resulting membership deltas. It runs even with no live
-// subscriptions: the retention horizon is then zero, so rings left
-// behind by the last unsubscribe are swept instead of pinned forever.
+// returns the resulting membership deltas: expired entries leave each
+// top-k subscription's band, and held entries move up in their place.
 func (e *Engine) AdvanceWindow(a wire.AdvanceWindow) wire.AdvanceAck {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -374,6 +340,14 @@ func (e *Engine) Footprint() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.gi.Footprint() + e.win.Footprint()
+}
+
+// WindowStats reports the window state's estimated bytes and appends each
+// top-k subscription's band length to bands (benchmarks).
+func (e *Engine) WindowStats(bands []int) (int64, []int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.win.Footprint(), e.win.Bands(bands)
 }
 
 // TopKSet returns the message ids the engine's window store currently

@@ -12,6 +12,7 @@ import (
 	"ps2stream/internal/gi2"
 	"ps2stream/internal/index/grid"
 	"ps2stream/internal/model"
+	"ps2stream/internal/oplog"
 	"ps2stream/internal/textutil"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
@@ -151,14 +152,14 @@ type migration struct {
 	cell       int
 	keys       []string
 	copied     map[uint64]bool
-	copiedMsgs map[uint64]bool
+	copiedMsgs map[[2]uint64]bool
 }
 
 // copyShare runs the copy and transfer rounds of a hand-off from worker
 // 0 to worker 1. Routing is not flipped yet: traffic applied before
 // finish plays the batches still in flight under the old table.
 func (c *cluster) copyShare(cell int, keys []string) *migration {
-	share, err := c.engines[0].ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell, Keys: keys}}})
+	share, err := c.engines[0].ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell, Keys: keys}}, Subs: true})
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -172,21 +173,23 @@ func (c *cluster) copyShare(cell int, keys []string) *migration {
 	if _, err := c.engines[1].InstallCells(wire.InstallCells{Cells: []wire.CellPayload{p}}); err != nil {
 		c.t.Fatal(err)
 	}
-	m := &migration{cell: cell, keys: keys, copied: make(map[uint64]bool), copiedMsgs: make(map[uint64]bool)}
+	m := &migration{cell: cell, keys: keys, copied: make(map[uint64]bool), copiedMsgs: make(map[[2]uint64]bool)}
 	for _, q := range p.Queries {
 		m.copied[q.ID] = true
 	}
-	for _, e := range p.Ring {
-		m.copiedMsgs[e.MsgID] = true
+	for _, se := range p.Subs {
+		for _, e := range se.Entries {
+			m.copiedMsgs[[2]uint64{se.ID, e.MsgID}] = true
+		}
 	}
 	return m
 }
 
 // finish flips the routing and runs the removing extraction and the
-// reconciling install: queries and ring entries that reached the source
-// after the copy move on, queries deleted there since are deleted from
-// the destination's copy. It reports how much reconciling there was.
-func (c *cluster) finish(m *migration) (leftover, deleted, ringLeft int) {
+// reconciling install: queries and window entries that reached the
+// source after the copy move on, queries deleted there since are deleted
+// from the destination's copy. It reports how much reconciling there was.
+func (c *cluster) finish(m *migration) (leftover, deleted, entriesLeft int) {
 	if m.keys == nil {
 		c.owner[m.cell] = 1
 	} else {
@@ -197,7 +200,7 @@ func (c *cluster) finish(m *migration) (leftover, deleted, ringLeft int) {
 		c.splitKeys[m.cell] = split
 	}
 	share, err := c.engines[0].ExtractCells(wire.ExtractCells{
-		Cells: []wire.CellSpec{{Cell: m.cell, Keys: m.keys}}, Remove: true,
+		Cells: []wire.CellSpec{{Cell: m.cell, Keys: m.keys}}, Remove: true, Subs: true,
 	})
 	if err != nil {
 		c.t.Fatal(err)
@@ -211,9 +214,16 @@ func (c *cluster) finish(m *migration) (leftover, deleted, ringLeft int) {
 			fwd.Queries = append(fwd.Queries, q)
 		}
 	}
-	for _, e := range p.Ring {
-		if !m.copiedMsgs[e.MsgID] {
-			fwd.Ring = append(fwd.Ring, e)
+	for _, se := range p.Subs {
+		left := wire.SubEntries{ID: se.ID}
+		for _, e := range se.Entries {
+			if !m.copiedMsgs[[2]uint64{se.ID, e.MsgID}] {
+				left.Entries = append(left.Entries, e)
+			}
+		}
+		if len(left.Entries) > 0 {
+			fwd.Subs = append(fwd.Subs, left)
+			entriesLeft += len(left.Entries)
 		}
 	}
 	var deletes []uint64
@@ -225,7 +235,7 @@ func (c *cluster) finish(m *migration) (leftover, deleted, ringLeft int) {
 	if _, err := c.engines[1].InstallCells(wire.InstallCells{Cells: []wire.CellPayload{fwd}, Deletes: deletes}); err != nil {
 		c.t.Fatal(err)
 	}
-	return len(fwd.Queries), len(deletes), len(fwd.Ring)
+	return len(fwd.Queries), len(deletes), entriesLeft
 }
 
 // opStream generates the seeded op stream. Every query lives strictly
@@ -400,10 +410,10 @@ func TestEngineMigrationMatchesBruteForceAndSingleEngine(t *testing.T) {
 			hotQuery(1, time.Hour)
 			hotObject()
 			run(60)
-			leftover, deleted, ringLeft := c.finish(m)
-			if leftover < 2 || deleted < 1 || ringLeft < 1 {
-				t.Fatalf("vacuous: reconciled %d inserted queries, %d deleted queries, %d ring entries",
-					leftover, deleted, ringLeft)
+			leftover, deleted, entriesLeft := c.finish(m)
+			if leftover < 2 || deleted < 1 || entriesLeft < 1 {
+				t.Fatalf("vacuous: reconciled %d inserted queries, %d deleted queries, %d window entries",
+					leftover, deleted, entriesLeft)
 			}
 			// The source holds nothing of the moved share any more.
 			left, err := c.engines[0].ExtractCells(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: hot, Keys: tc.keys}}})
@@ -471,6 +481,78 @@ func TestEngineMigrationMatchesBruteForceAndSingleEngine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineReplayFromOpLogMatchesLive: an engine rebuilt from an op
+// log's checkpoint base and tail holds every top-k set the live engine
+// holds — including a subscription inserted after matching objects that
+// are still in the window, which ranks only the objects after it on
+// replay as it did live.
+func TestEngineReplayFromOpLogMatchesLive(t *testing.T) {
+	for _, seed := range []int64{31, 32, 33} {
+		g := grid.New(testBounds, testGran, testGran)
+		s := &opStream{rng: rand.New(rand.NewSource(seed)), g: g, hot: 5}
+		live := newTestEngine(0, nil)
+		log := oplog.New()
+		var now time.Time
+		apply := func(env wire.OpEnv) {
+			now = env.T0
+			log.Append(env.Op, env.T0)
+			live.Process([]wire.OpEnv{env}, nil, nil)
+		}
+		for i := 0; i < 300; i++ {
+			apply(s.next())
+		}
+		// Matching objects, then a subscription that must not rank them.
+		// Every hot-cell query region holds the cell's centre.
+		centre := func(id uint64) wire.OpEnv {
+			return s.stamp(model.Op{Kind: model.OpObject, Obj: &model.Object{ID: id, Terms: []string{movedKey}, Loc: g.CellRect(s.hot).Center()}})
+		}
+		for id := uint64(1); id <= 3; id++ {
+			apply(centre(id))
+		}
+		late := s.insert(s.hot, model.And(movedKey), 3, time.Hour)
+		s.live = s.live[:len(s.live)-1] // kept out of the random deletes
+		apply(late)
+		apply(centre(4))
+		for i := 0; i < 100; i++ {
+			apply(s.next())
+		}
+		log.Checkpoint(log.Seq(), now)
+		for i := 0; i < 200; i++ {
+			apply(s.next())
+		}
+
+		replayed := newTestEngine(0, nil)
+		base, tail, _ := log.Replay()
+		var ops []wire.OpEnv
+		for _, q := range base {
+			ops = append(ops, wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: now})
+		}
+		for _, e := range tail {
+			ops = append(ops, wire.OpEnv{Op: e.Op, T0: e.T0, Refill: e.Refill})
+		}
+		replayed.Process(ops, nil, nil)
+		advance(now, live, replayed)
+
+		lateSet := live.TopKSet(late.Op.Query.ID)
+		if !slices.Contains(lateSet, 4) || slices.ContainsFunc(lateSet, func(id uint64) bool { return id < 4 }) {
+			t.Fatalf("seed %d: the late subscription ranks %v live, want object 4 and none published before it", seed, lateSet)
+		}
+		compared := 0
+		for _, q := range append(s.live, late.Op.Query) {
+			if !q.IsTopK() {
+				continue
+			}
+			compared++
+			if got, want := replayed.TopKSet(q.ID), live.TopKSet(q.ID); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("seed %d: query %d holds %v after replay, %v live", seed, q.ID, got, want)
+			}
+		}
+		if compared < 5 {
+			t.Fatalf("seed %d: vacuous: %d live top-k queries", seed, compared)
+		}
 	}
 }
 
@@ -596,8 +678,8 @@ func TestEngineWholeQueryCopy(t *testing.T) {
 	if fmt.Sprint(ids) != "[1 2 3]" {
 		t.Errorf("whole-query copy lists %v, want each live query once: [1 2 3]", ids)
 	}
-	if p.Cell != wire.WholeQueries || len(p.Ring) != 0 {
-		t.Errorf("payload cell %d with %d ring entries, want the whole-query cell and no ring", p.Cell, len(p.Ring))
+	if p.Cell != wire.WholeQueries {
+		t.Errorf("payload cell %d, want the whole-query cell", p.Cell)
 	}
 	if len(p.Subs) != 1 || p.Subs[0].ID != 3 || len(p.Subs[0].Entries) != 1 {
 		t.Errorf("held entries %+v, want subscription 3 holding object 50", p.Subs)
@@ -634,10 +716,9 @@ func TestEngineRefusesCellsOutsideGrid(t *testing.T) {
 			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
 		}
 	}
-	ring := []window.Entry{{MsgID: 9, Terms: []string{"a"}, At: testEpoch}}
 	for _, p := range []wire.CellPayload{
 		{Cell: 5000, Queries: []*model.Query{{ID: 2, Expr: model.And("a"), Region: geo.NewRect(0, 0, 1, 1)}}},
-		{Cell: wire.WholeQueries, Ring: ring},
+		{Cell: -2, Subs: []wire.SubEntries{{ID: 1, Entries: []window.Entry{{MsgID: 9, Terms: []string{"a"}, At: testEpoch}}}}},
 	} {
 		if _, err := e.InstallCells(wire.InstallCells{Cells: []wire.CellPayload{{Cell: 0}, p}, Deletes: []uint64{1}}); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("cell %d", p.Cell)) {

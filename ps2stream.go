@@ -39,10 +39,12 @@
 // SubscribeTopK registers a subscription that continuously tracks the k
 // most relevant messages published within a trailing time window, where
 // relevance combines text overlap, spatial proximity to the region
-// centre, and recency decay. Deliveries arrive through Options.OnTopK as
-// TopKUpdate events — a message entered the subscription's top-k, or left
-// it (displaced by a better one or expired out of the window, in which
-// case the top-k is repaired from the retained window automatically):
+// centre, and recency decay. Like a boolean subscription it ranks only
+// messages published after SubscribeTopK returns. Deliveries arrive
+// through Options.OnTopK as TopKUpdate events — a message entered the
+// subscription's top-k, or left it (displaced by a better one or expired
+// out of the window, in which case the next-best live message, already
+// held by the worker, takes its place):
 //
 //	sys, _ := ps2stream.Open(ps2stream.Options{
 //		Region: ps2stream.NewRegion(-125, 24, -66, 49),
@@ -555,7 +557,10 @@ func (s *System) Subscribe(sub Subscription) error {
 // the trailing window that match the subscription's boolean expression
 // and region, and reports membership changes through Options.OnTopK.
 // Relevance is text overlap × proximity to the region centre × recency
-// decay. Unsubscribe ends the subscription like a boolean one.
+// decay. The subscription ranks only messages published after
+// SubscribeTopK returns, never earlier ones still inside the window: the
+// history rule boolean subscriptions follow. Unsubscribe ends the
+// subscription like a boolean one.
 //
 // Top-k subscriptions work with Options.RemoteWorkers: each node folds
 // its window updates into delta batches that reconcile on this
@@ -585,8 +590,9 @@ func (s *System) TopKSet(subscriptionID uint64) []uint64 {
 }
 
 // AdvanceTopK forces one synchronous window-expiry sweep: entries older
-// than their subscription's window fall out of every top-k and the heaps
-// are repaired from the retained window. The system runs this sweep
+// than their subscription's window fall out of every top-k, and the
+// next-ranked entries each worker already holds move up in their place.
+// The system runs this sweep
 // periodically on its own; explicit calls are for deterministic tests and
 // replays driving a fake Options.Now clock.
 func (s *System) AdvanceTopK() {

@@ -479,11 +479,12 @@ func checkpointRestore(t *testing.T, remote []string) {
 	}
 }
 
-// TestRestoreLegacyFixtures: the gob snapshots earlier builds wrote —
-// a version-1 query snapshot and a version-2 worker state file — still
-// restore, and every subscription in them is live afterwards.
+// TestRestoreLegacyFixtures: the snapshots earlier builds wrote — a
+// version-1 query snapshot and a version-2 worker state file in gob, and
+// a version-3 file of InstallCells frames — still restore, and every
+// subscription in them is live afterwards.
 func TestRestoreLegacyFixtures(t *testing.T) {
-	for file, want := range map[string]int{"v1.gob": 12, "v2.gob": 40} {
+	for file, want := range map[string]int{"v1.gob": 12, "v2.gob": 40, "v3.snap": 24} {
 		blob, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", file))
 		if err != nil {
 			t.Fatal(err)

@@ -172,6 +172,43 @@ func TestUnsubscribeTopKStopsTracking(t *testing.T) {
 	}
 }
 
+// TestSubscribeTopKRanksOnlyLaterMessages states the history rule: a
+// top-k subscription ranks the messages published after SubscribeTopK
+// returns, never the matching ones published before it — not even when
+// another top-k subscription already ranks them.
+func TestSubscribeTopKRanksOnlyLaterMessages(t *testing.T) {
+	sys, err := Open(Options{Region: NewRegion(0, 0, 10, 10), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	early := Subscription{ID: 6, Query: "sale", Region: NewRegion(0, 0, 10, 10)}
+	if err := sys.SubscribeTopK(early, 3, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	sys.Flush()
+	for id := uint64(1); id <= 3; id++ {
+		sys.Publish(Message{ID: id, Text: "sale today", Lat: 5, Lon: 5})
+	}
+	sys.Flush()
+	if got := sys.TopKSet(6); !equalU64(got, []uint64{1, 2, 3}) {
+		t.Fatalf("vacuous: the standing subscription ranks %v, want [1 2 3]", got)
+	}
+	sub := Subscription{ID: 7, Query: "sale", Region: NewRegion(0, 0, 10, 10)}
+	if err := sys.SubscribeTopK(sub, 3, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	sys.Flush()
+	if got := sys.TopKSet(7); len(got) != 0 {
+		t.Fatalf("TopKSet %v right after SubscribeTopK, want empty: earlier messages are not ranked", got)
+	}
+	sys.Publish(Message{ID: 4, Text: "sale now", Lat: 5, Lon: 5})
+	sys.Flush()
+	if got := sys.TopKSet(7); !equalU64(got, []uint64{4}) {
+		t.Fatalf("TopKSet %v, want the later message alone: [4]", got)
+	}
+}
+
 func equalU64(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
