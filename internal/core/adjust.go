@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"time"
 
@@ -18,8 +19,12 @@ import (
 // runs the imbalance detector (θ threshold + hysteresis + cooldown), and
 // when the detector fires migrates load from the most to the least loaded
 // worker — Phase I (split/merge that reduces total workload) then Phase
-// II (Minimum Cost Migration) — while the stream keeps flowing.
+// II (Minimum Cost Migration) — while the stream keeps flowing. It runs
+// only with Adjust.Enabled.
 func (s *System) adjustLoop(ctx context.Context) {
+	if !s.cfg.Adjust.Enabled {
+		return
+	}
 	ticker := time.NewTicker(s.cfg.Adjust.Interval)
 	defer ticker.Stop()
 	for {
@@ -32,13 +37,12 @@ func (s *System) adjustLoop(ctx context.Context) {
 	}
 }
 
-// adjustTick runs one controller evaluation: maintenance (deferred
-// extracts, global-repartition progress), load sampling, detection, and —
+// adjustTick runs one controller evaluation: maintenance
+// (global-repartition progress), load sampling, detection, and —
 // on a trigger — one adjustment. Serialised with AdjustNow by adjustMu.
 func (s *System) adjustTick() {
 	s.adjustMu.Lock()
 	defer s.adjustMu.Unlock()
-	s.processPendingExtracts()
 	s.checkGlobalProgress()
 	s.globalMu.Lock()
 	dualActive := s.dual != nil
@@ -106,13 +110,13 @@ func (s *System) adjustTick() {
 }
 
 // pollLoads refreshes work with every active slot's cumulative
-// processed-op counters (one stats round each), so the detector's
+// processed-op counters (freshStats), so the detector's
 // per-interval differences measure what each worker processed — not the
 // coordinator's hand-off rate, which would track routing alone and hide
 // a node that cannot keep up. Caller holds adjustMu.
 func (s *System) pollLoads() error {
 	for _, w := range s.activeWorkerSlots() {
-		sr, err := s.slots[w].Stats()
+		sr, err := s.freshStats(w)
 		if err != nil {
 			s.log.Debug("adjust load poll failed", "worker", w, "err", err)
 			return err
@@ -151,11 +155,12 @@ func (s *System) commitWorkSample() {
 // resetLoadWindows starts a fresh Definition-1 window: the dispatcher-side
 // per-worker counters (Snapshot.WorkerLoads) and the per-cell object
 // windows inside each worker's index (Phase I/II candidate loads). A
-// reset is ordered before the slot's next CellStats round.
+// reset travels the slot's stream, ahead of the slot's next CellStats
+// round.
 func (s *System) resetLoadWindows() {
 	s.resetWindow()
 	for _, w := range s.activeWorkerSlots() {
-		_ = s.slots[w].ResetWindow() // a failure here surfaces on the data path
+		s.send(newRound(w, wire.ResetWindow{}, false))
 	}
 }
 
@@ -171,7 +176,6 @@ func (s *System) AdjustNow() int {
 	}
 	s.adjustMu.Lock()
 	defer s.adjustMu.Unlock()
-	s.processPendingExtracts()
 	s.globalMu.Lock()
 	dualActive := s.dual != nil
 	s.globalMu.Unlock()
@@ -225,20 +229,21 @@ func (s *System) migrationCount() int {
 func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 	var movedLoad float64
 
-	// One planner snapshot per endpoint: Phase I shares, Phase II
+	// One planner snapshot per worker: Phase I shares, Phase II
 	// candidates and the tau pricing for a worker all derive from a single
 	// CellStats round, so they cannot disagree with each other (and the
-	// adjustment costs one round per endpoint, not three). If an endpoint
+	// adjustment costs one round per worker, not three). If a worker
 	// cannot be observed the adjustment aborts — planning against a zero
 	// view would move arbitrarily much.
-	woStats, err := s.slots[wo].CellStats()
+	woReply, err := roundAs[wire.CellStatsReply](s, wo, wire.CellStatsReq{})
 	if err != nil {
 		return
 	}
-	wlStats, err := s.slots[wl].CellStats()
+	wlReply, err := roundAs[wire.CellStatsReply](s, wl, wire.CellStatsReq{})
 	if err != nil {
 		return
 	}
+	woStats, wlStats := woReply.Cells, wlReply.Cells
 
 	// Phase I: split/merge opportunities on the heaviest cells.
 	wlShares := make(map[int]migrate.CellShare)
@@ -248,6 +253,7 @@ func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 	actions := migrate.PlanPhaseI(s.collectShares(woStats), wlShares, s.cellObjTotal, migrate.PhaseIConfig{
 		Costs: s.cfg.Costs,
 	})
+	migrated := make(map[int]bool)
 	for _, a := range actions {
 		start := time.Now()
 		var moved int
@@ -264,6 +270,7 @@ func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 			// so neither the stats nor the tau budget may count it.
 			continue
 		}
+		migrated[a.Cell] = true
 		movedLoad += a.LoadMoved
 		s.recordMigration(MigrationStat{
 			Algorithm:    s.cfg.Adjust.Algorithm,
@@ -284,7 +291,7 @@ func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 	// loads decide *whether* to adjust; they are not commensurable with
 	// cell loads and using their gap as tau moves arbitrarily little or
 	// much.
-	cells := s.migrationCandidates(woStats)
+	cells := migrationCandidates(woStats, migrated)
 	if len(cells) == 0 {
 		return
 	}
@@ -350,12 +357,10 @@ func (s *System) cellObjTotal(cell int) int64 {
 }
 
 // collectShares is the Phase I view of a worker's CellStats snapshot.
-// Pending cells are filtered at call time, so a snapshot taken before
-// Phase I still excludes the cells Phase I just migrated.
 func (s *System) collectShares(stats []wire.CellStat) []migrate.CellShare {
 	shares := make([]migrate.CellShare, 0, len(stats))
 	for _, cs := range stats {
-		if cs.Entries == 0 || s.cellPending(cs.Cell) {
+		if cs.Entries == 0 {
 			continue
 		}
 		share := migrate.CellShare{
@@ -389,12 +394,12 @@ func cellLoadSum(stats []wire.CellStat) float64 {
 
 // migrationCandidates lists a CellStats snapshot's cells as Minimum Cost
 // Migration input (Definition 4): load L_g = n_o·n_q, size S_g =
-// serialised query bytes. Pending cells (including those Phase I just
-// migrated) are filtered at call time.
-func (s *System) migrationCandidates(stats []wire.CellStat) []migrate.Cell {
+// serialised query bytes. Cells in skip (those Phase I just migrated,
+// still listed in a snapshot taken before it) are left out.
+func migrationCandidates(stats []wire.CellStat, skip map[int]bool) []migrate.Cell {
 	var cells []migrate.Cell
 	for _, cs := range stats {
-		if cs.Entries == 0 || cs.Load <= 0 || s.cellPending(cs.Cell) {
+		if cs.Entries == 0 || cs.Load <= 0 || skip[cs.Cell] {
 			continue
 		}
 		cells = append(cells, migrate.Cell{ID: cs.Cell, Load: cs.Load, Size: cs.SizeBytes})
@@ -402,49 +407,30 @@ func (s *System) migrationCandidates(stats []wire.CellStat) []migrate.Cell {
 	return cells
 }
 
-// pendingExtract is a deferred migration cleanup: the cell's routing has
-// flipped to the target worker, but the source worker keeps its copies
-// until a marker put into the ingest after the flip has passed. The one
-// dispatcher takes that marker after every operation it routed under the
-// old table, and the source passes it on only after applying them, so
-// in-flight objects still find the queries; overlap duplicates are
-// removed by the mergers.
-type pendingExtract struct {
-	cell   int
-	wo, wl int
-	keys   []string // nil: whole cell
-	copied map[uint64]struct{}
-	// copiedEntries are the (subscription, message) window entries
-	// copied with the cell; entries that joined a band at the source
-	// between copy and flip are forwarded at extraction time, like
-	// leftover queries.
-	copiedEntries map[[2]uint64]struct{}
-	mark          *drainMark
-}
-
 // announceFence forwards the current routing epoch to every active slot
-// after a flip. The frame is informational: it tags the node's logs and
-// stats with the epoch its later traffic was routed under.
+// after a flip. The request is informational: it tags the engine's
+// diagnostics with the epoch its later traffic was routed under.
 func (s *System) announceFence() {
 	epoch := s.routeEpoch.Load()
 	s.log.Debug("adjust route epoch advanced", "epoch", epoch)
 	for _, w := range s.activeWorkerSlots() {
-		_ = s.slots[w].SendFence(epoch) // informational; failures surface on the data path
+		s.send(newRound(w, wire.Fence{Epoch: epoch}, false))
 	}
 }
 
 // handOff moves worker wo's share of a cell — the whole cell when keys is
 // nil, only the given registration keys otherwise — to wl using the
-// copy → transfer → flip-routing → deferred-extract sequence, so no
-// matching object is ever routed to a worker without the queries. Each
-// top-k subscription's window entries located in the cell travel with
-// it, so sliding-window top-k subscriptions survive the hand-off without
-// losing window history. ok is false when a round failed before the
-// routing flip — nothing moved, nothing to record.
+// copy → transfer → flip-routing → extract sequence, so no matching
+// object is ever routed to a worker without the queries. Each top-k
+// subscription's window entries located in the cell travel with it, so
+// sliding-window top-k subscriptions survive the hand-off without losing
+// window history. ok is false when a round failed before the routing
+// flip — nothing moved, nothing to record.
 func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesMoved int, nbytes int64, ok bool) {
+	spec := []wire.CellSpec{{Cell: cell, Keys: keys}}
 	// 1. Copy: one non-removing ExtractCells round, ordered behind all
-	// traffic handed to wo before it.
-	share, err := s.slots[wo].ExtractCells([]wire.CellSpec{{Cell: cell, Keys: keys}}, false, true)
+	// traffic routed to wo before it.
+	share, err := roundAs[wire.CellShare](s, wo, wire.ExtractCells{Cells: spec, Subs: true})
 	if err != nil {
 		return 0, 0, false // failure before anything changed: abort this migration
 	}
@@ -456,11 +442,11 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 	// 2. Transfer. On the paper's cluster the receiving worker is busy
 	// ingesting the migrated queries instead of processing tuples, which
 	// is exactly what delays tuples in Figures 12(c)/15. Once the round
-	// returns, every op batch handed to wl is matched against the share.
+	// returns, every op batch routed to wl is matched against the share.
 	// A failure aborts before the routing flip — the destination holds at
 	// worst an unused copy whose duplicate matches the mergers suppress.
 	if len(qs) > 0 {
-		nbytes, err = s.slots[wl].InstallCells([]wire.CellPayload{{Cell: cell, Queries: qs, Subs: subs}}, nil)
+		nbytes, err = s.installCells(wl, wire.InstallCells{Cells: []wire.CellPayload{{Cell: cell, Queries: qs, Subs: subs}}})
 		if err != nil {
 			return 0, 0, false
 		}
@@ -472,15 +458,33 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 	flip()
 	s.routeEpoch.Add(1)
 	s.announceFence()
-	// 4. Schedule extraction behind a marker put after the flip: an
-	// operation the dispatcher routed to wo under the old table is ahead
-	// of it. On a closed ingest nothing more is routed, and the marker
-	// never passes: the source keeps a copy whose duplicates the mergers
-	// suppress.
-	mark := s.newMark()
-	s.ingest.mark(mark)
-	s.scheduleExtract(pendingExtract{cell: cell, wo: wo, wl: wl, keys: keys, copied: idSet(qs),
-		copiedEntries: entrySet(subs), mark: mark})
+	// 4. Extract: one removing round put into wo's stream after the flip.
+	// The one dispatcher takes it after every operation it routed to wo
+	// under the old table, and wo serves it after applying them, so
+	// in-flight objects still find the queries; overlap duplicates are
+	// removed by the mergers.
+	extract := wire.ExtractCells{Cells: spec, Remove: true, Subs: true}
+	removed, err := roundAs[wire.CellShare](s, wo, extract)
+	for errors.Is(err, errSlotNotUp) && s.awaitUp(wo) {
+		// The source's session ended before it answered. Recovery
+		// rebuilds the slot from its op log, where the share has not
+		// departed, so extracting again is safe.
+		removed, err = roundAs[wire.CellShare](s, wo, extract)
+	}
+	if err != nil {
+		// A timed-out round is ambiguous — the node may or may not have
+		// removed the share — so retrying is NOT safe: a second
+		// extraction of an already-empty cell would misread every copied
+		// query as "deleted between copy and flip" and wipe the migrated
+		// share at the destination. Abandon the extraction instead: at
+		// worst the source keeps a stale duplicate copy whose matches the
+		// mergers suppress, and a control round only fails on a
+		// connection that is about to fail the run on the data path
+		// anyway.
+		return len(qs), nbytes, true
+	}
+	s.finishExtract(wo, wl, cell, qs, subs, removed)
+	s.log.Debug("adjust extract finished", "cell", cell, "from", wo, "to", wl)
 	return len(qs), nbytes, true
 }
 
@@ -523,62 +527,18 @@ func idSet(qs []*model.Query) map[uint64]struct{} {
 	return out
 }
 
-func (s *System) scheduleExtract(pe pendingExtract) {
-	s.migMu.Lock()
-	s.pendingEx = append(s.pendingEx, pe)
-	s.pendingCells[pe.cell] = true
-	s.migMu.Unlock()
-}
-
-// processPendingExtracts completes deferred extractions whose marker has
-// passed.
-func (s *System) processPendingExtracts() {
-	s.migMu.Lock()
-	var due []pendingExtract
-	var rest []pendingExtract
-	for _, pe := range s.pendingEx {
-		if pe.mark.passed() {
-			due = append(due, pe)
-		} else {
-			rest = append(rest, pe)
-		}
-	}
-	s.pendingEx = rest
-	s.migMu.Unlock()
-	for _, pe := range due {
-		s.finishExtract(pe)
-		s.log.Debug("adjust extract finished", "cell", pe.cell, "from", pe.wo, "to", pe.wl)
-		s.migMu.Lock()
-		delete(s.pendingCells, pe.cell)
-		s.migMu.Unlock()
-	}
-}
-
-// finishExtract runs one deferred extraction end to end: remove the
-// migrated share from the source (one removing ExtractCells round),
-// reconcile
-// what changed between copy and flip, and forward the differences to the
-// new owner.
-func (s *System) finishExtract(pe pendingExtract) {
-	share, err := s.slots[pe.wo].ExtractCells([]wire.CellSpec{{Cell: pe.cell, Keys: pe.keys}}, true, true)
-	if err != nil {
-		// The extraction round failed. A timed-out round is ambiguous —
-		// the node may or may not have removed the share — so retrying is
-		// NOT safe: a second extraction of an already-empty cell would
-		// misread every copied query as "deleted between copy and flip"
-		// and wipe the migrated share at the destination. Abandon the
-		// extraction instead: at worst the source keeps a stale duplicate
-		// copy whose matches the mergers suppress, and a control round
-		// only fails on a connection that is about to fail the run on the
-		// data path anyway.
-		return
-	}
+// finishExtract completes a hand-off from the source's removing
+// extraction: it reconciles what changed at wo between copy and flip
+// and forwards the differences to the new owner wl. copied and
+// copiedSubs are what the copy round returned.
+func (s *System) finishExtract(wo, wl, cell int, copied []*model.Query, copiedSubs []wire.SubEntries, share wire.CellShare) {
+	copiedIDs, copiedEntries := idSet(copied), entrySet(copiedSubs)
 	var extracted []*model.Query
 	var subs []wire.SubEntries
 	if len(share.Cells) > 0 {
 		extracted, subs = share.Cells[0].Queries, share.Cells[0].Subs
 	}
-	s.logDepartures(pe.wo, extracted)
+	s.logDepartures(wo, extracted)
 	// Window hand-off: entries that joined a subscription's band at wo
 	// between the copy and the routing flip are forwarded, so wl holds
 	// every entry wo released.
@@ -586,7 +546,7 @@ func (s *System) finishExtract(pe pendingExtract) {
 	for _, se := range subs {
 		var left []window.Entry
 		for _, e := range se.Entries {
-			if _, ok := pe.copiedEntries[[2]uint64{se.ID, e.MsgID}]; !ok {
+			if _, ok := copiedEntries[[2]uint64{se.ID, e.MsgID}]; !ok {
 				left = append(left, e)
 			}
 		}
@@ -603,13 +563,13 @@ func (s *System) finishExtract(pe pendingExtract) {
 	// matching forever.
 	var leftover []*model.Query
 	for _, q := range extracted {
-		if _, ok := pe.copied[q.ID]; !ok {
+		if _, ok := copiedIDs[q.ID]; !ok {
 			leftover = append(leftover, q)
 		}
 	}
 	extractedIDs := idSet(extracted)
 	var deleted []uint64
-	for id := range pe.copied {
+	for id := range copiedIDs {
 		if _, ok := extractedIDs[id]; !ok {
 			deleted = append(deleted, id)
 		}
@@ -617,38 +577,22 @@ func (s *System) finishExtract(pe pendingExtract) {
 	if len(leftover) > 0 || len(subsLeft) > 0 || len(deleted) > 0 {
 		var cells []wire.CellPayload
 		if len(leftover) > 0 || len(subsLeft) > 0 {
-			cells = []wire.CellPayload{{Cell: pe.cell, Queries: leftover, Subs: subsLeft}}
+			cells = []wire.CellPayload{{Cell: cell, Queries: leftover, Subs: subsLeft}}
 		}
 		// Best-effort: a failure here means the destination's connection
 		// is down, which already fails the run on the data path —
 		// re-extracting could not recover the copies the source no longer
 		// holds.
-		_, _ = s.slots[pe.wl].InstallCells(cells, deleted)
+		_, _ = s.installCells(wl, wire.InstallCells{Cells: cells, Deletes: deleted})
 		// Logged regardless of the install outcome: routing already
 		// flipped, so the destination slot owns these differences and
 		// replay must reconstruct them even if this particular delivery
 		// is lost to a crash the recovery path then heals.
-		s.logAdoptions(pe.wl, leftover, deleted, subsLeft)
+		s.logAdoptions(wl, leftover, deleted, subsLeft)
 	}
 	// The source's retractions (subscriptions and window entries that left
 	// with the share) are applied AFTER the destination's adoptions, so a
 	// hand-off that preserves membership nets out to zero user-visible
 	// updates.
-	s.board.ApplyFrom(pe.wo, share.Epoch, share.Deltas)
-}
-
-// hasPendingExtracts reports whether any deferred extraction awaits its
-// marker or completion.
-func (s *System) hasPendingExtracts() bool {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	return len(s.pendingEx) > 0
-}
-
-// cellPending reports whether the cell awaits a deferred extraction (and
-// must not be re-migrated yet).
-func (s *System) cellPending(cell int) bool {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	return s.pendingCells[cell]
+	s.board.ApplyFrom(wo, share.Epoch, share.Deltas)
 }

@@ -93,17 +93,16 @@ func opBatch(sys *System, ops ...wire.OpEnv) *[]wire.OpEnv {
 
 // TestWorkerBoltNoMatchBatchAllocs pins the in-process hot path: a
 // 64-object typed batch that meets a standing query it does not satisfy
-// goes through the local worker bolt — the slot lock, the engine, the
-// board, latency accounting, the batch's return to its pool — without
-// allocating.
+// goes through the local worker bolt — the engine, the board, latency
+// accounting, the batch's return to its pool — without allocating.
 func TestWorkerBoltNoMatchBatchAllocs(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 1, 10)
 	sys, err := New(Config{Workers: 2}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bolt := &workerBolt{s: sys, task: 0, local: sys.slots[0].(*localWorker),
-		split: newFanout(&sys.matchBatches, sys.toMerge, nil)}
+	bolt := sys.bolts[0]
+	bolt.split = newFanout(&sys.matchBatches, sys.toMerge, nil)
 	at := sample.Bounds.Center()
 	q := &model.Query{ID: 1, Expr: model.And("nomatchterm"), Region: geo.RectAround(at, 50, 50)}
 	bolt.process(opBatch(sys, wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: sys.now()}))
@@ -116,7 +115,7 @@ func TestWorkerBoltNoMatchBatchAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { bolt.process(opBatch(sys, ops...)) }); n > 0 {
 		t.Errorf("a 64-object no-match batch through the worker bolt allocates %v times, want 0", n)
 	}
-	if got := sys.slots[0].LastStats(); got.Objects != 64*202 || got.Inserts != 1 {
+	if got := sys.lastStats(0); got.Objects != 64*202 || got.Inserts != 1 {
 		t.Errorf("engine counted %d objects and %d inserts, want %d and 1", got.Objects, got.Inserts, 64*202)
 	}
 }

@@ -313,9 +313,10 @@ type System struct {
 	assign atomic.Value // partition.Assignment (swapped by global adjustment)
 	gridT  atomic.Pointer[hybrid.GridT]
 
-	// slots holds each worker slot's endpoint, spares included: a
-	// localWorker for an in-process slot, the slot's workerHop otherwise.
-	slots []workerEndpoint
+	// bolts holds each in-process worker slot's bolt, built with its
+	// engine in New; nil entries for out-of-process slots, which have a
+	// hop (hops) instead. Spares included.
+	bolts []*workerBolt
 	// ingest is the one FIFO from Submit to the dispatcher (ingest.go).
 	ingest *ingestQueue
 	// ingestBlocked counts the times a Submit parked on a full ingest.
@@ -396,7 +397,7 @@ type System struct {
 	// loadEWMA values are atomically readable for Snapshot.
 	adjustMu sync.Mutex
 	// work holds each slot's cumulative processed-op counts as its
-	// endpoint last reported them (pollLoads fills it each evaluation);
+	// stats round last reported them (pollLoads fills it each evaluation);
 	// prevWork is the previous committed sample. The detector sees their
 	// difference: what each worker actually processed this interval.
 	work      []workCounts
@@ -418,10 +419,6 @@ type System struct {
 
 	migMu      sync.Mutex
 	migrations []MigrationStat
-	// pending deferred extractions (cells whose routing already flipped
-	// but whose source copies await their marker).
-	pendingEx    []pendingExtract
-	pendingCells map[int]bool
 
 	// Global adjustment state.
 	globalMu sync.Mutex
@@ -518,17 +515,16 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	// only (spares receive load via cell migration).
 	totalSlots := cfg.Workers + cfg.SpareWorkers
 	s.initHops()
-	s.slots = make([]workerEndpoint, totalSlots)
-	for i := range s.slots {
-		if h := s.hop(i); h != nil {
-			s.slots[i] = h
+	s.bolts = make([]*workerBolt, totalSlots)
+	for i := range s.bolts {
+		if s.hop(i) != nil {
 			continue
 		}
 		eng := worker.New(worker.Config{
 			Task:  i,
 			Index: gi2.New(sample.Bounds, cfg.Granularity, sample.Stats),
 		})
-		s.slots[i] = &localWorker{eng: eng, board: s.board, wireRate: cfg.Adjust.WireBytesPerSec}
+		s.bolts[i] = &workerBolt{s: s, task: i, eng: eng}
 	}
 	s.winObjects = make([]atomic.Int64, totalSlots)
 	s.winInserts = make([]atomic.Int64, totalSlots)
@@ -538,7 +534,6 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	s.remoteHello = cfg.RemoteHello(0, sample)
 	s.towork = newQueues[wire.OpEnv](totalSlots, &cfg)
 	s.toMerge = newQueues[wire.MatchEnv](cfg.Mergers, &cfg)
-	s.pendingCells = make(map[int]bool)
 	if gt := s.gridT.Load(); gt != nil {
 		s.cellObjects = make([]atomic.Int64, gt.Grid().NumCells())
 	}
@@ -606,18 +601,23 @@ func (s *System) Start(ctx context.Context) error {
 			s.closeRemoteTransports()
 		}()
 	}
+	// The background loops end with the run. A tick in flight then
+	// finishes against the stopped run, whose slots serve its rounds
+	// directly, before Close or Abort returns.
 	adjustCtx, adjustCancel := context.WithCancel(runCtx)
-	if s.cfg.Adjust.Enabled {
-		go s.adjustLoop(adjustCtx)
+	var loops sync.WaitGroup
+	for _, loop := range []func(context.Context){s.adjustLoop, s.checkpointLoop, s.windowLoop} {
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			loop(adjustCtx)
+		}()
 	}
-	if s.cfg.Recovery.Enabled && s.hops != nil {
-		go s.checkpointLoop(adjustCtx)
-	}
-	go s.windowLoop(adjustCtx)
 	go func() {
 		err := s.run(runCtx, cancel)
 		adjustCancel()
 		close(s.stopped)
+		loops.Wait()
 		s.runErr <- err
 	}()
 	return nil
@@ -684,7 +684,7 @@ func (s *System) Snapshot() Snapshot {
 		DispatcherBytes: s.Assignment().Footprint(),
 	}
 	snap.WorkerLoads = s.windowLoads()
-	snap.WorkerBytes = make([]int64, len(s.slots))
+	snap.WorkerBytes = make([]int64, s.totalSlots())
 	s.eachLocal(func(i int, eng *worker.Engine) { snap.WorkerBytes[i] = eng.Footprint() })
 	s.migMu.Lock()
 	snap.Migrations = append([]MigrationStat(nil), s.migrations...)
@@ -755,9 +755,9 @@ func (s *System) Bounds() geo.Rect { return s.bounds }
 // views (memory accounting) that only a local engine can serve without a
 // control round.
 func (s *System) eachLocal(fn func(slot int, eng *worker.Engine)) {
-	for i, ep := range s.slots {
-		if l, ok := ep.(*localWorker); ok {
-			fn(i, l.eng)
+	for i, b := range s.bolts {
+		if b != nil {
+			fn(i, b.eng)
 		}
 	}
 }
@@ -777,9 +777,9 @@ func (s *System) WindowStats() (bytes int64, bands []int) {
 // slotPopulation reads slot w's standing population with one copying
 // ExtractCells round over the whole-query spec: every live query once
 // and, with subs, each top-k subscription's window band. The round
-// follows every op batch handed to the slot before it.
+// covers every operation whose Submit returned before the call.
 func (s *System) slotPopulation(w int, subs bool) (wire.CellPayload, error) {
-	cs, err := s.slots[w].ExtractCells([]wire.CellSpec{{Cell: wire.WholeQueries}}, false, subs)
+	cs, err := roundAs[wire.CellShare](s, w, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Subs: subs})
 	if err != nil {
 		return wire.CellPayload{}, err
 	}
@@ -791,10 +791,10 @@ func (s *System) slotPopulation(w int, subs bool) (wire.CellPayload, error) {
 
 // LiveQueries returns a point-in-time copy of the live query population
 // of every active worker slot, in-process or remote, deduplicated across
-// them and sorted by id. Slots are read one at a time, so with a live
-// stream the set is a near-cut, not an exact one; call Drain with input
-// paused first for an exact snapshot. A slot whose round fails is left
-// out, and the error names it.
+// them and sorted by id. Each slot's round covers every operation whose
+// Submit returned before the call, but slots are read one at a time, so
+// with a live stream the set is a near-cut, not an exact one. A slot
+// whose round fails is left out, and the error names it.
 func (s *System) LiveQueries() ([]*model.Query, error) {
 	byID := make(map[uint64]*model.Query)
 	var errs []error
@@ -854,7 +854,7 @@ func (s *System) Restore(r io.Reader) (int, error) {
 // with — processed in-process, or handed to the wire. Cheap: one atomic
 // load per worker, no locks.
 func (s *System) WorkerOpCounts() []int64 {
-	out := make([]int64, len(s.slots))
+	out := make([]int64, s.totalSlots())
 	for i := range out {
 		out[i] = s.doneOps[i].Load()
 	}
@@ -864,8 +864,8 @@ func (s *System) WorkerOpCounts() []int64 {
 // WorkerQueryCounts reports live queries per in-process worker, zero for
 // out-of-process ones (tests, examples).
 func (s *System) WorkerQueryCounts() []int {
-	out := make([]int, len(s.slots))
-	s.eachLocal(func(i int, eng *worker.Engine) { out[i] = eng.QueryCount() })
+	out := make([]int, s.totalSlots())
+	s.eachLocal(func(i int, eng *worker.Engine) { out[i] = int(eng.Stats().Queries) })
 	return out
 }
 

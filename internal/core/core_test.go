@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
+	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
 
@@ -341,6 +343,93 @@ func TestGlobalRepartitionKeepsMatching(t *testing.T) {
 	}
 	if missing > 0 {
 		t.Errorf("%d/%d oracle matches missing across the repartition", missing, len(want))
+	}
+}
+
+// TestGlobalRepartitionSnapshotIncludesQueuedInsert: the opening
+// snapshot of a global repartition covers every insert whose Submit
+// returned before the call, even one still queued for a stalled
+// in-process worker. A query the snapshot misses keeps its old-strategy
+// routes without being tracked as old, so the finish does not relocate it
+// and it loses every match the new strategy routes elsewhere.
+func TestGlobalRepartitionSnapshotIncludesQueuedInsert(t *testing.T) {
+	sample, ops := smallWorkload(t, workload.Q1, 41, 500)
+	inserts, rest := ops[:300], ops[300:]
+	ms := newMatchSet()
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}, OnMatch: ms.add}, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	beforeBatch(0, func([]wire.OpEnv) {
+		once.Do(func() {
+			close(stalled)
+			<-gate
+		})
+	})(sys)
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.SubmitAll(inserts)
+	within(t, 5*time.Second, "worker 0 stalling on its first batch", stalled)
+	queued := make(map[uint64]bool)
+	for _, op := range inserts {
+		if slices.Contains(sys.gridT.Load().PeekQuery(op.Query), 0) {
+			queued[op.Query.ID] = true
+		}
+	}
+	if len(queued) == 0 {
+		t.Fatal("vacuous: no insert routes to worker 0")
+	}
+	// The snapshot waits for worker 0's queue, so the stall is released
+	// from elsewhere.
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		close(gate)
+	}()
+	spec := workload.TweetsUS()
+	spec.VocabSize = 2000
+	if err := sys.GlobalRepartition(workload.Sample(spec, workload.Q1, 2000, 400, 977), nil); err != nil {
+		t.Fatal(err)
+	}
+	sys.globalMu.Lock()
+	d := sys.dual
+	sys.globalMu.Unlock()
+	d.mu.Lock()
+	missed := 0
+	for id := range queued {
+		if _, ok := d.oldIDs[id]; !ok {
+			missed++
+		}
+	}
+	d.mu.Unlock()
+	if missed > 0 {
+		t.Errorf("the snapshot missed %d of the %d inserts queued for worker 0", missed, len(queued))
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sys.FinishGlobalRepartition()
+	sys.SubmitAll(rest)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	lost, theirs := 0, 0
+	for k := range oracleMatches(ops) {
+		if queued[k[0]] {
+			theirs++
+			if !ms.has(k[0], k[1]) {
+				lost++
+			}
+		}
+	}
+	if theirs == 0 {
+		t.Fatal("vacuous: no oracle match for a query queued for worker 0")
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d oracle matches of the queued queries lost after the repartition", lost, theirs)
 	}
 }
 

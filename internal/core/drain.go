@@ -58,7 +58,7 @@ func (s *System) Drain() error {
 		return errors.New("core: not started")
 	}
 	m := s.newMark()
-	accepted := s.ingest.mark(m)
+	accepted := s.ingest.mark(queuedMark{m: m})
 	var tick <-chan time.Time // only a remote slot fails without stopping the run
 	if s.hops != nil {
 		t := time.NewTicker(2 * time.Millisecond)

@@ -108,7 +108,8 @@ func (d *dualAssignment) remaining() (int, int) {
 // FinishGlobalRepartition explicitly.
 //
 // The start-of-transition snapshot reads each worker's standing
-// population with one whole-query ExtractCells round, and the finish
+// population with one whole-query ExtractCells round, which covers every
+// operation whose Submit returned before the call, and the finish
 // relocates queries with InstallCells rounds.
 func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.Builder) error {
 	if sample == nil {
@@ -127,9 +128,8 @@ func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.B
 		return errors.New("core: global repartition already in progress")
 	}
 	// Snapshot the live query population: these stay on the old routes.
-	// A remote slot answers behind every op batch already sent to it; an
-	// in-process slot answers at once, so an insert still queued for it
-	// is missed (ROADMAP.md item 5).
+	// Each slot answers in its stream, behind every insert routed to it
+	// before the call.
 	oldIDs := make(map[uint64]struct{})
 	for _, w := range s.activeWorkerSlots() {
 		p, err := s.slotPopulation(w, false)
@@ -306,17 +306,10 @@ func (s *System) FinishGlobalRepartition() int {
 	// no change.
 	for _, w := range active {
 		if b := batches[w]; b != nil && len(b.cells) > 0 {
-			if _, err := s.slots[w].InstallCells(b.cells, nil); err != nil {
+			if _, err := s.installCells(w, wire.InstallCells{Cells: b.cells}); err != nil {
 				s.log.Warn("global repartition: install round failed", "worker", w, "err", err)
 			}
 		}
-	}
-	// An object routed before the installs may still be queued for a
-	// departing holder, and the new holder may have passed it by: the
-	// holder must match it before it deletes. A marker put now follows
-	// every such object.
-	if err := s.Drain(); err != nil {
-		s.log.Warn("global repartition: drain before the delete rounds failed", "err", err)
 	}
 	s.carryLate(active, batches, late)
 	for _, w := range active {
@@ -325,7 +318,7 @@ func (s *System) FinishGlobalRepartition() int {
 			continue
 		}
 		if len(b.deletes) > 0 {
-			if _, err := s.slots[w].InstallCells(nil, b.deletes); err != nil {
+			if _, err := s.installCells(w, wire.InstallCells{Deletes: b.deletes}); err != nil {
 				s.log.Warn("global repartition: delete round failed", "worker", w, "err", err)
 			}
 		}
@@ -354,12 +347,12 @@ type lateCarry struct {
 }
 
 // carryLate hands the new holders what joined a departing holder's band
-// after its population round: an object still queued for the holder
-// then, which the drain has since matched there, while a new holder may
-// have passed it by before its install. One more population round per
-// departing holder reads those entries; objects routed after the drain
-// reach the new holders behind their installs, so nothing later is lost
-// when the holder deletes.
+// after its population round: an object routed between that round and
+// the installs, which a new holder may have passed by before its
+// install. One more population round per departing holder reads those
+// entries — it follows every object routed before the installs — and
+// objects routed after the installs reach the new holders behind them,
+// so nothing later is lost when the holder deletes.
 func (s *System) carryLate(active []int, batches map[int]*repartBatch, late map[uint64]*lateCarry) {
 	cells := make(map[int][]wire.CellPayload)
 	for _, w := range active {
@@ -396,7 +389,7 @@ func (s *System) carryLate(active []int, batches map[int]*repartBatch, late map[
 		if len(cells[w]) == 0 {
 			continue
 		}
-		if _, err := s.slots[w].InstallCells(cells[w], nil); err != nil {
+		if _, err := s.installCells(w, wire.InstallCells{Cells: cells[w]}); err != nil {
 			s.log.Warn("global repartition: late install round failed", "worker", w, "err", err)
 		}
 		batches[w].cells = append(batches[w].cells, cells[w]...)

@@ -12,7 +12,8 @@ import (
 // whole buffer out and routes it. Every operation leaves it in Submit order,
 // so the dispatcher routes in Submit order and every worker, fed in turn by
 // a FIFO channel or connection, applies its operations in Submit order. A
-// Drain marker takes its place in the same order. The queue holds at most
+// Drain marker or a control round (round.go) takes its place in the same
+// order. The queue holds at most
 // limit waiting operations beside the one buffer the dispatcher is
 // routing, and its two buffers grow on demand, so an idle system holds
 // less than the bound.
@@ -21,7 +22,7 @@ type ingestQueue struct {
 	nonEmpty sync.Cond // the dispatcher parks here
 	notFull  sync.Cond // publishers park here
 	buf      []wire.OpEnv
-	// marks are the markers put since the last take, in order.
+	// marks are the markers and rounds put since the last take, in order.
 	marks  []queuedMark
 	closed bool
 
@@ -64,22 +65,26 @@ func (q *ingestQueue) put(env wire.OpEnv) {
 	}
 }
 
-// queuedMark is a marker that follows the first at operations of the
-// buffer it was put into.
+// queuedMark is a Drain marker (m) or a control round addressed to one
+// slot (c) that follows the first at operations of the buffer it was put
+// into.
 type queuedMark struct {
 	at int
 	m  *drainMark
+	c  *ctrlRound
 }
 
-// mark appends m behind every operation accepted so far. It never blocks:
-// a marker holds no operation. On a closed queue it reports false.
-func (q *ingestQueue) mark(m *drainMark) bool {
+// mark appends qm behind every operation accepted so far. It never
+// blocks: a marker holds no operation. On a closed queue it reports
+// false.
+func (q *ingestQueue) mark(qm queuedMark) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		return false
 	}
-	q.marks = append(q.marks, queuedMark{at: len(q.buf), m: m})
+	qm.at = len(q.buf)
+	q.marks = append(q.marks, qm)
 	q.mu.Unlock()
 	q.nonEmpty.Signal()
 	return true

@@ -62,10 +62,10 @@ func (r *idRouter) NumWorkers() int  { return r.workers }
 func (r *idRouter) Footprint() int64 { return 0 }
 
 // beforeBatch installs fn as in-process worker task's pre-engine hook
-// (localWorker.beforeBatch): a hook that blocks makes a worker that is
+// (workerBolt.beforeBatch): a hook that blocks makes a worker that is
 // alive but stalled.
 func beforeBatch(task int, fn func(ops []wire.OpEnv)) func(*System) {
-	return func(sys *System) { sys.slots[task].(*localWorker).beforeBatch = fn }
+	return func(sys *System) { sys.bolts[task].beforeBatch = fn }
 }
 
 // startIngestSystem builds a system over a small sample, applies setup to

@@ -14,7 +14,8 @@
 // recovery waits for that drain, installs the new transport *before*
 // replaying (so replay-produced matches flow instead of dead-locking
 // wire backpressure), and re-sends the Drain markers the dead session
-// never answered after the catch-up.
+// never answered after the catch-up; the control rounds it never
+// answered fail.
 package core
 
 import (
@@ -84,16 +85,12 @@ var ErrNoSpareSlots = errors.New("core: no spare worker slot available (Config.S
 var ErrWorkerUnrecoverable = errors.New("core: remote worker unrecoverable")
 
 // workerHop is the coordinator's per-slot state for one out-of-process
-// worker: the current session's wire client, its generation, and the
-// recovery op log. It is the slot's workerEndpoint: every control round
-// runs on whatever session is current. All mutable fields are guarded by
-// mu; notify is a closed-and-replaced broadcast channel (wait on the
+// worker: the current session's wire client, its generation, the answers
+// the slot owes, and the recovery op log. All mutable fields are guarded
+// by mu; notify is a closed-and-replaced broadcast channel (wait on the
 // current one, and any state change wakes you).
 type workerHop struct {
 	task int
-	// board receives the deltas of the slot's control rounds, under the
-	// slot's epoch-fenced ledger (see topkBoard.ApplyFrom).
-	board *topkBoard
 
 	mu     sync.Mutex
 	notify chan struct{}
@@ -102,8 +99,8 @@ type workerHop struct {
 	hello wire.Hello
 	// tr is the current session's client (nil for an unclaimed spare).
 	tr *wire.WorkerClient
-	// lastStats is what the latest successful stats round reported.
-	lastStats wire.StatsReply
+	// roundSeq numbers the control rounds sent to the slot.
+	roundSeq uint64
 	// active: the slot participates in routing/adjustment decisions.
 	// down: the current session's connection failed. replaying: a
 	// recovery session is installed but still replaying the op log.
@@ -121,12 +118,14 @@ type workerHop struct {
 	// session's wire — the checkpoint watermark candidate.
 	sentSeq uint64
 
-	// marks are the Drain markers handed to the slot whose ack the spout
-	// has not taken yet, oldest first. The spout pops them under marksMu
-	// alone, so it never waits for a sender holding mu (lock order: mu,
-	// then marksMu).
-	marksMu sync.Mutex
-	marks   []*drainMark
+	// owed are the markers and rounds handed to the slot whose answer the
+	// spout has not read yet, oldest first: the slot answers in the order
+	// it was asked. The spout pops them under owedMu alone, so it never
+	// waits for a sender holding mu (lock order: mu, then owedMu).
+	// lastStats, what the latest stats round reported, is recorded there.
+	owedMu    sync.Mutex
+	owed      []owedAnswer
+	lastStats wire.StatsReply
 
 	// log is the recovery op log (nil when Recovery is disabled — the
 	// slot then keeps the legacy fail-loudly contract).
@@ -139,135 +138,102 @@ func (h *workerHop) broadcastLocked() {
 	h.notify = make(chan struct{})
 }
 
-// errNoSession is what a control round on an unclaimed spare slot
-// returns.
-var errNoSession = errors.New("core: worker slot has no session")
-
-// client returns the current session's client regardless of its health:
-// a control round on a dead connection fails fast, and every caller
-// treats a failed round as "slot unobservable, skip or abort".
-func (h *workerHop) client() (*wire.WorkerClient, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.tr == nil {
-		return nil, errNoSession
-	}
-	return h.tr, nil
+// owedAnswer is one answer a slot owes: a Drain marker's ack, or the
+// reply to round, sent numbered seq on session gen.
+type owedAnswer struct {
+	mark     *drainMark
+	round    *ctrlRound
+	seq, gen uint64
 }
 
-// The workerEndpoint methods: each is one control round on the current
-// session, FIFO-ordered behind every op batch and fence frame sent
-// before it.
+// oweLocked records an answer the slot now owes. Caller holds h.mu.
+func (h *workerHop) oweLocked(a owedAnswer) {
+	h.owedMu.Lock()
+	h.owed = append(h.owed, a)
+	h.owedMu.Unlock()
+}
 
-func (h *workerHop) Stats() (wire.StatsReply, error) {
-	c, err := h.client()
-	if err != nil {
-		return wire.StatsReply{}, err
+// popAnswer takes the oldest owed answer, which the item the spout just
+// read must settle: a marker ack (reply nil), or the reply to the round
+// numbered as reply is.
+func (h *workerHop) popAnswer(reply wire.Frame) (owedAnswer, error) {
+	h.owedMu.Lock()
+	defer h.owedMu.Unlock()
+	if len(h.owed) == 0 || (reply == nil) != (h.owed[0].mark != nil) || replySeq(reply) != h.owed[0].seq {
+		return owedAnswer{}, fmt.Errorf("answer %T to round %d out of order (%d answers owed)", reply, replySeq(reply), len(h.owed))
 	}
-	sr, err := c.Stats()
-	if err == nil {
-		h.mu.Lock()
+	if sr, ok := reply.(wire.StatsReply); ok {
 		h.lastStats = sr
-		h.mu.Unlock()
 	}
-	return sr, err
+	a := h.owed[0]
+	h.owed = h.owed[1:]
+	return a, nil
 }
 
-func (h *workerHop) LastStats() wire.StatsReply {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lastStats
+// failRounds fails the rounds sent on sessions up to gen, whose streams
+// have ended: no reply to them will come. The markers stay owed;
+// recovery sends them again.
+func (h *workerHop) failRounds(gen uint64, err error) {
+	h.owedMu.Lock()
+	defer h.owedMu.Unlock()
+	kept := h.owed[:0]
+	for _, a := range h.owed {
+		if a.round != nil && a.gen <= gen {
+			a.round.answer(nil, err) // never blocks
+		} else {
+			kept = append(kept, a)
+		}
+	}
+	h.owed = kept
 }
 
-func (h *workerHop) CellStats() ([]wire.CellStat, error) {
-	c, err := h.client()
-	if err != nil {
-		return nil, err
-	}
-	return c.CellStats()
-}
-
-func (h *workerHop) ExtractCells(cells []wire.CellSpec, remove, subs bool) (wire.CellShare, error) {
-	c, err := h.client()
-	if err != nil {
-		return wire.CellShare{}, err
-	}
-	return c.ExtractCells(cells, remove, subs)
-}
-
-func (h *workerHop) InstallCells(cells []wire.CellPayload, deletes []uint64) (int64, error) {
-	c, err := h.client()
-	if err != nil {
-		return 0, err
-	}
-	ack, n, err := c.InstallCells(cells, deletes)
-	if err == nil {
-		// The node registered any migrated top-k subscriptions in its
-		// window store; its admission deltas fold into the board here so
-		// the reconciler sees the destination's copy the moment it goes
-		// live.
-		h.board.ApplyFrom(h.task, ack.Epoch, ack.Deltas)
-	}
-	return n, err
-}
-
-func (h *workerHop) AdvanceWindow(now time.Time) error {
-	c, err := h.client()
-	if err != nil {
-		return err
-	}
-	ack, err := c.AdvanceWindow(now)
-	if err == nil {
-		h.board.ApplyFrom(h.task, ack.Epoch, ack.Deltas)
-	}
-	return err
-}
-
-func (h *workerHop) ResetWindow() error {
-	c, err := h.client()
-	if err != nil {
-		return err
-	}
-	return c.ResetWindow()
-}
-
-func (h *workerHop) SendFence(epoch uint64) error {
-	c, err := h.client()
-	if err != nil {
-		return err
-	}
-	return c.SendFence(epoch)
-}
-
-// popMark takes the oldest marker, the one the ack just read answers.
-func (h *workerHop) popMark() *drainMark {
-	h.marksMu.Lock()
-	defer h.marksMu.Unlock()
-	if len(h.marks) == 0 {
-		return nil
-	}
-	m := h.marks[0]
-	h.marks = h.marks[1:]
-	return m
-}
-
-// snapshotLocked-style helper: is the hop currently serving traffic?
+// up reports whether the hop is currently serving traffic.
 func (h *workerHop) up() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.active && !h.down && !h.replaying && !h.closing && h.tr != nil
 }
 
+// awaitUp waits until remote slot w serves traffic again after a session
+// ended, and reports whether it does: false for an in-process slot, a
+// hop that has exited, failed, is closing or was decommissioned, a run
+// that stopped, and after wire.DefaultControlTimeout.
+func (s *System) awaitUp(w int) bool {
+	h := s.hop(w)
+	if h == nil {
+		return false
+	}
+	timeout := time.NewTimer(wire.DefaultControlTimeout)
+	defer timeout.Stop()
+	for {
+		h.mu.Lock()
+		gone := h.exited || h.failed || h.closing || h.decommissioned
+		up := h.active && !h.down && !h.replaying && h.tr != nil
+		ch := h.notify
+		h.mu.Unlock()
+		if gone || up {
+			return !gone
+		}
+		select {
+		case <-ch:
+		case <-timeout.C:
+			return false
+		case <-s.stopped:
+			return false
+		}
+	}
+}
+
 // initHops builds the per-slot hop table. Called from New before the
-// slot endpoints are assembled; nil when the deployment has neither
-// remote workers nor spare slots.
+// in-process bolts are built; nil when the deployment has neither remote
+// workers nor spare slots.
 func (s *System) initHops() {
 	if len(s.cfg.RemoteWorkers) == 0 && s.cfg.SpareWorkers <= 0 {
 		return
 	}
 	s.hops = make([]*workerHop, s.totalSlots())
 	newHop := func(task int) *workerHop {
-		h := &workerHop{task: task, board: s.board, notify: make(chan struct{})}
+		h := &workerHop{task: task, notify: make(chan struct{})}
 		if s.cfg.Recovery.Enabled {
 			h.log = oplog.New()
 		}
@@ -277,7 +243,6 @@ func (s *System) initHops() {
 	}
 	for task, cl := range s.cfg.RemoteWorkers {
 		h := newHop(task)
-		s.installDeltaHandler(task, cl)
 		h.tr, h.active, h.gen = cl, true, 1
 		h.addr, h.hello = cl.Addr(), cl.Hello()
 	}
@@ -301,8 +266,8 @@ func (s *System) hop(i int) *workerHop {
 // and load decisions: every in-process slot, plus hops marked active
 // (spares join on AddWorker, decommissioned slots leave).
 func (s *System) activeWorkerSlots() []int {
-	out := make([]int, 0, len(s.slots))
-	for i := range s.slots {
+	out := make([]int, 0, s.totalSlots())
+	for i := range s.totalSlots() {
 		if h := s.hop(i); h != nil {
 			h.mu.Lock()
 			a := h.active
@@ -380,7 +345,8 @@ func (s *System) recoveryCtx() context.Context {
 
 // recoverWorker re-establishes a crashed worker slot: redial the same
 // address under a fresh fencing epoch, wait for the failed session's
-// spout drain (every ack it read has passed its marker on), install the
+// spout drain (every ack it read has passed its marker on, every round it
+// owed has failed), install the
 // new transport *before* replaying — the spout then consumes
 // replay-produced matches, so a long replay cannot deadlock on wire
 // backpressure — replay the op log's checkpoint base and tail, and
@@ -433,7 +399,6 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	// are dropped. (ApplyFrom with no deltas is exactly this bump-and-
 	// retract.)
 	s.board.ApplyFrom(h.task, newGen, nil)
-	s.installDeltaHandler(h.task, cl)
 	// Install the recovery session (still under h.mu from the loop).
 	h.tr = cl
 	h.gen = newGen
@@ -470,11 +435,16 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	}
 	pending := h.log.Since(lastSeq)
 	err = s.replaySend(h.tr, pending)
-	// Every waiting marker follows the ops now sent. marksMu is not held
+	// Every waiting marker follows the ops now sent. owedMu is not held
 	// across the sends: the spout pops under it while draining matches.
-	h.marksMu.Lock()
-	marks := len(h.marks)
-	h.marksMu.Unlock()
+	marks := 0
+	h.owedMu.Lock()
+	for _, a := range h.owed {
+		if a.mark != nil {
+			marks++
+		}
+	}
+	h.owedMu.Unlock()
 	for ; err == nil && marks > 0; marks-- {
 		err = h.tr.SendDrain()
 	}
@@ -592,8 +562,11 @@ func (s *System) logDepartures(w int, extracted []*model.Query) {
 }
 
 // checkpointLoop truncates each recoverable hop's op log on a cadence
-// (and on tail-size pressure).
+// (and on tail-size pressure). It runs only with Recovery.Enabled.
 func (s *System) checkpointLoop(ctx context.Context) {
+	if !s.cfg.Recovery.Enabled || s.hops == nil {
+		return
+	}
 	poll := s.cfg.Recovery.CheckpointInterval / 4
 	if poll < 50*time.Millisecond {
 		poll = 50 * time.Millisecond
@@ -625,20 +598,20 @@ func (s *System) checkpointLoop(ctx context.Context) {
 	}
 }
 
-// checkpointHop runs one drain barrier on the hop and folds the acked
-// op prefix into the log's base. The watermark is the sequence of the
-// last op put on this session's wire before the barrier: the ack
-// proves the node processed everything up to it.
+// checkpointHop runs one round in the slot's stream and folds the
+// answered op prefix into the log's base. The watermark is the sequence
+// of the last op put on the wire before the round was asked for: the
+// round goes out behind it, on this session or after a recovery's
+// replay, so its reply proves the node processed everything up to it.
 func (s *System) checkpointHop(h *workerHop) bool {
 	h.mu.Lock()
 	if !h.active || h.down || h.replaying || h.closing || h.tr == nil {
 		h.mu.Unlock()
 		return false
 	}
-	tr, gen, wm := h.tr, h.gen, h.sentSeq
+	wm := h.sentSeq
 	h.mu.Unlock()
-	if _, err := tr.Drain(); err != nil {
-		s.hopFailed(h, gen, err)
+	if _, err := roundAs[wire.StatsReply](s, h.task, wire.StatsReq{}); err != nil {
 		return false
 	}
 	h.log.Checkpoint(wm, s.now())
@@ -681,7 +654,6 @@ func (s *System) AddWorker(addr string) (int, error) {
 	if err != nil {
 		return -1, fmt.Errorf("core: adding worker at %s: %w", addr, err)
 	}
-	s.installDeltaHandler(h.task, cl)
 	h.mu.Lock()
 	h.addr = addr
 	h.hello = hello
@@ -703,7 +675,6 @@ func (s *System) AddWorker(addr string) (int, error) {
 // other active workers, sort heaviest-first, and migrate greedily until
 // the new slot holds ~1/n of the total. Caller holds adjustMu.
 func (s *System) rebalanceOnto(task int) {
-	s.processPendingExtracts()
 	active := s.activeWorkerSlots()
 	if len(active) <= 1 {
 		return
@@ -718,11 +689,11 @@ func (s *System) rebalanceOnto(task int) {
 		if w == task {
 			continue
 		}
-		stats, err := s.slots[w].CellStats()
+		stats, err := roundAs[wire.CellStatsReply](s, w, wire.CellStatsReq{})
 		if err != nil {
 			continue // unobservable this round; rebalance what we can see
 		}
-		for _, c := range s.migrationCandidates(stats) {
+		for _, c := range migrationCandidates(stats.Cells, nil) {
 			cands = append(cands, ownedCell{owner: w, cell: c})
 			total += c.Load
 		}
@@ -765,10 +736,10 @@ func (s *System) rebalanceOnto(task int) {
 
 // DecommissionWorker gracefully retires an elastic worker slot: every
 // cell it serves is migrated to the remaining active workers (routing
-// flips first, deferred extracts reconcile, exactly like adjustment
-// migrations), its remaining matches are flushed with a drain barrier,
-// and the hop is half-closed so the node ends the session with a clean
-// Goodbye. The slot leaves the active set permanently.
+// flips first, the extraction reconciles, exactly like adjustment
+// migrations), its remaining matches and deltas are flushed by one round
+// in its stream, and the hop is half-closed so the node ends the session
+// with a clean Goodbye. The slot leaves the active set permanently.
 func (s *System) DecommissionWorker(task int) error {
 	h := s.hop(task)
 	if h == nil {
@@ -795,7 +766,6 @@ func (s *System) DecommissionWorker(task int) error {
 	deadline := time.Now().Add(wire.DefaultControlTimeout)
 	rr := 0
 	for {
-		s.processPendingExtracts()
 		serves := false
 		n := gt.Grid().NumCells()
 		for c := 0; c < n; c++ {
@@ -810,9 +780,6 @@ func (s *System) DecommissionWorker(task int) error {
 				continue
 			}
 			serves = true
-			if s.cellPending(c) {
-				continue // an in-flight migration already moves it
-			}
 			dst := targets[rr%len(targets)]
 			rr++
 			if _, _, ok := s.migrateShare(task, dst, c); !ok {
@@ -834,7 +801,7 @@ func (s *System) DecommissionWorker(task int) error {
 				targets = live
 			}
 		}
-		if !serves && !s.hasPendingExtractsFor(task) {
+		if !serves {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -843,39 +810,24 @@ func (s *System) DecommissionWorker(task int) error {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// All cells are off the slot and reconciled; flush its last matches
-	// so nothing is lost to the half-close.
-	tr, err := h.client()
-	if err != nil {
-		return fmt.Errorf("core: decommission drain of worker %d: %w", task, err)
-	}
-	if _, err := tr.Drain(); err != nil {
-		return fmt.Errorf("core: decommission drain of worker %d: %w", task, err)
+	// so nothing is lost to the half-close. The round's reply follows the
+	// slot's ops, and the spout has already sent their matches on and
+	// applied their deltas.
+	if _, err := roundAs[wire.StatsReply](s, task, wire.StatsReq{}); err != nil {
+		return fmt.Errorf("core: decommission flush of worker %d: %w", task, err)
 	}
 	h.mu.Lock()
 	h.decommissioned = true
 	h.closing = true
 	h.active = false
-	tr = h.tr
+	tr := h.tr
 	h.broadcastLocked()
 	h.mu.Unlock()
-	// The drain barrier above delivered (and applied) every delta the
-	// node emitted; whatever net contribution remains tracked for the
-	// slot is state the migrations already moved elsewhere — drop it so
-	// the retired source cannot pin stale top-k candidates.
+	// The round above delivered (and applied) every delta the node
+	// emitted; whatever net contribution remains tracked for the slot is
+	// state the migrations already moved elsewhere — drop it so the
+	// retired source cannot pin stale top-k candidates.
 	s.board.dropSource(task)
 	s.log.Info("worker decommissioned", "worker", task)
 	return tr.CloseSend()
-}
-
-// hasPendingExtractsFor reports whether any deferred extraction still
-// involves the slot (as source or destination).
-func (s *System) hasPendingExtractsFor(task int) bool {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	for _, pe := range s.pendingEx {
-		if pe.wo == task || pe.wl == task {
-			return true
-		}
-	}
-	return false
 }

@@ -560,8 +560,8 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// Migrate one of the victim's cells to the other worker and complete
-	// the deferred extraction, exactly as a join rebalance would.
+	// Migrate one of the victim's cells to the other worker, extraction
+	// included, exactly as a join rebalance would.
 	gt := sys.gridT.Load()
 	cell := -1
 	for c := 0; c < gt.Grid().NumCells(); c++ {
@@ -583,15 +583,6 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 	if moved != 1 {
 		sys.adjustMu.Unlock()
 		t.Fatalf("migrated %d queries from cell %d, want the wide query alone", moved, cell)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for sys.hasPendingExtractsFor(0) {
-		sys.processPendingExtracts()
-		if time.Now().After(deadline) {
-			sys.adjustMu.Unlock()
-			t.Fatal("deferred extraction never completed")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	sys.adjustMu.Unlock()
 	// The replay plan must still carry the query: worker 0 holds it in
@@ -645,6 +636,96 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtractionRetriesAfterSourceCrash: a migration's source crashes
+// between the routing flip and the removing extraction, so the round
+// fails. Recovery replays the share onto the restarted node (its
+// departure is not logged yet), and the hand-off extracts it again once
+// the slot is back up: the source ends without the cell's queries and
+// the destination holds every one.
+func TestExtractionRetriesAfterSourceCrash(t *testing.T) {
+	spec := workload.TweetsUS()
+	spec.VocabSize = 2000
+	sample := workload.Sample(spec, workload.Q1, 2000, 400, 9)
+	warm := workload.NewStream(spec, workload.Q1, workload.StreamConfig{Mu: 300, Seed: 9}).Prewarm(300)
+	victim, n1 := startElasticNode(t, ""), startElasticNode(t, "")
+	cfg := Config{
+		Workers: 2,
+		Mergers: 1,
+		Builder: hybrid.Builder{},
+		Recovery: RecoveryConfig{
+			Enabled:            true,
+			CheckpointInterval: 100 * time.Millisecond,
+			HeartbeatInterval:  50 * time.Millisecond,
+			RedialTimeout:      20 * time.Second,
+		},
+	}
+	if err := cfg.ConnectRemoteWorkers([]string{victim.addr, n1.addr}, sample, wire.Backoff{Attempts: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.SubmitAll(warm)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	held := func(w, cell int) int {
+		t.Helper()
+		sh, err := roundAs[wire.CellShare](sys, w, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sh.Cells) == 0 {
+			return 0
+		}
+		return len(sh.Cells[0].Queries)
+	}
+	stats, err := roundAs[wire.CellStatsReply](sys, 0, wire.CellStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, most := -1, 0
+	for _, cs := range stats.Cells {
+		if cs.Entries > most {
+			cell, most = cs.Cell, cs.Entries
+		}
+	}
+	if cell < 0 {
+		t.Fatal("vacuous: worker 0 holds no queries")
+	}
+	var restarted *elasticNode
+	moved, _, ok := sys.handOff(0, 1, cell, nil, func() {
+		if gt := sys.gridT.Load(); gt.IsTextCell(cell) {
+			gt.ReassignTextShare(cell, 0, 1)
+		} else {
+			gt.ReassignSpaceCell(cell, 1)
+		}
+		victim.kill()
+		restarted = startElasticNode(t, victim.addr)
+	})
+	if !ok || moved == 0 {
+		t.Fatalf("handOff moved %d queries, ok %v", moved, ok)
+	}
+	if !sys.awaitUp(0) {
+		t.Fatal("the source never recovered")
+	}
+	left := held(0, cell) // a round behind the replay
+	if restarted.worker.QueryCount() == 0 {
+		t.Fatal("vacuous: recovery replayed nothing onto the restarted source")
+	}
+	if left != 0 {
+		t.Errorf("the recovered source still holds %d of the cell's queries", left)
+	}
+	if n := held(1, cell); n < moved {
+		t.Errorf("the destination holds %d of the cell's queries, want at least the %d moved", n, moved)
 	}
 }
 

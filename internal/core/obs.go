@@ -10,12 +10,13 @@ package core
 // Series naming: everything is prefixed ps2_, durations are histograms
 // in seconds with _seconds names, monotone counts end in _total, and
 // per-worker series carry a worker="<task>" label. The per-kind op
-// counters and the query gauge are each slot's endpoint-reported stats
-// (workerEndpoint.LastStats): an in-process engine is read directly, a
-// psnode's reply to the latest stats round is remembered (refreshed by
-// the adjustment controller's rounds and by RefreshWorkerStats at scrape
-// time), so one scrape of the coordinator reports what every worker
-// actually processed — not what the coordinator handed to the wire.
+// counters and the query gauge are each slot's own stats (lastStats): an
+// in-process engine is read live, so a scrape never waits behind a
+// local backlog, and a psnode's reply to the latest stats round is
+// remembered (refreshed by the adjustment controller's rounds and by
+// RefreshWorkerStats at scrape time), so one scrape of the coordinator
+// reports what every worker actually processed — not what the
+// coordinator handed to the wire.
 
 import (
 	"context"
@@ -128,17 +129,16 @@ func (s *System) initObservability() {
 		s.ingestBlocked.Value)
 
 	// Per-worker series. The op counts and the query gauge read the
-	// slot's endpoint; everything else reads coordinator-side state.
+	// slot's own stats; everything else reads coordinator-side state.
 	// Spare slots are included so a runtime-joined worker's series exist
 	// from the first scrape.
-	for i, ep := range s.slots {
-		i, ep := i, ep
+	for i := range s.totalSlots() {
 		wl := metrics.L("worker", strconv.Itoa(i))
 		for _, k := range opKinds {
 			k := k
 			r.CounterFunc("ps2_worker_ops_total",
 				"operations processed per worker and kind (node-reported for remote tasks)",
-				func() int64 { return k.count(ep.LastStats()) }, wl, metrics.L("kind", k.kind))
+				func() int64 { return k.count(s.lastStats(i)) }, wl, metrics.L("kind", k.kind))
 		}
 		r.GaugeFunc("ps2_worker_window_load", "Definition-1 load over the current dispatcher window",
 			func() float64 {
@@ -151,7 +151,7 @@ func (s *System) initObservability() {
 		r.GaugeFunc("ps2_worker_inflight_ops", "operations enqueued to the worker and not yet processed",
 			func() float64 { return float64(max(s.enqueued[i].Load()-s.doneOps[i].Load(), 0)) }, wl)
 		r.GaugeFunc("ps2_worker_queries", "live queries indexed on the worker (node-reported for remote tasks)",
-			func() float64 { return float64(ep.LastStats().Queries) }, wl)
+			func() float64 { return float64(s.lastStats(i).Queries) }, wl)
 		if s.loadEWMA != nil {
 			e := s.loadEWMA[i]
 			r.GaugeFunc("ps2_worker_load_ewma", "adjustment controller's smoothed per-worker load",
@@ -284,12 +284,12 @@ func queued[T any](qs []chan msg[T]) func() float64 {
 	}
 }
 
-// RefreshWorkerStats runs one stats round on every active worker slot
-// unless the previous refresh is younger than maxAge. The obs server
-// calls it before each scrape so a coordinator scrape shows current
-// node-side counts even when the adjustment controller (whose polls run
-// the same rounds) is off. A failed round leaves the slot's previous
-// reading in place: a scrape must never fail the run.
+// RefreshWorkerStats runs one stats round on every active remote worker
+// slot unless the previous refresh is younger than maxAge (freshStats).
+// The obs server calls it before each scrape so a coordinator scrape
+// shows current node-side counts even when the adjustment controller
+// (whose polls run the same rounds) is off. A failed round leaves the
+// slot's previous reading in place: a scrape must never fail the run.
 func (s *System) RefreshWorkerStats(maxAge time.Duration) {
 	s.statsMu.Lock()
 	fresh := time.Since(s.statsAt) < maxAge
@@ -301,8 +301,31 @@ func (s *System) RefreshWorkerStats(maxAge time.Duration) {
 		return
 	}
 	for _, w := range s.activeWorkerSlots() {
-		_, _ = s.slots[w].Stats()
+		if s.hop(w) != nil {
+			_, _ = s.freshStats(w)
+		}
 	}
+}
+
+// freshStats reads slot w's stats now: an in-process engine's live, so
+// neither a scrape nor the load detector waits behind a local backlog,
+// and a remote slot's with one stats round, which lastStats remembers.
+func (s *System) freshStats(w int) (wire.StatsReply, error) {
+	if s.hop(w) == nil {
+		return s.bolts[w].eng.Stats(), nil
+	}
+	return roundAs[wire.StatsReply](s, w, wire.StatsReq{})
+}
+
+// lastStats is slot w's stats at no cost: an in-process engine's,
+// read live, or what a remote slot's latest stats round reported.
+func (s *System) lastStats(w int) wire.StatsReply {
+	if h := s.hop(w); h != nil {
+		h.owedMu.Lock()
+		defer h.owedMu.Unlock()
+		return h.lastStats
+	}
+	return s.bolts[w].eng.Stats()
 }
 
 // StageSnapshots summarises the per-stage processing-time histograms

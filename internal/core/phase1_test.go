@@ -71,13 +71,12 @@ func TestMigrateSplitMovesOneKeyShare(t *testing.T) {
 		t.Errorf("splitkeyb routes to %v, want [%d]", ws, wo)
 	}
 
-	// Matching keeps working across the deferred extraction.
+	// Matching keeps working after the extraction.
 	sys.Submit(model.Op{Kind: model.OpObject, Obj: oA})
 	sys.Submit(model.Op{Kind: model.OpObject, Obj: oB})
 	for sys.Processed() < 22 {
 		time.Sleep(time.Millisecond)
 	}
-	sys.processPendingExtracts()
 	sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{ID: 3, Terms: []string{"splitkeya"}, Loc: center}})
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -93,7 +92,7 @@ func TestMigrateSplitMovesOneKeyShare(t *testing.T) {
 		}
 	}
 	// After extraction the source worker no longer holds the moved share.
-	share, err := sys.slots[wo].ExtractCells([]wire.CellSpec{{Cell: cell, Keys: []string{"splitkeya"}}}, false, false)
+	share, err := roundAs[wire.CellShare](sys, wo, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell, Keys: []string{"splitkeya"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"ps2stream/internal/index/grid"
 	"ps2stream/internal/partition"
-	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
 
@@ -169,14 +168,6 @@ func (c *Config) ConnectRemoteMergers(addrs []string, sample *partition.Sample, 
 	return nil
 }
 
-// installDeltaHandler points a session's spontaneous top-k delta stream
-// at the reconciliation board, under the slot's ledger.
-func (s *System) installDeltaHandler(task int, cl *wire.WorkerClient) {
-	cl.SetDeltaHandler(func(epoch uint64, ds []window.Delta) {
-		s.board.ApplyFrom(task, epoch, ds)
-	})
-}
-
 // closeRemoteTransports force-closes every remote hop (idempotent);
 // used to unblock transport reads when the run is cancelled.
 func (s *System) closeRemoteTransports() {
@@ -199,9 +190,10 @@ func (s *System) closeRemoteTransports() {
 }
 
 // remoteWorkerBolt stands in for an out-of-process worker task: it
-// forwards each received op batch across the hop's current session (one
-// frame per batch) and accounts the hand-off. The worker's matches
-// re-enter the topology through remoteMatchSpout. With recovery enabled
+// forwards each received op batch, marker and control request across the
+// hop's current session (one frame each) and accounts the hand-off. The
+// worker's matches, deltas and answers come back through
+// remoteMatchSpout. With recovery enabled
 // every op is appended to the hop's op log before the wire sees it, and a
 // down/replaying session only logs — replay owns delivery until the hop
 // re-opens.
@@ -287,9 +279,7 @@ func (r *remoteWorkerBolt) mark(m *drainMark) {
 		r.toMerge.mark(m)
 		return
 	}
-	h.marksMu.Lock()
-	h.marks = append(h.marks, m)
-	h.marksMu.Unlock()
+	h.oweLocked(owedAnswer{mark: m})
 	tr, gen, up := h.tr, h.gen, !h.down && !h.replaying && !h.closing
 	h.mu.Unlock()
 	// If the session fails before this send, recovery sends m again.
@@ -297,6 +287,31 @@ func (r *remoteWorkerBolt) mark(m *drainMark) {
 		if err := tr.SendDrain(); err != nil {
 			r.s.hopFailed(h, gen, err)
 		}
+	}
+}
+
+// ctrl forwards a control request behind the op batches forwarded before
+// it, numbered so the spout can check the reply that completes it. A slot
+// whose session is not up — unclaimed, down, replaying or closing —
+// answers at once with an error.
+func (r *remoteWorkerBolt) ctrl(c *ctrlRound) {
+	h := r.hop
+	h.mu.Lock()
+	if h.tr == nil || h.exited || h.down || h.replaying || h.closing {
+		h.mu.Unlock()
+		c.answer(nil, fmt.Errorf("core: worker %d: %w", r.task, errSlotNotUp))
+		return
+	}
+	tr, gen, req := h.tr, h.gen, c.req
+	if c.done != nil {
+		h.roundSeq++
+		req = numbered(req, h.roundSeq)
+		h.oweLocked(owedAnswer{round: c, seq: h.roundSeq, gen: gen})
+	}
+	err := tr.SendControl(req) // under mu: no round is sent on a session that is down
+	h.mu.Unlock()
+	if err != nil {
+		r.s.hopFailed(h, gen, err)
 	}
 }
 
@@ -322,13 +337,14 @@ func (r *remoteWorkerBolt) Close() error {
 	return tr.CloseSend()
 }
 
-// remoteMatchSpout re-injects a remote worker's match stream into the
-// topology, where it joins the local workers' matches on the way to the
-// mergers. One spout serves the hop across every transport session:
-// when a session dies its buffered matches are drained, and the spout
+// remoteMatchSpout consumes a remote worker's up stream in order: matches
+// go on to the mergers, deltas to the board, and each marker ack or
+// control reply settles the oldest answer the hop owes — a marker is
+// passed on, a round completes once its deltas are on the board. One
+// spout serves the hop across every transport session:
+// when a session dies its buffered items are drained, and the spout
 // waits for recovery to install the next session (or for a spare slot to
-// be claimed by AddWorker). A DrainAck in the stream passes the hop's
-// oldest marker on, behind the matches read before it.
+// be claimed by AddWorker).
 type remoteMatchSpout struct {
 	s    *System
 	task int
@@ -353,16 +369,28 @@ func (r *remoteMatchSpout) run() {
 			}
 			continue // next session
 		}
-		if mb.Drained {
-			if m := r.hop.popMark(); m != nil {
-				r.split.mark(m)
+		switch {
+		case mb.Drained || mb.Reply != nil:
+			a, err := r.hop.popAnswer(mb.Reply)
+			if err != nil {
+				r.s.hopFailed(r.hop, gen, fmt.Errorf("remote worker %d: %w", r.task, err))
+				continue
 			}
-			continue
+			if a.mark != nil {
+				r.split.mark(a.mark)
+				continue
+			}
+			r.s.board.applyAck(r.task, mb.Reply)
+			a.round.answer(mb.Reply, nil)
+		case len(mb.Deltas) > 0:
+			r.s.board.ApplyFrom(r.task, mb.Epoch, mb.Deltas)
+		default:
+			// Sent per received frame: the wire already batches, and
+			// holding matches back here would add latency the batch bound
+			// cannot cap (this reader may then block in Recv
+			// indefinitely).
+			emitMatches(&r.split, mb.Matches)
 		}
-		// Sent per received frame: the wire already batches, and holding
-		// matches back here would add latency the batch bound cannot cap
-		// (this reader may then block in Recv indefinitely).
-		emitMatches(&r.split, mb.Matches)
 	}
 }
 
@@ -398,21 +426,25 @@ func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 	}
 }
 
-// exitLocked ends the spout for good, unlocks the hop, and passes on the
-// markers no session will answer: every match of the slot has been sent.
-// Caller holds h.mu.
+// exitLocked ends the spout for good, unlocks the hop, passes on the
+// markers no session will answer — every match of the slot has been sent
+// — and fails the rounds. Caller holds h.mu.
 func (r *remoteMatchSpout) exitLocked() {
 	h := r.hop
 	h.exited = true
 	h.active = false
 	h.broadcastLocked()
-	h.marksMu.Lock()
-	marks := h.marks
-	h.marks = nil
-	h.marksMu.Unlock()
+	h.owedMu.Lock()
+	owed := h.owed
+	h.owed = nil
+	h.owedMu.Unlock()
 	h.mu.Unlock()
-	for _, m := range marks {
-		r.split.mark(m)
+	for _, a := range owed {
+		if a.mark != nil {
+			r.split.mark(a.mark)
+		} else {
+			a.round.answer(nil, fmt.Errorf("core: worker %d: %w", r.task, errSlotNotUp))
+		}
 	}
 }
 
@@ -423,7 +455,8 @@ func (r *remoteMatchSpout) exitLocked() {
 // session on its own, so an unexpected EOF is a crash like any read
 // error: recoverable hops redial and replay, unrecoverable ones are
 // marked failed so Drain reports the loss instead of waiting on it
-// forever.
+// forever. The rounds the session still owed fail; its markers stay
+// owed, for recovery to send again.
 func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 	h := r.hop
 	h.mu.Lock()
@@ -439,7 +472,9 @@ func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 	if err == io.EOF {
 		err = fmt.Errorf("remote worker %d: session %d ended unexpectedly: %w", r.task, gen, err)
 	}
+	// Once the session is down, nothing more is sent on it.
 	r.s.hopFailed(h, gen, err)
+	h.failRounds(gen, fmt.Errorf("core: worker %d: session %d ended (%v): %w", r.task, gen, err, errSlotNotUp))
 	return false
 }
 

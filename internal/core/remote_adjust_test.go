@@ -213,11 +213,11 @@ func TestRemoteMigrateShareBothDirections(t *testing.T) {
 		t.Helper()
 		// The source's planner view comes from one CellStats round,
 		// exactly as runAdjustment fetches it.
-		stats, err := sys.slots[wo].CellStats()
+		stats, err := roundAs[wire.CellStatsReply](sys, wo, wire.CellStatsReq{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shares := sys.collectShares(stats)
+		shares := sys.collectShares(stats.Cells)
 		if len(shares) == 0 {
 			t.Fatalf("worker %d has no migratable cells", wo)
 		}
@@ -231,12 +231,6 @@ func TestRemoteMigrateShareBothDirections(t *testing.T) {
 		moved, nbytes, ok := sys.migrateShare(wo, wl, best.Cell)
 		if !ok || moved == 0 || nbytes == 0 {
 			t.Fatalf("migrateShare(%d→%d, cell %d) = %d queries / %d bytes / ok=%v", wo, wl, best.Cell, moved, nbytes, ok)
-		}
-		// Let the source drain past the flip barrier, then extract.
-		sys.Drain()
-		sys.processPendingExtracts()
-		if sys.hasPendingExtracts() {
-			t.Fatalf("extraction still pending after Drain (%d→%d)", wo, wl)
 		}
 	}
 
@@ -316,18 +310,18 @@ func TestMigrationBytesSameForBothPlacements(t *testing.T) {
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sys.slots[0].(*workerHop); !ok {
-		t.Fatalf("slot 0 is a %T, want a hop", sys.slots[0])
+	if sys.hop(0) == nil {
+		t.Fatal("slot 0 has no hop, want a remote slot")
 	}
-	if _, ok := sys.slots[1].(*localWorker); !ok {
-		t.Fatalf("slot 1 is a %T, want an in-process worker", sys.slots[1])
+	if sys.bolts[1] == nil {
+		t.Fatal("slot 1 has no bolt, want an in-process worker")
 	}
 
-	stats, err := sys.slots[1].CellStats()
+	stats, err := roundAs[wire.CellStatsReply](sys, 1, wire.CellStatsReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares := sys.collectShares(stats)
+	shares := sys.collectShares(stats.Cells)
 	if len(shares) == 0 {
 		t.Fatal("worker 1 has no migratable cells")
 	}
@@ -337,7 +331,7 @@ func TestMigrationBytesSameForBothPlacements(t *testing.T) {
 			best = sh
 		}
 	}
-	share, err := sys.slots[1].ExtractCells([]wire.CellSpec{{Cell: best.Cell}}, false, false)
+	share, err := roundAs[wire.CellShare](sys, 1, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: best.Cell}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,19 +339,10 @@ func TestMigrationBytesSameForBothPlacements(t *testing.T) {
 	if len(share.Cells) != 1 || len(share.Cells[0].Queries) == 0 {
 		t.Fatalf("vacuous: copied share %+v", share.Cells)
 	}
-	// Installing a share twice is harmless, so the copy can go to both.
-	for task, slot := range sys.slots {
-		got, err := slot.InstallCells(share.Cells, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("slot %d (%T) reports %d bytes for the share, want %d", task, slot, got, want)
-		}
-	}
-
-	// A migration of the same cell prices it the same way, and the metric
-	// advances by what the migration recorded.
+	// A migration of the cell onto the remote slot prices it as the
+	// request's length, the metric advances by what the migration
+	// recorded, and the migration back onto the in-process slot prices
+	// the same share the same way.
 	metric := func() int64 {
 		for _, js := range sys.registry.Gather() {
 			if js.Name == "ps2_migrated_bytes_total" {
@@ -376,8 +361,9 @@ func TestMigrationBytesSameForBothPlacements(t *testing.T) {
 	if got := metric() - before; got != want {
 		t.Errorf("ps2_migrated_bytes_total advanced by %d, want %d", got, want)
 	}
-	sys.Drain()
-	sys.processPendingExtracts()
+	if moved, nbytes, ok := sys.migrateShare(0, 1, best.Cell); !ok || moved != len(share.Cells[0].Queries) || nbytes != want {
+		t.Fatalf("migrating back = %d queries / %d bytes / ok=%v, want %d / %d", moved, nbytes, ok, len(share.Cells[0].Queries), want)
+	}
 }
 
 // TestRemoteHotspotShiftDetectorFires pins the node-reported load path:

@@ -1,0 +1,178 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"ps2stream/internal/wire"
+)
+
+// ctrlRound is one control request on its way down a slot's stream
+// (docs/ARCHITECTURE.md, "One slot protocol"). It enters the ingest like
+// a Drain marker, addressed to one slot, so it covers every operation
+// whose Submit returned before it; the dispatcher sends it behind the
+// slot's open batch. An in-process slot's bolt serves it with
+// worker.Engine.Serve; a remote slot's bolt forwards the frame, and the
+// slot's spout completes the round when the reply comes up the match
+// stream.
+type ctrlRound struct {
+	slot int
+	req  wire.Frame
+	// done receives the one reply; nil for a request that is not
+	// answered (Fence, ResetWindow).
+	done chan roundReply
+	// size is an InstallCells request's measured length (installCells),
+	// which the in-process bolt's simulated transfer sleeps for.
+	size int64
+}
+
+type roundReply struct {
+	f   wire.Frame
+	err error
+}
+
+// answer completes the round. done has room for the one reply, so it
+// never blocks.
+func (c *ctrlRound) answer(f wire.Frame, err error) {
+	if c.done != nil {
+		c.done <- roundReply{f, err}
+	}
+}
+
+// errSlotNotUp is what a round on a remote slot returns when no session
+// or no run can carry it: an unclaimed spare, a session that is down,
+// replaying or closing, a session that ended before it answered, or a
+// run that has not started or has stopped.
+var errSlotNotUp = errors.New("worker slot has no session up")
+
+// newRound returns a round carrying req to slot w; reply asks for the
+// slot's answer.
+func newRound(w int, req wire.Frame, reply bool) *ctrlRound {
+	c := &ctrlRound{slot: w, req: req}
+	if reply {
+		c.done = make(chan roundReply, 1)
+	}
+	return c
+}
+
+// send puts c into its slot's stream and returns it. Before Start and
+// once the run has stopped there is no stream, and the round is served
+// at once (serveDirect); a round that finds the ingest closed waits for
+// the stream to end first.
+func (s *System) send(c *ctrlRound) *ctrlRound {
+	if s.started.Load() {
+		if s.ingest.mark(queuedMark{c: c}) {
+			return c
+		}
+		<-s.stopped
+	}
+	s.serveDirect(c)
+	return c
+}
+
+// await returns c's reply. A remote slot's round fails after
+// wire.DefaultControlTimeout; a round the stopped run left unserved is
+// served directly.
+func (s *System) await(c *ctrlRound) (wire.Frame, error) {
+	var timeout <-chan time.Time
+	if s.hop(c.slot) != nil {
+		t := time.NewTimer(wire.DefaultControlTimeout)
+		defer t.Stop()
+		timeout = t.C
+	}
+	select {
+	case r := <-c.done:
+		return r.f, r.err
+	case <-s.stopped:
+	case <-timeout:
+		return nil, fmt.Errorf("core: worker %d: control round timed out after %v", c.slot, wire.DefaultControlTimeout)
+	}
+	select {
+	case r := <-c.done: // served before the run stopped
+		return r.f, r.err
+	default:
+	}
+	s.serveDirect(c)
+	r := <-c.done
+	return r.f, r.err
+}
+
+// serveDirect serves a round that no stream carries: an in-process slot
+// on the caller's goroutine, while a remote slot fails.
+func (s *System) serveDirect(c *ctrlRound) {
+	if b := s.bolts[c.slot]; b != nil {
+		b.serve(c)
+		return
+	}
+	c.answer(nil, fmt.Errorf("core: worker %d: %w", c.slot, errSlotNotUp))
+}
+
+// roundAs runs one control round on slot w and returns its reply as a T.
+func roundAs[T wire.Frame](s *System, w int, req wire.Frame) (T, error) {
+	return replyAs[T](s, newRound(w, req, true))
+}
+
+// replyAs sends c and returns its reply as a T.
+func replyAs[T wire.Frame](s *System, c *ctrlRound) (T, error) {
+	f, err := s.await(s.send(c))
+	t, ok := f.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("core: worker %d answered a %T with a %T", c.slot, c.req, f)
+	}
+	return t, err
+}
+
+// installCells runs one InstallCells round on slot w and returns the
+// request's length in the wire.AppendInstallCells layout, measured
+// before a remote slot's bolt numbers it (Seq 0): the migration's
+// transfer bytes, under one rule for every placement and whatever the
+// session's round count. Op batches routed to the slot afterwards are
+// matched against the shares.
+func (s *System) installCells(w int, req wire.InstallCells) (int64, error) {
+	buf := wire.GetBuf()
+	buf.B = wire.AppendInstallCells(buf.B, req)
+	c := newRound(w, req, true)
+	c.size = int64(len(buf.B))
+	wire.PutBuf(buf)
+	_, err := replyAs[wire.InstallAck](s, c)
+	return c.size, err
+}
+
+// numbered returns a request that is answered under seq, the number a
+// remote slot's spout checks its reply against.
+func numbered(req wire.Frame, seq uint64) wire.Frame {
+	switch r := req.(type) {
+	case wire.StatsReq:
+		return wire.StatsReq{Seq: seq}
+	case wire.CellStatsReq:
+		return wire.CellStatsReq{Seq: seq}
+	case wire.ExtractCells:
+		r.Seq = seq
+		return r
+	case wire.InstallCells:
+		r.Seq = seq
+		return r
+	case wire.AdvanceWindow:
+		r.Seq = seq
+		return r
+	}
+	return req
+}
+
+// replySeq returns the Seq a reply answers.
+func replySeq(reply wire.Frame) uint64 {
+	switch r := reply.(type) {
+	case wire.StatsReply:
+		return r.Seq
+	case wire.CellStatsReply:
+		return r.Seq
+	case wire.CellShare:
+		return r.Seq
+	case wire.InstallAck:
+		return r.Seq
+	case wire.AdvanceAck:
+		return r.Seq
+	}
+	return 0
+}

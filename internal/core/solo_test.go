@@ -134,9 +134,9 @@ func publishWhile(sys *System, ops []model.Op) (wait func()) {
 func TestSoloAcrossTextSplit(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 62, 0)
 	del := newDeliveries()
-	// handOff's extraction barrier counts the source's finished
-	// operations, which orders them because the one dispatcher routes
-	// every operation in Submit order.
+	// handOff's extraction round follows every operation routed to the
+	// source under the old table, because the one dispatcher routes
+	// every operation and round in Submit order.
 	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}, OnMatch: del.add}, sample)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,6 @@ func TestSoloAcrossTextSplit(t *testing.T) {
 	}
 	wait()
 	sys.Drain()
-	sys.processPendingExtracts()
 	sys.SubmitAll(objs[2000:])
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ps2stream/internal/window"
+	"ps2stream/internal/wire"
 )
 
 // TopKUpdate is one global top-k membership change for a sliding-window
@@ -33,9 +34,13 @@ type TopKUpdate struct {
 // top-ks always contains the global top-k, since a globally top-k message
 // is necessarily top-k within its own partition.
 //
-// The board never reads worker state: endpoints hand it deltas. A slot
-// whose engine can restart under a new session (every out-of-process
-// slot) is tracked: ApplyFrom additionally keeps the slot's net
+// The board never reads worker state: each slot's stream consumer — an
+// in-process slot's bolt, a remote slot's spout — hands it the slot's
+// deltas in the order the engine produced them. The one exception is a
+// removing extraction's deltas, which the migration applies after the
+// destination's adoptions (finishExtract). A slot whose engine can
+// restart under a new session (every out-of-process slot) is tracked:
+// ApplyFrom additionally keeps the slot's net
 // contributions under the session's fencing epoch. A delta batch below
 // the slot's highest seen epoch is a stale session's replay and is
 // dropped; a batch above it first retracts everything the slot
@@ -43,7 +48,7 @@ type TopKUpdate struct {
 // window from the coordinator's replay, so the old session's memberships
 // no longer exist anywhere — and only then applies. That pair of rules is
 // what keeps TopKSet exact across kill-9 recovery. An in-process slot
-// never restarts, needs no ledger, and applies with plain Apply.
+// never restarts and needs no ledger.
 type topkBoard struct {
 	mu      sync.Mutex
 	deliver func(TopKUpdate)
@@ -135,21 +140,6 @@ func (b *topkBoard) unregister(qid uint64) {
 	}
 }
 
-// Apply merges one batch of worker-local deltas and delivers the resulting
-// global membership changes. A batch is applied atomically: deltas that
-// cancel out (an entry handed from one worker to another during migration
-// appears as a Left plus an Entered) produce no user-visible update.
-func (b *topkBoard) Apply(ds []window.Delta) {
-	if len(ds) == 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	touched := make(map[uint64]*boardQuery)
-	b.applyLocked(ds, nil, touched)
-	b.settleLocked(touched)
-}
-
 // track gives slot task a contribution ledger; call it once, before the
 // slot's first delta, for every slot whose sessions can be superseded.
 func (b *topkBoard) track(task int) {
@@ -159,14 +149,18 @@ func (b *topkBoard) track(task int) {
 }
 
 // ApplyFrom merges a delta batch produced by worker slot task under
-// session epoch. For a tracked slot, batches below the slot's highest
+// session epoch and delivers the resulting global membership changes. A
+// batch is applied atomically: deltas that cancel out (an entry handed
+// from one worker to another during migration appears as a Left plus an
+// Entered) produce no user-visible update. For a tracked slot, batches
+// below the slot's highest
 // seen epoch are stale (a superseded session's frames still in flight,
 // or a replay re-emitting history) and are dropped whole; a higher epoch
 // first retracts the slot's previous contributions (the node's window
 // state was rebuilt from scratch under the new session) before applying.
 // Call with an empty batch to bump the epoch eagerly — recovery does, so
 // a slot whose replay produces no deltas still sheds its dead session's
-// memberships. For an untracked slot it is Apply.
+// memberships. An untracked slot's epoch is ignored.
 func (b *topkBoard) ApplyFrom(task int, epoch uint64, ds []window.Delta) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -184,6 +178,17 @@ func (b *topkBoard) ApplyFrom(task int, epoch uint64, ds []window.Delta) {
 	}
 	b.applyLocked(ds, src, touched)
 	b.settleLocked(touched)
+}
+
+// applyAck applies the deltas an InstallAck or AdvanceAck from slot task
+// carries; the slot's consumer calls it before it completes the round.
+func (b *topkBoard) applyAck(task int, reply wire.Frame) {
+	switch r := reply.(type) {
+	case wire.InstallAck:
+		b.ApplyFrom(task, r.Epoch, r.Deltas)
+	case wire.AdvanceAck:
+		b.ApplyFrom(task, r.Epoch, r.Deltas)
+	}
 }
 
 // dropSource retracts everything a tracked slot has contributed: the
@@ -219,11 +224,12 @@ func (b *topkBoard) applyLocked(ds []window.Delta, src *boardSrc, touched map[ui
 		}
 		bq.k = d.K
 		bq.subscriber = d.Subscriber
-		// Reference counts may go transiently negative: deltas from
-		// different goroutines can reach the board out of order (a
-		// windowLoop expiry can overtake a batched Entered), so a
-		// Left for an unseen message records a debt that its Entered
-		// later settles. Candidates only count while refs > 0.
+		// Reference counts may go transiently negative: a removing
+		// extraction's deltas reach the board after the destination's
+		// leftover install (finishExtract), and the source's stream can
+		// apply a later batch's Left for an entry the extraction moved
+		// up before then. Such a Left records a debt that the deferred
+		// Entered settles. Candidates only count while refs > 0.
 		c := bq.cand[d.MsgID]
 		if c == nil {
 			c = &boardCand{rank: d.Rank, rel: d.Rel}
@@ -387,13 +393,6 @@ func (s *System) windowLoop(ctx context.Context) {
 			return
 		case <-ticker.C:
 			s.AdvanceWindows()
-			// In manual adjustment mode (AdjustNow without the
-			// background loop) deferred migration extractions would
-			// otherwise wait for the next AdjustNow call; finish the
-			// drained ones here. No-op when nothing is pending.
-			if !s.cfg.Adjust.Enabled && s.hasPendingExtracts() {
-				s.processPendingExtracts()
-			}
 		}
 	}
 }
@@ -404,16 +403,21 @@ func (s *System) windowLoop(ctx context.Context) {
 //
 // Expiry is a fenced cluster-wide round: every active slot serves one
 // AdvanceWindow carrying the coordinator's clock (the single clock
-// domain the windows slide in), after every op batch handed to it
-// before the round, and its eviction deltas reach the board before the
-// round returns. A slot that is down or mid-replay fails the round fast
+// domain the windows slide in) in its stream, after every operation
+// submitted before the call, and its eviction deltas reach the board
+// before the round returns. The rounds are asked for all at once and
+// awaited in turn. A slot that is down or mid-replay fails the round fast
 // and is skipped — its recovery replay rebuilds the window against the
 // coordinator's current clock anyway.
 func (s *System) AdvanceWindows() {
-	now := s.now()
+	req := wire.AdvanceWindow{Now: s.now()}
+	var rounds []*ctrlRound
 	for _, w := range s.activeWorkerSlots() {
-		if err := s.slots[w].AdvanceWindow(now); err != nil {
-			s.log.Debug("advance window round failed", "worker", w, "err", err)
+		rounds = append(rounds, s.send(newRound(w, req, true)))
+	}
+	for _, c := range rounds {
+		if _, err := s.await(c); err != nil {
+			s.log.Debug("advance window round failed", "worker", c.slot, "err", err)
 		}
 	}
 }

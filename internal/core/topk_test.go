@@ -148,11 +148,11 @@ func TestBoardOutOfOrderLeftThenEntered(t *testing.T) {
 	left := window.Delta{QueryID: 1, MsgID: 9, K: 3, Rank: 5, Rel: 0.5}
 	entered := left
 	entered.Entered = true
-	b.Apply([]window.Delta{left})
+	b.ApplyFrom(0, 0, []window.Delta{left})
 	if len(got) != 0 {
 		t.Fatalf("orphan Left delivered updates: %+v", got)
 	}
-	b.Apply([]window.Delta{entered})
+	b.ApplyFrom(0, 0, []window.Delta{entered})
 	if len(got) != 0 {
 		t.Fatalf("settled debt delivered updates: %+v", got)
 	}
@@ -160,13 +160,13 @@ func TestBoardOutOfOrderLeftThenEntered(t *testing.T) {
 		t.Fatalf("phantom candidate survives: %v", set)
 	}
 	// A genuine Entered afterwards still works.
-	b.Apply([]window.Delta{entered})
+	b.ApplyFrom(0, 0, []window.Delta{entered})
 	if len(got) != 1 || !got[0].Entered || got[0].MsgID != 9 {
 		t.Fatalf("real membership not delivered: %+v", got)
 	}
 }
 
-// Deltas racing an Unsubscribe — local Apply calls, remote ApplyFrom
+// Deltas racing an Unsubscribe — local ApplyFrom calls, remote ApplyFrom
 // frames, and the unregister itself on separate goroutines — must
 // neither corrupt the board (run with -race) nor revive a retired
 // query as a dead boardQuery.
@@ -187,7 +187,7 @@ func TestBoardApplyUnsubscribeRace(t *testing.T) {
 				q := uint64(i%queries + 1)
 				d := window.Delta{QueryID: q, MsgID: uint64(i), K: 3, Rank: float64(i), Rel: 0.5, Entered: true}
 				if g%2 == 0 {
-					b.Apply([]window.Delta{d})
+					b.ApplyFrom(0, 0, []window.Delta{d})
 				} else {
 					b.ApplyFrom(g, 1, []window.Delta{d})
 				}
@@ -204,7 +204,7 @@ func TestBoardApplyUnsubscribeRace(t *testing.T) {
 	wg.Wait()
 	// Every query is unsubscribed now; stragglers must drop at the door.
 	for q := uint64(1); q <= queries; q++ {
-		b.Apply([]window.Delta{{QueryID: q, MsgID: 9999, K: 3, Rank: 1, Rel: 1, Entered: true}})
+		b.ApplyFrom(0, 0, []window.Delta{{QueryID: q, MsgID: 9999, K: 3, Rank: 1, Rel: 1, Entered: true}})
 		b.ApplyFrom(1, 1, []window.Delta{{QueryID: q, MsgID: 9998, K: 3, Rank: 1, Rel: 1, Entered: true}})
 		if set := b.set(q); len(set) != 0 {
 			t.Errorf("query %d revived after unsubscribe: %v", q, set)
@@ -371,7 +371,7 @@ func TestTopKMigrationHandoff(t *testing.T) {
 		t.Fatalf("migration changed top-k from %v to %v", before, got)
 	}
 	// The new owner already holds the window state.
-	adopted := sys.slots[wl].(*localWorker).eng.TopKSet(q.ID)
+	adopted := sys.bolts[wl].eng.TopKSet(q.ID)
 	if !equalIDs(adopted, before) {
 		t.Fatalf("destination window state %v, want %v", adopted, before)
 	}
@@ -379,10 +379,9 @@ func TestTopKMigrationHandoff(t *testing.T) {
 	// Publishing continues against the migrated cell.
 	publish(4)
 	sys.Drain()
-	sys.processPendingExtracts()
 
 	// After extraction the source holds no window state for the query.
-	srcHas := sys.slots[wo].(*localWorker).eng.HasSub(q.ID)
+	srcHas := sys.bolts[wo].eng.HasSub(q.ID)
 	if srcHas {
 		t.Fatal("source worker still holds window state after extraction")
 	}
@@ -620,18 +619,19 @@ func TestTopKGlobalRepartitionKeepsWaitingEntries(t *testing.T) {
 	}
 }
 
-// An object still queued for the departing holder when the repartition
-// reads the bands joins that holder's band afterwards, while the new
-// holder passed it by before its install: the repartition must carry it
-// before the holder deletes, or it never replaces the expiring best one.
+// An object that reaches the departing holder after its population
+// round, while the new holder passed it by before its install: the
+// repartition must carry it before the holder deletes (carryLate), or it
+// never replaces the expiring best one.
 func TestTopKGlobalRepartitionCarriesLateEntries(t *testing.T) {
 	clk := newFakeClock(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
+	const filler = 3 // an object outside the subscription that worker 0 stalls on
 	stalled, gate := make(chan struct{}), make(chan struct{})
 	sys := startIngestSystem(t, Config{Workers: 2, Clock: clk.Now, WindowTick: time.Hour,
 		Builder: &idRouter{route: func(uint64) int { return 0 }}},
 		beforeBatch(0, func(ops []wire.OpEnv) {
 			for _, env := range ops {
-				if env.Op.Kind == model.OpObject && env.Op.Obj.ID == 2 {
+				if env.Op.Kind == model.OpObject && env.Op.Obj.ID == filler {
 					close(stalled)
 					<-gate
 				}
@@ -658,32 +658,35 @@ func TestTopKGlobalRepartitionCarriesLateEntries(t *testing.T) {
 	if err := sys.GlobalRepartition(sample, &idRouter{route: func(uint64) int { return 1 }}); err != nil {
 		t.Fatal(err)
 	}
-	// Message 2, newer and weaker than 1, goes to both strategies'
-	// workers: worker 1 passes it by (no subscription yet), worker 0
-	// stalls on it.
-	clk.Advance(10 * time.Second)
-	publish(2, geo.Point{X: c.X + 0.9*(q.Region.Max.X-c.X), Y: c.Y + 0.9*(q.Region.Max.Y-c.Y)})
-	within(t, 5*time.Second, "worker 0 reaching message 2", stalled)
-	deadline := time.Now().Add(5 * time.Second)
-	for st, _ := sys.slots[1].Stats(); st.Objects < 1; st, _ = sys.slots[1].Stats() {
-		if time.Now().After(deadline) {
-			t.Fatal("worker 1 never processed message 2")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Every object now goes to both strategies' workers. Worker 0 stalls
+	// on the filler, so the finish's population round for it waits in
+	// its stream.
+	publish(filler, geo.Point{X: 2*q.Region.Max.X - c.X, Y: c.Y})
+	within(t, 5*time.Second, "worker 0 reaching the filler", stalled)
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
 		sys.FinishGlobalRepartition()
 	}()
-	// Worker 1's install carries message 1 only: the bands were read
-	// before worker 0 matched message 2.
-	eng1 := sys.slots[1].(*localWorker).eng
-	for len(eng1.TopKSet(q.ID)) == 0 {
+	for deadline := time.Now().Add(5 * time.Second); len(sys.towork[0]) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("worker 1 never installed the subscription")
+			t.Fatal("worker 0's population round never reached its stream")
 		}
-		time.Sleep(time.Millisecond)
+	}
+	// Message 2, newer and weaker than 1, follows that round at worker 0.
+	// Worker 1 passes it by before the finish reaches worker 1 at all, so
+	// before its install.
+	clk.Advance(10 * time.Second)
+	publish(2, geo.Point{X: c.X + 0.9*(q.Region.Max.X-c.X), Y: c.Y + 0.9*(q.Region.Max.Y-c.Y)})
+	for deadline := time.Now().Add(5 * time.Second); sys.bolts[1].eng.Stats().Objects < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker 1 never processed message 2")
+		}
+	}
+	select {
+	case <-finished:
+		t.Fatal("FinishGlobalRepartition returned while worker 0 was stalled ahead of its population round")
+	case <-time.After(20 * time.Millisecond):
 	}
 	close(gate)
 	within(t, 5*time.Second, "FinishGlobalRepartition", finished)
@@ -763,13 +766,9 @@ func TestTopKExpiryUnderConcurrentPublishAndMigrate(t *testing.T) {
 				return
 			default:
 			}
-			sys.processPendingExtracts()
-			if !sys.cellPending(cell) {
-				owners := gt.CellWorkers(cell)
-				if len(owners) == 1 {
-					wo := owners[0]
-					sys.migrateShare(wo, (wo+1)%4, cell)
-				}
+			if owners := gt.CellWorkers(cell); len(owners) == 1 {
+				wo := owners[0]
+				sys.migrateShare(wo, (wo+1)%4, cell)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -778,12 +777,7 @@ func TestTopKExpiryUnderConcurrentPublishAndMigrate(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Finish any deferred extraction, stop publishing, and let the
-	// window empty out.
-	for i := 0; i < 50 && sys.cellPending(cell); i++ {
-		sys.processPendingExtracts()
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Stop publishing and let the window empty out.
 	time.Sleep(2 * win)
 	sys.AdvanceWindows()
 	if got := sys.TopKSet(q.ID); len(got) != 0 {

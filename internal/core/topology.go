@@ -8,7 +8,9 @@ import (
 
 	"ps2stream/internal/dedup"
 	"ps2stream/internal/model"
+	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
+	"ps2stream/internal/worker"
 )
 
 // forcedFlushFactor bounds how long the dispatcher, when the ingest never
@@ -41,11 +43,13 @@ func (bp *batchPool[T]) put(p *[]T) {
 	bp.pool.Put(p)
 }
 
-// msg is one send on a task's input channel: a batch, or a Drain marker
-// that follows every batch its producer sent before it.
+// msg is one send on a task's input channel: a batch, a Drain marker
+// that follows every batch its producer sent before it, or, on a worker
+// slot's channel, a control round that does.
 type msg[T any] struct {
 	batch *[]T
 	mark  *drainMark
+	ctrl  *ctrlRound
 }
 
 // newQueues makes one input channel per task. A channel holds
@@ -120,6 +124,18 @@ func (f *fanout[T]) mark(m *drainMark) {
 	}
 }
 
+// ctrl flushes the batch open for c's slot, then sends c behind it.
+func (f *fanout[T]) ctrl(c *ctrlRound) {
+	if p := f.open[c.slot]; p != nil {
+		f.open[c.slot] = nil
+		f.send(c.slot, p)
+	}
+	select {
+	case f.out[c.slot] <- msg[T]{ctrl: c}:
+	case <-f.done:
+	}
+}
+
 // cancelled reports, without blocking, whether done is closed.
 func cancelled(done <-chan struct{}) bool {
 	select {
@@ -130,18 +146,22 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// consume hands every batch of in to process and every marker to mark,
-// in order, until in is closed or the run is cancelled.
-func consume[T any](in <-chan msg[T], done <-chan struct{}, process func(*[]T), mark func(*drainMark)) {
+// consume hands every batch of in to process, every marker to mark and
+// every control round to ctrl, in order, until in is closed or the run
+// is cancelled.
+func consume[T any](in <-chan msg[T], done <-chan struct{}, process func(*[]T), mark func(*drainMark), ctrl func(*ctrlRound)) {
 	for m := range in {
 		if cancelled(done) {
 			return
 		}
-		if m.mark != nil {
+		switch {
+		case m.mark != nil:
 			mark(m.mark)
-			continue
+		case m.ctrl != nil:
+			ctrl(m.ctrl)
+		default:
+			process(m.batch)
 		}
-		process(m.batch)
 	}
 }
 
@@ -169,7 +189,7 @@ func emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv) {
 // matches on s.toMerge; mergers deduplicate batch-wise.
 //
 // Drain markers travel the same channels in order with the batches (see
-// drainMark).
+// drainMark), and so do control rounds on the towork channels (round.go).
 //
 // Three WaitGroups order the close cascade: the towork channels close once
 // the dispatcher is done, the merger channels once every producer of
@@ -214,25 +234,25 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	// Workers: one task per slot, spares included, so a runtime join needs
 	// no new task. An in-process slot's task runs the slot's engine; an
 	// out-of-process slot (Config.RemoteWorkers, or a spare claimable by
-	// AddWorker) gets a forwarder that puts its op batches on the wire, and
-	// a reader that feeds the node's match batches to the mergers (an
-	// unclaimed spare's reader sleeps until AddWorker installs a session).
+	// AddWorker) gets a forwarder that puts its stream on the wire, and a
+	// reader of the node's up stream (an unclaimed spare's reader sleeps
+	// until AddWorker installs a session).
 	for i, in := range s.towork {
 		if h := s.hop(i); h != nil {
 			fw := &remoteWorkerBolt{s: s, task: i, hop: h,
 				toMerge: newFanout(&s.matchBatches, s.toMerge, done)}
 			spawn(&producers, "worker", i, func() {
 				defer fw.Close() // on a panic too
-				consume(in, done, fw.process, fw.mark)
+				consume(in, done, fw.process, fw.mark, fw.ctrl)
 			})
 			rd := &remoteMatchSpout{s: s, task: i, hop: h, ctx: ctx,
 				split: newFanout(&s.matchBatches, s.toMerge, done)}
 			spawn(&producers, "wmatches", i, rd.run)
 			continue
 		}
-		w := &workerBolt{s: s, task: i, local: s.slots[i].(*localWorker),
-			split: newFanout(&s.matchBatches, s.toMerge, done)}
-		spawn(&producers, "worker", i, func() { consume(in, done, w.process, w.split.mark) })
+		w := s.bolts[i]
+		w.split = newFanout(&s.matchBatches, s.toMerge, done)
+		spawn(&producers, "worker", i, func() { consume(in, done, w.process, w.split.mark, w.serve) })
 	}
 
 	// Mergers: deduplicate and deliver. A task listed in
@@ -243,12 +263,12 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 			fw := &remoteMergerBolt{s: s, task: i, cl: cl}
 			spawn(&mergers, "merger", i, func() {
 				defer cl.CloseSend() // on a panic too
-				consume(in, done, fw.process, fw.mark)
+				consume(in, done, fw.process, fw.mark, nil)
 			})
 			continue
 		}
 		m := newMerger(s, i)
-		spawn(&mergers, "merger", i, func() { consume(in, done, m.process, m.mark) })
+		spawn(&mergers, "merger", i, func() { consume(in, done, m.process, m.mark, nil) })
 	}
 
 	dispatcherDone.Wait()
@@ -271,7 +291,7 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 // BatchSize operations, so batches fill by themselves under load (the
 // ingest accumulates while the dispatcher works) and an idle system routes
 // a single operation at once. A marker taken with the operations goes to
-// every slot after the ones before it.
+// every slot after the ones before it, and a control round to its slot.
 type dispatcher struct {
 	s *System
 	// spare is the routed buffer the next take hands back to the ingest.
@@ -299,6 +319,10 @@ func (d *dispatcher) run() {
 		for _, qm := range marks {
 			d.route(ops[at:qm.at])
 			at = qm.at
+			if qm.c != nil {
+				d.out.ctrl(qm.c)
+				continue
+			}
 			d.out.mark(qm.m)
 			d.sinceFlush = 0
 		}
@@ -404,18 +428,26 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 }
 
 // workerBolt runs an in-process worker slot: it feeds the slot's engine
-// from its own task goroutine, a whole batch per call. The engine does the
+// from its own task goroutine, a whole batch or one control round per
+// call, so it is the engine's one writer and the board sees the slot's
+// deltas in the order the engine produced them. The engine does the
 // matching; the bolt keeps what belongs to the topology — the simulated
 // per-operation cost, the stage histogram, match emission and latency
 // accounting.
 type workerBolt struct {
-	s     *System
-	task  int
-	local *localWorker
-	// out is the engine's match scratch, reused across batches; split
-	// holds the matches batches being filled from it, one per merger.
-	out   []wire.MatchEnv
-	split fanout[wire.MatchEnv]
+	s    *System
+	task int
+	eng  *worker.Engine
+	// beforeBatch, when set, runs on every op batch before the engine
+	// sees it. Only tests set it, before Start, to stall or observe one
+	// worker.
+	beforeBatch func(ops []wire.OpEnv)
+	// out and deltas are the engine's match and delta scratch, reused
+	// across batches; split holds the matches batches being filled from
+	// out, one per merger.
+	out    []wire.MatchEnv
+	deltas []window.Delta
+	split  fanout[wire.MatchEnv]
 }
 
 // process runs one towork batch and sends its matches.
@@ -426,7 +458,13 @@ func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	if s.cfg.PerTupleWork > 0 {
 		spin(time.Duration(len(ops)) * s.cfg.PerTupleWork)
 	}
-	w.out = w.local.process(ops, w.out[:0])
+	if w.beforeBatch != nil {
+		w.beforeBatch(ops)
+	}
+	w.out, w.deltas, _ = w.eng.Process(ops, w.out[:0], w.deltas[:0])
+	if len(w.deltas) > 0 {
+		s.board.ApplyFrom(w.task, 0, w.deltas)
+	}
 	emitMatches(&w.split, w.out)
 	if n := len(w.out); n > 0 {
 		s.matchesEmitted.Add(int64(n))
@@ -435,6 +473,22 @@ func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	s.observeLatency(ops)
 	s.opBatches.put(batch)
 	s.stageWork.Observe(time.Since(stageStart))
+}
+
+// serve answers one control round in the slot's stream, behind every
+// batch before it. An install's or a window advance's deltas reach the
+// board before the reply and before any later batch's deltas (a removing
+// extraction's return in the share; see finishExtract).
+func (w *workerBolt) serve(c *ctrlRound) {
+	if rate := w.s.cfg.Adjust.WireBytesPerSec; rate > 0 && c.size > 0 {
+		// A simulated transfer occupies the destination for bytes/rate,
+		// as receiving and indexing a share occupies a worker on the
+		// paper's cluster (Figures 12(c)/15).
+		time.Sleep(time.Duration(float64(c.size) / rate * float64(time.Second)))
+	}
+	reply, err := w.eng.Serve(c.req)
+	w.s.board.applyAck(w.task, reply)
+	c.answer(reply, err)
 }
 
 // observeLatency records the publish-to-processed latency of a finished

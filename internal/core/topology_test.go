@@ -120,57 +120,89 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestAdvanceRouteWaitsForRoutingChunks pins what handOff's deferred
-// extraction waits for once a migration has advanced the route: a
-// dispatcher chunk stalls mid-route under the old table, the migration
-// flips routing, and the extraction stays pending while the operation is
-// routing and while the source holds it unapplied.
+// TestAdvanceRouteWaitsForRoutingChunks pins what a migration waits for
+// around the routing flip. A dispatcher chunk stalls mid-route under the
+// old table before handOff starts: the copy round, so the flip, waits in
+// the stream while the operation is routing and while the source holds it
+// unapplied. A second operation is submitted from inside the flip and
+// stalls mid-route under the old table: the extraction waits the same way
+// for it, so the source still holds the cell when that operation arrives.
 func TestAdvanceRouteWaitsForRoutingChunks(t *testing.T) {
-	routing, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	var target atomic.Int64 // the routing table: every object goes here
-	applying, apply := make(chan struct{}), make(chan struct{})
-	var held sync.Once
-	sys := startIngestSystem(t, Config{Workers: 2, Builder: &idRouter{route: func(uint64) int {
-		w := int(target.Load())
-		once.Do(func() {
-			close(routing)
-			<-release // the chunk stalls mid-route, its target already read
-		})
-		return w
-	}}}, beforeBatch(0, func([]wire.OpEnv) {
-		held.Do(func() {
-			close(applying)
-			<-apply // the source holds the operation before applying it
-		})
-	}))
-	source := sys.slots[0].(*localWorker).eng
-	sys.Submit(objectOp(1, "x", sys.Bounds().Center()))
-	within(t, 5*time.Second, "the dispatcher routing the object", routing)
-	if _, _, ok := sys.handOff(0, 1, 0, nil, func() { target.Store(1) }); !ok {
-		t.Fatal("handOff failed")
-	}
-	stillPending := func(while string) {
-		t.Helper()
-		for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); {
-			sys.processPendingExtracts()
-			if !sys.hasPendingExtracts() {
-				t.Fatalf("the extraction ran while %s", while)
-			}
-			time.Sleep(time.Millisecond)
+	type stall struct{ reached, release chan struct{} }
+	newStalls := func() map[uint64]stall {
+		return map[uint64]stall{
+			1: {make(chan struct{}), make(chan struct{})},
+			2: {make(chan struct{}), make(chan struct{})},
 		}
 	}
-	stillPending("an operation routed under the old table was still routing")
-	close(release)
-	within(t, 5*time.Second, "the source receiving the object", applying)
-	stillPending("the source had not applied an operation routed under the old table")
-	close(apply)
-	for sys.hasPendingExtracts() {
-		sys.processPendingExtracts()
-		time.Sleep(time.Millisecond)
+	routing, applying := newStalls(), newStalls()
+	var target atomic.Int64 // the routing table: every object goes here
+	sys := startIngestSystem(t, Config{Workers: 2, Builder: &idRouter{route: func(id uint64) int {
+		w := int(target.Load())
+		if st, ok := routing[id]; ok {
+			close(st.reached)
+			<-st.release // the chunk stalls mid-route, its target already read
+		}
+		return w
+	}}}, beforeBatch(0, func(ops []wire.OpEnv) {
+		for _, env := range ops {
+			if env.Op.Kind != model.OpObject {
+				continue
+			}
+			if st, ok := applying[env.Op.Obj.ID]; ok {
+				close(st.reached)
+				<-st.release // the source holds the operation before applying it
+			}
+		}
+	}))
+	source := sys.bolts[0].eng
+	at := sys.Bounds().Center()
+	sys.Submit(objectOp(1, "x", at))
+	within(t, 5*time.Second, "the dispatcher routing object 1", routing[1].reached)
+	flipped := make(chan struct{})
+	watchFlip := (<-chan struct{})(flipped)
+	handed := make(chan bool, 1)
+	go func() {
+		_, _, ok := sys.handOff(0, 1, 0, nil, func() {
+			close(flipped)
+			sys.Submit(objectOp(2, "x", at))
+			<-routing[2].reached // object 2 is routed under the old table
+			target.Store(1)
+		})
+		handed <- ok
+	}()
+	notYet := func(what, while string) {
+		t.Helper()
+		select {
+		case <-watchFlip:
+			t.Fatalf("the migration flipped routing while %s", while)
+		case <-handed:
+			t.Fatalf("the migration %s while %s", what, while)
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
-	if n := source.Stats().Objects; n != 1 {
-		t.Errorf("the extraction ran after the source applied %d objects, want the stalled one", n)
+	notYet("copied the cell", "object 1, routed under the old table, was still routing")
+	close(routing[1].release)
+	within(t, 5*time.Second, "the source receiving object 1", applying[1].reached)
+	notYet("copied the cell", "the source had not applied object 1")
+	close(applying[1].release)
+	within(t, 5*time.Second, "the routing flip", flipped)
+	watchFlip = nil // the flip has run; only the extraction is left to wait
+	notYet("extracted the cell", "object 2, routed under the old table, was still routing")
+	close(routing[2].release)
+	within(t, 5*time.Second, "the source receiving object 2", applying[2].reached)
+	notYet("extracted the cell", "the source had not applied object 2")
+	close(applying[2].release)
+	select {
+	case ok := <-handed:
+		if !ok {
+			t.Fatal("handOff failed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handOff still waiting after the source applied both objects")
+	}
+	if n := source.Stats().Objects; n != 2 {
+		t.Errorf("the source applied %d objects, want both stalled ones", n)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -280,7 +312,7 @@ func TestFanoutDeliversToAddressedTask(t *testing.T) {
 					counts[task].Add(1)
 				}
 				pool.put(b)
-			}, nil)
+			}, nil, nil)
 		}()
 	}
 	for i := 0; i < tasks*perTask; i++ {

@@ -66,9 +66,6 @@ type Worker struct {
 	// handshake); a newer session closes it.
 	live *wire.Conn
 
-	done    atomic.Int64 // ops processed
-	emitted atomic.Int64 // matches emitted
-	epoch   atomic.Uint64
 	// fence is the highest coordinator session epoch accepted so far. A
 	// hello carrying a lower epoch is a stale coordinator session (the
 	// coordinator bumps the epoch on every recovery redial) and is
@@ -84,13 +81,19 @@ func NewWorker(opts WorkerOptions) *Worker {
 // Counts reports the worker's cumulative processed-op and emitted-match
 // counters (tests, diagnostics).
 func (w *Worker) Counts() (done, emitted int64) {
-	return w.done.Load(), w.emitted.Load()
+	sr := w.stats()
+	return sr.Objects + sr.Inserts + sr.Deletes, sr.Delivered
 }
 
 // Epoch reports the last routing epoch announced by the coordinator
 // via a fence frame (0 until one arrives). Diagnostics only: a worker
 // node does not route, so the epoch tags logs and stats, nothing more.
-func (w *Worker) Epoch() uint64 { return w.epoch.Load() }
+func (w *Worker) Epoch() uint64 {
+	if eng := w.eng.Load(); eng != nil {
+		return eng.RouteEpoch()
+	}
+	return 0
+}
 
 // QueryCount reports live queries held, excluding lazily-tombstoned
 // deletions (tests, diagnostics).
@@ -257,10 +260,11 @@ func (w *Worker) serveConn(conn *wire.Conn) (clean bool, err error) {
 }
 
 // serveSession decodes, processes and answers one session's frames in
-// arrival order. Matches, deltas and replies all leave through fw, so a
-// reply always follows the output of every op batch before its request:
-// FIFO is the barrier for drains, stats, migration and window expiry
-// alike.
+// arrival order: op batches, Drain markers, and control requests, which
+// the engine serves (worker.Engine.Serve). Matches, deltas and replies
+// all leave through fw, so a reply always follows the output of every op
+// batch before its request: FIFO is the barrier for drains, stats,
+// migration and window expiry alike.
 func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker.Engine) (clean bool, err error) {
 	// Decode, match, and delta scratch reused across batches; the codec
 	// decodes into them without per-frame allocations.
@@ -287,7 +291,7 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 				return false, fmt.Errorf("node: op batch %d arrived where %d was due (lost or duplicated frame)", seq, next)
 			}
 			next++
-			matches, deltas, epoch = w.processOps(ops, matches[:0], deltas[:0])
+			matches, deltas, epoch = eng.Process(ops, matches[:0], deltas[:0])
 			emitted += int64(len(matches))
 			if len(matches) > 0 {
 				buf := wire.GetBuf()
@@ -304,38 +308,6 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 			if d, err = wire.DecodeBinDrain(payload); err == nil {
 				reply = wire.DrainAck{Seq: d.Seq, Emitted: emitted}
 			}
-		case wire.TypeStatsReq:
-			var sr wire.StatsReq
-			if sr, err = wire.DecodeBinStatsReq(payload); err == nil {
-				reply = w.statsReply(sr.Seq)
-			}
-		case wire.TypeCellStatsReq:
-			var cr wire.CellStatsReq
-			if cr, err = wire.DecodeBinCellStatsReq(payload); err == nil {
-				reply = wire.CellStatsReply{Seq: cr.Seq, Cells: eng.CellStats()}
-			}
-		case wire.TypeExtractCells:
-			var ex wire.ExtractCells
-			if ex, err = wire.DecodeBinExtractCells(payload); err == nil {
-				reply, err = eng.ExtractCells(ex)
-			}
-		case wire.TypeInstallCells:
-			var ic wire.InstallCells
-			if ic, err = wire.DecodeBinInstallCells(payload); err == nil {
-				reply, err = eng.InstallCells(ic)
-			}
-		case wire.TypeAdvanceWindow:
-			var a wire.AdvanceWindow
-			if a, err = wire.DecodeBinAdvanceWindow(payload); err == nil {
-				reply = eng.AdvanceWindow(a)
-			}
-		case wire.TypeFence:
-			var f wire.Fence
-			if f, err = wire.DecodeBinFence(payload); err == nil {
-				w.epoch.Store(f.Epoch)
-			}
-		case wire.TypeResetWindow:
-			eng.ResetWindow()
 		case wire.TypeGoodbye:
 			// Flush the remaining output and answer in kind, so the
 			// coordinator's read loop ends cleanly.
@@ -346,7 +318,14 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 			return true, nil
 		case wire.TypePing:
 		default:
-			w.opts.Log.printf("worker: skipping unknown frame type %d", typ)
+			var req wire.Frame
+			if req, err = wire.DecodeControl(typ, payload); err == nil {
+				if req == nil {
+					w.opts.Log.printf("worker: skipping unknown frame type %d", typ)
+					continue
+				}
+				reply, err = eng.Serve(req)
+			}
 		}
 		if err == nil && reply != nil {
 			err = fw.SendFrame(reply)
@@ -355,24 +334,6 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 			return false, err
 		}
 	}
-}
-
-// statsReply assembles the worker's lifetime counters.
-func (w *Worker) statsReply(seq uint64) wire.StatsReply {
-	sr := w.stats()
-	sr.Seq, sr.Delivered = seq, w.emitted.Load()
-	return sr
-}
-
-// processOps runs one operation batch through the engine and accounts it
-// in the node's lifetime counters. out and dout are the caller's scratch
-// (see worker.Engine.Process); epoch is the state epoch the deltas were
-// produced under, so the coordinator's board can fence stale replays.
-func (w *Worker) processOps(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.Delta) ([]wire.MatchEnv, []window.Delta, uint64) {
-	out, dout, epoch := w.eng.Load().Process(ops, out, dout)
-	w.done.Add(int64(len(ops)))
-	w.emitted.Add(int64(len(out)))
-	return out, dout, epoch
 }
 
 // recvHello performs the receiving half of the handshake: the Hello

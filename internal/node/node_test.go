@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,10 +215,10 @@ func TestWorkerStatePersistsAcrossReconnect(t *testing.T) {
 }
 
 // The worker hosts sliding-window top-k subscriptions: an insert with
-// TopK set registers, a matching publish pushes a spontaneous Entered
-// delta batch (applied before a later drain returns), and the fenced
-// AdvanceWindow round expires it back out, returning the Left delta on
-// the ack rather than the spontaneous stream.
+// TopK set registers, a matching publish sends an Entered delta batch up
+// the stream ahead of a later reply, and the fenced AdvanceWindow round
+// expires it back out, returning the Left delta on the ack rather than
+// in a delta batch.
 func TestWorkerServesTopKDeltas(t *testing.T) {
 	w, addr, _ := startWorker(t, WorkerOptions{})
 	cl, err := wire.DialWorker(addr, testHello(0), wire.Backoff{Attempts: 3})
@@ -227,13 +226,6 @@ func TestWorkerServesTopKDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	var mu sync.Mutex
-	var got []window.Delta
-	cl.SetDeltaHandler(func(_ uint64, ds []window.Delta) {
-		mu.Lock()
-		got = append(got, ds...)
-		mu.Unlock()
-	})
 	q := query(9, "coffee", geo.NewRect(-80, 30, -70, 40))
 	q.TopK, q.Window = 3, time.Minute
 	t0 := time.Unix(1700000000, 0)
@@ -250,23 +242,68 @@ func TestWorkerServesTopKDeltas(t *testing.T) {
 	if got := w.QueryCount(); got != 1 {
 		t.Errorf("QueryCount = %d, want 1", got)
 	}
-	mu.Lock()
+	reply, got, _ := control(t, cl, wire.AdvanceWindow{Seq: 1, Now: t0.Add(2 * time.Minute)})
 	if len(got) != 1 || !got[0].Entered || got[0].QueryID != 9 || got[0].MsgID != 41 {
-		t.Fatalf("deltas = %+v, want one Entered for query 9 msg 41", got)
+		t.Fatalf("deltas before the advance ack = %+v, want one Entered for query 9 msg 41", got)
 	}
-	mu.Unlock()
-	aa, err := cl.AdvanceWindow(t0.Add(2 * time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	aa := reply.(wire.AdvanceAck)
 	if len(aa.Deltas) != 1 || aa.Deltas[0].Entered || aa.Deltas[0].MsgID != 41 {
 		t.Fatalf("advance ack deltas = %+v, want one Left for msg 41", aa.Deltas)
 	}
-	mu.Lock()
-	n := len(got)
-	mu.Unlock()
-	if n != 1 {
-		t.Errorf("spontaneous deltas after advance = %d, want still 1", n)
+	if err := cl.SendDrain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mb := range recvUntil(t, cl, func(mb wire.MatchBatch) bool { return mb.Drained }) {
+		if len(mb.Deltas) > 0 {
+			t.Errorf("delta batch %+v after the advance, want none", mb.Deltas)
+		}
+	}
+}
+
+// TestWorkerInstallAckDeltasPrecedeLaterBatchDeltas: an install whose ack
+// admits an entry into a top-1 subscription, then an op batch whose
+// object displaces it. The up stream yields the ack, with its Entered,
+// before the batch's Left for the same entry, so a consumer applying
+// them in stream order never sees the entry leave before it entered.
+func TestWorkerInstallAckDeltasPrecedeLaterBatchDeltas(t *testing.T) {
+	_, addr, _ := startWorker(t, WorkerOptions{})
+	cl, err := wire.DialWorker(addr, testHello(0), wire.Backoff{Attempts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	area, at := geo.NewRect(-80, 30, -70, 40), geo.Point{X: -75, Y: 35}
+	t0 := time.Unix(1700000000, 0)
+	q := query(9, "coffee", area)
+	q.TopK, q.Window = 1, time.Minute
+	if err := cl.SendOps(wire.OpBatch{Ops: []wire.OpEnv{insertOp(q)}}); err != nil {
+		t.Fatal(err)
+	}
+	adopted := window.Entry{MsgID: 41, Terms: []string{"coffee"}, Loc: at, At: t0}
+	if err := cl.SendControl(wire.InstallCells{Seq: 1, Cells: []wire.CellPayload{{Cell: wire.WholeQueries,
+		Subs: []wire.SubEntries{{ID: q.ID, Entries: []window.Entry{adopted}}}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SendOps(wire.OpBatch{Ops: []wire.OpEnv{objectAt(42, "coffee", at, t0.Add(time.Second))}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SendDrain(); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, mb := range recvUntil(t, cl, func(mb wire.MatchBatch) bool { return mb.Drained }) {
+		var ds []window.Delta
+		if ack, ok := mb.Reply.(wire.InstallAck); ok {
+			ds = ack.Deltas
+		} else {
+			ds = mb.Deltas
+		}
+		for _, d := range ds {
+			order = append(order, fmt.Sprintf("%v:%d", d.Entered, d.MsgID))
+		}
+	}
+	if want := []string{"true:41", "false:41", "true:42"}; !slices.Equal(order, want) {
+		t.Errorf("deltas in stream order %v, want %v", order, want)
 	}
 }
 
@@ -279,7 +316,7 @@ func TestWorkerRecordsFenceEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.SendFence(7); err != nil {
+	if err := cl.SendControl(wire.Fence{Epoch: 7}); err != nil {
 		t.Fatal(err)
 	}
 	// Drain is FIFO-ordered behind the fence, so after it the epoch is
@@ -394,11 +431,12 @@ func insertOp(q *model.Query) wire.OpEnv {
 
 // TestWorkerControlRoundsFollowOps: a hop is one connection, so every
 // control round is answered after every op batch sent before it. The
-// client sends k batches and then, with no wait in between, asks for
-// stats, cell stats, a cell copy, a window advance and a drain: each
-// reply reflects all k batches. The drain ack follows its matches on the
-// wire, so they are queued for RecvMatches by the time Drain returns,
-// and an installed share matches the ops sent after the install.
+// client sends k batches and then asks for stats, cell stats, a cell
+// copy, a window advance and a drain: each reply reflects all k batches,
+// and the stats reply comes up the stream behind every match and delta
+// of them. The drain ack follows its matches on the wire, so they are
+// queued for RecvMatches by the time Drain returns, and an installed
+// share matches the ops sent after the install.
 func TestWorkerControlRoundsFollowOps(t *testing.T) {
 	_, addr, _ := startWorker(t, WorkerOptions{})
 	cl, err := wire.DialWorker(addr, testHello(1), wire.Backoff{Attempts: 3})
@@ -406,8 +444,6 @@ func TestWorkerControlRoundsFollowOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	var deltas atomic.Int64
-	cl.SetDeltaHandler(func(_ uint64, ds []window.Delta) { deltas.Add(int64(len(ds))) })
 	send := func(ops ...wire.OpEnv) {
 		t.Helper()
 		if err := cl.SendOps(wire.OpBatch{Ops: ops}); err != nil {
@@ -438,17 +474,17 @@ func TestWorkerControlRoundsFollowOps(t *testing.T) {
 		send(ops...)
 	}
 
-	sr, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Objects != k*per || sr.Inserts != 3 {
+	reply, deltas, read := control(t, cl, wire.StatsReq{Seq: 1})
+	if sr := reply.(wire.StatsReply); sr.Objects != k*per || sr.Inserts != 3 {
 		t.Errorf("stats saw %d objects and %d inserts, want %d and 3", sr.Objects, sr.Inserts, k*per)
 	}
-	cells, err := cl.CellStats()
-	if err != nil {
-		t.Fatal(err)
+	// The top-1 entry: the first object enters, every later one enters and
+	// evicts its predecessor.
+	if got, want := len(deltas), 2*k*per-1; got != want || read != k*per {
+		t.Errorf("%d deltas and %d matches came up before the stats reply, want %d and %d", got, read, want, k*per)
 	}
+	reply, _, _ = control(t, cl, wire.CellStatsReq{Seq: 2})
+	cells := reply.(wire.CellStatsReply).Cells
 	cell := -1
 	for _, cs := range cells {
 		if cs.ObjSeen > 0 {
@@ -461,10 +497,8 @@ func TestWorkerControlRoundsFollowOps(t *testing.T) {
 	if cell < 0 {
 		t.Fatalf("no cell saw an object: %+v", cells)
 	}
-	share, err := cl.ExtractCells([]wire.CellSpec{{Cell: cell}}, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reply, _, _ = control(t, cl, wire.ExtractCells{Seq: 3, Cells: []wire.CellSpec{{Cell: cell}}})
+	share := reply.(wire.CellShare)
 	var ids []uint64
 	for _, q := range share.Cells[0].Queries {
 		ids = append(ids, q.ID)
@@ -473,11 +507,8 @@ func TestWorkerControlRoundsFollowOps(t *testing.T) {
 	if !slices.Equal(ids, []uint64{1, 2, 9}) {
 		t.Errorf("copied share holds queries %v, want [1 2 9]", ids)
 	}
-	aa, err := cl.AdvanceWindow(t0.Add(k*time.Second + 2*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aa.Deltas) != 1 || aa.Deltas[0].Entered || aa.Deltas[0].MsgID != newest {
+	reply, _, _ = control(t, cl, wire.AdvanceWindow{Seq: 4, Now: t0.Add(k*time.Second + 2*time.Minute)})
+	if aa := reply.(wire.AdvanceAck); len(aa.Deltas) != 1 || aa.Deltas[0].Entered || aa.Deltas[0].MsgID != newest {
 		t.Errorf("advance deltas %+v, want one departure of object %d", aa.Deltas, newest)
 	}
 	ack, err := cl.Drain()
@@ -487,25 +518,19 @@ func TestWorkerControlRoundsFollowOps(t *testing.T) {
 	if ack.Emitted != k*per {
 		t.Errorf("drain ack %+v, want Emitted %d", ack, k*per)
 	}
-	// The top-1 entry: the first object enters, every later one enters and
-	// evicts its predecessor.
-	if got, want := deltas.Load(), int64(2*k*per-1); got != want {
-		t.Errorf("delta handler saw %d deltas when the drain returned, want %d", got, want)
-	}
 
 	// A share installed by InstallCells matches the ops sent after it.
-	if _, _, err := cl.InstallCells([]wire.CellPayload{{Cell: cell, Queries: []*model.Query{query(5, "tea", area)}}}, nil); err != nil {
-		t.Fatal(err)
-	}
+	control(t, cl, wire.InstallCells{Seq: 5, Cells: []wire.CellPayload{{Cell: cell, Queries: []*model.Query{query(5, "tea", area)}}}})
 	send(objectAt(7, "tea", at, t0))
 	if ack, err = cl.Drain(); err != nil || ack.Emitted != k*per+1 {
 		t.Fatalf("after the install: ack %+v, err %v; want Emitted %d", ack, err, k*per+1)
 	}
 
 	// Tear the connection down: what RecvMatches still returns was queued
-	// before Drain did, and it is every match the ack counted.
+	// before Drain did, and with the matches read before the stats reply
+	// it is every match the ack counted.
 	cl.Close()
-	var got int64
+	got := int64(read)
 	for {
 		mb, err := cl.RecvMatches()
 		if err != nil {
@@ -516,6 +541,38 @@ func TestWorkerControlRoundsFollowOps(t *testing.T) {
 	if got != ack.Emitted {
 		t.Errorf("%d matches were queued when Drain returned, want %d", got, ack.Emitted)
 	}
+}
+
+// recvUntil reads cl's up stream until an item for which stop reports
+// true and returns every item read, that one included.
+func recvUntil(t *testing.T, cl *wire.WorkerClient, stop func(wire.MatchBatch) bool) []wire.MatchBatch {
+	t.Helper()
+	var items []wire.MatchBatch
+	for {
+		mb, err := cl.RecvMatches()
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, mb)
+		if stop(mb) {
+			return items
+		}
+	}
+}
+
+// control sends req and reads the up stream up to its reply. It returns
+// the reply, and the deltas and the number of matches read before it.
+func control(t *testing.T, cl *wire.WorkerClient, req wire.Frame) (reply wire.Frame, deltas []window.Delta, matches int) {
+	t.Helper()
+	if err := cl.SendControl(req); err != nil {
+		t.Fatal(err)
+	}
+	for _, mb := range recvUntil(t, cl, func(mb wire.MatchBatch) bool { return mb.Reply != nil }) {
+		deltas = append(deltas, mb.Deltas...)
+		matches += len(mb.Matches)
+		reply = mb.Reply
+	}
+	return reply, deltas, matches
 }
 
 // TestWorkerRefusesOutOfOrderBatch: the client numbers op batches 0, 1,

@@ -9,14 +9,14 @@ import (
 // and match counters, live query count, the coordinator-announced routing
 // epoch, and the process's wire-level frame/byte counters. Every series
 // is func-backed, so the registry adds no cost to the serve loop — values
-// are read from the node's and its engine's existing counters at scrape
+// are read from the engine's existing counters at scrape
 // time.
 func (w *Worker) Registry() *metrics.Registry {
 	r := metrics.NewRegistry()
 	r.CounterFunc("ps2_ops_processed_total",
-		"Operations processed by this worker node.", w.done.Load)
+		"Operations processed by this worker node.", func() int64 { done, _ := w.Counts(); return done })
 	r.CounterFunc("ps2_matches_emitted_total",
-		"Matches emitted by this worker node (before merger dedup).", w.emitted.Load)
+		"Matches emitted by this worker node (before merger dedup).", func() int64 { _, n := w.Counts(); return n })
 	for _, k := range []struct {
 		kind string
 		src  func() int64

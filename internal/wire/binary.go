@@ -890,3 +890,39 @@ func DecodeBinInstallAck(p []byte) (InstallAck, error) {
 	a, err := DecodeBinAdvanceAck(p)
 	return InstallAck(a), err
 }
+
+// DecodeControl decodes a control frame by its type: a request a worker
+// serves (StatsReq, CellStatsReq, ExtractCells, InstallCells,
+// AdvanceWindow, Fence, ResetWindow) or the reply it answers with. Any
+// other type yields a nil Frame and no error.
+func DecodeControl(typ byte, p []byte) (Frame, error) {
+	if decode := controlDecoders[typ]; decode != nil {
+		return decode(p)
+	}
+	return nil, nil
+}
+
+var controlDecoders = map[byte]func([]byte) (Frame, error){
+	TypeStatsReq:       decodeFrame(DecodeBinStatsReq),
+	TypeStatsReply:     decodeFrame(DecodeBinStatsReply),
+	TypeCellStatsReq:   decodeFrame(DecodeBinCellStatsReq),
+	TypeCellStatsReply: decodeFrame(DecodeBinCellStatsReply),
+	TypeExtractCells:   decodeFrame(DecodeBinExtractCells),
+	TypeCellShare:      decodeFrame(DecodeBinCellShare),
+	TypeInstallCells:   decodeFrame(DecodeBinInstallCells),
+	TypeInstallAck:     decodeFrame(DecodeBinInstallAck),
+	TypeAdvanceWindow:  decodeFrame(DecodeBinAdvanceWindow),
+	TypeAdvanceAck:     decodeFrame(DecodeBinAdvanceAck),
+	TypeFence:          decodeFrame(DecodeBinFence),
+	TypeResetWindow:    func([]byte) (Frame, error) { return ResetWindow{}, nil },
+}
+
+func decodeFrame[T Frame](decode func([]byte) (T, error)) func([]byte) (Frame, error) {
+	return func(p []byte) (Frame, error) {
+		f, err := decode(p)
+		if err != nil {
+			return nil, err
+		}
+		return f, nil
+	}
+}

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ps2stream/internal/window"
 )
 
 // ErrClosed is returned by client operations after the connection ended.
@@ -26,13 +24,13 @@ var ErrClosed = errors.New("wire: connection closed")
 var ErrWorkerDown = errors.New("wire: worker down")
 
 // hop is one connection to a peer, the shape worker and merger hops
-// share: frames queue in call order on one writer, one read loop parks
-// the control replies, and so every reply follows the frames sent before
-// its request.
+// share: frames queue in call order on one writer and one read loop
+// serves the replies, so every reply follows the frames sent before its
+// request.
 type hop struct {
 	conn     *Conn
 	writer   *FrameWriter
-	seq      atomic.Uint64 // numbers the control rounds
+	seq      atomic.Uint64 // numbers the round trips
 	readDone chan struct{}
 	readErr  error // valid after readDone closes
 
@@ -62,19 +60,21 @@ func (h *hop) close() error {
 	return err
 }
 
-// WorkerClient is the coordinator's half of a dispatcher→worker hop: it
-// streams operation batches to a remote worker node and receives the
-// worker's match batches and control acknowledgements.
+// WorkerClient is the coordinator's half of a dispatcher→worker hop: one
+// ordered stream down (op batches, Drain markers, control requests) and
+// one up (matches, window deltas, marker acks, control replies).
 //
 // The hop is one connection, shaped like a merger hop: op batches and
 // every control frame queue in call order on one FrameWriter (encode
 // here, socket I/O on the writer goroutine), and the node answers in
 // arrival order. FIFO is therefore the barrier — a control reply follows
-// the matches of every op batch sent before its request, and the worker
-// observes the same total op order an in-process channel would deliver.
+// the matches and deltas of every op batch sent before its request, and
+// the worker observes the same total op order an in-process channel
+// would deliver. RecvMatches hands the up stream on in that order; the
+// caller matches each reply to its request.
 //
-// Safe for one sender goroutine (SendOps), one receiver goroutine
-// (RecvMatches) and concurrent control callers (Drain, Stats, ...).
+// Safe for one sender goroutine (SendOps, SendDrain, SendControl), one
+// receiver goroutine (RecvMatches) and concurrent Drain round trips.
 type WorkerClient struct {
 	hop
 	// addr is the address this client dialled — recovery keeps it to
@@ -83,29 +83,13 @@ type WorkerClient struct {
 	// hello is the handshake this client opened the connection with —
 	// the geometry the peer pinned its index to (see Hello()).
 	hello Hello
-	// matches buffers decoded match batches between the read loop and
+	// matches buffers the decoded up stream between the read loop and
 	// RecvMatches; bounded so a slow consumer backpressures the wire.
 	matches chan MatchBatch
+	// acks parks the DrainAcks of Drain round trips, serialised by
+	// drainMu.
 	acks    chan DrainAck
-	// Control-round reply channels (buffered; stale replies are drained
-	// at round start and skipped by seq matching).
-	stats       chan StatsReply
-	cellStats   chan CellStatsReply
-	shares      chan CellShare
-	installAcks chan InstallAck
-	advances    chan AdvanceAck
-
-	// deltaHandler consumes the worker's spontaneous top-k window delta
-	// batches; see SetDeltaHandler.
-	dhMu         sync.Mutex
-	deltaHandler func(epoch uint64, ds []window.Delta)
-
 	drainMu sync.Mutex
-	// ctrlMu serialises the migration/stats control rounds (Stats,
-	// CellStats, ExtractCells, InstallCells, AdvanceWindow); Drain keeps
-	// its own mutex and reply channel so a drain round can interleave
-	// with an adjustment in flight.
-	ctrlMu sync.Mutex
 
 	// sendMu serialises SendOps' batch numbering (sends are normally
 	// single-goroutine; the lock makes replay hand-offs safe too).
@@ -133,23 +117,18 @@ func DialWorker(addr string, hello Hello, b Backoff) (*WorkerClient, error) {
 	if hello.HeartbeatMillis > 0 {
 		conn.ReadTimeout = 4 * time.Duration(hello.HeartbeatMillis) * time.Millisecond
 	}
-	// Reply channels get headroom beyond the single round in flight: a
-	// late reply from a timed-out round can land between a new round's
-	// drainStale and its own reply, and with capacity 1 the read loop's
-	// non-blocking send would drop the *genuine* reply behind it.
-	// awaitReply skips stale seqs, so extra buffered replies are benign.
+	// The ack channel gets headroom beyond the single round in flight: a
+	// late ack from a timed-out round can land between a new round's
+	// drainStale and its own ack, and with capacity 1 the read loop's
+	// non-blocking send would drop the *genuine* ack behind it.
+	// awaitReply skips stale seqs, so extra buffered acks are benign.
 	w := &WorkerClient{
-		hop:         hop{conn: conn, writer: NewFrameWriter(conn, 0), readDone: make(chan struct{})},
-		addr:        addr,
-		hello:       hello,
-		matches:     make(chan MatchBatch, 128),
-		acks:        make(chan DrainAck, 4),
-		stats:       make(chan StatsReply, 4),
-		cellStats:   make(chan CellStatsReply, 4),
-		shares:      make(chan CellShare, 4),
-		installAcks: make(chan InstallAck, 4),
-		advances:    make(chan AdvanceAck, 4),
-		closed:      make(chan struct{}),
+		hop:     hop{conn: conn, writer: NewFrameWriter(conn, 0), readDone: make(chan struct{})},
+		addr:    addr,
+		hello:   hello,
+		matches: make(chan MatchBatch, 128),
+		acks:    make(chan DrainAck, 4),
+		closed:  make(chan struct{}),
 	}
 	go w.readLoop()
 	return w, nil
@@ -263,9 +242,9 @@ func (w *WorkerClient) classifyReadErr(err error) error {
 }
 
 // readLoop serves the connection in arrival order: match and window
-// delta batches, the replies of the control rounds, heartbeats and the
-// closing Goodbye. A reply is parked only after every batch before it
-// was handed on, which is what makes FIFO the barrier on this side too.
+// delta batches, marker acks and control replies go to RecvMatches in
+// the order they arrived, a Drain round trip's ack is parked for it, and
+// heartbeats and the closing Goodbye end here.
 func (w *WorkerClient) readLoop() {
 	defer close(w.readDone)
 	defer close(w.matches)
@@ -276,30 +255,37 @@ func (w *WorkerClient) readLoop() {
 			w.conn.Close()
 			return
 		}
+		var mb MatchBatch
 		switch typ {
 		case TypeMatchBatch:
-			err = w.deliverMatches(payload)
+			mb.Matches, err = DecodeBinMatchBatch(payload, nil)
 		case TypeWindowDeltaBatch:
-			err = w.deliverDeltas(payload)
+			mb.Deltas, mb.Epoch, err = DecodeBinWindowDeltaBatch(payload, nil)
 		case TypeDrainAck:
-			err = w.deliverAck(payload)
-		case TypeStatsReply:
-			err = parkReply(w.stats, DecodeBinStatsReply, payload)
-		case TypeCellStatsReply:
-			err = parkReply(w.cellStats, DecodeBinCellStatsReply, payload)
-		case TypeCellShare:
-			err = parkReply(w.shares, DecodeBinCellShare, payload)
-		case TypeInstallAck:
-			err = parkReply(w.installAcks, DecodeBinInstallAck, payload)
-		case TypeAdvanceAck:
-			err = parkReply(w.advances, DecodeBinAdvanceAck, payload)
+			var ack DrainAck
+			if ack, err = DecodeBinDrainAck(payload); err == nil && ack.Seq != 0 {
+				select { // a round trip's; one nobody has room for is dropped
+				case w.acks <- ack:
+				default:
+				}
+				continue
+			}
+			mb.Drained = true // a SendDrain's (Seq 0)
 		case TypePing:
 			// Liveness beacon; receiving it already reset the read
 			// deadline, nothing else to do.
+			continue
 		case TypeGoodbye:
 			return
 		default:
-			// Unknown frames are skipped: frames are self-delimiting.
+			// A control reply; unknown frames are skipped (frames are
+			// self-delimiting).
+			if mb.Reply, err = DecodeControl(typ, payload); err == nil && mb.Reply == nil {
+				continue
+			}
+		}
+		if err == nil {
+			err = w.deliver(mb)
 		}
 		if err != nil {
 			w.readErr = err
@@ -323,32 +309,6 @@ func parkReply[T any](ch chan<- T, decode func([]byte) (T, error), payload []byt
 	return nil
 }
 
-// deliverMatches decodes one match batch and hands it to the consumer.
-func (w *WorkerClient) deliverMatches(payload []byte) error {
-	ms, err := DecodeBinMatchBatch(payload, nil)
-	if err != nil {
-		return err
-	}
-	return w.deliver(MatchBatch{Matches: ms})
-}
-
-// deliverAck parks a round trip's DrainAck for Drain, and hands a
-// SendDrain's (Seq 0) to RecvMatches behind the matches before it.
-func (w *WorkerClient) deliverAck(payload []byte) error {
-	ack, err := DecodeBinDrainAck(payload)
-	if err != nil {
-		return err
-	}
-	if ack.Seq == 0 {
-		return w.deliver(MatchBatch{Drained: true})
-	}
-	select {
-	case w.acks <- ack:
-	default: // unsolicited; see parkReply
-	}
-	return nil
-}
-
 // deliver queues mb for RecvMatches.
 func (w *WorkerClient) deliver(mb MatchBatch) error {
 	select {
@@ -359,35 +319,6 @@ func (w *WorkerClient) deliver(mb MatchBatch) error {
 		// run): stop rather than block forever on the full channel.
 		return ErrClosed
 	}
-}
-
-// SetDeltaHandler installs the consumer for the worker's spontaneous
-// top-k window delta batches. The handler runs on the read loop, once
-// per frame, with the worker's state epoch so the consumer can fence out
-// replayed or pre-crash deltas. Deltas that arrive with no handler
-// installed are discarded, so the handler must be installed before top-k
-// traffic flows.
-func (w *WorkerClient) SetDeltaHandler(h func(epoch uint64, ds []window.Delta)) {
-	w.dhMu.Lock()
-	w.deltaHandler = h
-	w.dhMu.Unlock()
-}
-
-// deliverDeltas decodes one spontaneous window delta batch and hands it
-// to the delta handler before the read loop moves on, so a Drain whose
-// ack follows the batch knows the deltas were already applied.
-func (w *WorkerClient) deliverDeltas(payload []byte) error {
-	ds, epoch, err := DecodeBinWindowDeltaBatch(payload, nil)
-	if err != nil {
-		return err
-	}
-	w.dhMu.Lock()
-	h := w.deltaHandler
-	w.dhMu.Unlock()
-	if h != nil {
-		h(epoch, ds)
-	}
-	return nil
 }
 
 // SendOps transfers one operation batch. The whole batch is numbered and
@@ -411,8 +342,9 @@ func (w *WorkerClient) SendOps(b OpBatch) error {
 	return nil
 }
 
-// RecvMatches blocks for the worker's next match batch, or for the
-// Drained batch that answers a SendDrain. It returns io.EOF after the
+// RecvMatches blocks for the next item of the worker's up stream: a
+// match batch, a window delta batch, the Drained batch that answers a
+// SendDrain, or the reply to a SendControl. It returns io.EOF after the
 // worker's side of the stream ends cleanly, or the connection's failure
 // otherwise.
 func (w *WorkerClient) RecvMatches() (MatchBatch, error) {
@@ -430,12 +362,12 @@ func (w *WorkerClient) RecvMatches() (MatchBatch, error) {
 // call is processed by the worker before the returned acknowledgement,
 // whose Emitted field is the worker's emitted-match count for this
 // connection. The ack follows those matches on the wire, so every match
-// it counts is already queued for RecvMatches (and every delta batch
-// handed to the delta handler).
+// it counts is already queued for RecvMatches. The coordinator waits on
+// rounds in the stream instead; this round trip serves a bare client
+// (the benchmark's node probe).
 func (w *WorkerClient) Drain() (DrainAck, error) {
-	ack, _, err := roundTrip(&w.hop, &w.drainMu, w.acks, func(r DrainAck) uint64 { return r.Seq },
+	return roundTrip(&w.hop, &w.drainMu, w.acks, func(r DrainAck) uint64 { return r.Seq },
 		func(seq uint64) Frame { return Drain{Seq: seq} })
-	return ack, err
 }
 
 // SendDrain queues a Drain frame behind every op batch sent before it and
@@ -445,15 +377,12 @@ func (w *WorkerClient) SendDrain() error {
 	return w.writer.SendFrame(Drain{})
 }
 
-// SendFence forwards a routing-epoch advance (informational).
-func (w *WorkerClient) SendFence(epoch uint64) error {
-	return w.writer.SendFrame(Fence{Epoch: epoch})
-}
-
-// ResetWindow starts a fresh per-cell load window on the worker
-// (fire-and-forget; FIFO covers the next CellStats call).
-func (w *WorkerClient) ResetWindow() error {
-	return w.writer.SendFrame(ResetWindow{})
+// SendControl queues a control request behind every frame sent before it
+// and returns without waiting. A request that is answered (every kind
+// but Fence and ResetWindow) gets its reply through RecvMatches, after
+// the matches and deltas of the ops sent before it.
+func (w *WorkerClient) SendControl(f Frame) error {
+	return w.writer.SendFrame(f)
 }
 
 // drainStale empties a capacity-1 reply channel of any reply left over
@@ -471,23 +400,19 @@ func drainStale[T any](ch <-chan T) {
 	}
 }
 
-// roundTrip runs one control round under mu: it queues req(seq) behind
+// roundTrip runs one round trip under mu: it queues req(seq) behind
 // every frame sent before it and waits for the reply with that seq on
-// ch. n is the request's encoded payload length.
-func roundTrip[T any](h *hop, mu *sync.Mutex, ch chan T, seqOf func(T) uint64, req func(seq uint64) Frame) (reply T, n int, err error) {
+// ch.
+func roundTrip[T any](h *hop, mu *sync.Mutex, ch chan T, seqOf func(T) uint64, req func(seq uint64) Frame) (T, error) {
 	mu.Lock()
 	defer mu.Unlock()
 	drainStale(ch)
 	seq := h.seq.Add(1)
-	f := req(seq)
-	buf := GetBuf()
-	buf.B = f.appendTo(buf.B)
-	n = len(buf.B)
-	if err := h.writer.Send(f.frameType(), buf); err != nil {
-		return reply, 0, err
+	if err := h.writer.SendFrame(req(seq)); err != nil {
+		var zero T
+		return zero, err
 	}
-	reply, err = awaitReply(h, ch, seqOf, seq)
-	return reply, n, err
+	return awaitReply(h, ch, seqOf, seq)
 }
 
 // awaitReply waits for the seq-matched reply on ch, failing on read-loop
@@ -512,63 +437,6 @@ func awaitReply[T any](h *hop, ch <-chan T, seqOf func(T) uint64, seq uint64) (T
 			return zero, fmt.Errorf("wire: control round timed out after %v", DefaultControlTimeout)
 		}
 	}
-}
-
-// Stats polls the worker's counters — emitted matches, live queries,
-// and the cumulative per-kind processed-op counts the adjustment
-// controller's load detector differences per interval. The reply covers
-// every op batch sent before the call.
-func (w *WorkerClient) Stats() (StatsReply, error) {
-	r, _, err := roundTrip(&w.hop, &w.ctrlMu, w.stats, func(r StatsReply) uint64 { return r.Seq },
-		func(seq uint64) Frame { return StatsReq{Seq: seq} })
-	return r, err
-}
-
-// CellStats fetches the worker's per-cell planner statistics (Phase
-// I/II migration input).
-func (w *WorkerClient) CellStats() ([]CellStat, error) {
-	r, _, err := roundTrip(&w.hop, &w.ctrlMu, w.cellStats, func(r CellStatsReply) uint64 { return r.Seq },
-		func(seq uint64) Frame { return CellStatsReq{Seq: seq} })
-	return r.Cells, err
-}
-
-// ExtractCells fetches the named cell shares — copied with remove
-// false, extracted from the peer's index with remove true; subs asks
-// for the per-subscription top-k window entries too (global
-// repartition's carried state). The reply reflects every op batch sent
-// before the call, which is exactly the migration barrier: once the
-// coordinator has forwarded all pre-flip traffic, an extraction round
-// cannot miss any of it. The returned share carries the worker's state
-// epoch and, on a removing extraction, the top-k retraction deltas for
-// the departed subscriptions.
-func (w *WorkerClient) ExtractCells(cells []CellSpec, remove, subs bool) (CellShare, error) {
-	r, _, err := roundTrip(&w.hop, &w.ctrlMu, w.shares, func(r CellShare) uint64 { return r.Seq },
-		func(seq uint64) Frame { return ExtractCells{Seq: seq, Cells: cells, Remove: remove, Subs: subs} })
-	return r, err
-}
-
-// InstallCells hands the worker cell shares to index and query ids to
-// delete, returning the worker's acknowledgement (top-k admission
-// deltas, tagged with its state epoch) and the request's length in the
-// AppendInstallCells layout (the migration's measured transfer bytes).
-// Ops sent after InstallCells are matched against the installed share.
-func (w *WorkerClient) InstallCells(cells []CellPayload, deletes []uint64) (InstallAck, int64, error) {
-	ack, n, err := roundTrip(&w.hop, &w.ctrlMu, w.installAcks, func(r InstallAck) uint64 { return r.Seq },
-		func(seq uint64) Frame { return InstallCells{Seq: seq, Cells: cells, Deletes: deletes} })
-	return ack, int64(n), err
-}
-
-// AdvanceWindow runs the fenced window-expiry round: the worker first
-// processes every op batch sent before the call (so no in-flight object
-// can slip behind the expiry), advances its sliding windows to the
-// coordinator clock now, and acknowledges with the eviction deltas
-// tagged with its state epoch. Cluster-wide expiry is therefore
-// consistent: every worker expires against the same clock, after the
-// same traffic.
-func (w *WorkerClient) AdvanceWindow(now time.Time) (AdvanceAck, error) {
-	r, _, err := roundTrip(&w.hop, &w.ctrlMu, w.advances, func(r AdvanceAck) uint64 { return r.Seq },
-		func(seq uint64) Frame { return AdvanceWindow{Seq: seq, Now: now} })
-	return r, err
 }
 
 // Close tears the session down, unblocking every pending call —
@@ -640,7 +508,7 @@ func (m *MergerClient) SendMatches(b MatchBatch) error {
 // The request queues behind every pending match batch on the writer, so
 // the reply covers every batch sent before the call.
 func (m *MergerClient) Counts() (delivered, duplicates int64, err error) {
-	sr, _, err := roundTrip(&m.hop, &m.statsMu, m.replies, func(r StatsReply) uint64 { return r.Seq },
+	sr, err := roundTrip(&m.hop, &m.statsMu, m.replies, func(r StatsReply) uint64 { return r.Seq },
 		func(seq uint64) Frame { return StatsReq{Seq: seq} })
 	return sr.Delivered, sr.Duplicates, err
 }

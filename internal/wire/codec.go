@@ -114,13 +114,19 @@ type MatchEnv struct {
 	Solo bool
 }
 
-// MatchBatch is one transfer batch of matches.
+// MatchBatch is one transfer batch of matches. From a worker hop
+// (WorkerClient.RecvMatches) it is one item of the up stream, in arrival
+// order: matches, or exactly one of the fields below, none of which a
+// match frame encodes.
 type MatchBatch struct {
 	Matches []MatchEnv
-	// Drained marks, in place of matches, the DrainAck answering a
-	// WorkerClient.SendDrain: every match of the ops sent before that
-	// Drain came in an earlier batch. Not encoded.
+	// Drained marks the DrainAck answering a WorkerClient.SendDrain.
 	Drained bool
+	// Epoch and Deltas are one WindowDeltaBatch.
+	Epoch  uint64
+	Deltas []window.Delta
+	// Reply answers a WorkerClient.SendControl request.
+	Reply Frame
 }
 
 // Drain asks a worker to acknowledge once everything sent before this
@@ -225,8 +231,8 @@ const WholeQueries = -1
 // Remove false the shares are copied (the migration's copy step, the
 // source keeps serving them); with Remove true the queries are
 // extracted from the index and their window entries located in the
-// cell released (the deferred-extraction step, after the source has
-// drained its pre-flip traffic). The share reflects every op batch the
+// cell released (the extraction step, sent after the routing flip so
+// that it follows the source's pre-flip traffic). The share reflects every op batch the
 // coordinator sent before the request: that is the migration barrier.
 type ExtractCells struct {
 	Seq    uint64

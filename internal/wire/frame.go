@@ -73,7 +73,7 @@ const (
 	TypeCellStatsReply byte = 12
 	// TypeExtractCells asks a worker peer for a serialised cell share —
 	// queries plus their top-k window entries — either copied (snapshot) or
-	// removed from the peer's index (the deferred-extraction step of a
+	// removed from the peer's index (the extraction step of a
 	// migration). FIFO orders it behind every op batch sent before it, so
 	// the share reflects all pre-flip traffic.
 	TypeExtractCells byte = 13

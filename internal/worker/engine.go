@@ -6,9 +6,10 @@
 // run this engine; they differ only in how operations reach it and where
 // its matches and deltas go.
 //
-// The engine speaks the wire package's request and reply types directly,
-// so a control round is the same call whether it arrives as a decoded
-// frame or as a function call from the coordinator's own process.
+// The engine speaks the wire package's request and reply types directly:
+// Serve is the one entry point of a control round, the same call whether
+// the request arrives as a decoded frame or as a typed value from the
+// coordinator's own process.
 package worker
 
 import (
@@ -52,9 +53,11 @@ type Engine struct {
 	gi    *gi2.Index
 	win   *window.Store
 	now   time.Time
-	// Cumulative processed-op counts by kind; they describe the slot's
-	// lifetime and survive Reset.
-	objects, inserts, deletes int64
+	// Cumulative processed-op counts by kind and emitted matches; they
+	// describe the slot's lifetime and survive Reset.
+	objects, inserts, deletes, emitted int64
+	// fence is the last routing epoch a Fence announced (diagnostics).
+	fence uint64
 
 	// Cursor of the Process call in flight, read by onMatch. onMatch is
 	// bound once so that matching an object allocates no closure.
@@ -139,6 +142,7 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 	}
 	out, dout = e.out, e.dout
 	e.env, e.out, e.dout = nil, nil, nil
+	e.emitted += int64(len(out))
 	return out, dout, e.epoch
 }
 
@@ -169,14 +173,61 @@ func (e *Engine) match(q *model.Query) {
 	})
 }
 
-// Stats reports the live query count and the cumulative processed-op
-// counts by kind (the load detector's input).
+// Serve runs one control request and returns its reply: a StatsReply,
+// CellStatsReply, CellShare, InstallAck or AdvanceAck, each under the
+// request's Seq, or nil for a Fence or ResetWindow, which are not
+// answered. An AdvanceWindow runs one expiry sweep at the coordinator's
+// clock: expired entries leave each top-k subscription's band, held
+// entries move up in their place, and the ack carries those deltas. A
+// ResetWindow starts a fresh Definition-3 load window: the per-cell
+// object and term-hit counters CellStats reports. A Fence records the
+// routing epoch it announces.
+func (e *Engine) Serve(req wire.Frame) (wire.Frame, error) {
+	switch r := req.(type) {
+	case wire.StatsReq:
+		sr := e.Stats()
+		sr.Seq = r.Seq
+		return sr, nil
+	case wire.CellStatsReq:
+		return wire.CellStatsReply{Seq: r.Seq, Cells: e.CellStats()}, nil
+	case wire.ExtractCells:
+		return e.ExtractCells(r)
+	case wire.InstallCells:
+		return e.InstallCells(r)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch r := req.(type) {
+	case wire.AdvanceWindow:
+		e.observe(r.Now)
+		return wire.AdvanceAck{Seq: r.Seq, Epoch: e.epoch, Deltas: e.win.Advance(e.now)}, nil
+	case wire.ResetWindow:
+		e.gi.ResetWindow()
+		return nil, nil
+	case wire.Fence:
+		e.fence = r.Epoch
+		return nil, nil
+	}
+	return nil, fmt.Errorf("worker: a %T is not a control request", req)
+}
+
+// RouteEpoch returns the last routing epoch a Fence announced (0 until
+// one arrives).
+func (e *Engine) RouteEpoch() uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.fence
+}
+
+// Stats reports the live query count, the cumulative processed-op counts
+// by kind (the load detector's input) and the emitted matches.
 func (e *Engine) Stats() wire.StatsReply {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return wire.StatsReply{
-		Queries: int64(e.gi.LiveQueryCount()),
-		Objects: e.objects, Inserts: e.inserts, Deletes: e.deletes,
+		Delivered: e.emitted,
+		Queries:   int64(e.gi.LiveQueryCount()),
+		Objects:   e.objects, Inserts: e.inserts, Deletes: e.deletes,
 	}
 }
 
@@ -307,32 +358,6 @@ func (e *Engine) InstallCells(ic wire.InstallCells) (wire.InstallAck, error) {
 		ack.Deltas = append(ack.Deltas, e.win.RemoveSub(id)...)
 	}
 	return ack, nil
-}
-
-// AdvanceWindow runs one expiry sweep at the coordinator's clock and
-// returns the resulting membership deltas: expired entries leave each
-// top-k subscription's band, and held entries move up in their place.
-func (e *Engine) AdvanceWindow(a wire.AdvanceWindow) wire.AdvanceAck {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observe(a.Now)
-	return wire.AdvanceAck{Seq: a.Seq, Epoch: e.epoch, Deltas: e.win.Advance(e.now)}
-}
-
-// ResetWindow starts a fresh Definition-3 load window: the per-cell
-// object and term-hit counters CellStats reports.
-func (e *Engine) ResetWindow() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.gi.ResetWindow()
-}
-
-// QueryCount reports the live queries, the number Stats reports:
-// lazily-tombstoned deletions are not counted.
-func (e *Engine) QueryCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.gi.LiveQueryCount()
 }
 
 // Footprint estimates the resident bytes of the index and window state.

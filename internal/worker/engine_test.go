@@ -142,12 +142,12 @@ func (c *cluster) apply(env wire.OpEnv) {
 // AdvanceWindows does; it also brings every engine's clock to now.
 func advance(now time.Time, engines ...*Engine) {
 	for _, e := range engines {
-		e.AdvanceWindow(wire.AdvanceWindow{Now: now})
+		e.Serve(wire.AdvanceWindow{Now: now})
 	}
 }
 
 // migration is the coordinator's record of a cell share between its copy
-// and its extraction (core's pendingExtract).
+// and its extraction (core's handOff).
 type migration struct {
 	cell       int
 	keys       []string
@@ -581,9 +581,9 @@ func TestEngineClockIsRunningMaximum(t *testing.T) {
 	}
 	// An older stamp must not move the clock back: a sweep at 5s still
 	// runs at 20s and expires object 10.
-	ack := e.AdvanceWindow(wire.AdvanceWindow{Now: at(5)})
+	ack, _ := e.Serve(wire.AdvanceWindow{Now: at(5)})
 	if got := fmt.Sprint(e.TopKSet(1)); got != "[11]" {
-		t.Fatalf("after the sweep the heap holds %s, want [11] (deltas %+v)", got, ack.Deltas)
+		t.Fatalf("after the sweep the heap holds %s, want [11] (deltas %+v)", got, ack.(wire.AdvanceAck).Deltas)
 	}
 	// A late-stamped object is judged against the running maximum too.
 	_, ds, _ := e.Process([]wire.OpEnv{obj(12, 2)}, nil, nil)
