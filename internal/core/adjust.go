@@ -9,7 +9,6 @@ import (
 	"ps2stream/internal/load"
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
-	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
 
@@ -38,41 +37,53 @@ func (s *System) adjustLoop(ctx context.Context) {
 }
 
 // adjustTick runs one controller evaluation: maintenance
-// (global-repartition progress), load sampling, detection, and —
-// on a trigger — one adjustment. Serialised with AdjustNow by adjustMu.
+// (global-repartition progress), then evaluate. Serialised with AdjustNow
+// by adjustMu.
 func (s *System) adjustTick() {
 	s.adjustMu.Lock()
 	defer s.adjustMu.Unlock()
 	s.checkGlobalProgress()
-	s.globalMu.Lock()
-	dualActive := s.dual != nil
-	s.globalMu.Unlock()
-	if dualActive {
-		// Local adjustment pauses while two strategies co-exist —
-		// the paper's "temporary compromise on the system
-		// performance".
-		return
+	s.evaluate(false)
+}
+
+// evaluate samples the active slots' loads and, on a trigger, runs one
+// adjustment from the most to the least loaded slot; it returns the
+// migrations run. The background controller (manual false) waits for
+// MinWindowOps operations and asks the detector; a manual evaluation
+// triggers whenever the smoothed balance factor violates σ, and restarts
+// the detector's cooldown. Local adjustment pauses while two strategies
+// co-exist — the paper's "temporary compromise on the system
+// performance". Caller holds adjustMu.
+func (s *System) evaluate(manual bool) int {
+	if s.dualAssign() != nil {
+		return 0
 	}
 	if err := s.pollLoads(); err != nil {
 		// A slot's load is unobservable this interval (a blip, or
 		// teardown racing the poll): leave the window accumulating and
-		// retry next tick. A genuinely dead hop fails the run on the
-		// data path.
-		return
+		// retry next time; adjusting blind would misplace cells. A
+		// genuinely dead hop fails the run on the data path.
+		return 0
 	}
 	loads, windowOps := s.peekWorkerLoads()
-	if windowOps < s.cfg.Adjust.MinWindowOps {
+	if !manual && windowOps < s.cfg.Adjust.MinWindowOps {
 		// Too few operations to be statistically meaningful yet. The
 		// window is left accumulating (nothing consumed, nothing reset)
 		// so a low-rate stream still reaches the threshold across
 		// several intervals instead of being invisible forever.
-		return
+		return 0
 	}
-	s.commitWorkSample()
-	s.adjChecks.Inc()
+	observe := !manual || windowOps > 0 // a manual call may find an empty window
+	if observe {
+		copy(s.prevWork, s.work) // the next window starts here
+	}
 	smoothed := make([]float64, len(loads))
 	for i, l := range loads {
-		smoothed[i] = s.loadEWMA[i].Observe(l)
+		if observe {
+			smoothed[i] = s.loadEWMA[i].Observe(l)
+		} else {
+			smoothed[i] = s.loadEWMA[i].Value()
+		}
 	}
 	// The detector sees only slots that currently serve traffic: idle
 	// spare slots (and drained, decommissioned ones) always read zero
@@ -81,20 +92,28 @@ func (s *System) adjustTick() {
 	active := s.activeWorkerSlots()
 	masked := maskActive(smoothed, active)
 	imbalance := load.BalanceFactor(masked)
-	dec := s.detector.Observe(imbalance, time.Now())
-	s.log.Debug("adjust check",
-		"decision", dec.String(),
-		"imbalance", imbalance,
-		"theta", s.cfg.Adjust.Sigma,
-		"window_ops", windowOps,
-		"loads", smoothed)
-	switch dec {
-	case load.Sustaining:
-		s.adjSustains.Inc()
-	case load.Cooling:
-		s.adjCooldowns.Inc()
-	case load.Trigger:
-		s.adjTriggers.Inc()
+	trigger := imbalance > s.cfg.Adjust.Sigma
+	if !manual {
+		s.adjChecks.Inc()
+		dec := s.detector.Observe(imbalance, time.Now())
+		s.log.Debug("adjust check",
+			"decision", dec.String(),
+			"imbalance", imbalance,
+			"theta", s.cfg.Adjust.Sigma,
+			"window_ops", windowOps,
+			"loads", smoothed)
+		switch dec {
+		case load.Sustaining:
+			s.adjSustains.Inc()
+		case load.Cooling:
+			s.adjCooldowns.Inc()
+		case load.Trigger:
+			s.adjTriggers.Inc()
+		}
+		trigger = dec == load.Trigger
+	}
+	before := s.migrationCount()
+	if trigger {
 		lo, hi := load.ArgMinMax(masked)
 		lo, hi = active[lo], active[hi]
 		s.log.Info("adjust trigger",
@@ -102,11 +121,17 @@ func (s *System) adjustTick() {
 			"theta", s.cfg.Adjust.Sigma,
 			"from", hi,
 			"to", lo,
-			"manual", false)
-		s.runAdjustment(hi, lo, smoothed, s.adjustRng)
-		s.lastAdjustNs.Store(time.Now().UnixNano())
+			"manual", manual)
+		s.runAdjustment(hi, lo, s.adjustRng)
+		now := time.Now()
+		if manual {
+			s.adjManual.Inc()
+			s.detector.Force(now)
+		}
+		s.lastAdjustNs.Store(now.UnixNano())
 	}
 	s.resetLoadWindows()
+	return s.migrationCount() - before
 }
 
 // pollLoads refreshes work with every active slot's cumulative
@@ -128,8 +153,8 @@ func (s *System) pollLoads() error {
 
 // peekWorkerLoads differences the per-worker cumulative op counters
 // against the previous committed sample and evaluates Definition 1 per
-// worker, without consuming the window — commitWorkSample does that once
-// the caller decides to use the observation. It returns the per-window
+// worker, without consuming the window — evaluate does that once it
+// decides to use the observation. It returns the per-window
 // loads and the total ops observed. Caller holds adjustMu.
 func (s *System) peekWorkerLoads() ([]float64, int64) {
 	loads := make([]float64, len(s.work))
@@ -144,12 +169,6 @@ func (s *System) peekWorkerLoads() ([]float64, int64) {
 		loads[i] = s.cfg.Costs.Worker(float64(d.objects), float64(d.inserts), float64(d.deletes))
 	}
 	return loads, total
-}
-
-// commitWorkSample marks the current counter values as sampled, starting
-// the next measurement window. Caller holds adjustMu.
-func (s *System) commitWorkSample() {
-	copy(s.prevWork, s.work)
 }
 
 // resetLoadWindows starts a fresh Definition-1 window: the dispatcher-side
@@ -176,47 +195,7 @@ func (s *System) AdjustNow() int {
 	}
 	s.adjustMu.Lock()
 	defer s.adjustMu.Unlock()
-	s.globalMu.Lock()
-	dualActive := s.dual != nil
-	s.globalMu.Unlock()
-	if dualActive {
-		return 0
-	}
-	if err := s.pollLoads(); err != nil {
-		return 0 // a slot's load is unobservable; adjusting blind would misplace cells
-	}
-	loads, windowOps := s.peekWorkerLoads()
-	if windowOps > 0 {
-		s.commitWorkSample()
-	}
-	smoothed := make([]float64, len(loads))
-	for i, l := range loads {
-		if windowOps > 0 {
-			smoothed[i] = s.loadEWMA[i].Observe(l)
-		} else {
-			smoothed[i] = s.loadEWMA[i].Value()
-		}
-	}
-	before := s.migrationCount()
-	active := s.activeWorkerSlots()
-	masked := maskActive(smoothed, active)
-	if imbalance := load.BalanceFactor(masked); imbalance > s.cfg.Adjust.Sigma {
-		s.adjManual.Inc()
-		lo, hi := load.ArgMinMax(masked)
-		lo, hi = active[lo], active[hi]
-		s.log.Info("adjust trigger",
-			"imbalance", imbalance,
-			"theta", s.cfg.Adjust.Sigma,
-			"from", hi,
-			"to", lo,
-			"manual", true)
-		s.runAdjustment(hi, lo, smoothed, s.adjustRng)
-		now := time.Now()
-		s.detector.Force(now)
-		s.lastAdjustNs.Store(now.UnixNano())
-	}
-	s.resetLoadWindows()
-	return s.migrationCount() - before
+	return s.evaluate(true)
 }
 
 func (s *System) migrationCount() int {
@@ -226,7 +205,7 @@ func (s *System) migrationCount() int {
 }
 
 // runAdjustment executes one adjustment from worker wo to worker wl.
-func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
+func (s *System) runAdjustment(wo, wl int, rng *rand.Rand) {
 	var movedLoad float64
 
 	// One planner snapshot per worker: Phase I shares, Phase II
@@ -255,33 +234,20 @@ func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 	})
 	migrated := make(map[int]bool)
 	for _, a := range actions {
-		start := time.Now()
-		var moved int
-		var nbytes int64
-		var ok bool
-		switch a.Kind {
-		case migrate.ActionSplitText:
-			moved, nbytes, ok = s.migrateSplit(wo, wl, a.Cell, a.Keys)
-		case migrate.ActionMergeShares:
-			moved, nbytes, ok = s.migrateShare(wo, wl, a.Cell)
+		var keys []string // ActionMergeShares moves the whole share
+		if a.Kind == migrate.ActionSplitText {
+			keys = a.Keys
 		}
-		if !ok {
-			// A wire round failed before the routing flip: nothing moved,
-			// so neither the stats nor the tau budget may count it.
+		m := MigrationStat{Algorithm: s.cfg.Adjust.Algorithm, From: wo, To: wl, PhaseI: true}
+		start := time.Now()
+		if !s.moveInto(&m, wo, wl, a.Cell, keys) {
+			// Nothing moved, so neither the stats nor the tau budget may
+			// count it.
 			continue
 		}
 		migrated[a.Cell] = true
 		movedLoad += a.LoadMoved
-		s.recordMigration(MigrationStat{
-			Algorithm:    s.cfg.Adjust.Algorithm,
-			Duration:     time.Since(start),
-			Bytes:        nbytes,
-			Cells:        1,
-			QueriesMoved: moved,
-			From:         wo,
-			To:           wl,
-			PhaseI:       true,
-		})
+		s.recordMoves(m, start)
 	}
 
 	// Phase II: Minimum Cost Migration if the constraint still fails.
@@ -305,31 +271,39 @@ func (s *System) runAdjustment(wo, wl int, loads []float64, rng *rand.Rand) {
 	if len(sel.Cells) == 0 {
 		return
 	}
+	m := MigrationStat{Algorithm: s.cfg.Adjust.Algorithm, SelectionTime: selTime, From: wo, To: wl}
 	start := time.Now()
-	var totalMoved, totalCells int
-	var totalBytes int64
 	for _, c := range sel.Cells {
-		moved, nbytes, ok := s.migrateShare(wo, wl, c.ID)
-		if !ok {
-			continue
-		}
-		totalMoved += moved
-		totalBytes += nbytes
-		totalCells++
+		s.moveInto(&m, wo, wl, c.ID, nil)
 	}
-	if totalCells == 0 {
-		return
+	s.recordMoves(m, start)
+}
+
+// moveInto moves worker wo's share of a cell to wl — only the given
+// registration keys when keys is not nil (a Phase I split) — and adds it
+// to m's totals; it reports whether anything moved.
+func (s *System) moveInto(m *MigrationStat, wo, wl, cell int, keys []string) bool {
+	q, b, ok := 0, int64(0), false
+	if keys == nil {
+		q, b, ok = s.migrateShare(wo, wl, cell)
+	} else {
+		q, b, ok = s.migrateSplit(wo, wl, cell, keys)
 	}
-	s.recordMigration(MigrationStat{
-		Algorithm:     s.cfg.Adjust.Algorithm,
-		SelectionTime: selTime,
-		Duration:      time.Since(start),
-		Bytes:         totalBytes,
-		Cells:         totalCells,
-		QueriesMoved:  totalMoved,
-		From:          wo,
-		To:            wl,
-	})
+	if ok {
+		m.Cells++
+		m.QueriesMoved += q
+		m.Bytes += b
+	}
+	return ok
+}
+
+// recordMoves records m, the moves made since start, unless it moved
+// nothing.
+func (s *System) recordMoves(m MigrationStat, start time.Time) {
+	if m.Cells > 0 {
+		m.Duration = time.Since(start)
+		s.recordMigration(m)
+	}
 }
 
 func (s *System) recordMigration(m MigrationStat) {
@@ -419,73 +393,79 @@ func (s *System) announceFence() {
 }
 
 // handOff moves worker wo's share of a cell — the whole cell when keys is
-// nil, only the given registration keys otherwise — to wl using the
-// copy → transfer → flip-routing → extract sequence, so no matching
-// object is ever routed to a worker without the queries. Each top-k
-// subscription's window entries located in the cell travel with it, so
-// sliding-window top-k subscriptions survive the hand-off without losing
-// window history. ok is false when a round failed before the routing
-// flip — nothing moved, nothing to record.
+// nil, only the given registration keys otherwise — to wl, as one cut
+// (cut → extract → install → release). The cut holds both slots and flips
+// routing: every operation routed before it reaches wo ahead of the
+// extraction, and every later one routes under the new table and waits
+// behind the holds, so wl matches it against the installed share. Each
+// top-k subscription's window entries located in the cell travel with it.
+// ok is false when nothing moved: a slot was not up at the cut, which then
+// leaves routing as it was, or a round failed after it.
 func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesMoved int, nbytes int64, ok bool) {
-	spec := []wire.CellSpec{{Cell: cell, Keys: keys}}
-	// 1. Copy: one non-removing ExtractCells round, ordered behind all
-	// traffic routed to wo before it.
-	share, err := roundAs[wire.CellShare](s, wo, wire.ExtractCells{Cells: spec, Subs: true})
+	holds := s.cut([]int{wo, wl}, func([]*hold) {
+		if ok = s.slotUp(wo) && s.slotUp(wl); ok {
+			flip()
+			s.routeEpoch.Add(1)
+		}
+	})
+	defer release(holds)
+	if !ok {
+		return 0, 0, false
+	}
+	s.announceFence()
+	src, dst := holds[0], holds[1]
+	extract := wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell, Keys: keys}}, Remove: true, Subs: true}
+	share, err := replyAs[wire.CellShare](s, s.through(src, newRound(wo, extract, true)))
+	for errors.Is(err, errSlotNotUp) && s.awaitUp(wo) {
+		// The source's session ended before it answered. Recovery
+		// rebuilds the slot from its op log, where the share has not
+		// departed, so extracting again is safe.
+		share, err = replyAs[wire.CellShare](s, s.through(src, newRound(wo, extract, true)))
+	}
 	if err != nil {
-		return 0, 0, false // failure before anything changed: abort this migration
+		// A failed or timed-out extraction leaves the share with a source
+		// whose connection is failing the run.
+		s.log.Warn("adjust extraction failed", "cell", cell, "from", wo, "to", wl, "err", err)
+		return 0, 0, false
 	}
 	var qs []*model.Query
 	var subs []wire.SubEntries
 	if len(share.Cells) > 0 {
 		qs, subs = share.Cells[0].Queries, share.Cells[0].Subs
 	}
-	// 2. Transfer. On the paper's cluster the receiving worker is busy
-	// ingesting the migrated queries instead of processing tuples, which
-	// is exactly what delays tuples in Figures 12(c)/15. Once the round
-	// returns, every op batch routed to wl is matched against the share.
-	// A failure aborts before the routing flip — the destination holds at
-	// worst an unused copy whose duplicate matches the mergers suppress.
 	if len(qs) > 0 {
-		nbytes, err = s.installCells(wl, wire.InstallCells{Cells: []wire.CellPayload{{Cell: cell, Queries: qs, Subs: subs}}})
-		if err != nil {
-			return 0, 0, false
+		// On the paper's cluster the receiving worker is busy ingesting
+		// the migrated queries instead of processing tuples, which is
+		// exactly what delays tuples in Figures 12(c)/15.
+		install := wire.InstallCells{Cells: []wire.CellPayload{{Cell: cell, Queries: qs, Subs: subs}}}
+		nbytes, err = s.installCells(dst, install)
+		for errors.Is(err, errSlotNotUp) && s.awaitUp(wl) {
+			// Recovery rebuilt the destination from its op log, where the
+			// adoption is not logged yet.
+			nbytes, err = s.installCells(dst, install)
 		}
-		// The destination now answers for these queries; its op log must
-		// reconstruct them if the node crashes before the next checkpoint.
-		s.logAdoptions(wl, qs, nil, subs)
+		if err != nil {
+			// The share is lost with a destination that is failing the
+			// run; it stays logged there, for a replay to rebuild.
+			s.log.Warn("adjust install failed", "cell", cell, "from", wo, "to", wl, "err", err)
+		}
 	}
-	// 3. Flip routing.
-	flip()
-	s.routeEpoch.Add(1)
-	s.announceFence()
-	// 4. Extract: one removing round put into wo's stream after the flip.
-	// The one dispatcher takes it after every operation it routed to wo
-	// under the old table, and wo serves it after applying them, so
-	// in-flight objects still find the queries; overlap duplicates are
-	// removed by the mergers.
-	extract := wire.ExtractCells{Cells: spec, Remove: true, Subs: true}
-	removed, err := roundAs[wire.CellShare](s, wo, extract)
-	for errors.Is(err, errSlotNotUp) && s.awaitUp(wo) {
-		// The source's session ended before it answered. Recovery
-		// rebuilds the slot from its op log, where the share has not
-		// departed, so extracting again is safe.
-		removed, err = roundAs[wire.CellShare](s, wo, extract)
-	}
-	if err != nil {
-		// A timed-out round is ambiguous — the node may or may not have
-		// removed the share — so retrying is NOT safe: a second
-		// extraction of an already-empty cell would misread every copied
-		// query as "deleted between copy and flip" and wipe the migrated
-		// share at the destination. Abandon the extraction instead: at
-		// worst the source keeps a stale duplicate copy whose matches the
-		// mergers suppress, and a control round only fails on a
-		// connection that is about to fail the run on the data path
-		// anyway.
-		return len(qs), nbytes, true
-	}
-	s.finishExtract(wo, wl, cell, qs, subs, removed)
-	s.log.Debug("adjust extract finished", "cell", cell, "from", wo, "to", wl)
-	return len(qs), nbytes, true
+	// The source's retractions are applied after the destination's
+	// adoptions, so a hand-off that keeps top-k membership shows
+	// subscribers no change; both slots are held, so these deltas and the
+	// log entries land at the cut's position in their streams.
+	s.board.ApplyFrom(wo, share.Epoch, share.Deltas)
+	s.logDepartures(wo, qs)
+	s.logAdoptions(wl, qs, nil, subs)
+	s.log.Debug("adjust hand-off finished", "cell", cell, "from", wo, "to", wl)
+	return len(qs), nbytes, err == nil
+}
+
+// slotUp reports whether slot w serves traffic: always for an in-process
+// slot.
+func (s *System) slotUp(w int) bool {
+	h := s.hop(w)
+	return h == nil || h.up()
 }
 
 // migrateShare moves worker wo's entire share of a cell to wl.
@@ -506,93 +486,4 @@ func (s *System) migrateSplit(wo, wl, cell int, keys []string) (queriesMoved int
 	return s.handOff(wo, wl, cell, keys, func() {
 		s.gridT.Load().SplitSpaceCellByText(cell, keys, wl)
 	})
-}
-
-// entrySet keys every carried window entry by (subscription, message).
-func entrySet(subs []wire.SubEntries) map[[2]uint64]struct{} {
-	out := make(map[[2]uint64]struct{})
-	for _, se := range subs {
-		for _, e := range se.Entries {
-			out[[2]uint64{se.ID, e.MsgID}] = struct{}{}
-		}
-	}
-	return out
-}
-
-func idSet(qs []*model.Query) map[uint64]struct{} {
-	out := make(map[uint64]struct{}, len(qs))
-	for _, q := range qs {
-		out[q.ID] = struct{}{}
-	}
-	return out
-}
-
-// finishExtract completes a hand-off from the source's removing
-// extraction: it reconciles what changed at wo between copy and flip
-// and forwards the differences to the new owner wl. copied and
-// copiedSubs are what the copy round returned.
-func (s *System) finishExtract(wo, wl, cell int, copied []*model.Query, copiedSubs []wire.SubEntries, share wire.CellShare) {
-	copiedIDs, copiedEntries := idSet(copied), entrySet(copiedSubs)
-	var extracted []*model.Query
-	var subs []wire.SubEntries
-	if len(share.Cells) > 0 {
-		extracted, subs = share.Cells[0].Queries, share.Cells[0].Subs
-	}
-	s.logDepartures(wo, extracted)
-	// Window hand-off: entries that joined a subscription's band at wo
-	// between the copy and the routing flip are forwarded, so wl holds
-	// every entry wo released.
-	var subsLeft []wire.SubEntries
-	for _, se := range subs {
-		var left []window.Entry
-		for _, e := range se.Entries {
-			if _, ok := copiedEntries[[2]uint64{se.ID, e.MsgID}]; !ok {
-				left = append(left, e)
-			}
-		}
-		if len(left) > 0 {
-			subsLeft = append(subsLeft, wire.SubEntries{ID: se.ID, Entries: left})
-		}
-	}
-	// Forward anything that reached wo between copy and flip: queries
-	// inserted at wo (present in the extraction but not in the copy)
-	// move to wl, and queries *deleted* at wo (copied, but gone from
-	// the extraction) are deleted from wl's adopted copy too — a
-	// delete routed under the pre-flip table reaches only wo, and
-	// without this reconciliation the migrated copy would keep
-	// matching forever.
-	var leftover []*model.Query
-	for _, q := range extracted {
-		if _, ok := copiedIDs[q.ID]; !ok {
-			leftover = append(leftover, q)
-		}
-	}
-	extractedIDs := idSet(extracted)
-	var deleted []uint64
-	for id := range copiedIDs {
-		if _, ok := extractedIDs[id]; !ok {
-			deleted = append(deleted, id)
-		}
-	}
-	if len(leftover) > 0 || len(subsLeft) > 0 || len(deleted) > 0 {
-		var cells []wire.CellPayload
-		if len(leftover) > 0 || len(subsLeft) > 0 {
-			cells = []wire.CellPayload{{Cell: cell, Queries: leftover, Subs: subsLeft}}
-		}
-		// Best-effort: a failure here means the destination's connection
-		// is down, which already fails the run on the data path —
-		// re-extracting could not recover the copies the source no longer
-		// holds.
-		_, _ = s.installCells(wl, wire.InstallCells{Cells: cells, Deletes: deleted})
-		// Logged regardless of the install outcome: routing already
-		// flipped, so the destination slot owns these differences and
-		// replay must reconstruct them even if this particular delivery
-		// is lost to a crash the recovery path then heals.
-		s.logAdoptions(wl, leftover, deleted, subsLeft)
-	}
-	// The source's retractions (subscriptions and window entries that left
-	// with the share) are applied AFTER the destination's adoptions, so a
-	// hand-off that preserves membership nets out to zero user-visible
-	// updates.
-	s.board.ApplyFrom(wo, share.Epoch, share.Deltas)
 }

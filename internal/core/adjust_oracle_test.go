@@ -9,6 +9,7 @@ import (
 
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
+	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
 
@@ -16,11 +17,11 @@ import (
 // subscriptions fitted to hotspot 0, then a burst of objects concentrated
 // on hotspot 1 (the shift that skews worker load) — and returns the
 // delivered match set. With adjust true, the adaptive controller runs at
-// an aggressive cadence AND the test hammers AdjustNow from a second
-// goroutine while a third publishes continuously, so cell migrations
-// interleave with live matching; the returned migration count proves the
-// run actually moved cells. With adjust false the partitioning is frozen:
-// the static oracle.
+// an aggressive cadence, the test hammers AdjustNow from a second
+// goroutine, and the publisher itself moves a cell every movePeriod
+// objects (forceMove), so cell migrations interleave with live matching
+// in every run; the returned migration count includes the forced moves.
+// With adjust false the partitioning is frozen: the static oracle.
 func runHotspotPublish(t *testing.T, adjust bool) (matches [][2]uint64, migrations int) {
 	t.Helper()
 	spec := workload.TweetsUS()
@@ -88,13 +89,10 @@ func runHotspotPublish(t *testing.T, adjust bool) (matches [][2]uint64, migratio
 			}
 		}()
 	}
-	// Paced in bursts, so the controller sees the skew while objects are
-	// still flowing: an unpaced burst is applied within a couple of
-	// milliseconds, before the first adjustment that could see its load.
 	for i, o := range objs {
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
-		if adjust && i%100 == 99 {
-			time.Sleep(time.Millisecond)
+		if adjust && i%movePeriod == movePeriod-1 {
+			forceMove(t, sys)
 		}
 	}
 	sys.Drain()
@@ -120,28 +118,51 @@ func runHotspotPublish(t *testing.T, adjust bool) (matches [][2]uint64, migratio
 	return out, migrations
 }
 
+// movePeriod is how many objects the adjusted hotspot runs publish
+// between two forced cell moves.
+const movePeriod = 500
+
+// forceMove migrates the heaviest non-empty cell of the first worker that
+// holds one to the next worker, under adjustMu like the controller's
+// moves, and records it as a migration. The publisher calls it between
+// two Submits, so the move's cut falls amid live traffic.
+func forceMove(t *testing.T, sys *System) {
+	t.Helper()
+	sys.adjustMu.Lock()
+	defer sys.adjustMu.Unlock()
+	for _, wo := range sys.activeWorkerSlots() {
+		stats, err := roundAs[wire.CellStatsReply](sys, wo, wire.CellStatsReq{})
+		if err != nil {
+			t.Fatalf("cell stats of worker %d: %v", wo, err)
+		}
+		cell, most := -1, 0
+		for _, cs := range stats.Cells {
+			if cs.Entries > most {
+				cell, most = cs.Cell, cs.Entries
+			}
+		}
+		if cell < 0 {
+			continue
+		}
+		m := MigrationStat{From: wo, To: (wo + 1) % sys.cfg.Workers}
+		start := time.Now()
+		if !sys.moveInto(&m, wo, m.To, cell, nil) || m.QueriesMoved == 0 {
+			t.Fatalf("moving cell %d from worker %d to %d: %+v", cell, wo, m.To, m)
+		}
+		sys.recordMoves(m, start)
+		return
+	}
+	t.Fatal("no worker holds a query")
+}
+
 // TestAdjustPublishMatchesStaticOracle pins the adaptive controller's
 // safety guarantee: publishing continuously while cells migrate must
 // deliver exactly the match set of a static partitioning — nothing lost
-// to an extraction racing the drain barrier, nothing invented by a
-// double-owned cell (mergers deduplicate the overlap window). Run with
-// -race in CI, this is also the controller's data-race coverage.
+// or invented at a migration's cut. Run with -race in CI, this is also the
+// controller's data-race coverage.
 func TestAdjustPublishMatchesStaticOracle(t *testing.T) {
 	want, _ := runHotspotPublish(t, false)
-	// The adjusted run migrates in the common case but not always: an
-	// AdjustNow landing right after a window reset can see empty
-	// per-cell loads, and the finite burst may end before the next
-	// opportunity. Retry the vacuous outcome a bounded number of times —
-	// every run's match set is checked regardless. Six attempts keeps the
-	// vacuous-outcome probability negligible on loaded CI runners.
-	var got [][2]uint64
-	var migrations int
-	for attempt := 0; attempt < 6 && migrations == 0; attempt++ {
-		got, migrations = runHotspotPublish(t, true)
-	}
-	if migrations == 0 {
-		t.Fatal("no migrations executed in any attempt; the equivalence check is vacuous — tighten the controller config")
-	}
+	got, migrations := runHotspotPublish(t, true)
 	if len(want) == 0 {
 		t.Fatal("workload produced no matches; the equivalence check is vacuous")
 	}

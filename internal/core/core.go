@@ -420,9 +420,10 @@ type System struct {
 	migMu      sync.Mutex
 	migrations []MigrationStat
 
-	// Global adjustment state.
+	// globalMu serialises the two ends of a global repartition; the
+	// dual assignment in assign is the one record of a repartition in
+	// progress (dualAssign).
 	globalMu sync.Mutex
-	dual     *dualAssignment
 
 	// board reconciles worker-local top-k memberships into each
 	// subscription's global top-k (see topk.go).
@@ -774,17 +775,21 @@ func (s *System) WindowStats() (bytes int64, bands []int) {
 	return bytes, bands
 }
 
-// slotPopulation reads slot w's standing population with one copying
-// ExtractCells round over the whole-query spec: every live query once
-// and, with subs, each top-k subscription's window band. The round
-// covers every operation whose Submit returned before the call.
-func (s *System) slotPopulation(w int, subs bool) (wire.CellPayload, error) {
-	cs, err := roundAs[wire.CellShare](s, w, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Subs: subs})
+// slotPopulation is the round that reads slot w's standing population:
+// one copying ExtractCells over the whole-query spec, answered with every
+// live query once and, with subs, each top-k subscription's window band.
+func slotPopulation(w int, subs bool) *ctrlRound {
+	return newRound(w, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Subs: subs}, true)
+}
+
+// population returns the answer of a sent population round.
+func (s *System) population(c *ctrlRound) (wire.CellPayload, error) {
+	cs, err := replyAs[wire.CellShare](s, c)
 	if err != nil {
 		return wire.CellPayload{}, err
 	}
 	if len(cs.Cells) != 1 {
-		return wire.CellPayload{}, fmt.Errorf("core: worker %d answered a population round with %d shares", w, len(cs.Cells))
+		return wire.CellPayload{}, fmt.Errorf("core: worker %d answered a population round with %d shares", c.slot, len(cs.Cells))
 	}
 	return cs.Cells[0], nil
 }
@@ -799,7 +804,7 @@ func (s *System) LiveQueries() ([]*model.Query, error) {
 	byID := make(map[uint64]*model.Query)
 	var errs []error
 	for _, w := range s.activeWorkerSlots() {
-		p, err := s.slotPopulation(w, false)
+		p, err := s.population(s.send(slotPopulation(w, false)))
 		if err != nil {
 			errs = append(errs, fmt.Errorf("core: population of worker %d: %w", w, err))
 			continue

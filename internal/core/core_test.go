@@ -394,9 +394,7 @@ func TestGlobalRepartitionSnapshotIncludesQueuedInsert(t *testing.T) {
 	if err := sys.GlobalRepartition(workload.Sample(spec, workload.Q1, 2000, 400, 977), nil); err != nil {
 		t.Fatal(err)
 	}
-	sys.globalMu.Lock()
-	d := sys.dual
-	sys.globalMu.Unlock()
+	d := sys.dualAssign()
 	d.mu.Lock()
 	missed := 0
 	for id := range queued {
@@ -430,6 +428,65 @@ func TestGlobalRepartitionSnapshotIncludesQueuedInsert(t *testing.T) {
 	}
 	if lost > 0 {
 		t.Errorf("%d of %d oracle matches of the queued queries lost after the repartition", lost, theirs)
+	}
+}
+
+// TestGlobalRepartitionTracksInsertRacingSnapshot: a Subscribe submitted
+// while GlobalRepartition's snapshot waits behind a stalled worker routes
+// after the switch, under the dual assignment, so the finish finds it
+// where the new strategy wants it and it keeps matching.
+func TestGlobalRepartitionTracksInsertRacingSnapshot(t *testing.T) {
+	const filler = 99 // the one object the old strategy sends to worker 1
+	stalled, gate := make(chan struct{}), make(chan struct{})
+	ms := newMatchSet()
+	sys := startIngestSystem(t, Config{Workers: 2, OnMatch: ms.add, Builder: &idRouter{route: func(id uint64) int {
+		if id == filler {
+			return 1
+		}
+		return 0
+	}}}, beforeBatch(1, func(ops []wire.OpEnv) {
+		for _, env := range ops {
+			if env.Op.Kind == model.OpObject && env.Op.Obj.ID == filler {
+				close(stalled)
+				<-gate
+			}
+		}
+	}))
+	defer sys.Close()
+	at := sys.Bounds().Center()
+	sys.Submit(objectOp(filler, "x", at))
+	within(t, 5*time.Second, "worker 1 stalling on the filler", stalled)
+	sample, _ := smallWorkload(t, workload.Q1, 51, 0)
+	repartitioned := make(chan error, 1)
+	go func() {
+		repartitioned <- sys.GlobalRepartition(sample, &idRouter{route: func(uint64) int { return 1 }})
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(sys.towork[1]) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the snapshot never reached worker 1's stream")
+		}
+	}
+	q := &model.Query{ID: 5, Expr: model.And("x"), Region: geo.RectAround(at, 10, 10)}
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
+	time.Sleep(20 * time.Millisecond) // the dispatcher routes the insert now, unless the switch holds it
+	close(gate)
+	if err := <-repartitioned; err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	d := sys.dualAssign()
+	d.mu.Lock()
+	_, old := d.oldIDs[q.ID]
+	d.mu.Unlock()
+	sys.FinishGlobalRepartition()
+	sys.Submit(objectOp(100, "x", at))
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if !ms.has(q.ID, 100) {
+		t.Errorf("missed object 100 (tracked as old: %v)", old)
 	}
 }
 

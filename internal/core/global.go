@@ -107,10 +107,12 @@ func (d *dualAssignment) remaining() (int, int) {
 // (checkGlobalProgress). If the adjustment controller is disabled, call
 // FinishGlobalRepartition explicitly.
 //
-// The start-of-transition snapshot reads each worker's standing
-// population with one whole-query ExtractCells round, which covers every
-// operation whose Submit returned before the call, and the finish
-// relocates queries with InstallCells rounds.
+// The switch is one cut (docs/ARCHITECTURE.md, "A migration is a cut"):
+// the dispatcher holds every active slot, reads each one's standing
+// population with one whole-query ExtractCells round through its hold,
+// and installs the dual assignment before it routes the next operation.
+// So every query routed before the call is tracked as old, and every
+// later one routes under the new strategy.
 func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.Builder) error {
 	if sample == nil {
 		return errors.New("core: nil repartition sample")
@@ -124,31 +126,33 @@ func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.B
 	}
 	s.globalMu.Lock()
 	defer s.globalMu.Unlock()
-	if s.dual != nil {
+	if s.dualAssign() != nil {
 		return errors.New("core: global repartition already in progress")
 	}
-	// Snapshot the live query population: these stay on the old routes.
-	// Each slot answers in its stream, behind every insert routed to it
-	// before the call.
-	oldIDs := make(map[uint64]struct{})
-	for _, w := range s.activeWorkerSlots() {
-		p, err := s.slotPopulation(w, false)
-		if err != nil {
-			return fmt.Errorf("core: global repartition snapshot of worker %d: %w", w, err)
+	s.cut(s.activeWorkerSlots(), func(holds []*hold) {
+		defer release(holds)
+		// The live query population at the cut stays on the old routes.
+		oldIDs := make(map[uint64]struct{})
+		for _, h := range holds {
+			p, perr := s.population(s.through(h, slotPopulation(h.slot, false)))
+			if perr != nil {
+				err = fmt.Errorf("core: global repartition snapshot of worker %d: %w", h.slot, perr)
+				return
+			}
+			for _, q := range p.Queries {
+				oldIDs[q.ID] = struct{}{}
+			}
 		}
-		for _, q := range p.Queries {
-			oldIDs[q.ID] = struct{}{}
-		}
-	}
-	d := &dualAssignment{
-		old:     s.Assignment(),
-		new:     newAssign,
-		oldIDs:  oldIDs,
-		initial: len(oldIDs),
-	}
-	s.dual = d
-	s.assign.Store(assignBox{d})
-	return nil
+		s.assign.Store(assignBox{&dualAssignment{old: s.Assignment(), new: newAssign, oldIDs: oldIDs, initial: len(oldIDs)}})
+	})
+	return err
+}
+
+// dualAssign returns the assignment of the global repartition in
+// progress, or nil.
+func (s *System) dualAssign() *dualAssignment {
+	d, _ := s.Assignment().(*dualAssignment)
+	return d
 }
 
 // globalFinishFraction is the old-query decay threshold below which the
@@ -160,9 +164,7 @@ const globalFinishFraction = 0.1
 // checkGlobalProgress finishes an in-flight global repartition once the
 // old population has decayed. Called from the adjustment loop.
 func (s *System) checkGlobalProgress() {
-	s.globalMu.Lock()
-	d := s.dual
-	s.globalMu.Unlock()
+	d := s.dualAssign()
 	if d == nil {
 		return
 	}
@@ -172,18 +174,15 @@ func (s *System) checkGlobalProgress() {
 	}
 }
 
-// repartView is one worker's standing population at finish time: the
-// queries it holds (with their definitions) and the window entries its
-// top-k subscriptions' bands hold.
-type repartView struct {
-	defs map[uint64]*model.Query
-	subs map[uint64][]window.Entry
-}
-
-// repartBatch accumulates one worker's relocation rounds: whole-query
-// installs (wire.WholeQueries payloads, indexed by the worker's own
-// placement) and ids to delete from its index.
-type repartBatch struct {
+// repartSlot is one held slot at a global finish: its standing
+// population — the queries it holds and its top-k subscriptions' bands —
+// and the rounds planned for it: whole-query installs (wire.WholeQueries
+// payloads, indexed by the slot's own placement), the queries they adopt,
+// and the ids it deletes.
+type repartSlot struct {
+	h       *hold
+	defs    map[uint64]*model.Query
+	subs    map[uint64][]window.Entry
 	cells   []wire.CellPayload
 	adopted []*model.Query
 	deletes []uint64
@@ -191,86 +190,90 @@ type repartBatch struct {
 
 // FinishGlobalRepartition migrates the remaining old-strategy queries to
 // their new-strategy workers and retires the old assignment. It returns
-// the number of queries relocated. Holders are discovered with one
-// whole-query ExtractCells round per worker (including each top-k
-// subscription's window band), then the relocations are flushed
-// as InstallCells rounds whose deltas fold into the top-k board. A
-// worker that gives up a top-k subscription is read once more before
-// its delete round (carryLate).
+// the number of queries relocated. The finish is one cut that holds every
+// active slot: through each hold, one whole-query ExtractCells round reads
+// the slot's population and its top-k subscriptions' window bands; then
+// every slot's InstallCells round of adopted queries and bands, then every
+// slot's round of departures, whose deltas fold into the top-k board; and
+// the new assignment replaces the dual one before the dispatcher routes
+// the next operation. An object published meanwhile is routed after the
+// finish, under the new assignment, so it reaches the new holders after
+// their installs.
 func (s *System) FinishGlobalRepartition() int {
 	s.globalMu.Lock()
-	d := s.dual
+	defer s.globalMu.Unlock()
+	d := s.dualAssign()
 	if d == nil {
-		s.globalMu.Unlock()
 		return 0
 	}
-	s.dual = nil
-	s.globalMu.Unlock()
+	moved := 0
+	s.cut(s.activeWorkerSlots(), func(holds []*hold) {
+		defer release(holds)
+		moved = s.relocate(d, holds)
+		// Local adjustment resumes against the new gridt when the new
+		// strategy is hybrid.
+		s.assign.Store(assignBox{d.new})
+		if gt, ok := d.new.(*hybrid.GridT); ok {
+			s.gridT.Store(gt)
+		}
+	})
+	return moved
+}
 
+// relocate moves d's old-strategy queries still live on the held slots to
+// their new-strategy workers, with their window bands, and returns how
+// many it moved.
+func (s *System) relocate(d *dualAssignment, holds []*hold) int {
 	d.mu.Lock()
 	ids := make([]uint64, 0, len(d.oldIDs))
 	for id := range d.oldIDs {
 		ids = append(ids, id)
 	}
-	d.oldIDs = map[uint64]struct{}{}
 	d.mu.Unlock()
 
-	// One population round per worker: its population and held top-k
-	// window entries at finish time. A worker unreachable this round
-	// keeps its population where it is — its connection is failing the
-	// run (or entering recovery) anyway, and a half-seen view would
-	// misclassify every one of its queries as not-held.
-	active := s.activeWorkerSlots()
-	views := make(map[int]*repartView, len(active))
-	for _, w := range active {
-		p, err := s.slotPopulation(w, true)
+	// A worker unreachable this round keeps its population where it is —
+	// its connection is failing the run (or entering recovery) anyway,
+	// and a half-seen view would misclassify every one of its queries as
+	// not-held.
+	var slots []*repartSlot
+	for _, h := range holds {
+		p, err := s.population(s.through(h, slotPopulation(h.slot, true)))
 		if err != nil {
 			s.log.Warn("global repartition: worker population round failed; leaving its queries in place",
-				"worker", w, "err", err)
+				"worker", h.slot, "err", err)
 			continue
 		}
-		v := &repartView{
-			defs: make(map[uint64]*model.Query, len(p.Queries)),
-			subs: make(map[uint64][]window.Entry, len(p.Subs)),
-		}
+		v := &repartSlot{h: h, defs: make(map[uint64]*model.Query, len(p.Queries)),
+			subs: make(map[uint64][]window.Entry, len(p.Subs))}
 		for _, q := range p.Queries {
 			v.defs[q.ID] = q
 		}
 		for _, se := range p.Subs {
 			v.subs[se.ID] = se.Entries
 		}
-		views[w] = v
+		slots = append(slots, v)
 	}
 
-	batches := make(map[int]*repartBatch, len(views))
-	for w := range views {
-		batches[w] = &repartBatch{}
-	}
-	late := make(map[uint64]*lateCarry)
 	moved := 0
 	for _, id := range ids {
 		// Find a live definition on any holder.
 		var def *model.Query
-		for _, v := range views {
+		for _, v := range slots {
 			if def = v.defs[id]; def != nil {
 				break
 			}
 		}
 		if def == nil {
-			continue // deleted concurrently
+			continue // deleted before the cut
 		}
-		want := make(map[int]struct{})
-		for _, w := range d.new.RouteQuery(def, true) {
-			want[w] = struct{}{}
-		}
+		want := d.new.RouteQuery(def, true)
 		// The window bands travel with the subscription: every wanted
 		// worker adopts the union of its holders' bands, so no entry that
 		// can still reach the top-k leaves with a departing holder.
 		var carried []window.Entry
 		if def.IsTopK() {
 			seen := make(map[uint64]struct{})
-			late[id] = &lateCarry{want: want, seen: seen}
-			for _, v := range views {
+			for _, v := range slots {
 				for _, e := range v.subs[id] {
 					if _, dup := seen[e.MsgID]; !dup {
 						seen[e.MsgID] = struct{}{}
@@ -279,119 +282,51 @@ func (s *System) FinishGlobalRepartition() int {
 				}
 			}
 		}
-		for w, v := range views {
-			_, wanted := want[w]
-			_, holds := v.defs[id]
-			b := batches[w]
-			switch {
-			case wanted && !holds:
-				p := wire.CellPayload{Cell: wire.WholeQueries, Queries: []*model.Query{def}}
-				if len(carried) > 0 {
-					p.Subs = []wire.SubEntries{{ID: id, Entries: carried}}
+		for _, v := range slots {
+			_, has := v.defs[id]
+			if !slices.Contains(want, v.h.slot) {
+				if has {
+					v.deletes = append(v.deletes, id)
 				}
-				b.cells = append(b.cells, p)
-				b.adopted = append(b.adopted, def)
-			case wanted && len(carried) > 0:
-				b.cells = append(b.cells, wire.CellPayload{Cell: wire.WholeQueries,
-					Subs: []wire.SubEntries{{ID: id, Entries: carried}}})
-			case !wanted && holds:
-				b.deletes = append(b.deletes, id)
+				continue
+			}
+			p := wire.CellPayload{Cell: wire.WholeQueries}
+			if !has {
+				p.Queries = []*model.Query{def}
+				v.adopted = append(v.adopted, def)
+			}
+			if len(carried) > 0 {
+				p.Subs = []wire.SubEntries{{ID: id, Entries: carried}}
+			}
+			if p.Queries != nil || p.Subs != nil {
+				v.cells = append(v.cells, p)
 			}
 		}
 		moved++
 	}
-	// Flush the relocations: every install before any delete, so a
-	// subscription hopping between two workers is never without a holder
-	// and a relocation whose top-k membership survives shows subscribers
-	// no change.
-	for _, w := range active {
-		if b := batches[w]; b != nil && len(b.cells) > 0 {
-			if _, err := s.installCells(w, wire.InstallCells{Cells: b.cells}); err != nil {
-				s.log.Warn("global repartition: install round failed", "worker", w, "err", err)
+	// Every install before any delete, so a subscription hopping between
+	// two workers is never without a holder and a relocation whose top-k
+	// membership survives shows subscribers no change.
+	for _, v := range slots {
+		if len(v.cells) > 0 {
+			if _, err := s.installCells(v.h, wire.InstallCells{Cells: v.cells}); err != nil {
+				s.log.Warn("global repartition: install round failed", "worker", v.h.slot, "err", err)
 			}
 		}
 	}
-	s.carryLate(active, batches, late)
-	for _, w := range active {
-		b := batches[w]
-		if b == nil {
-			continue
-		}
-		if len(b.deletes) > 0 {
-			if _, err := s.installCells(w, wire.InstallCells{Deletes: b.deletes}); err != nil {
-				s.log.Warn("global repartition: delete round failed", "worker", w, "err", err)
+	for _, v := range slots {
+		if len(v.deletes) > 0 {
+			if _, err := s.installCells(v.h, wire.InstallCells{Deletes: v.deletes}); err != nil {
+				s.log.Warn("global repartition: delete round failed", "worker", v.h.slot, "err", err)
 			}
 		}
 		var carried []wire.SubEntries
-		for _, p := range b.cells {
+		for _, p := range v.cells {
 			carried = append(carried, p.Subs...)
 		}
 		// Logged regardless of the rounds' outcome: the new routes are
 		// about to go live, so replay must reconstruct the slot as routed.
-		s.logAdoptions(w, b.adopted, b.deletes, carried)
-	}
-	// Install the new strategy as the only route; local adjustment
-	// resumes against the new gridt when the new strategy is hybrid.
-	s.assign.Store(assignBox{d.new})
-	if gt, ok := d.new.(*hybrid.GridT); ok {
-		s.gridT.Store(gt)
+		s.logAdoptions(v.h.slot, v.adopted, v.deletes, carried)
 	}
 	return moved
-}
-
-// lateCarry is one relocated top-k subscription: its new holders and the
-// messages already carried to them.
-type lateCarry struct {
-	want map[int]struct{}
-	seen map[uint64]struct{}
-}
-
-// carryLate hands the new holders what joined a departing holder's band
-// after its population round: an object routed between that round and
-// the installs, which a new holder may have passed by before its
-// install. One more population round per departing holder reads those
-// entries — it follows every object routed before the installs — and
-// objects routed after the installs reach the new holders behind them,
-// so nothing later is lost when the holder deletes.
-func (s *System) carryLate(active []int, batches map[int]*repartBatch, late map[uint64]*lateCarry) {
-	cells := make(map[int][]wire.CellPayload)
-	for _, w := range active {
-		b := batches[w]
-		if b == nil || !slices.ContainsFunc(b.deletes, func(id uint64) bool { return late[id] != nil }) {
-			continue
-		}
-		p, err := s.slotPopulation(w, true)
-		if err != nil {
-			s.log.Warn("global repartition: departing holder's band round failed", "worker", w, "err", err)
-			continue
-		}
-		for _, se := range p.Subs {
-			lc := late[se.ID]
-			if lc == nil || !slices.Contains(b.deletes, se.ID) {
-				continue
-			}
-			var es []window.Entry
-			for _, e := range se.Entries {
-				if _, dup := lc.seen[e.MsgID]; !dup {
-					lc.seen[e.MsgID] = struct{}{}
-					es = append(es, e)
-				}
-			}
-			for nw := range lc.want {
-				if len(es) > 0 && batches[nw] != nil {
-					cells[nw] = append(cells[nw], wire.CellPayload{Cell: wire.WholeQueries,
-						Subs: []wire.SubEntries{{ID: se.ID, Entries: es}}})
-				}
-			}
-		}
-	}
-	for _, w := range active {
-		if len(cells[w]) == 0 {
-			continue
-		}
-		if _, err := s.installCells(w, wire.InstallCells{Cells: cells[w]}); err != nil {
-			s.log.Warn("global repartition: late install round failed", "worker", w, "err", err)
-		}
-		batches[w].cells = append(batches[w].cells, cells[w]...)
-	}
 }

@@ -12,8 +12,8 @@ import (
 // whole buffer out and routes it. Every operation leaves it in Submit order,
 // so the dispatcher routes in Submit order and every worker, fed in turn by
 // a FIFO channel or connection, applies its operations in Submit order. A
-// Drain marker or a control round (round.go) takes its place in the same
-// order. The queue holds at most
+// Drain marker, a control round or a cut (round.go) takes its place in the
+// same order. The queue holds at most
 // limit waiting operations beside the one buffer the dispatcher is
 // routing, and its two buffers grow on demand, so an idle system holds
 // less than the bound.
@@ -22,7 +22,8 @@ type ingestQueue struct {
 	nonEmpty sync.Cond // the dispatcher parks here
 	notFull  sync.Cond // publishers park here
 	buf      []wire.OpEnv
-	// marks are the markers and rounds put since the last take, in order.
+	// marks are the markers, rounds and cuts put since the last take, in
+	// order.
 	marks  []queuedMark
 	closed bool
 
@@ -65,13 +66,14 @@ func (q *ingestQueue) put(env wire.OpEnv) {
 	}
 }
 
-// queuedMark is a Drain marker (m) or a control round addressed to one
-// slot (c) that follows the first at operations of the buffer it was put
-// into.
+// queuedMark is a Drain marker (m), a control round addressed to one slot
+// (c) or a cut (cut) that follows the first at operations of the buffer it
+// was put into.
 type queuedMark struct {
-	at int
-	m  *drainMark
-	c  *ctrlRound
+	at  int
+	m   *drainMark
+	c   *ctrlRound
+	cut *cut
 }
 
 // mark appends qm behind every operation accepted so far. It never

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -703,43 +704,28 @@ func (s *System) rebalanceOnto(task int) {
 	}
 	target := total / float64(len(active))
 	sort.Slice(cands, func(i, j int) bool { return cands[i].cell.Load > cands[j].cell.Load })
+	// From -1: many sources, a join rebalance, not a pairwise move.
+	m := MigrationStat{Algorithm: s.cfg.Adjust.Algorithm, From: -1, To: task}
 	start := time.Now()
 	var moved float64
-	var nCells, nQueries int
-	var nBytes int64
 	for _, oc := range cands {
 		if moved >= target {
 			break
 		}
-		q, b, ok := s.migrateShare(oc.owner, task, oc.cell.ID)
-		if !ok {
-			continue
+		if s.moveInto(&m, oc.owner, task, oc.cell.ID, nil) {
+			moved += oc.cell.Load
 		}
-		moved += oc.cell.Load
-		nCells++
-		nQueries += q
-		nBytes += b
 	}
-	if nCells == 0 {
-		return
-	}
-	s.recordMigration(MigrationStat{
-		Algorithm:    s.cfg.Adjust.Algorithm,
-		Duration:     time.Since(start),
-		Bytes:        nBytes,
-		Cells:        nCells,
-		QueriesMoved: nQueries,
-		From:         -1, // many sources: a join rebalance, not a pairwise move
-		To:           task,
-	})
+	s.recordMoves(m, start)
 }
 
 // DecommissionWorker gracefully retires an elastic worker slot: every
-// cell it serves is migrated to the remaining active workers (routing
-// flips first, the extraction reconciles, exactly like adjustment
-// migrations), its remaining matches and deltas are flushed by one round
-// in its stream, and the hop is half-closed so the node ends the session
-// with a clean Goodbye. The slot leaves the active set permanently.
+// cell it serves is migrated to the remaining active workers, one cut per
+// cell like an adjustment's, in one pass. A destination whose move fails
+// is pruned, and the cell is retried on the next live target. Then the
+// slot's remaining matches and deltas are flushed by one round in its
+// stream, and the hop is half-closed so the node ends the session with a
+// clean Goodbye. The slot leaves the active set permanently.
 func (s *System) DecommissionWorker(task int) error {
 	h := s.hop(task)
 	if h == nil {
@@ -753,63 +739,29 @@ func (s *System) DecommissionWorker(task int) error {
 	if !h.up() {
 		return fmt.Errorf("core: worker %d is not up", task)
 	}
-	var targets []int
-	for _, w := range s.activeWorkerSlots() {
-		if w != task {
-			targets = append(targets, w)
-		}
-	}
+	targets := slices.DeleteFunc(s.activeWorkerSlots(), func(w int) bool { return w == task })
 	if len(targets) == 0 {
 		return errors.New("core: cannot decommission the last active worker")
 	}
 	gt := s.gridT.Load()
-	deadline := time.Now().Add(wire.DefaultControlTimeout)
 	rr := 0
-	for {
-		serves := false
-		n := gt.Grid().NumCells()
-		for c := 0; c < n; c++ {
-			owns := false
-			for _, w := range gt.CellWorkers(c) {
-				if w == task {
-					owns = true
-					break
-				}
+	for c := range gt.Grid().NumCells() {
+		for slices.Contains(gt.CellWorkers(c), task) {
+			if len(targets) == 0 {
+				return fmt.Errorf("core: decommission of worker %d: migrating cell %d failed with no live destination", task, c)
 			}
-			if !owns {
-				continue
-			}
-			serves = true
 			dst := targets[rr%len(targets)]
 			rr++
-			if _, _, ok := s.migrateShare(task, dst, c); !ok {
-				// The destination may itself have crashed mid-
-				// decommission: prune targets that are not currently up
-				// and let the outer sweep retry the cell — recovery can
-				// bring the source (or a pruned target's load) back
-				// within the deadline. Only a total lack of live
-				// destinations is immediately fatal.
-				live := targets[:0:0]
-				for _, w := range targets {
-					if hw := s.hop(w); hw == nil || hw.up() {
-						live = append(live, w)
-					}
-				}
-				if len(live) == 0 {
-					return fmt.Errorf("core: decommission of worker %d: migrating cell %d failed with no live destination", task, c)
-				}
-				targets = live
+			if _, _, ok := s.migrateShare(task, dst, c); ok {
+				break
 			}
+			if !h.up() {
+				return fmt.Errorf("core: decommission of worker %d: the worker went down migrating cell %d", task, c)
+			}
+			targets = slices.DeleteFunc(targets, func(w int) bool { return w == dst })
 		}
-		if !serves {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: decommission of worker %d timed out draining migrations", task)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	// All cells are off the slot and reconciled; flush its last matches
+	// All cells are off the slot; flush its last matches
 	// so nothing is lost to the half-close. The round's reply follows the
 	// slot's ops, and the spout has already sent their matches on and
 	// applied their deltas.

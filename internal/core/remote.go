@@ -291,7 +291,8 @@ func (r *remoteWorkerBolt) mark(m *drainMark) {
 }
 
 // ctrl forwards a control request behind the op batches forwarded before
-// it, numbered so the spout can check the reply that completes it. A slot
+// it — a round from the slot's stream, or one handed through a hold —
+// numbered so the spout can check the reply that completes it. A slot
 // whose session is not up — unclaimed, down, replaying or closing —
 // answers at once with an error.
 func (r *remoteWorkerBolt) ctrl(c *ctrlRound) {

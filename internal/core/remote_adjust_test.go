@@ -40,8 +40,9 @@ func startMigratingWorkerNodes(t *testing.T, n int) ([]string, []*node.Worker) {
 // runRemoteHotspotPublish mirrors runHotspotPublish with every worker
 // task behind loopback TCP: the same seeded hotspot-shift workload, the
 // adaptive controller at an aggressive cadence, AdjustNow hammered from
-// a second goroutine while objects publish continuously. Every executed
-// migration necessarily crosses the wire (all endpoints are remote).
+// a second goroutine while objects publish continuously, and a forced
+// move every movePeriod objects. Every executed migration necessarily
+// crosses the wire (all endpoints are remote).
 func runRemoteHotspotPublish(t *testing.T) (matches [][2]uint64, adj AdjustStats) {
 	t.Helper()
 	spec := workload.TweetsUS()
@@ -102,14 +103,10 @@ func runRemoteHotspotPublish(t *testing.T) (matches [][2]uint64, adj AdjustStats
 		}
 	}()
 	for i, o := range objs {
-		// Paced: unpaced, the four nodes drain the whole burst in a few
-		// milliseconds — less than one stats-round-trip of the hammered
-		// AdjustNow — and no adjustment ever sees loaded cells. The
-		// match set does not depend on the pacing.
-		if i%250 == 249 {
-			time.Sleep(time.Millisecond)
-		}
 		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
+		if i%movePeriod == movePeriod-1 {
+			forceMove(t, sys)
+		}
 	}
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
@@ -139,22 +136,14 @@ func runRemoteHotspotPublish(t *testing.T) (matches [][2]uint64, adj AdjustStats
 // TestRemoteAdjustPublishMatchesStaticOracle is the acceptance check of
 // dynamic adjustment over the wire: a loopback cluster with every worker
 // task remote, migrating cells under live traffic, must deliver exactly
-// the match set of a static in-process partitioning — nothing lost to an
-// extraction racing the wire barriers, nothing invented by double-owned
-// cells. Because all endpoints are remote, every counted migration moved
-// a cell across the wire.
+// the match set of a static in-process partitioning — nothing lost or
+// invented at a migration's cut. Because all endpoints are remote, every
+// counted migration moved a cell across the wire.
 func TestRemoteAdjustPublishMatchesStaticOracle(t *testing.T) {
 	want, _ := runHotspotPublish(t, false) // in-process static oracle
-	// Bounded retry on the vacuous outcome, as in the in-process oracle
-	// test: the finite burst can end before a hammered AdjustNow sees
-	// non-empty per-cell loads.
-	var got [][2]uint64
-	var adj AdjustStats
-	for attempt := 0; attempt < 3 && adj.Migrations == 0; attempt++ {
-		got, adj = runRemoteHotspotPublish(t)
-	}
+	got, adj := runRemoteHotspotPublish(t)
 	if adj.Migrations == 0 || adj.CellsMoved == 0 {
-		t.Fatalf("no cells migrated across the wire in any attempt (Stats.Adjust = %+v); the equivalence check is vacuous", adj)
+		t.Fatalf("no cells migrated across the wire (Stats.Adjust = %+v); the equivalence check is vacuous", adj)
 	}
 	if len(want) == 0 {
 		t.Fatal("workload produced no matches; the equivalence check is vacuous")

@@ -243,7 +243,7 @@ func TestRemoteWholeRegionPopulationOverWire(t *testing.T) {
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := sys.slotPopulation(0, true)
+	p, err := sys.population(sys.send(slotPopulation(0, true)))
 	if err != nil {
 		t.Fatalf("population round of the remote worker: %v", err)
 	}

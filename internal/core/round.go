@@ -12,10 +12,11 @@ import (
 // (docs/ARCHITECTURE.md, "One slot protocol"). It enters the ingest like
 // a Drain marker, addressed to one slot, so it covers every operation
 // whose Submit returned before it; the dispatcher sends it behind the
-// slot's open batch. An in-process slot's bolt serves it with
-// worker.Engine.Serve; a remote slot's bolt forwards the frame, and the
-// slot's spout completes the round when the reply comes up the match
-// stream.
+// slot's open batch. A migration hands its requests to a held slot
+// through the hold instead (see cut). An in-process slot's bolt serves a
+// request with worker.Engine.Serve; a remote slot's bolt forwards the
+// frame, and the slot's spout completes the round when the reply comes
+// up the match stream.
 type ctrlRound struct {
 	slot int
 	req  wire.Frame
@@ -108,14 +109,15 @@ func (s *System) serveDirect(c *ctrlRound) {
 	c.answer(nil, fmt.Errorf("core: worker %d: %w", c.slot, errSlotNotUp))
 }
 
-// roundAs runs one control round on slot w and returns its reply as a T.
+// roundAs runs one control round in slot w's stream and returns its reply
+// as a T.
 func roundAs[T wire.Frame](s *System, w int, req wire.Frame) (T, error) {
-	return replyAs[T](s, newRound(w, req, true))
+	return replyAs[T](s, s.send(newRound(w, req, true)))
 }
 
-// replyAs sends c and returns its reply as a T.
+// replyAs returns the reply of the sent round c as a T.
 func replyAs[T wire.Frame](s *System, c *ctrlRound) (T, error) {
-	f, err := s.await(s.send(c))
+	f, err := s.await(c)
 	t, ok := f.(T)
 	if err == nil && !ok {
 		err = fmt.Errorf("core: worker %d answered a %T with a %T", c.slot, c.req, f)
@@ -123,20 +125,111 @@ func replyAs[T wire.Frame](s *System, c *ctrlRound) (T, error) {
 	return t, err
 }
 
-// installCells runs one InstallCells round on slot w and returns the
+// installCells runs one InstallCells round through hold h and returns the
 // request's length in the wire.AppendInstallCells layout, measured
 // before a remote slot's bolt numbers it (Seq 0): the migration's
 // transfer bytes, under one rule for every placement and whatever the
-// session's round count. Op batches routed to the slot afterwards are
-// matched against the shares.
-func (s *System) installCells(w int, req wire.InstallCells) (int64, error) {
+// session's round count. The slot's consumer applies the ack's deltas
+// before the round returns, and the operations queued behind the hold
+// are matched against the shares.
+func (s *System) installCells(h *hold, req wire.InstallCells) (int64, error) {
 	buf := wire.GetBuf()
 	buf.B = wire.AppendInstallCells(buf.B, req)
-	c := newRound(w, req, true)
+	c := newRound(h.slot, req, true)
 	c.size = int64(len(buf.B))
 	wire.PutBuf(buf)
-	_, err := replyAs[wire.InstallAck](s, c)
+	_, err := replyAs[wire.InstallAck](s, s.through(h, c))
 	return c.size, err
+}
+
+// A cut is a migration's switch point in the stream (docs/ARCHITECTURE.md,
+// "A migration is a cut"): an entry in the ingest that the dispatcher
+// executes between two routed operations. It puts a hold in each of the
+// cut's slots' streams, behind every operation routed to the slot so far,
+// runs change and routes on, so every later operation routes under the
+// new table and queues behind the holds.
+type cut struct {
+	holds  []*hold
+	change func(holds []*hold)
+	done   chan struct{} // closed once change has run
+}
+
+// A hold stops one slot's stream consumer at a cut: the consumer serves
+// only the requests handed to it on reqs, until release closes or the run
+// is cancelled. reqs is nil when no stream carried the cut.
+type hold struct {
+	slot    int
+	reqs    chan *ctrlRound
+	release chan struct{}
+}
+
+// serve runs the held consumer, handing each request to ctrl.
+func (h *hold) serve(done <-chan struct{}, ctrl func(*ctrlRound)) {
+	for {
+		select {
+		case c := <-h.reqs:
+			ctrl(c)
+		case <-h.release:
+			return
+		case <-done:
+			return
+		}
+	}
+}
+
+// cut runs change at one point of the stream — after every operation
+// whose Submit returned before the call, before any later one — and
+// returns a hold on each of slots, in order, for the caller to release.
+// change runs on the dispatcher and gets the holds, so it may serve
+// requests through them before the dispatcher routes on. Before Start and
+// once the run has stopped no stream carries the cut: change runs on the
+// caller's goroutine, and the holds serve their requests directly.
+func (s *System) cut(slots []int, change func(holds []*hold)) []*hold {
+	c := &cut{change: change, done: make(chan struct{})}
+	for _, w := range slots {
+		c.holds = append(c.holds, &hold{slot: w, reqs: make(chan *ctrlRound), release: make(chan struct{})})
+	}
+	if s.started.Load() {
+		if !s.ingest.mark(queuedMark{cut: c}) {
+			<-s.stopped
+		}
+		select {
+		case <-c.done:
+			return c.holds
+		case <-s.stopped:
+		}
+		if cancelled(c.done) { // the dispatcher ran it before it stopped
+			return c.holds
+		}
+	}
+	for _, h := range c.holds {
+		h.reqs = nil
+	}
+	change(c.holds)
+	return c.holds
+}
+
+// release lets each held consumer go on with its stream.
+func release(holds []*hold) {
+	for _, h := range holds {
+		close(h.release)
+	}
+}
+
+// through hands c to the consumer h holds, or serves it directly when no
+// stream carried the hold, and returns it. Once the run is cancelled the
+// held consumer is gone, and c fails.
+func (s *System) through(h *hold, c *ctrlRound) *ctrlRound {
+	if h.reqs == nil {
+		s.serveDirect(c)
+		return c
+	}
+	select {
+	case h.reqs <- c:
+	case <-s.runCtx.Done():
+		c.answer(nil, fmt.Errorf("core: worker %d: %w", c.slot, errSlotNotUp))
+	}
+	return c
 }
 
 // numbered returns a request that is answered under seq, the number a

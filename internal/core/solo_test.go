@@ -111,8 +111,8 @@ func TestSoloSpaceOnlySkipsTheWindow(t *testing.T) {
 
 // publishWhile submits ops from its own goroutine and returns, once the
 // first of them have been routed, a function that waits for the rest; the
-// caller migrates meanwhile, so objects are in flight across the copy, the
-// flip and the extraction.
+// caller migrates meanwhile, so objects are in flight across the cut and
+// the extraction.
 func publishWhile(sys *System, ops []model.Op) (wait func()) {
 	done := make(chan struct{})
 	routed := sys.Processed()
@@ -128,15 +128,14 @@ func publishWhile(sys *System, ops []model.Op) (wait func()) {
 
 // TestSoloAcrossTextSplit: objects flow while a hot space cell is split by
 // text. Before the flip an object has one target and is Solo; after it an
-// object carrying both shares' keys reaches both workers while the source
-// still holds its copy of the moved share, so the moved queries report it
-// twice — those matches are not Solo and the window removes the repeat.
+// object carrying both shares' keys reaches both workers, so its matches
+// are not Solo and go through the window.
 func TestSoloAcrossTextSplit(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 62, 0)
 	del := newDeliveries()
-	// handOff's extraction round follows every operation routed to the
-	// source under the old table, because the one dispatcher routes
-	// every operation and round in Submit order.
+	// handOff's cut falls between two operations the one dispatcher
+	// routes, so its extraction follows every operation routed to the
+	// source under the old table.
 	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}, OnMatch: del.add}, sample)
 	if err != nil {
 		t.Fatal(err)

@@ -34,11 +34,12 @@ type TopKUpdate struct {
 // top-ks always contains the global top-k, since a globally top-k message
 // is necessarily top-k within its own partition.
 //
-// The board never reads worker state: each slot's stream consumer — an
-// in-process slot's bolt, a remote slot's spout — hands it the slot's
-// deltas in the order the engine produced them. The one exception is a
-// removing extraction's deltas, which the migration applies after the
-// destination's adoptions (finishExtract). A slot whose engine can
+// The board never reads worker state, and every delta reaches it at its
+// slot's stream position: each slot's stream consumer — an in-process
+// slot's bolt, a remote slot's spout — hands it the slot's deltas in the
+// order the engine produced them, and a migration applies a removing
+// extraction's deltas while the source is held at its cut (handOff). A
+// slot whose engine can
 // restart under a new session (every out-of-process slot) is tracked:
 // ApplyFrom additionally keeps the slot's net
 // contributions under the session's fencing epoch. A delta batch below
@@ -224,12 +225,13 @@ func (b *topkBoard) applyLocked(ds []window.Delta, src *boardSrc, touched map[ui
 		}
 		bq.k = d.K
 		bq.subscriber = d.Subscriber
-		// Reference counts may go transiently negative: a removing
-		// extraction's deltas reach the board after the destination's
-		// leftover install (finishExtract), and the source's stream can
-		// apply a later batch's Left for an entry the extraction moved
-		// up before then. Such a Left records a debt that the deferred
-		// Entered settles. Candidates only count while refs > 0.
+		// Reference counts may go transiently negative if a Left
+		// reaches the board before its Entered. No slot's stream does
+		// that (each one's deltas arrive in engine order, and a
+		// migration applies the extraction's while the source is
+		// held), but the board tolerates it: such a Left records a
+		// debt that the deferred Entered settles. Candidates only count
+		// while refs > 0.
 		c := bq.cand[d.MsgID]
 		if c == nil {
 			c = &boardCand{rank: d.Rank, rel: d.Rel}

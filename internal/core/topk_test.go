@@ -4,11 +4,13 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
+	"ps2stream/internal/index/grid"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
 	"ps2stream/internal/window"
@@ -619,10 +621,12 @@ func TestTopKGlobalRepartitionKeepsWaitingEntries(t *testing.T) {
 	}
 }
 
-// An object that reaches the departing holder after its population
-// round, while the new holder passed it by before its install: the
-// repartition must carry it before the holder deletes (carryLate), or it
-// never replaces the expiring best one.
+// An object published while the finish waits for a stalled departing
+// holder: the finish's cut holds every slot, so the object is routed only
+// after the finish, under the new strategy, and reaches the new holder
+// after the install of the subscription and its band. Were it routed
+// earlier, it would pass the new holder by and never replace the expiring
+// best one.
 func TestTopKGlobalRepartitionCarriesLateEntries(t *testing.T) {
 	clk := newFakeClock(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
 	const filler = 3 // an object outside the subscription that worker 0 stalls on
@@ -659,8 +663,7 @@ func TestTopKGlobalRepartitionCarriesLateEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every object now goes to both strategies' workers. Worker 0 stalls
-	// on the filler, so the finish's population round for it waits in
-	// its stream.
+	// on the filler, so the finish's hold waits in its stream.
 	publish(filler, geo.Point{X: 2*q.Region.Max.X - c.X, Y: c.Y})
 	within(t, 5*time.Second, "worker 0 reaching the filler", stalled)
 	finished := make(chan struct{})
@@ -670,23 +673,20 @@ func TestTopKGlobalRepartitionCarriesLateEntries(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(5 * time.Second); len(sys.towork[0]) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("worker 0's population round never reached its stream")
+			t.Fatal("the finish's hold never reached worker 0's stream")
 		}
 	}
-	// Message 2, newer and weaker than 1, follows that round at worker 0.
-	// Worker 1 passes it by before the finish reaches worker 1 at all, so
-	// before its install.
+	// Message 2, newer and weaker than 1, follows the cut: worker 1 must
+	// not see it before the finish has installed the subscription there.
 	clk.Advance(10 * time.Second)
 	publish(2, geo.Point{X: c.X + 0.9*(q.Region.Max.X-c.X), Y: c.Y + 0.9*(q.Region.Max.Y-c.Y)})
-	for deadline := time.Now().Add(5 * time.Second); sys.bolts[1].eng.Stats().Objects < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("worker 1 never processed message 2")
-		}
-	}
 	select {
 	case <-finished:
-		t.Fatal("FinishGlobalRepartition returned while worker 0 was stalled ahead of its population round")
+		t.Fatal("FinishGlobalRepartition returned while worker 0 was stalled ahead of its hold")
 	case <-time.After(20 * time.Millisecond):
+	}
+	if n := sys.bolts[1].eng.Stats().Objects; n != 1 {
+		t.Fatalf("worker 1 processed %d objects before the finish reached it, want only the filler", n)
 	}
 	close(gate)
 	within(t, 5*time.Second, "FinishGlobalRepartition", finished)
@@ -699,6 +699,104 @@ func TestTopKGlobalRepartitionCarriesLateEntries(t *testing.T) {
 	}
 	if got := sys.TopKSet(q.ID); !equalIDs(got, want) {
 		t.Fatalf("after repartition and expiry: top-1 %v, brute force %v", got, want)
+	}
+}
+
+// TestMoveDeltasReachBoardInEngineOrder: a top-k subscription holds band
+// entries in two of the source's cells. Moving one cell makes the
+// extraction promote the entry from the other, and an object published
+// right after the move displaces it. The source stays held from the cut
+// until the extraction's deltas are on the board, so the promotion's
+// Entered reaches the board before the displacement's Left: no
+// candidate's reference count falls below zero, and TopKSet equals the
+// brute force after every step.
+func TestMoveDeltasReachBoardInEngineOrder(t *testing.T) {
+	clk := newFakeClock(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
+	const qid, moved = 50, 100 // objects from id moved on lie in the moved cell and route with it
+	var target atomic.Int64
+	var topAtB2 []uint64 // the source's local top-k when the displacing object reached it
+	sys := startIngestSystem(t, Config{Workers: 2, Clock: clk.Now, WindowTick: time.Hour,
+		Builder: &idRouter{route: func(id uint64) int {
+			if id >= moved {
+				return int(target.Load())
+			}
+			return 0
+		}}},
+		func(sys *System) {
+			sys.bolts[0].beforeBatch = func(ops []wire.OpEnv) {
+				for _, env := range ops {
+					if env.Op.Kind == model.OpObject && env.Op.Obj.ID == 2 {
+						topAtB2 = sys.bolts[0].eng.TopKSet(qid)
+					}
+				}
+			}
+		})
+	defer sys.Close()
+	src := sys.bolts[0].eng
+	g := grid.New(sys.Bounds(), sys.cfg.Granularity, sys.cfg.Granularity)
+	cellA := g.CellOf(sys.Bounds().Center())
+	ax, ay := g.CellXY(cellA)
+	ra, rb := g.CellRect(cellA), g.CellRect(g.CellID(ax+1, ay))
+	w, h := ra.Max.X-ra.Min.X, ra.Max.Y-ra.Min.Y
+	q := &model.Query{ID: qid, Expr: model.And("band"), TopK: 1, Window: time.Minute,
+		Region: geo.Rect{Min: geo.Point{X: ra.Min.X + w/4, Y: ra.Min.Y + h/4}, Max: geo.Point{X: rb.Max.X - w/4, Y: rb.Max.Y - h/4}}}
+	midY := (ra.Min.Y + ra.Max.Y) / 2
+	var objs []*model.Object
+	at := make(map[uint64]time.Time)
+	publish := func(id uint64, x float64) {
+		o := &model.Object{ID: id, Terms: []string{"band"}, Loc: geo.Point{X: x, Y: midY}}
+		objs = append(objs, o)
+		clk.Advance(time.Millisecond)
+		at[id] = clk.Now()
+		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
+	}
+	check := func(step string) {
+		t.Helper()
+		if err := sys.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		sys.board.mu.Lock()
+		for qid, bq := range sys.board.qs {
+			for msg, c := range bq.cand {
+				if c.refs < 0 {
+					t.Errorf("%s: refs of query %d message %d are %d", step, qid, msg, c.refs)
+				}
+			}
+		}
+		sys.board.mu.Unlock()
+		if got, want := sys.TopKSet(q.ID), bruteTopK(q, objs, at, clk.Now()); !equalIDs(got, want) {
+			t.Errorf("%s: top-1 %v, brute force %v", step, got, want)
+		}
+	}
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
+	check("subscribed")
+	publish(moved, ra.Max.X-w/3) // the best entry, in the moved cell
+	publish(1, rb.Min.X+2*w/3)   // newer and weaker, in the cell that stays
+	check("published")
+	if got := src.TopKSet(q.ID); !equalIDs(got, []uint64{moved}) {
+		t.Fatalf("vacuous: the source's top-1 is %v, want [%d]", got, moved)
+	}
+
+	cut := make(chan struct{})
+	handed := make(chan bool, 1)
+	go func() {
+		_, _, ok := sys.handOff(0, 1, cellA, nil, func() {
+			target.Store(1)
+			close(cut)
+		})
+		handed <- ok
+	}()
+	within(t, 5*time.Second, "the cut", cut)
+	publish(2, rb.Min.X+w/3) // newer and better than 1: it displaces 1 at the source
+	if !<-handed {
+		t.Fatal("handOff failed")
+	}
+	check("moved and displaced")
+	if !equalIDs(topAtB2, []uint64{1}) {
+		t.Errorf("vacuous: the source's top-1 was %v when object 2 reached it, want the promoted [1]", topAtB2)
+	}
+	if got := src.TopKSet(q.ID); !equalIDs(got, []uint64{2}) {
+		t.Errorf("the source's top-1 is %v after object 2, want [2]", got)
 	}
 }
 

@@ -45,11 +45,12 @@ func (bp *batchPool[T]) put(p *[]T) {
 
 // msg is one send on a task's input channel: a batch, a Drain marker
 // that follows every batch its producer sent before it, or, on a worker
-// slot's channel, a control round that does.
+// slot's channel, a control round or a cut's hold that does.
 type msg[T any] struct {
 	batch *[]T
 	mark  *drainMark
 	ctrl  *ctrlRound
+	hold  *hold
 }
 
 // newQueues makes one input channel per task. A channel holds
@@ -112,26 +113,21 @@ func (f *fanout[T]) send(task int, p *[]T) {
 	}
 }
 
-// mark flushes every open batch, then sends m to every task behind them.
+// mark sends m to every task, behind the batch open for it.
 func (f *fanout[T]) mark(m *drainMark) {
-	f.flush()
-	for _, out := range f.out {
-		select {
-		case out <- msg[T]{mark: m}:
-		case <-f.done:
-			return
-		}
+	for task := range f.out {
+		f.to(task, msg[T]{mark: m})
 	}
 }
 
-// ctrl flushes the batch open for c's slot, then sends c behind it.
-func (f *fanout[T]) ctrl(c *ctrlRound) {
-	if p := f.open[c.slot]; p != nil {
-		f.open[c.slot] = nil
-		f.send(c.slot, p)
+// to flushes the batch open for task, then sends m behind it.
+func (f *fanout[T]) to(task int, m msg[T]) {
+	if p := f.open[task]; p != nil {
+		f.open[task] = nil
+		f.send(task, p)
 	}
 	select {
-	case f.out[c.slot] <- msg[T]{ctrl: c}:
+	case f.out[task] <- m:
 	case <-f.done:
 	}
 }
@@ -148,7 +144,8 @@ func cancelled(done <-chan struct{}) bool {
 
 // consume hands every batch of in to process, every marker to mark and
 // every control round to ctrl, in order, until in is closed or the run
-// is cancelled.
+// is cancelled. At a hold it hands ctrl the requests sent through the
+// hold until it is released.
 func consume[T any](in <-chan msg[T], done <-chan struct{}, process func(*[]T), mark func(*drainMark), ctrl func(*ctrlRound)) {
 	for m := range in {
 		if cancelled(done) {
@@ -159,6 +156,8 @@ func consume[T any](in <-chan msg[T], done <-chan struct{}, process func(*[]T), 
 			mark(m.mark)
 		case m.ctrl != nil:
 			ctrl(m.ctrl)
+		case m.hold != nil:
+			m.hold.serve(done, ctrl)
 		default:
 			process(m.batch)
 		}
@@ -189,7 +188,8 @@ func emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv) {
 // matches on s.toMerge; mergers deduplicate batch-wise.
 //
 // Drain markers travel the same channels in order with the batches (see
-// drainMark), and so do control rounds on the towork channels (round.go).
+// drainMark), and so do control rounds and the holds of cuts on the
+// towork channels (round.go).
 //
 // Three WaitGroups order the close cascade: the towork channels close once
 // the dispatcher is done, the merger channels once every producer of
@@ -291,7 +291,8 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 // BatchSize operations, so batches fill by themselves under load (the
 // ingest accumulates while the dispatcher works) and an idle system routes
 // a single operation at once. A marker taken with the operations goes to
-// every slot after the ones before it, and a control round to its slot.
+// every slot after the ones before it, a control round to its slot, and
+// a cut runs between the operations before and after it.
 type dispatcher struct {
 	s *System
 	// spare is the routed buffer the next take hands back to the ingest.
@@ -319,12 +320,15 @@ func (d *dispatcher) run() {
 		for _, qm := range marks {
 			d.route(ops[at:qm.at])
 			at = qm.at
-			if qm.c != nil {
-				d.out.ctrl(qm.c)
-				continue
+			switch {
+			case qm.c != nil:
+				d.out.to(qm.c.slot, msg[wire.OpEnv]{ctrl: qm.c})
+			case qm.cut != nil:
+				d.cut(qm.cut)
+			default:
+				d.out.mark(qm.m)
+				d.sinceFlush = 0
 			}
-			d.out.mark(qm.m)
-			d.sinceFlush = 0
 		}
 		d.route(ops[at:])
 		clear(ops) // the buffer is reused; do not pin routed objects and queries
@@ -343,6 +347,17 @@ func (d *dispatcher) route(ops []wire.OpEnv) {
 			d.flush()
 		}
 	}
+}
+
+// cut puts c's holds in their slots' streams, behind every operation
+// routed to them so far, and runs c's change: the next operation routes
+// under the new table.
+func (d *dispatcher) cut(c *cut) {
+	for _, h := range c.holds {
+		d.out.to(h.slot, msg[wire.OpEnv]{hold: h})
+	}
+	c.change(c.holds)
+	close(c.done)
 }
 
 // flush sends every partial towork batch.
@@ -476,9 +491,10 @@ func (w *workerBolt) process(batch *[]wire.OpEnv) {
 }
 
 // serve answers one control round in the slot's stream, behind every
-// batch before it. An install's or a window advance's deltas reach the
-// board before the reply and before any later batch's deltas (a removing
-// extraction's return in the share; see finishExtract).
+// batch before it, or handed over through a hold. An install's or a
+// window advance's deltas reach the board before the reply and before any
+// later batch's deltas (a removing extraction's return in the share, and
+// the migration applies them while the slot is held; see handOff).
 func (w *workerBolt) serve(c *ctrlRound) {
 	if rate := w.s.cfg.Adjust.WireBytesPerSec; rate > 0 && c.size > 0 {
 		// A simulated transfer occupies the destination for bytes/rate,

@@ -12,6 +12,7 @@ import (
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
+	"ps2stream/internal/index/grid"
 	"ps2stream/internal/model"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
@@ -120,57 +121,80 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestAdvanceRouteWaitsForRoutingChunks pins what a migration waits for
-// around the routing flip. A dispatcher chunk stalls mid-route under the
-// old table before handOff starts: the copy round, so the flip, waits in
-// the stream while the operation is routing and while the source holds it
-// unapplied. A second operation is submitted from inside the flip and
-// stalls mid-route under the old table: the extraction waits the same way
-// for it, so the source still holds the cell when that operation arrives.
+// TestAdvanceRouteWaitsForRoutingChunks pins where a migration's cut falls
+// in the stream. Object 1 stalls mid-route under the old table before
+// handOff starts: the cut, and so the routing flip, waits for it. The
+// source then stalls before applying object 1: the extraction, handed to
+// the source through its hold, waits for it. Object 2, submitted once
+// handOff has started, routes under the new table and reaches the
+// destination only after the install, so it matches the moved query there.
 func TestAdvanceRouteWaitsForRoutingChunks(t *testing.T) {
 	type stall struct{ reached, release chan struct{} }
-	newStalls := func() map[uint64]stall {
-		return map[uint64]stall{
-			1: {make(chan struct{}), make(chan struct{})},
-			2: {make(chan struct{}), make(chan struct{})},
-		}
-	}
-	routing, applying := newStalls(), newStalls()
-	var target atomic.Int64 // the routing table: every object goes here
-	sys := startIngestSystem(t, Config{Workers: 2, Builder: &idRouter{route: func(id uint64) int {
+	routing := stall{make(chan struct{}), make(chan struct{})}
+	applying := stall{make(chan struct{}), make(chan struct{})}
+	var target atomic.Int64  // the routing table: every operation goes here
+	var heldAt2 atomic.Int64 // queries the destination held when object 2 reached it
+	heldAt2.Store(-1)
+	ms := newMatchSet()
+	sys := startIngestSystem(t, Config{Workers: 2, OnMatch: ms.add, Builder: &idRouter{route: func(id uint64) int {
 		w := int(target.Load())
-		if st, ok := routing[id]; ok {
-			close(st.reached)
-			<-st.release // the chunk stalls mid-route, its target already read
+		if id == 1 {
+			close(routing.reached)
+			<-routing.release // the chunk stalls mid-route, its target already read
 		}
 		return w
 	}}}, beforeBatch(0, func(ops []wire.OpEnv) {
 		for _, env := range ops {
-			if env.Op.Kind != model.OpObject {
-				continue
-			}
-			if st, ok := applying[env.Op.Obj.ID]; ok {
-				close(st.reached)
-				<-st.release // the source holds the operation before applying it
+			if env.Op.Kind == model.OpObject && env.Op.Obj.ID == 1 {
+				close(applying.reached)
+				<-applying.release // the source holds the operation before applying it
 			}
 		}
-	}))
-	source := sys.bolts[0].eng
-	at := sys.Bounds().Center()
+	}), func(sys *System) {
+		sys.bolts[1].beforeBatch = func(ops []wire.OpEnv) {
+			for _, env := range ops {
+				if env.Op.Kind == model.OpObject && env.Op.Obj.ID == 2 {
+					heldAt2.Store(sys.bolts[1].eng.Stats().Queries)
+				}
+			}
+		}
+	})
+	g := grid.New(sys.Bounds(), sys.cfg.Granularity, sys.cfg.Granularity)
+	cell := g.CellOf(sys.Bounds().Center())
+	at := g.CellRect(cell).Center()
+	q := &model.Query{ID: 7, Expr: model.And("x"), Region: geo.RectAround(at, 1, 1).Clip(g.CellRect(cell))}
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	sys.Submit(objectOp(1, "x", at))
-	within(t, 5*time.Second, "the dispatcher routing object 1", routing[1].reached)
+	within(t, 5*time.Second, "the dispatcher routing object 1", routing.reached)
 	flipped := make(chan struct{})
 	watchFlip := (<-chan struct{})(flipped)
-	handed := make(chan bool, 1)
+	type result struct {
+		moved int
+		ok    bool
+	}
+	handed := make(chan result, 1)
 	go func() {
-		_, _, ok := sys.handOff(0, 1, 0, nil, func() {
+		moved, _, ok := sys.handOff(0, 1, cell, nil, func() {
 			close(flipped)
-			sys.Submit(objectOp(2, "x", at))
-			<-routing[2].reached // object 2 is routed under the old table
 			target.Store(1)
 		})
-		handed <- ok
+		handed <- result{moved, ok}
 	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		sys.ingest.mu.Lock()
+		queued := len(sys.ingest.marks)
+		sys.ingest.mu.Unlock()
+		if queued > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("handOff's cut never reached the ingest")
+		}
+	}
+	sys.Submit(objectOp(2, "x", at))
 	notYet := func(what, while string) {
 		t.Helper()
 		select {
@@ -181,28 +205,37 @@ func TestAdvanceRouteWaitsForRoutingChunks(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	notYet("copied the cell", "object 1, routed under the old table, was still routing")
-	close(routing[1].release)
-	within(t, 5*time.Second, "the source receiving object 1", applying[1].reached)
-	notYet("copied the cell", "the source had not applied object 1")
-	close(applying[1].release)
+	notYet("finished", "object 1, routed under the old table, was still routing")
+	close(routing.release)
 	within(t, 5*time.Second, "the routing flip", flipped)
-	watchFlip = nil // the flip has run; only the extraction is left to wait
-	notYet("extracted the cell", "object 2, routed under the old table, was still routing")
-	close(routing[2].release)
-	within(t, 5*time.Second, "the source receiving object 2", applying[2].reached)
-	notYet("extracted the cell", "the source had not applied object 2")
-	close(applying[2].release)
+	watchFlip = nil // the cut has run; only the extraction is left to wait
+	within(t, 5*time.Second, "the source receiving object 1", applying.reached)
+	notYet("finished", "the source had not applied object 1")
+	if n := heldAt2.Load(); n >= 0 {
+		t.Fatalf("object 2 reached the destination before the hand-off finished (it held %d queries)", n)
+	}
+	close(applying.release)
 	select {
-	case ok := <-handed:
-		if !ok {
-			t.Fatal("handOff failed")
+	case r := <-handed:
+		if !r.ok || r.moved != 1 {
+			t.Fatalf("handOff moved %d queries, ok %v; want the one query", r.moved, r.ok)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("handOff still waiting after the source applied both objects")
+		t.Fatal("handOff still waiting after the source applied object 1")
 	}
-	if n := source.Stats().Objects; n != 2 {
-		t.Errorf("the source applied %d objects, want both stalled ones", n)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := heldAt2.Load(); n != 1 {
+		t.Errorf("the destination held %d queries when object 2 reached it, want the installed one", n)
+	}
+	for _, o := range []uint64{1, 2} {
+		if !ms.has(q.ID, o) {
+			t.Errorf("missed the match of object %d", o)
+		}
+	}
+	if n := sys.bolts[0].eng.Stats().Objects; n != 1 {
+		t.Errorf("the source applied %d objects, want only object 1", n)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)

@@ -228,12 +228,12 @@ type CellSpec struct {
 const WholeQueries = -1
 
 // ExtractCells asks a worker peer for the named cell shares. With
-// Remove false the shares are copied (the migration's copy step, the
-// source keeps serving them); with Remove true the queries are
-// extracted from the index and their window entries located in the
-// cell released (the extraction step, sent after the routing flip so
-// that it follows the source's pre-flip traffic). The share reflects every op batch the
-// coordinator sent before the request: that is the migration barrier.
+// Remove false the shares are copied (a population round; the source
+// keeps serving them); with Remove true the queries are extracted from
+// the index and their window entries located in the cell released (a
+// migration's extraction, sent through the source's hold at the cut, so
+// that it follows the source's pre-flip traffic). The share reflects
+// every op batch the coordinator sent before the request.
 type ExtractCells struct {
 	Seq    uint64
 	Cells  []CellSpec
@@ -276,8 +276,7 @@ type CellShare struct {
 }
 
 // InstallCells hands a worker peer cell shares to index and query ids
-// to delete from shares installed earlier (reconciling deletions that
-// reached the migration source between copy and routing flip).
+// to delete (global repartition's departures).
 type InstallCells struct {
 	Seq     uint64
 	Cells   []CellPayload

@@ -80,8 +80,8 @@ const (
 	// TypeCellShare answers an ExtractCells with the cell payloads.
 	TypeCellShare byte = 14
 	// TypeInstallCells hands a worker peer a cell share to index (the
-	// receiving half of a migration) and query ids to delete (deletions
-	// routed to the source between copy and flip).
+	// receiving half of a migration) and query ids to delete (global
+	// repartition's departures).
 	TypeInstallCells byte = 15
 	// TypeInstallAck acknowledges an InstallCells once the share is
 	// indexed; ops sent after the ack's request are matched against it.

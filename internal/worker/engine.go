@@ -318,9 +318,8 @@ func (e *Engine) ExtractCells(ex wire.ExtractCells) (wire.CellShare, error) {
 	return share, nil
 }
 
-// InstallCells indexes the received cell shares and applies the
-// reconciliation deletes (queries removed at the migration source
-// between copy and routing flip). A wire.WholeQueries payload is a
+// InstallCells indexes the received cell shares and applies the deletes
+// (global repartition's departures). A wire.WholeQueries payload is a
 // whole-query install (global repartition): its queries are indexed by
 // their own placement rather than into one named cell. Top-k
 // subscriptions register in the window store before they adopt the
