@@ -526,8 +526,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		// Freeze the logical clock: every op in the cluster run and the
 		// oracle run carries the same publish stamp, so decay rank depends
 		// only on textual relevance and the top-k dumps diff byte for
-		// byte. Expiry never fires under a frozen clock; the window flag
-		// only sizes checkpoint retention of in-window objects.
+		// byte. Expiry never fires under a frozen clock.
 		frozen := time.Unix(1_700_000_000, 0)
 		cfg.Clock = func() time.Time { return frozen }
 	}

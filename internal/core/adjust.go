@@ -428,6 +428,9 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 		s.log.Warn("adjust extraction failed", "cell", cell, "from", wo, "to", wl, "err", err)
 		return 0, 0, false
 	}
+	// Both slots are held, so each logged frame and the source's deltas
+	// below land at the cut's position in their streams.
+	s.logFrame(wo, extract)
 	var qs []*model.Query
 	var subs []wire.SubEntries
 	if len(share.Cells) > 0 {
@@ -446,17 +449,15 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 		}
 		if err != nil {
 			// The share is lost with a destination that is failing the
-			// run; it stays logged there, for a replay to rebuild.
+			// run; it is logged there regardless, for a replay to rebuild.
 			s.log.Warn("adjust install failed", "cell", cell, "from", wo, "to", wl, "err", err)
 		}
+		s.logFrame(wl, install)
 	}
 	// The source's retractions are applied after the destination's
 	// adoptions, so a hand-off that keeps top-k membership shows
-	// subscribers no change; both slots are held, so these deltas and the
-	// log entries land at the cut's position in their streams.
+	// subscribers no change.
 	s.board.ApplyFrom(wo, share.Epoch, share.Deltas)
-	s.logDepartures(wo, qs)
-	s.logAdoptions(wl, qs, nil, subs)
 	s.log.Debug("adjust hand-off finished", "cell", cell, "from", wo, "to", wl)
 	return len(qs), nbytes, err == nil
 }

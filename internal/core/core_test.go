@@ -374,11 +374,16 @@ func TestGlobalRepartitionSnapshotIncludesQueuedInsert(t *testing.T) {
 	defer sys.Close()
 	sys.SubmitAll(inserts)
 	within(t, 5*time.Second, "worker 0 stalling on its first batch", stalled)
+	// The inserts routed to worker 0, or to another worker of a cell
+	// worker 0 serves: the snapshot must track all of them.
 	queued := make(map[uint64]bool)
+	gt := sys.gridT.Load()
 	for _, op := range inserts {
-		if slices.Contains(sys.gridT.Load().PeekQuery(op.Query), 0) {
-			queued[op.Query.ID] = true
-		}
+		gt.Grid().VisitOverlapping(op.Query.Region, func(c int) {
+			if slices.Contains(gt.CellWorkers(c), 0) {
+				queued[op.Query.ID] = true
+			}
+		})
 	}
 	if len(queued) == 0 {
 		t.Fatal("vacuous: no insert routes to worker 0")

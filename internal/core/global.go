@@ -177,14 +177,12 @@ func (s *System) checkGlobalProgress() {
 // repartSlot is one held slot at a global finish: its standing
 // population — the queries it holds and its top-k subscriptions' bands —
 // and the rounds planned for it: whole-query installs (wire.WholeQueries
-// payloads, indexed by the slot's own placement), the queries they adopt,
-// and the ids it deletes.
+// payloads, indexed by the slot's own placement) and the ids it deletes.
 type repartSlot struct {
 	h       *hold
 	defs    map[uint64]*model.Query
 	subs    map[uint64][]window.Entry
 	cells   []wire.CellPayload
-	adopted []*model.Query
 	deletes []uint64
 }
 
@@ -293,7 +291,6 @@ func (s *System) relocate(d *dualAssignment, holds []*hold) int {
 			p := wire.CellPayload{Cell: wire.WholeQueries}
 			if !has {
 				p.Queries = []*model.Query{def}
-				v.adopted = append(v.adopted, def)
 			}
 			if len(carried) > 0 {
 				p.Subs = []wire.SubEntries{{ID: id, Entries: carried}}
@@ -306,27 +303,24 @@ func (s *System) relocate(d *dualAssignment, holds []*hold) int {
 	}
 	// Every install before any delete, so a subscription hopping between
 	// two workers is never without a holder and a relocation whose top-k
-	// membership survives shows subscribers no change.
+	// membership survives shows subscribers no change. Each round is
+	// logged regardless of its outcome: the new routes are about to go
+	// live, so replay must rebuild the slot as routed.
+	round := func(v *repartSlot, req wire.InstallCells, what string) {
+		if _, err := s.installCells(v.h, req); err != nil {
+			s.log.Warn("global repartition: "+what+" round failed", "worker", v.h.slot, "err", err)
+		}
+		s.logFrame(v.h.slot, req)
+	}
 	for _, v := range slots {
 		if len(v.cells) > 0 {
-			if _, err := s.installCells(v.h, wire.InstallCells{Cells: v.cells}); err != nil {
-				s.log.Warn("global repartition: install round failed", "worker", v.h.slot, "err", err)
-			}
+			round(v, wire.InstallCells{Cells: v.cells}, "install")
 		}
 	}
 	for _, v := range slots {
 		if len(v.deletes) > 0 {
-			if _, err := s.installCells(v.h, wire.InstallCells{Deletes: v.deletes}); err != nil {
-				s.log.Warn("global repartition: delete round failed", "worker", v.h.slot, "err", err)
-			}
+			round(v, wire.InstallCells{Deletes: v.deletes}, "delete")
 		}
-		var carried []wire.SubEntries
-		for _, p := range v.cells {
-			carried = append(carried, p.Subs...)
-		}
-		// Logged regardless of the rounds' outcome: the new routes are
-		// about to go live, so replay must reconstruct the slot as routed.
-		s.logAdoptions(v.h.slot, v.adopted, v.deletes, carried)
 	}
 	return moved
 }

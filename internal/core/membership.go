@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"ps2stream/internal/migrate"
-	"ps2stream/internal/model"
 	"ps2stream/internal/oplog"
 	"ps2stream/internal/wire"
 )
@@ -41,10 +40,13 @@ type RecoveryConfig struct {
 	// redial-and-replay recovery for remote worker slots.
 	Enabled bool
 	// CheckpointInterval is the op-log truncation cadence: every
-	// interval the coordinator runs a drain barrier per worker and folds
-	// the acknowledged prefix into the compact checkpoint base
-	// (default 1s). A worker whose logged tail exceeds checkpointOps
-	// entries is checkpointed sooner, bounding replay work under load.
+	// interval the coordinator reads each worker's population with one
+	// round in its stream and stores it as the log's base, dropping the
+	// entries it covers (default 1s). A worker whose logged tail exceeds
+	// checkpointOps entries is checkpointed sooner, bounding replay work
+	// under load. Either way a worker waits nine times its last
+	// checkpoint's duration before the next, so a large population is
+	// checkpointed less often than the interval asks.
 	CheckpointInterval time.Duration
 	// HeartbeatInterval is the node→coordinator ping cadence negotiated
 	// in the handshake; the connection read deadline is pinned to 4× it,
@@ -59,6 +61,10 @@ type RecoveryConfig struct {
 // checkpointOps is the logged-tail length that forces a worker's
 // checkpoint ahead of Recovery.CheckpointInterval.
 const checkpointOps = 8192
+
+// checkpointSpacing is how many times its last checkpoint's duration a
+// slot waits before the next one, whichever trigger fires.
+const checkpointSpacing = 9
 
 func (r *RecoveryConfig) fillDefaults() {
 	if !r.Enabled {
@@ -100,8 +106,6 @@ type workerHop struct {
 	hello wire.Hello
 	// tr is the current session's client (nil for an unclaimed spare).
 	tr *wire.WorkerClient
-	// roundSeq numbers the control rounds sent to the slot.
-	roundSeq uint64
 	// active: the slot participates in routing/adjustment decisions.
 	// down: the current session's connection failed. replaying: a
 	// recovery session is installed but still replaying the op log.
@@ -116,17 +120,19 @@ type workerHop struct {
 	gen        uint64
 	drainedGen uint64
 	// sentSeq is the highest op-log sequence actually put on the current
-	// session's wire — the checkpoint watermark candidate.
+	// session's wire.
 	sentSeq uint64
 
 	// owed are the markers and rounds handed to the slot whose answer the
 	// spout has not read yet, oldest first: the slot answers in the order
 	// it was asked. The spout pops them under owedMu alone, so it never
 	// waits for a sender holding mu (lock order: mu, then owedMu).
-	// lastStats, what the latest stats round reported, is recorded there.
+	// lastStats, what the latest stats round reported, is recorded there,
+	// and roundSeq numbers the control rounds sent to the slot.
 	owedMu    sync.Mutex
 	owed      []owedAnswer
 	lastStats wire.StatsReply
+	roundSeq  uint64
 
 	// log is the recovery op log (nil when Recovery is disabled — the
 	// slot then keeps the legacy fail-loudly contract).
@@ -140,11 +146,14 @@ func (h *workerHop) broadcastLocked() {
 }
 
 // owedAnswer is one answer a slot owes: a Drain marker's ack, or the
-// reply to round, sent numbered seq on session gen.
+// reply to round, sent numbered seq on session gen. replay marks a frame
+// recovery sent again from the op log: no caller awaits its reply, so the
+// spout applies every delta it carries.
 type owedAnswer struct {
 	mark     *drainMark
 	round    *ctrlRound
 	seq, gen uint64
+	replay   bool
 }
 
 // oweLocked records an answer the slot now owes. Caller holds h.mu.
@@ -152,6 +161,23 @@ func (h *workerHop) oweLocked(a owedAnswer) {
 	h.owedMu.Lock()
 	h.owed = append(h.owed, a)
 	h.owedMu.Unlock()
+}
+
+// owe numbers round c's request for session gen, records its answer as
+// owed and returns the request to send. A replayed round goes out ahead
+// of every marker still waiting, so it is owed ahead of them.
+func (h *workerHop) owe(c *ctrlRound, gen uint64, replay bool) wire.Frame {
+	h.owedMu.Lock()
+	defer h.owedMu.Unlock()
+	h.roundSeq++
+	i := len(h.owed)
+	if replay {
+		if m := slices.IndexFunc(h.owed, func(a owedAnswer) bool { return a.mark != nil }); m >= 0 {
+			i = m
+		}
+	}
+	h.owed = slices.Insert(h.owed, i, owedAnswer{round: c, seq: h.roundSeq, gen: gen, replay: replay})
+	return numbered(c.req, h.roundSeq)
 }
 
 // popAnswer takes the oldest owed answer, which the item the spout just
@@ -350,9 +376,11 @@ func (s *System) recoveryCtx() context.Context {
 // owed has failed), install the
 // new transport *before* replaying — the spout then consumes
 // replay-produced matches, so a long replay cannot deadlock on wire
-// backpressure — replay the op log's checkpoint base and tail, and
-// finally catch up under the hop lock with anything appended mid-replay,
-// and re-send the markers still waiting, before re-opening the slot.
+// backpressure — replay the op log's base as an InstallCells round and
+// then its tail, and finally catch up under the hop lock with anything
+// appended mid-replay, and re-send the markers still waiting, before
+// re-opening the slot. The replayed rounds' answers are owed ahead of
+// those markers, and their deltas reach the board under the new epoch.
 func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	newGen := failedGen + 1
 	h.mu.Lock()
@@ -407,27 +435,22 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	h.replaying = true
 	h.broadcastLocked()
 	h.mu.Unlock()
-	base, tail, watermark := h.log.Replay()
+	base, tail, pos := h.log.Replay()
 	s.log.Info("remote worker redialled; replaying",
-		"worker", h.task, "gen", newGen, "base", len(base), "tail", len(tail))
-	lastSeq := watermark
-	baseEnts := make([]oplog.Entry, 0, len(base))
-	for _, q := range base {
-		baseEnts = append(baseEnts, oplog.Entry{Op: model.Op{Kind: model.OpInsert, Query: q}})
-	}
-	if err := s.replaySend(cl, baseEnts); err != nil {
-		s.hopFailed(h, newGen, err)
-		return
-	}
-	if err := s.replaySend(cl, tail); err != nil {
-		s.hopFailed(h, newGen, err)
-		return
-	}
+		"worker", h.task, "gen", newGen, "pos", pos, "tail", len(tail))
+	lastSeq := pos
 	if len(tail) > 0 {
 		lastSeq = tail[len(tail)-1].Seq
 	}
-	// Catch-up and re-open atomically: ops appended while replay ran are
-	// sent under the hop lock, then replaying flips off — the bolt's
+	if len(base.Cells) > 0 {
+		tail = append([]oplog.Entry{{Frame: base}}, tail...)
+	}
+	if err := s.replaySend(h, cl, newGen, tail); err != nil {
+		s.hopFailed(h, newGen, err)
+		return
+	}
+	// Catch-up and re-open atomically: entries appended while replay ran
+	// are sent under the hop lock, then replaying flips off — the bolt's
 	// sentSeq check suppresses the one batch that may race the flip.
 	h.mu.Lock()
 	if h.gen != newGen || h.down || h.closing {
@@ -435,9 +458,10 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 		return
 	}
 	pending := h.log.Since(lastSeq)
-	err = s.replaySend(h.tr, pending)
-	// Every waiting marker follows the ops now sent. owedMu is not held
-	// across the sends: the spout pops under it while draining matches.
+	err = s.replaySend(h, h.tr, newGen, pending)
+	// Every waiting marker follows the entries now sent. owedMu is not
+	// held across the sends: the spout pops under it while draining
+	// matches.
 	marks := 0
 	h.owedMu.Lock()
 	for _, a := range h.owed {
@@ -466,104 +490,55 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	s.log.Info("remote worker recovered", "worker", h.task, "gen", newGen)
 }
 
-// replaySend ships logged entries to a session in BatchSize chunks.
-// Each entry keeps its original submit stamp — window entry ranks and
-// expiry are functions of the publish instant, so re-stamping would
-// corrupt the recovered node's top-k state. Entries without a stamp
-// (checkpoint-base query registrations) are stamped at the replay
-// instant; a query's T0 only feeds latency accounting.
-func (s *System) replaySend(cl *wire.WorkerClient, ents []oplog.Entry) error {
-	now := s.now()
-	bs := s.cfg.BatchSize
-	ops := make([]wire.OpEnv, 0, bs)
-	for off := 0; off < len(ents); off += bs {
-		end := off + bs
-		if end > len(ents) {
-			end = len(ents)
+// replaySend ships logged entries to session gen in their stream order:
+// operations in BatchSize batches, each under its original submit stamp
+// (window entry ranks and expiry are functions of the publish instant,
+// so re-stamping would corrupt the recovered node's top-k state), and
+// each logged frame as a round whose reply the spout applies.
+func (s *System) replaySend(h *workerHop, cl *wire.WorkerClient, gen uint64, ents []oplog.Entry) error {
+	ops := make([]wire.OpEnv, 0, s.cfg.BatchSize)
+	flush := func() error {
+		if len(ops) == 0 {
+			return nil
 		}
+		err := cl.SendOps(wire.OpBatch{Ops: ops})
 		ops = ops[:0]
-		for _, e := range ents[off:end] {
-			t0 := e.T0
-			if t0.IsZero() {
-				t0 = now
+		return err
+	}
+	for _, e := range ents {
+		if e.Frame == nil {
+			ops = append(ops, wire.OpEnv{Op: e.Op, T0: e.T0})
+			if len(ops) < cap(ops) {
+				continue
 			}
-			ops = append(ops, wire.OpEnv{Op: e.Op, T0: t0, Refill: e.Refill})
 		}
-		if err := cl.SendOps(wire.OpBatch{Ops: ops}); err != nil {
+		if err := flush(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// logAdoptions appends migration-install entries to worker w's op log:
-// queries the slot adopted, ids deleted from its adopted copy, and the
-// window entries that travelled with the hand-off (logged as refill
-// objects under their original publish stamps, so a later crash replay
-// can rebuild the adopted window state without re-emitting matches).
-// The InstallCells round that applied them is synchronously acked
-// before any later traffic, so the checkpoint barrier covers them like
-// any op.
-func (s *System) logAdoptions(w int, adopted []*model.Query, dropped []uint64, subs []wire.SubEntries) {
-	h := s.hop(w)
-	if h == nil || h.log == nil {
-		return
-	}
-	now := s.now()
-	for _, q := range adopted {
-		h.log.AdoptQuery(q, now)
-	}
-	for _, id := range dropped {
-		h.log.Append(model.Op{Kind: model.OpDelete, Query: &model.Query{ID: id}}, now)
-	}
-	seen := make(map[uint64]bool)
-	for _, se := range subs {
-		for _, e := range se.Entries {
-			if seen[e.MsgID] {
-				continue // several bands hold the object; one refill replays it for all
-			}
-			seen[e.MsgID] = true
-			h.log.AdoptObject(&model.Object{ID: e.MsgID, Terms: e.Terms, Loc: e.Loc}, e.At)
-		}
-	}
-}
-
-// logDepartures appends migration-extract entries to worker w's op log
-// for the extracted queries that left the slot: replaying them there
-// after a crash would resurrect queries the destination already owns. A
-// query spanning several of the source's cells is only dropped from the
-// replay base once its *last* cell leaves: the logged delete is
-// whole-query (the node's index deletes across cells), so dropping on a
-// partial departure would erase the cells the source still owns from a
-// post-crash replay. Routing is already flipped, so the table answers
-// whether the source still holds the query through some other cell — via
-// the read-only probe: RouteQuery(q, false) is delete-routing and would
-// corrupt H2's registration counts.
-func (s *System) logDepartures(w int, extracted []*model.Query) {
-	h := s.hop(w)
-	if h == nil || h.log == nil {
-		return
-	}
-	now := s.now()
-	gt := s.gridT.Load()
-	for _, q := range extracted {
-		still := false
-		if gt != nil {
-			for _, t := range gt.PeekQuery(q) {
-				if t == w {
-					still = true
-					break
-				}
+		if e.Frame != nil {
+			if err := cl.SendControl(h.owe(newRound(h.task, e.Frame, false), gen, true)); err != nil {
+				return err
 			}
 		}
-		if !still {
-			h.log.DropQuery(q, now)
-		}
+	}
+	return flush()
+}
+
+// logFrame appends a request a cut served slot w to the slot's op log,
+// while the cut still holds the slot: no operation routed after the cut
+// is logged ahead of it.
+func (s *System) logFrame(w int, f wire.Frame) {
+	if h := s.hop(w); h != nil && h.log != nil {
+		h.log.AppendFrame(f)
 	}
 }
 
 // checkpointLoop truncates each recoverable hop's op log on a cadence
-// (and on tail-size pressure). It runs only with Recovery.Enabled.
+// (and on tail-size pressure). It runs only with Recovery.Enabled. A
+// checkpoint is a population round in the slot's stream, so its cost
+// grows with the population: after a round that took d, successful or
+// not, the hop's next one waits checkpointSpacing×d, which keeps
+// checkpoints to at most a tenth of the slot's stream time.
 func (s *System) checkpointLoop(ctx context.Context) {
 	if !s.cfg.Recovery.Enabled || s.hops == nil {
 		return
@@ -574,10 +549,7 @@ func (s *System) checkpointLoop(ctx context.Context) {
 	}
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
-	last := make([]time.Time, len(s.hops))
-	for i := range last {
-		last[i] = time.Now()
-	}
+	next := make([]time.Time, len(s.hops))
 	for {
 		select {
 		case <-ctx.Done():
@@ -588,34 +560,33 @@ func (s *System) checkpointLoop(ctx context.Context) {
 			if h == nil || h.log == nil {
 				continue
 			}
-			if time.Since(last[i]) < s.cfg.Recovery.CheckpointInterval &&
+			start := time.Now()
+			if start.Before(next[i]) || h.log.CheckpointAge() < s.cfg.Recovery.CheckpointInterval &&
 				h.log.TailLen() < checkpointOps {
 				continue
 			}
-			if s.checkpointHop(h) {
-				last[i] = time.Now()
-			}
+			s.checkpointHop(h)
+			end := time.Now()
+			next[i] = end.Add(checkpointSpacing * end.Sub(start))
 		}
 	}
 }
 
-// checkpointHop runs one round in the slot's stream and folds the
-// answered op prefix into the log's base. The watermark is the sequence
-// of the last op put on the wire before the round was asked for: the
-// round goes out behind it, on this session or after a recovery's
-// replay, so its reply proves the node processed everything up to it.
+// checkpointHop reads the slot's population with one round in its
+// stream and stores it as the log's base at the round's position: the
+// log sequence the slot's bolt had sent when it forwarded the round
+// (ctrlRound.pos), so the population holds every entry up to it and none
+// after it. A failed round keeps the previous base and the whole tail.
 func (s *System) checkpointHop(h *workerHop) bool {
-	h.mu.Lock()
-	if !h.active || h.down || h.replaying || h.closing || h.tr == nil {
-		h.mu.Unlock()
+	if !h.up() {
 		return false
 	}
-	wm := h.sentSeq
-	h.mu.Unlock()
-	if _, err := roundAs[wire.StatsReply](s, h.task, wire.StatsReq{}); err != nil {
+	c := s.send(slotPopulation(h.task, true))
+	p, err := s.population(c)
+	if err != nil {
 		return false
 	}
-	h.log.Checkpoint(wm, s.now())
+	h.log.Checkpoint(c.pos, wire.InstallCells{Cells: []wire.CellPayload{p}})
 	return true
 }
 

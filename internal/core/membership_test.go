@@ -5,7 +5,9 @@ import (
 	"errors"
 	"net"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,7 +54,7 @@ func (l *trackingListener) Accept() (net.Conn, error) {
 // startElasticNode launches a fresh worker node. addr "" picks a free
 // port; a concrete addr rebinds it (restart-after-crash), retrying
 // briefly while the dying listener lets go of the port.
-func startElasticNode(t *testing.T, addr string) *elasticNode {
+func startElasticNode(t testing.TB, addr string) *elasticNode {
 	t.Helper()
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -315,13 +317,13 @@ func startChaosNode(t *testing.T, fc faultnet.Config) *elasticNode {
 // replays — repeatedly, if the schedule says so. The delivered match
 // set must still be exactly the in-process oracle's, and — with a top-k
 // mix riding along under a shared fake clock — so must every reconciled
-// TopKSet. The standing top-k subscriptions keep checkpoint refill
-// retention active for the whole run, so boolean exactness here doubles
-// as the regression test for refill match suppression: a replay that
-// re-emits matches for refilled objects shows up as extras, one that
-// loses window state shows up in the sets. SkipFrames leaves the
-// handshake intact so every redial can succeed; the per-accept reseed
-// means successive sessions fail at different points.
+// TopKSet. The standing top-k subscriptions put their bands in every
+// checkpoint's base, so a replay that loses window state, or that
+// offers an object the base already holds, shows up in the sets; one
+// that matches an object against a query inserted after it shows up as
+// extra matches. SkipFrames leaves the handshake intact so every redial
+// can succeed; the per-accept reseed means successive sessions fail at
+// different points.
 func TestChaosFaultnetMatchesOracle(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 13, 4000)
 	want := oracleMatches(ops)
@@ -520,11 +522,11 @@ func TestMembershipWorkloadsExerciseAllOpKinds(t *testing.T) {
 
 // TestPartialCellDepartureSurvivesReplay: a query registered in several
 // cells of the same worker must survive a crash replay after just one
-// of those cells migrates away. The migration used to log an
-// unconditional DropQuery on the source's op log; the logged delete is
-// whole-query (a node's index delete is cross-cell), so a post-crash
-// replay erased the registrations the source still owned and silently
-// lost their matches.
+// of those cells migrates away. A migration once logged an unconditional
+// whole-query delete on the source's op log (a node's index delete is
+// cross-cell), so a post-crash replay erased the registrations the
+// source still owned and silently lost their matches; the log now
+// records the cell's removing extraction itself.
 func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 	spec := workload.TweetsUS()
 	sample := workload.Sample(spec, workload.Q1, 2000, 400, 23)
@@ -574,8 +576,11 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 	if cell < 0 {
 		t.Fatal("no cell owned solely by worker 0")
 	}
+	before := sys.hop(0).log.Seq()
 	sys.adjustMu.Lock()
 	moved, _, ok := sys.migrateShare(0, 1, cell)
+	// Nothing else is submitted: the extraction is worker 0's last entry.
+	extracted := sys.hop(0).log.Seq()
 	if !ok {
 		sys.adjustMu.Unlock()
 		t.Fatal("migrateShare failed")
@@ -585,22 +590,35 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 		t.Fatalf("migrated %d queries from cell %d, want the wide query alone", moved, cell)
 	}
 	sys.adjustMu.Unlock()
+	if extracted == before {
+		t.Fatal("the migration logged nothing on worker 0")
+	}
 	// The replay plan must still carry the query: worker 0 holds it in
-	// every cell it did not migrate.
-	base, tail, _ := sys.hop(0).log.Replay()
-	live := false
-	for _, q := range base {
-		if q.ID == wideID {
-			live = true
-		}
+	// every cell it did not migrate. The log records the departure as the
+	// removing extraction of that one cell (unless a checkpoint's base
+	// already covers it), never as a whole-query delete.
+	base, tail, pos := sys.hop(0).log.Replay()
+	live, cut := false, pos >= extracted
+	for _, p := range base.Cells {
+		live = live || slices.ContainsFunc(p.Queries, func(q *model.Query) bool { return q.ID == wideID })
 	}
 	for _, e := range tail {
-		if e.Op.Query != nil && e.Op.Query.ID == wideID {
-			live = e.Op.Kind == model.OpInsert
+		switch f := e.Frame.(type) {
+		case nil:
+			if e.Op.Query != nil && e.Op.Query.ID == wideID {
+				live = e.Op.Kind == model.OpInsert
+			}
+		case wire.ExtractCells:
+			cut = cut || f.Remove && len(f.Cells) == 1 && f.Cells[0].Cell == cell
+		case wire.InstallCells:
+			live = live && !slices.Contains(f.Deletes, wideID)
 		}
 	}
 	if !live {
 		t.Fatal("partial cell departure dropped the query from the replay plan")
+	}
+	if !cut {
+		t.Fatalf("the replay plan does not record the removing extraction of cell %d", cell)
 	}
 	// Crash the victim, restart it state-less on the same port, and
 	// publish a lattice of matching objects across the whole space: the
@@ -781,13 +799,13 @@ func assertSameTopKSets(t *testing.T, phase string, got, want map[uint64][]uint6
 // TestTopKCrashReplayMatchesOracle is the distributed-top-k recovery
 // centerpiece: a worker node is kill-9'd mid-window under a top-k mix
 // while publishing continues, a state-less replacement binds the same
-// port, and the op-log replay (window refill entries, original publish
-// stamps) must rebuild the node's window state so exactly that the
-// reconciled TopKSet — compared before and after the first half expires
-// — is identical to an all-in-process oracle run of the same fake-clock
-// timeline. The boolean match set must stay exact too: refill replays
-// suppress match emission, so queries inserted after a replayed object
-// cannot fabricate matches the oracle never saw.
+// port, and the op-log replay (the base's bands, then the tail under
+// original publish stamps) must rebuild the node's window state so
+// exactly that the reconciled TopKSet — compared before and after the
+// first half expires — is identical to an all-in-process oracle run of
+// the same fake-clock timeline. The boolean match set must stay exact
+// too: an object replays only after the base's position, so a query
+// inserted after it cannot fabricate a match the oracle never saw.
 func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 29, 3000)
 	want := oracleMatches(ops)
@@ -951,9 +969,9 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until a checkpoint has folded the first half below the
-	// watermark on the victim's log: the replay must then rebuild its
-	// window state from retained refill entries, not from a raw tail.
+	// Wait until a checkpoint's base covers the first half on the
+	// victim's log: the replay must then rebuild its window state from
+	// the base's bands, not from a raw tail.
 	target := sys.hop(victimTask).log.Seq()
 	deadline := time.Now().Add(10 * time.Second)
 	for sys.hop(victimTask).log.Watermark() < target {
@@ -990,5 +1008,303 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	assertSameTopKSets(t, "post-expiry", gotEnd, wantEnd)
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointBaseSitsAtRoundPosition: a checkpoint runs while top-k
+// objects and a subscription are still on their way to the slot, then
+// the slot crashes and recovery replays the log. The base must sit at
+// the population round's own position in the stream: an earlier one
+// replays the operations between the two points on top of a base that
+// already holds them, so the late subscription ranks objects published
+// before it.
+func TestCheckpointBaseSitsAtRoundPosition(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 53, 0)
+	victim := startElasticNode(t, "")
+	clk := newFakeClock(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
+	cfg := Config{
+		Workers: 1, Mergers: 1,
+		Builder:    hybrid.Builder{},
+		OnMatch:    func(model.Match) {},
+		OnTopK:     func(TopKUpdate) {},
+		Clock:      clk.Now,
+		WindowTick: time.Hour,
+		Recovery: RecoveryConfig{
+			Enabled:            true,
+			CheckpointInterval: time.Hour, // this test places the one checkpoint
+			HeartbeatInterval:  50 * time.Millisecond,
+			RedialTimeout:      20 * time.Second,
+		},
+	}
+	if err := cfg.ConnectRemoteWorkers([]string{victim.addr}, sample, wire.Backoff{Attempts: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	b := sample.Bounds
+	early := &model.Query{ID: 1, Expr: model.And("basepos"), Region: b, TopK: 2, Window: time.Hour}
+	late := &model.Query{ID: 2, Expr: model.And("basepos"), Region: b, TopK: 3, Window: time.Hour}
+	var objs []*model.Object
+	at := make(map[uint64]time.Time)
+	publish := func(id uint64) {
+		clk.Advance(time.Second)
+		f := float64(id%7+1) / 9
+		o := &model.Object{ID: id, Terms: []string{"basepos"}, Loc: geo.Point{
+			X: b.Min.X + f*(b.Max.X-b.Min.X), Y: b.Min.Y + (1-f)*(b.Max.Y-b.Min.Y)}}
+		objs = append(objs, o)
+		at[id] = clk.Now()
+		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
+	}
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: early})
+	publish(11)
+	publish(12)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the slot, so what follows waits in its stream: objects, the
+	// late subscription, more objects, and then the checkpoint's round.
+	holds := sys.cut([]int{0}, func([]*hold) {})
+	publish(13)
+	publish(14)
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: late})
+	publish(15)
+	checkpointed := make(chan bool, 1)
+	go func() { checkpointed <- sys.checkpointHop(sys.hop(0)) }()
+	for deadline := time.Now().Add(5 * time.Second); len(sys.towork[0]) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the checkpoint's round never reached the held slot's stream")
+		}
+	}
+	release(holds)
+	select {
+	case ok := <-checkpointed:
+		if !ok {
+			t.Fatal("the checkpoint's population round failed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the checkpoint never finished")
+	}
+	victim.kill()
+	replacement := startElasticNode(t, victim.addr)
+	publish(16)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := replacement.worker.QueryCount(); n != 2 {
+		t.Fatalf("the replacement node holds %d queries after the replay, want 2", n)
+	}
+	sys.AdvanceWindows()
+	laterThan := func(id uint64) []*model.Object {
+		var out []*model.Object
+		for _, o := range objs {
+			if o.ID > id {
+				out = append(out, o)
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		q    *model.Query
+		objs []*model.Object
+	}{{early, objs}, {late, laterThan(14)}} {
+		want := bruteTopK(c.q, c.objs, at, clk.Now())
+		if len(want) < 2 {
+			t.Fatalf("vacuous: brute force for query %d is %v", c.q.ID, want)
+		}
+		if got := sys.TopKSet(c.q.ID); !equalIDs(got, want) {
+			t.Errorf("query %d ranks %v after the replay, brute force %v", c.q.ID, got, want)
+		}
+	}
+}
+
+// TestReplayedExtractionRetractsBand: a top-k subscription's cell moves
+// off a remote slot after a checkpoint, and the slot then crashes. The
+// replay installs the base (the subscription and its band) and then the
+// logged removing extraction, whose retractions must reach the board:
+// otherwise the recovered slot keeps contributing entries it no longer
+// holds, and no expiry sweep there ever takes them back.
+func TestReplayedExtractionRetractsBand(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 57, 0)
+	victim := startElasticNode(t, "")
+	clk := newFakeClock(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
+	cfg := Config{
+		Workers: 2, Mergers: 1,
+		Builder:    hybrid.Builder{},
+		OnMatch:    func(model.Match) {},
+		OnTopK:     func(TopKUpdate) {},
+		Clock:      clk.Now,
+		WindowTick: time.Hour,
+		Recovery: RecoveryConfig{
+			Enabled:            true,
+			CheckpointInterval: time.Hour, // this test places the one checkpoint
+			HeartbeatInterval:  50 * time.Millisecond,
+			RedialTimeout:      20 * time.Second,
+		},
+	}
+	if err := cfg.ConnectRemoteWorkers([]string{victim.addr}, sample, wire.Backoff{Attempts: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	gt := sys.gridT.Load()
+	cell := -1
+	for c := 0; c < gt.Grid().NumCells() && cell < 0; c++ {
+		if ws := gt.CellWorkers(c); len(ws) == 1 && ws[0] == 0 {
+			cell = c
+		}
+	}
+	if cell < 0 {
+		t.Fatal("no cell served by the remote slot alone")
+	}
+	r := gt.Grid().CellRect(cell)
+	centre := r.Center()
+	q := &model.Query{ID: 1, Expr: model.And("bandmove"), Region: geo.NewRect(
+		(r.Min.X+centre.X)/2, (r.Min.Y+centre.Y)/2, (r.Max.X+centre.X)/2, (r.Max.Y+centre.Y)/2),
+		TopK: 2, Window: time.Minute}
+	var objs []*model.Object
+	at := make(map[uint64]time.Time)
+	publish := func(id uint64) {
+		clk.Advance(time.Second)
+		o := &model.Object{ID: id, Terms: []string{"bandmove"}, Loc: centre}
+		objs = append(objs, o)
+		at[id] = clk.Now()
+		sys.Submit(model.Op{Kind: model.OpObject, Obj: o})
+	}
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: q})
+	publish(11)
+	publish(12)
+	publish(13)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.checkpointHop(sys.hop(0)) {
+		t.Fatal("the checkpoint's population round failed")
+	}
+	sys.adjustMu.Lock()
+	moved, _, ok := sys.migrateShare(0, 1, cell)
+	sys.adjustMu.Unlock()
+	if !ok || moved != 1 {
+		t.Fatalf("migrateShare moved %d queries (ok %v), want the subscription", moved, ok)
+	}
+	victim.kill()
+	startElasticNode(t, victim.addr)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(phase string) {
+		t.Helper()
+		want := bruteTopK(q, objs, at, clk.Now())
+		if len(want) == 0 {
+			t.Fatalf("%s: vacuous: empty brute force", phase)
+		}
+		if got := sys.TopKSet(q.ID); !equalIDs(got, want) {
+			t.Errorf("%s: the subscription ranks %v, brute force %v", phase, got, want)
+		}
+	}
+	check("after the replay")
+	// Every earlier object expires; one new object is all that is left.
+	clk.Advance(2 * time.Minute)
+	publish(14)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sys.AdvanceWindows()
+	check("after expiry")
+}
+
+// TestOversizedCheckpointKeepsSession: a slot whose population encodes
+// past wire.MaxFrameSize cannot be checkpointed, since its population
+// round's reply is one frame. The node answers that round with a
+// wire.RoundError, so the checkpoint fails while the session stays up:
+// the log keeps its tail, the slot goes on matching, and a crash after it
+// still replays every subscription.
+func TestOversizedCheckpointKeepsSession(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 58, 0)
+	victim := startElasticNode(t, "")
+	var matched sync.Map
+	cfg := Config{
+		Workers: 1, Mergers: 1,
+		Builder: hybrid.Builder{},
+		OnMatch: func(m model.Match) { matched.Store([2]uint64{m.QueryID, m.ObjectID}, true) },
+		Recovery: RecoveryConfig{
+			Enabled:            true,
+			CheckpointInterval: time.Hour, // this test places the checkpoint
+			HeartbeatInterval:  50 * time.Millisecond,
+			RedialTimeout:      20 * time.Second,
+		},
+	}
+	if err := cfg.ConnectRemoteWorkers([]string{victim.addr}, sample, wire.Backoff{Attempts: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	// Subscriptions of one 16 KiB keyword each: about 1 100 of them fill
+	// a frame, where one-keyword subscriptions would take some 380 000.
+	const n, kw = 1200, 16 << 10
+	keyword := func(i int) string {
+		return strconv.Itoa(i) + strings.Repeat("k", kw)
+	}
+	b := sample.Bounds
+	for i := range n {
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{
+			ID: uint64(i + 1), Expr: model.And(keyword(i)), Region: b}})
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	h := sys.hop(0)
+	h.mu.Lock()
+	gen := h.gen
+	h.mu.Unlock()
+	tail, age := h.log.TailLen(), h.log.CheckpointAge()
+	if sys.checkpointHop(h) {
+		t.Fatal("a population over the frame limit was checkpointed")
+	}
+	if !h.up() {
+		t.Fatal("the failed checkpoint took the slot down")
+	}
+	h.mu.Lock()
+	same := h.gen == gen
+	h.mu.Unlock()
+	if !same {
+		t.Fatal("the failed checkpoint ended the session")
+	}
+	if got := h.log.TailLen(); got != tail || h.log.CheckpointAge() < age {
+		t.Fatalf("the failed checkpoint changed the log: tail %d (was %d)", got, tail)
+	}
+	publish := func(id uint64, q int) {
+		sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{
+			ID: id, Terms: []string{keyword(q)}, Loc: b.Center()}})
+		if err := sys.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := matched.Load([2]uint64{uint64(q + 1), id}); !ok {
+			t.Fatalf("object %d did not match subscription %d", id, q+1)
+		}
+	}
+	publish(1, 7)
+	victim.kill()
+	replacement := startElasticNode(t, victim.addr)
+	publish(2, n-1)
+	if got := replacement.worker.QueryCount(); got != n {
+		t.Fatalf("the replacement node holds %d subscriptions after the replay, want %d", got, n)
 	}
 }

@@ -232,6 +232,8 @@ func (s *System) initObservability() {
 		if h.log != nil {
 			r.GaugeFunc("ps2_oplog_tail", "op-log entries pending the next checkpoint",
 				func() float64 { return float64(h.log.TailLen()) }, wl)
+			r.GaugeFunc("ps2_oplog_checkpoint_age_seconds", "seconds since the op log last stored the slot's population",
+				func() float64 { return h.log.CheckpointAge().Seconds() }, wl)
 		}
 	}
 

@@ -255,8 +255,8 @@ func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 	}
 	tr, gen := h.tr, h.gen
 	// Send under the hop lock: it serialises with recovery's install
-	// and catch-up, and with the checkpoint watermark read, so sentSeq
-	// never claims an op the wire has not seen.
+	// and catch-up, and with a round's position read (ctrl), so neither
+	// sentSeq nor a position claims an op the wire has not seen.
 	err := tr.SendOps(wire.OpBatch{Ops: ops})
 	if err == nil {
 		h.sentSeq = lastSeq
@@ -304,10 +304,11 @@ func (r *remoteWorkerBolt) ctrl(c *ctrlRound) {
 		return
 	}
 	tr, gen, req := h.tr, h.gen, c.req
+	if h.log != nil {
+		c.pos = h.log.Seq() // every entry logged so far is on this session's wire
+	}
 	if c.done != nil {
-		h.roundSeq++
-		req = numbered(req, h.roundSeq)
-		h.oweLocked(owedAnswer{round: c, seq: h.roundSeq, gen: gen})
+		req = h.owe(c, gen, false)
 	}
 	err := tr.SendControl(req) // under mu: no round is sent on a session that is down
 	h.mu.Unlock()
@@ -381,7 +382,16 @@ func (r *remoteMatchSpout) run() {
 				r.split.mark(a.mark)
 				continue
 			}
+			if re, ok := mb.Reply.(wire.RoundError); ok {
+				// The reply was too large to send; the session goes on.
+				a.round.answer(nil, fmt.Errorf("core: worker %d: %s", r.task, re.Err))
+				continue
+			}
 			r.s.board.applyAck(r.task, mb.Reply)
+			if cs, ok := mb.Reply.(wire.CellShare); ok && a.replay {
+				// A replayed extraction: no caller applies its share's deltas.
+				r.s.board.ApplyFrom(r.task, cs.Epoch, cs.Deltas)
+			}
 			a.round.answer(mb.Reply, nil)
 		case len(mb.Deltas) > 0:
 			r.s.board.ApplyFrom(r.task, mb.Epoch, mb.Deltas)

@@ -26,6 +26,9 @@ type ctrlRound struct {
 	// size is an InstallCells request's measured length (installCells),
 	// which the in-process bolt's simulated transfer sleeps for.
 	size int64
+	// pos is the op-log sequence a remote slot's bolt had sent when it
+	// forwarded the request: the position of a checkpoint's population.
+	pos uint64
 }
 
 type roundReply struct {
@@ -265,6 +268,8 @@ func replySeq(reply wire.Frame) uint64 {
 	case wire.InstallAck:
 		return r.Seq
 	case wire.AdvanceAck:
+		return r.Seq
+	case wire.RoundError:
 		return r.Seq
 	}
 	return 0

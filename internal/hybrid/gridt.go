@@ -320,29 +320,6 @@ func (gt *GridT) RouteQuery(q *model.Query, insert bool) []int {
 	return maskToWorkers(mask)
 }
 
-// PeekQuery reports where q routes under the current table without
-// touching H2's registration counts — RouteQuery with insert=false is
-// delete-routing and decrements them, so bookkeeping that only needs to
-// *ask* (e.g. "does the migration source still hold this query through
-// another cell?") must use this read-only probe instead.
-func (gt *GridT) PeekQuery(q *model.Query) []int {
-	keys := gt.stats.RegistrationKeys(q.Expr.Conj)
-	var buf [4]uint32
-	ids := gt.keyIDs(buf[:], keys, false)
-	var mask uint64
-	gt.g.VisitOverlapping(q.Region, func(id int) {
-		mu := gt.lockFor(id)
-		mu.RLock()
-		defer mu.RUnlock()
-		c := &gt.cells[id]
-		for j, k := range keys {
-			_, w := c.route(ids[j], k)
-			mask |= 1 << w
-		}
-	})
-	return maskToWorkers(mask)
-}
-
 // keyIDs returns the dictionary ids of keys, in buf's storage if it is
 // large enough. With add set, a key the dictionary lacks is interned;
 // without, it gets id 0, which no H2 holds. Called with no stripe held.

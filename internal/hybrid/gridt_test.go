@@ -188,54 +188,6 @@ func TestH2KeysSorted(t *testing.T) {
 	}
 }
 
-// PeekQuery must agree with delete-routing on targets while leaving
-// H2's registration counts untouched. RouteQuery(q, false) *is* the
-// delete path and decrements them — bookkeeping that probes a query's
-// current placement (e.g. migration extraction deciding whether the
-// source still holds it through another cell) must not burn a
-// registration per probe, or objects with those terms stop routing.
-func TestPeekQueryDoesNotPerturbRouting(t *testing.T) {
-	gt, queries, objects := routedGrid(t, 24)
-	routesBefore := make(map[uint64]int, len(objects))
-	for _, o := range objects {
-		routesBefore[o.ID] = len(gt.RouteObject(o))
-	}
-	for _, q := range queries {
-		peek := gt.PeekQuery(q)
-		if len(peek) == 0 {
-			t.Fatalf("PeekQuery(%d) found no targets for a registered query", q.ID)
-		}
-	}
-	// Probing every registered query many times over must not change a
-	// single object's routing fan-out.
-	for i := 0; i < 3; i++ {
-		for _, q := range queries {
-			gt.PeekQuery(q)
-		}
-	}
-	for _, o := range objects {
-		if got := len(gt.RouteObject(o)); got != routesBefore[o.ID] {
-			t.Fatalf("object %d fan-out changed %d -> %d after PeekQuery probes",
-				o.ID, routesBefore[o.ID], got)
-		}
-	}
-	// Contrast: the delete path really does release registrations, so a
-	// probe implemented on top of it would have corrupted the table.
-	for _, q := range queries {
-		gt.RouteQuery(q, false)
-	}
-	changed := false
-	for _, o := range objects {
-		if len(gt.RouteObject(o)) != routesBefore[o.ID] {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Error("deleting every query changed no object's routing; the contrast check is vacuous")
-	}
-}
-
 // fullScanRoute is RouteObject without the space-cell early exit: every
 // term probed, every live entry's worker collected.
 func fullScanRoute(gt *GridT, o *model.Object) []int {

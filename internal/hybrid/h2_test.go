@@ -107,7 +107,7 @@ func newRefGrid(gt *GridT) *refGrid {
 	return r
 }
 
-func (r *refGrid) routeQuery(q *model.Query, insert, peek bool) []int {
+func (r *refGrid) routeQuery(q *model.Query, insert bool) []int {
 	keys := r.gt.Stats().RegistrationKeys(q.Expr.Conj)
 	var mask uint64
 	r.gt.Grid().VisitOverlapping(q.Region, func(id int) {
@@ -117,7 +117,6 @@ func (r *refGrid) routeQuery(q *model.Query, insert, peek bool) []int {
 			mask |= 1 << w
 			e, held := c.h2[k]
 			switch {
-			case peek:
 			case insert:
 				c.h2[k] = refEntry{w, e.count + 1}
 			case held && e.count > 1:
@@ -191,8 +190,8 @@ func (r *refGrid) merge(id, from, to int) int {
 // query inserts and deletes — keys shared across many cells, deletes of
 // keys no cell holds, a cell emptied and refilled — interleaved with
 // every cell mutation of §V, and after each step compares RouteObject,
-// PeekQuery, H2Keys and CellWorkers over a block of cells with a
-// reference that keeps H2 as a map per cell.
+// H2Keys and CellWorkers over a block of cells with a reference that
+// keeps H2 as a map per cell.
 func TestH2MatchesReference(t *testing.T) {
 	gt := buildHybrid(t, mixedSample(t, 44, 3000, 600), 8)
 	ref := newRefGrid(gt)
@@ -250,7 +249,7 @@ func TestH2MatchesReference(t *testing.T) {
 	}
 	var live []*model.Query
 	insert := func(q *model.Query) {
-		got, want := gt.RouteQuery(q, true), ref.routeQuery(q, true, false)
+		got, want := gt.RouteQuery(q, true), ref.routeQuery(q, true)
 		if !slices.Equal(got, want) {
 			t.Fatalf("insert %v: RouteQuery = %v, reference %v", q.Expr, got, want)
 		}
@@ -259,7 +258,7 @@ func TestH2MatchesReference(t *testing.T) {
 	remove := func(i int) {
 		q := live[i]
 		live = slices.Delete(live, i, i+1)
-		if got, want := gt.RouteQuery(q, false), ref.routeQuery(q, false, false); !slices.Equal(got, want) {
+		if got, want := gt.RouteQuery(q, false), ref.routeQuery(q, false); !slices.Equal(got, want) {
 			t.Fatalf("delete %v: RouteQuery = %v, reference %v", q.Expr, got, want)
 		}
 	}
@@ -289,10 +288,6 @@ func TestH2MatchesReference(t *testing.T) {
 				if got, want := gt.RouteObject(o), ref.routeObject(o); !slices.Equal(got, want) {
 					t.Fatalf("step %d (%s) cell %d: RouteObject(%v) = %v, reference %v", step, what, id, o.Terms, got, want)
 				}
-			}
-			q := newQuery(geo.NewRect(at.X, at.Y, at.X, at.Y))
-			if got, want := gt.PeekQuery(q), ref.routeQuery(q, false, true); !slices.Equal(got, want) {
-				t.Fatalf("step %d (%s) cell %d: PeekQuery(%v) = %v, reference %v", step, what, id, q.Expr, got, want)
 			}
 		}
 	}
@@ -334,7 +329,7 @@ func TestH2MatchesReference(t *testing.T) {
 			what = "delete absent"
 			q := newQuery(region(false))
 			q.Expr = model.Or("absent", vocab[rng.Intn(len(vocab))])
-			if got, want := gt.RouteQuery(q, false), ref.routeQuery(q, false, false); !slices.Equal(got, want) {
+			if got, want := gt.RouteQuery(q, false), ref.routeQuery(q, false); !slices.Equal(got, want) {
 				t.Fatalf("step %d: deleting a query never inserted: RouteQuery = %v, reference %v", step, got, want)
 			}
 		case p < 81:

@@ -14,6 +14,7 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -280,7 +281,7 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 		if err != nil {
 			return false, err
 		}
-		var reply wire.Frame
+		var req, reply wire.Frame
 		switch typ {
 		case wire.TypeOpBatch:
 			var seq, epoch uint64
@@ -318,7 +319,6 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 			return true, nil
 		case wire.TypePing:
 		default:
-			var req wire.Frame
 			if req, err = wire.DecodeControl(typ, payload); err == nil {
 				if req == nil {
 					w.opts.Log.printf("worker: skipping unknown frame type %d", typ)
@@ -328,12 +328,26 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 			}
 		}
 		if err == nil && reply != nil {
-			err = fw.SendFrame(reply)
+			err = sendReply(fw, req, reply)
 		}
 		if err != nil {
 			return false, err
 		}
 	}
+}
+
+// sendReply sends the reply to req (nil for a Drain). A population
+// round whose reply exceeds wire.MaxFrameSize (past about 380 000
+// subscriptions) left the engine as it was, so only the round fails: the
+// node answers with a wire.RoundError and the session goes on. Any other
+// reply too large to send ends the session, so that recovery's replay,
+// not a half-applied migration, decides the slot's state.
+func sendReply(fw *wire.FrameWriter, req, reply wire.Frame) error {
+	err := fw.SendFrame(reply)
+	if ex, ok := req.(wire.ExtractCells); ok && !ex.Remove && errors.Is(err, wire.ErrFrameTooLarge) {
+		return fw.SendFrame(wire.RoundError{Seq: ex.Seq, Err: err.Error()})
+	}
+	return err
 }
 
 // recvHello performs the receiving half of the handshake: the Hello

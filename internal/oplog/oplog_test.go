@@ -1,12 +1,14 @@
 package oplog
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
+	"ps2stream/internal/window"
+	"ps2stream/internal/wire"
 )
 
 // at is the fixed submit stamp the plain-signature tests use; stamp
@@ -21,6 +23,67 @@ func insert(id uint64) model.Op { return model.Op{Kind: model.OpInsert, Query: q
 func del(id uint64) model.Op    { return model.Op{Kind: model.OpDelete, Query: q(id)} }
 func object(id uint64) model.Op { return model.Op{Kind: model.OpObject, Obj: &model.Object{ID: id}} }
 
+// population is a base holding the given queries, as a whole-query
+// InstallCells request.
+func population(ids ...uint64) wire.InstallCells {
+	p := wire.CellPayload{Cell: wire.WholeQueries}
+	for _, id := range ids {
+		p.Queries = append(p.Queries, q(id))
+	}
+	return wire.InstallCells{Cells: []wire.CellPayload{p}}
+}
+
+// slot is a model of a worker slot's live query set, driven by the
+// entries a log holds: operations, and the whole-query installs and
+// deletes a cut serves.
+type slot map[uint64]bool
+
+func (s slot) apply(e Entry) {
+	switch f := e.Frame.(type) {
+	case nil:
+		switch e.Op.Kind {
+		case model.OpInsert:
+			s[e.Op.Query.ID] = true
+		case model.OpDelete:
+			delete(s, e.Op.Query.ID)
+		}
+	case wire.InstallCells:
+		for _, p := range f.Cells {
+			for _, q := range p.Queries {
+				s[q.ID] = true
+			}
+		}
+		for _, id := range f.Deletes {
+			delete(s, id)
+		}
+	}
+}
+
+// ids lists the slot's queries, ascending.
+func (s slot) ids() []uint64 {
+	out := make([]uint64, 0, len(s))
+	for id := range s {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// replayed rebuilds a slot from l's recovery plan.
+func replayed(t *testing.T, l *Log) slot {
+	t.Helper()
+	base, tail, pos := l.Replay()
+	s := slot{}
+	s.apply(Entry{Frame: base})
+	for _, e := range tail {
+		if e.Seq <= pos {
+			t.Fatalf("tail entry %d at or below the base's position %d", e.Seq, pos)
+		}
+		s.apply(e)
+	}
+	return s
+}
+
 func TestAppendAssignsMonotonicSeqs(t *testing.T) {
 	l := New()
 	for i := 1; i <= 5; i++ {
@@ -28,35 +91,41 @@ func TestAppendAssignsMonotonicSeqs(t *testing.T) {
 			t.Fatalf("Append #%d returned seq %d", i, got)
 		}
 	}
-	if l.Seq() != 5 || l.TailLen() != 5 {
-		t.Errorf("Seq=%d TailLen=%d, want 5/5", l.Seq(), l.TailLen())
+	if got := l.AppendFrame(population(1)); got != 6 {
+		t.Fatalf("AppendFrame returned seq %d, want 6", got)
+	}
+	if l.Seq() != 6 || l.TailLen() != 6 {
+		t.Errorf("Seq=%d TailLen=%d, want 6/6", l.Seq(), l.TailLen())
 	}
 }
 
+// TestCheckpointFoldsPrefixIntoBase: a checkpoint stores the population
+// it is given as the base and drops exactly the entries at or below its
+// position.
 func TestCheckpointFoldsPrefixIntoBase(t *testing.T) {
 	l := New()
 	l.Append(insert(1), at)
 	l.Append(insert(2), at)
 	l.Append(object(100), at)
 	l.Append(del(1), at)
-	last := l.Append(insert(3), at) // seq 5, above the watermark below
+	last := l.Append(insert(3), at) // seq 5, above the position below
 
-	l.Checkpoint(4, at)
-	if wm := l.Watermark(); wm != 4 {
-		t.Fatalf("Watermark = %d, want 4", wm)
+	l.Checkpoint(4, population(2))
+	if pos := l.Watermark(); pos != 4 {
+		t.Fatalf("Watermark = %d, want 4", pos)
 	}
-	if l.LiveLen() != 1 { // query 2 (1 deleted, 100 was an object)
-		t.Errorf("LiveLen = %d, want 1", l.LiveLen())
+	if l.TailLen() != 1 {
+		t.Errorf("TailLen = %d, want 1", l.TailLen())
 	}
-	base, tail, wm := l.Replay()
-	if wm != 4 {
-		t.Errorf("Replay watermark = %d, want 4", wm)
+	base, tail, pos := l.Replay()
+	if pos != 4 {
+		t.Errorf("Replay position = %d, want 4", pos)
 	}
-	if len(base) != 1 || base[0].ID != 2 {
-		t.Errorf("base = %v, want exactly query 2", base)
+	if len(base.Cells) != 1 || len(base.Cells[0].Queries) != 1 || base.Cells[0].Queries[0].ID != 2 {
+		t.Errorf("base = %+v, want exactly query 2", base)
 	}
 	if len(tail) != 1 || tail[0].Seq != last || tail[0].Op.Query.ID != 3 {
-		t.Errorf("tail = %v, want the single post-watermark insert of query 3", tail)
+		t.Errorf("tail = %v, want the single insert of query 3 above the position", tail)
 	}
 }
 
@@ -64,34 +133,27 @@ func TestCheckpointIsMonotone(t *testing.T) {
 	l := New()
 	l.Append(insert(1), at)
 	l.Append(insert(2), at)
-	l.Checkpoint(2, at)
-	// A stale (smaller) watermark must be a no-op, not a regression.
-	l.Checkpoint(1, at)
-	if wm := l.Watermark(); wm != 2 {
-		t.Errorf("Watermark = %d after stale checkpoint, want 2", wm)
+	l.Checkpoint(2, population(1, 2))
+	// A stale (smaller) position must be a no-op, not a regression.
+	l.Checkpoint(1, population(1))
+	if pos := l.Watermark(); pos != 2 {
+		t.Errorf("Watermark = %d after a stale checkpoint, want 2", pos)
 	}
-	if l.LiveLen() != 2 {
-		t.Errorf("LiveLen = %d, want 2", l.LiveLen())
+	if got := replayed(t, l).ids(); !slices.Equal(got, []uint64{1, 2}) {
+		t.Errorf("replay rebuilds %v, want [1 2]", got)
 	}
 }
 
-func TestReplayBaseIsSortedAndCopied(t *testing.T) {
+// TestReplayIsACopy: the plan Replay returns does not change with later
+// appends or checkpoints.
+func TestReplayIsACopy(t *testing.T) {
 	l := New()
-	for _, id := range []uint64{9, 3, 7, 1} {
-		l.Append(insert(id), at)
-	}
-	l.Checkpoint(4, at)
-	base, tail, _ := l.Replay()
-	for i := 1; i < len(base); i++ {
-		if base[i-1].ID >= base[i].ID {
-			t.Fatalf("base not sorted by id: %v", base)
-		}
-	}
-	// The returned tail is a copy: appending to the log afterwards must
-	// not show up in an already-taken snapshot.
+	l.Append(insert(1), at)
+	_, tail, _ := l.Replay()
 	l.Append(insert(42), at)
-	if len(tail) != 0 {
-		t.Errorf("snapshot tail mutated by later append: %v", tail)
+	l.Checkpoint(2, population(1, 42))
+	if len(tail) != 1 || tail[0].Op.Query.ID != 1 {
+		t.Errorf("snapshot tail changed under a later append and checkpoint: %v", tail)
 	}
 }
 
@@ -111,218 +173,161 @@ func TestSinceReturnsStrictSuffix(t *testing.T) {
 		t.Errorf("Since(0) returned %d entries, want all 6", len(got))
 	}
 	// After truncation, Since only sees the surviving tail.
-	l.Checkpoint(seqs[4], at)
+	l.Checkpoint(seqs[4], population())
 	if got := l.Since(0); len(got) != 1 || got[0].Seq != seqs[5] {
 		t.Errorf("Since(0) after checkpoint = %v, want the single tail entry", got)
 	}
 }
 
-func TestAdoptAndDropAreLoggedAsEntries(t *testing.T) {
+// TestCutFramesAreLoggedAsEntries: the requests a cut serves are tail
+// entries in stream order among the operations, kept as sent, and a
+// checkpoint drops them like any entry it covers.
+func TestCutFramesAreLoggedAsEntries(t *testing.T) {
 	l := New()
-	l.AdoptQuery(q(5), at)
-	l.DropQuery(q(5), at)
-	// Both are tail entries (not base mutations): a crash before the
-	// next checkpoint must replay them in order.
-	if l.TailLen() != 2 || l.LiveLen() != 0 {
-		t.Fatalf("TailLen=%d LiveLen=%d, want 2/0", l.TailLen(), l.LiveLen())
+	l.Append(insert(5), at)
+	extract := wire.ExtractCells{Cells: []wire.CellSpec{{Cell: 3}}, Remove: true, Subs: true}
+	l.AppendFrame(extract)
+	l.Append(object(9), at)
+	l.AppendFrame(wire.InstallCells{Deletes: []uint64{5}})
+	_, tail, _ := l.Replay()
+	if len(tail) != 4 {
+		t.Fatalf("tail = %v, want 4 entries", tail)
 	}
-	l.Checkpoint(2, at)
-	if l.LiveLen() != 0 {
-		t.Errorf("adopt+drop folded to LiveLen=%d, want 0", l.LiveLen())
+	if f, ok := tail[1].Frame.(wire.ExtractCells); !ok || !f.Remove || f.Cells[0].Cell != 3 || tail[1].Op.Kind != 0 || tail[1].Op.Query != nil {
+		t.Errorf("second entry = %+v, want the removing extraction of cell 3 alone", tail[1])
+	}
+	if tail[2].Frame != nil || tail[2].Op.Obj.ID != 9 {
+		t.Errorf("third entry = %+v, want object 9", tail[2])
+	}
+	if got := replayed(t, l).ids(); len(got) != 0 {
+		t.Errorf("replay rebuilds %v, want query 5 deleted by the logged install", got)
+	}
+	l.Checkpoint(l.Seq(), population())
+	if l.TailLen() != 0 {
+		t.Errorf("TailLen = %d after a checkpoint at the last entry, want 0", l.TailLen())
 	}
 }
 
-// TestReplayEquivalence drives a pseudo-random op sequence with
-// interleaved checkpoints and checks the invariant recovery depends on:
-// base + tail replayed in order always reconstructs exactly the live
-// query set of the full original sequence.
+// TestCheckpointKeepsBaseBands: the base is kept as given — window
+// bands included, entries under their publish stamps — and no object
+// entry outlives the checkpoint that covers it: the bands hold the
+// window state a replay needs.
+func TestCheckpointKeepsBaseBands(t *testing.T) {
+	l := New()
+	topk := &model.Query{ID: 1, Region: geo.NewRect(0, 0, 1, 1), TopK: 3, Window: 30 * time.Minute}
+	l.Append(model.Op{Kind: model.OpInsert, Query: topk}, at)
+	l.Append(object(100), at)
+	pub := at.Add(-5 * time.Minute)
+	base := wire.InstallCells{Cells: []wire.CellPayload{{
+		Cell:    wire.WholeQueries,
+		Queries: []*model.Query{topk},
+		Subs:    []wire.SubEntries{{ID: 1, Entries: []window.Entry{{MsgID: 100, At: pub}}}},
+	}}}
+	l.Checkpoint(l.Seq(), base)
+	got, tail, _ := l.Replay()
+	if len(tail) != 0 {
+		t.Fatalf("tail = %v after a checkpoint at the last entry, want empty", tail)
+	}
+	if len(got.Cells) != 1 || len(got.Cells[0].Subs) != 1 {
+		t.Fatalf("base = %+v, want the one payload with its band", got)
+	}
+	if e := got.Cells[0].Subs[0].Entries[0]; e.MsgID != 100 || !e.At.Equal(pub) {
+		t.Errorf("band entry = %+v, want object 100 at %v", e, pub)
+	}
+}
+
+// TestCheckpointAgeResets: the age of the base grows until a checkpoint
+// stores a new one.
+func TestCheckpointAgeResets(t *testing.T) {
+	l := New()
+	time.Sleep(20 * time.Millisecond)
+	before := l.CheckpointAge()
+	if before < 20*time.Millisecond {
+		t.Fatalf("CheckpointAge = %v after 20ms, want at least that", before)
+	}
+	l.Append(insert(1), at)
+	l.Checkpoint(1, population(1))
+	if after := l.CheckpointAge(); after >= before {
+		t.Errorf("CheckpointAge = %v after a checkpoint, want below %v", after, before)
+	}
+	// A stale checkpoint stores nothing, so it does not reset the age.
+	time.Sleep(5 * time.Millisecond)
+	l.Checkpoint(1, population())
+	if l.CheckpointAge() < 5*time.Millisecond {
+		t.Errorf("a stale checkpoint reset the age to %v", l.CheckpointAge())
+	}
+}
+
+// run applies a program to a log and a model slot: op kinds and whole-
+// query frames by value, and checkpoints whose base is the model's
+// population at the log's last entry. It returns the model.
+func run(l *Log, program []byte) slot {
+	live := slot{}
+	for _, b := range program {
+		if b == 0xff {
+			l.Checkpoint(l.Seq(), population(live.ids()...))
+			continue
+		}
+		id := uint64(b%16) + 1
+		var e Entry
+		switch b % 5 {
+		case 0:
+			e = Entry{Op: del(id), T0: at}
+		case 1:
+			e = Entry{Op: object(id), T0: at}
+		case 2:
+			e = Entry{Frame: population(id)}
+		case 3:
+			e = Entry{Frame: wire.InstallCells{Deletes: []uint64{id}}}
+		default:
+			e = Entry{Op: insert(id), T0: at}
+		}
+		if e.Frame != nil {
+			l.AppendFrame(e.Frame)
+		} else {
+			l.Append(e.Op, e.T0)
+		}
+		live.apply(e)
+	}
+	return live
+}
+
+// TestReplayEquivalence drives a pseudo-random program with interleaved
+// checkpoints and checks the invariant recovery depends on: the base
+// plus the tail replayed in order rebuilds exactly the live query set of
+// the whole program.
 func TestReplayEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		l := New()
-		livemodel := map[uint64]bool{}
 		x := uint64(seed)
-		next := func(n uint64) uint64 { // xorshift, deterministic per seed
+		program := make([]byte, 400)
+		for i := range program {
 			x ^= x << 13
 			x ^= x >> 7
 			x ^= x << 17
-			return x % n
-		}
-		for i := 0; i < 400; i++ {
-			id := next(40) + 1
-			switch next(4) {
-			case 0:
-				l.Append(del(id), at)
-				delete(livemodel, id)
-			case 1:
-				l.Append(object(id), at)
-			default:
-				l.Append(insert(id), at)
-				livemodel[id] = true
-			}
-			if next(23) == 0 {
-				l.Checkpoint(l.Seq(), at)
+			program[i] = byte(x)
+			if x%23 == 0 {
+				program[i] = 0xff
 			}
 		}
-		base, tail, wm := l.Replay()
-		got := map[uint64]bool{}
-		for _, q := range base {
-			got[q.ID] = true
-		}
-		for _, e := range tail {
-			if e.Seq <= wm {
-				t.Fatalf("seed %d: tail entry %d at or below watermark %d", seed, e.Seq, wm)
-			}
-			switch e.Op.Kind {
-			case model.OpInsert:
-				got[e.Op.Query.ID] = true
-			case model.OpDelete:
-				delete(got, e.Op.Query.ID)
-			}
-		}
-		if fmt.Sprint(livemodel) != fmt.Sprint(got) {
-			if len(livemodel) != len(got) {
-				t.Fatalf("seed %d: replay reconstructs %d live queries, want %d", seed, len(got), len(livemodel))
-			}
-			for id := range livemodel {
-				if !got[id] {
-					t.Fatalf("seed %d: replay lost query %d", seed, id)
-				}
-			}
+		l := New()
+		want := run(l, program)
+		if got := replayed(t, l); !slices.Equal(got.ids(), want.ids()) {
+			t.Fatalf("seed %d: replay rebuilds %v, want %v", seed, got.ids(), want.ids())
 		}
 	}
 }
 
-// FuzzCheckpointReplay feeds arbitrary op-kind/checkpoint schedules and
-// asserts replay reconstruction never diverges from sequential
-// application (the recovery correctness invariant).
+// FuzzCheckpointReplay feeds arbitrary operation, frame and checkpoint
+// schedules and asserts that base plus tail never diverges from
+// sequential application (the recovery correctness invariant).
 func FuzzCheckpointReplay(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0xff, 4, 5})
 	f.Add([]byte{2, 2, 0xff, 0, 0xff})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		l := New()
-		want := map[uint64]bool{}
-		for _, b := range program {
-			if b == 0xff {
-				l.Checkpoint(l.Seq(), at)
-				continue
-			}
-			id := uint64(b%16) + 1
-			switch b % 3 {
-			case 0:
-				l.Append(del(id), at)
-				delete(want, id)
-			case 1:
-				l.Append(object(id), at)
-			default:
-				l.Append(insert(id), at)
-				want[id] = true
-			}
-		}
-		base, tail, wm := l.Replay()
-		got := map[uint64]bool{}
-		for _, q := range base {
-			got[q.ID] = true
-		}
-		for _, e := range tail {
-			if e.Seq <= wm {
-				t.Fatalf("tail entry %d at or below watermark %d", e.Seq, wm)
-			}
-			switch e.Op.Kind {
-			case model.OpInsert:
-				got[e.Op.Query.ID] = true
-			case model.OpDelete:
-				delete(got, e.Op.Query.ID)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("replay reconstructs %d live queries, want %d", len(got), len(want))
-		}
-		for id := range want {
-			if !got[id] {
-				t.Fatalf("replay lost query %d", id)
-			}
+		want := run(l, program)
+		if got := replayed(t, l); !slices.Equal(got.ids(), want.ids()) {
+			t.Fatalf("replay rebuilds %v, want %v", got.ids(), want.ids())
 		}
 	})
-}
-
-// TestCheckpointRetainsInWindowObjects pins the window-refill retention
-// contract: with a live top-k subscription, covered object entries stay
-// in the log as Refill entries until their publish stamp falls out of
-// the largest top-k window, keeping a crash replay able to rebuild the
-// node's window state (and the global TopKSet) exactly. Folding stops at
-// the first retained object, so the query entries behind it replay after
-// it, as they ran.
-func TestCheckpointRetainsInWindowObjects(t *testing.T) {
-	l := New()
-	topk := &model.Query{ID: 1, Region: geo.NewRect(0, 0, 1, 1), TopK: 3, Window: 30 * time.Minute}
-	l.Append(model.Op{Kind: model.OpInsert, Query: topk}, at)
-	l.Append(object(100), at)                 // still in window at the checkpoint
-	l.Append(object(101), at.Add(-time.Hour)) // already expired
-	l.Append(insert(2), at)                   // follows a retained object: not folded
-	l.Checkpoint(l.Seq(), at.Add(10*time.Minute))
-
-	base, tail, wm := l.Replay()
-	if len(base) != 1 || base[0].ID != 1 {
-		t.Fatalf("base = %v, want the top-k query alone", base)
-	}
-	if len(tail) != 2 {
-		t.Fatalf("replay tail has %d entries, want the retained object and the insert behind it: %v", len(tail), tail)
-	}
-	e := tail[0]
-	if !e.Refill || e.Op.Kind != model.OpObject || e.Op.Obj.ID != 100 {
-		t.Fatalf("retained entry = %+v, want refill of object 100", e)
-	}
-	if !e.T0.Equal(at) {
-		t.Errorf("retained entry T0 = %v, want the original publish stamp %v", e.T0, at)
-	}
-	if e := tail[1]; e.Refill || e.Op.Kind != model.OpInsert || e.Op.Query.ID != 2 {
-		t.Fatalf("second entry = %+v, want the insert of query 2 kept in place", e)
-	}
-	for _, e := range tail {
-		if e.Seq > wm {
-			t.Errorf("kept entry seq %d above watermark %d; it must stay covered", e.Seq, wm)
-		}
-	}
-	// Kept entries do not count toward the op-count trigger.
-	if l.TailLen() != 0 {
-		t.Errorf("TailLen = %d with only kept entries, want 0", l.TailLen())
-	}
-	// Catch-up after a replay must not resend covered entries.
-	if got := l.Since(wm); got != nil {
-		t.Errorf("Since(watermark) = %v, want nil", got)
-	}
-
-	// Once the window slides past the entry, the next checkpoint drops it,
-	// folds the insert behind it and retains only the still-live object.
-	l.Append(object(102), at.Add(40*time.Minute))
-	l.Checkpoint(l.Seq(), at.Add(45*time.Minute))
-	_, tail, _ = l.Replay()
-	if len(tail) != 1 || tail[0].Op.Obj.ID != 102 || !tail[0].Refill || l.LiveLen() != 2 {
-		t.Fatalf("after window slide, tail = %v with %d live, want refill of object 102 only and 2 live", tail, l.LiveLen())
-	}
-
-	// Deleting the top-k subscription ends retention once the delete
-	// folds, which waits for the object ahead of it to leave the window.
-	l.Append(model.Op{Kind: model.OpDelete, Query: topk}, at.Add(46*time.Minute))
-	l.Checkpoint(l.Seq(), at.Add(46*time.Minute))
-	if _, tail, _ := l.Replay(); len(tail) != 2 || tail[1].Op.Kind != model.OpDelete {
-		t.Fatalf("after top-k delete, tail = %v, want object 102 then the delete", tail)
-	}
-	l.Append(insert(3), at.Add(71*time.Minute))
-	l.Checkpoint(l.Seq(), at.Add(71*time.Minute))
-	if _, tail, _ := l.Replay(); len(tail) != 0 || l.LiveLen() != 2 {
-		t.Fatalf("after the window passed, tail = %v with %d live, want empty and 2 live", tail, l.LiveLen())
-	}
-}
-
-// TestAdoptObjectIsRefillEntry pins migration hand-off logging: adopted
-// window entries replay as refill objects under their original stamps.
-func TestAdoptObjectIsRefillEntry(t *testing.T) {
-	l := New()
-	pub := at.Add(-5 * time.Minute)
-	l.AdoptObject(&model.Object{ID: 9}, pub)
-	_, tail, _ := l.Replay()
-	if len(tail) != 1 || !tail[0].Refill || tail[0].Op.Obj.ID != 9 || !tail[0].T0.Equal(pub) {
-		t.Fatalf("adopted object logged as %+v, want refill of object 9 at %v", tail, pub)
-	}
 }

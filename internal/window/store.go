@@ -86,8 +86,8 @@ func (st *Store) RemoveSub(id uint64) []Delta {
 // its band, appending the membership changes to dst (a worker reuses one
 // buffer across a batch). fresh marks a publication this worker sees for
 // the first time, which counts against the entries it dominates; an
-// entry adopted from another worker or replayed from the op log may have
-// counted here before, so it does not. An unregistered id, or an entry
+// entry adopted from a band (a migration's, or a recovery's base) may
+// have counted here before, so it does not. An unregistered id, or an entry
 // already outside the subscription's window at now, changes nothing.
 func (st *Store) Insert(dst []Delta, id uint64, e Entry, now time.Time, fresh bool) []Delta {
 	ss, ok := st.subs[id]

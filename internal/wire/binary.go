@@ -135,7 +135,6 @@ func appendEntry(dst []byte, e *window.Entry) []byte {
 const (
 	opHasObj   = 1 << 0
 	opHasQuery = 1 << 1
-	opRefill   = 1 << 2
 )
 
 // AppendOpBatch appends the binary encoding of one op batch to dst.
@@ -155,9 +154,6 @@ func AppendOpBatch(dst []byte, seq uint64, ops []OpEnv) []byte {
 		}
 		if env.Op.Query != nil {
 			pres |= opHasQuery
-		}
-		if env.Refill {
-			pres |= opRefill
 		}
 		dst = append(dst, pres)
 		if o := env.Op.Obj; o != nil {
@@ -390,11 +386,10 @@ func DecodeBinOpBatch(p []byte, dst []OpEnv) (ops []OpEnv, seq uint64, err error
 		}
 		env.Op.Kind = model.OpKind(kind)
 		pres := r.u8()
-		if pres&^(opHasObj|opHasQuery|opRefill) != 0 {
+		if pres&^(opHasObj|opHasQuery) != 0 {
 			r.fail()
 			break
 		}
-		env.Refill = pres&opRefill != 0
 		if pres&opHasObj != 0 {
 			o := &model.Object{}
 			o.ID, o.Terms, o.Loc = r.doc()
@@ -652,6 +647,21 @@ func DecodeBinStatsReply(p []byte) (StatsReply, error) {
 		return StatsReply{}, fmt.Errorf("%w: stats reply", ErrBadPayload)
 	}
 	return s, nil
+}
+
+// AppendRoundError appends the binary encoding of a round error to dst.
+func AppendRoundError(dst []byte, e RoundError) []byte {
+	return appendStr(binary.AppendUvarint(dst, e.Seq), e.Err)
+}
+
+// DecodeBinRoundError decodes a binary round error payload.
+func DecodeBinRoundError(p []byte) (RoundError, error) {
+	r := breader{p: p}
+	e := RoundError{Seq: r.uvarint(), Err: r.str()}
+	if !r.done() {
+		return RoundError{}, fmt.Errorf("%w: round error", ErrBadPayload)
+	}
+	return e, nil
 }
 
 // AppendCellStatsReq appends the binary encoding of a cell-stats request
@@ -915,6 +925,7 @@ var controlDecoders = map[byte]func([]byte) (Frame, error){
 	TypeAdvanceAck:     decodeFrame(DecodeBinAdvanceAck),
 	TypeFence:          decodeFrame(DecodeBinFence),
 	TypeResetWindow:    func([]byte) (Frame, error) { return ResetWindow{}, nil },
+	TypeRoundError:     decodeFrame(DecodeBinRoundError),
 }
 
 func decodeFrame[T Frame](decode func([]byte) (T, error)) func([]byte) (Frame, error) {

@@ -17,7 +17,7 @@ import (
 )
 
 // sampleOpBatch exercises every field of the op-batch layout: all three
-// op kinds, every presence bit (including refill), multi-conjunction
+// op kinds, every presence bit, multi-conjunction
 // expressions, zero and non-zero timestamps.
 func sampleOpBatch() []OpEnv {
 	q := &model.Query{
@@ -35,7 +35,7 @@ func sampleOpBatch() []OpEnv {
 		}, Seq: 2}, T0: time.Unix(1700000001, 0)},
 		{Op: model.Op{Kind: model.OpDelete, Query: q, Seq: 3}},
 		{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{ID: 10}, Seq: 4},
-			T0: time.Unix(1699999999, 0), Refill: true},
+			T0: time.Unix(1699999999, 0)},
 	}
 }
 
@@ -77,9 +77,6 @@ func TestBinaryOpBatchRoundTrip(t *testing.T) {
 	}
 	if got[3].Op.Obj.Terms != nil {
 		t.Errorf("empty terms decoded as %v, want nil", got[3].Op.Obj.Terms)
-	}
-	if !got[3].Refill || got[0].Refill {
-		t.Errorf("refill bits mangled: got %v/%v, want false/true on ops 0/3", got[0].Refill, got[3].Refill)
 	}
 	for i := range got {
 		if got[i].Op.Kind != ops[i].Op.Kind || got[i].Op.Seq != ops[i].Op.Seq {
@@ -263,6 +260,10 @@ func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 	bad[3] = 0xFF
 	if _, _, err := DecodeBinOpBatch(bad, nil); err == nil {
 		t.Error("unknown presence bits accepted")
+	}
+	bad[3] = 1 << 2 // version 5's refill bit
+	if _, _, err := DecodeBinOpBatch(bad, nil); err == nil {
+		t.Error("presence bit 2 accepted")
 	}
 	// A hostile length prefix must be bounded by the payload size, not
 	// trusted for allocation.

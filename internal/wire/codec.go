@@ -19,8 +19,9 @@ const Magic = "PS2WIRE"
 // it optionally (docs/WIRE.md, "Versioning"). Version 1 was the gob
 // encoding; version 2 opened a worker hop as a control connection plus
 // attached data connections; version 3 carried counts in DrainAck;
-// version 4 carried a window ring in each CellPayload.
-const Version = 5
+// version 4 carried a window ring in each CellPayload; version 5 had a
+// refill bit in each op's presence byte.
+const Version = 6
 
 // Roles named in the handshake.
 const (
@@ -81,13 +82,6 @@ type Welcome struct {
 type OpEnv struct {
 	Op model.Op
 	T0 time.Time
-	// Refill marks a crash-replayed (or migration-adopted) object sent
-	// purely to rebuild the worker's sliding-window state: the worker
-	// observes it and re-offers it to top-k subscriptions, but emits no
-	// boolean matches — those were delivered before the coordinator's
-	// checkpoint covered the op, and re-emitting them against queries
-	// inserted later would fabricate matches that never happened.
-	Refill bool
 	// Solo marks an object the dispatcher routed to exactly one worker:
 	// no second engine sees it, so its matches cannot be reported twice.
 	// Coordinator-local: it is not encoded, and a decoded envelope has it
@@ -324,6 +318,13 @@ type AdvanceAck struct {
 	Deltas []window.Delta
 }
 
+// RoundError answers request Seq, a copying ExtractCells (a population
+// round), in place of a reply too large to send. Err says why.
+type RoundError struct {
+	Seq uint64
+	Err string
+}
+
 // ResetWindow starts a fresh per-cell load window (no acknowledgement).
 // Like Goodbye and Ping it has an empty payload.
 type ResetWindow struct{}
@@ -377,6 +378,7 @@ func (Ping) frameType() byte             { return TypePing }
 func (WindowDeltaBatch) frameType() byte { return TypeWindowDeltaBatch }
 func (AdvanceWindow) frameType() byte    { return TypeAdvanceWindow }
 func (AdvanceAck) frameType() byte       { return TypeAdvanceAck }
+func (RoundError) frameType() byte       { return TypeRoundError }
 
 func (f Hello) appendTo(b []byte) []byte          { return AppendHello(b, f) }
 func (f Welcome) appendTo(b []byte) []byte        { return AppendWelcome(b, f) }
@@ -397,6 +399,7 @@ func (ResetWindow) appendTo(b []byte) []byte      { return b }
 func (Ping) appendTo(b []byte) []byte             { return b }
 func (f AdvanceWindow) appendTo(b []byte) []byte  { return AppendAdvanceWindow(b, f) }
 func (f AdvanceAck) appendTo(b []byte) []byte     { return AppendAdvanceAck(b, f) }
+func (f RoundError) appendTo(b []byte) []byte     { return AppendRoundError(b, f) }
 func (f WindowDeltaBatch) appendTo(b []byte) []byte {
 	return AppendWindowDeltaBatch(b, f.Epoch, f.Deltas)
 }

@@ -112,6 +112,10 @@ const (
 	// TypeAdvanceAck answers an AdvanceWindow with the expiry's top-k
 	// membership deltas, tagged with the session's fencing epoch.
 	TypeAdvanceAck byte = 21
+	// TypeRoundError answers a copying ExtractCells whose reply would
+	// exceed MaxFrameSize (worker → coordinator): the round fails and
+	// the session goes on, since the request changed nothing.
+	TypeRoundError byte = 22
 )
 
 // MaxFrameSize bounds a frame's length field: a reader rejects larger
@@ -121,7 +125,8 @@ const (
 const MaxFrameSize = 16 << 20
 
 // ErrFrameTooLarge is returned by ReadFrame for frames whose declared
-// length exceeds MaxFrameSize.
+// length exceeds MaxFrameSize, and by WriteFrame and FrameWriter.Send for
+// frames that would.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameSize")
 
 // ErrBadFrame wraps framing-level corruption (zero-length frame,

@@ -176,10 +176,12 @@ func frameCases() []frameCase {
 		frameOf("advance-window/zero", AdvanceWindow{}, DecodeBinAdvanceWindow),
 		frameOf("advance-ack", AdvanceAck{Seq: 6, Epoch: 31, Deltas: deltas}, DecodeBinAdvanceAck),
 		frameOf("advance-ack/zero", AdvanceAck{}, DecodeBinAdvanceAck),
+		frameOf("round-error", RoundError{Seq: 7, Err: "reply of 17000000 bytes"}, DecodeBinRoundError),
+		frameOf("round-error/zero", RoundError{}, DecodeBinRoundError),
 	}
 }
 
-// TestFrameRoundTripAllKinds: for every one of the 21 frame kinds,
+// TestFrameRoundTripAllKinds: for every one of the 22 frame kinds,
 // encode∘decode is the identity on every field (an empty list reads back
 // nil) and re-encoding the decoded value reproduces the bytes.
 func TestFrameRoundTripAllKinds(t *testing.T) {
@@ -203,7 +205,7 @@ func TestFrameRoundTripAllKinds(t *testing.T) {
 			}
 		})
 	}
-	for typ := TypeHello; typ <= TypeAdvanceAck; typ++ {
+	for typ := TypeHello; typ <= TypeRoundError; typ++ {
 		if !seen[typ] {
 			t.Errorf("frame type %d (%s) has no case", typ, TypeName(typ))
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -60,8 +61,14 @@ func NewFrameWriter(c *Conn, depth int) *FrameWriter {
 // Send queues one pre-encoded frame. The writer owns buf afterwards
 // (returned to the pool once written). Blocks when the queue is full —
 // that is the transport backpressure — and fails fast once the writer
-// has failed or stopped.
+// has failed or stopped. A frame over MaxFrameSize is refused before it
+// is queued, with ErrFrameTooLarge, and the writer stays up: the caller
+// decides whether that ends the session.
 func (w *FrameWriter) Send(typ byte, buf *Buf) error {
+	if n := 1 + len(buf.B); n > MaxFrameSize {
+		PutBuf(buf)
+		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
+	}
 	if err := w.enqueue(wframe{typ: typ, buf: buf}); err != nil {
 		PutBuf(buf)
 		return err

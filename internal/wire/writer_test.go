@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -52,4 +53,31 @@ func TestFrameWriterSendAfterStopFails(t *testing.T) {
 		}
 		check(t, w)
 	})
+}
+
+// TestFrameWriterRefusesOversizedFrame: a frame over MaxFrameSize fails
+// its Send with ErrFrameTooLarge before it is queued, and the writer goes
+// on: the next frame reaches the peer.
+func TestFrameWriterRefusesOversizedFrame(t *testing.T) {
+	cli, srv := tcpPair(t)
+	w := NewFrameWriter(NewConn(cli), 0)
+	defer w.Stop()
+	buf := GetBuf()
+	buf.B = make([]byte, MaxFrameSize)
+	if err := w.Send(TypeMatchBatch, buf); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized send: %v, want ErrFrameTooLarge", err)
+	}
+	if err := w.SendFrame(RoundError{Seq: 4, Err: "too large"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := NewConn(srv).Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := DecodeControl(typ, payload); err != nil || f != (RoundError{Seq: 4, Err: "too large"}) {
+		t.Fatalf("the peer read %v (%v), want the round error", f, err)
+	}
 }

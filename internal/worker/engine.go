@@ -148,17 +148,8 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 
 // match receives one query matching the object under the Process cursor.
 func (e *Engine) match(q *model.Query) {
-	// A window-rebuild replay may carry an object this engine saw before
-	// the crash more than once (published here, then adopted back in a
-	// hand-off): it ranks, but does not prune.
 	if q.IsTopK() {
-		e.dout = e.win.Insert(e.dout, q.ID, e.entry, e.now, !e.env.Refill)
-		return
-	}
-	if e.env.Refill {
-		// Its boolean matches were delivered before the coordinator's
-		// checkpoint covered the op, and queries inserted since must not
-		// match an object published before them.
+		e.dout = e.win.Insert(e.dout, q.ID, e.entry, e.now, true)
 		return
 	}
 	e.out = append(e.out, wire.MatchEnv{

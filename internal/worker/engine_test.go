@@ -485,10 +485,12 @@ func TestEngineMigrationMatchesBruteForceAndSingleEngine(t *testing.T) {
 }
 
 // TestEngineReplayFromOpLogMatchesLive: an engine rebuilt from an op
-// log's checkpoint base and tail holds every top-k set the live engine
-// holds — including a subscription inserted after matching objects that
-// are still in the window, which ranks only the objects after it on
-// replay as it did live.
+// log's base — the live engine's population with bands at the
+// checkpoint's position — and the tail behind it, operations and logged
+// cut frames alike, holds every top-k set the live engine holds. That
+// includes a subscription inserted after matching objects that are still
+// in the window, which ranks only the objects after it on replay as it
+// did live.
 func TestEngineReplayFromOpLogMatchesLive(t *testing.T) {
 	for _, seed := range []int64{31, 32, 33} {
 		g := grid.New(testBounds, testGran, testGran)
@@ -500,6 +502,14 @@ func TestEngineReplayFromOpLogMatchesLive(t *testing.T) {
 			now = env.T0
 			log.Append(env.Op, env.T0)
 			live.Process([]wire.OpEnv{env}, nil, nil)
+		}
+		serve := func(f wire.Frame) wire.Frame {
+			log.AppendFrame(f)
+			reply, err := live.Serve(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reply
 		}
 		for i := 0; i < 300; i++ {
 			apply(s.next())
@@ -519,21 +529,54 @@ func TestEngineReplayFromOpLogMatchesLive(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			apply(s.next())
 		}
-		log.Checkpoint(log.Seq(), now)
-		for i := 0; i < 200; i++ {
+		pop, err := live.Serve(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Subs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.Checkpoint(log.Seq(), wire.InstallCells{Cells: pop.(wire.CellShare).Cells})
+		for i := 0; i < 100; i++ {
+			apply(s.next())
+		}
+		// A cut moves a top-k cell away and back: its removing extraction
+		// and its install are logged as the frames the slot was served.
+		moved := -1
+		for _, q := range s.live {
+			if c := g.CellOf(q.Region.Center()); q.IsTopK() && c != s.hot {
+				moved = c
+				break
+			}
+		}
+		if moved < 0 {
+			t.Fatalf("seed %d: no top-k query outside the hot cell", seed)
+		}
+		share := serve(wire.ExtractCells{Cells: []wire.CellSpec{{Cell: moved}}, Remove: true, Subs: true}).(wire.CellShare)
+		for i := 0; i < 50; i++ {
+			apply(s.next())
+		}
+		serve(wire.InstallCells{Cells: share.Cells})
+		for i := 0; i < 50; i++ {
 			apply(s.next())
 		}
 
 		replayed := newTestEngine(0, nil)
 		base, tail, _ := log.Replay()
-		var ops []wire.OpEnv
-		for _, q := range base {
-			ops = append(ops, wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: now})
+		if _, err := replayed.Serve(base); err != nil {
+			t.Fatal(err)
 		}
+		frames := 0
 		for _, e := range tail {
-			ops = append(ops, wire.OpEnv{Op: e.Op, T0: e.T0, Refill: e.Refill})
+			if e.Frame != nil {
+				frames++
+				if _, err := replayed.Serve(e.Frame); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			replayed.Process([]wire.OpEnv{{Op: e.Op, T0: e.T0}}, nil, nil)
 		}
-		replayed.Process(ops, nil, nil)
+		if frames != 2 {
+			t.Fatalf("seed %d: the tail holds %d frames, want the cut's extraction and install", seed, frames)
+		}
 		advance(now, live, replayed)
 
 		lateSet := live.TopKSet(late.Op.Query.ID)

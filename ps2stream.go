@@ -313,10 +313,11 @@ type Options struct {
 
 // RecoveryOptions configures crash detection and recovery for remote
 // workers. With Enabled, the coordinator asks each psnode worker for
-// heartbeats, mirrors every routed operation in a bounded per-worker op
-// log (truncated by periodic drain checkpoints), and on a connection
-// failure redials the worker's address with backoff and replays the
-// checkpoint state plus the log tail — the stream keeps flowing through
+// heartbeats, mirrors every routed operation and migration in a bounded
+// per-worker op log (truncated by periodic checkpoints that read the
+// worker's population), and on a connection failure redials the
+// worker's address with backoff and replays the checkpointed population
+// plus the log tail — the stream keeps flowing through
 // the surviving workers meanwhile, and the mergers' dedup window
 // absorbs replay duplicates. The checkpoint state lives in this
 // process's memory; System.Checkpoint is what writes a population to
@@ -325,7 +326,10 @@ type RecoveryOptions struct {
 	// Enabled turns recovery on. Off (default), a dead remote worker
 	// fails the run exactly as before.
 	Enabled bool
-	// CheckpointInterval is the op-log truncation cadence (default 1s).
+	// CheckpointInterval is how often each remote worker's population is
+	// read as its op log's new base, truncating the log (default 1s). A
+	// worker waits nine times its last checkpoint's duration before the
+	// next, so a large population is checkpointed less often.
 	CheckpointInterval time.Duration
 	// HeartbeatInterval is the requested node heartbeat cadence; the
 	// coordinator's read deadline is 4× this (default 500ms).
