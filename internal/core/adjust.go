@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"time"
 
@@ -46,7 +45,7 @@ func (s *System) adjustTick() {
 	s.evaluate(false)
 }
 
-// evaluate samples the active slots' loads and, on a trigger, runs one
+// evaluate samples the member slots' loads and, on a trigger, runs one
 // adjustment from the most to the least loaded slot; it returns the
 // migrations run. The background controller (manual false) waits for
 // MinWindowOps operations and asks the detector; a manual evaluation
@@ -85,13 +84,7 @@ func (s *System) evaluate(manual bool) int {
 			smoothed[i] = s.loadEWMA[i].Value()
 		}
 	}
-	// The detector sees only slots that currently serve traffic: idle
-	// spare slots (and drained, decommissioned ones) always read zero
-	// load, and counting them would keep the balance factor pinned above
-	// θ forever on an otherwise perfectly balanced cluster.
-	active := s.activeWorkerSlots()
-	masked := maskActive(smoothed, active)
-	imbalance := load.BalanceFactor(masked)
+	imbalance, lo, hi := s.balance(smoothed)
 	trigger := imbalance > s.cfg.Adjust.Sigma
 	if !manual {
 		s.adjChecks.Inc()
@@ -114,8 +107,6 @@ func (s *System) evaluate(manual bool) int {
 	}
 	before := s.migrationCount()
 	if trigger {
-		lo, hi := load.ArgMinMax(masked)
-		lo, hi = active[lo], active[hi]
 		s.log.Info("adjust trigger",
 			"imbalance", imbalance,
 			"theta", s.cfg.Adjust.Sigma,
@@ -134,13 +125,13 @@ func (s *System) evaluate(manual bool) int {
 	return s.migrationCount() - before
 }
 
-// pollLoads refreshes work with every active slot's cumulative
+// pollLoads refreshes work with every member slot's cumulative
 // processed-op counters (freshStats), so the detector's
 // per-interval differences measure what each worker processed — not the
 // coordinator's hand-off rate, which would track routing alone and hide
 // a node that cannot keep up. Caller holds adjustMu.
 func (s *System) pollLoads() error {
-	for _, w := range s.activeWorkerSlots() {
+	for _, w := range s.members() {
 		sr, err := s.freshStats(w)
 		if err != nil {
 			s.log.Debug("adjust load poll failed", "worker", w, "err", err)
@@ -178,9 +169,7 @@ func (s *System) peekWorkerLoads() ([]float64, int64) {
 // round.
 func (s *System) resetLoadWindows() {
 	s.resetWindow()
-	for _, w := range s.activeWorkerSlots() {
-		s.send(newRound(w, wire.ResetWindow{}, false))
-	}
+	s.fanOut(wire.ResetWindow{}, nil)
 }
 
 // AdjustNow forces one synchronous adjustment evaluation, bypassing the
@@ -381,15 +370,13 @@ func migrationCandidates(stats []wire.CellStat, skip map[int]bool) []migrate.Cel
 	return cells
 }
 
-// announceFence forwards the current routing epoch to every active slot
+// announceFence forwards the current routing epoch to every member slot
 // after a flip. The request is informational: it tags the engine's
 // diagnostics with the epoch its later traffic was routed under.
 func (s *System) announceFence() {
 	epoch := s.routeEpoch.Load()
 	s.log.Debug("adjust route epoch advanced", "epoch", epoch)
-	for _, w := range s.activeWorkerSlots() {
-		s.send(newRound(w, wire.Fence{Epoch: epoch}, false))
-	}
+	s.fanOut(wire.Fence{Epoch: epoch}, nil)
 }
 
 // handOff moves worker wo's share of a cell — the whole cell when keys is
@@ -408,20 +395,25 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 			s.routeEpoch.Add(1)
 		}
 	})
-	defer release(holds)
 	if !ok {
+		release(holds)
 		return 0, 0, false
 	}
-	s.announceFence()
+	// The fence rounds go out once the holds are released: a round sent
+	// while the run closes waits for the run to end, which waits for the
+	// held slots.
+	defer s.announceFence()
+	defer release(holds)
 	src, dst := holds[0], holds[1]
 	extract := wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell, Keys: keys}}, Remove: true, Subs: true}
-	share, err := replyAs[wire.CellShare](s, s.through(src, newRound(wo, extract, true)))
-	for errors.Is(err, errSlotNotUp) && s.awaitUp(wo) {
-		// The source's session ended before it answered. Recovery
-		// rebuilds the slot from its op log, where the share has not
-		// departed, so extracting again is safe.
+	// When the source's session ends before it answers, recovery rebuilds
+	// the slot from its op log, where the share has not departed, so
+	// extracting again is safe.
+	var share wire.CellShare
+	err := s.untilUp(wo, func() (err error) {
 		share, err = replyAs[wire.CellShare](s, s.through(src, newRound(wo, extract, true)))
-	}
+		return err
+	})
 	if err != nil {
 		// A failed or timed-out extraction leaves the share with a source
 		// whose connection is failing the run.
@@ -441,12 +433,12 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 		// the migrated queries instead of processing tuples, which is
 		// exactly what delays tuples in Figures 12(c)/15.
 		install := wire.InstallCells{Cells: []wire.CellPayload{{Cell: cell, Queries: qs, Subs: subs}}}
-		nbytes, err = s.installCells(dst, install)
-		for errors.Is(err, errSlotNotUp) && s.awaitUp(wl) {
-			// Recovery rebuilt the destination from its op log, where the
-			// adoption is not logged yet.
+		// Recovery rebuilds the destination from its op log, where the
+		// adoption is not logged yet, so installing again is safe.
+		err = s.untilUp(wl, func() (err error) {
 			nbytes, err = s.installCells(dst, install)
-		}
+			return err
+		})
 		if err != nil {
 			// The share is lost with a destination that is failing the
 			// run; it is logged there regardless, for a replay to rebuild.
@@ -460,13 +452,6 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 	s.board.ApplyFrom(wo, share.Epoch, share.Deltas)
 	s.log.Debug("adjust hand-off finished", "cell", cell, "from", wo, "to", wl)
 	return len(qs), nbytes, err == nil
-}
-
-// slotUp reports whether slot w serves traffic: always for an in-process
-// slot.
-func (s *System) slotUp(w int) bool {
-	h := s.hop(w)
-	return h == nil || h.up()
 }
 
 // migrateShare moves worker wo's entire share of a cell to wl.

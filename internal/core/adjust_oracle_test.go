@@ -130,7 +130,7 @@ func forceMove(t *testing.T, sys *System) {
 	t.Helper()
 	sys.adjustMu.Lock()
 	defer sys.adjustMu.Unlock()
-	for _, wo := range sys.activeWorkerSlots() {
+	for _, wo := range sys.members() {
 		stats, err := roundAs[wire.CellStatsReply](sys, wo, wire.CellStatsReq{})
 		if err != nil {
 			t.Fatalf("cell stats of worker %d: %v", wo, err)

@@ -428,6 +428,9 @@ type System struct {
 	// board reconciles worker-local top-k memberships into each
 	// subscription's global top-k (see topk.go).
 	board *topkBoard
+
+	// lost records the first hop to fail for good; Drain waits on it.
+	lost lostSlots
 }
 
 // now reads the configured clock.
@@ -455,6 +458,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		tput:    metrics.NewThroughput(),
 		runErr:  make(chan error, 1),
 		stopped: make(chan struct{}),
+		lost:    lostSlots{done: make(chan struct{})},
 	}
 	s.ingest = newIngestQueue(max(cfg.QueueCap, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
 	s.opBatches.size, s.matchBatches.size = cfg.BatchSize, cfg.BatchSize
@@ -721,9 +725,7 @@ func (s *System) adjustStats(migs []MigrationStat) AdjustStats {
 		for i, e := range s.loadEWMA {
 			st.EWMALoads[i] = e.Value()
 		}
-		// Inactive slots (unclaimed spares, decommissioned workers) sit
-		// at zero load; dividing by them would read as infinite skew.
-		st.Imbalance = load.BalanceFactor(maskActive(st.EWMALoads, s.activeWorkerSlots()))
+		st.Imbalance, _, _ = s.balance(st.EWMALoads)
 	}
 	return st
 }
@@ -775,12 +777,15 @@ func (s *System) WindowStats() (bytes int64, bands []int) {
 	return bytes, bands
 }
 
-// slotPopulation is the round that reads slot w's standing population:
-// one copying ExtractCells over the whole-query spec, answered with every
-// live query once and, with subs, each top-k subscription's window band.
-func slotPopulation(w int, subs bool) *ctrlRound {
-	return newRound(w, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Subs: subs}, true)
+// populationReq reads a slot's standing population: one copying
+// ExtractCells over the whole-query spec, answered with every live query
+// once and, with subs, each top-k subscription's window band.
+func populationReq(subs bool) wire.ExtractCells {
+	return wire.ExtractCells{Cells: []wire.CellSpec{{Cell: wire.WholeQueries}}, Subs: subs}
 }
+
+// slotPopulation is the population round of slot w.
+func slotPopulation(w int, subs bool) *ctrlRound { return newRound(w, populationReq(subs), true) }
 
 // population returns the answer of a sent population round.
 func (s *System) population(c *ctrlRound) (wire.CellPayload, error) {
@@ -795,24 +800,25 @@ func (s *System) population(c *ctrlRound) (wire.CellPayload, error) {
 }
 
 // LiveQueries returns a point-in-time copy of the live query population
-// of every active worker slot, in-process or remote, deduplicated across
+// of every member worker slot, in-process or remote, deduplicated across
 // them and sorted by id. Each slot's round covers every operation whose
-// Submit returned before the call, but slots are read one at a time, so
-// with a live stream the set is a near-cut, not an exact one. A slot
-// whose round fails is left out, and the error names it.
+// Submit returned before the call, but the rounds enter the stream one
+// after another, so with a live stream the set is a near-cut, not an
+// exact one. A slot whose round fails is left out, and the error names
+// it.
 func (s *System) LiveQueries() ([]*model.Query, error) {
 	byID := make(map[uint64]*model.Query)
 	var errs []error
-	for _, w := range s.activeWorkerSlots() {
-		p, err := s.population(s.send(slotPopulation(w, false)))
+	s.fanOut(populationReq(false), func(c *ctrlRound) {
+		p, err := s.population(c)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("core: population of worker %d: %w", w, err))
-			continue
+			errs = append(errs, fmt.Errorf("core: population of worker %d: %w", c.slot, err))
+			return
 		}
 		for _, q := range p.Queries {
 			byID[q.ID] = q
 		}
-	}
+	})
 	out := make([]*model.Query, 0, len(byID))
 	for _, q := range byID {
 		out = append(out, q)
@@ -827,7 +833,7 @@ func (s *System) LiveQueries() ([]*model.Query, error) {
 // subscriptions into the wrong cells — they would never match.
 var ErrBoundsMismatch = errors.New("core: snapshot bounds do not match the system's region")
 
-// Checkpoint writes the live query population of every active worker
+// Checkpoint writes the live query population of every member worker
 // slot to w in the snapshot format and returns how many queries it wrote.
 func (s *System) Checkpoint(w io.Writer) (int, error) {
 	qs, err := s.LiveQueries()

@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // drainMark is a barrier that travels the topology in order with the
@@ -58,48 +56,24 @@ func (s *System) Drain() error {
 		return errors.New("core: not started")
 	}
 	m := s.newMark()
-	accepted := s.ingest.mark(queuedMark{m: m})
-	var tick <-chan time.Time // only a remote slot fails without stopping the run
-	if s.hops != nil {
-		t := time.NewTicker(2 * time.Millisecond)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		if err := s.failedHopErr(); err != nil || m.passed() {
-			return err
-		}
-		if !accepted {
-			if s.closed.Load() {
-				return errors.New("core: system closed while draining")
-			}
-			return errRunStopped
-		}
+	if s.ingest.mark(queuedMark{m: m}) {
 		select {
 		case <-m.done:
 		case <-s.stopped:
-			accepted = m.passed()
-		case <-tick:
+		case <-s.lost.done:
 		}
 	}
+	switch {
+	case cancelled(s.lost.done):
+		return s.lost.err
+	case m.passed():
+		return nil
+	case s.closed.Load():
+		return errors.New("core: system closed while draining")
+	}
+	return errRunStopped
 }
 
 // errRunStopped is what Drain returns when the run stopped under it
 // without a Close: a task panicked and cancelled it (see System.run).
 var errRunStopped = errors.New("core: run stopped while draining (task panic?)")
-
-// failedHopErr reports the first permanently unrecoverable hop, if any.
-func (s *System) failedHopErr() error {
-	for _, h := range s.hops {
-		if h == nil {
-			continue
-		}
-		h.mu.Lock()
-		failed := h.failed
-		h.mu.Unlock()
-		if failed {
-			return fmt.Errorf("core: worker %d: %w", h.task, ErrWorkerUnrecoverable)
-		}
-	}
-	return nil
-}

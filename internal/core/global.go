@@ -108,7 +108,7 @@ func (d *dualAssignment) remaining() (int, int) {
 // FinishGlobalRepartition explicitly.
 //
 // The switch is one cut (docs/ARCHITECTURE.md, "A migration is a cut"):
-// the dispatcher holds every active slot, reads each one's standing
+// the dispatcher holds every member slot, reads each one's standing
 // population with one whole-query ExtractCells round through its hold,
 // and installs the dual assignment before it routes the next operation.
 // So every query routed before the call is tracked as old, and every
@@ -129,7 +129,7 @@ func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.B
 	if s.dualAssign() != nil {
 		return errors.New("core: global repartition already in progress")
 	}
-	s.cut(s.activeWorkerSlots(), func(holds []*hold) {
+	s.cut(s.members(), func(holds []*hold) {
 		defer release(holds)
 		// The live query population at the cut stays on the old routes.
 		oldIDs := make(map[uint64]struct{})
@@ -189,7 +189,7 @@ type repartSlot struct {
 // FinishGlobalRepartition migrates the remaining old-strategy queries to
 // their new-strategy workers and retires the old assignment. It returns
 // the number of queries relocated. The finish is one cut that holds every
-// active slot: through each hold, one whole-query ExtractCells round reads
+// member slot: through each hold, one whole-query ExtractCells round reads
 // the slot's population and its top-k subscriptions' window bands; then
 // every slot's InstallCells round of adopted queries and bands, then every
 // slot's round of departures, whose deltas fold into the top-k board; and
@@ -205,7 +205,7 @@ func (s *System) FinishGlobalRepartition() int {
 		return 0
 	}
 	moved := 0
-	s.cut(s.activeWorkerSlots(), func(holds []*hold) {
+	s.cut(s.members(), func(holds []*hold) {
 		defer release(holds)
 		moved = s.relocate(d, holds)
 		// Local adjustment resumes against the new gridt when the new

@@ -6,10 +6,11 @@
 // while the coordinator routes around the outage.
 //
 // The unit of truth is the workerHop: one per out-of-process worker
-// slot, holding the live session client, the session generation (bumped on
-// every recovery; also the Hello fencing epoch, so a stale session
-// cannot reclaim the slot), and the dispatcher-side op log that makes
-// replay possible. Sessions hand over exactly: a failed session's
+// slot, holding its lifecycle state (slotState; one transition method,
+// moveLocked, makes every change), the live session client, the session
+// generation (bumped on every recovery; also the Hello fencing epoch, so
+// a stale session cannot reclaim the slot), and the dispatcher-side op
+// log that makes replay possible. Sessions hand over exactly: a failed session's
 // spout drains whatever match batches the wire already delivered,
 // recovery waits for that drain, installs the new transport *before*
 // replaying (so replay-produced matches flow instead of dead-locking
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"ps2stream/internal/load"
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/oplog"
 	"ps2stream/internal/wire"
@@ -92,36 +94,32 @@ var ErrNoSpareSlots = errors.New("core: no spare worker slot available (Config.S
 var ErrWorkerUnrecoverable = errors.New("core: remote worker unrecoverable")
 
 // workerHop is the coordinator's per-slot state for one out-of-process
-// worker: the current session's wire client, its generation, the answers
-// the slot owes, and the recovery op log. All mutable fields are guarded
-// by mu; notify is a closed-and-replaced broadcast channel (wait on the
-// current one, and any state change wakes you).
+// worker: where the slot is in its lifecycle, the current session's wire
+// client, its generation, the answers the slot owes, and the recovery op
+// log. All mutable fields are guarded by mu; notify is a closed-and-replaced
+// broadcast channel (wait on the current one, and any state change wakes
+// you).
 type workerHop struct {
 	task int
 
 	mu     sync.Mutex
 	notify chan struct{}
+	// state changes only through moveLocked; cause is why the slot failed,
+	// kept once it is gone. lost is the run's record of lost slots, which
+	// Drain waits on.
+	state slotState
+	cause error
+	lost  *lostSlots
 	// addr/hello redial the same node after a crash.
 	addr  string
 	hello wire.Hello
 	// tr is the current session's client (nil for an unclaimed spare).
 	tr *wire.WorkerClient
-	// active: the slot participates in routing/adjustment decisions.
-	// down: the current session's connection failed. replaying: a
-	// recovery session is installed but still replaying the op log.
-	// failed: the slot is permanently unrecoverable. closing: system
-	// shutdown (or post-decommission teardown) reached this hop.
-	active, down, replaying bool
-	failed, closing         bool
-	decommissioned, exited  bool
 	// gen numbers transport sessions 1..n (also the Hello fencing
 	// epoch); drainedGen is the highest session whose match stream the
 	// spout has fully drained.
 	gen        uint64
 	drainedGen uint64
-	// sentSeq is the highest op-log sequence actually put on the current
-	// session's wire.
-	sentSeq uint64
 
 	// owed are the markers and rounds handed to the slot whose answer the
 	// spout has not read yet, oldest first: the slot answers in the order
@@ -139,10 +137,94 @@ type workerHop struct {
 	log *oplog.Log
 }
 
+// slotState is where a worker slot is in its lifecycle
+// (docs/ARCHITECTURE.md, "Membership and recovery"). An in-process slot
+// is always stateUp.
+type slotState uint8
+
+const (
+	stateSpare     slotState = iota // a pre-allocated slot no node has claimed
+	stateUp                         // the session serves traffic
+	stateDown                       // the session failed; recovery redials
+	stateReplaying                  // a recovery session replays the op log
+	stateClosing                    // the run's shutdown or a decommission reached the slot
+	stateFailed                     // the slot is lost for good
+	stateGone                       // the slot's match reader has ended
+)
+
+var stateNames = [...]string{"spare", "up", "down", "replaying", "closing", "failed", "gone"}
+
+func (st slotState) String() string { return stateNames[st] }
+
+// slotMoves is the lifecycle's transition table: the states a slot may
+// move to from each state. docs/ARCHITECTURE.md names the call that makes
+// each change.
+var slotMoves = [...][]slotState{
+	stateSpare:     {stateUp, stateClosing},
+	stateUp:        {stateDown, stateFailed, stateClosing},
+	stateDown:      {stateReplaying, stateFailed, stateClosing},
+	stateReplaying: {stateUp, stateDown, stateClosing},
+	stateClosing:   {stateGone},
+	stateFailed:    {stateGone},
+	stateGone:      nil,
+}
+
+// member reports whether a slot in st takes part in routing and load
+// decisions: claimed, and neither closing nor gone.
+func (st slotState) member() bool {
+	return st == stateUp || st == stateDown || st == stateReplaying || st == stateFailed
+}
+
+// moveLocked changes the slot's state to `to` when the transition table
+// allows it, and reports whether it did. A change wakes every waiter; the
+// first change to stateFailed records cause and wakes Drain. Caller holds
+// h.mu.
+func (h *workerHop) moveLocked(to slotState, cause error) bool {
+	if !slices.Contains(slotMoves[h.state], to) {
+		return false
+	}
+	h.state = to
+	if to == stateFailed {
+		h.cause = fmt.Errorf("core: worker %d: %w: %v", h.task, ErrWorkerUnrecoverable, cause)
+		h.lost.add(h.cause)
+	}
+	h.broadcastLocked()
+	return true
+}
+
+// isLocked reports whether the slot is in one of states. Caller holds
+// h.mu.
+func (h *workerHop) isLocked(states ...slotState) bool {
+	return slices.Contains(states, h.state)
+}
+
+// status returns the slot's state and, once it has failed, why.
+func (h *workerHop) status() (slotState, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.state, h.cause
+}
+
 // broadcastLocked wakes every waiter. Caller holds h.mu.
 func (h *workerHop) broadcastLocked() {
 	close(h.notify)
 	h.notify = make(chan struct{})
+}
+
+// lostSlots records the first slot of a run that failed for good: done
+// closes then, and err says which and why.
+type lostSlots struct {
+	once sync.Once
+	done chan struct{}
+	err  error
+}
+
+// add records err unless a lost slot is recorded already.
+func (l *lostSlots) add(err error) {
+	l.once.Do(func() {
+		l.err = err
+		close(l.done)
+	})
 }
 
 // owedAnswer is one answer a slot owes: a Drain marker's ack, or the
@@ -214,41 +296,54 @@ func (h *workerHop) failRounds(gen uint64, err error) {
 	h.owed = kept
 }
 
-// up reports whether the hop is currently serving traffic.
-func (h *workerHop) up() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.active && !h.down && !h.replaying && !h.closing && h.tr != nil
-}
-
-// awaitUp waits until remote slot w serves traffic again after a session
-// ended, and reports whether it does: false for an in-process slot, a
-// hop that has exited, failed, is closing or was decommissioned, a run
-// that stopped, and after wire.DefaultControlTimeout.
-func (s *System) awaitUp(w int) bool {
+// slot returns slot w's state and the channel its next change closes. An
+// in-process slot is up, and stays up.
+func (s *System) slot(w int) (slotState, <-chan struct{}) {
 	h := s.hop(w)
 	if h == nil {
-		return false
+		return stateUp, nil
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.state, h.notify
+}
+
+// slotUp reports whether slot w serves traffic.
+func (s *System) slotUp(w int) bool {
+	st, _ := s.slot(w)
+	return st == stateUp
+}
+
+// awaitUp waits until slot w is up, and reports whether it is: false once
+// the slot is closing (as every hop is once the run ends), failed or gone,
+// and after wire.DefaultControlTimeout.
+func (s *System) awaitUp(w int) bool {
 	timeout := time.NewTimer(wire.DefaultControlTimeout)
 	defer timeout.Stop()
 	for {
-		h.mu.Lock()
-		gone := h.exited || h.failed || h.closing || h.decommissioned
-		up := h.active && !h.down && !h.replaying && h.tr != nil
-		ch := h.notify
-		h.mu.Unlock()
-		if gone || up {
-			return !gone
+		st, next := s.slot(w)
+		switch st {
+		case stateUp:
+			return true
+		case stateClosing, stateFailed, stateGone:
+			return false
 		}
 		select {
-		case <-ch:
+		case <-next:
 		case <-timeout.C:
-			return false
-		case <-s.stopped:
 			return false
 		}
 	}
+}
+
+// untilUp runs try, and runs it again each time it fails because slot w
+// had no session up and w comes back up (awaitUp).
+func (s *System) untilUp(w int, try func() error) error {
+	err := try()
+	for errors.Is(err, errSlotNotUp) && s.awaitUp(w) {
+		err = try()
+	}
+	return err
 }
 
 // initHops builds the per-slot hop table. Called from New before the
@@ -260,7 +355,7 @@ func (s *System) initHops() {
 	}
 	s.hops = make([]*workerHop, s.totalSlots())
 	newHop := func(task int) *workerHop {
-		h := &workerHop{task: task, notify: make(chan struct{})}
+		h := &workerHop{task: task, notify: make(chan struct{}), lost: &s.lost}
 		if s.cfg.Recovery.Enabled {
 			h.log = oplog.New()
 		}
@@ -270,8 +365,9 @@ func (s *System) initHops() {
 	}
 	for task, cl := range s.cfg.RemoteWorkers {
 		h := newHop(task)
-		h.tr, h.active, h.gen = cl, true, 1
+		h.tr, h.gen = cl, 1
 		h.addr, h.hello = cl.Addr(), cl.Hello()
+		h.moveLocked(stateUp, nil) // no other goroutine sees h yet
 	}
 	for task := s.cfg.Workers; task < s.totalSlots(); task++ {
 		newHop(task)
@@ -289,85 +385,77 @@ func (s *System) hop(i int) *workerHop {
 	return s.hops[i]
 }
 
-// activeWorkerSlots lists the worker slots that participate in routing
-// and load decisions: every in-process slot, plus hops marked active
-// (spares join on AddWorker, decommissioned slots leave).
-func (s *System) activeWorkerSlots() []int {
+// members lists the member slots (slotState.member): every in-process
+// slot, and each claimed hop that is neither closing nor gone.
+func (s *System) members() []int {
 	out := make([]int, 0, s.totalSlots())
-	for i := range s.totalSlots() {
-		if h := s.hop(i); h != nil {
-			h.mu.Lock()
-			a := h.active
-			h.mu.Unlock()
-			if !a {
-				continue
-			}
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// maskActive projects a full per-slot vector down to the active slots,
-// so balance factors never divide by an idle spare's zero load.
-func maskActive(vals []float64, active []int) []float64 {
-	out := make([]float64, 0, len(active))
-	for _, i := range active {
-		if i < len(vals) {
-			out = append(out, vals[i])
+	for w := range s.totalSlots() {
+		if st, _ := s.slot(w); st.member() {
+			out = append(out, w)
 		}
 	}
 	return out
 }
 
-// hopFailed transitions session gen of h to down (idempotent per
-// generation) and, when the slot is recoverable, launches recovery.
-// The dead transport is closed synchronously so the slot's match spout
-// unblocks from its socket read.
+// fanOut sends a round carrying req to every member slot, all before any
+// is awaited. With each, the rounds ask for replies, and each is handed
+// every round in turn to await; without, they are not answered.
+func (s *System) fanOut(req wire.Frame, each func(c *ctrlRound)) {
+	var rounds []*ctrlRound
+	for _, w := range s.members() {
+		rounds = append(rounds, s.send(newRound(w, req, each != nil)))
+	}
+	if each != nil {
+		for _, c := range rounds {
+			each(c)
+		}
+	}
+}
+
+// balance returns the balance factor of the per-slot vals over the member
+// slots, and the least and the most loaded member (-1 with no members).
+// Idle spares and retired slots read zero load, and counting them would
+// pin the factor above θ on a balanced cluster.
+func (s *System) balance(vals []float64) (factor float64, lo, hi int) {
+	members := s.members()
+	loads := make([]float64, len(members))
+	for i, w := range members {
+		loads[i] = vals[w]
+	}
+	if len(loads) == 0 {
+		return 1, -1, -1
+	}
+	lo, hi = load.ArgMinMax(loads)
+	return load.BalanceFactor(loads), members[lo], members[hi]
+}
+
+// hopFailed reports that session gen of h failed. The session's transport
+// is closed at once, so the slot's match spout unblocks from its socket
+// read, and a slot that was serving it goes down and recovers, or, without
+// an op log or an address to redial, fails.
 func (s *System) hopFailed(h *workerHop, gen uint64, cause error) {
 	h.mu.Lock()
-	if h.gen != gen || h.down || h.exited {
+	if h.gen != gen {
 		h.mu.Unlock()
 		return
 	}
-	h.down = true
-	h.replaying = false
-	old := h.tr
-	shouldRecover := h.log != nil && h.addr != "" && !h.closing && !h.decommissioned && !h.failed
-	if !shouldRecover && !h.closing && !h.decommissioned {
-		h.failed = true
+	tr, to := h.tr, stateFailed
+	recoverable := h.log != nil && h.addr != ""
+	if recoverable {
+		to = stateDown
 	}
-	h.broadcastLocked()
+	moved := h.moveLocked(to, cause)
 	h.mu.Unlock()
-	s.log.Warn("remote worker down", "worker", h.task, "gen", gen, "err", cause)
-	if old != nil {
-		old.Close()
+	if tr != nil {
+		tr.Close()
 	}
-	if shouldRecover {
+	if !moved {
+		return
+	}
+	s.log.Warn("remote worker down", "worker", h.task, "gen", gen, "err", cause)
+	if recoverable {
 		go s.recoverWorker(h, gen)
 	}
-}
-
-// hopUnrecoverable marks the slot permanently failed (unless it is
-// already tearing down on purpose).
-func (s *System) hopUnrecoverable(h *workerHop, err error) {
-	h.mu.Lock()
-	if !h.closing && !h.decommissioned && !h.exited {
-		h.failed = true
-	}
-	h.broadcastLocked()
-	h.mu.Unlock()
-	s.log.Error("remote worker unrecoverable", "worker", h.task, "err", err)
-}
-
-// recoveryCtx is the context recovery waits under: the run context once
-// Start installed it, Background before (recovery only ever starts
-// after traffic flowed, hence after Start).
-func (s *System) recoveryCtx() context.Context {
-	if s.runCtx != nil {
-		return s.runCtx
-	}
-	return context.Background()
 }
 
 // recoverWorker re-establishes a crashed worker slot: redial the same
@@ -396,13 +484,16 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	b := wire.Backoff{MaxElapsed: s.cfg.Recovery.RedialTimeout, Attempts: 1 << 20}
 	cl, err := wire.DialWorker(addr, hello, b)
 	if err != nil {
-		s.hopUnrecoverable(h, fmt.Errorf("redialling %s: %w", addr, err))
+		err = fmt.Errorf("redialling %s: %w", addr, err)
+		h.mu.Lock()
+		h.moveLocked(stateFailed, err)
+		h.mu.Unlock()
+		s.log.Error("remote worker unrecoverable", "worker", h.task, "err", err)
 		return
 	}
-	ctx := s.recoveryCtx()
 	for {
 		h.mu.Lock()
-		if h.closing || h.decommissioned || h.failed || h.exited {
+		if !h.isLocked(stateDown) { // closing too once the run ends
 			h.mu.Unlock()
 			cl.Close()
 			return
@@ -412,12 +503,7 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 		}
 		ch := h.notify
 		h.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			cl.Close()
-			return
-		}
+		<-ch
 	}
 	// The node lost its window state with the crash: retract this
 	// source's tracked top-k contributions under the new epoch before
@@ -431,9 +517,7 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	// Install the recovery session (still under h.mu from the loop).
 	h.tr = cl
 	h.gen = newGen
-	h.down = false
-	h.replaying = true
-	h.broadcastLocked()
+	h.moveLocked(stateReplaying, nil)
 	h.mu.Unlock()
 	base, tail, pos := h.log.Replay()
 	s.log.Info("remote worker redialled; replaying",
@@ -450,10 +534,10 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 		return
 	}
 	// Catch-up and re-open atomically: entries appended while replay ran
-	// are sent under the hop lock, then replaying flips off — the bolt's
-	// sentSeq check suppresses the one batch that may race the flip.
+	// are sent under the hop lock, then the slot is up; the bolt logs and
+	// sends under the same lock, so it sends only what it logs after.
 	h.mu.Lock()
-	if h.gen != newGen || h.down || h.closing {
+	if h.gen != newGen || !h.isLocked(stateReplaying) {
 		h.mu.Unlock()
 		return
 	}
@@ -478,14 +562,7 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 		s.hopFailed(h, newGen, err)
 		return
 	}
-	if len(pending) > 0 {
-		lastSeq = pending[len(pending)-1].Seq
-	}
-	h.replaying = false
-	if lastSeq > h.sentSeq {
-		h.sentSeq = lastSeq
-	}
-	h.broadcastLocked()
+	h.moveLocked(stateUp, nil)
 	h.mu.Unlock()
 	s.log.Info("remote worker recovered", "worker", h.task, "gen", newGen)
 }
@@ -578,7 +655,7 @@ func (s *System) checkpointLoop(ctx context.Context) {
 // (ctrlRound.pos), so the population holds every entry up to it and none
 // after it. A failed round keeps the previous base and the whole tail.
 func (s *System) checkpointHop(h *workerHop) bool {
-	if !h.up() {
+	if !s.slotUp(h.task) {
 		return false
 	}
 	c := s.send(slotPopulation(h.task, true))
@@ -597,23 +674,12 @@ func (s *System) checkpointHop(h *workerHop) bool {
 // build time (routing bitmasks are fixed-width); each slot is
 // single-use within a run.
 func (s *System) AddWorker(addr string) (int, error) {
-	if s.hops == nil || s.cfg.SpareWorkers <= 0 {
-		return -1, ErrNoSpareSlots
-	}
 	s.adjustMu.Lock()
 	defer s.adjustMu.Unlock()
 	var h *workerHop
-	for task := s.cfg.Workers; task < len(s.hops); task++ {
-		cand := s.hops[task]
-		if cand == nil {
-			continue
-		}
-		cand.mu.Lock()
-		free := !cand.active && cand.tr == nil && !cand.exited && !cand.failed && !cand.closing
-		cand.mu.Unlock()
-		if free {
-			h = cand
-			break
+	for w := s.cfg.Workers; w < s.totalSlots() && h == nil; w++ {
+		if st, _ := s.slot(w); st == stateSpare {
+			h = s.hops[w]
 		}
 	}
 	if h == nil {
@@ -627,13 +693,12 @@ func (s *System) AddWorker(addr string) (int, error) {
 		return -1, fmt.Errorf("core: adding worker at %s: %w", addr, err)
 	}
 	h.mu.Lock()
-	h.addr = addr
-	h.hello = hello
-	h.tr = cl
-	h.gen = 1
-	h.active = true
-	h.down = false
-	h.broadcastLocked()
+	if !h.moveLocked(stateUp, nil) {
+		h.mu.Unlock()
+		cl.Close()
+		return -1, fmt.Errorf("core: adding worker at %s: the run is closing", addr)
+	}
+	h.addr, h.hello, h.tr, h.gen = addr, hello, cl, 1
 	h.mu.Unlock()
 	s.log.Info("worker joined", "worker", h.task, "addr", addr)
 	if s.canAdjust() {
@@ -644,11 +709,11 @@ func (s *System) AddWorker(addr string) (int, error) {
 
 // rebalanceOnto moves roughly an even share of the cluster's cell load
 // onto a just-joined slot: gather every migratable cell across the
-// other active workers, sort heaviest-first, and migrate greedily until
+// other member slots, sort heaviest-first, and migrate greedily until
 // the new slot holds ~1/n of the total. Caller holds adjustMu.
 func (s *System) rebalanceOnto(task int) {
-	active := s.activeWorkerSlots()
-	if len(active) <= 1 {
+	members := s.members()
+	if len(members) <= 1 {
 		return
 	}
 	type ownedCell struct {
@@ -657,7 +722,7 @@ func (s *System) rebalanceOnto(task int) {
 	}
 	var cands []ownedCell
 	var total float64
-	for _, w := range active {
+	for _, w := range members {
 		if w == task {
 			continue
 		}
@@ -673,7 +738,7 @@ func (s *System) rebalanceOnto(task int) {
 	if total <= 0 || len(cands) == 0 {
 		return
 	}
-	target := total / float64(len(active))
+	target := total / float64(len(members))
 	sort.Slice(cands, func(i, j int) bool { return cands[i].cell.Load > cands[j].cell.Load })
 	// From -1: many sources, a join rebalance, not a pairwise move.
 	m := MigrationStat{Algorithm: s.cfg.Adjust.Algorithm, From: -1, To: task}
@@ -691,12 +756,12 @@ func (s *System) rebalanceOnto(task int) {
 }
 
 // DecommissionWorker gracefully retires an elastic worker slot: every
-// cell it serves is migrated to the remaining active workers, one cut per
+// cell it serves is migrated to the remaining member slots, one cut per
 // cell like an adjustment's, in one pass. A destination whose move fails
 // is pruned, and the cell is retried on the next live target. Then the
 // slot's remaining matches and deltas are flushed by one round in its
 // stream, and the hop is half-closed so the node ends the session with a
-// clean Goodbye. The slot leaves the active set permanently.
+// clean Goodbye. The slot leaves the member set for good.
 func (s *System) DecommissionWorker(task int) error {
 	h := s.hop(task)
 	if h == nil {
@@ -707,10 +772,10 @@ func (s *System) DecommissionWorker(task int) error {
 	}
 	s.adjustMu.Lock()
 	defer s.adjustMu.Unlock()
-	if !h.up() {
+	if !s.slotUp(task) {
 		return fmt.Errorf("core: worker %d is not up", task)
 	}
-	targets := slices.DeleteFunc(s.activeWorkerSlots(), func(w int) bool { return w == task })
+	targets := slices.DeleteFunc(s.members(), func(w int) bool { return w == task })
 	if len(targets) == 0 {
 		return errors.New("core: cannot decommission the last active worker")
 	}
@@ -726,7 +791,7 @@ func (s *System) DecommissionWorker(task int) error {
 			if _, _, ok := s.migrateShare(task, dst, c); ok {
 				break
 			}
-			if !h.up() {
+			if !s.slotUp(task) {
 				return fmt.Errorf("core: decommission of worker %d: the worker went down migrating cell %d", task, c)
 			}
 			targets = slices.DeleteFunc(targets, func(w int) bool { return w == dst })
@@ -740,11 +805,8 @@ func (s *System) DecommissionWorker(task int) error {
 		return fmt.Errorf("core: decommission flush of worker %d: %w", task, err)
 	}
 	h.mu.Lock()
-	h.decommissioned = true
-	h.closing = true
-	h.active = false
+	h.moveLocked(stateClosing, nil)
 	tr := h.tr
-	h.broadcastLocked()
 	h.mu.Unlock()
 	// The round above delivered (and applied) every delta the node
 	// emitted; whatever net contribution remains tracked for the slot is

@@ -1278,7 +1278,7 @@ func TestOversizedCheckpointKeepsSession(t *testing.T) {
 	if sys.checkpointHop(h) {
 		t.Fatal("a population over the frame limit was checkpointed")
 	}
-	if !h.up() {
+	if !sys.slotUp(0) {
 		t.Fatal("the failed checkpoint took the slot down")
 	}
 	h.mu.Lock()

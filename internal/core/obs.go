@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"time"
 
-	"ps2stream/internal/load"
 	"ps2stream/internal/metrics"
 	"ps2stream/internal/wire"
 )
@@ -161,15 +160,14 @@ func (s *System) initObservability() {
 
 	r.GaugeFunc("ps2_balance_factor", "L_max/L_min over the controller's smoothed loads (window loads when the controller is off)",
 		func() float64 {
-			active := s.activeWorkerSlots()
+			vals := s.windowLoads()
 			if s.loadEWMA != nil {
-				vals := make([]float64, len(s.loadEWMA))
 				for i, e := range s.loadEWMA {
 					vals[i] = e.Value()
 				}
-				return load.BalanceFactor(maskActive(vals, active))
 			}
-			return load.BalanceFactor(maskActive(s.windowLoads(), active))
+			f, _, _ := s.balance(vals)
+			return f
 		})
 	r.GaugeFunc("ps2_route_epoch", "routing epoch (advances once per migrated cell share)",
 		func() float64 { return float64(s.routeEpoch.Load()) })
@@ -202,29 +200,25 @@ func (s *System) initObservability() {
 	r.CounterFunc("ps2_migrated_bytes_total", "serialised bytes moved by migrations",
 		migSum(func(m MigrationStat) int64 { return m.Bytes }))
 
-	// Membership gauges: slot liveness as the coordinator sees it. Only
-	// hop-backed (remote/spare) slots register them; a pure in-process
-	// deployment has no hops and no membership to observe.
+	// Membership gauges: slot liveness as the coordinator sees it, read
+	// off the slot's lifecycle state. Only hop-backed (remote/spare)
+	// slots register them; a pure in-process deployment has no hops and
+	// no membership to observe.
 	for task, h := range s.hops {
 		if h == nil {
 			continue
 		}
-		h := h
 		wl := metrics.L("worker", strconv.Itoa(task))
-		r.GaugeFunc("ps2_worker_active", "1 while the slot serves traffic",
+		r.GaugeFunc("ps2_worker_active", "1 while the slot is a member: claimed, and neither closing nor gone",
 			func() float64 {
-				h.mu.Lock()
-				defer h.mu.Unlock()
-				if h.active {
+				if st, _ := h.status(); st.member() {
 					return 1
 				}
 				return 0
 			}, wl)
-		r.GaugeFunc("ps2_worker_down", "1 while the slot's node is crashed or replaying",
+		r.GaugeFunc("ps2_worker_down", "1 while the slot's node is crashed or replaying, and from then on once the slot is lost",
 			func() float64 {
-				h.mu.Lock()
-				defer h.mu.Unlock()
-				if h.down || h.replaying {
+				if st, cause := h.status(); st == stateDown || st == stateReplaying || cause != nil {
 					return 1
 				}
 				return 0
@@ -286,8 +280,9 @@ func queued[T any](qs []chan msg[T]) func() float64 {
 	}
 }
 
-// RefreshWorkerStats runs one stats round on every active remote worker
-// slot unless the previous refresh is younger than maxAge (freshStats).
+// RefreshWorkerStats refreshes every member slot's stats (freshStats: one
+// stats round on a remote slot) unless the previous refresh is younger
+// than maxAge.
 // The obs server calls it before each scrape so a coordinator scrape
 // shows current node-side counts even when the adjustment controller
 // (whose polls run the same rounds) is off. A failed round leaves the
@@ -302,10 +297,8 @@ func (s *System) RefreshWorkerStats(maxAge time.Duration) {
 	if fresh {
 		return
 	}
-	for _, w := range s.activeWorkerSlots() {
-		if s.hop(w) != nil {
-			_, _ = s.freshStats(w)
-		}
+	for _, w := range s.members() {
+		_, _ = s.freshStats(w)
 	}
 }
 

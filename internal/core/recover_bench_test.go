@@ -77,7 +77,7 @@ func BenchmarkRecoverWorker(b *testing.B) {
 		b.Fatal(err)
 	}
 	waitFor := func(up bool) {
-		for deadline := time.Now().Add(time.Minute); h.up() != up; time.Sleep(200 * time.Microsecond) {
+		for deadline := time.Now().Add(time.Minute); sys.slotUp(h.task) != up; time.Sleep(200 * time.Microsecond) {
 			if time.Now().After(deadline) {
 				b.Fatalf("slot never became up=%v", up)
 			}

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -176,9 +175,8 @@ func (s *System) closeRemoteTransports() {
 			continue
 		}
 		h.mu.Lock()
-		h.closing = true
+		h.moveLocked(stateClosing, nil)
 		tr := h.tr
-		h.broadcastLocked()
 		h.mu.Unlock()
 		if tr != nil {
 			tr.Close()
@@ -195,8 +193,8 @@ func (s *System) closeRemoteTransports() {
 // worker's matches, deltas and answers come back through
 // remoteMatchSpout. With recovery enabled
 // every op is appended to the hop's op log before the wire sees it, and a
-// down/replaying session only logs — replay owns delivery until the hop
-// re-opens.
+// slot that is not up only logs — replay owns delivery until the slot is
+// up again — unless it is lost for good.
 type remoteWorkerBolt struct {
 	s    *System
 	task int
@@ -220,47 +218,38 @@ func (r *remoteWorkerBolt) process(batch *[]wire.OpEnv) {
 // forward puts one batch on the hop. Without an op log a send failure
 // fails the run loudly. With one, the batch is logged first and the wire
 // send is best-effort — a failure trips recovery, and the logged ops
-// replay onto the next session.
+// replay onto the next session. A slot whose recovery has failed drops
+// the batch: no replay will read the log, and Drain reports the loss.
 func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 	h := r.hop
+	h.mu.Lock()
+	tr, gen := h.tr, h.gen
 	if h.log == nil {
-		h.mu.Lock()
-		tr, gen := h.tr, h.gen
 		h.mu.Unlock()
-		if tr == nil {
-			panic(fmt.Sprintf("remote worker %d: no session", r.task))
-		}
 		if err := tr.SendOps(wire.OpBatch{Ops: ops}); err != nil {
-			// Mark the slot failed before dying loudly: the task's
-			// deferred Close runs on the panic and would dress the hop up
-			// as a graceful teardown — the Drain barrier must see a
-			// crash, not a close.
+			// Fail the slot before dying loudly: the task's deferred Close
+			// runs on the panic, and Drain must see a crash, not a close.
 			r.s.hopFailed(h, gen, err)
 			panic(fmt.Sprintf("remote worker %d: %v", r.task, err))
 		}
 		return
 	}
-	var lastSeq uint64
-	for i := range ops {
-		lastSeq = h.log.Append(ops[i].Op, ops[i].T0)
+	// Log and send under the hop lock: it serialises with recovery's
+	// install and catch-up, so an op is sent either by recovery or here,
+	// never by both, and with a round's position read (ctrl), so no
+	// position claims an op the wire has not seen.
+	if h.isLocked(stateFailed, stateGone) {
+		h.mu.Unlock()
+		return
 	}
-	h.mu.Lock()
-	if h.tr == nil || h.down || h.replaying || h.closing {
+	for i := range ops {
+		h.log.Append(ops[i].Op, ops[i].T0)
+	}
+	if !h.isLocked(stateUp) {
 		h.mu.Unlock()
 		return // logged; replay (or teardown) owns delivery
 	}
-	if lastSeq <= h.sentSeq {
-		h.mu.Unlock()
-		return // recovery's catch-up raced us and already shipped these
-	}
-	tr, gen := h.tr, h.gen
-	// Send under the hop lock: it serialises with recovery's install
-	// and catch-up, and with a round's position read (ctrl), so neither
-	// sentSeq nor a position claims an op the wire has not seen.
 	err := tr.SendOps(wire.OpBatch{Ops: ops})
-	if err == nil {
-		h.sentSeq = lastSeq
-	}
 	h.mu.Unlock()
 	if err != nil {
 		r.s.hopFailed(h, gen, err)
@@ -274,13 +263,13 @@ func (r *remoteWorkerBolt) forward(ops []wire.OpEnv) {
 func (r *remoteWorkerBolt) mark(m *drainMark) {
 	h := r.hop
 	h.mu.Lock()
-	if h.tr == nil || h.exited {
+	if h.isLocked(stateSpare, stateGone) {
 		h.mu.Unlock()
 		r.toMerge.mark(m)
 		return
 	}
 	h.oweLocked(owedAnswer{mark: m})
-	tr, gen, up := h.tr, h.gen, !h.down && !h.replaying && !h.closing
+	tr, gen, up := h.tr, h.gen, h.isLocked(stateUp)
 	h.mu.Unlock()
 	// If the session fails before this send, recovery sends m again.
 	if up {
@@ -293,12 +282,11 @@ func (r *remoteWorkerBolt) mark(m *drainMark) {
 // ctrl forwards a control request behind the op batches forwarded before
 // it — a round from the slot's stream, or one handed through a hold —
 // numbered so the spout can check the reply that completes it. A slot
-// whose session is not up — unclaimed, down, replaying or closing —
-// answers at once with an error.
+// that is not up answers at once with an error.
 func (r *remoteWorkerBolt) ctrl(c *ctrlRound) {
 	h := r.hop
 	h.mu.Lock()
-	if h.tr == nil || h.exited || h.down || h.replaying || h.closing {
+	if !h.isLocked(stateUp) {
 		h.mu.Unlock()
 		c.answer(nil, fmt.Errorf("core: worker %d: %w", r.task, errSlotNotUp))
 		return
@@ -319,16 +307,14 @@ func (r *remoteWorkerBolt) ctrl(c *ctrlRound) {
 
 // Close runs when the forwarder's task ends: once the dispatcher finishes,
 // it half-closes the hop so the worker node flushes its remaining matches
-// and ends the return stream. A hop caught mid-outage (down or replaying)
-// is hard-closed instead, so the slot's match reader unblocks and an
-// in-flight recovery aborts at its next closing check.
+// and ends the return stream. A slot that is not up is hard-closed
+// instead, so its match reader unblocks and an in-flight recovery aborts
+// at its next state check.
 func (r *remoteWorkerBolt) Close() error {
 	h := r.hop
 	h.mu.Lock()
-	h.closing = true
-	tr := h.tr
-	hard := h.down || h.replaying
-	h.broadcastLocked()
+	tr, hard := h.tr, !h.isLocked(stateUp)
+	h.moveLocked(stateClosing, nil)
 	h.mu.Unlock()
 	if tr == nil {
 		return nil
@@ -351,15 +337,14 @@ type remoteMatchSpout struct {
 	s    *System
 	task int
 	hop  *workerHop
-	ctx  context.Context // the run context, for telling failure from teardown
 	// split holds the matches batches a received frame is split into.
 	split fanout[wire.MatchEnv]
 }
 
-// run reads the hop's match frames until the slot is done for good or
-// the run is cancelled.
+// run reads the hop's match frames until the slot is gone. The run's end
+// moves every slot to closing, cancelled or not.
 func (r *remoteMatchSpout) run() {
-	for r.ctx.Err() == nil {
+	for {
 		tr, gen, ok := r.waitTransport()
 		if !ok {
 			return
@@ -414,7 +399,7 @@ func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 	h := r.hop
 	for {
 		h.mu.Lock()
-		if h.exited {
+		if h.isLocked(stateGone) {
 			h.mu.Unlock()
 			return nil, 0, false
 		}
@@ -423,28 +408,22 @@ func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 			h.mu.Unlock()
 			return tr, gen, true
 		}
-		if h.failed || h.closing || h.decommissioned {
+		if h.isLocked(stateClosing, stateFailed) {
 			r.exitLocked()
 			return nil, 0, false
 		}
 		ch := h.notify
 		h.mu.Unlock()
-		select {
-		case <-ch:
-		case <-r.ctx.Done():
-			return nil, 0, false
-		}
+		<-ch
 	}
 }
 
-// exitLocked ends the spout for good, unlocks the hop, passes on the
-// markers no session will answer — every match of the slot has been sent
-// — and fails the rounds. Caller holds h.mu.
+// exitLocked ends the spout for good — the slot is gone — unlocks the
+// hop, passes on the markers no session will answer — every match of the
+// slot has been sent — and fails the rounds. Caller holds h.mu.
 func (r *remoteMatchSpout) exitLocked() {
 	h := r.hop
-	h.exited = true
-	h.active = false
-	h.broadcastLocked()
+	h.moveLocked(stateGone, nil)
 	h.owedMu.Lock()
 	owed := h.owed
 	h.owed = nil
@@ -462,19 +441,19 @@ func (r *remoteMatchSpout) exitLocked() {
 // finishSession ends a session whose Recv returned err: drainedGen
 // advances (unblocking recovery). It returns true when the spout is
 // done for good. EOF is clean only during a coordinator-initiated
-// teardown (close, decommission, abort) — the node never ends a
-// session on its own, so an unexpected EOF is a crash like any read
-// error: recoverable hops redial and replay, unrecoverable ones are
-// marked failed so Drain reports the loss instead of waiting on it
-// forever. The rounds the session still owed fail; its markers stay
-// owed, for recovery to send again.
+// teardown (close, decommission, abort: the slot is closing) — the node
+// never ends a session on its own, so an unexpected EOF is a crash like
+// any read error: recoverable hops redial and replay, unrecoverable ones
+// fail so Drain reports the loss instead of waiting on it forever. The
+// rounds the session still owed fail; its markers stay owed, for
+// recovery to send again.
 func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 	h := r.hop
 	h.mu.Lock()
 	if gen > h.drainedGen {
 		h.drainedGen = gen
 	}
-	if !h.failed && (h.closing || h.decommissioned || r.ctx.Err() != nil) {
+	if h.isLocked(stateClosing) {
 		r.exitLocked()
 		return true
 	}

@@ -75,21 +75,17 @@ func (s *System) send(c *ctrlRound) *ctrlRound {
 	return c
 }
 
-// await returns c's reply. A remote slot's round fails after
+// await returns c's reply. A round fails after
 // wire.DefaultControlTimeout; a round the stopped run left unserved is
 // served directly.
 func (s *System) await(c *ctrlRound) (wire.Frame, error) {
-	var timeout <-chan time.Time
-	if s.hop(c.slot) != nil {
-		t := time.NewTimer(wire.DefaultControlTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
+	timeout := time.NewTimer(wire.DefaultControlTimeout)
+	defer timeout.Stop()
 	select {
 	case r := <-c.done:
 		return r.f, r.err
 	case <-s.stopped:
-	case <-timeout:
+	case <-timeout.C:
 		return nil, fmt.Errorf("core: worker %d: control round timed out after %v", c.slot, wire.DefaultControlTimeout)
 	}
 	select {
@@ -221,7 +217,8 @@ func release(holds []*hold) {
 
 // through hands c to the consumer h holds, or serves it directly when no
 // stream carried the hold, and returns it. Once the run is cancelled the
-// held consumer is gone, and c fails.
+// held consumer is gone, and c fails: not for want of a session, so no
+// caller waits for the slot to come up again (untilUp).
 func (s *System) through(h *hold, c *ctrlRound) *ctrlRound {
 	if h.reqs == nil {
 		s.serveDirect(c)
@@ -230,7 +227,7 @@ func (s *System) through(h *hold, c *ctrlRound) *ctrlRound {
 	select {
 	case h.reqs <- c:
 	case <-s.runCtx.Done():
-		c.answer(nil, fmt.Errorf("core: worker %d: %w", c.slot, errSlotNotUp))
+		c.answer(nil, fmt.Errorf("core: worker %d: run cancelled: %w", c.slot, s.runCtx.Err()))
 	}
 	return c
 }

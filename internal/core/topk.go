@@ -403,7 +403,7 @@ func (s *System) windowLoop(ctx context.Context) {
 // reading. The periodic windowLoop calls it; tests with a fake clock call
 // it directly after advancing time.
 //
-// Expiry is a fenced cluster-wide round: every active slot serves one
+// Expiry is a fenced cluster-wide round: every member slot serves one
 // AdvanceWindow carrying the coordinator's clock (the single clock
 // domain the windows slide in) in its stream, after every operation
 // submitted before the call, and its eviction deltas reach the board
@@ -412,14 +412,9 @@ func (s *System) windowLoop(ctx context.Context) {
 // and is skipped — its recovery replay rebuilds the window against the
 // coordinator's current clock anyway.
 func (s *System) AdvanceWindows() {
-	req := wire.AdvanceWindow{Now: s.now()}
-	var rounds []*ctrlRound
-	for _, w := range s.activeWorkerSlots() {
-		rounds = append(rounds, s.send(newRound(w, req, true)))
-	}
-	for _, c := range rounds {
+	s.fanOut(wire.AdvanceWindow{Now: s.now()}, func(c *ctrlRound) {
 		if _, err := s.await(c); err != nil {
 			s.log.Debug("advance window round failed", "worker", c.slot, "err", err)
 		}
-	}
+	})
 }

@@ -245,7 +245,7 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 				defer fw.Close() // on a panic too
 				consume(in, done, fw.process, fw.mark, fw.ctrl)
 			})
-			rd := &remoteMatchSpout{s: s, task: i, hop: h, ctx: ctx,
+			rd := &remoteMatchSpout{s: s, task: i, hop: h,
 				split: newFanout(&s.matchBatches, s.toMerge, done)}
 			spawn(&producers, "wmatches", i, rd.run)
 			continue

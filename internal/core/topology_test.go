@@ -450,12 +450,9 @@ func TestRemoteForwarderClosesItsHop(t *testing.T) {
 	}()
 	within(t, 5*time.Second, "Close returning", closed)
 	for i := 0; i < cfg.Workers; i++ {
-		h := sys.hop(i)
-		h.mu.Lock()
-		closing, exited := h.closing, h.exited
-		h.mu.Unlock()
-		if !closing || !exited {
-			t.Errorf("hop %d after Close: closing %v, reader exited %v, want both", i, closing, exited)
+		// gone with no cause: reached through closing, not failed.
+		if st, cause := sys.hop(i).status(); st != stateGone || cause != nil {
+			t.Errorf("hop %d after Close: %v (cause %v), want gone, reached through closing", i, st, cause)
 		}
 	}
 }

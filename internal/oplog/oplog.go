@@ -23,7 +23,7 @@
 //
 // The log is bounded in steady state by the checkpoint cadence; while a
 // slot is down, or while its checkpoints fail, the tail grows until the
-// slot is recovered or decommissioned (the price of exactness without a
+// slot is recovered, or failed for good (the price of exactness without a
 // persistent queue).
 package oplog
 
