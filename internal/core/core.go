@@ -32,6 +32,7 @@ import (
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
 	"ps2stream/internal/snapshot"
+	"ps2stream/internal/termtab"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/worker"
 )
@@ -293,9 +294,12 @@ type Snapshot struct {
 	Latency       metrics.Snapshot
 	MatchLatency  metrics.Snapshot
 	WorkerLoads   []float64
-	// DispatcherBytes estimates routing-structure memory (Figure 9).
+	// DispatcherBytes estimates routing-structure memory (Figure 9),
+	// the coordinator's term dictionary included.
 	DispatcherBytes int64
-	// WorkerBytes estimates per-worker GI2 memory (Figure 10).
+	// WorkerBytes estimates per-worker GI2 memory (Figure 10). The term
+	// dictionary an in-process GI2 shares with the dispatcher is counted
+	// in DispatcherBytes only.
 	WorkerBytes []int64
 	Migrations  []MigrationStat
 	// Adjust reports the adaptive adjustment controller's state.
@@ -312,6 +316,12 @@ type System struct {
 	bounds geo.Rect
 	assign atomic.Value // partition.Assignment (swapped by global adjustment)
 	gridT  atomic.Pointer[hybrid.GridT]
+	// dict is the coordinator's one term dictionary: gridt routes by its
+	// ids and every in-process slot's GI2 indexes by them, so the
+	// dispatcher looks an object's terms up once (wire.OpEnv.TermIDs).
+	// A query's terms are interned before any object that must meet the
+	// query is routed (intern).
+	dict *termtab.Dict
 
 	// bolts holds each in-process worker slot's bolt, built with its
 	// engine in New; nil entries for out-of-process slots, which have a
@@ -459,6 +469,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		runErr:  make(chan error, 1),
 		stopped: make(chan struct{}),
 		lost:    lostSlots{done: make(chan struct{})},
+		dict:    new(termtab.Dict),
 	}
 	s.ingest = newIngestQueue(max(cfg.QueueCap, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
 	s.opBatches.size, s.matchBatches.size = cfg.BatchSize, cfg.BatchSize
@@ -466,6 +477,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	s.matchLat.Store(metrics.NewHistogram(nil))
 	s.assign.Store(assignBox{a})
 	if gt, ok := a.(*hybrid.GridT); ok {
+		gt.UseDict(s.dict)
 		s.gridT.Store(gt)
 	}
 	if cfg.Adjust.Enabled && s.gridT.Load() == nil {
@@ -527,7 +539,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		}
 		eng := worker.New(worker.Config{
 			Task:  i,
-			Index: gi2.New(sample.Bounds, cfg.Granularity, sample.Stats),
+			Index: gi2.NewShared(sample.Bounds, cfg.Granularity, sample.Stats, s.dict),
 		})
 		s.bolts[i] = &workerBolt{s: s, task: i, eng: eng}
 	}
@@ -686,7 +698,7 @@ func (s *System) Snapshot() Snapshot {
 		ThroughputTPS:   s.tput.Rate(),
 		Latency:         s.latency.Load().Snapshot(),
 		MatchLatency:    s.matchLat.Load().Snapshot(),
-		DispatcherBytes: s.Assignment().Footprint(),
+		DispatcherBytes: s.Assignment().Footprint() + s.dict.Footprint(),
 	}
 	snap.WorkerLoads = s.windowLoads()
 	snap.WorkerBytes = make([]int64, s.totalSlots())

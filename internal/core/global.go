@@ -30,8 +30,16 @@ var _ partition.Assignment = (*dualAssignment)(nil)
 
 // RouteObject implements partition.Assignment (union of both routes).
 func (d *dualAssignment) RouteObject(o *model.Object) []int {
-	a := d.old.RouteObject(o)
-	b := d.new.RouteObject(o)
+	return union(d.old.RouteObject(o), d.new.RouteObject(o))
+}
+
+// RouteObjectIDs implements termIDRouter (union of both routes).
+func (d *dualAssignment) RouteObjectIDs(o *model.Object, ids []uint32) []int {
+	return union(routeByIDs(d.old, o, ids), routeByIDs(d.new, o, ids))
+}
+
+// union returns the workers of a and b, each once.
+func union(a, b []int) []int {
 	if len(a) == 0 {
 		return b
 	}
@@ -123,6 +131,9 @@ func (s *System) GlobalRepartition(sample *partition.Sample, builder partition.B
 	newAssign, err := builder.Build(sample, s.cfg.Workers)
 	if err != nil {
 		return fmt.Errorf("core: global repartition build: %w", err)
+	}
+	if gt, ok := newAssign.(*hybrid.GridT); ok {
+		gt.UseDict(s.dict)
 	}
 	s.globalMu.Lock()
 	defer s.globalMu.Unlock()

@@ -16,7 +16,7 @@ import (
 
 // matchPathSystem starts a system in which each of the returned objects
 // matches three standing queries: the publish path with every stage doing
-// its work — routing, a towork batch, gi2.Match, a matches batch, delivery.
+// its work — routing, a towork batch, gi2 matching, a matches batch, delivery.
 func matchPathSystem(tb testing.TB, onMatch func(model.Match)) (*System, []model.Op) {
 	tb.Helper()
 	sample, _ := smallWorkload(tb, workload.Q1, 71, 0)
@@ -78,8 +78,76 @@ func TestMatchPathAllocs(t *testing.T) {
 	}
 }
 
+// TestMatchPathInternsInSubmitOrder: an object carries the ids the
+// dispatcher resolved when it routed it, so the dispatcher interns every
+// term of an inserted query, not only its registration key. The worker
+// is held until both operations are routed, so it applies the insert
+// only after the object was resolved: were the non-key term of the And
+// interned by the worker's own insert, the object would lack its id and
+// the match would be lost. It holds under the initial gridt, under both
+// strategies of a global repartition and under the new gridt after it,
+// which all share the coordinator's one dictionary with the worker's
+// index.
+func TestMatchPathInternsInSubmitOrder(t *testing.T) {
+	var delivered atomic.Int64
+	sample, _ := smallWorkload(t, workload.Q1, 71, 0)
+	sys, err := New(Config{Workers: 1, Mergers: 1, Builder: hybrid.Builder{},
+		OnMatch: func(model.Match) { delivered.Add(1) }}, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Abort()
+	var hold atomic.Pointer[chan struct{}]
+	beforeBatch(0, func([]wire.OpEnv) {
+		if routed := hold.Swap(nil); routed != nil {
+			<-*routed
+		}
+	})(sys)
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	at := sys.Bounds().Center()
+	phase := func(name string, id uint64) {
+		t.Helper()
+		routed := make(chan struct{})
+		hold.Store(&routed)
+		base, matched := sys.processed.Value(), delivered.Load()
+		// Terms the dictionary has never seen.
+		a, b := "internorder"+name+"alpha", "internorder"+name+"beta"
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: id,
+			Expr: model.And(a, b), Region: geo.RectAround(at, 50, 50)}})
+		sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{ID: id,
+			Terms: []string{b, a}, Loc: at}})
+		for sys.processed.Value() < base+2 {
+			runtime.Gosched()
+		}
+		close(routed)
+		if err := sys.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if got := delivered.Load() - matched; got != 1 {
+			t.Errorf("%s: delivered %d matches, want 1", name, got)
+		}
+		for _, gt := range []any{sys.Assignment(), sys.gridT.Load()} {
+			if d, ok := gt.(*dualAssignment); ok {
+				gt = d.new
+			}
+			if gt, ok := gt.(*hybrid.GridT); ok && gt.Dict() != sys.dict {
+				t.Errorf("%s: gridt routes with a dictionary of its own", name)
+			}
+		}
+	}
+	phase("initial", 1)
+	if err := sys.GlobalRepartition(sample, hybrid.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	phase("dual", 2)
+	sys.FinishGlobalRepartition()
+	phase("repartitioned", 3)
+}
+
 // BenchmarkMatchPath publishes matching objects through a started system:
-// per operation, one Submit, one routed envelope, one gi2.Match with three
+// per operation, one Submit, one routed envelope, one gi2 match with three
 // hits and three deliveries. The one allocation per operation is the
 // caller's: its object, under a fresh message id.
 func BenchmarkMatchPath(b *testing.B) {

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"ps2stream/internal/dedup"
 	"ps2stream/internal/model"
+	"ps2stream/internal/partition"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/worker"
@@ -224,10 +226,11 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	// assignment, in Submit order, so gridt's H2 and every worker's input
 	// follow the order in which Submits took the ingest.
 	d := &dispatcher{
-		s:    s,
-		out:  newFanout(&s.opBatches, s.towork, done),
-		enq:  make([]int64, s.totalSlots()),
-		objs: make([]int64, s.totalSlots()),
+		s:       s,
+		out:     newFanout(&s.opBatches, s.towork, done),
+		enq:     make([]int64, s.totalSlots()),
+		objs:    make([]int64, s.totalSlots()),
+		resolve: slices.ContainsFunc(s.bolts, func(b *workerBolt) bool { return b != nil }),
 	}
 	spawn(&dispatcherDone, "dispatcher", 0, d.run)
 
@@ -304,7 +307,17 @@ type dispatcher struct {
 	sinceFlush int
 	// enq and objs are dispatchBatch's per-worker counts for one chunk.
 	enq, objs []int64
+	// resolve is set when some slot runs in this process, so some engine
+	// can read an object's TermIDs. ids is the slab they are cut from. A
+	// slab is never rewritten once an envelope holds part of it: when it
+	// fills, the next one is allocated, and the old one goes with the
+	// last batch that refers to it.
+	resolve bool
+	ids     []uint32
 }
+
+// idSlab is the length of one TermIDs slab.
+const idSlab = 4096
 
 // run routes what the ingest accepts until it is closed and drained. Once
 // the run is cancelled it routes nothing more, not even the remainder of
@@ -374,8 +387,18 @@ func (d *dispatcher) flush() {
 //
 // An object whose target set has exactly one member is marked Solo,
 // whatever assignment computed the set: only that worker's engine sees
-// it, an engine reports a query at most once per object (gi2.Index.Match),
-// so no (query, object) pair of it can reach the mergers twice.
+// it, an engine reports a query at most once per object
+// (gi2.Index.MatchSlots), so no (query, object) pair of it can reach the
+// mergers twice.
+//
+// An object's terms are looked up in the coordinator's dictionary once,
+// here: the assignment routes by the ids, and an object routed to an
+// in-process slot carries them to its engine (wire.OpEnv.TermIDs). An
+// insert interns every term of its query first (intern), so an object
+// routed after it resolves all of them, whenever the engine applies it.
+// When every slot is remote, no engine here reads ids: the assignment
+// routes by the terms, and gridt stops looking them up at a space
+// cell's first live key.
 func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 	s := d.s
 	// Stage timing uses the wall clock, not cfg.Clock: it measures real
@@ -392,7 +415,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 		var targets []int
 		switch op.Kind {
 		case model.OpObject:
-			targets = a.RouteObject(op.Obj)
+			targets = d.routeObject(a, &ops[i])
 			ops[i].Solo = len(targets) == 1
 			if gt := s.gridT.Load(); gt != nil && s.cellObjects != nil {
 				if id := gt.Grid().CellOf(op.Obj.Loc); id < len(s.cellObjects) {
@@ -413,6 +436,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 			if op.Query.IsTopK() {
 				s.board.register(op.Query.ID)
 			}
+			s.intern(op.Query)
 			targets = a.RouteQuery(op.Query, true)
 			for _, w := range targets {
 				s.winInserts[w].Add(1)
@@ -440,6 +464,78 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 	s.processed.Add(int64(len(ops)))
 	s.tput.Add(int64(len(ops)))
 	s.stageDisp.Observe(time.Since(stageStart))
+}
+
+// routeObject routes env's object by the ids of its terms, which it
+// leaves on env for an in-process engine, or by its terms when no engine
+// here reads ids.
+func (d *dispatcher) routeObject(a partition.Assignment, env *wire.OpEnv) []int {
+	o := env.Op.Obj
+	if !d.resolve {
+		return a.RouteObject(o)
+	}
+	ids := d.termIDs(o)
+	targets := routeByIDs(a, o, ids)
+	if d.s.inProcess(targets) {
+		env.TermIDs = ids
+	} else {
+		d.ids = d.ids[:len(d.ids)-len(ids)] // no engine here reads them
+	}
+	return targets
+}
+
+// termIDs returns the ids o's terms have in the coordinator's dictionary,
+// leaving out the terms it does not hold, in the next free part of the
+// id slab. The result is never nil, so an engine can tell it from an
+// unresolved envelope.
+func (d *dispatcher) termIDs(o *model.Object) []uint32 {
+	if d.ids == nil || cap(d.ids)-len(d.ids) < len(o.Terms) {
+		d.ids = make([]uint32, 0, max(idSlab, len(o.Terms)))
+	}
+	at := len(d.ids)
+	for _, t := range o.Terms {
+		if id := d.s.dict.Find(t); id != 0 {
+			d.ids = append(d.ids, id)
+		}
+	}
+	return d.ids[at:len(d.ids):len(d.ids)]
+}
+
+// termIDRouter is an assignment that can route an object by the ids its
+// terms have in the coordinator's dictionary (hybrid.GridT, once UseDict
+// gave it that dictionary).
+type termIDRouter interface {
+	RouteObjectIDs(o *model.Object, ids []uint32) []int
+}
+
+// routeByIDs routes o by ids if a can, else by o's terms.
+func routeByIDs(a partition.Assignment, o *model.Object, ids []uint32) []int {
+	if r, ok := a.(termIDRouter); ok {
+		return r.RouteObjectIDs(o, ids)
+	}
+	return a.RouteObject(o)
+}
+
+// intern adds every term of q's expression to the coordinator's
+// dictionary, not only its registration keys: an object routed after q
+// must carry the ids of all of q's terms, or an in-process engine that
+// applies q after the object was routed would miss the match.
+func (s *System) intern(q *model.Query) {
+	for _, c := range q.Expr.Conj {
+		for _, t := range c {
+			s.dict.ID(t)
+		}
+	}
+}
+
+// inProcess reports whether any of the slots runs in this process.
+func (s *System) inProcess(slots []int) bool {
+	for _, w := range slots {
+		if s.bolts[w] != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // workerBolt runs an in-process worker slot: it feeds the slot's engine

@@ -27,32 +27,41 @@ import (
 // Layout. Every distinct query the index holds has one slot: a
 // pointer-free record of its id, its region and its keyword expression
 // compiled to term ids, with its subscriber in a column beside the
-// slots. Term ids come from the index's own termtab.Dict and never leave
-// it — objects, wire frames, snapshots and the op-log carry strings, and
-// every method that takes or returns terms converts at its own boundary.
-// A cell's inverted index is a termtab.Table from term id to the slot
-// numbers registered under that term in that cell (the postings), with
-// the term's object-hit counter beside them. Matching a posting reads the
-// slot and compares integers.
+// slots. Term ids come from a termtab.Dict: the index's own (New), or
+// the one its coordinator shares with gridt and every other index of its
+// process (NewShared). Objects, wire frames, snapshots and the op-log
+// carry strings, and every method that takes or returns terms converts
+// at its own boundary; MatchSlots alone takes ids, which the caller
+// resolved in the same dictionary. A cell's inverted index is a
+// termtab.Table from term id to the slot numbers registered under that
+// term in that cell (the postings), with the term's object-hit counter
+// beside them. Matching a posting reads the slot and compares integers.
 //
 // The slot is the only stored copy of a boolean subscription: Insert
 // does not keep the caller's *model.Query, and every definition the
 // index hands out is rebuilt from the slot and the dictionary. A top-k
 // subscription (one with TopK or Window set) is the exception; its
 // definition is kept in a side table, because the window store holds the
-// same pointer and Match must pass it back.
+// same pointer and Slot and Match must hand it back.
+//
+// Matching reports slots: MatchSlots and MatchObject return the slot
+// numbers an object hit, and Slot reads a hit's id, subscriber and top-k
+// definition without building the query. Match is the one caller that
+// builds a view, for callers that want the definition.
 //
 // Deletion is lazy, as in the paper: Delete sets the slot's dead bit, and
-// Match and Purge drop dead slot numbers from the postings they traverse.
-// A slot is reused once no posting refers to it.
+// matching and Purge drop dead slot numbers from the postings they
+// traverse. A slot is reused once no posting refers to it.
 type Index struct {
 	g     *grid.Grid
 	stats *textutil.Stats
 	cells []cell
 
 	// dict assigns ids to the terms of every query ever inserted. Object
-	// terms outside it cannot matter to any query here.
-	dict termtab.Dict
+	// terms outside it cannot matter to any query here. ownDict is false
+	// for a shared dictionary, which its owner counts.
+	dict    *termtab.Dict
+	ownDict bool
 
 	// slots[s] and subs[s] describe one query, and topk[s] is its
 	// definition when slots[s].topk is set; free lists the unused slot
@@ -136,6 +145,15 @@ type cell struct {
 // empty statistics (all terms equally infrequent, ties broken
 // lexicographically).
 func New(bounds geo.Rect, granularity int, stats *textutil.Stats) *Index {
+	ix := NewShared(bounds, granularity, stats, new(termtab.Dict))
+	ix.ownDict = true
+	return ix
+}
+
+// NewShared is New over dict, a dictionary the caller shares with other
+// structures of its process and counts in its own footprint, not in the
+// index's. MatchSlots takes ids from dict.
+func NewShared(bounds geo.Rect, granularity int, stats *textutil.Stats, dict *termtab.Dict) *Index {
 	if stats == nil {
 		stats = textutil.NewStats()
 	}
@@ -143,6 +161,7 @@ func New(bounds geo.Rect, granularity int, stats *textutil.Stats) *Index {
 	return &Index{
 		g:     g,
 		stats: stats,
+		dict:  dict,
 		cells: make([]cell, g.NumCells()),
 		topk:  make(map[uint32]*model.Query),
 		byID:  make(map[uint64]uint32),
@@ -489,20 +508,22 @@ func (ix *Index) Delete(id uint64) {
 }
 
 // Match finds all live queries matching o and invokes fn exactly once per
-// query — at most once per call, however many of the query's conjunctions
-// and registration keys o hits. The dispatcher relies on it: an object
-// routed to one worker cannot yield the same (query, object) pair twice,
-// so the mergers deliver its matches without a dedup probe
-// (wire.OpEnv.Solo). Dead entries encountered on the traversed lists are
-// removed, which implements lazy deletion. For a boolean subscription fn
+// query, as MatchObject reports them. For a boolean subscription fn
 // receives a view the index owns and refills for the next match: it is
 // valid until fn returns, and fn must neither keep nor modify it. A top-k
 // subscription is passed as the definition that was inserted.
 func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
-	c := &ix.cells[ix.g.CellOf(o.Loc)]
-	c.objSeen++
-	if c.tab.Len() == 0 {
-		return
+	for _, s := range ix.MatchObject(o) {
+		fn(ix.viewOf(s))
+	}
+}
+
+// MatchObject is MatchSlots for an object whose terms are strings: it
+// looks them up in the dictionary first, if o's cell holds any posting.
+func (ix *Index) MatchObject(o *model.Object) []uint32 {
+	c := ix.cellAt(o.Loc)
+	if c == nil {
+		return nil
 	}
 	ids := ix.objIDs[:0]
 	for _, t := range o.Terms {
@@ -511,6 +532,51 @@ func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
 		}
 	}
 	ix.objIDs = ids
+	return ix.scan(c, o.Loc, ids)
+}
+
+// MatchSlots returns the slots of the live queries matching an object at
+// loc whose terms have the dictionary ids ids (terms the dictionary does
+// not hold are left out). Each slot is reported once, however many of
+// its query's conjunctions and registration keys the object hits. The
+// dispatcher relies on it: an object routed to one worker cannot yield
+// the same (query, object) pair twice, so the mergers deliver its
+// matches without a dedup probe (wire.OpEnv.Solo). Dead entries
+// encountered on the traversed lists are removed, which implements lazy
+// deletion. The result is valid until the next call that changes or
+// matches against the index; Slot reads each hit.
+func (ix *Index) MatchSlots(loc geo.Point, ids []uint32) []uint32 {
+	c := ix.cellAt(loc)
+	if c == nil {
+		return nil
+	}
+	return ix.scan(c, loc, ids)
+}
+
+// Slot returns the id and subscriber of the query in slot s, and its
+// definition if it is a top-k subscription (nil for a boolean one).
+func (ix *Index) Slot(s uint32) (id, subscriber uint64, topk *model.Query) {
+	if ix.slots[s].topk {
+		topk = ix.topk[s]
+	}
+	return ix.slots[s].id, ix.subs[s], topk
+}
+
+// cellAt counts an object at loc against its cell and returns the cell,
+// or nil if it holds no posting.
+func (ix *Index) cellAt(loc geo.Point) *cell {
+	c := &ix.cells[ix.g.CellOf(loc)]
+	c.objSeen++
+	if c.tab.Len() == 0 {
+		return nil
+	}
+	return c
+}
+
+// scan is the one match loop: it walks the postings of cell c under each
+// of the object's term ids and returns, in ix.hit, the slots whose query
+// the object at loc satisfies.
+func (ix *Index) scan(c *cell, loc geo.Point, ids []uint32) []uint32 {
 	ix.hit = ix.hit[:0]
 	for _, t := range ids {
 		i := c.tab.Find(t)
@@ -531,15 +597,15 @@ func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
 			}
 			list[w] = s
 			w++
-			if sl.region.Contains(o.Loc) && ix.matches(sl, ids) && !slices.Contains(ix.hit, s) {
+			if sl.region.Contains(loc) && ix.matches(sl, ids) && !slices.Contains(ix.hit, s) {
 				ix.hit = append(ix.hit, s)
-				fn(ix.viewOf(s))
 			}
 		}
 		if w < len(list) {
 			ix.setPostings(c, i, list[:w])
 		}
 	}
+	return ix.hit
 }
 
 // MatchIDs returns the matching query ids (convenience for tests).
@@ -822,11 +888,12 @@ func mapEntryBytes(key, val uintptr) int64 {
 
 // Footprint is the resident memory of the index in bytes, from the
 // lengths and capacities of the structures it is made of: slots,
-// subscribers and the id map, the term dictionary, every cell's table,
-// the posting lists, and the top-k definitions (struct, conjunction
-// headers, term headers and bytes), which the window store holds too but
-// does not count. A boolean subscription has no storage beyond its slot
-// and its terms. This drives the worker-memory comparison (Figure 10).
+// subscribers and the id map, the term dictionary unless it is shared
+// (NewShared), every cell's table, the posting lists, and the top-k
+// definitions (struct, conjunction headers, term headers and bytes),
+// which the window store holds too but does not count. A boolean
+// subscription has no storage beyond its slot and its terms. This drives
+// the worker-memory comparison (Figure 10).
 func (ix *Index) Footprint() int64 {
 	const (
 		word      = unsafe.Sizeof(uint32(0))
@@ -841,7 +908,9 @@ func (ix *Index) Footprint() int64 {
 	add(cap(ix.free)+cap(ix.spill)+cap(ix.freeLists), word)
 	b += int64(len(ix.byID)) * mapEntryBytes(unsafe.Sizeof(uint64(0)), word)
 	b += int64(len(ix.topk)) * mapEntryBytes(word, unsafe.Sizeof((*model.Query)(nil)))
-	b += ix.dict.Footprint()
+	if ix.ownDict {
+		b += ix.dict.Footprint()
+	}
 	for i := range ix.cells {
 		b += ix.cells[i].tab.Footprint()
 	}

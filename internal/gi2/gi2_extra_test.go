@@ -1,12 +1,15 @@
 package gi2
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
+	"ps2stream/internal/termtab"
 	"ps2stream/internal/textutil"
 )
 
@@ -210,5 +213,63 @@ func TestQueriesInCellAndEach(t *testing.T) {
 	}
 	if lc := ix.LiveQueryCount(); lc != 3 {
 		t.Errorf("LiveQueryCount = %d, want 3", lc)
+	}
+}
+
+// Two indexes over one shared dictionary: MatchSlots on the ids the
+// dictionary gives an object's terms reports exactly the queries Match
+// reports, Slot reads each hit's id, subscriber and top-k definition,
+// and the shared dictionary is left out of the indexes' footprints.
+func TestSharedDictMatchSlots(t *testing.T) {
+	stats := textutil.NewStats()
+	stats.AddWeighted("common", 1000)
+	stats.AddWeighted("rare", 1)
+	var d termtab.Dict
+	a := NewShared(testBounds, 16, stats, &d)
+	b := NewShared(testBounds, 16, stats, &d)
+	own := New(testBounds, 16, stats)
+	region := geo.NewRect(0, 0, 50, 50)
+	topk := &model.Query{ID: 3, Expr: model.And("rare"), Region: region, Subscriber: 30, TopK: 2, Window: time.Minute}
+	for _, ix := range []*Index{a, own} {
+		ix.Insert(&model.Query{ID: 1, Expr: model.And("common", "rare"), Region: region, Subscriber: 10})
+		ix.Insert(&model.Query{ID: 2, Expr: model.Or("onlya", "rare"), Region: region, Subscriber: 20})
+		ix.Insert(topk)
+	}
+	b.Insert(&model.Query{ID: 4, Expr: model.And("onlyb"), Region: region, Subscriber: 40})
+
+	o := obj(7, geo.Point{X: 20, Y: 20}, "rare", "nowhere", "common", "onlyb")
+	var ids []uint32
+	for _, term := range o.Terms {
+		if id := d.Find(term); id != 0 {
+			ids = append(ids, id)
+		}
+	}
+	type hit struct {
+		id, sub uint64
+		topk    *model.Query
+	}
+	var got []hit
+	for _, s := range a.MatchSlots(o.Loc, ids) {
+		id, sub, def := a.Slot(s)
+		got = append(got, hit{id, sub, def})
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i].id < got[j].id })
+	want := []hit{{1, 10, nil}, {2, 20, nil}, {3, 30, topk}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("MatchSlots hits %v, want %v", got, want)
+	}
+	if m := a.MatchIDs(o); len(m) != len(want) {
+		t.Errorf("Match reports %v, MatchSlots %d hits", m, len(want))
+	}
+	if s := b.MatchSlots(o.Loc, ids); len(s) != 1 {
+		t.Errorf("second index over the shared dictionary: %d hits, want 1", len(s))
+	} else if id, _, def := b.Slot(s[0]); id != 4 || def != nil {
+		t.Errorf("second index hit query %d (top-k %v), want boolean query 4", id, def)
+	}
+	// own holds a's queries, inserted in the same order, over a
+	// dictionary of its own: it differs from a by that dictionary only.
+	if diff, dict := own.Footprint()-a.Footprint(), own.dict.Footprint(); diff != dict {
+		t.Errorf("own-dictionary index exceeds the shared one by %d bytes, its dictionary holds %d: a shared dictionary must not be counted",
+			diff, dict)
 	}
 }

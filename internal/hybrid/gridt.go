@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"reflect"
-	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -29,19 +28,20 @@ import (
 // interned in one dictionary for the whole grid (termtab.Dict), and each
 // cell's H2 is a termtab.Table from key id to {worker, count} with
 // 12-byte entries, the same table GI2 uses for its cells. A cell with no
-// live key holds no table array. The dictionary only grows: it holds one
-// string per distinct registration key ever inserted, the same bound as
-// a GI2 index's dictionary. RouteObject looks each object term up in the
-// dictionary before probing the cell; a term without an id is no live
-// key anywhere.
+// live key holds no table array. The dictionary only grows. It is the
+// grid's own, holding one string per distinct registration key ever
+// inserted, until UseDict hands the grid its coordinator's, which every
+// GI2 of the coordinator's process shares too. RouteObjectIDs routes by
+// the ids of an object's terms in that dictionary, looked up once by the
+// caller; RouteObject looks them up itself. A term without an id is no
+// live key anywhere.
 //
-// Locking. A cell is guarded by its stripe of mus. Dictionary lookups
-// take no lock (termtab.Dict publishes an id only once its term is in
-// place), so RouteObject holds nothing but its cell's stripe: a read lock
-// that every dispatcher shared on every object would cost more than the
-// string maps it replaces. dictMu serialises the additions, which
-// RouteQuery makes before it takes any stripe; no stripe is ever held
-// while dictMu is taken.
+// Locking. A cell is guarded by its stripe of mus. The dictionary needs
+// no lock of the grid's (termtab.Dict is safe for concurrent use, and a
+// lookup takes no lock at all), so RouteObject holds nothing but its
+// cell's stripe: a read lock that every dispatcher shared on every
+// object would cost more than the string maps it replaces. RouteQuery
+// adds its keys to the dictionary before it takes any stripe.
 //
 // GridT implements partition.Assignment and additionally supports the cell
 // mutations required by dynamic load adjustment (§V): reassigning a space
@@ -57,10 +57,10 @@ type GridT struct {
 	mus   [lockStripes]sync.RWMutex
 	cells []gridtCell
 
-	// dict gives registration keys their H2 ids. Lookups take no lock;
-	// dictMu serialises the calls that add to it.
-	dictMu sync.Mutex
-	dict   termtab.Dict
+	// dict gives registration keys their H2 ids. ownDict is false once
+	// UseDict has shared the coordinator's, which its owner counts.
+	dict    *termtab.Dict
+	ownDict bool
 }
 
 // lockStripes is the number of lock stripes (power of two).
@@ -97,7 +97,8 @@ var _ partition.Assignment = (*GridT)(nil)
 // buildGridT rasterises the final units onto the gridt index.
 func buildGridT(s *partition.Sample, m int, cfg Config, units []*unit, owners []int) *GridT {
 	g := grid.New(s.Bounds, cfg.Granularity, cfg.Granularity)
-	gt := &GridT{m: m, g: g, stats: s.Stats, cells: make([]gridtCell, g.NumCells())}
+	gt := &GridT{m: m, g: g, stats: s.Stats, cells: make([]gridtCell, g.NumCells()),
+		dict: new(termtab.Dict), ownDict: true}
 
 	// Precompute shared H1 maps per sibling group of text units.
 	type groupInfo struct {
@@ -247,6 +248,27 @@ func (c *gridtCell) ownerOfTerm(term string) int {
 	return c.fallback[int(h.Sum32())%len(c.fallback)]
 }
 
+// UseDict makes d the grid's dictionary: the coordinator's, which it
+// shares with the GI2 indexes of its process and counts once in its own
+// footprint. The H2 keys the grid already holds are re-keyed under d's
+// ids. Call it before the grid routes concurrently with anything.
+func (gt *GridT) UseDict(d *termtab.Dict) {
+	if d == gt.dict {
+		return
+	}
+	for i := range gt.cells {
+		c := &gt.cells[i]
+		var h2 termtab.Table[h2Entry]
+		for _, e := range c.h2.Entries() {
+			if e.Key != 0 {
+				h2.Put(d.ID(gt.dict.Term(e.Key)), e.Val)
+			}
+		}
+		c.h2 = h2
+	}
+	gt.dict, gt.ownDict = d, false
+}
+
 // RouteObject implements partition.Assignment. Per §IV-C the dispatcher
 // looks the object's terms up in the cell's H2 and discards objects
 // matching no live registration key. Callers must not modify the result:
@@ -255,7 +277,7 @@ func (c *gridtCell) ownerOfTerm(term string) int {
 // In a space cell every live H2 entry names the cell's worker (RouteQuery
 // installs c.worker, ReassignSpaceCell rewrites every entry,
 // MergeTextShares collapses a text cell only when its entries agree), so
-// the first live term decides.
+// the first live term decides, and the terms after it are not looked up.
 func (gt *GridT) RouteObject(o *model.Object) []int {
 	id := gt.g.CellOf(o.Loc)
 	var mask uint64
@@ -273,6 +295,34 @@ func (gt *GridT) RouteObject(o *model.Object) []int {
 		}
 	}
 	mu.RUnlock()
+	return maskRoute(mask)
+}
+
+// RouteObjectIDs is RouteObject for a caller that has looked o's terms
+// up already: ids are the ids they have in the grid's dictionary (terms
+// it does not hold left out).
+func (gt *GridT) RouteObjectIDs(o *model.Object, ids []uint32) []int {
+	id := gt.g.CellOf(o.Loc)
+	var mask uint64
+	mu := gt.lockFor(id)
+	mu.RLock()
+	c := &gt.cells[id]
+	if c.h2.Len() > 0 {
+		for _, t := range ids {
+			if i := c.h2.Find(t); i >= 0 {
+				mask |= 1 << c.h2.Entries()[i].Val.worker
+				if c.worker >= 0 {
+					break
+				}
+			}
+		}
+	}
+	mu.RUnlock()
+	return maskRoute(mask)
+}
+
+// maskRoute returns the workers in mask as RouteObject returns them.
+func maskRoute(mask uint64) []int {
 	if bits.OnesCount64(mask) == 1 {
 		return oneWorker[bits.TrailingZeros64(mask)][:]
 	}
@@ -326,14 +376,11 @@ func (gt *GridT) RouteQuery(q *model.Query, insert bool) []int {
 func (gt *GridT) keyIDs(buf []uint32, keys []string, add bool) []uint32 {
 	ids := buf[:0]
 	for _, k := range keys {
-		ids = append(ids, gt.dict.Find(k))
-	}
-	if add && slices.Contains(ids, 0) {
-		gt.dictMu.Lock()
-		for i, k := range keys {
-			ids[i] = gt.dict.ID(k)
+		if add {
+			ids = append(ids, gt.dict.ID(k))
+		} else {
+			ids = append(ids, gt.dict.Find(k))
 		}
-		gt.dictMu.Unlock()
 	}
 	return ids
 }
@@ -374,10 +421,14 @@ func (gt *GridT) Grid() *grid.Grid { return gt.g }
 // Stats exposes the term-frequency table used for registration keys.
 func (gt *GridT) Stats() *textutil.Stats { return gt.stats }
 
+// Dict exposes the dictionary whose ids RouteObjectIDs takes.
+func (gt *GridT) Dict() *termtab.Dict { return gt.dict }
+
 // Footprint implements partition.Assignment (Figure 9's dispatcher
 // memory): the cells, their H1 maps and fallback lists, every H2 table by
-// capacity, and the key dictionary once. H1 maps shared between cells are
-// counted once, using the map's runtime identity.
+// capacity, and the key dictionary once unless UseDict shared it. H1 maps
+// shared between cells are counted once, using the map's runtime
+// identity.
 func (gt *GridT) Footprint() int64 {
 	b := int64(unsafe.Sizeof(*gt)) + int64(cap(gt.cells))*int64(unsafe.Sizeof(gridtCell{}))
 	seenH1 := make(map[uintptr]bool)
@@ -398,9 +449,9 @@ func (gt *GridT) Footprint() int64 {
 		b += c.h2.Footprint()
 		mu.RUnlock()
 	}
-	gt.dictMu.Lock()
-	b += gt.dict.Footprint()
-	gt.dictMu.Unlock()
+	if gt.ownDict {
+		b += gt.dict.Footprint()
+	}
 	return b
 }
 

@@ -1,11 +1,14 @@
 package hybrid
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
+	"ps2stream/internal/termtab"
 )
 
 // findCell locates a cell of the requested type with at least one live H2
@@ -269,5 +272,56 @@ func TestRouteObjectSpaceCellFirstHit(t *testing.T) {
 	check("merged")
 	if ws := gt.RouteObject(objs[0]); len(ws) != 1 || ws[0] != other {
 		t.Fatalf("after merge the object routes to %v, want [%d]", ws, other)
+	}
+}
+
+// UseDict moves a routed grid onto a dictionary that already gave other
+// terms the low ids: every object routes as before, by its terms and by
+// its ids in the new dictionary, the H2 keys read the same, and the grid
+// stops counting a dictionary it no longer owns.
+func TestUseDictRekeysH2(t *testing.T) {
+	gt, _, objects := routedGrid(t, 31)
+	before := make([][]int, len(objects))
+	for i, o := range objects {
+		before[i] = slices.Clone(gt.RouteObject(o))
+	}
+	keys := func() (out [][]string) {
+		for id := 0; id < gt.Grid().NumCells(); id++ {
+			for w := 0; w < gt.NumWorkers(); w++ {
+				out = append(out, gt.H2Keys(id, w))
+			}
+		}
+		return out
+	}
+	keysBefore := keys()
+	ownBytes, dictBytes := gt.Footprint(), gt.dict.Footprint()
+
+	shared := new(termtab.Dict)
+	for i := 0; i < 100; i++ {
+		shared.ID(fmt.Sprintf("usedictfiller%d", i))
+	}
+	gt.UseDict(shared)
+	if gt.Dict() != shared {
+		t.Fatal("Dict() is not the dictionary UseDict gave")
+	}
+	for i, o := range objects {
+		var ids []uint32
+		for _, term := range o.Terms {
+			if id := shared.Find(term); id != 0 {
+				ids = append(ids, id)
+			}
+		}
+		if got := gt.RouteObject(o); !slices.Equal(got, before[i]) {
+			t.Fatalf("object %d: RouteObject %v after UseDict, %v before", o.ID, got, before[i])
+		}
+		if got := gt.RouteObjectIDs(o, ids); !slices.Equal(got, before[i]) {
+			t.Fatalf("object %d: RouteObjectIDs %v, RouteObject gave %v", o.ID, got, before[i])
+		}
+	}
+	if !reflect.DeepEqual(keys(), keysBefore) {
+		t.Error("H2 keys changed under UseDict")
+	}
+	if got := gt.Footprint(); got != ownBytes-dictBytes {
+		t.Errorf("Footprint %d after UseDict, want %d without the %d-byte own dictionary", got, ownBytes-dictBytes, dictBytes)
 	}
 }

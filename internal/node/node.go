@@ -61,7 +61,10 @@ type Worker struct {
 	// geometry that handshake pins, and reset in place when a recovery
 	// session supersedes its state epoch.
 	eng atomic.Pointer[worker.Engine]
-	// geometry of the index, pinned by the first handshake.
+	// geometry of the index, pinned by the first handshake: its Task,
+	// Bounds and Granularity only, which geometryEqual compares. The
+	// handshake's sampled Terms feed the index's statistics and are not
+	// kept.
 	hello *wire.Hello
 	// live is the current session's connection (nil before the first
 	// handshake); a newer session closes it.
@@ -213,7 +216,7 @@ func (w *Worker) serveConn(conn *wire.Conn) (clean bool, err error) {
 				hello.Epoch, eng.Epoch())
 			eng.Reset(cfg)
 		}
-		w.hello = &hello
+		w.hello = &wire.Hello{Task: hello.Task, Bounds: hello.Bounds, Granularity: hello.Granularity}
 		w.opts.Log.printf("worker: task %d over %v at granularity %d (%d sampled terms)",
 			hello.Task, hello.Bounds, hello.Granularity, len(hello.Terms))
 	case !geometryEqual(w.hello, &hello):

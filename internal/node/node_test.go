@@ -51,6 +51,35 @@ func query(id uint64, expr string, r geo.Rect) *model.Query {
 	return &model.Query{ID: id, Expr: e, Region: r, Subscriber: id * 10}
 }
 
+// The worker keeps only the geometry of its first handshake: the sampled
+// terms of the hello feed the index's statistics and are not retained
+// for the node's lifetime.
+func TestWorkerKeepsNoHandshakeTerms(t *testing.T) {
+	w, addr, _ := startWorker(t, WorkerOptions{})
+	hello := testHello(1)
+	cl, err := wire.DialWorker(addr, hello, wire.Backoff{Attempts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	kept := w.hello
+	w.mu.Unlock()
+	if kept == nil {
+		t.Fatal("no geometry retained after the handshake")
+	}
+	if kept.Terms != nil {
+		t.Errorf("retained hello holds %d sampled terms, want none", len(kept.Terms))
+	}
+	if !geometryEqual(kept, &hello) {
+		t.Errorf("retained geometry task %d %v/%d, handshake had task %d %v/%d",
+			kept.Task, kept.Bounds, kept.Granularity, hello.Task, hello.Bounds, hello.Granularity)
+	}
+}
+
 func TestWorkerSessionMatchesAndDrain(t *testing.T) {
 	w, addr, _ := startWorker(t, WorkerOptions{})
 	cl, err := wire.DialWorker(addr, testHello(1), wire.Backoff{Attempts: 3})

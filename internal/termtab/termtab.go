@@ -2,16 +2,18 @@
 // integers instead of strings: Dict, a grow-only dictionary from terms to
 // ids, and Table, a small open-addressed table from id to a value. GI2's
 // per-cell inverted index and gridt's per-cell H2 are both Tables over
-// the ids of their own Dict.
+// the ids of one Dict, which a coordinator shares between its gridt and
+// every GI2 of its own process.
 //
-// A Table is not safe for concurrent use, and neither are a Dict's
-// additions: the owner supplies the locks. Looking a term up in a Dict
-// needs none.
+// A Table is not safe for concurrent use: the owner supplies the locks.
+// A Dict is: looking a term up takes no lock, and only an addition takes
+// the dictionary's own.
 package termtab
 
 import (
 	"hash/maphash"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -21,12 +23,15 @@ import (
 // one string per distinct term it has ever been given. The zero value is
 // an empty dictionary.
 //
-// Find and Term take no lock and may run while one goroutine calls ID:
+// Every method is safe for concurrent use. Find and Term take no lock:
 // an id is published only once its term is in place, and a reader that
-// found it sees it from then on. Calls to ID and Footprint must not
-// overlap each other; the owner serialises them.
+// found it sees it from then on. ID takes no lock either for a term the
+// dictionary holds; it locks the dictionary only to add one, so callers
+// that race to add the same term all get the one id it was given.
 type Dict struct {
-	cur  atomic.Pointer[dictState]
+	cur atomic.Pointer[dictState]
+	// mu serialises additions and Footprint; n and seed change under it.
+	mu   sync.Mutex
 	n    uint32 // ids assigned
 	seed maphash.Seed
 }
@@ -56,6 +61,11 @@ func (d *Dict) ID(t string) uint32 {
 	if id := d.Find(t); id != 0 {
 		return id
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if id := d.Find(t); id != 0 {
+		return id // added while this call waited for the lock
+	}
 	st := d.cur.Load()
 	if st == nil || int(d.n+1) >= len(st.terms) {
 		st = d.grow(st)
@@ -67,7 +77,7 @@ func (d *Dict) ID(t string) uint32 {
 }
 
 // grow publishes a state twice the size of old (or the first one),
-// holding every id assigned so far.
+// holding every id assigned so far. Caller holds d.mu.
 func (d *Dict) grow(old *dictState) *dictState {
 	groups := 1
 	if old == nil {
@@ -137,6 +147,8 @@ func (d *Dict) Term(id uint32) string { return d.cur.Load().terms[id] }
 // Footprint is the dictionary's resident memory in bytes: the slots, the
 // id-to-term column and the terms' bytes, each string counted once.
 func (d *Dict) Footprint() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	st := d.cur.Load()
 	if st == nil {
 		return 0

@@ -90,6 +90,77 @@ func TestDictFindWhileOneWriterAdds(t *testing.T) {
 	}
 }
 
+// Several goroutines intern overlapping terms, in different orders,
+// while others look them up and measure the dictionary: every term gets
+// exactly one id, whoever asked first, and every id maps back to its
+// term. Run it under -race.
+func TestDictIDFromManyGoroutines(t *testing.T) {
+	var d Dict
+	const (
+		n       = 5000
+		writers = 4
+	)
+	got := make([][]uint32, writers) // got[w][i] is the id writer w was given for term i
+	stop := make(chan struct{})
+	var readers, wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i = (i + 7) % n {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				term := fmt.Sprintf("term%d", i)
+				if id := d.Find(term); id != 0 && d.Term(id) != term {
+					t.Errorf("Find(%q) = %d, whose term is %q", term, id, d.Term(id))
+					return
+				}
+				if i%512 == 0 && d.Footprint() < 0 {
+					t.Error("negative footprint")
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		got[w] = make([]uint32, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			order := rand.New(rand.NewSource(int64(w))).Perm(n)
+			for _, i := range order {
+				got[w][i] = d.ID(fmt.Sprintf("term%d", i))
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	seen := make(map[uint32]int, n)
+	for i := 0; i < n; i++ {
+		term := fmt.Sprintf("term%d", i)
+		id := got[0][i]
+		for w := 1; w < writers; w++ {
+			if got[w][i] != id {
+				t.Fatalf("%q got id %d from writer 0 and %d from writer %d", term, id, got[w][i], w)
+			}
+		}
+		if id == 0 || id > n {
+			t.Fatalf("%q got id %d, outside 1..%d", term, id, n)
+		}
+		if prev, dup := seen[id]; dup {
+			t.Fatalf("id %d given to term%d and %q", id, prev, term)
+		}
+		seen[id] = i
+		if d.Term(id) != term || d.Find(term) != id {
+			t.Fatalf("id %d: Term = %q, Find(%q) = %d", id, d.Term(id), term, d.Find(term))
+		}
+	}
+}
+
 type pair struct{ a, b uint32 }
 
 // homedAt returns n distinct keys whose home position in a table of the

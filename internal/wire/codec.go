@@ -87,6 +87,13 @@ type OpEnv struct {
 	// Coordinator-local: it is not encoded, and a decoded envelope has it
 	// false.
 	Solo bool
+	// TermIDs are an object's term ids in the coordinator's term
+	// dictionary, resolved once by the dispatcher, which routes by them;
+	// terms the dictionary does not hold are left out. An in-process
+	// engine, whose index shares that dictionary, matches on them. nil
+	// means unresolved: the engine looks the object's terms up itself.
+	// Coordinator-local like Solo: not encoded, and not op-logged.
+	TermIDs []uint32
 }
 
 // OpBatch is one transfer batch of operations — one frame per batch, so

@@ -59,19 +59,16 @@ type Engine struct {
 	// fence is the last routing epoch a Fence announced (diagnostics).
 	fence uint64
 
-	// Cursor of the Process call in flight, read by onMatch. onMatch is
-	// bound once so that matching an object allocates no closure.
-	env     *wire.OpEnv
-	entry   window.Entry
-	out     []wire.MatchEnv
-	dout    []window.Delta
-	onMatch func(*model.Query)
+	// Cursor of the Process call in flight, read by match.
+	env   *wire.OpEnv
+	entry window.Entry
+	out   []wire.MatchEnv
+	dout  []window.Delta
 }
 
 // New returns an engine over cfg.
 func New(cfg Config) *Engine {
 	e := &Engine{}
-	e.onMatch = e.match
 	e.Reset(cfg)
 	return e
 }
@@ -107,6 +104,9 @@ func (e *Engine) observe(t time.Time) {
 // to dout, and returns both with the epoch they were produced under.
 // Boolean subscriptions emit matches; top-k subscriptions route matches
 // into the window store, whose local membership changes are the deltas.
+// An object is matched on its envelope's TermIDs when the dispatcher
+// resolved them (in process, in the index's shared dictionary), else on
+// its terms.
 func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.Delta) ([]wire.MatchEnv, []window.Delta, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -137,7 +137,15 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 			}
 			e.env = env
 			e.entry = window.Entry{MsgID: obj.ID, Terms: obj.Terms, Loc: obj.Loc, At: env.T0}
-			e.gi.Match(obj, e.onMatch)
+			var hits []uint32
+			if env.TermIDs != nil {
+				hits = e.gi.MatchSlots(obj.Loc, env.TermIDs)
+			} else {
+				hits = e.gi.MatchObject(obj)
+			}
+			for _, s := range hits {
+				e.match(s)
+			}
 		}
 	}
 	out, dout = e.out, e.dout
@@ -146,16 +154,18 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 	return out, dout, e.epoch
 }
 
-// match receives one query matching the object under the Process cursor.
-func (e *Engine) match(q *model.Query) {
-	if q.IsTopK() {
-		e.dout = e.win.Insert(e.dout, q.ID, e.entry, e.now, true)
+// match takes the index slot of one query matching the object under the
+// Process cursor.
+func (e *Engine) match(s uint32) {
+	id, sub, topk := e.gi.Slot(s)
+	if topk != nil && topk.IsTopK() {
+		e.dout = e.win.Insert(e.dout, id, e.entry, e.now, true)
 		return
 	}
 	e.out = append(e.out, wire.MatchEnv{
 		M: model.Match{
-			QueryID:    q.ID,
-			Subscriber: q.Subscriber,
+			QueryID:    id,
+			Subscriber: sub,
 			ObjectID:   e.env.Op.Obj.ID,
 			Worker:     e.task,
 		},
