@@ -11,6 +11,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"ps2stream/internal/partition"
 	"ps2stream/internal/snapshot"
 	"ps2stream/internal/termtab"
+	"ps2stream/internal/textutil"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/worker"
 )
@@ -356,7 +358,7 @@ type System struct {
 	// with neither remote workers nor spares. See membership.go.
 	hops []*workerHop
 	// remoteHello is the handshake template runtime joins dial with
-	// (bounds, term statistics, geometry — everything but Task/Epoch).
+	// (bounds and geometry — everything but Task/Epoch).
 	remoteHello wire.Hello
 
 	// Metrics.
@@ -441,6 +443,7 @@ type System struct {
 
 	// lost records the first hop to fail for good; Drain waits on it.
 	lost lostSlots
+	rank *textutil.Stats // New's sample: keyFirst's ranking for the system's life
 }
 
 // now reads the configured clock.
@@ -451,8 +454,9 @@ func (s *System) now() time.Time { return s.cfg.Clock() }
 var ErrAdjustNeedsHybrid = errors.New("core: dynamic load adjustment requires the hybrid (gridt) strategy")
 
 // New builds a system: the Builder analyses the sample and the workers'
-// GI2 indexes are created over the sample's bounds with the sample's term
-// statistics (shared, read-only, by the dispatcher and workers).
+// GI2 indexes are created over the sample's bounds. The sample's term
+// statistics rank the registration keys the dispatcher orders every
+// query by.
 func New(cfg Config, sample *partition.Sample) (*System, error) {
 	cfg.fillDefaults()
 	if sample == nil {
@@ -470,6 +474,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		stopped: make(chan struct{}),
 		lost:    lostSlots{done: make(chan struct{})},
 		dict:    new(termtab.Dict),
+		rank:    cmp.Or(sample.Stats, textutil.NewStats()),
 	}
 	s.ingest = newIngestQueue(max(cfg.QueueCap, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
 	s.opBatches.size, s.matchBatches.size = cfg.BatchSize, cfg.BatchSize
@@ -539,7 +544,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		}
 		eng := worker.New(worker.Config{
 			Task:  i,
-			Index: gi2.NewShared(sample.Bounds, cfg.Granularity, sample.Stats, s.dict),
+			Index: gi2.NewShared(sample.Bounds, cfg.Granularity, s.dict),
 		})
 		s.bolts[i] = &workerBolt{s: s, task: i, eng: eng}
 	}

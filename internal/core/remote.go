@@ -36,10 +36,10 @@ var ErrRemoteConfigMismatch = errors.New("core: remote worker handshake disagree
 var ErrNilSample = errors.New("core: remote connection requires a non-nil workload sample")
 
 // RemoteHello assembles the coordinator handshake for task `task`: the
-// grid geometry and sampled term statistics every process must share
-// for gridt/GI2 cell ids — and the registration-keyword choice — to
-// agree across the wire. A nil sample yields a Hello with zero bounds
-// and no term statistics (useless to a peer, but never a panic);
+// grid geometry every process must share for gridt/GI2 cell ids to agree
+// across the wire. Registration keys need no handshake: they ride each
+// query as the first term of its conjunctions. A nil sample yields a
+// Hello with zero bounds (useless to a peer, but never a panic);
 // ConnectRemoteWorkers/ConnectRemoteMergers refuse it with ErrNilSample
 // before dialling.
 func (c *Config) RemoteHello(task int, sample *partition.Sample) wire.Hello {
@@ -77,9 +77,6 @@ func (c *Config) RemoteHello(task int, sample *partition.Sample) wire.Hello {
 	}
 	if sample != nil {
 		h.Bounds = sample.Bounds
-		if sample.Stats != nil {
-			h.Terms = sample.Stats.Vector()
-		}
 	}
 	return h
 }

@@ -436,6 +436,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 			if op.Query.IsTopK() {
 				s.board.register(op.Query.ID)
 			}
+			s.keyFirst(op)
 			s.intern(op.Query)
 			targets = a.RouteQuery(op.Query, true)
 			for _, w := range targets {
@@ -443,6 +444,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 			}
 		case model.OpDelete:
 			s.board.unregister(op.Query.ID)
+			s.keyFirst(op)
 			targets = a.RouteQuery(op.Query, false)
 			for _, w := range targets {
 				s.winDeletes[w].Add(1)
@@ -514,6 +516,17 @@ func routeByIDs(a partition.Assignment, o *model.Object, ids []uint32) []int {
 		return r.RouteObjectIDs(o, ids)
 	}
 	return a.RouteObject(o)
+}
+
+// keyFirst puts each conjunction's registration key first in op's query,
+// which everything downstream reads as its first term. The caller may
+// still hold the query, so one that needs reordering is copied.
+func (s *System) keyFirst(op *model.Op) {
+	if conj, copied := s.rank.KeyFirst(op.Query.Expr.Conj); copied {
+		q := *op.Query
+		q.Expr.Conj = conj
+		op.Query = &q
+	}
 }
 
 // intern adds every term of q's expression to the coordinator's

@@ -2,8 +2,9 @@
 // index maintained by every PS2Stream worker to organise STS queries
 // (§IV-D). The space is divided into grid cells; each cell holds an
 // inverted index over query keywords. A query is appended to the inverted
-// list of its least-frequent keyword (per conjunction for OR queries), and
-// deletions are lazy: a deleted query is marked dead and its entries are
+// list of its least-frequent keyword (per conjunction for OR queries),
+// which a dispatcher puts first (NewShared), and deletions are lazy: a
+// deleted query is marked dead and its entries are
 // physically removed when matching traverses their list.
 //
 // An Index is owned by a single worker goroutine and is not safe for
@@ -11,6 +12,7 @@
 package gi2
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"unsafe"
@@ -27,9 +29,9 @@ import (
 // Layout. Every distinct query the index holds has one slot: a
 // pointer-free record of its id, its region and its keyword expression
 // compiled to term ids, with its subscriber in a column beside the
-// slots. Term ids come from a termtab.Dict: the index's own (New), or
-// the one its coordinator shares with gridt and every other index of its
-// process (NewShared). Objects, wire frames, snapshots and the op-log
+// slots. Term ids come from a termtab.Dict: the index's own, or the one
+// its coordinator shares with gridt and every other index of its process
+// (NewShared). Objects, wire frames, snapshots and the op-log
 // carry strings, and every method that takes or returns terms converts
 // at its own boundary; MatchSlots alone takes ids, which the caller
 // resolved in the same dictionary. A cell's inverted index is a
@@ -54,7 +56,7 @@ import (
 // traverse. A slot is reused once no posting refers to it.
 type Index struct {
 	g     *grid.Grid
-	stats *textutil.Stats
+	stats *textutil.Stats // ranks registration keys (New); nil: first terms
 	cells []cell
 
 	// dict assigns ids to the terms of every query ever inserted. Object
@@ -145,39 +147,30 @@ type cell struct {
 // empty statistics (all terms equally infrequent, ties broken
 // lexicographically).
 func New(bounds geo.Rect, granularity int, stats *textutil.Stats) *Index {
-	ix := NewShared(bounds, granularity, stats, new(termtab.Dict))
-	ix.ownDict = true
+	ix := NewShared(bounds, granularity, nil)
+	ix.stats = cmp.Or(stats, textutil.NewStats())
 	return ix
 }
 
-// NewShared is New over dict, a dictionary the caller shares with other
-// structures of its process and counts in its own footprint, not in the
-// index's. MatchSlots takes ids from dict.
-func NewShared(bounds geo.Rect, granularity int, stats *textutil.Stats, dict *termtab.Dict) *Index {
-	if stats == nil {
-		stats = textutil.NewStats()
-	}
+// NewShared returns an empty index that registers a query under the
+// first term of each conjunction, the key its dispatcher put there
+// (textutil.Stats.KeyFirst), over dict, which the caller shares and
+// counts in its own footprint; MatchSlots takes ids from dict. A nil
+// dict gives the index one of its own, which its footprint counts.
+func NewShared(bounds geo.Rect, granularity int, dict *termtab.Dict) *Index {
 	g := grid.New(bounds, granularity, granularity)
 	return &Index{
-		g:     g,
-		stats: stats,
-		dict:  dict,
-		cells: make([]cell, g.NumCells()),
-		topk:  make(map[uint32]*model.Query),
-		byID:  make(map[uint64]uint32),
+		g:       g,
+		dict:    cmp.Or(dict, new(termtab.Dict)),
+		ownDict: dict == nil,
+		cells:   make([]cell, g.NumCells()),
+		topk:    make(map[uint32]*model.Query),
+		byID:    make(map[uint64]uint32),
 	}
 }
 
 // Grid exposes the underlying grid (shared geometry with the dispatcher).
 func (ix *Index) Grid() *grid.Grid { return ix.g }
-
-// RegistrationKeys returns the distinct least-frequent keywords, one per
-// conjunction of q, under which the query is indexed. It delegates to
-// textutil.Stats.RegistrationKeys so the dispatcher and workers share one
-// rule.
-func RegistrationKeys(q *model.Query, stats *textutil.Stats) []string {
-	return stats.RegistrationKeys(q.Expr.Conj)
-}
 
 // Insert registers q in every cell its region overlaps. An id that was
 // deleted (or never seen) gets a slot of its own, so the new definition
@@ -208,7 +201,13 @@ func (ix *Index) InsertAt(cellID int, q *model.Query) {
 // for this call, so no posting can name it yet. ok is false for a query
 // with no keyword to register under, which is not indexed.
 func (ix *Index) slotFor(q *model.Query) (s uint32, fresh, ok bool) {
-	keys := RegistrationKeys(q, ix.stats)
+	var buf [4]string
+	keys := buf[:0]
+	if ix.stats != nil {
+		keys = ix.stats.RegistrationKeys(q.Expr.Conj)
+	} else {
+		keys = textutil.FirstTerms(keys, q.Expr.Conj)
+	}
 	if len(keys) == 0 {
 		return 0, false, false
 	}

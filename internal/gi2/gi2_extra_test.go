@@ -219,19 +219,22 @@ func TestQueriesInCellAndEach(t *testing.T) {
 // Two indexes over one shared dictionary: MatchSlots on the ids the
 // dictionary gives an object's terms reports exactly the queries Match
 // reports, Slot reads each hit's id, subscriber and top-k definition,
-// and the shared dictionary is left out of the indexes' footprints.
+// and the shared dictionary is left out of the indexes' footprints. The
+// queries arrive as a dispatcher orders them, each conjunction's least
+// frequent term first, so a NewShared index and a New one over the same
+// statistics register them under the same keys.
 func TestSharedDictMatchSlots(t *testing.T) {
 	stats := textutil.NewStats()
 	stats.AddWeighted("common", 1000)
 	stats.AddWeighted("rare", 1)
 	var d termtab.Dict
-	a := NewShared(testBounds, 16, stats, &d)
-	b := NewShared(testBounds, 16, stats, &d)
+	a := NewShared(testBounds, 16, &d)
+	b := NewShared(testBounds, 16, &d)
 	own := New(testBounds, 16, stats)
 	region := geo.NewRect(0, 0, 50, 50)
 	topk := &model.Query{ID: 3, Expr: model.And("rare"), Region: region, Subscriber: 30, TopK: 2, Window: time.Minute}
 	for _, ix := range []*Index{a, own} {
-		ix.Insert(&model.Query{ID: 1, Expr: model.And("common", "rare"), Region: region, Subscriber: 10})
+		ix.Insert(&model.Query{ID: 1, Expr: model.And("rare", "common"), Region: region, Subscriber: 10})
 		ix.Insert(&model.Query{ID: 2, Expr: model.Or("onlya", "rare"), Region: region, Subscriber: 20})
 		ix.Insert(topk)
 	}
@@ -271,5 +274,33 @@ func TestSharedDictMatchSlots(t *testing.T) {
 	if diff, dict := own.Footprint()-a.Footprint(), own.dict.Footprint(); diff != dict {
 		t.Errorf("own-dictionary index exceeds the shared one by %d bytes, its dictionary holds %d: a shared dictionary must not be counted",
 			diff, dict)
+	}
+}
+
+// A NewShared index registers a query under the first term of each
+// conjunction whatever the terms' frequencies, and one built over a nil
+// dictionary counts the dictionary of its own in its footprint.
+func TestSharedRegistersUnderFirstTerm(t *testing.T) {
+	var d termtab.Dict
+	shared := NewShared(testBounds, 16, &d)
+	own := NewShared(testBounds, 16, nil)
+	region := geo.NewRect(0, 0, 5, 5)
+	for _, ix := range []*Index{shared, own} {
+		ix.Insert(&model.Query{ID: 1, Expr: model.And("zeta", "alpha"), Region: region})
+		ix.Insert(&model.Query{ID: 2, Expr: model.Expr{Conj: [][]string{{"mid", "alpha"}, {"zeta"}}}, Region: region})
+	}
+	cell := own.Grid().CellOf(geo.Point{X: 1, Y: 1})
+	var keys []string
+	for _, ts := range own.CellTermStats(cell) {
+		keys = append(keys, fmt.Sprintf("%s:%d", ts.Term, ts.Queries))
+	}
+	if got, want := fmt.Sprint(keys), "[mid:1 zeta:2]"; got != want {
+		t.Errorf("keys in cell %d: %s, want %s", cell, got, want)
+	}
+	if got := own.MatchIDs(obj(9, geo.Point{X: 1, Y: 1}, "alpha", "mid")); len(got) != 1 || got[0] != 2 {
+		t.Errorf("object {alpha, mid} matched %v, want [2]", got)
+	}
+	if diff, dict := own.Footprint()-shared.Footprint(), own.dict.Footprint(); diff != dict || dict == 0 {
+		t.Errorf("nil-dictionary index exceeds the shared one by %d bytes, its dictionary holds %d", diff, dict)
 	}
 }

@@ -50,7 +50,7 @@ func (r *refIndex) cell(id int) *refCell {
 }
 
 func (r *refIndex) insert(q *model.Query, cells []int) {
-	keys := RegistrationKeys(q, r.stats)
+	keys := r.stats.RegistrationKeys(q.Expr.Conj)
 	if len(keys) == 0 {
 		return
 	}

@@ -182,7 +182,7 @@ func FuzzStoredDefinition(f *testing.F) {
 		ix := newTestIndex()
 		ix.Insert(qq)
 		got := ix.Get(1)
-		if len(RegistrationKeys(qq, ix.stats)) == 0 {
+		if len(ix.stats.RegistrationKeys(qq.Expr.Conj)) == 0 {
 			if got != nil {
 				t.Fatalf("a query without a registration key was stored: %+v", got)
 			}

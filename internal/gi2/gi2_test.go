@@ -46,12 +46,16 @@ func TestRegistrationKeys(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := RegistrationKeys(&model.Query{Expr: tt.e}, stats)
-			sort.Strings(got)
+			ix := New(testBounds, 16, stats)
+			ix.Insert(&model.Query{ID: 1, Expr: tt.e, Region: geo.NewRect(1, 1, 2, 2)})
+			var got []string
+			for _, ts := range ix.CellTermStats(ix.Grid().CellOf(geo.Point{X: 1, Y: 1})) {
+				got = append(got, ts.Term)
+			}
 			want := append([]string(nil), tt.want...)
 			sort.Strings(want)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("RegistrationKeys = %v, want %v", got, want)
+				t.Errorf("registered under %v, want %v", got, want)
 			}
 		})
 	}

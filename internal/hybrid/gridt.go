@@ -23,6 +23,9 @@ import (
 // no H1; cells under text-partitioned leaves resolve terms through H1
 // with a deterministic hash fallback for unseen terms.
 //
+// A query is registered under the first term of each conjunction, where
+// the dispatcher put its least frequent term (textutil.Stats.KeyFirst).
+//
 // Layout. H1 is a string map, and only text cells have one. H2 is keyed
 // by term id: every registration key a query is inserted under is
 // interned in one dictionary for the whole grid (termtab.Dict), and each
@@ -48,9 +51,8 @@ import (
 // cell, reassigning a worker's text share, splitting a space cell by text,
 // and merging text shares.
 type GridT struct {
-	m     int
-	g     *grid.Grid
-	stats *textutil.Stats
+	m int
+	g *grid.Grid
 
 	// mus stripes the cell locks: a cell's lock is mus[cell % lockStripes],
 	// so the four dispatcher tasks rarely contend.
@@ -97,7 +99,7 @@ var _ partition.Assignment = (*GridT)(nil)
 // buildGridT rasterises the final units onto the gridt index.
 func buildGridT(s *partition.Sample, m int, cfg Config, units []*unit, owners []int) *GridT {
 	g := grid.New(s.Bounds, cfg.Granularity, cfg.Granularity)
-	gt := &GridT{m: m, g: g, stats: s.Stats, cells: make([]gridtCell, g.NumCells()),
+	gt := &GridT{m: m, g: g, cells: make([]gridtCell, g.NumCells()),
 		dict: new(termtab.Dict), ownDict: true}
 
 	// Precompute shared H1 maps per sibling group of text units.
@@ -339,11 +341,20 @@ var oneWorker = func() (t [64][1]int) {
 }()
 
 // RouteQuery implements partition.Assignment. The insertion updates H2 in
-// every overlapped cell; deletions decrement it.
+// every overlapped cell under the first term of each conjunction;
+// deletions decrement it.
 func (gt *GridT) RouteQuery(q *model.Query, insert bool) []int {
-	keys := gt.stats.RegistrationKeys(q.Expr.Conj)
+	var kbuf [4]string
+	keys := textutil.FirstTerms(kbuf[:0], q.Expr.Conj)
 	var buf [4]uint32
-	ids := gt.keyIDs(buf[:], keys, insert)
+	ids := buf[:0] // a delete's key the dictionary lacks gets 0, which no H2 holds
+	for _, k := range keys {
+		if insert {
+			ids = append(ids, gt.dict.ID(k))
+		} else {
+			ids = append(ids, gt.dict.Find(k))
+		}
+	}
 	var mask uint64
 	gt.g.VisitOverlapping(q.Region, func(id int) {
 		mu := gt.lockFor(id)
@@ -368,21 +379,6 @@ func (gt *GridT) RouteQuery(q *model.Query, insert bool) []int {
 		}
 	})
 	return maskToWorkers(mask)
-}
-
-// keyIDs returns the dictionary ids of keys, in buf's storage if it is
-// large enough. With add set, a key the dictionary lacks is interned;
-// without, it gets id 0, which no H2 holds. Called with no stripe held.
-func (gt *GridT) keyIDs(buf []uint32, keys []string, add bool) []uint32 {
-	ids := buf[:0]
-	for _, k := range keys {
-		if add {
-			ids = append(ids, gt.dict.ID(k))
-		} else {
-			ids = append(ids, gt.dict.Find(k))
-		}
-	}
-	return ids
 }
 
 // route returns the position of key id's H2 entry in the cell (-1 if it
@@ -417,9 +413,6 @@ func (gt *GridT) Name() string { return "hybrid" }
 
 // Grid exposes the raster geometry (shared with worker GI2 indexes).
 func (gt *GridT) Grid() *grid.Grid { return gt.g }
-
-// Stats exposes the term-frequency table used for registration keys.
-func (gt *GridT) Stats() *textutil.Stats { return gt.stats }
 
 // Dict exposes the dictionary whose ids RouteObjectIDs takes.
 func (gt *GridT) Dict() *termtab.Dict { return gt.dict }

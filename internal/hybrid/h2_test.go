@@ -13,6 +13,7 @@ import (
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
+	"ps2stream/internal/textutil"
 	"ps2stream/internal/workload"
 )
 
@@ -92,14 +93,16 @@ func (c *refCell) moveShare(from, to int) int {
 }
 
 // refGrid is gridt's routing state as the reference keeps it; it borrows
-// only the grid's geometry and term statistics.
+// only the grid's geometry, and picks registration keys by the sample's
+// term statistics.
 type refGrid struct {
 	gt    *GridT
+	stats *textutil.Stats
 	cells []*refCell
 }
 
-func newRefGrid(gt *GridT) *refGrid {
-	r := &refGrid{gt: gt, cells: make([]*refCell, len(gt.cells))}
+func newRefGrid(gt *GridT, stats *textutil.Stats) *refGrid {
+	r := &refGrid{gt: gt, stats: stats, cells: make([]*refCell, len(gt.cells))}
 	for i := range gt.cells {
 		c := &gt.cells[i]
 		r.cells[i] = &refCell{worker: c.worker, h1: maps.Clone(c.h1), fallback: slices.Clone(c.fallback), h2: map[string]refEntry{}}
@@ -108,7 +111,7 @@ func newRefGrid(gt *GridT) *refGrid {
 }
 
 func (r *refGrid) routeQuery(q *model.Query, insert bool) []int {
-	keys := r.gt.Stats().RegistrationKeys(q.Expr.Conj)
+	keys := r.stats.RegistrationKeys(q.Expr.Conj)
 	var mask uint64
 	r.gt.Grid().VisitOverlapping(q.Region, func(id int) {
 		c := r.cells[id]
@@ -189,12 +192,16 @@ func (r *refGrid) merge(id, from, to int) int {
 // TestH2MatchesReference drives gridt through a seeded random sequence of
 // query inserts and deletes — keys shared across many cells, deletes of
 // keys no cell holds, a cell emptied and refilled — interleaved with
-// every cell mutation of §V, and after each step compares RouteObject,
-// H2Keys and CellWorkers over a block of cells with a reference that
-// keeps H2 as a map per cell.
+// every cell mutation of §V, and after each step compares RouteQuery,
+// RouteObject, H2Keys and CellWorkers over a block of cells with a
+// reference that keeps H2 as a map per cell. Queries reach the grid in
+// the order a dispatcher gives them (each conjunction's least frequent
+// term first), and the reference picks their keys by the sample's
+// statistics.
 func TestH2MatchesReference(t *testing.T) {
-	gt := buildHybrid(t, mixedSample(t, 44, 3000, 600), 8)
-	ref := newRefGrid(gt)
+	s := mixedSample(t, 44, 3000, 600)
+	gt := buildHybrid(t, s, 8)
+	ref := newRefGrid(gt, s.Stats)
 	g := gt.Grid()
 	rng := rand.New(rand.NewSource(44))
 
@@ -245,6 +252,7 @@ func TestH2MatchesReference(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			expr = model.And(keys...)
 		}
+		expr.Conj, _ = s.Stats.KeyFirst(expr.Conj)
 		return &model.Query{ID: nextID, Expr: expr, Region: r}
 	}
 	var live []*model.Query
@@ -328,7 +336,7 @@ func TestH2MatchesReference(t *testing.T) {
 		case p < 75:
 			what = "delete absent"
 			q := newQuery(region(false))
-			q.Expr = model.Or("absent", vocab[rng.Intn(len(vocab))])
+			q.Expr = model.Or("absent", vocab[rng.Intn(len(vocab))]) // one term per conjunction: already ordered
 			if got, want := gt.RouteQuery(q, false), ref.routeQuery(q, false); !slices.Equal(got, want) {
 				t.Fatalf("step %d: deleting a query never inserted: RouteQuery = %v, reference %v", step, got, want)
 			}

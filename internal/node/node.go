@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"ps2stream/internal/gi2"
-	"ps2stream/internal/textutil"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/worker"
@@ -62,9 +61,7 @@ type Worker struct {
 	// session supersedes its state epoch.
 	eng atomic.Pointer[worker.Engine]
 	// geometry of the index, pinned by the first handshake: its Task,
-	// Bounds and Granularity only, which geometryEqual compares. The
-	// handshake's sampled Terms feed the index's statistics and are not
-	// kept.
+	// Bounds and Granularity, which geometryEqual compares.
 	hello *wire.Hello
 	// live is the current session's connection (nil before the first
 	// handshake); a newer session closes it.
@@ -199,14 +196,11 @@ func (w *Worker) serveConn(conn *wire.Conn) (clean bool, err error) {
 		// from its log, so state from the superseded session must not
 		// survive into it — a replayed object would otherwise match
 		// queries that were originally inserted after it.
-		stats := textutil.NewStats()
-		for term, n := range hello.Terms {
-			stats.AddWeighted(term, n)
-		}
+		// Queries arrive key first: the index needs no term statistics.
 		cfg := worker.Config{
 			Task:  hello.Task,
 			Epoch: hello.Epoch,
-			Index: gi2.New(hello.Bounds, hello.Granularity, stats),
+			Index: gi2.NewShared(hello.Bounds, hello.Granularity, nil),
 		}
 		if eng == nil {
 			eng = worker.New(cfg)
@@ -217,8 +211,8 @@ func (w *Worker) serveConn(conn *wire.Conn) (clean bool, err error) {
 			eng.Reset(cfg)
 		}
 		w.hello = &wire.Hello{Task: hello.Task, Bounds: hello.Bounds, Granularity: hello.Granularity}
-		w.opts.Log.printf("worker: task %d over %v at granularity %d (%d sampled terms)",
-			hello.Task, hello.Bounds, hello.Granularity, len(hello.Terms))
+		w.opts.Log.printf("worker: task %d over %v at granularity %d",
+			hello.Task, hello.Bounds, hello.Granularity)
 	case !geometryEqual(w.hello, &hello):
 		w.mu.Unlock()
 		return false, fmt.Errorf("node: reconnect with different geometry (task %d %v/%d, had task %d %v/%d)",

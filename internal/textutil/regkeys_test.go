@@ -57,3 +57,51 @@ func TestRegistrationKeysDeterministic(t *testing.T) {
 		t.Errorf("tie broken to %q, want lexicographic \"a\"", first[0])
 	}
 }
+
+// KeyFirst puts each conjunction's least frequent term first, copying
+// only when something moves and never touching its input, and FirstTerms
+// then reads the keys RegistrationKeys picks.
+func TestKeyFirst(t *testing.T) {
+	s := NewStats()
+	s.AddWeighted("common", 1000)
+	s.AddWeighted("mid", 100)
+	s.AddWeighted("rare", 1)
+	tests := []struct {
+		name   string
+		conj   [][]string
+		want   [][]string
+		copied bool
+	}{
+		{"ordered", [][]string{{"rare", "common"}, {"mid"}}, [][]string{{"rare", "common"}, {"mid"}}, false},
+		{"key moved, rest kept in order", [][]string{{"common", "mid", "rare"}}, [][]string{{"rare", "common", "mid"}}, true},
+		{"second conjunction", [][]string{{"mid"}, {"common", "mid"}}, [][]string{{"mid"}, {"mid", "common"}}, true},
+		{"empty conjunction kept", [][]string{{}, {"common", "rare"}}, [][]string{{}, {"rare", "common"}}, true},
+		{"tie goes lexicographic", [][]string{{"y", "x"}}, [][]string{{"x", "y"}}, true},
+		{"no conjunctions", nil, nil, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			in := make([][]string, len(tt.conj))
+			for i, c := range tt.conj {
+				in[i] = append([]string{}, c...)
+			}
+			got, copied := s.KeyFirst(tt.conj)
+			if copied != tt.copied || !reflect.DeepEqual(got, tt.want) && len(got)+len(tt.want) > 0 {
+				t.Errorf("KeyFirst(%v) = %v, %v; want %v, %v", in, got, copied, tt.want, tt.copied)
+			}
+			if !reflect.DeepEqual(tt.conj, in) && len(in) > 0 {
+				t.Errorf("KeyFirst changed its input to %v", tt.conj)
+			}
+			if !copied && len(got) > 0 && &got[0] != &tt.conj[0] {
+				t.Error("an ordered expression was copied")
+			}
+			keys := FirstTerms(nil, got)
+			want := s.RegistrationKeys(in)
+			sort.Strings(keys)
+			sort.Strings(want)
+			if !reflect.DeepEqual(keys, want) && len(keys)+len(want) > 0 {
+				t.Errorf("FirstTerms after KeyFirst = %v, RegistrationKeys = %v", keys, want)
+			}
+		})
+	}
+}

@@ -1,13 +1,14 @@
 // Package textutil provides the text-processing substrate of PS2Stream:
 // tokenisation, term-frequency statistics (used to pick the least-frequent
-// keyword in GI2 and gridt, §IV-C/§IV-D), cosine similarity between term
-// distributions (simt in Algorithm 1), and a Zipf sampler used by the
-// workload generator to reproduce the power-law keyword distribution of
-// tweets.
+// keyword a query is registered under, §IV-C/§IV-D), cosine similarity
+// between term distributions (simt in Algorithm 1), and a Zipf sampler
+// used by the workload generator to reproduce the power-law keyword
+// distribution of tweets.
 package textutil
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -204,22 +205,41 @@ func (s *Stats) LeastFrequent(terms []string) string {
 func (s *Stats) RegistrationKeys(conjunctions [][]string) []string {
 	keys := make([]string, 0, len(conjunctions))
 	for _, conj := range conjunctions {
-		k := s.LeastFrequent(conj)
-		if k == "" {
-			continue
-		}
-		dup := false
-		for _, e := range keys {
-			if e == k {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if k := s.LeastFrequent(conj); k != "" && !slices.Contains(keys, k) {
 			keys = append(keys, k)
 		}
 	}
 	return keys
+}
+
+// KeyFirst returns conj with each conjunction's least frequent term
+// first, so that FirstTerms reads the keys RegistrationKeys picks. conj
+// itself is never changed: copied reports that the result is a copy,
+// made because some conjunction needed reordering.
+func (s *Stats) KeyFirst(conj [][]string) (out [][]string, copied bool) {
+	out = conj
+	for i, c := range conj {
+		j := slices.Index(c, s.LeastFrequent(c)) // -1 for an empty conjunction
+		if j <= 0 {
+			continue
+		}
+		if !copied {
+			out, copied = slices.Clone(conj), true
+		}
+		out[i] = slices.Concat(c[j:j+1], c[:j], c[j+1:])
+	}
+	return out, copied
+}
+
+// FirstTerms appends the distinct non-empty first terms of the
+// conjunctions to dst: the keys of an expression KeyFirst ordered.
+func FirstTerms(dst []string, conj [][]string) []string {
+	for _, c := range conj {
+		if len(c) > 0 && c[0] != "" && !slices.Contains(dst, c[0]) {
+			dst = append(dst, c[0])
+		}
+	}
+	return dst
 }
 
 // TopTerms returns the n most frequent terms in descending count order

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -516,9 +515,8 @@ func DecodeBinFence(p []byte) (Fence, error) {
 }
 
 // The frames below are the control plane: the handshake, stats polls and
-// cell migration. They are rare and may be large (a Hello carries the
-// whole sampled term vector, a CellShare a cell's queries and window), so
-// they allocate what they decode; the layout rules are the hot frames'.
+// cell migration. They are rare and may be large (a CellShare carries a
+// cell's queries and window), so they allocate what they decode; the layout rules are the hot frames'.
 
 // appendHandshake appends the Magic and Version every Hello and Welcome
 // opens with, so a peer built from another tree — a version-1 gob peer
@@ -535,8 +533,8 @@ func (r *breader) handshake() error {
 	return CheckHandshake(string(magic), int(r.uvarint()))
 }
 
-// AppendHello appends the binary encoding of a Hello to dst. Terms are
-// written in sorted key order, so equal handshakes are equal bytes.
+// AppendHello appends the binary encoding of a Hello to dst. Terms and
+// Streams are not encoded.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendHandshake(dst)
 	dst = appendStr(dst, h.Role)
@@ -546,18 +544,7 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.AppendUvarint(dst, uint64(h.Granularity))
 	dst = binary.AppendUvarint(dst, uint64(h.BatchSize))
 	dst = binary.AppendUvarint(dst, uint64(h.HeartbeatMillis))
-	dst = binary.AppendUvarint(dst, h.Epoch)
-	terms := make([]string, 0, len(h.Terms))
-	for t := range h.Terms {
-		terms = append(terms, t)
-	}
-	slices.Sort(terms)
-	dst = binary.AppendUvarint(dst, uint64(len(terms)))
-	for _, t := range terms {
-		dst = appendStr(dst, t)
-		dst = binary.AppendUvarint(dst, uint64(h.Terms[t]))
-	}
-	return dst
+	return binary.AppendUvarint(dst, h.Epoch)
 }
 
 // DecodeBinHello decodes a binary Hello payload. A payload that does not
@@ -573,18 +560,6 @@ func DecodeBinHello(p []byte) (Hello, error) {
 	h.BatchSize = int(r.uvarint())
 	h.HeartbeatMillis = int(r.uvarint())
 	h.Epoch = r.uvarint()
-	if n := r.count(2); n > 0 { // one-byte term + count
-		h.Terms = make(map[string]int, n)
-		prev := ""
-		for i := 0; i < n && !r.bad; i++ {
-			t := r.str()
-			if i > 0 && t <= prev {
-				r.fail() // unsorted or repeated: not what AppendHello writes
-			}
-			h.Terms[t] = int(r.uvarint())
-			prev = t
-		}
-	}
 	if !r.done() {
 		return Hello{}, fmt.Errorf("%w: hello", ErrBadPayload)
 	}

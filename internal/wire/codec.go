@@ -20,8 +20,9 @@ const Magic = "PS2WIRE"
 // encoding; version 2 opened a worker hop as a control connection plus
 // attached data connections; version 3 carried counts in DrainAck;
 // version 4 carried a window ring in each CellPayload; version 5 had a
-// refill bit in each op's presence byte.
-const Version = 6
+// refill bit in each op's presence byte; version 6 carried the sample's
+// term counts in the Hello.
+const Version = 7
 
 // Roles named in the handshake.
 const (
@@ -33,9 +34,8 @@ const (
 // Hello is the coordinator's opening message to a peer. Beyond
 // identifying the protocol it distributes everything a worker node needs
 // to agree with the coordinator's routing: the monitored bounds and the
-// grid granularity (so gridt/GI2 cell ids computed on either side of the
-// wire coincide) and the sampled term statistics (so both sides pick the
-// same least-frequent registration keyword for a query).
+// grid granularity, so gridt/GI2 cell ids computed on either side of the
+// wire coincide. Registration keys ride each query, first in each conjunction.
 type Hello struct {
 	// Role the *sender* is playing (normally RoleCoordinator).
 	Role string
@@ -48,8 +48,11 @@ type Hello struct {
 	Granularity int
 	// BatchSize is the coordinator's transfer batch size, advisory.
 	BatchSize int
-	// Terms carries the partitioning sample's term frequencies
-	// (textutil.Stats.Vector); nil means "no statistics".
+	// Terms is ignored and not encoded: a query arrives with its
+	// registration keys first.
+	//
+	// Deprecated: it survives only because benchmark/probes.go sets it;
+	// the probe rewrite of ROADMAP.md item 1 deletes it.
 	Terms map[string]int
 	// HeartbeatMillis asks the peer to send a TypePing every this many
 	// milliseconds; 0 disables heartbeats.

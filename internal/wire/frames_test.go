@@ -108,13 +108,14 @@ func samplePayloads() []CellPayload {
 // frameCases is the table: every frame kind with populated and zero-valued
 // fields, and nil beside empty for every list.
 func frameCases() []frameCase {
-	hello := Hello{
+	// Terms and Streams are deprecated and not encoded: every hello
+	// decodes to bare.
+	bare := Hello{
 		Role: RoleCoordinator, Task: 3, Workers: 8, Bounds: geo.NewRect(-125, 24, -66, 49),
-		Granularity: 64, BatchSize: 64, Terms: map[string]int{"pizza": 1, "coffee": 3, "": 2},
-		HeartbeatMillis: 500, Epoch: 4,
+		Granularity: 64, BatchSize: 64, HeartbeatMillis: 500, Epoch: 4,
 	}
-	noTerms, emptyTerms, withStreams := hello, hello, hello
-	noTerms.Terms, emptyTerms.Terms = nil, map[string]int{}
+	hello, emptyTerms, withStreams := bare, bare, bare
+	hello.Terms, emptyTerms.Terms = map[string]int{"pizza": 1, "coffee": 3, "": 2}, map[string]int{}
 	withStreams.Streams = 4
 
 	ops, deltas, cells := sampleOpBatch(), sampleDeltas(), samplePayloads()
@@ -122,11 +123,11 @@ func frameCases() []frameCase {
 	emptyOp.Op.Obj = &model.Object{ID: 10, Terms: []string{}}
 
 	return []frameCase{
-		frameOf("hello", hello, DecodeBinHello),
+		frameAs("hello", hello, bare, DecodeBinHello),
 		frameOf("hello/zero", Hello{}, DecodeBinHello),
-		frameOf("hello/nil-terms", noTerms, DecodeBinHello),
-		frameAs("hello/empty-terms", emptyTerms, noTerms, DecodeBinHello),
-		frameAs("hello/streams-ignored", withStreams, hello, DecodeBinHello),
+		frameOf("hello/nil-terms", bare, DecodeBinHello),
+		frameAs("hello/empty-terms", emptyTerms, bare, DecodeBinHello),
+		frameAs("hello/streams-ignored", withStreams, bare, DecodeBinHello),
 		frameOf("welcome", Welcome{Role: RoleWorker, Task: 3}, DecodeBinWelcome),
 		frameOf("welcome/zero", Welcome{}, DecodeBinWelcome),
 		frameOf("op-batch", seqOpBatch{Seq: 5, Ops: ops}, decodeSeqOpBatch),
@@ -212,30 +213,22 @@ func TestFrameRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestHelloTermsAreSortedOnTheWire: equal handshakes are equal bytes
-// whatever order the map yields its keys in, and a decoder refuses the
-// orders the encoder never writes.
-func TestHelloTermsAreSortedOnTheWire(t *testing.T) {
-	h := Hello{Terms: map[string]int{}}
-	for i := 0; i < 64; i++ {
-		h.Terms[string(rune('a'+i%26))+string(rune('A'+i/26))] = i
+// TestHelloTermsAreNotEncoded: a Hello's deprecated Terms leave no
+// trace on the wire. Equal handshakes with and without them are equal
+// bytes, and a decoded Hello has none.
+func TestHelloTermsAreNotEncoded(t *testing.T) {
+	h := Hello{Role: RoleCoordinator, Task: 2, Granularity: 64, Epoch: 3}
+	bare := AppendHello(nil, h)
+	h.Terms = map[string]int{"coffee": 3, "pizza": 1}
+	if !bytes.Equal(AppendHello(nil, h), bare) {
+		t.Error("a hello with terms encodes to other bytes than one without")
 	}
-	first := AppendHello(nil, h)
-	for i := 0; i < 8; i++ {
-		if !bytes.Equal(AppendHello(nil, h), first) {
-			t.Fatal("two encodings of one hello differ")
-		}
+	got, err := DecodeBinHello(AppendHello(nil, h))
+	if err != nil {
+		t.Fatal(err)
 	}
-	two := AppendHello(nil, Hello{Terms: map[string]int{"a": 1, "b": 2}})
-	swapped := bytes.Replace(two, []byte("\x01a\x01\x01b\x02"), []byte("\x01b\x02\x01a\x01"), 1)
-	repeated := bytes.Replace(two, []byte("\x01a\x01\x01b\x02"), []byte("\x01a\x01\x01a\x02"), 1)
-	for name, p := range map[string][]byte{"unsorted": swapped, "repeated": repeated} {
-		if bytes.Equal(p, two) {
-			t.Fatalf("%s: the term run was not where the test expected it", name)
-		}
-		if _, err := DecodeBinHello(p); !errors.Is(err, ErrBadPayload) {
-			t.Errorf("%s terms: err = %v, want ErrBadPayload", name, err)
-		}
+	if got.Terms != nil {
+		t.Errorf("decoded hello holds terms %v, want nil", got.Terms)
 	}
 }
 
@@ -267,7 +260,6 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 		p      []byte
 		decode func([]byte) error
 	}{
-		{"hello terms", lastCount(Hello{}), func(p []byte) error { _, err := DecodeBinHello(p); return err }},
 		{"op batch ops", cat(zero, huge), func(p []byte) error { _, _, err := DecodeBinOpBatch(p, nil); return err }},
 		{"op batch object terms", cat(zero, one, []byte{byte(model.OpObject), opHasObj}, one, huge, pad),
 			func(p []byte) error { _, _, err := DecodeBinOpBatch(p, nil); return err }},

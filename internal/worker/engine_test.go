@@ -80,7 +80,7 @@ func newCluster(t *testing.T) *cluster {
 // RouteQuery would.
 func (c *cluster) routeQuery(q *model.Query) []int {
 	var to [2]bool
-	keys := gi2.RegistrationKeys(q, c.stats)
+	keys := c.stats.RegistrationKeys(q.Expr.Conj)
 	c.g.VisitOverlapping(q.Region, func(cell int) {
 		split := c.splitKeys[cell]
 		for _, k := range keys {
