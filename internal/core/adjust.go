@@ -64,7 +64,7 @@ func (s *System) evaluate(manual bool) int {
 		// genuinely dead hop fails the run on the data path.
 		return 0
 	}
-	loads, windowOps := s.peekWorkerLoads()
+	loads, cur, windowOps := s.windowLoads()
 	if !manual && windowOps < s.cfg.Adjust.MinWindowOps {
 		// Too few operations to be statistically meaningful yet. The
 		// window is left accumulating (nothing consumed, nothing reset)
@@ -74,7 +74,7 @@ func (s *System) evaluate(manual bool) int {
 	}
 	observe := !manual || windowOps > 0 // a manual call may find an empty window
 	if observe {
-		copy(s.prevWork, s.work) // the next window starts here
+		s.prevWork.Store(&cur) // the next window starts here
 	}
 	smoothed := make([]float64, len(loads))
 	for i, l := range loads {
@@ -125,50 +125,29 @@ func (s *System) evaluate(manual bool) int {
 	return s.migrationCount() - before
 }
 
-// pollLoads refreshes work with every member slot's cumulative
-// processed-op counters (freshStats), so the detector's
-// per-interval differences measure what each worker processed — not the
-// coordinator's hand-off rate, which would track routing alone and hide
-// a node that cannot keep up. Caller holds adjustMu.
+// pollLoads refreshes every member slot's processed-op counters
+// (freshStats: one stats round on a remote slot), so the window measures
+// what each worker processed — not the coordinator's hand-off rate,
+// which would track routing alone and hide a node that cannot keep up.
+// Caller holds adjustMu.
 func (s *System) pollLoads() error {
 	for _, w := range s.members() {
-		sr, err := s.freshStats(w)
-		if err != nil {
+		if _, err := s.freshStats(w); err != nil {
 			s.log.Debug("adjust load poll failed", "worker", w, "err", err)
 			return err
 		}
-		s.work[w] = workCounts{objects: sr.Objects, inserts: sr.Inserts, deletes: sr.Deletes}
 	}
 	return nil
 }
 
-// peekWorkerLoads differences the per-worker cumulative op counters
-// against the previous committed sample and evaluates Definition 1 per
-// worker, without consuming the window — evaluate does that once it
-// decides to use the observation. It returns the per-window
-// loads and the total ops observed. Caller holds adjustMu.
-func (s *System) peekWorkerLoads() ([]float64, int64) {
-	loads := make([]float64, len(s.work))
-	var total int64
-	for i, cur := range s.work {
-		d := workCounts{
-			objects: cur.objects - s.prevWork[i].objects,
-			inserts: cur.inserts - s.prevWork[i].inserts,
-			deletes: cur.deletes - s.prevWork[i].deletes,
-		}
-		total += d.objects + d.inserts + d.deletes
-		loads[i] = s.cfg.Costs.Worker(float64(d.objects), float64(d.inserts), float64(d.deletes))
-	}
-	return loads, total
-}
-
-// resetLoadWindows starts a fresh Definition-1 window: the dispatcher-side
-// per-worker counters (Snapshot.WorkerLoads) and the per-cell object
-// windows inside each worker's index (Phase I/II candidate loads). A
-// reset travels the slot's stream, ahead of the slot's next CellStats
-// round.
+// resetLoadWindows starts a fresh window for the per-cell loads: the
+// dispatcher's per-cell arrivals and the per-cell object windows inside
+// each worker's index (Phase I/II candidate loads). A reset travels the
+// slot's stream, ahead of the slot's next CellStats round.
 func (s *System) resetLoadWindows() {
-	s.resetWindow()
+	for i := range s.cellObjects {
+		s.cellObjects[i].Store(0)
+	}
 	s.fanOut(wire.ResetWindow{}, nil)
 }
 

@@ -295,7 +295,11 @@ type Snapshot struct {
 	ThroughputTPS float64
 	Latency       metrics.Snapshot
 	MatchLatency  metrics.Snapshot
+	// WorkerLoads is each slot's Definition-1 load over the load window
+	// (windowLoads), spares included; BalanceFactor is their balance
+	// over the member slots (balance).
 	WorkerLoads   []float64
+	BalanceFactor float64
 	// DispatcherBytes estimates routing-structure memory (Figure 9),
 	// the coordinator's term dictionary included.
 	DispatcherBytes int64
@@ -392,28 +396,27 @@ type System struct {
 	statsMu sync.Mutex
 	statsAt time.Time
 
-	// Load accounting (dispatcher side, Definition 1 window).
-	winObjects []atomic.Int64
-	winInserts []atomic.Int64
-	winDeletes []atomic.Int64
-	// cellObjects counts object arrivals per grid cell (for Phase I
-	// merge planning).
+	// cellObjects counts object arrivals per grid cell over the load
+	// window (Phase I merge planning): only the dispatcher sees a cell's
+	// arrivals before routing splits them across workers.
 	cellObjects []atomic.Int64
-	// enqueued/doneOps count operations handed to / completed by each worker
-	// (never reset); their difference is the worker's in-flight gauge.
+	// enqueued/doneOps count operations routed to each slot / finished
+	// by its task, processed in process or handed to the wire (never
+	// reset). Only the coordinator sees these: their difference is the
+	// slot's in-flight gauge, and doneOps is what the worker bolt has
+	// finished (ps2_bolt_processed_total, WorkerOpCounts).
 	enqueued []atomic.Int64
 	doneOps  []atomic.Int64
 
 	// Adaptive controller state. adjustMu serialises the background loop
-	// and AdjustNow; work/prevWork/detector/adjustRng are owned under it.
-	// loadEWMA values are atomically readable for Snapshot.
+	// and AdjustNow; detector/adjustRng are owned under it. loadEWMA
+	// values are atomically readable for Snapshot.
 	adjustMu sync.Mutex
-	// work holds each slot's cumulative processed-op counts as its
-	// stats round last reported them (pollLoads fills it each evaluation);
-	// prevWork is the previous committed sample. The detector sees their
-	// difference: what each worker actually processed this interval.
-	work      []workCounts
-	prevWork  []workCounts
+	// prevWork holds each slot's processed-op counts (lastStats) as the
+	// controller last committed them: the start of the load window
+	// (windowLoads), nil before the first commit. Scrapes and Snapshot
+	// read it beside the controller, which swaps in a whole new slice.
+	prevWork  atomic.Pointer[[]wire.StatsReply]
 	loadEWMA  []*metrics.EWMA
 	detector  *load.Detector
 	adjustRng *rand.Rand
@@ -548,9 +551,6 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		})
 		s.bolts[i] = &workerBolt{s: s, task: i, eng: eng}
 	}
-	s.winObjects = make([]atomic.Int64, totalSlots)
-	s.winInserts = make([]atomic.Int64, totalSlots)
-	s.winDeletes = make([]atomic.Int64, totalSlots)
 	s.enqueued = make([]atomic.Int64, totalSlots)
 	s.doneOps = make([]atomic.Int64, totalSlots)
 	s.remoteHello = cfg.RemoteHello(0, sample)
@@ -560,8 +560,6 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		s.cellObjects = make([]atomic.Int64, gt.Grid().NumCells())
 	}
 	if s.canAdjust() {
-		s.work = make([]workCounts, totalSlots)
-		s.prevWork = make([]workCounts, totalSlots)
 		s.loadEWMA = make([]*metrics.EWMA, totalSlots)
 		for i := range s.loadEWMA {
 			s.loadEWMA[i] = metrics.NewEWMA(loadEWMAAlpha)
@@ -579,11 +577,6 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	}
 	s.initObservability()
 	return s, nil
-}
-
-// workCounts is one controller sample of a worker's cumulative op counts.
-type workCounts struct {
-	objects, inserts, deletes int64
 }
 
 // canAdjust reports whether the migration machinery is available: hybrid
@@ -705,7 +698,8 @@ func (s *System) Snapshot() Snapshot {
 		MatchLatency:    s.matchLat.Load().Snapshot(),
 		DispatcherBytes: s.Assignment().Footprint() + s.dict.Footprint(),
 	}
-	snap.WorkerLoads = s.windowLoads()
+	snap.WorkerLoads, _, _ = s.windowLoads()
+	snap.BalanceFactor, _, _ = s.balance(snap.WorkerLoads)
 	snap.WorkerBytes = make([]int64, s.totalSlots())
 	s.eachLocal(func(i int, eng *worker.Engine) { snap.WorkerBytes[i] = eng.Footprint() })
 	s.migMu.Lock()
@@ -737,35 +731,55 @@ func (s *System) adjustStats(migs []MigrationStat) AdjustStats {
 		st.QueriesMoved += m.QueriesMoved
 		st.BytesMoved += m.Bytes
 	}
-	if s.loadEWMA != nil {
-		st.EWMALoads = make([]float64, len(s.loadEWMA))
-		for i, e := range s.loadEWMA {
-			st.EWMALoads[i] = e.Value()
-		}
+	if st.EWMALoads = s.ewmaLoads(); st.EWMALoads != nil {
 		st.Imbalance, _, _ = s.balance(st.EWMALoads)
 	}
 	return st
 }
 
-// windowLoads evaluates Definition 1 over the current dispatcher window.
-func (s *System) windowLoads() []float64 {
-	loads := make([]float64, len(s.winObjects))
-	for i := range loads {
-		loads[i] = s.cfg.Costs.Worker(
-			float64(s.winObjects[i].Load()),
-			float64(s.winInserts[i].Load()),
-			float64(s.winDeletes[i].Load()),
-		)
+// ewmaLoads reads the controller's smoothed per-slot loads, nil without a
+// controller.
+func (s *System) ewmaLoads() []float64 {
+	if s.loadEWMA == nil {
+		return nil
+	}
+	loads := make([]float64, len(s.loadEWMA))
+	for i, e := range s.loadEWMA {
+		loads[i] = e.Value()
 	}
 	return loads
 }
 
-func (s *System) resetWindow() {
-	for i := range s.winObjects {
-		s.winObjects[i].Store(0)
-		s.winInserts[i].Store(0)
-		s.winDeletes[i].Store(0)
+// windowLoads evaluates Definition 1 for every slot, spares included,
+// over the load window: what the slot's engine processed (lastStats)
+// since the counts the controller last committed (prevWork), or since
+// the start with no controller. It also returns the counts it read and
+// the operations the window holds.
+func (s *System) windowLoads() (loads []float64, cur []wire.StatsReply, ops int64) {
+	n := s.totalSlots()
+	loads, cur = make([]float64, n), make([]wire.StatsReply, n)
+	start := s.prevWork.Load()
+	for w := range n {
+		cur[w] = s.lastStats(w)
+		var d int64
+		loads[w], d = s.windowLoad(start, w, cur[w])
+		ops += d
 	}
+	return loads, cur, ops
+}
+
+// windowLoad is Definition 1 of slot w's counts c since start, a
+// committed window start (nil: the run's start), and the operations
+// between. Load start before reading c: one engine's counts only grow.
+// Counts that fell back come from a new engine (a replacement node),
+// whose window runs from its own start.
+func (s *System) windowLoad(start *[]wire.StatsReply, w int, c wire.StatsReply) (float64, int64) {
+	if start != nil {
+		if p := (*start)[w]; c.Objects >= p.Objects && c.Inserts >= p.Inserts && c.Deletes >= p.Deletes {
+			c.Objects, c.Inserts, c.Deletes = c.Objects-p.Objects, c.Inserts-p.Inserts, c.Deletes-p.Deletes
+		}
+	}
+	return s.cfg.Costs.Worker(float64(c.Objects), float64(c.Inserts), float64(c.Deletes)), c.Objects + c.Inserts + c.Deletes
 }
 
 // Bounds returns the monitored region the system was built over.
@@ -889,11 +903,14 @@ func (s *System) WorkerOpCounts() []int64 {
 	return out
 }
 
-// WorkerQueryCounts reports live queries per in-process worker, zero for
-// out-of-process ones (tests, examples).
+// WorkerQueryCounts reports live queries per worker slot: an in-process
+// engine's count read live, and what a remote slot's latest stats round
+// reported (RefreshWorkerStats).
 func (s *System) WorkerQueryCounts() []int {
 	out := make([]int, s.totalSlots())
-	s.eachLocal(func(i int, eng *worker.Engine) { out[i] = int(eng.Stats().Queries) })
+	for w := range out {
+		out[w] = int(s.lastStats(w).Queries)
+	}
 	return out
 }
 

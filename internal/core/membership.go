@@ -26,6 +26,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ps2stream/internal/load"
@@ -125,12 +126,14 @@ type workerHop struct {
 	// spout has not read yet, oldest first: the slot answers in the order
 	// it was asked. The spout pops them under owedMu alone, so it never
 	// waits for a sender holding mu (lock order: mu, then owedMu).
-	// lastStats, what the latest stats round reported, is recorded there,
-	// and roundSeq numbers the control rounds sent to the slot.
-	owedMu    sync.Mutex
-	owed      []owedAnswer
-	lastStats wire.StatsReply
-	roundSeq  uint64
+	// roundSeq numbers the control rounds sent to the slot.
+	owedMu   sync.Mutex
+	owed     []owedAnswer
+	roundSeq uint64
+	// lastStats is what the latest stats round reported, stored as the
+	// spout pops its answer; a scrape reads it without waiting for
+	// owedMu.
+	lastStats atomic.Pointer[wire.StatsReply]
 
 	// log is the recovery op log (nil when Recovery is disabled — the
 	// slot then keeps the legacy fail-loudly contract).
@@ -272,7 +275,7 @@ func (h *workerHop) popAnswer(reply wire.Frame) (owedAnswer, error) {
 		return owedAnswer{}, fmt.Errorf("answer %T to round %d out of order (%d answers owed)", reply, replySeq(reply), len(h.owed))
 	}
 	if sr, ok := reply.(wire.StatsReply); ok {
-		h.lastStats = sr
+		h.lastStats.Store(&sr)
 	}
 	a := h.owed[0]
 	h.owed = h.owed[1:]

@@ -1308,3 +1308,60 @@ func TestOversizedCheckpointKeepsSession(t *testing.T) {
 		t.Fatalf("the replacement node holds %d subscriptions after the replay, want %d", got, n)
 	}
 }
+
+// A replacement node's engine counts from zero. The load window of its
+// slot then runs from that engine's start: the reported load is never
+// negative, and the controller is not blind until the new counts pass
+// the old ones.
+func TestWindowLoadsCountAReplacementNodeFromItsStart(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 23, 0)
+	victim := startElasticNode(t, "")
+	cfg := Config{Workers: 1, Mergers: 1, Builder: hybrid.Builder{},
+		Recovery: RecoveryConfig{
+			Enabled:            true,
+			CheckpointInterval: time.Hour,
+			HeartbeatInterval:  50 * time.Millisecond,
+			RedialTimeout:      20 * time.Second,
+		},
+	}
+	if err := cfg.ConnectRemoteWorkers([]string{victim.addr}, sample, wire.Backoff{Attempts: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	at := sys.Bounds().Center()
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: 1, Expr: model.And("x"), Region: sys.Bounds()}})
+	for id := uint64(1); id <= 300; id++ {
+		sys.Submit(objectOp(id, "x", at))
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sys.AdjustNow() // commits the window start: 300 objects, 1 insert
+	if !sys.checkpointHop(sys.hop(0)) {
+		t.Fatal("checkpoint failed")
+	}
+	victim.kill()
+	startElasticNode(t, victim.addr)
+	for id := uint64(301); id <= 320; id++ {
+		sys.Submit(objectOp(id, "x", at))
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sys.RefreshWorkerStats(0)
+	loads, cur, ops := sys.windowLoads()
+	if cur[0].Objects >= 300 {
+		t.Fatalf("vacuous: the replacement node reports %d objects, not fewer than its predecessor's 300", cur[0].Objects)
+	}
+	want := sys.cfg.Costs.Worker(float64(cur[0].Objects), float64(cur[0].Inserts), float64(cur[0].Deletes))
+	if loads[0] != want || loads[0] <= 0 || ops != cur[0].Objects+cur[0].Inserts+cur[0].Deletes {
+		t.Errorf("window load %v over %d ops with the replacement node's counts %+v, want %v from its start", loads[0], ops, cur[0], want)
+	}
+}

@@ -139,13 +139,11 @@ func (s *System) initObservability() {
 				"operations processed per worker and kind (node-reported for remote tasks)",
 				func() int64 { return k.count(s.lastStats(i)) }, wl, metrics.L("kind", k.kind))
 		}
-		r.GaugeFunc("ps2_worker_window_load", "Definition-1 load over the current dispatcher window",
+		r.GaugeFunc("ps2_worker_window_load", "Definition-1 load of the ops the worker processed over the controller's window (node-reported for remote tasks)",
 			func() float64 {
-				return s.cfg.Costs.Worker(
-					float64(s.winObjects[i].Load()),
-					float64(s.winInserts[i].Load()),
-					float64(s.winDeletes[i].Load()),
-				)
+				start := s.prevWork.Load()
+				l, _ := s.windowLoad(start, i, s.lastStats(i))
+				return l
 			}, wl)
 		r.GaugeFunc("ps2_worker_inflight_ops", "operations enqueued to the worker and not yet processed",
 			func() float64 { return float64(max(s.enqueued[i].Load()-s.doneOps[i].Load(), 0)) }, wl)
@@ -160,11 +158,9 @@ func (s *System) initObservability() {
 
 	r.GaugeFunc("ps2_balance_factor", "L_max/L_min over the controller's smoothed loads (window loads when the controller is off)",
 		func() float64 {
-			vals := s.windowLoads()
-			if s.loadEWMA != nil {
-				for i, e := range s.loadEWMA {
-					vals[i] = e.Value()
-				}
+			vals := s.ewmaLoads()
+			if vals == nil {
+				vals, _, _ = s.windowLoads()
 			}
 			f, _, _ := s.balance(vals)
 			return f
@@ -283,9 +279,9 @@ func queued[T any](qs []chan msg[T]) func() float64 {
 // RefreshWorkerStats refreshes every member slot's stats (freshStats: one
 // stats round on a remote slot) unless the previous refresh is younger
 // than maxAge.
-// The obs server calls it before each scrape so a coordinator scrape
-// shows current node-side counts even when the adjustment controller
-// (whose polls run the same rounds) is off. A failed round leaves the
+// The obs server calls it before each scrape, and ps2stream's Stats
+// before it reads, so both show current node-side counts even when the
+// adjustment controller (whose polls run the same rounds) is off. A failed round leaves the
 // slot's previous reading in place: a scrape must never fail the run.
 func (s *System) RefreshWorkerStats(maxAge time.Duration) {
 	s.statsMu.Lock()
@@ -316,9 +312,10 @@ func (s *System) freshStats(w int) (wire.StatsReply, error) {
 // read live, or what a remote slot's latest stats round reported.
 func (s *System) lastStats(w int) wire.StatsReply {
 	if h := s.hop(w); h != nil {
-		h.owedMu.Lock()
-		defer h.owedMu.Unlock()
-		return h.lastStats
+		if sr := h.lastStats.Load(); sr != nil {
+			return *sr
+		}
+		return wire.StatsReply{}
 	}
 	return s.bolts[w].eng.Stats()
 }

@@ -133,3 +133,36 @@ func TestDualAssignmentAccessors(t *testing.T) {
 		t.Errorf("remaining = %d/%d", rem, init)
 	}
 }
+
+// The per-cell arrivals Phase I's merge bound reads cover the load
+// window, as the workers' per-cell ObjSeen does: an evaluation starts
+// both afresh.
+func TestCellObjectsFollowTheLoadWindow(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 53, 0)
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}}, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	center := sample.Bounds.Center()
+	cell := sys.gridT.Load().Grid().CellOf(center)
+	publish := func(from, n int) {
+		for i := range n {
+			sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{
+				ID: uint64(from + i), Terms: []string{"cellwindow"}, Loc: center,
+			}})
+		}
+		if err := sys.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish(1, 300)
+	sys.AdjustNow()
+	publish(301, 50)
+	if got := sys.cellObjTotal(cell); got != 50 {
+		t.Errorf("cellObjTotal = %d after one evaluation and 50 objects, want 50", got)
+	}
+}

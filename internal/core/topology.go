@@ -229,7 +229,6 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 		s:       s,
 		out:     newFanout(&s.opBatches, s.towork, done),
 		enq:     make([]int64, s.totalSlots()),
-		objs:    make([]int64, s.totalSlots()),
 		resolve: slices.ContainsFunc(s.bolts, func(b *workerBolt) bool { return b != nil }),
 	}
 	spawn(&dispatcherDone, "dispatcher", 0, d.run)
@@ -305,8 +304,8 @@ type dispatcher struct {
 	// sinceFlush counts operations routed since out was last flushed (see
 	// forcedFlushFactor).
 	sinceFlush int
-	// enq and objs are dispatchBatch's per-worker counts for one chunk.
-	enq, objs []int64
+	// enq is dispatchBatch's per-worker count for one chunk.
+	enq []int64
 	// resolve is set when some slot runs in this process, so some engine
 	// can read an object's TermIDs. ids is the slab they are cut from. A
 	// slab is never rewritten once an envelope holds part of it: when it
@@ -426,9 +425,6 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 				discarded++
 				lat.Observe(now.Sub(ops[i].T0))
 			}
-			for _, w := range targets {
-				d.objs[w]++
-			}
 		case model.OpInsert:
 			// Register before the fan-out: operations pass through here in
 			// Submit order, so an insert precedes its later delete, and
@@ -439,16 +435,10 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 			s.keyFirst(op)
 			s.intern(op.Query)
 			targets = a.RouteQuery(op.Query, true)
-			for _, w := range targets {
-				s.winInserts[w].Add(1)
-			}
 		case model.OpDelete:
 			s.board.unregister(op.Query.ID)
 			s.keyFirst(op)
 			targets = a.RouteQuery(op.Query, false)
-			for _, w := range targets {
-				s.winDeletes[w].Add(1)
-			}
 		}
 		for _, w := range targets {
 			d.enq[w]++
@@ -458,8 +448,7 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 	for w, n := range d.enq {
 		if n > 0 {
 			s.enqueued[w].Add(n)
-			s.winObjects[w].Add(d.objs[w])
-			d.enq[w], d.objs[w] = 0, 0
+			d.enq[w] = 0
 		}
 	}
 	s.discarded.Add(discarded)

@@ -55,7 +55,8 @@ type GridT struct {
 	g *grid.Grid
 
 	// mus stripes the cell locks: a cell's lock is mus[cell % lockStripes],
-	// so the four dispatcher tasks rarely contend.
+	// so the dispatcher's routing and a migration's cell changes rarely
+	// contend.
 	mus   [lockStripes]sync.RWMutex
 	cells []gridtCell
 
@@ -252,23 +253,13 @@ func (c *gridtCell) ownerOfTerm(term string) int {
 
 // UseDict makes d the grid's dictionary: the coordinator's, which it
 // shares with the GI2 indexes of its process and counts once in its own
-// footprint. The H2 keys the grid already holds are re-keyed under d's
-// ids. Call it before the grid routes concurrently with anything.
+// footprint. Call it on a grid fresh from Build, before it routes any
+// query: H2 keys already registered would keep ids of the old
+// dictionary.
 func (gt *GridT) UseDict(d *termtab.Dict) {
-	if d == gt.dict {
-		return
+	if d != gt.dict {
+		gt.dict, gt.ownDict = d, false
 	}
-	for i := range gt.cells {
-		c := &gt.cells[i]
-		var h2 termtab.Table[h2Entry]
-		for _, e := range c.h2.Entries() {
-			if e.Key != 0 {
-				h2.Put(d.ID(gt.dict.Term(e.Key)), e.Val)
-			}
-		}
-		c.h2 = h2
-	}
-	gt.dict, gt.ownDict = d, false
 }
 
 // RouteObject implements partition.Assignment. Per §IV-C the dispatcher

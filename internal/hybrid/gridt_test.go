@@ -275,27 +275,13 @@ func TestRouteObjectSpaceCellFirstHit(t *testing.T) {
 	}
 }
 
-// UseDict moves a routed grid onto a dictionary that already gave other
-// terms the low ids: every object routes as before, by its terms and by
-// its ids in the new dictionary, the H2 keys read the same, and the grid
-// stops counting a dictionary it no longer owns.
+// A grid handed a dictionary that already gave other terms the low ids,
+// before it routes any query, routes every object as a twin on its own
+// dictionary does, by its terms and by its ids in the shared dictionary,
+// registers the same H2 keys, and does not count the shared dictionary.
 func TestUseDictRekeysH2(t *testing.T) {
-	gt, _, objects := routedGrid(t, 31)
-	before := make([][]int, len(objects))
-	for i, o := range objects {
-		before[i] = slices.Clone(gt.RouteObject(o))
-	}
-	keys := func() (out [][]string) {
-		for id := 0; id < gt.Grid().NumCells(); id++ {
-			for w := 0; w < gt.NumWorkers(); w++ {
-				out = append(out, gt.H2Keys(id, w))
-			}
-		}
-		return out
-	}
-	keysBefore := keys()
-	ownBytes, dictBytes := gt.Footprint(), gt.dict.Footprint()
-
+	s := mixedSample(t, 31, 3000, 600)
+	own, gt := buildHybrid(t, s, 8), buildHybrid(t, s, 8)
 	shared := new(termtab.Dict)
 	for i := 0; i < 100; i++ {
 		shared.ID(fmt.Sprintf("usedictfiller%d", i))
@@ -304,24 +290,33 @@ func TestUseDictRekeysH2(t *testing.T) {
 	if gt.Dict() != shared {
 		t.Fatal("Dict() is not the dictionary UseDict gave")
 	}
-	for i, o := range objects {
+	for _, q := range s.Queries {
+		own.RouteQuery(q, true)
+		gt.RouteQuery(q, true)
+	}
+	for _, o := range s.Objects {
+		want := own.RouteObject(o)
 		var ids []uint32
 		for _, term := range o.Terms {
 			if id := shared.Find(term); id != 0 {
 				ids = append(ids, id)
 			}
 		}
-		if got := gt.RouteObject(o); !slices.Equal(got, before[i]) {
-			t.Fatalf("object %d: RouteObject %v after UseDict, %v before", o.ID, got, before[i])
+		if got := gt.RouteObject(o); !slices.Equal(got, want) {
+			t.Fatalf("object %d: RouteObject %v on the shared dictionary, %v on its own", o.ID, got, want)
 		}
-		if got := gt.RouteObjectIDs(o, ids); !slices.Equal(got, before[i]) {
-			t.Fatalf("object %d: RouteObjectIDs %v, RouteObject gave %v", o.ID, got, before[i])
+		if got := gt.RouteObjectIDs(o, ids); !slices.Equal(got, want) {
+			t.Fatalf("object %d: RouteObjectIDs %v, RouteObject gave %v", o.ID, got, want)
 		}
 	}
-	if !reflect.DeepEqual(keys(), keysBefore) {
-		t.Error("H2 keys changed under UseDict")
+	for id := 0; id < gt.Grid().NumCells(); id++ {
+		for w := 0; w < gt.NumWorkers(); w++ {
+			if got, want := gt.H2Keys(id, w), own.H2Keys(id, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cell %d worker %d: H2 keys %v on the shared dictionary, %v on its own", id, w, got, want)
+			}
+		}
 	}
-	if got := gt.Footprint(); got != ownBytes-dictBytes {
-		t.Errorf("Footprint %d after UseDict, want %d without the %d-byte own dictionary", got, ownBytes-dictBytes, dictBytes)
+	if got, want := gt.Footprint(), own.Footprint()-own.dict.Footprint(); got != want {
+		t.Errorf("Footprint %d on the shared dictionary, want %d: its own twin's without the %d-byte dictionary", got, want, own.dict.Footprint())
 	}
 }

@@ -72,15 +72,6 @@ func BalanceFactor(loads []float64) float64 {
 	return maxL / minL
 }
 
-// Total sums the loads.
-func Total(loads []float64) float64 {
-	var s float64
-	for _, l := range loads {
-		s += l
-	}
-	return s
-}
-
 // ArgMinMax returns the indices of the least and most loaded workers.
 func ArgMinMax(loads []float64) (argmin, argmax int) {
 	for i, l := range loads {
@@ -197,40 +188,4 @@ func (d *Detector) Force(now time.Time) {
 	d.streak = 0
 	d.lastFire = now
 	d.everFired = true
-}
-
-// Window accumulates per-worker operation counts over a measurement
-// window and evaluates Definition 1. It is the bookkeeping behind the
-// dispatcher's balance-violation detection (§V-A).
-type Window struct {
-	Objects []int64
-	Inserts []int64
-	Deletes []int64
-	Costs   Costs
-}
-
-// NewWindow returns a window for m workers using the given costs.
-func NewWindow(m int, costs Costs) *Window {
-	return &Window{
-		Objects: make([]int64, m),
-		Inserts: make([]int64, m),
-		Deletes: make([]int64, m),
-		Costs:   costs,
-	}
-}
-
-// Loads evaluates Definition 1 for every worker.
-func (w *Window) Loads() []float64 {
-	out := make([]float64, len(w.Objects))
-	for i := range out {
-		out[i] = w.Costs.Worker(float64(w.Objects[i]), float64(w.Inserts[i]), float64(w.Deletes[i]))
-	}
-	return out
-}
-
-// Reset zeroes all counters.
-func (w *Window) Reset() {
-	for i := range w.Objects {
-		w.Objects[i], w.Inserts[i], w.Deletes[i] = 0, 0, 0
-	}
 }

@@ -66,28 +66,6 @@ func TestArgMinMax(t *testing.T) {
 	}
 }
 
-func TestTotal(t *testing.T) {
-	if got := Total([]float64{1, 2, 3}); got != 6 {
-		t.Errorf("Total = %v", got)
-	}
-}
-
-func TestWindow(t *testing.T) {
-	w := NewWindow(2, Costs{C1: 0, C2: 1, C3: 1, C4: 1})
-	w.Objects[0] = 10
-	w.Inserts[0] = 5
-	w.Deletes[1] = 3
-	loads := w.Loads()
-	if loads[0] != 15 || loads[1] != 3 {
-		t.Errorf("Loads = %v", loads)
-	}
-	w.Reset()
-	loads = w.Loads()
-	if loads[0] != 0 || loads[1] != 0 {
-		t.Errorf("after Reset Loads = %v", loads)
-	}
-}
-
 func TestDetectorThresholdAndHysteresis(t *testing.T) {
 	d := NewDetector(DetectorConfig{Theta: 1.5, SustainChecks: 2, Cooldown: time.Minute})
 	now := time.Unix(1000, 0)

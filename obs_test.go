@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -320,4 +321,82 @@ func TestAdjustDecisionTrace(t *testing.T) {
 	if !strings.Contains(trace, "decision=") || !strings.Contains(trace, "imbalance=") {
 		t.Errorf("detector verdicts lack decision/imbalance attrs:\n%.2000s", trace)
 	}
+}
+
+// TestScrapeDuringAdjustNow scrapes /statsz and takes snapshots while
+// AdjustNow commits load windows and migrates cells under a live
+// stream: both read the controller's window start, which the controller
+// moves. Once the stream is flushed and one more evaluation has
+// committed the window, every worker's window load reads zero.
+func TestScrapeDuringAdjustNow(t *testing.T) {
+	seed := spreadMessages(400)
+	sys, err := Open(Options{Region: usRegion, Workers: 3, AdminAddr: "127.0.0.1:0", SeedMessages: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for i := 0; i < 30; i++ {
+		if err := sys.Subscribe(Subscription{
+			ID: uint64(i + 1), Query: fmt.Sprintf("topic%d", i%7),
+			Region: RegionAround(25+float64(i%23), -124+float64(i*7%57), 300, 300),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var adjusts, scrapes atomic.Int64
+	var wg sync.WaitGroup
+	loop := func(body func() error, n *atomic.Int64) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := body(); err != nil {
+				t.Error(err)
+				return
+			}
+			n.Add(1)
+		}
+	}
+	wg.Add(2)
+	go loop(func() error { sys.AdjustNow(); return nil }, &adjusts)
+	go loop(func() error {
+		resp, err := http.Get("http://" + sys.AdminAddr() + "/statsz")
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var statsz map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&statsz); err != nil {
+			return err
+		}
+		if snap := sys.inner.Snapshot(); len(snap.WorkerLoads) != 3 {
+			return fmt.Errorf("Snapshot.WorkerLoads = %v, want 3 slots", snap.WorkerLoads)
+		}
+		return nil
+	}, &scrapes)
+	for round := 1; round <= 200 && (round <= 3 || adjusts.Load() < 3 || scrapes.Load() < 3); round++ {
+		for i := range seed {
+			m := seed[i]
+			m.ID += uint64(1000 * round)
+			sys.Publish(m)
+		}
+		sys.Flush()
+	}
+	close(stop)
+	wg.Wait()
+	if adjusts.Load() == 0 || scrapes.Load() == 0 {
+		t.Fatalf("%d evaluations and %d scrapes ran beside the stream, want both", adjusts.Load(), scrapes.Load())
+	}
+	sys.Flush()
+	sys.AdjustNow()
+	for w, l := range sys.Stats().WorkerLoads {
+		if l != 0 {
+			t.Errorf("worker %d window load %v after the window was committed on an idle stream, want 0", w, l)
+		}
+	}
+	t.Logf("%d evaluations, %d scrapes, %d migrations", adjusts.Load(), scrapes.Load(), sys.Stats().Migrations)
 }

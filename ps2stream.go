@@ -72,7 +72,6 @@ import (
 	"ps2stream/internal/core"
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
-	"ps2stream/internal/load"
 	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
 	"ps2stream/internal/obs"
@@ -746,9 +745,14 @@ type Stats struct {
 	WorkerQueries   []int
 	DispatcherBytes int64
 	Migrations      int
-	// WorkerLoads is each worker's Definition-1 load over the current
-	// adjustment window; BalanceFactor is max/min over the positive loads
-	// (the paper's σ constraint — 1.0 is perfectly balanced, 0 when idle).
+	// WorkerLoads is each worker slot's Definition-1 load (spares
+	// included): the operations its engine processed since the adaptive
+	// controller last measured a load window, or since Open if it never
+	// has.
+	// BalanceFactor is L_max/L_min over the member workers' loads, the
+	// paper's σ constraint: 1 when balanced or when every member is
+	// idle, and a member with zero load counts as 1e-9. Idle spares and
+	// retired workers are not members.
 	WorkerLoads   []float64
 	BalanceFactor float64
 	// Adjust reports the adaptive adjustment controller's activity and
@@ -756,8 +760,10 @@ type Stats struct {
 	Adjust AdjustStats
 }
 
-// Stats captures current metrics.
+// Stats captures current metrics. A remote worker's counts are its reply
+// to a stats round at most 500ms old.
 func (s *System) Stats() Stats {
+	s.inner.RefreshWorkerStats(500 * time.Millisecond)
 	snap := s.inner.Snapshot()
 	return Stats{
 		Processed:       snap.Processed,
@@ -770,7 +776,7 @@ func (s *System) Stats() Stats {
 		DispatcherBytes: snap.DispatcherBytes,
 		Migrations:      len(snap.Migrations),
 		WorkerLoads:     snap.WorkerLoads,
-		BalanceFactor:   load.BalanceFactor(snap.WorkerLoads),
+		BalanceFactor:   snap.BalanceFactor,
 		Adjust: AdjustStats{
 			Auto:           snap.Adjust.Enabled,
 			Epoch:          snap.Adjust.Epoch,

@@ -3,6 +3,7 @@ package ps2stream
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -636,5 +637,52 @@ func TestRepartitionViaPublicAPI(t *testing.T) {
 	// Malformed sample subscriptions surface as errors.
 	if err := sys.Repartition(nil, []Subscription{{ID: 9, Query: "a AND"}}); err == nil {
 		t.Error("malformed repartition sample accepted")
+	}
+}
+
+// spreadMessages returns n messages spread over usRegion, so a seeded
+// hybrid strategy gives every worker cells.
+func spreadMessages(n int) []Message {
+	msgs := make([]Message, n)
+	for i := range msgs {
+		msgs[i] = Message{
+			ID:   uint64(i + 1),
+			Text: fmt.Sprintf("topic%d news", i%7),
+			Lat:  25 + float64(i%23),
+			Lon:  -124 + float64(i*7%57),
+		}
+	}
+	return msgs
+}
+
+// Stats().BalanceFactor is the balance of the member workers' loads: an
+// unclaimed spare slot reads zero load and must not count.
+func TestStatsBalanceFactorCountsMembers(t *testing.T) {
+	seed := spreadMessages(400)
+	sys, err := Open(Options{Region: usRegion, Workers: 2, SpareWorkers: 1, SeedMessages: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Subscribe(Subscription{ID: 1, Query: "news", Region: usRegion}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Flush()
+	for i := range seed {
+		m := seed[i]
+		m.ID += 1000
+		sys.Publish(m)
+	}
+	sys.Flush()
+	st := sys.Stats()
+	if len(st.WorkerLoads) != 3 {
+		t.Fatalf("WorkerLoads = %v, want 3 slots, the spare included", st.WorkerLoads)
+	}
+	a, b := st.WorkerLoads[0], st.WorkerLoads[1]
+	if a <= 0 || b <= 0 {
+		t.Fatalf("WorkerLoads = %v: the seed must give both members traffic", st.WorkerLoads)
+	}
+	if want := max(a, b) / min(a, b); math.Abs(st.BalanceFactor-want) > 1e-9*want {
+		t.Errorf("BalanceFactor = %v, want %v, max/min of the members' loads %v", st.BalanceFactor, want, st.WorkerLoads[:2])
 	}
 }

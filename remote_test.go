@@ -248,3 +248,29 @@ func TestFlushExactUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Stats().WorkerQueries reports a remote worker's own live-query count,
+// read by the stats round Stats runs, as it does an in-process worker's.
+func TestStatsWorkerQueriesCountRemoteSlots(t *testing.T) {
+	sys, err := Open(Options{
+		Region:        usRegion,
+		Workers:       3, // task 0 remote, tasks 1-2 in-process
+		RemoteWorkers: []string{startWorkerNode(t)},
+		SeedMessages:  spreadMessages(300),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	const n = 30
+	for i := 0; i < n; i++ {
+		if err := sys.Subscribe(Subscription{ID: uint64(i + 1), Query: fmt.Sprintf("tag%d", i%5), Region: usRegion}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Flush()
+	// A subscription over the whole region reaches every worker's cells.
+	if got := sys.Stats().WorkerQueries; len(got) != 3 || got[0] != n || got[1] != n || got[2] != n {
+		t.Errorf("WorkerQueries = %v, want %d on each of 3 workers, the remote task 0 included", got, n)
+	}
+}
