@@ -81,10 +81,12 @@ type Config struct {
 	Costs load.Costs
 	// Adjust configures dynamic load adjustment (§V); zero = disabled.
 	Adjust AdjustConfig
-	// OnMatch, when set, receives every deduplicated match from the
-	// mergers. It is called concurrently from merger tasks. A panic in it
-	// stops the run: parked Submits return, Drain fails, and Close returns
-	// an error naming the panic.
+	// OnMatch, when set, receives every match delivered in this process,
+	// each (query, object) pair once. It is called concurrently from worker
+	// tasks, which deliver the matches that cannot repeat, and from merger
+	// tasks, which deliver the rest once deduplicated. A panic in it stops
+	// the run: parked Submits return, Drain fails, and Close returns an
+	// error naming the panic.
 	OnMatch func(model.Match)
 	// OnTopK, when set, receives every global top-k membership change of
 	// the sliding-window top-k subscriptions. It is called from worker
@@ -98,8 +100,11 @@ type Config struct {
 	// (default 50ms).
 	WindowTick time.Duration
 	// DedupWindow bounds each merger's duplicate-elimination memory in
-	// (query, object) pairs. Matches of an object that was routed to a
-	// single in-process worker cannot repeat and bypass the window.
+	// (query, object) pairs. It is a bound, not an allocation: a merger's
+	// window grows with the pairs it holds, up to DedupWindow. Matches of
+	// an object that was routed to a single in-process worker cannot
+	// repeat: that worker delivers them, and no window sees them unless
+	// their merger is remote.
 	DedupWindow int
 	// PerTupleWork simulates the per-received-tuple cost a real cluster
 	// pays (deserialisation + network receive) at each worker. Zero for
@@ -289,8 +294,9 @@ type Snapshot struct {
 	Discarded  int64
 	Matches    int64
 	Duplicates int64
-	// SoloMatches counts the Matches delivered without a dedup-window
-	// probe: their object was routed to exactly one in-process worker.
+	// SoloMatches counts the Matches their worker delivered itself,
+	// without a merger: their object was routed to exactly one in-process
+	// worker, and their merger runs in this process.
 	SoloMatches   int64
 	ThroughputTPS float64
 	Latency       metrics.Snapshot
@@ -370,10 +376,10 @@ type System struct {
 	discarded  metrics.Counter
 	matches    metrics.Counter
 	duplicates metrics.Counter
-	// soloMatches counts the delivered matches that skipped the dedup
-	// window (wire.MatchEnv.Solo); mergerIn counts every match a merger
-	// task received, local or forwarding; matchesEmitted counts match
-	// envelopes emitted by the in-process worker bolts.
+	// soloMatches counts the matches a worker delivered itself
+	// (emitMatches); mergerIn counts every match a merger task received,
+	// local or forwarding; matchesEmitted counts match envelopes emitted
+	// by the in-process worker bolts, delivered or sent on.
 	soloMatches    metrics.Counter
 	mergerIn       metrics.Counter
 	matchesEmitted metrics.Counter

@@ -89,11 +89,11 @@ func (s *System) initObservability() {
 		s.processed.Value)
 	r.CounterFunc("ps2_ops_discarded_total", "objects discarded by routing (no H2 terms)",
 		s.discarded.Value)
-	r.CounterFunc("ps2_matches_delivered_total", "deduplicated matches delivered by local mergers",
+	r.CounterFunc("ps2_matches_delivered_total", "matches delivered in this process, by local workers (solo) and local mergers",
 		s.matches.Value)
 	r.CounterFunc("ps2_matches_duplicates_total", "duplicate matches suppressed by local mergers",
 		s.duplicates.Value)
-	r.CounterFunc("ps2_matches_solo_total", "delivered matches that skipped the dedup window (object routed to one in-process worker)",
+	r.CounterFunc("ps2_matches_solo_total", "matches a local worker delivered itself, without a merger (object routed to that worker only, merger in this process)",
 		s.soloMatches.Value)
 	r.CounterFunc("ps2_matches_emitted_total", "match envelopes emitted by local workers",
 		s.matchesEmitted.Value)

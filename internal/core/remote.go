@@ -382,7 +382,7 @@ func (r *remoteMatchSpout) run() {
 			// holding matches back here would add latency the batch bound
 			// cannot cap (this reader may then block in Recv
 			// indefinitely).
-			emitMatches(&r.split, mb.Matches)
+			r.s.emitMatches(&r.split, mb.Matches)
 		}
 	}
 }

@@ -172,22 +172,66 @@ func mergerOf(m *model.Match, mergers int) int {
 	return int((m.QueryID*0x9E3779B97F4A7C15 ^ m.ObjectID) % uint64(mergers))
 }
 
-// emitMatches splits ms by merger and sends the batches. Matches are not
-// held across calls, so a producer of matches needs no idle flush.
-func emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv) {
+// emitMatches sends each match of ms that can repeat to its merger and
+// delivers the others itself, before it returns: a Solo match whose
+// merger runs in this process cannot meet a second report of its pair
+// (dispatchBatch), so no window needs to see it. A match read from a
+// remote slot is never Solo, and one hashed to a remote merger goes
+// there. Matches are not held across calls, so a producer of matches
+// needs no idle flush. ms is overwritten.
+func (s *System) emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv) {
+	direct := ms[:0]
 	mergers := len(out.open)
 	for i := range ms {
-		out.add(mergerOf(&ms[i].M, mergers), &ms[i])
+		task := mergerOf(&ms[i].M, mergers)
+		if ms[i].Solo && s.cfg.RemoteMergers[task] == nil {
+			direct = append(direct, ms[i])
+		} else {
+			out.add(task, &ms[i])
+		}
 	}
 	out.flush()
+	s.deliver(direct, true)
+}
+
+// deliver hands ms to OnMatch and counts them: it is the last step of
+// every match delivered in this process, called by a producer of matches
+// with the ones that cannot repeat (solo) and by a merger with the ones
+// its window let through. One clock read serves the slice, and the
+// latency of a run of matches with the same T0 (one operation's) is
+// observed once. The counters move after the callbacks they count.
+func (s *System) deliver(ms []wire.MatchEnv, solo bool) {
+	if len(ms) == 0 {
+		return
+	}
+	now, lat := s.now(), s.matchLat.Load()
+	for i := 0; i < len(ms); {
+		t0, j := ms[i].T0, i+1
+		for j < len(ms) && ms[j].T0.Equal(t0) {
+			j++
+		}
+		lat.ObserveN(now.Sub(t0), j-i)
+		i = j
+	}
+	if on := s.cfg.OnMatch; on != nil {
+		for i := range ms {
+			on(ms[i].M)
+		}
+	}
+	n := int64(len(ms))
+	if solo {
+		s.soloMatches.Add(n)
+	}
+	s.matches.Add(n)
 }
 
 // run executes dispatcher → worker → merger (Figure 1), one goroutine per
 // task, until the ingest is closed and every batch has drained, or ctx is
 // cancelled. The dispatcher pulls typed []wire.OpEnv buffers from the
 // ingest (ingest.go) and fills one batch per target worker on s.towork;
-// workers take their index/window locks once per batch and send their
-// matches on s.toMerge; mergers deduplicate batch-wise.
+// workers take their index/window locks once per batch, deliver the
+// matches that cannot repeat and send the others on s.toMerge; mergers
+// deduplicate batch-wise and deliver (emitMatches).
 //
 // Drain markers travel the same channels in order with the batches (see
 // drainMark), and so do control rounds and the holds of cuts on the
@@ -257,7 +301,7 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 		spawn(&producers, "worker", i, func() { consume(in, done, w.process, w.split.mark, w.serve) })
 	}
 
-	// Mergers: deduplicate and deliver. A task listed in
+	// Mergers: deduplicate and deliver what can repeat. A task listed in
 	// Config.RemoteMergers forwards its hash share across the wire
 	// instead; the remote node dedups and delivers.
 	for i, in := range s.toMerge {
@@ -545,8 +589,8 @@ func (s *System) inProcess(slots []int) bool {
 // call, so it is the engine's one writer and the board sees the slot's
 // deltas in the order the engine produced them. The engine does the
 // matching; the bolt keeps what belongs to the topology — the simulated
-// per-operation cost, the stage histogram, match emission and latency
-// accounting.
+// per-operation cost, the stage histogram, match emission and delivery,
+// and latency accounting.
 type workerBolt struct {
 	s    *System
 	task int
@@ -557,13 +601,14 @@ type workerBolt struct {
 	beforeBatch func(ops []wire.OpEnv)
 	// out and deltas are the engine's match and delta scratch, reused
 	// across batches; split holds the matches batches being filled from
-	// out, one per merger.
+	// out, one per merger, with the matches that can repeat.
 	out    []wire.MatchEnv
 	deltas []window.Delta
 	split  fanout[wire.MatchEnv]
 }
 
-// process runs one towork batch and sends its matches.
+// process runs one towork batch, delivers the matches that cannot
+// repeat and sends the others to the mergers.
 func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	s := w.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
@@ -578,10 +623,10 @@ func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	if len(w.deltas) > 0 {
 		s.board.ApplyFrom(w.task, 0, w.deltas)
 	}
-	emitMatches(&w.split, w.out)
 	if n := len(w.out); n > 0 {
 		s.matchesEmitted.Add(int64(n))
 	}
+	s.emitMatches(&w.split, w.out)
 	s.doneOps[w.task].Add(int64(len(ops)))
 	s.observeLatency(ops)
 	s.opBatches.put(batch)
@@ -623,9 +668,9 @@ func spin(d time.Duration) {
 	}
 }
 
-// merger deduplicates matches with a bounded FIFO window and delivers
-// them, a batch at a time. One instance per merger task; no locking needed
-// for its own state.
+// merger deduplicates the matches that can repeat with a bounded FIFO
+// window and delivers them, a batch at a time. One instance per merger
+// task; no locking needed for its own state.
 type merger struct {
 	s    *System
 	task int
@@ -644,35 +689,22 @@ func (m *merger) mark(mk *drainMark) {
 	}
 }
 
-// process takes one matches batch, deduplicated and
-// delivered under one clock read. A Solo match is delivered without a
-// window probe: its object went to one worker only (dispatchBatch), so
-// the pair cannot arrive again. The shared counters move once per batch,
-// after the deliveries they count.
+// process takes one matches batch, drops the pairs its window has seen
+// and delivers the rest. The shared counters move once per batch, after
+// the deliveries they count.
 func (m *merger) process(batch *[]wire.MatchEnv) {
 	s := m.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
-	now := s.now()
-	lat := s.matchLat.Load()
-	var solo, dups int64
+	fresh := (*batch)[:0]
 	for i := range *batch {
-		me := &(*batch)[i]
-		if me.Solo {
-			solo++
-		} else if !m.win.Observe([2]uint64{me.M.QueryID, me.M.ObjectID}) {
-			dups++
-			continue
-		}
-		lat.Observe(now.Sub(me.T0))
-		if s.cfg.OnMatch != nil {
-			s.cfg.OnMatch(me.M)
+		if me := &(*batch)[i]; m.win.Observe([2]uint64{me.M.QueryID, me.M.ObjectID}) {
+			fresh = append(fresh, *me)
 		}
 	}
+	s.deliver(fresh, false)
 	n := int64(len(*batch))
 	s.mergerIn.Add(n)
-	s.soloMatches.Add(solo)
-	s.duplicates.Add(dups)
-	s.matches.Add(n - dups)
+	s.duplicates.Add(n - int64(len(fresh)))
 	s.matchBatches.put(batch)
 	s.stageMerge.Observe(time.Since(stageStart))
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // TestTaskPanicStopsRun: one panicking task — here a subscriber's OnMatch
-// on every merger — stops the whole run instead of leaving the rest of the
+// on every task that delivers a match — stops the whole run instead of leaving the rest of the
 // pipeline to fill its queues behind it. A publisher parked on the full
 // ingest returns, the Drain barrier fails instead of waiting on a stopped
 // topology, and Close reports the panic.

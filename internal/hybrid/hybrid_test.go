@@ -351,3 +351,24 @@ func TestEmptySampleBuild(t *testing.T) {
 		t.Errorf("empty-sample hybrid broke invariant: obj %v qry %v", ow, qw)
 	}
 }
+
+// TestEmptySampleSpreadsCells: with no objects to cut at, Build splits
+// the region by geometry, so every worker owns a space cell and no cell
+// is a text cell.
+func TestEmptySampleSpreadsCells(t *testing.T) {
+	for _, m := range []int{1, 3, 4, 7} {
+		gt := buildHybrid(t, partition.NewSample(nil, nil, testBounds, load.Costs{}), m)
+		cells := make([]int, m)
+		for id := 0; id < gt.Grid().NumCells(); id++ {
+			if gt.IsTextCell(id) {
+				t.Fatalf("m = %d: cell %d is a text cell", m, id)
+			}
+			cells[gt.CellWorkers(id)[0]]++
+		}
+		for w, n := range cells {
+			if n == 0 {
+				t.Errorf("m = %d: worker %d owns no cell (cells per worker %v)", m, w, cells)
+			}
+		}
+	}
+}

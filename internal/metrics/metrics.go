@@ -208,41 +208,55 @@ func NewHistogram(bounds []time.Duration) *Histogram {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of the same duration, leaving the
+// histogram as n calls of Observe(d) would, reservoir included, for the
+// price of one: a batch of matches of one operation shares its latency.
+func (h *Histogram) ObserveN(d time.Duration, n int) {
+	if n <= 0 {
+		return
+	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
+	h.buckets[i].Add(int64(n))
+	h.count.Add(int64(n))
+	h.sum.Add(int64(n) * int64(d))
 	for {
 		m := h.max.Load()
 		if int64(d) <= m || h.max.CompareAndSwap(m, int64(d)) {
 			break
 		}
 	}
-	n := h.seen.Add(1)
-	if n <= reservoirSize {
-		h.mu.Lock()
-		if len(h.sample) < reservoirSize {
-			h.sample = append(h.sample, d)
+	// The observations take the sequence numbers first..last. The first
+	// reservoirSize of all fill the reservoir; after that every
+	// reservoirEveryN-th replaces a pseudo-random slot.
+	last := h.seen.Add(int64(n))
+	first := last - int64(n) + 1
+	fill := min(last, reservoirSize) - first + 1
+	sampled := (max(first, reservoirSize+1) + reservoirEveryN - 1) / reservoirEveryN * reservoirEveryN
+	if fill <= 0 && sampled > last {
+		return
+	}
+	h.mu.Lock()
+	for ; fill > 0 && len(h.sample) < reservoirSize; fill-- {
+		h.sample = append(h.sample, d)
+	}
+	for ; sampled <= last; sampled += reservoirEveryN {
+		if idx := reservoirSlot(sampled); idx < len(h.sample) {
+			h.sample[idx] = d
 		}
-		h.mu.Unlock()
-		return
 	}
-	if n%reservoirEveryN != 0 {
-		return
-	}
-	// Replace a pseudo-random slot (xorshift keeps this dependency-free
-	// and deterministic given the observation sequence).
+	h.mu.Unlock()
+}
+
+// reservoirSlot is the slot the n-th observation replaces (xorshift keeps
+// this dependency-free and deterministic given the observation sequence).
+func reservoirSlot(n int64) int {
 	x := uint64(n)
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	idx := int(x % reservoirSize)
-	h.mu.Lock()
-	if idx < len(h.sample) {
-		h.sample[idx] = d
-	}
-	h.mu.Unlock()
+	return int(x % reservoirSize)
 }
 
 // Count returns the number of observations.

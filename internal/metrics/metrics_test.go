@@ -269,3 +269,45 @@ func TestEWMA(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveNMatchesRepeatedObserve: one ObserveN(d, n) leaves the
+// histogram exactly as n calls of Observe(d) do — buckets, count, sum,
+// max and the reservoir — for runs that fill the reservoir, cross its
+// edge and land on and between its sampled positions.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	runs := []struct {
+		d time.Duration
+		n int
+	}{
+		{3 * time.Millisecond, 1}, {time.Microsecond, 7}, {2 * time.Second, 0},
+		{40 * time.Millisecond, reservoirSize - 10}, {7 * time.Millisecond, 25},
+		{time.Millisecond, 15}, {900 * time.Millisecond, 16}, {time.Second, 1},
+		{5 * time.Millisecond, 3 * reservoirSize}, {20 * time.Second, 33},
+	}
+	one, many := NewHistogram(nil), NewHistogram(nil)
+	for i, r := range runs {
+		for range r.n {
+			one.Observe(r.d)
+		}
+		many.ObserveN(r.d, r.n)
+		_, b1 := one.Buckets()
+		_, bn := many.Buckets()
+		for j := range b1 {
+			if b1[j] != bn[j] {
+				t.Fatalf("after run %d: bucket %d = %d, want %d", i, j, bn[j], b1[j])
+			}
+		}
+		if one.Count() != many.Count() || one.sum.Load() != many.sum.Load() || one.Max() != many.Max() {
+			t.Fatalf("after run %d: count/sum/max = %d/%d/%v, want %d/%d/%v", i,
+				many.Count(), many.sum.Load(), many.Max(), one.Count(), one.sum.Load(), one.Max())
+		}
+		if len(one.sample) != len(many.sample) {
+			t.Fatalf("after run %d: reservoir holds %d, want %d", i, len(many.sample), len(one.sample))
+		}
+		for j := range one.sample {
+			if one.sample[j] != many.sample[j] {
+				t.Fatalf("after run %d: reservoir slot %d = %v, want %v", i, j, many.sample[j], one.sample[j])
+			}
+		}
+	}
+}

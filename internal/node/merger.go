@@ -19,8 +19,10 @@ const DefaultDedupWindow = 1 << 15
 type MergerOptions struct {
 	// Log receives serve-loop events; nil is silent.
 	Log Logf
-	// DedupWindow bounds per-connection duplicate-elimination memory
-	// (default DefaultDedupWindow).
+	// DedupWindow bounds per-connection duplicate-elimination memory in
+	// (query, object) pairs (default DefaultDedupWindow). It is a bound,
+	// not an allocation: a connection's window grows with the pairs it
+	// holds, up to DedupWindow.
 	DedupWindow int
 	// OnMatch receives every deduplicated match. Called from connection
 	// goroutines (possibly concurrently); it must lock its own state.

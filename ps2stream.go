@@ -242,14 +242,21 @@ type Options struct {
 	WorkerIndex WorkerIndex
 	// SeedMessages and SeedSubscriptions, when provided, are analysed by
 	// the partitioner to fit the strategy to the expected workload. An
-	// empty seed still works: routing falls back to deterministic
-	// hashing until statistics exist.
+	// empty seed still works. With no seed messages the hybrid strategy
+	// cuts Region by geometry into one equal piece per worker, and the
+	// text strategies (frequency, hypergraph, metric) spread terms by
+	// deterministic hashing; the space strategies (grid, kdtree, rtree)
+	// give every cell to worker 0. With Adjust on (hybrid only), the
+	// controller moves cells as the load shows where they belong.
 	SeedMessages      []Message
 	SeedSubscriptions []Subscription
-	// OnMatch receives every match. Called concurrently; must be fast
-	// or hand off to a channel. A panic in it stops the system: blocked
-	// publishers return, Flush stops waiting, and Close returns an error
-	// naming the panic.
+	// OnMatch receives every match. Called concurrently from worker
+	// tasks, which deliver a message's matches themselves when the
+	// message reached only that worker, and from merger tasks, which
+	// deliver the rest once deduplicated; must be fast or hand off to a
+	// channel. A panic in it stops the system: blocked publishers
+	// return, Flush stops waiting, and Close returns an error naming the
+	// panic.
 	OnMatch func(Match)
 	// OnTopK receives every top-k membership change of SubscribeTopK
 	// subscriptions. Called concurrently from worker tasks while internal

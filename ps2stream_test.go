@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -575,6 +576,27 @@ func TestSubscriptionCountAndBalanceStats(t *testing.T) {
 	}
 	if st.BalanceFactor < 1 && st.BalanceFactor != 0 {
 		t.Errorf("BalanceFactor = %v, want >= 1 or 0", st.BalanceFactor)
+	}
+}
+
+// TestUnseededOpenSpreadsCells: an Open without seed messages cuts the
+// region into one equal piece per worker, so a subscription covering the
+// whole region is held by every worker rather than by one that owns
+// every cell.
+func TestUnseededOpenSpreadsCells(t *testing.T) {
+	sys, err := Open(Options{Region: usRegion, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for i := uint64(1); i <= 30; i++ {
+		if err := sys.Subscribe(Subscription{ID: i, Query: "news", Region: usRegion}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Flush()
+	if got := sys.Stats().WorkerQueries; !slices.Equal(got, []int{30, 30, 30}) {
+		t.Errorf("WorkerQueries = %v, want 30 on every worker", got)
 	}
 }
 
