@@ -100,8 +100,8 @@ type Config struct {
 	// (default 50ms).
 	WindowTick time.Duration
 	// DedupWindow bounds each merger's duplicate-elimination memory in
-	// (query, object) pairs. It is a bound, not an allocation: a merger's
-	// window grows with the pairs it holds, up to DedupWindow. Matches of
+	// (query, object) pairs. A merger allocates its window when its first
+	// match arrives, so a merger that receives none holds none. Matches of
 	// an object that was routed to a single in-process worker cannot
 	// repeat: that worker delivers them, and no window sees them unless
 	// their merger is remote.

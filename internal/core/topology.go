@@ -670,7 +670,8 @@ func spin(d time.Duration) {
 
 // merger deduplicates the matches that can repeat with a bounded FIFO
 // window and delivers them, a batch at a time. One instance per merger
-// task; no locking needed for its own state.
+// task; no locking needed for its own state. The window is made by the
+// first batch, so a merger that never receives a match holds none.
 type merger struct {
 	s    *System
 	task int
@@ -678,7 +679,7 @@ type merger struct {
 }
 
 func newMerger(s *System, task int) *merger {
-	return &merger{s: s, task: task, win: dedup.NewWindow(s.cfg.DedupWindow)}
+	return &merger{s: s, task: task}
 }
 
 // mark takes one producer's copy of a marker. Every batch before it has
@@ -695,6 +696,9 @@ func (m *merger) mark(mk *drainMark) {
 func (m *merger) process(batch *[]wire.MatchEnv) {
 	s := m.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
+	if m.win == nil {
+		m.win = dedup.NewWindow(s.cfg.DedupWindow)
+	}
 	fresh := (*batch)[:0]
 	for i := range *batch {
 		if me := &(*batch)[i]; m.win.Observe([2]uint64{me.M.QueryID, me.M.ObjectID}) {

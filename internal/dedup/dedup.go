@@ -21,11 +21,6 @@ package dedup
 // deletes by backward shift, so there are no tombstones and a probe
 // sequence always ends at the first empty word. Neither part holds a
 // pointer for the collector to scan.
-//
-// The capacity is a bound, not an allocation: the ring starts at one
-// key and doubles, with the table, whenever a new key finds it full
-// below the bound, so a window holds memory only for the keys it has
-// seen. Only a ring at the bound evicts.
 type Window struct {
 	// tab[i] is hash>>32<<32 | ring position + 1, or 0 when empty; a
 	// key's probe sequence starts at the top bits of its hash.
@@ -33,48 +28,25 @@ type Window struct {
 	shift uint // 32 - log2(len(tab))
 	// ring[:n] are the remembered keys; next is the position the next
 	// new key takes, which once the ring is full is the oldest key's.
-	// capacity is the bound the ring grows to.
-	ring     [][2]uint64
-	n        int
-	next     int
-	capacity int
+	ring [][2]uint64
+	n    int
+	next int
 }
 
 // NewWindow returns a window bounded to capacity keys (minimum 1).
 func NewWindow(capacity int) *Window {
-	w := &Window{capacity: max(capacity, 1)}
-	w.resize(1)
-	return w
-}
-
-// resize gives the window a ring of size keys and the smallest table at
-// most a quarter full with them, and moves every remembered key across.
-// It runs only while no key has been evicted, so ring[:n] is in arrival
-// order and keeps its positions.
-func (w *Window) resize(size int) {
-	ring := make([][2]uint64, size)
-	copy(ring, w.ring[:w.n])
-	words, shift := 4, uint(30)
-	for words < 4*size {
-		words, shift = words<<1, shift-1
+	if capacity < 1 {
+		capacity = 1
 	}
-	old := w.tab
-	w.tab, w.shift, w.ring, w.next = make([]uint64, words), shift, ring, w.n
-	for _, word := range old {
-		if word != 0 {
-			w.place(word)
-		}
+	size, shift := 4, uint(30)
+	for size < 4*capacity {
+		size, shift = size<<1, shift-1
 	}
-}
-
-// place puts a table word in the first empty word of its probe sequence.
-func (w *Window) place(word uint64) {
-	mask := uint32(len(w.tab) - 1)
-	i := uint32(word>>32) >> w.shift
-	for w.tab[i] != 0 {
-		i = (i + 1) & mask
+	return &Window{
+		tab:   make([]uint64, size),
+		shift: shift,
+		ring:  make([][2]uint64, capacity),
 	}
-	w.tab[i] = word
 }
 
 // hash32 is the upper half of the key's 64-bit hash.
@@ -93,19 +65,18 @@ func (w *Window) Observe(key [2]uint64) bool {
 			return false
 		}
 	}
-	switch {
-	case w.n < len(w.ring):
-		w.n++
-	case w.n < w.capacity:
-		w.resize(min(2*w.n, w.capacity))
-		w.n++
-	default:
+	if w.n == len(w.ring) {
 		w.evict()
+	} else {
+		w.n++
 	}
 	// The eviction may have opened a gap earlier on the key's probe
-	// sequence than the empty word the search above stopped at, and a
-	// resize moved the sequence.
-	w.place(uint64(h)<<32 | uint64(w.next+1))
+	// sequence than the empty word the search above stopped at.
+	i := h >> w.shift
+	for w.tab[i] != 0 {
+		i = (i + 1) & mask
+	}
+	w.tab[i] = uint64(h)<<32 | uint64(w.next+1)
 	w.ring[w.next] = key
 	if w.next++; w.next == len(w.ring) {
 		w.next = 0

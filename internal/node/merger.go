@@ -20,9 +20,9 @@ type MergerOptions struct {
 	// Log receives serve-loop events; nil is silent.
 	Log Logf
 	// DedupWindow bounds per-connection duplicate-elimination memory in
-	// (query, object) pairs (default DefaultDedupWindow). It is a bound,
-	// not an allocation: a connection's window grows with the pairs it
-	// holds, up to DedupWindow.
+	// (query, object) pairs (default DefaultDedupWindow). A connection
+	// allocates its window when its first matches batch arrives, so a
+	// connection that carries no match holds none.
 	DedupWindow int
 	// OnMatch receives every deduplicated match. Called from connection
 	// goroutines (possibly concurrently); it must lock its own state.
@@ -125,7 +125,7 @@ func (m *Merger) serveConn(conn *wire.Conn) (clean bool, err error) {
 	if err := conn.Send(wire.Welcome{Role: wire.RoleMerger, Task: hello.Task}); err != nil {
 		return false, err
 	}
-	win := dedup.NewWindow(m.opts.DedupWindow)
+	var win *dedup.Window           // made by the first matches batch
 	var delivered, duplicates int64 // this session's share
 	var matches []wire.MatchEnv     // decode scratch reused across batches
 	for {
@@ -137,6 +137,9 @@ func (m *Merger) serveConn(conn *wire.Conn) (clean bool, err error) {
 		case wire.TypeMatchBatch:
 			if matches, err = wire.DecodeBinMatchBatch(payload, matches[:0]); err != nil {
 				return false, err
+			}
+			if win == nil {
+				win = dedup.NewWindow(m.opts.DedupWindow)
 			}
 			for i := range matches {
 				me := &matches[i]
