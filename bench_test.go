@@ -63,21 +63,11 @@ func firstNumeric(tables []bench.Table) float64 {
 	return 0
 }
 
-func BenchmarkFig06TextQ1(b *testing.B)           { runExperiment(b, "fig6a") }
-func BenchmarkFig06TextQ2(b *testing.B)           { runExperiment(b, "fig6b") }
-func BenchmarkFig06SpaceQ1(b *testing.B)          { runExperiment(b, "fig6c") }
-func BenchmarkFig06SpaceQ2(b *testing.B)          { runExperiment(b, "fig6d") }
 func BenchmarkFig07Throughput(b *testing.B)       { runExperiment(b, "fig7") }
 func BenchmarkFig08Latency(b *testing.B)          { runExperiment(b, "fig8") }
 func BenchmarkFig09DispatcherMemory(b *testing.B) { runExperiment(b, "fig9") }
 func BenchmarkFig10WorkerMemory(b *testing.B)     { runExperiment(b, "fig10") }
 func BenchmarkFig11Scalability(b *testing.B)      { runExperiment(b, "fig11") }
-func BenchmarkFig12SelectionTime(b *testing.B)    { runExperiment(b, "fig12a") }
-func BenchmarkFig12MigrationCost(b *testing.B)    { runExperiment(b, "fig12b") }
-func BenchmarkFig12LatencyBuckets(b *testing.B)   { runExperiment(b, "fig12c") }
-func BenchmarkFig13SelectionScaling(b *testing.B) { runExperiment(b, "fig13") }
-func BenchmarkFig14MigrationScaling(b *testing.B) { runExperiment(b, "fig14") }
-func BenchmarkFig15LatencyScaling(b *testing.B)   { runExperiment(b, "fig15") }
 func BenchmarkFig16AdjustEffect(b *testing.B)     { runExperiment(b, "fig16") }
 
 // BenchmarkAblationLatencyVsRate runs the saturation sweep behind
@@ -221,8 +211,8 @@ func BenchmarkDedupObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkSelection compares the four cell-selection algorithms on one
-// realistic inventory (the per-op cost behind Figure 12(a)).
+// BenchmarkSelection times GR, the cell-selection algorithm the system
+// runs, on one realistic inventory (the per-op cost behind Figure 12(a)).
 func BenchmarkSelection(b *testing.B) {
 	cells := make([]migrate.Cell, 1000)
 	for i := range cells {
@@ -237,13 +227,11 @@ func BenchmarkSelection(b *testing.B) {
 		total += c.Load
 	}
 	tau := total * 0.25
-	for _, alg := range migrate.Algorithms() {
-		b.Run(string(alg), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				migrate.Select(alg, cells, tau, nil)
-			}
-		})
-	}
+	b.Run("GR", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			migrate.SelectGR(cells, tau)
+		}
+	})
 }
 
 // BenchmarkHybridBuild measures Algorithm 1 end to end.
@@ -351,13 +339,11 @@ func BenchmarkAblationLazyVsEagerDeletion(b *testing.B) {
 }
 
 // BenchmarkAblationDispatcherIndex compares gridt cell lookup against the
-// O(log m) kdt-tree walk it replaces (here: kd-tree assignment without the
-// grid raster is approximated by the R-tree baseline's search path).
+// kd-tree baseline's rasterised cell table.
 func BenchmarkAblationDispatcherIndex(b *testing.B) {
 	s := microSample(8000, 1600)
 	builders := map[string]partition.Builder{
 		"gridt(hybrid)": hybrid.Builder{},
-		"grid":          partition.GridBuilder{},
 		"kdtree+grid":   partition.KDTreeBuilder{},
 	}
 	for name, bd := range builders {

@@ -8,7 +8,7 @@
 //	psbench -list
 //	psbench -exp fig7
 //	psbench -exp all -quick
-//	psbench -exp fig6a -ops 100000 -mu 20000 -workers 8
+//	psbench -exp fig7 -ops 100000 -mu 20000 -workers 8
 //
 // Compare mode gates a fresh -json report against a committed baseline
 // (the CI perf smoke): every throughput and speedup value must reach at
@@ -39,7 +39,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (fig6a..fig16, abl*) or 'all'")
+		exp     = flag.String("exp", "", "experiment id (fig7..fig16, abl*) or 'all'")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		quick   = flag.Bool("quick", false, "use the quick (CI) scale")
 		wireExp = flag.Bool("wire", false, "place all worker tasks behind loopback TCP where supported (adjust: migrations cross the wire)")

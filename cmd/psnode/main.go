@@ -477,7 +477,6 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 			Cooldown:      30 * time.Millisecond,
 			SustainChecks: 1,
 			MinWindowOps:  64,
-			Seed:          dc.seed,
 		}
 	}
 	if dc.oracle {

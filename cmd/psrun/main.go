@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	psgen -dataset us -kind q1 -mu 10000 -ops 120000 | psrun -strategy hybrid
-//	psrun -in workload.jsonl -strategy kdtree -workers 8 -adjust
+//	psgen -dataset us -kind q1 -mu 10000 -ops 120000 | psrun -strategy hybrid -adjust
+//	psrun -in workload.jsonl -strategy kdtree -workers 8
 package main
 
 import (
@@ -40,7 +40,7 @@ func builderFor(name string) (partition.Builder, error) {
 func main() {
 	var (
 		in         = flag.String("in", "-", "input JSONL file ('-' = stdin)")
-		strategy   = flag.String("strategy", "hybrid", "distribution strategy: hybrid|frequency|hypergraph|metric|grid|kdtree|rtree")
+		strategy   = flag.String("strategy", "hybrid", "distribution strategy: hybrid|metric|kdtree")
 		workers    = flag.Int("workers", 8, "worker tasks")
 		sampleN    = flag.Int("sample", 20000, "ops consumed as the partitioning sample")
 		adjust     = flag.Bool("adjust", false, "enable dynamic load adjustment (hybrid only)")

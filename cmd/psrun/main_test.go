@@ -16,7 +16,7 @@ import (
 )
 
 func TestBuilderFor(t *testing.T) {
-	for _, name := range []string{"", "hybrid", "frequency", "hypergraph", "metric", "grid", "kdtree", "rtree"} {
+	for _, name := range []string{"", "hybrid", "metric", "kdtree"} {
 		b, err := builderFor(name)
 		if err != nil || b == nil {
 			t.Errorf("builderFor(%q) = %v, %v", name, b, err)

@@ -78,7 +78,7 @@ func ExampleSystem_Checkpoint() {
 func ExampleOptions() {
 	_, err := ps2stream.Open(ps2stream.Options{
 		Region:   ps2stream.NewRegion(-125, 24, -66, 49),
-		Strategy: "quadtree", // not one of the seven strategies
+		Strategy: "quadtree", // not one of the three strategies
 	})
 	fmt.Println(err)
 	// Output: ps2stream: unknown strategy "quadtree"

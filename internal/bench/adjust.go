@@ -155,7 +155,6 @@ func adjustRun(spec workload.DatasetSpec, sc Scale, auto bool) (adjustResult, er
 			Cooldown:      120 * time.Millisecond,
 			SustainChecks: 2,
 			MinWindowOps:  64,
-			Seed:          sc.Seed,
 		}
 	}
 	cfg := core.Config{

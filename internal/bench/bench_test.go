@@ -6,15 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"ps2stream/internal/migrate"
 	"ps2stream/internal/workload"
 )
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
 	want := []string{
-		"fig6a", "fig6b", "fig6c", "fig6d", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12a", "fig12b", "fig12c", "fig13", "fig14", "fig15", "fig16",
+		"fig7", "fig8", "fig9", "fig10", "fig11", "fig16",
 		"ablrate", "adjust", "batch", "obs", "topk", "wire",
 	}
 	if len(exps) != len(want) {
@@ -29,11 +27,10 @@ func TestExperimentRegistry(t *testing.T) {
 	if len(ids) != len(want) {
 		t.Fatalf("ExperimentIDs returned %d ids", len(ids))
 	}
-	// The sixteen paper figures come first, in figure order; ablations
-	// and extension experiments follow alphabetically.
+	// The paper figures come first, in figure order; ablations and
+	// extension experiments follow alphabetically.
 	for i, id := range []string{
-		"fig6a", "fig6b", "fig6c", "fig6d", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12a", "fig12b", "fig12c", "fig13", "fig14", "fig15", "fig16",
+		"fig7", "fig8", "fig9", "fig10", "fig11", "fig16",
 		"ablrate", "adjust", "batch", "obs", "topk", "wire",
 	} {
 		if ids[i] != id {
@@ -93,33 +90,6 @@ func parseTPS(t *testing.T, tab Table) map[string]float64 {
 	return out
 }
 
-func TestWorkerCellsNonEmpty(t *testing.T) {
-	cells := workerCells(QuickScale(), 500)
-	if len(cells) == 0 {
-		t.Fatal("no migration candidates generated")
-	}
-	for _, c := range cells {
-		if c.Load <= 0 || c.Size <= 0 {
-			t.Fatalf("malformed cell %+v", c)
-		}
-	}
-}
-
-func TestFig12SelectionTimeQuick(t *testing.T) {
-	tabs := Fig12SelectionTime(QuickScale())
-	if len(tabs) != 1 {
-		t.Fatalf("got %d tables", len(tabs))
-	}
-	if len(tabs[0].Rows) != 4 {
-		t.Fatalf("got %d rows, want 4 algorithms", len(tabs[0].Rows))
-	}
-	for _, r := range tabs[0].Rows {
-		if strings.HasPrefix(r[1], "ERR") {
-			t.Errorf("%s errored: %v", r[0], r)
-		}
-	}
-}
-
 func TestFig11ModelQuick(t *testing.T) {
 	sc := QuickScale()
 	tabs := Fig11Scalability(sc)
@@ -147,20 +117,20 @@ func TestFig11ModelQuick(t *testing.T) {
 
 func TestModelThroughputOrdering(t *testing.T) {
 	// On Q1 (frequent keywords), space partitioning must beat text
-	// partitioning in the load model — the Figure 6 headline.
+	// partitioning in the load model.
 	sc := QuickScale()
 	spec := workload.TweetsUS()
 	kd, err := modelThroughput(spec, workload.Q1, "kdtree", sc, 8, sc.Mu1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, err := modelThroughput(spec, workload.Q1, "frequency", sc, 8, sc.Mu1)
+	text, err := modelThroughput(spec, workload.Q1, "metric", sc, 8, sc.Mu1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("model Q1: kdtree=%.0f frequency=%.0f", kd, freq)
-	if kd <= freq {
-		t.Errorf("kd-tree (%.0f) should beat frequency (%.0f) on Q1", kd, freq)
+	t.Logf("model Q1: kdtree=%.0f metric=%.0f", kd, text)
+	if kd <= text {
+		t.Errorf("kd-tree (%.0f) should beat metric (%.0f) on Q1", kd, text)
 	}
 }
 
@@ -177,19 +147,4 @@ func TestThroughputMeasurementQuick(t *testing.T) {
 		t.Errorf("throughput = %v", tp)
 	}
 	t.Logf("quick hybrid throughput: %.0f tuples/s", tp)
-}
-
-func TestMigrationRunQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sc := QuickScale()
-	r, err := migrationRun(migrate.GR, sc, sc.Mu1/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("migrations=%d avgKB=%.1f avgTime=%v", r.migrations, r.avgBytes/1024, r.avgTime)
-	if r.latency.Count == 0 {
-		t.Error("no latency observations")
-	}
 }

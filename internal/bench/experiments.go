@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
+	"time"
 
+	"ps2stream/internal/core"
+	"ps2stream/internal/model"
 	"ps2stream/internal/workload"
 )
 
@@ -28,34 +32,6 @@ func throughputTable(title string, builders []string, kind workload.QueryKind, s
 		}
 	}
 	return []Table{t}
-}
-
-// Fig6TextQ1 reproduces Figure 6(a): text-partitioning baselines on Q1.
-func Fig6TextQ1(sc Scale) []Table {
-	sc = sc.orDefault()
-	return throughputTable("Figure 6(a): text baselines, Q1, mu~5M(scaled)",
-		[]string{"frequency", "hypergraph", "metric"}, workload.Q1, sc, sc.Mu1)
-}
-
-// Fig6TextQ2 reproduces Figure 6(b): text baselines on Q2.
-func Fig6TextQ2(sc Scale) []Table {
-	sc = sc.orDefault()
-	return throughputTable("Figure 6(b): text baselines, Q2, mu~10M(scaled)",
-		[]string{"frequency", "hypergraph", "metric"}, workload.Q2, sc, sc.Mu2())
-}
-
-// Fig6SpaceQ1 reproduces Figure 6(c): space baselines on Q1.
-func Fig6SpaceQ1(sc Scale) []Table {
-	sc = sc.orDefault()
-	return throughputTable("Figure 6(c): space baselines, Q1, mu~5M(scaled)",
-		[]string{"grid", "kdtree", "rtree"}, workload.Q1, sc, sc.Mu1)
-}
-
-// Fig6SpaceQ2 reproduces Figure 6(d): space baselines on Q2.
-func Fig6SpaceQ2(sc Scale) []Table {
-	sc = sc.orDefault()
-	return throughputTable("Figure 6(d): space baselines, Q2, mu~10M(scaled)",
-		[]string{"grid", "kdtree", "rtree"}, workload.Q2, sc, sc.Mu2())
 }
 
 // headToHead are the finalists compared against hybrid in §VI-C.
@@ -208,4 +184,80 @@ func workerHeaders(ws []int) []string {
 		out[i] = fmt.Sprintf("w=%d", w)
 	}
 	return out
+}
+
+// Fig16AdjustEffect reproduces Figure 16: system throughput with and
+// without dynamic load adjustment under the drifting Q3 workload (every
+// interval, 10% of the regions switch between Q1 and Q2 behaviour).
+func Fig16AdjustEffect(sc Scale) []Table {
+	sc = sc.orDefault()
+	t := Table{
+		Title:  "Figure 16: effect of dynamic load adjustments (STS-US-Q3 drift)",
+		Header: []string{"mode", "throughput(tuples/s)"},
+	}
+	for _, mode := range []struct {
+		name   string
+		adjust bool
+	}{
+		{"NoAdjust", false},
+		{"Adjust", true},
+	} {
+		tp, err := fig16Run(sc, mode.adjust)
+		if err != nil {
+			t.Rows = append(t.Rows, []string{mode.name, "ERR: " + err.Error()})
+			continue
+		}
+		t.Rows = append(t.Rows, []string{mode.name, f0(tp)})
+	}
+	return []Table{t}
+}
+
+func fig16Run(sc Scale, adjust bool) (float64, error) {
+	spec := workload.TweetsUS()
+	mu := sc.Mu1
+	var acfg core.AdjustConfig
+	if adjust {
+		acfg = core.AdjustConfig{
+			Enabled:      true,
+			Sigma:        1.25,
+			Interval:     50 * time.Millisecond,
+			MinWindowOps: 128,
+		}
+	}
+	sys, st, err := buildSystem(spec, workload.Q3, "hybrid", sc, sc.Workers, mu, acfg)
+	if err != nil {
+		return 0, err
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		return 0, err
+	}
+	warm := st.Prewarm(mu)
+	sys.SubmitAll(warm)
+	waitProcessed(sys, int64(len(warm)))
+
+	// Drift: flip 10% of the regions every mu/5 inserted queries, and
+	// concentrate objects in the currently-Q1 half of the space so the
+	// load actually shifts.
+	flipEvery := mu / 5
+	if flipEvery < 1 {
+		flipEvery = 1
+	}
+	inserts := 0
+	t0 := time.Now()
+	for i := 0; i < sc.Ops; i++ {
+		op := st.Next()
+		if op.Kind == model.OpInsert {
+			inserts++
+			if inserts%flipEvery == 0 {
+				st.QueryGen().FlipRegions(0.1)
+			}
+		}
+		sys.Submit(op)
+	}
+	waitProcessed(sys, int64(len(warm)+sc.Ops))
+	el := time.Since(t0)
+	if err := sys.Close(); err != nil {
+		return 0, err
+	}
+	return float64(sc.Ops) / el.Seconds(), nil
 }

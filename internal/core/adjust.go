@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"time"
 
 	"ps2stream/internal/load"
@@ -113,7 +112,7 @@ func (s *System) evaluate(manual bool) int {
 			"from", hi,
 			"to", lo,
 			"manual", manual)
-		s.runAdjustment(hi, lo, s.adjustRng)
+		s.runAdjustment(hi, lo)
 		now := time.Now()
 		if manual {
 			s.adjManual.Inc()
@@ -173,7 +172,7 @@ func (s *System) migrationCount() int {
 }
 
 // runAdjustment executes one adjustment from worker wo to worker wl.
-func (s *System) runAdjustment(wo, wl int, rng *rand.Rand) {
+func (s *System) runAdjustment(wo, wl int) {
 	var movedLoad float64
 
 	// One planner snapshot per worker: Phase I shares, Phase II
@@ -206,7 +205,7 @@ func (s *System) runAdjustment(wo, wl int, rng *rand.Rand) {
 		if a.Kind == migrate.ActionSplitText {
 			keys = a.Keys
 		}
-		m := MigrationStat{Algorithm: s.cfg.Adjust.Algorithm, From: wo, To: wl, PhaseI: true}
+		m := MigrationStat{From: wo, To: wl, PhaseI: true}
 		start := time.Now()
 		if !s.moveInto(&m, wo, wl, a.Cell, keys) {
 			// Nothing moved, so neither the stats nor the tau budget may
@@ -234,12 +233,12 @@ func (s *System) runAdjustment(wo, wl int, rng *rand.Rand) {
 		return
 	}
 	selStart := time.Now()
-	sel, _ := migrate.Select(s.cfg.Adjust.Algorithm, cells, tau, rng)
+	sel, _ := migrate.SelectGR(cells, tau)
 	selTime := time.Since(selStart)
 	if len(sel.Cells) == 0 {
 		return
 	}
-	m := MigrationStat{Algorithm: s.cfg.Adjust.Algorithm, SelectionTime: selTime, From: wo, To: wl}
+	m := MigrationStat{SelectionTime: selTime, From: wo, To: wl}
 	start := time.Now()
 	for _, c := range sel.Cells {
 		s.moveInto(&m, wo, wl, c.ID, nil)
@@ -276,7 +275,6 @@ func (s *System) recordMoves(m MigrationStat, start time.Time) {
 
 func (s *System) recordMigration(m MigrationStat) {
 	s.log.Info("migration",
-		"algorithm", string(m.Algorithm),
 		"phase_i", m.PhaseI,
 		"from", m.From,
 		"to", m.To,

@@ -41,7 +41,6 @@ func runHotspotPublish(t *testing.T, adjust bool) (matches [][2]uint64, migratio
 			Cooldown:      5 * time.Millisecond,
 			SustainChecks: 1,
 			MinWindowOps:  32,
-			Seed:          77,
 		}
 	}
 	sys, err := New(cfg, sample)
@@ -184,7 +183,7 @@ func TestAdjustNowRequiresHybrid(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 53, 0)
 	sys, err := New(Config{
 		Workers: 2,
-		Builder: partition.Builders()["grid"],
+		Builder: partition.KDTreeBuilder{},
 	}, sample)
 	if err != nil {
 		t.Fatal(err)

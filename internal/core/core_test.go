@@ -16,24 +16,25 @@ import (
 	"ps2stream/internal/workload"
 )
 
-// matchSet collects merger output thread-safely.
+// matchSet collects delivered matches thread-safely, counting the
+// deliveries of each (query, object) pair.
 type matchSet struct {
 	mu   sync.Mutex
-	seen map[[2]uint64]bool
+	seen map[[2]uint64]int
 }
 
-func newMatchSet() *matchSet { return &matchSet{seen: make(map[[2]uint64]bool)} }
+func newMatchSet() *matchSet { return &matchSet{seen: make(map[[2]uint64]int)} }
 
 func (ms *matchSet) add(m model.Match) {
 	ms.mu.Lock()
-	ms.seen[[2]uint64{m.QueryID, m.ObjectID}] = true
+	ms.seen[[2]uint64{m.QueryID, m.ObjectID}]++
 	ms.mu.Unlock()
 }
 
 func (ms *matchSet) has(q, o uint64) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return ms.seen[[2]uint64{q, o}]
+	return ms.seen[[2]uint64{q, o}] > 0
 }
 
 func (ms *matchSet) len() int {
@@ -105,10 +106,10 @@ func allBuilders() map[string]partition.Builder {
 	return bs
 }
 
-// The system must deliver exactly the oracle match set for every
-// distribution strategy: no false negatives (routing invariant) and no
-// false positives (region+expression checked at workers, dedup at
-// mergers).
+// The system must deliver exactly the oracle match set, each match once,
+// for every distribution strategy: no false negatives (routing
+// invariant), no false positives (region+expression checked at workers)
+// and no repeats (dedup at mergers).
 func TestEndToEndExactAllStrategies(t *testing.T) {
 	sample, ops := smallWorkload(t, workload.Q1, 42, 4000)
 	want := oracleMatches(ops)
@@ -117,24 +118,7 @@ func TestEndToEndExactAllStrategies(t *testing.T) {
 	}
 	for name, b := range allBuilders() {
 		t.Run(name, func(t *testing.T) {
-			ms := runExact(t, b, sample, ops, 4)
-			ms.mu.Lock()
-			defer ms.mu.Unlock()
-			missing, extra := 0, 0
-			for k := range want {
-				if !ms.seen[k] {
-					missing++
-				}
-			}
-			for k := range ms.seen {
-				if !want[k] {
-					extra++
-				}
-			}
-			if missing > 0 || extra > 0 {
-				t.Errorf("%s: %d missing, %d extra of %d oracle matches",
-					name, missing, extra, len(want))
-			}
+			assertExact(t, runExact(t, b, sample, ops, 4), want)
 		})
 	}
 }
@@ -247,7 +231,7 @@ func TestSnapshotMetrics(t *testing.T) {
 func TestAdjustRequiresHybrid(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 10, 10)
 	_, err := New(Config{
-		Builder: partition.GridBuilder{},
+		Builder: partition.KDTreeBuilder{},
 		Adjust:  AdjustConfig{Enabled: true},
 	}, sample)
 	if err != ErrAdjustNeedsHybrid {
@@ -337,7 +321,7 @@ func TestGlobalRepartitionKeepsMatching(t *testing.T) {
 	defer ms.mu.Unlock()
 	missing := 0
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			missing++
 		}
 	}
@@ -588,7 +572,7 @@ func TestAdjustmentUnderSkew(t *testing.T) {
 	defer ms.mu.Unlock()
 	missing := 0
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			missing++
 		}
 	}
@@ -624,18 +608,19 @@ func TestWorkerQueryCounts(t *testing.T) {
 func TestMergerDeduplicates(t *testing.T) {
 	// An OR query spanning two text-partition shares can be stored on
 	// two workers; a matching object routed to both must be delivered
-	// once. Construct this explicitly via the frequency text builder.
+	// once. Construct this explicitly via the metric text builder.
 	spec := workload.TweetsUS()
 	sample := workload.Sample(spec, workload.Q1, 2000, 200, 18)
 	stats := sample.Stats
-	// Find two terms owned by different workers under frequency
-	// partitioning.
-	a, err := partition.FrequencyBuilder{}.Build(sample, 4)
+	// Find two terms owned by different workers under metric
+	// partitioning, which packs the most frequent co-occurring terms
+	// onto one worker: the pair lies beyond the top fifty.
+	a, err := partition.MetricBuilder{}.Build(sample, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ta := a.(*partition.TextAssignment)
-	terms := stats.TopTerms(50)
+	terms := stats.TopTerms(1000)
 	var t1, t2 string
 	for _, x := range terms {
 		for _, y := range terms {
@@ -654,7 +639,7 @@ func TestMergerDeduplicates(t *testing.T) {
 	ms := newMatchSet()
 	sys, err := New(Config{
 		Workers: 4,
-		Builder: partition.FrequencyBuilder{},
+		Builder: partition.MetricBuilder{},
 		OnMatch: ms.add,
 	}, sample)
 	if err != nil {

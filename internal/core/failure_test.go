@@ -8,7 +8,6 @@ import (
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
-	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
@@ -103,7 +102,6 @@ func TestMigrationWithConcurrentDeletes(t *testing.T) {
 			Enabled:      true,
 			Sigma:        1.2,
 			Interval:     20 * time.Millisecond,
-			Algorithm:    migrate.GR,
 			MinWindowOps: 64,
 		},
 	}, sample)
@@ -145,7 +143,7 @@ func TestMigrationWithConcurrentDeletes(t *testing.T) {
 	defer ms.mu.Unlock()
 	missing := 0
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			missing++
 		}
 	}
@@ -209,7 +207,7 @@ func TestStalledWorkerDoesNotLoseMatches(t *testing.T) {
 	defer ms.mu.Unlock()
 	missing := 0
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			missing++
 		}
 	}
@@ -252,7 +250,7 @@ func TestTinyDedupWindowKeepsSetSemantics(t *testing.T) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			t.Fatalf("oracle match %v missing", k)
 		}
 	}

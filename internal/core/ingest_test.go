@@ -336,7 +336,7 @@ func TestIngestCloseDrainsWhatWasAccepted(t *testing.T) {
 		}
 		ms.mu.Lock()
 		for k := range want {
-			if !ms.seen[k] {
+			if ms.seen[k] == 0 {
 				t.Errorf("BatchSize %d: oracle match %v not delivered", bs, k)
 				break
 			}

@@ -744,7 +744,7 @@ func (s *System) rebalanceOnto(task int) {
 	target := total / float64(len(members))
 	sort.Slice(cands, func(i, j int) bool { return cands[i].cell.Load > cands[j].cell.Load })
 	// From -1: many sources, a join rebalance, not a pairwise move.
-	m := MigrationStat{Algorithm: s.cfg.Adjust.Algorithm, From: -1, To: task}
+	m := MigrationStat{From: -1, To: task}
 	start := time.Now()
 	var moved float64
 	for _, oc := range cands {

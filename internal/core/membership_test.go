@@ -90,24 +90,31 @@ func (en *elasticNode) kill() {
 	en.mu.Unlock()
 }
 
-// assertExact compares the delivered match set against the oracle.
+// assertExact compares the delivered matches against the oracle: every
+// oracle match delivered, nothing else, and nothing delivered twice.
 func assertExact(t *testing.T, ms *matchSet, want map[[2]uint64]bool) {
 	t.Helper()
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	missing, extra := 0, 0
+	missing, extra, twice := 0, 0, 0
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			missing++
 		}
 	}
-	for k := range ms.seen {
+	for k, n := range ms.seen {
 		if !want[k] {
 			extra++
+		}
+		if n > 1 {
+			twice++
 		}
 	}
 	if missing > 0 || extra > 0 {
 		t.Errorf("%d missing, %d extra of %d oracle matches", missing, extra, len(want))
+	}
+	if twice > 0 {
+		t.Errorf("%d matches delivered twice or more", twice)
 	}
 }
 

@@ -60,7 +60,6 @@ func runRemoteHotspotPublish(t *testing.T) (matches [][2]uint64, adj AdjustStats
 			Cooldown:      5 * time.Millisecond,
 			SustainChecks: 1,
 			MinWindowOps:  32,
-			Seed:          77,
 		},
 	}
 	addrs, _ := startMigratingWorkerNodes(t, cfg.Workers)
@@ -254,7 +253,7 @@ func TestRemoteMigrateShareBothDirections(t *testing.T) {
 	ms.mu.Lock()
 	missing, extra := 0, 0
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			missing++
 		}
 	}
@@ -374,7 +373,6 @@ func TestRemoteHotspotShiftDetectorFires(t *testing.T) {
 			Cooldown:      10 * time.Millisecond,
 			SustainChecks: 1,
 			MinWindowOps:  32,
-			Seed:          31,
 		},
 	}
 	addrs, _ := startMigratingWorkerNodes(t, cfg.Workers)

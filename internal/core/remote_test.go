@@ -70,7 +70,7 @@ func TestRemoteWorkersMatchInProcessOracle(t *testing.T) {
 	ms.mu.Lock()
 	missing, extra := 0, 0
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			missing++
 		}
 	}
@@ -140,7 +140,7 @@ func TestRemoteMergerDeliversAndCounts(t *testing.T) {
 	got := len(ms.seen)
 	exact := true
 	for k := range want {
-		if !ms.seen[k] {
+		if ms.seen[k] == 0 {
 			exact = false
 		}
 	}

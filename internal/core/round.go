@@ -23,9 +23,6 @@ type ctrlRound struct {
 	// done receives the one reply; nil for a request that is not
 	// answered (Fence, ResetWindow).
 	done chan roundReply
-	// size is an InstallCells request's measured length (installCells),
-	// which the in-process bolt's simulated transfer sleeps for.
-	size int64
 	// pos is the op-log sequence a remote slot's bolt had sent when it
 	// forwarded the request: the position of a checkpoint's population.
 	pos uint64
@@ -134,11 +131,10 @@ func replyAs[T wire.Frame](s *System, c *ctrlRound) (T, error) {
 func (s *System) installCells(h *hold, req wire.InstallCells) (int64, error) {
 	buf := wire.GetBuf()
 	buf.B = wire.AppendInstallCells(buf.B, req)
-	c := newRound(h.slot, req, true)
-	c.size = int64(len(buf.B))
+	size := int64(len(buf.B))
 	wire.PutBuf(buf)
-	_, err := replyAs[wire.InstallAck](s, s.through(h, c))
-	return c.size, err
+	_, err := replyAs[wire.InstallAck](s, s.through(h, newRound(h.slot, req, true)))
+	return size, err
 }
 
 // A cut is a migration's switch point in the stream (docs/ARCHITECTURE.md,

@@ -474,7 +474,7 @@ func TestTopKSurvivesGlobalRepartition(t *testing.T) {
 
 	// Swap to a different strategy family so the subscription is likely
 	// relocated onto workers that never saw the publications.
-	if err := sys.GlobalRepartition(sample, partition.GridBuilder{}); err != nil {
+	if err := sys.GlobalRepartition(sample, partition.KDTreeBuilder{}); err != nil {
 		t.Fatal(err)
 	}
 	if moved := sys.FinishGlobalRepartition(); moved != 1 {
@@ -604,7 +604,7 @@ func TestTopKGlobalRepartitionKeepsWaitingEntries(t *testing.T) {
 	if got := sys.TopKSet(q.ID); !equalIDs(got, []uint64{1}) {
 		t.Fatalf("top-1 before repartition is %v, want [1]", got)
 	}
-	if err := sys.GlobalRepartition(sample, partition.GridBuilder{}); err != nil {
+	if err := sys.GlobalRepartition(sample, partition.KDTreeBuilder{}); err != nil {
 		t.Fatal(err)
 	}
 	if moved := sys.FinishGlobalRepartition(); moved != 1 {

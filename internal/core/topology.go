@@ -639,12 +639,6 @@ func (w *workerBolt) process(batch *[]wire.OpEnv) {
 // later batch's deltas (a removing extraction's return in the share, and
 // the migration applies them while the slot is held; see handOff).
 func (w *workerBolt) serve(c *ctrlRound) {
-	if rate := w.s.cfg.Adjust.WireBytesPerSec; rate > 0 && c.size > 0 {
-		// A simulated transfer occupies the destination for bytes/rate,
-		// as receiving and indexing a share occupies a worker on the
-		// paper's cluster (Figures 12(c)/15).
-		time.Sleep(time.Duration(float64(c.size) / rate * float64(time.Second)))
-	}
 	reply, err := w.eng.Serve(c.req)
 	w.s.board.applyAck(w.task, reply)
 	c.answer(reply, err)

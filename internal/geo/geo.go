@@ -155,6 +155,24 @@ func (r Rect) SplitY(y float64) (bottom, top Rect) {
 	return bottom, top
 }
 
+// SplitEvenly cuts r into p pieces of equal area: it cuts the longer side
+// where p/2 of the pieces end and recurses on both sides, so the pieces
+// stay close to square. It returns r alone when p <= 1.
+func (r Rect) SplitEvenly(p int) []Rect {
+	if p <= 1 {
+		return []Rect{r}
+	}
+	k := p / 2
+	share := float64(k) / float64(p)
+	var lo, hi Rect
+	if r.Width() >= r.Height() {
+		lo, hi = r.SplitX(r.Min.X + share*r.Width())
+	} else {
+		lo, hi = r.SplitY(r.Min.Y + share*r.Height())
+	}
+	return append(lo.SplitEvenly(k), hi.SplitEvenly(p-k)...)
+}
+
 // Margin returns half the perimeter (the R*-tree "margin" metric).
 func (r Rect) Margin() float64 { return r.Width() + r.Height() }
 

@@ -154,11 +154,20 @@ func partitionWorkload(s *partition.Sample, m int, cfg Config) ([]*unit, []int) 
 	root.computeLoad(cfg.Costs)
 	if len(s.Objects) == 0 {
 		// No object to cut at: m equal pieces of the region, one per
-		// worker, instead of one unit that takes every cell.
-		units := splitEvenly(root, m, cfg)
-		owners := make([]int, m)
-		for i := range owners {
-			owners[i] = i
+		// worker, instead of one unit that takes every cell. Queries are
+		// duplicated by region overlap.
+		pieces := s.Bounds.SplitEvenly(m)
+		units := make([]*unit, len(pieces))
+		owners := make([]int, len(pieces))
+		for i, b := range pieces {
+			u := &unit{bounds: b, kind: kindNs}
+			for _, q := range s.Queries {
+				if q.Region.Intersects(b) {
+					u.queries = append(u.queries, q)
+				}
+			}
+			u.computeLoad(cfg.Costs)
+			units[i], owners[i] = u, i
 		}
 		return units, owners
 	}
@@ -257,35 +266,6 @@ func bestSpatialSplit(n *unit, cfg Config) (a, b *unit, alpha float64, ok bool) 
 		}
 	}
 	return best.a, best.b, best.alpha, true
-}
-
-// splitEvenly cuts n by geometry into p space units of equal area: it
-// cuts the longer side where p/2 of the units end and recurses on both
-// sides, so the units stay close to square. Queries are duplicated by
-// region overlap.
-func splitEvenly(n *unit, p int, cfg Config) []*unit {
-	if p <= 1 {
-		return []*unit{n}
-	}
-	k := p / 2
-	share := float64(k) / float64(p)
-	var lb, rb geo.Rect
-	if n.bounds.Width() >= n.bounds.Height() {
-		lb, rb = n.bounds.SplitX(n.bounds.Min.X + share*n.bounds.Width())
-	} else {
-		lb, rb = n.bounds.SplitY(n.bounds.Min.Y + share*n.bounds.Height())
-	}
-	part := func(b geo.Rect) *unit {
-		u := &unit{bounds: b, kind: kindNs}
-		for _, q := range n.queries {
-			if q.Region.Intersects(b) {
-				u.queries = append(u.queries, q)
-			}
-		}
-		u.computeLoad(cfg.Costs)
-		return u
-	}
-	return append(splitEvenly(part(lb), k, cfg), splitEvenly(part(rb), p-k, cfg)...)
 }
 
 // splitUnitSpatially cuts n at the object-weighted median along dim,

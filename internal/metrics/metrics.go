@@ -293,39 +293,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return s[idx]
 }
 
-// FractionBelow returns the fraction of observations ≤ d, computed exactly
-// from the bucket whose bound equals d if present, otherwise estimated
-// from the reservoir. Used for the paper's <100ms / [100ms,1s] / >1s
-// breakdown.
-func (h *Histogram) FractionBelow(d time.Duration) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	for i, b := range h.bounds {
-		if b == d {
-			var below int64
-			for j := 0; j <= i; j++ {
-				below += h.buckets[j].Load()
-			}
-			return float64(below) / float64(total)
-		}
-	}
-	h.mu.Lock()
-	s := append([]time.Duration(nil), h.sample...)
-	h.mu.Unlock()
-	if len(s) == 0 {
-		return 0
-	}
-	var below int64
-	for _, v := range s {
-		if v <= d {
-			below++
-		}
-	}
-	return float64(below) / float64(len(s))
-}
-
 // Buckets returns copies of the bounds and bucket counts (last bucket is
 // the overflow beyond the final bound).
 func (h *Histogram) Buckets() ([]time.Duration, []int64) {
@@ -344,26 +311,22 @@ func (h *Histogram) String() string {
 
 // Snapshot is a point-in-time latency summary used by experiment reports.
 type Snapshot struct {
-	Count    int64
-	Mean     time.Duration
-	P50      time.Duration
-	P95      time.Duration
-	P99      time.Duration
-	Max      time.Duration
-	Below100 float64 // fraction of tuples <100ms
-	Below1s  float64 // fraction ≤1s
+	Count int64
+	Mean  time.Duration
+	P50   time.Duration
+	P95   time.Duration
+	P99   time.Duration
+	Max   time.Duration
 }
 
 // Snapshot captures the current state.
 func (h *Histogram) Snapshot() Snapshot {
 	return Snapshot{
-		Count:    h.Count(),
-		Mean:     h.Mean(),
-		P50:      h.Quantile(0.5),
-		P95:      h.Quantile(0.95),
-		P99:      h.Quantile(0.99),
-		Max:      h.Max(),
-		Below100: h.FractionBelow(100 * time.Millisecond),
-		Below1s:  h.FractionBelow(time.Second),
+		Count: h.Count(),
+		Mean:  h.Mean(),
+		P50:   h.Quantile(0.5),
+		P95:   h.Quantile(0.95),
+		P99:   h.Quantile(0.99),
+		Max:   h.Max(),
 	}
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -93,22 +92,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramFractionBelow(t *testing.T) {
-	h := NewHistogram(nil)
-	// 8 below 100ms, 1 in [100ms,1s], 1 above 1s.
-	for i := 0; i < 8; i++ {
-		h.Observe(10 * time.Millisecond)
-	}
-	h.Observe(500 * time.Millisecond)
-	h.Observe(3 * time.Second)
-	if got := h.FractionBelow(100 * time.Millisecond); math.Abs(got-0.8) > 1e-9 {
-		t.Errorf("FractionBelow(100ms) = %v, want 0.8", got)
-	}
-	if got := h.FractionBelow(time.Second); math.Abs(got-0.9) > 1e-9 {
-		t.Errorf("FractionBelow(1s) = %v, want 0.9", got)
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram(nil)
 	for i := 1; i <= 100; i++ {
@@ -129,7 +112,7 @@ func TestHistogramQuantile(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(nil)
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.FractionBelow(time.Second) != 0 {
+	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 	snap := h.Snapshot()
@@ -147,11 +130,11 @@ func TestHistogramSnapshot(t *testing.T) {
 	if s.Count != 10 {
 		t.Errorf("Count = %d", s.Count)
 	}
-	if s.Below100 <= 0.5 || s.Below100 > 1.0 {
-		t.Errorf("Below100 = %v", s.Below100)
+	if s.Max != 100*time.Millisecond || s.P50 < 40*time.Millisecond || s.P50 > 60*time.Millisecond {
+		t.Errorf("Max = %v, P50 = %v; want 100ms and ~50ms", s.Max, s.P50)
 	}
-	if s.Below1s != 1.0 {
-		t.Errorf("Below1s = %v, want 1", s.Below1s)
+	if str := h.String(); !strings.Contains(str, "n=10 ") {
+		t.Errorf("String = %q", str)
 	}
 }
 
@@ -213,32 +196,6 @@ func TestThroughputIncAndRate(t *testing.T) {
 	}
 	if tp.Count() != 0 {
 		t.Errorf("Count after Reset = %d", tp.Count())
-	}
-}
-
-func TestFractionBelowBucketAndReservoirPaths(t *testing.T) {
-	// Default bounds include 100ms: the exact bucket path.
-	h := NewHistogram(nil)
-	for i := 0; i < 80; i++ {
-		h.Observe(10 * time.Millisecond)
-	}
-	for i := 0; i < 20; i++ {
-		h.Observe(2 * time.Second)
-	}
-	if got := h.FractionBelow(100 * time.Millisecond); got < 0.79 || got > 0.81 {
-		t.Errorf("FractionBelow(100ms) = %v, want ~0.8", got)
-	}
-	// A bound not in the bucket list: the reservoir path.
-	if got := h.FractionBelow(137 * time.Millisecond); got < 0.79 || got > 0.81 {
-		t.Errorf("FractionBelow(137ms) = %v, want ~0.8", got)
-	}
-	// Empty histogram: both paths return 0.
-	empty := NewHistogram(nil)
-	if got := empty.FractionBelow(time.Second); got != 0 {
-		t.Errorf("empty FractionBelow = %v", got)
-	}
-	if s := h.String(); !strings.Contains(s, "n=100") {
-		t.Errorf("String = %q", s)
 	}
 }
 

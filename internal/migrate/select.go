@@ -1,13 +1,14 @@
 // Package migrate implements the dynamic load adjustment machinery of §V:
 // the Minimum Cost Migration problem (Definition 4, NP-hard by Theorem 2)
-// with the paper's dynamic-programming algorithm and greedy algorithm GR,
-// the comparison baselines SI (size-descending) and RA (random), and the
-// Phase I split/merge planning that precedes cell selection.
+// solved by the paper's greedy algorithm GR, and the Phase I split/merge
+// planning that precedes cell selection. The paper's exact
+// dynamic-programming algorithm is the reference the tests check GR
+// against; §VI-D's comparison with the SI and RA baselines is recorded in
+// docs/PAPER_RESULTS.md.
 package migrate
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"ps2stream/internal/load"
@@ -35,85 +36,6 @@ func summarize(cells []Cell) Selection {
 		s.Size += c.Size
 	}
 	return s
-}
-
-// totalLoad sums the loads of all cells.
-func totalLoad(cells []Cell) float64 {
-	var t float64
-	for _, c := range cells {
-		t += c.Load
-	}
-	return t
-}
-
-// SelectDP solves Minimum Cost Migration exactly (up to size
-// quantisation): find the cell set minimising total size subject to total
-// load ≥ tau. It implements the paper's knapsack-style DP
-//
-//	A(i,j) = max{A(i-1,j), A(i-1,j-S_gi) + L_gi}
-//
-// over sizes quantised to sizeUnit bytes (pass 0 for the 1 KiB default).
-// Its O(n·P) time and memory is exactly the weakness Figures 12–13
-// demonstrate; callers should bound the input. ok is false when even
-// migrating everything cannot reach tau.
-func SelectDP(cells []Cell, tau float64, sizeUnit int64) (Selection, bool) {
-	if tau <= 0 {
-		return Selection{}, true
-	}
-	if totalLoad(cells) < tau {
-		return summarize(append([]Cell(nil), cells...)), false
-	}
-	if sizeUnit <= 0 {
-		sizeUnit = 1024
-	}
-	n := len(cells)
-	sizes := make([]int, n)
-	// P: upper bound of the minimum migration cost = total quantised size.
-	P := 0
-	for i, c := range cells {
-		s := int((c.Size + sizeUnit - 1) / sizeUnit)
-		if s < 1 {
-			s = 1
-		}
-		sizes[i] = s
-		P += s
-	}
-	// A[i][j]: 2D table for reconstruction, per the paper.
-	A := make([][]float64, n+1)
-	for i := range A {
-		A[i] = make([]float64, P+1)
-	}
-	for i := 1; i <= n; i++ {
-		li, si := cells[i-1].Load, sizes[i-1]
-		for j := 0; j <= P; j++ {
-			A[i][j] = A[i-1][j]
-			if j >= si {
-				if v := A[i-1][j-si] + li; v > A[i][j] {
-					A[i][j] = v
-				}
-			}
-		}
-	}
-	// Smallest j whose best load reaches tau.
-	jStar := -1
-	for j := 0; j <= P; j++ {
-		if A[n][j] >= tau {
-			jStar = j
-			break
-		}
-	}
-	if jStar < 0 {
-		return summarize(append([]Cell(nil), cells...)), false
-	}
-	var picked []Cell
-	j := jStar
-	for i := n; i >= 1; i-- {
-		if A[i][j] != A[i-1][j] {
-			picked = append(picked, cells[i-1])
-			j -= sizes[i-1]
-		}
-	}
-	return summarize(picked), true
 }
 
 // SelectGR implements Algorithm GR: cells are scanned in ascending
@@ -170,84 +92,6 @@ func relativeCost(c Cell) float64 {
 		return math.Inf(1)
 	}
 	return float64(c.Size) / c.Load
-}
-
-// SelectSI is the SI baseline: add cells in descending size order until
-// the load requirement is met.
-func SelectSI(cells []Cell, tau float64) (Selection, bool) {
-	if tau <= 0 {
-		return Selection{}, true
-	}
-	order := append([]Cell(nil), cells...)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Size != order[j].Size {
-			return order[i].Size > order[j].Size
-		}
-		return order[i].ID < order[j].ID
-	})
-	var out []Cell
-	var got float64
-	for _, c := range order {
-		if got >= tau {
-			break
-		}
-		out = append(out, c)
-		got += c.Load
-	}
-	return summarize(out), got >= tau
-}
-
-// SelectRA is the RA baseline: cells are chosen uniformly at random until
-// the load requirement is met. rng may be nil for a fixed default seed.
-func SelectRA(cells []Cell, tau float64, rng *rand.Rand) (Selection, bool) {
-	if tau <= 0 {
-		return Selection{}, true
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	order := append([]Cell(nil), cells...)
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	var out []Cell
-	var got float64
-	for _, c := range order {
-		if got >= tau {
-			break
-		}
-		out = append(out, c)
-		got += c.Load
-	}
-	return summarize(out), got >= tau
-}
-
-// Algorithm names the selection strategies for experiment harnesses.
-type Algorithm string
-
-// The four cell-selection algorithms of §VI-D.
-const (
-	DP Algorithm = "DP"
-	GR Algorithm = "GR"
-	SI Algorithm = "SI"
-	RA Algorithm = "RA"
-)
-
-// Algorithms lists them in the paper's presentation order.
-func Algorithms() []Algorithm { return []Algorithm{DP, GR, SI, RA} }
-
-// Select dispatches by algorithm name.
-func Select(alg Algorithm, cells []Cell, tau float64, rng *rand.Rand) (Selection, bool) {
-	switch alg {
-	case DP:
-		return SelectDP(cells, tau, 0)
-	case GR:
-		return SelectGR(cells, tau)
-	case SI:
-		return SelectSI(cells, tau)
-	case RA:
-		return SelectRA(cells, tau, rng)
-	default:
-		return SelectGR(cells, tau)
-	}
 }
 
 // Tau computes the load amount τ to migrate from the most loaded worker so

@@ -1,8 +1,8 @@
 // Package partition defines the workload-distribution interfaces of
-// PS2Stream and implements the six baseline strategies evaluated in §VI-B:
-// three text-partitioning algorithms (frequency, hypergraph [27],
-// metric [28]) and three space-partitioning algorithms (grid [18],
-// kd-tree [21][26], R-tree [18]).
+// PS2Stream and implements the two §VI-B finalists the hybrid strategy is
+// compared against in §VI-C: metric text partitioning [28] and kd-tree
+// space partitioning [21][26]. §VI-B's comparison with the other four
+// baselines is recorded in docs/PAPER_RESULTS.md.
 //
 // A Builder analyses a workload sample and produces an Assignment; the
 // dispatcher uses the Assignment to route objects and query
@@ -13,7 +13,6 @@ package partition
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"ps2stream/internal/geo"
 	"ps2stream/internal/load"
@@ -79,16 +78,12 @@ type Builder interface {
 	Build(s *Sample, m int) (Assignment, error)
 }
 
-// Builders returns the six baseline builders keyed by their evaluation
+// Builders returns the two baseline builders keyed by their evaluation
 // names.
 func Builders() map[string]Builder {
 	return map[string]Builder{
-		"frequency":  FrequencyBuilder{},
-		"hypergraph": HypergraphBuilder{},
-		"metric":     MetricBuilder{},
-		"grid":       GridBuilder{},
-		"kdtree":     KDTreeBuilder{},
-		"rtree":      RTreeBuilder{},
+		"metric": MetricBuilder{},
+		"kdtree": KDTreeBuilder{},
 	}
 }
 
@@ -98,39 +93,6 @@ func hashTerm(term string, m int) int {
 	h := fnv.New32a()
 	h.Write([]byte(term))
 	return int(h.Sum32() % uint32(m))
-}
-
-// balancedGreedy assigns weighted items to m buckets: heaviest first, each
-// to the currently lightest bucket. Returns the bucket per item and the
-// bucket weights. Deterministic: ties broken by bucket index.
-func balancedGreedy(weights []float64, m int) (assign []int, bucketW []float64) {
-	type item struct {
-		idx int
-		w   float64
-	}
-	items := make([]item, len(weights))
-	for i, w := range weights {
-		items[i] = item{i, w}
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].w != items[j].w {
-			return items[i].w > items[j].w
-		}
-		return items[i].idx < items[j].idx
-	})
-	assign = make([]int, len(weights))
-	bucketW = make([]float64, m)
-	for _, it := range items {
-		best := 0
-		for b := 1; b < m; b++ {
-			if bucketW[b] < bucketW[best] {
-				best = b
-			}
-		}
-		assign[it.idx] = best
-		bucketW[best] += it.w
-	}
-	return assign, bucketW
 }
 
 // validateWorkers guards Builder inputs.

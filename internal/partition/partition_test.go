@@ -214,7 +214,7 @@ func TestInvalidWorkerCount(t *testing.T) {
 
 func TestTextObjectDiscard(t *testing.T) {
 	s := makeSample(t, 4, 500, 100)
-	a, err := FrequencyBuilder{}.Build(s, 4)
+	a, err := MetricBuilder{}.Build(s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestTextDeleteMirrorsInsert(t *testing.T) {
 
 func TestTextH2Refcount(t *testing.T) {
 	s := makeSample(t, 6, 200, 50)
-	a, _ := FrequencyBuilder{}.Build(s, 4)
+	a, _ := MetricBuilder{}.Build(s, 4)
 	ta := a.(*TextAssignment)
 	q1 := s.Queries[0]
 	q2 := &model.Query{ID: 777, Expr: q1.Expr.Clone(), Region: q1.Region}
@@ -273,83 +273,79 @@ func TestTextH2Refcount(t *testing.T) {
 
 func TestSpaceObjectSingleWorker(t *testing.T) {
 	s := makeSample(t, 7, 800, 100)
-	for _, name := range []string{"grid", "kdtree", "rtree"} {
-		a, err := Builders()[name].Build(s, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range s.Objects[:100] {
-			if got := a.RouteObject(o); len(got) != 1 {
-				t.Errorf("%s: object routed to %d workers, want 1", name, len(got))
-			}
+	a, err := KDTreeBuilder{}.Build(s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range s.Objects[:100] {
+		if got := a.RouteObject(o); len(got) != 1 {
+			t.Errorf("object routed to %d workers, want 1", len(got))
 		}
 	}
 }
 
 func TestSpaceBalance(t *testing.T) {
 	s := makeSample(t, 8, 4000, 200)
-	for _, name := range []string{"grid", "kdtree"} {
-		a, err := Builders()[name].Build(s, 8)
-		if err != nil {
-			t.Fatal(err)
+	a, err := KDTreeBuilder{}.Build(s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]float64, 8)
+	for _, o := range s.Objects {
+		for _, w := range a.RouteObject(o) {
+			counts[w]++
 		}
-		counts := make([]float64, 8)
-		for _, o := range s.Objects {
-			for _, w := range a.RouteObject(o) {
-				counts[w]++
-			}
-		}
-		bf := load.BalanceFactor(counts)
-		if bf > 5 {
-			t.Errorf("%s: object balance factor %v too high (counts %v)", name, bf, counts)
-		}
+	}
+	if bf := load.BalanceFactor(counts); bf > 5 {
+		t.Errorf("object balance factor %v too high (counts %v)", bf, counts)
 	}
 }
 
 func TestTextBalance(t *testing.T) {
 	s := makeSample(t, 9, 4000, 400)
-	for _, name := range []string{"frequency", "metric", "hypergraph"} {
-		a, err := Builders()[name].Build(s, 8)
-		if err != nil {
-			t.Fatal(err)
+	a, err := MetricBuilder{}.Build(s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range s.Queries {
+		a.RouteQuery(q, true)
+	}
+	counts := make([]float64, 8)
+	for _, o := range s.Objects {
+		for _, w := range a.RouteObject(o) {
+			counts[w]++
 		}
-		for _, q := range s.Queries {
-			a.RouteQuery(q, true)
-		}
-		counts := make([]float64, 8)
-		for _, o := range s.Objects {
-			for _, w := range a.RouteObject(o) {
-				counts[w]++
-			}
-		}
-		bf := load.BalanceFactor(counts)
-		if bf > 12 {
-			t.Errorf("%s: object balance factor %v too high (counts %v)", name, bf, counts)
-		}
+	}
+	if bf := load.BalanceFactor(counts); bf > 12 {
+		t.Errorf("object balance factor %v too high (counts %v)", bf, counts)
 	}
 }
 
-// Metric partitioning should duplicate objects to fewer workers than
-// frequency partitioning on co-occurrence-heavy data — the reason it wins
-// among text baselines in Figure 6.
-func TestMetricBeatsFrequencyOnDuplication(t *testing.T) {
-	s := makeSample(t, 10, 4000, 600)
-	dup := func(a Assignment) float64 {
-		for _, q := range s.Queries {
-			a.RouteQuery(q, true)
+// TestKDTreeEmptySampleSpreadsCells: with no objects to cut at, the
+// kd-tree cuts the space by geometry into m equal pieces, so every worker
+// owns an equal share of the cells.
+func TestKDTreeEmptySampleSpreadsCells(t *testing.T) {
+	s := NewSample(nil, nil, testBounds, load.Costs{})
+	for _, m := range []int{1, 3, 4, 7} {
+		a, err := KDTreeBuilder{}.Build(s, m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var total int
-		for _, o := range s.Objects {
-			total += len(a.RouteObject(o))
+		owners := a.(*SpaceAssignment).CellOwners()
+		counts := make([]float64, m)
+		for _, w := range owners {
+			counts[w]++
 		}
-		return float64(total) / float64(len(s.Objects))
-	}
-	fa, _ := FrequencyBuilder{}.Build(s, 8)
-	ma, _ := MetricBuilder{}.Build(s, 8)
-	fdup := dup(fa)
-	mdup := dup(ma)
-	if mdup > fdup*1.05 {
-		t.Errorf("metric duplication %.3f should not exceed frequency %.3f", mdup, fdup)
+		for w, n := range counts {
+			if n == 0 {
+				t.Fatalf("m=%d: worker %d owns no cell (counts %v)", m, w, counts)
+			}
+		}
+		// Pieces of equal area on a 64×64 raster: each holds about
+		// len(owners)/m cells, off by at most a row or column of cells.
+		if bf := load.BalanceFactor(counts); bf > 1.1 {
+			t.Errorf("m=%d: cell counts %v, balance factor %v", m, counts, bf)
+		}
 	}
 }
 
@@ -374,23 +370,6 @@ func TestEmptySample(t *testing.T) {
 		if !shared {
 			t.Errorf("%s: empty-sample assignment broke routing invariant (obj %v, qry %v)", name, ow, qw)
 		}
-	}
-}
-
-func TestBalancedGreedy(t *testing.T) {
-	assign, w := balancedGreedy([]float64{10, 8, 6, 4, 2, 1}, 3)
-	if len(assign) != 6 {
-		t.Fatalf("assign length %d", len(assign))
-	}
-	var total float64
-	for _, x := range w {
-		total += x
-	}
-	if total != 31 {
-		t.Errorf("bucket weights sum %v, want 31", total)
-	}
-	if f := load.BalanceFactor(w); f > 1.5 {
-		t.Errorf("greedy balance factor %v", f)
 	}
 }
 

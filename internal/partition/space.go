@@ -1,21 +1,17 @@
 package partition
 
 import (
-	"math"
-
-	"ps2stream/internal/geo"
 	"ps2stream/internal/index/grid"
 	"ps2stream/internal/index/kdtree"
-	"ps2stream/internal/index/rtree"
 	"ps2stream/internal/model"
 )
 
 // SpaceAssignment routes by location only: the space is rasterised onto a
 // uniform grid and every cell is owned by exactly one worker. Objects go
 // to the owner of their cell; queries go to the owners of every cell their
-// region overlaps. All three space baselines (grid, kd-tree, R-tree) are
-// expressed this way — the paper likewise transforms the kd-tree "to a
-// grid index to accelerate the workload distribution in the dispatchers".
+// region overlaps. The kd-tree baseline is expressed this way — the paper
+// likewise transforms the kd-tree "to a grid index to accelerate the
+// workload distribution in the dispatchers".
 type SpaceAssignment struct {
 	name      string
 	m         int
@@ -59,53 +55,11 @@ func (a *SpaceAssignment) CellOwners() []int { return a.cellOwner }
 // Grid exposes the raster geometry.
 func (a *SpaceAssignment) Grid() *grid.Grid { return a.g }
 
-// GridBuilder implements the grid space-partitioning baseline of
-// SpatialHadoop [18]: the space is a set of uniform cells whose sampled
-// loads are spread over workers by greedy bin packing.
-type GridBuilder struct {
-	// Granularity is the per-axis cell count (default 64, the paper's
-	// best-performing 2^6).
-	Granularity int
-}
-
-// Name implements Builder.
-func (GridBuilder) Name() string { return "grid" }
-
-// Build implements Builder.
-func (b GridBuilder) Build(s *Sample, m int) (Assignment, error) {
-	if err := validateWorkers(m); err != nil {
-		return nil, err
-	}
-	gran := b.Granularity
-	if gran <= 0 {
-		gran = grid.DefaultGranularity
-	}
-	g := grid.New(s.Bounds, gran, gran)
-	loads := cellLoads(g, s)
-	assign, _ := balancedGreedy(loads, m)
-	return NewSpaceAssignment("grid", m, g, assign), nil
-}
-
-// cellLoads estimates Definition 1 load per grid cell from the sample.
-func cellLoads(g *grid.Grid, s *Sample) []float64 {
-	objs := make([]float64, g.NumCells())
-	qrys := make([]float64, g.NumCells())
-	for _, o := range s.Objects {
-		objs[g.CellOf(o.Loc)]++
-	}
-	for _, q := range s.Queries {
-		g.VisitOverlapping(q.Region, func(id int) { qrys[id]++ })
-	}
-	loads := make([]float64, g.NumCells())
-	for i := range loads {
-		loads[i] = s.Costs.Node(objs[i], qrys[i])
-	}
-	return loads
-}
-
 // KDTreeBuilder implements the kd-tree space-partitioning baseline of
 // AQWA [21] and Tornado [26]: a kd-tree over the sampled objects is split
 // to m load-balanced leaves, one per worker, then rasterised to a grid.
+// A sample with no objects has no median to cut at: the space is then cut
+// by geometry into m equal pieces, one per worker.
 type KDTreeBuilder struct {
 	Granularity int
 }
@@ -122,89 +76,29 @@ func (b KDTreeBuilder) Build(s *Sample, m int) (Assignment, error) {
 	if gran <= 0 {
 		gran = grid.DefaultGranularity
 	}
+	g := grid.New(s.Bounds, gran, gran)
+	owner := make([]int, g.NumCells())
+	if len(s.Objects) == 0 {
+		pieces := s.Bounds.SplitEvenly(m)
+		for id := range owner {
+			c := g.CellRect(id).Center()
+			for w, p := range pieces {
+				if p.Contains(c) {
+					owner[id] = w
+					break
+				}
+			}
+		}
+		return NewSpaceAssignment("kdtree", m, g, owner), nil
+	}
 	items := make([]kdtree.Item, len(s.Objects))
 	for i, o := range s.Objects {
 		items[i] = kdtree.Item{P: o.Loc, W: 1}
 	}
 	tree := kdtree.Build(s.Bounds, items, m)
-	g := grid.New(s.Bounds, gran, gran)
-	owner := make([]int, g.NumCells())
 	for id := range owner {
 		leaf := tree.Locate(g.CellRect(id).Center())
 		owner[id] = leaf.LeafID % m
 	}
 	return NewSpaceAssignment("kdtree", m, g, owner), nil
-}
-
-// RTreeBuilder implements the R-tree space-partitioning baseline of
-// SpatialHadoop [18]: an STR-bulk-loaded R-tree over the sampled objects
-// yields leaf MBRs, which are grouped into m balanced partitions; cells
-// are owned by the group of the nearest covering leaf.
-type RTreeBuilder struct {
-	Granularity int
-	// LeavesPerWorker controls R-tree fan-out so that roughly this many
-	// leaves exist per worker (default 4).
-	LeavesPerWorker int
-}
-
-// Name implements Builder.
-func (RTreeBuilder) Name() string { return "rtree" }
-
-// Build implements Builder.
-func (b RTreeBuilder) Build(s *Sample, m int) (Assignment, error) {
-	if err := validateWorkers(m); err != nil {
-		return nil, err
-	}
-	gran := b.Granularity
-	if gran <= 0 {
-		gran = grid.DefaultGranularity
-	}
-	lpw := b.LeavesPerWorker
-	if lpw <= 0 {
-		lpw = 4
-	}
-	g := grid.New(s.Bounds, gran, gran)
-	if len(s.Objects) == 0 {
-		return NewSpaceAssignment("rtree", m, g, make([]int, g.NumCells())), nil
-	}
-	fanout := len(s.Objects) / (m * lpw)
-	if fanout < 8 {
-		fanout = 8
-	}
-	entries := make([]rtree.Entry, len(s.Objects))
-	for i, o := range s.Objects {
-		entries[i] = rtree.Entry{Rect: geo.Rect{Min: o.Loc, Max: o.Loc}, Data: i}
-	}
-	tree := rtree.BulkLoad(entries, fanout)
-	leafRects := tree.LeafRects()
-	leafEntries := tree.LeafEntries()
-	loads := make([]float64, len(leafRects))
-	for i, es := range leafEntries {
-		loads[i] = float64(len(es))
-	}
-	groupOf, _ := balancedGreedy(loads, m)
-	owner := make([]int, g.NumCells())
-	for id := range owner {
-		c := g.CellRect(id).Center()
-		best, bestDist := 0, math.Inf(1)
-		for i, lr := range leafRects {
-			d := rectDistance(lr, c)
-			if d < bestDist {
-				best, bestDist = i, d
-				if d == 0 {
-					break
-				}
-			}
-		}
-		owner[id] = groupOf[best]
-	}
-	return NewSpaceAssignment("rtree", m, g, owner), nil
-}
-
-// rectDistance is the squared distance from p to the nearest point of r
-// (0 when contained).
-func rectDistance(r geo.Rect, p geo.Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return dx*dx + dy*dy
 }

@@ -126,32 +126,6 @@ func workersFromMask(mask uint64, buf []int) []int {
 	return out
 }
 
-// FrequencyBuilder implements the frequency-based text-partitioning
-// baseline: terms are spread over workers by greedy bin packing of their
-// object frequencies, balancing load but ignoring co-occurrence.
-type FrequencyBuilder struct{}
-
-// Name implements Builder.
-func (FrequencyBuilder) Name() string { return "frequency" }
-
-// Build implements Builder.
-func (FrequencyBuilder) Build(s *Sample, m int) (Assignment, error) {
-	if err := validateWorkers(m); err != nil {
-		return nil, err
-	}
-	terms := lexicon(s)
-	weights := make([]float64, len(terms))
-	for i, t := range terms {
-		weights[i] = float64(s.Stats.Count(t)) + 1
-	}
-	assign, _ := balancedGreedy(weights, m)
-	owner := make(map[string]int, len(terms))
-	for i, t := range terms {
-		owner[t] = assign[i]
-	}
-	return NewTextAssignment("frequency", m, owner, s.Stats), nil
-}
-
 // lexicon returns the union of object terms and query terms, sorted for
 // determinism.
 func lexicon(s *Sample) []string {
@@ -287,84 +261,4 @@ func (MetricBuilder) Build(s *Sample, m int) (Assignment, error) {
 		partW[best] += w
 	}
 	return NewTextAssignment("metric", m, owner, s.Stats), nil
-}
-
-// HypergraphBuilder implements the hypergraph-based text partitioning of
-// [27]: terms are hypergraph vertices and objects are hyperedges; the
-// partitioner minimises the number of cut hyperedges (objects duplicated
-// across workers) under a balance constraint. The implementation seeds
-// with the frequency-greedy split and refines with label-propagation
-// passes over the star-expanded hypergraph.
-type HypergraphBuilder struct {
-	// Passes is the number of refinement sweeps (default 4).
-	Passes int
-}
-
-// Name implements Builder.
-func (HypergraphBuilder) Name() string { return "hypergraph" }
-
-// Build implements Builder.
-func (b HypergraphBuilder) Build(s *Sample, m int) (Assignment, error) {
-	if err := validateWorkers(m); err != nil {
-		return nil, err
-	}
-	passes := b.Passes
-	if passes <= 0 {
-		passes = 4
-	}
-	terms := lexicon(s)
-	weights := make([]float64, len(terms))
-	var total float64
-	for i, t := range terms {
-		weights[i] = float64(s.Stats.Count(t)) + 1
-		total += weights[i]
-	}
-	assign, partW := balancedGreedy(weights, m)
-	owner := make(map[string]int, len(terms))
-	for i, t := range terms {
-		owner[t] = assign[i]
-	}
-	cooc := buildCooc(s)
-	maxPart := total / float64(m) * 1.15
-	minPart := total / float64(m) * 0.5
-	// Refinement: move each term to the partition holding most of its
-	// co-occurring mass, when the balance constraint allows.
-	order := append([]string(nil), terms...)
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := s.Stats.Count(order[i]), s.Stats.Count(order[j])
-		if ci != cj {
-			return ci > cj
-		}
-		return order[i] < order[j]
-	})
-	for pass := 0; pass < passes; pass++ {
-		moved := 0
-		for _, t := range order {
-			cur := owner[t]
-			w := float64(s.Stats.Count(t)) + 1
-			if partW[cur]-w < minPart {
-				continue // moving t would starve its current partition
-			}
-			scores := cooc.affinity(t, owner, m)
-			best, bestScore := cur, scores[cur]
-			for p := 0; p < m; p++ {
-				if p == cur || partW[p]+w > maxPart {
-					continue
-				}
-				if scores[p] > bestScore {
-					best, bestScore = p, scores[p]
-				}
-			}
-			if best != cur {
-				partW[cur] -= w
-				partW[best] += w
-				owner[t] = best
-				moved++
-			}
-		}
-		if moved == 0 {
-			break
-		}
-	}
-	return NewTextAssignment("hypergraph", m, owner, s.Stats), nil
 }

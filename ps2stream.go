@@ -72,7 +72,6 @@ import (
 	"ps2stream/internal/core"
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
-	"ps2stream/internal/migrate"
 	"ps2stream/internal/model"
 	"ps2stream/internal/obs"
 	"ps2stream/internal/partition"
@@ -178,15 +177,12 @@ type TopKUpdate struct {
 // Strategy names a workload distribution algorithm.
 type Strategy string
 
-// The seven distribution strategies of the paper's evaluation.
+// The hybrid strategy of §IV and the two finalists it is compared against
+// in §VI-C: metric text partitioning and kd-tree space partitioning.
 const (
-	StrategyHybrid     Strategy = "hybrid"
-	StrategyFrequency  Strategy = "frequency"
-	StrategyHypergraph Strategy = "hypergraph"
-	StrategyMetric     Strategy = "metric"
-	StrategyGrid       Strategy = "grid"
-	StrategyKDTree     Strategy = "kdtree"
-	StrategyRTree      Strategy = "rtree"
+	StrategyHybrid Strategy = "hybrid"
+	StrategyMetric Strategy = "metric"
+	StrategyKDTree Strategy = "kdtree"
 )
 
 // builder resolves a Strategy.
@@ -194,8 +190,7 @@ func (s Strategy) builder() (partition.Builder, error) {
 	switch s {
 	case "", StrategyHybrid:
 		return hybrid.Builder{}, nil
-	case StrategyFrequency, StrategyHypergraph, StrategyMetric,
-		StrategyGrid, StrategyKDTree, StrategyRTree:
+	case StrategyMetric, StrategyKDTree:
 		return partition.Builders()[string(s)], nil
 	default:
 		return nil, fmt.Errorf("ps2stream: unknown strategy %q", s)
@@ -242,12 +237,11 @@ type Options struct {
 	WorkerIndex WorkerIndex
 	// SeedMessages and SeedSubscriptions, when provided, are analysed by
 	// the partitioner to fit the strategy to the expected workload. An
-	// empty seed still works. With no seed messages the hybrid strategy
-	// cuts Region by geometry into one equal piece per worker, and the
-	// text strategies (frequency, hypergraph, metric) spread terms by
-	// deterministic hashing; the space strategies (grid, kdtree, rtree)
-	// give every cell to worker 0. With Adjust on (hybrid only), the
-	// controller moves cells as the load shows where they belong.
+	// empty seed still works. With no seed messages the hybrid and kdtree
+	// strategies cut Region by geometry into one equal piece per worker,
+	// and the metric strategy spreads terms by deterministic hashing.
+	// With Adjust on (hybrid only), the controller moves cells as the
+	// load shows where they belong.
 	SeedMessages      []Message
 	SeedSubscriptions []Subscription
 	// OnMatch receives every match. Called concurrently from worker
@@ -467,11 +461,10 @@ func Open(opts Options) (*System, error) {
 		Logger:    opts.Logger,
 	}
 	cfg.Adjust = core.AdjustConfig{
-		Enabled:   opts.Adjust.Auto,
-		Interval:  opts.Adjust.Interval,
-		Sigma:     opts.Adjust.Theta,
-		Cooldown:  opts.Adjust.Cooldown,
-		Algorithm: migrate.GR,
+		Enabled:  opts.Adjust.Auto,
+		Interval: opts.Adjust.Interval,
+		Sigma:    opts.Adjust.Theta,
+		Cooldown: opts.Adjust.Cooldown,
 	}
 	// Membership options must be on the config before the workers are
 	// dialled: the handshake hello carries the total slot count (spares

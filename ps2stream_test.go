@@ -172,8 +172,7 @@ func TestInvalidInputs(t *testing.T) {
 
 func TestAllStrategiesViaPublicAPI(t *testing.T) {
 	for _, st := range []Strategy{
-		StrategyHybrid, StrategyFrequency, StrategyHypergraph,
-		StrategyMetric, StrategyGrid, StrategyKDTree, StrategyRTree,
+		StrategyHybrid, StrategyMetric, StrategyKDTree,
 	} {
 		t.Run(string(st), func(t *testing.T) {
 			col := &collector{}
@@ -317,9 +316,9 @@ func TestAdjustAutoOption(t *testing.T) {
 	}
 	// Adjustment demands the hybrid strategy.
 	if _, err := Open(Options{
-		Region: usRegion, Strategy: StrategyGrid, Adjust: AdjustOptions{Auto: true},
+		Region: usRegion, Strategy: StrategyKDTree, Adjust: AdjustOptions{Auto: true},
 	}); err == nil {
-		t.Error("adjustment with grid strategy should fail")
+		t.Error("adjustment with kdtree strategy should fail")
 	}
 }
 
@@ -386,9 +385,9 @@ func TestAdjustOptionsAndAdjustNow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Open(Options{
-		Region: usRegion, Strategy: StrategyGrid, Adjust: AdjustOptions{Auto: true},
+		Region: usRegion, Strategy: StrategyKDTree, Adjust: AdjustOptions{Auto: true},
 	}); err == nil {
-		t.Error("Adjust.Auto with grid strategy should fail")
+		t.Error("Adjust.Auto with kdtree strategy should fail")
 	}
 }
 
@@ -580,23 +579,27 @@ func TestSubscriptionCountAndBalanceStats(t *testing.T) {
 }
 
 // TestUnseededOpenSpreadsCells: an Open without seed messages cuts the
-// region into one equal piece per worker, so a subscription covering the
-// whole region is held by every worker rather than by one that owns
-// every cell.
+// region into one equal piece per worker, under both strategies that own
+// space, so a subscription covering the whole region is held by every
+// worker rather than by one that owns every cell.
 func TestUnseededOpenSpreadsCells(t *testing.T) {
-	sys, err := Open(Options{Region: usRegion, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	for i := uint64(1); i <= 30; i++ {
-		if err := sys.Subscribe(Subscription{ID: i, Query: "news", Region: usRegion}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sys.Flush()
-	if got := sys.Stats().WorkerQueries; !slices.Equal(got, []int{30, 30, 30}) {
-		t.Errorf("WorkerQueries = %v, want 30 on every worker", got)
+	for _, st := range []Strategy{StrategyHybrid, StrategyKDTree} {
+		t.Run(string(st), func(t *testing.T) {
+			sys, err := Open(Options{Region: usRegion, Workers: 3, Strategy: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			for i := uint64(1); i <= 30; i++ {
+				if err := sys.Subscribe(Subscription{ID: i, Query: "news", Region: usRegion}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.Flush()
+			if got := sys.Stats().WorkerQueries; !slices.Equal(got, []int{30, 30, 30}) {
+				t.Errorf("WorkerQueries = %v, want 30 on every worker", got)
+			}
+		})
 	}
 }
 
