@@ -15,9 +15,9 @@
 // The dispatcher node embeds the coordinator (ingest + dispatcher task),
 // generates the seeded workload, and drives it through the remote
 // workers; their matches flow to the merger node, which deduplicates,
-// counts, and (with -out) dumps the delivered match set sorted — the
+// counts, and (with -out) dumps one line per delivery, sorted — the
 // same format the oracle mode writes, so the two runs diff byte for
-// byte:
+// byte, and a pair delivered twice shows as a second line:
 //
 //	psnode -role dispatcher -oracle -mu 500 -ops 4000 -seed 2017 -out oracle.matches
 //	diff cluster.matches oracle.matches
@@ -319,31 +319,32 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// matchDump accumulates delivered matches and writes them sorted and
-// deduplicated — a canonical form two runs can diff byte for byte.
+// matchDump counts delivered matches and writes one line per delivery,
+// sorted — a canonical form two runs can diff byte for byte, in which a
+// pair delivered twice shows as two lines.
 type matchDump struct {
-	mu   sync.Mutex
-	seen map[model.Match]struct{}
+	mu    sync.Mutex
+	count map[model.Match]int
 }
 
 func newMatchDump() *matchDump {
-	return &matchDump{seen: make(map[model.Match]struct{})}
+	return &matchDump{count: make(map[model.Match]int)}
 }
 
 func (d *matchDump) add(m model.Match) {
 	m.Worker = 0 // placement detail, not part of the match identity
 	d.mu.Lock()
-	d.seen[m] = struct{}{}
+	d.count[m]++
 	d.mu.Unlock()
 }
 
 func (d *matchDump) write(path string) error {
 	d.mu.Lock()
-	ms := make([]model.Match, 0, len(d.seen))
-	for m := range d.seen {
+	defer d.mu.Unlock()
+	ms := make([]model.Match, 0, len(d.count))
+	for m := range d.count {
 		ms = append(ms, m)
 	}
-	d.mu.Unlock()
 	sort.Slice(ms, func(i, j int) bool {
 		if ms[i].QueryID != ms[j].QueryID {
 			return ms[i].QueryID < ms[j].QueryID
@@ -352,7 +353,9 @@ func (d *matchDump) write(path string) error {
 	})
 	var sb strings.Builder
 	for _, m := range ms {
-		fmt.Fprintf(&sb, "%d %d %d\n", m.QueryID, m.ObjectID, m.Subscriber)
+		for range d.count[m] {
+			fmt.Fprintf(&sb, "%d %d %d\n", m.QueryID, m.ObjectID, m.Subscriber)
+		}
 	}
 	return os.WriteFile(path, []byte(sb.String()), 0o644)
 }
@@ -512,8 +515,8 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		if err := cfg.ConnectRemoteWorkers(dc.workerAddrs, sample, wire.Backoff{}); err != nil {
 			logger.Fatal(err)
 		}
-		// Likewise all merger tasks remote when merger peers are given;
-		// without any, the dispatcher node mergers locally.
+		// Likewise all mergers remote when merger peers are given;
+		// without any, the dispatcher node merges locally.
 		cfg.Mergers = len(dc.mergerAddrs)
 		if err := cfg.ConnectRemoteMergers(dc.mergerAddrs, sample, wire.Backoff{}); err != nil {
 			logger.Fatal(err)

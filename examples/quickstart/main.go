@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	// Collect matches; OnMatch is called concurrently from merger tasks.
+	// Collect matches; OnMatch is called concurrently from worker tasks.
 	var mu sync.Mutex
 	var delivered []ps2stream.Match
 	sys, err := ps2stream.Open(ps2stream.Options{

@@ -24,7 +24,7 @@ func AblLatencyVsRate(sc Scale) []Table {
 		Header: append([]string{"strategy", "capacity(tuples/s)"}, fractionHeaders(fractions)...),
 	}
 	for _, b := range headToHead {
-		cap, err := drainedCapacity(spec, workload.Q3, b, sc)
+		cap, err := measureThroughput(spec, workload.Q3, b, sc, sc.Workers, sc.Mu2())
 		if err != nil {
 			t.Rows = append(t.Rows, []string{b, "ERR: " + err.Error()})
 			continue
@@ -41,34 +41,6 @@ func AblLatencyVsRate(sc Scale) []Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return []Table{t}
-}
-
-// drainedCapacity measures end-to-end capacity: ops/second from the first
-// submission until every tuple has fully drained through the workers.
-// measureThroughput (used for the Figure 6/7 comparisons) times until the
-// dispatcher has routed everything, which can leave worker queues full —
-// fine for comparing strategies measured identically, but an overestimate
-// as the reference point for a saturation sweep.
-func drainedCapacity(spec workload.DatasetSpec, kind workload.QueryKind,
-	builderName string, sc Scale) (float64, error) {
-	sys, st, err := buildSystem(spec, kind, builderName, sc, sc.Workers, sc.Mu2(), core.AdjustConfig{})
-	if err != nil {
-		return 0, err
-	}
-	if err := sys.Start(context.Background()); err != nil {
-		return 0, err
-	}
-	warm := st.Prewarm(sc.Mu2())
-	sys.SubmitAll(warm)
-	waitProcessed(sys, int64(len(warm)))
-	t0 := time.Now()
-	for i := 0; i < sc.Ops; i++ {
-		sys.Submit(st.Next())
-	}
-	if err := sys.Close(); err != nil {
-		return 0, err
-	}
-	return float64(sc.Ops) / time.Since(t0).Seconds(), nil
 }
 
 // pacedLatency drives the stream at the given rate for the given duration

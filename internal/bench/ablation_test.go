@@ -24,7 +24,7 @@ func microScale() Scale {
 func TestDrainedCapacityAndPacedLatency(t *testing.T) {
 	sc := microScale()
 	spec := workload.TweetsUS()
-	cap, err := drainedCapacity(spec, workload.Q3, "hybrid", sc)
+	cap, err := measureThroughput(spec, workload.Q3, "hybrid", sc, sc.Workers, sc.Mu2())
 	if err != nil {
 		t.Fatal(err)
 	}

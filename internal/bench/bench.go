@@ -229,7 +229,9 @@ func waitProcessed(sys *core.System, n int64) {
 }
 
 // measureThroughput runs the capacity experiment: prewarm µ queries, then
-// drive sc.Ops operations at full speed and report tuples/second.
+// drive sc.Ops operations at full speed and report tuples/second. The
+// clock runs from a drained system to the drain of the last timed
+// operation, so it counts matching, not only routing.
 func measureThroughput(spec workload.DatasetSpec, kind workload.QueryKind,
 	builderName string, sc Scale, workers, mu int) (float64, error) {
 	sys, st, err := buildSystem(spec, kind, builderName, sc, workers, mu, core.AdjustConfig{})
@@ -239,14 +241,18 @@ func measureThroughput(spec workload.DatasetSpec, kind workload.QueryKind,
 	if err := sys.Start(context.Background()); err != nil {
 		return 0, err
 	}
-	warm := st.Prewarm(mu)
-	sys.SubmitAll(warm)
-	waitProcessed(sys, int64(len(warm)))
+	defer sys.Abort()
+	sys.SubmitAll(st.Prewarm(mu))
+	if err := sys.Drain(); err != nil {
+		return 0, err
+	}
 	t0 := time.Now()
 	for i := 0; i < sc.Ops; i++ {
 		sys.Submit(st.Next())
 	}
-	waitProcessed(sys, int64(len(warm)+sc.Ops))
+	if err := sys.Drain(); err != nil {
+		return 0, err
+	}
 	el := time.Since(t0)
 	if err := sys.Close(); err != nil {
 		return 0, err

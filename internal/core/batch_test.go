@@ -102,7 +102,6 @@ func TestWorkerBoltNoMatchBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	bolt := sys.bolts[0]
-	bolt.split = newFanout(&sys.matchBatches, sys.toMerge, nil)
 	at := sample.Bounds.Center()
 	q := &model.Query{ID: 1, Expr: model.And("nomatchterm"), Region: geo.RectAround(at, 50, 50)}
 	bolt.process(opBatch(sys, wire.OpEnv{Op: model.Op{Kind: model.OpInsert, Query: q}, T0: sys.now()}))

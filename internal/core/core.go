@@ -1,13 +1,13 @@
-// Package core wires PS2Stream together: dispatcher, worker and merger
-// tasks on typed channels (§III-B, Figure 1), the workload-distribution
-// assignment on the dispatcher, GI2 indexes on the workers, duplicate
-// elimination on the mergers, and the dynamic load adjustment controller
-// of §V. The whole publish path is batch-oriented: Submit appends to the
-// one ingest FIFO, the dispatcher pulls whole buffers from it, and
-// operations and matches move between tasks as pooled typed slices of
-// up to Config.BatchSize envelopes ([]wire.OpEnv, []wire.MatchEnv),
-// amortising channel sends, lock acquisitions and clock reads over whole
-// batches.
+// Package core wires PS2Stream together: dispatcher and worker tasks on
+// typed channels (§III-B, Figure 1), the workload-distribution
+// assignment on the dispatcher, GI2 indexes on the workers, and the
+// dynamic load adjustment controller of §V. The mergers' duplicate
+// elimination is a set of locked dedup windows that the worker finding a
+// match takes itself. The whole publish path is batch-oriented: Submit
+// appends to the one ingest FIFO, the dispatcher pulls whole buffers
+// from it, and operations move to the workers as pooled typed slices of
+// up to Config.BatchSize envelopes ([]wire.OpEnv), amortising channel
+// sends, lock acquisitions and clock reads over whole batches.
 package core
 
 import (
@@ -53,23 +53,25 @@ const defaultWorkers = 8
 type Config struct {
 	// Workers is the number of worker tasks (m in Definition 2).
 	Workers int
-	// Mergers is the number of merger tasks.
+	// Mergers is the number of mergers: hash shares of the matches that
+	// can repeat (mergerOf), each a dedup window behind a lock that the
+	// producer of a match takes, not a task.
 	Mergers int
 	// Granularity is the per-axis grid resolution of GI2 and gridt.
 	Granularity int
-	// QueueCap bounds, in tuples, each worker's and merger's input queue
-	// (rounded down to whole transfer batches, minimum one batch) and the
+	// QueueCap bounds, in tuples, each worker's input queue (rounded
+	// down to whole transfer batches, minimum one batch) and the
 	// operations Submit may have waiting for the dispatcher (minimum one
 	// batch), beside the buffer the dispatcher is routing. A Submit to a
 	// full ingest blocks (backpressure).
 	QueueCap int
-	// BatchSize is the capacity of the typed batches that move on every
-	// hop of the topology (operations dispatcher→worker, matches
-	// worker→merger), one batch per channel send, and the number of
-	// operations the dispatcher routes per chunk. Batches fill
-	// adaptively: the dispatcher emits partial batches as soon as its input
-	// goes idle and a worker emits its matches with every input batch, so
-	// batching costs no latency on a quiet stream. 1 means unbatched
+	// BatchSize is the capacity of the typed operation batches that move
+	// from the dispatcher to the workers, one batch per channel send, and
+	// the number of operations the dispatcher routes per chunk. Batches
+	// fill adaptively: the dispatcher emits partial batches as soon as
+	// its input goes idle and a worker delivers the matches of every
+	// input batch before it takes the next, so batching costs no latency
+	// on a quiet stream. 1 means unbatched
 	// (one envelope per send); 0 uses DefaultBatchSize.
 	BatchSize int
 	// Builder constructs the workload distribution strategy; nil uses
@@ -80,11 +82,12 @@ type Config struct {
 	// Adjust configures dynamic load adjustment (§V); zero = disabled.
 	Adjust AdjustConfig
 	// OnMatch, when set, receives every match delivered in this process,
-	// each (query, object) pair once. It is called concurrently from worker
-	// tasks, which deliver the matches that cannot repeat, and from merger
-	// tasks, which deliver the rest once deduplicated. A panic in it stops
-	// the run: parked Submits return, Drain fails, and Close returns an
-	// error naming the panic.
+	// each (query, object) pair once. It is called concurrently from the
+	// tasks that found the matches (in-process workers, and the readers of
+	// remote workers' match streams): the matches that cannot repeat at
+	// once, the others under their merger's lock once deduplicated. A
+	// panic in it stops the run: parked Submits return, Drain fails, and
+	// Close returns an error naming the panic.
 	OnMatch func(model.Match)
 	// OnTopK, when set, receives every global top-k membership change of
 	// the sliding-window top-k subscriptions. It is called from worker
@@ -119,8 +122,9 @@ type Config struct {
 	// sliding-window top-k reach it through the same control rounds
 	// (docs/WIRE.md) an in-process slot serves as function calls.
 	RemoteWorkers map[int]*wire.WorkerClient
-	// RemoteMergers places merger tasks out-of-process. Matches routed
-	// to a remote merger are deduplicated and delivered on its node;
+	// RemoteMergers places mergers out-of-process. Matches hashed to a
+	// remote merger are sent there by the task that found them, and
+	// deduplicated and delivered on its node;
 	// the local OnMatch hook and Snapshot counters do not see them
 	// (RemoteDelivered fetches the remote counts).
 	RemoteMergers map[int]*wire.MergerClient
@@ -281,9 +285,9 @@ type Snapshot struct {
 	Discarded  int64
 	Matches    int64
 	Duplicates int64
-	// SoloMatches counts the Matches their worker delivered itself,
-	// without a merger: their object was routed to exactly one in-process
-	// worker, and their merger runs in this process.
+	// SoloMatches counts the Matches delivered without a merger's dedup
+	// window: their object was routed to exactly one in-process worker,
+	// and their merger runs in this process.
 	SoloMatches   int64
 	ThroughputTPS float64
 	Latency       metrics.Snapshot
@@ -330,13 +334,13 @@ type System struct {
 	ingest *ingestQueue
 	// ingestBlocked counts the times a Submit parked on a full ingest.
 	ingestBlocked metrics.Counter
-	// towork holds each worker slot's input channel, spares included, and
-	// toMerge each merger's (topology.go); opBatches and matchBatches
-	// recycle the typed batches they carry.
-	towork       []chan msg[wire.OpEnv]
-	toMerge      []chan msg[wire.MatchEnv]
-	opBatches    batchPool[wire.OpEnv]
-	matchBatches batchPool[wire.MatchEnv]
+	// towork holds each worker slot's input channel, spares included
+	// (topology.go), and opBatches recycles the typed batches they carry.
+	// shards holds each merger's dedup window and lock; a remote merger's
+	// entry stays unused.
+	towork    []chan msg
+	opBatches batchPool
+	shards    []dedupShard
 
 	runErr  chan error
 	started atomic.Bool
@@ -359,7 +363,7 @@ type System struct {
 	remoteHello wire.Hello
 
 	// Metrics. The counters from processed to matchesEmitted are written
-	// by the dispatcher, worker and merger tasks on every batch, and the
+	// by the dispatcher and worker tasks on every batch, and the
 	// fields around them are read on every batch. A cache line of padding
 	// on each side keeps the two apart whatever the fields before them
 	// add up to: when a 32-byte shift in Config put the histogram
@@ -370,9 +374,9 @@ type System struct {
 	discarded  metrics.Counter
 	matches    metrics.Counter
 	duplicates metrics.Counter
-	// soloMatches counts the matches a worker delivered itself
-	// (emitMatches); mergerIn counts every match a merger task received,
-	// local or forwarding; matchesEmitted counts match envelopes emitted
+	// soloMatches counts the matches delivered without a window
+	// (emitMatches); mergerIn counts every match that went to a merger,
+	// local or remote (merge); matchesEmitted counts match envelopes emitted
 	// by the in-process worker bolts, delivered or sent on.
 	soloMatches    metrics.Counter
 	mergerIn       metrics.Counter
@@ -484,7 +488,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 		rank:    cmp.Or(sample.Stats, textutil.NewStats()),
 	}
 	s.ingest = newIngestQueue(max(cfg.QueueCap, cfg.BatchSize), cfg.BatchSize, &s.ingestBlocked)
-	s.opBatches.size, s.matchBatches.size = cfg.BatchSize, cfg.BatchSize
+	s.opBatches.size = cfg.BatchSize
 	s.latency.Store(metrics.NewHistogram(nil))
 	s.matchLat.Store(metrics.NewHistogram(nil))
 	s.assign.Store(assignBox{a})
@@ -558,8 +562,8 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	s.enqueued = make([]atomic.Int64, totalSlots)
 	s.doneOps = make([]atomic.Int64, totalSlots)
 	s.remoteHello = cfg.RemoteHello(0, sample)
-	s.towork = newQueues[wire.OpEnv](totalSlots, &cfg)
-	s.toMerge = newQueues[wire.MatchEnv](cfg.Mergers, &cfg)
+	s.towork = newQueues(totalSlots, &cfg)
+	s.shards = make([]dedupShard, cfg.Mergers)
 	if gt := s.gridT.Load(); gt != nil {
 		s.cellObjects = make([]atomic.Int64, gt.Grid().NumCells())
 	}

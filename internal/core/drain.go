@@ -6,38 +6,26 @@ import (
 )
 
 // drainMark is a barrier that travels the topology in order with the
-// operations and matches (docs/ARCHITECTURE.md, "One barrier"): the
-// dispatcher sends it to every slot, every producer of matches to every
-// merger, and done closes once every merger has it from every producer.
+// operations (docs/ARCHITECTURE.md, "One barrier"): the dispatcher sends
+// it to every slot, and done closes once every slot's producer of matches
+// has passed it, with every match before it delivered or sent on.
 type drainMark struct {
-	// copies[i] counts the producers merger i still waits for; only merger
-	// i's task touches it.
-	copies  []int
-	mergers atomic.Int32 // mergers that have not passed it yet
-	done    chan struct{}
+	producers atomic.Int32 // slots that have not passed it yet
+	done      chan struct{}
 }
 
-// newMark makes a marker with one copy per worker slot, spares included,
-// for every merger.
+// newMark makes a marker that waits for every worker slot, spares
+// included.
 func (s *System) newMark() *drainMark {
-	m := &drainMark{copies: make([]int, len(s.toMerge)), done: make(chan struct{})}
-	for i := range m.copies {
-		m.copies[i] = s.totalSlots()
-	}
-	m.mergers.Store(int32(len(s.toMerge)))
+	m := &drainMark{done: make(chan struct{})}
+	m.producers.Store(int32(s.totalSlots()))
 	return m
 }
 
-// arrive takes one producer's copy at merger i and reports whether it was
-// the last one that merger waited for.
-func (m *drainMark) arrive(i int) bool {
-	m.copies[i]--
-	return m.copies[i] == 0
-}
-
-// pass records that a merger has delivered everything before the marker.
+// pass records that one slot's producer has delivered, or sent to its
+// remote merger, every match before the marker.
 func (m *drainMark) pass() {
-	if m.mergers.Add(-1) == 0 {
+	if m.producers.Add(-1) == 0 {
 		close(m.done)
 	}
 }
@@ -67,7 +55,10 @@ func (s *System) Drain() error {
 	case cancelled(s.lost.done):
 		return s.lost.err
 	case m.passed():
-		return nil
+		// A remote merger answers its Counts round behind every match
+		// batch sent to it before: by then it has delivered them.
+		_, _, err := s.RemoteDelivered()
+		return err
 	case s.closed.Load():
 		return errors.New("core: system closed while draining")
 	}

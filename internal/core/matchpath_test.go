@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -177,12 +178,12 @@ func BenchmarkMatchPath(b *testing.B) {
 // per-task FIFO every ordering argument in core rests on); a recycled
 // batch comes back empty and cleared.
 func TestTypedBatchFanout(t *testing.T) {
-	pool := batchPool[wire.MatchEnv]{size: 4}
-	queues := newQueues[wire.MatchEnv](3, &Config{QueueCap: 16, BatchSize: pool.size})
+	pool := batchPool{size: 4}
+	queues := newQueues(3, &Config{QueueCap: 16, BatchSize: pool.size})
 	f := newFanout(&pool, queues, nil)
 	for i := 0; i < 11; i++ {
-		me := wire.MatchEnv{M: model.Match{QueryID: uint64(i)}}
-		f.add(i%2, &me) // tasks 0 and 1; task 2 stays empty
+		env := wire.OpEnv{Op: objectOp(uint64(i), "x", geo.Point{})}
+		f.add(i%2, &env) // tasks 0 and 1; task 2 stays empty
 	}
 	if len(queues[0]) != 1 || len(queues[1]) != 1 || len(queues[2]) != 0 {
 		t.Fatalf("before flush: %d, %d, %d batches queued, want one full batch each for tasks 0 and 1",
@@ -199,8 +200,8 @@ func TestTypedBatchFanout(t *testing.T) {
 			if len(*b) == 0 || len(*b) > pool.size {
 				t.Errorf("task %d: a batch holds %d envelopes, want 1..%d", task, len(*b), pool.size)
 			}
-			for _, me := range *b {
-				got = append(got, me.M.QueryID)
+			for _, env := range *b {
+				got = append(got, env.Op.Obj.ID)
 			}
 		}
 		if !slices.Equal(got, want[task]) {
@@ -209,9 +210,9 @@ func TestTypedBatchFanout(t *testing.T) {
 	}
 
 	p := pool.get()
-	*p = append(*p, wire.MatchEnv{M: model.Match{QueryID: 7}, Solo: true})
+	*p = append(*p, wire.OpEnv{Op: objectOp(7, "x", geo.Point{}), Solo: true, TermIDs: []uint32{7}})
 	pool.put(p)
-	if len(*p) != 0 || (*p)[:1][0] != (wire.MatchEnv{}) {
+	if len(*p) != 0 || !reflect.DeepEqual((*p)[:1][0], wire.OpEnv{}) {
 		t.Errorf("a recycled batch holds %v (len %d), want it cleared", (*p)[:1], len(*p))
 	}
 }

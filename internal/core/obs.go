@@ -89,11 +89,11 @@ func (s *System) initObservability() {
 		s.processed.Value)
 	r.CounterFunc("ps2_ops_discarded_total", "objects discarded by routing (no H2 terms)",
 		s.discarded.Value)
-	r.CounterFunc("ps2_matches_delivered_total", "matches delivered in this process, by local workers (solo) and local mergers",
+	r.CounterFunc("ps2_matches_delivered_total", "matches delivered in this process, solo or through a local merger's dedup window",
 		s.matches.Value)
-	r.CounterFunc("ps2_matches_duplicates_total", "duplicate matches suppressed by local mergers",
+	r.CounterFunc("ps2_matches_duplicates_total", "duplicate matches suppressed by local mergers' dedup windows",
 		s.duplicates.Value)
-	r.CounterFunc("ps2_matches_solo_total", "matches a local worker delivered itself, without a merger (object routed to that worker only, merger in this process)",
+	r.CounterFunc("ps2_matches_solo_total", "matches delivered without a dedup window (object routed to one in-process worker only, merger in this process)",
 		s.soloMatches.Value)
 	r.CounterFunc("ps2_matches_emitted_total", "match envelopes emitted by local workers",
 		s.matchesEmitted.Value)
@@ -235,8 +235,9 @@ func (s *System) initObservability() {
 
 // registerQueueMetrics adds the per-bolt series: the workers and the
 // mergers; the dispatcher reports through ps2_ingest_*. The processed and
-// emitted counts are operations and matches, core's own counters; the
-// queue gauges sum the tasks' channels, in batches.
+// emitted counts are operations and matches, core's own counters. Only
+// the workers have input queues: the queue gauges sum their channels, in
+// batches.
 func (s *System) registerQueueMetrics() {
 	workerOps := func() (n int64) {
 		for i := range s.doneOps {
@@ -247,26 +248,26 @@ func (s *System) registerQueueMetrics() {
 	for _, b := range []struct {
 		name               string
 		processed, emitted func() int64
-		depth              func() float64
-		capacity           int
 	}{
-		{"worker", workerOps, s.matchesEmitted.Value, queued(s.towork), len(s.towork) * cap(s.towork[0])},
-		{"merger", s.mergerIn.Value, func() int64 { return 0 }, queued(s.toMerge), len(s.toMerge) * cap(s.toMerge[0])},
+		{"worker", workerOps, s.matchesEmitted.Value},
+		{"merger", s.mergerIn.Value, func() int64 { return 0 }},
 	} {
 		bl := metrics.L("bolt", b.name)
 		s.registry.CounterFunc("ps2_bolt_processed_total",
 			"operations (worker) or matches (merger) the bolt's tasks have finished", b.processed, bl)
 		s.registry.CounterFunc("ps2_bolt_emitted_total",
 			"matches (worker) the bolt's tasks have emitted; a merger emits nothing", b.emitted, bl)
-		s.registry.GaugeFunc("ps2_queue_depth_batches", "queued input batches per bolt (instantaneous)",
-			b.depth, bl)
-		s.registry.GaugeFunc("ps2_queue_cap_batches", "input queue capacity per bolt in batches",
-			func() float64 { return float64(b.capacity) }, bl)
 	}
+	wl := metrics.L("bolt", "worker")
+	capacity := float64(len(s.towork) * cap(s.towork[0]))
+	s.registry.GaugeFunc("ps2_queue_depth_batches", "queued input batches per bolt (instantaneous)",
+		queued(s.towork), wl)
+	s.registry.GaugeFunc("ps2_queue_cap_batches", "input queue capacity per bolt in batches",
+		func() float64 { return capacity }, wl)
 }
 
 // queued is a gauge of the batches waiting in qs.
-func queued[T any](qs []chan msg[T]) func() float64 {
+func queued(qs []chan msg) func() float64 {
 	return func() float64 {
 		n := 0
 		for _, q := range qs {

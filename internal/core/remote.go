@@ -1,9 +1,10 @@
 // Remote task placement: the coordinator side of a multi-process
-// deployment. A worker or merger task can run out-of-process (a psnode,
-// internal/node); the hop to a worker is a wire.WorkerClient session, the
-// hop to a merger a wire.MergerClient connection, and the bolts below
-// forward the task's traffic across them. In-process channels
-// stay the default fast path — only the tasks listed in
+// deployment. A worker or merger can run out-of-process (a psnode,
+// internal/node); the hop to a worker is a wire.WorkerClient session,
+// which the bolts below forward the slot's stream across, and the hop to
+// a merger a wire.MergerClient connection, to which every producer of
+// matches sends that merger's share itself (System.merge). In-process
+// channels stay the default fast path — only the tasks listed in
 // Config.RemoteWorkers/RemoteMergers leave the process.
 package core
 
@@ -128,10 +129,10 @@ func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, 
 }
 
 // ConnectRemoteMergers dials one merger node per address and installs
-// the connections as merger tasks 0..len(addrs)-1. An unset Mergers
-// becomes len(addrs) — every merger task remote, so the whole match
-// stream is delivered on the merger nodes; set Mergers explicitly for
-// mixed placement (the surplus tasks' hash shares then deliver locally
+// the connections as mergers 0..len(addrs)-1. An unset Mergers becomes
+// len(addrs) — every merger remote, so the whole match stream is
+// delivered on the merger nodes; set Mergers explicitly for mixed
+// placement (the surplus mergers' hash shares then deliver locally
 // through OnMatch, while remote shares do not).
 func (c *Config) ConnectRemoteMergers(addrs []string, sample *partition.Sample, b wire.Backoff) error {
 	if len(addrs) == 0 {
@@ -196,8 +197,6 @@ type remoteWorkerBolt struct {
 	s    *System
 	task int
 	hop  *workerHop
-	// toMerge passes the markers of a slot no session will answer.
-	toMerge fanout[wire.MatchEnv]
 }
 
 // process forwards one towork batch. SendOps encodes synchronously and
@@ -207,7 +206,7 @@ func (r *remoteWorkerBolt) process(batch *[]wire.OpEnv) {
 	r.forward(ops)
 	r.s.doneOps[r.task].Add(int64(len(ops)))
 	// Tuple latency for a remote task is measured at wire hand-off; the
-	// end-to-end figure remains the mergers' match latency.
+	// end-to-end figure remains the match latency at delivery.
 	r.s.observeLatency(ops)
 	r.s.opBatches.put(batch)
 }
@@ -262,7 +261,7 @@ func (r *remoteWorkerBolt) mark(m *drainMark) {
 	h.mu.Lock()
 	if h.isLocked(stateSpare, stateGone) {
 		h.mu.Unlock()
-		r.toMerge.mark(m)
+		m.pass()
 		return
 	}
 	h.oweLocked(owedAnswer{mark: m})
@@ -323,7 +322,8 @@ func (r *remoteWorkerBolt) Close() error {
 }
 
 // remoteMatchSpout consumes a remote worker's up stream in order: matches
-// go on to the mergers, deltas to the board, and each marker ack or
+// are deduplicated and delivered or sent to their remote merger, deltas
+// go to the board, and each marker ack or
 // control reply settles the oldest answer the hop owes — a marker is
 // passed on, a round completes once its deltas are on the board. One
 // spout serves the hop across every transport session:
@@ -334,8 +334,6 @@ type remoteMatchSpout struct {
 	s    *System
 	task int
 	hop  *workerHop
-	// split holds the matches batches a received frame is split into.
-	split fanout[wire.MatchEnv]
 }
 
 // run reads the hop's match frames until the slot is gone. The run's end
@@ -361,7 +359,7 @@ func (r *remoteMatchSpout) run() {
 				continue
 			}
 			if a.mark != nil {
-				r.split.mark(a.mark)
+				a.mark.pass()
 				continue
 			}
 			if re, ok := mb.Reply.(wire.RoundError); ok {
@@ -382,7 +380,7 @@ func (r *remoteMatchSpout) run() {
 			// holding matches back here would add latency the batch bound
 			// cannot cap (this reader may then block in Recv
 			// indefinitely).
-			r.s.emitMatches(&r.split, mb.Matches)
+			r.s.emitMatches(mb.Matches)
 		}
 	}
 }
@@ -390,7 +388,7 @@ func (r *remoteMatchSpout) run() {
 // waitTransport blocks until the hop has an undrained session to read,
 // or the slot is done for good. It deliberately does NOT skip a down
 // session: one that died before the spout ever read it must still be
-// drained, so its already-delivered matches reach the mergers and
+// drained, so its already-delivered matches are delivered here and
 // recovery (which waits for drainedGen) can proceed.
 func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 	h := r.hop
@@ -416,8 +414,8 @@ func (r *remoteMatchSpout) waitTransport() (*wire.WorkerClient, uint64, bool) {
 }
 
 // exitLocked ends the spout for good — the slot is gone — unlocks the
-// hop, passes on the markers no session will answer — every match of the
-// slot has been sent — and fails the rounds. Caller holds h.mu.
+// hop, passes the markers no session will answer — every match of the
+// slot has been delivered or sent on — and fails the rounds. Caller holds h.mu.
 func (r *remoteMatchSpout) exitLocked() {
 	h := r.hop
 	h.moveLocked(stateGone, nil)
@@ -428,7 +426,7 @@ func (r *remoteMatchSpout) exitLocked() {
 	h.mu.Unlock()
 	for _, a := range owed {
 		if a.mark != nil {
-			r.split.mark(a.mark)
+			a.mark.pass()
 		} else {
 			a.round.answer(nil, fmt.Errorf("core: worker %d: %w", r.task, errSlotNotUp))
 		}
@@ -463,39 +461,6 @@ func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 	r.s.hopFailed(h, gen, err)
 	h.failRounds(gen, fmt.Errorf("core: worker %d: session %d ended (%v): %w", r.task, gen, err, errSlotNotUp))
 	return false
-}
-
-// remoteMergerBolt stands in for an out-of-process merger task: it
-// forwards its hash share of the match stream across the wire.
-// Deduplication, delivery and the delivered counters happen on the
-// remote node (see RemoteDelivered).
-type remoteMergerBolt struct {
-	s    *System
-	task int
-	cl   *wire.MergerClient
-}
-
-// process forwards one matches batch. SendMatches encodes before it
-// returns, so the batch is recycled here.
-func (r *remoteMergerBolt) process(batch *[]wire.MatchEnv) {
-	if err := r.cl.SendMatches(wire.MatchBatch{Matches: *batch}); err != nil {
-		panic(fmt.Sprintf("remote merger %d: %v", r.task, err))
-	}
-	r.s.mergerIn.Add(int64(len(*batch)))
-	r.s.matchBatches.put(batch)
-}
-
-// mark takes one producer's copy of a marker. The last one is passed after
-// a Counts round, which the node answers behind every batch sent before
-// it: by then it has delivered them.
-func (r *remoteMergerBolt) mark(m *drainMark) {
-	if !m.arrive(r.task) {
-		return
-	}
-	if _, _, err := r.cl.Counts(); err != nil {
-		panic(fmt.Sprintf("remote merger %d: %v", r.task, err))
-	}
-	m.pass()
 }
 
 // RemoteDelivered sums the delivered/duplicate counters of every remote

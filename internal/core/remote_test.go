@@ -95,7 +95,7 @@ func TestRemoteMergerDeliversAndCounts(t *testing.T) {
 		t.Fatal("vacuous: oracle produced no matches")
 	}
 	// All workers remote (a local worker's matches would bypass the
-	// remote merger only if routed to a local merger task — with every
+	// remote merger only if routed to a local merger — with every
 	// merger remote both placements work; keep workers local here to
 	// cover the local-worker → remote-merger path).
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -116,7 +116,7 @@ func TestSoloSpaceOnlySkipsTheWindow(t *testing.T) {
 // TestSoloMatchesSkipTheMerger: on an all-Solo stream the workers
 // deliver every match themselves. Each oracle pair is delivered exactly
 // once, Drain returns only once the last (slow) callback has returned,
-// and no match reaches an in-process merger. With merger task 0 on a
+// and no match reaches an in-process merger. With merger 0 on a
 // loopback merger node, the Solo matches hashed to it are delivered
 // there and not here.
 func TestSoloMatchesSkipTheMerger(t *testing.T) {
@@ -178,7 +178,7 @@ func TestSoloMatchesSkipTheMerger(t *testing.T) {
 				t.Errorf("SoloMatches %d, Matches %d, Duplicates %d: want all %d local matches solo, none duplicated",
 					snap.SoloMatches, snap.Matches, snap.Duplicates, len(wantHere))
 			}
-			// A merger task that forwards to a node counts what it forwards.
+			// A remote merger's share counts as merger input when it is sent.
 			if got := seriesValue(t, sys, "ps2_bolt_processed_total", "bolt", "merger"); got != float64(len(wantThere)) {
 				t.Errorf("ps2_bolt_processed_total{bolt=\"merger\"} = %v, want %d", got, len(wantThere))
 			}

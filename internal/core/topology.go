@@ -21,35 +21,35 @@ import (
 // rarely-targeted worker cannot be parked behind a saturated input.
 const forcedFlushFactor = 4
 
-// batchPool recycles the typed batches of one kind of channel. A batch
-// travels as a *[]T, so a send moves one pointer.
-type batchPool[T any] struct {
+// batchPool recycles the typed towork batches. A batch travels as a
+// *[]wire.OpEnv, so a send moves one pointer.
+type batchPool struct {
 	pool sync.Pool
 	size int // capacity of a batch (Config.BatchSize)
 }
 
-func (bp *batchPool[T]) get() *[]T {
-	if p, ok := bp.pool.Get().(*[]T); ok {
+func (bp *batchPool) get() *[]wire.OpEnv {
+	if p, ok := bp.pool.Get().(*[]wire.OpEnv); ok {
 		return p
 	}
-	b := make([]T, 0, bp.size)
+	b := make([]wire.OpEnv, 0, bp.size)
 	return &b
 }
 
 // put takes a batch back from the task that consumed it. Nothing may
 // retain the slice past this call; it is cleared because envelopes pin
 // objects and queries.
-func (bp *batchPool[T]) put(p *[]T) {
+func (bp *batchPool) put(p *[]wire.OpEnv) {
 	clear(*p)
 	*p = (*p)[:0]
 	bp.pool.Put(p)
 }
 
-// msg is one send on a task's input channel: a batch, a Drain marker
-// that follows every batch its producer sent before it, or, on a worker
-// slot's channel, a control round or a cut's hold that does.
-type msg[T any] struct {
-	batch *[]T
+// msg is one send on a worker slot's input channel: a batch, a Drain
+// marker, a control round or a cut's hold, each following every batch
+// the dispatcher sent before it.
+type msg struct {
+	batch *[]wire.OpEnv
 	mark  *drainMark
 	ctrl  *ctrlRound
 	hold  *hold
@@ -57,32 +57,31 @@ type msg[T any] struct {
 
 // newQueues makes one input channel per task. A channel holds
 // max(QueueCap/BatchSize, 1) batches, so Config.QueueCap keeps bounding the
-// operations or matches queued per task whatever the BatchSize.
-func newQueues[T any](tasks int, cfg *Config) []chan msg[T] {
-	qs := make([]chan msg[T], tasks)
+// operations queued per task whatever the BatchSize.
+func newQueues(tasks int, cfg *Config) []chan msg {
+	qs := make([]chan msg, tasks)
 	for i := range qs {
-		qs[i] = make(chan msg[T], max(cfg.QueueCap/cfg.BatchSize, 1))
+		qs[i] = make(chan msg, max(cfg.QueueCap/cfg.BatchSize, 1))
 	}
 	return qs
 }
 
-// fanout is one producing task's open batches, one per downstream task,
-// and the channels they go out on. A batch is sent when it is full and on
-// flush, in the order it was filled, so each downstream task sees the
-// producer's envelopes in order.
-type fanout[T any] struct {
-	pool *batchPool[T]
-	out  []chan msg[T]
+// fanout is the dispatcher's open batches, one per worker slot, and the
+// channels they go out on. A batch is sent when it is full and on flush,
+// in the order it was filled, so each slot sees the envelopes in order.
+type fanout struct {
+	pool *batchPool
+	out  []chan msg
 	done <-chan struct{} // the run's: once closed, a send drops its batch
-	open []*[]T
+	open []*[]wire.OpEnv
 }
 
-func newFanout[T any](pool *batchPool[T], out []chan msg[T], done <-chan struct{}) fanout[T] {
-	return fanout[T]{pool: pool, out: out, done: done, open: make([]*[]T, len(out))}
+func newFanout(pool *batchPool, out []chan msg, done <-chan struct{}) fanout {
+	return fanout{pool: pool, out: out, done: done, open: make([]*[]wire.OpEnv, len(out))}
 }
 
 // add appends *v to the batch open for task.
-func (f *fanout[T]) add(task int, v *T) {
+func (f *fanout) add(task int, v *wire.OpEnv) {
 	p := f.open[task]
 	if p == nil {
 		p = f.pool.get()
@@ -96,7 +95,7 @@ func (f *fanout[T]) add(task int, v *T) {
 }
 
 // flush sends every open batch.
-func (f *fanout[T]) flush() {
+func (f *fanout) flush() {
 	for task, p := range f.open {
 		if p != nil {
 			f.open[task] = nil
@@ -107,23 +106,23 @@ func (f *fanout[T]) flush() {
 
 // send delivers one batch with backpressure; once the run is cancelled it
 // returns the batch to its pool instead.
-func (f *fanout[T]) send(task int, p *[]T) {
+func (f *fanout) send(task int, p *[]wire.OpEnv) {
 	select {
-	case f.out[task] <- msg[T]{batch: p}:
+	case f.out[task] <- msg{batch: p}:
 	case <-f.done:
 		f.pool.put(p)
 	}
 }
 
 // mark sends m to every task, behind the batch open for it.
-func (f *fanout[T]) mark(m *drainMark) {
+func (f *fanout) mark(m *drainMark) {
 	for task := range f.out {
-		f.to(task, msg[T]{mark: m})
+		f.to(task, msg{mark: m})
 	}
 }
 
 // to flushes the batch open for task, then sends m behind it.
-func (f *fanout[T]) to(task int, m msg[T]) {
+func (f *fanout) to(task int, m msg) {
 	if p := f.open[task]; p != nil {
 		f.open[task] = nil
 		f.send(task, p)
@@ -148,7 +147,7 @@ func cancelled(done <-chan struct{}) bool {
 // every control round to ctrl, in order, until in is closed or the run
 // is cancelled. At a hold it hands ctrl the requests sent through the
 // hold until it is released.
-func consume[T any](in <-chan msg[T], done <-chan struct{}, process func(*[]T), mark func(*drainMark), ctrl func(*ctrlRound)) {
+func consume(in <-chan msg, done <-chan struct{}, process func(*[]wire.OpEnv), mark func(*drainMark), ctrl func(*ctrlRound)) {
 	for m := range in {
 		if cancelled(done) {
 			return
@@ -166,38 +165,94 @@ func consume[T any](in <-chan msg[T], done <-chan struct{}, process func(*[]T), 
 	}
 }
 
-// mergerOf picks the merger task of a match: every report of one (query,
+// mergerOf picks the merger of a match: every report of one (query,
 // object) pair, from whichever worker, meets the same dedup window.
 func mergerOf(m *model.Match, mergers int) int {
 	return int((m.QueryID*0x9E3779B97F4A7C15 ^ m.ObjectID) % uint64(mergers))
 }
 
-// emitMatches sends each match of ms that can repeat to its merger and
-// delivers the others itself, before it returns: a Solo match whose
-// merger runs in this process cannot meet a second report of its pair
-// (dispatchBatch), so no window needs to see it. A match read from a
-// remote slot is never Solo, and one hashed to a remote merger goes
-// there. Matches are not held across calls, so a producer of matches
-// needs no idle flush. ms is overwritten.
-func (s *System) emitMatches(out *fanout[wire.MatchEnv], ms []wire.MatchEnv) {
-	direct := ms[:0]
-	mergers := len(out.open)
+// dedupShard is an in-process merger: the dedup window of one hash share
+// of the matches that can repeat (mergerOf), and the lock under which
+// the producer of such a match, whichever task it runs on, deduplicates
+// and delivers it. The window is made by the first match, so a shard
+// that never receives one holds none.
+type dedupShard struct {
+	mu  sync.Mutex
+	win *dedup.Window
+}
+
+// emitMatches delivers the matches of one producer (an in-process
+// worker's batch, or a frame read from a remote slot) before it returns,
+// on the producer's task. A Solo match whose merger runs in this process
+// cannot meet a second report of its pair (dispatchBatch), so no window
+// needs to see it. The others go, one merger's share at a time, through
+// merge. A match read from a remote slot is never Solo, and one hashed
+// to a remote merger goes there. ms is reordered.
+func (s *System) emitMatches(ms []wire.MatchEnv) {
+	mergers, remote := len(s.shards), s.cfg.RemoteMergers
+	n := 0
 	for i := range ms {
-		task := mergerOf(&ms[i].M, mergers)
-		if ms[i].Solo && s.cfg.RemoteMergers[task] == nil {
-			direct = append(direct, ms[i])
-		} else {
-			out.add(task, &ms[i])
+		if ms[i].Solo && (len(remote) == 0 || remote[mergerOf(&ms[i].M, mergers)] == nil) {
+			ms[n], ms[i] = ms[i], ms[n]
+			n++
 		}
 	}
-	out.flush()
-	s.deliver(direct, true)
+	s.deliver(ms[:n], true)
+	for task, rest := 0, ms[n:]; len(rest) > 0; task++ {
+		k := 0
+		for i := range rest {
+			if mergerOf(&rest[i].M, mergers) == task {
+				rest[k], rest[i] = rest[i], rest[k]
+				k++
+			}
+		}
+		if k > 0 {
+			s.merge(task, rest[:k])
+		}
+		rest = rest[k:]
+	}
+}
+
+// merge takes one producer's matches for merger task: it sends them to
+// the task's node when it is remote, in frames of up to BatchSize
+// matches, and otherwise drops, under the shard's lock, the pairs the
+// shard's window has seen and delivers the rest. The lock is released on
+// a panic in OnMatch too, so the producers waiting on it go on to the
+// run's end. The counters move after the deliveries they count.
+func (s *System) merge(task int, ms []wire.MatchEnv) {
+	n := int64(len(ms))
+	if cl := s.cfg.RemoteMergers[task]; cl != nil {
+		for part := range slices.Chunk(ms, s.cfg.BatchSize) {
+			if err := cl.SendMatches(wire.MatchBatch{Matches: part}); err != nil {
+				panic(fmt.Sprintf("remote merger %d: %v", task, err))
+			}
+		}
+		s.mergerIn.Add(n)
+		return
+	}
+	stageStart := time.Now() // wall clock; see dispatchBatch
+	sh := &s.shards[task]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.win == nil {
+		sh.win = dedup.NewWindow(s.cfg.DedupWindow)
+	}
+	fresh := ms[:0]
+	for i := range ms {
+		if sh.win.Observe([2]uint64{ms[i].M.QueryID, ms[i].M.ObjectID}) {
+			fresh = append(fresh, ms[i])
+		}
+	}
+	s.deliver(fresh, false)
+	s.mergerIn.Add(n)
+	s.duplicates.Add(n - int64(len(fresh)))
+	s.stageMerge.Observe(time.Since(stageStart))
 }
 
 // deliver hands ms to OnMatch and counts them: it is the last step of
 // every match delivered in this process, called by a producer of matches
-// with the ones that cannot repeat (solo) and by a merger with the ones
-// its window let through. One clock read serves the slice, and the
+// with the ones that cannot repeat (solo) and with the ones a shard's
+// window let through (merge). One clock read serves the slice, and the
 // latency of a run of matches with the same T0 (one operation's) is
 // observed once. The counters move after the callbacks they count.
 func (s *System) deliver(ms []wire.MatchEnv, solo bool) {
@@ -225,31 +280,32 @@ func (s *System) deliver(ms []wire.MatchEnv, solo bool) {
 	s.matches.Add(n)
 }
 
-// run executes dispatcher → worker → merger (Figure 1), one goroutine per
-// task, until the ingest is closed and every batch has drained, or ctx is
-// cancelled. The dispatcher pulls typed []wire.OpEnv buffers from the
-// ingest (ingest.go) and fills one batch per target worker on s.towork;
-// workers take their index/window locks once per batch, deliver the
-// matches that cannot repeat and send the others on s.toMerge; mergers
-// deduplicate batch-wise and deliver (emitMatches).
+// run executes dispatcher → worker → merger (Figure 1) until the ingest
+// is closed and every batch has drained, or ctx is cancelled. The
+// dispatcher and each worker slot are one goroutine each; a merger is
+// not a task but a lock (dedupShard), taken by the producer of the
+// matches it guards. The dispatcher pulls typed []wire.OpEnv buffers
+// from the ingest (ingest.go) and fills one batch per target worker on
+// s.towork; workers take their index/window locks once per batch and
+// deduplicate and deliver its matches themselves (emitMatches).
 //
-// Drain markers travel the same channels in order with the batches (see
-// drainMark), and so do control rounds and the holds of cuts on the
-// towork channels (round.go).
+// Drain markers travel the towork channels in order with the batches
+// (see drainMark), and so do control rounds and the holds of cuts
+// (round.go).
 //
-// Three WaitGroups order the close cascade: the towork channels close once
-// the dispatcher is done, the merger channels once every producer of
-// matches is (the worker slots, and the readers of the remote workers'
-// match streams), and run returns once the mergers are. On cancellation
-// every task stops at its next batch boundary. A task that panics is
-// recorded as name[task]: value and cancels the run, so the other tasks
-// stop, parked publishers return and Drain fails fast; run then reports
-// every panic.
+// Two WaitGroups order the close cascade: the towork channels close once
+// the dispatcher is done, and once every producer of matches is (the
+// worker slots, and the readers of the remote workers' match streams)
+// the remote merger connections are half-closed and run returns. On
+// cancellation every task stops at its next batch boundary. A task that
+// panics is recorded as name[task]: value and cancels the run, so the
+// other tasks stop, parked publishers return and Drain fails fast; run
+// then reports every panic.
 func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	done := ctx.Done()
 	var mu sync.Mutex // guards panics
 	var panics []string
-	var dispatcherDone, producers, mergers sync.WaitGroup
+	var dispatcherDone, producers sync.WaitGroup
 	spawn := func(wg *sync.WaitGroup, name string, task int, fn func()) {
 		wg.Add(1)
 		go func() {
@@ -285,36 +341,17 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	// until AddWorker installs a session).
 	for i, in := range s.towork {
 		if h := s.hop(i); h != nil {
-			fw := &remoteWorkerBolt{s: s, task: i, hop: h,
-				toMerge: newFanout(&s.matchBatches, s.toMerge, done)}
+			fw := &remoteWorkerBolt{s: s, task: i, hop: h}
 			spawn(&producers, "worker", i, func() {
 				defer fw.Close() // on a panic too
 				consume(in, done, fw.process, fw.mark, fw.ctrl)
 			})
-			rd := &remoteMatchSpout{s: s, task: i, hop: h,
-				split: newFanout(&s.matchBatches, s.toMerge, done)}
+			rd := &remoteMatchSpout{s: s, task: i, hop: h}
 			spawn(&producers, "wmatches", i, rd.run)
 			continue
 		}
 		w := s.bolts[i]
-		w.split = newFanout(&s.matchBatches, s.toMerge, done)
-		spawn(&producers, "worker", i, func() { consume(in, done, w.process, w.split.mark, w.serve) })
-	}
-
-	// Mergers: deduplicate and deliver what can repeat. A task listed in
-	// Config.RemoteMergers forwards its hash share across the wire
-	// instead; the remote node dedups and delivers.
-	for i, in := range s.toMerge {
-		if cl := s.cfg.RemoteMergers[i]; cl != nil {
-			fw := &remoteMergerBolt{s: s, task: i, cl: cl}
-			spawn(&mergers, "merger", i, func() {
-				defer cl.CloseSend() // on a panic too
-				consume(in, done, fw.process, fw.mark, nil)
-			})
-			continue
-		}
-		m := newMerger(s, i)
-		spawn(&mergers, "merger", i, func() { consume(in, done, m.process, m.mark, nil) })
+		spawn(&producers, "worker", i, func() { consume(in, done, w.process, (*drainMark).pass, w.serve) })
 	}
 
 	dispatcherDone.Wait()
@@ -322,10 +359,9 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 		close(ch)
 	}
 	producers.Wait()
-	for _, ch := range s.toMerge {
-		close(ch)
+	for _, cl := range s.cfg.RemoteMergers {
+		cl.CloseSend()
 	}
-	mergers.Wait()
 	if len(panics) > 0 {
 		return fmt.Errorf("core: %d task(s) panicked: %v", len(panics), panics)
 	}
@@ -344,7 +380,7 @@ type dispatcher struct {
 	// spare is the routed buffer the next take hands back to the ingest.
 	spare []wire.OpEnv
 	// out holds the open towork batch of every worker.
-	out fanout[wire.OpEnv]
+	out fanout
 	// sinceFlush counts operations routed since out was last flushed (see
 	// forcedFlushFactor).
 	sinceFlush int
@@ -378,7 +414,7 @@ func (d *dispatcher) run() {
 			at = qm.at
 			switch {
 			case qm.c != nil:
-				d.out.to(qm.c.slot, msg[wire.OpEnv]{ctrl: qm.c})
+				d.out.to(qm.c.slot, msg{ctrl: qm.c})
 			case qm.cut != nil:
 				d.cut(qm.cut)
 			default:
@@ -410,7 +446,7 @@ func (d *dispatcher) route(ops []wire.OpEnv) {
 // under the new table.
 func (d *dispatcher) cut(c *cut) {
 	for _, h := range c.holds {
-		d.out.to(h.slot, msg[wire.OpEnv]{hold: h})
+		d.out.to(h.slot, msg{hold: h})
 	}
 	c.change(c.holds)
 	close(c.done)
@@ -431,8 +467,8 @@ func (d *dispatcher) flush() {
 // An object whose target set has exactly one member is marked Solo,
 // whatever assignment computed the set: only that worker's engine sees
 // it, an engine reports a query at most once per object
-// (gi2.Index.MatchSlots), so no (query, object) pair of it can reach the
-// mergers twice.
+// (gi2.Index.MatchSlots), so no (query, object) pair of it can be
+// reported twice.
 //
 // An object's terms are looked up in the coordinator's dictionary once,
 // here: the assignment routes by the ids, and an object routed to an
@@ -600,15 +636,12 @@ type workerBolt struct {
 	// worker.
 	beforeBatch func(ops []wire.OpEnv)
 	// out and deltas are the engine's match and delta scratch, reused
-	// across batches; split holds the matches batches being filled from
-	// out, one per merger, with the matches that can repeat.
+	// across batches.
 	out    []wire.MatchEnv
 	deltas []window.Delta
-	split  fanout[wire.MatchEnv]
 }
 
-// process runs one towork batch, delivers the matches that cannot
-// repeat and sends the others to the mergers.
+// process runs one towork batch and delivers its matches (emitMatches).
 func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	s := w.s
 	stageStart := time.Now() // wall clock; see dispatchBatch
@@ -626,7 +659,7 @@ func (w *workerBolt) process(batch *[]wire.OpEnv) {
 	if n := len(w.out); n > 0 {
 		s.matchesEmitted.Add(int64(n))
 	}
-	s.emitMatches(&w.split, w.out)
+	s.emitMatches(w.out)
 	s.doneOps[w.task].Add(int64(len(ops)))
 	s.observeLatency(ops)
 	s.opBatches.put(batch)
@@ -660,49 +693,4 @@ func spin(d time.Duration) {
 	start := time.Now()
 	for time.Since(start) < d {
 	}
-}
-
-// merger deduplicates the matches that can repeat with a bounded FIFO
-// window and delivers them, a batch at a time. One instance per merger
-// task; no locking needed for its own state. The window is made by the
-// first batch, so a merger that never receives a match holds none.
-type merger struct {
-	s    *System
-	task int
-	win  *dedup.Window
-}
-
-func newMerger(s *System, task int) *merger {
-	return &merger{s: s, task: task}
-}
-
-// mark takes one producer's copy of a marker. Every batch before it has
-// been delivered, callbacks returned.
-func (m *merger) mark(mk *drainMark) {
-	if mk.arrive(m.task) {
-		mk.pass()
-	}
-}
-
-// process takes one matches batch, drops the pairs its window has seen
-// and delivers the rest. The shared counters move once per batch, after
-// the deliveries they count.
-func (m *merger) process(batch *[]wire.MatchEnv) {
-	s := m.s
-	stageStart := time.Now() // wall clock; see dispatchBatch
-	if m.win == nil {
-		m.win = dedup.NewWindow(s.cfg.DedupWindow)
-	}
-	fresh := (*batch)[:0]
-	for i := range *batch {
-		if me := &(*batch)[i]; m.win.Observe([2]uint64{me.M.QueryID, me.M.ObjectID}) {
-			fresh = append(fresh, *me)
-		}
-	}
-	s.deliver(fresh, false)
-	n := int64(len(*batch))
-	s.mergerIn.Add(n)
-	s.duplicates.Add(n - int64(len(fresh)))
-	s.matchBatches.put(batch)
-	s.stageMerge.Observe(time.Since(stageStart))
 }

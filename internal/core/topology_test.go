@@ -62,6 +62,87 @@ func TestTaskPanicStopsRun(t *testing.T) {
 	within(t, 5*time.Second, "Close returning after a task panicked", closed)
 }
 
+// TestTaskPanicUnderMergerLock: a match that can repeat is deduplicated
+// and delivered under its merger's lock by the worker task that found it,
+// so a panic in OnMatch is raised there with the lock held. On a cell
+// split by text, both owners report the matches of an object carrying
+// both keys to the one merger. The test holds the merger's lock until
+// both owners have matched such an object and so wait on it; the first to
+// take it panics, and the lock is released on the way out, so the other
+// takes it too and does not hang. Close returns both panics, and no
+// goroutine is left behind.
+func TestTaskPanicUnderMergerLock(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sample, _ := smallWorkload(t, workload.Q1, 62, 0)
+	const bug = "two-key subscriber bug"
+	sys, err := New(Config{Workers: 4, Mergers: 1, Builder: hybrid.Builder{}, OnMatch: func(m model.Match) {
+		if m.ObjectID == 5000 {
+			panic(bug)
+		}
+	}}, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gt := sys.gridT.Load()
+	center := sample.Bounds.Center()
+	cell := gt.Grid().CellOf(center)
+	if gt.IsTextCell(cell) {
+		t.Skip("sample produced a text cell at the centre; space cell needed")
+	}
+	region := geo.RectAround(center, 5, 5)
+	for i := 0; i < 10; i++ {
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: uint64(1 + i), Expr: model.And("splitkeya"), Region: region}})
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: uint64(101 + i), Expr: model.And("splitkeyb"), Region: region}})
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	wo := gt.CellWorkers(cell)[0]
+	wl := (wo + 1) % 4
+	if moved, _, ok := sys.migrateSplit(wo, wl, cell, []string{"splitkeya"}); !ok || moved != 10 {
+		t.Fatalf("migrateSplit moved %d queries (ok %v), want 10", moved, ok)
+	}
+
+	shard := &sys.shards[0]
+	shard.mu.Lock()
+	seen := func(w int) int64 { return sys.lastStats(w).Objects }
+	fromO, fromL := seen(wo), seen(wl)
+	sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{ID: 5000, Terms: []string{"splitkeya", "splitkeyb"}, Loc: center}})
+	deadline := time.Now().Add(5 * time.Second)
+	for seen(wo) == fromO || seen(wl) == fromL {
+		if time.Now().After(deadline) {
+			shard.mu.Unlock()
+			t.Fatalf("the two-key object did not reach both owners (workers %d and %d)", wo, wl)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	shard.mu.Unlock()
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		err := sys.Close()
+		for _, w := range []int{wo, wl} {
+			if want := "worker[" + strconv.Itoa(w) + "]: " + bug; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Close = %v, want an error naming %q", err, want)
+			}
+		}
+	}()
+	within(t, 5*time.Second, "Close returning after a panic under a merger's lock", closed)
+	deadline = time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestRunLeavesNoGoroutines: every goroutine the run starts is gone after
 // Close, and after an Abort that finds a publisher parked on full queues
 // behind a stalled subscriber.
@@ -105,7 +186,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 					sys.Abort()
 				}()
 				within(t, time.Second, "the parked Submit returning", published)
-				close(release) // the merger's callback is the one thing Abort cannot interrupt
+				close(release) // the callback is the one thing Abort cannot interrupt
 				within(t, time.Second, "Abort returning", aborted)
 			}
 			deadline := time.Now().Add(2 * time.Second)
@@ -327,8 +408,8 @@ func TestDrainReturnsUnderSustainedPublish(t *testing.T) {
 // own goroutine as in the run.
 func TestFanoutDeliversToAddressedTask(t *testing.T) {
 	const tasks, perTask = 3, 30
-	pool := batchPool[wire.OpEnv]{size: 16}
-	queues := newQueues[wire.OpEnv](tasks, &Config{QueueCap: 64, BatchSize: pool.size})
+	pool := batchPool{size: 16}
+	queues := newQueues(tasks, &Config{QueueCap: 64, BatchSize: pool.size})
 	done := make(chan struct{})
 	f := newFanout(&pool, queues, done)
 	counts := make([]atomic.Int64, tasks)

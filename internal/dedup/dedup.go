@@ -1,15 +1,16 @@
 // Package dedup provides the bounded duplicate-elimination window the
 // merger role uses (§III-B: a query held by several workers produces
 // the same match more than once). One implementation serves both the
-// in-process merger bolts (internal/core) and the networked merger
-// nodes (internal/node), so the eviction semantics cannot drift apart.
+// in-process mergers (internal/core) and the networked merger nodes
+// (internal/node), so the eviction semantics cannot drift apart.
 package dedup
 
 // Window remembers the most recent `capacity` keys in FIFO order: a key
 // is new the first time it is observed and a duplicate while it remains
 // within the window. It never reports a new key as a duplicate or a
-// remembered key as new. Not safe for concurrent use; each merger task
-// owns its own window.
+// remembered key as new. Not safe for concurrent use: each merger owns
+// its own window and serialises its users (a lock in process, one
+// connection's reader on a node).
 //
 // Layout: the keys sit in a ring in arrival order, and one
 // open-addressed table (linear probing, a power-of-two size at most a

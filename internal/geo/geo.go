@@ -173,9 +173,6 @@ func (r Rect) SplitEvenly(p int) []Rect {
 	return append(lo.SplitEvenly(k), hi.SplitEvenly(p-k)...)
 }
 
-// Margin returns half the perimeter (the R*-tree "margin" metric).
-func (r Rect) Margin() float64 { return r.Width() + r.Height() }
-
 // Expand grows the rectangle by d degrees on every side.
 func (r Rect) Expand(d float64) Rect {
 	return Rect{

@@ -213,9 +213,6 @@ func TestStringersAndDerivedGeometry(t *testing.T) {
 	if c := r.Center(); c.X != 5 || c.Y != 10 {
 		t.Errorf("Center = %v", c)
 	}
-	if m := r.Margin(); m != 30 {
-		t.Errorf("Margin = %v, want 30", m)
-	}
 	e := r.Expand(2)
 	if e.Min.X != -2 || e.Min.Y != -2 || e.Max.X != 12 || e.Max.Y != 22 {
 		t.Errorf("Expand = %v", e)

@@ -539,8 +539,8 @@ func (ix *Index) MatchObject(o *model.Object) []uint32 {
 // not hold are left out). Each slot is reported once, however many of
 // its query's conjunctions and registration keys the object hits. The
 // dispatcher relies on it: an object routed to one worker cannot yield
-// the same (query, object) pair twice, so the mergers deliver its
-// matches without a dedup probe (wire.OpEnv.Solo). Dead entries
+// the same (query, object) pair twice, so its matches are delivered
+// without a dedup probe (wire.OpEnv.Solo). Dead entries
 // encountered on the traversed lists are removed, which implements lazy
 // deletion. The result is valid until the next call that changes or
 // matches against the index; Slot reads each hit.

@@ -67,11 +67,7 @@ func TestMutationSequencePreservesH2Consistency(t *testing.T) {
 		from := ws[rng.Intn(len(ws))]
 		to := (from + 1 + rng.Intn(7)) % 8
 		if gt.IsTextCell(cell) {
-			if rng.Intn(2) == 0 {
-				gt.ReassignTextShare(cell, from, to)
-			} else {
-				gt.MergeTextShares(cell, from, to)
-			}
+			gt.ReassignTextShare(cell, from, to)
 			muts++
 		} else {
 			keys := gt.H2Keys(cell, from)

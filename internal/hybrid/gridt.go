@@ -268,9 +268,10 @@ func (gt *GridT) UseDict(d *termtab.Dict) {
 // a single-worker answer is a slice shared by every call.
 //
 // In a space cell every live H2 entry names the cell's worker (RouteQuery
-// installs c.worker, ReassignSpaceCell rewrites every entry,
-// MergeTextShares collapses a text cell only when its entries agree), so
-// the first live term decides, and the terms after it are not looked up.
+// installs c.worker, ReassignSpaceCell rewrites every entry, and no
+// mutation turns a text cell back into a space cell: Phase I merges text
+// shares with ReassignTextShare), so the first live term decides, and the
+// terms after it are not looked up.
 func (gt *GridT) RouteObject(o *model.Object) []int {
 	id := gt.g.CellOf(o.Loc)
 	var mask uint64
@@ -556,48 +557,6 @@ func (gt *GridT) SplitSpaceCellByText(cellID int, keys []string, to int) int {
 		}
 	}
 	return old
-}
-
-// MergeTextShares reroutes worker from's share of a text cell to worker
-// to, and collapses the cell back to a space cell when a single worker
-// remains ("we check whether migrating g_t to w_l and merging g_t and g'_t
-// can reduce the total load"). Returns the number of H2 keys moved.
-func (gt *GridT) MergeTextShares(cellID, from, to int) int {
-	moved := gt.ReassignTextShare(cellID, from, to)
-	mu := gt.lockFor(cellID)
-	mu.Lock()
-	defer mu.Unlock()
-	c := &gt.cells[cellID]
-	if c.worker >= 0 {
-		return moved
-	}
-	only := -1
-	uniform := true
-	check := func(w int) {
-		if only == -1 {
-			only = w
-		} else if only != w {
-			uniform = false
-		}
-	}
-	for _, w := range c.h1 {
-		check(w)
-	}
-	for _, w := range c.fallback {
-		check(w)
-	}
-	for _, e := range c.h2.Entries() {
-		if e.Key != 0 {
-			check(int(e.Val.worker))
-		}
-	}
-	if uniform && only >= 0 {
-		c.worker = only
-		c.h1 = nil
-		c.fallback = nil
-		c.sharedH1 = false
-	}
-	return moved
 }
 
 // H2Keys returns the live registration keys of a cell routed to the given

@@ -147,30 +147,6 @@ func TestSplitSpaceCellByText(t *testing.T) {
 	}
 }
 
-func TestMergeTextSharesCollapsesCell(t *testing.T) {
-	gt, _, _ := routedGrid(t, 24)
-	cellID, old := findCell(t, gt, false)
-	keys := gt.H2Keys(cellID, old)
-	if len(keys) < 2 {
-		t.Skip("too few keys")
-	}
-	to := (old + 1) % gt.NumWorkers()
-	gt.SplitSpaceCellByText(cellID, keys[:1], to)
-	if !gt.IsTextCell(cellID) {
-		t.Fatal("split failed")
-	}
-	// Merge the moved share back into old: cell should collapse to a
-	// space cell owned by old.
-	gt.MergeTextShares(cellID, to, old)
-	if gt.IsTextCell(cellID) {
-		t.Error("cell did not collapse to a space cell after merge")
-	}
-	ws := gt.CellWorkers(cellID)
-	if len(ws) != 1 || ws[0] != old {
-		t.Errorf("CellWorkers = %v, want [%d]", ws, old)
-	}
-}
-
 func TestCellWorkersSpace(t *testing.T) {
 	gt, _, _ := routedGrid(t, 25)
 	cellID, w := findCell(t, gt, false)
@@ -264,14 +240,6 @@ func TestRouteObjectSpaceCellFirstHit(t *testing.T) {
 	check("split")
 	if ws := gt.RouteObject(objs[0]); len(ws) != 2 {
 		t.Fatalf("object carrying both shares routes to %v, want two workers", ws)
-	}
-	gt.MergeTextShares(cellID, third, other)
-	if gt.IsTextCell(cellID) {
-		t.Fatal("merge did not collapse the cell back to a space cell")
-	}
-	check("merged")
-	if ws := gt.RouteObject(objs[0]); len(ws) != 1 || ws[0] != other {
-		t.Fatalf("after merge the object routes to %v, want [%d]", ws, other)
 	}
 }
 

@@ -177,18 +177,6 @@ func (r *refGrid) split(id int, keys []string, to int) int {
 	return old
 }
 
-func (r *refGrid) merge(id, from, to int) int {
-	moved := r.reassignText(id, from, to)
-	c := r.cells[id]
-	if c.worker >= 0 {
-		return moved
-	}
-	if ws := c.workers(); len(ws) == 1 {
-		c.worker, c.h1, c.fallback = ws[0], nil, nil
-	}
-	return moved
-}
-
 // TestH2MatchesReference drives gridt through a seeded random sequence of
 // query inserts and deletes — keys shared across many cells, deletes of
 // keys no cell holds, a cell emptied and refilled — interleaved with
@@ -362,7 +350,7 @@ func TestH2MatchesReference(t *testing.T) {
 			if want >= 0 {
 				effective[what]++
 			}
-		case p < 94:
+		default:
 			what = "ReassignTextShare"
 			from, to := pickWorkers(id)
 			got, want := gt.ReassignTextShare(id, from, to), ref.reassignText(id, from, to)
@@ -372,27 +360,11 @@ func TestH2MatchesReference(t *testing.T) {
 			if want > 0 {
 				effective[what]++
 			}
-		default:
-			what = "MergeTextShares"
-			from, to := pickWorkers(id)
-			// Merging into a worker the cell already has is what collapses it.
-			if ws := ref.cells[id].workers(); len(ws) > 1 {
-				if to = ws[rng.Intn(len(ws))]; to == from {
-					to = ws[0] + ws[len(ws)-1] - from
-				}
-			}
-			wasText := ref.cells[id].worker < 0
-			if got, want := gt.MergeTextShares(id, from, to), ref.merge(id, from, to); got != want {
-				t.Fatalf("step %d: MergeTextShares(%d, %d, %d) = %d, reference %d", step, id, from, to, got, want)
-			}
-			if wasText && ref.cells[id].worker >= 0 {
-				effective[what]++
-			}
 		}
 		check(step, what)
 	}
 	t.Logf("mutations that changed the routing: %v", effective)
-	for _, m := range []string{"ReassignSpaceCell", "SplitSpaceCellByText", "ReassignTextShare", "MergeTextShares"} {
+	for _, m := range []string{"ReassignSpaceCell", "SplitSpaceCellByText", "ReassignTextShare"} {
 		if effective[m] == 0 {
 			t.Errorf("no %s changed the routing", m)
 		}

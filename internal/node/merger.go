@@ -171,15 +171,3 @@ func (m *Merger) serveConn(conn *wire.Conn) (clean bool, err error) {
 		}
 	}
 }
-
-// ListenAndServeMerger is the one-call form used by cmd/psnode.
-func ListenAndServeMerger(ctx context.Context, addr string, opts MergerOptions) (*Merger, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	opts.Log.printf("merger: listening on %s", ln.Addr())
-	m := NewMerger(opts)
-	err = m.Serve(ctx, ln)
-	return m, err
-}

@@ -377,14 +377,3 @@ func refuse(conn *wire.Conn, err error) error {
 	_ = conn.Send(wire.Goodbye{})
 	return err
 }
-
-// ListenAndServeWorker is the one-call form used by cmd/psnode: listen
-// on addr and serve a worker until ctx ends.
-func ListenAndServeWorker(ctx context.Context, addr string, opts WorkerOptions) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	opts.Log.printf("worker: listening on %s", ln.Addr())
-	return NewWorker(opts).Serve(ctx, ln)
-}

@@ -106,13 +106,14 @@ type OpBatch struct {
 }
 
 // MatchEnv is one match result in flight with the originating
-// operation's submit timestamp. Matches move to the mergers as
-// []MatchEnv batches.
+// operation's submit timestamp. Matches move as []MatchEnv batches: a
+// worker's output, a frame from a remote worker, or one to a remote
+// merger.
 type MatchEnv struct {
 	M  model.Match
 	T0 time.Time
 	// Solo is the producing object's OpEnv.Solo, copied by an in-process
-	// engine: a merger delivers such a match without consulting its dedup
+	// engine: such a match is delivered without consulting a dedup
 	// window. Coordinator-local: it is not encoded, so a match that
 	// crossed the wire has it false and is always deduplicated.
 	Solo bool

@@ -83,40 +83,6 @@ func TypeName(typ byte) string {
 	}
 }
 
-// FrameStat is one frame kind's cumulative transport counters for one
-// direction.
-type FrameStat struct {
-	Type    byte
-	Name    string
-	Frames  int64
-	Bytes   int64
-	Seconds float64
-}
-
-func (fc *frameCounters) snapshot() []FrameStat {
-	var out []FrameStat
-	for i := 0; i < maxFrameType; i++ {
-		n := fc.frames[i].Load()
-		if n == 0 {
-			continue
-		}
-		out = append(out, FrameStat{
-			Type:    byte(i),
-			Name:    TypeName(byte(i)),
-			Frames:  n,
-			Bytes:   fc.bytes[i].Load(),
-			Seconds: time.Duration(fc.nanos[i].Load()).Seconds(),
-		})
-	}
-	return out
-}
-
-// SentStats returns the process's cumulative per-kind send counters.
-func SentStats() []FrameStat { return txCounters.snapshot() }
-
-// RecvStats returns the process's cumulative per-kind receive counters.
-func RecvStats() []FrameStat { return rxCounters.snapshot() }
-
 // RegisterMetrics wires the process-global transport counters into reg
 // as func-backed series, one per frame kind and direction:
 //

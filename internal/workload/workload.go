@@ -171,9 +171,6 @@ func normalize(spec *DatasetSpec) {
 	}
 }
 
-// Spec returns the generator's dataset spec.
-func (g *Generator) Spec() DatasetSpec { return g.spec }
-
 // Vocab exposes the term table (rank order).
 func (g *Generator) Vocab() []string { return g.vocab }
 

@@ -214,7 +214,10 @@ const WorkerIndexGI2 WorkerIndex = "gi2"
 type Options struct {
 	// Region is the monitored space. Required.
 	Region Region
-	// Workers and Mergers size the topology (defaults 8/2).
+	// Workers is the number of worker tasks (default 8). Mergers is the
+	// number of hash shares of the duplicate elimination (default 2):
+	// each share is a dedup window behind a lock, taken by the worker
+	// that found a match, not a task of its own.
 	Workers int
 	Mergers int
 	// Dispatchers is ignored: one dispatcher routes every operation, in
@@ -244,13 +247,13 @@ type Options struct {
 	// load shows where they belong.
 	SeedMessages      []Message
 	SeedSubscriptions []Subscription
-	// OnMatch receives every match. Called concurrently from worker
-	// tasks, which deliver a message's matches themselves when the
-	// message reached only that worker, and from merger tasks, which
-	// deliver the rest once deduplicated; must be fast or hand off to a
-	// channel. A panic in it stops the system: blocked publishers
-	// return, Flush stops waiting, and Close returns an error naming the
-	// panic.
+	// OnMatch receives every match, each (subscription, message) pair
+	// once. Called concurrently from the worker tasks that found the
+	// matches: a message that reached only one worker has its matches
+	// delivered at once, the others once deduplicated, under the lock of
+	// their dedup share; must be fast or hand off to a channel. A panic
+	// in it stops the system: blocked publishers return, Flush stops
+	// waiting, and Close returns an error naming the panic.
 	OnMatch func(Match)
 	// OnTopK receives every top-k membership change of SubscribeTopK
 	// subscriptions. Called concurrently from worker tasks while internal
@@ -318,8 +321,8 @@ type Options struct {
 // worker's population), and on a connection failure redials the
 // worker's address with backoff and replays the checkpointed population
 // plus the log tail — the stream keeps flowing through
-// the surviving workers meanwhile, and the mergers' dedup window
-// absorbs replay duplicates. The checkpoint state lives in this
+// the surviving workers meanwhile, and the dedup windows absorb replay
+// duplicates. The checkpoint state lives in this
 // process's memory; System.Checkpoint is what writes a population to
 // disk.
 type RecoveryOptions struct {
@@ -722,9 +725,9 @@ func (s *System) Restore(r io.Reader) (int, error) {
 // Flush blocks until every Publish, Subscribe, SubscribeTopK, Unsubscribe
 // and Restore that returned before the call is fully applied end to end:
 // routed by the dispatcher, applied by every worker (in process or on a
-// remote psnode), and every match those operations produced delivered by
-// the mergers — including OnMatch callbacks, which have returned by the
-// time Flush does. Stats().Matches read after Flush is therefore exact
+// remote psnode), and every match those operations produced delivered —
+// including OnMatch callbacks, which have returned by the time Flush
+// does. Stats().Matches read after Flush is therefore exact
 // for the flushed operations, on any machine, at any load. Flush covers
 // only those operations: it returns while other goroutines keep
 // publishing.
