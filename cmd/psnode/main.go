@@ -4,17 +4,16 @@
 // a cluster). Roles speak the internal/wire protocol: length-prefixed
 // binary frames over TCP (docs/WIRE.md).
 //
-// A local 1-dispatcher / 2-worker / 1-merger cluster:
+// A local 1-dispatcher / 2-worker cluster:
 //
 //	psnode -role worker -listen 127.0.0.1:7101 -once &
 //	psnode -role worker -listen 127.0.0.1:7102 -once &
-//	psnode -role merger -listen 127.0.0.1:7103 -once -out cluster.matches &
 //	psnode -role dispatcher -workers 127.0.0.1:7101,127.0.0.1:7102 \
-//	       -mergers 127.0.0.1:7103 -mu 500 -ops 4000 -seed 2017
+//	       -mu 500 -ops 4000 -seed 2017 -out cluster.matches
 //
-// The dispatcher node embeds the coordinator (ingest + dispatcher task),
-// generates the seeded workload, and drives it through the remote
-// workers; their matches flow to the merger node, which deduplicates,
+// The dispatcher node embeds the coordinator (ingest, dispatcher task and
+// mergers), generates the seeded workload, and drives it through the
+// remote workers; their matches come back to it, and it deduplicates,
 // counts, and (with -out) dumps one line per delivery, sorted — the
 // same format the oracle mode writes, so the two runs diff byte for
 // byte, and a pair delivered twice shows as a second line:
@@ -77,9 +76,9 @@ var flagGroups = []struct {
 	names []string
 }{
 	{"All roles", []string{"role", "admin"}},
-	{"Worker and merger nodes", []string{"listen", "once", "out", "fault"}},
+	{"Worker nodes", []string{"listen", "once", "fault"}},
 	{"Dispatcher (embedded coordinator)", []string{
-		"workers", "mergers", "mu", "ops", "seed", "batch",
+		"workers", "out", "mu", "ops", "seed", "batch",
 		"oracle", "adjust",
 		"hotspot", "hotspot-bias", "hotspot-shift-every",
 		"spare", "recover", "join", "retire",
@@ -89,7 +88,7 @@ var flagGroups = []struct {
 
 func groupedUsage() {
 	w := flag.CommandLine.Output()
-	fmt.Fprintln(w, "Usage: psnode -role <worker|merger|dispatcher> [flags]")
+	fmt.Fprintln(w, "Usage: psnode -role <worker|dispatcher> [flags]")
 	for _, g := range flagGroups {
 		fmt.Fprintf(w, "\n%s:\n", g.title)
 		for _, name := range g.names {
@@ -114,16 +113,15 @@ func groupedUsage() {
 // The flags are package-level so TestUsageCoversEveryFlag can check the
 // groups above stay exhaustive as flags are added.
 var (
-	role  = flag.String("role", "", "worker | merger | dispatcher")
+	role  = flag.String("role", "", "worker | dispatcher")
 	admin = flag.String("admin", "", "serve /metrics, /statsz, /healthz and /debug/pprof/ on this address; \":0\" picks a free port, logged at startup")
 
 	listen = flag.String("listen", "127.0.0.1:0", "listen address")
 	once   = flag.Bool("once", false, "exit after the coordinator session ends")
-	out    = flag.String("out", "", "write the delivered match set to this file, sorted (merger, or dispatcher with -oracle/local mergers)")
 	fault  = flag.String("fault", "", "deterministic fault schedule on accepted connections, e.g. \"seed=7,drop=0.002,delay=0.05,delaymax=10ms,dup=0.01,skip=16\"")
 
 	workers  = flag.String("workers", "", "comma-separated worker addresses")
-	mergers  = flag.String("mergers", "", "comma-separated merger addresses")
+	out      = flag.String("out", "", "write the delivered match set to this file, one line per delivery, sorted")
 	mu       = flag.Int("mu", 500, "standing subscriptions to prewarm")
 	ops      = flag.Int("ops", 4000, "stream operations to publish")
 	seed     = flag.Int64("seed", 2017, "workload seed")
@@ -175,8 +173,6 @@ func main() {
 		if err := w.Serve(ctx, ln); err != nil && ctx.Err() == nil {
 			logger.Fatal(err)
 		}
-	case "merger":
-		runMerger(logger, *listen, *once, *out, *admin)
 	case "dispatcher":
 		events, err := parseMemberEvents(*join, *retire)
 		if err != nil {
@@ -184,7 +180,6 @@ func main() {
 		}
 		runDispatcher(logger, dispatcherConfig{
 			workerAddrs: splitAddrs(*workers),
-			mergerAddrs: splitAddrs(*mergers),
 			mu:          *mu,
 			ops:         *ops,
 			seed:        *seed,
@@ -206,7 +201,7 @@ func main() {
 			repartAt:    *repartAt,
 		})
 	default:
-		fmt.Fprintln(os.Stderr, "psnode: -role must be worker, merger or dispatcher")
+		fmt.Fprintln(os.Stderr, "psnode: -role must be worker or dispatcher")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -360,37 +355,8 @@ func (d *matchDump) write(path string) error {
 	return os.WriteFile(path, []byte(sb.String()), 0o644)
 }
 
-func runMerger(logger *log.Logger, listen string, once bool, out, admin string) {
-	var dump *matchDump
-	opts := node.MergerOptions{Log: logger.Printf, Once: once}
-	if out != "" {
-		dump = newMatchDump()
-		opts.OnMatch = dump.add
-	}
-	ln, lerr := net.Listen("tcp", listen)
-	if lerr != nil {
-		logger.Fatal(lerr)
-	}
-	logger.Printf("merger: listening on %s", ln.Addr())
-	m := node.NewMerger(opts)
-	startAdmin(logger, admin, "merger", m.Registry(), nil, nil)
-	err := m.Serve(context.Background(), ln)
-	delivered, dups := m.Counts()
-	logger.Printf("merger: delivered %d matches (%d duplicates suppressed)", delivered, dups)
-	if dump != nil {
-		if werr := dump.write(out); werr != nil {
-			logger.Fatal(werr)
-		}
-		logger.Printf("merger: match set written to %s", out)
-	}
-	if err != nil && err != context.Canceled {
-		logger.Fatal(err)
-	}
-}
-
 type dispatcherConfig struct {
 	workerAddrs []string
-	mergerAddrs []string
 	mu, ops     int
 	seed        int64
 	batch       int
@@ -483,8 +449,8 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		}
 	}
 	if dc.oracle {
-		if len(dc.workerAddrs) > 0 || len(dc.mergerAddrs) > 0 {
-			logger.Fatal("-oracle runs fully in-process; drop -workers/-mergers")
+		if len(dc.workerAddrs) > 0 {
+			logger.Fatal("-oracle runs fully in-process; drop -workers")
 		}
 		if dc.spare > 0 || dc.recover || len(dc.events) > 0 {
 			logger.Fatal("-spare/-recover/-join/-retire need remote workers; drop them with -oracle")
@@ -515,14 +481,7 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		if err := cfg.ConnectRemoteWorkers(dc.workerAddrs, sample, wire.Backoff{}); err != nil {
 			logger.Fatal(err)
 		}
-		// Likewise all mergers remote when merger peers are given;
-		// without any, the dispatcher node merges locally.
-		cfg.Mergers = len(dc.mergerAddrs)
-		if err := cfg.ConnectRemoteMergers(dc.mergerAddrs, sample, wire.Backoff{}); err != nil {
-			logger.Fatal(err)
-		}
-		logger.Printf("dispatcher: %d remote workers, %d remote mergers",
-			len(dc.workerAddrs), len(dc.mergerAddrs))
+		logger.Printf("dispatcher: %d remote workers", len(dc.workerAddrs))
 	}
 	if dc.topk > 0 {
 		// Freeze the logical clock: every op in the cluster run and the
@@ -533,9 +492,6 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 		cfg.Clock = func() time.Time { return frozen }
 	}
 	if dc.out != "" {
-		if !dc.oracle && len(dc.mergerAddrs) > 0 {
-			logger.Fatal("-out on the dispatcher needs local mergers; with remote mergers pass -out to the merger node")
-		}
 		dump = newMatchDump()
 		cfg.OnMatch = dump.add
 	}
@@ -719,16 +675,8 @@ func runDispatcher(logger *log.Logger, dc dispatcherConfig) {
 			adj.Migrations, adj.CellsMoved, adj.QueriesMoved, adj.BytesMoved, adj.Checks, adj.Triggers)
 	}
 
-	delivered := sys.MatchCount()
-	var remoteNote string
-	if rd, rdup, err := sys.RemoteDelivered(); err != nil {
-		logger.Fatal(err)
-	} else if rd+rdup > 0 {
-		delivered += rd
-		remoteNote = fmt.Sprintf(" (%d on remote mergers)", rd)
-	}
-	logger.Printf("dispatcher: %d ops in %v (%.0f tuples/s), %d matches delivered%s",
-		dc.ops, elapsed.Round(time.Millisecond), float64(dc.ops)/elapsed.Seconds(), delivered, remoteNote)
+	logger.Printf("dispatcher: %d ops in %v (%.0f tuples/s), %d matches delivered",
+		dc.ops, elapsed.Round(time.Millisecond), float64(dc.ops)/elapsed.Seconds(), sys.MatchCount())
 
 	if dc.topkOut != "" {
 		if err := os.WriteFile(dc.topkOut, []byte(topkDump(sys, topkIDs)), 0o644); err != nil {

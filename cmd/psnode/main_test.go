@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -138,17 +139,14 @@ func waitNode(t *testing.T, cmd *exec.Cmd) {
 	}
 }
 
-// dumpMatches renders a match set in the -out file format (sorted,
-// deduplicated) so in-memory and on-disk sets compare byte for byte.
+// dumpMatches renders deliveries in the -out file format: one line per
+// delivery, sorted, so a pair delivered twice shows as a second line and
+// in-memory and on-disk sets compare byte for byte.
 func dumpMatches(ms []ps2stream.Match) string {
 	type key struct{ q, o, s uint64 }
-	seen := make(map[key]struct{}, len(ms))
-	for _, m := range ms {
-		seen[key{m.SubscriptionID, m.MessageID, m.Subscriber}] = struct{}{}
-	}
-	keys := make([]key, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	keys := make([]key, len(ms))
+	for i, m := range ms {
+		keys[i] = key{m.SubscriptionID, m.MessageID, m.Subscriber}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].q != keys[j].q {
@@ -164,7 +162,7 @@ func dumpMatches(ms []ps2stream.Match) string {
 }
 
 // runSeededWorkload drives a deterministic pub/sub workload through a
-// System and returns the delivered match set in canonical form.
+// System and returns its deliveries in canonical form.
 func runSeededWorkload(t *testing.T, remote []string) string {
 	t.Helper()
 	var mu sync.Mutex
@@ -284,12 +282,12 @@ func TestPsnodeClusterAdjustHotspotShift(t *testing.T) {
 	}
 }
 
-// TestPsnodeCluster launches a full 1-dispatcher / 2-worker / 1-merger
-// cluster — four OS processes — publishes a seeded workload, and gates
-// on match-set equality against the psnode oracle mode. CI runs this as
-// the loopback-cluster job.
+// TestPsnodeCluster launches a 1-dispatcher / 2-worker cluster — three
+// OS processes — publishes a seeded workload, and gates on the
+// dispatcher's deliveries, one line each, being byte-identical to the
+// psnode oracle mode's. CI runs this as the loopback-cluster job.
 func TestPsnodeCluster(t *testing.T) {
-	w1, w2, mg := freePort(t), freePort(t), freePort(t)
+	w1, w2 := freePort(t), freePort(t)
 	clusterOut := filepath.Join(t.TempDir(), "cluster.matches")
 	oracleOut := filepath.Join(t.TempDir(), "oracle.matches")
 
@@ -297,15 +295,13 @@ func TestPsnodeCluster(t *testing.T) {
 		startNode(t, "-role", "worker", "-listen", w1, "-once"),
 		startNode(t, "-role", "worker", "-listen", w2, "-once"),
 	}
-	merger := startNode(t, "-role", "merger", "-listen", mg, "-once", "-out", clusterOut)
 	dispatcher := startNode(t, "-role", "dispatcher",
-		"-workers", w1+","+w2, "-mergers", mg,
+		"-workers", w1+","+w2, "-out", clusterOut,
 		"-mu", "500", "-ops", "4000", "-seed", "2017")
 	waitNode(t, dispatcher)
 	for _, w := range workers {
 		waitNode(t, w)
 	}
-	waitNode(t, merger)
 
 	oracle := startNode(t, "-role", "dispatcher", "-oracle",
 		"-mu", "500", "-ops", "4000", "-seed", "2017", "-out", oracleOut)
@@ -328,15 +324,15 @@ func TestPsnodeCluster(t *testing.T) {
 }
 
 // TestPsnodeClusterTopKRepartition is the process-level acceptance
-// check for distributed top-k and wire repartition: a 4-process cluster
-// (dispatcher, two workers, a merger) runs a top-k mix alongside the
+// check for distributed top-k and wire repartition: a 3-process cluster
+// (dispatcher, two workers) runs a top-k mix alongside the
 // standing subscriptions, a GlobalRepartition re-places every cell over
 // the wire mid-stream — window entries and board contributions ride the
-// migration frames — and both the delivered match set and the final
-// reconciled top-k sets must be byte-identical to the in-process oracle
-// run, which never repartitions. CI runs this in the cluster job.
+// migration frames — and both the dispatcher's deliveries, one line
+// each, and the final reconciled top-k sets must be byte-identical to the
+// in-process oracle run, which never repartitions. CI runs this in the cluster job.
 func TestPsnodeClusterTopKRepartition(t *testing.T) {
-	w1, w2, mg := freePort(t), freePort(t), freePort(t)
+	w1, w2 := freePort(t), freePort(t)
 	clusterOut := filepath.Join(t.TempDir(), "cluster.matches")
 	clusterTopK := filepath.Join(t.TempDir(), "cluster.topk")
 	oracleOut := filepath.Join(t.TempDir(), "oracle.matches")
@@ -369,15 +365,13 @@ func TestPsnodeClusterTopKRepartition(t *testing.T) {
 		startNode(t, "-role", "worker", "-listen", w1, "-once"),
 		startNode(t, "-role", "worker", "-listen", w2, "-once"),
 	}
-	merger := startNode(t, "-role", "merger", "-listen", mg, "-once", "-out", clusterOut)
 	dispatcher, logs := startNodeLogged(t, append([]string{"-role", "dispatcher",
-		"-workers", w1 + "," + w2, "-mergers", mg,
+		"-workers", w1 + "," + w2, "-out", clusterOut,
 		"-repartition-at", "3000", "-topk-out", clusterTopK}, workloadArgs...)...)
 	waitNode(t, dispatcher)
 	for _, w := range workers {
 		waitNode(t, w)
 	}
-	waitNode(t, merger)
 
 	got, err := os.ReadFile(clusterOut)
 	if err != nil {
@@ -519,6 +513,22 @@ func TestUsageCoversEveryFlag(t *testing.T) {
 	}
 }
 
+// TestMergerRoleExitsWithUsage: psnode runs no merger role — the
+// dispatcher deduplicates and delivers every match itself — so -role
+// merger exits 2 with the usage error.
+func TestMergerRoleExitsWithUsage(t *testing.T) {
+	out, err := exec.Command(psnode(t), "-role", "merger").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("psnode -role merger: %v, want exit status 2\n%s", err, out)
+	}
+	for _, want := range []string{"-role must be worker or dispatcher", "Usage: psnode -role <worker|dispatcher>"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("psnode -role merger did not print %q:\n%s", want, out)
+		}
+	}
+}
+
 // httpGet fetches one admin endpoint with a short timeout.
 func httpGet(addr, path string) (string, error) {
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -551,27 +561,27 @@ func waitHealthy(t *testing.T, addr string) {
 }
 
 // TestPsnodeClusterAdminEndpoints is the observability acceptance check:
-// a 4-process cluster (dispatcher, two workers, a merger) must expose
-// /metrics, /statsz, /healthz and pprof on every node mid-run, and one
-// scrape of the dispatcher must report cluster-wide per-worker op counts
-// fed by the remote nodes. CI's cluster job runs it and fails on any
+// a 3-process cluster (dispatcher, two workers) must expose /metrics,
+// /statsz, /healthz and pprof on every node mid-run, one scrape of the
+// dispatcher must report cluster-wide per-worker op counts fed by the
+// remote nodes, and the dispatcher, which delivers every match, must
+// expose the delivery and duplicate counters. CI's cluster job runs it and fails on any
 // missing series.
 func TestPsnodeClusterAdminEndpoints(t *testing.T) {
-	w1, w2, mg := freePort(t), freePort(t), freePort(t)
-	aw1, aw2, amg, ad := freePort(t), freePort(t), freePort(t), freePort(t)
+	w1, w2 := freePort(t), freePort(t)
+	aw1, aw2, ad := freePort(t), freePort(t), freePort(t)
 
-	// Workers and merger run without -once so their admin endpoints stay
-	// scrapable after the coordinator session ends; cleanup kills them.
+	// Workers run without -once so their admin endpoints stay scrapable
+	// after the coordinator session ends; cleanup kills them.
 	startNode(t, "-role", "worker", "-listen", w1, "-admin", aw1)
 	startNode(t, "-role", "worker", "-listen", w2, "-admin", aw2)
-	startNode(t, "-role", "merger", "-listen", mg, "-admin", amg)
 	// -adjust paces publishing, keeping the dispatcher alive long enough
 	// to scrape it mid-run.
 	dispatcher := startNode(t, "-role", "dispatcher",
-		"-workers", w1+","+w2, "-mergers", mg, "-admin", ad,
+		"-workers", w1+","+w2, "-admin", ad,
 		"-adjust", "-mu", "300", "-ops", "30000", "-seed", "2017")
 
-	admins := map[string]string{"worker": aw1, "worker2": aw2, "merger": amg, "dispatcher": ad}
+	admins := map[string]string{"worker": aw1, "worker2": aw2, "dispatcher": ad}
 	for _, addr := range admins {
 		waitHealthy(t, addr)
 	}
@@ -618,8 +628,7 @@ func TestPsnodeClusterAdminEndpoints(t *testing.T) {
 	wantSeries := map[string][]string{
 		"worker":     {"ps2_ops_processed_total", `ps2_worker_ops_total{kind="object"}`, "ps2_wire_frames_total"},
 		"worker2":    {"ps2_ops_processed_total", "ps2_route_epoch"},
-		"merger":     {"ps2_matches_delivered_total", "ps2_matches_duplicates_total", "ps2_wire_frames_total"},
-		"dispatcher": {"ps2_ops_processed_total", "ps2_stage_seconds_bucket", `ps2_worker_ops_total{kind="object",worker="0"}`, `ps2_worker_ops_total{kind="object",worker="1"}`, "ps2_worker_load_ewma", "ps2_adjust_checks_total", "ps2_migrations_total", "ps2_wire_frames_total"},
+		"dispatcher": {"ps2_ops_processed_total", "ps2_matches_delivered_total", "ps2_matches_duplicates_total", "ps2_stage_seconds_bucket", `ps2_worker_ops_total{kind="object",worker="0"}`, `ps2_worker_ops_total{kind="object",worker="1"}`, "ps2_worker_load_ewma", "ps2_adjust_checks_total", "ps2_migrations_total", "ps2_wire_frames_total"},
 	}
 	for role, series := range wantSeries {
 		body, err := httpGet(admins[role], "/metrics")

@@ -196,9 +196,7 @@ func (s *System) runAdjustment(wo, wl int) {
 	for _, cs := range s.collectShares(wlStats) {
 		wlShares[cs.Cell] = cs
 	}
-	actions := migrate.PlanPhaseI(s.collectShares(woStats), wlShares, s.cellObjTotal, migrate.PhaseIConfig{
-		Costs: s.cfg.Costs,
-	})
+	actions := migrate.PlanPhaseI(s.collectShares(woStats), wlShares, s.cellObjTotal, migrate.PhaseIConfig{})
 	migrated := make(map[int]bool)
 	for _, a := range actions {
 		var keys []string // ActionMergeShares moves the whole share

@@ -77,8 +77,6 @@ type Config struct {
 	// Builder constructs the workload distribution strategy; nil uses
 	// hybrid partitioning.
 	Builder partition.Builder
-	// Costs are the Definition 1 constants.
-	Costs load.Costs
 	// Adjust configures dynamic load adjustment (§V); zero = disabled.
 	Adjust AdjustConfig
 	// OnMatch, when set, receives every match delivered in this process,
@@ -104,8 +102,7 @@ type Config struct {
 	// (query, object) pairs. A merger allocates its window when its first
 	// match arrives, so a merger that receives none holds none. Matches of
 	// an object that was routed to a single in-process worker cannot
-	// repeat: that worker delivers them, and no window sees them unless
-	// their merger is remote.
+	// repeat: that worker delivers them, and no window sees them.
 	DedupWindow int
 	// PerTupleWork simulates the per-received-tuple cost a real cluster
 	// pays (deserialisation + network receive) at each worker. Zero for
@@ -122,12 +119,6 @@ type Config struct {
 	// sliding-window top-k reach it through the same control rounds
 	// (docs/WIRE.md) an in-process slot serves as function calls.
 	RemoteWorkers map[int]*wire.WorkerClient
-	// RemoteMergers places mergers out-of-process. Matches hashed to a
-	// remote merger are sent there by the task that found them, and
-	// deduplicated and delivered on its node;
-	// the local OnMatch hook and Snapshot counters do not see them
-	// (RemoteDelivered fetches the remote counts).
-	RemoteMergers map[int]*wire.MergerClient
 	// SpareWorkers pre-allocates this many extra worker slots beyond
 	// Workers for runtime joins (System.AddWorker): routing bitmasks
 	// and per-slot accounting are fixed-width, so elastic capacity is
@@ -198,9 +189,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Builder == nil {
 		c.Builder = hybrid.Builder{}
-	}
-	if c.Costs == (load.Costs{}) {
-		c.Costs = load.DefaultCosts
 	}
 	if c.DedupWindow <= 0 {
 		c.DedupWindow = 1 << 15
@@ -336,8 +324,7 @@ type System struct {
 	ingestBlocked metrics.Counter
 	// towork holds each worker slot's input channel, spares included
 	// (topology.go), and opBatches recycles the typed batches they carry.
-	// shards holds each merger's dedup window and lock; a remote merger's
-	// entry stays unused.
+	// shards holds each merger's dedup window and lock.
 	towork    []chan msg
 	opBatches batchPool
 	shards    []dedupShard
@@ -515,11 +502,6 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 			return nil, fmt.Errorf("%w: worker %d of %d", ErrRemoteTask, task, cfg.Workers)
 		}
 	}
-	for task := range cfg.RemoteMergers {
-		if task < 0 || task >= cfg.Mergers {
-			return nil, fmt.Errorf("%w: merger %d of %d", ErrRemoteTask, task, cfg.Mergers)
-		}
-	}
 	// The dial-time handshake pinned each node's topology shape and grid
 	// geometry; refuse a Config that has since drifted from it, because
 	// the nodes have already indexed against the handshake's geometry.
@@ -613,7 +595,7 @@ func (s *System) Start(ctx context.Context) error {
 	// The dispatcher parks on the ingest, where the run context cannot
 	// reach it: close the ingest when it is cancelled.
 	context.AfterFunc(runCtx, s.ingest.close)
-	if s.hops != nil || len(s.cfg.RemoteMergers) > 0 {
+	if s.hops != nil {
 		// Remote transports block in socket reads the run context cannot
 		// reach; force-close them on cancellation (a normal Close cancels
 		// only after the run has drained and the hops have already
@@ -786,7 +768,7 @@ func (s *System) windowLoad(start *[]wire.StatsReply, w int, c wire.StatsReply) 
 			c.Objects, c.Inserts, c.Deletes = c.Objects-p.Objects, c.Inserts-p.Inserts, c.Deletes-p.Deletes
 		}
 	}
-	return s.cfg.Costs.Worker(float64(c.Objects), float64(c.Inserts), float64(c.Deletes)), c.Objects + c.Inserts + c.Deletes
+	return load.DefaultCosts.Worker(float64(c.Objects), float64(c.Inserts), float64(c.Deletes)), c.Objects + c.Inserts + c.Deletes
 }
 
 // Bounds returns the monitored region the system was built over.

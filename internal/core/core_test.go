@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -713,8 +712,5 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if cfg.Builder == nil {
 		t.Error("no default builder")
-	}
-	if fmt.Sprint(cfg.Costs) == fmt.Sprint(Config{}.Costs) {
-		t.Error("costs not defaulted")
 	}
 }

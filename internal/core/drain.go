@@ -8,7 +8,7 @@ import (
 // drainMark is a barrier that travels the topology in order with the
 // operations (docs/ARCHITECTURE.md, "One barrier"): the dispatcher sends
 // it to every slot, and done closes once every slot's producer of matches
-// has passed it, with every match before it delivered or sent on.
+// has passed it, with every match before it delivered.
 type drainMark struct {
 	producers atomic.Int32 // slots that have not passed it yet
 	done      chan struct{}
@@ -22,8 +22,8 @@ func (s *System) newMark() *drainMark {
 	return m
 }
 
-// pass records that one slot's producer has delivered, or sent to its
-// remote merger, every match before the marker.
+// pass records that one slot's producer has delivered every match
+// before the marker.
 func (m *drainMark) pass() {
 	if m.producers.Add(-1) == 0 {
 		close(m.done)
@@ -55,10 +55,7 @@ func (s *System) Drain() error {
 	case cancelled(s.lost.done):
 		return s.lost.err
 	case m.passed():
-		// A remote merger answers its Counts round behind every match
-		// batch sent to it before: by then it has delivered them.
-		_, _, err := s.RemoteDelivered()
-		return err
+		return nil
 	case s.closed.Load():
 		return errors.New("core: system closed while draining")
 	}

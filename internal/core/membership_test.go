@@ -15,6 +15,7 @@ import (
 	"ps2stream/internal/faultnet"
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
+	"ps2stream/internal/load"
 	"ps2stream/internal/model"
 	"ps2stream/internal/node"
 	"ps2stream/internal/wire"
@@ -1367,7 +1368,7 @@ func TestWindowLoadsCountAReplacementNodeFromItsStart(t *testing.T) {
 	if cur[0].Objects >= 300 {
 		t.Fatalf("vacuous: the replacement node reports %d objects, not fewer than its predecessor's 300", cur[0].Objects)
 	}
-	want := sys.cfg.Costs.Worker(float64(cur[0].Objects), float64(cur[0].Inserts), float64(cur[0].Deletes))
+	want := load.DefaultCosts.Worker(float64(cur[0].Objects), float64(cur[0].Inserts), float64(cur[0].Deletes))
 	if loads[0] != want || loads[0] <= 0 || ops != cur[0].Objects+cur[0].Inserts+cur[0].Deletes {
 		t.Errorf("window load %v over %d ops with the replacement node's counts %+v, want %v from its start", loads[0], ops, cur[0], want)
 	}

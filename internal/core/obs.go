@@ -89,11 +89,11 @@ func (s *System) initObservability() {
 		s.processed.Value)
 	r.CounterFunc("ps2_ops_discarded_total", "objects discarded by routing (no H2 terms)",
 		s.discarded.Value)
-	r.CounterFunc("ps2_matches_delivered_total", "matches delivered in this process, solo or through a local merger's dedup window",
+	r.CounterFunc("ps2_matches_delivered_total", "matches delivered, solo or through a merger's dedup window",
 		s.matches.Value)
-	r.CounterFunc("ps2_matches_duplicates_total", "duplicate matches suppressed by local mergers' dedup windows",
+	r.CounterFunc("ps2_matches_duplicates_total", "duplicate matches suppressed by the mergers' dedup windows",
 		s.duplicates.Value)
-	r.CounterFunc("ps2_matches_solo_total", "matches delivered without a dedup window (object routed to one in-process worker only, merger in this process)",
+	r.CounterFunc("ps2_matches_solo_total", "matches delivered without a dedup window (object routed to one in-process worker only)",
 		s.soloMatches.Value)
 	r.CounterFunc("ps2_matches_emitted_total", "match envelopes emitted by local workers",
 		s.matchesEmitted.Value)
@@ -228,7 +228,7 @@ func (s *System) initObservability() {
 	}
 
 	s.registerQueueMetrics()
-	if s.hops != nil || len(s.cfg.RemoteMergers) > 0 {
+	if s.hops != nil {
 		wire.RegisterMetrics(r)
 	}
 }

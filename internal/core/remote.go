@@ -1,11 +1,10 @@
 // Remote task placement: the coordinator side of a multi-process
-// deployment. A worker or merger can run out-of-process (a psnode,
-// internal/node); the hop to a worker is a wire.WorkerClient session,
-// which the bolts below forward the slot's stream across, and the hop to
-// a merger a wire.MergerClient connection, to which every producer of
-// matches sends that merger's share itself (System.merge). In-process
-// channels stay the default fast path — only the tasks listed in
-// Config.RemoteWorkers/RemoteMergers leave the process.
+// deployment. A worker can run out-of-process (a psnode, internal/node);
+// the hop to it is a wire.WorkerClient session, which the bolts below
+// forward the slot's stream across, and whose up stream of matches this
+// process deduplicates and delivers like an in-process worker's
+// (System.emitMatches). In-process channels stay the default fast path —
+// only the tasks listed in Config.RemoteWorkers leave the process.
 package core
 
 import (
@@ -19,8 +18,8 @@ import (
 	"ps2stream/internal/wire"
 )
 
-// ErrRemoteTask is returned for RemoteWorkers/RemoteMergers keys
-// outside the topology's task range.
+// ErrRemoteTask is returned for RemoteWorkers keys outside the
+// topology's task range.
 var ErrRemoteTask = errors.New("core: remote task index out of range")
 
 // ErrRemoteConfigMismatch is returned by New when a remote worker's
@@ -30,7 +29,7 @@ var ErrRemoteTask = errors.New("core: remote task index out of range")
 // silently disagree with the geometry the nodes indexed against.
 var ErrRemoteConfigMismatch = errors.New("core: remote worker handshake disagrees with Config")
 
-// ErrNilSample is returned when remote peers are dialled without a
+// ErrNilSample is returned when remote workers are dialled without a
 // workload sample: the handshake distributes the sample's bounds and
 // term statistics, without which gridt/GI2 cell ids cannot agree
 // across processes.
@@ -41,8 +40,7 @@ var ErrNilSample = errors.New("core: remote connection requires a non-nil worklo
 // across the wire. Registration keys need no handshake: they ride each
 // query as the first term of its conjunctions. A nil sample yields a
 // Hello with zero bounds (useless to a peer, but never a panic);
-// ConnectRemoteWorkers/ConnectRemoteMergers refuse it with ErrNilSample
-// before dialling.
+// ConnectRemoteWorkers refuses it with ErrNilSample before dialling.
 func (c *Config) RemoteHello(task int, sample *partition.Sample) wire.Hello {
 	granularity := c.Granularity
 	if granularity <= 0 {
@@ -101,8 +99,7 @@ func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, 
 	// Pin the worker default before sizing against it, so listing one
 	// remote address does not silently shrink an unset Workers from the
 	// default 8 down to 1. Only Workers is touched: the other defaults
-	// stay New's business (an unset Mergers, in particular, must remain
-	// unset so ConnectRemoteMergers can mean "all mergers remote").
+	// stay New's business.
 	if c.Workers <= 0 {
 		c.Workers = defaultWorkers
 	}
@@ -128,43 +125,6 @@ func (c *Config) ConnectRemoteWorkers(addrs []string, sample *partition.Sample, 
 	return nil
 }
 
-// ConnectRemoteMergers dials one merger node per address and installs
-// the connections as mergers 0..len(addrs)-1. An unset Mergers becomes
-// len(addrs) — every merger remote, so the whole match stream is
-// delivered on the merger nodes; set Mergers explicitly for mixed
-// placement (the surplus mergers' hash shares then deliver locally
-// through OnMatch, while remote shares do not).
-func (c *Config) ConnectRemoteMergers(addrs []string, sample *partition.Sample, b wire.Backoff) error {
-	if len(addrs) == 0 {
-		return nil
-	}
-	if sample == nil {
-		return fmt.Errorf("core: connecting mergers: %w", ErrNilSample)
-	}
-	if c.Mergers < len(addrs) {
-		c.Mergers = len(addrs)
-	}
-	if c.RemoteMergers == nil {
-		c.RemoteMergers = make(map[int]*wire.MergerClient, len(addrs))
-	}
-	dialed := make([]int, 0, len(addrs))
-	for i, addr := range addrs {
-		cl, err := wire.DialMerger(addr, c.RemoteHello(i, sample), b)
-		if err != nil {
-			// Close and remove only this call's dials (see
-			// ConnectRemoteWorkers).
-			for _, task := range dialed {
-				c.RemoteMergers[task].Close()
-				delete(c.RemoteMergers, task)
-			}
-			return fmt.Errorf("core: connecting merger %d at %s: %w", i, addr, err)
-		}
-		c.RemoteMergers[i] = cl
-		dialed = append(dialed, i)
-	}
-	return nil
-}
-
 // closeRemoteTransports force-closes every remote hop (idempotent);
 // used to unblock transport reads when the run is cancelled.
 func (s *System) closeRemoteTransports() {
@@ -179,9 +139,6 @@ func (s *System) closeRemoteTransports() {
 		if tr != nil {
 			tr.Close()
 		}
-	}
-	for _, cl := range s.cfg.RemoteMergers {
-		cl.Close()
 	}
 }
 
@@ -322,10 +279,9 @@ func (r *remoteWorkerBolt) Close() error {
 }
 
 // remoteMatchSpout consumes a remote worker's up stream in order: matches
-// are deduplicated and delivered or sent to their remote merger, deltas
-// go to the board, and each marker ack or
-// control reply settles the oldest answer the hop owes — a marker is
-// passed on, a round completes once its deltas are on the board. One
+// are deduplicated and delivered, deltas go to the board, and each marker
+// ack or control reply settles the oldest answer the hop owes — a marker
+// is passed on, a round completes once its deltas are on the board. One
 // spout serves the hop across every transport session:
 // when a session dies its buffered items are drained, and the spout
 // waits for recovery to install the next session (or for a spare slot to
@@ -461,18 +417,4 @@ func (r *remoteMatchSpout) finishSession(gen uint64, err error) bool {
 	r.s.hopFailed(h, gen, err)
 	h.failRounds(gen, fmt.Errorf("core: worker %d: session %d ended (%v): %w", r.task, gen, err, errSlotNotUp))
 	return false
-}
-
-// RemoteDelivered sums the delivered/duplicate counters of every remote
-// merger (one control round trip each). Zeroes with no remote mergers.
-func (s *System) RemoteDelivered() (delivered, duplicates int64, err error) {
-	for task, cl := range s.cfg.RemoteMergers {
-		d, dup, cerr := cl.Counts()
-		if cerr != nil {
-			return delivered, duplicates, fmt.Errorf("core: remote merger %d counts: %w", task, cerr)
-		}
-		delivered += d
-		duplicates += dup
-	}
-	return delivered, duplicates, nil
 }

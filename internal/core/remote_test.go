@@ -88,71 +88,6 @@ func TestRemoteWorkersMatchInProcessOracle(t *testing.T) {
 	}
 }
 
-func TestRemoteMergerDeliversAndCounts(t *testing.T) {
-	sample, ops := smallWorkload(t, workload.Q1, 7, 2000)
-	want := oracleMatches(ops)
-	if len(want) == 0 {
-		t.Fatal("vacuous: oracle produced no matches")
-	}
-	// All workers remote (a local worker's matches would bypass the
-	// remote merger only if routed to a local merger — with every
-	// merger remote both placements work; keep workers local here to
-	// cover the local-worker → remote-merger path).
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ms := newMatchSet()
-	mn := node.NewMerger(node.MergerOptions{OnMatch: ms.add})
-	go mn.Serve(ctx, ln)
-
-	cfg := Config{
-		Workers: 3,
-		Builder: hybrid.Builder{},
-	}
-	if err := cfg.ConnectRemoteMergers([]string{ln.Addr().String(), ln.Addr().String()}, sample, wire.Backoff{Attempts: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Mergers != 2 {
-		t.Fatalf("Mergers = %d, want 2", cfg.Mergers)
-	}
-	sys, err := New(cfg, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	sys.SubmitAll(ops)
-	if err := sys.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	delivered, _, err := sys.RemoteDelivered()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delivered != int64(len(want)) {
-		t.Errorf("remote delivered = %d, want %d", delivered, len(want))
-	}
-	ms.mu.Lock()
-	got := len(ms.seen)
-	exact := true
-	for k := range want {
-		if ms.seen[k] == 0 {
-			exact = false
-		}
-	}
-	ms.mu.Unlock()
-	if !exact || got != len(want) {
-		t.Errorf("remote merger delivered %d matches, want the exact oracle set of %d", got, len(want))
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestConnectRemoteWorkersKeepsWorkerDefault: listing one remote
 // address must not shrink an unset Workers below the default 8 — the
 // remote task joins the default topology, it does not replace it.
@@ -287,9 +222,6 @@ func TestRemoteHelloNilSample(t *testing.T) {
 	}
 	if err := cfg.ConnectRemoteWorkers([]string{"127.0.0.1:1"}, nil, wire.Backoff{Attempts: 1}); !errors.Is(err, ErrNilSample) {
 		t.Errorf("ConnectRemoteWorkers(nil sample): %v, want ErrNilSample", err)
-	}
-	if err := cfg.ConnectRemoteMergers([]string{"127.0.0.1:1"}, nil, wire.Backoff{Attempts: 1}); !errors.Is(err, ErrNilSample) {
-		t.Errorf("ConnectRemoteMergers(nil sample): %v, want ErrNilSample", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/model"
-	"ps2stream/internal/node"
 	"ps2stream/internal/partition"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
@@ -116,74 +114,46 @@ func TestSoloSpaceOnlySkipsTheWindow(t *testing.T) {
 // TestSoloMatchesSkipTheMerger: on an all-Solo stream the workers
 // deliver every match themselves. Each oracle pair is delivered exactly
 // once, Drain returns only once the last (slow) callback has returned,
-// and no match reaches an in-process merger. With merger 0 on a
-// loopback merger node, the Solo matches hashed to it are delivered
-// there and not here.
+// and no match reaches a merger.
 func TestSoloMatchesSkipTheMerger(t *testing.T) {
-	for _, remote := range []bool{false, true} {
-		t.Run(fmt.Sprintf("remoteMerger=%v", remote), func(t *testing.T) {
-			sample, ops := smallWorkload(t, workload.Q1, 65, 6000)
-			local, onNode := newDeliveries(), newDeliveries()
-			var inFlight atomic.Int64
-			cfg := Config{Workers: 4, Mergers: 2, Builder: spaceOnly(), OnMatch: func(m model.Match) {
-				inFlight.Add(1)
-				defer inFlight.Add(-1)
-				time.Sleep(20 * time.Microsecond)
-				local.add(m)
-			}}
-			if remote {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				go node.NewMerger(node.MergerOptions{OnMatch: onNode.add}).Serve(ctx, ln)
-				if err := cfg.ConnectRemoteMergers([]string{ln.Addr().String()}, sample, wire.Backoff{Attempts: 5}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sys, err := New(cfg, sample)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSpaceOnly(t, sys)
-			if err := sys.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Abort()
-			sys.SubmitAll(ops)
-			if err := sys.Drain(); err != nil {
-				t.Fatal(err)
-			}
-			if n := inFlight.Load(); n != 0 {
-				t.Errorf("Drain returned with %d OnMatch callbacks still running", n)
-			}
-			want := oracleMatches(ops)
-			wantHere, wantThere := want, map[[2]uint64]bool{}
-			if remote {
-				wantHere = map[[2]uint64]bool{}
-				for k := range want {
-					if mergerOf(&model.Match{QueryID: k[0], ObjectID: k[1]}, 2) == 0 {
-						wantThere[k] = true
-					} else {
-						wantHere[k] = true
-					}
-				}
-				onNode.checkExactlyOnce(t, wantThere)
-			}
-			local.checkExactlyOnce(t, wantHere)
-			snap := sys.Snapshot()
-			if snap.SoloMatches != int64(len(wantHere)) || snap.Matches != snap.SoloMatches || snap.Duplicates != 0 {
-				t.Errorf("SoloMatches %d, Matches %d, Duplicates %d: want all %d local matches solo, none duplicated",
-					snap.SoloMatches, snap.Matches, snap.Duplicates, len(wantHere))
-			}
-			// A remote merger's share counts as merger input when it is sent.
-			if got := seriesValue(t, sys, "ps2_bolt_processed_total", "bolt", "merger"); got != float64(len(wantThere)) {
-				t.Errorf("ps2_bolt_processed_total{bolt=\"merger\"} = %v, want %d", got, len(wantThere))
-			}
-		})
-	}
+	// Mergers are always in-process; the subtest name says so.
+	t.Run("remoteMerger=false", func(t *testing.T) {
+		sample, ops := smallWorkload(t, workload.Q1, 65, 6000)
+		del := newDeliveries()
+		var inFlight atomic.Int64
+		cfg := Config{Workers: 4, Mergers: 2, Builder: spaceOnly(), OnMatch: func(m model.Match) {
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			time.Sleep(20 * time.Microsecond)
+			del.add(m)
+		}}
+		sys, err := New(cfg, sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSpaceOnly(t, sys)
+		if err := sys.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Abort()
+		sys.SubmitAll(ops)
+		if err := sys.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if n := inFlight.Load(); n != 0 {
+			t.Errorf("Drain returned with %d OnMatch callbacks still running", n)
+		}
+		want := oracleMatches(ops)
+		del.checkExactlyOnce(t, want)
+		snap := sys.Snapshot()
+		if snap.SoloMatches != int64(len(want)) || snap.Matches != snap.SoloMatches || snap.Duplicates != 0 {
+			t.Errorf("SoloMatches %d, Matches %d, Duplicates %d: want all %d matches solo, none duplicated",
+				snap.SoloMatches, snap.Matches, snap.Duplicates, len(want))
+		}
+		if got := seriesValue(t, sys, "ps2_bolt_processed_total", "bolt", "merger"); got != 0 {
+			t.Errorf("ps2_bolt_processed_total{bolt=\"merger\"} = %v, want 0", got)
+		}
+	})
 }
 
 // publishWhile submits ops from its own goroutine and returns, once the

@@ -171,10 +171,10 @@ func mergerOf(m *model.Match, mergers int) int {
 	return int((m.QueryID*0x9E3779B97F4A7C15 ^ m.ObjectID) % uint64(mergers))
 }
 
-// dedupShard is an in-process merger: the dedup window of one hash share
-// of the matches that can repeat (mergerOf), and the lock under which
-// the producer of such a match, whichever task it runs on, deduplicates
-// and delivers it. The window is made by the first match, so a shard
+// dedupShard is a merger: the dedup window of one hash share of the
+// matches that can repeat (mergerOf), and the lock under which the
+// producer of such a match, whichever task it runs on, deduplicates and
+// delivers it. The window is made by the first match, so a shard
 // that never receives one holds none.
 type dedupShard struct {
 	mu  sync.Mutex
@@ -183,21 +183,20 @@ type dedupShard struct {
 
 // emitMatches delivers the matches of one producer (an in-process
 // worker's batch, or a frame read from a remote slot) before it returns,
-// on the producer's task. A Solo match whose merger runs in this process
-// cannot meet a second report of its pair (dispatchBatch), so no window
-// needs to see it. The others go, one merger's share at a time, through
-// merge. A match read from a remote slot is never Solo, and one hashed
-// to a remote merger goes there. ms is reordered.
+// on the producer's task. A Solo match cannot meet a second report of its
+// pair (dispatchBatch), so no window needs to see it. The others go, one
+// merger's share at a time, through merge. A match read from a remote
+// slot is never Solo. ms is reordered.
 func (s *System) emitMatches(ms []wire.MatchEnv) {
-	mergers, remote := len(s.shards), s.cfg.RemoteMergers
 	n := 0
 	for i := range ms {
-		if ms[i].Solo && (len(remote) == 0 || remote[mergerOf(&ms[i].M, mergers)] == nil) {
+		if ms[i].Solo {
 			ms[n], ms[i] = ms[i], ms[n]
 			n++
 		}
 	}
 	s.deliver(ms[:n], true)
+	mergers := len(s.shards)
 	for task, rest := 0, ms[n:]; len(rest) > 0; task++ {
 		k := 0
 		for i := range rest {
@@ -213,23 +212,12 @@ func (s *System) emitMatches(ms []wire.MatchEnv) {
 	}
 }
 
-// merge takes one producer's matches for merger task: it sends them to
-// the task's node when it is remote, in frames of up to BatchSize
-// matches, and otherwise drops, under the shard's lock, the pairs the
-// shard's window has seen and delivers the rest. The lock is released on
-// a panic in OnMatch too, so the producers waiting on it go on to the
-// run's end. The counters move after the deliveries they count.
+// merge takes one producer's matches for merger task: under the shard's
+// lock it drops the pairs the shard's window has seen and delivers the
+// rest. The lock is released on a panic in OnMatch too, so the producers
+// waiting on it go on to the run's end. The counters move after the
+// deliveries they count.
 func (s *System) merge(task int, ms []wire.MatchEnv) {
-	n := int64(len(ms))
-	if cl := s.cfg.RemoteMergers[task]; cl != nil {
-		for part := range slices.Chunk(ms, s.cfg.BatchSize) {
-			if err := cl.SendMatches(wire.MatchBatch{Matches: part}); err != nil {
-				panic(fmt.Sprintf("remote merger %d: %v", task, err))
-			}
-		}
-		s.mergerIn.Add(n)
-		return
-	}
 	stageStart := time.Now() // wall clock; see dispatchBatch
 	sh := &s.shards[task]
 	sh.mu.Lock()
@@ -244,6 +232,7 @@ func (s *System) merge(task int, ms []wire.MatchEnv) {
 		}
 	}
 	s.deliver(fresh, false)
+	n := int64(len(ms))
 	s.mergerIn.Add(n)
 	s.duplicates.Add(n - int64(len(fresh)))
 	s.stageMerge.Observe(time.Since(stageStart))
@@ -294,10 +283,9 @@ func (s *System) deliver(ms []wire.MatchEnv, solo bool) {
 // (round.go).
 //
 // Two WaitGroups order the close cascade: the towork channels close once
-// the dispatcher is done, and once every producer of matches is (the
-// worker slots, and the readers of the remote workers' match streams)
-// the remote merger connections are half-closed and run returns. On
-// cancellation every task stops at its next batch boundary. A task that
+// the dispatcher is done, and run returns once every producer of matches
+// is (the worker slots, and the readers of the remote workers' match
+// streams). On cancellation every task stops at its next batch boundary. A task that
 // panics is recorded as name[task]: value and cancels the run, so the
 // other tasks stop, parked publishers return and Drain fails fast; run
 // then reports every panic.
@@ -359,9 +347,6 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 		close(ch)
 	}
 	producers.Wait()
-	for _, cl := range s.cfg.RemoteMergers {
-		cl.CloseSend()
-	}
 	if len(panics) > 0 {
 		return fmt.Errorf("core: %d task(s) panicked: %v", len(panics), panics)
 	}

@@ -1,16 +1,14 @@
 // Package dedup provides the bounded duplicate-elimination window the
 // merger role uses (§III-B: a query held by several workers produces
-// the same match more than once). One implementation serves both the
-// in-process mergers (internal/core) and the networked merger nodes
-// (internal/node), so the eviction semantics cannot drift apart.
+// the same match more than once). The mergers are internal/core's
+// dedup shards, one window each.
 package dedup
 
 // Window remembers the most recent `capacity` keys in FIFO order: a key
 // is new the first time it is observed and a duplicate while it remains
 // within the window. It never reports a new key as a duplicate or a
 // remembered key as new. Not safe for concurrent use: each merger owns
-// its own window and serialises its users (a lock in process, one
-// connection's reader on a node).
+// its own window and serialises its users with a lock.
 //
 // Layout: the keys sit in a ring in arrival order, and one
 // open-addressed table (linear probing, a power-of-two size at most a

@@ -181,29 +181,34 @@ func (r *Registry) HistogramFunc(name, help string, fn func() *Histogram, labels
 	s.histFn = fn
 }
 
-// sortedFamilies snapshots families and series in deterministic order.
-func (r *Registry) sortedFamilies() []*family {
+// famSnapshot is one family as a scrape reads it: its series copied
+// under Registry.mu, in label-signature order.
+type famSnapshot struct {
+	name, help, kind string
+	series           []series
+}
+
+// sortedFamilies snapshots every family and its series under the lock,
+// in deterministic order (by name, then label signature), so a scrape
+// reads no map or series that a concurrent registration writes.
+func (r *Registry) sortedFamilies() []famSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fams := make([]*family, 0, len(r.fams))
+	fams := make([]famSnapshot, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		sigs := make([]string, 0, len(f.series))
+		for sig := range f.series {
+			sigs = append(sigs, sig)
+		}
+		sort.Strings(sigs)
+		fs := famSnapshot{name: f.name, help: f.help, kind: f.kind, series: make([]series, len(sigs))}
+		for i, sig := range sigs {
+			fs.series[i] = *f.series[sig]
+		}
+		fams = append(fams, fs)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	return fams
-}
-
-func (f *family) sortedSeries() []*series {
-	sigs := make([]string, 0, len(f.series))
-	for sig := range f.series {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	out := make([]*series, 0, len(sigs))
-	for _, sig := range sigs {
-		out = append(out, f.series[sig])
-	}
-	return out
 }
 
 func (s *series) counterValue() int64 {
@@ -262,7 +267,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range f.sortedSeries() {
+		for i := range f.series {
+			s := &f.series[i]
 			var err error
 			switch f.kind {
 			case KindCounter:
@@ -350,7 +356,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 func (r *Registry) Gather() []JSONSeries {
 	var out []JSONSeries
 	for _, f := range r.sortedFamilies() {
-		for _, s := range f.sortedSeries() {
+		for i := range f.series {
+			s := &f.series[i]
 			js := JSONSeries{Name: f.name, Type: f.kind}
 			if len(s.labels) > 0 {
 				js.Labels = make(map[string]string, len(s.labels))

@@ -56,8 +56,6 @@ type PhaseIConfig struct {
 	// P is the number of most-loaded cells of w_o to inspect (the
 	// paper's small parameter p).
 	P int
-	// Costs weight the workload estimates.
-	Costs load.Costs
 }
 
 // PlanPhaseI inspects the p most loaded cells of the overloaded worker w_o
@@ -76,9 +74,6 @@ func PlanPhaseI(wo []CellShare, wl map[int]CellShare, cellObjTotal func(cell int
 	if cfg.P <= 0 {
 		cfg.P = 8
 	}
-	if cfg.Costs == (load.Costs{}) {
-		cfg.Costs = load.DefaultCosts
-	}
 	top := append([]CellShare(nil), wo...)
 	sort.Slice(top, func(i, j int) bool {
 		li, lj := top[i].Load(), top[j].Load()
@@ -93,7 +88,7 @@ func PlanPhaseI(wo []CellShare, wl map[int]CellShare, cellObjTotal func(cell int
 	var actions []Action
 	for _, cs := range top {
 		if !cs.Text {
-			if a, ok := planSplit(cs, cfg.Costs); ok {
+			if a, ok := planSplit(cs); ok {
 				actions = append(actions, a)
 			}
 			continue
@@ -102,7 +97,7 @@ func PlanPhaseI(wo []CellShare, wl map[int]CellShare, cellObjTotal func(cell int
 		if !exists || !other.Text {
 			continue
 		}
-		if a, ok := planMerge(cs, other, cellObjTotal, cfg.Costs); ok {
+		if a, ok := planMerge(cs, other, cellObjTotal); ok {
 			actions = append(actions, a)
 		}
 	}
@@ -111,7 +106,7 @@ func PlanPhaseI(wo []CellShare, wl map[int]CellShare, cellObjTotal func(cell int
 
 // planSplit evaluates text-splitting a space cell in two and migrating the
 // smaller half.
-func planSplit(cs CellShare, costs load.Costs) (Action, bool) {
+func planSplit(cs CellShare) (Action, bool) {
 	if len(cs.Keys) < 2 {
 		return Action{}, false
 	}
@@ -139,6 +134,7 @@ func planSplit(cs CellShare, costs load.Costs) (Action, bool) {
 		return Action{}, false
 	}
 	h1, h2 := hits(g1), hits(g2)
+	costs := load.DefaultCosts
 	// Before: all objects of the cell are matched against all queries on
 	// one worker. After: each half handles only objects hitting its
 	// keys. Object handling cost (c2) is paid per half.
@@ -178,7 +174,8 @@ func hits(ks []KeyStat) int64 {
 
 // planMerge evaluates merging w_o's text share into w_l's share of the
 // same cell.
-func planMerge(a, b CellShare, cellObjTotal func(int) int64, costs load.Costs) (Action, bool) {
+func planMerge(a, b CellShare, cellObjTotal func(int) int64) (Action, bool) {
+	costs := load.DefaultCosts
 	// Before: each worker handles its own object subset and query share.
 	before := costs.C1*(float64(a.ObjSeen)*float64(a.Queries)+float64(b.ObjSeen)*float64(b.Queries)) +
 		costs.C2*float64(a.ObjSeen+b.ObjSeen)

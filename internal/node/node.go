@@ -1,12 +1,12 @@
 // Package node implements the peer side of a multi-process PS2Stream
-// deployment: the serve loops behind cmd/psnode. A worker node owns one
+// deployment: the serve loop behind cmd/psnode. A worker node owns one
 // worker task's query index and matches the operation stream a remote
-// coordinator sends it; a merger node deduplicates and delivers the
-// match stream. Both speak the internal/wire protocol; the coordinator
-// side lives in internal/core (remote task placement) and the
-// stand-alone binary in cmd/psnode.
+// coordinator sends it; its matches go back up the same connection, and
+// the coordinator deduplicates and delivers them. The node speaks the
+// internal/wire protocol; the coordinator side lives in internal/core
+// (remote task placement) and the stand-alone binary in cmd/psnode.
 //
-// The paper's deployment (§VI) runs these roles as Storm tasks on a
+// The paper's deployment (§VI) runs the workers as Storm tasks on a
 // cluster; node is the repro's process-level equivalent. State lives in
 // the node across connections, so a coordinator reconnecting after a
 // network blip finds its standing queries intact.

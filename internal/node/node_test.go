@@ -358,97 +358,6 @@ func TestWorkerRecordsFenceEpoch(t *testing.T) {
 	}
 }
 
-func TestMergerDedupAndCounts(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
-	var got []model.Match
-	m := NewMerger(MergerOptions{OnMatch: func(mm model.Match) {
-		mu.Lock()
-		got = append(got, mm)
-		mu.Unlock()
-	}})
-	go m.Serve(ctx, ln)
-
-	cl, err := wire.DialMerger(ln.Addr().String(), wire.Hello{Task: 0}, wire.Backoff{Attempts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	mk := func(q, o uint64) wire.MatchEnv {
-		return wire.MatchEnv{M: model.Match{QueryID: q, ObjectID: o, Subscriber: q}}
-	}
-	if err := cl.SendMatches(wire.MatchBatch{Matches: []wire.MatchEnv{
-		mk(1, 10), mk(1, 10), mk(2, 10), mk(1, 11),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	delivered, dups, err := cl.Counts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 3 || dups != 1 {
-		t.Errorf("counts = %d delivered, %d dups; want 3, 1", delivered, dups)
-	}
-	mu.Lock()
-	n := len(got)
-	mu.Unlock()
-	if n != 3 {
-		t.Errorf("OnMatch fired %d times, want 3", n)
-	}
-	cl.CloseSend()
-}
-
-// TestMergerSessionCountsAreIndependent: two sessions to one node must
-// report their own shares, so a coordinator summing per-transport counts
-// never double-counts.
-func TestMergerSessionCountsAreIndependent(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	m := NewMerger(MergerOptions{})
-	go m.Serve(ctx, ln)
-
-	cl1, err := wire.DialMerger(ln.Addr().String(), wire.Hello{Task: 0}, wire.Backoff{Attempts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl1.Close()
-	cl2, err := wire.DialMerger(ln.Addr().String(), wire.Hello{Task: 1}, wire.Backoff{Attempts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	cl1.SendMatches(wire.MatchBatch{Matches: []wire.MatchEnv{
-		{M: model.Match{QueryID: 1, ObjectID: 1}}, {M: model.Match{QueryID: 1, ObjectID: 2}},
-	}})
-	cl2.SendMatches(wire.MatchBatch{Matches: []wire.MatchEnv{
-		{M: model.Match{QueryID: 2, ObjectID: 1}},
-	}})
-	d1, _, err := cl1.Counts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, _, err := cl2.Counts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != 2 || d2 != 1 {
-		t.Errorf("session counts = %d, %d; want 2, 1", d1, d2)
-	}
-	total, _ := m.Counts()
-	if total != 3 {
-		t.Errorf("node total = %d, want 3", total)
-	}
-}
-
 // objectAt is one object op published at t.
 func objectAt(id uint64, term string, loc geo.Point, t time.Time) wire.OpEnv {
 	return wire.OpEnv{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{ID: id, Terms: []string{term}, Loc: loc}}, T0: t}

@@ -37,16 +37,3 @@ func (w *Worker) Registry() *metrics.Registry {
 	wire.RegisterMetrics(r)
 	return r
 }
-
-// Registry builds the merger node's metric registry: delivered/duplicate
-// match counters plus the process's wire-level frame/byte counters, all
-// func-backed (zero serve-loop cost).
-func (m *Merger) Registry() *metrics.Registry {
-	r := metrics.NewRegistry()
-	r.CounterFunc("ps2_matches_delivered_total",
-		"Matches delivered by this merger node after deduplication.", m.delivered.Load)
-	r.CounterFunc("ps2_matches_duplicates_total",
-		"Duplicate matches suppressed by this merger node.", m.duplicates.Load)
-	wire.RegisterMetrics(r)
-	return r
-}

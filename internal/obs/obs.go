@@ -24,7 +24,7 @@ type Options struct {
 	// Registry backs /metrics and /statsz; nil serves empty expositions.
 	Registry *metrics.Registry
 	// Role and Task identify this process in /healthz and /statsz
-	// ("dispatcher", "worker", "merger").
+	// ("dispatcher", "worker").
 	Role string
 	Task int
 	// Epoch, when non-nil, reports the process's current routing epoch

@@ -605,7 +605,7 @@ func DecodeBinStatsReq(p []byte) (StatsReq, error) {
 // AppendStatsReply appends the binary encoding of a stats reply to dst.
 func AppendStatsReply(dst []byte, s StatsReply) []byte {
 	dst = binary.AppendUvarint(dst, s.Seq)
-	for _, n := range [...]int64{s.Delivered, s.Duplicates, s.Queries, s.Objects, s.Inserts, s.Deletes} {
+	for _, n := range [...]int64{s.Delivered, s.Queries, s.Objects, s.Inserts, s.Deletes} {
 		dst = binary.AppendUvarint(dst, uint64(n))
 	}
 	return dst
@@ -615,7 +615,7 @@ func AppendStatsReply(dst []byte, s StatsReply) []byte {
 func DecodeBinStatsReply(p []byte) (StatsReply, error) {
 	r := breader{p: p}
 	s := StatsReply{Seq: r.uvarint()}
-	for _, n := range [...]*int64{&s.Delivered, &s.Duplicates, &s.Queries, &s.Objects, &s.Inserts, &s.Deletes} {
+	for _, n := range [...]*int64{&s.Delivered, &s.Queries, &s.Objects, &s.Inserts, &s.Deletes} {
 		*n = int64(r.uvarint())
 	}
 	if !r.done() {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,50 +22,13 @@ var ErrClosed = errors.New("wire: connection closed")
 // fatal.
 var ErrWorkerDown = errors.New("wire: worker down")
 
-// hop is one connection to a peer, the shape worker and merger hops
-// share: frames queue in call order on one writer and one read loop
-// serves the replies, so every reply follows the frames sent before its
-// request.
-type hop struct {
-	conn     *Conn
-	writer   *FrameWriter
-	seq      atomic.Uint64 // numbers the round trips
-	readDone chan struct{}
-	readErr  error // valid after readDone closes
-
-	goodbyeOnce sync.Once
-	goodbyeErr  error
-}
-
-// CloseSend ends the coordinator's half of the stream: pending frames
-// are flushed and the connection says Goodbye. The peer answers in kind
-// once it has flushed its own output (from a worker, that surfaces as
-// io.EOF from RecvMatches).
-func (h *hop) CloseSend() error {
-	h.goodbyeOnce.Do(func() {
-		if err := h.writer.Drain(); err != nil {
-			h.goodbyeErr = err
-			return
-		}
-		h.goodbyeErr = h.conn.Send(Goodbye{})
-	})
-	return h.goodbyeErr
-}
-
-// close tears the connection and its writer down.
-func (h *hop) close() error {
-	err := h.conn.Close()
-	h.writer.Stop()
-	return err
-}
-
 // WorkerClient is the coordinator's half of a dispatcher→worker hop: one
 // ordered stream down (op batches, Drain markers, control requests) and
 // one up (matches, window deltas, marker acks, control replies).
 //
-// The hop is one connection, shaped like a merger hop: op batches and
-// every control frame queue in call order on one FrameWriter (encode
-// here, socket I/O on the writer goroutine), and the node answers in
+// The hop is one connection: op batches and every control frame queue in
+// call order on one FrameWriter (encode here, socket I/O on the writer
+// goroutine), and one read loop serves the node's answers, which come in
 // arrival order. FIFO is therefore the barrier — a control reply follows
 // the matches and deltas of every op batch sent before its request, and
 // the worker observes the same total op order an in-process channel
@@ -76,7 +38,11 @@ func (h *hop) close() error {
 // Safe for one sender goroutine (SendOps, SendDrain, SendControl), one
 // receiver goroutine (RecvMatches) and concurrent Drain round trips.
 type WorkerClient struct {
-	hop
+	conn     *Conn
+	writer   *FrameWriter
+	readDone chan struct{}
+	readErr  error // valid after readDone closes
+
 	// addr is the address this client dialled — recovery keeps it to
 	// redial the same node after a crash (see Addr()).
 	addr string
@@ -87,9 +53,10 @@ type WorkerClient struct {
 	// RecvMatches; bounded so a slow consumer backpressures the wire.
 	matches chan MatchBatch
 	// acks parks the DrainAcks of Drain round trips, serialised by
-	// drainMu.
-	acks    chan DrainAck
-	drainMu sync.Mutex
+	// drainMu; drainSeq numbers them.
+	acks     chan DrainAck
+	drainMu  sync.Mutex
+	drainSeq uint64
 
 	// sendMu serialises SendOps' batch numbering (sends are normally
 	// single-goroutine; the lock makes replay hand-offs safe too).
@@ -102,6 +69,10 @@ type WorkerClient struct {
 	// gone (Close called mid-stream, e.g. a cancelled run).
 	closed    chan struct{}
 	closeOnce sync.Once
+
+	// goodbyeOnce makes CloseSend idempotent; goodbyeErr is its outcome.
+	goodbyeOnce sync.Once
+	goodbyeErr  error
 }
 
 // DialWorker connects to a worker node with backoff and performs the
@@ -110,7 +81,7 @@ type WorkerClient struct {
 // to four heartbeat intervals, so a silently dead peer surfaces as
 // ErrWorkerDown within that window.
 func DialWorker(addr string, hello Hello, b Backoff) (*WorkerClient, error) {
-	conn, err := handshake(addr, hello, b, RoleWorker)
+	conn, err := handshake(addr, hello, b)
 	if err != nil {
 		return nil, err
 	}
@@ -123,12 +94,14 @@ func DialWorker(addr string, hello Hello, b Backoff) (*WorkerClient, error) {
 	// non-blocking send would drop the *genuine* ack behind it.
 	// awaitReply skips stale seqs, so extra buffered acks are benign.
 	w := &WorkerClient{
-		hop:     hop{conn: conn, writer: NewFrameWriter(conn, 0), readDone: make(chan struct{})},
-		addr:    addr,
-		hello:   hello,
-		matches: make(chan MatchBatch, 128),
-		acks:    make(chan DrainAck, 4),
-		closed:  make(chan struct{}),
+		conn:     conn,
+		writer:   NewFrameWriter(conn, 0),
+		readDone: make(chan struct{}),
+		addr:     addr,
+		hello:    hello,
+		matches:  make(chan MatchBatch, 128),
+		acks:     make(chan DrainAck, 4),
+		closed:   make(chan struct{}),
 	}
 	go w.readLoop()
 	return w, nil
@@ -145,7 +118,7 @@ func (w *WorkerClient) Hello() Hello { return w.hello }
 func (w *WorkerClient) Addr() string { return w.addr }
 
 // handshake dials addr and performs the Hello/Welcome round, expecting
-// the peer to identify as wantRole. Transport failures during the round
+// the peer to identify as a worker. Transport failures during the round
 // retry under the same backoff budget as the connect itself: a crashed
 // peer's port can accept a connect and reset the first write (or close
 // before the welcome) while its replacement process is still binding,
@@ -153,7 +126,7 @@ func (w *WorkerClient) Addr() string { return w.addr }
 // Protocol refusals — a Goodbye or any other frame in the Welcome's
 // place, wrong magic/version, wrong role — stay fatal; retrying a peer
 // that answered wrongly cannot help.
-func handshake(addr string, hello Hello, b Backoff, wantRole string) (*Conn, error) {
+func handshake(addr string, hello Hello, b Backoff) (*Conn, error) {
 	if hello.Role == "" {
 		hello.Role = RoleCoordinator
 	}
@@ -182,7 +155,7 @@ func handshake(addr string, hello Hello, b Backoff, wantRole string) (*Conn, err
 			}
 			continue
 		}
-		fatal, err := helloRound(conn, addr, hello, wantRole)
+		fatal, err := helloRound(conn, addr, hello)
 		if err == nil {
 			return conn, nil
 		}
@@ -202,7 +175,7 @@ func handshake(addr string, hello Hello, b Backoff, wantRole string) (*Conn, err
 // connection. fatal=false marks transport failures the dial loop should
 // retry; fatal=true marks protocol refusals. The connection is the
 // caller's to close on error.
-func helloRound(conn *Conn, addr string, hello Hello, wantRole string) (fatal bool, err error) {
+func helloRound(conn *Conn, addr string, hello Hello) (fatal bool, err error) {
 	if err := conn.Send(hello); err != nil {
 		return false, fmt.Errorf("wire: sending hello to %s: %w", addr, err)
 	}
@@ -217,8 +190,8 @@ func helloRound(conn *Conn, addr string, hello Hello, wantRole string) (fatal bo
 	if err != nil {
 		return true, err
 	}
-	if wel.Role != wantRole {
-		return true, fmt.Errorf("wire: %s identifies as %q, want %q", addr, wel.Role, wantRole)
+	if wel.Role != RoleWorker {
+		return true, fmt.Errorf("wire: %s identifies as %q, want %q", addr, wel.Role, RoleWorker)
 	}
 	return false, nil
 }
@@ -295,20 +268,6 @@ func (w *WorkerClient) readLoop() {
 	}
 }
 
-// parkReply decodes a control round's reply and parks it for the waiting
-// round; a reply nobody has room for is unsolicited and dropped.
-func parkReply[T any](ch chan<- T, decode func([]byte) (T, error), payload []byte) error {
-	v, err := decode(payload)
-	if err != nil {
-		return err
-	}
-	select {
-	case ch <- v:
-	default:
-	}
-	return nil
-}
-
 // deliver queues mb for RecvMatches.
 func (w *WorkerClient) deliver(mb MatchBatch) error {
 	select {
@@ -366,8 +325,14 @@ func (w *WorkerClient) RecvMatches() (MatchBatch, error) {
 // rounds in the stream instead; this round trip serves a bare client
 // (the benchmark's node probe).
 func (w *WorkerClient) Drain() (DrainAck, error) {
-	return roundTrip(&w.hop, &w.drainMu, w.acks, func(r DrainAck) uint64 { return r.Seq },
-		func(seq uint64) Frame { return Drain{Seq: seq} })
+	w.drainMu.Lock()
+	defer w.drainMu.Unlock()
+	w.drainStale()
+	w.drainSeq++
+	if err := w.writer.SendFrame(Drain{Seq: w.drainSeq}); err != nil {
+		return DrainAck{}, err
+	}
+	return w.awaitReply(w.drainSeq)
 }
 
 // SendDrain queues a Drain frame behind every op batch sent before it and
@@ -385,58 +350,57 @@ func (w *WorkerClient) SendControl(f Frame) error {
 	return w.writer.SendFrame(f)
 }
 
-// drainStale empties a capacity-1 reply channel of any reply left over
-// from an abandoned (timed-out) round. Without this, a late stale reply
-// parked in the channel would make the read loop's non-blocking send
-// drop the *next* round's reply — turning one timeout into a cascade of
-// timeouts on a healthy connection. Callers hold the round mutex.
-func drainStale[T any](ch <-chan T) {
+// drainStale empties the ack channel of any ack left over from an
+// abandoned (timed-out) round. Without this, a late stale ack parked in
+// the channel could make the read loop's non-blocking send drop the
+// *next* round's ack — turning one timeout into a cascade of timeouts on
+// a healthy connection. The caller holds drainMu.
+func (w *WorkerClient) drainStale() {
 	for {
 		select {
-		case <-ch:
+		case <-w.acks:
 		default:
 			return
 		}
 	}
 }
 
-// roundTrip runs one round trip under mu: it queues req(seq) behind
-// every frame sent before it and waits for the reply with that seq on
-// ch.
-func roundTrip[T any](h *hop, mu *sync.Mutex, ch chan T, seqOf func(T) uint64, req func(seq uint64) Frame) (T, error) {
-	mu.Lock()
-	defer mu.Unlock()
-	drainStale(ch)
-	seq := h.seq.Add(1)
-	if err := h.writer.SendFrame(req(seq)); err != nil {
-		var zero T
-		return zero, err
-	}
-	return awaitReply(h, ch, seqOf, seq)
-}
-
-// awaitReply waits for the seq-matched reply on ch, failing on read-loop
-// termination or the control timeout. Stale replies from abandoned
-// rounds are skipped.
-func awaitReply[T any](h *hop, ch <-chan T, seqOf func(T) uint64, seq uint64) (T, error) {
-	var zero T
+// awaitReply waits for the ack with seq, failing on read-loop
+// termination or the control timeout. Stale acks from abandoned rounds
+// are skipped.
+func (w *WorkerClient) awaitReply(seq uint64) (DrainAck, error) {
 	timer := time.NewTimer(DefaultControlTimeout)
 	defer timer.Stop()
 	for {
 		select {
-		case r := <-ch:
-			if seqOf(r) == seq {
+		case r := <-w.acks:
+			if r.Seq == seq {
 				return r, nil
 			}
-		case <-h.readDone:
-			if h.readErr != nil {
-				return zero, h.readErr
+		case <-w.readDone:
+			if w.readErr != nil {
+				return DrainAck{}, w.readErr
 			}
-			return zero, ErrClosed
+			return DrainAck{}, ErrClosed
 		case <-timer.C:
-			return zero, fmt.Errorf("wire: control round timed out after %v", DefaultControlTimeout)
+			return DrainAck{}, fmt.Errorf("wire: control round timed out after %v", DefaultControlTimeout)
 		}
 	}
+}
+
+// CloseSend ends the coordinator's half of the stream: pending frames
+// are flushed and the connection says Goodbye. The node answers in kind
+// once it has flushed its own output, which surfaces as io.EOF from
+// RecvMatches.
+func (w *WorkerClient) CloseSend() error {
+	w.goodbyeOnce.Do(func() {
+		if err := w.writer.Drain(); err != nil {
+			w.goodbyeErr = err
+			return
+		}
+		w.goodbyeErr = w.conn.Send(Goodbye{})
+	})
+	return w.goodbyeErr
 }
 
 // Close tears the session down, unblocking every pending call —
@@ -444,82 +408,7 @@ func awaitReply[T any](h *hop, ch <-chan T, seqOf func(T) uint64, seq uint64) (T
 // consumer.
 func (w *WorkerClient) Close() error {
 	w.closeOnce.Do(func() { close(w.closed) })
-	return w.close()
+	err := w.conn.Close()
+	w.writer.Stop()
+	return err
 }
-
-// MergerClient is the coordinator's half of a hop to a remote merger
-// node: it forwards match batches and polls delivery counters. Match
-// batches are pre-encoded and pipelined through the hop's writer, and
-// the stats requests queue behind them, so per-connection FIFO — which
-// the counter semantics rely on — is preserved.
-type MergerClient struct {
-	hop
-	replies chan StatsReply
-	statsMu sync.Mutex
-}
-
-// DialMerger connects to a merger node with backoff and performs the
-// handshake.
-func DialMerger(addr string, hello Hello, b Backoff) (*MergerClient, error) {
-	conn, err := handshake(addr, hello, b, RoleMerger)
-	if err != nil {
-		return nil, err
-	}
-	m := &MergerClient{
-		hop:     hop{conn: conn, writer: NewFrameWriter(conn, 0), readDone: make(chan struct{})},
-		replies: make(chan StatsReply, 4),
-	}
-	go m.readLoop()
-	return m, nil
-}
-
-func (m *MergerClient) readLoop() {
-	defer close(m.readDone)
-	for {
-		typ, payload, err := m.conn.Recv()
-		if err != nil {
-			if err != io.EOF {
-				m.readErr = err
-			}
-			return
-		}
-		switch typ {
-		case TypeStatsReply:
-			if err := parkReply(m.replies, DecodeBinStatsReply, payload); err != nil {
-				m.readErr = err
-				return
-			}
-		case TypeGoodbye:
-			return
-		}
-	}
-}
-
-// SendMatches queues one match batch on the writer — encoded here (so
-// the caller may reuse b.Matches once it returns), written and flushed
-// by the writer goroutine.
-func (m *MergerClient) SendMatches(b MatchBatch) error {
-	buf := GetBuf()
-	buf.B = AppendMatchBatch(buf.B, b.Matches)
-	return m.writer.Send(TypeMatchBatch, buf)
-}
-
-// Counts polls the merger's cumulative delivered/duplicate counters.
-// The request queues behind every pending match batch on the writer, so
-// the reply covers every batch sent before the call.
-func (m *MergerClient) Counts() (delivered, duplicates int64, err error) {
-	sr, err := roundTrip(&m.hop, &m.statsMu, m.replies, func(r StatsReply) uint64 { return r.Seq },
-		func(seq uint64) Frame { return StatsReq{Seq: seq} })
-	return sr.Delivered, sr.Duplicates, err
-}
-
-// Close tears the connection down.
-func (m *MergerClient) Close() error { return m.close() }
-
-// Done reports a channel closed when the client's read loop ends (the
-// peer closed or failed); Err returns the failure, nil on clean EOF.
-func (m *MergerClient) Done() <-chan struct{} { return m.readDone }
-
-// Err reports the read loop's terminal error (nil until Done, and nil
-// after a clean EOF).
-func (m *MergerClient) Err() error { return m.readErr }

@@ -21,14 +21,14 @@ const Magic = "PS2WIRE"
 // attached data connections; version 3 carried counts in DrainAck;
 // version 4 carried a window ring in each CellPayload; version 5 had a
 // refill bit in each op's presence byte; version 6 carried the sample's
-// term counts in the Hello.
-const Version = 7
+// term counts in the Hello; version 7 carried a merger's duplicate count
+// in StatsReply.
+const Version = 8
 
 // Roles named in the handshake.
 const (
 	RoleCoordinator = "coordinator"
 	RoleWorker      = "worker"
-	RoleMerger      = "merger"
 )
 
 // Hello is the coordinator's opening message to a peer. Beyond
@@ -71,7 +71,7 @@ type Hello struct {
 
 // Welcome is the peer's handshake reply.
 type Welcome struct {
-	// Role the replying peer is playing (RoleWorker or RoleMerger).
+	// Role the replying peer is playing (RoleWorker).
 	Role string
 	// Task echoes the task index the peer accepted.
 	Task int
@@ -107,8 +107,7 @@ type OpBatch struct {
 
 // MatchEnv is one match result in flight with the originating
 // operation's submit timestamp. Matches move as []MatchEnv batches: a
-// worker's output, a frame from a remote worker, or one to a remote
-// merger.
+// worker's output, or a frame from a remote worker.
 type MatchEnv struct {
 	M  model.Match
 	T0 time.Time
@@ -160,11 +159,9 @@ type StatsReq struct {
 // StatsReply answers a StatsReq.
 type StatsReply struct {
 	Seq uint64
-	// Delivered counts deduplicated matches delivered (mergers) or
-	// emitted (workers); Duplicates counts suppressed duplicates.
-	Delivered  int64
-	Duplicates int64
-	// Queries is the peer's live query count (workers).
+	// Delivered counts the matches the worker emitted.
+	Delivered int64
+	// Queries is the worker's live query count.
 	Queries int64
 	// Objects/Inserts/Deletes are the worker's cumulative processed
 	// operation counts by kind. The coordinator's adjustment controller

@@ -32,9 +32,9 @@ func acceptFakeWorker(ln net.Listener) (*Conn, error) {
 	return c, nil
 }
 
-// TestDialWorkerOpensOneConnection: a worker hop is one connection, like
-// a merger hop. The client dials once, whatever stream count a caller
-// still asks for, and its ops, control rounds and Goodbye all ride it.
+// TestDialWorkerOpensOneConnection: a worker hop is one connection. The
+// client dials once, whatever stream count a caller still asks for, and
+// its ops, control rounds and Goodbye all ride it.
 func TestDialWorkerOpensOneConnection(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -130,7 +130,7 @@ func TestDialWorkerRetriesHandshakeTransportFailure(t *testing.T) {
 }
 
 // TestDialWorkerProtocolRefusalIsFatal: a peer that completes the round
-// but answers wrongly (here: a merger's role) must fail immediately —
+// but answers wrongly (here: a coordinator's role) must fail immediately —
 // retrying a peer that answered wrongly cannot help, and a recovery
 // loop burning its whole redial budget on it would mask the real error.
 func TestDialWorkerProtocolRefusalIsFatal(t *testing.T) {
@@ -151,14 +151,14 @@ func TestDialWorkerProtocolRefusalIsFatal(t *testing.T) {
 			if _, _, err := conn.Recv(); err != nil {
 				continue
 			}
-			conn.Send(Welcome{Role: RoleMerger, Task: 0})
+			conn.Send(Welcome{Role: RoleCoordinator, Task: 0})
 		}
 	}()
 	_, err = DialWorker(ln.Addr().String(), Hello{}, Backoff{
 		Attempts: 5, Base: 5 * time.Millisecond,
 	})
 	if err == nil {
-		t.Fatal("handshake with a merger succeeded as a worker dial")
+		t.Fatal("handshake with a coordinator succeeded as a worker dial")
 	}
 	if !strings.Contains(err.Error(), "identifies as") {
 		t.Errorf("error %q does not name the role mismatch", err)

@@ -1,11 +1,11 @@
 // Package wire is the network transport of a multi-process PS2Stream
 // deployment: length-prefixed framing for the operation batches,
-// match batches and control messages that cross dispatcher→worker and
-// worker→merger hops when topology tasks run as separate OS processes
-// (cmd/psnode). The paper deploys on an Apache Storm cluster whose
-// tuples cross real machine boundaries (§VI); this package is the
-// repro's equivalent of Storm's transport layer, with in-process
-// channels remaining the fast path for single-process runs.
+// match batches and control messages that cross the dispatcher→worker
+// hop when worker tasks run as separate OS processes (cmd/psnode). The
+// paper deploys on an Apache Storm cluster whose tuples cross real
+// machine boundaries (§VI); this package is the repro's equivalent of
+// Storm's transport layer, with in-process channels remaining the fast
+// path for single-process runs.
 //
 // # Frame format
 //
@@ -45,8 +45,7 @@ const (
 	// TypeOpBatch carries one transfer batch of stream operations
 	// (coordinator → worker).
 	TypeOpBatch byte = 3
-	// TypeMatchBatch carries one batch of matches (worker → coordinator,
-	// or coordinator → merger).
+	// TypeMatchBatch carries one batch of matches (worker → coordinator).
 	TypeMatchBatch byte = 4
 	// TypeDrain asks a worker to acknowledge once every frame received
 	// before it has been fully processed (the Drain marker's hop).
@@ -54,7 +53,7 @@ const (
 	// TypeDrainAck answers a Drain, behind the matches of every op batch
 	// before it.
 	TypeDrainAck byte = 6
-	// TypeStatsReq asks the peer for its delivery counters.
+	// TypeStatsReq asks a worker for its counters.
 	TypeStatsReq byte = 7
 	// TypeStatsReply answers a StatsReq.
 	TypeStatsReply byte = 8

@@ -140,7 +140,7 @@ func frameCases() []frameCase {
 		frameOf("drain-ack", DrainAck{Seq: 9, Emitted: 678}, DecodeBinDrainAck),
 		frameOf("stats-req", StatsReq{Seq: 2}, DecodeBinStatsReq),
 		frameOf("stats-req/zero", StatsReq{}, DecodeBinStatsReq),
-		frameOf("stats-reply", StatsReply{Seq: 2, Delivered: 1, Duplicates: 2, Queries: 3, Objects: 4, Inserts: 5, Deletes: 6},
+		frameOf("stats-reply", StatsReply{Seq: 2, Delivered: 1, Queries: 3, Objects: 4, Inserts: 5, Deletes: 6},
 			DecodeBinStatsReply),
 		frameOf("stats-reply/zero", StatsReply{}, DecodeBinStatsReply),
 		frameOf("fence", Fence{Epoch: 3}, DecodeBinFence),

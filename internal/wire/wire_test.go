@@ -206,7 +206,7 @@ func TestHandshakeRejectsWrongRole(t *testing.T) {
 		if _, _, err := c.RecvTimeout(time.Second); err != nil {
 			return
 		}
-		c.Send(Welcome{Role: RoleMerger})
+		c.Send(Welcome{Role: RoleCoordinator})
 	}()
 	_, err = DialWorker(ln.Addr().String(), Hello{}, Backoff{Attempts: 1})
 	if err == nil || !strings.Contains(err.Error(), "identifies as") {

@@ -5,15 +5,19 @@
 // carrying text and a location; the system routes each object to every
 // matching subscription in real time.
 //
-// Internally the workload is spread over dispatcher, worker, and merger
-// tasks (goroutines standing in for the paper's Storm cluster). One
+// Internally the workload is spread over one dispatcher task and worker
+// tasks (goroutines standing in for the paper's Storm cluster). The
 // dispatcher routes every operation in the order Publish, Subscribe and
 // Unsubscribe were called, and every worker applies them in that order.
-// Messages move between tasks in batches of up to Options.BatchSize so the
+// The paper's mergers are not tasks: a worker that finds a match which
+// another worker may also report removes the duplicate under a lock, in
+// a hash share's dedup window, and delivers the match itself. Messages
+// move between tasks in batches of up to Options.BatchSize so the
 // publish hot path amortises per-message transfer costs (see
 // docs/ARCHITECTURE.md). The distribution strategy is pluggable: the
-// paper's hybrid kdt-tree/gridt partitioning (default), three
-// text-partitioning baselines and three space-partitioning baselines.
+// paper's hybrid kdt-tree/gridt partitioning (default), or the two
+// baselines it is compared against, metric text partitioning and
+// kd-tree space partitioning.
 // An adaptive load adjustment controller (Options.Adjust, AdjustNow)
 // rebalances workers under live traffic by migrating gridt cells when the
 // per-worker load imbalance exceeds a threshold.
@@ -72,6 +76,7 @@ import (
 	"ps2stream/internal/core"
 	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
+	"ps2stream/internal/load"
 	"ps2stream/internal/model"
 	"ps2stream/internal/obs"
 	"ps2stream/internal/partition"
@@ -428,7 +433,7 @@ func Open(opts Options) (*System, error) {
 		}
 		qrys = append(qrys, q)
 	}
-	sample := partition.NewSample(objs, qrys, bounds, core.Config{}.Costs)
+	sample := partition.NewSample(objs, qrys, bounds, load.DefaultCosts)
 	var onMatch func(model.Match)
 	if opts.OnMatch != nil {
 		user := opts.OnMatch
@@ -642,7 +647,7 @@ func (s *System) Repartition(recentMessages []Message, recentSubscriptions []Sub
 		}
 		qrys = append(qrys, q)
 	}
-	sample := partition.NewSample(objs, qrys, s.inner.Bounds(), core.Config{}.Costs)
+	sample := partition.NewSample(objs, qrys, s.inner.Bounds(), load.DefaultCosts)
 	return s.inner.GlobalRepartition(sample, nil)
 }
 
