@@ -6,7 +6,6 @@ import (
 
 	"ps2stream/internal/load"
 	"ps2stream/internal/migrate"
-	"ps2stream/internal/model"
 	"ps2stream/internal/wire"
 )
 
@@ -361,8 +360,10 @@ func (s *System) announceFence() {
 // extraction, and every later one routes under the new table and waits
 // behind the holds, so wl matches it against the installed share. Each
 // top-k subscription's window entries located in the cell travel with it.
-// ok is false when nothing moved: a slot was not up at the cut, which then
-// leaves routing as it was, or a round failed after it.
+// The share is installed one round per page (wire.Pages), and nbytes is
+// the sum of the pages' lengths. ok is false when nothing moved: a slot
+// was not up at the cut, which then leaves routing as it was, or a round
+// failed after it.
 func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesMoved int, nbytes int64, ok bool) {
 	holds := s.cut([]int{wo, wl}, func([]*hold) {
 		if ok = s.slotUp(wo) && s.slotUp(wl); ok {
@@ -386,7 +387,7 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 	// extracting again is safe.
 	var share wire.CellShare
 	err := s.untilUp(wo, func() (err error) {
-		share, err = replyAs[wire.CellShare](s, s.through(src, newRound(wo, extract, true)))
+		share, err = s.share(s.through(src, newRound(wo, extract, true)))
 		return err
 	})
 	if err != nil {
@@ -398,35 +399,35 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 	// Both slots are held, so each logged frame and the source's deltas
 	// below land at the cut's position in their streams.
 	s.logFrame(wo, extract)
-	var qs []*model.Query
-	var subs []wire.SubEntries
-	if len(share.Cells) > 0 {
-		qs, subs = share.Cells[0].Queries, share.Cells[0].Subs
+	for _, p := range share.Cells {
+		queriesMoved += len(p.Queries)
 	}
-	if len(qs) > 0 {
-		// On the paper's cluster the receiving worker is busy ingesting
-		// the migrated queries instead of processing tuples, which is
-		// exactly what delays tuples in Figures 12(c)/15.
-		install := wire.InstallCells{Cells: []wire.CellPayload{{Cell: cell, Queries: qs, Subs: subs}}}
-		// Recovery rebuilds the destination from its op log, where the
-		// adoption is not logged yet, so installing again is safe.
-		err = s.untilUp(wl, func() (err error) {
-			nbytes, err = s.installCells(dst, install)
-			return err
-		})
-		if err != nil {
-			// The share is lost with a destination that is failing the
-			// run; it is logged there regardless, for a replay to rebuild.
-			s.log.Warn("adjust install failed", "cell", cell, "from", wo, "to", wl, "err", err)
+	// On the paper's cluster the receiving worker is busy ingesting the
+	// migrated queries instead of processing tuples, which is exactly what
+	// delays tuples in Figures 12(c)/15. A page is logged after its round,
+	// so a recovery that cuts the round short rebuilds the slot without it
+	// and the retry is safe. After a failed page every page is still logged,
+	// for a replay to rebuild the share on a destination failing the run.
+	for _, page := range wire.Pages(share.Cells, wire.PageBudget) {
+		if err == nil {
+			var n int64
+			err = s.untilUp(wl, func() (err error) {
+				n, err = s.installCells(dst, page)
+				return err
+			})
+			nbytes += n
 		}
-		s.logFrame(wl, install)
+		s.logFrame(wl, page)
+	}
+	if err != nil {
+		s.log.Warn("adjust install failed", "cell", cell, "from", wo, "to", wl, "err", err)
 	}
 	// The source's retractions are applied after the destination's
 	// adoptions, so a hand-off that keeps top-k membership shows
 	// subscribers no change.
 	s.board.ApplyFrom(wo, share.Epoch, share.Deltas)
 	s.log.Debug("adjust hand-off finished", "cell", cell, "from", wo, "to", wl)
-	return len(qs), nbytes, err == nil
+	return queriesMoved, nbytes, err == nil
 }
 
 // migrateShare moves worker wo's entire share of a cell to wl.

@@ -807,16 +807,16 @@ func populationReq(subs bool) wire.ExtractCells {
 // slotPopulation is the population round of slot w.
 func slotPopulation(w int, subs bool) *ctrlRound { return newRound(w, populationReq(subs), true) }
 
-// population returns the answer of a sent population round.
+// population returns the answer of a sent population round as one
+// whole-query payload, however many pages it came in.
 func (s *System) population(c *ctrlRound) (wire.CellPayload, error) {
-	cs, err := replyAs[wire.CellShare](s, c)
-	if err != nil {
-		return wire.CellPayload{}, err
+	cs, err := s.share(c)
+	p := wire.CellPayload{Cell: wire.WholeQueries}
+	for _, cp := range cs.Cells {
+		p.Queries = append(p.Queries, cp.Queries...)
+		p.Subs = append(p.Subs, cp.Subs...)
 	}
-	if len(cs.Cells) != 1 {
-		return wire.CellPayload{}, fmt.Errorf("core: worker %d answered a population round with %d shares", c.slot, len(cs.Cells))
-	}
-	return cs.Cells[0], nil
+	return p, err
 }
 
 // LiveQueries returns a point-in-time copy of the live query population

@@ -314,9 +314,10 @@ func (s *System) relocate(d *dualAssignment, holds []*hold) int {
 	}
 	// Every install before any delete, so a subscription hopping between
 	// two workers is never without a holder and a relocation whose top-k
-	// membership survives shows subscribers no change. Each round is
-	// logged regardless of its outcome: the new routes are about to go
-	// live, so replay must rebuild the slot as routed.
+	// membership survives shows subscribers no change. A slot's installs
+	// are one round per page (wire.Pages). Each round is logged regardless
+	// of its outcome: the new routes are about to go live, so replay must
+	// rebuild the slot as routed.
 	round := func(v *repartSlot, req wire.InstallCells, what string) {
 		if _, err := s.installCells(v.h, req); err != nil {
 			s.log.Warn("global repartition: "+what+" round failed", "worker", v.h.slot, "err", err)
@@ -324,8 +325,8 @@ func (s *System) relocate(d *dualAssignment, holds []*hold) int {
 		s.logFrame(v.h.slot, req)
 	}
 	for _, v := range slots {
-		if len(v.cells) > 0 {
-			round(v, wire.InstallCells{Cells: v.cells}, "install")
+		for _, page := range wire.Pages(v.cells, wire.PageBudget) {
+			round(v, page, "install")
 		}
 	}
 	for _, v := range slots {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ps2stream/internal/model"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/workload"
 )
@@ -235,6 +236,8 @@ func TestMembershipGaugesFollowTheLifecycle(t *testing.T) {
 	}
 	scrape("up", 1, 0)
 	at := sys.Bounds().Center()
+	// One subscription, so the base holds a page to replay.
+	sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: 1, Expr: model.And("x"), Region: sys.Bounds()}})
 	for id := uint64(1); id <= 10; id++ {
 		sys.Submit(objectOp(id, "x", at))
 	}
@@ -245,7 +248,7 @@ func TestMembershipGaugesFollowTheLifecycle(t *testing.T) {
 	if !sys.checkpointHop(h) {
 		t.Fatal("checkpoint failed")
 	}
-	if base, _, _ := h.log.Replay(); len(base.Cells) == 0 {
+	if base, _, _ := h.log.Replay(); len(base) == 0 {
 		t.Fatal("vacuous: the checkpoint stored no base, so the replay would not stop on owedMu")
 	}
 	victim.kill()

@@ -282,6 +282,18 @@ func (h *workerHop) popAnswer(reply wire.Frame) (owedAnswer, error) {
 	return a, nil
 }
 
+// addPage gives page p to the round its CellShare will settle, which must
+// be the oldest owed answer.
+func (h *workerHop) addPage(p wire.Page) error {
+	h.owedMu.Lock()
+	defer h.owedMu.Unlock()
+	if len(h.owed) == 0 || h.owed[0].round == nil || h.owed[0].seq != p.Seq {
+		return fmt.Errorf("page of round %d out of order (%d answers owed)", p.Seq, len(h.owed))
+	}
+	h.owed[0].round.pages = append(h.owed[0].round.pages, p)
+	return nil
+}
+
 // failRounds fails the rounds sent on sessions up to gen, whose streams
 // have ended: no reply to them will come. The markers stay owed;
 // recovery sends them again.
@@ -464,13 +476,12 @@ func (s *System) hopFailed(h *workerHop, gen uint64, cause error) {
 // recoverWorker re-establishes a crashed worker slot: redial the same
 // address under a fresh fencing epoch, wait for the failed session's
 // spout drain (every ack it read has passed its marker on, every round it
-// owed has failed), install the
-// new transport *before* replaying — the spout then consumes
-// replay-produced matches, so a long replay cannot deadlock on wire
-// backpressure — replay the op log's base as an InstallCells round and
-// then its tail, and finally catch up under the hop lock with anything
-// appended mid-replay, and re-send the markers still waiting, before
-// re-opening the slot. The replayed rounds' answers are owed ahead of
+// owed has failed), install the new transport *before* replaying — the
+// spout then consumes replay-produced matches, so a long replay cannot
+// deadlock on wire backpressure — replay the op log's base, one
+// InstallCells round per page, and then its tail, and finally catch up
+// under the hop lock with anything appended mid-replay, and re-send the
+// markers still waiting, before re-opening the slot. The replayed rounds' answers are owed ahead of
 // those markers, and their deltas reach the board under the new epoch.
 func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	newGen := failedGen + 1
@@ -529,9 +540,11 @@ func (s *System) recoverWorker(h *workerHop, failedGen uint64) {
 	if len(tail) > 0 {
 		lastSeq = tail[len(tail)-1].Seq
 	}
-	if len(base.Cells) > 0 {
-		tail = append([]oplog.Entry{{Frame: base}}, tail...)
+	ents := make([]oplog.Entry, len(base), len(base)+len(tail))
+	for i, p := range base {
+		ents[i].Frame = p
 	}
+	tail = append(ents, tail...)
 	if err := s.replaySend(h, cl, newGen, tail); err != nil {
 		s.hopFailed(h, newGen, err)
 		return
@@ -653,20 +666,20 @@ func (s *System) checkpointLoop(ctx context.Context) {
 }
 
 // checkpointHop reads the slot's population with one round in its
-// stream and stores it as the log's base at the round's position: the
-// log sequence the slot's bolt had sent when it forwarded the round
-// (ctrlRound.pos), so the population holds every entry up to it and none
-// after it. A failed round keeps the previous base and the whole tail.
+// stream and stores its pages, as the node sent them, as the log's base
+// at the round's position: the log sequence the slot's bolt had sent when
+// it forwarded the round (ctrlRound.pos), so the population holds every
+// entry up to it and none after it. A failed round keeps the previous
+// base and the whole tail.
 func (s *System) checkpointHop(h *workerHop) bool {
 	if !s.slotUp(h.task) {
 		return false
 	}
 	c := s.send(slotPopulation(h.task, true))
-	p, err := s.population(c)
-	if err != nil {
+	if _, err := replyAs[wire.CellShare](s, c); err != nil {
 		return false
 	}
-	h.log.Checkpoint(c.pos, wire.InstallCells{Cells: []wire.CellPayload{p}})
+	h.log.Checkpoint(c.pos, c.pages)
 	return true
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"slices"
@@ -89,6 +90,12 @@ func (en *elasticNode) kill() {
 		c.Close()
 	}
 	en.mu.Unlock()
+}
+
+// extractShare runs an ExtractCells round in slot w's stream and returns
+// its share, with the cells of the pages a remote slot sent ahead of it.
+func extractShare(s *System, w int, ex wire.ExtractCells) (wire.CellShare, error) {
+	return s.share(s.send(newRound(w, ex, true)))
 }
 
 // assertExact compares the delivered matches against the oracle: every
@@ -607,8 +614,14 @@ func TestPartialCellDepartureSurvivesReplay(t *testing.T) {
 	// already covers it), never as a whole-query delete.
 	base, tail, pos := sys.hop(0).log.Replay()
 	live, cut := false, pos >= extracted
-	for _, p := range base.Cells {
-		live = live || slices.ContainsFunc(p.Queries, func(q *model.Query) bool { return q.ID == wideID })
+	for _, pg := range base {
+		ic, err := pg.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ic.Cells {
+			live = live || slices.ContainsFunc(p.Queries, func(q *model.Query) bool { return q.ID == wideID })
+		}
 	}
 	for _, e := range tail {
 		switch f := e.Frame.(type) {
@@ -705,14 +718,15 @@ func TestExtractionRetriesAfterSourceCrash(t *testing.T) {
 	}
 	held := func(w, cell int) int {
 		t.Helper()
-		sh, err := roundAs[wire.CellShare](sys, w, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell}}})
+		sh, err := extractShare(sys, w, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sh.Cells) == 0 {
-			return 0
+		n := 0
+		for _, p := range sh.Cells {
+			n += len(p.Queries)
 		}
-		return len(sh.Cells[0].Queries)
+		return n
 	}
 	stats, err := roundAs[wire.CellStatsReply](sys, 0, wire.CellStatsReq{})
 	if err != nil {
@@ -982,10 +996,13 @@ func TestTopKCrashReplayMatchesOracle(t *testing.T) {
 	// the base's bands, not from a raw tail.
 	target := sys.hop(victimTask).log.Seq()
 	deadline := time.Now().Add(10 * time.Second)
-	for sys.hop(victimTask).log.Watermark() < target {
+	for {
+		_, _, pos := sys.hop(victimTask).log.Replay()
+		if pos >= target {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("checkpoint never covered the first half (watermark %d < %d)",
-				sys.hop(victimTask).log.Watermark(), target)
+			t.Fatalf("checkpoint never covered the first half (base position %d < %d)", pos, target)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -1232,20 +1249,48 @@ func TestReplayedExtractionRetractsBand(t *testing.T) {
 	check("after expiry")
 }
 
+// oversized is a population of oversizedN subscriptions of one 16 KiB
+// keyword each, 19 MiB encoded, past wire.MaxFrameSize: about 1 100 of
+// them fill a frame, where one-keyword subscriptions would take some
+// 380 000. keyword(i) is subscription i+1's keyword, and query(i) the
+// subscription, whose region is region.
+type oversized struct{ region geo.Rect }
+
+const oversizedN = 1200
+
+// oversizedIn is the population over the middle of grid cell r, so each
+// subscription registers in that one cell, and the centre of r.
+func oversizedIn(r geo.Rect) (oversized, geo.Point) {
+	c := r.Center()
+	return oversized{region: geo.NewRect((r.Min.X+c.X)/2, (r.Min.Y+c.Y)/2, (r.Max.X+c.X)/2, (r.Max.Y+c.Y)/2)}, c
+}
+
+func (oversized) keyword(i int) string {
+	return strconv.Itoa(i) + strings.Repeat("k", 16<<10)
+}
+
+func (o oversized) query(i int) *model.Query {
+	return &model.Query{ID: uint64(i + 1), Expr: model.And(o.keyword(i)), Region: o.region}
+}
+
+// object is an object with id that matches subscription i+1 alone, at.
+func (o oversized) object(id uint64, i int, at geo.Point) model.Op {
+	return model.Op{Kind: model.OpObject, Obj: &model.Object{ID: id, Terms: []string{o.keyword(i)}, Loc: at}}
+}
+
 // TestOversizedCheckpointKeepsSession: a slot whose population encodes
-// past wire.MaxFrameSize cannot be checkpointed, since its population
-// round's reply is one frame. The node answers that round with a
-// wire.RoundError, so the checkpoint fails while the session stays up:
-// the log keeps its tail, the slot goes on matching, and a crash after it
-// still replays every subscription.
+// past wire.MaxFrameSize is checkpointed all the same, since the node
+// answers its population round with pages: the session stays up, the
+// log's tail drops to nothing, and a crash after it replays every
+// subscription from the paged base.
 func TestOversizedCheckpointKeepsSession(t *testing.T) {
 	sample, _ := smallWorkload(t, workload.Q1, 58, 0)
 	victim := startElasticNode(t, "")
-	var matched sync.Map
+	ms := newMatchSet()
 	cfg := Config{
 		Workers: 1, Mergers: 1,
 		Builder: hybrid.Builder{},
-		OnMatch: func(m model.Match) { matched.Store([2]uint64{m.QueryID, m.ObjectID}, true) },
+		OnMatch: ms.add,
 		Recovery: RecoveryConfig{
 			Enabled:            true,
 			CheckpointInterval: time.Hour, // this test places the checkpoint
@@ -1264,16 +1309,10 @@ func TestOversizedCheckpointKeepsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	// Subscriptions of one 16 KiB keyword each: about 1 100 of them fill
-	// a frame, where one-keyword subscriptions would take some 380 000.
-	const n, kw = 1200, 16 << 10
-	keyword := func(i int) string {
-		return strconv.Itoa(i) + strings.Repeat("k", kw)
-	}
-	b := sample.Bounds
-	for i := range n {
-		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{
-			ID: uint64(i + 1), Expr: model.And(keyword(i)), Region: b}})
+	g := sys.gridT.Load().Grid()
+	pop, at := oversizedIn(g.CellRect(g.CellOf(sample.Bounds.Center())))
+	for i := range oversizedN {
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: pop.query(i)})
 	}
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
@@ -1282,39 +1321,152 @@ func TestOversizedCheckpointKeepsSession(t *testing.T) {
 	h.mu.Lock()
 	gen := h.gen
 	h.mu.Unlock()
-	tail, age := h.log.TailLen(), h.log.CheckpointAge()
-	if sys.checkpointHop(h) {
-		t.Fatal("a population over the frame limit was checkpointed")
-	}
-	if !sys.slotUp(0) {
-		t.Fatal("the failed checkpoint took the slot down")
+	if !sys.checkpointHop(h) {
+		t.Fatal("a population over the frame limit was not checkpointed")
 	}
 	h.mu.Lock()
 	same := h.gen == gen
 	h.mu.Unlock()
-	if !same {
-		t.Fatal("the failed checkpoint ended the session")
+	if !sys.slotUp(0) || !same {
+		t.Fatal("the checkpoint ended the session")
 	}
-	if got := h.log.TailLen(); got != tail || h.log.CheckpointAge() < age {
-		t.Fatalf("the failed checkpoint changed the log: tail %d (was %d)", got, tail)
+	if got := h.log.TailLen(); got != 0 {
+		t.Fatalf("the log keeps a tail of %d entries after the checkpoint, want 0", got)
 	}
-	publish := func(id uint64, q int) {
-		sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{
-			ID: id, Terms: []string{keyword(q)}, Loc: b.Center()}})
+	victim.kill()
+	replacement := startElasticNode(t, victim.addr)
+	want := make(map[[2]uint64]bool)
+	for j := range 50 {
+		i := j * (oversizedN / 50)
+		id := uint64(j + 1)
+		sys.Submit(pop.object(id, i, at))
+		want[[2]uint64{uint64(i + 1), id}] = true
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	assertExact(t, ms, want)
+	if got := replacement.worker.QueryCount(); got != oversizedN {
+		t.Fatalf("the replacement node holds %d subscriptions after the replay, want %d", got, oversizedN)
+	}
+}
+
+// TestOversizedHandOffCompletes: a cell share past wire.MaxFrameSize
+// moves between two remote slots with Recovery on, both ways. The source
+// answers the removing extraction with pages and the destination
+// installs them one round per page, so the source stays on its first
+// session, and every object published around the moves is delivered
+// exactly once.
+func TestOversizedHandOffCompletes(t *testing.T) {
+	sample, _ := smallWorkload(t, workload.Q1, 59, 0)
+	n0, n1 := startElasticNode(t, ""), startElasticNode(t, "")
+	ms := newMatchSet()
+	cfg := Config{
+		Workers: 2, Mergers: 1,
+		Builder: hybrid.Builder{},
+		OnMatch: ms.add,
+		Recovery: RecoveryConfig{
+			Enabled:            true,
+			CheckpointInterval: time.Hour,
+			HeartbeatInterval:  50 * time.Millisecond,
+			RedialTimeout:      20 * time.Second,
+		},
+	}
+	if err := cfg.ConnectRemoteWorkers([]string{n0.addr, n1.addr}, sample, wire.Backoff{Attempts: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(cfg, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// bounded runs step and, if it has not returned in time, aborts the
+	// run so the test fails instead of hanging in Close.
+	bounded := func(what string, step func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			step()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			sys.Abort()
+			t.Fatalf("%s did not return in 10s", what)
+		}
+	}
+	gt := sys.gridT.Load()
+	cell := -1
+	for c := range gt.Grid().NumCells() {
+		if ws := gt.CellWorkers(c); len(ws) == 1 && ws[0] == 0 {
+			cell = c
+			break
+		}
+	}
+	if cell < 0 {
+		t.Fatal("no cell owned by worker 0 alone")
+	}
+	pop, at := oversizedIn(gt.Grid().CellRect(cell))
+	for i := range oversizedN {
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: pop.query(i)})
+	}
+	want := make(map[[2]uint64]bool)
+	var next uint64
+	publish := func() {
+		t.Helper()
+		for j := range 20 {
+			i := j * (oversizedN / 20)
+			next++
+			sys.Submit(pop.object(next, i, at))
+			want[[2]uint64{uint64(i + 1), next}] = true
+		}
 		if err := sys.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := matched.Load([2]uint64{uint64(q + 1), id}); !ok {
-			t.Fatalf("object %d did not match subscription %d", id, q+1)
+	}
+	publish()
+	if got := n0.worker.QueryCount(); got != oversizedN {
+		t.Fatalf("vacuous: node 0 holds %d subscriptions, want %d", got, oversizedN)
+	}
+	h := sys.hop(0)
+	h.mu.Lock()
+	gen := h.gen
+	h.mu.Unlock()
+	move := func(from, to int) {
+		t.Helper()
+		var moved int
+		var ok bool
+		bounded(fmt.Sprintf("the hand-off from %d to %d", from, to), func() {
+			sys.adjustMu.Lock()
+			defer sys.adjustMu.Unlock()
+			moved, _, ok = sys.migrateShare(from, to, cell)
+		})
+		if !ok || moved != oversizedN {
+			t.Fatalf("the hand-off from %d to %d moved %d subscriptions (ok %v), want %d", from, to, moved, ok, oversizedN)
 		}
 	}
-	publish(1, 7)
-	victim.kill()
-	replacement := startElasticNode(t, victim.addr)
-	publish(2, n-1)
-	if got := replacement.worker.QueryCount(); got != n {
-		t.Fatalf("the replacement node holds %d subscriptions after the replay, want %d", got, n)
+	move(0, 1)
+	h.mu.Lock()
+	same := h.gen == gen
+	h.mu.Unlock()
+	if !same || !sys.slotUp(0) {
+		t.Fatal("the hand-off ended slot 0's first session")
 	}
+	if got := n1.worker.QueryCount(); got != oversizedN {
+		t.Fatalf("node 1 holds %d subscriptions after the hand-off, want %d", got, oversizedN)
+	}
+	publish()
+	move(1, 0)
+	publish()
+	assertExact(t, ms, want)
+	bounded("Close", func() {
+		if err := sys.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // A replacement node's engine counts from zero. The load window of its

@@ -281,11 +281,11 @@ func (r *remoteWorkerBolt) Close() error {
 // remoteMatchSpout consumes a remote worker's up stream in order: matches
 // are deduplicated and delivered, deltas go to the board, and each marker
 // ack or control reply settles the oldest answer the hop owes — a marker
-// is passed on, a round completes once its deltas are on the board. One
-// spout serves the hop across every transport session:
-// when a session dies its buffered items are drained, and the spout
-// waits for recovery to install the next session (or for a spare slot to
-// be claimed by AddWorker).
+// is passed on, a round completes once its deltas are on the board; the
+// pages ahead of a CellShare go to its round. One spout serves the hop
+// across every transport session: when a session dies its buffered items
+// are drained, and the spout waits for recovery to install the next
+// session (or for a spare slot to be claimed by AddWorker).
 type remoteMatchSpout struct {
 	s    *System
 	task int
@@ -307,7 +307,11 @@ func (r *remoteMatchSpout) run() {
 			}
 			continue // next session
 		}
-		switch {
+		switch page, isPage := mb.Reply.(wire.Page); {
+		case isPage:
+			if err := r.hop.addPage(page); err != nil {
+				r.s.hopFailed(r.hop, gen, fmt.Errorf("remote worker %d: %w", r.task, err))
+			}
 		case mb.Drained || mb.Reply != nil:
 			a, err := r.hop.popAnswer(mb.Reply)
 			if err != nil {
@@ -316,11 +320,6 @@ func (r *remoteMatchSpout) run() {
 			}
 			if a.mark != nil {
 				a.mark.pass()
-				continue
-			}
-			if re, ok := mb.Reply.(wire.RoundError); ok {
-				// The reply was too large to send; the session goes on.
-				a.round.answer(nil, fmt.Errorf("core: worker %d: %s", r.task, re.Err))
 				continue
 			}
 			r.s.board.applyAck(r.task, mb.Reply)

@@ -319,7 +319,7 @@ func TestMigrationBytesSameForBothPlacements(t *testing.T) {
 			best = sh
 		}
 	}
-	share, err := roundAs[wire.CellShare](sys, 1, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: best.Cell}}})
+	share, err := extractShare(sys, 1, wire.ExtractCells{Cells: []wire.CellSpec{{Cell: best.Cell}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,9 @@ type ctrlRound struct {
 	// pos is the op-log sequence a remote slot's bolt had sent when it
 	// forwarded the request: the position of a checkpoint's population.
 	pos uint64
+	// pages are what a remote slot sent ahead of the CellShare answering
+	// an ExtractCells, as its spout read them (see share).
+	pages []wire.Page
 }
 
 type roundReply struct {
@@ -119,6 +122,18 @@ func replyAs[T wire.Frame](s *System, c *ctrlRound) (T, error) {
 		err = fmt.Errorf("core: worker %d answered a %T with a %T", c.slot, c.req, f)
 	}
 	return t, err
+}
+
+// share returns the CellShare answering the sent ExtractCells round c,
+// with the cells of the pages a remote slot sent ahead of it.
+func (s *System) share(c *ctrlRound) (wire.CellShare, error) {
+	cs, err := replyAs[wire.CellShare](s, c)
+	for i := 0; err == nil && i < len(c.pages); i++ { // pages are read once answered
+		var ic wire.InstallCells
+		ic, err = c.pages[i].Decode()
+		cs.Cells = append(cs.Cells, ic.Cells...)
+	}
+	return cs, err
 }
 
 // installCells runs one InstallCells round through hold h and returns the
@@ -242,6 +257,9 @@ func numbered(req wire.Frame, seq uint64) wire.Frame {
 	case wire.InstallCells:
 		r.Seq = seq
 		return r
+	case wire.Page:
+		r.Seq = seq
+		return r
 	case wire.AdvanceWindow:
 		r.Seq = seq
 		return r
@@ -261,8 +279,6 @@ func replySeq(reply wire.Frame) uint64 {
 	case wire.InstallAck:
 		return r.Seq
 	case wire.AdvanceAck:
-		return r.Seq
-	case wire.RoundError:
 		return r.Seq
 	}
 	return 0

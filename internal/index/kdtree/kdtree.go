@@ -35,9 +35,6 @@ type Node struct {
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return n.Left == nil && n.Right == nil }
 
-// Items returns the items stored at a leaf (nil for internal nodes).
-func (n *Node) Items() []Item { return n.items }
-
 // Tree is a kd-tree whose leaves partition the bounding rectangle.
 type Tree struct {
 	root   *Node
@@ -180,9 +177,6 @@ func splitAtMedian(n *Node, dim int) (left, right *Node, ok bool) {
 	return left, right, true
 }
 
-// Root returns the root node.
-func (t *Tree) Root() *Node { return t.root }
-
 // Leaves returns the leaf nodes in LeafID order.
 func (t *Tree) Leaves() []*Node { return t.leaves }
 
@@ -218,11 +212,4 @@ func (t *Tree) LeavesOverlapping(r geo.Rect) []*Node {
 	}
 	walk(t.root)
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

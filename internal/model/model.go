@@ -29,26 +29,6 @@ type Object struct {
 	Loc geo.Point
 }
 
-// HasTerm reports whether the object's text contains term.
-func (o *Object) HasTerm(term string) bool {
-	for _, t := range o.Terms {
-		if t == term {
-			return true
-		}
-	}
-	return false
-}
-
-// TermSet returns the object's terms as a set. The set is rebuilt on each
-// call; hot paths should cache it.
-func (o *Object) TermSet() map[string]struct{} {
-	s := make(map[string]struct{}, len(o.Terms))
-	for _, t := range o.Terms {
-		s[t] = struct{}{}
-	}
-	return s
-}
-
 // Expr is a boolean keyword expression in disjunctive normal form: the
 // expression is satisfied when at least one conjunction has all of its
 // terms present. The paper's query generator connects 1–3 keywords with

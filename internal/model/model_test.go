@@ -157,20 +157,6 @@ func TestQueryMatches(t *testing.T) {
 	}
 }
 
-func TestObjectTermSet(t *testing.T) {
-	o := Object{Terms: []string{"a", "b"}}
-	s := o.TermSet()
-	if _, ok := s["a"]; !ok {
-		t.Error("TermSet missing a")
-	}
-	if _, ok := s["z"]; ok {
-		t.Error("TermSet contains z")
-	}
-	if !o.HasTerm("b") || o.HasTerm("z") {
-		t.Error("HasTerm wrong")
-	}
-}
-
 func TestQuerySizeBytes(t *testing.T) {
 	q1 := &Query{Expr: And("a")}
 	q2 := &Query{Expr: And("a", "longerterm")}

@@ -14,7 +14,6 @@ package node
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -325,7 +324,7 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 			}
 		}
 		if err == nil && reply != nil {
-			err = sendReply(fw, req, reply)
+			err = sendReply(fw, reply)
 		}
 		if err != nil {
 			return false, err
@@ -333,18 +332,22 @@ func (w *Worker) serveSession(conn *wire.Conn, fw *wire.FrameWriter, eng *worker
 	}
 }
 
-// sendReply sends the reply to req (nil for a Drain). A population
-// round whose reply exceeds wire.MaxFrameSize (past about 380 000
-// subscriptions) left the engine as it was, so only the round fails: the
-// node answers with a wire.RoundError and the session goes on. Any other
-// reply too large to send ends the session, so that recovery's replay,
-// not a half-applied migration, decides the slot's state.
-func sendReply(fw *wire.FrameWriter, req, reply wire.Frame) error {
-	err := fw.SendFrame(reply)
-	if ex, ok := req.(wire.ExtractCells); ok && !ex.Remove && errors.Is(err, wire.ErrFrameTooLarge) {
-		return fw.SendFrame(wire.RoundError{Seq: ex.Seq, Err: err.Error()})
+// sendReply sends a reply. A CellShare's cells go first, as the pages
+// wire.Pages cuts them into, numbered with the share's sequence, and the
+// share follows without them: a share of any size crosses in frames.
+func sendReply(fw *wire.FrameWriter, reply wire.Frame) error {
+	cs, ok := reply.(wire.CellShare)
+	if !ok {
+		return fw.SendFrame(reply)
 	}
-	return err
+	for _, page := range wire.Pages(cs.Cells, wire.PageBudget) {
+		page.Seq = cs.Seq
+		if err := fw.SendFrame(page); err != nil {
+			return err
+		}
+	}
+	cs.Cells = nil
+	return fw.SendFrame(cs)
 }
 
 // recvHello performs the receiving half of the handshake: the Hello

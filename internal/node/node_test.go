@@ -499,16 +499,34 @@ func recvUntil(t *testing.T, cl *wire.WorkerClient, stop func(wire.MatchBatch) b
 }
 
 // control sends req and reads the up stream up to its reply. It returns
-// the reply, and the deltas and the number of matches read before it.
+// the reply, and the deltas and the number of matches read before it. A
+// CellShare is returned with the cells of the pages sent ahead of it.
 func control(t *testing.T, cl *wire.WorkerClient, req wire.Frame) (reply wire.Frame, deltas []window.Delta, matches int) {
 	t.Helper()
 	if err := cl.SendControl(req); err != nil {
 		t.Fatal(err)
 	}
-	for _, mb := range recvUntil(t, cl, func(mb wire.MatchBatch) bool { return mb.Reply != nil }) {
+	var cells []wire.CellPayload
+	isPage := func(f wire.Frame) bool { _, ok := f.(wire.Page); return ok }
+	for _, mb := range recvUntil(t, cl, func(mb wire.MatchBatch) bool { return mb.Reply != nil && !isPage(mb.Reply) }) {
 		deltas = append(deltas, mb.Deltas...)
 		matches += len(mb.Matches)
+		if p, ok := mb.Reply.(wire.Page); ok {
+			ic, err := p.Decode()
+			if ex, _ := req.(wire.ExtractCells); err != nil || p.Seq != ex.Seq {
+				t.Fatalf("page numbered %d (%v) answering %+v", p.Seq, err, req)
+			}
+			cells = append(cells, ic.Cells...)
+			continue
+		}
 		reply = mb.Reply
+	}
+	if cs, ok := reply.(wire.CellShare); ok {
+		if len(cs.Cells) > 0 {
+			t.Fatalf("a share sent with %d cells of its own", len(cs.Cells))
+		}
+		cs.Cells = cells
+		reply = cs
 	}
 	return reply, deltas, matches
 }

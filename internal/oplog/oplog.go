@@ -3,20 +3,22 @@
 // base and a tail:
 //
 //   - The base is the slot's own population at a position of its stream:
-//     the reply of one whole-query ExtractCells round with bands (every
+//     the answer to one whole-query ExtractCells round with bands (every
 //     live query of the slot and each top-k subscription's k-skyband),
-//     kept as one whole-query InstallCells request. A checkpoint stores a
-//     new base and drops every entry at or below its position.
+//     kept as the node sent it: a run of whole-query InstallCells pages,
+//     encoded (wire.Page). A checkpoint stores a new base and drops every
+//     entry at or below its position.
 //   - The tail is everything sent after that position, in stream order:
 //     each routed operation, and each control request a migration's cut
-//     served the slot (a removing ExtractCells, an InstallCells). The
-//     coordinator appends an operation before it puts it on the wire, and
-//     a cut's requests while the slot is held at the cut, so the log's
-//     order is the stream's.
+//     served the slot (a removing ExtractCells, each InstallCells page).
+//     The coordinator appends an operation before it puts it on the
+//     wire, and a cut's requests while the slot is held at the cut, so
+//     the log's order is the stream's.
 //
-// Recovery of a crashed slot installs the base, then sends the tail in
-// order: the node is then in the state the live one reached, top-k
-// bands included, without the coordinator rebuilding any of it. Replay
+// Recovery of a crashed slot installs the base, one round per page with
+// the bytes unchanged, then sends the tail in order: the node is then in
+// the state the live one reached, top-k bands included, without the
+// coordinator rebuilding any of it. Replay
 // is exact because the base sits at the exact position its round had in
 // the stream: nothing before it is sent again, so no object is offered
 // twice and no subscription ranks an object published before it.
@@ -60,8 +62,8 @@ type Entry struct {
 // goroutines.
 type Log struct {
 	mu sync.Mutex
-	// base is the slot's population at pos.
-	base wire.InstallCells
+	// base is the slot's population at pos, as encoded pages.
+	base []wire.Page
 	// entries is the tail above pos, in append order.
 	entries []Entry
 	// seq is the last assigned sequence number.
@@ -99,29 +101,28 @@ func (l *Log) add(e Entry) uint64 {
 	return l.seq
 }
 
-// Checkpoint stores base, the slot's population answered at log position
-// pos, and drops every entry at or below pos. pos must be the sequence of
+// Checkpoint stores base, the pages of the slot's population answered at
+// log position pos, and drops every entry at or below pos. pos must be the sequence of
 // the last entry sent ahead of the population round in the slot's
 // stream: a smaller one would replay entries the base already holds, a
 // larger one would lose entries it does not. A position at or below the
 // current one changes nothing.
-func (l *Log) Checkpoint(pos uint64, base wire.InstallCells) {
+func (l *Log) Checkpoint(pos uint64, base []wire.Page) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if pos <= l.pos {
 		return
 	}
 	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Seq > pos })
-	n := copy(l.entries, l.entries[i:])
-	// Release the dropped suffix for the collector.
-	clear(l.entries[n:])
-	l.entries = l.entries[:n]
+	// A fresh slice, so the dropped entries and the capacity the tail grew
+	// to before the checkpoint go to the collector.
+	l.entries = append([]Entry(nil), l.entries[i:]...)
 	l.base, l.pos, l.at = base, pos, time.Now()
 }
 
-// Replay snapshots the recovery plan: the base, a copy of the tail above
-// it, and the base's position.
-func (l *Log) Replay() (base wire.InstallCells, tail []Entry, pos uint64) {
+// Replay snapshots the recovery plan: the base's pages, a copy of the
+// tail above it, and the base's position.
+func (l *Log) Replay() (base []wire.Page, tail []Entry, pos uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base, append([]Entry(nil), l.entries...), l.pos
@@ -145,13 +146,6 @@ func (l *Log) Seq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
-}
-
-// Watermark returns the position the base covers.
-func (l *Log) Watermark() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pos
 }
 
 // TailLen reports how many entries sit above the base — the checkpoint

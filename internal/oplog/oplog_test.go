@@ -23,14 +23,44 @@ func insert(id uint64) model.Op { return model.Op{Kind: model.OpInsert, Query: q
 func del(id uint64) model.Op    { return model.Op{Kind: model.OpDelete, Query: q(id)} }
 func object(id uint64) model.Op { return model.Op{Kind: model.OpObject, Obj: &model.Object{ID: id}} }
 
-// population is a base holding the given queries, as a whole-query
-// InstallCells request.
-func population(ids ...uint64) wire.InstallCells {
+// install is a whole-query InstallCells request of the given queries.
+func install(ids ...uint64) wire.InstallCells {
 	p := wire.CellPayload{Cell: wire.WholeQueries}
 	for _, id := range ids {
 		p.Queries = append(p.Queries, q(id))
 	}
 	return wire.InstallCells{Cells: []wire.CellPayload{p}}
+}
+
+// pagesOf is cells as a base: the encoded pages wire.Pages cuts them
+// into, at a budget small enough that a few queries fill a page.
+func pagesOf(cells []wire.CellPayload) []wire.Page {
+	var out []wire.Page
+	for _, ic := range wire.Pages(cells, 100) {
+		p, err := wire.DecodeBinPage(wire.AppendInstallCells(nil, ic))
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// population is a base holding the given queries.
+func population(ids ...uint64) []wire.Page { return pagesOf(install(ids...).Cells) }
+
+// decoded returns the cell payloads of base's pages, in order.
+func decoded(t *testing.T, base []wire.Page) []wire.CellPayload {
+	t.Helper()
+	var cells []wire.CellPayload
+	for _, p := range base {
+		ic, err := p.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, ic.Cells...)
+	}
+	return cells
 }
 
 // slot is a model of a worker slot's live query set, driven by the
@@ -74,7 +104,7 @@ func replayed(t *testing.T, l *Log) slot {
 	t.Helper()
 	base, tail, pos := l.Replay()
 	s := slot{}
-	s.apply(Entry{Frame: base})
+	s.apply(Entry{Frame: wire.InstallCells{Cells: decoded(t, base)}})
 	for _, e := range tail {
 		if e.Seq <= pos {
 			t.Fatalf("tail entry %d at or below the base's position %d", e.Seq, pos)
@@ -91,7 +121,7 @@ func TestAppendAssignsMonotonicSeqs(t *testing.T) {
 			t.Fatalf("Append #%d returned seq %d", i, got)
 		}
 	}
-	if got := l.AppendFrame(population(1)); got != 6 {
+	if got := l.AppendFrame(install(1)); got != 6 {
 		t.Fatalf("AppendFrame returned seq %d, want 6", got)
 	}
 	if l.Seq() != 6 || l.TailLen() != 6 {
@@ -111,9 +141,6 @@ func TestCheckpointFoldsPrefixIntoBase(t *testing.T) {
 	last := l.Append(insert(3), at) // seq 5, above the position below
 
 	l.Checkpoint(4, population(2))
-	if pos := l.Watermark(); pos != 4 {
-		t.Fatalf("Watermark = %d, want 4", pos)
-	}
 	if l.TailLen() != 1 {
 		t.Errorf("TailLen = %d, want 1", l.TailLen())
 	}
@@ -121,8 +148,8 @@ func TestCheckpointFoldsPrefixIntoBase(t *testing.T) {
 	if pos != 4 {
 		t.Errorf("Replay position = %d, want 4", pos)
 	}
-	if len(base.Cells) != 1 || len(base.Cells[0].Queries) != 1 || base.Cells[0].Queries[0].ID != 2 {
-		t.Errorf("base = %+v, want exactly query 2", base)
+	if cells := decoded(t, base); len(cells) != 1 || len(cells[0].Queries) != 1 || cells[0].Queries[0].ID != 2 {
+		t.Errorf("base = %+v, want exactly query 2", cells)
 	}
 	if len(tail) != 1 || tail[0].Seq != last || tail[0].Op.Query.ID != 3 {
 		t.Errorf("tail = %v, want the single insert of query 3 above the position", tail)
@@ -136,8 +163,8 @@ func TestCheckpointIsMonotone(t *testing.T) {
 	l.Checkpoint(2, population(1, 2))
 	// A stale (smaller) position must be a no-op, not a regression.
 	l.Checkpoint(1, population(1))
-	if pos := l.Watermark(); pos != 2 {
-		t.Errorf("Watermark = %d after a stale checkpoint, want 2", pos)
+	if _, _, pos := l.Replay(); pos != 2 {
+		t.Errorf("base position %d after a stale checkpoint, want 2", pos)
 	}
 	if got := replayed(t, l).ids(); !slices.Equal(got, []uint64{1, 2}) {
 		t.Errorf("replay rebuilds %v, want [1 2]", got)
@@ -218,20 +245,24 @@ func TestCheckpointKeepsBaseBands(t *testing.T) {
 	l.Append(model.Op{Kind: model.OpInsert, Query: topk}, at)
 	l.Append(object(100), at)
 	pub := at.Add(-5 * time.Minute)
-	base := wire.InstallCells{Cells: []wire.CellPayload{{
+	base := pagesOf([]wire.CellPayload{{
 		Cell:    wire.WholeQueries,
 		Queries: []*model.Query{topk},
 		Subs:    []wire.SubEntries{{ID: 1, Entries: []window.Entry{{MsgID: 100, At: pub}}}},
-	}}}
+	}})
 	l.Checkpoint(l.Seq(), base)
 	got, tail, _ := l.Replay()
 	if len(tail) != 0 {
 		t.Fatalf("tail = %v after a checkpoint at the last entry, want empty", tail)
 	}
-	if len(got.Cells) != 1 || len(got.Cells[0].Subs) != 1 {
-		t.Fatalf("base = %+v, want the one payload with its band", got)
+	var subs []wire.SubEntries
+	for _, c := range decoded(t, got) {
+		subs = append(subs, c.Subs...)
 	}
-	if e := got.Cells[0].Subs[0].Entries[0]; e.MsgID != 100 || !e.At.Equal(pub) {
+	if len(subs) != 1 || len(subs[0].Entries) != 1 {
+		t.Fatalf("base bands = %+v, want the one band", subs)
+	}
+	if e := subs[0].Entries[0]; e.MsgID != 100 || !e.At.Equal(pub) {
 		t.Errorf("band entry = %+v, want object 100 at %v", e, pub)
 	}
 }
@@ -276,7 +307,7 @@ func run(l *Log, program []byte) slot {
 		case 1:
 			e = Entry{Op: object(id), T0: at}
 		case 2:
-			e = Entry{Frame: population(id)}
+			e = Entry{Frame: install(id)}
 		case 3:
 			e = Entry{Frame: wire.InstallCells{Deletes: []uint64{id}}}
 		default:

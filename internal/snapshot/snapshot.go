@@ -5,12 +5,12 @@
 // feature a production deployment layers on top.
 //
 // A version-4 file is a fixed header — magic, version, bounds, count —
-// followed by wire frames (docs/WIRE.md, "Snapshot file"). Each frame is
-// an InstallCells request with one whole-query payload (cell
-// wire.WholeQueries) carrying the next queries in ascending id order, up
-// to a constant byte budget, so the file is parsed by the same
-// bounds-checked decoder as the wire and identical populations produce
-// identical bytes. A version-3 frame carried one more empty list, the
+// followed by wire frames (docs/WIRE.md, "Snapshot file"): the pages
+// wire.Pages cuts the population into, one whole-query payload (cell
+// wire.WholeQueries) of the next queries in ascending id order each, the
+// same pages a worker node answers a population round with. So the file
+// is parsed by the same bounds-checked decoder as the wire and identical
+// populations produce identical bytes. A version-3 frame carried one more empty list, the
 // window ring, so it is the version-4 frame plus one trailing zero byte;
 // Read drops it. Read also accepts the version-1 and version-2 gob files
 // of earlier builds (legacy.go); nothing writes them any more.
@@ -35,11 +35,6 @@ const magic = "PS2SNAP"
 
 // Version is the format Write emits.
 const Version = 4
-
-// frameBudget is the byte budget of one frame's queries: a frame closes
-// once its queries reach it, so a frame stays far below
-// wire.MaxFrameSize whatever the population.
-const frameBudget = 1 << 20
 
 // Header precedes the query payload.
 type Header struct {
@@ -85,19 +80,11 @@ func Write(w io.Writer, bounds geo.Rect, qs []*model.Query) error {
 	if _, err := bw.Write(buf); err != nil {
 		return fmt.Errorf("snapshot: writing header: %w", err)
 	}
-	for start := 0; start < len(dedup); {
-		end, size := start, 0
-		for end < len(dedup) && size < frameBudget {
-			size += wire.QuerySize(dedup[end])
-			end++
-		}
-		buf = wire.AppendInstallCells(buf[:0], wire.InstallCells{
-			Cells: []wire.CellPayload{{Cell: wire.WholeQueries, Queries: dedup[start:end]}},
-		})
+	for _, page := range wire.Pages([]wire.CellPayload{{Cell: wire.WholeQueries, Queries: dedup}}, wire.PageBudget) {
+		buf = wire.AppendInstallCells(buf[:0], page)
 		if err := wire.WriteFrame(bw, wire.TypeInstallCells, buf); err != nil {
-			return fmt.Errorf("snapshot: writing queries %d-%d: %w", dedup[start].ID, dedup[end-1].ID, err)
+			return fmt.Errorf("snapshot: writing queries from %d: %w", page.Cells[0].Queries[0].ID, err)
 		}
-		start = end
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("snapshot: writing: %w", err)

@@ -117,13 +117,6 @@ func appendQuery(dst []byte, q *model.Query) []byte {
 	return dst
 }
 
-// QuerySize is the length of one query in a cell payload: what it adds
-// to an InstallCells or CellShare frame.
-func QuerySize(q *model.Query) int {
-	var b [64]byte
-	return len(appendQuery(b[:0], q))
-}
-
 // appendEntry appends one sliding-window entry.
 func appendEntry(dst []byte, e *window.Entry) []byte {
 	dst = appendDoc(dst, e.MsgID, e.Terms, e.Loc)
@@ -624,21 +617,6 @@ func DecodeBinStatsReply(p []byte) (StatsReply, error) {
 	return s, nil
 }
 
-// AppendRoundError appends the binary encoding of a round error to dst.
-func AppendRoundError(dst []byte, e RoundError) []byte {
-	return appendStr(binary.AppendUvarint(dst, e.Seq), e.Err)
-}
-
-// DecodeBinRoundError decodes a binary round error payload.
-func DecodeBinRoundError(p []byte) (RoundError, error) {
-	r := breader{p: p}
-	e := RoundError{Seq: r.uvarint(), Err: r.str()}
-	if !r.done() {
-		return RoundError{}, fmt.Errorf("%w: round error", ErrBadPayload)
-	}
-	return e, nil
-}
-
 // AppendCellStatsReq appends the binary encoding of a cell-stats request
 // to dst.
 func AppendCellStatsReq(dst []byte, c CellStatsReq) []byte {
@@ -864,6 +842,68 @@ func DecodeBinInstallCells(p []byte) (InstallCells, error) {
 	return ic, nil
 }
 
+// DecodeBinPage reads an install request payload's sequence and keeps
+// the rest encoded, unchecked until Decode.
+func DecodeBinPage(p []byte) (Page, error) {
+	seq, n := binary.Uvarint(p)
+	if n <= 0 {
+		return Page{}, fmt.Errorf("%w: install cells", ErrBadPayload)
+	}
+	return Page{Seq: seq, Body: p[n:]}, nil
+}
+
+// Decode decodes the install request p holds.
+func (p Page) Decode() (InstallCells, error) { return DecodeBinInstallCells(p.appendTo(nil)) }
+
+// PageBudget is the byte budget of a page (Pages): far below
+// MaxFrameSize, so a share of any size crosses in frames.
+const PageBudget = 1 << 20
+
+// Pages cuts cells into pages: InstallCells requests with sequence 0 and
+// no deletes, each encoding within budget bytes unless it holds a single
+// query or band larger than that. The pages hold cells' queries and
+// bands in order, a payload's queries before its bands and a payload
+// split across as many pages as it takes, so installing them in order
+// installs cells. Empty payloads are left out.
+func Pages(cells []CellPayload, budget int) []InstallCells {
+	// Reserved per page: the sequence and two counts; per payload: the
+	// cell and two counts. A varint takes at most ten bytes.
+	const pageHead, pieceHead = 12, 30
+	var pages []InstallCells
+	var page []CellPayload
+	var item []byte
+	used := pageHead
+	for _, c := range cells {
+		nq, n, from := len(c.Queries), len(c.Queries)+len(c.Subs), 0
+		piece := func(to int) CellPayload {
+			return CellPayload{Cell: c.Cell, Queries: c.Queries[min(from, nq):min(to, nq)], Subs: c.Subs[max(from-nq, 0):max(to-nq, 0)]}
+		}
+		used += pieceHead
+		for i := range n {
+			if i < nq {
+				item = appendQuery(item[:0], c.Queries[i])
+			} else {
+				item = appendEntries(binary.AppendUvarint(item[:0], c.Subs[i-nq].ID), c.Subs[i-nq].Entries)
+			}
+			if used+len(item) > budget && (len(page) > 0 || i > from) {
+				if i > from {
+					page = append(page, piece(i))
+				}
+				pages, page = append(pages, InstallCells{Cells: page}), nil
+				used, from = pageHead+pieceHead, i
+			}
+			used += len(item)
+		}
+		if n > from {
+			page = append(page, piece(n))
+		}
+	}
+	if len(page) > 0 {
+		pages = append(pages, InstallCells{Cells: page})
+	}
+	return pages
+}
+
 // AppendInstallAck appends the binary encoding of an install ack to dst.
 // AdvanceAck shares the layout.
 func AppendInstallAck(dst []byte, a InstallAck) []byte {
@@ -900,7 +940,6 @@ var controlDecoders = map[byte]func([]byte) (Frame, error){
 	TypeAdvanceAck:     decodeFrame(DecodeBinAdvanceAck),
 	TypeFence:          decodeFrame(DecodeBinFence),
 	TypeResetWindow:    func([]byte) (Frame, error) { return ResetWindow{}, nil },
-	TypeRoundError:     decodeFrame(DecodeBinRoundError),
 }
 
 func decodeFrame[T Frame](decode func([]byte) (T, error)) func([]byte) (Frame, error) {

@@ -392,8 +392,15 @@ func binarySeedFrames() [][]byte {
 		seed(TypeOpBatch, []byte{0xFF, 0xFF, 0xFF, 0xFF}),
 		seed(TypeMatchBatch, []byte("GET / HTTP/1.1\r\n\r\n")),
 		seed(TypeCellShare, []byte{1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}),
+		// The last page Pages cuts the sample payloads into at a small
+		// budget: a payload split across pages, its bands on this one.
+		seed(TypeInstallCells, AppendInstallCells(nil, lastPage(Pages(samplePayloads(), 120)))),
+		// A page whose sequence varint never ends.
+		seed(TypeInstallCells, []byte{0x80}),
 	)
 }
+
+func lastPage(pages []InstallCells) InstallCells { return pages[len(pages)-1] }
 
 // FuzzBinaryFrame feeds arbitrary bytes to the decoder of every frame
 // type (first byte selects the type). Invalid payloads must error

@@ -244,6 +244,10 @@ func (w *WorkerClient) readLoop() {
 				continue
 			}
 			mb.Drained = true // a SendDrain's (Seq 0)
+		case TypeInstallCells:
+			// A page of the cell share that answers an ExtractCells, kept
+			// encoded until it is used.
+			mb.Reply, err = DecodeBinPage(payload)
 		case TypePing:
 			// Liveness beacon; receiving it already reset the read
 			// deadline, nothing else to do.

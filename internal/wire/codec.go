@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -22,8 +23,8 @@ const Magic = "PS2WIRE"
 // version 4 carried a window ring in each CellPayload; version 5 had a
 // refill bit in each op's presence byte; version 6 carried the sample's
 // term counts in the Hello; version 7 carried a merger's duplicate count
-// in StatsReply.
-const Version = 8
+// in StatsReply; version 8 sent a CellShare's cells inside it, unpaged.
+const Version = 9
 
 // Roles named in the handshake.
 const (
@@ -129,7 +130,7 @@ type MatchBatch struct {
 	// Epoch and Deltas are one WindowDeltaBatch.
 	Epoch  uint64
 	Deltas []window.Delta
-	// Reply answers a WorkerClient.SendControl request.
+	// Reply answers a SendControl request (ExtractCells: Pages, then a CellShare).
 	Reply Frame
 }
 
@@ -269,7 +270,8 @@ type CellPayload struct {
 // dropping their released entries), so the coordinator's board applies
 // them in the same control round instead of racing the data stream;
 // Epoch tags them with the session's fencing epoch like every delta
-// batch the node emits.
+// batch the node emits. A worker node sends Cells ahead of the share, as
+// the InstallCells pages Pages cuts them into, and the share without.
 type CellShare struct {
 	Seq    uint64
 	Epoch  uint64
@@ -283,6 +285,14 @@ type InstallCells struct {
 	Seq     uint64
 	Cells   []CellPayload
 	Deletes []uint64
+}
+
+// Page is an InstallCells request kept encoded, Body after the sequence:
+// a page of a cell share as the coordinator reads it, and as its op log
+// keeps a slot's population and sends it again, unchanged.
+type Page struct {
+	Seq  uint64
+	Body []byte
 }
 
 // InstallAck acknowledges an InstallCells: the share is indexed and
@@ -324,13 +334,6 @@ type AdvanceAck struct {
 	Seq    uint64
 	Epoch  uint64
 	Deltas []window.Delta
-}
-
-// RoundError answers request Seq, a copying ExtractCells (a population
-// round), in place of a reply too large to send. Err says why.
-type RoundError struct {
-	Seq uint64
-	Err string
 }
 
 // ResetWindow starts a fresh per-cell load window (no acknowledgement).
@@ -386,7 +389,7 @@ func (Ping) frameType() byte             { return TypePing }
 func (WindowDeltaBatch) frameType() byte { return TypeWindowDeltaBatch }
 func (AdvanceWindow) frameType() byte    { return TypeAdvanceWindow }
 func (AdvanceAck) frameType() byte       { return TypeAdvanceAck }
-func (RoundError) frameType() byte       { return TypeRoundError }
+func (Page) frameType() byte             { return TypeInstallCells }
 
 func (f Hello) appendTo(b []byte) []byte          { return AppendHello(b, f) }
 func (f Welcome) appendTo(b []byte) []byte        { return AppendWelcome(b, f) }
@@ -407,7 +410,7 @@ func (ResetWindow) appendTo(b []byte) []byte      { return b }
 func (Ping) appendTo(b []byte) []byte             { return b }
 func (f AdvanceWindow) appendTo(b []byte) []byte  { return AppendAdvanceWindow(b, f) }
 func (f AdvanceAck) appendTo(b []byte) []byte     { return AppendAdvanceAck(b, f) }
-func (f RoundError) appendTo(b []byte) []byte     { return AppendRoundError(b, f) }
+func (p Page) appendTo(b []byte) []byte           { return append(binary.AppendUvarint(b, p.Seq), p.Body...) }
 func (f WindowDeltaBatch) appendTo(b []byte) []byte {
 	return AppendWindowDeltaBatch(b, f.Epoch, f.Deltas)
 }

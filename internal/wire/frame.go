@@ -76,11 +76,11 @@ const (
 	// migration). FIFO orders it behind every op batch sent before it, so
 	// the share reflects all pre-flip traffic.
 	TypeExtractCells byte = 13
-	// TypeCellShare answers an ExtractCells with the cell payloads.
+	// TypeCellShare answers an ExtractCells, after the pages of its cells.
 	TypeCellShare byte = 14
 	// TypeInstallCells hands a worker peer a cell share to index (the
 	// receiving half of a migration) and query ids to delete (global
-	// repartition's departures).
+	// repartition's departures); from a worker, a page of a CellShare.
 	TypeInstallCells byte = 15
 	// TypeInstallAck acknowledges an InstallCells once the share is
 	// indexed; ops sent after the ack's request are matched against it.
@@ -111,10 +111,6 @@ const (
 	// TypeAdvanceAck answers an AdvanceWindow with the expiry's top-k
 	// membership deltas, tagged with the session's fencing epoch.
 	TypeAdvanceAck byte = 21
-	// TypeRoundError answers a copying ExtractCells whose reply would
-	// exceed MaxFrameSize (worker → coordinator): the round fails and
-	// the session goes on, since the request changed nothing.
-	TypeRoundError byte = 22
 )
 
 // MaxFrameSize bounds a frame's length field: a reader rejects larger

@@ -41,46 +41,21 @@ func (fc *frameCounters) record(typ byte, payloadLen int, dur time.Duration) {
 	fc.nanos[i].Add(int64(dur))
 }
 
+// typeNames names the frame types that have metric series.
+var typeNames = [...]string{
+	TypeHello: "hello", TypeWelcome: "welcome", TypeOpBatch: "op_batch", TypeMatchBatch: "match_batch",
+	TypeDrain: "drain", TypeDrainAck: "drain_ack", TypeStatsReq: "stats_req", TypeStatsReply: "stats_reply",
+	TypeFence: "fence", TypeGoodbye: "goodbye", TypeCellStatsReq: "cell_stats_req",
+	TypeCellStatsReply: "cell_stats_reply", TypeExtractCells: "extract_cells", TypeCellShare: "cell_share",
+	TypeInstallCells: "install_cells", TypeInstallAck: "install_ack", TypeResetWindow: "reset_window",
+}
+
 // TypeName names a frame type for metric labels.
 func TypeName(typ byte) string {
-	switch typ {
-	case TypeHello:
-		return "hello"
-	case TypeWelcome:
-		return "welcome"
-	case TypeOpBatch:
-		return "op_batch"
-	case TypeMatchBatch:
-		return "match_batch"
-	case TypeDrain:
-		return "drain"
-	case TypeDrainAck:
-		return "drain_ack"
-	case TypeStatsReq:
-		return "stats_req"
-	case TypeStatsReply:
-		return "stats_reply"
-	case TypeFence:
-		return "fence"
-	case TypeGoodbye:
-		return "goodbye"
-	case TypeCellStatsReq:
-		return "cell_stats_req"
-	case TypeCellStatsReply:
-		return "cell_stats_reply"
-	case TypeExtractCells:
-		return "extract_cells"
-	case TypeCellShare:
-		return "cell_share"
-	case TypeInstallCells:
-		return "install_cells"
-	case TypeInstallAck:
-		return "install_ack"
-	case TypeResetWindow:
-		return "reset_window"
-	default:
-		return "other"
+	if int(typ) < len(typeNames) && typeNames[typ] != "" {
+		return typeNames[typ]
 	}
+	return "other"
 }
 
 // RegisterMetrics wires the process-global transport counters into reg

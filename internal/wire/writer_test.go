@@ -67,7 +67,7 @@ func TestFrameWriterRefusesOversizedFrame(t *testing.T) {
 	if err := w.Send(TypeMatchBatch, buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized send: %v, want ErrFrameTooLarge", err)
 	}
-	if err := w.SendFrame(RoundError{Seq: 4, Err: "too large"}); err != nil {
+	if err := w.SendFrame(StatsReq{Seq: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Drain(); err != nil {
@@ -77,7 +77,7 @@ func TestFrameWriterRefusesOversizedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := DecodeControl(typ, payload); err != nil || f != (RoundError{Seq: 4, Err: "too large"}) {
-		t.Fatalf("the peer read %v (%v), want the round error", f, err)
+	if f, err := DecodeControl(typ, payload); err != nil || f != (StatsReq{Seq: 4}) {
+		t.Fatalf("the peer read %v (%v), want the stats request", f, err)
 	}
 }

@@ -533,7 +533,17 @@ func TestEngineReplayFromOpLogMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log.Checkpoint(log.Seq(), wire.InstallCells{Cells: pop.(wire.CellShare).Cells})
+		// The base is kept as a node sends it: the population's pages,
+		// encoded.
+		var base []wire.Page
+		for _, ic := range wire.Pages(pop.(wire.CellShare).Cells, wire.PageBudget) {
+			p, err := wire.DecodeBinPage(wire.AppendInstallCells(nil, ic))
+			if err != nil {
+				t.Fatal(err)
+			}
+			base = append(base, p)
+		}
+		log.Checkpoint(log.Seq(), base)
 		for i := 0; i < 100; i++ {
 			apply(s.next())
 		}
@@ -560,8 +570,14 @@ func TestEngineReplayFromOpLogMatchesLive(t *testing.T) {
 
 		replayed := newTestEngine(0, nil)
 		base, tail, _ := log.Replay()
-		if _, err := replayed.Serve(base); err != nil {
-			t.Fatal(err)
+		for _, p := range base {
+			ic, err := p.Decode()
+			if err == nil {
+				_, err = replayed.Serve(ic)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		frames := 0
 		for _, e := range tail {
