@@ -318,6 +318,12 @@ type System struct {
 	// engine in New; nil entries for out-of-process slots, which have a
 	// hop (hops) instead. Spares included.
 	bolts []*workerBolt
+	// resolve is set when some slot runs in this process (some bolt is
+	// not nil), so some engine reads an object's term ids: the
+	// dispatcher then reads an object's text straight to ids. With every
+	// slot remote, Submit tokenises the text on the caller's goroutine,
+	// and the dispatcher routes by the terms.
+	resolve bool
 	// ingest is the one FIFO from Submit to the dispatcher (ingest.go).
 	ingest *ingestQueue
 	// ingestBlocked counts the times a Submit parked on a full ingest.
@@ -540,6 +546,7 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 			Index: gi2.NewShared(sample.Bounds, cfg.Granularity, s.dict),
 		})
 		s.bolts[i] = &workerBolt{s: s, task: i, eng: eng}
+		s.resolve = true
 	}
 	s.enqueued = make([]atomic.Int64, totalSlots)
 	s.doneOps = make([]atomic.Int64, totalSlots)
@@ -634,8 +641,13 @@ func (s *System) Start(ctx context.Context) error {
 // enqueuing. The envelope timestamp comes from the configured clock: it
 // drives latency accounting and is the publish instant that window expiry
 // is measured from (one stamp per object, so every worker replica agrees
-// on its window lifetime).
+// on its window lifetime). An object with nil Terms has them made from
+// its Text here only when every slot is remote; otherwise the dispatcher
+// reads the text (dispatcher.objectIDs).
 func (s *System) Submit(op model.Op) {
+	if o := op.Obj; o != nil && !s.resolve {
+		makeTerms(o)
+	}
 	env := wire.OpEnv{Op: op, T0: s.now()}
 	s.ingest.put(env)
 }

@@ -14,37 +14,46 @@ import (
 )
 
 // TestPerTupleWorkSlowsWorkers verifies the simulated per-tuple cluster
-// cost is actually charged (the harness depends on it).
+// cost is actually charged (the harness depends on it). A slot
+// busy-waits PerTupleWork for every operation it processes, one after
+// the other, so the run lasts at least its busiest slot's processed
+// operations times PerTupleWork. Contention can only lengthen the run,
+// so the bound holds on any machine; a run that ignored PerTupleWork
+// would finish far inside it.
 func TestPerTupleWorkSlowsWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	const work = 100 * time.Microsecond
 	sample, ops := smallWorkload(t, workload.Q1, 31, 6000)
-	run := func(work time.Duration) time.Duration {
-		sys, err := New(Config{
-			Workers:      2,
-			Builder:      hybrid.Builder{},
-			PerTupleWork: work,
-		}, sample)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		sys.SubmitAll(ops)
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
+	sys, err := New(Config{
+		Workers:      2,
+		Builder:      hybrid.Builder{},
+		PerTupleWork: work,
+	}, sample)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast := run(0)
-	slow := run(100 * time.Microsecond)
-	// 6000 ops × ≥100µs across 2 workers is ≥300ms of injected work; the
-	// 1.5× bar keeps the check robust to scheduler noise on the fast run.
-	if slow < fast*3/2 {
-		t.Errorf("PerTupleWork had no effect: %v vs %v", fast, slow)
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	sys.SubmitAll(ops)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	var busiest int64
+	for i := range sys.doneOps {
+		busiest = max(busiest, sys.doneOps[i].Load())
+	}
+	if busiest < 500 {
+		t.Fatalf("the busiest slot processed %d operations: too few to tell the charge from the run's own cost", busiest)
+	}
+	want := time.Duration(busiest) * work
+	t.Logf("run %v; the busiest slot's %d operations spin %v", took, busiest, want)
+	if took < want {
+		t.Errorf("PerTupleWork not charged: the run took %v, less than the %v its busiest slot's %d operations spin", took, want, busiest)
 	}
 }
 

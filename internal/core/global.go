@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"ps2stream/internal/geo"
 	"ps2stream/internal/hybrid"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
@@ -32,6 +33,10 @@ var _ partition.Assignment = (*dualAssignment)(nil)
 func (d *dualAssignment) RouteObject(o *model.Object) []int {
 	return union(d.old.RouteObject(o), d.new.RouteObject(o))
 }
+
+// NoKeysAt implements termIDRouter: never, so both routes see every
+// object.
+func (d *dualAssignment) NoKeysAt(geo.Point) bool { return false }
 
 // RouteObjectIDs implements termIDRouter (union of both routes).
 func (d *dualAssignment) RouteObjectIDs(o *model.Object, ids []uint32) []int {

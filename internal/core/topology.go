@@ -6,10 +6,13 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"ps2stream/internal/dedup"
+	"ps2stream/internal/geo"
 	"ps2stream/internal/model"
 	"ps2stream/internal/partition"
+	"ps2stream/internal/textutil"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 	"ps2stream/internal/worker"
@@ -314,10 +317,9 @@ func (s *System) run(ctx context.Context, cancel context.CancelFunc) error {
 	// assignment, in Submit order, so gridt's H2 and every worker's input
 	// follow the order in which Submits took the ingest.
 	d := &dispatcher{
-		s:       s,
-		out:     newFanout(&s.opBatches, s.towork, done),
-		enq:     make([]int64, s.totalSlots()),
-		resolve: slices.ContainsFunc(s.bolts, func(b *workerBolt) bool { return b != nil }),
+		s:   s,
+		out: newFanout(&s.opBatches, s.towork, done),
+		enq: make([]int64, s.totalSlots()),
 	}
 	spawn(&dispatcherDone, "dispatcher", 0, d.run)
 
@@ -371,13 +373,11 @@ type dispatcher struct {
 	sinceFlush int
 	// enq is dispatchBatch's per-worker count for one chunk.
 	enq []int64
-	// resolve is set when some slot runs in this process, so some engine
-	// can read an object's TermIDs. ids is the slab they are cut from. A
+	// ids is the slab objects' TermIDs are cut from (System.resolve). A
 	// slab is never rewritten once an envelope holds part of it: when it
 	// fills, the next one is allocated, and the old one goes with the
 	// last batch that refers to it.
-	resolve bool
-	ids     []uint32
+	ids []uint32
 }
 
 // idSlab is the length of one TermIDs slab.
@@ -456,7 +456,8 @@ func (d *dispatcher) flush() {
 // reported twice.
 //
 // An object's terms are looked up in the coordinator's dictionary once,
-// here: the assignment routes by the ids, and an object routed to an
+// here, straight from its text when Publish left the terms unmade
+// (textIDs): the assignment routes by the ids, and an object routed to an
 // in-process slot carries them to its engine (wire.OpEnv.TermIDs). An
 // insert interns every term of its query first (intern), so an object
 // routed after it resolves all of them, whenever the engine applies it.
@@ -524,15 +525,37 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 
 // routeObject routes env's object by the ids of its terms, which it
 // leaves on env for an in-process engine, or by its terms when no engine
-// here reads ids.
+// here reads ids (Submit made them). An object in a cell with no live
+// registration key is discarded before its text is read at all. Term
+// strings are made here only for a reader of strings: an assignment that
+// cannot route by ids, and a remote slot, whose engine matches on the
+// terms it is sent. They are made before the fan-out, so no worker
+// writes the shared object.
 func (d *dispatcher) routeObject(a partition.Assignment, env *wire.OpEnv) []int {
 	o := env.Op.Obj
-	if !d.resolve {
+	if !d.s.resolve {
 		return a.RouteObject(o)
 	}
-	ids := d.termIDs(o)
-	targets := routeByIDs(a, o, ids)
-	if d.s.inProcess(targets) {
+	r, byIDs := a.(termIDRouter)
+	if byIDs && r.NoKeysAt(o.Loc) {
+		return nil // discarded by its cell alone: its text is not read
+	}
+	ids := d.objectIDs(o)
+	var targets []int
+	if byIDs {
+		targets = r.RouteObjectIDs(o, ids)
+	} else {
+		targets = a.RouteObject(makeTerms(o))
+	}
+	local := false
+	for _, w := range targets {
+		if d.s.bolts[w] != nil {
+			local = true
+		} else {
+			makeTerms(o)
+		}
+	}
+	if local {
 		env.TermIDs = ids
 	} else {
 		d.ids = d.ids[:len(d.ids)-len(ids)] // no engine here reads them
@@ -540,16 +563,42 @@ func (d *dispatcher) routeObject(a partition.Assignment, env *wire.OpEnv) []int 
 	return targets
 }
 
-// termIDs returns the ids o's terms have in the coordinator's dictionary,
+// routeByIDs routes o by ids if a can, else by o's terms, which it makes
+// first.
+func routeByIDs(a partition.Assignment, o *model.Object, ids []uint32) []int {
+	if r, ok := a.(termIDRouter); ok {
+		return r.RouteObjectIDs(o, ids)
+	}
+	return a.RouteObject(makeTerms(o))
+}
+
+// makeTerms sets o's terms from its text if they are not made yet, and
+// returns o. An object with no text has none to make and is not written:
+// a test may hand one object to two systems.
+func makeTerms(o *model.Object) *model.Object {
+	if o.Terms == nil && o.Text != "" {
+		o.Terms = textutil.Tokenize(o.Text)
+	}
+	return o
+}
+
+// objectIDs returns the ids o's terms have in the coordinator's
+// dictionary: termIDs of its terms, or textIDs of its text when they are
+// not made.
+func (d *dispatcher) objectIDs(o *model.Object) []uint32 {
+	if o.Terms != nil {
+		return d.termIDs(o.Terms)
+	}
+	return d.textIDs(o.Text)
+}
+
+// termIDs returns the ids terms have in the coordinator's dictionary,
 // leaving out the terms it does not hold, in the next free part of the
 // id slab. The result is never nil, so an engine can tell it from an
 // unresolved envelope.
-func (d *dispatcher) termIDs(o *model.Object) []uint32 {
-	if d.ids == nil || cap(d.ids)-len(d.ids) < len(o.Terms) {
-		d.ids = make([]uint32, 0, max(idSlab, len(o.Terms)))
-	}
-	at := len(d.ids)
-	for _, t := range o.Terms {
+func (d *dispatcher) termIDs(terms []string) []uint32 {
+	at := d.reserve(len(terms))
+	for _, t := range terms {
 		if id := d.s.dict.Find(t); id != 0 {
 			d.ids = append(d.ids, id)
 		}
@@ -557,19 +606,77 @@ func (d *dispatcher) termIDs(o *model.Object) []uint32 {
 	return d.ids[at:len(d.ids):len(d.ids)]
 }
 
-// termIDRouter is an assignment that can route an object by the ids its
-// terms have in the coordinator's dictionary (hybrid.GridT, once UseDict
-// gave it that dictionary).
-type termIDRouter interface {
-	RouteObjectIDs(o *model.Object, ids []uint32) []int
+// textIDs is termIDs(textutil.Tokenize(text)) in one pass over text's
+// bytes, with no term string made: each token the textutil.Scanner reads
+// is looked up as a substring of text, or, if it has an upper-case
+// letter, lowered into a stack buffer first (Find keeps nothing it is
+// given). Ids are de-duplicated as integers, in order of first
+// occurrence, which is Tokenize's string de-duplication: distinct terms
+// have distinct ids. A text with a byte at or above utf8.RuneSelf is
+// Tokenize's to split, as Tokenize hands it to its rune path.
+func (d *dispatcher) textIDs(text string) []uint32 {
+	at := d.reserve((len(text) + 1) / 2) // tokens are one separator apart
+	var (
+		buf  [64]byte
+		seen map[uint32]struct{} // nil until idScanMax distinct ids
+		sc   = textutil.NewScanner(text)
+	)
+	for {
+		tok, upper, ok := sc.Next()
+		if !ok {
+			break
+		}
+		if upper {
+			b := textutil.AppendLower(buf[:0], tok)
+			tok = unsafe.String(&b[0], len(b))
+		}
+		id := d.s.dict.Find(tok)
+		switch {
+		case id == 0:
+			continue
+		case seen != nil:
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			seen[id] = struct{}{}
+		case slices.Contains(d.ids[at:], id):
+			continue
+		case len(d.ids)-at == idScanMax:
+			// Scanning is quadratic: a long text goes through a set.
+			seen = make(map[uint32]struct{}, 2*idScanMax)
+			for _, x := range d.ids[at:] {
+				seen[x] = struct{}{}
+			}
+			seen[id] = struct{}{}
+		}
+		d.ids = append(d.ids, id)
+	}
+	if sc.NonASCII() {
+		d.ids = d.ids[:at]
+		return d.termIDs(textutil.Tokenize(text))
+	}
+	return d.ids[at:len(d.ids):len(d.ids)]
 }
 
-// routeByIDs routes o by ids if a can, else by o's terms.
-func routeByIDs(a partition.Assignment, o *model.Object, ids []uint32) []int {
-	if r, ok := a.(termIDRouter); ok {
-		return r.RouteObjectIDs(o, ids)
+// idScanMax is the most ids textIDs de-duplicates by scanning.
+const idScanMax = 64
+
+// reserve makes room for n more ids in the slab and returns where they
+// start.
+func (d *dispatcher) reserve(n int) int {
+	if d.ids == nil || cap(d.ids)-len(d.ids) < n {
+		d.ids = make([]uint32, 0, max(idSlab, n))
 	}
-	return a.RouteObject(o)
+	return len(d.ids)
+}
+
+// termIDRouter is an assignment that can route an object by the ids its
+// terms have in the coordinator's dictionary (hybrid.GridT, once UseDict
+// gave it that dictionary), and can tell a location where it discards
+// every object before they are read.
+type termIDRouter interface {
+	NoKeysAt(p geo.Point) bool
+	RouteObjectIDs(o *model.Object, ids []uint32) []int
 }
 
 // keyFirst puts each conjunction's registration key first in op's query,
@@ -593,16 +700,6 @@ func (s *System) intern(q *model.Query) {
 			s.dict.ID(t)
 		}
 	}
-}
-
-// inProcess reports whether any of the slots runs in this process.
-func (s *System) inProcess(slots []int) bool {
-	for _, w := range slots {
-		if s.bolts[w] != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // workerBolt runs an in-process worker slot: it feeds the slot's engine

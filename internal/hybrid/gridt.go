@@ -292,6 +292,17 @@ func (gt *GridT) RouteObject(o *model.Object) []int {
 	return maskRoute(mask)
 }
 
+// NoKeysAt reports whether the cell holding p has no live registration
+// key, so that RouteObject discards any object there, whatever its
+// terms: a caller that has not read an object's terms yet need not.
+func (gt *GridT) NoKeysAt(p geo.Point) bool {
+	id := gt.g.CellOf(p)
+	mu := gt.lockFor(id)
+	mu.RLock()
+	defer mu.RUnlock()
+	return gt.cells[id].h2.Len() == 0
+}
+
 // RouteObjectIDs is RouteObject for a caller that has looked o's terms
 // up already: ids are the ids they have in the grid's dictionary (terms
 // it does not hold left out).

@@ -288,3 +288,41 @@ func TestUseDictRekeysH2(t *testing.T) {
 		t.Errorf("Footprint %d on the shared dictionary, want %d: its own twin's without the %d-byte dictionary", got, want, own.dict.Footprint())
 	}
 }
+
+// NoKeysAt holds exactly where a cell's H2 is empty, and there
+// RouteObject discards every object; a query inserted into such a cell
+// ends it, and deleting the query brings it back.
+func TestNoKeysAtDiscardsEveryObject(t *testing.T) {
+	gt, _, objs := routedGrid(t, 31)
+	idle, busy := 0, 0
+	for _, o := range objs {
+		if !gt.NoKeysAt(o.Loc) {
+			busy++
+			continue
+		}
+		idle++
+		if ws := gt.RouteObject(o); len(ws) != 0 {
+			t.Fatalf("object %d in a cell with no keys routes to %v", o.ID, ws)
+		}
+	}
+	if idle == 0 || busy == 0 {
+		t.Fatalf("vacuous: %d objects in cells with no keys, %d in others", idle, busy)
+	}
+	for id := 0; id < gt.Grid().NumCells(); id++ {
+		at := gt.Grid().CellRect(id).Center()
+		if !gt.NoKeysAt(at) {
+			continue
+		}
+		q := &model.Query{ID: 990001, Expr: model.And("nkaterm"), Region: geo.NewRect(at.X, at.Y, at.X, at.Y)}
+		gt.RouteQuery(q, true)
+		if gt.NoKeysAt(at) {
+			t.Fatalf("cell %d has no keys after an insert into it", id)
+		}
+		gt.RouteQuery(q, false)
+		if !gt.NoKeysAt(at) {
+			t.Fatalf("cell %d keeps a key after its only query was deleted", id)
+		}
+		return
+	}
+	t.Fatal("vacuous: no cell without keys")
+}

@@ -23,8 +23,18 @@ import (
 type Object struct {
 	// ID identifies the object within a stream.
 	ID uint64
-	// Terms is the tokenised, de-duplicated textual content.
+	// Terms is the tokenised, de-duplicated textual content
+	// (textutil.Tokenize of Text). Nil means not made yet: the terms are
+	// then Text's, and only a reader that needs them as strings makes
+	// them. Core's dispatcher reads Text straight to term ids, and makes
+	// Terms before the fan-out for a remote slot or an assignment that
+	// routes by strings; a worker engine makes a top-k window entry's
+	// own. An object with Terms set is matched on Terms alone.
 	Terms []string
+	// Text is the raw message text (ps2stream.Publish), or empty for an
+	// object built from its terms. It is not encoded on the wire: a
+	// remote slot receives Terms.
+	Text string
 	// Loc is the geographical coordinate of the object.
 	Loc geo.Point
 }
@@ -191,7 +201,8 @@ type Query struct {
 func (q *Query) IsTopK() bool { return q.TopK > 0 && q.Window > 0 }
 
 // Matches reports whether object o is a result of query q: o.loc inside
-// q.R and o.text satisfying q.K (§III-A).
+// q.R and o.text satisfying q.K (§III-A). It reads o.Terms, which must
+// be made.
 func (q *Query) Matches(o *Object) bool {
 	return q.Region.Contains(o.Loc) && q.Expr.MatchesSlice(o.Terms)
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Tokenize splits free text into lower-cased, de-duplicated terms.
@@ -20,9 +21,9 @@ import (
 // is preserved.
 //
 // ASCII text — every message of the evaluated workloads — is tokenised in
-// one pass over its bytes: a token with no upper-case letter is a
-// substring of s, the ones with an upper-case letter are lowered into one
-// shared buffer, and the result is copied out at its exact size, so a
+// one pass over its bytes (Scanner): a token with no upper-case letter is
+// a substring of s, the ones with an upper-case letter are lowered into
+// one shared buffer, and the result is copied out at its exact size, so a
 // lower-case text costs one allocation and any other ASCII text two. The
 // first byte at or above utf8.RuneSelf hands the whole text to
 // tokenizeUnicode; both produce what ToLower followed by FieldsFunc does.
@@ -31,56 +32,120 @@ func Tokenize(s string) []string {
 		scratch [32]string // distinct terms of a message-sized text
 		kept    = scratch[:0]
 		seen    map[string]struct{}
-		lowered strings.Builder
-		start   = -1 // first byte of the open token
-		upper   bool // the open token has an upper-case letter
+		lowered []byte
+		sc      = Scanner{text: s}
 	)
-	for i := 0; i <= len(s); i++ {
-		var c byte // the end of the text ends a token like any separator
-		if i < len(s) {
-			c = s[i]
+	for {
+		tok, upper, ok := sc.Next()
+		if !ok {
+			break
 		}
-		switch {
-		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
-			if start < 0 {
-				start = i
-			}
-		case 'A' <= c && c <= 'Z':
-			if start < 0 {
-				start = i
-			}
-			upper = true
-		case c >= utf8.RuneSelf:
-			return tokenizeUnicode(s)
-		case start >= 0:
-			tok := s[start:i]
-			if upper {
-				if lowered.Cap() == 0 {
-					// The buffer is wasted if the rune path takes over
-					// later: look ahead once before paying for it.
-					if !isASCII(s[i:]) {
-						return tokenizeUnicode(s)
-					}
-					lowered.Grow(len(s) - start)
+		if upper {
+			if lowered == nil {
+				// The buffer is wasted if the rune path takes over
+				// later: look ahead once before paying for it.
+				rest := s[sc.pos:]
+				if !isASCII(rest) {
+					return tokenizeUnicode(s)
 				}
-				at := lowered.Len()
-				for j := start; j < i; j++ {
-					b := s[j]
-					if 'A' <= b && b <= 'Z' {
-						b += 'a' - 'A'
-					}
-					lowered.WriteByte(b)
-				}
-				tok = lowered.String()[at:]
-				upper = false
+				lowered = make([]byte, 0, len(tok)+len(rest))
 			}
-			kept, seen = keepTerm(kept, seen, tok)
-			start = -1
+			// lowered was sized for every byte left, so it never moves
+			// and the terms cut from it stay put.
+			at := len(lowered)
+			lowered = AppendLower(lowered, tok)
+			tok = unsafe.String(&lowered[at], len(tok))
 		}
+		kept, seen = keepTerm(kept, seen, tok)
+	}
+	if sc.nonASCII {
+		return tokenizeUnicode(s)
 	}
 	out := make([]string, len(kept))
 	copy(out, kept)
 	return out
+}
+
+// Scanner reads the tokens of an ASCII text: its maximal runs of ASCII
+// letters and digits, everything else being a separator. It is the one
+// ASCII lexer: Tokenize runs it, and so does any caller that wants each
+// token as something other than a kept string (the dispatcher looks each
+// one up in its term dictionary), so that both split and lower a text
+// alike. The zero value scans the empty text.
+type Scanner struct {
+	text     string
+	pos      int  // the next byte to read
+	nonASCII bool // the scan stopped at a byte at or above utf8.RuneSelf
+}
+
+// NewScanner returns a Scanner over text.
+func NewScanner(text string) Scanner { return Scanner{text: text} }
+
+// Next returns the next token as a substring of the text, and whether it
+// holds an upper-case letter, in which case the term is AppendLower of
+// it. ok is false at the end of the text and at its first byte at or
+// above utf8.RuneSelf; NonASCII tells the two apart.
+func (sc *Scanner) Next() (tok string, upper, ok bool) {
+	s, i := sc.text, sc.pos
+	for i < len(s) && byteClass[s[i]] == sepByte {
+		i++
+	}
+	start := i
+	for ; i < len(s); i++ {
+		switch byteClass[s[i]] {
+		case upperByte:
+			upper = true
+		case sepByte:
+			sc.pos = i + 1
+			return s[start:i], upper, true
+		case highByte:
+			sc.pos, sc.nonASCII = len(s), true
+			return "", false, false
+		}
+	}
+	sc.pos = len(s)
+	return s[start:], upper, start < len(s)
+}
+
+// The classes of byteClass.
+const (
+	sepByte   = iota
+	lowerByte // a lower-case ASCII letter or a digit
+	upperByte
+	highByte // a byte at or above utf8.RuneSelf
+)
+
+// byteClass classifies every byte for Scanner.
+var byteClass = func() (c [256]uint8) {
+	for b := range c {
+		switch {
+		case 'a' <= b && b <= 'z' || '0' <= b && b <= '9':
+			c[b] = lowerByte
+		case 'A' <= b && b <= 'Z':
+			c[b] = upperByte
+		case b >= utf8.RuneSelf:
+			c[b] = highByte
+		}
+	}
+	return c
+}()
+
+// NonASCII reports whether the scan stopped at a byte at or above
+// utf8.RuneSelf. Such a text is Tokenize's to split as a whole: its
+// tokens so far do not count.
+func (sc *Scanner) NonASCII() bool { return sc.nonASCII }
+
+// AppendLower appends the ASCII token tok to dst with its upper-case
+// letters lowered.
+func AppendLower(dst []byte, tok string) []byte {
+	for i := 0; i < len(tok); i++ {
+		c := tok[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 func isASCII(s string) bool {

@@ -37,8 +37,9 @@ import (
 // and Welcome open with Magic and Version); types are never renumbered.
 const (
 	// TypeHello opens a connection: coordinator → peer, carrying the
-	// grid geometry and term statistics the peer needs so gridt cell
-	// ids agree across processes.
+	// grid geometry the peer needs so gridt cell ids agree across
+	// processes, the slot's task and fencing epoch, and the heartbeat
+	// interval.
 	TypeHello byte = 1
 	// TypeWelcome acknowledges a Hello: peer → coordinator.
 	TypeWelcome byte = 2
@@ -116,7 +117,8 @@ const (
 // MaxFrameSize bounds a frame's length field: a reader rejects larger
 // frames before allocating, so a corrupt or malicious length cannot
 // trigger a huge allocation. 16 MiB comfortably holds the largest
-// legitimate frame (a transfer batch of maximal queries).
+// legitimate frame: a transfer batch of operations or matches, or one
+// page of a cell share (PageBudget).
 const MaxFrameSize = 16 << 20
 
 // ErrFrameTooLarge is returned by ReadFrame for frames whose declared

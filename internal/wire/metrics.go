@@ -15,7 +15,7 @@ import (
 // covers data, control, and migration traffic alike.
 
 // maxFrameType bounds the counter arrays; frame types are small bytes
-// (currently 1–17) and anything larger lands in the "other" slot.
+// (the Type constants) and anything larger lands in the "other" slot.
 const maxFrameType = 32
 
 type frameCounters struct {
@@ -41,13 +41,15 @@ func (fc *frameCounters) record(typ byte, payloadLen int, dur time.Duration) {
 	fc.nanos[i].Add(int64(dur))
 }
 
-// typeNames names the frame types that have metric series.
+// typeNames names every frame type; each named type has metric series.
 var typeNames = [...]string{
 	TypeHello: "hello", TypeWelcome: "welcome", TypeOpBatch: "op_batch", TypeMatchBatch: "match_batch",
 	TypeDrain: "drain", TypeDrainAck: "drain_ack", TypeStatsReq: "stats_req", TypeStatsReply: "stats_reply",
 	TypeFence: "fence", TypeGoodbye: "goodbye", TypeCellStatsReq: "cell_stats_req",
 	TypeCellStatsReply: "cell_stats_reply", TypeExtractCells: "extract_cells", TypeCellShare: "cell_share",
 	TypeInstallCells: "install_cells", TypeInstallAck: "install_ack", TypeResetWindow: "reset_window",
+	TypePing: "ping", TypeWindowDeltaBatch: "window_delta_batch", TypeAdvanceWindow: "advance_window",
+	TypeAdvanceAck: "advance_ack",
 }
 
 // TypeName names a frame type for metric labels.
@@ -67,17 +69,20 @@ func TypeName(typ byte) string {
 // io_seconds is cumulative time inside Send (encode + write + flush)
 // and Recv (including the blocking wait for the frame to arrive, so the
 // rx side reads as read-loop occupancy). Registration is eager for
-// every known kind so scrapes see stable series sets from the first
+// every named kind so scrapes see stable series sets from the first
 // poll.
 func RegisterMetrics(reg *metrics.Registry) {
-	for t := byte(1); t <= TypeResetWindow; t++ {
+	for t, name := range typeNames {
+		if name == "" {
+			continue
+		}
 		for _, d := range []struct {
 			dir string
 			fc  *frameCounters
 		}{{"tx", &txCounters}, {"rx", &rxCounters}} {
-			i := int(t)
+			i := t
 			fc := d.fc
-			kind := metrics.L("kind", TypeName(t))
+			kind := metrics.L("kind", name)
 			dir := metrics.L("dir", d.dir)
 			reg.CounterFunc("ps2_wire_frames_total", "wire frames by kind and direction",
 				func() int64 { return fc.frames[i].Load() }, dir, kind)

@@ -19,6 +19,7 @@ import (
 
 	"ps2stream/internal/gi2"
 	"ps2stream/internal/model"
+	"ps2stream/internal/textutil"
 	"ps2stream/internal/window"
 	"ps2stream/internal/wire"
 )
@@ -106,7 +107,9 @@ func (e *Engine) observe(t time.Time) {
 // into the window store, whose local membership changes are the deltas.
 // An object is matched on its envelope's TermIDs when the dispatcher
 // resolved them (in process, in the index's shared dictionary), else on
-// its terms.
+// its terms. An object whose terms the dispatcher did not make (nil
+// Terms, see model.Object) has them made from its text for a top-k hit's
+// window entry only.
 func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.Delta) ([]wire.MatchEnv, []window.Delta, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -159,6 +162,12 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 func (e *Engine) match(s uint32) {
 	id, sub, topk := e.gi.Slot(s)
 	if topk != nil && topk.IsTopK() {
+		if e.entry.Terms == nil {
+			// The window ranks by the terms: make them from the text,
+			// for the entry only. The object is shared with other
+			// slots and is never written here.
+			e.entry.Terms = textutil.Tokenize(e.env.Op.Obj.Text)
+		}
 		e.dout = e.win.Insert(e.dout, id, e.entry, e.now, true)
 		return
 	}

@@ -521,6 +521,8 @@ func Open(opts Options) (*System, error) {
 	return sys, nil
 }
 
+// toObject builds the object of a seed or Repartition sample message:
+// the partitioner reads its terms, so they are made here.
 func (m *Message) toObject() *model.Object {
 	return &model.Object{
 		ID:    m.ID,
@@ -547,8 +549,12 @@ func (s *Subscription) toQuery() (*model.Query, error) {
 // Unsubscribe returned before it. It blocks under backpressure; a
 // Publish that is blocked when Close is called, or follows it, returns
 // without submitting.
+//
+// The message's text is not tokenised here: the dispatcher reads it once,
+// straight to term ids (model.Object.Text).
 func (s *System) Publish(m Message) {
-	s.inner.Submit(model.Op{Kind: model.OpObject, Obj: m.toObject()})
+	o := &model.Object{ID: m.ID, Text: m.Text, Loc: geo.Point{X: m.Lon, Y: m.Lat}}
+	s.inner.Submit(model.Op{Kind: model.OpObject, Obj: o})
 }
 
 // Subscribe registers a continuous query. Once Subscribe returns, every

@@ -711,3 +711,34 @@ func TestStatsBalanceFactorCountsMembers(t *testing.T) {
 		t.Errorf("BalanceFactor = %v, want %v, max/min of the members' loads %v", st.BalanceFactor, want, st.WorkerLoads[:2])
 	}
 }
+
+// TestPublishAllocs: on a system whose slots all run in process, Publish
+// of an ASCII message allocates the object and nothing else. The message
+// lies in a cell with a live key, so the dispatcher reads its text
+// straight to term ids (one of which, "coffee", the dictionary holds),
+// with no term string made; none of its terms is the cell's key
+// ("brooklyn" ranks first), so it is discarded there and nothing
+// downstream allocates either.
+func TestPublishAllocs(t *testing.T) {
+	sys, err := Open(Options{Region: usRegion, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Subscribe(Subscription{ID: 1, Query: "coffee AND brooklyn", Region: RegionAround(40.7, -73.95, 20, 20)}); err != nil {
+		t.Fatal(err)
+	}
+	m := Message{ID: 1, Text: "Nobody drinks COFFEE in the park, said 2 Locals", Lat: 40.7, Lon: -73.95}
+	const warm = 20000
+	for i := 0; i < warm; i++ { // grow the ingest buffers and the scratch
+		sys.Publish(m)
+	}
+	sys.Flush()
+	if n := testing.AllocsPerRun(5000, func() { sys.Publish(m) }); n > 1 {
+		t.Errorf("Publish allocates %v times, want at most 1 (the object)", n)
+	}
+	sys.Flush()
+	if st := sys.Stats(); st.Discarded != warm+5001 || st.Matches != 0 {
+		t.Errorf("discarded %d messages with %d matches, want %d with none", st.Discarded, st.Matches, warm+5001)
+	}
+}

@@ -86,19 +86,21 @@ func TestRemoteWorkersViaPublicAPI(t *testing.T) {
 }
 
 // TestRemoteWorkersExactMatchSet: the same seeded workload must produce
-// the byte-identical match set whether worker tasks run in-process or
-// behind loopback TCP.
+// the byte-identical match set whether worker tasks run in-process,
+// behind loopback TCP, or one of each. The messages mix upper and lower
+// case: an in-process slot matches on the ids the dispatcher reads from
+// the text, a remote one on the terms made for it.
 func TestRemoteWorkersExactMatchSet(t *testing.T) {
 	type key struct{ sub, msg uint64 }
-	run := func(remote bool) map[key]bool {
+	run := func(nodes int) map[key]bool {
 		col := &collector{}
 		opts := Options{
 			Region:  usRegion,
 			Workers: 2,
 			OnMatch: col.add,
 		}
-		if remote {
-			opts.RemoteWorkers = []string{startWorkerNode(t), startWorkerNode(t)}
+		for range nodes {
+			opts.RemoteWorkers = append(opts.RemoteWorkers, startWorkerNode(t))
 		}
 		sys, err := Open(opts)
 		if err != nil {
@@ -118,7 +120,7 @@ func TestRemoteWorkersExactMatchSet(t *testing.T) {
 		for i := 0; i < 600; i++ {
 			sys.Publish(Message{
 				ID:   uint64(5000 + i),
-				Text: fmt.Sprintf("kw%d kw%d kw%d", i%7, (i+3)%7, (i+5)%7),
+				Text: fmt.Sprintf("KW%d kw%d, Kw%d!", i%7, (i+3)%7, (i+5)%7),
 				Lat:  30 + rng.Float64()*15,
 				Lon:  -120 + rng.Float64()*50,
 			})
@@ -135,22 +137,24 @@ func TestRemoteWorkersExactMatchSet(t *testing.T) {
 		}
 		return out
 	}
-	want := run(false)
-	got := run(true)
+	want := run(0)
 	if len(want) == 0 {
 		t.Fatal("vacuous: in-process run produced no matches")
 	}
-	if len(got) != len(want) {
-		t.Errorf("remote run delivered %d distinct matches, in-process %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("match %v missing from the remote run", k)
+	for _, nodes := range []int{1, 2} {
+		got := run(nodes)
+		if len(got) != len(want) {
+			t.Errorf("%d remote slots: delivered %d distinct matches, in-process %d", nodes, len(got), len(want))
 		}
-	}
-	for k := range got {
-		if !want[k] {
-			t.Errorf("match %v extra in the remote run", k)
+		for k := range want {
+			if !got[k] {
+				t.Errorf("%d remote slots: match %v missing", nodes, k)
+			}
+		}
+		for k := range got {
+			if !want[k] {
+				t.Errorf("%d remote slots: match %v extra", nodes, k)
+			}
 		}
 	}
 }

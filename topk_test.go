@@ -220,3 +220,42 @@ func equalU64(a, b []uint64) bool {
 	}
 	return true
 }
+
+// TestTopKRanksByTextRelevance: with location and time the same for
+// every message, text relevance alone decides a top-k. Of four messages
+// published (mixed case) under an OR over three keywords, the two that
+// hold more of the keywords are the top 2, though the others have the
+// higher ids that win a tie.
+func TestTopKRanksByTextRelevance(t *testing.T) {
+	now := time.Date(2026, 4, 1, 8, 0, 0, 0, time.UTC)
+	sys, err := Open(Options{
+		Region:  NewRegion(-125, 24, -66, 49),
+		Workers: 4,
+		Now:     func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.SubscribeTopK(Subscription{
+		ID:     1,
+		Query:  "pizza OR pasta OR wine",
+		Region: RegionAround(40.7, -73.95, 200, 200),
+	}, 2, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sys.Flush()
+	for _, m := range []Message{
+		{ID: 1, Text: "PIZZA, Pasta and wine tonight"},
+		{ID: 2, Text: "Pasta with a glass of WINE"},
+		{ID: 3, Text: "Wine bar"},
+		{ID: 4, Text: "cold pizza"},
+	} {
+		m.Lat, m.Lon = 40.7, -73.95
+		sys.Publish(m)
+	}
+	sys.Flush()
+	if got := sys.TopKSet(1); !equalU64(got, []uint64{1, 2}) {
+		t.Errorf("TopKSet is %v, want [1 2]: the messages with three and two of the keywords", got)
+	}
+}
