@@ -627,7 +627,7 @@ func TestPsnodeClusterAdminEndpoints(t *testing.T) {
 	// Role-specific series on /metrics.
 	wantSeries := map[string][]string{
 		"worker":     {"ps2_ops_processed_total", `ps2_worker_ops_total{kind="object"}`, "ps2_wire_frames_total"},
-		"worker2":    {"ps2_ops_processed_total", "ps2_route_epoch"},
+		"worker2":    {"ps2_ops_processed_total", "ps2_worker_queries"},
 		"dispatcher": {"ps2_ops_processed_total", "ps2_matches_delivered_total", "ps2_matches_duplicates_total", "ps2_stage_seconds_bucket", `ps2_worker_ops_total{kind="object",worker="0"}`, `ps2_worker_ops_total{kind="object",worker="1"}`, "ps2_worker_load_ewma", "ps2_adjust_checks_total", "ps2_migrations_total", "ps2_wire_frames_total"},
 	}
 	for role, series := range wantSeries {

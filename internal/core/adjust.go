@@ -119,7 +119,9 @@ func (s *System) evaluate(manual bool) int {
 		}
 		s.lastAdjustNs.Store(now.UnixNano())
 	}
-	s.resetLoadWindows()
+	// The per-cell loads start afresh: a reset travels each slot's
+	// stream, ahead of the slot's next CellStats round.
+	s.fanOut(wire.ResetWindow{}, nil)
 	return s.migrationCount() - before
 }
 
@@ -136,17 +138,6 @@ func (s *System) pollLoads() error {
 		}
 	}
 	return nil
-}
-
-// resetLoadWindows starts a fresh window for the per-cell loads: the
-// dispatcher's per-cell arrivals and the per-cell object windows inside
-// each worker's index (Phase I/II candidate loads). A reset travels the
-// slot's stream, ahead of the slot's next CellStats round.
-func (s *System) resetLoadWindows() {
-	for i := range s.cellObjects {
-		s.cellObjects[i].Store(0)
-	}
-	s.fanOut(wire.ResetWindow{}, nil)
 }
 
 // AdjustNow forces one synchronous adjustment evaluation, bypassing the
@@ -195,7 +186,7 @@ func (s *System) runAdjustment(wo, wl int) {
 	for _, cs := range s.collectShares(wlStats) {
 		wlShares[cs.Cell] = cs
 	}
-	actions := migrate.PlanPhaseI(s.collectShares(woStats), wlShares, s.cellObjTotal, migrate.PhaseIConfig{})
+	actions := migrate.PlanPhaseI(s.collectShares(woStats), wlShares, migrate.PhaseIConfig{})
 	migrated := make(map[int]bool)
 	for _, a := range actions {
 		var keys []string // ActionMergeShares moves the whole share
@@ -286,13 +277,6 @@ func (s *System) recordMigration(m MigrationStat) {
 	s.migMu.Unlock()
 }
 
-func (s *System) cellObjTotal(cell int) int64 {
-	if s.cellObjects == nil || cell < 0 || cell >= len(s.cellObjects) {
-		return -1
-	}
-	return s.cellObjects[cell].Load()
-}
-
 // collectShares is the Phase I view of a worker's CellStats snapshot.
 func (s *System) collectShares(stats []wire.CellStat) []migrate.CellShare {
 	shares := make([]migrate.CellShare, 0, len(stats))
@@ -304,6 +288,7 @@ func (s *System) collectShares(stats []wire.CellStat) []migrate.CellShare {
 			Cell:      cs.Cell,
 			Queries:   cs.Entries,
 			ObjSeen:   cs.ObjSeen,
+			Shared:    cs.Shared,
 			SizeBytes: cs.SizeBytes,
 			Text:      s.gridT.Load().IsTextCell(cs.Cell),
 		}
@@ -322,11 +307,14 @@ func (s *System) collectShares(stats []wire.CellStat) []migrate.CellShare {
 func cellLoadSum(stats []wire.CellStat) float64 {
 	var sum float64
 	for _, cs := range stats {
-		if cs.Load > 0 {
-			sum += cs.Load
-		}
+		sum += cellLoad(cs)
 	}
 	return sum
+}
+
+// cellLoad is a cell's Definition 3 window load L_g = n_o·n_q.
+func cellLoad(cs wire.CellStat) float64 {
+	return load.Cell(float64(cs.ObjSeen), float64(cs.Entries))
 }
 
 // migrationCandidates lists a CellStats snapshot's cells as Minimum Cost
@@ -336,21 +324,13 @@ func cellLoadSum(stats []wire.CellStat) float64 {
 func migrationCandidates(stats []wire.CellStat, skip map[int]bool) []migrate.Cell {
 	var cells []migrate.Cell
 	for _, cs := range stats {
-		if cs.Entries == 0 || cs.Load <= 0 || skip[cs.Cell] {
+		l := cellLoad(cs)
+		if l <= 0 || skip[cs.Cell] {
 			continue
 		}
-		cells = append(cells, migrate.Cell{ID: cs.Cell, Load: cs.Load, Size: cs.SizeBytes})
+		cells = append(cells, migrate.Cell{ID: cs.Cell, Load: l, Size: cs.SizeBytes})
 	}
 	return cells
-}
-
-// announceFence forwards the current routing epoch to every member slot
-// after a flip. The request is informational: it tags the engine's
-// diagnostics with the epoch its later traffic was routed under.
-func (s *System) announceFence() {
-	epoch := s.routeEpoch.Load()
-	s.log.Debug("adjust route epoch advanced", "epoch", epoch)
-	s.fanOut(wire.Fence{Epoch: epoch}, nil)
 }
 
 // handOff moves worker wo's share of a cell — the whole cell when keys is
@@ -375,10 +355,6 @@ func (s *System) handOff(wo, wl, cell int, keys []string, flip func()) (queriesM
 		release(holds)
 		return 0, 0, false
 	}
-	// The fence rounds go out once the holds are released: a round sent
-	// while the run closes waits for the run to end, which waits for the
-	// held slots.
-	defer s.announceFence()
 	defer release(holds)
 	src, dst := holds[0], holds[1]
 	extract := wire.ExtractCells{Cells: []wire.CellSpec{{Cell: cell, Keys: keys}}, Remove: true, Subs: true}

@@ -394,10 +394,6 @@ type System struct {
 	statsMu sync.Mutex
 	statsAt time.Time
 
-	// cellObjects counts object arrivals per grid cell over the load
-	// window (Phase I merge planning): only the dispatcher sees a cell's
-	// arrivals before routing splits them across workers.
-	cellObjects []atomic.Int64
 	// enqueued/doneOps count operations routed to each slot / finished
 	// by its task, processed in process or handed to the wire (never
 	// reset). Only the coordinator sees these: their difference is the
@@ -553,9 +549,6 @@ func New(cfg Config, sample *partition.Sample) (*System, error) {
 	s.remoteHello = cfg.RemoteHello(0, sample)
 	s.towork = newQueues(totalSlots, &cfg)
 	s.shards = make([]dedupShard, cfg.Mergers)
-	if gt := s.gridT.Load(); gt != nil {
-		s.cellObjects = make([]atomic.Int64, gt.Grid().NumCells())
-	}
 	if s.canAdjust() {
 		s.loadEWMA = make([]*metrics.EWMA, totalSlots)
 		for i := range s.loadEWMA {

@@ -134,35 +134,137 @@ func TestDualAssignmentAccessors(t *testing.T) {
 	}
 }
 
-// The per-cell arrivals Phase I's merge bound reads cover the load
-// window, as the workers' per-cell ObjSeen does: an evaluation starts
-// both afresh.
-func TestCellObjectsFollowTheLoadWindow(t *testing.T) {
-	sample, _ := smallWorkload(t, workload.Q1, 53, 0)
-	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}}, sample)
+// splitCell is a running system whose cell at center is split by key.
+type splitCell struct {
+	sys          *System
+	center       geo.Point
+	cell, wo, wl int
+}
+
+// splitCenterCell starts a four-worker system whose centre cell holds ten
+// queries under key a and ten under key b, and splits it by key with
+// migrateSplit: key a moves from the cell's owner wo to wl. It skips the
+// test when the sample made the centre a text cell.
+func splitCenterCell(t *testing.T, seed int64, onMatch func(model.Match), a, b string) splitCell {
+	t.Helper()
+	sample, _ := smallWorkload(t, workload.Q1, seed, 0)
+	sys, err := New(Config{Workers: 4, Builder: hybrid.Builder{}, OnMatch: onMatch}, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	t.Cleanup(func() { sys.Close() })
+	gt := sys.gridT.Load()
 	center := sample.Bounds.Center()
-	cell := sys.gridT.Load().Grid().CellOf(center)
-	publish := func(from, n int) {
-		for i := range n {
-			sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{
-				ID: uint64(from + i), Terms: []string{"cellwindow"}, Loc: center,
-			}})
-		}
-		if err := sys.Drain(); err != nil {
-			t.Fatal(err)
+	cell := gt.Grid().CellOf(center)
+	if gt.IsTextCell(cell) {
+		t.Skip("sample produced a text cell at the centre; space cell needed")
+	}
+	region := geo.RectAround(center, 5, 5)
+	for i := range 10 {
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: uint64(i + 1), Expr: model.And(a), Region: region}})
+		sys.Submit(model.Op{Kind: model.OpInsert, Query: &model.Query{ID: uint64(i + 101), Expr: model.And(b), Region: region}})
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	wo := gt.CellWorkers(cell)[0]
+	wl := (wo + 1) % 4
+	if moved, _, ok := sys.migrateSplit(wo, wl, cell, []string{a}); !ok || moved != 10 {
+		t.Fatalf("migrateSplit moved %d queries (ok %v), want 10", moved, ok)
+	}
+	return splitCell{sys: sys, center: center, cell: cell, wo: wo, wl: wl}
+}
+
+// publish submits n objects with ids from, from+1, … carrying terms at
+// the split cell's centre, and drains.
+func (sc splitCell) publish(t *testing.T, from, n int, terms ...string) {
+	t.Helper()
+	for i := range n {
+		sc.sys.Submit(model.Op{Kind: model.OpObject, Obj: &model.Object{ID: uint64(from + i), Terms: terms, Loc: sc.center}})
+	}
+	if err := sc.sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cellStat reads slot w's CellStats entry for cell.
+func cellStat(t *testing.T, sys *System, w, cell int) wire.CellStat {
+	t.Helper()
+	reply, err := roundAs[wire.CellStatsReply](sys, w, wire.CellStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range reply.Cells {
+		if cs.Cell == cell {
+			return cs
 		}
 	}
-	publish(1, 300)
+	return wire.CellStat{Cell: cell}
+}
+
+// The engines' per-cell counts Phase I reads cover the load window: an
+// evaluation starts them afresh. An object routed to both owners of a
+// split cell counts as shared at each.
+func TestCellObjectsFollowTheLoadWindow(t *testing.T) {
+	sc := splitCenterCell(t, 53, nil, "cellwindowa", "cellwindowb")
+	sys, cell := sc.sys, sc.cell
+	sc.publish(t, 1, 300, "cellwindowa", "cellwindowb")
 	sys.AdjustNow()
-	publish(301, 50)
-	if got := sys.cellObjTotal(cell); got != 50 {
-		t.Errorf("cellObjTotal = %d after one evaluation and 50 objects, want 50", got)
+	sc.publish(t, 301, 50, "cellwindowa", "cellwindowb")
+	owners := sys.gridT.Load().CellWorkers(cell)
+	if len(owners) != 2 {
+		t.Fatalf("cell %d has owners %v, want two", cell, owners)
+	}
+	for _, w := range owners {
+		if cs := cellStat(t, sys, w, cell); cs.ObjSeen != 50 || cs.Shared != 50 {
+			t.Errorf("worker %d: ObjSeen %d, Shared %d after one evaluation and 50 objects, want 50, 50", w, cs.ObjSeen, cs.Shared)
+		}
+	}
+}
+
+// TestPhaseIMergeRejoinsASplitCell: both shares of a split cell see every
+// object, so Phase I merges them back. As many objects in the cell that
+// H2 discards, which neither owner handles, do not hide the duplication.
+// Every pair is delivered once, before and after the merge.
+func TestPhaseIMergeRejoinsASplitCell(t *testing.T) {
+	ms := newMatchSet()
+	sc := splitCenterCell(t, 51, ms.add, "mergekeya", "mergekeyb")
+	sys, cell, wo, wl := sc.sys, sc.cell, sc.wo, sc.wl
+	const n = 200
+	sc.publish(t, 1, n, "mergekeya", "mergekeyb")
+	sc.publish(t, n+1, n, "mergekeydiscarded")
+	sys.runAdjustment(wo, wl)
+
+	migs := sys.Migrations()
+	if len(migs) != 1 || !migs[0].PhaseI || migs[0].From != wo || migs[0].To != wl || migs[0].QueriesMoved != 10 {
+		t.Fatalf("migrations %+v, want one Phase I merge of 10 queries from %d to %d", migs, wo, wl)
+	}
+	if owners := sys.gridT.Load().CellWorkers(cell); len(owners) != 1 || owners[0] != wl {
+		t.Errorf("cell %d has owners %v after the merge, want [%d]", cell, owners, wl)
+	}
+	sc.publish(t, 2*n+1, n, "mergekeya", "mergekeyb")
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var queries []uint64 // 1–10 under key a, 101–110 under key b
+	for i := range uint64(10) {
+		queries = append(queries, i+1, i+101)
+	}
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	for _, from := range []int{1, 2*n + 1} {
+		for o := uint64(from); o < uint64(from+n); o++ {
+			for _, q := range queries {
+				if got := ms.seen[[2]uint64{q, o}]; got != 1 {
+					t.Fatalf("pair (query %d, object %d) delivered %d times, want once", q, o, got)
+				}
+			}
+		}
+	}
+	if want := 20 * 2 * n; len(ms.seen) != want {
+		t.Errorf("%d pairs delivered, want %d", len(ms.seen), want)
 	}
 }

@@ -21,7 +21,7 @@ type ctrlRound struct {
 	slot int
 	req  wire.Frame
 	// done receives the one reply; nil for a request that is not
-	// answered (Fence, ResetWindow).
+	// answered (ResetWindow).
 	done chan roundReply
 	// pos is the op-log sequence a remote slot's bolt had sent when it
 	// forwarded the request: the position of a checkpoint's population.

@@ -482,11 +482,6 @@ func (d *dispatcher) dispatchBatch(ops []wire.OpEnv) {
 		case model.OpObject:
 			targets = d.routeObject(a, &ops[i])
 			ops[i].Solo = len(targets) == 1
-			if gt := s.gridT.Load(); gt != nil && s.cellObjects != nil {
-				if id := gt.Grid().CellOf(op.Obj.Loc); id < len(s.cellObjects) {
-					s.cellObjects[id].Add(1)
-				}
-			}
 			if len(targets) == 0 {
 				discarded++
 				lat.Observe(now.Sub(ops[i].T0))

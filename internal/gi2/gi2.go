@@ -140,6 +140,7 @@ type cell struct {
 	tab     termtab.Table[entry]
 	entries int32 // postings, dead ones included until they are dropped
 	objSeen int64 // objects matched against this cell in the current window
+	shared  int64 // of those, objects routed to more than one slot
 }
 
 // New returns an empty index over bounds with granularity×granularity
@@ -512,15 +513,15 @@ func (ix *Index) Delete(id uint64) {
 // valid until fn returns, and fn must neither keep nor modify it. A top-k
 // subscription is passed as the definition that was inserted.
 func (ix *Index) Match(o *model.Object, fn func(q *model.Query)) {
-	for _, s := range ix.MatchObject(o) {
+	for _, s := range ix.MatchObject(o, false) {
 		fn(ix.viewOf(s))
 	}
 }
 
 // MatchObject is MatchSlots for an object whose terms are strings: it
 // looks them up in the dictionary first, if o's cell holds any posting.
-func (ix *Index) MatchObject(o *model.Object) []uint32 {
-	c := ix.cellAt(o.Loc)
+func (ix *Index) MatchObject(o *model.Object, shared bool) []uint32 {
+	c := ix.cellAt(o.Loc, shared)
 	if c == nil {
 		return nil
 	}
@@ -543,9 +544,10 @@ func (ix *Index) MatchObject(o *model.Object) []uint32 {
 // without a dedup probe (wire.OpEnv.Solo). Dead entries
 // encountered on the traversed lists are removed, which implements lazy
 // deletion. The result is valid until the next call that changes or
-// matches against the index; Slot reads each hit.
-func (ix *Index) MatchSlots(loc geo.Point, ids []uint32) []uint32 {
-	c := ix.cellAt(loc)
+// matches against the index; Slot reads each hit. shared says the object
+// was routed to other slots too; the cell counts it (CellStat.Shared).
+func (ix *Index) MatchSlots(loc geo.Point, ids []uint32, shared bool) []uint32 {
+	c := ix.cellAt(loc, shared)
 	if c == nil {
 		return nil
 	}
@@ -561,11 +563,14 @@ func (ix *Index) Slot(s uint32) (id, subscriber uint64, topk *model.Query) {
 	return ix.slots[s].id, ix.subs[s], topk
 }
 
-// cellAt counts an object at loc against its cell and returns the cell,
-// or nil if it holds no posting.
-func (ix *Index) cellAt(loc geo.Point) *cell {
+// cellAt counts an object at loc against its cell, and as shared when it
+// is, and returns the cell, or nil if it holds no posting.
+func (ix *Index) cellAt(loc geo.Point, shared bool) *cell {
 	c := &ix.cells[ix.g.CellOf(loc)]
 	c.objSeen++
+	if shared {
+		c.shared++
+	}
 	if c.tab.Len() == 0 {
 		return nil
 	}
@@ -669,8 +674,9 @@ type CellStat struct {
 	Entries int
 	// ObjSeen is n_o: objects matched against the cell this window.
 	ObjSeen int64
-	// Load is L_g = n_o · n_q.
-	Load float64
+	// Shared counts the objects of ObjSeen that were routed to other
+	// slots too: Phase I's merge bound (migrate.CellShare.Shared).
+	Shared int64
 	// SizeBytes is S_g: the total serialised size of the cell's distinct
 	// live queries, each counted once however many keys it is registered
 	// under — what QueriesInCell would ship.
@@ -692,19 +698,19 @@ func (ix *Index) CellStats() []CellStat {
 			CellID:    i,
 			Entries:   int(c.entries),
 			ObjSeen:   c.objSeen,
-			Load:      float64(c.objSeen) * float64(c.entries),
+			Shared:    c.shared,
 			SizeBytes: size,
 		})
 	}
 	return out
 }
 
-// ResetWindow zeroes the per-cell object and term-hit counters, starting a
-// new load measurement window.
+// ResetWindow zeroes the per-cell object, shared-object and term-hit
+// counters, starting a new load measurement window.
 func (ix *Index) ResetWindow() {
 	for i := range ix.cells {
 		c := &ix.cells[i]
-		c.objSeen = 0
+		c.objSeen, c.shared = 0, 0
 		tab := c.tab.Entries()
 		for j := range tab {
 			tab[j].Val.hits = 0

@@ -252,7 +252,7 @@ func TestSharedDictMatchSlots(t *testing.T) {
 		topk    *model.Query
 	}
 	var got []hit
-	for _, s := range a.MatchSlots(o.Loc, ids) {
+	for _, s := range a.MatchSlots(o.Loc, ids, false) {
 		id, sub, def := a.Slot(s)
 		got = append(got, hit{id, sub, def})
 	}
@@ -264,7 +264,7 @@ func TestSharedDictMatchSlots(t *testing.T) {
 	if m := a.MatchIDs(o); len(m) != len(want) {
 		t.Errorf("Match reports %v, MatchSlots %d hits", m, len(want))
 	}
-	if s := b.MatchSlots(o.Loc, ids); len(s) != 1 {
+	if s := b.MatchSlots(o.Loc, ids, false); len(s) != 1 {
 		t.Errorf("second index over the shared dictionary: %d hits, want 1", len(s))
 	} else if id, _, def := b.Slot(s[0]); id != 4 || def != nil {
 		t.Errorf("second index hit query %d (top-k %v), want boolean query 4", id, def)

@@ -295,8 +295,7 @@ func checkState(t *testing.T, step string, ix *Index, ref *refIndex) {
 			size += int64(q.SizeBytes())
 		}
 		cs := cellStats[cid] // absent, hence zero, for a cell with nothing to report
-		if cs.Entries != cellEntries || cs.ObjSeen != c.objSeen || cs.SizeBytes != size ||
-			cs.Load != float64(c.objSeen)*float64(cellEntries) {
+		if cs.Entries != cellEntries || cs.ObjSeen != c.objSeen || cs.SizeBytes != size || cs.Shared != 0 {
 			t.Fatalf("%s: CellStats[%d] = %+v, want entries %d objSeen %d size %d", step, cid, cs, cellEntries, c.objSeen, size)
 		}
 		if got := setOf(ix.QueriesInCell(cid), t, "QueriesInCell"); !sameSet(got, inCell) {

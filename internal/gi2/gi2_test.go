@@ -238,16 +238,16 @@ func TestCellStatsAndLoad(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ix.Match(obj(uint64(i), p, "rare"), func(*model.Query) {})
 	}
+	for i := 10; i < 14; i++ { // routed to other slots too
+		ix.MatchObject(obj(uint64(i), p, "rare"), true)
+	}
 	stats := ix.CellStats()
 	var found bool
 	for _, cs := range stats {
 		if cs.CellID == ix.Grid().CellOf(p) {
 			found = true
-			if cs.ObjSeen != 10 {
-				t.Errorf("ObjSeen = %d, want 10", cs.ObjSeen)
-			}
-			if cs.Load != 10*float64(cs.Entries) {
-				t.Errorf("Load = %v, want n_o*n_q = %v", cs.Load, 10*float64(cs.Entries))
+			if cs.ObjSeen != 14 || cs.Shared != 4 {
+				t.Errorf("ObjSeen, Shared = %d, %d, want 14, 4", cs.ObjSeen, cs.Shared)
 			}
 			if want := int64(qq.SizeBytes()); cs.SizeBytes != want {
 				t.Errorf("SizeBytes = %d, want %d: S_g counts the query once", cs.SizeBytes, want)
@@ -259,8 +259,8 @@ func TestCellStatsAndLoad(t *testing.T) {
 	}
 	ix.ResetWindow()
 	for _, cs := range ix.CellStats() {
-		if cs.ObjSeen != 0 {
-			t.Errorf("ResetWindow left ObjSeen = %d", cs.ObjSeen)
+		if cs.ObjSeen != 0 || cs.Shared != 0 {
+			t.Errorf("ResetWindow left ObjSeen, Shared = %d, %d", cs.ObjSeen, cs.Shared)
 		}
 	}
 }

@@ -18,9 +18,12 @@ type KeyStat struct {
 // CellShare is one worker's share of one gridt cell, the input granule of
 // Phase I planning.
 type CellShare struct {
-	Cell      int
-	Queries   int
-	ObjSeen   int64
+	Cell    int
+	Queries int
+	ObjSeen int64
+	// Shared counts the objects of ObjSeen that were routed to other
+	// workers too: what the worker shares with the cell's other owners.
+	Shared    int64
 	SizeBytes int64
 	Text      bool // cell is text-partitioned in the gridt index
 	Keys      []KeyStat
@@ -67,10 +70,8 @@ type PhaseIConfig struct {
 //   - a text-cell share is merged into w_l's share of the same cell when
 //     deduplicating the objects outweighs the larger matching product.
 //
-// wl maps cell id → w_l's existing share for merge checks; cellObjTotal
-// reports the total object arrivals per cell (dispatcher-side counter)
-// used to estimate the merged object volume.
-func PlanPhaseI(wo []CellShare, wl map[int]CellShare, cellObjTotal func(cell int) int64, cfg PhaseIConfig) []Action {
+// wl maps cell id → w_l's existing share for merge checks.
+func PlanPhaseI(wo []CellShare, wl map[int]CellShare, cfg PhaseIConfig) []Action {
 	if cfg.P <= 0 {
 		cfg.P = 8
 	}
@@ -97,7 +98,7 @@ func PlanPhaseI(wo []CellShare, wl map[int]CellShare, cellObjTotal func(cell int
 		if !exists || !other.Text {
 			continue
 		}
-		if a, ok := planMerge(cs, other, cellObjTotal); ok {
+		if a, ok := planMerge(cs, other); ok {
 			actions = append(actions, a)
 		}
 	}
@@ -174,20 +175,18 @@ func hits(ks []KeyStat) int64 {
 
 // planMerge evaluates merging w_o's text share into w_l's share of the
 // same cell.
-func planMerge(a, b CellShare, cellObjTotal func(int) int64) (Action, bool) {
+func planMerge(a, b CellShare) (Action, bool) {
 	costs := load.DefaultCosts
 	// Before: each worker handles its own object subset and query share.
 	before := costs.C1*(float64(a.ObjSeen)*float64(a.Queries)+float64(b.ObjSeen)*float64(b.Queries)) +
 		costs.C2*float64(a.ObjSeen+b.ObjSeen)
 	// After: one worker holds both query shares and receives each cell
-	// object once. The dispatcher's total arrival count bounds the
-	// merged object volume.
-	merged := a.ObjSeen + b.ObjSeen
-	if cellObjTotal != nil {
-		if t := cellObjTotal(a.Cell); t >= 0 && t < merged {
-			merged = t
-		}
-	}
+	// object once. The objects both workers saw are counted in both
+	// shares; each saw at most min(a.Shared, b.Shared) of them. That is
+	// exact for a cell with two owners, and a lower bound on the union
+	// when it has more. Without the objects counted twice, merging could
+	// never win: after − before = c1·(a.o·b.q + b.o·a.q) ≥ 0.
+	merged := a.ObjSeen + b.ObjSeen - min(a.Shared, b.Shared)
 	after := costs.C1*float64(merged)*float64(a.Queries+b.Queries) + costs.C2*float64(merged)
 	if after >= before {
 		return Action{}, false

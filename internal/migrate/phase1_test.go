@@ -16,7 +16,7 @@ func TestPlanSplitReducesWorkload(t *testing.T) {
 			{Key: "beta", Queries: 50, ObjHits: 500},
 		},
 	}
-	actions := PlanPhaseI([]CellShare{cs}, nil, nil, PhaseIConfig{P: 4})
+	actions := PlanPhaseI([]CellShare{cs}, nil, PhaseIConfig{P: 4})
 	if len(actions) != 1 {
 		t.Fatalf("got %d actions, want 1", len(actions))
 	}
@@ -42,7 +42,7 @@ func TestPlanSplitSkipsWhenNotBeneficial(t *testing.T) {
 			{Key: "b", Queries: 5, ObjHits: 100},
 		},
 	}
-	actions := PlanPhaseI([]CellShare{cs}, nil, nil, PhaseIConfig{})
+	actions := PlanPhaseI([]CellShare{cs}, nil, PhaseIConfig{})
 	if len(actions) != 0 {
 		t.Errorf("expected no actions, got %+v", actions)
 	}
@@ -53,7 +53,7 @@ func TestPlanSplitNeedsTwoKeys(t *testing.T) {
 		Cell: 1, Queries: 50, ObjSeen: 500, Text: false,
 		Keys: []KeyStat{{Key: "only", Queries: 50, ObjHits: 400}},
 	}
-	if actions := PlanPhaseI([]CellShare{cs}, nil, nil, PhaseIConfig{}); len(actions) != 0 {
+	if actions := PlanPhaseI([]CellShare{cs}, nil, PhaseIConfig{}); len(actions) != 0 {
 		t.Errorf("single-key cell cannot split, got %+v", actions)
 	}
 }
@@ -61,12 +61,12 @@ func TestPlanSplitNeedsTwoKeys(t *testing.T) {
 func TestPlanMergeWhenDuplicationDominates(t *testing.T) {
 	// Both workers see nearly all of the cell's objects (heavy
 	// duplication) with few queries each: merging saves object handling.
-	wo := CellShare{Cell: 5, Queries: 3, ObjSeen: 1000, Text: true}
+	// 900 objects reached both: 1 100 distinct arrivals merged.
+	wo := CellShare{Cell: 5, Queries: 3, ObjSeen: 1000, Shared: 900, Text: true}
 	wl := map[int]CellShare{
-		5: {Cell: 5, Queries: 2, ObjSeen: 1000, Text: true},
+		5: {Cell: 5, Queries: 2, ObjSeen: 1000, Shared: 900, Text: true},
 	}
-	total := func(cell int) int64 { return 1100 } // objects arrive ~once
-	actions := PlanPhaseI([]CellShare{wo}, wl, total, PhaseIConfig{})
+	actions := PlanPhaseI([]CellShare{wo}, wl, PhaseIConfig{})
 	if len(actions) != 1 || actions[0].Kind != ActionMergeShares {
 		t.Fatalf("expected merge action, got %+v", actions)
 	}
@@ -75,20 +75,32 @@ func TestPlanMergeWhenDuplicationDominates(t *testing.T) {
 func TestPlanMergeSkippedWhenMatchingDominates(t *testing.T) {
 	// Many queries on both sides: merging would multiply the matching
 	// product; the split should stay.
-	wo := CellShare{Cell: 5, Queries: 5000, ObjSeen: 600, Text: true}
+	// 100 objects reached both: 1 000 distinct arrivals merged.
+	wo := CellShare{Cell: 5, Queries: 5000, ObjSeen: 600, Shared: 100, Text: true}
 	wl := map[int]CellShare{
-		5: {Cell: 5, Queries: 5000, ObjSeen: 500, Text: true},
+		5: {Cell: 5, Queries: 5000, ObjSeen: 500, Shared: 100, Text: true},
 	}
-	total := func(cell int) int64 { return 1000 }
-	actions := PlanPhaseI([]CellShare{wo}, wl, total, PhaseIConfig{})
+	actions := PlanPhaseI([]CellShare{wo}, wl, PhaseIConfig{})
 	if len(actions) != 0 {
 		t.Errorf("expected no merge, got %+v", actions)
 	}
 }
 
+// TestPlanMergeNeedsSharedObjects: two shares that saw no object in
+// common gain nothing by merging, however few queries they hold.
+func TestPlanMergeNeedsSharedObjects(t *testing.T) {
+	for _, shared := range [2]int64{0, 1000} {
+		wo := CellShare{Cell: 5, Queries: 1, ObjSeen: 1000, Shared: shared, Text: true}
+		wl := map[int]CellShare{5: {Cell: 5, Queries: 1, ObjSeen: 1000, Text: true}}
+		if actions := PlanPhaseI([]CellShare{wo}, wl, PhaseIConfig{}); len(actions) != 0 {
+			t.Errorf("w_o shares %d objects, w_l none: merged %+v", shared, actions)
+		}
+	}
+}
+
 func TestPlanMergeRequiresCounterpart(t *testing.T) {
 	wo := CellShare{Cell: 9, Queries: 3, ObjSeen: 1000, Text: true}
-	actions := PlanPhaseI([]CellShare{wo}, map[int]CellShare{}, nil, PhaseIConfig{})
+	actions := PlanPhaseI([]CellShare{wo}, map[int]CellShare{}, PhaseIConfig{})
 	if len(actions) != 0 {
 		t.Errorf("merge without counterpart share: %+v", actions)
 	}
@@ -105,7 +117,7 @@ func TestPlanPhaseIRespectsP(t *testing.T) {
 			},
 		})
 	}
-	actions := PlanPhaseI(shares, nil, nil, PhaseIConfig{P: 3})
+	actions := PlanPhaseI(shares, nil, PhaseIConfig{P: 3})
 	if len(actions) > 3 {
 		t.Errorf("planner inspected more than P cells: %d actions", len(actions))
 	}

@@ -85,15 +85,9 @@ func (w *Worker) Counts() (done, emitted int64) {
 	return sr.Objects + sr.Inserts + sr.Deletes, sr.Delivered
 }
 
-// Epoch reports the last routing epoch announced by the coordinator
-// via a fence frame (0 until one arrives). Diagnostics only: a worker
-// node does not route, so the epoch tags logs and stats, nothing more.
-func (w *Worker) Epoch() uint64 {
-	if eng := w.eng.Load(); eng != nil {
-		return eng.RouteEpoch()
-	}
-	return 0
-}
+// Epoch reports the coordinator session epoch the node last accepted (0
+// before the first handshake): what its /healthz and /statsz report.
+func (w *Worker) Epoch() uint64 { return w.fence.Load() }
 
 // QueryCount reports live queries held, excluding lazily-tombstoned
 // deletions (tests, diagnostics).

@@ -336,23 +336,20 @@ func TestWorkerInstallAckDeltasPrecedeLaterBatchDeltas(t *testing.T) {
 	}
 }
 
-// TestWorkerRecordsFenceEpoch: the informational fence frame must be
-// accepted mid-stream and recorded, not torn down as an unknown frame.
-func TestWorkerRecordsFenceEpoch(t *testing.T) {
+// TestWorkerReportsSessionEpoch: a node's epoch, which its /healthz and
+// /statsz report, is the coordinator session epoch it accepted.
+func TestWorkerReportsSessionEpoch(t *testing.T) {
 	w, addr, _ := startWorker(t, WorkerOptions{})
-	cl, err := wire.DialWorker(addr, testHello(0), wire.Backoff{Attempts: 3})
+	if got := w.Epoch(); got != 0 {
+		t.Errorf("Epoch before any session = %d, want 0", got)
+	}
+	hello := testHello(0)
+	hello.Epoch = 7
+	cl, err := wire.DialWorker(addr, hello, wire.Backoff{Attempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.SendControl(wire.Fence{Epoch: 7}); err != nil {
-		t.Fatal(err)
-	}
-	// Drain is FIFO-ordered behind the fence, so after it the epoch is
-	// visible — and the session survived the control frame.
-	if _, err := cl.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	if got := w.Epoch(); got != 7 {
 		t.Errorf("Epoch = %d, want 7", got)
 	}

@@ -6,11 +6,10 @@ import (
 )
 
 // Registry builds the worker node's metric registry: its cumulative op
-// and match counters, live query count, the coordinator-announced routing
-// epoch, and the process's wire-level frame/byte counters. Every series
-// is func-backed, so the registry adds no cost to the serve loop — values
-// are read from the engine's existing counters at scrape
-// time.
+// and match counters, live query count, and the process's wire-level
+// frame/byte counters. Every series is func-backed, so the registry adds
+// no cost to the serve loop — values are read from the engine's existing
+// counters at scrape time.
 func (w *Worker) Registry() *metrics.Registry {
 	r := metrics.NewRegistry()
 	r.CounterFunc("ps2_ops_processed_total",
@@ -31,9 +30,6 @@ func (w *Worker) Registry() *metrics.Registry {
 	r.GaugeFunc("ps2_worker_queries",
 		"Live queries held by this worker node.",
 		func() float64 { return float64(w.QueryCount()) })
-	r.GaugeFunc("ps2_route_epoch",
-		"Last routing epoch announced by the coordinator.",
-		func() float64 { return float64(w.Epoch()) })
 	wire.RegisterMetrics(r)
 	return r
 }

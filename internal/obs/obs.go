@@ -27,8 +27,9 @@ type Options struct {
 	// ("dispatcher", "worker").
 	Role string
 	Task int
-	// Epoch, when non-nil, reports the process's current routing epoch
-	// in /healthz (workers track the coordinator's fence).
+	// Epoch, when non-nil, reports the process's epoch in /healthz and
+	// /statsz: a coordinator's routing epoch, a worker node's coordinator
+	// session epoch.
 	Epoch func() uint64
 	// BeforeScrape, when non-nil, runs before each /metrics or /statsz
 	// render — the coordinator uses it to refresh remote node counters

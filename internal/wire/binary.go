@@ -123,10 +123,11 @@ func appendEntry(dst []byte, e *window.Entry) []byte {
 	return appendTime(dst, e.At)
 }
 
-// Per-op presence bits (one byte on the wire).
+// Per-op presence bits (one byte on the wire). opSolo is OpEnv.Solo.
 const (
 	opHasObj   = 1 << 0
 	opHasQuery = 1 << 1
+	opSolo     = 1 << 2
 )
 
 // AppendOpBatch appends the binary encoding of one op batch to dst.
@@ -146,6 +147,9 @@ func AppendOpBatch(dst []byte, seq uint64, ops []OpEnv) []byte {
 		}
 		if env.Op.Query != nil {
 			pres |= opHasQuery
+		}
+		if env.Solo {
+			pres |= opSolo
 		}
 		dst = append(dst, pres)
 		if o := env.Op.Obj; o != nil {
@@ -183,11 +187,6 @@ func AppendDrain(dst []byte, d Drain) []byte {
 func AppendDrainAck(dst []byte, a DrainAck) []byte {
 	dst = binary.AppendUvarint(dst, a.Seq)
 	return binary.AppendUvarint(dst, uint64(a.Emitted))
-}
-
-// AppendFence appends the binary encoding of a fence to dst.
-func AppendFence(dst []byte, f Fence) []byte {
-	return binary.AppendUvarint(dst, f.Epoch)
 }
 
 // appendDeltas appends a length-prefixed run of window deltas: the
@@ -378,10 +377,11 @@ func DecodeBinOpBatch(p []byte, dst []OpEnv) (ops []OpEnv, seq uint64, err error
 		}
 		env.Op.Kind = model.OpKind(kind)
 		pres := r.u8()
-		if pres&^(opHasObj|opHasQuery) != 0 {
+		if pres&^(opHasObj|opHasQuery|opSolo) != 0 {
 			r.fail()
 			break
 		}
+		env.Solo = pres&opSolo != 0
 		if pres&opHasObj != 0 {
 			o := &model.Object{}
 			o.ID, o.Terms, o.Loc = r.doc()
@@ -495,16 +495,6 @@ func DecodeBinAdvanceAck(p []byte) (AdvanceAck, error) {
 		return AdvanceAck{}, fmt.Errorf("%w: advance ack", ErrBadPayload)
 	}
 	return a, nil
-}
-
-// DecodeBinFence decodes a binary fence payload.
-func DecodeBinFence(p []byte) (Fence, error) {
-	r := breader{p: p}
-	f := Fence{Epoch: r.uvarint()}
-	if !r.done() {
-		return Fence{}, fmt.Errorf("%w: fence", ErrBadPayload)
-	}
-	return f, nil
 }
 
 // The frames below are the control plane: the handshake, stats polls and
@@ -639,8 +629,8 @@ func AppendCellStatsReply(dst []byte, c CellStatsReply) []byte {
 		dst = binary.AppendUvarint(dst, uint64(cs.Cell))
 		dst = binary.AppendUvarint(dst, uint64(cs.Entries))
 		dst = binary.AppendUvarint(dst, uint64(cs.ObjSeen))
+		dst = binary.AppendUvarint(dst, uint64(cs.Shared))
 		dst = binary.AppendUvarint(dst, uint64(cs.SizeBytes))
-		dst = appendF64(dst, cs.Load)
 		dst = binary.AppendUvarint(dst, uint64(len(cs.Terms)))
 		for _, t := range cs.Terms {
 			dst = appendStr(dst, t.Term)
@@ -655,7 +645,7 @@ func AppendCellStatsReply(dst []byte, c CellStatsReply) []byte {
 func DecodeBinCellStatsReply(p []byte) (CellStatsReply, error) {
 	r := breader{p: p}
 	c := CellStatsReply{Seq: r.uvarint()}
-	if n := r.count(13); n > 0 { // 4 varints + 8-byte load + term count
+	if n := r.count(6); n > 0 { // 5 varints + term count
 		c.Cells = make([]CellStat, n)
 	}
 	for i := range c.Cells {
@@ -663,8 +653,8 @@ func DecodeBinCellStatsReply(p []byte) (CellStatsReply, error) {
 		cs.Cell = int(r.uvarint())
 		cs.Entries = int(r.uvarint())
 		cs.ObjSeen = int64(r.uvarint())
+		cs.Shared = int64(r.uvarint())
 		cs.SizeBytes = int64(r.uvarint())
-		cs.Load = r.f64()
 		if n := r.count(3); n > 0 { // term length + 2 varints
 			cs.Terms = make([]CellTermStat, n)
 		}
@@ -916,30 +906,15 @@ func DecodeBinInstallAck(p []byte) (InstallAck, error) {
 	return InstallAck(a), err
 }
 
-// DecodeControl decodes a control frame by its type: a request a worker
-// serves (StatsReq, CellStatsReq, ExtractCells, InstallCells,
-// AdvanceWindow, Fence, ResetWindow) or the reply it answers with. Any
-// other type yields a nil Frame and no error.
+// DecodeControl decodes a control frame by its type (the frame table's
+// decoder): a request a worker serves (StatsReq, CellStatsReq,
+// ExtractCells, InstallCells, AdvanceWindow, ResetWindow) or the reply it
+// answers with. Any other type yields a nil Frame and no error.
 func DecodeControl(typ byte, p []byte) (Frame, error) {
-	if decode := controlDecoders[typ]; decode != nil {
-		return decode(p)
+	if int(typ) < len(frameKinds) && frameKinds[typ].decode != nil {
+		return frameKinds[typ].decode(p)
 	}
 	return nil, nil
-}
-
-var controlDecoders = map[byte]func([]byte) (Frame, error){
-	TypeStatsReq:       decodeFrame(DecodeBinStatsReq),
-	TypeStatsReply:     decodeFrame(DecodeBinStatsReply),
-	TypeCellStatsReq:   decodeFrame(DecodeBinCellStatsReq),
-	TypeCellStatsReply: decodeFrame(DecodeBinCellStatsReply),
-	TypeExtractCells:   decodeFrame(DecodeBinExtractCells),
-	TypeCellShare:      decodeFrame(DecodeBinCellShare),
-	TypeInstallCells:   decodeFrame(DecodeBinInstallCells),
-	TypeInstallAck:     decodeFrame(DecodeBinInstallAck),
-	TypeAdvanceWindow:  decodeFrame(DecodeBinAdvanceWindow),
-	TypeAdvanceAck:     decodeFrame(DecodeBinAdvanceAck),
-	TypeFence:          decodeFrame(DecodeBinFence),
-	TypeResetWindow:    func([]byte) (Frame, error) { return ResetWindow{}, nil },
 }
 
 func decodeFrame[T Frame](decode func([]byte) (T, error)) func([]byte) (Frame, error) {

@@ -32,7 +32,7 @@ func sampleOpBatch() []OpEnv {
 		{Op: model.Op{Kind: model.OpInsert, Query: q, Seq: 1}, T0: time.Unix(1700000000, 12345)},
 		{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{
 			ID: 9, Terms: []string{"best", "coffee"}, Loc: geo.Point{X: -73.95, Y: 40.71},
-		}, Seq: 2}, T0: time.Unix(1700000001, 0)},
+		}, Seq: 2}, T0: time.Unix(1700000001, 0), Solo: true},
 		{Op: model.Op{Kind: model.OpDelete, Query: q, Seq: 3}},
 		{Op: model.Op{Kind: model.OpObject, Obj: &model.Object{ID: 10}, Seq: 4},
 			T0: time.Unix(1699999999, 0)},
@@ -111,39 +111,38 @@ func TestBinaryMatchAndControlRoundTrip(t *testing.T) {
 	if got, err := DecodeBinDrainAck(AppendDrainAck(nil, a)); err != nil || got != a {
 		t.Errorf("drain ack = %+v, %v; want %+v", got, err, a)
 	}
-	fe := Fence{Epoch: 3}
-	if got, err := DecodeBinFence(AppendFence(nil, fe)); err != nil || got != fe {
-		t.Errorf("fence = %+v, %v; want %+v", got, err, fe)
-	}
 }
 
-// TestSoloIsNotEncoded: Solo is the coordinator's note to itself. An
-// envelope with it set encodes to the bytes of one without, and decodes
-// with it false — a match that crossed the wire always meets the dedup
-// window.
-func TestSoloIsNotEncoded(t *testing.T) {
+// TestSoloCrossesInOpsNotInMatches: an op's Solo rides its presence
+// byte, so a remote engine counts a cell's shared objects as an
+// in-process one does, at no cost in bytes. A match's Solo is the
+// coordinator's note to itself: a match envelope with it set encodes to
+// the bytes of one without, and decodes with it false — a match that
+// crossed the wire always meets the dedup window.
+func TestSoloCrossesInOpsNotInMatches(t *testing.T) {
 	ops, ms := sampleOpBatch(), sampleMatchBatch()
 	plainOps, plainMs := AppendOpBatch(nil, 5, ops), AppendMatchBatch(nil, ms)
 	for i := range ops {
-		ops[i].Solo = true
+		ops[i].Solo = i%2 == 1
 	}
 	for i := range ms {
 		ms[i].Solo = true
 	}
-	if p := AppendOpBatch(nil, 5, ops); !bytes.Equal(p, plainOps) {
-		t.Error("OpEnv.Solo changed the op batch encoding")
+	soloOps := AppendOpBatch(nil, 5, ops)
+	if len(soloOps) != len(plainOps) {
+		t.Errorf("OpEnv.Solo costs %d bytes, want 0", len(soloOps)-len(plainOps))
 	}
-	if p := AppendMatchBatch(nil, ms); !bytes.Equal(p, plainMs) {
-		t.Error("MatchEnv.Solo changed the match batch encoding")
-	}
-	gotOps, _, err := DecodeBinOpBatch(plainOps, nil)
+	gotOps, _, err := DecodeBinOpBatch(soloOps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range gotOps {
-		if gotOps[i].Solo {
-			t.Errorf("decoded op %d has Solo set", i)
+		if gotOps[i].Solo != ops[i].Solo {
+			t.Errorf("decoded op %d has Solo %v, want %v", i, gotOps[i].Solo, ops[i].Solo)
 		}
+	}
+	if p := AppendMatchBatch(nil, ms); !bytes.Equal(p, plainMs) {
+		t.Error("MatchEnv.Solo changed the match batch encoding")
 	}
 	gotMs, err := DecodeBinMatchBatch(plainMs, nil)
 	if err != nil {
@@ -312,7 +311,6 @@ func TestHotFrameCodecZeroAlloc(t *testing.T) {
 	mP := AppendMatchBatch(nil, ms)
 	dP := AppendDrain(nil, Drain{Seq: 9})
 	aP := AppendDrainAck(nil, DrainAck{Seq: 9, Emitted: 678})
-	fP := AppendFence(nil, Fence{Epoch: 3})
 	ds := sampleDeltas()
 	wP := AppendWindowDeltaBatch(nil, 31, ds)
 	enc := make([]byte, 0, 4*len(opP))
@@ -324,7 +322,6 @@ func TestHotFrameCodecZeroAlloc(t *testing.T) {
 		enc = AppendMatchBatch(enc[:0], ms)
 		enc = AppendDrain(enc[:0], Drain{Seq: 9})
 		enc = AppendDrainAck(enc[:0], DrainAck{Seq: 9, Emitted: 678})
-		enc = AppendFence(enc[:0], Fence{Epoch: 3})
 		enc = AppendWindowDeltaBatch(enc[:0], 31, ds)
 		scratch, err = DecodeBinMatchBatch(mP, scratch[:0])
 		dscratch, _, err = DecodeBinWindowDeltaBatch(wP, dscratch[:0])
@@ -335,9 +332,6 @@ func TestHotFrameCodecZeroAlloc(t *testing.T) {
 			panic(err)
 		}
 		if _, err = DecodeBinDrainAck(aP); err != nil {
-			panic(err)
-		}
-		if _, err = DecodeBinFence(fP); err != nil {
 			panic(err)
 		}
 	})
@@ -397,6 +391,8 @@ func binarySeedFrames() [][]byte {
 		seed(TypeInstallCells, AppendInstallCells(nil, lastPage(Pages(samplePayloads(), 120)))),
 		// A page whose sequence varint never ends.
 		seed(TypeInstallCells, []byte{0x80}),
+		// An op whose presence byte sets bit 3, above Solo's: refused.
+		seed(TypeOpBatch, []byte{0, 1, byte(model.OpObject), opSolo << 1}),
 	)
 }
 

@@ -348,7 +348,7 @@ func (w *WorkerClient) SendDrain() error {
 
 // SendControl queues a control request behind every frame sent before it
 // and returns without waiting. A request that is answered (every kind
-// but Fence and ResetWindow) gets its reply through RecvMatches, after
+// but ResetWindow) gets its reply through RecvMatches, after
 // the matches and deltas of the ops sent before it.
 func (w *WorkerClient) SendControl(f Frame) error {
 	return w.writer.SendFrame(f)

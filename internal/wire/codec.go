@@ -23,8 +23,10 @@ const Magic = "PS2WIRE"
 // version 4 carried a window ring in each CellPayload; version 5 had a
 // refill bit in each op's presence byte; version 6 carried the sample's
 // term counts in the Hello; version 7 carried a merger's duplicate count
-// in StatsReply; version 8 sent a CellShare's cells inside it, unpaged.
-const Version = 9
+// in StatsReply; version 8 sent a CellShare's cells inside it, unpaged;
+// version 9 had a Fence frame, a load in each CellStat and no Solo bit
+// in an op's presence byte.
+const Version = 10
 
 // Roles named in the handshake.
 const (
@@ -88,15 +90,16 @@ type OpEnv struct {
 	T0 time.Time
 	// Solo marks an object the dispatcher routed to exactly one worker:
 	// no second engine sees it, so its matches cannot be reported twice.
-	// Coordinator-local: it is not encoded, and a decoded envelope has it
-	// false.
+	// An engine counts an object that is not Solo as shared in its cell
+	// (Phase I's merge bound), so Solo is encoded: a bit of the op's
+	// presence byte.
 	Solo bool
 	// TermIDs are an object's term ids in the coordinator's term
 	// dictionary, resolved once by the dispatcher, which routes by them;
 	// terms the dictionary does not hold are left out. An in-process
 	// engine, whose index shares that dictionary, matches on them. nil
 	// means unresolved: the engine looks the object's terms up itself.
-	// Coordinator-local like Solo: not encoded, and not op-logged.
+	// Coordinator-local: not encoded, and not op-logged.
 	TermIDs []uint32
 }
 
@@ -174,12 +177,6 @@ type StatsReply struct {
 	Deletes int64
 }
 
-// Fence announces the coordinator's routing epoch after an adjustment
-// flip. Informational.
-type Fence struct {
-	Epoch uint64
-}
-
 // CellTermStat is one registration key's statistics within a cell
 // (gi2.TermStat across the wire): the Phase I split planner's input.
 type CellTermStat struct {
@@ -189,15 +186,16 @@ type CellTermStat struct {
 }
 
 // CellStat is one grid cell's planner view on a worker node: n_q
-// (Entries), the Definition-3 window load L_g = n_o·n_q (Load), the
-// per-window object count n_o (ObjSeen), and the serialised size S_g
-// (SizeBytes) that prices a migration.
+// (Entries), the per-window object count n_o (ObjSeen), of which Shared
+// were routed to other slots too, and the serialised size S_g
+// (SizeBytes) that prices a migration. The Definition-3 window load
+// L_g = n_o·n_q is load.Cell of the first two.
 type CellStat struct {
 	Cell      int
 	Entries   int
 	ObjSeen   int64
+	Shared    int64
 	SizeBytes int64
-	Load      float64
 	Terms     []CellTermStat
 }
 
@@ -376,7 +374,6 @@ func (Drain) frameType() byte            { return TypeDrain }
 func (DrainAck) frameType() byte         { return TypeDrainAck }
 func (StatsReq) frameType() byte         { return TypeStatsReq }
 func (StatsReply) frameType() byte       { return TypeStatsReply }
-func (Fence) frameType() byte            { return TypeFence }
 func (Goodbye) frameType() byte          { return TypeGoodbye }
 func (CellStatsReq) frameType() byte     { return TypeCellStatsReq }
 func (CellStatsReply) frameType() byte   { return TypeCellStatsReply }
@@ -398,7 +395,6 @@ func (f Drain) appendTo(b []byte) []byte          { return AppendDrain(b, f) }
 func (f DrainAck) appendTo(b []byte) []byte       { return AppendDrainAck(b, f) }
 func (f StatsReq) appendTo(b []byte) []byte       { return AppendStatsReq(b, f) }
 func (f StatsReply) appendTo(b []byte) []byte     { return AppendStatsReply(b, f) }
-func (f Fence) appendTo(b []byte) []byte          { return AppendFence(b, f) }
 func (Goodbye) appendTo(b []byte) []byte          { return b }
 func (f CellStatsReq) appendTo(b []byte) []byte   { return AppendCellStatsReq(b, f) }
 func (f CellStatsReply) appendTo(b []byte) []byte { return AppendCellStatsReply(b, f) }

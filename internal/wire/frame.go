@@ -58,16 +58,16 @@ const (
 	TypeStatsReq byte = 7
 	// TypeStatsReply answers a StatsReq.
 	TypeStatsReply byte = 8
-	// TypeFence announces a routing-epoch advance (a migration's routing
-	// flip) so peers can tag diagnostics with the coordinator's routing
-	// generation. Informational; no acknowledgement.
-	TypeFence byte = 9
+	// Type 9 is retired: it announced a routing epoch that no decision
+	// read. It is never reused.
+
 	// TypeGoodbye ends the sender's half of the conversation; the peer
 	// finishes writing pending output and closes.
 	TypeGoodbye byte = 10
 	// TypeCellStatsReq asks a worker peer for its per-cell planner
-	// statistics (the Phase I/II migration input: entries, window load,
-	// serialised size, per-term registration counts).
+	// statistics (the Phase I/II migration input: entries, window object
+	// and shared-object counts, serialised size, per-term registration
+	// counts).
 	TypeCellStatsReq byte = 11
 	// TypeCellStatsReply answers a CellStatsReq.
 	TypeCellStatsReply byte = 12
@@ -113,6 +113,49 @@ const (
 	// membership deltas, tagged with the session's fencing epoch.
 	TypeAdvanceAck byte = 21
 )
+
+// frameKind is one row of the frame table: a frame type's name, which
+// labels its metric series, and the decoder of a control frame (nil for
+// any other).
+type frameKind struct {
+	name   string
+	decode func([]byte) (Frame, error)
+}
+
+// frameKinds is the frame table, indexed by type: the one declaration of
+// every frame type that TypeName, RegisterMetrics and DecodeControl
+// read. A retired type keeps an empty row.
+var frameKinds = [...]frameKind{
+	TypeHello:            {name: "hello"},
+	TypeWelcome:          {name: "welcome"},
+	TypeOpBatch:          {name: "op_batch"},
+	TypeMatchBatch:       {name: "match_batch"},
+	TypeDrain:            {name: "drain"},
+	TypeDrainAck:         {name: "drain_ack"},
+	TypeStatsReq:         {"stats_req", decodeFrame(DecodeBinStatsReq)},
+	TypeStatsReply:       {"stats_reply", decodeFrame(DecodeBinStatsReply)},
+	TypeGoodbye:          {name: "goodbye"},
+	TypeCellStatsReq:     {"cell_stats_req", decodeFrame(DecodeBinCellStatsReq)},
+	TypeCellStatsReply:   {"cell_stats_reply", decodeFrame(DecodeBinCellStatsReply)},
+	TypeExtractCells:     {"extract_cells", decodeFrame(DecodeBinExtractCells)},
+	TypeCellShare:        {"cell_share", decodeFrame(DecodeBinCellShare)},
+	TypeInstallCells:     {"install_cells", decodeFrame(DecodeBinInstallCells)},
+	TypeInstallAck:       {"install_ack", decodeFrame(DecodeBinInstallAck)},
+	TypeResetWindow:      {"reset_window", func([]byte) (Frame, error) { return ResetWindow{}, nil }},
+	TypePing:             {name: "ping"},
+	TypeWindowDeltaBatch: {name: "window_delta_batch"},
+	TypeAdvanceWindow:    {"advance_window", decodeFrame(DecodeBinAdvanceWindow)},
+	TypeAdvanceAck:       {"advance_ack", decodeFrame(DecodeBinAdvanceAck)},
+}
+
+// TypeName names a frame type for metric labels: "other" for a type
+// without a row.
+func TypeName(typ byte) string {
+	if int(typ) < len(frameKinds) && frameKinds[typ].name != "" {
+		return frameKinds[typ].name
+	}
+	return "other"
+}
 
 // MaxFrameSize bounds a frame's length field: a reader rejects larger
 // frames before allocating, so a corrupt or malicious length cannot

@@ -41,25 +41,6 @@ func (fc *frameCounters) record(typ byte, payloadLen int, dur time.Duration) {
 	fc.nanos[i].Add(int64(dur))
 }
 
-// typeNames names every frame type; each named type has metric series.
-var typeNames = [...]string{
-	TypeHello: "hello", TypeWelcome: "welcome", TypeOpBatch: "op_batch", TypeMatchBatch: "match_batch",
-	TypeDrain: "drain", TypeDrainAck: "drain_ack", TypeStatsReq: "stats_req", TypeStatsReply: "stats_reply",
-	TypeFence: "fence", TypeGoodbye: "goodbye", TypeCellStatsReq: "cell_stats_req",
-	TypeCellStatsReply: "cell_stats_reply", TypeExtractCells: "extract_cells", TypeCellShare: "cell_share",
-	TypeInstallCells: "install_cells", TypeInstallAck: "install_ack", TypeResetWindow: "reset_window",
-	TypePing: "ping", TypeWindowDeltaBatch: "window_delta_batch", TypeAdvanceWindow: "advance_window",
-	TypeAdvanceAck: "advance_ack",
-}
-
-// TypeName names a frame type for metric labels.
-func TypeName(typ byte) string {
-	if int(typ) < len(typeNames) && typeNames[typ] != "" {
-		return typeNames[typ]
-	}
-	return "other"
-}
-
 // RegisterMetrics wires the process-global transport counters into reg
 // as func-backed series, one per frame kind and direction:
 //
@@ -69,10 +50,11 @@ func TypeName(typ byte) string {
 // io_seconds is cumulative time inside Send (encode + write + flush)
 // and Recv (including the blocking wait for the frame to arrive, so the
 // rx side reads as read-loop occupancy). Registration is eager for
-// every named kind so scrapes see stable series sets from the first
-// poll.
+// every row of the frame table so scrapes see stable series sets from
+// the first poll.
 func RegisterMetrics(reg *metrics.Registry) {
-	for t, name := range typeNames {
+	for t, k := range frameKinds {
+		name := k.name
 		if name == "" {
 			continue
 		}

@@ -17,8 +17,8 @@ func TestFrameWriterSendAfterStopFails(t *testing.T) {
 		t.Helper()
 		for i := 0; i < sends; i++ {
 			buf := GetBuf()
-			buf.B = AppendFence(buf.B, Fence{Epoch: uint64(i)})
-			if err := w.Send(TypeFence, buf); err == nil {
+			buf.B = AppendDrain(buf.B, Drain{Seq: uint64(i)})
+			if err := w.Send(TypeDrain, buf); err == nil {
 				t.Fatalf("send %d after the writer stopped returned nil", i)
 			}
 			if err := w.SendFrame(Ping{}); err == nil {

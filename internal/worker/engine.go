@@ -57,8 +57,6 @@ type Engine struct {
 	// Cumulative processed-op counts by kind and emitted matches; they
 	// describe the slot's lifetime and survive Reset.
 	objects, inserts, deletes, emitted int64
-	// fence is the last routing epoch a Fence announced (diagnostics).
-	fence uint64
 
 	// Cursor of the Process call in flight, read by match.
 	env   *wire.OpEnv
@@ -109,7 +107,8 @@ func (e *Engine) observe(t time.Time) {
 // resolved them (in process, in the index's shared dictionary), else on
 // its terms. An object whose terms the dispatcher did not make (nil
 // Terms, see model.Object) has them made from its text for a top-k hit's
-// window entry only.
+// window entry only. An object that is not Solo was routed to other
+// slots too, and its cell counts it as shared: Phase I's merge bound.
 func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.Delta) ([]wire.MatchEnv, []window.Delta, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -142,9 +141,9 @@ func (e *Engine) Process(ops []wire.OpEnv, out []wire.MatchEnv, dout []window.De
 			e.entry = window.Entry{MsgID: obj.ID, Terms: obj.Terms, Loc: obj.Loc, At: env.T0}
 			var hits []uint32
 			if env.TermIDs != nil {
-				hits = e.gi.MatchSlots(obj.Loc, env.TermIDs)
+				hits = e.gi.MatchSlots(obj.Loc, env.TermIDs, !env.Solo)
 			} else {
-				hits = e.gi.MatchObject(obj)
+				hits = e.gi.MatchObject(obj, !env.Solo)
 			}
 			for _, s := range hits {
 				e.match(s)
@@ -185,13 +184,12 @@ func (e *Engine) match(s uint32) {
 
 // Serve runs one control request and returns its reply: a StatsReply,
 // CellStatsReply, CellShare, InstallAck or AdvanceAck, each under the
-// request's Seq, or nil for a Fence or ResetWindow, which are not
-// answered. An AdvanceWindow runs one expiry sweep at the coordinator's
-// clock: expired entries leave each top-k subscription's band, held
-// entries move up in their place, and the ack carries those deltas. A
-// ResetWindow starts a fresh Definition-3 load window: the per-cell
-// object and term-hit counters CellStats reports. A Fence records the
-// routing epoch it announces.
+// request's Seq, or nil for a ResetWindow, which is not answered. An
+// AdvanceWindow runs one expiry sweep at the coordinator's clock: expired
+// entries leave each top-k subscription's band, held entries move up in
+// their place, and the ack carries those deltas. A ResetWindow starts a
+// fresh Definition-3 load window: the per-cell object, shared-object and
+// term-hit counters CellStats reports.
 func (e *Engine) Serve(req wire.Frame) (wire.Frame, error) {
 	switch r := req.(type) {
 	case wire.StatsReq:
@@ -214,19 +212,8 @@ func (e *Engine) Serve(req wire.Frame) (wire.Frame, error) {
 	case wire.ResetWindow:
 		e.gi.ResetWindow()
 		return nil, nil
-	case wire.Fence:
-		e.fence = r.Epoch
-		return nil, nil
 	}
 	return nil, fmt.Errorf("worker: a %T is not a control request", req)
-}
-
-// RouteEpoch returns the last routing epoch a Fence announced (0 until
-// one arrives).
-func (e *Engine) RouteEpoch() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fence
 }
 
 // Stats reports the live query count, the cumulative processed-op counts
@@ -252,8 +239,8 @@ func (e *Engine) CellStats() []wire.CellStat {
 			Cell:      cs.CellID,
 			Entries:   cs.Entries,
 			ObjSeen:   cs.ObjSeen,
+			Shared:    cs.Shared,
 			SizeBytes: cs.SizeBytes,
-			Load:      cs.Load,
 		}
 		for _, ts := range e.gi.CellTermStats(cs.CellID) {
 			stat.Terms = append(stat.Terms, wire.CellTermStat{
